@@ -23,23 +23,16 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "refresh_coupling_load_sparse",
             "rebuild_downstream_caps",
             "rebuild_upstream",
-            "full_eval",
-            "incremental_eval",
+            "finish_solve_sync",
             "ensure_charged_fresh",
             // The Theorem-5 sweeps themselves.
             "lrs_sweep",
             "fused_forward_sweep",
             "fused_backward_sweep",
             "fused_parallel_sweep",
-            "verification_sweep",
-            "active_sweep",
             // Closed-form resize kernels.
             "closed_form",
-            "closed_form_lanes",
-            "resize_component",
-            "resize_tables",
-            "apply_batch",
-            "flush_lanes",
+            "resize",
             "cap_unchecked",
             // Dense aggregates used inside the OGWS iteration.
             "total_capacitance",
@@ -82,19 +75,17 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "upstream_resistance_into",
             "delays_into",
             "propagate_arrivals",
+            "trace_critical_path",
             "downstream_caps_update",
             "upstream_resistance_update",
             "fused_downstream_resize",
             "fused_upstream_resize",
-            // Level-chunk kernels (scalar and 4-lane).
+            // Level-chunk kernels.
             "downstream_caps_chunk",
             "upstream_resistance_chunk",
             "fused_downstream_chunk",
             "fused_upstream_chunk",
-            "fused_downstream_chunk_lanes",
-            "fused_upstream_chunk_lanes",
             "delays_chunk",
-            "delays_chunk_lanes",
             "arrivals_chunk",
             // Streamed per-edge helpers.
             "child_load_edge",

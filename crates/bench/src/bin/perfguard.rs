@@ -12,14 +12,11 @@
 //! under the same gate, keyed by `name@t<threads>` — except rows flagged
 //! `oversubscribed` (more workers requested than the host exposes), whose
 //! timing measures scheduler thrash rather than the engine and is skipped.
-//! When both files carry a `simd` section (the scalar-vs-4-lane
-//! single-thread A/B), its scalar and laned timings are gated too, keyed
-//! `name@scalar` / `name@laned`. Circuits present in
-//! only one file are reported but do not fail the guard (the tier set may
-//! legitimately change across PRs). A zero, negative or non-finite
-//! `seconds_per_iteration` on either side is a *hard error* (exit 2): such
-//! a ratio could never fail — or always fail — the gate, silently
-//! disarming it. CI copies the committed file aside, regenerates it with
+//! Circuits present in only one file are reported but do not fail the
+//! guard (the tier set may legitimately change across PRs). A zero,
+//! negative or non-finite `seconds_per_iteration` on either side is a
+//! *hard error* (exit 2): such a ratio could never fail — or always fail —
+//! the gate, silently disarming it. CI copies the committed file aside, regenerates it with
 //! `table1 --json` under `NCGWS_QUICK=1`, then runs this guard.
 //!
 //! The vendored `serde_json` is serialize-only, so the two documents are
@@ -258,27 +255,6 @@ fn thread_timings(json: &str) -> BTreeMap<String, f64> {
     out
 }
 
-/// Extracts `name@scalar` / `name@laned` → seconds-per-iteration pairs from
-/// the `"simd"` section (the single-thread scalar-oracle vs 4-lane kernel
-/// A/B), when present.
-fn simd_timings(json: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    let Some(array) = section_array(json, "simd") else {
-        return out;
-    };
-    for object in array_objects(array) {
-        if let (Some(name), Some(scalar), Some(laned)) = (
-            string_field(object, "name"),
-            number_field(object, "scalar_seconds_per_iteration"),
-            number_field(object, "laned_seconds_per_iteration"),
-        ) {
-            out.insert(format!("{name}@scalar"), scalar);
-            out.insert(format!("{name}@laned"), laned);
-        }
-    }
-    out
-}
-
 /// The measurement context of a summary's `threads` scaling rows:
 /// `(hardware_threads, parallel_feature)` as raw value text. Speedups are
 /// only comparable between runs that share it.
@@ -420,23 +396,6 @@ fn main() -> ExitCode {
         eprintln!("perfguard: threads section present in only one file (skipped)");
     }
 
-    // The simd rows are single-thread on both sides, so no scaling-context
-    // match is needed — the same committed-vs-regenerated premise as the
-    // circuits section applies.
-    let baseline_simd = simd_timings(&baseline_doc);
-    let current_simd = simd_timings(&current_doc);
-    if !baseline_simd.is_empty() && !current_simd.is_empty() {
-        match compare("simd", &baseline_simd, &current_simd, max_regression) {
-            Ok(simd_failed) => failed |= simd_failed,
-            Err(message) => {
-                eprintln!("perfguard: hard error: {message}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if baseline_simd.is_empty() != current_simd.is_empty() {
-        eprintln!("perfguard: simd section present in only one file (skipped)");
-    }
-
     if failed {
         eprintln!(
             "perfguard: seconds_per_iteration regressed more than {:.0}% — failing",
@@ -465,11 +424,6 @@ mod tests {
   ],
   "schedule": [
     { "name": "xl10", "components": 10000, "exact_seconds_per_iteration": 0.0065 }
-  ],
-  "simd": [
-    { "name": "xlw10", "components": 10000,
-      "scalar_seconds_per_iteration": 0.006,
-      "laned_seconds_per_iteration": 0.003, "speedup": 2.0 }
   ],
   "threads": [
     { "name": "xlw10", "threads": 1, "seconds_per_iteration": 0.004 },
@@ -570,13 +524,22 @@ mod tests {
         );
     }
 
+    /// Sections the guard does not gate — such as one a retired bench
+    /// section left in an older baseline — are ignored, not misread as
+    /// circuit or thread rows.
     #[test]
-    fn simd_rows_expose_both_scalar_and_laned_timings() {
-        let map = simd_timings(SAMPLE);
-        assert_eq!(map.len(), 2);
-        assert!((map["xlw10@scalar"] - 0.006).abs() < 1e-12);
-        assert!((map["xlw10@laned"] - 0.003).abs() < 1e-12);
-        assert!(simd_timings(NESTED).is_empty(), "absent section is empty");
+    fn unknown_sections_are_ignored() {
+        let doc = r#"{
+  "circuits": [ { "name": "c432", "seconds_per_iteration": 0.000125 } ],
+  "retired": [ { "name": "xlw10", "seconds_per_iteration": 0.5, "threads": 1 } ],
+  "threads": [ { "name": "xlw10", "threads": 1, "seconds_per_iteration": 0.004 } ]
+}"#;
+        let circuits = circuit_timings(doc);
+        assert_eq!(circuits.len(), 1);
+        assert!((circuits["c432"] - 0.000125).abs() < 1e-12);
+        let threads = thread_timings(doc);
+        assert_eq!(threads.len(), 1);
+        assert!((threads["xlw10@t1"] - 0.004).abs() < 1e-12);
     }
 
     #[test]

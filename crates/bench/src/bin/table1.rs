@@ -16,18 +16,16 @@
 //! Table-1 rows (now including the inner-sweep accounting of the solve
 //! schedule), the summary carries a `schedule` section comparing the exact
 //! Figure-8 schedule against the adaptive solve schedule on the XL
-//! synthetic tier (1k/10k — plus 100k components outside quick mode), a
-//! `simd` section comparing the scalar sequential oracle against the
-//! 4-lane vectorized kernels (`ParallelPolicy::threads(1)`) on the wide XL
-//! tier, and a `threads` section measuring the level-parallel policy
+//! synthetic tier (1k/10k — plus 100k components outside quick mode), and
+//! a `threads` section measuring the level-parallel policy
 //! (`ParallelPolicy::threads`) on the wide XL tier at 1/2/4 threads — read
 //! those speedups against the document's `hardware_threads` and
 //! `parallel_feature` fields (a single-core CI runner can only demonstrate
 //! determinism, not scaling). Thread rows asking for more workers than the
 //! host has are flagged `oversubscribed` so downstream comparisons can
-//! ignore their scheduling artifacts. Perfguard compares the `schedule`,
-//! `simd` and non-oversubscribed `threads` rows across baselines whenever
-//! both files carry them.
+//! ignore their scheduling artifacts. Perfguard compares the `schedule` and
+//! non-oversubscribed `threads` rows across baselines whenever both files
+//! carry them.
 
 use std::time::Instant;
 
@@ -81,9 +79,8 @@ fn main() {
 
     if json_mode {
         let schedule = run_schedule_comparison(quick);
-        let simd = run_simd_comparison(quick);
         let threads = run_threads_scaling(quick);
-        write_bench_summary(&reports, schedule, simd, threads, quick);
+        write_bench_summary(&reports, schedule, threads, quick);
         return;
     }
 
@@ -160,21 +157,6 @@ struct ThreadsRow {
     oversubscribed: bool,
 }
 
-/// One row of the `simd` section: the adaptive schedule on the wide XL
-/// tier, scalar sequential oracle (`ParallelPolicy::Sequential`) vs the
-/// 4-lane vectorized kernel path (`ParallelPolicy::threads(1)` — the same
-/// deterministic grid on the calling thread, laned kernels enabled).
-#[derive(serde::Serialize)]
-struct SimdRow {
-    name: String,
-    components: usize,
-    iterations: usize,
-    scalar_seconds_per_iteration: f64,
-    laned_seconds_per_iteration: f64,
-    /// `scalar / laned` — the single-thread vectorization win.
-    speedup: f64,
-}
-
 /// The whole `BENCH_table1.json` document.
 #[derive(serde::Serialize)]
 struct BenchSummary {
@@ -188,7 +170,6 @@ struct BenchSummary {
     hardware_threads: usize,
     circuits: Vec<BenchRow>,
     schedule: Vec<ScheduleRow>,
-    simd: Vec<SimdRow>,
     threads: Vec<ThreadsRow>,
     average_improvements: ncgws_core::report::Improvements,
     total_runtime_seconds: f64,
@@ -311,85 +292,12 @@ fn run_threads_scaling(quick: bool) -> Vec<ThreadsRow> {
     rows
 }
 
-/// Runs the single-thread vectorization A/B: the adaptive schedule on the
-/// wide XL tier with `ParallelPolicy::Sequential` (the untouched scalar
-/// oracle) against `ParallelPolicy::threads(1)` (the same deterministic
-/// chunk grid walked on the calling thread, with the 4-lane kernels and
-/// lane-blocked aggregates engaged). Both runs sit under the adaptive
-/// epsilon-pinned contract, so their final metrics must agree to 1e-6
-/// relative — asserted here, gated continuously by the property tests.
-fn run_simd_comparison(quick: bool) -> Vec<SimdRow> {
-    let tiers: &[usize] = if quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let mut rows = Vec::new();
-    for &components in tiers {
-        let instance = generate(xl_wide_spec(components));
-        let mut per_policy = Vec::new();
-        for policy in [ParallelPolicy::Sequential, ParallelPolicy::threads(1)] {
-            let config = OptimizerConfig {
-                max_iterations: SCHEDULE_ITERATIONS,
-                solve_strategy: SolveStrategy::adaptive(),
-                parallel: policy,
-                ..OptimizerConfig::default()
-            };
-            let ordered = Flow::prepare(&instance, config)
-                .expect("valid configuration")
-                .order()
-                .expect("stage 1 succeeds");
-            let started = Instant::now();
-            let sized = ordered.size().expect("stage 2 succeeds");
-            let elapsed = started.elapsed().as_secs_f64();
-            let iterations = sized.report.iterations.max(1);
-            per_policy.push((elapsed / iterations as f64, sized.report));
-        }
-        let (scalar_spi, scalar) = &per_policy[0];
-        let (laned_spi, laned) = &per_policy[1];
-        for (metric, s, l) in [
-            (
-                "noise_pf",
-                scalar.final_metrics.noise_pf,
-                laned.final_metrics.noise_pf,
-            ),
-            (
-                "area_um2",
-                scalar.final_metrics.area_um2,
-                laned.final_metrics.area_um2,
-            ),
-        ] {
-            assert!(
-                (s - l).abs() <= 1e-6 * s.abs().max(1.0),
-                "laned kernels drifted past the 1e-6 contract on tier {components} ({metric}: scalar {s}, laned {l})"
-            );
-        }
-        eprintln!(
-            "simd {} tier {components}: scalar {:.6} s/iter, laned {:.6} s/iter ({:.2}x)",
-            scalar.name,
-            scalar_spi,
-            laned_spi,
-            scalar_spi / laned_spi
-        );
-        rows.push(SimdRow {
-            name: scalar.name.clone(),
-            components,
-            iterations: SCHEDULE_ITERATIONS,
-            scalar_seconds_per_iteration: *scalar_spi,
-            laned_seconds_per_iteration: *laned_spi,
-            speedup: scalar_spi / laned_spi,
-        });
-    }
-    rows
-}
-
 /// The machine-readable perf-trajectory artifact: per-circuit aggregates
 /// small and stable enough to diff across PRs (full `OptimizationReport`s
 /// go to stdout / `target/table1_results.json`).
 fn write_bench_summary(
     reports: &[OptimizationReport],
     schedule: Vec<ScheduleRow>,
-    simd: Vec<SimdRow>,
     threads: Vec<ThreadsRow>,
     quick: bool,
 ) {
@@ -419,7 +327,6 @@ fn write_bench_summary(
             })
             .collect(),
         schedule,
-        simd,
         threads,
         average_improvements: average_improvements(reports),
         total_runtime_seconds: reports.iter().map(|r| r.runtime_seconds).sum::<f64>(),

@@ -49,9 +49,8 @@ impl DownstreamCaps {
 /// All methods are linear in the number of nodes and edges, but each call
 /// walks the pointer-rich graph and allocates its result vectors. This is
 /// the *allocate-per-call reference path*, kept verbatim as the oracle the
-/// allocation-free engine ([`DelayModel`](crate::DelayModel) over a
-/// [`CircuitTopology`](crate::CircuitTopology) with an
-/// [`EvalWorkspace`](crate::EvalWorkspace)) is checked against — the two
+/// allocation-free engine (a [`CircuitTopology`](crate::CircuitTopology)
+/// with an [`EvalWorkspace`](crate::EvalWorkspace)) is checked against — the two
 /// must produce bitwise identical numbers. Hot loops should use the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct ElmoreAnalyzer<'a> {

@@ -1,4 +1,4 @@
-//! The reusable evaluation engine: pluggable delay models over dense
+//! The reusable evaluation engine: the Elmore delay model over dense
 //! circuit state, plus a pre-sized scratch workspace.
 //!
 //! The sizing engine evaluates the same per-node quantities (downstream
@@ -11,14 +11,11 @@
 //! the paper's `O(V + E + P)` sweep is dominated by cache misses and the
 //! allocator rather than the arithmetic. This module is the replacement:
 //!
-//! * [`DelayModel`] — the backend trait. A model *prepares* dense immutable
-//!   per-circuit state once ([`DelayModel::prepare`]) and then fills
-//!   caller-provided slices with no allocation. [`ElmoreModel`] is the first
-//!   (and the paper's) backend; future backends (higher-order delay models,
-//!   sharded evaluation) plug in here.
-//! * [`CircuitTopology`] — the Elmore model's prepared state: CSR adjacency
-//!   plus flat per-node RC coefficient arrays, and the cached topological
-//!   **level partition** (see below).
+//! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over a
+//!   dense snapshot built once per circuit: CSR adjacency plus flat per-node
+//!   RC coefficient arrays, and the cached topological **level partition**
+//!   (see below). Its traversal methods fill caller-provided slices with no
+//!   allocation.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
 //!
@@ -57,27 +54,9 @@
 //! Every per-node electrical quantity lives in its own dense `Vec<f64>`
 //! slab indexed by raw node index — unit resistance, unit capacitance,
 //! fringing and output load here; charged/presented capacitance, upstream
-//! resistance, arrival, delays and the per-node size mirror in
-//! [`EvalWorkspace`]. No per-node struct interleaves two quantities, so a
-//! kernel that streams one quantity touches contiguous memory, and a
-//! fixed-width block of [`LANES`] consecutive nodes maps to [`LANES`]
-//! consecutive `f64` in every slab it reads.
-//!
-//! This is what the 4-lane kernels ([`CircuitTopology::delays_chunk_lanes`],
-//! [`CircuitTopology::fused_downstream_chunk_lanes`],
-//! [`CircuitTopology::fused_upstream_chunk_lanes`]) build on, and it
-//! composes with the level partition above: a level chunk is a contiguous
-//! run of at most [`MAX_CHUNK_NODES`] entries of `level_nodes`
-//! (`MAX_CHUNK_NODES % LANES == 0`), so lane blocks never straddle a chunk
-//! boundary and the per-chunk disjointness that makes the chunk kernels
-//! race-free makes the lane blocks race-free too. Kernels whose per-node
-//! arithmetic is independent (delays, the Theorem-5 closed form) are laned
-//! directly and stay *bitwise* identical to the sequential oracle — each
-//! lane performs exactly the scalar expression sequence for its node. The
-//! CSR accumulations (fanout loads, fanin resistances, arrival maxima)
-//! stay in list order inside the lane kernels: reassociating those sums
-//! would break the bitwise pin, so vectorization there is limited to the
-//! phase split described on the fused kernels.
+//! resistance, arrival and delays in [`EvalWorkspace`]. No per-node struct
+//! interleaves two quantities, so a kernel that streams one quantity
+//! touches contiguous memory.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -90,256 +69,12 @@ use crate::sizing::SizeVector;
 /// Sentinel for "no predecessor" in dense predecessor arrays.
 pub const NO_PRED: usize = usize::MAX;
 
-/// Lane width of the explicit 4-lane `f64` kernel blocks. Chosen so the
-/// blocks vectorize on any x86-64 (two SSE2 `f64x2` ops) or AArch64 (two
-/// NEON ops) target and still fill one AVX2 register; the kernels are plain
-/// fixed-trip loops over `[f64; LANES]`, so LLVM picks whatever width the
-/// target offers without nightly `std::simd`.
-pub const LANES: usize = 4;
-
-/// Upper bound on the node count of one level chunk handed to the `*_lanes`
-/// kernels — the same 256-node granule the level-parallel chunk grid uses,
-/// re-exported from here so the grid and the kernels cannot drift apart.
-/// A multiple of [`LANES`], so full chunks decompose into whole lane blocks.
-pub const MAX_CHUNK_NODES: usize = 256;
-
-const _: () = assert!(
-    MAX_CHUNK_NODES.is_multiple_of(LANES),
-    "chunk granule must decompose into whole lane blocks"
-);
-
-/// Rounds `n` up to a multiple of [`LANES`] — the length lane-padded slabs
-/// are allocated at, so a lane block reading the slab tail stays in bounds.
-pub const fn lane_padded(n: usize) -> usize {
-    n.div_ceil(LANES) * LANES
-}
-
 /// Sentinel for "not a sizable component" in dense component-index arrays.
 const NOT_SIZABLE: usize = usize::MAX;
 
-/// A delay-model backend: computes per-node electrical quantities into
-/// caller-provided dense slices (indexed by raw node index), reading only
-/// immutable state prepared once per circuit.
-pub trait DelayModel: std::fmt::Debug {
-    /// Dense per-circuit state prepared once and reused by every call.
-    type State: std::fmt::Debug + Clone;
-
-    /// Builds the model's dense state for a circuit.
-    fn prepare(&self, graph: &CircuitGraph) -> Self::State;
-
-    /// Bytes held by a prepared state (for memory accounting). Defaults to
-    /// zero for stateless backends.
-    fn state_memory_bytes(&self, _state: &Self::State) -> usize {
-        0
-    }
-
-    /// Computes `C_i` (`charged`) and the load each node presents to its
-    /// stage parent (`presented`) for every node, by one reverse-topological
-    /// traversal.
-    ///
-    /// `extra_cap`, when provided, holds one value per node and is added on
-    /// the downstream side of that node (the coupling load).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when a slice length does not match the circuit.
-    fn downstream_caps_into(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        extra_cap: Option<&[f64]>,
-        charged: &mut [f64],
-        presented: &mut [f64],
-    );
-
-    /// Computes the λ-weighted upstream resistance `R_i` of Theorem 5 for
-    /// every node into `upstream`. `weights` holds `λ_k` per raw node index.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when a slice length does not match the circuit.
-    fn upstream_resistance_into(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        weights: &[f64],
-        upstream: &mut [f64],
-    );
-
-    /// Computes the per-component delays `D_i` from precomputed charged
-    /// capacitances into `delays` (zero for source and sink).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when a slice length does not match the circuit.
-    fn delays_into(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        charged: &[f64],
-        delays: &mut [f64],
-    );
-
-    /// Propagates arrival times from precomputed per-node delays and
-    /// extracts one critical path, writing only into the provided buffers;
-    /// returns the critical-path delay. The default walks the pointer-rich
-    /// graph ([`propagate_arrivals_into`]); backends with dense adjacency
-    /// override it with a CSR traversal producing bitwise-identical
-    /// results.
-    fn propagate_arrivals(
-        &self,
-        state: &Self::State,
-        graph: &CircuitGraph,
-        delays: &[f64],
-        arrival: &mut [f64],
-        pred: &mut [usize],
-        critical_path: &mut Vec<NodeId>,
-    ) -> f64 {
-        let _ = state;
-        propagate_arrivals_into(graph, delays, arrival, pred, critical_path)
-    }
-
-    /// The dense [`CircuitTopology`] behind this backend's state, when the
-    /// state *is* (or embeds) one. Callers that can drive the level-chunked
-    /// traversal kernels directly — the level-parallel solve schedules —
-    /// check this; backends without a dense topology (the default) simply
-    /// keep the sequential paths.
-    fn dense_topology<'s>(&self, _state: &'s Self::State) -> Option<&'s CircuitTopology> {
-        None
-    }
-
-    /// Whether the backend implements the `*_update` methods below as true
-    /// sparse incremental re-accumulations (as opposed to the default full
-    /// rebuilds). Purely advisory: callers may use it to decide whether an
-    /// adaptive solve schedule will pay off, but correctness never depends
-    /// on it.
-    fn supports_incremental(&self) -> bool {
-        false
-    }
-
-    /// Incrementally brings `charged`/`presented` — currently reflecting
-    /// `prev_sizes` and the pre-delta coupling load — up to date with
-    /// `sizes`, given the dense component indices whose size changed
-    /// (`changed_comps`) and the per-node coupling-load deltas already
-    /// applied to the extra-capacitance table (`extra_delta`, as
-    /// `(raw node index, delta)` pairs).
-    ///
-    /// The default implementation ignores the dirty sets and performs a full
-    /// rebuild from `sizes` and `extra_cap`, which is always correct.
-    /// Backends overriding this must propagate the deltas along every path
-    /// the full rebuild would touch, so the result differs from a rebuild
-    /// only by floating-point accumulation noise.
-    #[allow(clippy::too_many_arguments)]
-    fn downstream_caps_update(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        prev_sizes: &[f64],
-        changed_comps: &[u32],
-        extra_cap: &[f64],
-        extra_delta: &[(u32, f64)],
-        charged: &mut [f64],
-        presented: &mut [f64],
-        inc: &mut IncrementalWorkspace,
-    ) {
-        let _ = (prev_sizes, changed_comps, extra_delta, inc);
-        self.downstream_caps_into(state, sizes, Some(extra_cap), charged, presented);
-    }
-
-    /// Whether [`fused_downstream_resize`](Self::fused_downstream_resize)
-    /// is implemented. Callers check this *before* preparing state for a
-    /// fused sweep so an unsupported backend never sees a half-prepared
-    /// workspace.
-    fn supports_fused(&self) -> bool {
-        false
-    }
-
-    /// Fused downstream-accumulation + resize sweep (Gauss–Seidel): walks
-    /// the circuit once in reverse topological order, computing each node's
-    /// charged capacitance from the *already updated* downstream state, and
-    /// immediately invokes `resize` for every sizable component so parents
-    /// see their children's fresh sizes within the same sweep. The coupling
-    /// load (`extra_cap`) and the upstream-resistance table the caller's
-    /// `resize` closure reads stay fixed for the duration of the sweep
-    /// (Jacobi in those directions).
-    ///
-    /// `resize(comp, node, charged, x)` returns the component's new size
-    /// (returning `x` unchanged leaves it as is — how callers skip frozen
-    /// components). `charged`/`presented` are left consistent with the
-    /// post-sweep sizes.
-    ///
-    /// The fixed points of this iteration are exactly those of the separate
-    /// Jacobi-style passes (both solve the same componentwise equations),
-    /// but the one-directional freshness roughly squares the contraction
-    /// factor per sweep, so solves converge in far fewer sweeps.
-    ///
-    /// Returns `false` (performing no work) when the backend does not
-    /// support fused sweeps; callers then fall back to separate passes.
-    /// Generic over the closure so the per-component resize inlines into
-    /// the traversal.
-    fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        state: &Self::State,
-        sizes: &mut SizeVector,
-        extra_cap: &[f64],
-        charged: &mut [f64],
-        presented: &mut [f64],
-        resize: &mut F,
-    ) -> bool {
-        let _ = (state, sizes, extra_cap, charged, presented, resize);
-        false
-    }
-
-    /// Forward counterpart of
-    /// [`fused_downstream_resize`](Self::fused_downstream_resize): walks the
-    /// circuit once in forward topological order, computing each node's
-    /// λ-weighted upstream resistance from the *already updated* upstream
-    /// state, and immediately invokes `resize(comp, node, upstream, x)` for
-    /// every sizable component — so downstream nodes see their parents'
-    /// fresh sizes within the same pass. The charged-capacitance table the
-    /// caller's closure reads stays fixed for the pass (Jacobi in that
-    /// direction); alternating forward and backward fused passes refreshes
-    /// both directions with one traversal each.
-    ///
-    /// Returns `false` (performing no work) when unsupported.
-    fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        state: &Self::State,
-        sizes: &mut SizeVector,
-        weights: &[f64],
-        upstream: &mut [f64],
-        resize: &mut F,
-    ) -> bool {
-        let _ = (state, sizes, weights, upstream, resize);
-        false
-    }
-
-    /// Incrementally brings the λ-weighted upstream resistances — currently
-    /// reflecting `prev_sizes` under the same `weights` — up to date with
-    /// `sizes`, given the dense component indices whose size changed.
-    ///
-    /// The default implementation performs a full rebuild, which is always
-    /// correct. The weights must be the same ones the current `upstream`
-    /// table was computed with (they are fixed within an LRS solve).
-    #[allow(clippy::too_many_arguments)]
-    fn upstream_resistance_update(
-        &self,
-        state: &Self::State,
-        sizes: &SizeVector,
-        prev_sizes: &[f64],
-        changed_comps: &[u32],
-        weights: &[f64],
-        upstream: &mut [f64],
-        inc: &mut IncrementalWorkspace,
-    ) {
-        let _ = (prev_sizes, changed_comps, inc);
-        self.upstream_resistance_into(state, sizes, weights, upstream);
-    }
-}
-
 /// Scratch buffers for the sparse incremental evaluation paths
-/// ([`DelayModel::downstream_caps_update`],
-/// [`DelayModel::upstream_resistance_update`]): pending per-node deltas plus
+/// ([`CircuitTopology::downstream_caps_update`],
+/// [`CircuitTopology::upstream_resistance_update`]): pending per-node deltas plus
 /// the ordered worklists that drive the delta propagation. Sized once per
 /// circuit and reused; between calls every dense buffer is all-zero and
 /// every worklist empty, so a sparse update touches memory proportional to
@@ -547,9 +282,45 @@ pub enum KindTag {
 /// per-node RC coefficient arrays. Immutable once built; this is the
 /// "dense-indexed state owned by the engine" that the hot loops traverse
 /// instead of the pointer-rich [`CircuitGraph`].
+///
+/// Its traversal methods evaluate the Elmore delay model of the paper's
+/// Section 2.1 (stage-bounded RC stages, wire π-model); see the crate-level
+/// documentation for the modelling conventions.
+///
+/// # Examples
+///
+/// ```
+/// use ncgws_circuit::{CircuitBuilder, CircuitTopology, EvalWorkspace, Technology, TimingAnalysis};
+///
+/// let mut b = CircuitBuilder::new(Technology::dac99());
+/// let d = b.add_driver("d", 100.0).unwrap();
+/// let w = b.add_wire("w", 150.0).unwrap();
+/// b.connect(d, w).unwrap();
+/// b.connect_output(w, 5.0).unwrap();
+/// let graph = b.build().unwrap();
+///
+/// let topo = CircuitTopology::new(&graph);
+/// let mut ws = EvalWorkspace::new(&graph);
+/// let sizes = graph.uniform_sizes(1.5);
+/// topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
+/// topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
+/// let delay = topo.propagate_arrivals(
+///     &ws.delays,
+///     &mut ws.arrival,
+///     &mut ws.pred,
+///     &mut ws.critical_path,
+/// );
+/// // Bitwise the allocate-per-call reference path.
+/// let reference = TimingAnalysis::run(&graph, &sizes, None);
+/// assert_eq!(delay, reference.critical_path_delay);
+/// assert_eq!(ws.critical_path, reference.critical_path);
+/// ```
 #[derive(Debug, Clone)]
 pub struct CircuitTopology {
     num_components: usize,
+    /// Raw node index of the artificial sink, recorded at build time so the
+    /// critical-path walk needs no graph.
+    sink: usize,
     kind: Vec<KindTag>,
     /// Dense component index per node ([`NOT_SIZABLE`] for the rest).
     comp_of: Vec<usize>,
@@ -749,6 +520,7 @@ impl CircuitTopology {
 
         CircuitTopology {
             num_components: graph.num_components(),
+            sink: graph.sink().index(),
             kind,
             comp_of,
             node_of_comp,
@@ -859,35 +631,6 @@ impl CircuitTopology {
                 self.unit_capacitance[idx] * self.size_of(idx, sizes) + self.fringing[idx]
             }
             _ => 0.0,
-        }
-    }
-
-    /// Fills the per-node size slab: `out[idx] = sizes[comp_of(idx)]`, `1.0`
-    /// for non-sizable nodes — the gather that turns the component-indexed
-    /// size vector into a node-indexed SoA slab the lane kernels can stream.
-    /// Entries of `out` beyond the node count (lane padding) are left as the
-    /// caller initialized them.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sizes` does not match the component count or `out` is
-    /// shorter than the node count.
-    pub fn fill_node_sizes(&self, sizes: &[f64], out: &mut [f64]) {
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        assert!(
-            out.len() >= self.num_nodes(),
-            "node-size slab must have one entry per node"
-        );
-        for (slot, &comp) in out.iter_mut().zip(&self.comp_of) {
-            *slot = if comp == NOT_SIZABLE {
-                1.0
-            } else {
-                sizes[comp]
-            };
         }
     }
 
@@ -1211,7 +954,7 @@ impl CircuitTopology {
     // Level-chunked traversal kernels. Each processes the nodes of one
     // chunk of one topological level, with per-node arithmetic identical
     // (expression for expression) to the sequential whole-circuit methods
-    // above, so a level-ordered sweep over every chunk produces bitwise
+    // below, so a level-ordered sweep over every chunk produces bitwise
     // identical per-node results regardless of how the chunks of a level
     // are interleaved or distributed across workers.
     // ------------------------------------------------------------------
@@ -1411,163 +1154,6 @@ impl CircuitTopology {
         }
     }
 
-    /// Phased variant of
-    /// [`fused_downstream_chunk`](Self::fused_downstream_chunk) that exposes
-    /// the whole chunk's resize candidates to the caller in one batch, so
-    /// the caller can run the Theorem-5 closed form in [`LANES`]-wide
-    /// blocks instead of once per node.
-    ///
-    /// The chunk is processed in three phases:
-    ///
-    /// * **A (accumulate)** — for every node, the charged-capacitance
-    ///   candidate is computed exactly as the per-node kernel does (fanout
-    ///   loads in CSR list order) and stashed in an on-stack slab;
-    /// * **B (batch resize)** — `batch_resize(nodes, values, xs)` is called
-    ///   once; for every node with a sizable component it must read
-    ///   `values[k]` (the candidate of `nodes[k]`) and write the new size
-    ///   through `xs`, leaving non-sizable slots alone;
-    /// * **C (write back)** — charged/presented are written from the
-    ///   post-resize sizes.
-    ///
-    /// Phasing is bitwise-legal because nodes of one level share no edge:
-    /// in the per-node kernel, node `k+1`'s accumulation never reads node
-    /// `k`'s size or presented load (its children live in strictly higher,
-    /// already settled levels), so deferring all resizes behind all
-    /// accumulations reorders no observable read or write. The wire
-    /// write-back recomputes `own` from the post-resize size
-    /// unconditionally; when the size did not change this repeats the exact
-    /// phase-A expressions on identical inputs, so the result is bitwise
-    /// identical to the per-node kernel's "unchanged" branch.
-    ///
-    /// # Safety
-    ///
-    /// As [`fused_downstream_chunk`](Self::fused_downstream_chunk); in
-    /// addition `nodes.len() <= MAX_CHUNK_NODES` (asserted) and
-    /// `batch_resize` must only touch the sizes of the chunk's own
-    /// components.
-    pub unsafe fn fused_downstream_chunk_lanes<F>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-        batch_resize: &mut F,
-    ) where
-        F: FnMut(&[u32], &[f64], SharedMut<'_, f64>),
-    {
-        assert!(
-            nodes.len() <= MAX_CHUNK_NODES,
-            "lane kernels take at most one chunk granule of nodes"
-        );
-        let mut value = [0.0f64; MAX_CHUNK_NODES];
-        let mut downstream_acc = [0.0f64; MAX_CHUNK_NODES];
-        // Phase A: accumulate every candidate over settled higher levels.
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            let extra = *extra_cap.get_unchecked(idx);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => {
-                    charged.set(idx, 0.0);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Driver => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    charged.set(idx, c + extra);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Gate => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let c = c + extra;
-                    charged.set(idx, c);
-                    *value.get_unchecked_mut(k) = c;
-                }
-                KindTag::Wire => {
-                    let mut downstream = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        downstream += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x = xs.get(comp);
-                    let own = *self.unit_capacitance.get_unchecked(idx) * x
-                        + *self.fringing.get_unchecked(idx);
-                    *value.get_unchecked_mut(k) = own / 2.0 + extra + downstream;
-                    *downstream_acc.get_unchecked_mut(k) = downstream;
-                }
-            }
-        }
-        // Phase B: one batch resize over the whole chunk.
-        batch_resize(nodes, value.get_unchecked(..nodes.len()), xs);
-        // Phase C: write the post-resize electrical state back.
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Gate => {
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    presented.set(
-                        idx,
-                        *self.unit_capacitance.get_unchecked(idx) * xs.get(comp),
-                    );
-                }
-                KindTag::Wire => {
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x_new = xs.get(comp);
-                    let own_new = *self.unit_capacitance.get_unchecked(idx) * x_new
-                        + *self.fringing.get_unchecked(idx);
-                    let extra = *extra_cap.get_unchecked(idx);
-                    let downstream = *downstream_acc.get_unchecked(k);
-                    charged.set(idx, own_new / 2.0 + extra + downstream);
-                    presented.set(idx, own_new + extra + downstream);
-                }
-                KindTag::Source | KindTag::Sink | KindTag::Driver => {}
-            }
-        }
-    }
-
-    /// Phased variant of
-    /// [`fused_upstream_chunk`](Self::fused_upstream_chunk): phase A
-    /// accumulates every node's λ-weighted upstream resistance (fanin CSR
-    /// order, settled lower levels) into an on-stack slab and writes it
-    /// through, then `batch_resize(nodes, values, xs)` resizes the whole
-    /// chunk at once. The forward pass writes nothing after the resize, so
-    /// there is no phase C. Bitwise-legal for the same no-intra-level-edge
-    /// reason as [`fused_downstream_chunk_lanes`](Self::fused_downstream_chunk_lanes).
-    ///
-    /// # Safety
-    ///
-    /// As [`fused_upstream_chunk`](Self::fused_upstream_chunk); in addition
-    /// `nodes.len() <= MAX_CHUNK_NODES` (asserted) and `batch_resize` must
-    /// only touch the sizes of the chunk's own components.
-    pub unsafe fn fused_upstream_chunk_lanes<F>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-        batch_resize: &mut F,
-    ) where
-        F: FnMut(&[u32], &[f64], SharedMut<'_, f64>),
-    {
-        assert!(
-            nodes.len() <= MAX_CHUNK_NODES,
-            "lane kernels take at most one chunk granule of nodes"
-        );
-        let mut value = [0.0f64; MAX_CHUNK_NODES];
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            let acc = self.upstream_acc_edges_shared(idx, xs, weights, upstream);
-            upstream.set(idx, acc);
-            *value.get_unchecked_mut(k) = acc;
-        }
-        batch_resize(nodes, value.get_unchecked(..nodes.len()), xs);
-    }
-
     /// One chunk of the per-component delay evaluation (`delays_into` for a
     /// contiguous node range; delays are per-node independent, so any
     /// partition works).
@@ -1590,57 +1176,6 @@ impl CircuitTopology {
                 _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
             };
             delays.set(idx, d);
-        }
-    }
-
-    /// 4-lane variant of [`delays_chunk`](Self::delays_chunk), streaming the
-    /// SoA slabs (`unit_resistance`, the caller's `node_size` mirror,
-    /// `charged`) in [`LANES`]-wide blocks with a scalar tail.
-    ///
-    /// Bitwise identical to `delays_chunk` (and thus to `delays_into`) for
-    /// every node kind, without branching on the kind tag:
-    ///
-    /// * gates/wires: the same `r̂ / x` (or `∞` when `x ≤ 0`) times charged;
-    /// * drivers: `node_size` is `1.0`, and `r̂ / 1.0 == r̂` bitwise;
-    /// * source/sink: their `unit_resistance` is `0.0` and a downstream pass
-    ///   always leaves their `charged` at `0.0`, so the lane computes
-    ///   `(0.0 / 1.0) * 0.0 = +0.0` — the exact value the scalar kernel
-    ///   writes.
-    ///
-    /// # Safety
-    ///
-    /// As [`delays_chunk`](Self::delays_chunk); in addition `node_size` has
-    /// one entry per node (filled by
-    /// [`fill_node_sizes`](Self::fill_node_sizes) from the sizes `charged`
-    /// was computed with) and `charged` holds a downstream-caps result
-    /// (source/sink entries zero).
-    pub unsafe fn delays_chunk_lanes(
-        &self,
-        range: std::ops::Range<usize>,
-        node_size: &[f64],
-        charged: &[f64],
-        delays: SharedMut<'_, f64>,
-    ) {
-        let mut idx = range.start;
-        while idx + LANES <= range.end {
-            let mut d = [0.0f64; LANES];
-            for (j, slot) in d.iter_mut().enumerate() {
-                let i = idx + j;
-                let ur = *self.unit_resistance.get_unchecked(i);
-                let x = *node_size.get_unchecked(i);
-                let r = if x > 0.0 { ur / x } else { f64::INFINITY };
-                *slot = r * *charged.get_unchecked(i);
-            }
-            for (j, &slot) in d.iter().enumerate() {
-                delays.set(idx + j, slot);
-            }
-            idx += LANES;
-        }
-        for i in idx..range.end {
-            let ur = *self.unit_resistance.get_unchecked(i);
-            let x = *node_size.get_unchecked(i);
-            let r = if x > 0.0 { ur / x } else { f64::INFINITY };
-            delays.set(i, r * *charged.get_unchecked(i));
         }
     }
 
@@ -1701,46 +1236,39 @@ impl CircuitTopology {
             }
         }
     }
-}
 
-/// The Elmore delay model of the paper's Section 2.1 (stage-bounded RC
-/// stages, wire π-model), evaluated over a [`CircuitTopology`]. See the
-/// crate-level documentation for the modelling conventions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElmoreModel;
+    // ------------------------------------------------------------------
+    // Sequential whole-circuit traversals (raw-index topological order),
+    // plus the sparse incremental updates. All of them fill caller-provided
+    // slices without allocating.
+    // ------------------------------------------------------------------
 
-impl DelayModel for ElmoreModel {
-    type State = CircuitTopology;
-
-    fn prepare(&self, graph: &CircuitGraph) -> CircuitTopology {
-        CircuitTopology::new(graph)
-    }
-
-    fn state_memory_bytes(&self, state: &CircuitTopology) -> usize {
-        state.memory_bytes()
-    }
-
-    fn dense_topology<'s>(&self, state: &'s CircuitTopology) -> Option<&'s CircuitTopology> {
-        Some(state)
-    }
-
-    fn downstream_caps_into(
+    /// Computes `C_i` (`charged`) and the load each node presents to its
+    /// stage parent (`presented`) for every node, by one reverse-topological
+    /// traversal.
+    ///
+    /// `extra_cap`, when provided, holds one value per node and is added on
+    /// the downstream side of that node (the coupling load).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn downstream_caps_into(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         extra_cap: Option<&[f64]>,
         charged: &mut [f64],
         presented: &mut [f64],
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("charged", charged.len()), ("presented", presented.len())]);
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("charged", charged.len()), ("presented", presented.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         if let Some(extra) = extra_cap {
-            topo.assert_node_slices(&[("extra_cap", extra.len())]);
+            self.assert_node_slices(&[("extra_cap", extra.len())]);
         }
         let sizes = sizes.as_slice();
 
@@ -1749,15 +1277,15 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 let extra = extra_cap.map(|e| *e.get_unchecked(idx)).unwrap_or(0.0);
-                match *topo.kind.get_unchecked(idx) {
+                match *self.kind.get_unchecked(idx) {
                     KindTag::Source | KindTag::Sink => {
                         *charged.get_unchecked_mut(idx) = 0.0;
                         *presented.get_unchecked_mut(idx) = 0.0;
                     }
                     KindTag::Driver => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, sizes, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, sizes, presented);
                         }
                         c += extra;
                         *charged.get_unchecked_mut(idx) = c;
@@ -1765,20 +1293,20 @@ impl DelayModel for ElmoreModel {
                     }
                     KindTag::Gate => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, sizes, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, sizes, presented);
                         }
                         // Coupling on a gate output (rare, but allowed) loads the stage.
                         c += extra;
                         *charged.get_unchecked_mut(idx) = c;
-                        *presented.get_unchecked_mut(idx) = topo.capacitance_unchecked(idx, sizes);
+                        *presented.get_unchecked_mut(idx) = self.capacitance_unchecked(idx, sizes);
                     }
                     KindTag::Wire => {
-                        let own = topo.capacitance_unchecked(idx, sizes);
+                        let own = self.capacitance_unchecked(idx, sizes);
                         let mut downstream = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
+                        for &child in self.fanout_unchecked(idx) {
                             downstream +=
-                                topo.child_load_unchecked(idx, child as usize, sizes, presented);
+                                self.child_load_unchecked(idx, child as usize, sizes, presented);
                         }
                         // π-model: the far half of the wire's own capacitance plus
                         // all coupling capacitance is charged through r_i.
@@ -1791,18 +1319,23 @@ impl DelayModel for ElmoreModel {
         }
     }
 
-    fn upstream_resistance_into(
+    /// Computes the λ-weighted upstream resistance `R_i` of Theorem 5 for
+    /// every node into `upstream`. `weights` holds `λ_k` per raw node index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn upstream_resistance_into(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         weights: &[f64],
         upstream: &mut [f64],
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let sizes = sizes.as_slice();
@@ -1811,16 +1344,16 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 let mut acc = 0.0;
-                for &pred in topo.fanin_unchecked(idx) {
+                for &pred in self.fanin_unchecked(idx) {
                     let p = pred as usize;
-                    match *topo.kind.get_unchecked(p) {
+                    match *self.kind.get_unchecked(p) {
                         KindTag::Source => {}
                         KindTag::Driver | KindTag::Gate => {
-                            acc += *weights.get_unchecked(p) * topo.resistance_unchecked(p, sizes);
+                            acc += *weights.get_unchecked(p) * self.resistance_unchecked(p, sizes);
                         }
                         KindTag::Wire => {
                             acc += *upstream.get_unchecked(p)
-                                + *weights.get_unchecked(p) * topo.resistance_unchecked(p, sizes);
+                                + *weights.get_unchecked(p) * self.resistance_unchecked(p, sizes);
                         }
                         KindTag::Sink => unreachable!("sink has no fanout"),
                     }
@@ -1830,55 +1363,51 @@ impl DelayModel for ElmoreModel {
         }
     }
 
-    fn delays_into(
-        &self,
-        topo: &CircuitTopology,
-        sizes: &SizeVector,
-        charged: &[f64],
-        delays: &mut [f64],
-    ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("charged", charged.len()), ("delays", delays.len())]);
+    /// Computes the per-component delays `D_i` from precomputed charged
+    /// capacitances into `delays` (zero for source and sink).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn delays_into(&self, sizes: &SizeVector, charged: &[f64], delays: &mut [f64]) {
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("charged", charged.len()), ("delays", delays.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let sizes = sizes.as_slice();
         for idx in 0..n {
             // SAFETY: `idx < n`, slice lengths asserted above.
             unsafe {
-                *delays.get_unchecked_mut(idx) = match *topo.kind.get_unchecked(idx) {
+                *delays.get_unchecked_mut(idx) = match *self.kind.get_unchecked(idx) {
                     KindTag::Source | KindTag::Sink => 0.0,
-                    _ => topo.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
+                    _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
                 };
             }
         }
     }
 
-    fn supports_incremental(&self) -> bool {
-        true
-    }
-
-    fn supports_fused(&self) -> bool {
-        true
-    }
-
-    /// CSR arrival propagation: the same per-kind recurrence as
+    /// Propagates arrival times from precomputed per-node delays and
+    /// extracts one critical path, writing only into the provided buffers;
+    /// returns the critical-path delay. The same per-kind recurrence as
     /// [`propagate_arrivals_into`], traversing the dense topology instead
     /// of the pointer-rich graph — bitwise identical (same node order, same
     /// fanin order, same `>=` tie-breaking).
-    fn propagate_arrivals(
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slice length does not match the circuit.
+    pub fn propagate_arrivals(
         &self,
-        topo: &CircuitTopology,
-        graph: &CircuitGraph,
         delays: &[f64],
         arrival: &mut [f64],
         pred: &mut [usize],
         critical_path: &mut Vec<NodeId>,
     ) -> f64 {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[
+        let n = self.num_nodes();
+        self.assert_node_slices(&[
             ("delays", delays.len()),
             ("arrival", arrival.len()),
             ("pred", pred.len()),
@@ -1888,12 +1417,12 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 *pred.get_unchecked_mut(idx) = NO_PRED;
-                match *topo.kind.get_unchecked(idx) {
+                match *self.kind.get_unchecked(idx) {
                     KindTag::Source => *arrival.get_unchecked_mut(idx) = 0.0,
                     KindTag::Sink => {
                         let mut best = 0.0;
                         let mut best_pred = NO_PRED;
-                        for &j in topo.fanin_unchecked(idx) {
+                        for &j in self.fanin_unchecked(idx) {
                             let j = j as usize;
                             if *arrival.get_unchecked(j) >= best {
                                 best = *arrival.get_unchecked(j);
@@ -1909,9 +1438,9 @@ impl DelayModel for ElmoreModel {
                     KindTag::Gate | KindTag::Wire => {
                         let mut best = 0.0;
                         let mut best_pred = NO_PRED;
-                        for &j in topo.fanin_unchecked(idx) {
+                        for &j in self.fanin_unchecked(idx) {
                             let j = j as usize;
-                            if matches!(*topo.kind.get_unchecked(j), KindTag::Source) {
+                            if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
                                 continue;
                             }
                             if *arrival.get_unchecked(j) >= best {
@@ -1926,25 +1455,51 @@ impl DelayModel for ElmoreModel {
             }
         }
 
-        let critical_path_delay = arrival[graph.sink().index()];
+        self.trace_critical_path(arrival, pred, critical_path)
+    }
+
+    /// Extracts one critical path from settled `arrival`/`pred` tables by
+    /// walking the predecessors back from the sink into `critical_path`
+    /// (driver first); returns the sink's arrival time, the critical-path
+    /// delay. The sequential epilogue of every arrival propagation,
+    /// whole-circuit or level-chunked ([`arrivals_chunk`](Self::arrivals_chunk)).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `arrival` or `pred` does not have one entry per node.
+    pub fn trace_critical_path(
+        &self,
+        arrival: &[f64],
+        pred: &[usize],
+        critical_path: &mut Vec<NodeId>,
+    ) -> f64 {
+        self.assert_node_slices(&[("arrival", arrival.len()), ("pred", pred.len())]);
         critical_path.clear();
-        let mut cursor = pred[graph.sink().index()];
+        let mut cursor = pred[self.sink];
         while cursor != NO_PRED {
             critical_path.push(NodeId::new(cursor));
             cursor = pred[cursor];
         }
         critical_path.reverse();
-        critical_path_delay
+        arrival[self.sink]
     }
 
-    /// Sparse downstream-capacitance update: the capacitance change of every
-    /// resized component and every coupling-load delta is scattered onto its
-    /// node and propagated upstream along the fanin DAG, in reverse
-    /// topological (descending node index) order, touching only the
-    /// perturbed subgraph.
-    fn downstream_caps_update(
+    /// Incrementally brings `charged`/`presented` — currently reflecting
+    /// `prev_sizes` and the pre-delta coupling load — up to date with
+    /// `sizes`, given the dense component indices whose size changed
+    /// (`changed_comps`) and the per-node coupling-load deltas already
+    /// applied to the extra-capacitance table (`extra_delta`, as
+    /// `(raw node index, delta)` pairs).
+    ///
+    /// The capacitance change of every resized component and every
+    /// coupling-load delta is scattered onto its node and propagated
+    /// upstream along the fanin DAG, in reverse topological (descending node
+    /// index) order, touching only the perturbed subgraph. The result
+    /// differs from a [`downstream_caps_into`](Self::downstream_caps_into)
+    /// rebuild only by floating-point accumulation noise.
+    #[allow(clippy::too_many_arguments)]
+    pub fn downstream_caps_update(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         prev_sizes: &[f64],
         changed_comps: &[u32],
@@ -1954,14 +1509,14 @@ impl DelayModel for ElmoreModel {
         presented: &mut [f64],
         inc: &mut IncrementalWorkspace,
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[
+        let n = self.num_nodes();
+        self.assert_node_slices(&[
             ("charged", charged.len()),
             ("presented", presented.len()),
             ("extra_cap", extra_cap.len()),
         ]);
-        assert_eq!(sizes.len(), topo.num_components);
-        assert_eq!(prev_sizes.len(), topo.num_components);
+        assert_eq!(sizes.len(), self.num_components);
+        assert_eq!(prev_sizes.len(), self.num_components);
         inc.assert_sized(n);
         let sizes = sizes.as_slice();
 
@@ -1970,8 +1525,8 @@ impl DelayModel for ElmoreModel {
         // extra-capacitance table.
         for &comp in changed_comps {
             let comp = comp as usize;
-            let idx = topo.node_of_component(comp);
-            inc.own[idx] += topo.unit_capacitance[idx] * (sizes[comp] - prev_sizes[comp]);
+            let idx = self.node_of_component(comp);
+            inc.own[idx] += self.unit_capacitance[idx] * (sizes[comp] - prev_sizes[comp]);
             if !inc.queued[idx] {
                 inc.queued[idx] = true;
                 inc.down_heap.push(idx as u32);
@@ -2000,7 +1555,7 @@ impl DelayModel for ElmoreModel {
             // presents to its stage parents — mirroring the per-kind
             // arithmetic of `downstream_caps_into` (a gate's presented load
             // is its own capacitance, so `dp = own` there).
-            let (dc, dp) = match topo.kind[idx] {
+            let (dc, dp) = match self.kind[idx] {
                 KindTag::Source | KindTag::Sink => (0.0, 0.0),
                 KindTag::Driver => (incoming + extra, 0.0),
                 KindTag::Gate => (incoming + extra, own),
@@ -2009,9 +1564,9 @@ impl DelayModel for ElmoreModel {
             charged[idx] += dc;
             presented[idx] += dp;
             if dp != 0.0 {
-                for &parent in topo.fanin(idx) {
+                for &parent in self.fanin(idx) {
                     let p = parent as usize;
-                    if matches!(topo.kind[p], KindTag::Source) {
+                    if matches!(self.kind[p], KindTag::Source) {
                         continue;
                     }
                     inc.pending[p] += dp;
@@ -2024,28 +1579,43 @@ impl DelayModel for ElmoreModel {
         }
     }
 
-    /// The Gauss–Seidel fused sweep over the dense topology: one reverse
-    /// pass computing `charged`/`presented` bottom-up from the freshly
-    /// resized downstream state, resizing each sizable component the moment
-    /// its charged capacitance is known.
-    fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
+    /// Fused downstream-accumulation + resize sweep (Gauss–Seidel): walks
+    /// the circuit once in reverse topological order, computing each node's
+    /// charged capacitance from the *already updated* downstream state, and
+    /// immediately invokes `resize` for every sizable component so parents
+    /// see their children's fresh sizes within the same sweep. The coupling
+    /// load (`extra_cap`) and the upstream-resistance table the caller's
+    /// `resize` closure reads stay fixed for the duration of the sweep
+    /// (Jacobi in those directions).
+    ///
+    /// `resize(comp, node, charged, x)` returns the component's new size
+    /// (returning `x` unchanged leaves it as is — how callers skip frozen
+    /// components). `charged`/`presented` are left consistent with the
+    /// post-sweep sizes.
+    ///
+    /// The fixed points of this iteration are exactly those of the separate
+    /// Jacobi-style passes (both solve the same componentwise equations),
+    /// but the one-directional freshness roughly squares the contraction
+    /// factor per sweep, so solves converge in far fewer sweeps. Generic
+    /// over the closure so the per-component resize inlines into the
+    /// traversal.
+    pub fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
-        topo: &CircuitTopology,
         sizes: &mut SizeVector,
         extra_cap: &[f64],
         charged: &mut [f64],
         presented: &mut [f64],
         resize: &mut F,
-    ) -> bool {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[
+    ) {
+        let n = self.num_nodes();
+        self.assert_node_slices(&[
             ("extra_cap", extra_cap.len()),
             ("charged", charged.len()),
             ("presented", presented.len()),
         ]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let xs = sizes.as_mut_slice();
@@ -2054,45 +1624,45 @@ impl DelayModel for ElmoreModel {
             // index stored in the topology is in range by construction.
             unsafe {
                 let extra = *extra_cap.get_unchecked(idx);
-                match *topo.kind.get_unchecked(idx) {
+                match *self.kind.get_unchecked(idx) {
                     KindTag::Source | KindTag::Sink => {
                         *charged.get_unchecked_mut(idx) = 0.0;
                         *presented.get_unchecked_mut(idx) = 0.0;
                     }
                     KindTag::Driver => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, xs, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, xs, presented);
                         }
                         *charged.get_unchecked_mut(idx) = c + extra;
                         *presented.get_unchecked_mut(idx) = 0.0;
                     }
                     KindTag::Gate => {
                         let mut c = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
-                            c += topo.child_load_unchecked(idx, child as usize, xs, presented);
+                        for &child in self.fanout_unchecked(idx) {
+                            c += self.child_load_unchecked(idx, child as usize, xs, presented);
                         }
                         let c = c + extra;
                         *charged.get_unchecked_mut(idx) = c;
-                        let comp = *topo.comp_of.get_unchecked(idx);
+                        let comp = *self.comp_of.get_unchecked(idx);
                         let x = *xs.get_unchecked(comp);
                         let x_new = resize(comp, idx, c, x);
                         if x_new != x {
                             *xs.get_unchecked_mut(comp) = x_new;
                         }
                         *presented.get_unchecked_mut(idx) =
-                            *topo.unit_capacitance.get_unchecked(idx) * x_new;
+                            *self.unit_capacitance.get_unchecked(idx) * x_new;
                     }
                     KindTag::Wire => {
                         let mut downstream = 0.0;
-                        for &child in topo.fanout_unchecked(idx) {
+                        for &child in self.fanout_unchecked(idx) {
                             downstream +=
-                                topo.child_load_unchecked(idx, child as usize, xs, presented);
+                                self.child_load_unchecked(idx, child as usize, xs, presented);
                         }
-                        let comp = *topo.comp_of.get_unchecked(idx);
+                        let comp = *self.comp_of.get_unchecked(idx);
                         let x = *xs.get_unchecked(comp);
-                        let unit_cap = *topo.unit_capacitance.get_unchecked(idx);
-                        let fringing = *topo.fringing.get_unchecked(idx);
+                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
+                        let fringing = *self.fringing.get_unchecked(idx);
                         let own = unit_cap * x + fringing;
                         // π-model split, exactly as `downstream_caps_into`.
                         let c = own / 2.0 + extra + downstream;
@@ -2110,25 +1680,30 @@ impl DelayModel for ElmoreModel {
                 }
             }
         }
-        true
     }
 
-    /// The forward fused pass: upstream resistances accumulate over the
-    /// freshly resized upstream state, each component resized the moment
-    /// its weighted upstream resistance is known.
-    fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
+    /// Forward counterpart of
+    /// [`fused_downstream_resize`](Self::fused_downstream_resize): walks the
+    /// circuit once in forward topological order, computing each node's
+    /// λ-weighted upstream resistance from the *already updated* upstream
+    /// state, and immediately invokes `resize(comp, node, upstream, x)` for
+    /// every sizable component — so downstream nodes see their parents'
+    /// fresh sizes within the same pass. The charged-capacitance table the
+    /// caller's closure reads stays fixed for the pass (Jacobi in that
+    /// direction); alternating forward and backward fused passes refreshes
+    /// both directions with one traversal each.
+    pub fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
-        topo: &CircuitTopology,
         sizes: &mut SizeVector,
         weights: &[f64],
         upstream: &mut [f64],
         resize: &mut F,
-    ) -> bool {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
+    ) {
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
         assert_eq!(
             sizes.len(),
-            topo.num_components,
+            self.num_components,
             "sizes must match the circuit"
         );
         let xs = sizes.as_mut_slice();
@@ -2139,21 +1714,21 @@ impl DelayModel for ElmoreModel {
                 // Accumulate exactly as `upstream_resistance_into`, but over
                 // the current (partially resized) sizes.
                 let mut acc = 0.0;
-                for &pred in topo.fanin_unchecked(idx) {
+                for &pred in self.fanin_unchecked(idx) {
                     let p = pred as usize;
-                    match *topo.kind.get_unchecked(p) {
+                    match *self.kind.get_unchecked(p) {
                         KindTag::Source | KindTag::Sink => {}
                         KindTag::Driver | KindTag::Gate => {
-                            acc += *weights.get_unchecked(p) * topo.resistance_unchecked(p, xs);
+                            acc += *weights.get_unchecked(p) * self.resistance_unchecked(p, xs);
                         }
                         KindTag::Wire => {
                             acc += *upstream.get_unchecked(p)
-                                + *weights.get_unchecked(p) * topo.resistance_unchecked(p, xs);
+                                + *weights.get_unchecked(p) * self.resistance_unchecked(p, xs);
                         }
                     }
                 }
                 *upstream.get_unchecked_mut(idx) = acc;
-                let comp = *topo.comp_of.get_unchecked(idx);
+                let comp = *self.comp_of.get_unchecked(idx);
                 if comp != NOT_SIZABLE {
                     let x = *xs.get_unchecked(comp);
                     let x_new = resize(comp, idx, acc, x);
@@ -2163,16 +1738,17 @@ impl DelayModel for ElmoreModel {
                 }
             }
         }
-        true
     }
 
-    /// Sparse upstream-resistance update: the resistance change of every
-    /// resized component is propagated downstream along the fanout DAG in
-    /// forward topological (ascending node index) order. The weights must be
-    /// the ones the current table was computed with.
-    fn upstream_resistance_update(
+    /// Incrementally brings the λ-weighted upstream resistances — currently
+    /// reflecting `prev_sizes` under the same `weights` — up to date with
+    /// `sizes`, given the dense component indices whose size changed: the
+    /// resistance change of every resized component is propagated
+    /// downstream along the fanout DAG in forward topological (ascending
+    /// node index) order. The weights must be the ones the current table was
+    /// computed with (they are fixed within an LRS solve).
+    pub fn upstream_resistance_update(
         &self,
-        topo: &CircuitTopology,
         sizes: &SizeVector,
         prev_sizes: &[f64],
         changed_comps: &[u32],
@@ -2180,10 +1756,10 @@ impl DelayModel for ElmoreModel {
         upstream: &mut [f64],
         inc: &mut IncrementalWorkspace,
     ) {
-        let n = topo.num_nodes();
-        topo.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
-        assert_eq!(sizes.len(), topo.num_components);
-        assert_eq!(prev_sizes.len(), topo.num_components);
+        let n = self.num_nodes();
+        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
+        assert_eq!(sizes.len(), self.num_components);
+        assert_eq!(prev_sizes.len(), self.num_components);
         inc.assert_sized(n);
         let sizes = sizes.as_slice();
 
@@ -2191,14 +1767,14 @@ impl DelayModel for ElmoreModel {
         // as the per-node resistance delta in this pass).
         for &comp in changed_comps {
             let comp = comp as usize;
-            let idx = topo.node_of_component(comp);
+            let idx = self.node_of_component(comp);
             let r_new = if sizes[comp] > 0.0 {
-                topo.unit_resistance[idx] / sizes[comp]
+                self.unit_resistance[idx] / sizes[comp]
             } else {
                 f64::INFINITY
             };
             let r_old = if prev_sizes[comp] > 0.0 {
-                topo.unit_resistance[idx] / prev_sizes[comp]
+                self.unit_resistance[idx] / prev_sizes[comp]
             } else {
                 f64::INFINITY
             };
@@ -2220,13 +1796,13 @@ impl DelayModel for ElmoreModel {
             // Change of this node's contribution to each fanout child's
             // upstream sum: its weighted resistance delta, plus (for wires)
             // its own upstream change, mirroring `upstream_resistance_into`.
-            let d_contrib = match topo.kind[idx] {
+            let d_contrib = match self.kind[idx] {
                 KindTag::Source | KindTag::Sink => 0.0,
                 KindTag::Driver | KindTag::Gate => weights[idx] * d_r,
                 KindTag::Wire => weights[idx] * d_r + d_up,
             };
             if d_contrib != 0.0 {
-                for &child in topo.fanout(idx) {
+                for &child in self.fanout(idx) {
                     let c = child as usize;
                     inc.pending[c] += d_contrib;
                     if !inc.queued[c] {
@@ -2244,7 +1820,7 @@ impl DelayModel for ElmoreModel {
 ///
 /// Per-node buffers are indexed by raw node index, per-component buffers by
 /// the graph's dense component index. The workspace is deliberately dumb —
-/// all semantics live in the [`DelayModel`] backends and the solvers that
+/// all semantics live in [`CircuitTopology`] and the solvers that
 /// drive them.
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
@@ -2262,13 +1838,6 @@ pub struct EvalWorkspace {
     pub arrival: Vec<f64>,
     /// Node delay weights `λ_i` per node.
     pub node_weights: Vec<f64>,
-    /// Node-indexed mirror of the component sizes (`1.0` for non-sizable
-    /// nodes), filled by [`CircuitTopology::fill_node_sizes`] — the SoA
-    /// gather the 4-lane delay kernel streams instead of indirecting
-    /// through `comp_of` per node. Lane-padded to a multiple of [`LANES`]
-    /// (pad entries stay `1.0`), so a full lane block may read past the
-    /// node count without leaving the slab.
-    pub node_size: Vec<f64>,
     /// Previous-sweep sizes scratch, per dense component index.
     pub prev_sizes: Vec<f64>,
     /// Critical-path predecessor per node ([`NO_PRED`] when none).
@@ -2290,7 +1859,6 @@ impl EvalWorkspace {
             delays: vec![0.0; n],
             arrival: vec![0.0; n],
             node_weights: vec![0.0; n],
-            node_size: vec![1.0; lane_padded(n)],
             prev_sizes: vec![0.0; graph.num_components()],
             pred: vec![NO_PRED; n],
             critical_path: Vec::with_capacity(n),
@@ -2307,7 +1875,6 @@ impl EvalWorkspace {
             + self.delays.capacity()
             + self.arrival.capacity()
             + self.node_weights.capacity()
-            + self.node_size.capacity()
             + self.prev_sizes.capacity())
             * size_of::<f64>()
             + self.pred.capacity() * size_of::<usize>()
@@ -2321,9 +1888,9 @@ impl EvalWorkspace {
 /// critical-path delay.
 ///
 /// This is the allocation-free core of
-/// [`TimingAnalysis::from_delays`](crate::TimingAnalysis::from_delays); it is
-/// shared by both the reference and engine paths (arrival propagation is
-/// model-independent and runs once per outer iteration, not per sweep).
+/// [`TimingAnalysis::from_delays`](crate::TimingAnalysis::from_delays), and
+/// the graph-walking oracle of the CSR
+/// [`CircuitTopology::propagate_arrivals`].
 ///
 /// # Panics
 ///
@@ -2421,30 +1988,23 @@ mod tests {
         let sizes = c.uniform_sizes(1.3);
         let analyzer = ElmoreAnalyzer::new(&c);
         let mut ws = EvalWorkspace::new(&c);
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
 
         let mut extra = vec![0.0; c.num_nodes()];
         extra[c.node_by_name("w1").unwrap().index()] = 3.5;
 
         let caps = analyzer.downstream_caps(&sizes, Some(&extra));
-        model.downstream_caps_into(
-            &topo,
-            &sizes,
-            Some(&extra),
-            &mut ws.charged,
-            &mut ws.presented,
-        );
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
         assert_eq!(caps.charged, ws.charged);
         assert_eq!(caps.presented, ws.presented);
 
         let weights = vec![0.7; c.num_nodes()];
         let upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
-        model.upstream_resistance_into(&topo, &sizes, &weights, &mut ws.upstream);
+        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
         assert_eq!(upstream, ws.upstream);
 
         let delays = analyzer.delays(&sizes, Some(&extra));
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
+        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
         assert_eq!(delays, ws.delays);
     }
 
@@ -2455,11 +2015,13 @@ mod tests {
         let reference = TimingAnalysis::run(&c, &sizes, None);
 
         let mut ws = EvalWorkspace::new(&c);
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        model.downstream_caps_into(&topo, &sizes, None, &mut ws.charged, &mut ws.presented);
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
+        let topo = CircuitTopology::new(&c);
+        topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
+        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
 
+        // The graph walk and the topology's CSR walk (which finds the sink
+        // recorded at build time, not through a graph argument) agree with
+        // the reference bitwise.
         let delay = propagate_arrivals_into(
             &c,
             &ws.delays,
@@ -2470,6 +2032,17 @@ mod tests {
         assert_eq!(delay, reference.critical_path_delay);
         assert_eq!(ws.arrival, reference.arrival.values);
         assert_eq!(ws.critical_path, reference.critical_path);
+
+        let mut csr = EvalWorkspace::new(&c);
+        let delay = topo.propagate_arrivals(
+            &ws.delays,
+            &mut csr.arrival,
+            &mut csr.pred,
+            &mut csr.critical_path,
+        );
+        assert_eq!(delay, reference.critical_path_delay);
+        assert_eq!(csr.arrival, reference.arrival.values);
+        assert_eq!(csr.critical_path, reference.critical_path);
     }
 
     #[test]
@@ -2506,9 +2079,7 @@ mod tests {
     #[test]
     fn incremental_updates_match_full_rebuild() {
         let c = chain();
-        let model = ElmoreModel;
-        assert!(model.supports_incremental());
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let mut inc = IncrementalWorkspace::new(n);
 
@@ -2520,10 +2091,10 @@ mod tests {
         // Full state at the previous sizes.
         let mut charged = vec![0.0; n];
         let mut presented = vec![0.0; n];
-        model.downstream_caps_into(&topo, &prev, Some(&extra), &mut charged, &mut presented);
+        topo.downstream_caps_into(&prev, Some(&extra), &mut charged, &mut presented);
         let weights = vec![0.4; n];
         let mut upstream = vec![0.0; n];
-        model.upstream_resistance_into(&topo, &prev, &weights, &mut upstream);
+        topo.upstream_resistance_into(&prev, &weights, &mut upstream);
 
         // Perturb two components and one coupling load.
         let mut sizes = prev.clone();
@@ -2535,8 +2106,7 @@ mod tests {
         let extra_delta = [(w1 as u32, 1.25)];
         extra[w1] += 1.25;
 
-        model.downstream_caps_update(
-            &topo,
+        topo.downstream_caps_update(
             &sizes,
             prev.as_slice(),
             &changed,
@@ -2546,8 +2116,7 @@ mod tests {
             &mut presented,
             &mut inc,
         );
-        model.upstream_resistance_update(
-            &topo,
+        topo.upstream_resistance_update(
             &sizes,
             prev.as_slice(),
             &changed,
@@ -2558,15 +2127,9 @@ mod tests {
 
         let mut full_charged = vec![0.0; n];
         let mut full_presented = vec![0.0; n];
-        model.downstream_caps_into(
-            &topo,
-            &sizes,
-            Some(&extra),
-            &mut full_charged,
-            &mut full_presented,
-        );
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut full_charged, &mut full_presented);
         let mut full_upstream = vec![0.0; n];
-        model.upstream_resistance_into(&topo, &sizes, &weights, &mut full_upstream);
+        topo.upstream_resistance_into(&sizes, &weights, &mut full_upstream);
 
         for i in 0..n {
             assert!(
@@ -2594,8 +2157,7 @@ mod tests {
     #[test]
     fn incremental_noop_update_changes_nothing() {
         let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let mut inc = IncrementalWorkspace::new(n);
         let sizes = c.uniform_sizes(1.6);
@@ -2603,10 +2165,9 @@ mod tests {
 
         let mut charged = vec![0.0; n];
         let mut presented = vec![0.0; n];
-        model.downstream_caps_into(&topo, &sizes, Some(&extra), &mut charged, &mut presented);
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut charged, &mut presented);
         let before = charged.clone();
-        model.downstream_caps_update(
-            &topo,
+        topo.downstream_caps_update(
             &sizes,
             sizes.as_slice(),
             &[],
@@ -2656,8 +2217,7 @@ mod tests {
     #[test]
     fn chunk_kernels_match_sequential_traversals_bitwise() {
         let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let sizes = c.uniform_sizes(1.7);
         let mut extra = vec![0.0; n];
@@ -2666,18 +2226,10 @@ mod tests {
 
         // Sequential reference.
         let mut ws = EvalWorkspace::new(&c);
-        model.downstream_caps_into(
-            &topo,
-            &sizes,
-            Some(&extra),
-            &mut ws.charged,
-            &mut ws.presented,
-        );
-        model.upstream_resistance_into(&topo, &sizes, &weights, &mut ws.upstream);
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
-        let reference_delay = model.propagate_arrivals(
-            &topo,
-            &c,
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
+        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
+        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
+        let reference_delay = topo.propagate_arrivals(
             &ws.delays,
             &mut ws.arrival,
             &mut ws.pred,
@@ -2749,8 +2301,7 @@ mod tests {
     #[test]
     fn fused_chunk_kernels_match_sequential_fused_passes() {
         let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
+        let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let extra = vec![0.1; n];
         let weights = vec![0.4; n];
@@ -2764,22 +2315,15 @@ mod tests {
         let mut seq_sizes = c.uniform_sizes(1.0);
         let mut seq_charged = vec![0.0; n];
         let mut seq_presented = vec![0.0; n];
-        assert!(model.fused_downstream_resize(
-            &topo,
+        topo.fused_downstream_resize(
             &mut seq_sizes,
             &extra,
             &mut seq_charged,
             &mut seq_presented,
             &mut { resize },
-        ));
+        );
         let mut seq_upstream = vec![0.0; n];
-        assert!(model.fused_upstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &weights,
-            &mut seq_upstream,
-            &mut { resize },
-        ));
+        topo.fused_upstream_resize(&mut seq_sizes, &weights, &mut seq_upstream, &mut { resize });
 
         // Chunked fused passes over the level partition.
         let mut par_sizes = c.uniform_sizes(1.0);
@@ -2822,6 +2366,63 @@ mod tests {
         assert_eq!(par_upstream, seq_upstream);
     }
 
+    /// The fused passes leave every table they maintain exactly as a
+    /// rebuild at the post-pass sizes would: `charged`/`presented` after the
+    /// backward pass, `upstream` after the forward pass.
+    #[test]
+    fn fused_passes_leave_tables_equal_to_a_rebuild_at_the_new_sizes() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let extra = vec![0.3; n];
+        let weights = vec![0.5; n];
+        let mut resize =
+            |_comp: usize, _node: usize, value: f64, x: f64| (x + value.sqrt()).clamp(0.5, 6.0);
+        let mut sizes = c.uniform_sizes(1.0);
+        let mut charged = vec![0.0; n];
+        let mut presented = vec![0.0; n];
+        topo.fused_downstream_resize(
+            &mut sizes,
+            &extra,
+            &mut charged,
+            &mut presented,
+            &mut resize,
+        );
+        let mut ws = EvalWorkspace::new(&c);
+        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
+        assert_eq!(charged, ws.charged);
+        assert_eq!(presented, ws.presented);
+
+        let mut upstream = vec![0.0; n];
+        topo.fused_upstream_resize(&mut sizes, &weights, &mut upstream, &mut resize);
+        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
+        assert_eq!(upstream, ws.upstream);
+    }
+
+    /// The delay kernel is per-node independent: any split of the node
+    /// range reproduces `delays_into` bitwise.
+    #[test]
+    fn delays_chunk_matches_delays_into_for_every_range_split() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let sizes = c.uniform_sizes(1.7);
+        let mut ws = EvalWorkspace::new(&c);
+        topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
+        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
+        for split in 0..=n {
+            let mut delays = vec![f64::NAN; n];
+            let delays_s = SharedMut::new(&mut delays);
+            // SAFETY: disjoint in-range ranges over slabs sized for the
+            // circuit.
+            unsafe {
+                topo.delays_chunk(0..split, sizes.as_slice(), &ws.charged, delays_s);
+                topo.delays_chunk(split..n, sizes.as_slice(), &ws.charged, delays_s);
+            }
+            assert_eq!(delays, ws.delays, "split at {split}");
+        }
+    }
+
     #[test]
     fn topology_maps_components_to_nodes() {
         let c = chain();
@@ -2840,157 +2441,5 @@ mod tests {
         assert_eq!(ws.prev_sizes.len(), c.num_components());
         assert!(ws.critical_path.capacity() >= c.num_nodes());
         assert!(ws.memory_bytes() > 0);
-    }
-
-    /// The lane-padded node-size slab covers every node, rounds up to whole
-    /// lane blocks, keeps `1.0` in the pad, and is charged to the memory
-    /// accounting (mirrors the PR 4 engine accounting test one layer down).
-    #[test]
-    fn lane_padded_node_size_slab_is_sized_and_accounted() {
-        let c = chain();
-        let topo = CircuitTopology::new(&c);
-        let mut ws = EvalWorkspace::new(&c);
-        let n = c.num_nodes();
-        assert_eq!(ws.node_size.len(), lane_padded(n));
-        assert_eq!(ws.node_size.len() % LANES, 0);
-        assert!(ws.node_size.len() >= n && ws.node_size.len() < n + LANES);
-
-        let sizes = c.uniform_sizes(2.5);
-        topo.fill_node_sizes(sizes.as_slice(), &mut ws.node_size);
-        for idx in 0..n {
-            assert_eq!(ws.node_size[idx], topo.size_of(idx, &sizes));
-        }
-        for &pad in &ws.node_size[n..] {
-            assert_eq!(pad, 1.0, "lane padding must stay at the neutral size");
-        }
-
-        // The slab (padding included) is part of the accounted footprint.
-        let mut bare = ws.clone();
-        bare.node_size = Vec::new();
-        assert!(
-            ws.memory_bytes() >= bare.memory_bytes() + lane_padded(n) * std::mem::size_of::<f64>(),
-            "memory accounting must cover the lane-padded slab"
-        );
-    }
-
-    /// The 4-lane delay kernel is bitwise identical to `delays_into` for
-    /// every node kind and for every lane remainder `n % LANES` (the range
-    /// split exercises all tail shapes).
-    #[test]
-    fn lane_delay_kernel_matches_sequential_delays_bitwise() {
-        let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        let n = c.num_nodes();
-        let sizes = c.uniform_sizes(1.7);
-        let mut ws = EvalWorkspace::new(&c);
-        model.downstream_caps_into(&topo, &sizes, None, &mut ws.charged, &mut ws.presented);
-        model.delays_into(&topo, &sizes, &ws.charged, &mut ws.delays);
-
-        topo.fill_node_sizes(sizes.as_slice(), &mut ws.node_size);
-        for split in 0..=n {
-            let mut delays = vec![f64::NAN; n];
-            {
-                let delays_s = SharedMut::new(&mut delays);
-                // SAFETY: disjoint ranges, slabs sized for the circuit.
-                unsafe {
-                    topo.delays_chunk_lanes(0..split, &ws.node_size, &ws.charged, delays_s);
-                    topo.delays_chunk_lanes(split..n, &ws.node_size, &ws.charged, delays_s);
-                }
-            }
-            assert_eq!(delays, ws.delays, "split at {split}");
-        }
-    }
-
-    /// The phased (batch-resize) fused kernels match the sequential fused
-    /// passes bitwise, chunk size 2 exercising odd lane remainders.
-    #[test]
-    fn fused_lane_chunk_kernels_match_sequential_fused_passes() {
-        let c = chain();
-        let model = ElmoreModel;
-        let topo = model.prepare(&c);
-        let n = c.num_nodes();
-        let extra = vec![0.1; n];
-        let weights = vec![0.4; n];
-        let resize = |_comp: usize, value: f64, x: f64| -> f64 {
-            (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
-        };
-
-        // Sequential fused passes (the oracle).
-        let mut seq_sizes = c.uniform_sizes(1.0);
-        let mut seq_charged = vec![0.0; n];
-        let mut seq_presented = vec![0.0; n];
-        assert!(model.fused_downstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &extra,
-            &mut seq_charged,
-            &mut seq_presented,
-            &mut |comp, _node, value, x| resize(comp, value, x),
-        ));
-        let mut seq_upstream = vec![0.0; n];
-        assert!(model.fused_upstream_resize(
-            &topo,
-            &mut seq_sizes,
-            &weights,
-            &mut seq_upstream,
-            &mut |comp, _node, value, x| resize(comp, value, x),
-        ));
-
-        // Phased lane kernels over the level partition.
-        let mut batch = |nodes: &[u32], values: &[f64], xs: SharedMut<'_, f64>| {
-            for (k, &idx) in nodes.iter().enumerate() {
-                if let Some(comp) = topo.component_of(idx as usize) {
-                    // SAFETY: one node per component, chunk-owned.
-                    unsafe {
-                        let x = xs.get(comp);
-                        let x_new = resize(comp, values[k], x);
-                        if x_new != x {
-                            xs.set(comp, x_new);
-                        }
-                    }
-                }
-            }
-        };
-        let mut lane_sizes = c.uniform_sizes(1.0);
-        let mut lane_charged = vec![0.0; n];
-        let mut lane_presented = vec![0.0; n];
-        let mut lane_upstream = vec![0.0; n];
-        {
-            let xs = SharedMut::new(lane_sizes.as_mut_slice());
-            let charged_s = SharedMut::new(&mut lane_charged);
-            let presented_s = SharedMut::new(&mut lane_presented);
-            for l in (0..topo.num_levels()).rev() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: chunks of one level are disjoint; reverse
-                    // dependency order.
-                    unsafe {
-                        topo.fused_downstream_chunk_lanes(
-                            chunk,
-                            xs,
-                            &extra,
-                            charged_s,
-                            presented_s,
-                            &mut batch,
-                        );
-                    }
-                }
-            }
-            let upstream_s = SharedMut::new(&mut lane_upstream);
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: forward dependency order.
-                    unsafe {
-                        topo.fused_upstream_chunk_lanes(
-                            chunk, xs, &weights, upstream_s, &mut batch,
-                        );
-                    }
-                }
-            }
-        }
-        assert_eq!(lane_sizes, seq_sizes);
-        assert_eq!(lane_charged, seq_charged);
-        assert_eq!(lane_presented, seq_presented);
-        assert_eq!(lane_upstream, seq_upstream);
     }
 }

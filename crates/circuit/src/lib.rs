@@ -80,8 +80,8 @@ pub use area::total_area;
 pub use builder::CircuitBuilder;
 pub use elmore::{DownstreamCaps, ElmoreAnalyzer};
 pub use engine::{
-    lane_padded, propagate_arrivals_into, CircuitTopology, DelayModel, ElmoreModel, EvalWorkspace,
-    IncrementalWorkspace, KindTag, SharedMut, LANES, MAX_CHUNK_NODES, NO_PRED,
+    propagate_arrivals_into, CircuitTopology, EvalWorkspace, IncrementalWorkspace, KindTag,
+    SharedMut, NO_PRED,
 };
 pub use error::CircuitError;
 pub use graph::CircuitGraph;

@@ -303,25 +303,7 @@ impl ConstraintFamily for ScalarFamily {
             if mu == 0.0 {
                 continue;
             }
-            // Blocked scatter: the `μ · a` products of one constraint are
-            // independent, so a LANES-wide block computes four at once; the
-            // adds then run in exact term order, so each slot's
-            // accumulation sequence — and the result — stays bitwise
-            // identical to the one-term-at-a-time loop.
-            let terms = &constraint.terms;
-            let nt = terms.len();
-            let mut t = 0usize;
-            while t + ncgws_circuit::LANES <= nt {
-                let mut prod = [0.0f64; ncgws_circuit::LANES];
-                for (j, slot) in prod.iter_mut().enumerate() {
-                    *slot = mu * terms[t + j].1;
-                }
-                for (j, &v) in prod.iter().enumerate() {
-                    denominator[terms[t + j].0 as usize] += v;
-                }
-                t += ncgws_circuit::LANES;
-            }
-            for &(i, a) in &terms[t..] {
+            for &(i, a) in &constraint.terms {
                 denominator[i as usize] += mu * a;
             }
         }

@@ -1,7 +1,8 @@
 //! The cross-layer sizing engine: circuit + coupling + delay model + scratch.
 //!
-//! [`SizingEngine`] binds a circuit graph, its coupling set, a
-//! [`DelayModel`] backend and an [`EvalWorkspace`] together, and adds the
+//! [`SizingEngine`] binds a circuit graph, its coupling set, the dense
+//! [`CircuitTopology`] the Elmore traversals run over and an
+//! [`EvalWorkspace`] together, and adds the
 //! dense per-component attribute tables the LRS closed-form resize reads in
 //! its innermost loop. Built once per [`SizingProblem`] (or circuit), it
 //! makes every evaluation the optimizer performs — coupling loads,
@@ -12,15 +13,8 @@
 //! allocate-per-call reference path ([`crate::reference`],
 //! [`CircuitMetrics::evaluate`]), so the two produce bitwise identical
 //! results; the `property_eval_engine` integration test enforces this.
-//!
-//! Future delay-model backends (higher-order models, sharded evaluation)
-//! implement [`DelayModel`] and plug in through
-//! [`SizingEngine::with_model`].
 
-use ncgws_circuit::{
-    CircuitGraph, CircuitTopology, DelayModel, ElmoreModel, EvalWorkspace, NodeId, SharedMut,
-    SizeVector, LANES, NO_PRED,
-};
+use ncgws_circuit::{CircuitGraph, CircuitTopology, EvalWorkspace, NodeId, SharedMut, SizeVector};
 use ncgws_coupling::CouplingSet;
 
 use crate::constraints::ConstraintSet;
@@ -48,11 +42,11 @@ pub struct TimingView<'a> {
 
 /// The reusable evaluation engine threaded through the whole two-stage flow.
 #[derive(Debug, Clone)]
-pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
+pub struct SizingEngine<'a> {
     graph: &'a CircuitGraph,
     coupling: &'a CouplingSet,
-    model: M,
-    state: M::State,
+    /// The dense snapshot of `graph` every Elmore traversal runs over.
+    topo: CircuitTopology,
     pub(crate) ws: EvalWorkspace,
     // Dense per-component tables (indexed by the graph's dense component
     // index). The hot loop reads these instead of chasing `Node` structs,
@@ -60,11 +54,6 @@ pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
     // lines.
     pub(crate) comp_raw_index: Vec<usize>,
     pub(crate) comp_is_wire: Vec<bool>,
-    /// `comp_is_wire` as a `{0.0, 1.0}` f64 mask, so the lane-blocked
-    /// closed form can apply the wire-only numerator terms branch-free
-    /// (`t - 0.0 == t` and `1.0 · t == t` bitwise) while streaming the SoA
-    /// attribute columns.
-    wire_mask: Vec<f64>,
     pub(crate) unit_resistance: Vec<f64>,
     pub(crate) unit_capacitance: Vec<f64>,
     pub(crate) area_coefficient: Vec<f64>,
@@ -97,8 +86,7 @@ pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
     /// work-queue heads. Sequential until [`set_parallel`](Self::set_parallel)
     /// selects the level grid.
     pub(crate) par: ParRuntime,
-    /// The deterministic chunk grid over the backend's level partition
-    /// (empty when the backend exposes no dense topology).
+    /// The deterministic chunk grid over the topology's level partition.
     grid: LevelGrid,
     /// Coupling-pair indices grouped by *channel shard* (connected
     /// components of the pair graph), global pair order within each shard —
@@ -115,13 +103,6 @@ pub struct SizingEngine<'a, M: DelayModel = ElmoreModel> {
     /// Per-chunk reduction slots of the parallel sweeps, merged in fixed
     /// chunk order after every pass.
     pscratch: ParScratch,
-    /// Enables the lane-blocked (reassociated) aggregate reductions of
-    /// [`total_capacitance`](Self::total_capacitance) /
-    /// [`total_area`](Self::total_area) /
-    /// [`crosstalk_lhs`](Self::crosstalk_lhs) while a `Level` policy is
-    /// active. Off by default so the exact strategy stays bitwise-pinned
-    /// to `crate::reference` under every policy.
-    lane_aggregates: bool,
 }
 
 /// Per-chunk reduction slots for the parallel sweeps (sized once per
@@ -165,7 +146,6 @@ impl ParScratch {
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
     is_wire: &'a [bool],
-    wire_mask: &'a [f64],
     unit_resistance: &'a [f64],
     unit_capacitance: &'a [f64],
     area_coefficient: &'a [f64],
@@ -212,72 +192,14 @@ impl ResizeTables<'_> {
         let rel = (x_new - x_i).abs() / x_i.abs().max(1e-12);
         (x_new, rel)
     }
-
-    /// The closed-form resize of [`LANES`] components as one lane block —
-    /// per-lane bitwise identical to [`closed_form`](Self::closed_form).
-    /// The wire-only numerator terms are applied through the `{0.0, 1.0}`
-    /// `wire_mask` (`t - 0.0 == t` and `1.0 · t == t` bitwise, so the
-    /// masked expression reproduces both the wire and the gate branch
-    /// exactly), and every other expression keeps the scalar association.
-    /// The scalar gathers feed fixed-trip `[f64; LANES]` loops that LLVM
-    /// autovectorizes; callers with fewer than [`LANES`] live lanes pass
-    /// any in-range component index in the unused slots and ignore those
-    /// results.
-    #[inline(always)]
-    fn closed_form_lanes(
-        &self,
-        comps: &[usize; LANES],
-        x: &[f64; LANES],
-        charged: &[f64; LANES],
-        upstream: &[f64; LANES],
-        lambda: &[f64; LANES],
-    ) -> ([f64; LANES], [f64; LANES]) {
-        let mut wm = [0.0f64; LANES];
-        let mut ur = [0.0f64; LANES];
-        let mut uc = [0.0f64; LANES];
-        let mut ar = [0.0f64; LANES];
-        let mut lo = [0.0f64; LANES];
-        let mut hi = [0.0f64; LANES];
-        let mut cs = [0.0f64; LANES];
-        let mut exd = [0.0f64; LANES];
-        for j in 0..LANES {
-            let comp = comps[j];
-            wm[j] = self.wire_mask[comp];
-            ur[j] = self.unit_resistance[comp];
-            uc[j] = self.unit_capacitance[comp];
-            ar[j] = self.area_coefficient[comp];
-            lo[j] = self.lower_bound[comp];
-            hi[j] = self.upper_bound[comp];
-            cs[j] = self.coupling_sum[comp];
-            exd[j] = self.extra_denom[comp];
-        }
-        let mut x_new = [0.0f64; LANES];
-        let mut rel = [0.0f64; LANES];
-        for j in 0..LANES {
-            let m = wm[j];
-            let cap_num = (charged[j] - m * (uc[j] * x[j] / 2.0)) - m * (cs[j] * x[j]);
-            let cap_num = if cap_num < 0.0 { 0.0 } else { cap_num };
-            let denominator =
-                ar[j] + (self.beta + upstream[j]) * uc[j] + self.gamma * cs[j] + exd[j];
-            let numerator = lambda[j] * ur[j] * cap_num;
-            let opt = if denominator > 0.0 && numerator > 0.0 {
-                (numerator / denominator).sqrt()
-            } else {
-                0.0
-            };
-            x_new[j] = opt.clamp(lo[j], hi[j]);
-            rel[j] = (x_new[j] - x[j]).abs() / x[j].abs().max(1e-12);
-        }
-        (x_new, rel)
-    }
 }
 
 /// Chunk-shared context of one level-parallel fused resize pass: the
 /// Theorem-5 tables, the freeze schedule and the shared per-component
-/// views. [`apply_batch`](Self::apply_batch) is the single place the
-/// parallel passes' per-component semantics live — both traversal
-/// directions feed it their fresh quantity and the pass-fixed complement,
-/// and the calm/freeze rule delegates to
+/// views. [`resize`](Self::resize) is the single place the parallel
+/// passes' per-component semantics live — both traversal directions feed
+/// it their fresh quantity and the pass-fixed complement, and the
+/// calm/freeze rule delegates to
 /// [`ScheduleWorkspace::note_resize_shared`], the canonical home it shares
 /// with the sequential schedule.
 struct FusedChunkCtx<'a> {
@@ -301,149 +223,50 @@ struct ChunkStats {
 }
 
 impl FusedChunkCtx<'_> {
-    /// The chunk-side resize entry point of the phased lane kernels
-    /// (frozen-skip, closed form, calm/freeze bookkeeping and the chunk's
-    /// dirty-frontier records): compacts the chunk's sizable, non-frozen components into
-    /// [`LANES`]-wide blocks, runs [`ResizeTables::closed_form_lanes`] per
-    /// block and performs the per-component bookkeeping in chunk node
-    /// order — so `touched` / `worst` / the dirty-frontier records (and
-    /// every calm/freeze transition) are exactly those of the per-node
-    /// path. `values[k]` is the freshly traversed quantity of `nodes[k]`
-    /// (charged when `value_is_charged`, upstream otherwise); `fixed` and
-    /// `lambda` are the pass-fixed node-indexed complements.
+    /// The chunk-side resize of one node's component, called by the fused
+    /// chunk kernels the moment the node's fresh quantity is known:
+    /// frozen-skip, the Theorem-5 closed form, calm/freeze bookkeeping and
+    /// the chunk's dirty-frontier record. Returns the new size (the old one
+    /// when skipped), which the kernel writes back.
     ///
     /// # Safety
     ///
-    /// Every sizable component of `nodes` belongs to the calling chunk (no
-    /// other chunk touches its `calm`/`frozen` entries or its size) and
-    /// `seg` is the chunk's disjoint scratch segment; `values` has one
-    /// entry per node and `fixed` / `lambda` one entry per circuit node.
+    /// `comp` belongs to the calling chunk (no other chunk touches its
+    /// `calm`/`frozen` entries) and `seg` is the chunk's disjoint scratch
+    /// segment.
     #[allow(clippy::too_many_arguments)]
-    unsafe fn apply_batch(
+    #[inline(always)]
+    unsafe fn resize(
         &self,
-        topo: &CircuitTopology,
-        nodes: &[u32],
-        values: &[f64],
-        value_is_charged: bool,
-        fixed: &[f64],
-        lambda: &[f64],
-        xs: SharedMut<'_, f64>,
+        comp: usize,
+        x: f64,
+        charged: f64,
+        upstream: f64,
+        lambda: f64,
         seg: usize,
         stats: &mut ChunkStats,
-    ) {
-        let mut lc = [0usize; LANES];
-        let mut lx = [0.0f64; LANES];
-        let mut lv = [0.0f64; LANES];
-        let mut lf = [0.0f64; LANES];
-        let mut ll = [0.0f64; LANES];
-        let mut fill = 0usize;
-        for (k, &idx) in nodes.iter().enumerate() {
-            let idx = idx as usize;
-            let Some(comp) = topo.component_of(idx) else {
-                continue;
-            };
-            if !self.resize_all && self.frozen.get(comp) {
-                continue;
-            }
-            lc[fill] = comp;
-            lx[fill] = xs.get(comp);
-            lv[fill] = *values.get_unchecked(k);
-            lf[fill] = *fixed.get_unchecked(idx);
-            ll[fill] = *lambda.get_unchecked(idx);
-            fill += 1;
-            if fill == LANES {
-                self.flush_lanes(
-                    &lc,
-                    &lx,
-                    &lv,
-                    value_is_charged,
-                    &lf,
-                    &ll,
-                    LANES,
-                    xs,
-                    seg,
-                    stats,
-                );
-                fill = 0;
-            }
+    ) -> f64 {
+        if !self.resize_all && self.frozen.get(comp) {
+            return x;
         }
-        if fill > 0 {
-            self.flush_lanes(
-                &lc,
-                &lx,
-                &lv,
-                value_is_charged,
-                &lf,
-                &ll,
-                fill,
-                xs,
-                seg,
-                stats,
-            );
+        stats.touched += 1;
+        let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream, lambda);
+        stats.worst = stats.worst.max(rel);
+        ScheduleWorkspace::note_resize_shared(self.calm, self.frozen, comp, rel, self.schedule);
+        if x_new != x {
+            self.chunk_changed
+                .set(seg + stats.changed as usize, comp as u32);
+            stats.changed += 1;
         }
-    }
-
-    /// Runs one (possibly partial) lane block and the in-order bookkeeping
-    /// of its `fill` live lanes. Stale trailing lanes hold the previous
-    /// block's (valid, in-range) component indices; their results are
-    /// computed and discarded.
-    ///
-    /// # Safety
-    ///
-    /// Every entry of `comps` — live lanes *and* stale trailing lanes —
-    /// must be a valid component index for `xs`, `self.calm` and
-    /// `self.frozen`, and the components written through `xs` must belong
-    /// exclusively to this chunk for the duration of the pass (the
-    /// level-partition invariant), since `xs.set` is an unsynchronized
-    /// write into the shared sizes slice.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn flush_lanes(
-        &self,
-        comps: &[usize; LANES],
-        x: &[f64; LANES],
-        value: &[f64; LANES],
-        value_is_charged: bool,
-        fixed: &[f64; LANES],
-        lambda: &[f64; LANES],
-        fill: usize,
-        xs: SharedMut<'_, f64>,
-        seg: usize,
-        stats: &mut ChunkStats,
-    ) {
-        let (x_new, rel) = if value_is_charged {
-            self.tables
-                .closed_form_lanes(comps, x, value, fixed, lambda)
-        } else {
-            self.tables
-                .closed_form_lanes(comps, x, fixed, value, lambda)
-        };
-        for j in 0..fill {
-            let comp = comps[j];
-            stats.touched += 1;
-            stats.worst = stats.worst.max(rel[j]);
-            ScheduleWorkspace::note_resize_shared(
-                self.calm,
-                self.frozen,
-                comp,
-                rel[j],
-                self.schedule,
-            );
-            if x_new[j] != x[j] {
-                xs.set(comp, x_new[j]);
-                self.chunk_changed
-                    .set(seg + stats.changed as usize, comp as u32);
-                stats.changed += 1;
-            }
-        }
+        x_new
     }
 }
 
 /// The dense coupling-pair table in structure-of-arrays form (see
 /// `SizingEngine::pair_table`): seven parallel columns indexed by the
 /// pair's global order. The per-sweep scatter and the crosstalk
-/// aggregation read one column at a time, so a [`LANES`]-wide block
-/// streams four contiguous entries per column instead of striding over
-/// interleaved 56-byte records.
+/// aggregation read one column at a time, streaming contiguous entries
+/// instead of striding over interleaved 56-byte records.
 #[derive(Debug, Clone, Default)]
 struct PairTable {
     a_raw: Vec<u32>,
@@ -520,21 +343,9 @@ impl PairTable {
     }
 }
 
-impl<'a> SizingEngine<'a, ElmoreModel> {
-    /// Creates an engine with the Elmore backend.
+impl<'a> SizingEngine<'a> {
+    /// Creates an engine for a circuit and its coupling set.
     pub fn new(graph: &'a CircuitGraph, coupling: &'a CouplingSet) -> Self {
-        SizingEngine::with_model(graph, coupling, ElmoreModel)
-    }
-
-    /// Creates an engine for an assembled sizing problem.
-    pub fn for_problem(problem: &SizingProblem<'a>) -> Self {
-        SizingEngine::new(problem.graph, problem.coupling)
-    }
-}
-
-impl<'a, M: DelayModel> SizingEngine<'a, M> {
-    /// Creates an engine with a custom delay-model backend.
-    pub fn with_model(graph: &'a CircuitGraph, coupling: &'a CouplingSet, model: M) -> Self {
         // The dense pair table stores 32-bit indices.
         assert!(
             graph.num_nodes() <= u32::MAX as usize,
@@ -543,7 +354,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let n = graph.num_components();
         let mut comp_raw_index = Vec::with_capacity(n);
         let mut comp_is_wire = Vec::with_capacity(n);
-        let mut wire_mask = Vec::with_capacity(n);
         let mut unit_resistance = Vec::with_capacity(n);
         let mut unit_capacitance = Vec::with_capacity(n);
         let mut area_coefficient = Vec::with_capacity(n);
@@ -551,7 +361,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let mut upper_bound = Vec::with_capacity(n);
         let mut coupling_sum = Vec::with_capacity(n);
         let mut fringing = Vec::with_capacity(n);
-        let state = model.prepare(graph);
+        let topo = CircuitTopology::new(graph);
         let sums = coupling.linear_coefficient_sums();
         let mut pair_table = PairTable::with_capacity(coupling.pairs().len());
         for pair in coupling.pairs() {
@@ -573,7 +383,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             let node = graph.node(id);
             comp_raw_index.push(id.index());
             comp_is_wire.push(node.kind.is_wire());
-            wire_mask.push(if node.kind.is_wire() { 1.0 } else { 0.0 });
             unit_resistance.push(node.attrs.unit_resistance);
             unit_capacitance.push(node.attrs.unit_capacitance);
             area_coefficient.push(node.attrs.area_coefficient);
@@ -587,10 +396,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             });
         }
         let (comp_pair_start, comp_pair_list) = Self::build_pair_adjacency(n, &pair_table);
-        let grid = match model.dense_topology(&state) {
-            Some(topo) => LevelGrid::new((0..topo.num_levels()).map(|l| topo.level(l).len())),
-            None => LevelGrid::default(),
-        };
+        let grid = LevelGrid::new((0..topo.num_levels()).map(|l| topo.level(l).len()));
         let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
             Self::build_scatter_shards(graph.num_nodes(), &pair_table);
         let total_chunks = grid.total_chunks().max(par::flat_chunks(graph.num_nodes()));
@@ -598,12 +404,10 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         SizingEngine {
             graph,
             coupling,
-            model,
-            state,
+            topo,
             ws: EvalWorkspace::new(graph),
             comp_raw_index,
             comp_is_wire,
-            wire_mask,
             unit_resistance,
             unit_capacitance,
             area_coefficient,
@@ -622,8 +426,12 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             scatter_shard_start,
             scatter_chunk_start,
             pscratch,
-            lane_aggregates: false,
         }
+    }
+
+    /// Creates an engine for an assembled sizing problem.
+    pub fn for_problem(problem: &SizingProblem<'a>) -> Self {
+        SizingEngine::new(problem.graph, problem.coupling)
     }
 
     /// Groups the coupling pairs into *channel shards*: the connected
@@ -712,20 +520,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         self.par.policy()
     }
 
-    /// Enables the lane-blocked aggregate reductions
-    /// ([`total_capacitance`](Self::total_capacitance),
-    /// [`total_area`](Self::total_area),
-    /// [`crosstalk_lhs`](Self::crosstalk_lhs)) while a `Level` policy is
-    /// active. The blocks keep [`LANES`] partial sums, which reassociates
-    /// the reduction: results are epsilon-pinned (1e-6 end-to-end, the
-    /// PR 4 adaptive-vs-exact contract) instead of bitwise. Off by
-    /// default, and [`OgwsSolver`](crate::OgwsSolver) only switches it on
-    /// for the adaptive strategy, so the exact strategy stays
-    /// bitwise-pinned to [`crate::reference`] under every policy.
-    pub fn set_lane_aggregates(&mut self, enable: bool) {
-        self.lane_aggregates = enable;
-    }
-
     /// The parallel runtime, for sibling subsystems (subgradient update,
     /// flow projection) that run their own deterministic passes.
     pub(crate) fn par_runtime(&self) -> &ParRuntime {
@@ -733,13 +527,9 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// The dense topology + chunk grid behind the level-parallel paths,
-    /// when the policy and the backend enable them.
+    /// when the policy enables them.
     pub(crate) fn level_ctx(&self) -> Option<(&CircuitTopology, &LevelGrid)> {
-        if !self.par.active() {
-            return None;
-        }
-        let topo = self.model.dense_topology(&self.state)?;
-        Some((topo, &self.grid))
+        self.par.active().then_some((&self.topo, &self.grid))
     }
 
     /// Builds the component → coupling-pair CSR adjacency (each pair appears
@@ -774,11 +564,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         self.coupling
     }
 
-    /// The delay-model backend.
-    pub fn model(&self) -> &M {
-        &self.model
-    }
-
     /// The scratch workspace (read access; the engine owns the mutation).
     pub fn workspace(&self) -> &EvalWorkspace {
         &self.ws
@@ -789,14 +574,13 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     /// allocation: the evaluation workspace, the dense per-component
     /// attribute tables, the coupling-pair table and its per-component CSR
     /// adjacency, the adaptive-schedule buffers (dirty sets, active set,
-    /// incremental scratch) and the delay model's prepared state.
+    /// incremental scratch) and the dense topology.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
             + self.comp_raw_index.capacity() * size_of::<usize>()
             + self.comp_is_wire.capacity() * size_of::<bool>()
-            + (self.wire_mask.capacity()
-                + self.unit_resistance.capacity()
+            + (self.unit_resistance.capacity()
                 + self.unit_capacitance.capacity()
                 + self.area_coefficient.capacity()
                 + self.lower_bound.capacity()
@@ -816,42 +600,20 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             + self.grid.memory_bytes()
             + self.pscratch.memory_bytes()
             + self.par.memory_bytes()
-            + self.model.state_memory_bytes(&self.state)
+            + self.topo.memory_bytes()
     }
 
     /// Total component capacitance `Σ c_i` (fF, excluding coupling) over
     /// the dense attribute tables — bitwise identical to
     /// [`ncgws_circuit::total_capacitance`] (same per-component arithmetic,
     /// same accumulation order), at a fraction of the pointer-chasing cost.
-    ///
-    /// With [`set_lane_aggregates`](Self::set_lane_aggregates) on and a
-    /// `Level` policy active, the sum is kept in [`LANES`] partial
-    /// accumulators instead (reassociated, epsilon-pinned rather than
-    /// bitwise).
     pub fn total_capacitance(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
-        let n = self.unit_capacitance.len();
-        assert_eq!(xs.len(), n, "sizes must match the circuit");
-        if self.lane_aggregates && self.par.active() {
-            let mut acc = [0.0f64; LANES];
-            let mut i = 0usize;
-            while i + LANES <= n {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    let k = i + j;
-                    *slot += self.unit_capacitance[k] * xs[k] + self.fringing[k];
-                }
-                i += LANES;
-            }
-            let mut tail = 0.0;
-            for ((&unit_cap, &x), &fringing) in self.unit_capacitance[i..n]
-                .iter()
-                .zip(&xs[i..n])
-                .zip(&self.fringing[i..n])
-            {
-                tail += unit_cap * x + fringing;
-            }
-            return acc.iter().fold(0.0, |a, &v| a + v) + tail;
-        }
+        assert_eq!(
+            xs.len(),
+            self.unit_capacitance.len(),
+            "sizes must match the circuit"
+        );
         let mut acc = 0.0;
         for ((&unit_cap, &x), &fringing) in self.unit_capacitance.iter().zip(xs).zip(&self.fringing)
         {
@@ -861,30 +623,14 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// Total area `Σ α_i x_i` (µm²) over the dense attribute tables —
-    /// bitwise identical to [`ncgws_circuit::total_area`] (lane-blocked and
-    /// epsilon-pinned when
-    /// [`set_lane_aggregates`](Self::set_lane_aggregates) is on, as
-    /// [`total_capacitance`](Self::total_capacitance)).
+    /// bitwise identical to [`ncgws_circuit::total_area`].
     pub fn total_area(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
-        let n = self.area_coefficient.len();
-        assert_eq!(xs.len(), n, "sizes must match the circuit");
-        if self.lane_aggregates && self.par.active() {
-            let mut acc = [0.0f64; LANES];
-            let mut i = 0usize;
-            while i + LANES <= n {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    let k = i + j;
-                    *slot += self.area_coefficient[k] * xs[k];
-                }
-                i += LANES;
-            }
-            let mut tail = 0.0;
-            for (&alpha, &x) in self.area_coefficient[i..n].iter().zip(&xs[i..n]) {
-                tail += alpha * x;
-            }
-            return acc.iter().fold(0.0, |a, &v| a + v) + tail;
-        }
+        assert_eq!(
+            xs.len(),
+            self.area_coefficient.len(),
+            "sizes must match the circuit"
+        );
         let mut acc = 0.0;
         for (&alpha, &x) in self.area_coefficient.iter().zip(xs) {
             acc += alpha * x;
@@ -894,10 +640,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
 
     /// Crosstalk left-hand side `Σ sf_ij · ĉ_ij · (x_i + x_j)` over the
     /// dense pair table — bitwise identical to
-    /// [`CouplingSet::crosstalk_lhs`] (same pair order; lane-blocked and
-    /// epsilon-pinned when
-    /// [`set_lane_aggregates`](Self::set_lane_aggregates) is on, as
-    /// [`total_capacitance`](Self::total_capacitance)).
+    /// [`CouplingSet::crosstalk_lhs`] (same pair order).
     pub fn crosstalk_lhs(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
         assert_eq!(
@@ -906,29 +649,8 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             "sizes must match the circuit"
         );
         let pairs = &self.pair_table;
-        let np = pairs.len();
-        if self.lane_aggregates && self.par.active() {
-            let mut acc = [0.0f64; LANES];
-            let mut p = 0usize;
-            while p + LANES <= np {
-                for (j, slot) in acc.iter_mut().enumerate() {
-                    let q = p + j;
-                    *slot += pairs.switching[q]
-                        * pairs.coeff[q]
-                        * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
-                }
-                p += LANES;
-            }
-            let mut tail = 0.0;
-            for q in p..np {
-                tail += pairs.switching[q]
-                    * pairs.coeff[q]
-                    * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
-            }
-            return acc.iter().fold(0.0, |a, &v| a + v) + tail;
-        }
         let mut acc = 0.0;
-        for q in 0..np {
+        for q in 0..pairs.len() {
             acc += pairs.switching[q]
                 * pairs.coeff[q]
                 * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
@@ -991,36 +713,10 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             });
             return;
         }
-        // Blocked sequential scatter: the per-pair capacitance arithmetic
-        // is independent, so a LANES-wide block computes four caps from the
-        // contiguous SoA columns at once; the scatter adds then run in
-        // exact global pair order, so every node's accumulation sequence —
-        // and with it the result — stays bitwise identical to the
-        // one-pair-at-a-time loop.
         let pairs = &self.pair_table;
-        let np = pairs.len();
-        let mut p = 0usize;
-        while p + LANES <= np {
-            let mut cap = [0.0f64; LANES];
+        for q in 0..pairs.len() {
             // SAFETY: lengths asserted above; the stored indices are in
             // range by construction.
-            unsafe {
-                for (j, slot) in cap.iter_mut().enumerate() {
-                    let q = p + j;
-                    let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(q) as usize);
-                    let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(q) as usize);
-                    *slot = pairs.cap_unchecked(q, xa, xb);
-                }
-                for (j, &c) in cap.iter().enumerate() {
-                    let q = p + j;
-                    *load.get_unchecked_mut(*pairs.a_raw.get_unchecked(q) as usize) += c;
-                    *load.get_unchecked_mut(*pairs.b_raw.get_unchecked(q) as usize) += c;
-                }
-            }
-            p += LANES;
-        }
-        for q in p..np {
-            // SAFETY: as above.
             unsafe {
                 let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(q) as usize);
                 let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(q) as usize);
@@ -1060,85 +756,74 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
 
     /// Full downstream-capacitance rebuild at `sizes` (the coupling load
     /// must already be in `ws.extra_cap`): level-parallel over the chunk
-    /// grid when the policy and backend allow, the sequential model call
-    /// otherwise. Per-node results are bitwise identical either way — each
-    /// node's accumulation runs over its own CSR fanout list in list order,
+    /// grid when the policy allows, the sequential traversal otherwise.
+    /// Per-node results are bitwise identical either way — each node's
+    /// accumulation runs over its own CSR fanout list in list order,
     /// reading only settled later levels.
     fn rebuild_downstream_caps(&mut self, sizes: &SizeVector) {
-        if self.par.active() {
-            if let Some(topo) = self.model.dense_topology(&self.state) {
-                let n = topo.num_nodes();
-                let ws = &mut self.ws;
-                assert_eq!(ws.charged.len(), n, "workspace must match the circuit");
-                assert_eq!(ws.presented.len(), n);
-                assert_eq!(ws.extra_cap.len(), n);
-                assert_eq!(
-                    sizes.len(),
-                    self.comp_raw_index.len(),
-                    "sizes must match the circuit"
-                );
-                let xs = sizes.as_slice();
-                let charged_s = SharedMut::new(ws.charged.as_mut_slice());
-                let presented_s = SharedMut::new(ws.presented.as_mut_slice());
-                let extra: &[f64] = &ws.extra_cap;
-                let grid = &self.grid;
-                self.par.run_leveled(grid, true, |l, c| {
-                    let level = topo.level(l);
-                    let range = grid.chunk_range(level.len(), c);
-                    // SAFETY: chunks of one level own disjoint nodes;
-                    // levels settle in reverse dependency order; lengths
-                    // asserted above.
-                    unsafe {
-                        topo.downstream_caps_chunk(&level[range], xs, extra, charged_s, presented_s)
-                    };
-                });
-                return;
-            }
-        }
+        let topo = &self.topo;
         let ws = &mut self.ws;
-        self.model.downstream_caps_into(
-            &self.state,
-            sizes,
-            Some(&ws.extra_cap),
-            &mut ws.charged,
-            &mut ws.presented,
+        if !self.par.active() {
+            topo.downstream_caps_into(
+                sizes,
+                Some(&ws.extra_cap),
+                &mut ws.charged,
+                &mut ws.presented,
+            );
+            return;
+        }
+        let n = topo.num_nodes();
+        assert_eq!(ws.charged.len(), n, "workspace must match the circuit");
+        assert_eq!(ws.presented.len(), n);
+        assert_eq!(ws.extra_cap.len(), n);
+        assert_eq!(
+            sizes.len(),
+            self.comp_raw_index.len(),
+            "sizes must match the circuit"
         );
+        let xs = sizes.as_slice();
+        let charged_s = SharedMut::new(ws.charged.as_mut_slice());
+        let presented_s = SharedMut::new(ws.presented.as_mut_slice());
+        let extra: &[f64] = &ws.extra_cap;
+        let grid = &self.grid;
+        self.par.run_leveled(grid, true, |l, c| {
+            let level = topo.level(l);
+            let range = grid.chunk_range(level.len(), c);
+            // SAFETY: chunks of one level own disjoint nodes; levels settle
+            // in reverse dependency order; lengths asserted above.
+            unsafe { topo.downstream_caps_chunk(&level[range], xs, extra, charged_s, presented_s) };
+        });
     }
 
     /// Full λ-weighted upstream-resistance rebuild at `sizes` (weights from
     /// `ws.node_weights`): the forward-leveled counterpart of
     /// [`rebuild_downstream_caps`](Self::rebuild_downstream_caps).
     fn rebuild_upstream(&mut self, sizes: &SizeVector) {
-        if self.par.active() {
-            if let Some(topo) = self.model.dense_topology(&self.state) {
-                let n = topo.num_nodes();
-                let ws = &mut self.ws;
-                assert_eq!(ws.upstream.len(), n, "workspace must match the circuit");
-                assert_eq!(ws.node_weights.len(), n);
-                assert_eq!(
-                    sizes.len(),
-                    self.comp_raw_index.len(),
-                    "sizes must match the circuit"
-                );
-                let xs = sizes.as_slice();
-                let upstream_s = SharedMut::new(ws.upstream.as_mut_slice());
-                let weights: &[f64] = &ws.node_weights;
-                let grid = &self.grid;
-                self.par.run_leveled(grid, false, |l, c| {
-                    let level = topo.level(l);
-                    let range = grid.chunk_range(level.len(), c);
-                    // SAFETY: chunks of one level own disjoint nodes;
-                    // levels settle in forward dependency order.
-                    unsafe {
-                        topo.upstream_resistance_chunk(&level[range], xs, weights, upstream_s)
-                    };
-                });
-                return;
-            }
-        }
+        let topo = &self.topo;
         let ws = &mut self.ws;
-        self.model
-            .upstream_resistance_into(&self.state, sizes, &ws.node_weights, &mut ws.upstream);
+        if !self.par.active() {
+            topo.upstream_resistance_into(sizes, &ws.node_weights, &mut ws.upstream);
+            return;
+        }
+        let n = topo.num_nodes();
+        assert_eq!(ws.upstream.len(), n, "workspace must match the circuit");
+        assert_eq!(ws.node_weights.len(), n);
+        assert_eq!(
+            sizes.len(),
+            self.comp_raw_index.len(),
+            "sizes must match the circuit"
+        );
+        let xs = sizes.as_slice();
+        let upstream_s = SharedMut::new(ws.upstream.as_mut_slice());
+        let weights: &[f64] = &ws.node_weights;
+        let grid = &self.grid;
+        self.par.run_leveled(grid, false, |l, c| {
+            let level = topo.level(l);
+            let range = grid.chunk_range(level.len(), c);
+            // SAFETY: chunks of one level own disjoint nodes; levels settle
+            // in forward dependency order.
+            unsafe { topo.upstream_resistance_chunk(&level[range], xs, weights, upstream_s) };
+        });
     }
 
     /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8): recompute
@@ -1170,7 +855,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         // the sequential loop's, expression for expression, so the exact
         // path stays bitwise-pinned to `crate::reference` at any thread
         // count.
-        if self.par.active() && self.model.dense_topology(&self.state).is_some() {
+        if self.par.active() {
             let ws = &mut self.ws;
             let n = self.comp_raw_index.len();
             assert_eq!(sizes.len(), n, "sizes must match the circuit");
@@ -1183,7 +868,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             assert_eq!(ws.upstream.len(), ws.charged.len());
             let tables = ResizeTables {
                 is_wire: &self.comp_is_wire,
-                wire_mask: &self.wire_mask,
                 unit_resistance: &self.unit_resistance,
                 unit_capacitance: &self.unit_capacitance,
                 area_coefficient: &self.area_coefficient,
@@ -1203,40 +887,11 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             let chunk_worst = SharedMut::new(self.pscratch.chunk_worst.as_mut_slice());
             self.par.run_flat(chunks, |c| {
                 let mut local = 0.0f64;
-                let range = par::flat_range(n, c);
-                // LANES-wide blocks over the chunk's contiguous dense
-                // components, scalar tail. The lane closed form is per-lane
-                // bitwise identical to the scalar one and the worst-change
-                // max folds in the same component order, so the sweep stays
-                // bitwise-pinned to `crate::reference`.
-                let mut dense = range.start;
-                while dense + LANES <= range.end {
-                    let comps: [usize; LANES] = std::array::from_fn(|j| dense + j);
-                    let mut x = [0.0f64; LANES];
-                    let mut ch = [0.0f64; LANES];
-                    let mut up = [0.0f64; LANES];
-                    let mut la = [0.0f64; LANES];
+                for dense in par::flat_range(n, c) {
+                    let raw = raw_index[dense];
                     // SAFETY: `raw` is a node index of the engine's circuit
                     // (lengths cross-checked above); each `dense` is owned
                     // by this chunk, so the size reads/writes cannot alias.
-                    unsafe {
-                        for j in 0..LANES {
-                            let raw = raw_index[comps[j]];
-                            x[j] = xs_s.get(comps[j]);
-                            ch[j] = *charged.get_unchecked(raw);
-                            up[j] = *upstream.get_unchecked(raw);
-                            la[j] = *node_weights.get_unchecked(raw);
-                        }
-                        let (x_new, rel) = tables.closed_form_lanes(&comps, &x, &ch, &up, &la);
-                        for j in 0..LANES {
-                            xs_s.set(comps[j], x_new[j]);
-                            local = local.max(rel[j]);
-                        }
-                    }
-                    dense += LANES;
-                }
-                for (dense, &raw) in raw_index.iter().enumerate().take(range.end).skip(dense) {
-                    // SAFETY: as the lane blocks above.
                     unsafe {
                         let x_i = xs_s.get(dense);
                         let (x_new, rel) = tables.closed_form(
@@ -1394,27 +1049,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         self.sched.global_sweep
     }
 
-    /// Full exact evaluation of every cached table (coupling loads,
-    /// downstream capacitances, λ-weighted upstream resistances) at `sizes`
-    /// — the S2+S3 arithmetic of the exact sweep, leaving the caches synced.
-    ///
-    /// The capacitance-side tables are skipped when they already reflect
-    /// `sizes` exactly (as after a [`timing`](Self::timing) evaluation at
-    /// the same sizes — the OGWS steady state), since rebuilding them would
-    /// reproduce the identical values; the λ-weighted upstream resistances
-    /// are always rebuilt because the node weights change between solves.
-    fn full_eval(&mut self, sizes: &SizeVector) {
-        let caps_current = self.sched.caps_synced
-            && self.sched.changed.is_empty()
-            && self.sched.eval_sizes.as_slice() == sizes.as_slice();
-        if !caps_current {
-            self.refresh_coupling_load(sizes);
-            self.rebuild_downstream_caps(sizes);
-            self.note_caps_synced(sizes);
-        }
-        self.rebuild_upstream(sizes);
-    }
-
     /// Sparse counterpart of [`refresh_coupling_load`](Self::refresh_coupling_load):
     /// scatters the coupling-load delta of every component in
     /// `sched.changed` through the per-component pair CSR, updating
@@ -1446,27 +1080,24 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         }
     }
 
-    /// Brings every cached table up to date with `sizes` by propagating the
-    /// deltas of the components resized since the last evaluation. Falls
-    /// back to a full rebuild when the caches are not synced, the backend
-    /// has no incremental paths, the schedule disables them, or the dirty
-    /// set is so large a rebuild is cheaper.
-    fn incremental_eval(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
+    /// Brings every cached table up to date with `sizes` after a scheduled
+    /// solve by propagating the deltas of the components resized since the
+    /// last evaluation — so the timing evaluation that follows every solve
+    /// in the OGWS loop can skip its full coupling + downstream rebuild
+    /// ([`timing`](Self::timing)'s synced fast path). A no-op when the
+    /// caches are not synced, the schedule disables incremental updates, or
+    /// the dirty set is so large a rebuild is cheaper.
+    pub(crate) fn finish_solve_sync(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
         let n = self.comp_raw_index.len();
         if !self.sched.caps_synced
             || !schedule.incremental
-            || !self.model.supports_incremental()
             || self.sched.changed.len() * 4 > n
+            || self.sched.changed.is_empty()
         {
-            self.full_eval(sizes);
-            return;
-        }
-        if self.sched.changed.is_empty() {
             return;
         }
         self.refresh_coupling_load_sparse(sizes);
-        let model = &self.model;
-        let state = &self.state;
+        let topo = &self.topo;
         let ws = &mut self.ws;
         let sched = &mut self.sched;
         // After a fused sweep the charged/presented tables already carry the
@@ -1477,8 +1108,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         } else {
             &sched.changed
         };
-        model.downstream_caps_update(
-            state,
+        topo.downstream_caps_update(
             sizes,
             &sched.eval_sizes,
             cap_dirty_comps,
@@ -1489,8 +1119,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             &mut sched.inc,
         );
         sched.charged_fresh = false;
-        model.upstream_resistance_update(
-            state,
+        topo.upstream_resistance_update(
             sizes,
             &sched.eval_sizes,
             &sched.changed,
@@ -1503,56 +1132,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
             sched.eval_sizes[comp as usize] = xs[comp as usize];
         }
         sched.clear_changed();
-    }
-
-    /// Brings every cached table up to date with `sizes` after a scheduled
-    /// solve, when the remaining dirty set is small — so the timing
-    /// evaluation that follows every solve in the OGWS loop can skip its
-    /// full coupling + downstream rebuild ([`timing`](Self::timing)'s
-    /// synced fast path). A no-op when a rebuild would be needed anyway.
-    pub(crate) fn finish_solve_sync(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
-        let n = self.comp_raw_index.len();
-        if self.sched.caps_synced
-            && schedule.incremental
-            && self.model.supports_incremental()
-            && self.sched.changed.len() * 4 <= n
-        {
-            self.incremental_eval(sizes, schedule);
-        }
-    }
-
-    /// The per-sweep view of the closed-form resize inputs (one struct of
-    /// borrowed tables, shared by every sweep variant so the Theorem-5
-    /// arithmetic lives in exactly one place:
-    /// [`ResizeTables::closed_form`]).
-    fn resize_tables(&self, beta: f64, gamma: f64) -> ResizeTables<'_> {
-        ResizeTables {
-            is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
-            extra_denom: &self.extra_denom,
-            beta,
-            gamma,
-        }
-    }
-
-    /// The Theorem-5 closed-form resize of one component over the cached
-    /// workspace tables. Returns `(x_new, relative_change)`.
-    #[inline(always)]
-    fn resize_component(&self, dense: usize, x_i: f64, beta: f64, gamma: f64) -> (f64, f64) {
-        let raw = self.comp_raw_index[dense];
-        self.resize_tables(beta, gamma).closed_form(
-            dense,
-            x_i,
-            self.ws.charged[raw],
-            self.ws.upstream[raw],
-            self.ws.node_weights[raw],
-        )
     }
 
     /// Ensures `ws.charged`/`ws.presented` reflect `sizes` exactly — the
@@ -1608,13 +1187,13 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
     }
 
     /// One forward fused Gauss–Seidel pass
-    /// ([`DelayModel::fused_upstream_resize`]): a single forward-topological
+    /// ([`CircuitTopology::fused_upstream_resize`]): a single forward-topological
     /// traversal recomputes the λ-weighted upstream resistances over the
     /// freshly resized upstream state and resizes each component the moment
     /// its upstream resistance is known, reading the charged table of the
     /// previous backward pass. With `resize_all` every component is
     /// re-checked (verification semantics); otherwise frozen components are
-    /// skipped. Returns `None` when the backend has no fused path.
+    /// skipped. Returns `(worst relative change, components touched)`.
     pub(crate) fn fused_forward_sweep(
         &mut self,
         sizes: &mut SizeVector,
@@ -1622,15 +1201,10 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
-    ) -> Option<(f64, usize)> {
-        if !self.model.supports_fused() {
-            return None;
-        }
+    ) -> (f64, usize) {
         self.ensure_charged_fresh(sizes);
-        if self.par.active() && self.model.dense_topology(&self.state).is_some() {
-            return Some(
-                self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, false),
-            );
+        if self.par.active() {
+            return self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, false);
         }
         let EvalWorkspace {
             charged,
@@ -1643,7 +1217,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let sched = &mut self.sched;
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
             unit_resistance: &self.unit_resistance,
             unit_capacitance: &self.unit_capacitance,
             area_coefficient: &self.area_coefficient,
@@ -1656,45 +1229,31 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         };
         let mut worst = 0.0_f64;
         let mut touched = 0usize;
-        let supported = {
-            let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
-                if !resize_all && sched.frozen[comp] {
-                    return x_i;
-                }
-                touched += 1;
-                let (x_new, rel) =
-                    tables.closed_form(comp, x_i, charged[node], upstream_i, node_weights[node]);
-                worst = worst.max(rel);
-                sched.note_resize(comp, rel, schedule);
-                if x_new != x_i {
-                    sched.push_changed(comp);
-                }
-                x_new
-            };
-            self.model.fused_upstream_resize(
-                &self.state,
-                sizes,
-                node_weights,
-                upstream,
-                &mut resize,
-            )
+        let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
+            if !resize_all && sched.frozen[comp] {
+                return x_i;
+            }
+            touched += 1;
+            let (x_new, rel) =
+                tables.closed_form(comp, x_i, charged[node], upstream_i, node_weights[node]);
+            worst = worst.max(rel);
+            sched.note_resize(comp, rel, schedule);
+            if x_new != x_i {
+                sched.push_changed(comp);
+            }
+            x_new
         };
-        // `supports_fused()` was checked before any state was touched; a
-        // backend returning `false` here broke that contract, and silently
-        // falling back would leave the caches it promised to rebuild stale.
-        assert!(
-            supported,
-            "DelayModel::supports_fused() promised a fused pass that was not performed"
-        );
+        self.topo
+            .fused_upstream_resize(sizes, node_weights, upstream, &mut resize);
         // The resizes invalidated the charged table (it still reflects the
         // pre-pass sizes); the next backward pass rebuilds it.
         sched.charged_fresh = false;
         sched.rebuild_active();
-        Some((worst, touched))
+        (worst, touched)
     }
 
     /// One backward fused Gauss–Seidel pass
-    /// ([`DelayModel::fused_downstream_resize`]): the coupling loads are
+    /// ([`CircuitTopology::fused_downstream_resize`]): the coupling loads are
     /// brought up to date (sparsely when the dirty set is small), then a
     /// single reverse-topological traversal re-accumulates the downstream
     /// capacitances and resizes each component the moment its charged
@@ -1709,13 +1268,10 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
-    ) -> Option<(f64, usize)> {
-        if !self.model.supports_fused() {
-            return None;
-        }
+    ) -> (f64, usize) {
         self.prepare_coupling(sizes, schedule, resize_all);
-        if self.par.active() && self.model.dense_topology(&self.state).is_some() {
-            return Some(self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, true));
+        if self.par.active() {
+            return self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, true);
         }
         let EvalWorkspace {
             charged,
@@ -1731,7 +1287,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         let sched = &mut self.sched;
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
             unit_resistance: &self.unit_resistance,
             unit_capacitance: &self.unit_capacitance,
             area_coefficient: &self.area_coefficient,
@@ -1744,42 +1299,27 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         };
         let mut worst = 0.0_f64;
         let mut touched = 0usize;
-        let supported = {
-            let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
-                if !resize_all && sched.frozen[comp] {
-                    return x_i;
-                }
-                touched += 1;
-                let (x_new, rel) =
-                    tables.closed_form(comp, x_i, charged_i, upstream[node], node_weights[node]);
-                worst = worst.max(rel);
-                sched.note_resize(comp, rel, schedule);
-                if x_new != x_i {
-                    sched.push_changed(comp);
-                }
-                x_new
-            };
-            self.model.fused_downstream_resize(
-                &self.state,
-                sizes,
-                extra_cap,
-                charged,
-                presented,
-                &mut resize,
-            )
+        let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
+            if !resize_all && sched.frozen[comp] {
+                return x_i;
+            }
+            touched += 1;
+            let (x_new, rel) =
+                tables.closed_form(comp, x_i, charged_i, upstream[node], node_weights[node]);
+            worst = worst.max(rel);
+            sched.note_resize(comp, rel, schedule);
+            if x_new != x_i {
+                sched.push_changed(comp);
+            }
+            x_new
         };
-        // `supports_fused()` was checked before any state was touched; a
-        // backend returning `false` here broke that contract, and silently
-        // falling back would leave the caches it promised to rebuild stale.
-        assert!(
-            supported,
-            "DelayModel::supports_fused() promised a fused pass that was not performed"
-        );
+        self.topo
+            .fused_downstream_resize(sizes, extra_cap, charged, presented, &mut resize);
         // The pass maintained charged/presented through every resize, so
         // they reflect the post-sweep sizes already.
         sched.charged_fresh = true;
         sched.rebuild_active();
-        Some((worst, touched))
+        (worst, touched)
     }
 
     /// One level-parallel fused Gauss–Seidel pass over the chunk grid —
@@ -1804,10 +1344,7 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         resize_all: bool,
         backward: bool,
     ) -> (f64, usize) {
-        let topo = self
-            .model
-            .dense_topology(&self.state)
-            .expect("caller checked dense_topology");
+        let topo = &self.topo;
         let n_nodes = topo.num_nodes();
         let n_comps = self.comp_raw_index.len();
         assert_eq!(sizes.len(), n_comps, "sizes must match the circuit");
@@ -1829,7 +1366,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         assert_eq!(sched.frozen.len(), n_comps);
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            wire_mask: &self.wire_mask,
             unit_resistance: &self.unit_resistance,
             unit_capacitance: &self.unit_capacitance,
             area_coefficient: &self.area_coefficient,
@@ -1869,27 +1405,32 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
                 let id = grid.chunk_id(l, c);
                 let seg = grid.node_base(l) + range.start;
                 let mut stats = ChunkStats::default();
-                let mut batch = |nodes: &[u32], values: &[f64], xs: SharedMut<'_, f64>| {
-                    // SAFETY: the chunk's components/nodes are chunk-owned
-                    // (one node per component); `upstream`/`weights` are
-                    // fixed for the pass; `values` has one entry per node.
+                let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
+                    // SAFETY: the chunk's components are chunk-owned (one
+                    // node per component); `upstream`/`weights` are fixed
+                    // for the pass and hold one entry per node.
                     unsafe {
-                        ctx.apply_batch(
-                            topo, nodes, values, true, upstream_r, weights_r, xs, seg, &mut stats,
+                        ctx.resize(
+                            comp,
+                            x_i,
+                            charged_i,
+                            *upstream_r.get_unchecked(node),
+                            *weights_r.get_unchecked(node),
+                            seg,
+                            &mut stats,
                         )
                     }
                 };
                 // SAFETY: chunk disjointness within the level; levels settle
-                // in reverse dependency order; lengths asserted above; the
-                // grid's chunks are at most one `MAX_CHUNK_NODES` granule.
+                // in reverse dependency order; lengths asserted above.
                 unsafe {
-                    topo.fused_downstream_chunk_lanes(
+                    topo.fused_downstream_chunk(
                         &level[range],
                         xs_s,
                         extra_r,
                         charged_s,
                         presented_s,
-                        &mut batch,
+                        &mut resize,
                     );
                     chunk_worst.set(id, stats.worst);
                     chunk_touched.set(id, stats.touched);
@@ -1906,25 +1447,30 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
                 let id = grid.chunk_id(l, c);
                 let seg = grid.node_base(l) + range.start;
                 let mut stats = ChunkStats::default();
-                let mut batch = |nodes: &[u32], values: &[f64], xs: SharedMut<'_, f64>| {
+                let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
                     // SAFETY: as the backward direction; `charged` is fixed
                     // for the pass.
                     unsafe {
-                        ctx.apply_batch(
-                            topo, nodes, values, false, charged_r, weights_r, xs, seg, &mut stats,
+                        ctx.resize(
+                            comp,
+                            x_i,
+                            *charged_r.get_unchecked(node),
+                            upstream_i,
+                            *weights_r.get_unchecked(node),
+                            seg,
+                            &mut stats,
                         )
                     }
                 };
                 // SAFETY: chunk disjointness within the level; levels settle
-                // in forward dependency order; chunks are at most one
-                // `MAX_CHUNK_NODES` granule.
+                // in forward dependency order; lengths asserted above.
                 unsafe {
-                    topo.fused_upstream_chunk_lanes(
+                    topo.fused_upstream_chunk(
                         &level[range],
                         xs_s,
                         weights_r,
                         upstream_s,
-                        &mut batch,
+                        &mut resize,
                     );
                     chunk_worst.set(id, stats.worst);
                     chunk_touched.set(id, stats.touched);
@@ -1964,224 +1510,6 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         (worst, touched_total)
     }
 
-    /// One verification sweep: exact full re-evaluation at the current
-    /// sizes, every component resized, calm streaks updated, movers
-    /// unfrozen and the active set rebuilt. Returns `(worst relative
-    /// change, components touched)`.
-    pub(crate) fn verification_sweep(
-        &mut self,
-        sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
-        schedule: &AdaptiveSchedule,
-    ) -> (f64, usize) {
-        self.full_eval(sizes);
-        let n = self.comp_raw_index.len();
-        let mut worst = 0.0_f64;
-        // Lane-blocked resize under a `Level` policy: the closed form reads
-        // only pass-fixed tables and each component's own size, so batching
-        // LANES components per block reorders no observable access, and the
-        // bookkeeping below runs in component order — bitwise identical to
-        // the scalar loop, which stays the sequential-policy oracle.
-        if self.par.active() {
-            let tables = ResizeTables {
-                is_wire: &self.comp_is_wire,
-                wire_mask: &self.wire_mask,
-                unit_resistance: &self.unit_resistance,
-                unit_capacitance: &self.unit_capacitance,
-                area_coefficient: &self.area_coefficient,
-                lower_bound: &self.lower_bound,
-                upper_bound: &self.upper_bound,
-                coupling_sum: &self.coupling_sum,
-                extra_denom: &self.extra_denom,
-                beta,
-                gamma,
-            };
-            let raw_index = &self.comp_raw_index;
-            let ws = &self.ws;
-            let sched = &mut self.sched;
-            let mut dense = 0usize;
-            while dense + LANES <= n {
-                let comps: [usize; LANES] = std::array::from_fn(|j| dense + j);
-                let mut x = [0.0f64; LANES];
-                let mut ch = [0.0f64; LANES];
-                let mut up = [0.0f64; LANES];
-                let mut la = [0.0f64; LANES];
-                for j in 0..LANES {
-                    let raw = raw_index[comps[j]];
-                    x[j] = sizes[comps[j]];
-                    ch[j] = ws.charged[raw];
-                    up[j] = ws.upstream[raw];
-                    la[j] = ws.node_weights[raw];
-                }
-                let (x_new, rel) = tables.closed_form_lanes(&comps, &x, &ch, &up, &la);
-                for j in 0..LANES {
-                    let d = comps[j];
-                    if x_new[j] != x[j] {
-                        sizes[d] = x_new[j];
-                        sched.push_changed(d);
-                    }
-                    worst = worst.max(rel[j]);
-                    sched.note_resize(d, rel[j], schedule);
-                }
-                dense += LANES;
-            }
-            for dense in dense..n {
-                let raw = raw_index[dense];
-                let x_i = sizes[dense];
-                let (x_new, rel) = tables.closed_form(
-                    dense,
-                    x_i,
-                    ws.charged[raw],
-                    ws.upstream[raw],
-                    ws.node_weights[raw],
-                );
-                if x_new != x_i {
-                    sizes[dense] = x_new;
-                    sched.push_changed(dense);
-                }
-                worst = worst.max(rel);
-                sched.note_resize(dense, rel, schedule);
-            }
-            sched.rebuild_active();
-            return (worst, n);
-        }
-        for dense in 0..n {
-            let x_i = sizes[dense];
-            let (x_new, rel) = self.resize_component(dense, x_i, beta, gamma);
-            if x_new != x_i {
-                sizes[dense] = x_new;
-                self.sched.push_changed(dense);
-            }
-            worst = worst.max(rel);
-            self.sched.note_resize(dense, rel, schedule);
-        }
-        self.sched.rebuild_active();
-        (worst, n)
-    }
-
-    /// One active-set sweep: incremental evaluation for the components that
-    /// moved last sweep, then the closed-form resize over the active
-    /// frontier only, freezing components whose calm streak reached the
-    /// threshold. Returns `(worst relative change over the frontier,
-    /// components touched)`.
-    pub(crate) fn active_sweep(
-        &mut self,
-        sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
-        schedule: &AdaptiveSchedule,
-    ) -> (f64, usize) {
-        self.incremental_eval(sizes, schedule);
-        let touched = self.sched.active.len();
-        let mut worst = 0.0_f64;
-        let mut write = 0usize;
-        // Lane-blocked frontier resize under a `Level` policy: gather up to
-        // LANES active components per block (the compute reads only
-        // pass-fixed tables and each component's own size), then run the
-        // calm/freeze bookkeeping and the in-place active-list compaction
-        // strictly in frontier order — every transition, record and the
-        // compacted list are exactly those of the scalar loop below, which
-        // stays the sequential-policy oracle. The compaction write cursor
-        // never overtakes the block's read positions (the gathered values
-        // are already copied out).
-        if self.par.active() {
-            let tables = ResizeTables {
-                is_wire: &self.comp_is_wire,
-                wire_mask: &self.wire_mask,
-                unit_resistance: &self.unit_resistance,
-                unit_capacitance: &self.unit_capacitance,
-                area_coefficient: &self.area_coefficient,
-                lower_bound: &self.lower_bound,
-                upper_bound: &self.upper_bound,
-                coupling_sum: &self.coupling_sum,
-                extra_denom: &self.extra_denom,
-                beta,
-                gamma,
-            };
-            let raw_index = &self.comp_raw_index;
-            let ws = &self.ws;
-            let sched = &mut self.sched;
-            let mut read = 0usize;
-            while read < touched {
-                let fill = LANES.min(touched - read);
-                let mut comps = [0usize; LANES];
-                let mut x = [0.0f64; LANES];
-                let mut ch = [0.0f64; LANES];
-                let mut up = [0.0f64; LANES];
-                let mut la = [0.0f64; LANES];
-                for j in 0..fill {
-                    let d = sched.active[read + j] as usize;
-                    comps[j] = d;
-                    x[j] = sizes[d];
-                    let raw = raw_index[d];
-                    ch[j] = ws.charged[raw];
-                    up[j] = ws.upstream[raw];
-                    la[j] = ws.node_weights[raw];
-                }
-                // Stale trailing lanes re-use a live in-range component;
-                // their results are discarded.
-                for j in fill..LANES {
-                    comps[j] = comps[0];
-                }
-                let (x_new, rel) = tables.closed_form_lanes(&comps, &x, &ch, &up, &la);
-                for j in 0..fill {
-                    let dense = comps[j];
-                    if x_new[j] != x[j] {
-                        sizes[dense] = x_new[j];
-                        sched.push_changed(dense);
-                    }
-                    worst = worst.max(rel[j]);
-                    let keep = if rel[j] <= schedule.freeze_tolerance {
-                        let calm = sched.calm[dense].saturating_add(1);
-                        sched.calm[dense] = calm;
-                        !(schedule.active_set && calm as usize >= schedule.freeze_after)
-                    } else {
-                        sched.calm[dense] = 0;
-                        true
-                    };
-                    if keep {
-                        sched.active[write] = dense as u32;
-                        write += 1;
-                    } else {
-                        sched.frozen[dense] = true;
-                        sched.num_frozen += 1;
-                    }
-                }
-                read += fill;
-            }
-            sched.active.truncate(write);
-            return (worst, touched);
-        }
-        for read in 0..self.sched.active.len() {
-            let dense = self.sched.active[read] as usize;
-            let x_i = sizes[dense];
-            let (x_new, rel) = self.resize_component(dense, x_i, beta, gamma);
-            if x_new != x_i {
-                sizes[dense] = x_new;
-                self.sched.push_changed(dense);
-            }
-            worst = worst.max(rel);
-            let keep = if rel <= schedule.freeze_tolerance {
-                let calm = self.sched.calm[dense].saturating_add(1);
-                self.sched.calm[dense] = calm;
-                !(schedule.active_set && calm as usize >= schedule.freeze_after)
-            } else {
-                self.sched.calm[dense] = 0;
-                true
-            };
-            if keep {
-                self.sched.active[write] = dense as u32;
-                write += 1;
-            } else {
-                self.sched.frozen[dense] = true;
-                self.sched.num_frozen += 1;
-            }
-        }
-        self.sched.active.truncate(write);
-        (worst, touched)
-    }
-
     /// Full timing picture at `sizes` (coupling load included), evaluated
     /// into the workspace. The returned view borrows the engine.
     pub fn timing(&mut self, sizes: &SizeVector) -> TimingView<'_> {
@@ -2207,84 +1535,48 @@ impl<'a, M: DelayModel> SizingEngine<'a, M> {
         // critical-path walk over `pred` stays a sequential epilogue. Per
         // node the arithmetic (and the `>=` tie-breaking) is exactly the
         // sequential recurrence, so both paths are bitwise identical.
-        if self.par.active() {
-            if let Some(topo) = self.model.dense_topology(&self.state) {
-                let n = topo.num_nodes();
-                let ws = &mut self.ws;
-                assert_eq!(ws.delays.len(), n, "workspace must match the circuit");
-                assert_eq!(ws.arrival.len(), n);
-                assert_eq!(ws.pred.len(), n);
-                assert_eq!(
-                    sizes.len(),
-                    self.comp_raw_index.len(),
-                    "sizes must match the circuit"
-                );
-                let xs = sizes.as_slice();
-                {
-                    // Scatter the component sizes into the lane-padded
-                    // node-size slab once, then stream the SoA columns
-                    // (unit resistance, node size, charged) through the
-                    // 4-lane delay kernel — bitwise identical to
-                    // `delays_chunk` for every node kind.
-                    topo.fill_node_sizes(xs, &mut ws.node_size);
-                    let node_size: &[f64] = &ws.node_size;
-                    let charged: &[f64] = &ws.charged;
-                    let delays_s = SharedMut::new(ws.delays.as_mut_slice());
-                    self.par.run_flat(par::flat_chunks(n), |c| {
-                        // SAFETY: flat chunks own disjoint node ranges;
-                        // `node_size` mirrors `sizes` (filled above) and
-                        // `charged` is a downstream-caps result.
-                        unsafe {
-                            topo.delays_chunk_lanes(
-                                par::flat_range(n, c),
-                                node_size,
-                                charged,
-                                delays_s,
-                            )
-                        };
-                    });
-                }
-                {
-                    let delays: &[f64] = &ws.delays;
-                    let arrival_s = SharedMut::new(ws.arrival.as_mut_slice());
-                    let pred_s = SharedMut::new(ws.pred.as_mut_slice());
-                    let grid = &self.grid;
-                    self.par.run_leveled(grid, false, |l, c| {
-                        let level = topo.level(l);
-                        let range = grid.chunk_range(level.len(), c);
-                        // SAFETY: chunks of one level own disjoint nodes;
-                        // levels settle in forward dependency order.
-                        unsafe { topo.arrivals_chunk(&level[range], delays, arrival_s, pred_s) };
-                    });
-                }
-                let sink = self.graph.sink().index();
-                let critical_path_delay = ws.arrival[sink];
-                ws.critical_path.clear();
-                let mut cursor = ws.pred[sink];
-                while cursor != NO_PRED {
-                    ws.critical_path.push(NodeId::new(cursor));
-                    cursor = ws.pred[cursor];
-                }
-                ws.critical_path.reverse();
-                return TimingView {
-                    delays: &ws.delays,
-                    arrival: &ws.arrival,
-                    critical_path_delay,
-                    critical_path: &ws.critical_path,
-                };
-            }
-        }
+        let topo = &self.topo;
         let ws = &mut self.ws;
-        self.model
-            .delays_into(&self.state, sizes, &ws.charged, &mut ws.delays);
-        let critical_path_delay = self.model.propagate_arrivals(
-            &self.state,
-            self.graph,
-            &ws.delays,
-            &mut ws.arrival,
-            &mut ws.pred,
-            &mut ws.critical_path,
-        );
+        let critical_path_delay = if self.par.active() {
+            let n = topo.num_nodes();
+            assert_eq!(ws.delays.len(), n, "workspace must match the circuit");
+            assert_eq!(ws.charged.len(), n);
+            assert_eq!(ws.arrival.len(), n);
+            assert_eq!(ws.pred.len(), n);
+            assert_eq!(
+                sizes.len(),
+                self.comp_raw_index.len(),
+                "sizes must match the circuit"
+            );
+            let xs = sizes.as_slice();
+            let charged: &[f64] = &ws.charged;
+            let delays_s = SharedMut::new(ws.delays.as_mut_slice());
+            self.par.run_flat(par::flat_chunks(n), |c| {
+                // SAFETY: flat chunks own disjoint node ranges; lengths
+                // asserted above.
+                unsafe { topo.delays_chunk(par::flat_range(n, c), xs, charged, delays_s) };
+            });
+            let delays: &[f64] = &ws.delays;
+            let arrival_s = SharedMut::new(ws.arrival.as_mut_slice());
+            let pred_s = SharedMut::new(ws.pred.as_mut_slice());
+            let grid = &self.grid;
+            self.par.run_leveled(grid, false, |l, c| {
+                let level = topo.level(l);
+                let range = grid.chunk_range(level.len(), c);
+                // SAFETY: chunks of one level own disjoint nodes; levels
+                // settle in forward dependency order.
+                unsafe { topo.arrivals_chunk(&level[range], delays, arrival_s, pred_s) };
+            });
+            topo.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path)
+        } else {
+            topo.delays_into(sizes, &ws.charged, &mut ws.delays);
+            topo.propagate_arrivals(
+                &ws.delays,
+                &mut ws.arrival,
+                &mut ws.pred,
+                &mut ws.critical_path,
+            )
+        };
         TimingView {
             delays: &ws.delays,
             arrival: &ws.arrival,
@@ -2390,20 +1682,20 @@ mod tests {
 
         // Lower bound assembled field by field: the evaluation workspace,
         // the adaptive-schedule buffers (dirty sets, active set, incremental
-        // scratch), the eight dense f64 attribute tables plus the f64 wire
-        // mask, the raw-index and wire-flag tables, the SoA pair table
-        // (four u32 and three f64 columns) with its per-component CSR
-        // adjacency, and the model state. `memory_bytes` must cover all of
-        // them (capacities can only exceed the lengths used here).
+        // scratch), the eight dense f64 attribute tables, the raw-index and
+        // wire-flag tables, the SoA pair table (four u32 and three f64
+        // columns) with its per-component CSR adjacency, and the dense
+        // topology. `memory_bytes` must cover all of them (capacities can
+        // only exceed the lengths used here).
         let floor = engine.ws.memory_bytes()
             + engine.sched.memory_bytes()
-            + 9 * n * size_of::<f64>()
+            + 8 * n * size_of::<f64>()
             + n * size_of::<usize>()
             + n * size_of::<bool>()
             + engine.pair_table.len() * (4 * size_of::<u32>() + 3 * size_of::<f64>())
             + (n + 1) * size_of::<u32>()
             + 2 * coupling.len() * size_of::<u32>()
-            + engine.model.state_memory_bytes(&engine.state);
+            + engine.topo.memory_bytes();
         assert!(
             engine.memory_bytes() >= floor,
             "memory accounting {} must cover the per-field floor {}",
@@ -2429,8 +1721,14 @@ mod tests {
     #[test]
     fn dense_aggregates_match_the_reference_functions_bitwise() {
         let (graph, coupling) = setup();
-        let engine = SizingEngine::new(&graph, &coupling);
-        for size in [0.4, 1.0, 2.7] {
+        let mut engine = SizingEngine::new(&graph, &coupling);
+        for (size, policy) in [
+            (0.4, ParallelPolicy::Sequential),
+            (1.0, ParallelPolicy::Sequential),
+            (2.7, ParallelPolicy::Sequential),
+            (1.0, ParallelPolicy::threads(1)),
+        ] {
+            engine.set_parallel(policy);
             let sizes = graph.uniform_sizes(size);
             assert_eq!(
                 engine.total_capacitance(&sizes),
@@ -2447,46 +1745,121 @@ mod tests {
         }
     }
 
+    /// A `threads(1)` engine and a sequential engine fed the same state.
+    fn engine_pair<'a>(
+        graph: &'a CircuitGraph,
+        coupling: &'a CouplingSet,
+    ) -> (SizingEngine<'a>, SizingEngine<'a>) {
+        let multipliers = Multipliers::uniform(graph, 0.05, 0.0);
+        let mut sequential = SizingEngine::new(graph, coupling);
+        let mut level = SizingEngine::new(graph, coupling);
+        level.set_parallel(ParallelPolicy::threads(1));
+        sequential.load_node_weights(&multipliers);
+        level.load_node_weights(&multipliers);
+        (sequential, level)
+    }
+
+    /// The level grid runs the sequential traversals' per-node arithmetic:
+    /// an exact LRS sweep and the timing evaluation after it agree bitwise.
     #[test]
-    fn lane_aggregates_are_epsilon_pinned_to_the_scalar_reductions() {
+    fn level_policy_sweep_and_timing_match_the_sequential_path_bitwise() {
         let (graph, coupling) = setup();
+        let (mut sequential, mut level) = engine_pair(&graph, &coupling);
+        let mut seq_sizes = graph.uniform_sizes(1.3);
+        let mut level_sizes = seq_sizes.clone();
+        let seq_worst = sequential.lrs_sweep(&mut seq_sizes, 0.2, 0.1);
+        let level_worst = level.lrs_sweep(&mut level_sizes, 0.2, 0.1);
+        assert_eq!(seq_worst, level_worst);
+        assert_eq!(seq_sizes, level_sizes);
+
+        let a = sequential.timing(&seq_sizes);
+        let b = level.timing(&level_sizes);
+        assert_eq!(a.delays, b.delays);
+        assert_eq!(a.arrival, b.arrival);
+        assert_eq!(a.critical_path_delay, b.critical_path_delay);
+        assert_eq!(a.critical_path, b.critical_path);
+    }
+
+    /// The level-parallel fused passes drive the scalar chunk kernels with
+    /// the same per-component resize as the sequential passes: sizes,
+    /// electrical tables, freeze state, the worst change, the touched count
+    /// and the dirty set agree, with a frozen component skipped by both.
+    #[test]
+    fn level_policy_fused_sweeps_match_the_sequential_passes_bitwise() {
+        let (graph, coupling) = setup();
+        let (mut sequential, mut level) = engine_pair(&graph, &coupling);
+        let schedule = AdaptiveSchedule::default();
+        let mut seq_sizes = graph.uniform_sizes(1.0);
+        let mut level_sizes = seq_sizes.clone();
+        for engine in [&mut sequential, &mut level] {
+            engine.sched.frozen[0] = true;
+            engine.sched.rebuild_active();
+        }
+        for backward in [false, true, false] {
+            let sweep = |engine: &mut SizingEngine<'_>, sizes: &mut SizeVector| {
+                if backward {
+                    engine.fused_backward_sweep(sizes, 0.2, 0.1, &schedule, false)
+                } else {
+                    engine.fused_forward_sweep(sizes, 0.2, 0.1, &schedule, false)
+                }
+            };
+            let seq_stats = sweep(&mut sequential, &mut seq_sizes);
+            let level_stats = sweep(&mut level, &mut level_sizes);
+            assert_eq!(seq_stats, level_stats, "backward={backward}");
+            assert_eq!(seq_sizes, level_sizes, "backward={backward}");
+            assert_eq!(sequential.ws.charged, level.ws.charged);
+            assert_eq!(sequential.ws.presented, level.ws.presented);
+            assert_eq!(sequential.ws.upstream, level.ws.upstream);
+            assert_eq!(sequential.sched.frozen, level.sched.frozen);
+            assert_eq!(sequential.sched.calm, level.sched.calm);
+            let mut seq_changed = sequential.sched.changed.clone();
+            let mut level_changed = level.sched.changed.clone();
+            seq_changed.sort_unstable();
+            level_changed.sort_unstable();
+            assert_eq!(seq_changed, level_changed);
+        }
+        assert_eq!(seq_sizes[0], 1.0, "the frozen component is never resized");
+    }
+
+    /// The sparse end-of-solve sync leaves every cached table within
+    /// accumulation noise of a full rebuild at the new sizes, and marks the
+    /// caches synced so the next timing evaluation can skip its rebuild.
+    #[test]
+    fn finish_solve_sync_matches_a_full_rebuild() {
+        let (graph, coupling) = setup();
+        let multipliers = Multipliers::uniform(&graph, 0.05, 0.0);
         let mut engine = SizingEngine::new(&graph, &coupling);
-        let scalar: Vec<[f64; 3]> = [0.4, 1.0, 2.7]
-            .iter()
-            .map(|&s| {
-                let sizes = graph.uniform_sizes(s);
-                [
-                    engine.total_capacitance(&sizes),
-                    engine.total_area(&sizes),
-                    engine.crosstalk_lhs(&sizes),
-                ]
-            })
-            .collect();
-        engine.set_parallel(ParallelPolicy::threads(1));
-        engine.set_lane_aggregates(true);
-        for (&s, exact) in [0.4, 1.0, 2.7].iter().zip(&scalar) {
-            let sizes = graph.uniform_sizes(s);
-            let laned = [
-                engine.total_capacitance(&sizes),
-                engine.total_area(&sizes),
-                engine.crosstalk_lhs(&sizes),
-            ];
-            for (l, e) in laned.iter().zip(exact) {
-                let tol = 1e-12 * e.abs().max(1.0);
-                assert!(
-                    (l - e).abs() <= tol,
-                    "lane-blocked aggregate {l} drifted from scalar {e}"
-                );
+        engine.load_node_weights(&multipliers);
+        let mut sizes = graph.uniform_sizes(1.2);
+        engine.timing(&sizes);
+        engine.rebuild_upstream(&sizes);
+        let w1 = graph
+            .component_index(graph.node_by_name("w1").unwrap())
+            .unwrap();
+        sizes[w1] = 2.9;
+        engine.sched.push_changed(w1);
+        engine.finish_solve_sync(&sizes, &AdaptiveSchedule::default());
+        assert!(engine.sched.changed.is_empty());
+        assert_eq!(engine.sched.eval_sizes.as_slice(), sizes.as_slice());
+
+        let mut rebuilt = SizingEngine::new(&graph, &coupling);
+        rebuilt.load_node_weights(&multipliers);
+        rebuilt.refresh_coupling_load(&sizes);
+        rebuilt.rebuild_downstream_caps(&sizes);
+        rebuilt.rebuild_upstream(&sizes);
+        let tables = |e: &SizingEngine<'_>| {
+            [
+                e.ws.extra_cap.clone(),
+                e.ws.charged.clone(),
+                e.ws.presented.clone(),
+                e.ws.upstream.clone(),
+            ]
+        };
+        for (synced, full) in tables(&engine).iter().zip(&tables(&rebuilt)) {
+            for (a, b) in synced.iter().zip(full) {
+                assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
             }
         }
-        // Turning the flag back off restores the bitwise-pinned scalar
-        // reduction even while the Level policy stays active.
-        engine.set_lane_aggregates(false);
-        let sizes = graph.uniform_sizes(1.0);
-        assert_eq!(
-            engine.total_capacitance(&sizes),
-            ncgws_circuit::total_capacitance(&graph, &sizes)
-        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{DelayModel, SizeVector};
+use ncgws_circuit::SizeVector;
 use ncgws_netlist::ProblemInstance;
 
 use crate::constraints::{lower_constraint_specs, ConstraintSet};
@@ -286,9 +286,9 @@ impl<'a> Ordered<'a> {
     ///
     /// Panics when `engine` was built for a different circuit or coupling
     /// set than this ordering (build it with [`engine`](Self::engine)).
-    pub fn size_with_engine<M: DelayModel>(
+    pub fn size_with_engine(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         warm: Option<&SizeVector>,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
@@ -344,9 +344,9 @@ impl<'a> Ordered<'a> {
     ///
     /// Panics when `engine` was built for a different circuit or coupling
     /// set than this ordering.
-    pub fn size_resume_with_engine<M: DelayModel>(
+    pub fn size_resume_with_engine(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         snapshot: &Snapshot,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
@@ -360,9 +360,9 @@ impl<'a> Ordered<'a> {
     }
 
     /// The shared stage-2 body behind every `size*` entry point.
-    fn run_sizing<M: DelayModel>(
+    fn run_sizing(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         mode: SolveMode<'_>,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {

@@ -26,7 +26,7 @@
 //! Each sweep is `O(V + E + P)` time (`P` = number of coupling pairs), which
 //! is the per-iteration linearity the paper emphasizes.
 
-use ncgws_circuit::{DelayModel, SizeVector};
+use ncgws_circuit::SizeVector;
 use serde::{Deserialize, Serialize};
 
 use crate::constraints::ConstraintSet;
@@ -111,9 +111,9 @@ impl LrsSolver {
     ///
     /// Panics (in debug builds) when `sizes` does not match the engine's
     /// circuit.
-    pub fn solve_with<M: DelayModel>(
+    pub fn solve_with(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         multipliers: &Multipliers,
         sizes: &mut SizeVector,
     ) -> LrsStats {
@@ -126,9 +126,9 @@ impl LrsSolver {
     ///
     /// Solves the paper's original relaxation (no extra families); see
     /// [`solve_constrained`](Self::solve_constrained) for the general form.
-    pub fn solve_controlled<M: DelayModel>(
+    pub fn solve_controlled(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         multipliers: &Multipliers,
         sizes: &mut SizeVector,
         control: &RunControl<'_>,
@@ -150,9 +150,9 @@ impl LrsSolver {
     /// uncontrolled solve. An interrupted solve reports `converged: false`
     /// and leaves `sizes` at the last completed sweep's iterate (or the
     /// lower bounds when interrupted before the first sweep).
-    pub fn solve_constrained<M: DelayModel>(
+    pub fn solve_constrained(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         extras: &ConstraintSet,
         multipliers: &Multipliers,
         sizes: &mut SizeVector,
@@ -202,9 +202,9 @@ impl LrsSolver {
     /// components, so a solve may converge on a sparse sweep; the
     /// verification cadence bounds how long a frozen component can drift
     /// from its Theorem-5 fixed point before being re-checked.
-    pub fn solve_scheduled<M: DelayModel>(
+    pub fn solve_scheduled(
         &self,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         extras: &ConstraintSet,
         multipliers: &Multipliers,
         sizes: &mut SizeVector,
@@ -253,17 +253,11 @@ impl LrsSolver {
             // the freshly resized upstream state, even sweeps walk backward
             // refreshing the downstream capacitances — so each sweep is one
             // traversal and both sides of the closed form stay at most one
-            // half-sweep stale. Backends without a fused path fall back to
-            // the separate Jacobi-style passes with incremental updates.
-            let fused = if !sweeps.is_multiple_of(2) {
+            // half-sweep stale.
+            let (worst, touched) = if !sweeps.is_multiple_of(2) {
                 engine.fused_forward_sweep(sizes, beta, gamma, schedule, verify)
             } else {
                 engine.fused_backward_sweep(sizes, beta, gamma, schedule, verify)
-            };
-            let (worst, touched) = match fused {
-                Some(result) => result,
-                None if verify => engine.verification_sweep(sizes, beta, gamma, schedule),
-                None => engine.active_sweep(sizes, beta, gamma, schedule),
             };
             touched_components += touched;
             if worst <= self.tolerance {

@@ -30,10 +30,7 @@ impl CircuitMetrics {
     /// Evaluates all metrics through a reusable
     /// [`SizingEngine`](crate::SizingEngine), without allocating. Bitwise
     /// identical to [`evaluate`](Self::evaluate).
-    pub fn evaluate_with<M: ncgws_circuit::DelayModel>(
-        engine: &mut crate::engine::SizingEngine<'_, M>,
-        sizes: &SizeVector,
-    ) -> Self {
+    pub fn evaluate_with(engine: &mut crate::engine::SizingEngine<'_>, sizes: &SizeVector) -> Self {
         engine.metrics(sizes)
     }
 

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{DelayModel, NodeKind, SharedMut, SizeVector};
+use ncgws_circuit::{NodeKind, SharedMut, SizeVector};
 use serde::{Deserialize, Serialize};
 
 use crate::constraints::ConstraintFamily;
@@ -169,10 +169,10 @@ impl OgwsSolver {
     /// Panics when the engine is bound to a different circuit or coupling
     /// set than `problem` (the check is two pointer comparisons, free
     /// relative to a solve, and a mismatch would silently produce garbage).
-    pub fn solve_with<M: DelayModel>(
+    pub fn solve_with(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
     ) -> OgwsOutcome {
         self.solve_controlled(problem, engine, None, &RunControl::new())
     }
@@ -201,10 +201,10 @@ impl OgwsSolver {
     ///
     /// Panics when the engine is bound to a different circuit or coupling
     /// set than `problem`, or when `warm_start` has the wrong length.
-    pub fn solve_controlled<M: DelayModel>(
+    pub fn solve_controlled(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         warm_start: Option<&SizeVector>,
         control: &RunControl<'_>,
     ) -> OgwsOutcome {
@@ -234,10 +234,10 @@ impl OgwsSolver {
     /// problem (see [`Snapshot::validate_for`]). Fallible validation lives
     /// at the flow layer
     /// ([`Ordered::size_resume`](crate::flow::Ordered::size_resume)).
-    pub fn solve_resumed<M: DelayModel>(
+    pub fn solve_resumed(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         snapshot: &Snapshot,
         control: &RunControl<'_>,
     ) -> OgwsOutcome {
@@ -247,10 +247,10 @@ impl OgwsSolver {
         self.solve_impl(problem, engine, None, Some(snapshot), control)
     }
 
-    fn solve_impl<M: DelayModel>(
+    fn solve_impl(
         &self,
         problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_, M>,
+        engine: &mut SizingEngine<'_>,
         warm_start: Option<&SizeVector>,
         resume: Option<&Snapshot>,
         control: &RunControl<'_>,
@@ -283,11 +283,6 @@ impl OgwsSolver {
                 Some(*schedule)
             }
         };
-        // Lane-blocked aggregate reductions ride the adaptive strategy's
-        // epsilon-pinned contract; the exact strategy keeps the strictly
-        // ordered scalar reductions bitwise-pinned to `crate::reference`
-        // under every parallel policy.
-        engine.set_lane_aggregates(adaptive.is_some());
         // A resumed adaptive run carries the interrupted run's freeze sets
         // and verification cadence forward (after the reset above wiped any
         // leaked state).

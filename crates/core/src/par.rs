@@ -41,17 +41,7 @@ use crate::error::CoreError;
 /// grid. Chosen so a chunk amortizes the work-queue pop while leaving
 /// enough chunks per wide level to balance across workers; results never
 /// depend on this value's relation to the thread count, only perf does.
-///
-/// Pinned to the circuit crate's [`ncgws_circuit::MAX_CHUNK_NODES`] lane
-/// granule (a whole number of [`ncgws_circuit::LANES`]-wide f64 blocks):
-/// the phased lane kernels stage one chunk's candidates in fixed
-/// `MAX_CHUNK_NODES`-sized on-stack slabs, so every grid chunk must fit in
-/// one granule.
-pub(crate) const CHUNK_NODES: usize = ncgws_circuit::MAX_CHUNK_NODES;
-const _: () = assert!(
-    CHUNK_NODES.is_multiple_of(ncgws_circuit::LANES),
-    "grid chunks must decompose into whole lane blocks"
-);
+pub(crate) const CHUNK_NODES: usize = 256;
 
 /// How the stage-2 inner loop distributes its traversals across threads.
 ///
@@ -138,9 +128,8 @@ struct Step {
 
 /// The deterministic chunk grid over a topology's level partition: per
 /// level a chunk count and a global chunk-id base (for indexing per-chunk
-/// reduction slots), plus the barrier steps. Built once per engine; empty
-/// when the backend exposes no dense topology.
-#[derive(Debug, Clone, Default)]
+/// reduction slots), plus the barrier steps. Built once per engine.
+#[derive(Debug, Clone)]
 pub(crate) struct LevelGrid {
     /// Per level: global chunk-id base (prefix sum of `chunks`).
     chunk_base: Vec<u32>,

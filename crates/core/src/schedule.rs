@@ -28,7 +28,7 @@
 //!   downstream capacitances, λ-weighted upstream resistances and coupling
 //!   loads are brought up to date by scattering the deltas of the resized
 //!   components along the fanin/fanout DAG and the coupling-pair adjacency
-//!   ([`DelayModel::downstream_caps_update`](ncgws_circuit::DelayModel::downstream_caps_update)),
+//!   ([`CircuitTopology::downstream_caps_update`](ncgws_circuit::CircuitTopology::downstream_caps_update)),
 //!   instead of rebuilding all three tables from scratch.
 //!
 //! [`SolveStrategy::Exact`] (the default) leaves the Figure-8 schedule

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use ncgws_circuit::{CircuitGraph, NodeId, SizeVector, LANES};
+use ncgws_circuit::{CircuitGraph, NodeId, SizeVector};
 
 use crate::capacitance::CouplingPair;
 use crate::error::CouplingError;
@@ -230,32 +230,7 @@ impl CouplingSet {
     pub fn delay_load_into(&self, graph: &CircuitGraph, sizes: &SizeVector, load: &mut [f64]) {
         debug_assert_eq!(load.len(), graph.num_nodes());
         load.fill(0.0);
-        // Blocked scatter: each pair's capacitance is independent
-        // arithmetic, so a LANES-wide block computes four at once before
-        // touching the accumulator; the scatter adds then run in exact
-        // global pair order, so every node's accumulation sequence — and
-        // with it the result — stays bitwise identical to the
-        // one-pair-at-a-time loop.
-        let np = self.pairs.len();
-        let mut at = 0usize;
-        while at + LANES <= np {
-            let mut cap = [0.0f64; LANES];
-            for (j, slot) in cap.iter_mut().enumerate() {
-                let p = &self.pairs[at + j];
-                *slot = p.switching_factor
-                    * p.linearized_capacitance(
-                        graph.size_of(p.a, sizes),
-                        graph.size_of(p.b, sizes),
-                    );
-            }
-            for (j, &c) in cap.iter().enumerate() {
-                let p = &self.pairs[at + j];
-                load[p.a.index()] += c;
-                load[p.b.index()] += c;
-            }
-            at += LANES;
-        }
-        for p in &self.pairs[at..] {
+        for p in &self.pairs {
             let c = p.switching_factor
                 * p.linearized_capacitance(graph.size_of(p.a, sizes), graph.size_of(p.b, sizes));
             load[p.a.index()] += c;

@@ -235,60 +235,16 @@
 //! assert_eq!(one.sizes(), eight.sizes());
 //! assert_eq!(one.report.final_metrics, eight.report.final_metrics);
 //! assert_eq!(ParallelPolicy::threads(2), ParallelPolicy::Level { threads: 2 });
-//! # Ok(())
-//! # }
-//! ```
 //!
-//! # Vectorized kernels
-//!
-//! Under any [`ParallelPolicy::Level`](core::ParallelPolicy) run — including
-//! `threads(1)` on the calling thread — the engine stores per-node
-//! electrical state (sizes, charged/presented capacitance, delays, upstream
-//! resistance) as structure-of-arrays `Vec<f64>` slabs aligned to the
-//! 256-node chunk grid, streams precomputed per-edge descriptor columns
-//! instead of gathering node attributes through every fanout/fanin index,
-//! and evaluates the hot kernels — the Theorem-5 closed-form resize, the
-//! delay evaluation, the aggregate reductions — in explicit 4-lane
-//! `[f64; 4]` blocks with scalar tails (no nightly `std::simd`, no
-//! dependencies). `ParallelPolicy::Sequential` keeps the untouched scalar
-//! path and serves as the oracle. Two numeric contracts, pinned by
-//! `tests/property_simd_kernels.rs`:
-//!
-//! * kernels that preserve the scalar reduction order (the fused sweeps,
-//!   the closed form, the delay lanes) are **bitwise identical** to the
-//!   oracle — the exact solve strategy runs only these;
-//! * the lane-blocked aggregate reductions (adaptive strategy only)
-//!   reassociate partial sums and carry a **1e-6** end-to-end contract.
-//!
-//! ```rust
-//! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
-//! use ncgws::core::{OptimizerConfig, ParallelPolicy, SolveStrategy};
-//! use ncgws::Flow;
-//!
-//! # fn main() -> Result<(), ncgws::Error> {
-//! let spec = CircuitSpec::new("simd", 28, 60).with_seed(13).with_num_patterns(8);
-//! let instance = SyntheticGenerator::new(spec).generate()?;
-//!
-//! let sized = |strategy: SolveStrategy, parallel: ParallelPolicy| {
-//!     let config = OptimizerConfig::builder()
-//!         .max_iterations(30)
-//!         .solve_strategy(strategy)
-//!         .parallel(parallel)
-//!         .build()?;
-//!     Flow::prepare(&instance, config)?.order()?.size()
-//! };
-//!
-//! // Exact strategy: the laned grid is bitwise the scalar oracle.
-//! let oracle = sized(SolveStrategy::Exact, ParallelPolicy::Sequential)?;
-//! let laned = sized(SolveStrategy::Exact, ParallelPolicy::threads(1))?;
-//! assert_eq!(oracle.sizes(), laned.sizes());
-//! assert_eq!(oracle.report.final_metrics, laned.report.final_metrics);
-//!
-//! // Adaptive strategy: lane-blocked aggregates, 1e-6 contract.
-//! let oracle = sized(SolveStrategy::adaptive(), ParallelPolicy::Sequential)?;
-//! let laned = sized(SolveStrategy::adaptive(), ParallelPolicy::threads(1))?;
-//! let (a, b) = (oracle.report.final_metrics.area_um2, laned.report.final_metrics.area_um2);
-//! assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0));
+//! // Under the exact strategy (the default) the grid is also bitwise the
+//! // sequential policy.
+//! let config = OptimizerConfig::builder()
+//!     .max_iterations(30)
+//!     .parallel(ParallelPolicy::Sequential)
+//!     .build()?;
+//! let sequential = Flow::prepare(&instance, config)?.order()?.size()?;
+//! assert_eq!(sequential.sizes(), one.sizes());
+//! assert_eq!(sequential.report.final_metrics, one.report.final_metrics);
 //! # Ok(())
 //! # }
 //! ```
