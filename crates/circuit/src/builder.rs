@@ -21,6 +21,11 @@ pub struct BuildNode(usize);
 /// (every edge goes from a lower to a higher index), inserts the artificial
 /// source and sink, and validates the structure.
 ///
+/// Every `add_*` and [`CircuitBuilder::connect`] call runs in amortized
+/// O(1), and [`CircuitBuilder::build`] in O(nodes + edges) apart from
+/// sorting each adjacency list, so assembling a circuit is linear in its
+/// size.
+///
 /// ```rust
 /// use ncgws_circuit::{CircuitBuilder, GateKind, Technology};
 ///
@@ -48,6 +53,9 @@ pub struct BuildNode(usize);
 pub struct CircuitBuilder {
     tech: Technology,
     nodes: Vec<Node>,
+    /// `driven[i]` is set once component `i` has accepted a fanin edge; it
+    /// enforces the one-driver rule for wires.
+    driven: Vec<bool>,
     edges: Vec<(usize, usize)>,
     edge_set: HashSet<(usize, usize)>,
     names: HashSet<String>,
@@ -60,6 +68,7 @@ impl CircuitBuilder {
         CircuitBuilder {
             tech,
             nodes: Vec::new(),
+            driven: Vec::new(),
             edges: Vec::new(),
             edge_set: HashSet::new(),
             names: HashSet::new(),
@@ -89,6 +98,16 @@ impl CircuitBuilder {
         Ok(())
     }
 
+    fn push_node(&mut self, kind: NodeKind, name: &str, attrs: NodeAttrs) -> BuildNode {
+        self.nodes.push(Node {
+            kind,
+            name: name.to_string(),
+            attrs,
+        });
+        self.driven.push(false);
+        BuildNode(self.nodes.len() - 1)
+    }
+
     /// Adds an input driver with resistance `rd` (Ω).
     ///
     /// # Errors
@@ -103,12 +122,7 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        self.nodes.push(Node {
-            kind: NodeKind::Driver,
-            name: name.to_string(),
-            attrs: NodeAttrs::driver(rd),
-        });
-        Ok(BuildNode(self.nodes.len() - 1))
+        Ok(self.push_node(NodeKind::Driver, name, NodeAttrs::driver(rd)))
     }
 
     /// Adds a gate of the given logic kind.
@@ -118,12 +132,8 @@ impl CircuitBuilder {
     /// Returns an error if the name is already used.
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
         self.register_name(name)?;
-        self.nodes.push(Node {
-            kind: NodeKind::Gate(kind),
-            name: name.to_string(),
-            attrs: NodeAttrs::gate(&self.tech),
-        });
-        Ok(BuildNode(self.nodes.len() - 1))
+        let attrs = NodeAttrs::gate(&self.tech);
+        Ok(self.push_node(NodeKind::Gate(kind), name, attrs))
     }
 
     /// Adds a wire of the given length (µm).
@@ -140,12 +150,8 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        self.nodes.push(Node {
-            kind: NodeKind::Wire,
-            name: name.to_string(),
-            attrs: NodeAttrs::wire(&self.tech, length),
-        });
-        Ok(BuildNode(self.nodes.len() - 1))
+        let attrs = NodeAttrs::wire(&self.tech, length);
+        Ok(self.push_node(NodeKind::Wire, name, attrs))
     }
 
     /// Overrides the size bounds of a sizable component.
@@ -218,17 +224,15 @@ impl CircuitBuilder {
         if !self.edge_set.insert((from.0, to.0)) {
             return Err(CircuitError::DuplicateEdge(from_id, to_id));
         }
-        if self.nodes[to.0].kind.is_wire() {
-            let fanin_count = self.edges.iter().filter(|&&(_, t)| t == to.0).count();
-            if fanin_count >= 1 {
-                self.edge_set.remove(&(from.0, to.0));
-                return Err(CircuitError::InvalidConnection {
-                    from: from_id,
-                    to: to_id,
-                    reason: "a wire is driven by exactly one component",
-                });
-            }
+        if self.nodes[to.0].kind.is_wire() && self.driven[to.0] {
+            self.edge_set.remove(&(from.0, to.0));
+            return Err(CircuitError::InvalidConnection {
+                from: from_id,
+                to: to_id,
+                reason: "a wire is driven by exactly one component",
+            });
         }
+        self.driven[to.0] = true;
         self.edges.push((from.0, to.0));
         Ok(())
     }
@@ -272,6 +276,7 @@ impl CircuitBuilder {
         let CircuitBuilder {
             tech,
             nodes,
+            driven: _,
             edges,
             edge_set: _,
             names: _,
@@ -336,12 +341,13 @@ impl CircuitBuilder {
         // New indexing: source 0, drivers 1..=s, components s+1..=n+s, sink last.
         let s = drivers.len();
         let n = topo_components.len();
-        let mut old_to_new: HashMap<usize, usize> = HashMap::with_capacity(total);
+        // Every component was visited above, so each slot is overwritten.
+        let mut old_to_new = vec![usize::MAX; total];
         for (k, &d) in drivers.iter().enumerate() {
-            old_to_new.insert(d, 1 + k);
+            old_to_new[d] = 1 + k;
         }
         for (k, &c) in topo_components.iter().enumerate() {
-            old_to_new.insert(c, s + 1 + k);
+            old_to_new[c] = s + 1 + k;
         }
         let sink_index = n + s + 1;
 
@@ -351,12 +357,10 @@ impl CircuitBuilder {
             name: "~source".to_string(),
             attrs: NodeAttrs::artificial(),
         });
-        // Place drivers then components according to the new order.
-        let mut ordered_old: Vec<usize> = Vec::with_capacity(n + s);
-        ordered_old.extend(drivers.iter().copied());
-        ordered_old.extend(topo_components.iter().copied());
-        for &old in &ordered_old {
-            let mut node = nodes[old].clone();
+        // Move drivers then components into the new order.
+        let mut slots: Vec<Option<Node>> = nodes.into_iter().map(Some).collect();
+        for &old in drivers.iter().chain(&topo_components) {
+            let mut node = slots[old].take().expect("each component is placed once");
             if let Some(&load) = output_loads.get(&old) {
                 node.attrs.output_load = if load > 0.0 {
                     load
@@ -376,18 +380,18 @@ impl CircuitBuilder {
         let mut new_fanout: Vec<Vec<NodeId>> = vec![Vec::new(); n + s + 2];
         // Source feeds every driver.
         for &d in &drivers {
-            let nd = old_to_new[&d];
+            let nd = old_to_new[d];
             new_fanout[0].push(NodeId::new(nd));
             new_fanin[nd].push(NodeId::new(0));
         }
         // User edges.
         for &(u, v) in &edges {
-            let (nu, nv) = (old_to_new[&u], old_to_new[&v]);
+            let (nu, nv) = (old_to_new[u], old_to_new[v]);
             new_fanout[nu].push(NodeId::new(nv));
             new_fanin[nv].push(NodeId::new(nu));
         }
         // Primary outputs feed the sink.
-        let mut po: Vec<usize> = output_loads.keys().map(|&old| old_to_new[&old]).collect();
+        let mut po: Vec<usize> = output_loads.keys().map(|&old| old_to_new[old]).collect();
         po.sort_unstable();
         for p in po {
             new_fanout[p].push(NodeId::new(sink_index));
@@ -459,6 +463,55 @@ mod tests {
             b.connect(d2, w),
             Err(CircuitError::InvalidConnection { .. })
         ));
+    }
+
+    #[test]
+    fn rejected_second_driver_leaves_no_trace() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let d2 = b.add_driver("d2", 100.0).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        b.connect(d, w).unwrap();
+        for _ in 0..2 {
+            // The rejected edge is rolled back, so a retry hits the
+            // one-driver rule again rather than `DuplicateEdge`.
+            assert!(matches!(
+                b.connect(d2, w),
+                Err(CircuitError::InvalidConnection { .. })
+            ));
+        }
+        assert!(matches!(
+            b.connect(d, w),
+            Err(CircuitError::DuplicateEdge(_, _))
+        ));
+    }
+
+    #[test]
+    fn rejected_connections_do_not_mark_a_wire_driven() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        let g = b.add_gate("g", GateKind::Buf).unwrap();
+        assert!(matches!(b.connect(w, w), Err(CircuitError::SelfLoop(_))));
+        assert!(matches!(
+            b.connect(w, d),
+            Err(CircuitError::InvalidConnection { .. })
+        ));
+        assert!(matches!(
+            b.connect(BuildNode(99), w),
+            Err(CircuitError::UnknownNode(_))
+        ));
+        b.connect(w, g).unwrap();
+        assert!(matches!(
+            b.connect(w, g),
+            Err(CircuitError::DuplicateEdge(_, _))
+        ));
+        // None of the rejections above drove `w`: its first driver is accepted.
+        b.connect(d, w).unwrap();
+        b.connect_output(g, 5.0).unwrap();
+        let c = b.build().unwrap();
+        let wid = c.node_by_name("w").unwrap();
+        assert_eq!(c.fanin(wid), &[c.node_by_name("d").unwrap()]);
     }
 
     #[test]

@@ -106,10 +106,24 @@ impl CircuitGraph {
             }
         }
         // Fanin and fanout must be exact mirrors: every edge u -> v appears
-        // once in fanout[u] and once in fanin[v].
+        // once in fanout[u] and once in fanin[v]. The fanin side is counted
+        // through a sorted list of (u, v) pairs, so the check is
+        // O(E log E) even when one node has thousands of fanins.
+        let mut fanin_pairs: Vec<(usize, usize)> = fanin
+            .iter()
+            .enumerate()
+            .flat_map(|(v, ins)| ins.iter().map(move |u| (u.index(), v)))
+            .collect();
+        fanin_pairs.sort_unstable();
         for (u, outs) in fanout.iter().enumerate() {
             for &v in outs {
-                let hits = fanin[v.index()].iter().filter(|&&w| w.index() == u).count();
+                let pair = (u, v.index());
+                let first = fanin_pairs.partition_point(|&p| p < pair);
+                let hits = fanin_pairs[first..]
+                    .iter()
+                    .take(2)
+                    .take_while(|&&p| p == pair)
+                    .count();
                 if hits != 1 {
                     return Err(CircuitError::InvalidConnection {
                         from: NodeId::new(u),
@@ -380,9 +394,9 @@ impl CircuitGraph {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::builder::CircuitBuilder;
     use crate::node::GateKind;
-    use crate::tech::Technology;
 
     fn tiny() -> crate::CircuitGraph {
         // driver -> w1 -> g1 -> w2 -> output
@@ -488,6 +502,69 @@ mod tests {
         let w1 = c.node_by_name("w1").unwrap();
         assert!(c.node(w1).kind.is_wire());
         assert!(c.node_by_name("does-not-exist").is_none());
+    }
+
+    type Parts = (Vec<Node>, Vec<Vec<NodeId>>, Vec<Vec<NodeId>>);
+
+    fn parts(c: &CircuitGraph) -> Parts {
+        (c.nodes.clone(), c.fanin.clone(), c.fanout.clone())
+    }
+
+    fn reassemble(c: &CircuitGraph, (nodes, fanin, fanout): Parts) -> Result<(), CircuitError> {
+        CircuitGraph::from_serialized_parts(
+            nodes,
+            fanin,
+            fanout,
+            *c.technology(),
+            c.num_drivers(),
+            c.num_components(),
+        )
+        .map(|_| ())
+    }
+
+    #[test]
+    fn serialized_parts_round_trip() {
+        let c = tiny();
+        reassemble(&c, parts(&c)).unwrap();
+    }
+
+    #[test]
+    fn serialized_parts_reject_an_edge_missing_from_fanin() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let c = tiny();
+        let (nodes, mut fanin, fanout) = parts(&c);
+        fanin[2].clear();
+        assert!(matches!(
+            reassemble(&c, (nodes, fanin, fanout)),
+            Err(CircuitError::InvalidConnection { from, to, .. })
+                if from == NodeId::new(1) && to == NodeId::new(2)
+        ));
+    }
+
+    #[test]
+    fn serialized_parts_reject_an_edge_mirrored_twice() {
+        let c = tiny();
+        let (nodes, mut fanin, fanout) = parts(&c);
+        fanin[2].push(NodeId::new(1));
+        assert!(matches!(
+            reassemble(&c, (nodes, fanin, fanout)),
+            Err(CircuitError::InvalidConnection { from, to, .. })
+                if from == NodeId::new(1) && to == NodeId::new(2)
+        ));
+    }
+
+    #[test]
+    fn serialized_parts_reject_an_edge_only_in_fanin() {
+        let c = tiny();
+        let (nodes, mut fanin, fanout) = parts(&c);
+        fanin[4].push(NodeId::new(1));
+        assert!(matches!(
+            reassemble(&c, (nodes, fanin, fanout)),
+            Err(CircuitError::SizeLengthMismatch {
+                expected: 5,
+                actual: 6
+            })
+        ));
     }
 
     #[test]

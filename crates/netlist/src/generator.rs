@@ -1,10 +1,10 @@
 //! Reproducible synthetic benchmark generation.
 //!
 //! The generator produces a combinational circuit with an **exact** gate and
-//! wire count, the substitution for the ISCAS85 netlists documented in
-//! `DESIGN.md`. Every wire is a two-pin connection (driver→gate or
-//! gate→gate or gate→primary-output), which matches the paper's roughly
-//! 2-wires-per-gate ratio. Structure highlights:
+//! wire count. The real ISCAS85 netlists are not in the repository, so the
+//! generator stands in for them. Every wire is a two-pin connection
+//! (driver→gate or gate→gate or gate→primary-output), which matches the
+//! paper's roughly 2-wires-per-gate ratio. Structure highlights:
 //!
 //! * bounded gate fan-in with a random spread,
 //! * locality-biased source selection (reconvergent fan-out, realistic depth),
@@ -160,31 +160,33 @@ impl SyntheticGenerator {
         } else {
             unused
         };
+        // Each trim takes the first removable input of the last gate that
+        // still has one. Fanout counts and input lists only shrink here, so a
+        // gate without a removable input never regains one: gates at or
+        // above `cursor` are exhausted for good, and the cursor only moves
+        // down.
+        let mut cursor = num_gates;
         for _ in &extra_outputs {
-            let mut removed = false;
-            'outer: for k in (0..num_gates).rev() {
-                if inputs[k].len() < 2 {
-                    continue;
-                }
-                for pos in 0..inputs[k].len() {
-                    let removable = match inputs[k][pos] {
+            let (k, pos) = loop {
+                let Some(k) = cursor.checked_sub(1) else {
+                    return Err(NetlistError::InfeasibleSpec {
+                        reason: "could not balance wire count; increase wires per gate".into(),
+                    });
+                };
+                if inputs[k].len() >= 2 {
+                    let removable = inputs[k].iter().position(|&source| match source {
                         SourceRef::Driver(d) => driver_fanout[d] >= 2,
                         SourceRef::Gate(g) => gate_fanout[g] >= 2,
-                    };
-                    if removable {
-                        match inputs[k].remove(pos) {
-                            SourceRef::Driver(d) => driver_fanout[d] -= 1,
-                            SourceRef::Gate(g) => gate_fanout[g] -= 1,
-                        }
-                        removed = true;
-                        break 'outer;
+                    });
+                    if let Some(pos) = removable {
+                        break (k, pos);
                     }
                 }
-            }
-            if !removed {
-                return Err(NetlistError::InfeasibleSpec {
-                    reason: "could not balance wire count; increase wires per gate".into(),
-                });
+                cursor = k;
+            };
+            match inputs[k].remove(pos) {
+                SourceRef::Driver(d) => driver_fanout[d] -= 1,
+                SourceRef::Gate(g) => gate_fanout[g] -= 1,
             }
         }
 
@@ -237,22 +239,21 @@ impl SyntheticGenerator {
 
         let mut wire_names: Vec<String> = Vec::with_capacity(num_wires);
         let mut wire_counter = 0usize;
-        let mut new_wire =
-            |builder: &mut CircuitBuilder,
-             rng_geo: &mut ChaCha8Rng,
-             wire_names: &mut Vec<String>|
-             -> Result<(ncgws_circuit::builder::BuildNode, String), NetlistError> {
-                let name = format!("w{wire_counter}");
-                wire_counter += 1;
-                let length = rng_geo.gen_range(spec.wire_length_range.0..=spec.wire_length_range.1);
-                let node = builder.add_wire(&name, length)?;
-                wire_names.push(name.clone());
-                Ok((node, name))
-            };
+        let mut new_wire = |builder: &mut CircuitBuilder,
+                            rng_geo: &mut ChaCha8Rng,
+                            wire_names: &mut Vec<String>|
+         -> Result<ncgws_circuit::builder::BuildNode, NetlistError> {
+            let name = format!("w{wire_counter}");
+            wire_counter += 1;
+            let length = rng_geo.gen_range(spec.wire_length_range.0..=spec.wire_length_range.1);
+            let node = builder.add_wire(&name, length)?;
+            wire_names.push(name);
+            Ok(node)
+        };
 
         for (k, gate_inputs) in inputs.iter().enumerate() {
             for &source in gate_inputs {
-                let (wire, _) = new_wire(&mut builder, &mut rng_geo, &mut wire_names)?;
+                let wire = new_wire(&mut builder, &mut rng_geo, &mut wire_names)?;
                 let src = match source {
                     SourceRef::Driver(d) => drivers[d],
                     SourceRef::Gate(g) => gates[g],
@@ -266,7 +267,7 @@ impl SyntheticGenerator {
         let mut output_gates: Vec<usize> = (first_output_gate..num_gates).collect();
         output_gates.extend(extra_outputs.iter().copied());
         for &g in &output_gates {
-            let (wire, _) = new_wire(&mut builder, &mut rng_geo, &mut wire_names)?;
+            let wire = new_wire(&mut builder, &mut rng_geo, &mut wire_names)?;
             let load = rng_geo.gen_range(spec.output_load_range.0..=spec.output_load_range.1);
             builder.connect(gates[g], wire)?;
             builder.connect_output(wire, load)?;

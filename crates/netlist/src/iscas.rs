@@ -1,10 +1,10 @@
 //! Presets matching the paper's Table 1 benchmark circuits.
 //!
-//! The paper evaluates on ten ISCAS85 circuits. The real netlists are not
-//! part of this reproduction (see DESIGN.md, substitution 1); these presets
-//! drive the synthetic generator with exactly the gate and wire counts the
-//! paper reports per circuit, so the scaling experiments (Table 1,
-//! Figure 10) cover the same size range — 640 to 9 656 components.
+//! The paper evaluates on ten ISCAS85 circuits. The real netlists are not in
+//! the repository, so the synthetic generator stands in for them; these
+//! presets drive it with exactly the gate and wire counts the paper reports
+//! per circuit, so the scaling experiments (Table 1, Figure 10) cover the
+//! same size range — 640 to 9 656 components.
 
 use crate::spec::CircuitSpec;
 

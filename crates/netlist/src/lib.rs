@@ -3,8 +3,8 @@
 //! The paper evaluates on the ISCAS85 benchmark suite (c432 … c7552, between
 //! 640 and 9 656 components). Those netlists — and in particular the wire
 //! geometry and test patterns the paper pairs them with — are not
-//! redistributable inputs of this reproduction, so this crate provides the
-//! substitution documented in `DESIGN.md`:
+//! redistributable inputs of this reproduction, so this crate provides a
+//! stand-in:
 //!
 //! * [`CircuitSpec`] / [`SyntheticGenerator`] — a reproducible random
 //!   generator of combinational circuits with an exact gate and wire count,
