@@ -19,214 +19,58 @@
 //! the gate, silently disarming it. CI copies the committed file aside, regenerates it with
 //! `table1 --json` under `NCGWS_QUICK=1`, then runs this guard.
 //!
-//! The vendored `serde_json` is serialize-only, so the two documents are
-//! read with a purpose-built scanner. Unlike its first incarnation — which
-//! truncated the `"circuits"` section at the first `]` and split objects on
-//! `{`, silently dropping every circuit after a nested array or object —
-//! the scanner is bracket-depth- and string-aware: sections end at their
-//! *matching* bracket, objects at theirs, and fields are matched at the
-//! object's top depth only, in any key order.
+//! Both documents are read with the workspace's JSON parser
+//! (`serde_json::parse`) and walked as values: rows are the objects of the
+//! root's `circuits`/`threads` arrays, keys match in any order, and nested
+//! arrays or objects inside a row stay inside it. A document that does not
+//! parse is a hard error (exit 2).
+//!
+//! The serializer writes a non-finite timing as `null`, so a row whose
+//! `seconds_per_iteration` is `null` is a hard error too; a row without
+//! the key (or without a `name`) is skipped.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Returns the index just past a JSON string starting at `start`
-/// (`bytes[start] == b'"'`), honoring backslash escapes, plus the string's
-/// contents.
-fn read_string(bytes: &[u8], start: usize) -> Option<(usize, &str)> {
-    debug_assert_eq!(bytes[start], b'"');
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => {
-                let content = std::str::from_utf8(&bytes[start + 1..i]).ok()?;
-                return Some((i + 1, content));
-            }
-            _ => i += 1,
-        }
-    }
-    None
+use serde_json::Value;
+
+/// The objects of the root's array `section` (empty when absent). Only
+/// members of the root object match, so a circuit *named* `"threads"` can
+/// never hijack a section.
+fn rows<'a>(doc: &'a Value, section: &str) -> &'a [Value] {
+    doc.get(section).and_then(Value::as_array).unwrap_or(&[])
 }
 
-/// Returns the index of the bracket matching the one at `open`
-/// (`bytes[open]` is `[` or `{`), skipping strings.
-fn matching_bracket(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => i = read_string(bytes, i)?.0,
-            b'[' | b'{' => {
-                depth += 1;
-                i += 1;
-            }
-            b']' | b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-                i += 1;
-            }
-            _ => i += 1,
-        }
+/// A row's name and `seconds_per_iteration`, or `None` when either key is
+/// absent (or not a string/number).
+///
+/// # Errors
+///
+/// When the timing is `null`: the serializer's encoding of NaN/infinity.
+fn timed_row<'a>(label: &str, row: &'a Value) -> Result<Option<(&'a str, f64)>, String> {
+    let Some(name) = row.get("name").and_then(Value::as_str) else {
+        return Ok(None);
+    };
+    match row.get("seconds_per_iteration") {
+        Some(Value::Null) => Err(format!(
+            "{label} `{name}`: seconds_per_iteration is null (a non-finite timing) — must be \
+             positive and finite for the regression ratio to mean anything"
+        )),
+        Some(value) => Ok(value.as_f64().map(|spi| (name, spi))),
+        None => Ok(None),
     }
-    None
-}
-
-/// The interior of the top-level array named `section` (between — not
-/// including — its matching brackets), or `None` when the document has no
-/// such section. Only keys at depth 1 (direct members of the root object)
-/// match, so a circuit *named* `"threads"` can never hijack a section.
-fn section_array<'a>(json: &'a str, section: &str) -> Option<&'a str> {
-    let bytes = json.as_bytes();
-    let mut depth = 0usize;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                let (after, token) = read_string(bytes, i)?;
-                i = after;
-                if depth != 1 || token != section {
-                    continue;
-                }
-                let mut j = i;
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                if j >= bytes.len() || bytes[j] != b':' {
-                    continue;
-                }
-                j += 1;
-                while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                    j += 1;
-                }
-                if j < bytes.len() && bytes[j] == b'[' {
-                    let close = matching_bracket(bytes, j)?;
-                    return Some(&json[j + 1..close]);
-                }
-            }
-            b'[' | b'{' => {
-                depth += 1;
-                i += 1;
-            }
-            b']' | b'}' => {
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-/// The top-level object slices (including their braces) of an array
-/// interior, each delimited at its *matching* brace — nested arrays and
-/// objects inside a row stay inside that row.
-fn array_objects(array: &str) -> Vec<&str> {
-    let bytes = array.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => match read_string(bytes, i) {
-                Some((after, _)) => i = after,
-                None => break,
-            },
-            b'{' => match matching_bracket(bytes, i) {
-                Some(close) => {
-                    out.push(&array[i..=close]);
-                    i = close + 1;
-                }
-                None => break,
-            },
-            _ => i += 1,
-        }
-    }
-    out
-}
-
-/// The raw value text of `key` at the top depth of an object slice
-/// (braces included), in any key order; `None` when the key is absent.
-fn field<'a>(object: &'a str, key: &str) -> Option<&'a str> {
-    let bytes = object.as_bytes();
-    debug_assert_eq!(bytes.first(), Some(&b'{'));
-    let end = matching_bracket(bytes, 0)?;
-    let mut i = 1;
-    while i < end {
-        // Skip to the next key.
-        while i < end && bytes[i] != b'"' {
-            i += 1;
-        }
-        if i >= end {
-            break;
-        }
-        let (after_key, name) = read_string(bytes, i)?;
-        let mut j = after_key;
-        while j < end && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if j >= end || bytes[j] != b':' {
-            // Not a key (e.g. a string inside an array value that slipped
-            // through) — resynchronize.
-            i = after_key;
-            continue;
-        }
-        j += 1;
-        while j < end && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        let value_start = j;
-        let value_end = match bytes.get(j) {
-            Some(b'"') => read_string(bytes, j)?.0,
-            Some(b'[') | Some(b'{') => matching_bracket(bytes, j)? + 1,
-            _ => {
-                let mut k = j;
-                while k < end && bytes[k] != b',' {
-                    k += 1;
-                }
-                k
-            }
-        };
-        if name == key {
-            return Some(object[value_start..value_end].trim());
-        }
-        i = value_end;
-    }
-    None
-}
-
-/// A string-typed field of an object slice.
-fn string_field(object: &str, key: &str) -> Option<String> {
-    let raw = field(object, key)?;
-    let bytes = raw.as_bytes();
-    if bytes.first() != Some(&b'"') {
-        return None;
-    }
-    read_string(bytes, 0).map(|(_, s)| s.to_string())
-}
-
-/// A number-typed field of an object slice.
-fn number_field(object: &str, key: &str) -> Option<f64> {
-    field(object, key)?.parse().ok()
 }
 
 /// Extracts `name → seconds_per_iteration` from the `"circuits"` array of a
 /// `BENCH_table1.json` document. Rows missing either key are skipped.
-fn circuit_timings(json: &str) -> BTreeMap<String, f64> {
+fn circuit_timings(doc: &Value) -> Result<BTreeMap<String, f64>, String> {
     let mut out = BTreeMap::new();
-    let Some(array) = section_array(json, "circuits") else {
-        return out;
-    };
-    for object in array_objects(array) {
-        if let (Some(name), Some(spi)) = (
-            string_field(object, "name"),
-            number_field(object, "seconds_per_iteration"),
-        ) {
-            out.insert(name, spi);
+    for row in rows(doc, "circuits") {
+        if let Some((name, spi)) = timed_row("circuit", row)? {
+            out.insert(name.to_string(), spi);
         }
     }
-    out
+    Ok(out)
 }
 
 /// Extracts `name@t<threads> → seconds_per_iteration` from the `"threads"`
@@ -234,38 +78,30 @@ fn circuit_timings(json: &str) -> BTreeMap<String, f64> {
 /// compares only when both sides do). Rows flagged `oversubscribed: true`
 /// asked for more workers than the host has; their ratio is a scheduling
 /// artifact, so they are excluded from gating (and announced once).
-fn thread_timings(json: &str) -> BTreeMap<String, f64> {
+fn thread_timings(doc: &Value) -> Result<BTreeMap<String, f64>, String> {
     let mut out = BTreeMap::new();
-    let Some(array) = section_array(json, "threads") else {
-        return out;
-    };
-    for object in array_objects(array) {
-        if let (Some(name), Some(threads), Some(spi)) = (
-            string_field(object, "name"),
-            number_field(object, "threads"),
-            number_field(object, "seconds_per_iteration"),
-        ) {
-            if field(object, "oversubscribed") == Some("true") {
-                eprintln!("perfguard: threads `{name}@t{threads:.0}` is oversubscribed (skipped)");
+    for row in rows(doc, "threads") {
+        let Some(threads) = row.get("threads").and_then(Value::as_u64) else {
+            continue;
+        };
+        if let Some((name, spi)) = timed_row("threads", row)? {
+            if row.get("oversubscribed").and_then(Value::as_bool) == Some(true) {
+                eprintln!("perfguard: threads `{name}@t{threads}` is oversubscribed (skipped)");
                 continue;
             }
-            out.insert(format!("{name}@t{threads:.0}"), spi);
+            out.insert(format!("{name}@t{threads}"), spi);
         }
     }
-    out
+    Ok(out)
 }
 
 /// The measurement context of a summary's `threads` scaling rows:
-/// `(hardware_threads, parallel_feature)` as raw value text. Speedups are
-/// only comparable between runs that share it.
-fn scaling_context(json: &str) -> Option<(String, String)> {
-    let doc = json.trim();
-    if !doc.starts_with('{') {
-        return None;
-    }
+/// `(hardware_threads, parallel_feature)`. Speedups are only comparable
+/// between runs that share it.
+fn scaling_context(doc: &Value) -> Option<(u64, bool)> {
     Some((
-        field(doc, "hardware_threads")?.to_string(),
-        field(doc, "parallel_feature")?.to_string(),
+        doc.get("hardware_threads")?.as_u64()?,
+        doc.get("parallel_feature")?.as_bool()?,
     ))
 }
 
@@ -334,16 +170,30 @@ fn main() -> ExitCode {
         .map(|s| s.parse().expect("max_regression must be a number"))
         .unwrap_or(0.25);
 
-    let read = |path: &str| -> String {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let read = |path: &str| -> Value {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("perfguard: cannot read {path}: {e}");
+            std::process::exit(2);
+        });
+        serde_json::parse(&text).unwrap_or_else(|e| {
+            eprintln!("perfguard: {path} is not valid JSON: {e}");
             std::process::exit(2);
         })
     };
+    let hard_error = |message: String| {
+        eprintln!("perfguard: hard error: {message}");
+        ExitCode::from(2)
+    };
     let baseline_doc = read(&args[0]);
     let current_doc = read(&args[1]);
-    let baseline = circuit_timings(&baseline_doc);
-    let current = circuit_timings(&current_doc);
+    type Timings = BTreeMap<String, f64>;
+    let both = |extract: fn(&Value) -> Result<Timings, String>| {
+        Ok::<_, String>((extract(&baseline_doc)?, extract(&current_doc)?))
+    };
+    let (baseline, current) = match both(circuit_timings) {
+        Ok(pair) => pair,
+        Err(message) => return hard_error(message),
+    };
     if baseline.is_empty() || current.is_empty() {
         eprintln!("perfguard: could not find circuit timings in one of the inputs");
         return ExitCode::from(2);
@@ -351,10 +201,7 @@ fn main() -> ExitCode {
 
     let mut failed = match compare("circuit", &baseline, &current, max_regression) {
         Ok(failed) => failed,
-        Err(message) => {
-            eprintln!("perfguard: hard error: {message}");
-            return ExitCode::from(2);
-        }
+        Err(message) => return hard_error(message),
     };
 
     // The threads scaling rows are compared only when both documents carry
@@ -363,8 +210,10 @@ fn main() -> ExitCode {
     // (a t4 row measured on one core records oversubscription, on eight
     // cores real scaling), so diffing them across machines would fail CI
     // with no code regression behind it.
-    let baseline_threads = thread_timings(&baseline_doc);
-    let current_threads = thread_timings(&current_doc);
+    let (baseline_threads, current_threads) = match both(thread_timings) {
+        Ok(pair) => pair,
+        Err(message) => return hard_error(message),
+    };
     let contexts_match = match (
         scaling_context(&baseline_doc),
         scaling_context(&current_doc),
@@ -387,10 +236,7 @@ fn main() -> ExitCode {
             max_regression,
         ) {
             Ok(threads_failed) => failed |= threads_failed,
-            Err(message) => {
-                eprintln!("perfguard: hard error: {message}");
-                return ExitCode::from(2);
-            }
+            Err(message) => return hard_error(message),
         }
     } else if baseline_threads.is_empty() != current_threads.is_empty() {
         eprintln!("perfguard: threads section present in only one file (skipped)");
@@ -415,6 +261,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn doc(text: &str) -> Value {
+        serde_json::parse(text).expect("fixture is valid JSON")
+    }
+
     const SAMPLE: &str = r#"{
   "bench": "table1",
   "quick": true,
@@ -433,9 +283,9 @@ mod tests {
   ]
 }"#;
 
-    /// The regression the bracket-depth scanner fixes: a nested array (and
-    /// a nested object) inside a circuit row must not truncate the section
-    /// scan, and rows after it must still be extracted.
+    /// A nested array (and a nested object) inside a circuit row must not
+    /// truncate the section, and rows after it must still be extracted (the
+    /// regression a first, bracket-unaware reader had).
     const NESTED: &str = r#"{
   "circuits": [
     { "name": "c432",
@@ -465,7 +315,7 @@ mod tests {
 
     #[test]
     fn timings_are_extracted_per_circuit() {
-        let map = circuit_timings(SAMPLE);
+        let map = circuit_timings(&doc(SAMPLE)).unwrap();
         assert_eq!(map.len(), 2);
         assert!((map["c432"] - 0.000125).abs() < 1e-12);
         assert!((map["c880"] - 0.000375).abs() < 1e-12);
@@ -473,14 +323,14 @@ mod tests {
 
     #[test]
     fn schedule_rows_are_not_mixed_in() {
-        let map = circuit_timings(SAMPLE);
+        let map = circuit_timings(&doc(SAMPLE)).unwrap();
         assert!(!map.contains_key("xl10"));
         assert!(!map.contains_key("xlw10"));
     }
 
     #[test]
     fn nested_arrays_do_not_truncate_the_scan() {
-        let map = circuit_timings(NESTED);
+        let map = circuit_timings(&doc(NESTED)).unwrap();
         assert_eq!(map.len(), 2, "both circuits must survive the nested row");
         assert!((map["c432"] - 0.000125).abs() < 1e-12);
         assert!((map["c880"] - 0.000375).abs() < 1e-12);
@@ -492,7 +342,7 @@ mod tests {
 
     #[test]
     fn key_order_does_not_matter() {
-        let map = circuit_timings(OUT_OF_ORDER);
+        let map = circuit_timings(&doc(OUT_OF_ORDER)).unwrap();
         assert_eq!(map.len(), 2);
         assert!((map["alpha"] - 0.5).abs() < 1e-12);
         assert!((map["beta"] - 0.25).abs() < 1e-12);
@@ -500,7 +350,7 @@ mod tests {
 
     #[test]
     fn rows_missing_a_key_are_skipped() {
-        let map = circuit_timings(MISSING_KEY);
+        let map = circuit_timings(&doc(MISSING_KEY)).unwrap();
         assert_eq!(map.len(), 1);
         assert!(map.contains_key("timed"));
         assert!(!map.contains_key("untimed"));
@@ -508,16 +358,19 @@ mod tests {
 
     #[test]
     fn thread_rows_are_keyed_by_name_and_count() {
-        let map = thread_timings(SAMPLE);
+        let map = thread_timings(&doc(SAMPLE)).unwrap();
         assert_eq!(map.len(), 2);
         assert!((map["xlw10@t1"] - 0.004).abs() < 1e-12);
         assert!((map["xlw10@t4"] - 0.0015).abs() < 1e-12);
-        assert!(thread_timings(NESTED).is_empty(), "absent section is empty");
+        assert!(
+            thread_timings(&doc(NESTED)).unwrap().is_empty(),
+            "absent section is empty"
+        );
     }
 
     #[test]
     fn oversubscribed_thread_rows_are_excluded_from_gating() {
-        let map = thread_timings(SAMPLE);
+        let map = thread_timings(&doc(SAMPLE)).unwrap();
         assert!(
             !map.contains_key("xlw10@t8"),
             "the t8 row is flagged oversubscribed and must not be ratio-gated"
@@ -529,30 +382,27 @@ mod tests {
     /// circuit or thread rows.
     #[test]
     fn unknown_sections_are_ignored() {
-        let doc = r#"{
+        let summary = doc(r#"{
   "circuits": [ { "name": "c432", "seconds_per_iteration": 0.000125 } ],
   "retired": [ { "name": "xlw10", "seconds_per_iteration": 0.5, "threads": 1 } ],
   "threads": [ { "name": "xlw10", "threads": 1, "seconds_per_iteration": 0.004 } ]
-}"#;
-        let circuits = circuit_timings(doc);
+}"#);
+        let circuits = circuit_timings(&summary).unwrap();
         assert_eq!(circuits.len(), 1);
         assert!((circuits["c432"] - 0.000125).abs() < 1e-12);
-        let threads = thread_timings(doc);
+        let threads = thread_timings(&summary).unwrap();
         assert_eq!(threads.len(), 1);
         assert!((threads["xlw10@t1"] - 0.004).abs() < 1e-12);
     }
 
     #[test]
     fn scaling_context_reads_the_measurement_fields() {
-        let doc = r#"{ "bench": "table1", "parallel_feature": true,
-                       "hardware_threads": 8, "threads": [] }"#;
-        assert_eq!(
-            scaling_context(doc),
-            Some(("8".to_string(), "true".to_string()))
-        );
+        let summary = doc(r#"{ "bench": "table1", "parallel_feature": true,
+                               "hardware_threads": 8, "threads": [] }"#);
+        assert_eq!(scaling_context(&summary), Some((8, true)));
         // Documents predating the fields carry no context — the threads
         // comparison is skipped rather than spuriously failed.
-        assert_eq!(scaling_context(r#"{ "bench": "table1" }"#), None);
+        assert_eq!(scaling_context(&doc(r#"{ "bench": "table1" }"#)), None);
     }
 
     fn map(entries: &[(&str, f64)]) -> BTreeMap<String, f64> {
@@ -574,6 +424,19 @@ mod tests {
         let current = map(&[("a", 0.1)]);
         let err = compare("t", &baseline, &current, 0.25).unwrap_err();
         assert!(err.contains("positive and finite"), "{err}");
+    }
+
+    /// The serializer writes a NaN/infinite timing as `null`; such a row
+    /// must fail extraction instead of being skipped as "missing".
+    #[test]
+    fn null_timings_are_hard_errors() {
+        let circuits = doc(r#"{ "circuits": [
+            { "name": "c432", "seconds_per_iteration": null } ] }"#);
+        let err = circuit_timings(&circuits).unwrap_err();
+        assert!(err.contains("c432") && err.contains("null"), "{err}");
+        let threads = doc(r#"{ "threads": [
+            { "name": "xlw10", "threads": 2, "seconds_per_iteration": null } ] }"#);
+        assert!(thread_timings(&threads).is_err());
     }
 
     #[test]

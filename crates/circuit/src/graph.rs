@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CircuitError;
@@ -23,7 +24,7 @@ use crate::tech::Technology;
 /// The graph is immutable once built by [`CircuitBuilder`](crate::CircuitBuilder);
 /// all analyses borrow it together with a [`SizeVector`] holding the current
 /// component sizes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CircuitGraph {
     nodes: Vec<Node>,
     fanin: Vec<Vec<NodeId>>,
@@ -32,6 +33,24 @@ pub struct CircuitGraph {
     num_drivers: usize,
     num_sizable: usize,
     name_index: HashMap<String, NodeId>,
+}
+
+/// Decodes through [`CircuitGraph::from_serialized_parts`], so a decoded
+/// graph passes the same structural checks as one assembled by hand. The
+/// serialized `name_index` is ignored and rebuilt from the node names.
+impl Deserialize for CircuitGraph {
+    fn deserialize_json(value: &Value) -> Result<Self, Error> {
+        let f = Fields::new(value, "CircuitGraph")?;
+        CircuitGraph::from_serialized_parts(
+            f.field("nodes")?,
+            f.field("fanin")?,
+            f.field("fanout")?,
+            f.field("tech")?,
+            f.field("num_drivers")?,
+            f.field("num_sizable")?,
+        )
+        .map_err(|e| Error::custom(format!("invalid circuit graph: {e}")))
+    }
 }
 
 impl CircuitGraph {

@@ -11,7 +11,7 @@
 //! timing analysis forward propagation), the critical path delay and the
 //! critical path itself.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::elmore::ElmoreAnalyzer;
 use crate::graph::CircuitGraph;
@@ -20,7 +20,7 @@ use crate::node::NodeKind;
 use crate::sizing::SizeVector;
 
 /// Arrival times for every node of a circuit under a particular sizing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ArrivalTimes {
     /// Arrival time `a_i` per raw node index (0 for source; the sink holds
     /// the circuit delay).
@@ -35,7 +35,7 @@ impl ArrivalTimes {
 }
 
 /// Complete timing picture of a circuit under a particular sizing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TimingAnalysis {
     /// Per-component Elmore delays `D_i` (raw node index).
     pub delays: Vec<f64>,

@@ -2,12 +2,12 @@
 
 use ncgws_circuit::{CircuitGraph, SizeVector};
 use ncgws_coupling::CouplingSet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::engine::SizingEngine;
 
 /// Result of the greedy sizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GreedyOutcome {
     /// The sizing found.
     pub sizes: SizeVector,

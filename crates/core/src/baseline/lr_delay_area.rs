@@ -3,7 +3,7 @@
 use ncgws_circuit::SizeVector;
 use ncgws_coupling::CouplingSet;
 use ncgws_netlist::ProblemInstance;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::coupling_build::build_coupling;
 use crate::engine::SizingEngine;
@@ -14,7 +14,7 @@ use crate::problem::{ConstraintBounds, OptimizerConfig, SizingProblem};
 
 /// Result of a baseline run, with metrics evaluated against the *real*
 /// coupling model so it is directly comparable to the full optimizer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BaselineOutcome {
     /// The sizing the baseline chose.
     pub sizes: SizeVector,

@@ -64,7 +64,7 @@ const MARGIN: f64 = 1.0 + 1e-6;
 /// dense component sizes. Coefficients are non-negative, so the constraint
 /// always penalizes size growth (the "load-type" shape Theorem 5's
 /// denominator absorbs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScalarConstraint {
     label: String,
     /// `(dense component index, coefficient)`, coefficients `> 0`.
@@ -174,7 +174,7 @@ impl ScalarConstraint {
 }
 
 /// Discriminates the shipped constraint families in reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 #[non_exhaustive]
 pub enum FamilyKind {
     /// Channel-local crosstalk caps (one constraint per routing channel).
@@ -244,7 +244,7 @@ pub trait ConstraintFamily: fmt::Debug {
 
 /// A named group of [`ScalarConstraint`]s sharing one multiplier block —
 /// the concrete [`ConstraintFamily`] every shipped scenario lowers into.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScalarFamily {
     name: String,
     kind: FamilyKind,
@@ -321,7 +321,7 @@ impl ConstraintFamily for ScalarFamily {
 /// Per-family slack summary of a solution — the reporting view of the
 /// constraint system (one entry per family in
 /// [`OptimizationReport::constraint_slacks`](crate::OptimizationReport::constraint_slacks)).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[non_exhaustive]
 pub struct FamilySlack {
     /// Family name.
@@ -344,7 +344,7 @@ pub struct FamilySlack {
 /// The extra constraint families of a sizing problem, beyond the paper's
 /// three global bounds. The default (empty) set reproduces the paper's
 /// formulation exactly.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ConstraintSet {
     families: Vec<ScalarFamily>,
 }

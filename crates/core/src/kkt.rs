@@ -13,7 +13,7 @@
 //!    quantities are available).
 
 use ncgws_circuit::{SizeVector, TimingAnalysis};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::constraints::ConstraintFamily;
 use crate::lagrangian::Multipliers;
@@ -23,7 +23,7 @@ use crate::projection::flow_conservation_residual;
 /// The residuals of the Theorem 6 conditions at a candidate solution.
 /// All residuals are non-negative; zero (up to numerical noise) certifies the
 /// corresponding condition.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct KktResiduals {
     /// Largest flow-conservation violation over all nodes.
     pub flow_conservation: f64,

@@ -1,6 +1,7 @@
 //! Lagrange multipliers and evaluation of the Lagrangian / dual function.
 
 use ncgws_circuit::{CircuitGraph, NodeId, SizeVector};
+use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::constraints::ConstraintSet;
@@ -23,7 +24,7 @@ use crate::problem::SizingProblem;
 /// aggregation, subgradient bumps, flow projection — run over contiguous
 /// memory instead of one heap allocation per node; extra blocks are stored
 /// parallel to the constraint set's families.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Multipliers {
     /// Flat `λ` values: `values[offsets[i] + slot]` is `λ_{ji}` where
     /// `j = fanin(i)[slot]`.
@@ -37,6 +38,21 @@ pub struct Multipliers {
     /// Extra-family multiplier blocks `μ_f ≥ 0`, parallel to the problem's
     /// [`ConstraintSet::families`]. Empty when no extra families exist.
     extra: Vec<Vec<f64>>,
+}
+
+/// Decodes through [`Multipliers::from_parts`], which checks the CSR shape.
+impl Deserialize for Multipliers {
+    fn deserialize_json(value: &Value) -> Result<Self, Error> {
+        let f = Fields::new(value, "Multipliers")?;
+        Multipliers::from_parts(
+            f.field("values")?,
+            f.field("offsets")?,
+            f.field("beta")?,
+            f.field("gamma")?,
+            f.field("extra")?,
+        )
+        .map_err(Error::custom)
+    }
 }
 
 impl Multipliers {

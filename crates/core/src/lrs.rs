@@ -27,7 +27,7 @@
 //! is the per-iteration linearity the paper emphasizes.
 
 use ncgws_circuit::SizeVector;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::constraints::ConstraintSet;
 use crate::control::RunControl;
@@ -37,7 +37,7 @@ use crate::problem::SizingProblem;
 use crate::schedule::{AdaptiveSchedule, ScheduledStats};
 
 /// Result of one LRS call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LrsOutcome {
     /// The minimizing size vector.
     pub sizes: SizeVector,
@@ -50,7 +50,7 @@ pub struct LrsOutcome {
 
 /// Convergence statistics of an in-place LRS solve
 /// ([`LrsSolver::solve_with`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LrsStats {
     /// Number of coordinate sweeps performed.
     pub sweeps: usize,

@@ -60,7 +60,7 @@ impl CircuitMetrics {
 }
 
 /// One outer (OGWS) iteration's progress record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct IterationRecord {
     /// Iteration number (1-based).
     pub iteration: usize,
@@ -96,7 +96,7 @@ pub struct IterationRecord {
 
 /// Byte-level accounting of the optimizer's live data structures, the
 /// quantity plotted in Figure 10(a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemoryBreakdown {
     /// Bytes held by the circuit graph.
     pub circuit_bytes: usize,

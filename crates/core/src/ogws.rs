@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use ncgws_circuit::{NodeKind, SharedMut, SizeVector};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::constraints::ConstraintFamily;
 use crate::control::{IterationEvent, RunControl, StopReason};
@@ -49,7 +49,7 @@ pub(crate) const FEASIBILITY_TOLERANCE: f64 = 1e-3;
 const STAGNATION_LIMIT: usize = 15;
 
 /// Result of an OGWS run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[non_exhaustive]
 pub struct OgwsOutcome {
     /// The final size vector: the best feasible solution found, or the last

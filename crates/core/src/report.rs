@@ -1,6 +1,6 @@
 //! Optimization reports: the data behind Table 1 and Figure 10.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::constraints::FamilySlack;
 use crate::control::StopReason;
@@ -8,7 +8,7 @@ use crate::metrics::{CircuitMetrics, IterationRecord, MemoryBreakdown};
 
 /// Relative improvements, computed as `(initial − final) / initial × 100 %`,
 /// exactly as in the paper's `Impr(%)` row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Improvements {
     /// Noise (total crosstalk) improvement in percent.
     pub noise_pct: f64,
@@ -41,7 +41,7 @@ impl Improvements {
 
 /// The complete record of one optimization run — one row of Table 1 plus the
 /// scaling data of Figure 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[non_exhaustive]
 pub struct OptimizationReport {
     /// Benchmark name.

@@ -47,6 +47,7 @@
 //! this, including the exact path's reference pinning).
 
 use ncgws_circuit::{IncrementalWorkspace, SharedMut};
+use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
@@ -178,7 +179,7 @@ impl AdaptiveSchedule {
 
 /// Convergence and accounting statistics of one scheduled LRS solve
 /// ([`LrsSolver::solve_scheduled`](crate::LrsSolver::solve_scheduled)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ScheduledStats {
     /// Number of coordinate sweeps performed.
     pub sweeps: usize,
@@ -208,6 +209,27 @@ pub struct ScheduleState {
     /// Sweeps performed across the run so far (the verification cadence
     /// counter).
     pub global_sweep: usize,
+}
+
+/// Decodes the state and rejects `calm` and `frozen` vectors of different
+/// lengths (both are indexed per component on restore).
+impl Deserialize for ScheduleState {
+    fn deserialize_json(value: &Value) -> Result<Self, Error> {
+        let f = Fields::new(value, "ScheduleState")?;
+        let state = ScheduleState {
+            calm: f.field("calm")?,
+            frozen: f.field("frozen")?,
+            global_sweep: f.field("global_sweep")?,
+        };
+        if state.calm.len() != state.frozen.len() {
+            return Err(Error::custom(format!(
+                "schedule state has {} calm counters but {} frozen flags",
+                state.calm.len(),
+                state.frozen.len()
+            )));
+        }
+        Ok(state)
+    }
 }
 
 impl ScheduleState {

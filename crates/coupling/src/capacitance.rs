@@ -1,6 +1,6 @@
 //! Per-pair coupling capacitance models.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use ncgws_circuit::NodeId;
 
@@ -8,7 +8,7 @@ use crate::error::CouplingError;
 use crate::posynomial::{exact_factor, truncated_factor};
 
 /// Geometry of a pair of adjacent parallel wires (Figure 5 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WirePairGeometry {
     /// Overlap length `l_ij` (µm).
     pub overlap_length: f64,
@@ -55,7 +55,7 @@ impl WirePairGeometry {
 /// A coupling capacitor between two adjacent wires, together with the
 /// switching-similarity weight that turns physical coupling into effective
 /// crosstalk (Equation 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CouplingPair {
     /// First wire (by convention the smaller node index).
     pub a: NodeId,

@@ -1,6 +1,6 @@
 //! The full set of coupling pairs of a circuit.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use ncgws_circuit::{CircuitGraph, NodeId, SizeVector};
 
@@ -11,7 +11,7 @@ use crate::error::CouplingError;
 /// optimizer needs: the neighborhood `N(i)` (all wires adjacent to wire `i`)
 /// and the dominating index `I(i)` (adjacent wires with a larger node index),
 /// so that the double sum `Σ_{i∈W} Σ_{j∈I(i)}` counts every pair exactly once.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CouplingSet {
     pairs: Vec<CouplingPair>,
     /// For each raw node index, the indices into `pairs` the node participates in.

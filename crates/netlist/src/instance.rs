@@ -2,6 +2,7 @@
 
 use ncgws_circuit::{CircuitGraph, NodeId};
 use ncgws_waveform::PatternSet;
+use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
 /// Geometry shared by all routing channels of an instance.
@@ -26,7 +27,7 @@ impl ChannelGeometry {
 /// channels (groups of wires that run in parallel and therefore couple), the
 /// channel geometry, and the primary-input patterns used to derive switching
 /// similarity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ProblemInstance {
     /// Benchmark name.
     pub name: String,
@@ -38,6 +39,31 @@ pub struct ProblemInstance {
     pub geometry: ChannelGeometry,
     /// Primary-input vectors for logic simulation.
     pub patterns: PatternSet,
+}
+
+/// Decodes the parts (the circuit and patterns check their own
+/// invariants) and rejects channel wires outside the circuit.
+impl Deserialize for ProblemInstance {
+    fn deserialize_json(value: &Value) -> Result<Self, Error> {
+        let f = Fields::new(value, "ProblemInstance")?;
+        let instance = ProblemInstance {
+            name: f.field("name")?,
+            circuit: f.field("circuit")?,
+            channels: f.field("channels")?,
+            geometry: f.field("geometry")?,
+            patterns: f.field("patterns")?,
+        };
+        let nodes = instance.circuit.num_nodes();
+        if let Some(&id) = instance
+            .channels
+            .iter()
+            .flatten()
+            .find(|id| id.index() >= nodes)
+        {
+            return Err(Error::custom(format!("channel wire {id} is out of range")));
+        }
+        Ok(instance)
+    }
 }
 
 impl ProblemInstance {

@@ -1,10 +1,10 @@
 //! Structural statistics of a circuit, used in experiment reports.
 
 use ncgws_circuit::{CircuitGraph, TopologicalOrder};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary statistics of a circuit's structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CircuitStats {
     /// Number of gates.
     pub num_gates: usize,

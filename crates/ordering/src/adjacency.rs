@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use ncgws_circuit::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::problem::WireOrdering;
 
@@ -15,7 +15,7 @@ use crate::problem::WireOrdering;
 /// * `I(i)` — the *dominating index*: adjacent wires with a node index
 ///   greater than `i`, so that `Σ_{i∈W} Σ_{j∈I(i)}` visits each adjacent pair
 ///   exactly once.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Adjacency {
     neighbors: BTreeMap<NodeId, Vec<NodeId>>,
 }

@@ -2,13 +2,13 @@
 
 use ncgws_circuit::NodeId;
 use ncgws_waveform::SimilarityMatrix;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::OrderingError;
 
 /// An instance of the Switching-Similarity (SS) problem: the complete graph
 /// `K_n` over `n` wires with edge weights `1 − similarity(i, j)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SsProblem {
     nodes: Vec<NodeId>,
     /// Row-major `n × n` symmetric weight matrix with a zero diagonal.
@@ -109,7 +109,7 @@ impl SsProblem {
 }
 
 /// A solution of the SS problem: a linear track order of the wires.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WireOrdering {
     /// Ordering as positions into the problem's node list.
     positions: Vec<usize>,

@@ -8,14 +8,16 @@
 //! long run into a chain of checkpointed attempts.
 //!
 //! Every type here derives `Serialize`, so specs and outcomes can be logged
-//! as JSON next to the server's event stream.
+//! as JSON next to the server's event stream; the journalled ones (specs,
+//! inputs, retry policies, outcomes) also derive `Deserialize`, so
+//! [`Server::recover`](crate::Server::recover) can read them back.
 
 use std::fmt;
 use std::mem;
 
 use ncgws_core::{CircuitMetrics, OptimizerConfig, StopReason};
 use ncgws_netlist::{CircuitSpec, ProblemInstance};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// Opaque handle to a submitted job, returned by
 /// [`Server::submit`](crate::Server::submit).
@@ -47,7 +49,7 @@ impl fmt::Display for JobId {
 // instances they produce; boxing it would only push Box::new onto every
 // submission site.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum JobInput {
     /// Generate the circuit from a synthetic benchmark spec on first run
     /// (the generated instance is cached across resume attempts).
@@ -87,7 +89,7 @@ impl JobInput {
 /// capped at `max_delay_ms`, plus a deterministic seeded jitter of up to
 /// `jitter` × that delay. The jitter is a pure function of
 /// `(seed, job id, retry index)`, so a replayed run backs off identically.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Retries allowed after the first failed attempt; `0` fails fast.
     pub max_retries: usize,
@@ -159,7 +161,7 @@ impl Default for RetryPolicy {
 }
 
 /// Everything needed to run one optimization job on a [`Server`](crate::Server).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobSpec {
     /// The circuit to size.
     pub input: JobInput,
@@ -232,6 +234,22 @@ impl JobSpec {
     pub fn memory_bytes(&self) -> usize {
         mem::size_of::<Self>() + self.input.memory_bytes() + self.tenant.len()
     }
+
+    /// The checks decoding alone cannot make: the optimizer configuration's
+    /// ranges and, for a synthetic input, the technology parameters. (A
+    /// prepared instance's circuit, channels and patterns are checked as
+    /// they decode.)
+    ///
+    /// # Errors
+    ///
+    /// Describes the first failed check.
+    pub fn validate(&self) -> Result<(), String> {
+        self.config.validate().map_err(|e| e.to_string())?;
+        if let JobInput::Synthetic(spec) = &self.input {
+            spec.technology.validate().map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    }
 }
 
 /// Lifecycle state of a job, pollable via
@@ -265,7 +283,7 @@ impl JobState {
 
 /// Final result of a job, available from
 /// [`Server::outcome`](crate::Server::outcome) once the state is terminal.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobOutcome {
     /// Why the final attempt stopped.
     pub stop_reason: StopReason,

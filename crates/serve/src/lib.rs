@@ -23,9 +23,12 @@
 //!   append-only [`Journal`] that [`Server::recover`] replays after a
 //!   crash;
 //! * [`fault`] — the seeded, deterministic [`FaultPlan`] injection layer
-//!   (worker panics, I/O errors, torn writes, delayed dispatch);
-//! * [`codec`] — hand-rolled JSON decoders for job specs and outcomes (the
-//!   workspace's serde stand-in only serializes).
+//!   (worker panics, I/O errors, torn writes, delayed dispatch).
+//!
+//! Job specs, outcomes and the server config are read back from the journal
+//! by their derived `Deserialize` decoders (the workspace's serde
+//! stand-in), followed by [`JobSpec::validate`] for the checks decoding
+//! alone cannot make.
 //!
 //! # Example
 //!
@@ -55,7 +58,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod codec;
 pub mod events;
 pub mod fault;
 pub mod job;

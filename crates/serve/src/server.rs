@@ -44,15 +44,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ncgws_core::flow::Flow;
-use ncgws_core::snapshot::json::JsonValue;
 use ncgws_core::{
     CancelFlag, CheckpointPolicy, CheckpointSink, CoreError, IterationEvent, Observer, RunControl,
     SizedOutcome, Snapshot, SnapshotStore, StopReason,
 };
 use ncgws_netlist::{ProblemInstance, SyntheticGenerator};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
 
-use crate::codec;
 use crate::events::{line, Field};
 use crate::fault::FaultPlan;
 use crate::job::{JobId, JobInput, JobOutcome, JobSpec, JobState};
@@ -60,8 +59,9 @@ use crate::stats::{Counters, ServerStats};
 use crate::store::{DiskSink, DiskSnapshotStore, Journal, StoreConfig, StoreError};
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
 
-/// Server-wide policy knobs.
-#[derive(Debug, Clone)]
+/// Server-wide policy knobs. The journal's `server` entry carries them,
+/// and [`Server::recover`] decodes them back through `Deserialize`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServerConfig {
     /// Worker threads draining the queue (at least 1).
     pub workers: usize,
@@ -92,44 +92,11 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The journal's `server` entry for this config.
+    /// The journal's `server` entry for this config: the derived encoding
+    /// with the entry tag in front of its fields.
     fn journal_line(&self) -> String {
-        format!(
-            "{{\"entry\":\"server\",\"workers\":{},\"max_in_flight_per_tenant\":{},\
-             \"max_queued_per_tenant\":{},\"checkpoint_every\":{},\"max_attempts\":{}}}",
-            self.workers,
-            self.max_in_flight_per_tenant,
-            self.max_queued_per_tenant,
-            self.checkpoint_every
-                .map_or("null".to_string(), |n| n.to_string()),
-            self.max_attempts
-        )
-    }
-
-    fn from_journal(obj: &[(String, JsonValue)]) -> Result<ServerConfig, String> {
-        let get = |name: &str| -> Result<&JsonValue, String> {
-            ncgws_core::snapshot::json::get(obj, name)
-                .ok_or_else(|| format!("server entry is missing `{name}`"))
-        };
-        let usize_of = |name: &str| -> Result<usize, String> {
-            get(name)?
-                .as_usize()
-                .ok_or_else(|| format!("server entry `{name}` must be an integer"))
-        };
-        let checkpoint_every = match get("checkpoint_every")? {
-            JsonValue::Null => None,
-            v => Some(
-                v.as_usize()
-                    .ok_or("server entry `checkpoint_every` must be an integer or null")?,
-            ),
-        };
-        Ok(ServerConfig {
-            workers: usize_of("workers")?,
-            max_in_flight_per_tenant: usize_of("max_in_flight_per_tenant")?,
-            max_queued_per_tenant: usize_of("max_queued_per_tenant")?,
-            checkpoint_every,
-            max_attempts: usize_of("max_attempts")?,
-        })
+        let encoded = serde_json::to_string(self).unwrap_or_default();
+        encoded.replacen('{', "{\"entry\":\"server\",", 1)
     }
 }
 
@@ -468,44 +435,40 @@ impl Server {
             }
         }
 
+        fn field<'a>(entry: &'a Value, key: &str) -> Result<&'a Value, String> {
+            entry
+                .get(key)
+                .ok_or_else(|| format!("entry is missing `{key}`"))
+        }
+        let flag = |entry: &Value, key: &str| entry.get(key).and_then(Value::as_bool);
+
         let mut config: Option<ServerConfig> = None;
         let mut jobs: BTreeMap<u64, RecJob> = BTreeMap::new();
-        for (index, value) in entries.iter().enumerate() {
-            let obj = value
-                .as_object()
-                .ok_or_else(|| journal_err(index, "entry is not an object".into()))?;
-            let kind = ncgws_core::snapshot::json::get(obj, "entry")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| journal_err(index, "entry is missing `entry`".into()))?;
+        let mut replay = |entry: &Value| -> Result<(), String> {
+            let kind = field(entry, "entry")?
+                .as_str()
+                .ok_or("`entry` must be a string")?;
             if kind == "server" {
-                config = Some(ServerConfig::from_journal(obj).map_err(|e| journal_err(index, e))?);
-                continue;
+                // The derived decoder ignores the `entry` key.
+                config = Some(serde_json::from_value(entry).map_err(|e| e.to_string())?);
+                return Ok(());
             }
-            let job_id = ncgws_core::snapshot::json::get(obj, "job")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| journal_err(index, format!("`{kind}` entry is missing `job`")))?;
+            let job_id = field(entry, "job")?
+                .as_u64()
+                .ok_or_else(|| format!("`{kind}` entry has a malformed `job`"))?;
             let job = jobs.entry(job_id).or_default();
             match kind {
                 "submitted" => {
-                    let spec_value =
-                        ncgws_core::snapshot::json::get(obj, "spec").ok_or_else(|| {
-                            journal_err(index, "submitted entry missing `spec`".into())
-                        })?;
-                    job.spec = Some(
-                        codec::decode_job_spec(spec_value).map_err(|e| journal_err(index, e))?,
-                    );
-                    let resume = ncgws_core::snapshot::json::get(obj, "resume")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false);
-                    job.has_checkpoint |= resume;
+                    let spec = serde_json::from_value::<JobSpec>(field(entry, "spec")?)
+                        .map_err(|e| e.to_string())?;
+                    spec.validate()?;
+                    job.spec = Some(spec);
+                    job.has_checkpoint |= flag(entry, "resume").unwrap_or(false);
                 }
                 "dispatched" => {
                     job.attempts += 1;
                     job.state = JobState::Running;
-                    if ncgws_core::snapshot::json::get(obj, "resumed")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false)
-                    {
+                    if flag(entry, "resumed").unwrap_or(false) {
                         job.resumed_attempts += 1;
                     }
                 }
@@ -521,16 +484,18 @@ impl Server {
                         "cancelled" => JobState::Cancelled,
                         _ => JobState::Failed,
                     };
-                    let outcome_value = ncgws_core::snapshot::json::get(obj, "outcome")
-                        .ok_or_else(|| journal_err(index, format!("`{kind}` missing `outcome`")))?;
                     job.outcome = Some(
-                        codec::decode_job_outcome(outcome_value)
-                            .map_err(|e| journal_err(index, e))?,
+                        serde_json::from_value(field(entry, "outcome")?)
+                            .map_err(|e| e.to_string())?,
                     );
                 }
                 // Unknown kinds are tolerated for forward compatibility.
                 _ => {}
             }
+            Ok(())
+        };
+        for (index, entry) in entries.iter().enumerate() {
+            replay(entry).map_err(|detail| journal_err(index, detail))?;
         }
         let config = config.ok_or(StoreError::Journal {
             line: 0,
@@ -1428,6 +1393,29 @@ mod tests {
     use ncgws_core::OptimizerConfig;
     use ncgws_netlist::CircuitSpec;
 
+    /// The `server` journal entry keeps its byte layout (journals written
+    /// by earlier versions must still recover) and decodes back.
+    #[test]
+    fn server_journal_entry_is_stable_and_decodes() {
+        let config = ServerConfig {
+            checkpoint_every: Some(3),
+            ..ServerConfig::default()
+        };
+        let line = config.journal_line();
+        assert_eq!(
+            line,
+            "{\"entry\":\"server\",\"workers\":2,\
+             \"max_in_flight_per_tenant\":18446744073709551615,\
+             \"max_queued_per_tenant\":18446744073709551615,\
+             \"checkpoint_every\":3,\"max_attempts\":64}"
+        );
+        let back: ServerConfig = serde_json::from_str(&line).expect("decodes");
+        assert_eq!(back.checkpoint_every, Some(3));
+        assert_eq!(back.max_in_flight_per_tenant, usize::MAX);
+        let none = ServerConfig::default().journal_line();
+        assert!(none.contains("\"checkpoint_every\":null"), "{none}");
+    }
+
     fn quick_config() -> OptimizerConfig {
         OptimizerConfig {
             max_iterations: 30,
@@ -1578,9 +1566,9 @@ mod tests {
                 "missing {event} in event stream:\n{text}"
             );
         }
-        // Every line is valid JSON per the core snapshot parser.
+        // Every line is valid JSON per the workspace parser.
         for line in text.lines() {
-            ncgws_core::snapshot::json::parse(line).expect("event line must parse as JSON");
+            serde_json::parse(line).expect("event line must parse as JSON");
         }
     }
 

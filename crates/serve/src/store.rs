@@ -25,8 +25,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ncgws_core::snapshot::json::{self, JsonValue};
 use ncgws_core::{CheckpointSink, Snapshot};
+use serde_json::Value;
 
 use crate::fault::{FaultPlan, WriteFault};
 use crate::sync::lock_recover;
@@ -574,7 +574,7 @@ impl Journal {
     /// real corruption and surface as [`StoreError::Journal`].
     ///
     /// Returns an empty vector when the journal does not exist.
-    pub fn read_entries(dir: impl AsRef<Path>) -> Result<Vec<JsonValue>, StoreError> {
+    pub fn read_entries(dir: impl AsRef<Path>) -> Result<Vec<Value>, StoreError> {
         let path = dir.as_ref().join(JOURNAL_FILE);
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
@@ -587,16 +587,14 @@ impl Journal {
             if line.trim().is_empty() {
                 continue;
             }
-            match json::parse(line) {
+            match serde_json::parse(line) {
                 Ok(value) => entries.push(value),
-                Err(detail) if i + 1 == lines.len() => {
-                    // Torn final line from a crash mid-append: ignore.
-                    let _ = detail;
-                }
-                Err(detail) => {
+                // Torn final line from a crash mid-append: ignore.
+                Err(_) if i + 1 == lines.len() => {}
+                Err(e) => {
                     return Err(StoreError::Journal {
                         line: i + 1,
-                        detail,
+                        detail: e.to_string(),
                     })
                 }
             }

@@ -2,6 +2,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
 /// A sequence of primary-input vectors applied to the circuit, one per
@@ -11,10 +12,30 @@ use serde::{Deserialize, Serialize};
 /// stage"; since no production traces ship with the benchmarks, this type
 /// generates reproducible pseudo-random vectors (see DESIGN.md, substitution
 /// 2). Deterministic seeding keeps every experiment repeatable.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PatternSet {
     num_inputs: usize,
     vectors: Vec<Vec<bool>>,
+}
+
+/// Decodes the vectors and rejects any whose width is not `num_inputs`
+/// (the invariant [`PatternSet::from_vectors`] asserts).
+impl Deserialize for PatternSet {
+    fn deserialize_json(value: &Value) -> Result<Self, Error> {
+        let f = Fields::new(value, "PatternSet")?;
+        let num_inputs: usize = f.field("num_inputs")?;
+        let vectors: Vec<Vec<bool>> = f.field("vectors")?;
+        if let Some(bad) = vectors.iter().find(|v| v.len() != num_inputs) {
+            return Err(Error::custom(format!(
+                "pattern vector has {} bits, expected {num_inputs}",
+                bad.len()
+            )));
+        }
+        Ok(PatternSet {
+            num_inputs,
+            vectors,
+        })
+    }
 }
 
 impl PatternSet {

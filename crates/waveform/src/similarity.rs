@@ -1,7 +1,7 @@
 //! Pairwise switching similarity.
 
 use ncgws_circuit::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::{SimulationTrace, Waveform};
 
@@ -25,7 +25,7 @@ pub fn similarity(a: &Waveform, b: &Waveform) -> f64 {
 ///
 /// Only the selected nodes are stored, so building a matrix for a channel of
 /// `k` wires costs `O(k² · T_D)` regardless of the circuit size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimilarityMatrix {
     nodes: Vec<NodeId>,
     /// Row-major `k × k` matrix.

@@ -1,11 +1,11 @@
 //! Simulation traces and normalized waveforms.
 
 use ncgws_circuit::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The normalized waveform `f(i, t)` of one node: `+1` when the node is
 /// logically high at time step `t`, `−1` when it is low.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Waveform {
     levels: Vec<bool>,
 }
@@ -58,7 +58,7 @@ impl Waveform {
 /// The logic values of every node over every simulation time step.
 ///
 /// Stored node-major so per-node waveforms are contiguous.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SimulationTrace {
     num_nodes: usize,
     num_steps: usize,
