@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices called out in DESIGN.md:
+//! Ablation studies for three design choices:
 //!
 //! 1. wire-ordering strategy (WOSS vs identity vs random vs best-start
 //!    nearest neighbor) — effect on effective loading and final noise;

@@ -57,7 +57,7 @@ fn main() {
 
     if !json_mode {
         println!("Table 1 reproduction — noise-constrained simultaneous gate and wire sizing");
-        println!("(synthetic circuits matched to the paper's gate/wire counts; see DESIGN.md)");
+        println!("(synthetic circuits matched to the paper's gate/wire counts; see README.md)");
         println!();
         println!("{}", OptimizationReport::table1_header());
     }

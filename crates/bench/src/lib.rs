@@ -10,8 +10,8 @@
 //! * `figure10` — Figure 10(a) memory vs circuit size and Figure 10(b)
 //!   runtime per iteration vs circuit size;
 //! * `theorem1` — the truncation-error table quoted with Theorem 1;
-//! * `ablation` — the design-choice ablations called out in DESIGN.md
-//!   (ordering strategy, noise constraint on/off, step schedule).
+//! * `ablation` — the design-choice ablations (ordering strategy, noise
+//!   constraint on/off, step schedule).
 //!
 //! The Criterion benches in `benches/` measure the micro-level costs
 //! (one LRS sweep, one OGWS iteration, wire ordering, posynomial evaluation)

@@ -1,18 +1,31 @@
 //! Incremental construction of [`CircuitGraph`]s.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 
 use crate::error::CircuitError;
-use crate::graph::CircuitGraph;
+use crate::graph::{AdjacencyFill, CircuitGraph};
 use crate::id::NodeId;
 use crate::node::{GateKind, Node, NodeAttrs, NodeKind};
 use crate::tech::Technology;
 
 /// Handle returned by the builder for a component added to the circuit under
 /// construction. It is only meaningful for the builder that produced it; the
-/// final [`CircuitGraph`] re-indexes all nodes topologically.
+/// final [`CircuitGraph`] re-indexes all nodes topologically, and
+/// [`CircuitBuilder::build_mapped`] returns where each handle landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BuildNode(usize);
+
+impl BuildNode {
+    /// Position of this component in the order it was added (`0..len`).
+    pub fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// Names of the artificial source and sink, reserved by the builder.
+const SOURCE_NAME: &str = "~source";
+const SINK_NAME: &str = "~sink";
 
 /// Builder for [`CircuitGraph`].
 ///
@@ -22,9 +35,14 @@ pub struct BuildNode(usize);
 /// source and sink, and validates the structure.
 ///
 /// Every `add_*` and [`CircuitBuilder::connect`] call runs in amortized
-/// O(1), and [`CircuitBuilder::build`] in O(nodes + edges) apart from
-/// sorting each adjacency list, so assembling a circuit is linear in its
-/// size.
+/// O(1): an `add_*` hashes the name once, and a `connect` into a gate hashes
+/// the edge once (a wire instead records its single driver).
+/// [`CircuitBuilder::build`] runs in O(nodes + edges): two counting passes
+/// fill the graph's compressed fanin and fanout arrays already sorted, and
+/// the name table moves into the graph without copying a name.
+///
+/// The names `~source` and `~sink` belong to the artificial nodes and are
+/// rejected as [`CircuitError::DuplicateName`].
 ///
 /// ```rust
 /// use ncgws_circuit::{CircuitBuilder, GateKind, Technology};
@@ -53,13 +71,19 @@ pub struct BuildNode(usize);
 pub struct CircuitBuilder {
     tech: Technology,
     nodes: Vec<Node>,
-    /// `driven[i]` is set once component `i` has accepted a fanin edge; it
-    /// enforces the one-driver rule for wires.
-    driven: Vec<bool>,
+    /// `wire_driver[i]` is the component driving wire `i` once it has
+    /// accepted its one fanin edge; it enforces the one-driver rule and
+    /// detects a repeated wire edge without hashing.
+    wire_driver: Vec<Option<usize>>,
     edges: Vec<(usize, usize)>,
+    /// Edges into non-wires, for duplicate detection.
     edge_set: HashSet<(usize, usize)>,
-    names: HashSet<String>,
-    output_loads: HashMap<usize, f64>,
+    /// Each name mapped to its component's position in `nodes`; `build`
+    /// remaps the values and hands the table to the graph.
+    names: HashMap<String, NodeId>,
+    /// `output_loads[i]` is the accumulated primary-output load of
+    /// component `i`, if it drives one.
+    output_loads: Vec<Option<f64>>,
 }
 
 impl CircuitBuilder {
@@ -68,11 +92,11 @@ impl CircuitBuilder {
         CircuitBuilder {
             tech,
             nodes: Vec::new(),
-            driven: Vec::new(),
+            wire_driver: Vec::new(),
             edges: Vec::new(),
             edge_set: HashSet::new(),
-            names: HashSet::new(),
-            output_loads: HashMap::new(),
+            names: HashMap::new(),
+            output_loads: Vec::new(),
         }
     }
 
@@ -92,10 +116,17 @@ impl CircuitBuilder {
     }
 
     fn register_name(&mut self, name: &str) -> Result<(), CircuitError> {
-        if !self.names.insert(name.to_string()) {
-            return Err(CircuitError::DuplicateName(name.to_string()));
+        let duplicate = || CircuitError::DuplicateName(name.to_string());
+        if name == SOURCE_NAME || name == SINK_NAME {
+            return Err(duplicate());
         }
-        Ok(())
+        match self.names.entry(name.to_string()) {
+            Entry::Occupied(_) => Err(duplicate()),
+            Entry::Vacant(slot) => {
+                slot.insert(NodeId::new(self.nodes.len()));
+                Ok(())
+            }
+        }
     }
 
     fn push_node(&mut self, kind: NodeKind, name: &str, attrs: NodeAttrs) -> BuildNode {
@@ -104,7 +135,8 @@ impl CircuitBuilder {
             name: name.to_string(),
             attrs,
         });
-        self.driven.push(false);
+        self.wire_driver.push(None);
+        self.output_loads.push(None);
         BuildNode(self.nodes.len() - 1)
     }
 
@@ -113,7 +145,7 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Returns an error if `rd` is not positive and finite, or the name is
-    /// already used.
+    /// already used or reserved.
     pub fn add_driver(&mut self, name: &str, rd: f64) -> Result<BuildNode, CircuitError> {
         if !(rd.is_finite() && rd > 0.0) {
             return Err(CircuitError::InvalidParameter {
@@ -129,7 +161,7 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the name is already used.
+    /// Returns an error if the name is already used or reserved.
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
         self.register_name(name)?;
         let attrs = NodeAttrs::gate(&self.tech);
@@ -141,7 +173,7 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Returns an error if `length` is not positive and finite, or the name is
-    /// already used.
+    /// already used or reserved.
     pub fn add_wire(&mut self, name: &str, length: f64) -> Result<BuildNode, CircuitError> {
         if !(length.is_finite() && length > 0.0) {
             return Err(CircuitError::InvalidParameter {
@@ -221,18 +253,23 @@ impl CircuitBuilder {
                 reason: "input drivers cannot have fanin",
             });
         }
-        if !self.edge_set.insert((from.0, to.0)) {
+        if self.nodes[to.0].kind.is_wire() {
+            match self.wire_driver[to.0] {
+                Some(driver) if driver == from.0 => {
+                    return Err(CircuitError::DuplicateEdge(from_id, to_id));
+                }
+                Some(_) => {
+                    return Err(CircuitError::InvalidConnection {
+                        from: from_id,
+                        to: to_id,
+                        reason: "a wire is driven by exactly one component",
+                    });
+                }
+                None => self.wire_driver[to.0] = Some(from.0),
+            }
+        } else if !self.edge_set.insert((from.0, to.0)) {
             return Err(CircuitError::DuplicateEdge(from_id, to_id));
         }
-        if self.nodes[to.0].kind.is_wire() && self.driven[to.0] {
-            self.edge_set.remove(&(from.0, to.0));
-            return Err(CircuitError::InvalidConnection {
-                from: from_id,
-                to: to_id,
-                reason: "a wire is driven by exactly one component",
-            });
-        }
-        self.driven[to.0] = true;
         self.edges.push((from.0, to.0));
         Ok(())
     }
@@ -261,7 +298,7 @@ impl CircuitBuilder {
                 reason: "an input driver cannot directly drive a primary output",
             });
         }
-        *self.output_loads.entry(node.0).or_insert(0.0) += load;
+        *self.output_loads[node.0].get_or_insert(0.0) += load;
         Ok(())
     }
 
@@ -273,13 +310,24 @@ impl CircuitBuilder {
     /// Returns an error if the graph is cyclic, has no drivers or primary
     /// outputs, or contains dangling components.
     pub fn build(self) -> Result<CircuitGraph, CircuitError> {
+        self.build_mapped().map(|(graph, _)| graph)
+    }
+
+    /// Like [`build`](Self::build), and also returns where every component
+    /// landed: `ids[b.index()]` is the graph node of the component added as
+    /// `b`.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`build`](Self::build).
+    pub fn build_mapped(self) -> Result<(CircuitGraph, Vec<NodeId>), CircuitError> {
         let CircuitBuilder {
             tech,
-            nodes,
-            driven: _,
+            mut nodes,
+            wire_driver: _,
             edges,
             edge_set: _,
-            names: _,
+            mut names,
             output_loads,
         } = self;
         tech.validate()?;
@@ -289,122 +337,140 @@ impl CircuitBuilder {
         if drivers.is_empty() {
             return Err(CircuitError::NoDrivers);
         }
-        if output_loads.is_empty() {
+        if output_loads.iter().all(Option::is_none) {
             return Err(CircuitError::NoPrimaryOutputs);
         }
 
-        // Adjacency over the user's components only.
-        let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); total];
-        let mut fanin: Vec<Vec<usize>> = vec![Vec::new(); total];
+        // Fanout over the user's components only, in insertion order, plus
+        // each component's fanin count.
+        let mut indegree = vec![0usize; total];
+        let mut outdegree = vec![0usize; total];
         for &(u, v) in &edges {
-            fanout[u].push(v);
-            fanin[v].push(u);
+            outdegree[u] += 1;
+            indegree[v] += 1;
         }
+        let mut fill = AdjacencyFill::new(outdegree);
+        for &(u, v) in &edges {
+            fill.push(u, NodeId::new(v));
+        }
+        let fanout = fill.finish();
 
         // Every non-driver component needs a fanin; every component that does
         // not drive a primary output needs a fanout.
         for i in 0..total {
-            if !nodes[i].kind.is_driver() && fanin[i].is_empty() {
+            if !nodes[i].kind.is_driver() && indegree[i] == 0 {
                 return Err(CircuitError::DanglingInput(NodeId::new(i)));
             }
-            if fanout[i].is_empty() && !output_loads.contains_key(&i) {
+            if fanout.list(i).is_empty() && output_loads[i].is_none() {
                 return Err(CircuitError::DanglingOutput(NodeId::new(i)));
             }
         }
 
-        // Kahn topological sort over the sizable components (drivers are
-        // sources of the DAG and are placed first by convention).
-        let mut indegree: Vec<usize> = fanin.iter().map(Vec::len).collect();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for &d in &drivers {
-            queue.push_back(d);
-        }
-        // Non-driver nodes with zero indegree were rejected above.
-        let mut topo_components: Vec<usize> = Vec::with_capacity(total - drivers.len());
-        let mut visited = 0usize;
-        while let Some(u) = queue.pop_front() {
-            visited += 1;
-            if !nodes[u].kind.is_driver() {
-                topo_components.push(u);
-            }
-            for &v in &fanout[u] {
-                indegree[v] -= 1;
-                if indegree[v] == 0 {
-                    queue.push_back(v);
+        // Kahn topological sort. Drivers are the sources of the DAG and go
+        // first by convention; `order` doubles as the FIFO queue, so it ends
+        // as drivers followed by the components in topological order.
+        let s = drivers.len();
+        let mut pending = indegree.clone();
+        let mut order = drivers;
+        order.reserve(total - s);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &v in fanout.list(u) {
+                let v = v.index();
+                pending[v] -= 1;
+                if pending[v] == 0 {
+                    order.push(v);
                 }
             }
         }
-        if visited != total {
+        if order.len() != total {
             return Err(CircuitError::CyclicGraph);
         }
 
         // New indexing: source 0, drivers 1..=s, components s+1..=n+s, sink last.
-        let s = drivers.len();
-        let n = topo_components.len();
-        // Every component was visited above, so each slot is overwritten.
-        let mut old_to_new = vec![usize::MAX; total];
-        for (k, &d) in drivers.iter().enumerate() {
-            old_to_new[d] = 1 + k;
+        let n = total - s;
+        let sink = n + s + 1;
+        let mut ids = vec![NodeId::new(0); total];
+        for (k, &old) in order.iter().enumerate() {
+            ids[old] = NodeId::new(k + 1);
         }
-        for (k, &c) in topo_components.iter().enumerate() {
-            old_to_new[c] = s + 1 + k;
-        }
-        let sink_index = n + s + 1;
 
         let mut new_nodes: Vec<Node> = Vec::with_capacity(n + s + 2);
         new_nodes.push(Node {
             kind: NodeKind::Source,
-            name: "~source".to_string(),
+            name: SOURCE_NAME.to_string(),
             attrs: NodeAttrs::artificial(),
         });
-        // Move drivers then components into the new order.
-        let mut slots: Vec<Option<Node>> = nodes.into_iter().map(Some).collect();
-        for &old in drivers.iter().chain(&topo_components) {
-            let mut node = slots[old].take().expect("each component is placed once");
-            if let Some(&load) = output_loads.get(&old) {
-                node.attrs.output_load = if load > 0.0 {
+        for &old in &order {
+            let node = &mut nodes[old];
+            let mut attrs = node.attrs;
+            if let Some(load) = output_loads[old] {
+                attrs.output_load = if load > 0.0 {
                     load
                 } else {
                     tech.default_output_load
                 };
             }
-            new_nodes.push(node);
+            new_nodes.push(Node {
+                kind: node.kind,
+                name: std::mem::take(&mut node.name),
+                attrs,
+            });
         }
         new_nodes.push(Node {
             kind: NodeKind::Sink,
-            name: "~sink".to_string(),
+            name: SINK_NAME.to_string(),
             attrs: NodeAttrs::artificial(),
         });
 
-        let mut new_fanin: Vec<Vec<NodeId>> = vec![Vec::new(); n + s + 2];
-        let mut new_fanout: Vec<Vec<NodeId>> = vec![Vec::new(); n + s + 2];
-        // Source feeds every driver.
-        for &d in &drivers {
-            let nd = old_to_new[d];
-            new_fanout[0].push(NodeId::new(nd));
-            new_fanin[nd].push(NodeId::new(0));
+        // Fanin lists fill in increasing tail order and fanout lists in
+        // increasing head order, so both come out sorted.
+        let is_output = |old: usize| output_loads[old].is_some();
+        let num_outputs = output_loads.iter().filter(|l| l.is_some()).count();
+        // The source feeds each driver.
+        let fanin_degrees = std::iter::once(0)
+            .chain(std::iter::repeat_n(1, s))
+            .chain(order[s..].iter().map(|&old| indegree[old]))
+            .chain(std::iter::once(num_outputs));
+        let mut fill = AdjacencyFill::new(fanin_degrees);
+        for d in 1..=s {
+            fill.push(d, NodeId::new(0));
         }
-        // User edges.
-        for &(u, v) in &edges {
-            let (nu, nv) = (old_to_new[u], old_to_new[v]);
-            new_fanout[nu].push(NodeId::new(nv));
-            new_fanin[nv].push(NodeId::new(nu));
+        for (k, &old) in order.iter().enumerate() {
+            let u = NodeId::new(k + 1);
+            for &v in fanout.list(old) {
+                fill.push(ids[v.index()].index(), u);
+            }
+            if is_output(old) {
+                fill.push(sink, u);
+            }
         }
-        // Primary outputs feed the sink.
-        let mut po: Vec<usize> = output_loads.keys().map(|&old| old_to_new[old]).collect();
-        po.sort_unstable();
-        for p in po {
-            new_fanout[p].push(NodeId::new(sink_index));
-            new_fanin[sink_index].push(NodeId::new(p));
+        let new_fanin = fill.finish();
+        let fanout_degrees = std::iter::once(s)
+            .chain(
+                order
+                    .iter()
+                    .map(|&old| fanout.list(old).len() + usize::from(is_output(old))),
+            )
+            .chain(std::iter::once(0));
+        let mut fill = AdjacencyFill::new(fanout_degrees);
+        for v in 0..=sink {
+            for &u in new_fanin.list(v) {
+                fill.push(u.index(), NodeId::new(v));
+            }
         }
-        // Keep adjacency lists sorted for determinism.
-        for list in new_fanin.iter_mut().chain(new_fanout.iter_mut()) {
-            list.sort_unstable();
-        }
+        let new_fanout = fill.finish();
 
-        let graph = CircuitGraph::from_parts(new_nodes, new_fanin, new_fanout, tech, s, n);
+        for id in names.values_mut() {
+            *id = ids[id.index()];
+        }
+        names.insert(SOURCE_NAME.to_string(), NodeId::new(0));
+        names.insert(SINK_NAME.to_string(), NodeId::new(sink));
+
+        let graph = CircuitGraph::from_parts(new_nodes, new_fanin, new_fanout, tech, s, n, names);
         crate::validate::validate(&graph)?;
-        Ok(graph)
+        Ok((graph, ids))
     }
 }
 
@@ -424,6 +490,33 @@ mod tests {
             b.add_wire("w", 10.0),
             Err(CircuitError::DuplicateName(_))
         ));
+    }
+
+    #[test]
+    fn rejects_the_reserved_source_and_sink_names() {
+        let mut b = CircuitBuilder::new(tech());
+        for name in [SOURCE_NAME, SINK_NAME] {
+            assert_eq!(
+                b.add_driver(name, 100.0),
+                Err(CircuitError::DuplicateName(name.to_string()))
+            );
+            assert_eq!(
+                b.add_gate(name, GateKind::Inv),
+                Err(CircuitError::DuplicateName(name.to_string()))
+            );
+            assert_eq!(
+                b.add_wire(name, 10.0),
+                Err(CircuitError::DuplicateName(name.to_string()))
+            );
+        }
+        assert!(b.is_empty());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        b.connect(d, w).unwrap();
+        b.connect_output(w, 5.0).unwrap();
+        let c = b.build().unwrap();
+        assert_eq!(c.node_by_name(SOURCE_NAME), Some(c.source()));
+        assert_eq!(c.node_by_name(SINK_NAME), Some(c.sink()));
     }
 
     #[test]
@@ -512,6 +605,111 @@ mod tests {
         let c = b.build().unwrap();
         let wid = c.node_by_name("w").unwrap();
         assert_eq!(c.fanin(wid), &[c.node_by_name("d").unwrap()]);
+    }
+
+    #[test]
+    fn wire_edge_errors_keep_their_precedence() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let g = b.add_gate("g", GateKind::Buf).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        // Before the wire has a driver: the structural checks come first.
+        assert_eq!(b.connect(w, w), Err(CircuitError::SelfLoop(NodeId::new(2))));
+        assert!(matches!(
+            b.connect(w, d),
+            Err(CircuitError::InvalidConnection { .. })
+        ));
+        b.connect(d, w).unwrap();
+        // A repeat of the one edge is a duplicate; any other driver breaks
+        // the one-driver rule, however often it is retried.
+        for _ in 0..2 {
+            assert_eq!(
+                b.connect(d, w),
+                Err(CircuitError::DuplicateEdge(NodeId::new(0), NodeId::new(2)))
+            );
+            assert!(matches!(
+                b.connect(g, w),
+                Err(CircuitError::InvalidConnection { from, to, .. })
+                    if from == NodeId::new(1) && to == NodeId::new(2)
+            ));
+        }
+        // The self-loop check still precedes the driver check.
+        assert_eq!(b.connect(w, w), Err(CircuitError::SelfLoop(NodeId::new(2))));
+    }
+
+    #[test]
+    fn duplicate_edge_into_a_wide_gate_is_rejected() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let g = b.add_gate("g", GateKind::And).unwrap();
+        let wires: Vec<BuildNode> = (0..200)
+            .map(|i| b.add_wire(&format!("w{i}"), 10.0).unwrap())
+            .collect();
+        for &w in &wires {
+            b.connect(d, w).unwrap();
+            b.connect(w, g).unwrap();
+        }
+        for &w in &[wires[0], wires[117], wires[199]] {
+            assert_eq!(
+                b.connect(w, g),
+                Err(CircuitError::DuplicateEdge(
+                    NodeId::new(w.index()),
+                    NodeId::new(g.index())
+                ))
+            );
+        }
+        b.connect_output(g, 5.0).unwrap();
+        let c = b.build().unwrap();
+        assert_eq!(c.fanin(c.node_by_name("g").unwrap()).len(), 200);
+    }
+
+    #[test]
+    fn builds_a_50k_fanin_gate_and_a_50k_fanout_wire() {
+        const WIDE: usize = 50_000;
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        // One gate fed by WIDE wires from one driver...
+        let sum = b.add_gate("sum", GateKind::Or).unwrap();
+        for i in 0..WIDE {
+            let w = b.add_wire(&format!("in{i}"), 10.0).unwrap();
+            b.connect(d, w).unwrap();
+            b.connect(w, sum).unwrap();
+        }
+        // ...driving one wire that feeds WIDE gates.
+        let bus = b.add_wire("bus", 10.0).unwrap();
+        b.connect(sum, bus).unwrap();
+        for i in 0..WIDE {
+            let g = b.add_gate(&format!("g{i}"), GateKind::Buf).unwrap();
+            b.connect(bus, g).unwrap();
+            b.connect_output(g, 1.0).unwrap();
+        }
+        let c = b.build().unwrap();
+        let sum = c.node_by_name("sum").unwrap();
+        let bus = c.node_by_name("bus").unwrap();
+        assert_eq!(c.fanin(sum).len(), WIDE);
+        assert_eq!(c.fanout(bus).len(), WIDE);
+        assert_eq!(c.fanin(c.sink()).len(), WIDE);
+        assert!(c.fanin(sum).windows(2).all(|p| p[0] < p[1]));
+        assert!(c.fanout(bus).windows(2).all(|p| p[0] < p[1]));
+    }
+
+    #[test]
+    fn build_mapped_returns_where_each_component_landed() {
+        let mut b = CircuitBuilder::new(tech());
+        let w2 = b.add_wire("w2", 10.0).unwrap();
+        let g = b.add_gate("g", GateKind::Inv).unwrap();
+        let w1 = b.add_wire("w1", 10.0).unwrap();
+        let d = b.add_driver("d", 100.0).unwrap();
+        b.connect(d, w1).unwrap();
+        b.connect(w1, g).unwrap();
+        b.connect(g, w2).unwrap();
+        b.connect_output(w2, 5.0).unwrap();
+        let (c, ids) = b.build_mapped().unwrap();
+        assert_eq!(ids.len(), 4);
+        for (handle, name) in [(w2, "w2"), (g, "g"), (w1, "w1"), (d, "d")] {
+            assert_eq!(ids[handle.index()], c.node_by_name(name).unwrap());
+            assert_eq!(c.node(ids[handle.index()]).name, name);
+        }
     }
 
     #[test]

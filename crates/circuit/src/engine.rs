@@ -4,8 +4,8 @@
 //! The sizing engine evaluates the same per-node quantities (downstream
 //! capacitances, weighted upstream resistances, delays, arrival times)
 //! thousands of times per optimization run. The original free-function
-//! style ([`ElmoreAnalyzer`](crate::ElmoreAnalyzer)) walks the pointer-rich
-//! [`CircuitGraph`] (`Vec<Vec<NodeId>>` adjacency, `Node` structs whose
+//! style ([`ElmoreAnalyzer`](crate::ElmoreAnalyzer)) walks the
+//! [`CircuitGraph`] (`usize`-wide CSR adjacency, `Node` structs whose
 //! inline `String` names spread the numeric fields across cache lines) and
 //! allocates fresh result vectors on every call, so the constant factor of
 //! the paper's `O(V + E + P)` sweep is dominated by cache misses and the

@@ -3,13 +3,110 @@
 use std::collections::HashMap;
 
 use serde::de::{Error, Fields, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 
 use crate::error::CircuitError;
 use crate::id::NodeId;
 use crate::node::{Node, NodeKind};
 use crate::sizing::SizeVector;
 use crate::tech::Technology;
+
+/// One direction of the graph's adjacency in compressed sparse row form:
+/// the list of node `i` is `targets[offsets[i]..offsets[i + 1]]`, so the
+/// whole direction is two allocations however many nodes there are.
+///
+/// It serializes as the nested arrays of a `Vec<Vec<NodeId>>`.
+#[derive(Debug, Clone)]
+pub(crate) struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<NodeId>,
+}
+
+impl Adjacency {
+    /// Copies explicit per-node lists.
+    fn from_lists(lists: &[Vec<NodeId>]) -> Self {
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        offsets.push(0);
+        let mut end = 0;
+        for list in lists {
+            end += list.len();
+            offsets.push(end);
+        }
+        Adjacency {
+            offsets,
+            targets: lists.concat(),
+        }
+    }
+
+    /// The list of node `i`.
+    pub(crate) fn list(&self, i: usize) -> &[NodeId] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Total length of all lists.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.targets.len()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.offsets.capacity() * size_of::<usize>() + self.targets.capacity() * size_of::<NodeId>()
+    }
+}
+
+impl Serialize for Adjacency {
+    fn serialize_json(&self, serializer: &mut Serializer) {
+        serializer.begin_array();
+        for i in 0..self.offsets.len() - 1 {
+            serializer.element();
+            self.list(i).serialize_json(serializer);
+        }
+        serializer.end_array();
+    }
+}
+
+/// An [`Adjacency`] filled in one counting pass: the degrees fix every
+/// list's slot up front, and [`push`](Self::push) appends to a list.
+pub(crate) struct AdjacencyFill {
+    adjacency: Adjacency,
+    next: Vec<usize>,
+}
+
+impl AdjacencyFill {
+    /// Reserves the lists of nodes `0..degrees.len()`.
+    pub(crate) fn new(degrees: impl IntoIterator<Item = usize>) -> Self {
+        let mut offsets = vec![0];
+        let mut end = 0;
+        for degree in degrees {
+            end += degree;
+            offsets.push(end);
+        }
+        let next = offsets[..offsets.len() - 1].to_vec();
+        AdjacencyFill {
+            adjacency: Adjacency {
+                offsets,
+                targets: vec![NodeId::new(0); end],
+            },
+            next,
+        }
+    }
+
+    /// Appends `target` to the list of node `i`.
+    pub(crate) fn push(&mut self, i: usize, target: NodeId) {
+        self.adjacency.targets[self.next[i]] = target;
+        self.next[i] += 1;
+    }
+
+    /// The lists, each holding exactly its reserved degree.
+    pub(crate) fn finish(self) -> Adjacency {
+        debug_assert!(self
+            .next
+            .iter()
+            .zip(&self.adjacency.offsets[1..])
+            .all(|(next, end)| next == end));
+        self.adjacency
+    }
+}
 
 /// A combinational circuit represented as the directed acyclic graph of the
 /// paper's Section 2.1.
@@ -23,12 +120,13 @@ use crate::tech::Technology;
 ///
 /// The graph is immutable once built by [`CircuitBuilder`](crate::CircuitBuilder);
 /// all analyses borrow it together with a [`SizeVector`] holding the current
-/// component sizes.
+/// component sizes. Fanin and fanout lists are stored in compressed sparse
+/// row form and are sorted by node index.
 #[derive(Debug, Clone, Serialize)]
 pub struct CircuitGraph {
     nodes: Vec<Node>,
-    fanin: Vec<Vec<NodeId>>,
-    fanout: Vec<Vec<NodeId>>,
+    fanin: Adjacency,
+    fanout: Adjacency,
     tech: Technology,
     num_drivers: usize,
     num_sizable: usize,
@@ -61,17 +159,13 @@ impl CircuitGraph {
     /// topological indexing convention and validates connectivity.
     pub(crate) fn from_parts(
         nodes: Vec<Node>,
-        fanin: Vec<Vec<NodeId>>,
-        fanout: Vec<Vec<NodeId>>,
+        fanin: Adjacency,
+        fanout: Adjacency,
         tech: Technology,
         num_drivers: usize,
         num_sizable: usize,
+        name_index: HashMap<String, NodeId>,
     ) -> Self {
-        let name_index = nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| (node.name.clone(), NodeId::new(i)))
-            .collect();
         CircuitGraph {
             nodes,
             fanin,
@@ -86,8 +180,8 @@ impl CircuitGraph {
     /// Reassembles a graph from untrusted serialized parts (the read side of
     /// the serve crate's durable job journal), validating everything the
     /// builder normally guarantees: consistent vector lengths, in-range
-    /// edge endpoints, mirrored fanin/fanout lists, and the structural
-    /// invariants of [`validate`](crate::validate::validate).
+    /// edge endpoints, mirrored fanin/fanout lists, unique node names, and
+    /// the structural invariants of [`validate`](crate::validate::validate).
     ///
     /// # Errors
     ///
@@ -161,7 +255,24 @@ impl CircuitGraph {
             });
         }
         tech.validate()?;
-        let graph = CircuitGraph::from_parts(nodes, fanin, fanout, tech, num_drivers, num_sizable);
+        let mut name_index = HashMap::with_capacity(n);
+        for (i, node) in nodes.iter().enumerate() {
+            if name_index
+                .insert(node.name.clone(), NodeId::new(i))
+                .is_some()
+            {
+                return Err(CircuitError::DuplicateName(node.name.clone()));
+            }
+        }
+        let graph = CircuitGraph::from_parts(
+            nodes,
+            Adjacency::from_lists(&fanin),
+            Adjacency::from_lists(&fanout),
+            tech,
+            num_drivers,
+            num_sizable,
+            name_index,
+        );
         crate::validate::validate(&graph)?;
         Ok(graph)
     }
@@ -227,12 +338,12 @@ impl CircuitGraph {
 
     /// The fanin list `input(i)` of a node.
     pub fn fanin(&self, id: NodeId) -> &[NodeId] {
-        &self.fanin[id.index()]
+        self.fanin.list(id.index())
     }
 
     /// The fanout list `output(i)` of a node.
     pub fn fanout(&self, id: NodeId) -> &[NodeId] {
-        &self.fanout[id.index()]
+        self.fanout.list(id.index())
     }
 
     /// Iterator over every node identifier, in topological order.
@@ -378,11 +489,13 @@ impl CircuitGraph {
 
     /// Number of edges in the graph.
     pub fn num_edges(&self) -> usize {
-        self.fanout.iter().map(Vec::len).sum()
+        self.fanout.num_edges()
     }
 
     /// An estimate (in bytes) of the memory held by this graph's data
-    /// structures, used by the Figure 10(a) reproduction.
+    /// structures, used by the Figure 10(a) reproduction: the nodes with
+    /// their names, the two compressed adjacency arrays (one offset per node
+    /// plus one entry per edge, in each direction) and the name index.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let node_bytes: usize = self
@@ -390,12 +503,7 @@ impl CircuitGraph {
             .iter()
             .map(|n| size_of::<Node>() + n.name.capacity())
             .sum();
-        let adj_bytes: usize = self
-            .fanin
-            .iter()
-            .chain(self.fanout.iter())
-            .map(|v| size_of::<Vec<NodeId>>() + v.capacity() * size_of::<NodeId>())
-            .sum();
+        let adj_bytes = self.fanin.memory_bytes() + self.fanout.memory_bytes();
         let name_bytes: usize = self
             .name_index
             .keys()
@@ -526,7 +634,14 @@ mod tests {
     type Parts = (Vec<Node>, Vec<Vec<NodeId>>, Vec<Vec<NodeId>>);
 
     fn parts(c: &CircuitGraph) -> Parts {
-        (c.nodes.clone(), c.fanin.clone(), c.fanout.clone())
+        let lists = |list: fn(&CircuitGraph, NodeId) -> &[NodeId]| {
+            c.node_ids().map(|id| list(c, id).to_vec()).collect()
+        };
+        (
+            c.nodes.clone(),
+            lists(CircuitGraph::fanin),
+            lists(CircuitGraph::fanout),
+        )
     }
 
     fn reassemble(c: &CircuitGraph, (nodes, fanin, fanout): Parts) -> Result<(), CircuitError> {
@@ -584,6 +699,28 @@ mod tests {
                 actual: 6
             })
         ));
+    }
+
+    #[test]
+    fn serialized_parts_reject_duplicate_names() {
+        let c = tiny();
+        let (mut nodes, fanin, fanout) = parts(&c);
+        nodes[3].name = "in".to_string();
+        assert!(matches!(
+            reassemble(&c, (nodes, fanin, fanout)),
+            Err(CircuitError::DuplicateName(name)) if name == "in"
+        ));
+    }
+
+    #[test]
+    fn adjacency_serializes_as_nested_lists() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let mut s = Serializer::new();
+        tiny().serialize_json(&mut s);
+        let json = s.into_string();
+        assert!(
+            json.contains(r#""fanin":[[],[0],[1],[2],[3],[4]],"fanout":[[1],[2],[3],[4],[5],[]],"#)
+        );
     }
 
     #[test]

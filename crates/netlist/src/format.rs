@@ -255,18 +255,21 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
         }
     }
 
-    let circuit = builder.build()?;
-    let mut channels = Vec::with_capacity(channels_by_name.len());
-    for channel in channels_by_name {
-        let mut ids = Vec::with_capacity(channel.len());
-        for wire_name in channel {
-            let id = circuit
-                .node_by_name(&wire_name)
-                .ok_or_else(|| err(0, "channel references unknown wire"))?;
-            ids.push(id);
-        }
-        channels.push(ids);
-    }
+    let (circuit, ids) = builder.build_mapped()?;
+    let channels = channels_by_name
+        .iter()
+        .map(|channel| {
+            channel
+                .iter()
+                .map(|wire_name| {
+                    handles
+                        .get(wire_name)
+                        .map(|handle| ids[handle.index()])
+                        .ok_or_else(|| err(0, "channel references unknown wire"))
+                })
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
     let (count, toggle, seed) = pattern_directive;
     let patterns = PatternSet::random_correlated(circuit.num_drivers(), count, toggle, seed);
     Ok(ProblemInstance {

@@ -17,7 +17,8 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use ncgws_circuit::{CircuitBuilder, GateKind};
+use ncgws_circuit::builder::BuildNode;
+use ncgws_circuit::{CircuitBuilder, GateKind, NodeId};
 use ncgws_waveform::PatternSet;
 
 use crate::error::NetlistError;
@@ -237,23 +238,20 @@ impl SyntheticGenerator {
             })
             .collect::<Result<_, _>>()?;
 
-        let mut wire_names: Vec<String> = Vec::with_capacity(num_wires);
-        let mut wire_counter = 0usize;
-        let mut new_wire = |builder: &mut CircuitBuilder,
-                            rng_geo: &mut ChaCha8Rng,
-                            wire_names: &mut Vec<String>|
-         -> Result<ncgws_circuit::builder::BuildNode, NetlistError> {
-            let name = format!("w{wire_counter}");
-            wire_counter += 1;
+        let mut wires: Vec<BuildNode> = Vec::with_capacity(num_wires);
+        let new_wire = |builder: &mut CircuitBuilder,
+                        rng_geo: &mut ChaCha8Rng,
+                        wires: &mut Vec<BuildNode>|
+         -> Result<BuildNode, NetlistError> {
             let length = rng_geo.gen_range(spec.wire_length_range.0..=spec.wire_length_range.1);
-            let node = builder.add_wire(&name, length)?;
-            wire_names.push(name);
+            let node = builder.add_wire(&format!("w{}", wires.len()), length)?;
+            wires.push(node);
             Ok(node)
         };
 
         for (k, gate_inputs) in inputs.iter().enumerate() {
             for &source in gate_inputs {
-                let wire = new_wire(&mut builder, &mut rng_geo, &mut wire_names)?;
+                let wire = new_wire(&mut builder, &mut rng_geo, &mut wires)?;
                 let src = match source {
                     SourceRef::Driver(d) => drivers[d],
                     SourceRef::Gate(g) => gates[g],
@@ -267,26 +265,19 @@ impl SyntheticGenerator {
         let mut output_gates: Vec<usize> = (first_output_gate..num_gates).collect();
         output_gates.extend(extra_outputs.iter().copied());
         for &g in &output_gates {
-            let wire = new_wire(&mut builder, &mut rng_geo, &mut wire_names)?;
+            let wire = new_wire(&mut builder, &mut rng_geo, &mut wires)?;
             let load = rng_geo.gen_range(spec.output_load_range.0..=spec.output_load_range.1);
             builder.connect(gates[g], wire)?;
             builder.connect_output(wire, load)?;
         }
 
-        debug_assert_eq!(
-            wire_names.len(),
-            num_wires,
-            "wire budget must balance exactly"
-        );
-        let circuit = builder.build()?;
+        debug_assert_eq!(wires.len(), num_wires, "wire budget must balance exactly");
+        let (circuit, ids) = builder.build_mapped()?;
 
         // ---- 5. Routing channels over the wires.
-        let mut channel_wires: Vec<ncgws_circuit::NodeId> = wire_names
-            .iter()
-            .map(|name| circuit.node_by_name(name).expect("wire exists"))
-            .collect();
+        let mut channel_wires: Vec<NodeId> = wires.iter().map(|w| ids[w.index()]).collect();
         channel_wires.shuffle(&mut rng_geo);
-        let channels: Vec<Vec<ncgws_circuit::NodeId>> = channel_wires
+        let channels: Vec<Vec<NodeId>> = channel_wires
             .chunks(spec.channel_size.max(2))
             .map(|chunk| chunk.to_vec())
             .collect();

@@ -8,6 +8,10 @@
 //! channels and input patterns. A change that moves a digest changes the
 //! workloads, and must update the value here on purpose.
 //!
+//! The JSON encoding of an instance is pinned the same way: it is the
+//! format of server journals and snapshots, so the in-memory layout of
+//! `CircuitGraph` may change but its serialized bytes may not.
+//!
 //! FNV-1a is written out by hand because `std`'s `DefaultHasher` does not
 //! promise a stable output across Rust releases.
 
@@ -114,6 +118,15 @@ fn generated_digest(spec: CircuitSpec) -> u64 {
     digest(&inst)
 }
 
+fn json_digest(spec: CircuitSpec) -> u64 {
+    let inst = SyntheticGenerator::new(spec)
+        .generate()
+        .expect("generation succeeds");
+    let mut h = Fnv1a::new();
+    h.bytes(serde_json::to_string(&inst).unwrap().as_bytes());
+    h.0
+}
+
 #[test]
 fn fnv1a_matches_the_reference_vectors() {
     let mut h = Fnv1a::new();
@@ -154,4 +167,17 @@ fn xlw10k_is_pinned() {
         generated_digest(xl_wide_spec(10_000)),
         0xd62b_d481_5c8e_f68f
     );
+}
+
+#[test]
+fn c432_json_is_pinned() {
+    assert_eq!(
+        json_digest(iscas85_spec("c432").unwrap()),
+        0x4f9f_e3e4_de89_9cf8
+    );
+}
+
+#[test]
+fn xl1k_json_is_pinned() {
+    assert_eq!(json_digest(xl_spec(1_000)), 0x6ef5_a27f_b2a6_a035);
 }

@@ -10,8 +10,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// The paper assumes patterns "are available from the logic simulation
 /// stage"; since no production traces ship with the benchmarks, this type
-/// generates reproducible pseudo-random vectors (see DESIGN.md, substitution
-/// 2). Deterministic seeding keeps every experiment repeatable.
+/// generates reproducible pseudo-random vectors instead. Deterministic
+/// seeding keeps every experiment repeatable.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct PatternSet {
     num_inputs: usize,

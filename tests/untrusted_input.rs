@@ -181,6 +181,21 @@ fn every_strict_prefix_of_a_journal_line_is_an_error() {
     }
 }
 
+/// Two nodes sharing a name would leave `node_by_name` resolving to
+/// whichever came last, so a graph with a duplicated name is rejected.
+#[test]
+fn duplicate_node_names_are_rejected() {
+    let (inst, _) = mutation_fixture();
+    let json = serde_json::to_string(inst).expect("encodes");
+    serde_json::from_str::<ProblemInstance>(&json).expect("unmutated instance decodes");
+    let renamed = json.replacen(r#""name":"g0""#, r#""name":"in0""#, 1);
+    assert_ne!(renamed, json, "the fixture has a gate named g0");
+    let Err(err) = serde_json::from_str::<ProblemInstance>(&renamed) else {
+        panic!("a duplicated node name must not decode");
+    };
+    assert!(err.to_string().contains("duplicate"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
