@@ -29,7 +29,7 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "lrs_sweep",
             "fused_forward_sweep",
             "fused_backward_sweep",
-            "fused_parallel_sweep",
+            "fused_sweep",
             // Closed-form resize kernels.
             "closed_form",
             "resize",
@@ -64,23 +64,20 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             // The per-iteration A5 flow projection.
             "project_flow_conservation_indexed",
             "project_flow_conservation_leveled",
+            "project_node",
             "flow_conservation_residual",
         ],
     ),
     (
         "crates/circuit/src/engine.rs",
         &[
-            // Sequential whole-circuit traversals.
-            "downstream_caps_into",
-            "upstream_resistance_into",
-            "delays_into",
-            "propagate_arrivals",
+            // Whole-circuit evaluation, the critical-path epilogue and the
+            // sparse incremental updates.
+            "timing_into",
             "trace_critical_path",
             "downstream_caps_update",
             "upstream_resistance_update",
-            "fused_downstream_resize",
-            "fused_upstream_resize",
-            // Level-chunk kernels.
+            // Block kernels, one per pass.
             "downstream_caps_chunk",
             "upstream_resistance_chunk",
             "fused_downstream_chunk",
@@ -90,7 +87,6 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             // Streamed per-edge helpers.
             "child_load_edge",
             "child_load_edge_fused",
-            "child_load_unchecked",
             "upstream_acc_edges",
             "upstream_acc_edges_shared",
             "size_of_unchecked",

@@ -14,7 +14,7 @@
 //! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over a
 //!   dense snapshot built once per circuit: CSR adjacency plus flat per-node
 //!   RC coefficient arrays, and the cached topological **level partition**
-//!   (see below). Its traversal methods fill caller-provided slices with no
+//!   (see below). Its traversal kernels fill caller-provided slices with no
 //!   allocation.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
@@ -26,28 +26,32 @@
 //!
 //! # The level partition invariant
 //!
-//! [`CircuitTopology`] groups the nodes into *topological levels*
-//! (`level(i) = 1 + max level over fanin(i)`, the source at level 0) and
-//! caches the partition at construction. The invariant every level-chunked
-//! traversal relies on:
+//! [`CircuitTopology`] cuts the raw node indices `0..n` into contiguous
+//! *levels* with one forward scan at construction: a node that has a fanin
+//! inside the current range starts the next range. The invariant every
+//! kernel relies on:
 //!
-//! * **every edge crosses levels strictly upward** — a node's level is
-//!   strictly greater than each of its fanin nodes' levels, so two nodes in
-//!   the same level share no fanin/fanout edge and never read or write each
-//!   other's per-node state;
-//! * the partition covers every node exactly once, and within a level the
-//!   nodes are stored in ascending raw-index (topological) order.
+//! * the ranges cover `0..n` in order, and **no range contains an edge** —
+//!   two nodes of one level share no fanin/fanout edge and never read or
+//!   write each other's per-node state;
+//! * every edge therefore points from a lower range to a higher one.
 //!
-//! A forward traversal that settles levels in ascending order therefore sees
-//! every fanin value finalized before a node is visited, and a backward
-//! traversal in descending level order sees every fanout value finalized —
-//! which is exactly what lets the chunk kernels below
-//! ([`CircuitTopology::downstream_caps_chunk`],
-//! [`CircuitTopology::fused_downstream_chunk`], …) process the nodes of one
-//! level in any sub-chunk order (or concurrently) while producing per-node
-//! results bitwise identical to the sequential whole-circuit traversals:
-//! every per-node accumulation (fanout loads, fanin resistances, fanin
-//! arrival maxima) still runs over that node's own CSR list in list order.
+//! This holds for every topological node order. For a level-sorted order —
+//! which the builder's FIFO Kahn order is — the ranges are exactly the
+//! longest-path levels (`level(i) = 1 + max level over fanin(i)`).
+//!
+//! Each pass has one kernel ([`CircuitTopology::downstream_caps_chunk`],
+//! [`CircuitTopology::fused_upstream_chunk`], …) that processes one *block*
+//! of nodes: a contiguous run of whole levels, or a sub-range of one level.
+//! Forward kernels take the block's node range and visit it in ascending
+//! index order, which settles every fanin first because the order is
+//! topological. Backward kernels take the block's level boundaries and
+//! visit the levels in reverse, nodes ascending within a level, which
+//! settles every fanout first. Blocks of one level may run in any order or
+//! concurrently. Every per-node accumulation (fanout loads, fanin
+//! resistances, fanin arrival maxima) runs over the node's own CSR list in
+//! list order, so the per-node results are bitwise identical however the
+//! levels are cut into blocks.
 //!
 //! # The SoA layout invariant
 //!
@@ -283,7 +287,7 @@ pub enum KindTag {
 /// "dense-indexed state owned by the engine" that the hot loops traverse
 /// instead of the pointer-rich [`CircuitGraph`].
 ///
-/// Its traversal methods evaluate the Elmore delay model of the paper's
+/// Its traversal kernels evaluate the Elmore delay model of the paper's
 /// Section 2.1 (stage-bounded RC stages, wire π-model); see the crate-level
 /// documentation for the modelling conventions.
 ///
@@ -302,14 +306,8 @@ pub enum KindTag {
 /// let topo = CircuitTopology::new(&graph);
 /// let mut ws = EvalWorkspace::new(&graph);
 /// let sizes = graph.uniform_sizes(1.5);
-/// topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
-/// topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
-/// let delay = topo.propagate_arrivals(
-///     &ws.delays,
-///     &mut ws.arrival,
-///     &mut ws.pred,
-///     &mut ws.critical_path,
-/// );
+/// // No coupling load: `ws.extra_cap` stays all-zero.
+/// let delay = topo.timing_into(&sizes, &mut ws);
 /// // Bitwise the allocate-per-call reference path.
 /// let reference = TimingAnalysis::run(&graph, &sizes, None);
 /// assert_eq!(delay, reference.critical_path_delay);
@@ -343,8 +341,8 @@ pub struct CircuitTopology {
     /// of gathering `kind`/`unit_capacitance`/`comp_of` through the child
     /// index, leaving at most one random access per edge (the child's
     /// `presented` entry or the component's size). Built once per snapshot;
-    /// per-edge values are exactly the operands of `child_load_unchecked`,
-    /// so the streamed dispatch is bitwise identical to the gathered one.
+    /// per-edge values are exactly the operands the kind dispatch would
+    /// gather, so the streamed dispatch is bitwise identical to it.
     fanout_tag: Vec<FanoutTag>,
     /// `Const` → the whole contribution; `Gate` → `ĉ` of the child.
     fanout_coeff: Vec<f64>,
@@ -360,11 +358,10 @@ pub struct CircuitTopology {
     /// Dense component of the predecessor for the `Div` forms; zero
     /// otherwise.
     fanin_aux: Vec<u32>,
-    /// Cached topological level partition (see the module docs): CSR offsets
-    /// into `level_nodes`, one entry per level plus a trailing total.
+    /// Cached level partition (see the module docs): the first raw node
+    /// index of every level plus a trailing `n`, so level `l` is
+    /// `level_start[l]..level_start[l + 1]`.
     level_start: Vec<u32>,
-    /// Node indices grouped by level, ascending raw index within a level.
-    level_nodes: Vec<u32>,
 }
 
 impl CircuitTopology {
@@ -489,34 +486,17 @@ impl CircuitTopology {
             fanin_aux.push(aux);
         }
 
-        // Topological level partition: level(i) = 1 + max level over fanin,
-        // the source (and any fanin-free node) at level 0. Nodes are stored
-        // in topological order, so one forward scan settles every level.
-        let mut level = vec![0u32; n];
-        let mut num_levels = 1u32;
+        // Level partition: one forward scan, a node with a fanin inside the
+        // current range starts the next range (see the module docs).
+        let mut level_start = vec![0u32];
         for idx in 0..n {
-            let mut l = 0u32;
-            for &pred in &fanin_list[fanin_start[idx] as usize..fanin_start[idx + 1] as usize] {
-                l = l.max(level[pred as usize] + 1);
+            let start = *level_start.last().expect("never empty") as usize;
+            let fanin = &fanin_list[fanin_start[idx] as usize..fanin_start[idx + 1] as usize];
+            if fanin.iter().any(|&pred| pred as usize >= start) {
+                level_start.push(idx as u32);
             }
-            level[idx] = l;
-            num_levels = num_levels.max(l + 1);
         }
-        // Counting sort into the CSR layout; the forward scan preserves
-        // ascending raw index within each level.
-        let mut level_start = vec![0u32; num_levels as usize + 1];
-        for &l in &level {
-            level_start[l as usize + 1] += 1;
-        }
-        for l in 0..num_levels as usize {
-            level_start[l + 1] += level_start[l];
-        }
-        let mut level_nodes = vec![0u32; n];
-        let mut cursor: Vec<u32> = level_start[..num_levels as usize].to_vec();
-        for (idx, &l) in level.iter().enumerate() {
-            level_nodes[cursor[l as usize] as usize] = idx as u32;
-            cursor[l as usize] += 1;
-        }
+        level_start.push(n as u32);
 
         CircuitTopology {
             num_components: graph.num_components(),
@@ -539,7 +519,6 @@ impl CircuitTopology {
             fanin_ur,
             fanin_aux,
             level_start,
-            level_nodes,
         }
     }
 
@@ -548,17 +527,23 @@ impl CircuitTopology {
         self.kind.len()
     }
 
-    /// Number of topological levels in the cached partition.
+    /// Number of levels in the cached partition.
     pub fn num_levels(&self) -> usize {
         self.level_start.len() - 1
     }
 
-    /// The node indices of level `l`, in ascending raw-index order. Levels
-    /// partition the nodes; nodes within one level share no fanin/fanout
-    /// edge (see the module docs).
+    /// The raw node indices of level `l`. Levels cover `0..n` in order and
+    /// no level contains an edge (see the module docs).
     #[inline(always)]
-    pub fn level(&self, l: usize) -> &[u32] {
-        &self.level_nodes[self.level_start[l] as usize..self.level_start[l + 1] as usize]
+    pub fn level(&self, l: usize) -> std::ops::Range<usize> {
+        self.level_start[l] as usize..self.level_start[l + 1] as usize
+    }
+
+    /// The level boundaries: the first node of every level plus a trailing
+    /// `n`. The whole slice is the block that covers the circuit in one
+    /// backward kernel call.
+    pub fn level_bounds(&self) -> &[u32] {
+        &self.level_start
     }
 
     /// Dense component index of node `idx`, when the node is sizable.
@@ -702,18 +687,6 @@ impl CircuitTopology {
         }
     }
 
-    /// Fanout slice of node `idx` without bounds checks.
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes`; the CSR offsets are valid by construction.
-    #[inline(always)]
-    unsafe fn fanout_unchecked(&self, idx: usize) -> &[u32] {
-        let start = *self.fanout_start.get_unchecked(idx) as usize;
-        let end = *self.fanout_start.get_unchecked(idx + 1) as usize;
-        self.fanout_list.get_unchecked(start..end)
-    }
-
     /// Fanin slice of node `idx` without bounds checks.
     ///
     /// # Safety
@@ -750,10 +723,10 @@ impl CircuitTopology {
             ..*self.fanin_start.get_unchecked(idx + 1) as usize
     }
 
-    /// `child_load` streamed from the per-edge columns (rebuild variant):
-    /// bitwise identical to `child_load_shared` for fanout edge `e`,
-    /// because the columns hold the exact operands the kind dispatch would
-    /// gather through the child index.
+    /// The load fanout edge `e` puts on its parent, streamed from the
+    /// per-edge columns (rebuild variant): the parent's output load for the
+    /// sink, `Node::capacitance` of a gate child, the settled `presented`
+    /// entry of a wire child.
     ///
     /// # Safety
     ///
@@ -776,8 +749,7 @@ impl CircuitTopology {
         }
     }
 
-    /// As `child_load_edge`, over a shared size view (fused variant,
-    /// bitwise identical to `child_load_fused`).
+    /// As `child_load_edge`, over a shared size view (fused variant).
     ///
     /// # Safety
     ///
@@ -800,9 +772,9 @@ impl CircuitTopology {
     }
 
     /// One node's λ-weighted upstream accumulation streamed from the
-    /// per-edge columns: bitwise identical to the kind-dispatched fanin
-    /// loop of [`upstream_resistance_chunk`](Self::upstream_resistance_chunk)
-    /// (same edges, same order, same expressions per resistance form).
+    /// per-edge columns: over the node's fanin list in list order, the
+    /// weighted `Node::resistance` of every driver/gate predecessor plus,
+    /// for a wire predecessor, its own upstream resistance.
     ///
     /// # Safety
     ///
@@ -851,9 +823,7 @@ impl CircuitTopology {
         acc
     }
 
-    /// As `upstream_acc_edges`, over a shared size view (fused variant,
-    /// bitwise identical to the kind-dispatched loop over
-    /// `resistance_shared`).
+    /// As `upstream_acc_edges`, over a shared size view (fused variant).
     ///
     /// # Safety
     ///
@@ -901,29 +871,6 @@ impl CircuitTopology {
         acc
     }
 
-    /// `child_load` over raw slices without bounds checks.
-    ///
-    /// # Safety
-    ///
-    /// `parent` and `child` are valid node indices; `sizes.len() ==
-    /// num_components`; `presented.len() == num_nodes`.
-    #[inline(always)]
-    unsafe fn child_load_unchecked(
-        &self,
-        parent: usize,
-        child: usize,
-        sizes: &[f64],
-        presented: &[f64],
-    ) -> f64 {
-        match *self.kind.get_unchecked(child) {
-            KindTag::Sink => *self.output_load.get_unchecked(parent),
-            KindTag::Gate => self.capacitance_unchecked(child, sizes),
-            KindTag::Wire => *presented.get_unchecked(child),
-            // Drivers and the source can never be fanout children.
-            KindTag::Driver | KindTag::Source => 0.0,
-        }
-    }
-
     /// Bytes held by the snapshot (for memory accounting).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
@@ -941,8 +888,7 @@ impl CircuitTopology {
                 + self.fanin_list.capacity()
                 + self.fanout_aux.capacity()
                 + self.fanin_aux.capacity()
-                + self.level_start.capacity()
-                + self.level_nodes.capacity())
+                + self.level_start.capacity())
                 * size_of::<u32>()
             + self.fanout_tag.capacity() * size_of::<FanoutTag>()
             + self.fanin_tag.capacity() * size_of::<FaninTag>()
@@ -951,170 +897,78 @@ impl CircuitTopology {
     }
 
     // ------------------------------------------------------------------
-    // Level-chunked traversal kernels. Each processes the nodes of one
-    // chunk of one topological level, with per-node arithmetic identical
-    // (expression for expression) to the sequential whole-circuit methods
-    // below, so a level-ordered sweep over every chunk produces bitwise
-    // identical per-node results regardless of how the chunks of a level
-    // are interleaved or distributed across workers.
+    // Traversal kernels: one per pass, each over one block of nodes (a run
+    // of whole levels, or a sub-range of one level; see the module docs).
+    // A single call over the whole partition is the whole-circuit
+    // traversal, and any cut of the levels into blocks gives bitwise
+    // identical per-node results.
     // ------------------------------------------------------------------
 
-    /// One chunk of a backward (reverse-topological) downstream-capacitance
-    /// rebuild: the `downstream_caps_into` arithmetic for `nodes`, which
-    /// must all belong to one level whose higher levels have been fully
-    /// settled.
+    /// Backward (reverse-topological) downstream-capacitance rebuild of one
+    /// block: computes `C_i` (`charged`) and the load each node presents to
+    /// its stage parent (`presented`). `extra_cap` holds one value per node,
+    /// added on the downstream side of that node (the coupling load).
+    ///
+    /// `bounds` lists the block's level boundaries; the levels
+    /// `bounds[k]..bounds[k + 1]` are visited in reverse, nodes ascending
+    /// within a level.
     ///
     /// # Safety
     ///
-    /// * `nodes` is a subset of one topological level of this topology, and
-    ///   all levels above it are settled in `presented`;
+    /// * `bounds` is non-decreasing, ends within the node count, and no
+    ///   window `bounds[k]..bounds[k + 1]` contains an edge;
+    /// * every fanout child outside the block is settled in `presented`;
     /// * `charged`/`presented` wrap slices of one entry per node, `extra_cap`
     ///   has one entry per node, `sizes` one entry per component;
     /// * no other borrower concurrently accesses the `charged`/`presented`
-    ///   entries of `nodes` (chunks of one level are disjoint by
-    ///   construction).
+    ///   entries of the block.
     pub unsafe fn downstream_caps_chunk(
         &self,
-        nodes: &[u32],
+        bounds: &[u32],
         sizes: &[f64],
         extra_cap: &[f64],
         charged: SharedMut<'_, f64>,
         presented: SharedMut<'_, f64>,
     ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let extra = *extra_cap.get_unchecked(idx);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => {
-                    charged.set(idx, 0.0);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Driver => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge(e, sizes, presented);
+        for level in bounds.windows(2).rev() {
+            for idx in level[0] as usize..level[1] as usize {
+                let extra = *extra_cap.get_unchecked(idx);
+                match *self.kind.get_unchecked(idx) {
+                    KindTag::Source | KindTag::Sink => {
+                        charged.set(idx, 0.0);
+                        presented.set(idx, 0.0);
                     }
-                    c += extra;
-                    charged.set(idx, c);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Gate => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge(e, sizes, presented);
-                    }
-                    c += extra;
-                    charged.set(idx, c);
-                    presented.set(idx, self.capacitance_unchecked(idx, sizes));
-                }
-                KindTag::Wire => {
-                    let own = self.capacitance_unchecked(idx, sizes);
-                    let mut downstream = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        downstream += self.child_load_edge(e, sizes, presented);
-                    }
-                    charged.set(idx, own / 2.0 + extra + downstream);
-                    presented.set(idx, own + extra + downstream);
-                }
-            }
-        }
-    }
-
-    /// One chunk of a forward upstream-resistance rebuild: the
-    /// `upstream_resistance_into` arithmetic for `nodes`, which must all
-    /// belong to one level whose lower levels have been fully settled.
-    ///
-    /// # Safety
-    ///
-    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk), with
-    /// `upstream` in place of `charged`/`presented` and *lower* levels
-    /// settled.
-    pub unsafe fn upstream_resistance_chunk(
-        &self,
-        nodes: &[u32],
-        sizes: &[f64],
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let acc = self.upstream_acc_edges(idx, sizes, weights, upstream);
-            upstream.set(idx, acc);
-        }
-    }
-
-    /// One chunk of a backward **fused Gauss–Seidel** pass: the
-    /// `fused_downstream_resize` arithmetic for `nodes` (one level, higher
-    /// levels settled), resizing each sizable component through `resize` the
-    /// moment its charged capacitance is known.
-    ///
-    /// # Safety
-    ///
-    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk); in
-    /// addition `xs` wraps the per-component size slice and no other
-    /// borrower concurrently accesses the sizes of the components of
-    /// `nodes` (one node per component, so level-chunk disjointness covers
-    /// this too). The `resize` closure must only touch state owned by the
-    /// chunk.
-    pub unsafe fn fused_downstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        nodes: &[u32],
-        xs: SharedMut<'_, f64>,
-        extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-        resize: &mut F,
-    ) {
-        for &idx in nodes {
-            let idx = idx as usize;
-            let extra = *extra_cap.get_unchecked(idx);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => {
-                    charged.set(idx, 0.0);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Driver => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    charged.set(idx, c + extra);
-                    presented.set(idx, 0.0);
-                }
-                KindTag::Gate => {
-                    let mut c = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        c += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let c = c + extra;
-                    charged.set(idx, c);
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x = xs.get(comp);
-                    let x_new = resize(comp, idx, c, x);
-                    if x_new != x {
-                        xs.set(comp, x_new);
-                    }
-                    presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
-                }
-                KindTag::Wire => {
-                    let mut downstream = 0.0;
-                    for e in self.fanout_edges_unchecked(idx) {
-                        downstream += self.child_load_edge_fused(e, xs, presented);
-                    }
-                    let comp = *self.comp_of.get_unchecked(idx);
-                    let x = xs.get(comp);
-                    let unit_cap = *self.unit_capacitance.get_unchecked(idx);
-                    let fringing = *self.fringing.get_unchecked(idx);
-                    let own = unit_cap * x + fringing;
-                    let c = own / 2.0 + extra + downstream;
-                    let x_new = resize(comp, idx, c, x);
-                    if x_new != x {
-                        xs.set(comp, x_new);
-                        let own_new = unit_cap * x_new + fringing;
-                        charged.set(idx, own_new / 2.0 + extra + downstream);
-                        presented.set(idx, own_new + extra + downstream);
-                    } else {
+                    KindTag::Driver => {
+                        let mut c = 0.0;
+                        for e in self.fanout_edges_unchecked(idx) {
+                            c += self.child_load_edge(e, sizes, presented);
+                        }
+                        c += extra;
                         charged.set(idx, c);
+                        presented.set(idx, 0.0);
+                    }
+                    KindTag::Gate => {
+                        let mut c = 0.0;
+                        for e in self.fanout_edges_unchecked(idx) {
+                            c += self.child_load_edge(e, sizes, presented);
+                        }
+                        // Coupling on a gate output (rare, but allowed)
+                        // loads the stage.
+                        c += extra;
+                        charged.set(idx, c);
+                        presented.set(idx, self.capacitance_unchecked(idx, sizes));
+                    }
+                    KindTag::Wire => {
+                        let own = self.capacitance_unchecked(idx, sizes);
+                        let mut downstream = 0.0;
+                        for e in self.fanout_edges_unchecked(idx) {
+                            downstream += self.child_load_edge(e, sizes, presented);
+                        }
+                        // π-model: the far half of the wire's own
+                        // capacitance plus all coupling capacitance is
+                        // charged through r_i; the full wire capacitance
+                        // loads everything upstream.
+                        charged.set(idx, own / 2.0 + extra + downstream);
                         presented.set(idx, own + extra + downstream);
                     }
                 }
@@ -1122,9 +976,128 @@ impl CircuitTopology {
         }
     }
 
-    /// One chunk of a forward **fused Gauss–Seidel** pass: the
-    /// `fused_upstream_resize` arithmetic for `nodes` (one level, lower
-    /// levels settled).
+    /// Forward λ-weighted upstream-resistance rebuild of the block `nodes`:
+    /// the `R_i` of Theorem 5 per node, with `weights` holding `λ_k` per raw
+    /// node index.
+    ///
+    /// # Safety
+    ///
+    /// * `nodes` lies within the node count, and every fanin node before
+    ///   `nodes.start` is settled in `upstream`;
+    /// * `upstream` wraps and `weights` is a slice of one entry per node,
+    ///   `sizes` has one entry per component;
+    /// * no other borrower concurrently accesses the `upstream` entries of
+    ///   `nodes`.
+    pub unsafe fn upstream_resistance_chunk(
+        &self,
+        nodes: std::ops::Range<usize>,
+        sizes: &[f64],
+        weights: &[f64],
+        upstream: SharedMut<'_, f64>,
+    ) {
+        for idx in nodes {
+            let acc = self.upstream_acc_edges(idx, sizes, weights, upstream);
+            upstream.set(idx, acc);
+        }
+    }
+
+    /// Backward **fused Gauss–Seidel** pass over one block: re-accumulates
+    /// each node's charged capacitance from the already updated downstream
+    /// state and immediately calls `resize(comp, node, charged, x)` for
+    /// every sizable component, so parents see their children's fresh sizes
+    /// within the same pass. The coupling load (`extra_cap`) and whatever
+    /// upstream table the closure reads stay fixed for the pass (Jacobi in
+    /// those directions). Returning `x` unchanged leaves a component as is
+    /// (how callers skip frozen components); `charged`/`presented` are left
+    /// consistent with the post-pass sizes.
+    ///
+    /// The fixed points are exactly those of separate Jacobi-style passes,
+    /// but the one-directional freshness roughly squares the contraction
+    /// factor per pass, so solves converge in far fewer sweeps.
+    ///
+    /// # Safety
+    ///
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk); in
+    /// addition `xs` wraps the per-component size slice and no other
+    /// borrower concurrently accesses the sizes of the block's components
+    /// (one node per component, so block disjointness covers this too). The
+    /// `resize` closure must only touch state owned by the block.
+    pub unsafe fn fused_downstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
+        &self,
+        bounds: &[u32],
+        xs: SharedMut<'_, f64>,
+        extra_cap: &[f64],
+        charged: SharedMut<'_, f64>,
+        presented: SharedMut<'_, f64>,
+        resize: &mut F,
+    ) {
+        for level in bounds.windows(2).rev() {
+            for idx in level[0] as usize..level[1] as usize {
+                let extra = *extra_cap.get_unchecked(idx);
+                match *self.kind.get_unchecked(idx) {
+                    KindTag::Source | KindTag::Sink => {
+                        charged.set(idx, 0.0);
+                        presented.set(idx, 0.0);
+                    }
+                    KindTag::Driver => {
+                        let mut c = 0.0;
+                        for e in self.fanout_edges_unchecked(idx) {
+                            c += self.child_load_edge_fused(e, xs, presented);
+                        }
+                        charged.set(idx, c + extra);
+                        presented.set(idx, 0.0);
+                    }
+                    KindTag::Gate => {
+                        let mut c = 0.0;
+                        for e in self.fanout_edges_unchecked(idx) {
+                            c += self.child_load_edge_fused(e, xs, presented);
+                        }
+                        let c = c + extra;
+                        charged.set(idx, c);
+                        let comp = *self.comp_of.get_unchecked(idx);
+                        let x = xs.get(comp);
+                        let x_new = resize(comp, idx, c, x);
+                        if x_new != x {
+                            xs.set(comp, x_new);
+                        }
+                        presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
+                    }
+                    KindTag::Wire => {
+                        let mut downstream = 0.0;
+                        for e in self.fanout_edges_unchecked(idx) {
+                            downstream += self.child_load_edge_fused(e, xs, presented);
+                        }
+                        let comp = *self.comp_of.get_unchecked(idx);
+                        let x = xs.get(comp);
+                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
+                        let fringing = *self.fringing.get_unchecked(idx);
+                        let own = unit_cap * x + fringing;
+                        // π-model split, exactly as `downstream_caps_chunk`.
+                        let c = own / 2.0 + extra + downstream;
+                        let x_new = resize(comp, idx, c, x);
+                        if x_new != x {
+                            xs.set(comp, x_new);
+                            let own_new = unit_cap * x_new + fringing;
+                            charged.set(idx, own_new / 2.0 + extra + downstream);
+                            presented.set(idx, own_new + extra + downstream);
+                        } else {
+                            charged.set(idx, c);
+                            presented.set(idx, own + extra + downstream);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forward **fused Gauss–Seidel** pass over the block `nodes`: computes
+    /// each node's λ-weighted upstream resistance from the already updated
+    /// upstream state and immediately calls `resize(comp, node, upstream,
+    /// x)` for every sizable component, so downstream nodes see their
+    /// parents' fresh sizes within the same pass. Whatever charged table the
+    /// closure reads stays fixed for the pass; alternating forward and
+    /// backward fused passes refreshes both directions with one traversal
+    /// each.
     ///
     /// # Safety
     ///
@@ -1133,14 +1106,13 @@ impl CircuitTopology {
     /// [`fused_downstream_chunk`](Self::fused_downstream_chunk).
     pub unsafe fn fused_upstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
-        nodes: &[u32],
+        nodes: std::ops::Range<usize>,
         xs: SharedMut<'_, f64>,
         weights: &[f64],
         upstream: SharedMut<'_, f64>,
         resize: &mut F,
     ) {
-        for &idx in nodes {
-            let idx = idx as usize;
+        for idx in nodes {
             let acc = self.upstream_acc_edges_shared(idx, xs, weights, upstream);
             upstream.set(idx, acc);
             let comp = *self.comp_of.get_unchecked(idx);
@@ -1154,9 +1126,9 @@ impl CircuitTopology {
         }
     }
 
-    /// One chunk of the per-component delay evaluation (`delays_into` for a
-    /// contiguous node range; delays are per-node independent, so any
-    /// partition works).
+    /// The per-component delays `D_i` of a contiguous node range from
+    /// precomputed charged capacitances (zero for source and sink). Delays
+    /// are per-node independent, so any partition works.
     ///
     /// # Safety
     ///
@@ -1179,11 +1151,11 @@ impl CircuitTopology {
         }
     }
 
-    /// One chunk of a forward arrival-time propagation: the
-    /// `propagate_arrivals` recurrence (same fanin order, same `>=`
-    /// tie-breaking) for `nodes`, which must all belong to one level whose
-    /// lower levels have settled arrivals. Critical-path extraction is the
-    /// caller's sequential epilogue over `pred`.
+    /// Forward arrival-time propagation over the block `nodes`: the same
+    /// per-kind recurrence (same fanin order, same `>=` tie-breaking) as
+    /// [`propagate_arrivals_into`]. Critical-path extraction is the caller's
+    /// sequential epilogue over `pred`
+    /// ([`trace_critical_path`](Self::trace_critical_path)).
     ///
     /// # Safety
     ///
@@ -1191,13 +1163,12 @@ impl CircuitTopology {
     /// with `arrival`/`pred` owned per node.
     pub unsafe fn arrivals_chunk(
         &self,
-        nodes: &[u32],
+        nodes: std::ops::Range<usize>,
         delays: &[f64],
         arrival: SharedMut<'_, f64>,
         pred: SharedMut<'_, usize>,
     ) {
-        for &idx in nodes {
-            let idx = idx as usize;
+        for idx in nodes {
             pred.set(idx, NO_PRED);
             match *self.kind.get_unchecked(idx) {
                 KindTag::Source => arrival.set(idx, 0.0),
@@ -1238,231 +1209,62 @@ impl CircuitTopology {
     }
 
     // ------------------------------------------------------------------
-    // Sequential whole-circuit traversals (raw-index topological order),
-    // plus the sparse incremental updates. All of them fill caller-provided
-    // slices without allocating.
+    // Whole-circuit evaluation, the critical-path epilogue and the sparse
+    // incremental updates. None of them allocates.
     // ------------------------------------------------------------------
 
-    /// Computes `C_i` (`charged`) and the load each node presents to its
-    /// stage parent (`presented`) for every node, by one reverse-topological
-    /// traversal.
-    ///
-    /// `extra_cap`, when provided, holds one value per node and is added on
-    /// the downstream side of that node (the coupling load).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length does not match the circuit.
-    pub fn downstream_caps_into(
-        &self,
-        sizes: &SizeVector,
-        extra_cap: Option<&[f64]>,
-        charged: &mut [f64],
-        presented: &mut [f64],
-    ) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[("charged", charged.len()), ("presented", presented.len())]);
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        if let Some(extra) = extra_cap {
-            self.assert_node_slices(&[("extra_cap", extra.len())]);
-        }
-        let sizes = sizes.as_slice();
-
-        for idx in (0..n).rev() {
-            // SAFETY: `idx < n`, all slice lengths asserted above, and every
-            // index stored in the topology is in range by construction.
-            unsafe {
-                let extra = extra_cap.map(|e| *e.get_unchecked(idx)).unwrap_or(0.0);
-                match *self.kind.get_unchecked(idx) {
-                    KindTag::Source | KindTag::Sink => {
-                        *charged.get_unchecked_mut(idx) = 0.0;
-                        *presented.get_unchecked_mut(idx) = 0.0;
-                    }
-                    KindTag::Driver => {
-                        let mut c = 0.0;
-                        for &child in self.fanout_unchecked(idx) {
-                            c += self.child_load_unchecked(idx, child as usize, sizes, presented);
-                        }
-                        c += extra;
-                        *charged.get_unchecked_mut(idx) = c;
-                        *presented.get_unchecked_mut(idx) = 0.0;
-                    }
-                    KindTag::Gate => {
-                        let mut c = 0.0;
-                        for &child in self.fanout_unchecked(idx) {
-                            c += self.child_load_unchecked(idx, child as usize, sizes, presented);
-                        }
-                        // Coupling on a gate output (rare, but allowed) loads the stage.
-                        c += extra;
-                        *charged.get_unchecked_mut(idx) = c;
-                        *presented.get_unchecked_mut(idx) = self.capacitance_unchecked(idx, sizes);
-                    }
-                    KindTag::Wire => {
-                        let own = self.capacitance_unchecked(idx, sizes);
-                        let mut downstream = 0.0;
-                        for &child in self.fanout_unchecked(idx) {
-                            downstream +=
-                                self.child_load_unchecked(idx, child as usize, sizes, presented);
-                        }
-                        // π-model: the far half of the wire's own capacitance plus
-                        // all coupling capacitance is charged through r_i.
-                        *charged.get_unchecked_mut(idx) = own / 2.0 + extra + downstream;
-                        // The full wire capacitance loads everything upstream.
-                        *presented.get_unchecked_mut(idx) = own + extra + downstream;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Computes the λ-weighted upstream resistance `R_i` of Theorem 5 for
-    /// every node into `upstream`. `weights` holds `λ_k` per raw node index.
+    /// Evaluates the Elmore timing of the whole circuit at `sizes` into
+    /// `ws`, with the coupling load read from `ws.extra_cap`: downstream
+    /// capacitances, delays, arrival times and one critical path. Returns
+    /// the critical-path delay. A length-checking wrapper that calls each
+    /// kernel once over the whole level partition.
     ///
     /// # Panics
     ///
-    /// Panics when a slice length does not match the circuit.
-    pub fn upstream_resistance_into(
-        &self,
-        sizes: &SizeVector,
-        weights: &[f64],
-        upstream: &mut [f64],
-    ) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        let sizes = sizes.as_slice();
-        for idx in 0..n {
-            // SAFETY: `idx < n`, all slice lengths asserted above, and every
-            // index stored in the topology is in range by construction.
-            unsafe {
-                let mut acc = 0.0;
-                for &pred in self.fanin_unchecked(idx) {
-                    let p = pred as usize;
-                    match *self.kind.get_unchecked(p) {
-                        KindTag::Source => {}
-                        KindTag::Driver | KindTag::Gate => {
-                            acc += *weights.get_unchecked(p) * self.resistance_unchecked(p, sizes);
-                        }
-                        KindTag::Wire => {
-                            acc += *upstream.get_unchecked(p)
-                                + *weights.get_unchecked(p) * self.resistance_unchecked(p, sizes);
-                        }
-                        KindTag::Sink => unreachable!("sink has no fanout"),
-                    }
-                }
-                *upstream.get_unchecked_mut(idx) = acc;
-            }
-        }
-    }
-
-    /// Computes the per-component delays `D_i` from precomputed charged
-    /// capacitances into `delays` (zero for source and sink).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length does not match the circuit.
-    pub fn delays_into(&self, sizes: &SizeVector, charged: &[f64], delays: &mut [f64]) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[("charged", charged.len()), ("delays", delays.len())]);
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        let sizes = sizes.as_slice();
-        for idx in 0..n {
-            // SAFETY: `idx < n`, slice lengths asserted above.
-            unsafe {
-                *delays.get_unchecked_mut(idx) = match *self.kind.get_unchecked(idx) {
-                    KindTag::Source | KindTag::Sink => 0.0,
-                    _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
-                };
-            }
-        }
-    }
-
-    /// Propagates arrival times from precomputed per-node delays and
-    /// extracts one critical path, writing only into the provided buffers;
-    /// returns the critical-path delay. The same per-kind recurrence as
-    /// [`propagate_arrivals_into`], traversing the dense topology instead
-    /// of the pointer-rich graph — bitwise identical (same node order, same
-    /// fanin order, same `>=` tie-breaking).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slice length does not match the circuit.
-    pub fn propagate_arrivals(
-        &self,
-        delays: &[f64],
-        arrival: &mut [f64],
-        pred: &mut [usize],
-        critical_path: &mut Vec<NodeId>,
-    ) -> f64 {
+    /// Panics when `sizes` or a workspace buffer does not match the circuit.
+    pub fn timing_into(&self, sizes: &SizeVector, ws: &mut EvalWorkspace) -> f64 {
         let n = self.num_nodes();
         self.assert_node_slices(&[
-            ("delays", delays.len()),
-            ("arrival", arrival.len()),
-            ("pred", pred.len()),
+            ("charged", ws.charged.len()),
+            ("presented", ws.presented.len()),
+            ("extra_cap", ws.extra_cap.len()),
+            ("delays", ws.delays.len()),
+            ("arrival", ws.arrival.len()),
+            ("pred", ws.pred.len()),
         ]);
-        for idx in 0..n {
-            // SAFETY: `idx < n`, slice lengths asserted above, and every
-            // index stored in the topology is in range by construction.
-            unsafe {
-                *pred.get_unchecked_mut(idx) = NO_PRED;
-                match *self.kind.get_unchecked(idx) {
-                    KindTag::Source => *arrival.get_unchecked_mut(idx) = 0.0,
-                    KindTag::Sink => {
-                        let mut best = 0.0;
-                        let mut best_pred = NO_PRED;
-                        for &j in self.fanin_unchecked(idx) {
-                            let j = j as usize;
-                            if *arrival.get_unchecked(j) >= best {
-                                best = *arrival.get_unchecked(j);
-                                best_pred = j;
-                            }
-                        }
-                        *arrival.get_unchecked_mut(idx) = best;
-                        *pred.get_unchecked_mut(idx) = best_pred;
-                    }
-                    KindTag::Driver => {
-                        *arrival.get_unchecked_mut(idx) = *delays.get_unchecked(idx);
-                    }
-                    KindTag::Gate | KindTag::Wire => {
-                        let mut best = 0.0;
-                        let mut best_pred = NO_PRED;
-                        for &j in self.fanin_unchecked(idx) {
-                            let j = j as usize;
-                            if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
-                                continue;
-                            }
-                            if *arrival.get_unchecked(j) >= best {
-                                best = *arrival.get_unchecked(j);
-                                best_pred = j;
-                            }
-                        }
-                        *arrival.get_unchecked_mut(idx) = best + *delays.get_unchecked(idx);
-                        *pred.get_unchecked_mut(idx) = best_pred;
-                    }
-                }
-            }
+        assert_eq!(
+            sizes.len(),
+            self.num_components,
+            "sizes must match the circuit"
+        );
+        let xs = sizes.as_slice();
+        // SAFETY: lengths asserted above; the level boundaries and every
+        // stored index are in range by construction; one call per kernel
+        // covers the whole circuit, so nothing runs concurrently.
+        unsafe {
+            self.downstream_caps_chunk(
+                &self.level_start,
+                xs,
+                &ws.extra_cap,
+                SharedMut::new(&mut ws.charged),
+                SharedMut::new(&mut ws.presented),
+            );
+            self.delays_chunk(0..n, xs, &ws.charged, SharedMut::new(&mut ws.delays));
+            self.arrivals_chunk(
+                0..n,
+                &ws.delays,
+                SharedMut::new(&mut ws.arrival),
+                SharedMut::new(&mut ws.pred),
+            );
         }
-
-        self.trace_critical_path(arrival, pred, critical_path)
+        self.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path)
     }
 
     /// Extracts one critical path from settled `arrival`/`pred` tables by
     /// walking the predecessors back from the sink into `critical_path`
     /// (driver first); returns the sink's arrival time, the critical-path
-    /// delay. The sequential epilogue of every arrival propagation,
-    /// whole-circuit or level-chunked ([`arrivals_chunk`](Self::arrivals_chunk)).
+    /// delay. The sequential epilogue of every arrival propagation
+    /// ([`arrivals_chunk`](Self::arrivals_chunk)).
     ///
     /// # Panics
     ///
@@ -1495,7 +1297,7 @@ impl CircuitTopology {
     /// coupling-load delta is scattered onto its node and propagated
     /// upstream along the fanin DAG, in reverse topological (descending node
     /// index) order, touching only the perturbed subgraph. The result
-    /// differs from a [`downstream_caps_into`](Self::downstream_caps_into)
+    /// differs from a [`downstream_caps_chunk`](Self::downstream_caps_chunk)
     /// rebuild only by floating-point accumulation noise.
     #[allow(clippy::too_many_arguments)]
     pub fn downstream_caps_update(
@@ -1553,7 +1355,7 @@ impl CircuitTopology {
             // `dc` is the change of the capacitance charged through the
             // node's resistance, `dp` the change of the load the node
             // presents to its stage parents — mirroring the per-kind
-            // arithmetic of `downstream_caps_into` (a gate's presented load
+            // arithmetic of `downstream_caps_chunk` (a gate's presented load
             // is its own capacitance, so `dp = own` there).
             let (dc, dp) = match self.kind[idx] {
                 KindTag::Source | KindTag::Sink => (0.0, 0.0),
@@ -1573,167 +1375,6 @@ impl CircuitTopology {
                     if !inc.queued[p] {
                         inc.queued[p] = true;
                         inc.down_heap.push(parent);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fused downstream-accumulation + resize sweep (Gauss–Seidel): walks
-    /// the circuit once in reverse topological order, computing each node's
-    /// charged capacitance from the *already updated* downstream state, and
-    /// immediately invokes `resize` for every sizable component so parents
-    /// see their children's fresh sizes within the same sweep. The coupling
-    /// load (`extra_cap`) and the upstream-resistance table the caller's
-    /// `resize` closure reads stay fixed for the duration of the sweep
-    /// (Jacobi in those directions).
-    ///
-    /// `resize(comp, node, charged, x)` returns the component's new size
-    /// (returning `x` unchanged leaves it as is — how callers skip frozen
-    /// components). `charged`/`presented` are left consistent with the
-    /// post-sweep sizes.
-    ///
-    /// The fixed points of this iteration are exactly those of the separate
-    /// Jacobi-style passes (both solve the same componentwise equations),
-    /// but the one-directional freshness roughly squares the contraction
-    /// factor per sweep, so solves converge in far fewer sweeps. Generic
-    /// over the closure so the per-component resize inlines into the
-    /// traversal.
-    pub fn fused_downstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        sizes: &mut SizeVector,
-        extra_cap: &[f64],
-        charged: &mut [f64],
-        presented: &mut [f64],
-        resize: &mut F,
-    ) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[
-            ("extra_cap", extra_cap.len()),
-            ("charged", charged.len()),
-            ("presented", presented.len()),
-        ]);
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        let xs = sizes.as_mut_slice();
-        for idx in (0..n).rev() {
-            // SAFETY: `idx < n`, slice lengths asserted above, and every
-            // index stored in the topology is in range by construction.
-            unsafe {
-                let extra = *extra_cap.get_unchecked(idx);
-                match *self.kind.get_unchecked(idx) {
-                    KindTag::Source | KindTag::Sink => {
-                        *charged.get_unchecked_mut(idx) = 0.0;
-                        *presented.get_unchecked_mut(idx) = 0.0;
-                    }
-                    KindTag::Driver => {
-                        let mut c = 0.0;
-                        for &child in self.fanout_unchecked(idx) {
-                            c += self.child_load_unchecked(idx, child as usize, xs, presented);
-                        }
-                        *charged.get_unchecked_mut(idx) = c + extra;
-                        *presented.get_unchecked_mut(idx) = 0.0;
-                    }
-                    KindTag::Gate => {
-                        let mut c = 0.0;
-                        for &child in self.fanout_unchecked(idx) {
-                            c += self.child_load_unchecked(idx, child as usize, xs, presented);
-                        }
-                        let c = c + extra;
-                        *charged.get_unchecked_mut(idx) = c;
-                        let comp = *self.comp_of.get_unchecked(idx);
-                        let x = *xs.get_unchecked(comp);
-                        let x_new = resize(comp, idx, c, x);
-                        if x_new != x {
-                            *xs.get_unchecked_mut(comp) = x_new;
-                        }
-                        *presented.get_unchecked_mut(idx) =
-                            *self.unit_capacitance.get_unchecked(idx) * x_new;
-                    }
-                    KindTag::Wire => {
-                        let mut downstream = 0.0;
-                        for &child in self.fanout_unchecked(idx) {
-                            downstream +=
-                                self.child_load_unchecked(idx, child as usize, xs, presented);
-                        }
-                        let comp = *self.comp_of.get_unchecked(idx);
-                        let x = *xs.get_unchecked(comp);
-                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
-                        let fringing = *self.fringing.get_unchecked(idx);
-                        let own = unit_cap * x + fringing;
-                        // π-model split, exactly as `downstream_caps_into`.
-                        let c = own / 2.0 + extra + downstream;
-                        let x_new = resize(comp, idx, c, x);
-                        if x_new != x {
-                            *xs.get_unchecked_mut(comp) = x_new;
-                            let own_new = unit_cap * x_new + fringing;
-                            *charged.get_unchecked_mut(idx) = own_new / 2.0 + extra + downstream;
-                            *presented.get_unchecked_mut(idx) = own_new + extra + downstream;
-                        } else {
-                            *charged.get_unchecked_mut(idx) = c;
-                            *presented.get_unchecked_mut(idx) = own + extra + downstream;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Forward counterpart of
-    /// [`fused_downstream_resize`](Self::fused_downstream_resize): walks the
-    /// circuit once in forward topological order, computing each node's
-    /// λ-weighted upstream resistance from the *already updated* upstream
-    /// state, and immediately invokes `resize(comp, node, upstream, x)` for
-    /// every sizable component — so downstream nodes see their parents'
-    /// fresh sizes within the same pass. The charged-capacitance table the
-    /// caller's closure reads stays fixed for the pass (Jacobi in that
-    /// direction); alternating forward and backward fused passes refreshes
-    /// both directions with one traversal each.
-    pub fn fused_upstream_resize<F: FnMut(usize, usize, f64, f64) -> f64>(
-        &self,
-        sizes: &mut SizeVector,
-        weights: &[f64],
-        upstream: &mut [f64],
-        resize: &mut F,
-    ) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
-        let xs = sizes.as_mut_slice();
-        for idx in 0..n {
-            // SAFETY: `idx < n`, slice lengths asserted above, and every
-            // index stored in the topology is in range by construction.
-            unsafe {
-                // Accumulate exactly as `upstream_resistance_into`, but over
-                // the current (partially resized) sizes.
-                let mut acc = 0.0;
-                for &pred in self.fanin_unchecked(idx) {
-                    let p = pred as usize;
-                    match *self.kind.get_unchecked(p) {
-                        KindTag::Source | KindTag::Sink => {}
-                        KindTag::Driver | KindTag::Gate => {
-                            acc += *weights.get_unchecked(p) * self.resistance_unchecked(p, xs);
-                        }
-                        KindTag::Wire => {
-                            acc += *upstream.get_unchecked(p)
-                                + *weights.get_unchecked(p) * self.resistance_unchecked(p, xs);
-                        }
-                    }
-                }
-                *upstream.get_unchecked_mut(idx) = acc;
-                let comp = *self.comp_of.get_unchecked(idx);
-                if comp != NOT_SIZABLE {
-                    let x = *xs.get_unchecked(comp);
-                    let x_new = resize(comp, idx, acc, x);
-                    if x_new != x {
-                        *xs.get_unchecked_mut(comp) = x_new;
                     }
                 }
             }
@@ -1795,7 +1436,7 @@ impl CircuitTopology {
             upstream[idx] += d_up;
             // Change of this node's contribution to each fanout child's
             // upstream sum: its weighted resistance delta, plus (for wires)
-            // its own upstream change, mirroring `upstream_resistance_into`.
+            // its own upstream change, mirroring `upstream_acc_edges`.
             let d_contrib = match self.kind[idx] {
                 KindTag::Source | KindTag::Sink => 0.0,
                 KindTag::Driver | KindTag::Gate => weights[idx] * d_r,
@@ -1818,8 +1459,8 @@ impl CircuitTopology {
 /// Pre-sized dense scratch buffers for one circuit, reused across every
 /// evaluation so the hot loops never touch the allocator.
 ///
-/// Per-node buffers are indexed by raw node index, per-component buffers by
-/// the graph's dense component index. The workspace is deliberately dumb —
+/// Every buffer is indexed by raw node index. The workspace is
+/// deliberately dumb —
 /// all semantics live in [`CircuitTopology`] and the solvers that
 /// drive them.
 #[derive(Debug, Clone)]
@@ -1838,8 +1479,6 @@ pub struct EvalWorkspace {
     pub arrival: Vec<f64>,
     /// Node delay weights `λ_i` per node.
     pub node_weights: Vec<f64>,
-    /// Previous-sweep sizes scratch, per dense component index.
-    pub prev_sizes: Vec<f64>,
     /// Critical-path predecessor per node ([`NO_PRED`] when none).
     pub pred: Vec<usize>,
     /// One critical path (driver → primary-output driver); capacity is
@@ -1859,7 +1498,6 @@ impl EvalWorkspace {
             delays: vec![0.0; n],
             arrival: vec![0.0; n],
             node_weights: vec![0.0; n],
-            prev_sizes: vec![0.0; graph.num_components()],
             pred: vec![NO_PRED; n],
             critical_path: Vec::with_capacity(n),
         }
@@ -1874,8 +1512,7 @@ impl EvalWorkspace {
             + self.extra_cap.capacity()
             + self.delays.capacity()
             + self.arrival.capacity()
-            + self.node_weights.capacity()
-            + self.prev_sizes.capacity())
+            + self.node_weights.capacity())
             * size_of::<f64>()
             + self.pred.capacity() * size_of::<usize>()
             + self.critical_path.capacity() * size_of::<NodeId>()
@@ -1890,7 +1527,7 @@ impl EvalWorkspace {
 /// This is the allocation-free core of
 /// [`TimingAnalysis::from_delays`](crate::TimingAnalysis::from_delays), and
 /// the graph-walking oracle of the CSR
-/// [`CircuitTopology::propagate_arrivals`].
+/// [`CircuitTopology::arrivals_chunk`].
 ///
 /// # Panics
 ///
@@ -1982,6 +1619,136 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Every way the tests cut the level partition into blocks, each as a
+    /// list of block boundaries in forward order: runs of `fold` whole
+    /// levels for every `fold` (the last one is the whole circuit in one
+    /// block), and every level split into sub-ranges of `width` nodes for
+    /// every `width`.
+    fn blockings(topo: &CircuitTopology) -> Vec<Vec<Vec<u32>>> {
+        let bounds = topo.level_bounds();
+        let levels = topo.num_levels();
+        let mut out = Vec::new();
+        for fold in 1..=levels {
+            let blocks = (0..levels)
+                .step_by(fold)
+                .map(|l| bounds[l..=(l + fold).min(levels)].to_vec())
+                .collect();
+            out.push(blocks);
+        }
+        let widest = (0..levels).map(|l| topo.level(l).len()).max().unwrap();
+        for width in 1..=widest {
+            let mut blocks = Vec::new();
+            for l in 0..levels {
+                let range = topo.level(l);
+                for lo in range.clone().step_by(width) {
+                    blocks.push(vec![lo as u32, (lo + width).min(range.end) as u32]);
+                }
+            }
+            out.push(blocks);
+        }
+        out
+    }
+
+    /// The forward node range of a block.
+    fn nodes(block: &[u32]) -> std::ops::Range<usize> {
+        block[0] as usize..block[block.len() - 1] as usize
+    }
+
+    /// `(charged, presented)` from the backward rebuild kernel, blocks in
+    /// reverse order.
+    fn caps(
+        topo: &CircuitTopology,
+        blocks: &[Vec<u32>],
+        sizes: &SizeVector,
+        extra: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
+        let n = topo.num_nodes();
+        let (mut charged, mut presented) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+        let (charged_s, presented_s) =
+            (SharedMut::new(&mut charged), SharedMut::new(&mut presented));
+        for block in blocks.iter().rev() {
+            // SAFETY: the blocks cover the level partition, one at a time,
+            // in reverse dependency order; slabs sized for the circuit.
+            unsafe {
+                topo.downstream_caps_chunk(block, sizes.as_slice(), extra, charged_s, presented_s)
+            };
+        }
+        (charged, presented)
+    }
+
+    /// Upstream resistances from the forward rebuild kernel.
+    fn upstream(
+        topo: &CircuitTopology,
+        blocks: &[Vec<u32>],
+        sizes: &SizeVector,
+        weights: &[f64],
+    ) -> Vec<f64> {
+        let mut upstream = vec![f64::NAN; topo.num_nodes()];
+        let upstream_s = SharedMut::new(&mut upstream);
+        for block in blocks {
+            // SAFETY: forward dependency order, one block at a time.
+            unsafe {
+                topo.upstream_resistance_chunk(nodes(block), sizes.as_slice(), weights, upstream_s)
+            };
+        }
+        upstream
+    }
+
+    /// `(arrival, pred)` from the forward arrival kernel.
+    fn arrivals(
+        topo: &CircuitTopology,
+        blocks: &[Vec<u32>],
+        delays: &[f64],
+    ) -> (Vec<f64>, Vec<usize>) {
+        let n = topo.num_nodes();
+        let (mut arrival, mut pred) = (vec![f64::NAN; n], vec![0; n]);
+        let (arrival_s, pred_s) = (SharedMut::new(&mut arrival), SharedMut::new(&mut pred));
+        for block in blocks {
+            // SAFETY: forward dependency order, one block at a time.
+            unsafe { topo.arrivals_chunk(nodes(block), delays, arrival_s, pred_s) };
+        }
+        (arrival, pred)
+    }
+
+    /// `(sizes, charged, presented, upstream)` after one backward and one
+    /// forward fused pass over `blocks`, from uniform sizes of 1.0.
+    fn fused(
+        c: &CircuitGraph,
+        topo: &CircuitTopology,
+        blocks: &[Vec<u32>],
+        extra: &[f64],
+        weights: &[f64],
+        resize: fn(usize, usize, f64, f64) -> f64,
+    ) -> (SizeVector, Vec<f64>, Vec<f64>, Vec<f64>) {
+        let n = topo.num_nodes();
+        let mut sizes = c.uniform_sizes(1.0);
+        let (mut charged, mut presented, mut upstream) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        let xs = SharedMut::new(sizes.as_mut_slice());
+        let (charged_s, presented_s) =
+            (SharedMut::new(&mut charged), SharedMut::new(&mut presented));
+        let upstream_s = SharedMut::new(&mut upstream);
+        for block in blocks.iter().rev() {
+            // SAFETY: reverse dependency order, one block at a time.
+            unsafe {
+                topo.fused_downstream_chunk(block, xs, extra, charged_s, presented_s, &mut {
+                    resize
+                })
+            };
+        }
+        for block in blocks {
+            // SAFETY: forward dependency order, one block at a time.
+            unsafe {
+                topo.fused_upstream_chunk(nodes(block), xs, weights, upstream_s, &mut { resize })
+            };
+        }
+        (sizes, charged, presented, upstream)
+    }
+
+    /// The whole circuit as one block.
+    fn whole(topo: &CircuitTopology) -> Vec<Vec<u32>> {
+        vec![topo.level_bounds().to_vec()]
+    }
+
     #[test]
     fn model_matches_analyzer_bitwise() {
         let c = chain();
@@ -1989,23 +1756,22 @@ mod tests {
         let analyzer = ElmoreAnalyzer::new(&c);
         let mut ws = EvalWorkspace::new(&c);
         let topo = CircuitTopology::new(&c);
+        ws.extra_cap[c.node_by_name("w1").unwrap().index()] = 3.5;
 
-        let mut extra = vec![0.0; c.num_nodes()];
-        extra[c.node_by_name("w1").unwrap().index()] = 3.5;
-
-        let caps = analyzer.downstream_caps(&sizes, Some(&extra));
-        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
-        assert_eq!(caps.charged, ws.charged);
-        assert_eq!(caps.presented, ws.presented);
+        let reference = analyzer.downstream_caps(&sizes, Some(&ws.extra_cap));
+        let (charged, presented) = caps(&topo, &whole(&topo), &sizes, &ws.extra_cap);
+        assert_eq!(reference.charged, charged);
+        assert_eq!(reference.presented, presented);
 
         let weights = vec![0.7; c.num_nodes()];
-        let upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
-        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
-        assert_eq!(upstream, ws.upstream);
+        assert_eq!(
+            analyzer.weighted_upstream_resistance(&sizes, &weights),
+            upstream(&topo, &whole(&topo), &sizes, &weights)
+        );
 
-        let delays = analyzer.delays(&sizes, Some(&extra));
-        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
-        assert_eq!(delays, ws.delays);
+        topo.timing_into(&sizes, &mut ws);
+        assert_eq!(analyzer.delays(&sizes, Some(&ws.extra_cap)), ws.delays);
+        assert_eq!(reference.charged, ws.charged);
     }
 
     #[test]
@@ -2014,35 +1780,28 @@ mod tests {
         let sizes = c.uniform_sizes(2.0);
         let reference = TimingAnalysis::run(&c, &sizes, None);
 
-        let mut ws = EvalWorkspace::new(&c);
-        let topo = CircuitTopology::new(&c);
-        topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
-        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
-
-        // The graph walk and the topology's CSR walk (which finds the sink
-        // recorded at build time, not through a graph argument) agree with
+        // The topology's CSR walk (which finds the sink recorded at build
+        // time, not through a graph argument) and the graph walk agree with
         // the reference bitwise.
-        let delay = propagate_arrivals_into(
-            &c,
-            &ws.delays,
-            &mut ws.arrival,
-            &mut ws.pred,
-            &mut ws.critical_path,
-        );
+        let topo = CircuitTopology::new(&c);
+        let mut ws = EvalWorkspace::new(&c);
+        let delay = topo.timing_into(&sizes, &mut ws);
         assert_eq!(delay, reference.critical_path_delay);
         assert_eq!(ws.arrival, reference.arrival.values);
         assert_eq!(ws.critical_path, reference.critical_path);
 
-        let mut csr = EvalWorkspace::new(&c);
-        let delay = topo.propagate_arrivals(
+        let mut graph_walk = EvalWorkspace::new(&c);
+        let delay = propagate_arrivals_into(
+            &c,
             &ws.delays,
-            &mut csr.arrival,
-            &mut csr.pred,
-            &mut csr.critical_path,
+            &mut graph_walk.arrival,
+            &mut graph_walk.pred,
+            &mut graph_walk.critical_path,
         );
         assert_eq!(delay, reference.critical_path_delay);
-        assert_eq!(csr.arrival, reference.arrival.values);
-        assert_eq!(csr.critical_path, reference.critical_path);
+        assert_eq!(graph_walk.arrival, reference.arrival.values);
+        assert_eq!(graph_walk.pred, ws.pred);
+        assert_eq!(graph_walk.critical_path, reference.critical_path);
     }
 
     #[test]
@@ -2089,12 +1848,9 @@ mod tests {
         extra[w1] = 2.0;
 
         // Full state at the previous sizes.
-        let mut charged = vec![0.0; n];
-        let mut presented = vec![0.0; n];
-        topo.downstream_caps_into(&prev, Some(&extra), &mut charged, &mut presented);
+        let (mut charged, mut presented) = caps(&topo, &whole(&topo), &prev, &extra);
         let weights = vec![0.4; n];
-        let mut upstream = vec![0.0; n];
-        topo.upstream_resistance_into(&prev, &weights, &mut upstream);
+        let mut upstream = upstream(&topo, &whole(&topo), &prev, &weights);
 
         // Perturb two components and one coupling load.
         let mut sizes = prev.clone();
@@ -2125,24 +1881,24 @@ mod tests {
             &mut inc,
         );
 
-        let mut full_charged = vec![0.0; n];
-        let mut full_presented = vec![0.0; n];
-        topo.downstream_caps_into(&sizes, Some(&extra), &mut full_charged, &mut full_presented);
-        let mut full_upstream = vec![0.0; n];
-        topo.upstream_resistance_into(&sizes, &weights, &mut full_upstream);
+        // The reference rebuild at the new sizes: the analyzer, which the
+        // kernels match bitwise.
+        let analyzer = ElmoreAnalyzer::new(&c);
+        let full = analyzer.downstream_caps(&sizes, Some(&extra));
+        let full_upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
 
         for i in 0..n {
             assert!(
-                (charged[i] - full_charged[i]).abs() <= 1e-9 * full_charged[i].abs().max(1.0),
+                (charged[i] - full.charged[i]).abs() <= 1e-9 * full.charged[i].abs().max(1.0),
                 "charged[{i}]: {} vs {}",
                 charged[i],
-                full_charged[i]
+                full.charged[i]
             );
             assert!(
-                (presented[i] - full_presented[i]).abs() <= 1e-9 * full_presented[i].abs().max(1.0),
+                (presented[i] - full.presented[i]).abs() <= 1e-9 * full.presented[i].abs().max(1.0),
                 "presented[{i}]: {} vs {}",
                 presented[i],
-                full_presented[i]
+                full.presented[i]
             );
             assert!(
                 (upstream[i] - full_upstream[i]).abs() <= 1e-9 * full_upstream[i].abs().max(1.0),
@@ -2163,9 +1919,7 @@ mod tests {
         let sizes = c.uniform_sizes(1.6);
         let extra = vec![0.0; n];
 
-        let mut charged = vec![0.0; n];
-        let mut presented = vec![0.0; n];
-        topo.downstream_caps_into(&sizes, Some(&extra), &mut charged, &mut presented);
+        let (mut charged, mut presented) = caps(&topo, &whole(&topo), &sizes, &extra);
         let before = charged.clone();
         topo.downstream_caps_update(
             &sizes,
@@ -2184,36 +1938,42 @@ mod tests {
     fn level_partition_upholds_its_invariant() {
         let c = chain();
         let topo = CircuitTopology::new(&c);
-        // The partition covers every node exactly once...
-        let mut seen = vec![false; c.num_nodes()];
-        let mut level_of = vec![0usize; c.num_nodes()];
+        let n = c.num_nodes();
+        // The levels cover `0..n` in order, each non-empty...
+        let mut next = 0;
+        let mut level_of = vec![0usize; n];
         for l in 0..topo.num_levels() {
-            let nodes = topo.level(l);
-            assert!(!nodes.is_empty(), "levels are non-empty by construction");
-            // ...in ascending raw-index order within each level.
-            assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-            for &idx in nodes {
-                assert!(!seen[idx as usize], "node {idx} appears twice");
-                seen[idx as usize] = true;
-                level_of[idx as usize] = l;
+            let range = topo.level(l);
+            assert_eq!(range.start, next, "levels are contiguous and in order");
+            assert!(!range.is_empty(), "levels are non-empty by construction");
+            next = range.end;
+            for idx in range {
+                level_of[idx] = l;
             }
         }
-        assert!(seen.iter().all(|&s| s), "every node has a level");
-        // Every edge crosses levels strictly upward, so nodes of one level
-        // share no fanin/fanout edge.
-        for idx in 0..c.num_nodes() {
+        assert_eq!(next, n, "every node has a level");
+        assert_eq!(topo.level_bounds().len(), topo.num_levels() + 1);
+        // ...and every edge crosses levels strictly upward, so nodes of one
+        // level share no fanin/fanout edge. On this level-sorted order the
+        // levels are the longest-path levels.
+        let mut longest = vec![0usize; n];
+        for idx in 0..n {
             for &child in topo.fanout(idx) {
                 assert!(
                     level_of[child as usize] > level_of[idx],
                     "edge {idx} -> {child} must cross levels strictly upward"
                 );
             }
+            for &pred in topo.fanin(idx) {
+                longest[idx] = longest[idx].max(longest[pred as usize] + 1);
+            }
         }
+        assert_eq!(level_of, longest);
     }
 
-    /// Drives the chunk kernels over the level partition (chunks of at most
-    /// two nodes) and checks the result is bitwise identical to the
-    /// sequential whole-circuit traversals.
+    /// Drives the rebuild, delay and arrival kernels over every cut of the
+    /// level partition into blocks and checks each result is bitwise the
+    /// allocate-per-call reference path.
     #[test]
     fn chunk_kernels_match_sequential_traversals_bitwise() {
         let c = chain();
@@ -2224,80 +1984,45 @@ mod tests {
         extra[c.node_by_name("w1").unwrap().index()] = 2.5;
         let weights = vec![0.6; n];
 
-        // Sequential reference.
-        let mut ws = EvalWorkspace::new(&c);
-        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
-        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
-        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
-        let reference_delay = topo.propagate_arrivals(
-            &ws.delays,
-            &mut ws.arrival,
-            &mut ws.pred,
-            &mut ws.critical_path,
+        let analyzer = ElmoreAnalyzer::new(&c);
+        let reference_caps = analyzer.downstream_caps(&sizes, Some(&extra));
+        let reference_upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
+        let reference = TimingAnalysis::run(&c, &sizes, Some(&extra));
+        let mut reference_pred = vec![0; n];
+        propagate_arrivals_into(
+            &c,
+            &reference.delays,
+            &mut vec![0.0; n],
+            &mut reference_pred,
+            &mut Vec::new(),
         );
 
-        // Chunked: levels in dependency order, each level in chunks of 2.
-        let mut charged = vec![0.0; n];
-        let mut presented = vec![0.0; n];
-        let mut upstream = vec![0.0; n];
-        let mut delays = vec![0.0; n];
-        let mut arrival = vec![0.0; n];
-        let mut pred = vec![NO_PRED; n];
-        {
-            let charged_s = SharedMut::new(&mut charged);
-            let presented_s = SharedMut::new(&mut presented);
-            for l in (0..topo.num_levels()).rev() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: chunks of one level are disjoint; levels are
-                    // processed in reverse dependency order.
-                    unsafe {
-                        topo.downstream_caps_chunk(
-                            chunk,
-                            sizes.as_slice(),
-                            &extra,
-                            charged_s,
-                            presented_s,
-                        );
-                    }
-                }
-            }
-            let upstream_s = SharedMut::new(&mut upstream);
-            let delays_s = SharedMut::new(&mut delays);
-            let arrival_s = SharedMut::new(&mut arrival);
-            let pred_s = SharedMut::new(&mut pred);
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: as above, forward dependency order.
-                    unsafe {
-                        topo.upstream_resistance_chunk(
-                            chunk,
-                            sizes.as_slice(),
-                            &weights,
-                            upstream_s,
-                        );
-                    }
-                }
-            }
-            // SAFETY: per-node independent.
-            unsafe { topo.delays_chunk(0..n, sizes.as_slice(), &charged, delays_s) };
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: forward dependency order.
-                    unsafe { topo.arrivals_chunk(chunk, &delays, arrival_s, pred_s) };
-                }
-            }
+        for blocks in blockings(&topo) {
+            let (charged, presented) = caps(&topo, &blocks, &sizes, &extra);
+            assert_eq!(charged, reference_caps.charged, "{blocks:?}");
+            assert_eq!(presented, reference_caps.presented, "{blocks:?}");
+            assert_eq!(
+                upstream(&topo, &blocks, &sizes, &weights),
+                reference_upstream
+            );
+            let (arrival, pred) = arrivals(&topo, &blocks, &reference.delays);
+            assert_eq!(arrival, reference.arrival.values, "{blocks:?}");
+            assert_eq!(pred, reference_pred, "{blocks:?}");
+            let mut path = Vec::new();
+            let delay = topo.trace_critical_path(&arrival, &pred, &mut path);
+            assert_eq!(delay, reference.critical_path_delay);
+            assert_eq!(path, reference.critical_path);
         }
-        assert_eq!(charged, ws.charged);
-        assert_eq!(presented, ws.presented);
-        assert_eq!(upstream, ws.upstream);
-        assert_eq!(delays, ws.delays);
-        assert_eq!(arrival, ws.arrival);
-        assert_eq!(pred, ws.pred);
-        assert_eq!(arrival[c.sink().index()], reference_delay);
     }
 
-    /// The fused chunk kernels, driven level by level with a greedy resize
-    /// closure, match the sequential fused passes bitwise.
+    /// A deterministic, value-dependent resize exercising the in-pass
+    /// freshness of the fused kernels.
+    fn greedy(_comp: usize, _node: usize, value: f64, x: f64) -> f64 {
+        (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
+    }
+
+    /// The fused kernels, driven over every cut of the level partition into
+    /// blocks, match one whole-circuit call bitwise.
     #[test]
     fn fused_chunk_kernels_match_sequential_fused_passes() {
         let c = chain();
@@ -2305,65 +2030,15 @@ mod tests {
         let n = c.num_nodes();
         let extra = vec![0.1; n];
         let weights = vec![0.4; n];
-        let resize = |_comp: usize, _node: usize, value: f64, x: f64| -> f64 {
-            // A deterministic, value-dependent resize exercising the
-            // in-sweep freshness.
-            (x * 0.5 + value.sqrt().min(4.0) * 0.5).clamp(0.2, 8.0)
-        };
-
-        // Sequential fused passes.
-        let mut seq_sizes = c.uniform_sizes(1.0);
-        let mut seq_charged = vec![0.0; n];
-        let mut seq_presented = vec![0.0; n];
-        topo.fused_downstream_resize(
-            &mut seq_sizes,
-            &extra,
-            &mut seq_charged,
-            &mut seq_presented,
-            &mut { resize },
-        );
-        let mut seq_upstream = vec![0.0; n];
-        topo.fused_upstream_resize(&mut seq_sizes, &weights, &mut seq_upstream, &mut { resize });
-
-        // Chunked fused passes over the level partition.
-        let mut par_sizes = c.uniform_sizes(1.0);
-        let mut par_charged = vec![0.0; n];
-        let mut par_presented = vec![0.0; n];
-        let mut par_upstream = vec![0.0; n];
-        {
-            let xs = SharedMut::new(par_sizes.as_mut_slice());
-            let charged_s = SharedMut::new(&mut par_charged);
-            let presented_s = SharedMut::new(&mut par_presented);
-            for l in (0..topo.num_levels()).rev() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: chunks of one level are disjoint; reverse
-                    // dependency order.
-                    unsafe {
-                        topo.fused_downstream_chunk(
-                            chunk,
-                            xs,
-                            &extra,
-                            charged_s,
-                            presented_s,
-                            &mut { resize },
-                        );
-                    }
-                }
-            }
-            let upstream_s = SharedMut::new(&mut par_upstream);
-            for l in 0..topo.num_levels() {
-                for chunk in topo.level(l).chunks(2) {
-                    // SAFETY: forward dependency order.
-                    unsafe {
-                        topo.fused_upstream_chunk(chunk, xs, &weights, upstream_s, &mut { resize });
-                    }
-                }
-            }
+        let reference = fused(&c, &topo, &whole(&topo), &extra, &weights, greedy);
+        assert_ne!(reference.0, c.uniform_sizes(1.0), "the resize must move");
+        for blocks in blockings(&topo) {
+            assert_eq!(
+                fused(&c, &topo, &blocks, &extra, &weights, greedy),
+                reference,
+                "{blocks:?}"
+            );
         }
-        assert_eq!(par_sizes, seq_sizes);
-        assert_eq!(par_charged, seq_charged);
-        assert_eq!(par_presented, seq_presented);
-        assert_eq!(par_upstream, seq_upstream);
     }
 
     /// The fused passes leave every table they maintain exactly as a
@@ -2376,50 +2051,66 @@ mod tests {
         let n = c.num_nodes();
         let extra = vec![0.3; n];
         let weights = vec![0.5; n];
-        let mut resize =
-            |_comp: usize, _node: usize, value: f64, x: f64| (x + value.sqrt()).clamp(0.5, 6.0);
-        let mut sizes = c.uniform_sizes(1.0);
-        let mut charged = vec![0.0; n];
-        let mut presented = vec![0.0; n];
-        topo.fused_downstream_resize(
-            &mut sizes,
-            &extra,
-            &mut charged,
-            &mut presented,
-            &mut resize,
-        );
-        let mut ws = EvalWorkspace::new(&c);
-        topo.downstream_caps_into(&sizes, Some(&extra), &mut ws.charged, &mut ws.presented);
-        assert_eq!(charged, ws.charged);
-        assert_eq!(presented, ws.presented);
+        let grow: fn(usize, usize, f64, f64) -> f64 =
+            |_comp, _node, value, x| (x + value.sqrt()).clamp(0.5, 6.0);
+        let analyzer = ElmoreAnalyzer::new(&c);
+        for blocks in blockings(&topo) {
+            // The backward pass alone: its tables describe its own output.
+            let mut sizes = c.uniform_sizes(1.0);
+            let (mut charged, mut presented) = (vec![0.0; n], vec![0.0; n]);
+            let xs = SharedMut::new(sizes.as_mut_slice());
+            let (charged_s, presented_s) =
+                (SharedMut::new(&mut charged), SharedMut::new(&mut presented));
+            for block in blocks.iter().rev() {
+                // SAFETY: reverse dependency order, one block at a time.
+                unsafe {
+                    topo.fused_downstream_chunk(block, xs, &extra, charged_s, presented_s, &mut {
+                        grow
+                    })
+                };
+            }
+            let rebuilt = analyzer.downstream_caps(&sizes, Some(&extra));
+            assert_eq!(charged, rebuilt.charged, "{blocks:?}");
+            assert_eq!(presented, rebuilt.presented, "{blocks:?}");
 
-        let mut upstream = vec![0.0; n];
-        topo.fused_upstream_resize(&mut sizes, &weights, &mut upstream, &mut resize);
-        topo.upstream_resistance_into(&sizes, &weights, &mut ws.upstream);
-        assert_eq!(upstream, ws.upstream);
+            let mut upstream = vec![0.0; n];
+            let upstream_s = SharedMut::new(&mut upstream);
+            let xs = SharedMut::new(sizes.as_mut_slice());
+            for block in &blocks {
+                // SAFETY: forward dependency order, one block at a time.
+                unsafe {
+                    topo.fused_upstream_chunk(nodes(block), xs, &weights, upstream_s, &mut { grow })
+                };
+            }
+            assert_eq!(
+                upstream,
+                analyzer.weighted_upstream_resistance(&sizes, &weights),
+                "{blocks:?}"
+            );
+        }
     }
 
     /// The delay kernel is per-node independent: any split of the node
-    /// range reproduces `delays_into` bitwise.
+    /// range reproduces the analyzer's delays bitwise.
     #[test]
     fn delays_chunk_matches_delays_into_for_every_range_split() {
         let c = chain();
         let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let sizes = c.uniform_sizes(1.7);
-        let mut ws = EvalWorkspace::new(&c);
-        topo.downstream_caps_into(&sizes, None, &mut ws.charged, &mut ws.presented);
-        topo.delays_into(&sizes, &ws.charged, &mut ws.delays);
+        let analyzer = ElmoreAnalyzer::new(&c);
+        let charged = analyzer.downstream_caps(&sizes, None).charged;
+        let reference = analyzer.delays(&sizes, None);
         for split in 0..=n {
             let mut delays = vec![f64::NAN; n];
             let delays_s = SharedMut::new(&mut delays);
             // SAFETY: disjoint in-range ranges over slabs sized for the
             // circuit.
             unsafe {
-                topo.delays_chunk(0..split, sizes.as_slice(), &ws.charged, delays_s);
-                topo.delays_chunk(split..n, sizes.as_slice(), &ws.charged, delays_s);
+                topo.delays_chunk(0..split, sizes.as_slice(), &charged, delays_s);
+                topo.delays_chunk(split..n, sizes.as_slice(), &charged, delays_s);
             }
-            assert_eq!(delays, ws.delays, "split at {split}");
+            assert_eq!(delays, reference, "split at {split}");
         }
     }
 
@@ -2438,7 +2129,7 @@ mod tests {
         let c = chain();
         let ws = EvalWorkspace::new(&c);
         assert_eq!(ws.charged.len(), c.num_nodes());
-        assert_eq!(ws.prev_sizes.len(), c.num_components());
+        assert_eq!(ws.node_weights.len(), c.num_nodes());
         assert!(ws.critical_path.capacity() >= c.num_nodes());
         assert!(ws.memory_bytes() > 0);
     }

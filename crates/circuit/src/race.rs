@@ -2,8 +2,8 @@
 //! `race-check` debug feature.
 //!
 //! The parallel kernels rely on a discipline no type checks: during one
-//! pass over a topological level, every index written through a `SharedMut`
-//! view belongs to exactly one (level, chunk) owner. This module makes that
+//! step of a pass over the level grid, every index written through a
+//! `SharedMut` view belongs to exactly one (step, chunk) owner. This module makes that
 //! discipline *observable*: while a pass context is entered on a thread,
 //! every `set`/`add` through any `SharedMut` records `(slice address,
 //! index) -> (pass, owner)` in a global claim map and **panics** the moment
@@ -45,16 +45,16 @@ thread_local! {
     static CONTEXT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-/// Allocates a fresh pass id. Call once per parallel pass (one level of a
+/// Allocates a fresh pass id. Call once per parallel pass (one step of a
 /// leveled sweep, or one flat sweep), before entering any chunk context.
 pub fn begin_pass() -> u64 {
     NEXT_PASS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Allocates a contiguous block of `n` pass ids and returns the first.
-/// A leveled sweep claims one id per level up front (`base + level`), so
-/// every worker derives the same id for a level without synchronizing —
-/// and writes to one index from *different* levels (settled sequentially
+/// A leveled sweep claims one id per step up front (`base + step`), so
+/// every worker derives the same id for a step without synchronizing —
+/// and writes to one index from *different* steps (settled sequentially
 /// by the barriers) never collide.
 pub fn begin_passes(n: u64) -> u64 {
     NEXT_PASS.fetch_add(n.max(1), Ordering::Relaxed)
@@ -73,17 +73,17 @@ impl Drop for ContextGuard {
 
 /// Enters a `(pass, owner)` context on this thread: until the returned
 /// guard drops, every `SharedMut` write on this thread is claimed for
-/// `owner`. Owners encode `(level, chunk)`; see
+/// `owner`. Owners encode `(step, chunk)`; see
 /// [`owner_id`].
 pub fn enter(pass: u64, owner: u64) -> ContextGuard {
     let prev = CONTEXT.with(|c| c.replace(Some((pass, owner))));
     ContextGuard { prev }
 }
 
-/// Packs a (level, chunk) coordinate into an owner id. Flat (unleveled)
-/// passes use `level = u32::MAX`.
-pub fn owner_id(level: u32, chunk: u32) -> u64 {
-    (u64::from(level) << 32) | u64::from(chunk)
+/// Packs a (step, chunk) coordinate into an owner id. Flat (unleveled)
+/// passes use `step = u32::MAX`.
+pub fn owner_id(step: u32, chunk: u32) -> u64 {
+    (u64::from(step) << 32) | u64::from(chunk)
 }
 
 /// Records a write of `slice[index]` by the current context, panicking on
@@ -104,7 +104,7 @@ pub fn claim_write(slice: usize, index: usize) {
             let (ol, oc) = ((owner >> 32) as u32, owner as u32);
             panic!(
                 "race-check: overlapping write to index {index} of slice {slice:#x} in pass \
-                 {pass}: chunk (level {pl}, chunk {pc}) and chunk (level {ol}, chunk {oc}) both \
+                 {pass}: chunk (step {pl}, chunk {pc}) and chunk (step {ol}, chunk {oc}) both \
                  wrote it — the level partition is violated"
             );
         }

@@ -83,16 +83,17 @@ pub struct SizingEngine<'a> {
     /// partition, dirty sets, incremental-evaluation scratch).
     pub(crate) sched: ScheduleWorkspace,
     /// The parallel runtime ([`crate::par`]): policy, worker pool and
-    /// work-queue heads. Sequential until [`set_parallel`](Self::set_parallel)
-    /// selects the level grid.
+    /// work-queue heads. One worker until [`set_parallel`](Self::set_parallel)
+    /// selects more.
     pub(crate) par: ParRuntime,
-    /// The deterministic chunk grid over the topology's level partition.
+    /// The deterministic block grid over the topology's level partition:
+    /// every traversal pass runs over it.
     grid: LevelGrid,
     /// Coupling-pair indices grouped by *channel shard* (connected
     /// components of the pair graph), global pair order within each shard —
     /// so concurrent shards never write the same per-node accumulator and
     /// every node's adds happen in global pair order (bitwise identical to
-    /// the sequential scatter).
+    /// the plain pair loop).
     scatter_pairs: Vec<u32>,
     /// CSR offsets into `scatter_pairs`, one per shard plus a trailing total.
     scatter_shard_start: Vec<u32>,
@@ -100,34 +101,36 @@ pub struct SizingEngine<'a> {
     /// `scatter_chunk_start[c]..scatter_chunk_start[c + 1]`, grouped to a
     /// fixed pair budget (thread-count independent).
     scatter_chunk_start: Vec<u32>,
-    /// Per-chunk reduction slots of the parallel sweeps, merged in fixed
-    /// chunk order after every pass.
+    /// Per-block reduction slots of the sweeps, merged in fixed block
+    /// order after every pass.
     pscratch: ParScratch,
 }
 
-/// Per-chunk reduction slots for the parallel sweeps (sized once per
-/// engine). Each chunk writes only its own slots / scratch segment during a
-/// pass; the caller merges them in fixed chunk order afterwards, which is
-/// what makes the reductions independent of the thread count.
+/// Per-block reduction slots for the sweeps (sized once per engine): one
+/// per (step, chunk) of a leveled pass, or per chunk of a flat pass. Each
+/// block writes only its own slots / scratch segment during a pass; the
+/// caller merges them in fixed block order afterwards, which is what makes
+/// the reductions independent of the thread count.
 #[derive(Debug, Clone, Default)]
 struct ParScratch {
-    /// Worst relative size change seen by each chunk.
+    /// Worst relative size change seen by each block.
     chunk_worst: Vec<f64>,
-    /// Components touched (resized) by each chunk.
+    /// Components touched (resized) by each block.
     chunk_touched: Vec<u32>,
-    /// Number of entries each chunk wrote into its `chunk_changed` segment.
+    /// Number of entries each block wrote into its `chunk_changed` segment.
     chunk_changed_len: Vec<u32>,
-    /// Changed-component records, one disjoint segment per chunk (indexed
-    /// by the chunk's level-ordered node-position base).
+    /// Changed-component records, one disjoint segment per block: a block
+    /// records at most one component per node, so its segment is its own
+    /// node range.
     chunk_changed: Vec<u32>,
 }
 
 impl ParScratch {
-    fn new(total_chunks: usize, num_nodes: usize) -> Self {
+    fn new(total_slots: usize, num_nodes: usize) -> Self {
         ParScratch {
-            chunk_worst: vec![0.0; total_chunks],
-            chunk_touched: vec![0; total_chunks],
-            chunk_changed_len: vec![0; total_chunks],
+            chunk_worst: vec![0.0; total_slots],
+            chunk_touched: vec![0; total_slots],
+            chunk_changed_len: vec![0; total_slots],
             chunk_changed: vec![0; num_nodes],
         }
     }
@@ -158,8 +161,9 @@ struct ResizeTables<'a> {
 }
 
 impl ResizeTables<'_> {
-    /// The closed-form resize of one component — the same arithmetic as the
-    /// inner loop of `lrs_sweep`. Returns `(x_new, relative_change)`.
+    /// The Theorem-5 closed-form resize of one component — the per-component
+    /// arithmetic of the reference LRS sweep, expression for expression.
+    /// Returns `(x_new, relative_change)`.
     #[inline(always)]
     fn closed_form(
         &self,
@@ -194,26 +198,24 @@ impl ResizeTables<'_> {
     }
 }
 
-/// Chunk-shared context of one level-parallel fused resize pass: the
-/// Theorem-5 tables, the freeze schedule and the shared per-component
-/// views. [`resize`](Self::resize) is the single place the parallel
-/// passes' per-component semantics live — both traversal directions feed
-/// it their fresh quantity and the pass-fixed complement, and the
-/// calm/freeze rule delegates to
-/// [`ScheduleWorkspace::note_resize_shared`], the canonical home it shares
-/// with the sequential schedule.
+/// Block-shared context of one fused resize pass: the Theorem-5 tables,
+/// the freeze schedule and the shared per-component views.
+/// [`resize`](Self::resize) is the single place the fused passes'
+/// per-component semantics live — both traversal directions feed it their
+/// fresh quantity and the pass-fixed complement, and the calm/freeze rule
+/// delegates to [`ScheduleWorkspace::note_resize_shared`].
 struct FusedChunkCtx<'a> {
     tables: ResizeTables<'a>,
     schedule: &'a AdaptiveSchedule,
     resize_all: bool,
     calm: SharedMut<'a, u32>,
     frozen: SharedMut<'a, bool>,
-    /// Changed-component scratch; each chunk writes only its own disjoint
-    /// segment (based at its level-ordered node position).
+    /// Changed-component scratch; each block writes only its own disjoint
+    /// segment (based at its first node).
     chunk_changed: SharedMut<'a, u32>,
 }
 
-/// Per-chunk running reductions of one fused pass, merged in fixed chunk
+/// Per-block running reductions of one fused pass, merged in fixed block
 /// order by the caller.
 #[derive(Default)]
 struct ChunkStats {
@@ -223,16 +225,16 @@ struct ChunkStats {
 }
 
 impl FusedChunkCtx<'_> {
-    /// The chunk-side resize of one node's component, called by the fused
-    /// chunk kernels the moment the node's fresh quantity is known:
-    /// frozen-skip, the Theorem-5 closed form, calm/freeze bookkeeping and
-    /// the chunk's dirty-frontier record. Returns the new size (the old one
-    /// when skipped), which the kernel writes back.
+    /// The block-side resize of one node's component, called by the fused
+    /// kernels the moment the node's fresh quantity is known: frozen-skip,
+    /// the Theorem-5 closed form, calm/freeze bookkeeping and the block's
+    /// dirty-frontier record. Returns the new size (the old one when
+    /// skipped), which the kernel writes back.
     ///
     /// # Safety
     ///
-    /// `comp` belongs to the calling chunk (no other chunk touches its
-    /// `calm`/`frozen` entries) and `seg` is the chunk's disjoint scratch
+    /// `comp` belongs to the calling block (no other block touches its
+    /// `calm`/`frozen` entries) and `seg` is the block's disjoint scratch
     /// segment.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -396,11 +398,11 @@ impl<'a> SizingEngine<'a> {
             });
         }
         let (comp_pair_start, comp_pair_list) = Self::build_pair_adjacency(n, &pair_table);
-        let grid = LevelGrid::new((0..topo.num_levels()).map(|l| topo.level(l).len()));
+        let grid = LevelGrid::new(topo.level_bounds());
         let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
             Self::build_scatter_shards(graph.num_nodes(), &pair_table);
-        let total_chunks = grid.total_chunks().max(par::flat_chunks(graph.num_nodes()));
-        let pscratch = ParScratch::new(total_chunks, graph.num_nodes());
+        let total_slots = grid.total_slots().max(par::flat_chunks(graph.num_nodes()));
+        let pscratch = ParScratch::new(total_slots, graph.num_nodes());
         SizingEngine {
             graph,
             coupling,
@@ -439,7 +441,7 @@ impl<'a> SizingEngine<'a> {
     /// only to each other, so each channel lands in its own shard). Within a
     /// shard the pairs keep their global order, so every node's accumulation
     /// sequence under a sharded scatter is exactly its subsequence of the
-    /// sequential scatter — bitwise identical sums. Shards are then grouped
+    /// plain pair loop — bitwise identical sums. Shards are then grouped
     /// into chunks of a fixed pair budget for the flat runner.
     fn build_scatter_shards(num_nodes: usize, pairs: &PairTable) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         if pairs.len() == 0 {
@@ -507,12 +509,12 @@ impl<'a> SizingEngine<'a> {
 
     /// Selects how this engine's traversals are distributed across threads
     /// (see [`ParallelPolicy`]); [`OgwsSolver`](crate::OgwsSolver) applies
-    /// the configuration's policy at the start of every run. The `Level`
-    /// policy only changes *who computes what*: outcomes are bitwise
-    /// identical for every thread count, and the exact solve strategy stays
+    /// the configuration's policy at the start of every run. The policy
+    /// only changes *who computes what*: outcomes are bitwise identical for
+    /// every thread count, and the exact solve strategy stays
     /// bitwise-pinned to [`crate::reference`].
     pub fn set_parallel(&mut self, policy: ParallelPolicy) {
-        self.par.configure(policy, self.grid.num_levels());
+        self.par.configure(policy, self.grid.num_steps());
     }
 
     /// The active parallel policy.
@@ -526,10 +528,10 @@ impl<'a> SizingEngine<'a> {
         &self.par
     }
 
-    /// The dense topology + chunk grid behind the level-parallel paths,
-    /// when the policy enables them.
-    pub(crate) fn level_ctx(&self) -> Option<(&CircuitTopology, &LevelGrid)> {
-        self.par.active().then_some((&self.topo, &self.grid))
+    /// The block grid every leveled pass runs over, for sibling subsystems
+    /// (flow projection).
+    pub(crate) fn level_grid(&self) -> &LevelGrid {
+        &self.grid
     }
 
     /// Builds the component → coupling-pair CSR adjacency (each pair appears
@@ -681,13 +683,14 @@ impl<'a> SizingEngine<'a> {
             self.comp_raw_index.len(),
             "sizes must match the circuit"
         );
-        // Channel-sharded scatter under the level-parallel policy: chunks
+        // Channel-sharded scatter when more than one worker runs: chunks
         // cover whole shards (connected channels), so concurrent chunks
         // never write the same per-node accumulator, and within a shard the
         // pairs keep global order — every node's adds happen in exactly the
-        // sequential order, making the result bitwise identical to the loop
-        // below for every thread count.
-        if self.par.active() && self.scatter_chunk_start.len() > 2 {
+        // pair order of the plain loop below, making the two bitwise
+        // identical. One worker takes the plain loop, which streams the
+        // pair table without the shard indirection.
+        if self.par.workers() > 1 && self.scatter_chunk_start.len() > 2 {
             let chunks = self.scatter_chunk_start.len() - 1;
             let load_s = SharedMut::new(load.as_mut_slice());
             let pairs = &self.pair_table;
@@ -755,23 +758,12 @@ impl<'a> SizingEngine<'a> {
     }
 
     /// Full downstream-capacitance rebuild at `sizes` (the coupling load
-    /// must already be in `ws.extra_cap`): level-parallel over the chunk
-    /// grid when the policy allows, the sequential traversal otherwise.
-    /// Per-node results are bitwise identical either way — each node's
-    /// accumulation runs over its own CSR fanout list in list order,
-    /// reading only settled later levels.
+    /// must already be in `ws.extra_cap`) over the block grid, blocks in
+    /// reverse dependency order. Each node's accumulation runs over its own
+    /// CSR fanout list in list order, reading only settled later levels.
     fn rebuild_downstream_caps(&mut self, sizes: &SizeVector) {
         let topo = &self.topo;
         let ws = &mut self.ws;
-        if !self.par.active() {
-            topo.downstream_caps_into(
-                sizes,
-                Some(&ws.extra_cap),
-                &mut ws.charged,
-                &mut ws.presented,
-            );
-            return;
-        }
         let n = topo.num_nodes();
         assert_eq!(ws.charged.len(), n, "workspace must match the circuit");
         assert_eq!(ws.presented.len(), n);
@@ -785,26 +777,19 @@ impl<'a> SizingEngine<'a> {
         let charged_s = SharedMut::new(ws.charged.as_mut_slice());
         let presented_s = SharedMut::new(ws.presented.as_mut_slice());
         let extra: &[f64] = &ws.extra_cap;
-        let grid = &self.grid;
-        self.par.run_leveled(grid, true, |l, c| {
-            let level = topo.level(l);
-            let range = grid.chunk_range(level.len(), c);
-            // SAFETY: chunks of one level own disjoint nodes; levels settle
-            // in reverse dependency order; lengths asserted above.
-            unsafe { topo.downstream_caps_chunk(&level[range], xs, extra, charged_s, presented_s) };
+        self.par.run_leveled(&self.grid, true, |block| {
+            // SAFETY: blocks of one step own disjoint nodes; steps settle in
+            // reverse dependency order; lengths asserted above.
+            unsafe { topo.downstream_caps_chunk(block.bounds, xs, extra, charged_s, presented_s) };
         });
     }
 
     /// Full λ-weighted upstream-resistance rebuild at `sizes` (weights from
-    /// `ws.node_weights`): the forward-leveled counterpart of
+    /// `ws.node_weights`): the forward counterpart of
     /// [`rebuild_downstream_caps`](Self::rebuild_downstream_caps).
     fn rebuild_upstream(&mut self, sizes: &SizeVector) {
         let topo = &self.topo;
         let ws = &mut self.ws;
-        if !self.par.active() {
-            topo.upstream_resistance_into(sizes, &ws.node_weights, &mut ws.upstream);
-            return;
-        }
         let n = topo.num_nodes();
         assert_eq!(ws.upstream.len(), n, "workspace must match the circuit");
         assert_eq!(ws.node_weights.len(), n);
@@ -816,13 +801,10 @@ impl<'a> SizingEngine<'a> {
         let xs = sizes.as_slice();
         let upstream_s = SharedMut::new(ws.upstream.as_mut_slice());
         let weights: &[f64] = &ws.node_weights;
-        let grid = &self.grid;
-        self.par.run_leveled(grid, false, |l, c| {
-            let level = topo.level(l);
-            let range = grid.chunk_range(level.len(), c);
-            // SAFETY: chunks of one level own disjoint nodes; levels settle
-            // in forward dependency order.
-            unsafe { topo.upstream_resistance_chunk(&level[range], xs, weights, upstream_s) };
+        self.par.run_leveled(&self.grid, false, |block| {
+            // SAFETY: blocks of one step own disjoint nodes; steps settle in
+            // forward dependency order.
+            unsafe { topo.upstream_resistance_chunk(block.nodes(), xs, weights, upstream_s) };
         });
     }
 
@@ -840,7 +822,6 @@ impl<'a> SizingEngine<'a> {
         // longer describes them.
         self.sched.caps_synced = false;
         self.sched.charged_fresh = false;
-        self.ws.prev_sizes.copy_from_slice(sizes.as_slice());
 
         // S2: downstream capacitances C_i with the coupling load included.
         self.refresh_coupling_load(sizes);
@@ -848,79 +829,14 @@ impl<'a> SizingEngine<'a> {
         // S3: λ-weighted upstream resistances R_i.
         self.rebuild_upstream(sizes);
 
-        // Level-parallel S4: the closed-form resize is component-separable
-        // (each component reads only the fixed charged/upstream/λ tables and
-        // its own size), so flat chunks distribute it freely; per-chunk
-        // worst-change maxima merge in fixed chunk order. The arithmetic is
-        // the sequential loop's, expression for expression, so the exact
-        // path stays bitwise-pinned to `crate::reference` at any thread
-        // count.
-        if self.par.active() {
-            let ws = &mut self.ws;
-            let n = self.comp_raw_index.len();
-            assert_eq!(sizes.len(), n, "sizes must match the circuit");
-            assert_eq!(
-                ws.charged.len(),
-                self.graph.num_nodes(),
-                "workspace must match the circuit"
-            );
-            assert_eq!(ws.node_weights.len(), ws.charged.len());
-            assert_eq!(ws.upstream.len(), ws.charged.len());
-            let tables = ResizeTables {
-                is_wire: &self.comp_is_wire,
-                unit_resistance: &self.unit_resistance,
-                unit_capacitance: &self.unit_capacitance,
-                area_coefficient: &self.area_coefficient,
-                lower_bound: &self.lower_bound,
-                upper_bound: &self.upper_bound,
-                coupling_sum: &self.coupling_sum,
-                extra_denom: &self.extra_denom,
-                beta,
-                gamma,
-            };
-            let raw_index = &self.comp_raw_index[..n];
-            let charged: &[f64] = &ws.charged;
-            let upstream: &[f64] = &ws.upstream;
-            let node_weights: &[f64] = &ws.node_weights;
-            let xs_s = SharedMut::new(&mut sizes.as_mut_slice()[..n]);
-            let chunks = par::flat_chunks(n);
-            let chunk_worst = SharedMut::new(self.pscratch.chunk_worst.as_mut_slice());
-            self.par.run_flat(chunks, |c| {
-                let mut local = 0.0f64;
-                for dense in par::flat_range(n, c) {
-                    let raw = raw_index[dense];
-                    // SAFETY: `raw` is a node index of the engine's circuit
-                    // (lengths cross-checked above); each `dense` is owned
-                    // by this chunk, so the size reads/writes cannot alias.
-                    unsafe {
-                        let x_i = xs_s.get(dense);
-                        let (x_new, rel) = tables.closed_form(
-                            dense,
-                            x_i,
-                            *charged.get_unchecked(raw),
-                            *upstream.get_unchecked(raw),
-                            *node_weights.get_unchecked(raw),
-                        );
-                        xs_s.set(dense, x_new);
-                        local = local.max(rel);
-                    }
-                }
-                // SAFETY: slot `c` is owned by this chunk.
-                unsafe { chunk_worst.set(c, local) };
-            });
-            let mut worst = 0.0f64;
-            for c in 0..chunks {
-                worst = worst.max(self.pscratch.chunk_worst[c]);
-            }
-            return worst;
-        }
-
+        // S4 + S5: the closed-form resize is component-separable (each
+        // component reads only the fixed charged/upstream/λ tables and its
+        // own size), so flat chunks distribute it freely; the per-chunk
+        // maxima of the relative change (S5's convergence measure) merge in
+        // fixed chunk order. The per-component arithmetic is the reference
+        // sweep's, expression for expression, so the exact path stays
+        // bitwise-pinned to `crate::reference` at any thread count.
         let ws = &mut self.ws;
-        // S4 + S5: greedy closed-form resize, updating in place, fused with
-        // the convergence measure. All dense tables are pre-sliced to the
-        // component count so the per-component indexing is check-free; the
-        // three raw-node lookups are unchecked under the length assertions
-        // below (every stored raw index is in range by construction).
         let n = self.comp_raw_index.len();
         assert_eq!(sizes.len(), n, "sizes must match the circuit");
         assert_eq!(
@@ -930,65 +846,51 @@ impl<'a> SizingEngine<'a> {
         );
         assert_eq!(ws.node_weights.len(), ws.charged.len());
         assert_eq!(ws.upstream.len(), ws.charged.len());
+        let tables = ResizeTables {
+            is_wire: &self.comp_is_wire,
+            unit_resistance: &self.unit_resistance,
+            unit_capacitance: &self.unit_capacitance,
+            area_coefficient: &self.area_coefficient,
+            lower_bound: &self.lower_bound,
+            upper_bound: &self.upper_bound,
+            coupling_sum: &self.coupling_sum,
+            extra_denom: &self.extra_denom,
+            beta,
+            gamma,
+        };
         let raw_index = &self.comp_raw_index[..n];
-        let is_wire = &self.comp_is_wire[..n];
-        let unit_res = &self.unit_resistance[..n];
-        let unit_cap = &self.unit_capacitance[..n];
-        let area = &self.area_coefficient[..n];
-        let lower = &self.lower_bound[..n];
-        let upper = &self.upper_bound[..n];
-        let coupling_sums = &self.coupling_sum[..n];
-        let extra_denom = &self.extra_denom[..n];
-        let prev = &ws.prev_sizes[..n];
-        let xs = &mut sizes.as_mut_slice()[..n];
-
-        let mut worst = 0.0_f64;
-        for dense in 0..n {
-            let raw = raw_index[dense];
-            // SAFETY: `raw` is a node index of the engine's circuit, and the
-            // workspace buffers hold one entry per node (sized at
-            // construction, lengths cross-checked above).
-            let (lambda_i, charged, upstream) = unsafe {
-                (
-                    *ws.node_weights.get_unchecked(raw),
-                    *ws.charged.get_unchecked(raw),
-                    *ws.upstream.get_unchecked(raw),
-                )
-            };
-            let x_i = xs[dense];
-            let coupling_sum = coupling_sums[dense];
-
-            // Numerator capacitance: C_i minus every term proportional to
-            // x_i (own far-half capacitance and the x_i part of the
-            // coupling), keeping the neighbor-width coupling term.
-            let mut cap_num = charged;
-            if is_wire[dense] {
-                cap_num -= unit_cap[dense] * x_i / 2.0;
-                cap_num -= coupling_sum * x_i;
+        let charged: &[f64] = &ws.charged;
+        let upstream: &[f64] = &ws.upstream;
+        let node_weights: &[f64] = &ws.node_weights;
+        let xs_s = SharedMut::new(&mut sizes.as_mut_slice()[..n]);
+        let chunks = par::flat_chunks(n);
+        let chunk_worst = SharedMut::new(self.pscratch.chunk_worst.as_mut_slice());
+        self.par.run_flat(chunks, |c| {
+            let mut local = 0.0f64;
+            for dense in par::flat_range(n, c) {
+                let raw = raw_index[dense];
+                // SAFETY: `raw` is a node index of the engine's circuit
+                // (lengths cross-checked above); each `dense` is owned by
+                // this chunk, so the size reads/writes cannot alias.
+                unsafe {
+                    let x_i = xs_s.get(dense);
+                    let (x_new, rel) = tables.closed_form(
+                        dense,
+                        x_i,
+                        *charged.get_unchecked(raw),
+                        *upstream.get_unchecked(raw),
+                        *node_weights.get_unchecked(raw),
+                    );
+                    xs_s.set(dense, x_new);
+                    local = local.max(rel);
+                }
             }
-            // Guard against tiny negative values from floating-point noise.
-            if cap_num < 0.0 {
-                cap_num = 0.0;
-            }
-
-            // The extra-family term is exactly 0.0 when no families are
-            // active, keeping the legacy arithmetic bitwise intact.
-            let denominator = area[dense]
-                + (beta + upstream) * unit_cap[dense]
-                + gamma * coupling_sum
-                + extra_denom[dense];
-            let numerator = lambda_i * unit_res[dense] * cap_num;
-
-            let opt = if denominator > 0.0 && numerator > 0.0 {
-                (numerator / denominator).sqrt()
-            } else {
-                0.0
-            };
-            let x_new = opt.clamp(lower[dense], upper[dense]);
-            xs[dense] = x_new;
-
-            // S5's convergence measure: the largest relative change.
-            worst = worst.max((x_new - prev[dense]).abs() / prev[dense].abs().max(1e-12));
+            // SAFETY: slot `c` is owned by this chunk.
+            unsafe { chunk_worst.set(c, local) };
+        });
+        let mut worst = 0.0f64;
+        for &chunk in &self.pscratch.chunk_worst[..chunks] {
+            worst = worst.max(chunk);
         }
         worst
     }
@@ -1187,13 +1089,14 @@ impl<'a> SizingEngine<'a> {
     }
 
     /// One forward fused Gauss–Seidel pass
-    /// ([`CircuitTopology::fused_upstream_resize`]): a single forward-topological
-    /// traversal recomputes the λ-weighted upstream resistances over the
-    /// freshly resized upstream state and resizes each component the moment
-    /// its upstream resistance is known, reading the charged table of the
-    /// previous backward pass. With `resize_all` every component is
-    /// re-checked (verification semantics); otherwise frozen components are
-    /// skipped. Returns `(worst relative change, components touched)`.
+    /// ([`CircuitTopology::fused_upstream_chunk`] over the block grid): one
+    /// forward-topological traversal recomputes the λ-weighted upstream
+    /// resistances over the freshly resized upstream state and resizes each
+    /// component the moment its upstream resistance is known, reading the
+    /// charged table of the previous backward pass. With `resize_all` every
+    /// component is re-checked (verification semantics); otherwise frozen
+    /// components are skipped. Returns `(worst relative change, components
+    /// touched)`.
     pub(crate) fn fused_forward_sweep(
         &mut self,
         sizes: &mut SizeVector,
@@ -1203,64 +1106,19 @@ impl<'a> SizingEngine<'a> {
         resize_all: bool,
     ) -> (f64, usize) {
         self.ensure_charged_fresh(sizes);
-        if self.par.active() {
-            return self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, false);
-        }
-        let EvalWorkspace {
-            charged,
-            upstream,
-            node_weights,
-            ..
-        } = &mut self.ws;
-        let charged: &[f64] = charged;
-        let node_weights: &[f64] = node_weights;
-        let sched = &mut self.sched;
-        let tables = ResizeTables {
-            is_wire: &self.comp_is_wire,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
-            extra_denom: &self.extra_denom,
-            beta,
-            gamma,
-        };
-        let mut worst = 0.0_f64;
-        let mut touched = 0usize;
-        let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
-            if !resize_all && sched.frozen[comp] {
-                return x_i;
-            }
-            touched += 1;
-            let (x_new, rel) =
-                tables.closed_form(comp, x_i, charged[node], upstream_i, node_weights[node]);
-            worst = worst.max(rel);
-            sched.note_resize(comp, rel, schedule);
-            if x_new != x_i {
-                sched.push_changed(comp);
-            }
-            x_new
-        };
-        self.topo
-            .fused_upstream_resize(sizes, node_weights, upstream, &mut resize);
-        // The resizes invalidated the charged table (it still reflects the
-        // pre-pass sizes); the next backward pass rebuilds it.
-        sched.charged_fresh = false;
-        sched.rebuild_active();
-        (worst, touched)
+        self.fused_sweep(sizes, beta, gamma, schedule, resize_all, false)
     }
 
     /// One backward fused Gauss–Seidel pass
-    /// ([`CircuitTopology::fused_downstream_resize`]): the coupling loads are
-    /// brought up to date (sparsely when the dirty set is small), then a
-    /// single reverse-topological traversal re-accumulates the downstream
-    /// capacitances and resizes each component the moment its charged
-    /// capacitance is known, reading the upstream table of the previous
-    /// forward pass. Alternating the two directions refreshes both sides
-    /// of the Theorem-5 formula with one traversal each and roughly squares
-    /// the per-pass contraction, so solves converge in far fewer sweeps.
+    /// ([`CircuitTopology::fused_downstream_chunk`] over the block grid):
+    /// the coupling loads are brought up to date (sparsely when the dirty
+    /// set is small), then one reverse-topological traversal
+    /// re-accumulates the downstream capacitances and resizes each
+    /// component the moment its charged capacitance is known, reading the
+    /// upstream table of the previous forward pass. Alternating the two
+    /// directions refreshes both sides of the Theorem-5 formula with one
+    /// traversal each and roughly squares the per-pass contraction, so
+    /// solves converge in far fewer sweeps.
     pub(crate) fn fused_backward_sweep(
         &mut self,
         sizes: &mut SizeVector,
@@ -1270,72 +1128,20 @@ impl<'a> SizingEngine<'a> {
         resize_all: bool,
     ) -> (f64, usize) {
         self.prepare_coupling(sizes, schedule, resize_all);
-        if self.par.active() {
-            return self.fused_parallel_sweep(sizes, beta, gamma, schedule, resize_all, true);
-        }
-        let EvalWorkspace {
-            charged,
-            presented,
-            upstream,
-            extra_cap,
-            node_weights,
-            ..
-        } = &mut self.ws;
-        let upstream: &[f64] = upstream;
-        let node_weights: &[f64] = node_weights;
-        let extra_cap: &[f64] = extra_cap;
-        let sched = &mut self.sched;
-        let tables = ResizeTables {
-            is_wire: &self.comp_is_wire,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
-            extra_denom: &self.extra_denom,
-            beta,
-            gamma,
-        };
-        let mut worst = 0.0_f64;
-        let mut touched = 0usize;
-        let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
-            if !resize_all && sched.frozen[comp] {
-                return x_i;
-            }
-            touched += 1;
-            let (x_new, rel) =
-                tables.closed_form(comp, x_i, charged_i, upstream[node], node_weights[node]);
-            worst = worst.max(rel);
-            sched.note_resize(comp, rel, schedule);
-            if x_new != x_i {
-                sched.push_changed(comp);
-            }
-            x_new
-        };
-        self.topo
-            .fused_downstream_resize(sizes, extra_cap, charged, presented, &mut resize);
-        // The pass maintained charged/presented through every resize, so
-        // they reflect the post-sweep sizes already.
-        sched.charged_fresh = true;
-        sched.rebuild_active();
-        (worst, touched)
+        self.fused_sweep(sizes, beta, gamma, schedule, resize_all, true)
     }
 
-    /// One level-parallel fused Gauss–Seidel pass over the chunk grid —
-    /// the multi-threaded counterpart of the sequential
-    /// [`fused_backward_sweep`](Self::fused_backward_sweep) (`backward`) /
-    /// [`fused_forward_sweep`](Self::fused_forward_sweep) bodies. The
-    /// caller has already prepared the pass's fixed-side caches.
+    /// One fused Gauss–Seidel pass over the block grid, `backward` or
+    /// forward. The caller has already prepared the pass's fixed-side
+    /// caches.
     ///
-    /// Determinism: chunk boundaries come from the fixed grid; per-node
+    /// Determinism: block boundaries come from the fixed grid; per-node
     /// arithmetic reads only settled neighbor levels; the calm/frozen
-    /// bookkeeping touches each chunk's own components; and the worst /
-    /// touched / dirty-frontier reductions are written to per-chunk slots
-    /// and merged below in fixed chunk order — so the outcome is bitwise
-    /// identical for every thread count (including the sequential grid
-    /// walk used when threads = 1 or the `parallel` feature is off).
-    fn fused_parallel_sweep(
+    /// bookkeeping touches each block's own components; and the worst /
+    /// touched / dirty-frontier reductions are written to per-block slots
+    /// and merged below in fixed block order — so the outcome is bitwise
+    /// identical for every thread count.
+    fn fused_sweep(
         &mut self,
         sizes: &mut SizeVector,
         beta: f64,
@@ -1391,22 +1197,26 @@ impl<'a> SizingEngine<'a> {
             chunk_changed: SharedMut::new(ps.chunk_changed.as_mut_slice()),
         };
 
-        let mut worst = 0.0f64;
-        let mut touched_total = 0usize;
+        // Publishes a block's running reductions into its slots.
+        let record = |slot: usize, stats: &ChunkStats| {
+            // SAFETY: slot `slot` is owned by the calling block.
+            unsafe {
+                chunk_worst.set(slot, stats.worst);
+                chunk_touched.set(slot, stats.touched);
+                chunk_changed_len.set(slot, stats.changed);
+            }
+        };
         if backward {
             let upstream_r: &[f64] = upstream;
             let weights_r: &[f64] = node_weights;
             let extra_r: &[f64] = extra_cap;
             let charged_s = SharedMut::new(charged.as_mut_slice());
             let presented_s = SharedMut::new(presented.as_mut_slice());
-            self.par.run_leveled(grid, true, |l, c| {
-                let level = topo.level(l);
-                let range = grid.chunk_range(level.len(), c);
-                let id = grid.chunk_id(l, c);
-                let seg = grid.node_base(l) + range.start;
+            self.par.run_leveled(grid, true, |block| {
+                let seg = block.nodes().start;
                 let mut stats = ChunkStats::default();
                 let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
-                    // SAFETY: the chunk's components are chunk-owned (one
+                    // SAFETY: the block's components are block-owned (one
                     // node per component); `upstream`/`weights` are fixed
                     // for the pass and hold one entry per node.
                     unsafe {
@@ -1421,31 +1231,26 @@ impl<'a> SizingEngine<'a> {
                         )
                     }
                 };
-                // SAFETY: chunk disjointness within the level; levels settle
-                // in reverse dependency order; lengths asserted above.
+                // SAFETY: blocks of one step own disjoint nodes; steps
+                // settle in reverse dependency order; lengths asserted above.
                 unsafe {
                     topo.fused_downstream_chunk(
-                        &level[range],
+                        block.bounds,
                         xs_s,
                         extra_r,
                         charged_s,
                         presented_s,
                         &mut resize,
                     );
-                    chunk_worst.set(id, stats.worst);
-                    chunk_touched.set(id, stats.touched);
-                    chunk_changed_len.set(id, stats.changed);
                 }
+                record(block.slot, &stats);
             });
         } else {
             let charged_r: &[f64] = charged;
             let weights_r: &[f64] = node_weights;
             let upstream_s = SharedMut::new(upstream.as_mut_slice());
-            self.par.run_leveled(grid, false, |l, c| {
-                let level = topo.level(l);
-                let range = grid.chunk_range(level.len(), c);
-                let id = grid.chunk_id(l, c);
-                let seg = grid.node_base(l) + range.start;
+            self.par.run_leveled(grid, false, |block| {
+                let seg = block.nodes().start;
                 let mut stats = ChunkStats::default();
                 let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
                     // SAFETY: as the backward direction; `charged` is fixed
@@ -1462,49 +1267,36 @@ impl<'a> SizingEngine<'a> {
                         )
                     }
                 };
-                // SAFETY: chunk disjointness within the level; levels settle
-                // in forward dependency order; lengths asserted above.
+                // SAFETY: blocks of one step own disjoint nodes; steps
+                // settle in forward dependency order; lengths asserted
+                // above.
                 unsafe {
                     topo.fused_upstream_chunk(
-                        &level[range],
+                        block.nodes(),
                         xs_s,
                         weights_r,
                         upstream_s,
                         &mut resize,
                     );
-                    chunk_worst.set(id, stats.worst);
-                    chunk_touched.set(id, stats.touched);
-                    chunk_changed_len.set(id, stats.changed);
                 }
+                record(block.slot, &stats);
             });
         }
 
-        // Merge the per-chunk reductions in fixed chunk order (the pass's
+        // Merge the per-block reductions in fixed block order (the pass's
         // traversal order), independent of which worker ran what.
-        let mut merge_level = |l: usize, sched: &mut ScheduleWorkspace| {
-            let level_len = topo.level(l).len();
-            for c in 0..grid.chunks_in(l) {
-                let id = grid.chunk_id(l, c);
-                worst = worst.max(ps.chunk_worst[id]);
-                touched_total += ps.chunk_touched[id] as usize;
-                let seg = grid.node_base(l) + grid.chunk_range(level_len, c).start;
-                for k in 0..ps.chunk_changed_len[id] as usize {
-                    sched.push_changed(ps.chunk_changed[seg + k] as usize);
-                }
-            }
-        };
-        if backward {
-            for l in (0..grid.num_levels()).rev() {
-                merge_level(l, sched);
-            }
-        } else {
-            for l in 0..grid.num_levels() {
-                merge_level(l, sched);
+        let mut worst = 0.0f64;
+        let mut touched_total = 0usize;
+        for block in grid.blocks(backward) {
+            worst = worst.max(ps.chunk_worst[block.slot]);
+            touched_total += ps.chunk_touched[block.slot] as usize;
+            let seg = block.nodes().start;
+            for &comp in &ps.chunk_changed[seg..seg + ps.chunk_changed_len[block.slot] as usize] {
+                sched.push_changed(comp as usize);
             }
         }
-        // Cache status mirrors the sequential passes: a backward pass
-        // maintains charged/presented through every resize, a forward pass
-        // leaves them describing the pre-pass sizes.
+        // A backward pass maintains charged/presented through every resize;
+        // a forward pass leaves them describing the pre-pass sizes.
         sched.charged_fresh = backward;
         sched.rebuild_active();
         (worst, touched_total)
@@ -1530,53 +1322,40 @@ impl<'a> SizingEngine<'a> {
             // instead of rebuilding.
             self.note_caps_synced(sizes);
         }
-        // Level-parallel timing: delays are per-node independent (flat
-        // chunks), arrival propagation settles levels forward; the
-        // critical-path walk over `pred` stays a sequential epilogue. Per
-        // node the arithmetic (and the `>=` tie-breaking) is exactly the
-        // sequential recurrence, so both paths are bitwise identical.
+        // Delays are per-node independent (flat chunks); arrival
+        // propagation settles the block grid forward; the critical-path walk
+        // over `pred` is a sequential epilogue. Per node the arithmetic (and
+        // the `>=` tie-breaking) is exactly the reference recurrence.
         let topo = &self.topo;
         let ws = &mut self.ws;
-        let critical_path_delay = if self.par.active() {
-            let n = topo.num_nodes();
-            assert_eq!(ws.delays.len(), n, "workspace must match the circuit");
-            assert_eq!(ws.charged.len(), n);
-            assert_eq!(ws.arrival.len(), n);
-            assert_eq!(ws.pred.len(), n);
-            assert_eq!(
-                sizes.len(),
-                self.comp_raw_index.len(),
-                "sizes must match the circuit"
-            );
-            let xs = sizes.as_slice();
-            let charged: &[f64] = &ws.charged;
-            let delays_s = SharedMut::new(ws.delays.as_mut_slice());
-            self.par.run_flat(par::flat_chunks(n), |c| {
-                // SAFETY: flat chunks own disjoint node ranges; lengths
-                // asserted above.
-                unsafe { topo.delays_chunk(par::flat_range(n, c), xs, charged, delays_s) };
-            });
-            let delays: &[f64] = &ws.delays;
-            let arrival_s = SharedMut::new(ws.arrival.as_mut_slice());
-            let pred_s = SharedMut::new(ws.pred.as_mut_slice());
-            let grid = &self.grid;
-            self.par.run_leveled(grid, false, |l, c| {
-                let level = topo.level(l);
-                let range = grid.chunk_range(level.len(), c);
-                // SAFETY: chunks of one level own disjoint nodes; levels
-                // settle in forward dependency order.
-                unsafe { topo.arrivals_chunk(&level[range], delays, arrival_s, pred_s) };
-            });
-            topo.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path)
-        } else {
-            topo.delays_into(sizes, &ws.charged, &mut ws.delays);
-            topo.propagate_arrivals(
-                &ws.delays,
-                &mut ws.arrival,
-                &mut ws.pred,
-                &mut ws.critical_path,
-            )
-        };
+        let n = topo.num_nodes();
+        assert_eq!(ws.delays.len(), n, "workspace must match the circuit");
+        assert_eq!(ws.charged.len(), n);
+        assert_eq!(ws.arrival.len(), n);
+        assert_eq!(ws.pred.len(), n);
+        assert_eq!(
+            sizes.len(),
+            self.comp_raw_index.len(),
+            "sizes must match the circuit"
+        );
+        let xs = sizes.as_slice();
+        let charged: &[f64] = &ws.charged;
+        let delays_s = SharedMut::new(ws.delays.as_mut_slice());
+        self.par.run_flat(par::flat_chunks(n), |c| {
+            // SAFETY: flat chunks own disjoint node ranges; lengths asserted
+            // above.
+            unsafe { topo.delays_chunk(par::flat_range(n, c), xs, charged, delays_s) };
+        });
+        let delays: &[f64] = &ws.delays;
+        let arrival_s = SharedMut::new(ws.arrival.as_mut_slice());
+        let pred_s = SharedMut::new(ws.pred.as_mut_slice());
+        self.par.run_leveled(&self.grid, false, |block| {
+            // SAFETY: blocks of one step own disjoint nodes; steps settle in
+            // forward dependency order.
+            unsafe { topo.arrivals_chunk(block.nodes(), delays, arrival_s, pred_s) };
+        });
+        let critical_path_delay =
+            topo.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path);
         TimingView {
             delays: &ws.delays,
             arrival: &ws.arrival,
@@ -1745,7 +1524,40 @@ mod tests {
         }
     }
 
-    /// A `threads(1)` engine and a sequential engine fed the same state.
+    /// `WIDE` parallel driver → wire → gate → wire paths, the input wires
+    /// coupled pairwise: every level but the source's and the sink's is
+    /// wider than one chunk, so the grid splits them across workers.
+    fn wide() -> (CircuitGraph, CouplingSet) {
+        const WIDE: usize = 600;
+        let mut b = CircuitBuilder::new(Technology::dac99());
+        let mut inputs = Vec::new();
+        for i in 0..WIDE {
+            let d = b.add_driver(&format!("d{i}"), 100.0 + i as f64).unwrap();
+            let w = b
+                .add_wire(&format!("w{i}"), 120.0 + (i % 7) as f64)
+                .unwrap();
+            let g = b.add_gate(&format!("g{i}"), GateKind::Inv).unwrap();
+            let o = b.add_wire(&format!("o{i}"), 90.0).unwrap();
+            b.connect(d, w).unwrap();
+            b.connect(w, g).unwrap();
+            b.connect(g, o).unwrap();
+            b.connect_output(o, 4.0).unwrap();
+            inputs.push(w);
+        }
+        let graph = b.build().unwrap();
+        let geom = WirePairGeometry::new(150.0, 12.0, 0.03).unwrap();
+        let pairs = (0..WIDE / 2)
+            .map(|i| {
+                let a = graph.node_by_name(&format!("w{}", 2 * i)).unwrap();
+                let b = graph.node_by_name(&format!("w{}", 2 * i + 1)).unwrap();
+                CouplingPair::new(a, b, geom).unwrap()
+            })
+            .collect();
+        let coupling = CouplingSet::new(&graph, pairs).unwrap();
+        (graph, coupling)
+    }
+
+    /// A three-worker engine and a sequential engine fed the same state.
     fn engine_pair<'a>(
         graph: &'a CircuitGraph,
         coupling: &'a CouplingSet,
@@ -1753,17 +1565,18 @@ mod tests {
         let multipliers = Multipliers::uniform(graph, 0.05, 0.0);
         let mut sequential = SizingEngine::new(graph, coupling);
         let mut level = SizingEngine::new(graph, coupling);
-        level.set_parallel(ParallelPolicy::threads(1));
+        level.set_parallel(ParallelPolicy::threads(3));
         sequential.load_node_weights(&multipliers);
         level.load_node_weights(&multipliers);
         (sequential, level)
     }
 
-    /// The level grid runs the sequential traversals' per-node arithmetic:
-    /// an exact LRS sweep and the timing evaluation after it agree bitwise.
+    /// Three workers split the wide levels of the grid the sequential
+    /// policy walks on one: an exact LRS sweep and the timing evaluation
+    /// after it agree bitwise.
     #[test]
     fn level_policy_sweep_and_timing_match_the_sequential_path_bitwise() {
-        let (graph, coupling) = setup();
+        let (graph, coupling) = wide();
         let (mut sequential, mut level) = engine_pair(&graph, &coupling);
         let mut seq_sizes = graph.uniform_sizes(1.3);
         let mut level_sizes = seq_sizes.clone();
@@ -1780,13 +1593,13 @@ mod tests {
         assert_eq!(a.critical_path, b.critical_path);
     }
 
-    /// The level-parallel fused passes drive the scalar chunk kernels with
-    /// the same per-component resize as the sequential passes: sizes,
-    /// electrical tables, freeze state, the worst change, the touched count
-    /// and the dirty set agree, with a frozen component skipped by both.
+    /// The fused passes on three workers match the sequential policy's:
+    /// sizes, electrical tables, freeze state, the worst change, the
+    /// touched count and the dirty set in its merge order agree, with a
+    /// frozen component skipped by both.
     #[test]
     fn level_policy_fused_sweeps_match_the_sequential_passes_bitwise() {
-        let (graph, coupling) = setup();
+        let (graph, coupling) = wide();
         let (mut sequential, mut level) = engine_pair(&graph, &coupling);
         let schedule = AdaptiveSchedule::default();
         let mut seq_sizes = graph.uniform_sizes(1.0);
@@ -1812,11 +1625,7 @@ mod tests {
             assert_eq!(sequential.ws.upstream, level.ws.upstream);
             assert_eq!(sequential.sched.frozen, level.sched.frozen);
             assert_eq!(sequential.sched.calm, level.sched.calm);
-            let mut seq_changed = sequential.sched.changed.clone();
-            let mut level_changed = level.sched.changed.clone();
-            seq_changed.sort_unstable();
-            level_changed.sort_unstable();
-            assert_eq!(seq_changed, level_changed);
+            assert_eq!(sequential.sched.changed, level.sched.changed);
         }
         assert_eq!(seq_sizes[0], 1.0, "the frozen component is never resized");
     }

@@ -33,11 +33,11 @@
 //!   warm-started LRS, active-set sweeps with periodic verification, and
 //!   sparse incremental evaluation — selected per run via
 //!   [`OptimizerConfig::solve_strategy`];
-//! * the **level-parallel runtime** ([`par`]): a deterministic chunk grid
-//!   over the circuit's topological level partition that distributes the
-//!   inner-loop traversals (LRS sweeps, timing, subgradient update, flow
-//!   projection) across threads with outcomes **bitwise identical for
-//!   every thread count**, selected per run via
+//! * the **level-parallel runtime** ([`par`]): a deterministic block grid
+//!   over the circuit's level partition, the only traversal of every
+//!   inner-loop pass (LRS sweeps, timing, subgradient update, flow
+//!   projection), run on one or more threads with outcomes **bitwise
+//!   identical for every thread count**, selected per run via
 //!   [`OptimizerConfig::parallel`] / [`ParallelPolicy`];
 //! * the staged [`flow`] pipeline — `prepare → order → size` as typestates
 //!   with inspectable intermediates, warm starts, and the legacy one-shot

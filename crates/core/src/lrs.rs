@@ -189,10 +189,10 @@ impl LrsSolver {
     /// verification sweeps the electrical tables are updated incrementally
     /// along the perturbed subgraph only.
     ///
-    /// Under [`ParallelPolicy::Level`](crate::ParallelPolicy) (selected via
-    /// [`SizingEngine::set_parallel`]) each fused pass runs level-parallel
-    /// over the engine's fixed chunk grid — same per-component arithmetic,
-    /// per-chunk reductions merged in fixed chunk order, so the solve's
+    /// Each fused pass runs over the engine's fixed block grid, on the
+    /// workers the [`ParallelPolicy`](crate::ParallelPolicy) selects (via
+    /// [`SizingEngine::set_parallel`]) — same per-component arithmetic,
+    /// per-block reductions merged in fixed block order, so the solve's
     /// outcome is bitwise identical for every thread count.
     ///
     /// The engine's schedule state (active/frozen partition, calm streaks,

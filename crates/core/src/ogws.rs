@@ -266,11 +266,10 @@ impl OgwsSolver {
         let graph = problem.graph;
         let bounds = problem.bounds;
         let extras = &problem.extras;
-        // Apply the configuration's parallel policy for the whole run. Under
-        // `ParallelPolicy::Level` every traversal (LRS sweeps, timing,
-        // subgradient update, flow projection) runs over the fixed chunk
-        // grid, bitwise identical for every thread count; `Sequential` (the
-        // default) keeps the single-threaded paths untouched.
+        // Apply the configuration's parallel policy for the whole run. Every
+        // traversal (LRS sweeps, timing, subgradient update, flow
+        // projection) runs over the fixed block grid, bitwise identical for
+        // every worker count; `Sequential` (the default) is one worker.
         engine.set_parallel(self.config.parallel);
         let lrs = LrsSolver::new(self.config.max_lrs_sweeps, self.config.lrs_tolerance);
         // The adaptive schedule keeps freeze/cache state on the engine
@@ -520,8 +519,8 @@ impl OgwsSolver {
             // A4: subgradient step on every multiplier, normalized
             // violations. Each node updates only its own fanin multipliers,
             // so the walk distributes over flat chunks with bitwise-
-            // identical results (the engine's runtime runs it sequentially
-            // under the default policy).
+            // identical results (on the calling thread under the default
+            // policy).
             let step = self.config.step_schedule.value(k);
             Self::update_multipliers(
                 problem,
@@ -535,21 +534,15 @@ impl OgwsSolver {
                 &extra_violations,
                 engine.par_runtime(),
             );
-            // A5: project back onto the optimality condition — level-
-            // parallel (reverse dependency order) when the engine exposes
-            // its grid, the sequential walk otherwise; bitwise identical
-            // either way.
-            match engine.level_ctx() {
-                Some((topo, grid)) => project_flow_conservation_leveled(
-                    graph,
-                    &flow_index,
-                    &mut multipliers,
-                    topo,
-                    grid,
-                    engine.par_runtime(),
-                ),
-                None => project_flow_conservation_indexed(graph, &flow_index, &mut multipliers),
-            }
+            // A5: project back onto the optimality condition over the
+            // engine's block grid (reverse dependency order).
+            project_flow_conservation_leveled(
+                graph,
+                &flow_index,
+                &mut multipliers,
+                engine.level_grid(),
+                engine.par_runtime(),
+            );
 
             iterations.push(IterationRecord {
                 iteration: k,
@@ -708,8 +701,8 @@ impl OgwsSolver {
     /// [`ConstraintSet::violations_into`](crate::ConstraintSet::violations_into)).
     /// The per-edge walk runs through `par` (flat chunks over the nodes):
     /// each node writes only its own fanin slots and reads only the fixed
-    /// arrival/delay tables, so the distributed walk is bitwise identical
-    /// to the sequential one at every thread count.
+    /// arrival/delay tables, so the walk is bitwise identical at every
+    /// thread count.
     #[allow(clippy::too_many_arguments)]
     fn update_multipliers(
         problem: &SizingProblem<'_>,

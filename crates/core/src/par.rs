@@ -3,32 +3,34 @@
 //! The paper's per-sweep work is `O(V + E + P)` with *component-separable*
 //! closed-form resizes (Theorem 5), and the cached level partition of
 //! [`CircuitTopology`](ncgws_circuit::CircuitTopology) proves that nodes of
-//! one topological level share no fanin/fanout edge. This module turns that
-//! structure into multi-threaded traversals whose results are **bitwise
-//! identical across every thread count** (1, 2, 8, …):
+//! one level share no fanin/fanout edge. This module turns that structure
+//! into traversals whose results are **bitwise identical across every
+//! thread count** (1, 2, 8, …):
 //!
 //! * the work grid is *fixed by the data*, never by the thread count: every
-//!   level is split into fixed-width chunks (`CHUNK_NODES`, 256 nodes), so
-//!   chunk boundaries — and therefore every per-chunk accumulation — are
-//!   the same no matter how many workers exist;
+//!   level wider than `CHUNK_NODES` (256 nodes) is split into fixed-width
+//!   chunks, and each run of consecutive narrower levels is folded into one
+//!   block, so block boundaries — and therefore every per-block
+//!   accumulation — are the same no matter how many workers exist;
+//! * the runners call each pass's kernel once per block, at every worker
+//!   count, one thread included — so the level grid is the only traversal
+//!   of every pass;
 //! * threads only change *which worker* executes a chunk (an atomic
 //!   work-queue hands chunks out), never the arithmetic: per-node values
 //!   depend only on settled earlier levels plus the node's own CSR lists,
-//!   and all cross-chunk reductions (worst relative change, touched counts,
-//!   dirty-frontier merges) are combined by the caller **in fixed chunk
+//!   and all cross-block reductions (worst relative change, touched counts,
+//!   dirty-frontier merges) are combined by the caller **in fixed block
 //!   order** after the pass;
-//! * with the `parallel` feature disabled — or `threads = 1` — the runners
-//!   walk the identical chunk grid sequentially, so a serial build is a
-//!   bit-for-bit oracle for the threaded one.
+//! * with the `parallel` feature disabled — or one worker — the runners walk
+//!   the identical grid on the calling thread.
 //!
-//! [`ParallelPolicy`] selects between the PR-4 sequential traversals
-//! (`Sequential`, the default) and the level-parallel grid (`Level`); the
-//! policy is threaded from [`OptimizerConfig`](crate::OptimizerConfig)
-//! through [`SizingEngine`](crate::SizingEngine) into every sweep. The
-//! worker pool is a tiny condvar-based fan-out over `std::thread` (no new
-//! dependencies); barriers separate dependent levels, and runs of
-//! single-chunk levels are folded into one barrier step so deep, narrow
-//! circuit regions do not pay one synchronization per level.
+//! [`ParallelPolicy`] sets the worker count; the policy is threaded from
+//! [`OptimizerConfig`](crate::OptimizerConfig) through
+//! [`SizingEngine`](crate::SizingEngine) into every sweep. The worker pool
+//! is a tiny condvar-based fan-out over `std::thread` (no new
+//! dependencies); a barrier separates dependent steps, and since a folded
+//! run of narrow levels is one step, deep, narrow circuit regions pay one
+//! synchronization per run rather than per level.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::AtomicU32;
@@ -47,21 +49,22 @@ pub(crate) const CHUNK_NODES: usize = 256;
 ///
 /// Selected via [`OptimizerConfig::parallel`](crate::OptimizerConfig) (or
 /// [`OptimizerConfigBuilder::threads`](crate::OptimizerConfigBuilder::threads)).
-/// The `Level` policy is deterministic by construction: outcomes are
-/// bitwise identical for every `threads` value, and with
-/// [`SolveStrategy::Exact`](crate::SolveStrategy) they remain bitwise
-/// pinned to [`crate::reference`] — the per-node arithmetic is unchanged,
-/// only its distribution across workers varies.
+/// Both variants run the same deterministic level grid; they differ only in
+/// the worker count. Outcomes are bitwise identical for every worker count,
+/// and with [`SolveStrategy::Exact`](crate::SolveStrategy) they remain
+/// bitwise pinned to [`crate::reference`] — the per-node arithmetic is
+/// unchanged, only its distribution across workers varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ParallelPolicy {
-    /// The sequential whole-circuit traversals (the default).
+    /// The level grid on the calling thread (the default); the same
+    /// computation as `Level { threads: 1 }`.
     Sequential,
-    /// Level-parallel traversals over the fixed chunk grid.
+    /// The level grid over a worker pool.
     Level {
         /// Worker count; `0` resolves to the machine's available
-        /// parallelism. `1` runs the identical grid on the calling thread.
-        /// Without the `parallel` feature every value runs sequentially —
-        /// same grid, same results.
+        /// parallelism. `1` runs the grid on the calling thread.
+        /// Without the `parallel` feature every value runs on the calling
+        /// thread — same grid, same results.
         threads: usize,
     },
 }
@@ -79,11 +82,6 @@ impl ParallelPolicy {
     /// The level-parallel policy with `threads` workers (`0` = auto).
     pub fn threads(threads: usize) -> Self {
         ParallelPolicy::Level { threads }
-    }
-
-    /// Whether this is the level-parallel policy.
-    pub fn is_level(&self) -> bool {
-        matches!(self, ParallelPolicy::Level { .. })
     }
 
     /// Validates the policy.
@@ -115,119 +113,154 @@ impl ParallelPolicy {
     }
 }
 
-/// One barrier step of a leveled pass: the levels `lo..hi`. A step is
-/// either one *wide* level (more than one chunk, distributed through the
-/// work queue) or a run of consecutive single-chunk levels executed by one
-/// worker between two barriers.
+/// One barrier step of a leveled pass: the boundary window
+/// `bounds[lo..=hi]` of the grid. A *wide* step is one level split into
+/// `hi - lo` chunks, `bounds[lo + c]..bounds[lo + c + 1]` for chunk `c`,
+/// distributed through the work queue. A folded step is a run of
+/// consecutive narrow levels, `bounds[lo..=hi]` their level boundaries,
+/// executed as one block by one worker.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(feature = "parallel"), allow(dead_code))]
 struct Step {
     lo: u32,
     hi: u32,
+    wide: bool,
+    /// Index of the step's first per-block reduction slot.
+    slot: u32,
 }
 
-/// The deterministic chunk grid over a topology's level partition: per
-/// level a chunk count and a global chunk-id base (for indexing per-chunk
-/// reduction slots), plus the barrier steps. Built once per engine.
+/// One unit of work of a leveled pass, handed to the pass body: the
+/// block's level boundaries (a single window for a chunk of a wide level)
+/// and its reduction slot.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block<'g> {
+    /// The block's level boundaries, as a backward kernel takes them.
+    pub(crate) bounds: &'g [u32],
+    /// The block's per-(step, chunk) reduction slot.
+    pub(crate) slot: usize,
+}
+
+impl Block<'_> {
+    /// The block's node range, as a forward kernel takes it.
+    pub(crate) fn nodes(&self) -> std::ops::Range<usize> {
+        self.bounds[0] as usize..self.bounds[self.bounds.len() - 1] as usize
+    }
+}
+
+/// The deterministic grid over a topology's level partition: the block
+/// boundaries and the barrier steps over them. Built once per engine.
 #[derive(Debug, Clone)]
 pub(crate) struct LevelGrid {
-    /// Per level: global chunk-id base (prefix sum of `chunks`).
-    chunk_base: Vec<u32>,
-    /// Per level: number of chunks.
-    chunks: Vec<u32>,
-    /// Per level: global *node-position* base (prefix sum of level sizes) —
-    /// the offset of the level's first node in a level-ordered scratch
-    /// array, used to give each chunk a disjoint scratch segment.
-    node_base: Vec<u32>,
+    /// Every level boundary, plus the chunk boundaries inside wide levels.
+    bounds: Vec<u32>,
     /// Barrier steps, in forward level order.
     steps: Vec<Step>,
-    total_chunks: usize,
+    /// Total reduction slots: one per chunk of a wide step, one per folded
+    /// step.
+    total_slots: usize,
 }
 
 impl LevelGrid {
-    /// Builds the grid for the given per-level node counts.
-    pub(crate) fn new(level_sizes: impl Iterator<Item = usize>) -> Self {
-        let mut chunk_base = Vec::new();
-        let mut chunks = Vec::new();
-        let mut node_base = Vec::new();
-        let mut total = 0u32;
-        let mut nodes = 0u32;
-        for len in level_sizes {
-            chunk_base.push(total);
-            node_base.push(nodes);
-            let c = len.div_ceil(CHUNK_NODES).max(1) as u32;
-            chunks.push(c);
-            total += c;
-            nodes += len as u32;
-        }
-        // Fold runs of single-chunk levels into one barrier step.
-        let mut steps = Vec::new();
-        let mut l = 0usize;
-        while l < chunks.len() {
-            if chunks[l] > 1 {
+    /// Builds the grid over the level boundaries of a topology (the first
+    /// node of every level plus a trailing node count).
+    pub(crate) fn new(level_bounds: &[u32]) -> Self {
+        let mut bounds = vec![level_bounds[0]];
+        let mut steps: Vec<Step> = Vec::new();
+        let mut slot = 0u32;
+        for level in level_bounds.windows(2) {
+            let (start, end) = (level[0] as usize, level[1] as usize);
+            if end - start > CHUNK_NODES {
+                let lo = bounds.len() as u32 - 1;
+                bounds.extend(
+                    (start + CHUNK_NODES..end)
+                        .step_by(CHUNK_NODES)
+                        .map(|b| b as u32),
+                );
+                bounds.push(end as u32);
+                let hi = bounds.len() as u32 - 1;
                 steps.push(Step {
-                    lo: l as u32,
-                    hi: l as u32 + 1,
+                    lo,
+                    hi,
+                    wide: true,
+                    slot,
                 });
-                l += 1;
+                slot += hi - lo;
             } else {
-                let lo = l;
-                while l < chunks.len() && chunks[l] == 1 {
-                    l += 1;
+                bounds.push(end as u32);
+                let hi = bounds.len() as u32 - 1;
+                match steps.last_mut() {
+                    Some(step) if !step.wide => step.hi = hi,
+                    _ => {
+                        steps.push(Step {
+                            lo: hi - 1,
+                            hi,
+                            wide: false,
+                            slot,
+                        });
+                        slot += 1;
+                    }
                 }
-                steps.push(Step {
-                    lo: lo as u32,
-                    hi: l as u32,
-                });
             }
         }
         LevelGrid {
-            chunk_base,
-            chunks,
-            node_base,
+            bounds,
             steps,
-            total_chunks: total as usize,
+            total_slots: slot as usize,
         }
     }
 
-    /// Number of levels in the grid.
-    pub(crate) fn num_levels(&self) -> usize {
-        self.chunks.len()
+    /// Number of nodes the grid covers.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.bounds[self.bounds.len() - 1] as usize
     }
 
-    /// Total number of chunks across all levels.
-    pub(crate) fn total_chunks(&self) -> usize {
-        self.total_chunks
+    /// Number of barrier steps.
+    pub(crate) fn num_steps(&self) -> usize {
+        self.steps.len()
     }
 
-    /// Number of chunks of level `l`.
-    pub(crate) fn chunks_in(&self, l: usize) -> usize {
-        self.chunks[l] as usize
+    /// Total number of per-block reduction slots.
+    pub(crate) fn total_slots(&self) -> usize {
+        self.total_slots
     }
 
-    /// Global chunk id of chunk `c` of level `l` (indexes per-chunk
-    /// reduction slots).
-    pub(crate) fn chunk_id(&self, l: usize, c: usize) -> usize {
-        self.chunk_base[l] as usize + c
+    /// Number of blocks of step `s`: its chunks when wide, one when folded.
+    fn blocks_in(&self, s: usize) -> usize {
+        let step = self.steps[s];
+        if step.wide {
+            (step.hi - step.lo) as usize
+        } else {
+            1
+        }
     }
 
-    /// The sub-range of a level's node list covered by chunk `c`.
-    pub(crate) fn chunk_range(&self, level_len: usize, c: usize) -> std::ops::Range<usize> {
-        let lo = c * CHUNK_NODES;
-        lo..((c + 1) * CHUNK_NODES).min(level_len)
+    /// Block `c` of step `s`.
+    fn block(&self, s: usize, c: usize) -> Block<'_> {
+        let step = self.steps[s];
+        let (lo, hi) = if step.wide {
+            (step.lo as usize + c, step.lo as usize + c + 1)
+        } else {
+            (step.lo as usize, step.hi as usize)
+        };
+        Block {
+            bounds: &self.bounds[lo..=hi],
+            slot: step.slot as usize + c,
+        }
     }
 
-    /// Global node-position base of level `l` (see the field docs).
-    pub(crate) fn node_base(&self, l: usize) -> usize {
-        self.node_base[l] as usize
+    /// Every block in traversal order: steps forward (or, with `reverse`,
+    /// backward), chunks ascending within a step — the order a pass merges
+    /// its per-block reductions in.
+    pub(crate) fn blocks(&self, reverse: bool) -> impl Iterator<Item = Block<'_>> + '_ {
+        let n = self.steps.len();
+        (0..n)
+            .map(move |s| if reverse { n - 1 - s } else { s })
+            .flat_map(move |s| (0..self.blocks_in(s)).map(move |c| self.block(s, c)))
     }
 
     /// Bytes held by the grid (for memory accounting).
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.chunk_base.capacity() + self.chunks.capacity() + self.node_base.capacity())
-            * size_of::<u32>()
-            + self.steps.capacity() * size_of::<Step>()
+        self.bounds.capacity() * size_of::<u32>() + self.steps.capacity() * size_of::<Step>()
     }
 }
 
@@ -242,14 +275,14 @@ pub(crate) fn flat_range(n: usize, c: usize) -> std::ops::Range<usize> {
 }
 
 /// The per-engine parallel runtime: the resolved policy, the reusable
-/// per-level work-queue counters, and (with the `parallel` feature) the
+/// per-step work-queue counters, and (with the `parallel` feature) the
 /// persistent worker pool. `run_flat`/`run_leveled` take `&self` so passes
 /// can run while other engine fields are mutably split-borrowed; all
 /// mutation goes through atomics or the pool's own synchronization.
 pub(crate) struct ParRuntime {
     policy: ParallelPolicy,
     workers: usize,
-    /// One work-queue head per level, reset by the caller before each pass.
+    /// One work-queue head per step, reset by the runner before each pass.
     counters: Vec<AtomicU32>,
     /// Work-queue head of flat passes.
     flat_counter: AtomicU32,
@@ -270,7 +303,8 @@ impl Clone for ParRuntime {
     /// Clones the configuration, not the OS threads: the clone starts
     /// pool-less and is re-armed by the next
     /// [`configure`](Self::configure) call. Results are unaffected either
-    /// way — a pool-less runtime walks the identical chunk grid serially.
+    /// way — a pool-less runtime walks the identical grid on the calling
+    /// thread.
     fn clone(&self) -> Self {
         ParRuntime {
             policy: self.policy,
@@ -292,7 +326,7 @@ impl Default for ParRuntime {
 }
 
 impl ParRuntime {
-    /// A sequential runtime (the engine's initial state).
+    /// A one-worker runtime (the engine's initial state).
     pub(crate) fn new() -> Self {
         ParRuntime {
             policy: ParallelPolicy::Sequential,
@@ -309,6 +343,11 @@ impl ParRuntime {
         self.policy
     }
 
+    /// The resolved worker count (participants including the caller).
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
+    }
+
     /// Bytes held by the runtime's work-queue counters (for the engine's
     /// Figure-10(a) memory accounting; the pool's thread stacks are OS
     /// resources, not engine-owned heap).
@@ -316,28 +355,18 @@ impl ParRuntime {
         self.counters.capacity() * std::mem::size_of::<AtomicU32>() + std::mem::size_of::<Self>()
     }
 
-    /// Whether the level-parallel grid is selected (regardless of worker
-    /// count or feature — the grid itself is what fixes the arithmetic).
-    pub(crate) fn active(&self) -> bool {
-        self.policy.is_level()
-    }
-
-    /// Applies a policy and sizes the per-level counters for `num_levels`.
+    /// Applies a policy and sizes the per-step counters for `num_steps`.
     /// Spawns (or drops) the worker pool to match; idempotent and cheap
     /// when nothing changed, so callers apply it once per solve.
-    pub(crate) fn configure(&mut self, policy: ParallelPolicy, num_levels: usize) {
+    pub(crate) fn configure(&mut self, policy: ParallelPolicy, num_steps: usize) {
         self.policy = policy;
         self.workers = policy.worker_count();
-        if self.counters.len() < num_levels {
-            self.counters = (0..num_levels).map(|_| AtomicU32::new(0)).collect();
+        if self.counters.len() < num_steps {
+            self.counters = (0..num_steps).map(|_| AtomicU32::new(0)).collect();
         }
         #[cfg(feature = "parallel")]
         {
-            let want = if self.policy.is_level() && self.workers > 1 {
-                Some(self.workers)
-            } else {
-                None
-            };
+            let want = (self.workers > 1).then_some(self.workers);
             let have = self.pool.as_ref().map(pool::WorkerPool::participants);
             if want != have {
                 self.pool = want.map(pool::WorkerPool::new);
@@ -351,8 +380,8 @@ impl ParRuntime {
     pub(crate) fn run_flat<F: Fn(usize) + Sync>(&self, chunks: usize, body: F) {
         // Under race-check every chunk body runs inside a claim context, so
         // SharedMut writes are attributed to their owning chunk and an
-        // overlap within this pass panics (sequential path included — the
-        // grid, not the thread count, defines ownership).
+        // overlap within this pass panics (one worker included — the grid,
+        // not the thread count, defines ownership).
         #[cfg(feature = "race-check")]
         let pass = ncgws_circuit::race::begin_pass();
         #[cfg(feature = "race-check")]
@@ -380,97 +409,74 @@ impl ParRuntime {
         }
     }
 
-    /// Runs `body(level, chunk)` for every chunk of every level of `grid`,
-    /// levels settled in forward (or, with `reverse`, backward) dependency
-    /// order. Chunks of one level may run concurrently — the level
-    /// partition guarantees their node sets are independent — and a barrier
-    /// separates dependent steps.
-    pub(crate) fn run_leveled<F: Fn(usize, usize) + Sync>(
+    /// Runs `body(block)` for every block of `grid`, steps settled in
+    /// forward (or, with `reverse`, backward) dependency order. The chunks
+    /// of a wide step may run concurrently — no level contains an edge, so
+    /// their node sets are independent — and a barrier separates dependent
+    /// steps.
+    pub(crate) fn run_leveled<F: Fn(Block<'_>) + Sync>(
         &self,
         grid: &LevelGrid,
         reverse: bool,
         body: F,
     ) {
-        let num_levels = grid.num_levels();
-        // One claim pass per level: chunks of a level race each other (the
-        // level partition must keep their writes disjoint), while writes
-        // from different levels are barrier-ordered and thus never races.
+        // One claim pass per step, owners `(step, chunk)`: chunks of a step
+        // race each other (the level partition must keep their writes
+        // disjoint), while writes from different steps are barrier-ordered
+        // and thus never races.
         #[cfg(feature = "race-check")]
-        let pass_base = ncgws_circuit::race::begin_passes(num_levels as u64);
+        let pass_base = ncgws_circuit::race::begin_passes(grid.num_steps() as u64);
         #[cfg(feature = "race-check")]
-        let body = move |l: usize, c: usize| {
-            let owner = ncgws_circuit::race::owner_id(l as u32, c as u32);
-            let _ctx = ncgws_circuit::race::enter(pass_base + l as u64, owner);
-            body(l, c);
+        let body = move |s: usize, c: usize| {
+            let owner = ncgws_circuit::race::owner_id(s as u32, c as u32);
+            let _ctx = ncgws_circuit::race::enter(pass_base + s as u64, owner);
+            body(grid.block(s, c));
         };
+        #[cfg(not(feature = "race-check"))]
+        let body = |s: usize, c: usize| body(grid.block(s, c));
+        let num_steps = grid.num_steps();
+        let step_at = |pos: usize| if reverse { num_steps - 1 - pos } else { pos };
         #[cfg(feature = "parallel")]
         if let Some(pool) = self
             .pool
             .as_ref()
-            .filter(|_| num_levels > 0 && grid.total_chunks() > num_levels)
+            .filter(|_| grid.total_slots() > num_steps)
         {
-            debug_assert!(self.counters.len() >= num_levels);
-            for counter in &self.counters[..num_levels] {
+            debug_assert!(self.counters.len() >= num_steps);
+            for counter in &self.counters[..num_steps] {
                 counter.store(0, Ordering::Relaxed);
             }
             let counters = &self.counters;
             let barrier = pool.barrier();
-            let steps = &grid.steps;
             pool.run(&|worker| {
-                let mut pos = 0usize;
-                while pos < steps.len() {
-                    let step = if reverse {
-                        steps[steps.len() - 1 - pos]
-                    } else {
-                        steps[pos]
-                    };
-                    let wide = step.hi == step.lo + 1 && grid.chunks_in(step.lo as usize) > 1;
-                    if wide {
-                        let l = step.lo as usize;
-                        let chunks = grid.chunks_in(l);
-                        let counter = &counters[l];
+                for pos in 0..num_steps {
+                    let s = step_at(pos);
+                    let blocks = grid.blocks_in(s);
+                    if blocks > 1 {
+                        let counter = &counters[s];
                         loop {
                             let c = counter.fetch_add(1, Ordering::Relaxed) as usize;
-                            if c >= chunks {
+                            if c >= blocks {
                                 break;
                             }
-                            body(l, c);
+                            body(s, c);
                         }
                     } else if worker == 0 {
-                        // A run of single-chunk levels: one worker settles
-                        // them in dependency order under a single barrier.
-                        let levels = step.lo as usize..step.hi as usize;
-                        if reverse {
-                            for l in levels.rev() {
-                                body(l, 0);
-                            }
-                        } else {
-                            for l in levels {
-                                body(l, 0);
-                            }
-                        }
+                        body(s, 0);
                     }
                     barrier.wait();
-                    pos += 1;
                 }
             });
             return;
         }
-        // Sequential walk of the identical grid (also the `threads = 1`
-        // and feature-disabled path): same chunks, same per-chunk
-        // arithmetic, hence bitwise-identical results.
+        // The identical grid on the calling thread (one worker, or the
+        // feature disabled): same blocks, same per-block arithmetic, hence
+        // bitwise-identical results.
         let _ = &self.counters;
-        if reverse {
-            for l in (0..num_levels).rev() {
-                for c in 0..grid.chunks_in(l) {
-                    body(l, c);
-                }
-            }
-        } else {
-            for l in 0..num_levels {
-                for c in 0..grid.chunks_in(l) {
-                    body(l, c);
-                }
+        for pos in 0..num_steps {
+            let s = step_at(pos);
+            for c in 0..grid.blocks_in(s) {
+                body(s, c);
             }
         }
     }
@@ -658,80 +664,91 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Level boundaries for the given level sizes.
+    fn bounds_of(sizes: &[usize]) -> Vec<u32> {
+        let mut bounds = vec![0u32];
+        for &len in sizes {
+            bounds.push(bounds[bounds.len() - 1] + len as u32);
+        }
+        bounds
+    }
+
     #[test]
     fn policy_resolution_and_validation() {
         assert_eq!(ParallelPolicy::default(), ParallelPolicy::Sequential);
         assert_eq!(ParallelPolicy::Sequential.worker_count(), 1);
+        assert_eq!(ParallelPolicy::threads(1).worker_count(), 1);
         assert_eq!(ParallelPolicy::threads(3).worker_count(), 3);
         assert!(ParallelPolicy::threads(0).worker_count() >= 1);
         assert!(ParallelPolicy::threads(8).validate().is_ok());
         assert!(ParallelPolicy::Sequential.validate().is_ok());
         assert!(ParallelPolicy::threads(100_000).validate().is_err());
-        assert!(ParallelPolicy::threads(2).is_level());
-        assert!(!ParallelPolicy::Sequential.is_level());
     }
 
     #[test]
     fn grid_chunks_cover_every_level_exactly() {
         let sizes = [1usize, CHUNK_NODES, CHUNK_NODES + 1, 3, 2 * CHUNK_NODES];
-        let grid = LevelGrid::new(sizes.iter().copied());
-        assert_eq!(grid.num_levels(), sizes.len());
-        let mut total = 0;
-        for (l, &len) in sizes.iter().enumerate() {
-            let chunks = grid.chunks_in(l);
-            assert_eq!(chunks, len.div_ceil(CHUNK_NODES).max(1));
-            let mut covered = 0;
-            for c in 0..chunks {
-                let range = grid.chunk_range(len, c);
-                assert_eq!(range.start, covered);
-                covered = range.end;
-                assert_eq!(grid.chunk_id(l, c), total + c);
-            }
-            assert_eq!(covered, len);
-            total += chunks;
+        let level_bounds = bounds_of(&sizes);
+        let grid = LevelGrid::new(&level_bounds);
+        // Levels 0–1 fold into one block, level 2 splits into two chunks,
+        // level 3 is a block of its own, level 4 splits into two chunks.
+        assert_eq!(grid.num_steps(), 4);
+        let blocks: Vec<Block<'_>> = grid.blocks(false).collect();
+        let expected: [&[u32]; 6] = [
+            &level_bounds[0..=2],
+            &[level_bounds[2], level_bounds[2] + CHUNK_NODES as u32],
+            &[level_bounds[2] + CHUNK_NODES as u32, level_bounds[3]],
+            &level_bounds[3..=4],
+            &[level_bounds[4], level_bounds[4] + CHUNK_NODES as u32],
+            &[level_bounds[4] + CHUNK_NODES as u32, level_bounds[5]],
+        ];
+        assert_eq!(blocks.len(), expected.len());
+        let mut covered = 0;
+        for (slot, (block, want)) in blocks.iter().zip(expected).enumerate() {
+            assert_eq!(block.bounds, want);
+            assert_eq!(block.slot, slot);
+            assert_eq!(block.nodes().start, covered);
+            covered = block.nodes().end;
         }
-        assert_eq!(grid.total_chunks(), total);
+        assert_eq!(covered, level_bounds[sizes.len()] as usize);
+        assert_eq!(grid.num_nodes(), covered);
+        assert_eq!(grid.total_slots(), blocks.len());
+        let reversed: Vec<usize> = grid.blocks(true).map(|b| b.slot).collect();
+        assert_eq!(reversed, [4, 5, 3, 1, 2, 0], "steps reverse, chunks ascend");
         assert!(grid.memory_bytes() > 0);
     }
 
     #[test]
     fn leveled_runner_visits_every_chunk_in_dependency_order() {
         let sizes = [2usize, CHUNK_NODES * 2, 1, 1, CHUNK_NODES + 1];
-        let grid = LevelGrid::new(sizes.iter().copied());
+        let grid = LevelGrid::new(&bounds_of(&sizes));
         for threads in [1usize, 3] {
             for reverse in [false, true] {
                 let mut runtime = ParRuntime::new();
-                runtime.configure(ParallelPolicy::threads(threads), grid.num_levels());
-                let visited: Vec<AtomicUsize> = (0..grid.total_chunks())
+                runtime.configure(ParallelPolicy::threads(threads), grid.num_steps());
+                let visited: Vec<AtomicUsize> = (0..grid.total_slots())
                     .map(|_| AtomicUsize::new(0))
                     .collect();
                 let stamp = AtomicUsize::new(1);
-                runtime.run_leveled(&grid, reverse, |l, c| {
-                    visited[grid.chunk_id(l, c)]
-                        .store(stamp.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+                runtime.run_leveled(&grid, reverse, |block| {
+                    let previous = visited[block.slot]
+                        .swap(stamp.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+                    assert_eq!(previous, 0, "every block runs once");
                 });
-                // Every chunk ran exactly once...
+                // Every block ran, and steps settled in dependency order:
+                // every block of a step ran before any block of the next
+                // step in the traversal direction.
+                let stamps = |s: usize| {
+                    (0..grid.blocks_in(s))
+                        .map(|c| visited[grid.block(s, c).slot].load(Ordering::Relaxed))
+                        .collect::<Vec<_>>()
+                };
                 assert!(visited.iter().all(|v| v.load(Ordering::Relaxed) > 0));
-                // ...and levels settled in dependency order: every chunk of
-                // a level ran before any chunk of the next level in the
-                // traversal direction.
-                let level_max = |l: usize| {
-                    (0..grid.chunks_in(l))
-                        .map(|c| visited[grid.chunk_id(l, c)].load(Ordering::Relaxed))
-                        .max()
-                        .unwrap()
-                };
-                let level_min = |l: usize| {
-                    (0..grid.chunks_in(l))
-                        .map(|c| visited[grid.chunk_id(l, c)].load(Ordering::Relaxed))
-                        .min()
-                        .unwrap()
-                };
-                for l in 1..grid.num_levels() {
-                    let (earlier, later) = if reverse { (l, l - 1) } else { (l - 1, l) };
+                for s in 1..grid.num_steps() {
+                    let (earlier, later) = if reverse { (s, s - 1) } else { (s - 1, s) };
                     assert!(
-                        level_max(earlier) < level_min(later),
-                        "level {earlier} must settle before level {later} (reverse={reverse})"
+                        stamps(earlier).iter().max() < stamps(later).iter().min(),
+                        "step {earlier} must settle before step {later} (reverse={reverse})"
                     );
                 }
             }
@@ -758,13 +775,13 @@ mod tests {
         runtime.configure(ParallelPolicy::threads(2), 4);
         let clone = runtime.clone();
         assert_eq!(clone.policy(), ParallelPolicy::threads(2));
-        assert!(clone.active());
+        assert_eq!(clone.workers(), 2);
         // A cloned (pool-less) runtime still runs the full grid.
-        let grid = LevelGrid::new([3usize, CHUNK_NODES + 1].into_iter());
+        let grid = LevelGrid::new(&bounds_of(&[3, CHUNK_NODES + 1]));
         let count = AtomicUsize::new(0);
-        clone.run_leveled(&grid, false, |_, _| {
+        clone.run_leveled(&grid, false, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(count.load(Ordering::Relaxed), grid.total_chunks());
+        assert_eq!(count.load(Ordering::Relaxed), grid.total_slots());
     }
 }

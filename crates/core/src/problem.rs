@@ -149,13 +149,13 @@ pub struct OptimizerConfig {
     /// sweeps and sparse incremental evaluation (see [`crate::schedule`]).
     pub solve_strategy: SolveStrategy,
     /// How the stage-2 inner loop distributes its traversals across threads
-    /// (see [`crate::par`]): [`ParallelPolicy::Sequential`] (the default)
-    /// keeps the single-threaded traversals;
-    /// [`ParallelPolicy::Level`] runs them level-parallel over a fixed
-    /// chunk grid, with outcomes **bitwise identical for every thread
-    /// count** and the exact solve strategy still bitwise-pinned to
-    /// [`crate::reference`]. Takes effect with the `parallel` feature;
-    /// without it the same deterministic grid runs on one thread.
+    /// (see [`crate::par`]). Every policy runs the same fixed block grid:
+    /// [`ParallelPolicy::Sequential`] (the default) on the calling thread,
+    /// [`ParallelPolicy::Level`] over a worker pool, with outcomes
+    /// **bitwise identical for every thread count** and the exact solve
+    /// strategy bitwise-pinned to [`crate::reference`]. Worker threads
+    /// need the `parallel` feature; without it every policy runs on one
+    /// thread.
     pub parallel: ParallelPolicy,
 }
 

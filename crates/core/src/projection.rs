@@ -17,7 +17,7 @@
 //! is distributed evenly. The sink's incoming multipliers are the free
 //! variables of the flow and are left untouched.
 
-use ncgws_circuit::{CircuitGraph, CircuitTopology, NodeKind, SharedMut};
+use ncgws_circuit::{CircuitGraph, NodeKind, SharedMut};
 
 use crate::lagrangian::Multipliers;
 use crate::par::{LevelGrid, ParRuntime};
@@ -129,9 +129,10 @@ pub fn project_flow_conservation(graph: &CircuitGraph, multipliers: &mut Multipl
 
 /// [`project_flow_conservation`] with the fanout→slot cross-reference
 /// precomputed (see [`FlowIndex`]): bitwise identical results (same
-/// traversal and accumulation order), but every projection is a contiguous
-/// walk of the flat multiplier array. The OGWS loop builds the index once
-/// per run and projects every iteration through this entry point.
+/// per-node body, same accumulation order), but every projection is a
+/// contiguous walk of the flat multiplier array. The OGWS loop builds the
+/// index once per run and projects through the block-grid form of the
+/// same per-node body.
 pub fn project_flow_conservation_indexed(
     graph: &CircuitGraph,
     index: &FlowIndex,
@@ -144,49 +145,34 @@ pub fn project_flow_conservation_indexed(
     let (offsets, values) = multipliers.flat_mut();
     assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
     assert_eq!(index.out_start.len(), n + 1, "index must match the circuit");
+    // With the same fanin layout, every out position and fanin slot the
+    // index names lies within `values` (the offsets end at its length).
+    assert_eq!(
+        index.fanin_start.as_slice(),
+        offsets,
+        "index must match the multipliers"
+    );
+    let values_s = SharedMut::new(values);
     // Reverse topological order; node indices are topological by construction.
     for idx in (0..n).rev() {
-        if idx == sink || idx == source {
-            continue;
-        }
-        // Outgoing sum over the precomputed flat positions (fanout order).
-        let mut out_sum = 0.0;
-        for &pos in &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize]
-        {
-            out_sum += values[pos as usize];
-        }
-        let fanin = &mut values[offsets[idx] as usize..offsets[idx + 1] as usize];
-        if fanin.is_empty() {
-            continue;
-        }
-        let in_sum: f64 = fanin.iter().sum();
-        if in_sum > 1e-300 {
-            let scale = out_sum / in_sum;
-            for value in fanin {
-                *value *= scale;
-            }
-        } else {
-            let share = out_sum / fanin.len() as f64;
-            for value in fanin {
-                *value = share;
-            }
+        if idx != sink && idx != source {
+            // SAFETY: `idx < n`, the index is tied to the multipliers'
+            // layout above, and nothing else accesses `values`.
+            unsafe { project_node(idx, index, offsets, values_s) };
         }
     }
 }
 
-/// [`project_flow_conservation_indexed`] distributed over the level grid
-/// (step A5 under [`ParallelPolicy::Level`](crate::ParallelPolicy)):
-/// levels settle in reverse dependency order, and within a level each node
+/// [`project_flow_conservation_indexed`] over the block grid (step A5):
+/// blocks settle in reverse dependency order, and within a level each node
 /// rescales only its own fanin slots while reading its fanout nodes'
-/// already-settled slots — so chunks of one level never touch the same
-/// multiplier and the per-node arithmetic (slot-order sums, the same
-/// rescale expressions) is exactly the sequential walk's. Results are
-/// bitwise identical to the sequential projection for every thread count.
+/// already-settled slots — so blocks of one step never touch the same
+/// multiplier. The per-node body is the same, so results are bitwise
+/// identical to the whole-circuit walk for every thread count.
 pub(crate) fn project_flow_conservation_leveled(
     graph: &CircuitGraph,
     index: &FlowIndex,
     multipliers: &mut Multipliers,
-    topo: &CircuitTopology,
     grid: &LevelGrid,
     par: &ParRuntime,
 ) {
@@ -197,51 +183,68 @@ pub(crate) fn project_flow_conservation_leveled(
     let (offsets, values) = multipliers.flat_mut();
     assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
     assert_eq!(index.out_start.len(), n + 1, "index must match the circuit");
-    assert_eq!(topo.num_nodes(), n, "topology must match the circuit");
+    // With the same fanin layout, every out position and fanin slot the
+    // index names lies within `values` (the offsets end at its length).
+    assert_eq!(
+        index.fanin_start.as_slice(),
+        offsets,
+        "index must match the multipliers"
+    );
+    assert_eq!(grid.num_nodes(), n, "grid must match the circuit");
     let values_s = SharedMut::new(values);
-    par.run_leveled(grid, true, |l, c| {
-        let level = topo.level(l);
-        let range = grid.chunk_range(level.len(), c);
-        for &idx in &level[range] {
-            let idx = idx as usize;
-            if idx == sink || idx == source {
-                continue;
-            }
-            // SAFETY: this chunk owns node `idx`: its fanin slots
-            // (`offsets[idx]..offsets[idx+1]`) are written by no other node,
-            // and the out positions it reads are fanin slots of *fanout*
-            // nodes — strictly higher levels, settled before this level
-            // started and never written concurrently.
-            unsafe {
-                let mut out_sum = 0.0;
-                for &pos in
-                    &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize]
-                {
-                    out_sum += values_s.get(pos as usize);
-                }
-                let lo = offsets[idx] as usize;
-                let hi = offsets[idx + 1] as usize;
-                if lo == hi {
-                    continue;
-                }
-                let mut in_sum = 0.0;
-                for slot in lo..hi {
-                    in_sum += values_s.get(slot);
-                }
-                if in_sum > 1e-300 {
-                    let scale = out_sum / in_sum;
-                    for slot in lo..hi {
-                        values_s.set(slot, values_s.get(slot) * scale);
-                    }
-                } else {
-                    let share = out_sum / (hi - lo) as f64;
-                    for slot in lo..hi {
-                        values_s.set(slot, share);
-                    }
+    par.run_leveled(grid, true, |block| {
+        for level in block.bounds.windows(2).rev() {
+            for idx in level[0] as usize..level[1] as usize {
+                if idx != sink && idx != source {
+                    // SAFETY: the grid covers `0..n` and the index is tied
+                    // to the multipliers' layout above; this block owns
+                    // node `idx`, and the slots it reads belong to fanout
+                    // nodes in later levels, settled before this step
+                    // started.
+                    unsafe { project_node(idx, index, offsets, values_s) };
                 }
             }
         }
     });
+}
+
+/// The A5 projection of one node: rescales its fanin multipliers so their
+/// sum matches its (already final) outgoing sum, or shares the outgoing
+/// sum evenly when every incoming multiplier is zero.
+///
+/// # Safety
+///
+/// `idx < n`, `index.fanin_start == offsets`, `offsets` ends at the length
+/// of the slice `values` wraps, no other borrower concurrently accesses
+/// node `idx`'s fanin slots, and the fanin slots of its fanout nodes (the
+/// out positions it reads) are settled and not written concurrently.
+#[inline(always)]
+unsafe fn project_node(idx: usize, index: &FlowIndex, offsets: &[u32], values: SharedMut<'_, f64>) {
+    // Outgoing sum over the precomputed flat positions (fanout order).
+    let mut out_sum = 0.0;
+    for &pos in &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize] {
+        out_sum += values.get(pos as usize);
+    }
+    let lo = offsets[idx] as usize;
+    let hi = offsets[idx + 1] as usize;
+    if lo == hi {
+        return;
+    }
+    let mut in_sum = 0.0;
+    for slot in lo..hi {
+        in_sum += values.get(slot);
+    }
+    if in_sum > 1e-300 {
+        let scale = out_sum / in_sum;
+        for slot in lo..hi {
+            values.set(slot, values.get(slot) * scale);
+        }
+    } else {
+        let share = out_sum / (hi - lo) as f64;
+        for slot in lo..hi {
+            values.set(slot, share);
+        }
+    }
 }
 
 /// Maximum absolute flow-conservation residual
@@ -358,6 +361,39 @@ mod tests {
         let g3 = g.node_by_name("g3").unwrap();
         let edges = m.edges_of(g3);
         assert!((edges[0] - edges[1]).abs() < 1e-9);
+    }
+
+    /// An index built for a different circuit with as many nodes is
+    /// rejected before the walk reads a slot through it.
+    #[test]
+    #[should_panic(expected = "index must match the multipliers")]
+    fn mismatched_index_is_rejected() {
+        let g = reconvergent();
+        let mut b = CircuitBuilder::new(Technology::dac99());
+        let d1 = b.add_driver("d1", 100.0).unwrap();
+        let d2 = b.add_driver("d2", 100.0).unwrap();
+        let w1 = b.add_wire("w1", 20.0).unwrap();
+        let w2 = b.add_wire("w2", 20.0).unwrap();
+        let g1 = b.add_gate("g1", GateKind::Nand).unwrap();
+        let w3 = b.add_wire("w3", 20.0).unwrap();
+        let g2 = b.add_gate("g2", GateKind::Inv).unwrap();
+        let w4 = b.add_wire("w4", 20.0).unwrap();
+        let g3 = b.add_gate("g3", GateKind::Inv).unwrap();
+        let w5 = b.add_wire("w5", 20.0).unwrap();
+        b.connect(d1, w1).unwrap();
+        b.connect(d2, w2).unwrap();
+        b.connect(w1, g1).unwrap();
+        b.connect(w2, g1).unwrap();
+        b.connect(g1, w3).unwrap();
+        b.connect(w3, g2).unwrap();
+        b.connect(g2, w4).unwrap();
+        b.connect(w4, g3).unwrap();
+        b.connect(g3, w5).unwrap();
+        b.connect_output(w5, 5.0).unwrap();
+        let other = b.build().unwrap();
+        assert_eq!(other.num_nodes(), g.num_nodes());
+        let mut m = Multipliers::uniform(&g, 1.0, 1.0);
+        project_flow_conservation_indexed(&g, &FlowIndex::new(&other), &mut m);
     }
 
     #[test]

@@ -40,11 +40,10 @@
 //!
 //! Both schedules are orthogonal to the **parallel policy**
 //! ([`crate::par`], [`OptimizerConfig::parallel`](crate::OptimizerConfig)):
-//! under [`ParallelPolicy::Level`](crate::ParallelPolicy) the fused
-//! Gauss–Seidel passes, the exact sweeps and the timing evaluations run
-//! level-parallel over a fixed chunk grid, with outcomes bitwise identical
-//! across thread counts (the `thread_determinism` integration tests pin
-//! this, including the exact path's reference pinning).
+//! the fused Gauss–Seidel passes, the exact sweeps and the timing
+//! evaluations all run over one fixed block grid, with outcomes bitwise
+//! identical across thread counts (the `thread_determinism` integration
+//! tests pin this, including the exact path's reference pinning).
 
 use ncgws_circuit::{IncrementalWorkspace, SharedMut};
 use serde::de::{Error, Fields, Value};
@@ -325,29 +324,12 @@ impl ScheduleWorkspace {
         }
     }
 
-    /// Calm-streak bookkeeping after one component resize: a calm resize
-    /// (relative change within the freeze tolerance) extends the streak and
-    /// freezes the component once the streak reaches the threshold; a mover
-    /// resets the streak and unfreezes.
-    #[inline(always)]
-    pub(crate) fn note_resize(&mut self, comp: usize, rel: f64, schedule: &AdaptiveSchedule) {
-        // SAFETY: exclusive borrows of the whole arrays, single-threaded.
-        unsafe {
-            Self::note_resize_shared(
-                SharedMut::new(&mut self.calm),
-                SharedMut::new(&mut self.frozen),
-                comp,
-                rel,
-                schedule,
-            );
-        }
-    }
-
-    /// The canonical calm/freeze rule behind
-    /// [`note_resize`](Self::note_resize), over shared per-component views —
-    /// the form the level-parallel fused sweeps use, where each chunk owns a
-    /// disjoint component set. Kept in one place so the sequential and
-    /// chunk-parallel schedules can never diverge.
+    /// Calm-streak bookkeeping after one component resize, over shared
+    /// per-component views (each block of a fused pass owns a disjoint
+    /// component set): a calm resize (relative change within the freeze
+    /// tolerance) extends the streak and freezes the component once the
+    /// streak reaches the threshold; a mover resets the streak and
+    /// unfreezes.
     ///
     /// # Safety
     ///

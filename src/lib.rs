@@ -206,8 +206,9 @@
 //! without it the identical chunk grid runs on the calling thread, so a
 //! serial build is a bit-for-bit oracle for a threaded one. Level
 //! parallelism pays off on *wide* circuits (many components per level);
-//! on chain-like circuits the critical path is the whole circuit and the
-//! default [`ParallelPolicy::Sequential`] is the better choice.
+//! on chain-like circuits the critical path is the whole circuit, and the
+//! default [`ParallelPolicy::Sequential`] — the same grid on one worker —
+//! is the better choice.
 //!
 //! ```rust
 //! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
@@ -236,8 +237,7 @@
 //! assert_eq!(one.report.final_metrics, eight.report.final_metrics);
 //! assert_eq!(ParallelPolicy::threads(2), ParallelPolicy::Level { threads: 2 });
 //!
-//! // Under the exact strategy (the default) the grid is also bitwise the
-//! // sequential policy.
+//! // The sequential policy is the same grid on one worker, bitwise.
 //! let config = OptimizerConfig::builder()
 //!     .max_iterations(30)
 //!     .parallel(ParallelPolicy::Sequential)
@@ -264,8 +264,8 @@
 //!   CI gate.
 //! * The **`race-check`** cargo feature arms a debug-only shadow claim map
 //!   on [`SharedMut`](circuit::SharedMut) kernel writes
-//!   (`ncgws_circuit::race`): each parallel pass runs every chunk body in a
-//!   `(pass, level, chunk)` context, each write claims its index, and two
+//!   (`ncgws_circuit::race`): each pass runs every block body in a
+//!   `(pass, step, chunk)` context, each write claims its index, and two
 //!   chunks of one pass writing the same index panic immediately — the
 //!   level-partition invariant behind every `unsafe` kernel write, made
 //!   observable. `cargo test --features "parallel race-check"` keeps the

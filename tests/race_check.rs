@@ -83,8 +83,9 @@ proptest! {
 }
 
 /// The real engine under the checker: a full two-stage run issues every
-/// leveled and flat kernel pass with claim contexts active, and must finish
-/// without an overlap panic at any thread count.
+/// leveled and flat kernel pass with claim contexts active — one worker
+/// (`Sequential`, `threads(1)`) included, since every policy runs the same
+/// grid — and must finish without an overlap panic at any thread count.
 #[test]
 fn full_sizing_run_stays_claim_clean() {
     let inst: ProblemInstance = SyntheticGenerator::new(
