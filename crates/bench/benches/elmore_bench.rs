@@ -14,7 +14,7 @@
 //! Run with `cargo bench -p ncgws-bench --bench elmore_bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ncgws_circuit::{CircuitBuilder, CircuitGraph, GateKind, Technology};
+use ncgws_circuit::{CircuitBuilder, CircuitGraph, GateKind, NodeId, Technology};
 use ncgws_core::{
     reference, ConstraintBounds, LrsSolver, Multipliers, SizingEngine, SizingProblem,
 };
@@ -22,17 +22,18 @@ use ncgws_coupling::{CouplingPair, CouplingSet, WirePairGeometry};
 
 const SWEEPS: usize = 5;
 
-/// A driver-fed wire/gate chain with `components` sizable components and
-/// coupling between consecutive wires.
-fn chain(components: usize) -> (CircuitGraph, Vec<String>) {
+/// A driver-fed wire/gate chain with `components` sizable components, plus
+/// its wires in chain order.
+fn chain(components: usize) -> (CircuitGraph, Vec<NodeId>) {
     let mut b = CircuitBuilder::new(Technology::dac99());
     let mut prev = b.add_driver("drv", 120.0).unwrap();
-    let mut wire_names = Vec::new();
+    let mut wires = Vec::new();
     for i in 0..components {
         let node = if i % 2 == 0 {
-            let name = format!("w{i}");
-            let w = b.add_wire(&name, 60.0 + (i % 7) as f64 * 25.0).unwrap();
-            wire_names.push(name);
+            let w = b
+                .add_wire(&format!("w{i}"), 60.0 + (i % 7) as f64 * 25.0)
+                .unwrap();
+            wires.push(w);
             w
         } else {
             b.add_gate(&format!("g{i}"), GateKind::Inv).unwrap()
@@ -44,24 +45,23 @@ fn chain(components: usize) -> (CircuitGraph, Vec<String>) {
     let last = if components.is_multiple_of(2) {
         let w = b.add_wire("w_out", 80.0).unwrap();
         b.connect(prev, w).unwrap();
-        wire_names.push("w_out".to_string());
+        wires.push(w);
         w
     } else {
         prev
     };
     b.connect_output(last, 8.0).unwrap();
-    (b.build().unwrap(), wire_names)
+    let (graph, ids) = b.build_mapped().unwrap();
+    let wires = wires.into_iter().map(|w| ids[w.index()]).collect();
+    (graph, wires)
 }
 
-fn coupling_for(graph: &CircuitGraph, wire_names: &[String]) -> CouplingSet {
+/// Coupling between consecutive wires of the chain.
+fn coupling_for(graph: &CircuitGraph, wires: &[NodeId]) -> CouplingSet {
     let geom = WirePairGeometry::new(50.0, 21.0, 0.03).unwrap();
-    let pairs = wire_names
+    let pairs = wires
         .windows(2)
-        .map(|names| {
-            let a = graph.node_by_name(&names[0]).unwrap();
-            let b = graph.node_by_name(&names[1]).unwrap();
-            CouplingPair::new(a, b, geom).unwrap()
-        })
+        .map(|w| CouplingPair::new(w[0], w[1], geom).unwrap())
         .collect();
     CouplingSet::new(graph, pairs).unwrap()
 }
@@ -69,8 +69,8 @@ fn coupling_for(graph: &CircuitGraph, wire_names: &[String]) -> CouplingSet {
 fn lrs_sweep_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("lrs_solve_5_sweeps");
     for components in [100usize, 1_000, 10_000] {
-        let (graph, wire_names) = chain(components);
-        let coupling = coupling_for(&graph, &wire_names);
+        let (graph, wires) = chain(components);
+        let coupling = coupling_for(&graph, &wires);
         let bounds = ConstraintBounds {
             delay: 1e15,
             total_capacitance: 1e15,

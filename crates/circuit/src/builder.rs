@@ -39,7 +39,12 @@ const SINK_NAME: &str = "~sink";
 /// the edge once (a wire instead records its single driver).
 /// [`CircuitBuilder::build`] runs in O(nodes + edges): two counting passes
 /// fill the graph's compressed fanin and fanout arrays already sorted, and
-/// the name table moves into the graph without copying a name.
+/// the nodes are permuted into topological order in place.
+///
+/// Every name is stored once: the builder's name table holds it until
+/// [`build`](CircuitBuilder::build) moves it into its node, and the graph
+/// keeps no name index of its own. [`CircuitBuilder::lookup`] resolves a
+/// name to its handle while the circuit is under construction.
 ///
 /// The names `~source` and `~sink` belong to the artificial nodes and are
 /// rejected as [`CircuitError::DuplicateName`].
@@ -70,6 +75,8 @@ const SINK_NAME: &str = "~sink";
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {
     tech: Technology,
+    /// The components in the order they were added. Their names stay empty
+    /// until `build` moves them in from `names`.
     nodes: Vec<Node>,
     /// `wire_driver[i]` is the component driving wire `i` once it has
     /// accepted its one fanin edge; it enforces the one-driver rule and
@@ -78,9 +85,9 @@ pub struct CircuitBuilder {
     edges: Vec<(usize, usize)>,
     /// Edges into non-wires, for duplicate detection.
     edge_set: HashSet<(usize, usize)>,
-    /// Each name mapped to its component's position in `nodes`; `build`
-    /// remaps the values and hands the table to the graph.
-    names: HashMap<String, NodeId>,
+    /// The only copy of each name, mapped to its component; `build` moves
+    /// every key into its node.
+    names: HashMap<String, BuildNode>,
     /// `output_loads[i]` is the accumulated primary-output load of
     /// component `i`, if it drives one.
     output_loads: Vec<Option<f64>>,
@@ -89,14 +96,23 @@ pub struct CircuitBuilder {
 impl CircuitBuilder {
     /// Creates an empty builder with the given technology.
     pub fn new(tech: Technology) -> Self {
+        CircuitBuilder::with_capacity(tech, 0, 0)
+    }
+
+    /// Creates an empty builder with room for `components` components
+    /// (drivers, gates and wires) and `edges` connections, so a caller that
+    /// knows the circuit's size up front builds it without regrowing a
+    /// table.
+    pub fn with_capacity(tech: Technology, components: usize, edges: usize) -> Self {
         CircuitBuilder {
             tech,
-            nodes: Vec::new(),
-            wire_driver: Vec::new(),
-            edges: Vec::new(),
+            // Room for the source and sink that `build` appends.
+            nodes: Vec::with_capacity(components + 2),
+            wire_driver: Vec::with_capacity(components),
+            edges: Vec::with_capacity(edges),
             edge_set: HashSet::new(),
-            names: HashMap::new(),
-            output_loads: Vec::new(),
+            names: HashMap::with_capacity(components),
+            output_loads: Vec::with_capacity(components),
         }
     }
 
@@ -115,6 +131,12 @@ impl CircuitBuilder {
         self.nodes.is_empty()
     }
 
+    /// The component added under `name`, if any.
+    pub fn lookup(&self, name: &str) -> Option<BuildNode> {
+        self.names.get(name).copied()
+    }
+
+    /// Registers `name` for the component about to be pushed.
     fn register_name(&mut self, name: &str) -> Result<(), CircuitError> {
         let duplicate = || CircuitError::DuplicateName(name.to_string());
         if name == SOURCE_NAME || name == SINK_NAME {
@@ -123,16 +145,16 @@ impl CircuitBuilder {
         match self.names.entry(name.to_string()) {
             Entry::Occupied(_) => Err(duplicate()),
             Entry::Vacant(slot) => {
-                slot.insert(NodeId::new(self.nodes.len()));
+                slot.insert(BuildNode(self.nodes.len()));
                 Ok(())
             }
         }
     }
 
-    fn push_node(&mut self, kind: NodeKind, name: &str, attrs: NodeAttrs) -> BuildNode {
+    fn push_node(&mut self, kind: NodeKind, attrs: NodeAttrs) -> BuildNode {
         self.nodes.push(Node {
             kind,
-            name: name.to_string(),
+            name: String::new(),
             attrs,
         });
         self.wire_driver.push(None);
@@ -154,7 +176,7 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        Ok(self.push_node(NodeKind::Driver, name, NodeAttrs::driver(rd)))
+        Ok(self.push_node(NodeKind::Driver, NodeAttrs::driver(rd)))
     }
 
     /// Adds a gate of the given logic kind.
@@ -165,7 +187,7 @@ impl CircuitBuilder {
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
         self.register_name(name)?;
         let attrs = NodeAttrs::gate(&self.tech);
-        Ok(self.push_node(NodeKind::Gate(kind), name, attrs))
+        Ok(self.push_node(NodeKind::Gate(kind), attrs))
     }
 
     /// Adds a wire of the given length (µm).
@@ -183,7 +205,7 @@ impl CircuitBuilder {
         }
         self.register_name(name)?;
         let attrs = NodeAttrs::wire(&self.tech, length);
-        Ok(self.push_node(NodeKind::Wire, name, attrs))
+        Ok(self.push_node(NodeKind::Wire, attrs))
     }
 
     /// Overrides the size bounds of a sizable component.
@@ -324,12 +346,16 @@ impl CircuitBuilder {
         let CircuitBuilder {
             tech,
             mut nodes,
-            wire_driver: _,
+            wire_driver,
             edges,
-            edge_set: _,
-            mut names,
+            edge_set,
+            names,
             output_loads,
         } = self;
+        // The connection checks are done: free their tables before the
+        // graph's arrays are allocated.
+        drop(wire_driver);
+        drop(edge_set);
         tech.validate()?;
 
         let total = nodes.len();
@@ -354,6 +380,7 @@ impl CircuitBuilder {
             fill.push(u, NodeId::new(v));
         }
         let fanout = fill.finish();
+        drop(edges);
 
         // Every non-driver component needs a fanin; every component that does
         // not drive a primary output needs a fanout.
@@ -372,6 +399,7 @@ impl CircuitBuilder {
         let s = drivers.len();
         let mut pending = indegree.clone();
         let mut order = drivers;
+        // Two more slots: `order` becomes the node permutation below.
         order.reserve(total - s);
         let mut head = 0;
         while let Some(&u) = order.get(head) {
@@ -384,6 +412,7 @@ impl CircuitBuilder {
                 }
             }
         }
+        drop(pending);
         if order.len() != total {
             return Err(CircuitError::CyclicGraph);
         }
@@ -395,34 +424,6 @@ impl CircuitBuilder {
         for (k, &old) in order.iter().enumerate() {
             ids[old] = NodeId::new(k + 1);
         }
-
-        let mut new_nodes: Vec<Node> = Vec::with_capacity(n + s + 2);
-        new_nodes.push(Node {
-            kind: NodeKind::Source,
-            name: SOURCE_NAME.to_string(),
-            attrs: NodeAttrs::artificial(),
-        });
-        for &old in &order {
-            let node = &mut nodes[old];
-            let mut attrs = node.attrs;
-            if let Some(load) = output_loads[old] {
-                attrs.output_load = if load > 0.0 {
-                    load
-                } else {
-                    tech.default_output_load
-                };
-            }
-            new_nodes.push(Node {
-                kind: node.kind,
-                name: std::mem::take(&mut node.name),
-                attrs,
-            });
-        }
-        new_nodes.push(Node {
-            kind: NodeKind::Sink,
-            name: SINK_NAME.to_string(),
-            attrs: NodeAttrs::artificial(),
-        });
 
         // Fanin lists fill in increasing tail order and fanout lists in
         // increasing head order, so both come out sorted.
@@ -455,6 +456,8 @@ impl CircuitBuilder {
             )
             .chain(std::iter::once(0));
         let mut fill = AdjacencyFill::new(fanout_degrees);
+        drop(fanout);
+        drop(indegree);
         for v in 0..=sink {
             for &u in new_fanin.list(v) {
                 fill.push(u.index(), NodeId::new(v));
@@ -462,13 +465,54 @@ impl CircuitBuilder {
         }
         let new_fanout = fill.finish();
 
-        for id in names.values_mut() {
-            *id = ids[id.index()];
+        // Finish the nodes under their insertion indices: the output loads,
+        // and every name moved (not copied) out of the name table.
+        for (node, load) in nodes.iter_mut().zip(output_loads) {
+            if let Some(load) = load {
+                node.attrs.output_load = if load > 0.0 {
+                    load
+                } else {
+                    tech.default_output_load
+                };
+            }
         }
-        names.insert(SOURCE_NAME.to_string(), NodeId::new(0));
-        names.insert(SINK_NAME.to_string(), NodeId::new(sink));
+        for (name, handle) in names {
+            nodes[handle.0].name = name;
+        }
 
-        let graph = CircuitGraph::from_parts(new_nodes, new_fanin, new_fanout, tech, s, n, names);
+        // Permute into the new indexing in place. The source and sink are
+        // appended at `total` and `total + 1 == sink`; `order` becomes the
+        // gather map `src` (new position `p` takes the node at `src[p]`),
+        // applied cycle by cycle with swaps.
+        nodes.reserve_exact(2);
+        nodes.push(Node {
+            kind: NodeKind::Source,
+            name: SOURCE_NAME.to_string(),
+            attrs: NodeAttrs::artificial(),
+        });
+        nodes.push(Node {
+            kind: NodeKind::Sink,
+            name: SINK_NAME.to_string(),
+            attrs: NodeAttrs::artificial(),
+        });
+        let mut src = order;
+        src.insert(0, total);
+        src.push(sink);
+        const PLACED: usize = usize::MAX;
+        for start in 0..src.len() {
+            let mut p = start;
+            loop {
+                let from = std::mem::replace(&mut src[p], PLACED);
+                if from == PLACED || from == start {
+                    break;
+                }
+                nodes.swap(p, from);
+                p = from;
+            }
+        }
+        drop(src);
+
+        let graph = CircuitGraph::from_parts(nodes, new_fanin, new_fanout, tech, s, n);
         crate::validate::validate(&graph)?;
         Ok((graph, ids))
     }

@@ -71,10 +71,7 @@ use crate::node::NodeKind;
 use crate::sizing::SizeVector;
 
 /// Sentinel for "no predecessor" in dense predecessor arrays.
-pub const NO_PRED: usize = usize::MAX;
-
-/// Sentinel for "not a sizable component" in dense component-index arrays.
-const NOT_SIZABLE: usize = usize::MAX;
+pub const NO_PRED: u32 = u32::MAX;
 
 /// Scratch buffers for the sparse incremental evaluation paths
 /// ([`CircuitTopology::downstream_caps_update`],
@@ -239,7 +236,7 @@ impl<'a, T> SharedMut<'a, T> {
 #[repr(u8)]
 enum FanoutTag {
     /// A precomputed constant: the parent's output load for sink children,
-    /// `ĉ · 1.0` for non-sizable gates, `0.0` for drivers/the source.
+    /// `0.0` for drivers/the source.
     Const,
     /// A sizable gate child: `ĉ_child · x[comp]`.
     Gate,
@@ -255,14 +252,11 @@ enum FaninTag {
     /// Source/sink predecessor: contributes nothing (skipped, exactly as
     /// the kind-dispatched loop skips it).
     Skip,
-    /// Fixed resistance (`R_D` for drivers, `r̂ / 1.0` folded at build time
-    /// for non-sizable gates): `w · r`.
+    /// Fixed resistance `R_D` of a driver: `w · r`.
     Const,
-    /// Sizable gate: `w · (r̂ / x[comp])` (`∞` when `x ≤ 0`).
+    /// Gate: `w · (r̂ / x[comp])` (`∞` when `x ≤ 0`).
     Div,
-    /// Non-sizable wire: `upstream[p] + w · r` with fixed `r`.
-    WireConst,
-    /// Sizable wire: `upstream[p] + w · (r̂ / x[comp])`.
+    /// Wire: `upstream[p] + w · (r̂ / x[comp])`.
     WireDiv,
 }
 
@@ -304,7 +298,7 @@ pub enum KindTag {
 /// let graph = b.build().unwrap();
 ///
 /// let topo = CircuitTopology::new(&graph);
-/// let mut ws = EvalWorkspace::new(&graph);
+/// let mut ws = EvalWorkspace::new(&topo);
 /// let sizes = graph.uniform_sizes(1.5);
 /// // No coupling load: `ws.extra_cap` stays all-zero.
 /// let delay = topo.timing_into(&sizes, &mut ws);
@@ -319,11 +313,12 @@ pub struct CircuitTopology {
     /// Raw node index of the artificial sink, recorded at build time so the
     /// critical-path walk needs no graph.
     sink: usize,
+    /// Raw node index of the first component. The components are the
+    /// nodes `comp_base..comp_base + num_components`, so the dense
+    /// component index of node `idx` is `idx - comp_base`: a subtraction,
+    /// not a table.
+    comp_base: usize,
     kind: Vec<KindTag>,
-    /// Dense component index per node ([`NOT_SIZABLE`] for the rest).
-    comp_of: Vec<usize>,
-    /// Raw node index per dense component index (inverse of `comp_of`).
-    node_of_comp: Vec<u32>,
     /// `r̂` for gates/wires, `R_D` for drivers, zero otherwise.
     unit_resistance: Vec<f64>,
     /// `ĉ` for gates/wires, zero otherwise.
@@ -338,7 +333,7 @@ pub struct CircuitTopology {
     fanin_list: Vec<u32>,
     /// Streamed per-fanout-edge child descriptors (parallel to
     /// `fanout_list`): the chunk kernels dispatch on these columns instead
-    /// of gathering `kind`/`unit_capacitance`/`comp_of` through the child
+    /// of gathering `kind`/`unit_capacitance` through the child
     /// index, leaving at most one random access per edge (the child's
     /// `presented` entry or the component's size). Built once per snapshot;
     /// per-edge values are exactly the operands the kind dispatch would
@@ -382,9 +377,8 @@ impl CircuitTopology {
             graph.num_edges() <= u32::MAX as usize,
             "circuit too large for 32-bit CSR edge offsets"
         );
+        let comp_base = graph.num_drivers() + 1;
         let mut kind = Vec::with_capacity(n);
-        let mut comp_of = Vec::with_capacity(n);
-        let mut node_of_comp = vec![0u32; graph.num_components()];
         let mut unit_resistance = Vec::with_capacity(n);
         let mut unit_capacitance = Vec::with_capacity(n);
         let mut fringing = Vec::with_capacity(n);
@@ -403,18 +397,21 @@ impl CircuitTopology {
                 NodeKind::Wire => KindTag::Wire,
                 NodeKind::Sink => KindTag::Sink,
             });
-            let comp = graph.component_index(id).unwrap_or(NOT_SIZABLE);
-            if comp != NOT_SIZABLE {
-                node_of_comp[comp] = id.index() as u32;
-            }
-            comp_of.push(comp);
             unit_resistance.push(match node.kind {
                 NodeKind::Driver => node.attrs.driver_resistance,
                 NodeKind::Gate(_) | NodeKind::Wire => node.attrs.unit_resistance,
                 _ => 0.0,
             });
-            unit_capacitance.push(node.attrs.unit_capacitance);
-            fringing.push(node.attrs.fringing_capacitance);
+            unit_capacitance.push(if node.kind.is_sizable() {
+                node.attrs.unit_capacitance
+            } else {
+                0.0
+            });
+            fringing.push(if node.kind.is_wire() {
+                node.attrs.fringing_capacitance
+            } else {
+                0.0
+            });
             output_load.push(node.attrs.output_load);
             fanout_start.push(fanout_list.len() as u32);
             fanout_list.extend(graph.fanout(id).iter().map(|succ| succ.index() as u32));
@@ -426,9 +423,9 @@ impl CircuitTopology {
 
         // Streamed per-edge descriptor columns (see the field docs): the
         // exact operands the kind-dispatched loops would gather through the
-        // child/predecessor index, precomputed once per edge. Non-sizable
-        // forms fold their fixed size of 1.0 at build time (`c * 1.0 == c`
-        // and `r / 1.0 == r` bitwise), so every fold is bitwise neutral.
+        // child/predecessor index, precomputed once per edge. A validated
+        // graph holds gates and wires exactly in the component range, so
+        // every gate or wire is sizable.
         let mut fanout_tag = Vec::with_capacity(fanout_list.len());
         let mut fanout_coeff = Vec::with_capacity(fanout_list.len());
         let mut fanout_aux = Vec::with_capacity(fanout_list.len());
@@ -437,14 +434,7 @@ impl CircuitTopology {
                 let c = child as usize;
                 let (tag, coeff, aux) = match kind[c] {
                     KindTag::Sink => (FanoutTag::Const, output_load[idx], 0),
-                    KindTag::Gate => {
-                        let comp = comp_of[c];
-                        if comp == NOT_SIZABLE {
-                            (FanoutTag::Const, unit_capacitance[c], 0)
-                        } else {
-                            (FanoutTag::Gate, unit_capacitance[c], comp as u32)
-                        }
-                    }
+                    KindTag::Gate => (FanoutTag::Gate, unit_capacitance[c], (c - comp_base) as u32),
                     KindTag::Wire => (FanoutTag::Wire, 0.0, child),
                     KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0, 0),
                 };
@@ -461,25 +451,12 @@ impl CircuitTopology {
             let (tag, ur, aux) = match kind[p] {
                 KindTag::Source | KindTag::Sink => (FaninTag::Skip, 0.0, 0),
                 KindTag::Driver => (FaninTag::Const, unit_resistance[p], 0),
-                KindTag::Gate | KindTag::Wire => {
-                    let wire = kind[p] == KindTag::Wire;
-                    let comp = comp_of[p];
-                    if comp == NOT_SIZABLE {
-                        let tag = if wire {
-                            FaninTag::WireConst
-                        } else {
-                            FaninTag::Const
-                        };
-                        (tag, unit_resistance[p], 0)
-                    } else {
-                        let tag = if wire {
-                            FaninTag::WireDiv
-                        } else {
-                            FaninTag::Div
-                        };
-                        (tag, unit_resistance[p], comp as u32)
-                    }
-                }
+                KindTag::Gate => (FaninTag::Div, unit_resistance[p], (p - comp_base) as u32),
+                KindTag::Wire => (
+                    FaninTag::WireDiv,
+                    unit_resistance[p],
+                    (p - comp_base) as u32,
+                ),
             };
             fanin_tag.push(tag);
             fanin_ur.push(ur);
@@ -501,9 +478,8 @@ impl CircuitTopology {
         CircuitTopology {
             num_components: graph.num_components(),
             sink: graph.sink().index(),
+            comp_base,
             kind,
-            comp_of,
-            node_of_comp,
             unit_resistance,
             unit_capacitance,
             fringing,
@@ -549,14 +525,38 @@ impl CircuitTopology {
     /// Dense component index of node `idx`, when the node is sizable.
     #[inline(always)]
     pub fn component_of(&self, idx: usize) -> Option<usize> {
-        let comp = self.comp_of[idx];
-        (comp != NOT_SIZABLE).then_some(comp)
+        let comp = idx.wrapping_sub(self.comp_base);
+        (comp < self.num_components).then_some(comp)
     }
 
     /// Raw node index of the dense component `comp`.
     #[inline(always)]
     pub fn node_of_component(&self, comp: usize) -> usize {
-        self.node_of_comp[comp] as usize
+        self.comp_base + comp
+    }
+
+    /// The raw node indices of the components, in dense component order:
+    /// slicing a per-node array with this range gives its per-component
+    /// view.
+    pub fn component_nodes(&self) -> std::ops::Range<usize> {
+        self.comp_base..self.comp_base + self.num_components
+    }
+
+    /// `r̂` of every component, in dense component order (a view of the
+    /// per-node array, not a copy).
+    pub fn component_unit_resistance(&self) -> &[f64] {
+        &self.unit_resistance[self.component_nodes()]
+    }
+
+    /// `ĉ` of every component, in dense component order.
+    pub fn component_unit_capacitance(&self) -> &[f64] {
+        &self.unit_capacitance[self.component_nodes()]
+    }
+
+    /// Fringing capacitance `f` of every component (zero for gates), in
+    /// dense component order.
+    pub fn component_fringing(&self) -> &[f64] {
+        &self.fringing[self.component_nodes()]
     }
 
     /// Fanout (successor) node indices of node `idx`.
@@ -581,11 +581,9 @@ impl CircuitTopology {
     /// as [`CircuitGraph::size_of`].
     #[inline(always)]
     pub fn size_of(&self, idx: usize, sizes: &SizeVector) -> f64 {
-        let comp = self.comp_of[idx];
-        if comp == NOT_SIZABLE {
-            1.0
-        } else {
-            sizes[comp]
+        match self.component_of(idx) {
+            Some(comp) => sizes[comp],
+            None => 1.0,
         }
     }
 
@@ -620,7 +618,8 @@ impl CircuitTopology {
     }
 
     /// Asserts the slice-length invariants the unchecked hot loops rely on.
-    /// Every node index stored in the CSR lists and `comp_of` is in range by
+    /// Every node index stored in the CSR lists and every component index
+    /// derived from a gate or wire node is in range by
     /// construction (the topology is built from a validated graph and is
     /// immutable), so after these checks the per-element indexing below
     /// cannot go out of bounds.
@@ -639,11 +638,9 @@ impl CircuitTopology {
     /// `idx < num_nodes` and `sizes.len() == num_components`.
     #[inline(always)]
     unsafe fn size_of_unchecked(&self, idx: usize, sizes: &[f64]) -> f64 {
-        let comp = *self.comp_of.get_unchecked(idx);
-        if comp == NOT_SIZABLE {
-            1.0
-        } else {
-            *sizes.get_unchecked(comp)
+        match self.component_of(idx) {
+            Some(comp) => *sizes.get_unchecked(comp),
+            None => 1.0,
         }
     }
 
@@ -805,10 +802,6 @@ impl CircuitTopology {
                     };
                     acc += *weights.get_unchecked(p) * r;
                 }
-                FaninTag::WireConst => {
-                    acc += upstream.get(p)
-                        + *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
                 FaninTag::WireDiv => {
                     let x = *sizes.get_unchecked(*self.fanin_aux.get_unchecked(e) as usize);
                     let r = if x > 0.0 {
@@ -853,10 +846,6 @@ impl CircuitTopology {
                     };
                     acc += *weights.get_unchecked(p) * r;
                 }
-                FaninTag::WireConst => {
-                    acc += upstream.get(p)
-                        + *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
                 FaninTag::WireDiv => {
                     let x = xs.get(*self.fanin_aux.get_unchecked(e) as usize);
                     let r = if x > 0.0 {
@@ -875,8 +864,6 @@ impl CircuitTopology {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.kind.capacity() * size_of::<KindTag>()
-            + self.comp_of.capacity() * size_of::<usize>()
-            + self.node_of_comp.capacity() * size_of::<u32>()
             + (self.unit_resistance.capacity()
                 + self.unit_capacitance.capacity()
                 + self.fringing.capacity()
@@ -1054,7 +1041,7 @@ impl CircuitTopology {
                         }
                         let c = c + extra;
                         charged.set(idx, c);
-                        let comp = *self.comp_of.get_unchecked(idx);
+                        let comp = idx - self.comp_base;
                         let x = xs.get(comp);
                         let x_new = resize(comp, idx, c, x);
                         if x_new != x {
@@ -1067,7 +1054,7 @@ impl CircuitTopology {
                         for e in self.fanout_edges_unchecked(idx) {
                             downstream += self.child_load_edge_fused(e, xs, presented);
                         }
-                        let comp = *self.comp_of.get_unchecked(idx);
+                        let comp = idx - self.comp_base;
                         let x = xs.get(comp);
                         let unit_cap = *self.unit_capacitance.get_unchecked(idx);
                         let fringing = *self.fringing.get_unchecked(idx);
@@ -1115,8 +1102,7 @@ impl CircuitTopology {
         for idx in nodes {
             let acc = self.upstream_acc_edges_shared(idx, xs, weights, upstream);
             upstream.set(idx, acc);
-            let comp = *self.comp_of.get_unchecked(idx);
-            if comp != NOT_SIZABLE {
+            if let Some(comp) = self.component_of(idx) {
                 let x = xs.get(comp);
                 let x_new = resize(comp, idx, acc, x);
                 if x_new != x {
@@ -1166,7 +1152,7 @@ impl CircuitTopology {
         nodes: std::ops::Range<usize>,
         delays: &[f64],
         arrival: SharedMut<'_, f64>,
-        pred: SharedMut<'_, usize>,
+        pred: SharedMut<'_, u32>,
     ) {
         for idx in nodes {
             pred.set(idx, NO_PRED);
@@ -1176,9 +1162,8 @@ impl CircuitTopology {
                     let mut best = 0.0;
                     let mut best_pred = NO_PRED;
                     for &j in self.fanin_unchecked(idx) {
-                        let j = j as usize;
-                        if arrival.get(j) >= best {
-                            best = arrival.get(j);
+                        if arrival.get(j as usize) >= best {
+                            best = arrival.get(j as usize);
                             best_pred = j;
                         }
                     }
@@ -1192,12 +1177,11 @@ impl CircuitTopology {
                     let mut best = 0.0;
                     let mut best_pred = NO_PRED;
                     for &j in self.fanin_unchecked(idx) {
-                        let j = j as usize;
-                        if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
+                        if matches!(*self.kind.get_unchecked(j as usize), KindTag::Source) {
                             continue;
                         }
-                        if arrival.get(j) >= best {
-                            best = arrival.get(j);
+                        if arrival.get(j as usize) >= best {
+                            best = arrival.get(j as usize);
                             best_pred = j;
                         }
                     }
@@ -1272,15 +1256,15 @@ impl CircuitTopology {
     pub fn trace_critical_path(
         &self,
         arrival: &[f64],
-        pred: &[usize],
+        pred: &[u32],
         critical_path: &mut Vec<NodeId>,
     ) -> f64 {
         self.assert_node_slices(&[("arrival", arrival.len()), ("pred", pred.len())]);
         critical_path.clear();
         let mut cursor = pred[self.sink];
         while cursor != NO_PRED {
-            critical_path.push(NodeId::new(cursor));
-            cursor = pred[cursor];
+            critical_path.push(NodeId::new(cursor as usize));
+            cursor = pred[cursor as usize];
         }
         critical_path.reverse();
         arrival[self.sink]
@@ -1480,16 +1464,18 @@ pub struct EvalWorkspace {
     /// Node delay weights `λ_i` per node.
     pub node_weights: Vec<f64>,
     /// Critical-path predecessor per node ([`NO_PRED`] when none).
-    pub pred: Vec<usize>,
-    /// One critical path (driver → primary-output driver); capacity is
-    /// reserved for the longest possible path so pushes never reallocate.
+    pub pred: Vec<u32>,
+    /// One critical path (driver → primary-output driver). Every edge
+    /// climbs at least one level of the topology's partition, so a path
+    /// visits each level at most once: capacity for one node per level
+    /// means pushes never reallocate.
     pub critical_path: Vec<NodeId>,
 }
 
 impl EvalWorkspace {
-    /// Creates a workspace sized for `graph`.
-    pub fn new(graph: &CircuitGraph) -> Self {
-        let n = graph.num_nodes();
+    /// Creates a workspace sized for the circuit `topo` snapshots.
+    pub fn new(topo: &CircuitTopology) -> Self {
+        let n = topo.num_nodes();
         EvalWorkspace {
             charged: vec![0.0; n],
             presented: vec![0.0; n],
@@ -1499,7 +1485,7 @@ impl EvalWorkspace {
             arrival: vec![0.0; n],
             node_weights: vec![0.0; n],
             pred: vec![NO_PRED; n],
-            critical_path: Vec::with_capacity(n),
+            critical_path: Vec::with_capacity(topo.num_levels()),
         }
     }
 
@@ -1514,7 +1500,7 @@ impl EvalWorkspace {
             + self.arrival.capacity()
             + self.node_weights.capacity())
             * size_of::<f64>()
-            + self.pred.capacity() * size_of::<usize>()
+            + self.pred.capacity() * size_of::<u32>()
             + self.critical_path.capacity() * size_of::<NodeId>()
             + size_of::<Self>()
     }
@@ -1536,7 +1522,7 @@ pub fn propagate_arrivals_into(
     graph: &CircuitGraph,
     delays: &[f64],
     arrival: &mut [f64],
-    pred: &mut [usize],
+    pred: &mut [u32],
     critical_path: &mut Vec<NodeId>,
 ) -> f64 {
     let n = graph.num_nodes();
@@ -1555,7 +1541,7 @@ pub fn propagate_arrivals_into(
                 for &j in graph.fanin(id) {
                     if arrival[j.index()] >= best {
                         best = arrival[j.index()];
-                        best_pred = j.index();
+                        best_pred = j.index() as u32;
                     }
                 }
                 arrival[idx] = best;
@@ -1573,7 +1559,7 @@ pub fn propagate_arrivals_into(
                     }
                     if arrival[j.index()] >= best {
                         best = arrival[j.index()];
-                        best_pred = j.index();
+                        best_pred = j.index() as u32;
                     }
                 }
                 arrival[idx] = best + delays[idx];
@@ -1586,8 +1572,8 @@ pub fn propagate_arrivals_into(
     critical_path.clear();
     let mut cursor = pred[graph.sink().index()];
     while cursor != NO_PRED {
-        critical_path.push(NodeId::new(cursor));
-        cursor = pred[cursor];
+        critical_path.push(NodeId::new(cursor as usize));
+        cursor = pred[cursor as usize];
     }
     critical_path.reverse();
     critical_path_delay
@@ -1699,7 +1685,7 @@ mod tests {
         topo: &CircuitTopology,
         blocks: &[Vec<u32>],
         delays: &[f64],
-    ) -> (Vec<f64>, Vec<usize>) {
+    ) -> (Vec<f64>, Vec<u32>) {
         let n = topo.num_nodes();
         let (mut arrival, mut pred) = (vec![f64::NAN; n], vec![0; n]);
         let (arrival_s, pred_s) = (SharedMut::new(&mut arrival), SharedMut::new(&mut pred));
@@ -1754,8 +1740,8 @@ mod tests {
         let c = chain();
         let sizes = c.uniform_sizes(1.3);
         let analyzer = ElmoreAnalyzer::new(&c);
-        let mut ws = EvalWorkspace::new(&c);
         let topo = CircuitTopology::new(&c);
+        let mut ws = EvalWorkspace::new(&topo);
         ws.extra_cap[c.node_by_name("w1").unwrap().index()] = 3.5;
 
         let reference = analyzer.downstream_caps(&sizes, Some(&ws.extra_cap));
@@ -1784,13 +1770,13 @@ mod tests {
         // time, not through a graph argument) and the graph walk agree with
         // the reference bitwise.
         let topo = CircuitTopology::new(&c);
-        let mut ws = EvalWorkspace::new(&c);
+        let mut ws = EvalWorkspace::new(&topo);
         let delay = topo.timing_into(&sizes, &mut ws);
         assert_eq!(delay, reference.critical_path_delay);
         assert_eq!(ws.arrival, reference.arrival.values);
         assert_eq!(ws.critical_path, reference.critical_path);
 
-        let mut graph_walk = EvalWorkspace::new(&c);
+        let mut graph_walk = EvalWorkspace::new(&topo);
         let delay = propagate_arrivals_into(
             &c,
             &ws.delays,
@@ -2122,15 +2108,49 @@ mod tests {
             let comp = c.component_index(id).unwrap();
             assert_eq!(topo.node_of_component(comp), id.index());
         }
+        for id in c.node_ids() {
+            assert_eq!(topo.component_of(id.index()), c.component_index(id));
+        }
+        assert_eq!(
+            topo.component_nodes(),
+            c.component_id(0).index()..c.sink().index()
+        );
+        // The per-component coefficient views are the node attributes;
+        // fringing is zero off the wires.
+        for (dense, id) in c.component_ids().enumerate() {
+            let attrs = &c.node(id).attrs;
+            assert_eq!(
+                topo.component_unit_resistance()[dense],
+                attrs.unit_resistance
+            );
+            assert_eq!(
+                topo.component_unit_capacitance()[dense],
+                attrs.unit_capacitance
+            );
+            let fringing = if c.node(id).kind.is_wire() {
+                attrs.fringing_capacitance
+            } else {
+                0.0
+            };
+            assert_eq!(topo.component_fringing()[dense], fringing);
+        }
     }
 
     #[test]
     fn workspace_buffers_are_sized_for_the_circuit() {
         let c = chain();
-        let ws = EvalWorkspace::new(&c);
+        let topo = CircuitTopology::new(&c);
+        let mut ws = EvalWorkspace::new(&topo);
         assert_eq!(ws.charged.len(), c.num_nodes());
         assert_eq!(ws.node_weights.len(), c.num_nodes());
-        assert!(ws.critical_path.capacity() >= c.num_nodes());
+        assert_eq!(ws.pred.len(), c.num_nodes());
         assert!(ws.memory_bytes() > 0);
+        // The chain is one node per level, so its critical path fills the
+        // reserved capacity without outgrowing it.
+        let capacity = ws.critical_path.capacity();
+        assert_eq!(capacity, topo.num_levels());
+        topo.timing_into(&c.uniform_sizes(1.0), &mut ws);
+        assert_eq!(ws.critical_path.len(), topo.num_levels() - 2);
+        assert_eq!(ws.critical_path.capacity(), capacity);
     }
 }

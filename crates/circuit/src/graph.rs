@@ -1,6 +1,6 @@
 //! The circuit graph `H = (V, E)`.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize, Serializer};
@@ -121,8 +121,9 @@ impl AdjacencyFill {
 /// The graph is immutable once built by [`CircuitBuilder`](crate::CircuitBuilder);
 /// all analyses borrow it together with a [`SizeVector`] holding the current
 /// component sizes. Fanin and fanout lists are stored in compressed sparse
-/// row form and are sorted by node index.
-#[derive(Debug, Clone, Serialize)]
+/// row form and are sorted by node index. Each node name is stored once, in
+/// its [`Node`]; there is no separate name index.
+#[derive(Debug, Clone)]
 pub struct CircuitGraph {
     nodes: Vec<Node>,
     fanin: Adjacency,
@@ -130,12 +131,52 @@ pub struct CircuitGraph {
     tech: Technology,
     num_drivers: usize,
     num_sizable: usize,
-    name_index: HashMap<String, NodeId>,
+}
+
+/// Writes the graph's fields in declaration order, followed by a
+/// `name_index` object mapping every node name to its id. The index is
+/// derived from the node names here rather than stored, and its entries are
+/// sorted by their rendered JSON key, exactly as a serialized `HashMap`.
+impl Serialize for CircuitGraph {
+    fn serialize_json(&self, s: &mut Serializer) {
+        s.begin_object();
+        s.key("nodes");
+        self.nodes.serialize_json(s);
+        s.key("fanin");
+        self.fanin.serialize_json(s);
+        s.key("fanout");
+        self.fanout.serialize_json(s);
+        s.key("tech");
+        self.tech.serialize_json(s);
+        s.key("num_drivers");
+        self.num_drivers.serialize_json(s);
+        s.key("num_sizable");
+        self.num_sizable.serialize_json(s);
+        s.key("name_index");
+        let mut keys: Vec<(String, usize)> = self
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| {
+                let mut probe = Serializer::new();
+                probe.string(&node.name);
+                (probe.into_string(), i)
+            })
+            .collect();
+        keys.sort_unstable();
+        s.begin_object();
+        for (_, i) in keys {
+            s.key(&self.nodes[i].name);
+            NodeId::new(i).serialize_json(s);
+        }
+        s.end_object();
+        s.end_object();
+    }
 }
 
 /// Decodes through [`CircuitGraph::from_serialized_parts`], so a decoded
 /// graph passes the same structural checks as one assembled by hand. The
-/// serialized `name_index` is ignored and rebuilt from the node names.
+/// serialized `name_index` is ignored: names are read from the nodes.
 impl Deserialize for CircuitGraph {
     fn deserialize_json(value: &Value) -> Result<Self, Error> {
         let f = Fields::new(value, "CircuitGraph")?;
@@ -164,7 +205,6 @@ impl CircuitGraph {
         tech: Technology,
         num_drivers: usize,
         num_sizable: usize,
-        name_index: HashMap<String, NodeId>,
     ) -> Self {
         CircuitGraph {
             nodes,
@@ -173,7 +213,6 @@ impl CircuitGraph {
             tech,
             num_drivers,
             num_sizable,
-            name_index,
         }
     }
 
@@ -255,15 +294,13 @@ impl CircuitGraph {
             });
         }
         tech.validate()?;
-        let mut name_index = HashMap::with_capacity(n);
-        for (i, node) in nodes.iter().enumerate() {
-            if name_index
-                .insert(node.name.clone(), NodeId::new(i))
-                .is_some()
-            {
+        let mut names = HashSet::with_capacity(n);
+        for node in &nodes {
+            if !names.insert(node.name.as_str()) {
                 return Err(CircuitError::DuplicateName(node.name.clone()));
             }
         }
+        drop(names);
         let graph = CircuitGraph::from_parts(
             nodes,
             Adjacency::from_lists(&fanin),
@@ -271,7 +308,6 @@ impl CircuitGraph {
             tech,
             num_drivers,
             num_sizable,
-            name_index,
         );
         crate::validate::validate(&graph)?;
         Ok(graph)
@@ -332,8 +368,17 @@ impl CircuitGraph {
     }
 
     /// Looks a node up by its unique name.
+    ///
+    /// This scans the nodes, so it costs O(n) per call: the graph keeps no
+    /// name index, only each name inside its node. A caller resolving many
+    /// names should keep the handles from
+    /// [`CircuitBuilder::build_mapped`](crate::CircuitBuilder::build_mapped),
+    /// or build its own map once.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.name_index.get(name).copied()
+        self.nodes
+            .iter()
+            .position(|node| node.name == name)
+            .map(NodeId::new)
     }
 
     /// The fanin list `input(i)` of a node.
@@ -493,23 +538,15 @@ impl CircuitGraph {
     }
 
     /// An estimate (in bytes) of the memory held by this graph's data
-    /// structures, used by the Figure 10(a) reproduction: the nodes with
-    /// their names, the two compressed adjacency arrays (one offset per node
-    /// plus one entry per edge, in each direction) and the name index.
+    /// structures, used by the Figure 10(a) reproduction: the node array,
+    /// each node's name, and the two compressed adjacency arrays (one offset
+    /// per node plus one entry per edge, in each direction).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let node_bytes: usize = self
-            .nodes
-            .iter()
-            .map(|n| size_of::<Node>() + n.name.capacity())
-            .sum();
+        let node_bytes = self.nodes.capacity() * size_of::<Node>();
+        let name_bytes: usize = self.nodes.iter().map(|n| n.name.capacity()).sum();
         let adj_bytes = self.fanin.memory_bytes() + self.fanout.memory_bytes();
-        let name_bytes: usize = self
-            .name_index
-            .keys()
-            .map(|k| k.capacity() + size_of::<NodeId>() + size_of::<usize>())
-            .sum();
-        node_bytes + adj_bytes + name_bytes + size_of::<Self>()
+        node_bytes + name_bytes + adj_bytes + size_of::<Self>()
     }
 
     /// `true` if `kind` of node i is a gate or a driver, i.e. the node starts
@@ -713,6 +750,28 @@ mod tests {
     }
 
     #[test]
+    fn serialized_parts_reject_a_node_kind_outside_its_range() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let c = tiny();
+        for (idx, kind) in [
+            (0, NodeKind::Wire),
+            (1, NodeKind::Gate(GateKind::Buf)),
+            (2, NodeKind::Driver),
+            (5, NodeKind::Wire),
+        ] {
+            let (mut nodes, fanin, fanout) = parts(&c);
+            nodes[idx].kind = kind;
+            assert!(
+                matches!(
+                    reassemble(&c, (nodes, fanin, fanout)),
+                    Err(CircuitError::InvalidConnection { .. })
+                ),
+                "node {idx} as {kind:?}"
+            );
+        }
+    }
+
+    #[test]
     fn adjacency_serializes_as_nested_lists() {
         // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
         let mut s = Serializer::new();
@@ -721,6 +780,53 @@ mod tests {
         assert!(
             json.contains(r#""fanin":[[],[0],[1],[2],[3],[4]],"fanout":[[1],[2],[3],[4],[5],[]],"#)
         );
+    }
+
+    /// A graph whose names need escaping (`a"`), sort differently raw and
+    /// rendered (`a!` renders before `a`), are not ASCII (`Ä`), or sort
+    /// lexically against their numbers (`g10` before `g9`).
+    fn awkward_names() -> CircuitGraph {
+        let mut b = CircuitBuilder::new(Technology::dac99());
+        let d = b.add_driver("a\"", 100.0).unwrap();
+        let w0 = b.add_wire("Ä", 40.0).unwrap();
+        let g = b.add_gate("g9", GateKind::Inv).unwrap();
+        let w1 = b.add_wire("g10", 60.0).unwrap();
+        let w2 = b.add_wire("a!", 30.0).unwrap();
+        let w3 = b.add_wire("a", 20.0).unwrap();
+        b.connect(d, w0).unwrap();
+        b.connect(w0, g).unwrap();
+        for w in [w1, w2, w3] {
+            b.connect(g, w).unwrap();
+        }
+        b.connect_output(w1, 5.0).unwrap();
+        b.connect_output(w2, 0.0).unwrap();
+        b.connect_output(w3, 2.5).unwrap();
+        b.build().unwrap()
+    }
+
+    /// `awkward_names()` as encoded when the graph stored its name index
+    /// as a `HashMap`.
+    const AWKWARD_NAMES_JSON: &str = r#"{"nodes":[{"kind":"Source","name":"~source","attrs":{"unit_resistance":0.0,"unit_capacitance":0.0,"fringing_capacitance":0.0,"area_coefficient":0.0,"lower_bound":0.0,"upper_bound":0.0,"driver_resistance":0.0,"output_load":0.0}},{"kind":"Driver","name":"a\"","attrs":{"unit_resistance":0.0,"unit_capacitance":0.0,"fringing_capacitance":0.0,"area_coefficient":0.0,"lower_bound":0.0,"upper_bound":0.0,"driver_resistance":100.0,"output_load":0.0}},{"kind":"Wire","name":"Ä","attrs":{"unit_resistance":2.8000000000000003,"unit_capacitance":0.96,"fringing_capacitance":0.4,"area_coefficient":40.0,"lower_bound":0.1,"upper_bound":10.0,"driver_resistance":0.0,"output_load":0.0}},{"kind":{"Gate":"Inv"},"name":"g9","attrs":{"unit_resistance":10.0,"unit_capacitance":0.16,"fringing_capacitance":0.0,"area_coefficient":4.0,"lower_bound":0.1,"upper_bound":10.0,"driver_resistance":0.0,"output_load":0.0}},{"kind":"Wire","name":"g10","attrs":{"unit_resistance":4.2,"unit_capacitance":1.44,"fringing_capacitance":0.6,"area_coefficient":60.0,"lower_bound":0.1,"upper_bound":10.0,"driver_resistance":0.0,"output_load":5.0}},{"kind":"Wire","name":"a!","attrs":{"unit_resistance":2.1,"unit_capacitance":0.72,"fringing_capacitance":0.3,"area_coefficient":30.0,"lower_bound":0.1,"upper_bound":10.0,"driver_resistance":0.0,"output_load":10.0}},{"kind":"Wire","name":"a","attrs":{"unit_resistance":1.4000000000000001,"unit_capacitance":0.48,"fringing_capacitance":0.2,"area_coefficient":20.0,"lower_bound":0.1,"upper_bound":10.0,"driver_resistance":0.0,"output_load":2.5}},{"kind":"Sink","name":"~sink","attrs":{"unit_resistance":0.0,"unit_capacitance":0.0,"fringing_capacitance":0.0,"area_coefficient":0.0,"lower_bound":0.0,"upper_bound":0.0,"driver_resistance":0.0,"output_load":0.0}}],"fanin":[[],[0],[1],[2],[3],[3],[3],[4,5,6]],"fanout":[[1],[2],[3],[4,5,6],[7],[7],[7],[]],"tech":{"supply_voltage":3.3,"frequency":200000000.0,"gate_unit_resistance":10.0,"gate_unit_capacitance":0.16,"gate_area_coefficient":4.0,"wire_unit_resistance":0.07,"wire_unit_capacitance":0.024,"wire_fringing_per_um":0.01,"wire_area_coefficient":1.0,"coupling_fringing_per_um":0.03,"min_size":0.1,"max_size":10.0,"default_driver_resistance":100.0,"default_output_load":10.0},"num_drivers":1,"num_sizable":5,"name_index":{"a!":5,"a":6,"a\"":1,"g10":4,"g9":3,"~sink":7,"~source":0,"Ä":2}}"#;
+
+    fn to_json(c: &CircuitGraph) -> String {
+        let mut s = Serializer::new();
+        c.serialize_json(&mut s);
+        s.into_string()
+    }
+
+    #[test]
+    fn json_is_byte_identical_to_the_name_index_encoding() {
+        assert_eq!(to_json(&awkward_names()), AWKWARD_NAMES_JSON);
+    }
+
+    #[test]
+    fn json_decode_then_encode_is_byte_identical() {
+        let value = serde::de::parse(AWKWARD_NAMES_JSON).unwrap();
+        let decoded = CircuitGraph::deserialize_json(&value).unwrap();
+        assert_eq!(to_json(&decoded), AWKWARD_NAMES_JSON);
+        for id in decoded.node_ids() {
+            assert_eq!(decoded.node_by_name(&decoded.node(id).name), Some(id));
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@ use crate::node::NodeKind;
 ///   component,
 /// * every sizable component has a fanin and a fanout,
 /// * wires have exactly one fanin,
-/// * size bounds are positive and ordered.
+/// * size bounds are positive and ordered,
+/// * each node kind sits in its index range (source, drivers, components,
+///   sink).
 ///
 /// # Errors
 ///
@@ -71,7 +73,27 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
             });
         }
     }
-    // No stray node kinds in the component range.
+    // Every node kind sits in its index range: the source first, then the
+    // drivers, the gates and wires, and the sink last. The dense engines
+    // rely on this to derive a component's index by subtraction.
+    if !matches!(graph.node(graph.source()).kind, NodeKind::Source)
+        || !matches!(graph.node(graph.sink()).kind, NodeKind::Sink)
+    {
+        return Err(CircuitError::InvalidConnection {
+            from: graph.source(),
+            to: graph.sink(),
+            reason: "the first node must be the source and the last the sink",
+        });
+    }
+    for d in graph.driver_ids() {
+        if !graph.node(d).kind.is_driver() {
+            return Err(CircuitError::InvalidConnection {
+                from: d,
+                to: d,
+                reason: "driver index range must contain only drivers",
+            });
+        }
+    }
     for id in graph.component_ids() {
         if matches!(
             graph.node(id).kind,

@@ -14,7 +14,7 @@
 use ncgws_circuit::NodeId;
 use ncgws_coupling::{CouplingPair, CouplingSet, WirePairGeometry};
 use ncgws_netlist::ProblemInstance;
-use ncgws_ordering::{baselines, exact_ordering, woss, Adjacency, SsProblem, WireOrdering};
+use ncgws_ordering::{baselines, exact_ordering, woss, SsProblem, WireOrdering};
 use ncgws_waveform::{miller_factor, LogicSimulator, SimilarityMatrix, SimulationTrace};
 use serde::{Deserialize, Serialize};
 
@@ -41,7 +41,10 @@ pub enum OrderingStrategy {
 }
 
 /// The result of stage 1: per-channel orderings, their total effective
-/// loading, and the assembled coupling set.
+/// loading, and the assembled coupling set, whose
+/// [`neighbors`](CouplingSet::neighbors) and
+/// [`dominating`](CouplingSet::dominating) answer the paper's `N(i)` and
+/// `I(i)`.
 #[derive(Debug, Clone)]
 pub struct WireOrderingOutcome {
     /// One ordering per routing channel.
@@ -51,8 +54,6 @@ pub struct WireOrderingOutcome {
     pub total_effective_loading: f64,
     /// The coupling set induced by the orderings.
     pub coupling: CouplingSet,
-    /// The adjacency (`N(i)` / `I(i)`) induced by the orderings.
-    pub adjacency: Adjacency,
 }
 
 fn solve_channel(problem: &SsProblem, strategy: OrderingStrategy) -> WireOrdering {
@@ -127,12 +128,10 @@ pub fn build_coupling(
     }
 
     let coupling = CouplingSet::new(graph, pairs)?;
-    let adjacency = Adjacency::from_orderings(orderings.iter());
     Ok(WireOrderingOutcome {
         orderings,
         total_effective_loading,
         coupling,
-        adjacency,
     })
 }
 
@@ -243,7 +242,67 @@ mod tests {
             outcome.orderings.len(),
             inst.channels.iter().filter(|c| !c.is_empty()).count()
         );
-        assert_eq!(outcome.adjacency.pairs().len(), expected_pairs);
+        // `I(i)` counts every adjacent pair exactly once.
+        let dominating: usize = inst
+            .circuit
+            .node_ids()
+            .map(|id| outcome.coupling.dominating(id).count())
+            .sum();
+        assert_eq!(dominating, expected_pairs);
+    }
+
+    #[test]
+    fn paper_example_neighborhoods() {
+        // `N(i)` of each wire is its predecessor and successor on the
+        // tracks, as for the track assignment <5, 7, 4, 8> of the paper's
+        // Figure 6: N(5) = {7}, N(7) = {5, 4}, N(4) = {7, 8}, N(8) = {4}.
+        let inst = instance();
+        let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
+        for ordering in &outcome.orderings {
+            let seq = ordering.sequence();
+            for (k, &wire) in seq.iter().enumerate() {
+                let mut expected: Vec<NodeId> = [k.checked_sub(1), Some(k + 1)]
+                    .into_iter()
+                    .flatten()
+                    .filter_map(|j| seq.get(j).copied())
+                    .collect();
+                expected.sort_unstable();
+                let neighbors: Vec<NodeId> =
+                    outcome.coupling.neighbors(wire).map(|(o, _)| o).collect();
+                let mut sorted = neighbors.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, expected);
+                // `I(i)` keeps the neighbors with a larger node index.
+                let larger: Vec<NodeId> = neighbors.into_iter().filter(|&o| o > wire).collect();
+                let dominating: Vec<NodeId> =
+                    outcome.coupling.dominating(wire).map(|(o, _)| o).collect();
+                assert_eq!(dominating, larger);
+            }
+        }
+    }
+
+    #[test]
+    fn channels_do_not_mix() {
+        let inst = instance();
+        let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
+        for channel in inst.channels.iter() {
+            for &wire in channel {
+                for (other, _) in outcome.coupling.neighbors(wire) {
+                    assert!(channel.contains(&other), "{wire} couples across channels");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_wire_channel_has_no_pairs() {
+        let mut inst = instance();
+        let lonely = inst.channels[0].pop().unwrap();
+        inst.channels.push(vec![lonely]);
+        let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
+        assert_eq!(outcome.coupling.degree(lonely), 0);
+        assert_eq!(outcome.coupling.neighbors(lonely).count(), 0);
+        assert_eq!(outcome.coupling.linear_coefficient_sum(lonely), 0.0);
     }
 
     #[test]

@@ -51,18 +51,15 @@ pub struct SizingEngine<'a> {
     // Dense per-component tables (indexed by the graph's dense component
     // index). The hot loop reads these instead of chasing `Node` structs,
     // whose inline `String` names spread the numeric fields across cache
-    // lines.
-    pub(crate) comp_raw_index: Vec<usize>,
+    // lines. The unit resistance, unit capacitance and fringing of the
+    // components are views of the topology's per-node arrays, and the raw
+    // node of component `i` is `topo.component_nodes().start + i`: neither
+    // is copied here.
     pub(crate) comp_is_wire: Vec<bool>,
-    pub(crate) unit_resistance: Vec<f64>,
-    pub(crate) unit_capacitance: Vec<f64>,
     pub(crate) area_coefficient: Vec<f64>,
     pub(crate) lower_bound: Vec<f64>,
     pub(crate) upper_bound: Vec<f64>,
     pub(crate) coupling_sum: Vec<f64>,
-    /// Fringing capacitance per component (zero for gates), so the dense
-    /// total-capacitance sum matches the per-node formula bitwise.
-    fringing: Vec<f64>,
     /// Per-component denominator contribution `Σ_f Σ_k μ_{f,k} · a_{f,k,i}`
     /// of the extra constraint families, aggregated once per LRS solve by
     /// [`load_extra_denominator`](Self::load_extra_denominator). All zeros
@@ -354,15 +351,11 @@ impl<'a> SizingEngine<'a> {
             "circuit too large for 32-bit indices"
         );
         let n = graph.num_components();
-        let mut comp_raw_index = Vec::with_capacity(n);
         let mut comp_is_wire = Vec::with_capacity(n);
-        let mut unit_resistance = Vec::with_capacity(n);
-        let mut unit_capacitance = Vec::with_capacity(n);
         let mut area_coefficient = Vec::with_capacity(n);
         let mut lower_bound = Vec::with_capacity(n);
         let mut upper_bound = Vec::with_capacity(n);
         let mut coupling_sum = Vec::with_capacity(n);
-        let mut fringing = Vec::with_capacity(n);
         let topo = CircuitTopology::new(graph);
         let sums = coupling.linear_coefficient_sums();
         let mut pair_table = PairTable::with_capacity(coupling.pairs().len());
@@ -383,19 +376,11 @@ impl<'a> SizingEngine<'a> {
         }
         for id in graph.component_ids() {
             let node = graph.node(id);
-            comp_raw_index.push(id.index());
             comp_is_wire.push(node.kind.is_wire());
-            unit_resistance.push(node.attrs.unit_resistance);
-            unit_capacitance.push(node.attrs.unit_capacitance);
             area_coefficient.push(node.attrs.area_coefficient);
             lower_bound.push(node.attrs.lower_bound);
             upper_bound.push(node.attrs.upper_bound);
             coupling_sum.push(sums[id.index()]);
-            fringing.push(if node.kind.is_wire() {
-                node.attrs.fringing_capacitance
-            } else {
-                0.0
-            });
         }
         let (comp_pair_start, comp_pair_list) = Self::build_pair_adjacency(n, &pair_table);
         let grid = LevelGrid::new(topo.level_bounds());
@@ -406,17 +391,13 @@ impl<'a> SizingEngine<'a> {
         SizingEngine {
             graph,
             coupling,
+            ws: EvalWorkspace::new(&topo),
             topo,
-            ws: EvalWorkspace::new(graph),
-            comp_raw_index,
             comp_is_wire,
-            unit_resistance,
-            unit_capacitance,
             area_coefficient,
             lower_bound,
             upper_bound,
             coupling_sum,
-            fringing,
             extra_denom: vec![0.0; n],
             pair_table,
             comp_pair_start,
@@ -580,15 +561,11 @@ impl<'a> SizingEngine<'a> {
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
-            + self.comp_raw_index.capacity() * size_of::<usize>()
             + self.comp_is_wire.capacity() * size_of::<bool>()
-            + (self.unit_resistance.capacity()
-                + self.unit_capacitance.capacity()
-                + self.area_coefficient.capacity()
+            + (self.area_coefficient.capacity()
                 + self.lower_bound.capacity()
                 + self.upper_bound.capacity()
                 + self.coupling_sum.capacity()
-                + self.fringing.capacity()
                 + self.extra_denom.capacity())
                 * size_of::<f64>()
             + self.pair_table.memory_bytes()
@@ -613,12 +590,13 @@ impl<'a> SizingEngine<'a> {
         let xs = sizes.as_slice();
         assert_eq!(
             xs.len(),
-            self.unit_capacitance.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
+        let unit_capacitance = self.topo.component_unit_capacitance();
+        let fringing = self.topo.component_fringing();
         let mut acc = 0.0;
-        for ((&unit_cap, &x), &fringing) in self.unit_capacitance.iter().zip(xs).zip(&self.fringing)
-        {
+        for ((&unit_cap, &x), &fringing) in unit_capacitance.iter().zip(xs).zip(fringing) {
             acc += unit_cap * x + fringing;
         }
         acc
@@ -647,7 +625,7 @@ impl<'a> SizingEngine<'a> {
         let xs = sizes.as_slice();
         assert_eq!(
             xs.len(),
-            self.comp_raw_index.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
         let pairs = &self.pair_table;
@@ -680,7 +658,7 @@ impl<'a> SizingEngine<'a> {
         );
         assert_eq!(
             sizes.len(),
-            self.comp_raw_index.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
         // Channel-sharded scatter when more than one worker runs: chunks
@@ -770,7 +748,7 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(ws.extra_cap.len(), n);
         assert_eq!(
             sizes.len(),
-            self.comp_raw_index.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
         let xs = sizes.as_slice();
@@ -795,7 +773,7 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(ws.node_weights.len(), n);
         assert_eq!(
             sizes.len(),
-            self.comp_raw_index.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
         let xs = sizes.as_slice();
@@ -837,7 +815,7 @@ impl<'a> SizingEngine<'a> {
         // sweep's, expression for expression, so the exact path stays
         // bitwise-pinned to `crate::reference` at any thread count.
         let ws = &mut self.ws;
-        let n = self.comp_raw_index.len();
+        let n = self.graph.num_components();
         assert_eq!(sizes.len(), n, "sizes must match the circuit");
         assert_eq!(
             ws.charged.len(),
@@ -848,8 +826,8 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(ws.upstream.len(), ws.charged.len());
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
+            unit_resistance: self.topo.component_unit_resistance(),
+            unit_capacitance: self.topo.component_unit_capacitance(),
             area_coefficient: &self.area_coefficient,
             lower_bound: &self.lower_bound,
             upper_bound: &self.upper_bound,
@@ -858,7 +836,7 @@ impl<'a> SizingEngine<'a> {
             beta,
             gamma,
         };
-        let raw_index = &self.comp_raw_index[..n];
+        let comp_base = self.topo.component_nodes().start;
         let charged: &[f64] = &ws.charged;
         let upstream: &[f64] = &ws.upstream;
         let node_weights: &[f64] = &ws.node_weights;
@@ -868,7 +846,7 @@ impl<'a> SizingEngine<'a> {
         self.par.run_flat(chunks, |c| {
             let mut local = 0.0f64;
             for dense in par::flat_range(n, c) {
-                let raw = raw_index[dense];
+                let raw = comp_base + dense;
                 // SAFETY: `raw` is a node index of the engine's circuit
                 // (lengths cross-checked above); each `dense` is owned by
                 // this chunk, so the size reads/writes cannot alias.
@@ -990,7 +968,7 @@ impl<'a> SizingEngine<'a> {
     /// caches are not synced, the schedule disables incremental updates, or
     /// the dirty set is so large a rebuild is cheaper.
     pub(crate) fn finish_solve_sync(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
-        let n = self.comp_raw_index.len();
+        let n = self.graph.num_components();
         if !self.sched.caps_synced
             || !schedule.incremental
             || self.sched.changed.len() * 4 > n
@@ -1067,7 +1045,7 @@ impl<'a> SizingEngine<'a> {
         schedule: &AdaptiveSchedule,
         force_full: bool,
     ) {
-        let n = self.comp_raw_index.len();
+        let n = self.graph.num_components();
         if !force_full
             && self.sched.caps_synced
             && schedule.incremental
@@ -1152,7 +1130,7 @@ impl<'a> SizingEngine<'a> {
     ) -> (f64, usize) {
         let topo = &self.topo;
         let n_nodes = topo.num_nodes();
-        let n_comps = self.comp_raw_index.len();
+        let n_comps = self.graph.num_components();
         assert_eq!(sizes.len(), n_comps, "sizes must match the circuit");
         let EvalWorkspace {
             charged,
@@ -1172,8 +1150,8 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(sched.frozen.len(), n_comps);
         let tables = ResizeTables {
             is_wire: &self.comp_is_wire,
-            unit_resistance: &self.unit_resistance,
-            unit_capacitance: &self.unit_capacitance,
+            unit_resistance: self.topo.component_unit_resistance(),
+            unit_capacitance: self.topo.component_unit_capacitance(),
             area_coefficient: &self.area_coefficient,
             lower_bound: &self.lower_bound,
             upper_bound: &self.upper_bound,
@@ -1335,7 +1313,7 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(ws.pred.len(), n);
         assert_eq!(
             sizes.len(),
-            self.comp_raw_index.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
         let xs = sizes.as_slice();

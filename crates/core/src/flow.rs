@@ -174,7 +174,8 @@ impl<'a> Ordered<'a> {
     }
 
     /// The stage-1 wire-ordering outcome: per-channel orderings, their total
-    /// effective loading, the coupling set and the induced adjacency.
+    /// effective loading and the coupling set, whose neighbor lists are the
+    /// induced adjacency `N(i)` / `I(i)`.
     pub fn ordering(&self) -> &WireOrderingOutcome {
         &self.ordering
     }

@@ -26,7 +26,8 @@ use crate::report::OptimizationReport;
 pub struct OptimizationOutcome {
     /// The report (Table 1 row, iteration history, memory, improvements).
     pub report: OptimizationReport,
-    /// The stage-1 wire ordering outcome (orderings, coupling set, adjacency).
+    /// The stage-1 wire ordering outcome (orderings, their effective loading
+    /// and the coupling set, which also answers `N(i)` / `I(i)`).
     pub ordering: WireOrderingOutcome,
     /// The raw OGWS outcome (multiplier values, convergence data).
     pub ogws: OgwsOutcome,

@@ -11,17 +11,24 @@ use crate::error::CouplingError;
 /// optimizer needs: the neighborhood `N(i)` (all wires adjacent to wire `i`)
 /// and the dominating index `I(i)` (adjacent wires with a larger node index),
 /// so that the double sum `Σ_{i∈W} Σ_{j∈I(i)}` counts every pair exactly once.
+///
+/// The neighborhoods are stored once, in compressed sparse row form: the
+/// pairs of node `i` are `pair_ids[pair_start[i]..pair_start[i + 1]]`, in
+/// ascending pair index. They are the only adjacency stage 1 produces.
 #[derive(Debug, Clone, Serialize)]
 pub struct CouplingSet {
     pairs: Vec<CouplingPair>,
-    /// For each raw node index, the indices into `pairs` the node participates in.
-    neighbor_pairs: Vec<Vec<usize>>,
+    /// Per raw node index, the offset of its pair list in `pair_ids`, plus
+    /// a trailing total.
+    pair_start: Vec<u32>,
+    /// The indices into `pairs` of every node's pairs, node by node.
+    pair_ids: Vec<u32>,
     /// For each raw node index, the precomputed switching-weighted linear
     /// coefficient sum `Σ_{j∈N(i)} sf_ij · ĉ_ij` of Theorem 5. Pairs are
     /// immutable after construction, so this never goes stale in-process.
     /// Caveat: a hand-edited serialized form could desynchronize it from
     /// `pairs`; rebuild through [`CouplingSet::new`] rather than
-    /// deserializing untrusted data (the vendored serde never deserializes).
+    /// deserializing untrusted data (`CouplingSet` has no decoder).
     linear_sums: Vec<f64>,
 }
 
@@ -30,7 +37,8 @@ impl CouplingSet {
     pub fn empty(graph: &CircuitGraph) -> Self {
         CouplingSet {
             pairs: Vec::new(),
-            neighbor_pairs: vec![Vec::new(); graph.num_nodes()],
+            pair_start: vec![0; graph.num_nodes() + 1],
+            pair_ids: Vec::new(),
             linear_sums: vec![0.0; graph.num_nodes()],
         }
     }
@@ -42,10 +50,20 @@ impl CouplingSet {
     /// Returns an error if a pair references a non-wire node, duplicates
     /// another pair, or its pitch cannot accommodate the wires at their
     /// maximum widths (which would make the exact model diverge).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit or the pair list exceeds `u32::MAX` entries
+    /// (the neighbor lists store 32-bit indices).
     pub fn new(graph: &CircuitGraph, pairs: Vec<CouplingPair>) -> Result<Self, CouplingError> {
-        let mut neighbor_pairs = vec![Vec::new(); graph.num_nodes()];
+        let num_nodes = graph.num_nodes();
+        assert!(
+            2 * pairs.len() <= u32::MAX as usize && num_nodes < u32::MAX as usize,
+            "coupling set too large for 32-bit neighbor lists"
+        );
+        let mut degree = vec![0u32; num_nodes];
         let mut seen = std::collections::HashSet::new();
-        for (idx, pair) in pairs.iter().enumerate() {
+        for pair in &pairs {
             for id in [pair.a, pair.b] {
                 if id.index() >= graph.num_nodes() || !graph.node(id).kind.is_wire() {
                     return Err(CouplingError::NotAWire(id));
@@ -63,23 +81,55 @@ impl CouplingSet {
                     distance: pair.geometry.distance,
                 });
             }
-            neighbor_pairs[pair.a.index()].push(idx);
-            neighbor_pairs[pair.b.index()].push(idx);
+            degree[pair.a.index()] += 1;
+            degree[pair.b.index()] += 1;
         }
+        drop(seen);
+        // One counting pass: the degrees fix every list's slot, and pairs
+        // are appended in ascending index.
+        let mut pair_start = Vec::with_capacity(num_nodes + 1);
+        pair_start.push(0);
+        let mut end = 0;
+        for d in &degree {
+            end += d;
+            pair_start.push(end);
+        }
+        let mut next = degree;
+        next.copy_from_slice(&pair_start[..num_nodes]);
+        let mut pair_ids = vec![0u32; end as usize];
+        for (idx, pair) in pairs.iter().enumerate() {
+            for id in [pair.a, pair.b] {
+                let slot = &mut next[id.index()];
+                pair_ids[*slot as usize] = idx as u32;
+                *slot += 1;
+            }
+        }
+        drop(next);
         // Accumulate in neighbor-iteration order so the cached sums are
         // bitwise identical to a fresh `neighbors(i)` summation.
-        let mut linear_sums = vec![0.0; graph.num_nodes()];
-        for (node, pair_indices) in neighbor_pairs.iter().enumerate() {
-            for &pi in pair_indices {
-                let p = &pairs[pi];
-                linear_sums[node] += p.switching_factor * p.linear_coefficient();
+        let mut linear_sums = vec![0.0; num_nodes];
+        for (node, sum) in linear_sums.iter_mut().enumerate() {
+            let list = &pair_ids[pair_start[node] as usize..pair_start[node + 1] as usize];
+            for &pi in list {
+                let p = &pairs[pi as usize];
+                *sum += p.switching_factor * p.linear_coefficient();
             }
         }
         Ok(CouplingSet {
             pairs,
-            neighbor_pairs,
+            pair_start,
+            pair_ids,
             linear_sums,
         })
+    }
+
+    /// The indices into [`pairs`](Self::pairs) of the pairs node `id`
+    /// belongs to, ascending; empty for an id beyond the circuit.
+    fn pair_list(&self, id: NodeId) -> &[u32] {
+        match self.pair_start.get(id.index()..).and_then(|s| s.get(..2)) {
+            Some(&[start, end]) => &self.pair_ids[start as usize..end as usize],
+            _ => &[],
+        }
     }
 
     /// Number of coupling pairs.
@@ -97,18 +147,14 @@ impl CouplingSet {
         &self.pairs
     }
 
-    /// Iterator over the neighborhood `N(i)` of a wire: `(other wire, pair)`.
+    /// Iterator over the neighborhood `N(i)` of a wire: `(other wire, pair)`,
+    /// in ascending pair index. Empty for a node without pairs, including an
+    /// id beyond the circuit.
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, &CouplingPair)> + '_ {
-        self.neighbor_pairs
-            .get(id.index())
-            .into_iter()
-            .flatten()
-            .map(move |&pi| {
-                (
-                    self.pairs[pi].other(id).expect("pair contains id"),
-                    &self.pairs[pi],
-                )
-            })
+        self.pair_list(id).iter().map(move |&pi| {
+            let pair = &self.pairs[pi as usize];
+            (pair.other(id).expect("pair contains id"), pair)
+        })
     }
 
     /// The dominating index `I(i)`: neighbors of `i` with a larger node index.
@@ -116,12 +162,9 @@ impl CouplingSet {
         self.neighbors(id).filter(move |(other, _)| *other > id)
     }
 
-    /// Number of neighbors of a wire.
+    /// Number of neighbors of a wire (zero for an id beyond the circuit).
     pub fn degree(&self, id: NodeId) -> usize {
-        self.neighbor_pairs
-            .get(id.index())
-            .map(Vec::len)
-            .unwrap_or(0)
+        self.pair_list(id).len()
     }
 
     /// Sum of the (switching-factor weighted) linear coefficients
@@ -135,11 +178,13 @@ impl CouplingSet {
     /// Recomputes the linear coefficient sum by walking the neighbor list —
     /// the pre-cache implementation, kept for the allocate-per-call
     /// reference path and as the oracle the cached sums are validated
-    /// against (same accumulation order, so bitwise identical).
+    /// against (same accumulation order from the same `+0.0`, so bitwise
+    /// identical, also for a wire without neighbors: `Iterator::sum` would
+    /// start from `-0.0`).
     pub fn linear_coefficient_sum_uncached(&self, id: NodeId) -> f64 {
-        self.neighbors(id)
-            .map(|(_, p)| p.switching_factor * p.linear_coefficient())
-            .sum()
+        self.neighbors(id).fold(0.0, |acc, (_, p)| {
+            acc + p.switching_factor * p.linear_coefficient()
+        })
     }
 
     /// The precomputed per-node linear coefficient sums, indexed by raw node
@@ -324,15 +369,13 @@ impl CouplingSet {
     }
 
     /// An estimate (in bytes) of the memory held by the coupling data
-    /// structures, used by the Figure 10(a) reproduction.
+    /// structures, used by the Figure 10(a) reproduction: the pairs, the
+    /// neighbor lists and the cached per-node coefficient sums.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.pairs.capacity() * size_of::<CouplingPair>()
-            + self
-                .neighbor_pairs
-                .iter()
-                .map(|v| size_of::<Vec<usize>>() + v.capacity() * size_of::<usize>())
-                .sum::<usize>()
+            + (self.pair_start.capacity() + self.pair_ids.capacity()) * size_of::<u32>()
+            + self.linear_sums.capacity() * size_of::<f64>()
             + size_of::<Self>()
     }
 }
@@ -387,6 +430,53 @@ mod tests {
         // I(i) counts each pair exactly once across the whole set.
         let total_dominating: usize = c.node_ids().map(|id| set.dominating(id).count()).sum();
         assert_eq!(total_dominating, 2);
+    }
+
+    #[test]
+    fn neighbor_lists_follow_the_pair_index() {
+        // A triangle listed out of node order: each list must follow the
+        // pair indices, not the node indices.
+        let c = circuit();
+        let (w1, w2, w3) = (wire(&c, "w1"), wire(&c, "w2"), wire(&c, "w3"));
+        let pairs = vec![
+            CouplingPair::new(w2, w3, geom()).unwrap(),
+            CouplingPair::new(w1, w2, geom()).unwrap(),
+            CouplingPair::new(w1, w3, geom()).unwrap(),
+        ];
+        let set = CouplingSet::new(&c, pairs).unwrap();
+        let listed = |id: NodeId| -> Vec<(NodeId, *const CouplingPair)> {
+            set.neighbors(id).map(|(o, p)| (o, p as *const _)).collect()
+        };
+        let pair = |i: usize| &set.pairs()[i] as *const _;
+        assert_eq!(listed(w1), vec![(w2, pair(1)), (w3, pair(2))]);
+        assert_eq!(listed(w2), vec![(w3, pair(0)), (w1, pair(1))]);
+        assert_eq!(listed(w3), vec![(w2, pair(0)), (w1, pair(2))]);
+        for id in [w1, w2, w3] {
+            // `I(i)` keeps the larger-index neighbors, in the same order.
+            let larger: Vec<_> = listed(id).into_iter().filter(|&(o, _)| o > id).collect();
+            let dominating: Vec<_> = set
+                .dominating(id)
+                .map(|(o, p)| (o, p as *const CouplingPair))
+                .collect();
+            assert_eq!(dominating, larger);
+            assert_eq!(set.degree(id), 2);
+        }
+        assert_eq!(set.degree(c.node_by_name("g").unwrap()), 0);
+    }
+
+    #[test]
+    fn ids_beyond_the_circuit_have_no_neighbors() {
+        let c = circuit();
+        let (w1, w2) = (wire(&c, "w1"), wire(&c, "w2"));
+        let set = CouplingSet::new(&c, vec![CouplingPair::new(w1, w2, geom()).unwrap()]).unwrap();
+        for set in [set, CouplingSet::empty(&c)] {
+            for beyond in [c.num_nodes(), c.num_nodes() + 7, usize::MAX] {
+                let id = NodeId::new(beyond);
+                assert_eq!(set.neighbors(id).count(), 0);
+                assert_eq!(set.dominating(id).count(), 0);
+                assert_eq!(set.degree(id), 0);
+            }
+        }
     }
 
     #[test]

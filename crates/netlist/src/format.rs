@@ -30,9 +30,9 @@
 //! The default [`Technology`] is used; everything
 //! else round-trips exactly through [`write_instance`] / [`parse_instance`].
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use ncgws_circuit::builder::BuildNode;
 use ncgws_circuit::{CircuitBuilder, GateKind, NodeKind, Technology};
 use ncgws_waveform::PatternSet;
 
@@ -144,7 +144,6 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
 pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
     let tech = Technology::dac99();
     let mut builder = CircuitBuilder::new(tech);
-    let mut handles: HashMap<String, ncgws_circuit::builder::BuildNode> = HashMap::new();
     let mut name = String::from("unnamed");
     let mut channels_by_name: Vec<Vec<String>> = Vec::new();
     let mut geometry = ChannelGeometry {
@@ -181,33 +180,30 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
                 let [_, n, rd] = tokens[..] else {
                     return Err(err(line, "driver NAME RD"));
                 };
-                let handle = builder.add_driver(n, parse_f64(line, rd)?)?;
-                handles.insert(n.to_string(), handle);
+                builder.add_driver(n, parse_f64(line, rd)?)?;
             }
             "gate" => {
                 let [_, n, kind] = tokens[..] else {
                     return Err(err(line, "gate NAME KIND"));
                 };
                 let kind = parse_gate_kind(kind).ok_or_else(|| err(line, "unknown gate kind"))?;
-                let handle = builder.add_gate(n, kind)?;
-                handles.insert(n.to_string(), handle);
+                builder.add_gate(n, kind)?;
             }
             "wire" => {
                 let [_, n, len] = tokens[..] else {
                     return Err(err(line, "wire NAME LENGTH"));
                 };
-                let handle = builder.add_wire(n, parse_f64(line, len)?)?;
-                handles.insert(n.to_string(), handle);
+                builder.add_wire(n, parse_f64(line, len)?)?;
             }
             "connect" => {
                 let [_, from, to] = tokens[..] else {
                     return Err(err(line, "connect FROM TO"));
                 };
-                let from = *handles
-                    .get(from)
+                let from = builder
+                    .lookup(from)
                     .ok_or_else(|| err(line, "unknown component"))?;
-                let to = *handles
-                    .get(to)
+                let to = builder
+                    .lookup(to)
                     .ok_or_else(|| err(line, "unknown component"))?;
                 builder.connect(from, to)?;
             }
@@ -215,8 +211,8 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
                 let [_, n, load] = tokens[..] else {
                     return Err(err(line, "output NAME LOAD"));
                 };
-                let node = *handles
-                    .get(n)
+                let node = builder
+                    .lookup(n)
                     .ok_or_else(|| err(line, "unknown component"))?;
                 builder.connect_output(node, parse_f64(line, load)?)?;
             }
@@ -255,15 +251,21 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
         }
     }
 
-    let (circuit, ids) = builder.build_mapped()?;
-    let channels = channels_by_name
+    // Resolve the channel names while the builder still has its name
+    // table; an unknown name is reported after any circuit error.
+    let channel_handles: Vec<Vec<Option<BuildNode>>> = channels_by_name
         .iter()
+        .map(|channel| channel.iter().map(|name| builder.lookup(name)).collect())
+        .collect();
+    drop(channels_by_name);
+    let (circuit, ids) = builder.build_mapped()?;
+    let channels = channel_handles
+        .into_iter()
         .map(|channel| {
             channel
-                .iter()
-                .map(|wire_name| {
-                    handles
-                        .get(wire_name)
+                .into_iter()
+                .map(|handle| {
+                    handle
                         .map(|handle| ids[handle.index()])
                         .ok_or_else(|| err(0, "channel references unknown wire"))
                 })

@@ -210,8 +210,14 @@ impl SyntheticGenerator {
             }
         }
 
-        // ---- 4. Emit the circuit.
-        let mut builder = CircuitBuilder::new(spec.technology);
+        // ---- 4. Emit the circuit. Every wire has one driving edge, and an
+        // input wire one more into its gate.
+        let input_wires: usize = inputs.iter().map(Vec::len).sum();
+        let mut builder = CircuitBuilder::with_capacity(
+            spec.technology,
+            num_drivers + num_gates + num_wires,
+            num_wires + input_wires,
+        );
         let mut rng_geo = ChaCha8Rng::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
         let drivers: Vec<_> = (0..num_drivers)
             .map(|d| {

@@ -19,20 +19,20 @@
 //!   as an optimality reference for tests and ablations;
 //! * [`baselines`] — identity / random / best-start nearest-neighbor
 //!   orderings for comparisons;
-//! * [`WireOrdering`] / [`adjacency`] — the resulting track order, the
-//!   adjacent pairs it induces and the paper's `N(i)` / `I(i)` maps.
+//! * [`WireOrdering`] — the resulting track order. Adjacent tracks couple;
+//!   the paper's `N(i)` / `I(i)` maps are answered by the coupling set built
+//!   from the orderings (`ncgws_coupling::CouplingSet::neighbors` and
+//!   `dominating`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adjacency;
 pub mod baselines;
 pub mod error;
 pub mod exact;
 pub mod problem;
 pub mod woss;
 
-pub use adjacency::Adjacency;
 pub use error::OrderingError;
 pub use exact::exact_ordering;
 pub use problem::{SsProblem, WireOrdering};

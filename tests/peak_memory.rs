@@ -1,0 +1,118 @@
+//! Peak heap use of each phase of one xlw10k solve, measured with a counting
+//! global allocator: generate → order → engine → size, adaptive schedule,
+//! `ParallelPolicy::Sequential`.
+//!
+//! Each phase's peak is the largest number of live heap bytes (everything
+//! still held from earlier phases included) between its start and end. The
+//! budgets were recorded on this workload and allow 10% on top; a change
+//! that stores a table twice again shows up here. Run it with the numbers
+//! printed:
+//!
+//! ```text
+//! cargo test --release --features parallel --test peak_memory -- --nocapture
+//! ```
+//!
+//! The budgets describe production builds. The `race-check` feature adds a
+//! shadow claim map of every kernel write, heap memory on purpose, so the
+//! test is compiled out under it.
+
+#![cfg(not(feature = "race-check"))]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use ncgws::core::{Flow, OptimizerConfig, ParallelPolicy, RunControl, SolveStrategy};
+use ncgws::netlist::{xl_wide_spec, SyntheticGenerator};
+
+/// Live and peak heap bytes, counted by the global allocator below.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting the bytes it hands out. `realloc` and
+/// `alloc_zeroed` keep their default bodies, which go through `alloc` and
+/// `dealloc`: a growing buffer counts its old and new block at once, as
+/// the copy holds both.
+struct Counting;
+
+// SAFETY: both calls forward to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees hold; the counters are only
+// bookkeeping beside it.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: forwarded under the caller's contract.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
+            PEAK.fetch_max(live, Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded under the caller's contract.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Runs `f` and returns its result with the peak live bytes seen meanwhile.
+fn phase<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.store(LIVE.load(Relaxed), Relaxed);
+    let out = f();
+    (out, PEAK.load(Relaxed))
+}
+
+const MIB: f64 = 1024.0 * 1024.0;
+
+/// Peak live bytes per phase, recorded on this workload.
+const BUDGETS: [(&str, usize); 4] = [
+    ("generate", 3_279_803),
+    ("order", 5_292_582),
+    ("engine", 5_132_582),
+    ("size", 5_730_313),
+];
+
+#[test]
+fn xlw10k_phase_peaks_stay_within_budget() {
+    let config = OptimizerConfig {
+        solve_strategy: SolveStrategy::adaptive(),
+        parallel: ParallelPolicy::Sequential,
+        ..OptimizerConfig::default()
+    };
+    let (instance, generate) = phase(|| {
+        SyntheticGenerator::new(xl_wide_spec(10_000))
+            .generate()
+            .unwrap()
+    });
+    let (ordered, order) = phase(|| {
+        Flow::prepare(&instance, config.clone())
+            .unwrap()
+            .order()
+            .unwrap()
+    });
+    let (mut engine, engine_peak) = phase(|| ordered.engine());
+    let (sized, size) = phase(|| {
+        ordered
+            .size_with_engine(&mut engine, None, &RunControl::new())
+            .unwrap()
+    });
+    assert!(sized.report.feasible);
+
+    let peaks = [generate, order, engine_peak, size];
+    for ((name, budget), peak) in BUDGETS.iter().zip(peaks) {
+        println!(
+            "peak_memory xlw10k {name}: {peak} B = {:.2} MiB (budget {:.2} MiB + 10%)",
+            peak as f64 / MIB,
+            *budget as f64 / MIB
+        );
+    }
+    for ((name, budget), peak) in BUDGETS.iter().zip(peaks) {
+        assert!(
+            peak <= budget + budget / 10,
+            "{name}: peak {peak} B exceeds the budget {budget} B + 10%"
+        );
+    }
+}
