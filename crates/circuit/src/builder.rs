@@ -1,11 +1,13 @@
 //! Incremental construction of [`CircuitGraph`]s.
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::error::CircuitError;
-use crate::graph::{AdjacencyFill, CircuitGraph};
+use crate::graph::{AdjacencyFill, CircuitGraph, MAX_NODES};
 use crate::id::NodeId;
+use crate::names::NameTable;
 use crate::node::{GateKind, Node, NodeAttrs, NodeKind};
 use crate::tech::Technology;
 
@@ -27,6 +29,86 @@ impl BuildNode {
 const SOURCE_NAME: &str = "~source";
 const SINK_NAME: &str = "~sink";
 
+/// The most components a builder takes: with the source and sink they fill
+/// the 32-bit [`NodeId`] range.
+const MAX_COMPONENTS: usize = MAX_NODES - 2;
+
+/// A [`Hasher`] for keys that already are hashes: it hands back the `u64`
+/// it was given. Any other input is folded in byte by byte, so the hasher
+/// stays total.
+#[derive(Debug, Clone, Copy, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// The end of a [`NameIndex`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// The builder's name lookup, over the names held in its [`NameTable`].
+///
+/// A name is hashed once, with the builder's own keyed SipHash
+/// ([`RandomState`]), so hostile netlist text cannot choose colliding
+/// names. `last` maps each hash to the most recent component added under
+/// it, and `earlier[i]` chains component `i` to the one added before it
+/// under the same hash, so components whose hashes collide are all found,
+/// and told apart by comparing their names.
+#[derive(Debug, Clone)]
+struct NameIndex {
+    keys: RandomState,
+    last: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    earlier: Vec<u32>,
+}
+
+impl NameIndex {
+    fn with_capacity(components: usize) -> Self {
+        NameIndex {
+            keys: RandomState::new(),
+            last: HashMap::with_capacity_and_hasher(components, BuildHasherDefault::default()),
+            earlier: Vec::with_capacity(components),
+        }
+    }
+
+    /// The keyed hash of `name`.
+    fn hash(&self, name: &str) -> u64 {
+        self.keys.hash_one(name)
+    }
+
+    /// The component named `name`, whose hash is `hash`.
+    fn find(&self, names: &NameTable, hash: u64, name: &str) -> Option<BuildNode> {
+        let mut at = self.last.get(&hash).copied().unwrap_or(CHAIN_END);
+        while at != CHAIN_END {
+            let i = at as usize;
+            if names.get(i) == name {
+                return Some(BuildNode(i));
+            }
+            at = self.earlier[i];
+        }
+        None
+    }
+
+    /// Records component `i`, the next one, under `hash`.
+    fn insert(&mut self, hash: u64, i: usize) {
+        debug_assert_eq!(i, self.earlier.len());
+        // `i < MAX_COMPONENTS`, so it fits and is never `CHAIN_END`.
+        let previous = self.last.insert(hash, i as u32);
+        self.earlier.push(previous.unwrap_or(CHAIN_END));
+    }
+}
+
 /// Builder for [`CircuitGraph`].
 ///
 /// Components may be added and connected in any order; [`CircuitBuilder::build`]
@@ -41,13 +123,19 @@ const SINK_NAME: &str = "~sink";
 /// fill the graph's compressed fanin and fanout arrays already sorted, and
 /// the nodes are permuted into topological order in place.
 ///
-/// Every name is stored once: the builder's name table holds it until
-/// [`build`](CircuitBuilder::build) moves it into its node, and the graph
-/// keeps no name index of its own. [`CircuitBuilder::lookup`] resolves a
-/// name to its handle while the circuit is under construction.
+/// The names are appended to one string in the order the components are
+/// added, and a name index keyed by each name's 64-bit keyed hash resolves
+/// them ([`CircuitBuilder::lookup`]) while the circuit is under
+/// construction; no name is copied into a map key or a node of its own.
+/// [`build`](CircuitBuilder::build) writes the graph's name string in
+/// topological order in one pass, and the graph keeps no name index.
 ///
 /// The names `~source` and `~sink` belong to the artificial nodes and are
-/// rejected as [`CircuitError::DuplicateName`].
+/// rejected as [`CircuitError::DuplicateName`]. Every node id and name
+/// offset of the finished graph fits 32 bits: an `add_*` call past
+/// `u32::MAX - 1` components or `u32::MAX` bytes of names, or a `build`
+/// whose names and the artificial nodes' no longer fit, returns
+/// [`CircuitError::TooLarge`].
 ///
 /// ```rust
 /// use ncgws_circuit::{CircuitBuilder, GateKind, Technology};
@@ -75,9 +163,11 @@ const SINK_NAME: &str = "~sink";
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {
     tech: Technology,
-    /// The components in the order they were added. Their names stay empty
-    /// until `build` moves them in from `names`.
+    /// The components in the order they were added.
     nodes: Vec<Node>,
+    /// `names.get(i)` is the name of component `i`.
+    names: NameTable,
+    index: NameIndex,
     /// `wire_driver[i]` is the component driving wire `i` once it has
     /// accepted its one fanin edge; it enforces the one-driver rule and
     /// detects a repeated wire edge without hashing.
@@ -85,9 +175,6 @@ pub struct CircuitBuilder {
     edges: Vec<(usize, usize)>,
     /// Edges into non-wires, for duplicate detection.
     edge_set: HashSet<(usize, usize)>,
-    /// The only copy of each name, mapped to its component; `build` moves
-    /// every key into its node.
-    names: HashMap<String, BuildNode>,
     /// `output_loads[i]` is the accumulated primary-output load of
     /// component `i`, if it drives one.
     output_loads: Vec<Option<f64>>,
@@ -108,10 +195,11 @@ impl CircuitBuilder {
             tech,
             // Room for the source and sink that `build` appends.
             nodes: Vec::with_capacity(components + 2),
+            names: NameTable::with_capacity(components, 0),
+            index: NameIndex::with_capacity(components),
             wire_driver: Vec::with_capacity(components),
             edges: Vec::with_capacity(edges),
             edge_set: HashSet::new(),
-            names: HashMap::with_capacity(components),
             output_loads: Vec::with_capacity(components),
         }
     }
@@ -133,30 +221,37 @@ impl CircuitBuilder {
 
     /// The component added under `name`, if any.
     pub fn lookup(&self, name: &str) -> Option<BuildNode> {
-        self.names.get(name).copied()
+        self.index.find(&self.names, self.index.hash(name), name)
     }
 
     /// Registers `name` for the component about to be pushed.
     fn register_name(&mut self, name: &str) -> Result<(), CircuitError> {
-        let duplicate = || CircuitError::DuplicateName(name.to_string());
-        if name == SOURCE_NAME || name == SINK_NAME {
-            return Err(duplicate());
+        self.register_hashed(self.index.hash(name), name)
+    }
+
+    /// [`register_name`](Self::register_name) with the name's hash given.
+    fn register_hashed(&mut self, hash: u64, name: &str) -> Result<(), CircuitError> {
+        if name == SOURCE_NAME
+            || name == SINK_NAME
+            || self.index.find(&self.names, hash, name).is_some()
+        {
+            return Err(CircuitError::DuplicateName(name.to_string()));
         }
-        match self.names.entry(name.to_string()) {
-            Entry::Occupied(_) => Err(duplicate()),
-            Entry::Vacant(slot) => {
-                slot.insert(BuildNode(self.nodes.len()));
-                Ok(())
-            }
+        let i = self.names.len();
+        if i >= MAX_COMPONENTS {
+            return Err(CircuitError::TooLarge {
+                what: "components",
+                limit: MAX_COMPONENTS,
+            });
         }
+        self.names.push(name)?;
+        self.index.insert(hash, i);
+        Ok(())
     }
 
     fn push_node(&mut self, kind: NodeKind, attrs: NodeAttrs) -> BuildNode {
-        self.nodes.push(Node {
-            kind,
-            name: String::new(),
-            attrs,
-        });
+        debug_assert_eq!(self.nodes.len() + 1, self.names.len());
+        self.nodes.push(Node { kind, attrs });
         self.wire_driver.push(None);
         self.output_loads.push(None);
         BuildNode(self.nodes.len() - 1)
@@ -346,14 +441,16 @@ impl CircuitBuilder {
         let CircuitBuilder {
             tech,
             mut nodes,
+            names,
+            index,
             wire_driver,
             edges,
             edge_set,
-            names,
             output_loads,
         } = self;
-        // The connection checks are done: free their tables before the
-        // graph's arrays are allocated.
+        // The name and connection checks are done: free their tables before
+        // the graph's arrays are allocated.
+        drop(index);
         drop(wire_driver);
         drop(edge_set);
         tech.validate()?;
@@ -375,7 +472,7 @@ impl CircuitBuilder {
             outdegree[u] += 1;
             indegree[v] += 1;
         }
-        let mut fill = AdjacencyFill::new(outdegree);
+        let mut fill = AdjacencyFill::new(outdegree)?;
         for &(u, v) in &edges {
             fill.push(u, NodeId::new(v));
         }
@@ -434,7 +531,7 @@ impl CircuitBuilder {
             .chain(std::iter::repeat_n(1, s))
             .chain(order[s..].iter().map(|&old| indegree[old]))
             .chain(std::iter::once(num_outputs));
-        let mut fill = AdjacencyFill::new(fanin_degrees);
+        let mut fill = AdjacencyFill::new(fanin_degrees)?;
         for d in 1..=s {
             fill.push(d, NodeId::new(0));
         }
@@ -455,7 +552,7 @@ impl CircuitBuilder {
                     .map(|&old| fanout.list(old).len() + usize::from(is_output(old))),
             )
             .chain(std::iter::once(0));
-        let mut fill = AdjacencyFill::new(fanout_degrees);
+        let mut fill = AdjacencyFill::new(fanout_degrees)?;
         drop(fanout);
         drop(indegree);
         for v in 0..=sink {
@@ -465,8 +562,19 @@ impl CircuitBuilder {
         }
         let new_fanout = fill.finish();
 
-        // Finish the nodes under their insertion indices: the output loads,
-        // and every name moved (not copied) out of the name table.
+        // The graph's names, in the new indexing, in one pass.
+        let mut graph_names = NameTable::with_capacity(
+            total + 2,
+            names.text_len() + SOURCE_NAME.len() + SINK_NAME.len(),
+        );
+        graph_names.push(SOURCE_NAME)?;
+        for &old in &order {
+            graph_names.push(names.get(old))?;
+        }
+        graph_names.push(SINK_NAME)?;
+        drop(names);
+
+        // Finish the nodes under their insertion indices: the output loads.
         for (node, load) in nodes.iter_mut().zip(output_loads) {
             if let Some(load) = load {
                 node.attrs.output_load = if load > 0.0 {
@@ -476,9 +584,6 @@ impl CircuitBuilder {
                 };
             }
         }
-        for (name, handle) in names {
-            nodes[handle.0].name = name;
-        }
 
         // Permute into the new indexing in place. The source and sink are
         // appended at `total` and `total + 1 == sink`; `order` becomes the
@@ -487,12 +592,10 @@ impl CircuitBuilder {
         nodes.reserve_exact(2);
         nodes.push(Node {
             kind: NodeKind::Source,
-            name: SOURCE_NAME.to_string(),
             attrs: NodeAttrs::artificial(),
         });
         nodes.push(Node {
             kind: NodeKind::Sink,
-            name: SINK_NAME.to_string(),
             attrs: NodeAttrs::artificial(),
         });
         let mut src = order;
@@ -512,7 +615,7 @@ impl CircuitBuilder {
         }
         drop(src);
 
-        let graph = CircuitGraph::from_parts(nodes, new_fanin, new_fanout, tech, s, n);
+        let graph = CircuitGraph::from_parts(nodes, graph_names, new_fanin, new_fanout, tech, s, n);
         crate::validate::validate(&graph)?;
         Ok((graph, ids))
     }
@@ -561,6 +664,46 @@ mod tests {
         let c = b.build().unwrap();
         assert_eq!(c.node_by_name(SOURCE_NAME), Some(c.source()));
         assert_eq!(c.node_by_name(SINK_NAME), Some(c.sink()));
+    }
+
+    #[test]
+    fn names_under_one_hash_are_told_apart() {
+        const FORCED: u64 = 0x5eed;
+        let mut b = CircuitBuilder::new(tech());
+        for name in ["a", "b"] {
+            b.register_hashed(FORCED, name).unwrap();
+            b.push_node(NodeKind::Wire, NodeAttrs::wire(&tech(), 10.0));
+        }
+        assert_eq!(b.index.find(&b.names, FORCED, "a"), Some(BuildNode(0)));
+        assert_eq!(b.index.find(&b.names, FORCED, "b"), Some(BuildNode(1)));
+        assert_eq!(b.index.find(&b.names, FORCED, "c"), None);
+        for name in ["a", "b", SOURCE_NAME, SINK_NAME] {
+            assert_eq!(
+                b.register_hashed(FORCED, name),
+                Err(CircuitError::DuplicateName(name.to_string()))
+            );
+        }
+        // A third name under the same hash still joins the chain.
+        b.register_hashed(FORCED, "c").unwrap();
+        b.push_node(NodeKind::Wire, NodeAttrs::wire(&tech(), 10.0));
+        assert_eq!(b.index.find(&b.names, FORCED, "a"), Some(BuildNode(0)));
+        assert_eq!(b.index.find(&b.names, FORCED, "c"), Some(BuildNode(2)));
+        assert_eq!(b.len(), 3);
+    }
+
+    #[test]
+    fn lookup_finds_every_name_added() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let wires: Vec<BuildNode> = (0..100)
+            .map(|i| b.add_wire(&format!("w{i}"), 10.0).unwrap())
+            .collect();
+        assert_eq!(b.lookup("d"), Some(d));
+        for (i, &w) in wires.iter().enumerate() {
+            assert_eq!(b.lookup(&format!("w{i}")), Some(w));
+        }
+        assert_eq!(b.lookup("w100"), None);
+        assert_eq!(b.lookup(SOURCE_NAME), None);
     }
 
     #[test]
@@ -752,7 +895,7 @@ mod tests {
         assert_eq!(ids.len(), 4);
         for (handle, name) in [(w2, "w2"), (g, "g"), (w1, "w1"), (d, "d")] {
             assert_eq!(ids[handle.index()], c.node_by_name(name).unwrap());
-            assert_eq!(c.node(ids[handle.index()]).name, name);
+            assert_eq!(c.name(ids[handle.index()]), name);
         }
     }
 

@@ -58,6 +58,14 @@ pub enum CircuitError {
     NoDrivers,
     /// A duplicate component name was used.
     DuplicateName(String),
+    /// The circuit outgrows a table's 32-bit index: more than `limit`
+    /// node ids, edges or bytes of node names.
+    TooLarge {
+        /// What outgrew its limit.
+        what: &'static str,
+        /// The largest count the table holds.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -90,6 +98,9 @@ impl fmt::Display for CircuitError {
             CircuitError::NoPrimaryOutputs => write!(f, "circuit has no primary outputs"),
             CircuitError::NoDrivers => write!(f, "circuit has no input drivers"),
             CircuitError::DuplicateName(name) => write!(f, "duplicate component name {name:?}"),
+            CircuitError::TooLarge { what, limit } => {
+                write!(f, "circuit exceeds the limit of {limit} {what}")
+            }
         }
     }
 }
@@ -125,6 +136,10 @@ mod tests {
             CircuitError::NoPrimaryOutputs,
             CircuitError::NoDrivers,
             CircuitError::DuplicateName("w1".to_string()),
+            CircuitError::TooLarge {
+                what: "node ids",
+                limit: u32::MAX as usize + 1,
+            },
         ];
         for err in errors {
             let text = err.to_string();

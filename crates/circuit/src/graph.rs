@@ -7,40 +7,54 @@ use serde::{Deserialize, Serialize, Serializer};
 
 use crate::error::CircuitError;
 use crate::id::NodeId;
+use crate::names::NameTable;
 use crate::node::{Node, NodeKind};
 use crate::sizing::SizeVector;
 use crate::tech::Technology;
 
+/// The most nodes a graph holds: every id fits the 32-bit [`NodeId`].
+pub(crate) const MAX_NODES: usize = u32::MAX as usize + 1;
+
 /// One direction of the graph's adjacency in compressed sparse row form:
 /// the list of node `i` is `targets[offsets[i]..offsets[i + 1]]`, so the
-/// whole direction is two allocations however many nodes there are.
+/// whole direction is two allocations however many nodes there are. The
+/// offsets are 32-bit, so one direction holds at most `u32::MAX` edges.
 ///
 /// It serializes as the nested arrays of a `Vec<Vec<NodeId>>`.
 #[derive(Debug, Clone)]
 pub(crate) struct Adjacency {
-    offsets: Vec<usize>,
+    offsets: Vec<u32>,
     targets: Vec<NodeId>,
+}
+
+/// The 32-bit offset `end` of an adjacency, or the typed error for a
+/// direction with more than `u32::MAX` edges.
+fn edge_offset(end: usize) -> Result<u32, CircuitError> {
+    u32::try_from(end).map_err(|_| CircuitError::TooLarge {
+        what: "edges",
+        limit: u32::MAX as usize,
+    })
 }
 
 impl Adjacency {
     /// Copies explicit per-node lists.
-    fn from_lists(lists: &[Vec<NodeId>]) -> Self {
+    fn from_lists(lists: &[Vec<NodeId>]) -> Result<Self, CircuitError> {
         let mut offsets = Vec::with_capacity(lists.len() + 1);
         offsets.push(0);
         let mut end = 0;
         for list in lists {
             end += list.len();
-            offsets.push(end);
+            offsets.push(edge_offset(end)?);
         }
-        Adjacency {
+        Ok(Adjacency {
             offsets,
             targets: lists.concat(),
-        }
+        })
     }
 
     /// The list of node `i`.
     pub(crate) fn list(&self, i: usize) -> &[NodeId] {
-        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Total length of all lists.
@@ -50,7 +64,7 @@ impl Adjacency {
 
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.offsets.capacity() * size_of::<usize>() + self.targets.capacity() * size_of::<NodeId>()
+        self.offsets.capacity() * size_of::<u32>() + self.targets.capacity() * size_of::<NodeId>()
     }
 }
 
@@ -69,31 +83,35 @@ impl Serialize for Adjacency {
 /// list's slot up front, and [`push`](Self::push) appends to a list.
 pub(crate) struct AdjacencyFill {
     adjacency: Adjacency,
-    next: Vec<usize>,
+    next: Vec<u32>,
 }
 
 impl AdjacencyFill {
     /// Reserves the lists of nodes `0..degrees.len()`.
-    pub(crate) fn new(degrees: impl IntoIterator<Item = usize>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::TooLarge`] when the degrees sum past `u32::MAX`.
+    pub(crate) fn new(degrees: impl IntoIterator<Item = usize>) -> Result<Self, CircuitError> {
         let mut offsets = vec![0];
         let mut end = 0;
         for degree in degrees {
             end += degree;
-            offsets.push(end);
+            offsets.push(edge_offset(end)?);
         }
         let next = offsets[..offsets.len() - 1].to_vec();
-        AdjacencyFill {
+        Ok(AdjacencyFill {
             adjacency: Adjacency {
                 offsets,
                 targets: vec![NodeId::new(0); end],
             },
             next,
-        }
+        })
     }
 
     /// Appends `target` to the list of node `i`.
     pub(crate) fn push(&mut self, i: usize, target: NodeId) {
-        self.adjacency.targets[self.next[i]] = target;
+        self.adjacency.targets[self.next[i] as usize] = target;
         self.next[i] += 1;
     }
 
@@ -121,11 +139,14 @@ impl AdjacencyFill {
 /// The graph is immutable once built by [`CircuitBuilder`](crate::CircuitBuilder);
 /// all analyses borrow it together with a [`SizeVector`] holding the current
 /// component sizes. Fanin and fanout lists are stored in compressed sparse
-/// row form and are sorted by node index. Each node name is stored once, in
-/// its [`Node`]; there is no separate name index.
+/// row form and are sorted by node index. Every node name is stored once,
+/// back to back with the others in one string indexed by 32-bit offsets and
+/// read with [`name`](Self::name); there is no separate name index, and a
+/// [`Node`] holds no name of its own.
 #[derive(Debug, Clone)]
 pub struct CircuitGraph {
     nodes: Vec<Node>,
+    names: NameTable,
     fanin: Adjacency,
     fanout: Adjacency,
     tech: Technology,
@@ -133,15 +154,28 @@ pub struct CircuitGraph {
     num_sizable: usize,
 }
 
-/// Writes the graph's fields in declaration order, followed by a
-/// `name_index` object mapping every node name to its id. The index is
-/// derived from the node names here rather than stored, and its entries are
-/// sorted by their rendered JSON key, exactly as a serialized `HashMap`.
+/// Writes the nodes as `{"kind","name","attrs"}` objects, then the other
+/// fields in declaration order, followed by a `name_index` object mapping
+/// every node name to its id. The index is derived from the names here
+/// rather than stored, and its entries are sorted by their rendered JSON
+/// key, exactly as a serialized `HashMap`.
 impl Serialize for CircuitGraph {
     fn serialize_json(&self, s: &mut Serializer) {
         s.begin_object();
         s.key("nodes");
-        self.nodes.serialize_json(s);
+        s.begin_array();
+        for (node, name) in self.nodes.iter().zip(self.names.iter()) {
+            s.element();
+            s.begin_object();
+            s.key("kind");
+            node.kind.serialize_json(s);
+            s.key("name");
+            s.string(name);
+            s.key("attrs");
+            node.attrs.serialize_json(s);
+            s.end_object();
+        }
+        s.end_array();
         s.key("fanin");
         self.fanin.serialize_json(s);
         s.key("fanout");
@@ -154,19 +188,19 @@ impl Serialize for CircuitGraph {
         self.num_sizable.serialize_json(s);
         s.key("name_index");
         let mut keys: Vec<(String, usize)> = self
-            .nodes
+            .names
             .iter()
             .enumerate()
-            .map(|(i, node)| {
+            .map(|(i, name)| {
                 let mut probe = Serializer::new();
-                probe.string(&node.name);
+                probe.string(name);
                 (probe.into_string(), i)
             })
             .collect();
         keys.sort_unstable();
         s.begin_object();
         for (_, i) in keys {
-            s.key(&self.nodes[i].name);
+            s.key(self.names.get(i));
             NodeId::new(i).serialize_json(s);
         }
         s.end_object();
@@ -176,12 +210,29 @@ impl Serialize for CircuitGraph {
 
 /// Decodes through [`CircuitGraph::from_serialized_parts`], so a decoded
 /// graph passes the same structural checks as one assembled by hand. The
-/// serialized `name_index` is ignored: names are read from the nodes.
+/// names are borrowed from the parsed nodes and copied once, into the
+/// graph's name table; the serialized `name_index` is ignored.
 impl Deserialize for CircuitGraph {
     fn deserialize_json(value: &Value) -> Result<Self, Error> {
         let f = Fields::new(value, "CircuitGraph")?;
+        let items = value
+            .get("nodes")
+            .and_then(Value::as_array)
+            .ok_or_else(|| Error::custom("CircuitGraph.nodes: expected an array of nodes"))?;
+        let mut nodes = Vec::with_capacity(items.len());
+        let mut names = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            nodes.push(
+                Node::deserialize_json(item)
+                    .map_err(|e| Error::custom(format!("CircuitGraph.nodes.{i}: {e}")))?,
+            );
+            names.push(item.get("name").and_then(Value::as_str).ok_or_else(|| {
+                Error::custom(format!("CircuitGraph.nodes.{i}: expected a string `name`"))
+            })?);
+        }
         CircuitGraph::from_serialized_parts(
-            f.field("nodes")?,
+            nodes,
+            &names,
             f.field("fanin")?,
             f.field("fanout")?,
             f.field("tech")?,
@@ -200,14 +251,17 @@ impl CircuitGraph {
     /// topological indexing convention and validates connectivity.
     pub(crate) fn from_parts(
         nodes: Vec<Node>,
+        names: NameTable,
         fanin: Adjacency,
         fanout: Adjacency,
         tech: Technology,
         num_drivers: usize,
         num_sizable: usize,
     ) -> Self {
+        debug_assert_eq!(nodes.len(), names.len());
         CircuitGraph {
             nodes,
+            names,
             fanin,
             fanout,
             tech,
@@ -221,12 +275,15 @@ impl CircuitGraph {
     /// builder normally guarantees: consistent vector lengths, in-range
     /// edge endpoints, mirrored fanin/fanout lists, unique node names, and
     /// the structural invariants of [`validate`](crate::validate::validate).
+    /// `names[i]` is the name of node `i`; the names are copied into one
+    /// table.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant as a [`CircuitError`].
     pub fn from_serialized_parts(
         nodes: Vec<Node>,
+        names: &[&str],
         fanin: Vec<Vec<NodeId>>,
         fanout: Vec<Vec<NodeId>>,
         tech: Technology,
@@ -238,6 +295,18 @@ impl CircuitGraph {
             return Err(CircuitError::SizeLengthMismatch {
                 expected: n,
                 actual: fanin.len().max(fanout.len()),
+            });
+        }
+        if names.len() != n {
+            return Err(CircuitError::SizeLengthMismatch {
+                expected: n,
+                actual: names.len(),
+            });
+        }
+        if n > MAX_NODES {
+            return Err(CircuitError::TooLarge {
+                what: "node ids",
+                limit: MAX_NODES,
             });
         }
         if num_drivers
@@ -294,17 +363,22 @@ impl CircuitGraph {
             });
         }
         tech.validate()?;
-        let mut names = HashSet::with_capacity(n);
-        for node in &nodes {
-            if !names.insert(node.name.as_str()) {
-                return Err(CircuitError::DuplicateName(node.name.clone()));
+        let mut seen = HashSet::with_capacity(n);
+        for &name in names {
+            if !seen.insert(name) {
+                return Err(CircuitError::DuplicateName(name.to_string()));
             }
         }
-        drop(names);
+        drop(seen);
+        let mut table = NameTable::with_capacity(n, names.iter().map(|name| name.len()).sum());
+        for name in names {
+            table.push(name)?;
+        }
         let graph = CircuitGraph::from_parts(
             nodes,
-            Adjacency::from_lists(&fanin),
-            Adjacency::from_lists(&fanout),
+            table,
+            Adjacency::from_lists(&fanin)?,
+            Adjacency::from_lists(&fanout)?,
             tech,
             num_drivers,
             num_sizable,
@@ -367,17 +441,26 @@ impl CircuitGraph {
         &self.nodes[id.index()]
     }
 
+    /// The unique name of node `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range, as [`node`](Self::node) does.
+    pub fn name(&self, id: NodeId) -> &str {
+        self.names.get(id.index())
+    }
+
     /// Looks a node up by its unique name.
     ///
-    /// This scans the nodes, so it costs O(n) per call: the graph keeps no
-    /// name index, only each name inside its node. A caller resolving many
-    /// names should keep the handles from
+    /// This scans the name table, so it costs O(n) per call: the graph
+    /// keeps no name index, only the names back to back in one string. A
+    /// caller resolving many names should keep the handles from
     /// [`CircuitBuilder::build_mapped`](crate::CircuitBuilder::build_mapped),
     /// or build its own map once.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes
+        self.names
             .iter()
-            .position(|node| node.name == name)
+            .position(|candidate| candidate == name)
             .map(NodeId::new)
     }
 
@@ -539,14 +622,14 @@ impl CircuitGraph {
 
     /// An estimate (in bytes) of the memory held by this graph's data
     /// structures, used by the Figure 10(a) reproduction: the node array,
-    /// each node's name, and the two compressed adjacency arrays (one offset
-    /// per node plus one entry per edge, in each direction).
+    /// the name string and its offsets, and the two compressed adjacency
+    /// arrays (one offset per node plus one entry per edge, in each
+    /// direction).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let node_bytes = self.nodes.capacity() * size_of::<Node>();
-        let name_bytes: usize = self.nodes.iter().map(|n| n.name.capacity()).sum();
         let adj_bytes = self.fanin.memory_bytes() + self.fanout.memory_bytes();
-        node_bytes + name_bytes + adj_bytes + size_of::<Self>()
+        node_bytes + self.names.memory_bytes() + adj_bytes + size_of::<Self>()
     }
 
     /// `true` if `kind` of node i is a gate or a driver, i.e. the node starts
@@ -668,22 +751,27 @@ mod tests {
         assert!(c.node_by_name("does-not-exist").is_none());
     }
 
-    type Parts = (Vec<Node>, Vec<Vec<NodeId>>, Vec<Vec<NodeId>>);
+    type Parts<'a> = (Vec<Node>, Vec<&'a str>, Vec<Vec<NodeId>>, Vec<Vec<NodeId>>);
 
-    fn parts(c: &CircuitGraph) -> Parts {
+    fn parts(c: &CircuitGraph) -> Parts<'_> {
         let lists = |list: fn(&CircuitGraph, NodeId) -> &[NodeId]| {
             c.node_ids().map(|id| list(c, id).to_vec()).collect()
         };
         (
             c.nodes.clone(),
+            c.names.iter().collect(),
             lists(CircuitGraph::fanin),
             lists(CircuitGraph::fanout),
         )
     }
 
-    fn reassemble(c: &CircuitGraph, (nodes, fanin, fanout): Parts) -> Result<(), CircuitError> {
+    fn reassemble(
+        c: &CircuitGraph,
+        (nodes, names, fanin, fanout): Parts<'_>,
+    ) -> Result<(), CircuitError> {
         CircuitGraph::from_serialized_parts(
             nodes,
+            &names,
             fanin,
             fanout,
             *c.technology(),
@@ -703,10 +791,10 @@ mod tests {
     fn serialized_parts_reject_an_edge_missing_from_fanin() {
         // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
         let c = tiny();
-        let (nodes, mut fanin, fanout) = parts(&c);
+        let (nodes, names, mut fanin, fanout) = parts(&c);
         fanin[2].clear();
         assert!(matches!(
-            reassemble(&c, (nodes, fanin, fanout)),
+            reassemble(&c, (nodes, names, fanin, fanout)),
             Err(CircuitError::InvalidConnection { from, to, .. })
                 if from == NodeId::new(1) && to == NodeId::new(2)
         ));
@@ -715,10 +803,10 @@ mod tests {
     #[test]
     fn serialized_parts_reject_an_edge_mirrored_twice() {
         let c = tiny();
-        let (nodes, mut fanin, fanout) = parts(&c);
+        let (nodes, names, mut fanin, fanout) = parts(&c);
         fanin[2].push(NodeId::new(1));
         assert!(matches!(
-            reassemble(&c, (nodes, fanin, fanout)),
+            reassemble(&c, (nodes, names, fanin, fanout)),
             Err(CircuitError::InvalidConnection { from, to, .. })
                 if from == NodeId::new(1) && to == NodeId::new(2)
         ));
@@ -727,10 +815,10 @@ mod tests {
     #[test]
     fn serialized_parts_reject_an_edge_only_in_fanin() {
         let c = tiny();
-        let (nodes, mut fanin, fanout) = parts(&c);
+        let (nodes, names, mut fanin, fanout) = parts(&c);
         fanin[4].push(NodeId::new(1));
         assert!(matches!(
-            reassemble(&c, (nodes, fanin, fanout)),
+            reassemble(&c, (nodes, names, fanin, fanout)),
             Err(CircuitError::SizeLengthMismatch {
                 expected: 5,
                 actual: 6
@@ -741,11 +829,25 @@ mod tests {
     #[test]
     fn serialized_parts_reject_duplicate_names() {
         let c = tiny();
-        let (mut nodes, fanin, fanout) = parts(&c);
-        nodes[3].name = "in".to_string();
+        let (nodes, mut names, fanin, fanout) = parts(&c);
+        names[3] = "in";
         assert!(matches!(
-            reassemble(&c, (nodes, fanin, fanout)),
+            reassemble(&c, (nodes, names, fanin, fanout)),
             Err(CircuitError::DuplicateName(name)) if name == "in"
+        ));
+    }
+
+    #[test]
+    fn serialized_parts_reject_a_missing_name() {
+        let c = tiny();
+        let (nodes, mut names, fanin, fanout) = parts(&c);
+        names.pop();
+        assert!(matches!(
+            reassemble(&c, (nodes, names, fanin, fanout)),
+            Err(CircuitError::SizeLengthMismatch {
+                expected: 6,
+                actual: 5
+            })
         ));
     }
 
@@ -759,11 +861,11 @@ mod tests {
             (2, NodeKind::Driver),
             (5, NodeKind::Wire),
         ] {
-            let (mut nodes, fanin, fanout) = parts(&c);
+            let (mut nodes, names, fanin, fanout) = parts(&c);
             nodes[idx].kind = kind;
             assert!(
                 matches!(
-                    reassemble(&c, (nodes, fanin, fanout)),
+                    reassemble(&c, (nodes, names, fanin, fanout)),
                     Err(CircuitError::InvalidConnection { .. })
                 ),
                 "node {idx} as {kind:?}"
@@ -825,7 +927,7 @@ mod tests {
         let decoded = CircuitGraph::deserialize_json(&value).unwrap();
         assert_eq!(to_json(&decoded), AWKWARD_NAMES_JSON);
         for id in decoded.node_ids() {
-            assert_eq!(decoded.node_by_name(&decoded.node(id).name), Some(id));
+            assert_eq!(decoded.node_by_name(decoded.name(id)), Some(id));
         }
     }
 

@@ -11,6 +11,11 @@ use serde::{Deserialize, Serialize};
 /// are nodes `1..=s`, the `n` gates and wires are nodes `s+1..=n+s`, and the
 /// artificial sink is node `n+s+1`.
 ///
+/// An identifier holds its index in 32 bits, so a circuit has at most
+/// `u32::MAX + 1` nodes; [`CircuitBuilder`](crate::CircuitBuilder) refuses
+/// to grow one past that with a typed error. It serializes as the plain
+/// index, and decoding an index above `u32::MAX` is an error.
+///
 /// ```rust
 /// use ncgws_circuit::NodeId;
 ///
@@ -19,17 +24,26 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(format!("{id}"), "n4");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(usize);
+pub struct NodeId(u32);
 
 impl NodeId {
     /// Creates a node identifier from a raw index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` exceeds `u32::MAX`, the largest index a node
+    /// identifier holds.
     pub const fn new(index: usize) -> Self {
-        NodeId(index)
+        assert!(
+            index <= u32::MAX as usize,
+            "node index exceeds the 32-bit NodeId range"
+        );
+        NodeId(index as u32)
     }
 
     /// Returns the raw index of this node.
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -39,15 +53,18 @@ impl fmt::Display for NodeId {
     }
 }
 
+/// # Panics
+///
+/// Panics if `index` exceeds `u32::MAX`, as [`NodeId::new`] does.
 impl From<usize> for NodeId {
     fn from(index: usize) -> Self {
-        NodeId(index)
+        NodeId::new(index)
     }
 }
 
 impl From<NodeId> for usize {
     fn from(id: NodeId) -> Self {
-        id.0
+        id.index()
     }
 }
 
@@ -57,11 +74,17 @@ mod tests {
 
     #[test]
     fn roundtrip_through_usize() {
-        for i in [0usize, 1, 7, 1024] {
+        for i in [0usize, 1, 7, 1024, u32::MAX as usize] {
             let id = NodeId::from(i);
             assert_eq!(usize::from(id), i);
             assert_eq!(id.index(), i);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit NodeId range")]
+    fn an_index_beyond_32_bits_panics() {
+        let _ = NodeId::new(u32::MAX as usize + 1);
     }
 
     #[test]

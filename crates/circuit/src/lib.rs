@@ -65,6 +65,7 @@ pub mod engine;
 pub mod error;
 pub mod graph;
 pub mod id;
+mod names;
 pub mod node;
 pub mod power;
 #[cfg(feature = "race-check")]

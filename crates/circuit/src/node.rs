@@ -199,13 +199,15 @@ impl NodeAttrs {
     }
 }
 
-/// A node of the circuit graph: its role, name, and RC attributes.
+/// A node of the circuit graph: its role and RC attributes.
+///
+/// A node carries no name: the graph keeps every node name in one table,
+/// read with [`CircuitGraph::name`](crate::CircuitGraph::name). A `Node` is
+/// therefore plain data of 72 bytes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Node {
     /// Role of this node.
     pub kind: NodeKind,
-    /// Human-readable name (unique within a circuit).
-    pub name: String,
     /// Electrical and geometric attributes.
     pub attrs: NodeAttrs,
 }
@@ -304,11 +306,15 @@ mod tests {
     }
 
     #[test]
+    fn a_node_is_72_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 72);
+    }
+
+    #[test]
     fn gate_rc_scales_with_size() {
         let tech = Technology::dac99();
         let node = Node {
             kind: NodeKind::Gate(GateKind::Inv),
-            name: "g".into(),
             attrs: NodeAttrs::gate(&tech),
         };
         let r1 = node.resistance(1.0);
@@ -330,7 +336,6 @@ mod tests {
         let tech = Technology::dac99();
         let node = Node {
             kind: NodeKind::Wire,
-            name: "w".into(),
             attrs: NodeAttrs::wire(&tech, 100.0),
         };
         let c = node.capacitance(1.0);
@@ -344,7 +349,6 @@ mod tests {
     fn driver_resistance_is_fixed() {
         let node = Node {
             kind: NodeKind::Driver,
-            name: "d".into(),
             attrs: NodeAttrs::driver(120.0),
         };
         assert_eq!(node.resistance(0.0), 120.0);
@@ -358,7 +362,6 @@ mod tests {
         let tech = Technology::dac99();
         let node = Node {
             kind: NodeKind::Wire,
-            name: "w".into(),
             attrs: NodeAttrs::wire(&tech, 10.0),
         };
         assert!(node.resistance(0.0).is_infinite());

@@ -706,7 +706,7 @@ fn lower_driven_load(
         if terms.is_empty() {
             continue;
         }
-        let constraint = ScalarConstraint::new(graph.node(id).name.clone(), terms, constant, 0.0);
+        let constraint = ScalarConstraint::new(graph.name(id).to_string(), terms, constant, 0.0);
         let initial = constraint.value(initial_sizes);
         let mut constraint = constraint;
         constraint.bound = initial * factor;

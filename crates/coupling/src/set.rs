@@ -470,7 +470,7 @@ mod tests {
         let (w1, w2) = (wire(&c, "w1"), wire(&c, "w2"));
         let set = CouplingSet::new(&c, vec![CouplingPair::new(w1, w2, geom()).unwrap()]).unwrap();
         for set in [set, CouplingSet::empty(&c)] {
-            for beyond in [c.num_nodes(), c.num_nodes() + 7, usize::MAX] {
+            for beyond in [c.num_nodes(), c.num_nodes() + 7, u32::MAX as usize] {
                 let id = NodeId::new(beyond);
                 assert_eq!(set.neighbors(id).count(), 0);
                 assert_eq!(set.dominating(id).count(), 0);

@@ -78,16 +78,26 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
     let _ = writeln!(out, "circuit {}", instance.name);
     for id in circuit.driver_ids() {
         let node = circuit.node(id);
-        let _ = writeln!(out, "driver {} {}", node.name, node.attrs.driver_resistance);
+        let _ = writeln!(
+            out,
+            "driver {} {}",
+            circuit.name(id),
+            node.attrs.driver_resistance
+        );
     }
     for id in circuit.component_ids() {
         let node = circuit.node(id);
         match node.kind {
             NodeKind::Gate(kind) => {
-                let _ = writeln!(out, "gate {} {}", node.name, gate_kind_name(kind));
+                let _ = writeln!(out, "gate {} {}", circuit.name(id), gate_kind_name(kind));
             }
             NodeKind::Wire => {
-                let _ = writeln!(out, "wire {} {}", node.name, instance.wire_length(id));
+                let _ = writeln!(
+                    out,
+                    "wire {} {}",
+                    circuit.name(id),
+                    instance.wire_length(id)
+                );
             }
             _ => {}
         }
@@ -97,19 +107,14 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
             if id == circuit.source() || succ == circuit.sink() {
                 continue;
             }
-            let _ = writeln!(
-                out,
-                "connect {} {}",
-                circuit.node(id).name,
-                circuit.node(succ).name
-            );
+            let _ = writeln!(out, "connect {} {}", circuit.name(id), circuit.name(succ));
         }
     }
     for &id in circuit.primary_output_drivers() {
         let _ = writeln!(
             out,
             "output {} {}",
-            circuit.node(id).name,
+            circuit.name(id),
             circuit.node(id).attrs.output_load
         );
     }
@@ -117,10 +122,7 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
         if channel.is_empty() {
             continue;
         }
-        let names: Vec<&str> = channel
-            .iter()
-            .map(|&w| circuit.node(w).name.as_str())
-            .collect();
+        let names: Vec<&str> = channel.iter().map(|&w| circuit.name(w)).collect();
         let _ = writeln!(out, "channel {}", names.join(" "));
     }
     let g = instance.geometry;
@@ -308,7 +310,7 @@ mod tests {
         assert_eq!(parsed.circuit.num_edges(), inst.circuit.num_edges());
         // Wire lengths survive the roundtrip.
         for id in inst.circuit.wire_ids() {
-            let name = &inst.circuit.node(id).name;
+            let name = inst.circuit.name(id);
             let pid = parsed.circuit.node_by_name(name).unwrap();
             assert!((inst.wire_length(id) - parsed.wire_length(pid)).abs() < 1e-9);
         }

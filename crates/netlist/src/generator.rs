@@ -13,6 +13,9 @@
 //! * all randomness is drawn from a seeded [`ChaCha8Rng`], so instances are
 //!   fully reproducible.
 
+use std::fmt::Write;
+use std::ops::Range;
+
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -30,6 +33,19 @@ use crate::spec::CircuitSpec;
 enum SourceRef {
     Driver(usize),
     Gate(usize),
+}
+
+/// The live inputs of gate `k` in the generator's flat input table: the
+/// first `fanin[k]` of the slots that start at `start[k]`.
+fn live(start: &[usize], fanin: &[usize], k: usize) -> Range<usize> {
+    start[k]..start[k] + fanin[k]
+}
+
+/// Formats the name `{prefix}{i}` into `buf`, replacing its contents.
+fn numbered<'a>(buf: &'a mut String, prefix: &str, i: usize) -> &'a str {
+    buf.clear();
+    let _ = write!(buf, "{prefix}{i}");
+    buf
 }
 
 /// Synthetic circuit generator.
@@ -96,8 +112,12 @@ impl SyntheticGenerator {
 
         // ---- 2. Choose sources gate by gate (IR only).
         // The last `num_outputs` gates are the designated primary outputs.
+        // Every gate's inputs share one table: gate `k` owns the `fanin[k]`
+        // slots from `start[k]`, and `fanin[k]` then counts the live ones
+        // (step 3 only ever shrinks it; see `live`).
         let first_output_gate = num_gates - num_outputs;
-        let mut inputs: Vec<Vec<SourceRef>> = vec![Vec::new(); num_gates];
+        let mut start: Vec<usize> = Vec::with_capacity(num_gates);
+        let mut sources: Vec<SourceRef> = Vec::with_capacity(input_wire_budget);
         let mut gate_fanout = vec![0usize; num_gates];
         let mut driver_fanout = vec![0usize; num_drivers];
         let mut unused: Vec<usize> = Vec::new(); // non-output gates with no fanout yet
@@ -116,8 +136,9 @@ impl SyntheticGenerator {
         // num_gates` test would silently flip small default-window circuits
         // into wide mode and break seed reproducibility).
         let wide = self.spec.locality_window == usize::MAX;
-        for k in 0..num_gates {
-            for slot in 0..fanin[k] {
+        for (k, &gate_fanin) in fanin.iter().enumerate() {
+            start.push(sources.len());
+            for slot in 0..gate_fanin {
                 let source = if !wide && slot == 0 && !unused.is_empty() {
                     // Guarantee every non-output gate eventually drives something.
                     let pick = rng.gen_range(0..unused.len().min(4));
@@ -140,7 +161,7 @@ impl SyntheticGenerator {
                     SourceRef::Driver(d) => driver_fanout[d] += 1,
                     SourceRef::Gate(g) => gate_fanout[g] += 1,
                 }
-                inputs[k].push(source);
+                sources.push(source);
             }
             if k < first_output_gate {
                 unused.push(k);
@@ -174,18 +195,26 @@ impl SyntheticGenerator {
                         reason: "could not balance wire count; increase wires per gate".into(),
                     });
                 };
-                if inputs[k].len() >= 2 {
-                    let removable = inputs[k].iter().position(|&source| match source {
-                        SourceRef::Driver(d) => driver_fanout[d] >= 2,
-                        SourceRef::Gate(g) => gate_fanout[g] >= 2,
-                    });
+                if fanin[k] >= 2 {
+                    let removable =
+                        sources[live(&start, &fanin, k)]
+                            .iter()
+                            .position(|&source| match source {
+                                SourceRef::Driver(d) => driver_fanout[d] >= 2,
+                                SourceRef::Gate(g) => gate_fanout[g] >= 2,
+                            });
                     if let Some(pos) = removable {
                         break (k, pos);
                     }
                 }
                 cursor = k;
             };
-            match inputs[k].remove(pos) {
+            // Close the gap: the removed input moves to the gate's first
+            // dead slot.
+            let gate_inputs = &mut sources[live(&start, &fanin, k)];
+            gate_inputs[pos..].rotate_left(1);
+            fanin[k] -= 1;
+            match gate_inputs[gate_inputs.len() - 1] {
                 SourceRef::Driver(d) => driver_fanout[d] -= 1,
                 SourceRef::Gate(g) => gate_fanout[g] -= 1,
             }
@@ -195,8 +224,8 @@ impl SyntheticGenerator {
         for (d, fanout) in driver_fanout.iter_mut().enumerate() {
             if *fanout == 0 {
                 // Replace a gate-sourced input whose source has other fanout.
-                'search: for gate_inputs in inputs.iter_mut() {
-                    for slot in gate_inputs.iter_mut() {
+                'search: for k in 0..num_gates {
+                    for slot in &mut sources[live(&start, &fanin, k)] {
                         if let SourceRef::Gate(g) = *slot {
                             if gate_fanout[g] >= 2 {
                                 gate_fanout[g] -= 1;
@@ -212,18 +241,21 @@ impl SyntheticGenerator {
 
         // ---- 4. Emit the circuit. Every wire has one driving edge, and an
         // input wire one more into its gate.
-        let input_wires: usize = inputs.iter().map(Vec::len).sum();
+        let input_wires: usize = fanin.iter().sum();
         let mut builder = CircuitBuilder::with_capacity(
             spec.technology,
             num_drivers + num_gates + num_wires,
             num_wires + input_wires,
         );
         let mut rng_geo = ChaCha8Rng::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
+        // Every name is formatted into this one buffer; the builder copies
+        // it into its name table.
+        let mut name = String::new();
         let drivers: Vec<_> = (0..num_drivers)
             .map(|d| {
                 let rd = rng_geo
                     .gen_range(spec.driver_resistance_range.0..=spec.driver_resistance_range.1);
-                builder.add_driver(&format!("in{d}"), rd)
+                builder.add_driver(numbered(&mut name, "in", d), rd)
             })
             .collect::<Result<_, _>>()?;
         let gates: Vec<_> = (0..num_gates)
@@ -240,23 +272,23 @@ impl SyntheticGenerator {
                 ]
                 .choose(&mut rng_geo)
                 .expect("non-empty gate kind list");
-                builder.add_gate(&format!("g{k}"), kind)
+                builder.add_gate(numbered(&mut name, "g", k), kind)
             })
             .collect::<Result<_, _>>()?;
 
         let mut wires: Vec<BuildNode> = Vec::with_capacity(num_wires);
-        let new_wire = |builder: &mut CircuitBuilder,
-                        rng_geo: &mut ChaCha8Rng,
-                        wires: &mut Vec<BuildNode>|
+        let mut new_wire = |builder: &mut CircuitBuilder,
+                            rng_geo: &mut ChaCha8Rng,
+                            wires: &mut Vec<BuildNode>|
          -> Result<BuildNode, NetlistError> {
             let length = rng_geo.gen_range(spec.wire_length_range.0..=spec.wire_length_range.1);
-            let node = builder.add_wire(&format!("w{}", wires.len()), length)?;
+            let node = builder.add_wire(numbered(&mut name, "w", wires.len()), length)?;
             wires.push(node);
             Ok(node)
         };
 
-        for (k, gate_inputs) in inputs.iter().enumerate() {
-            for &source in gate_inputs {
+        for k in 0..num_gates {
+            for &source in &sources[live(&start, &fanin, k)] {
                 let wire = new_wire(&mut builder, &mut rng_geo, &mut wires)?;
                 let src = match source {
                     SourceRef::Driver(d) => drivers[d],

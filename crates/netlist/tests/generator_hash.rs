@@ -71,8 +71,8 @@ fn digest(inst: &ProblemInstance) -> u64 {
     h.usize(c.num_components());
     for id in c.node_ids() {
         let node = c.node(id);
-        h.usize(node.name.len());
-        h.bytes(node.name.as_bytes());
+        h.usize(c.name(id).len());
+        h.bytes(c.name(id).as_bytes());
         h.u64(kind_tag(node.kind));
         let a = &node.attrs;
         for v in [

@@ -6,7 +6,9 @@
 //! implies field equality). Each invariant a decoder enforces has one
 //! rejection case.
 
-use ncgws_circuit::{CircuitGraph, GateKind, Node, NodeAttrs, NodeId, NodeKind, Technology};
+use ncgws_circuit::{
+    CircuitBuilder, CircuitGraph, GateKind, Node, NodeAttrs, NodeId, NodeKind, Technology,
+};
 use ncgws_core::{
     AdaptiveSchedule, CheckpointPolicy, CircuitMetrics, ConstraintBounds, ConstraintSpec, Flow,
     Multipliers, OptimizerConfig, OrderingStrategy, ParallelPolicy, RunControl, ScheduleState,
@@ -195,7 +197,6 @@ fn circuit_parts_round_trip() {
     }
     let node = Node {
         kind: NodeKind::Gate(GateKind::Nand),
-        name: "g\u{e9}\"0".into(),
         attrs: NodeAttrs {
             unit_resistance: 1.0,
             unit_capacitance: 0.1,
@@ -208,6 +209,23 @@ fn circuit_parts_round_trip() {
         },
     };
     assert_eq!(round_trip(&node), node);
+    // A node name that needs escaping, through the graph's name table.
+    let name = "g\u{e9}\"0";
+    let mut b = CircuitBuilder::new(Technology::dac99());
+    let d = b.add_driver("d", 100.0).unwrap();
+    let w = b.add_wire("w", 10.0).unwrap();
+    let g = b.add_gate(name, GateKind::Nand).unwrap();
+    let o = b.add_wire("o", 10.0).unwrap();
+    b.connect(d, w).unwrap();
+    b.connect(w, g).unwrap();
+    b.connect(g, o).unwrap();
+    b.connect_output(o, 5.0).unwrap();
+    let graph = b.build().unwrap();
+    let back = round_trip(&graph);
+    let id = back.node_by_name(name).expect("the escaped name decodes");
+    assert_eq!(back.name(id), name);
+    assert_eq!(Some(id), graph.node_by_name(name));
+    assert_eq!(back.node(id), graph.node(id));
 }
 
 #[test]

@@ -116,10 +116,8 @@ fn deep_and_shallow() -> CircuitGraph {
 /// wire — a topological order that is not level-sorted — and decodes it
 /// through `CircuitGraph::from_serialized_parts` (the serde path).
 fn chain_first(graph: &CircuitGraph) -> CircuitGraph {
-    let name = |id: NodeId| graph.node(id).name.clone();
     let rank = |id: NodeId| {
-        let n = name(id);
-        let group = match &n[..2] {
+        let group = match &graph.name(id)[..2] {
             "cw" | "cg" | "co" => 0,
             "sw" => 1,
             "sg" => 2,
@@ -145,12 +143,23 @@ fn chain_first(graph: &CircuitGraph) -> CircuitGraph {
         ids.sort();
         ids
     };
-    let nodes: Vec<_> = old_ids.iter().map(|&id| graph.node(id).clone()).collect();
+    let nodes: Vec<String> = old_ids
+        .iter()
+        .map(|&id| {
+            let node = graph.node(id);
+            format!(
+                r#"{{"kind":{},"name":{},"attrs":{}}}"#,
+                serde_json::to_string(&node.kind).unwrap(),
+                serde_json::to_string(graph.name(id)).unwrap(),
+                serde_json::to_string(&node.attrs).unwrap(),
+            )
+        })
+        .collect();
     let fanin: Vec<_> = old_ids.iter().map(|&id| remap(graph.fanin(id))).collect();
     let fanout: Vec<_> = old_ids.iter().map(|&id| remap(graph.fanout(id))).collect();
     let json = format!(
-        r#"{{"nodes":{},"fanin":{},"fanout":{},"tech":{},"num_drivers":{},"num_sizable":{}}}"#,
-        serde_json::to_string(&nodes).unwrap(),
+        r#"{{"nodes":[{}],"fanin":{},"fanout":{},"tech":{},"num_drivers":{},"num_sizable":{}}}"#,
+        nodes.join(","),
         serde_json::to_string(&fanin).unwrap(),
         serde_json::to_string(&fanout).unwrap(),
         serde_json::to_string(graph.technology()).unwrap(),

@@ -5,8 +5,10 @@
 //! Each phase's peak is the largest number of live heap bytes (everything
 //! still held from earlier phases included) between its start and end. The
 //! budgets were recorded on this workload and allow 10% on top; a change
-//! that stores a table twice again shows up here. Run it with the numbers
-//! printed:
+//! that stores a table twice again shows up here. The generate phase also
+//! has a budget of allocation calls, with the same 10% on top: it holds
+//! the netlist in per-table buffers, so a per-node heap string or list
+//! coming back multiplies the count. Run it with the numbers printed:
 //!
 //! ```text
 //! cargo test --release --features parallel --test peak_memory -- --nocapture
@@ -24,9 +26,11 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use ncgws::core::{Flow, OptimizerConfig, ParallelPolicy, RunControl, SolveStrategy};
 use ncgws::netlist::{xl_wide_spec, SyntheticGenerator};
 
-/// Live and peak heap bytes, counted by the global allocator below.
+/// Live and peak heap bytes, and allocation calls, counted by the global
+/// allocator below.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 /// The system allocator, counting the bytes it hands out. `realloc` and
 /// `alloc_zeroed` keep their default bodies, which go through `alloc` and
@@ -41,6 +45,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: forwarded under the caller's contract.
         let ptr = unsafe { System.alloc(layout) };
+        ALLOCS.fetch_add(1, Relaxed);
         if !ptr.is_null() {
             let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
             PEAK.fetch_max(live, Relaxed);
@@ -58,22 +63,27 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Runs `f` and returns its result with the peak live bytes seen meanwhile.
-fn phase<T>(f: impl FnOnce() -> T) -> (T, usize) {
+/// Runs `f` and returns its result with the peak live bytes seen meanwhile
+/// and the number of allocation calls it made.
+fn phase<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     PEAK.store(LIVE.load(Relaxed), Relaxed);
+    let allocs = ALLOCS.load(Relaxed);
     let out = f();
-    (out, PEAK.load(Relaxed))
+    (out, PEAK.load(Relaxed), ALLOCS.load(Relaxed) - allocs)
 }
 
 const MIB: f64 = 1024.0 * 1024.0;
 
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
-    ("generate", 3_279_803),
-    ("order", 5_292_582),
-    ("engine", 5_132_582),
-    ("size", 5_730_313),
+    ("generate", 2_226_963),
+    ("order", 4_728_089),
+    ("engine", 4_568_089),
+    ("size", 5_165_820),
 ];
+
+/// Allocation calls of the generate phase, recorded on this workload.
+const GENERATE_ALLOCS: usize = 826;
 
 #[test]
 fn xlw10k_phase_peaks_stay_within_budget() {
@@ -82,19 +92,19 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         parallel: ParallelPolicy::Sequential,
         ..OptimizerConfig::default()
     };
-    let (instance, generate) = phase(|| {
+    let (instance, generate, generate_allocs) = phase(|| {
         SyntheticGenerator::new(xl_wide_spec(10_000))
             .generate()
             .unwrap()
     });
-    let (ordered, order) = phase(|| {
+    let (ordered, order, _) = phase(|| {
         Flow::prepare(&instance, config.clone())
             .unwrap()
             .order()
             .unwrap()
     });
-    let (mut engine, engine_peak) = phase(|| ordered.engine());
-    let (sized, size) = phase(|| {
+    let (mut engine, engine_peak, _) = phase(|| ordered.engine());
+    let (sized, size, _) = phase(|| {
         ordered
             .size_with_engine(&mut engine, None, &RunControl::new())
             .unwrap()
@@ -109,10 +119,18 @@ fn xlw10k_phase_peaks_stay_within_budget() {
             *budget as f64 / MIB
         );
     }
+    println!(
+        "peak_memory xlw10k generate: {generate_allocs} allocation calls (budget \
+         {GENERATE_ALLOCS} + 10%)"
+    );
     for ((name, budget), peak) in BUDGETS.iter().zip(peaks) {
         assert!(
             peak <= budget + budget / 10,
             "{name}: peak {peak} B exceeds the budget {budget} B + 10%"
         );
     }
+    assert!(
+        generate_allocs <= GENERATE_ALLOCS + GENERATE_ALLOCS / 10,
+        "generate: {generate_allocs} allocation calls exceed the budget {GENERATE_ALLOCS} + 10%"
+    );
 }

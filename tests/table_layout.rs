@@ -1,8 +1,8 @@
 //! Behaviour that must not change when a table is stored only once.
 //!
-//! * The graph keeps each name only in its node, so `node_by_name` is a scan;
-//!   it must still resolve every node, the artificial source and sink
-//!   included.
+//! * The graph keeps every name in one string, so `node_by_name` is a scan;
+//!   it and `name` must still round-trip every node, the artificial source
+//!   and sink included.
 //! * The coupling set keeps its neighbor lists in one compressed array; they
 //!   must list each node's pairs in ascending pair index, exactly once.
 //! * The cached Theorem-5 coefficient sums must equal a fresh walk of those
@@ -35,7 +35,7 @@ fn pair_index(set: &CouplingSet, pair: &CouplingPair) -> usize {
 fn node_by_name_resolves_every_node_of_xl10k() {
     let graph = generate(xl_spec(10_000)).circuit;
     for id in graph.node_ids() {
-        assert_eq!(graph.node_by_name(&graph.node(id).name), Some(id));
+        assert_eq!(graph.node_by_name(graph.name(id)), Some(id));
     }
     assert_eq!(graph.node_by_name("~source"), Some(graph.source()));
     assert_eq!(graph.node_by_name("~sink"), Some(graph.sink()));

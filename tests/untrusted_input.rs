@@ -196,6 +196,23 @@ fn duplicate_node_names_are_rejected() {
     assert!(err.to_string().contains("duplicate"), "{err}");
 }
 
+/// A node id beyond 32 bits in a graph's fanin decodes to an error: the
+/// integer decoder range-checks it before any id is made.
+#[test]
+fn a_fanin_id_beyond_32_bits_is_an_error() {
+    let (inst, _) = mutation_fixture();
+    let json = serde_json::to_string(inst).expect("encodes");
+    let huge = json.replacen(r#""fanin":[[],[0]"#, r#""fanin":[[],[4294967296]"#, 1);
+    assert_ne!(
+        huge, json,
+        "the fixture's first driver is fed by the source"
+    );
+    let Err(err) = serde_json::from_str::<ProblemInstance>(&huge) else {
+        panic!("a 33-bit node id must not decode");
+    };
+    assert!(err.to_string().contains("out of range"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
