@@ -20,10 +20,8 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         &[
             // Per-sweep electrical table maintenance.
             "refresh_coupling_load",
-            "refresh_coupling_load_sparse",
             "rebuild_downstream_caps",
             "rebuild_upstream",
-            "finish_solve_sync",
             "ensure_charged_fresh",
             // The Theorem-5 sweeps themselves.
             "lrs_sweep",
@@ -71,12 +69,9 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
     (
         "crates/circuit/src/engine.rs",
         &[
-            // Whole-circuit evaluation, the critical-path epilogue and the
-            // sparse incremental updates.
+            // Whole-circuit evaluation and the critical-path epilogue.
             "timing_into",
             "trace_critical_path",
-            "downstream_caps_update",
-            "upstream_resistance_update",
             // Block kernels, one per pass.
             "downstream_caps_chunk",
             "upstream_resistance_chunk",

@@ -62,9 +62,6 @@
 //! interleaves two quantities, so a kernel that streams one quantity
 //! touches contiguous memory.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::graph::CircuitGraph;
 use crate::id::NodeId;
 use crate::node::NodeKind;
@@ -72,63 +69,6 @@ use crate::sizing::SizeVector;
 
 /// Sentinel for "no predecessor" in dense predecessor arrays.
 pub const NO_PRED: u32 = u32::MAX;
-
-/// Scratch buffers for the sparse incremental evaluation paths
-/// ([`CircuitTopology::downstream_caps_update`],
-/// [`CircuitTopology::upstream_resistance_update`]): pending per-node deltas plus
-/// the ordered worklists that drive the delta propagation. Sized once per
-/// circuit and reused; between calls every dense buffer is all-zero and
-/// every worklist empty, so a sparse update touches memory proportional to
-/// the perturbed subgraph only.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalWorkspace {
-    /// Own-term delta per node: capacitance change in the downstream pass,
-    /// resistance change in the upstream pass.
-    own: Vec<f64>,
-    /// Extra (coupling) capacitance delta per node (downstream pass only).
-    extra: Vec<f64>,
-    /// Accumulated incoming delta per node: child-load changes in the
-    /// downstream pass, upstream-resistance changes in the upstream pass.
-    pending: Vec<f64>,
-    /// Whether a node is already on a worklist.
-    queued: Vec<bool>,
-    /// Reverse-topological worklist (max-heap on raw node index).
-    down_heap: BinaryHeap<u32>,
-    /// Forward-topological worklist (min-heap on raw node index).
-    up_heap: BinaryHeap<Reverse<u32>>,
-}
-
-impl IncrementalWorkspace {
-    /// Creates a workspace sized for `num_nodes` nodes.
-    pub fn new(num_nodes: usize) -> Self {
-        IncrementalWorkspace {
-            own: vec![0.0; num_nodes],
-            extra: vec![0.0; num_nodes],
-            pending: vec![0.0; num_nodes],
-            queued: vec![false; num_nodes],
-            down_heap: BinaryHeap::new(),
-            up_heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Bytes held by the workspace buffers (for memory accounting).
-    pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.own.capacity() + self.extra.capacity() + self.pending.capacity()) * size_of::<f64>()
-            + self.queued.capacity() * size_of::<bool>()
-            + self.down_heap.capacity() * size_of::<u32>()
-            + self.up_heap.capacity() * size_of::<u32>()
-            + size_of::<Self>()
-    }
-
-    fn assert_sized(&self, num_nodes: usize) {
-        assert_eq!(
-            self.queued.len(),
-            num_nodes,
-            "incremental workspace must match the circuit"
-        );
-    }
-}
 
 /// A shared view of a mutable slice for *disjoint-index* concurrent writes.
 ///
@@ -1193,8 +1133,8 @@ impl CircuitTopology {
     }
 
     // ------------------------------------------------------------------
-    // Whole-circuit evaluation, the critical-path epilogue and the sparse
-    // incremental updates. None of them allocates.
+    // Whole-circuit evaluation and the critical-path epilogue. Neither
+    // allocates.
     // ------------------------------------------------------------------
 
     /// Evaluates the Elmore timing of the whole circuit at `sizes` into
@@ -1268,175 +1208,6 @@ impl CircuitTopology {
         }
         critical_path.reverse();
         arrival[self.sink]
-    }
-
-    /// Incrementally brings `charged`/`presented` — currently reflecting
-    /// `prev_sizes` and the pre-delta coupling load — up to date with
-    /// `sizes`, given the dense component indices whose size changed
-    /// (`changed_comps`) and the per-node coupling-load deltas already
-    /// applied to the extra-capacitance table (`extra_delta`, as
-    /// `(raw node index, delta)` pairs).
-    ///
-    /// The capacitance change of every resized component and every
-    /// coupling-load delta is scattered onto its node and propagated
-    /// upstream along the fanin DAG, in reverse topological (descending node
-    /// index) order, touching only the perturbed subgraph. The result
-    /// differs from a [`downstream_caps_chunk`](Self::downstream_caps_chunk)
-    /// rebuild only by floating-point accumulation noise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn downstream_caps_update(
-        &self,
-        sizes: &SizeVector,
-        prev_sizes: &[f64],
-        changed_comps: &[u32],
-        extra_cap: &[f64],
-        extra_delta: &[(u32, f64)],
-        charged: &mut [f64],
-        presented: &mut [f64],
-        inc: &mut IncrementalWorkspace,
-    ) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[
-            ("charged", charged.len()),
-            ("presented", presented.len()),
-            ("extra_cap", extra_cap.len()),
-        ]);
-        assert_eq!(sizes.len(), self.num_components);
-        assert_eq!(prev_sizes.len(), self.num_components);
-        inc.assert_sized(n);
-        let sizes = sizes.as_slice();
-
-        // Seed the worklist: own-capacitance deltas of the resized
-        // components, plus the coupling-load deltas already applied to the
-        // extra-capacitance table.
-        for &comp in changed_comps {
-            let comp = comp as usize;
-            let idx = self.node_of_component(comp);
-            inc.own[idx] += self.unit_capacitance[idx] * (sizes[comp] - prev_sizes[comp]);
-            if !inc.queued[idx] {
-                inc.queued[idx] = true;
-                inc.down_heap.push(idx as u32);
-            }
-        }
-        for &(node, delta) in extra_delta {
-            let idx = node as usize;
-            inc.extra[idx] += delta;
-            if !inc.queued[idx] {
-                inc.queued[idx] = true;
-                inc.down_heap.push(idx as u32);
-            }
-        }
-
-        // Propagate in descending node-index order (nodes are stored in
-        // topological order, so every fanout child has a larger index than
-        // its parents and has settled before the parent is popped).
-        while let Some(idx) = inc.down_heap.pop() {
-            let idx = idx as usize;
-            inc.queued[idx] = false;
-            let own = std::mem::take(&mut inc.own[idx]);
-            let extra = std::mem::take(&mut inc.extra[idx]);
-            let incoming = std::mem::take(&mut inc.pending[idx]);
-            // `dc` is the change of the capacitance charged through the
-            // node's resistance, `dp` the change of the load the node
-            // presents to its stage parents — mirroring the per-kind
-            // arithmetic of `downstream_caps_chunk` (a gate's presented load
-            // is its own capacitance, so `dp = own` there).
-            let (dc, dp) = match self.kind[idx] {
-                KindTag::Source | KindTag::Sink => (0.0, 0.0),
-                KindTag::Driver => (incoming + extra, 0.0),
-                KindTag::Gate => (incoming + extra, own),
-                KindTag::Wire => (own / 2.0 + extra + incoming, own + extra + incoming),
-            };
-            charged[idx] += dc;
-            presented[idx] += dp;
-            if dp != 0.0 {
-                for &parent in self.fanin(idx) {
-                    let p = parent as usize;
-                    if matches!(self.kind[p], KindTag::Source) {
-                        continue;
-                    }
-                    inc.pending[p] += dp;
-                    if !inc.queued[p] {
-                        inc.queued[p] = true;
-                        inc.down_heap.push(parent);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Incrementally brings the λ-weighted upstream resistances — currently
-    /// reflecting `prev_sizes` under the same `weights` — up to date with
-    /// `sizes`, given the dense component indices whose size changed: the
-    /// resistance change of every resized component is propagated
-    /// downstream along the fanout DAG in forward topological (ascending
-    /// node index) order. The weights must be the ones the current table was
-    /// computed with (they are fixed within an LRS solve).
-    pub fn upstream_resistance_update(
-        &self,
-        sizes: &SizeVector,
-        prev_sizes: &[f64],
-        changed_comps: &[u32],
-        weights: &[f64],
-        upstream: &mut [f64],
-        inc: &mut IncrementalWorkspace,
-    ) {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[("weights", weights.len()), ("upstream", upstream.len())]);
-        assert_eq!(sizes.len(), self.num_components);
-        assert_eq!(prev_sizes.len(), self.num_components);
-        inc.assert_sized(n);
-        let sizes = sizes.as_slice();
-
-        // Seed: resistance deltas of the resized components (`own` doubles
-        // as the per-node resistance delta in this pass).
-        for &comp in changed_comps {
-            let comp = comp as usize;
-            let idx = self.node_of_component(comp);
-            let r_new = if sizes[comp] > 0.0 {
-                self.unit_resistance[idx] / sizes[comp]
-            } else {
-                f64::INFINITY
-            };
-            let r_old = if prev_sizes[comp] > 0.0 {
-                self.unit_resistance[idx] / prev_sizes[comp]
-            } else {
-                f64::INFINITY
-            };
-            inc.own[idx] += r_new - r_old;
-            if !inc.queued[idx] {
-                inc.queued[idx] = true;
-                inc.up_heap.push(Reverse(idx as u32));
-            }
-        }
-
-        // Ascending order: every fanin parent has settled before a node is
-        // popped, so each node is processed exactly once.
-        while let Some(Reverse(idx)) = inc.up_heap.pop() {
-            let idx = idx as usize;
-            inc.queued[idx] = false;
-            let d_r = std::mem::take(&mut inc.own[idx]);
-            let d_up = std::mem::take(&mut inc.pending[idx]);
-            upstream[idx] += d_up;
-            // Change of this node's contribution to each fanout child's
-            // upstream sum: its weighted resistance delta, plus (for wires)
-            // its own upstream change, mirroring `upstream_acc_edges`.
-            let d_contrib = match self.kind[idx] {
-                KindTag::Source | KindTag::Sink => 0.0,
-                KindTag::Driver | KindTag::Gate => weights[idx] * d_r,
-                KindTag::Wire => weights[idx] * d_r + d_up,
-            };
-            if d_contrib != 0.0 {
-                for &child in self.fanout(idx) {
-                    let c = child as usize;
-                    inc.pending[c] += d_contrib;
-                    if !inc.queued[c] {
-                        inc.queued[c] = true;
-                        inc.up_heap.push(Reverse(child));
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -1819,105 +1590,6 @@ mod tests {
             );
         }
         assert!(topo.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn incremental_updates_match_full_rebuild() {
-        let c = chain();
-        let topo = CircuitTopology::new(&c);
-        let n = c.num_nodes();
-        let mut inc = IncrementalWorkspace::new(n);
-
-        let prev = c.uniform_sizes(1.0);
-        let mut extra = vec![0.0; n];
-        let w1 = c.node_by_name("w1").unwrap().index();
-        extra[w1] = 2.0;
-
-        // Full state at the previous sizes.
-        let (mut charged, mut presented) = caps(&topo, &whole(&topo), &prev, &extra);
-        let weights = vec![0.4; n];
-        let mut upstream = upstream(&topo, &whole(&topo), &prev, &weights);
-
-        // Perturb two components and one coupling load.
-        let mut sizes = prev.clone();
-        let comp_a = c.component_index(c.node_by_name("w2").unwrap()).unwrap();
-        let comp_b = c.component_index(c.node_by_name("g1").unwrap()).unwrap();
-        sizes[comp_a] = 3.5;
-        sizes[comp_b] = 0.7;
-        let changed = [comp_a as u32, comp_b as u32];
-        let extra_delta = [(w1 as u32, 1.25)];
-        extra[w1] += 1.25;
-
-        topo.downstream_caps_update(
-            &sizes,
-            prev.as_slice(),
-            &changed,
-            &extra,
-            &extra_delta,
-            &mut charged,
-            &mut presented,
-            &mut inc,
-        );
-        topo.upstream_resistance_update(
-            &sizes,
-            prev.as_slice(),
-            &changed,
-            &weights,
-            &mut upstream,
-            &mut inc,
-        );
-
-        // The reference rebuild at the new sizes: the analyzer, which the
-        // kernels match bitwise.
-        let analyzer = ElmoreAnalyzer::new(&c);
-        let full = analyzer.downstream_caps(&sizes, Some(&extra));
-        let full_upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
-
-        for i in 0..n {
-            assert!(
-                (charged[i] - full.charged[i]).abs() <= 1e-9 * full.charged[i].abs().max(1.0),
-                "charged[{i}]: {} vs {}",
-                charged[i],
-                full.charged[i]
-            );
-            assert!(
-                (presented[i] - full.presented[i]).abs() <= 1e-9 * full.presented[i].abs().max(1.0),
-                "presented[{i}]: {} vs {}",
-                presented[i],
-                full.presented[i]
-            );
-            assert!(
-                (upstream[i] - full_upstream[i]).abs() <= 1e-9 * full_upstream[i].abs().max(1.0),
-                "upstream[{i}]: {} vs {}",
-                upstream[i],
-                full_upstream[i]
-            );
-        }
-        assert!(inc.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn incremental_noop_update_changes_nothing() {
-        let c = chain();
-        let topo = CircuitTopology::new(&c);
-        let n = c.num_nodes();
-        let mut inc = IncrementalWorkspace::new(n);
-        let sizes = c.uniform_sizes(1.6);
-        let extra = vec![0.0; n];
-
-        let (mut charged, mut presented) = caps(&topo, &whole(&topo), &sizes, &extra);
-        let before = charged.clone();
-        topo.downstream_caps_update(
-            &sizes,
-            sizes.as_slice(),
-            &[],
-            &extra,
-            &[],
-            &mut charged,
-            &mut presented,
-            &mut inc,
-        );
-        assert_eq!(charged, before, "empty dirty set must be a no-op");
     }
 
     #[test]

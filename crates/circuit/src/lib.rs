@@ -81,8 +81,7 @@ pub use area::total_area;
 pub use builder::CircuitBuilder;
 pub use elmore::{DownstreamCaps, ElmoreAnalyzer};
 pub use engine::{
-    propagate_arrivals_into, CircuitTopology, EvalWorkspace, IncrementalWorkspace, KindTag,
-    SharedMut, NO_PRED,
+    propagate_arrivals_into, CircuitTopology, EvalWorkspace, KindTag, SharedMut, NO_PRED,
 };
 pub use error::CircuitError;
 pub use graph::CircuitGraph;

@@ -71,13 +71,8 @@ pub struct SizingEngine<'a> {
     /// form, so the per-sweep load accumulation never touches the pair
     /// objects and streams each column contiguously.
     pair_table: PairTable,
-    /// CSR adjacency from dense component index to the indices of the
-    /// coupling pairs it participates in, for the sparse pair scatter of the
-    /// adaptive schedule.
-    comp_pair_start: Vec<u32>,
-    comp_pair_list: Vec<u32>,
     /// Mutable state of the adaptive solve schedule (active/frozen
-    /// partition, dirty sets, incremental-evaluation scratch).
+    /// partition, calm streaks, cache-sync snapshot).
     pub(crate) sched: ScheduleWorkspace,
     /// The parallel runtime ([`crate::par`]): policy, worker pool and
     /// work-queue heads. One worker until [`set_parallel`](Self::set_parallel)
@@ -114,31 +109,20 @@ struct ParScratch {
     chunk_worst: Vec<f64>,
     /// Components touched (resized) by each block.
     chunk_touched: Vec<u32>,
-    /// Number of entries each block wrote into its `chunk_changed` segment.
-    chunk_changed_len: Vec<u32>,
-    /// Changed-component records, one disjoint segment per block: a block
-    /// records at most one component per node, so its segment is its own
-    /// node range.
-    chunk_changed: Vec<u32>,
 }
 
 impl ParScratch {
-    fn new(total_slots: usize, num_nodes: usize) -> Self {
+    fn new(total_slots: usize) -> Self {
         ParScratch {
             chunk_worst: vec![0.0; total_slots],
             chunk_touched: vec![0; total_slots],
-            chunk_changed_len: vec![0; total_slots],
-            chunk_changed: vec![0; num_nodes],
         }
     }
 
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.chunk_worst.capacity() * size_of::<f64>()
-            + (self.chunk_touched.capacity()
-                + self.chunk_changed_len.capacity()
-                + self.chunk_changed.capacity())
-                * size_of::<u32>()
+            + self.chunk_touched.capacity() * size_of::<u32>()
     }
 }
 
@@ -207,9 +191,6 @@ struct FusedChunkCtx<'a> {
     resize_all: bool,
     calm: SharedMut<'a, u32>,
     frozen: SharedMut<'a, bool>,
-    /// Changed-component scratch; each block writes only its own disjoint
-    /// segment (based at its first node).
-    chunk_changed: SharedMut<'a, u32>,
 }
 
 /// Per-block running reductions of one fused pass, merged in fixed block
@@ -218,22 +199,18 @@ struct FusedChunkCtx<'a> {
 struct ChunkStats {
     worst: f64,
     touched: u32,
-    changed: u32,
 }
 
 impl FusedChunkCtx<'_> {
     /// The block-side resize of one node's component, called by the fused
     /// kernels the moment the node's fresh quantity is known: frozen-skip,
-    /// the Theorem-5 closed form, calm/freeze bookkeeping and the block's
-    /// dirty-frontier record. Returns the new size (the old one when
-    /// skipped), which the kernel writes back.
+    /// the Theorem-5 closed form and calm/freeze bookkeeping. Returns the
+    /// new size (the old one when skipped), which the kernel writes back.
     ///
     /// # Safety
     ///
     /// `comp` belongs to the calling block (no other block touches its
-    /// `calm`/`frozen` entries) and `seg` is the block's disjoint scratch
-    /// segment.
-    #[allow(clippy::too_many_arguments)]
+    /// `calm`/`frozen` entries).
     #[inline(always)]
     unsafe fn resize(
         &self,
@@ -242,7 +219,6 @@ impl FusedChunkCtx<'_> {
         charged: f64,
         upstream: f64,
         lambda: f64,
-        seg: usize,
         stats: &mut ChunkStats,
     ) -> f64 {
         if !self.resize_all && self.frozen.get(comp) {
@@ -252,11 +228,6 @@ impl FusedChunkCtx<'_> {
         let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream, lambda);
         stats.worst = stats.worst.max(rel);
         ScheduleWorkspace::note_resize_shared(self.calm, self.frozen, comp, rel, self.schedule);
-        if x_new != x {
-            self.chunk_changed
-                .set(seg + stats.changed as usize, comp as u32);
-            stats.changed += 1;
-        }
         x_new
     }
 }
@@ -382,12 +353,11 @@ impl<'a> SizingEngine<'a> {
             upper_bound.push(node.attrs.upper_bound);
             coupling_sum.push(sums[id.index()]);
         }
-        let (comp_pair_start, comp_pair_list) = Self::build_pair_adjacency(n, &pair_table);
         let grid = LevelGrid::new(topo.level_bounds());
         let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
             Self::build_scatter_shards(graph.num_nodes(), &pair_table);
         let total_slots = grid.total_slots().max(par::flat_chunks(graph.num_nodes()));
-        let pscratch = ParScratch::new(total_slots, graph.num_nodes());
+        let pscratch = ParScratch::new(total_slots);
         SizingEngine {
             graph,
             coupling,
@@ -400,9 +370,7 @@ impl<'a> SizingEngine<'a> {
             coupling_sum,
             extra_denom: vec![0.0; n],
             pair_table,
-            comp_pair_start,
-            comp_pair_list,
-            sched: ScheduleWorkspace::new(graph.num_nodes(), n),
+            sched: ScheduleWorkspace::new(n),
             par: ParRuntime::new(),
             grid,
             scatter_pairs,
@@ -515,28 +483,6 @@ impl<'a> SizingEngine<'a> {
         &self.grid
     }
 
-    /// Builds the component → coupling-pair CSR adjacency (each pair appears
-    /// under both of its endpoints).
-    fn build_pair_adjacency(num_components: usize, pairs: &PairTable) -> (Vec<u32>, Vec<u32>) {
-        let mut start = vec![0u32; num_components + 1];
-        for p in 0..pairs.len() {
-            start[pairs.a_comp[p] as usize + 1] += 1;
-            start[pairs.b_comp[p] as usize + 1] += 1;
-        }
-        for i in 0..num_components {
-            start[i + 1] += start[i];
-        }
-        let mut list = vec![0u32; start[num_components] as usize];
-        let mut cursor = start.clone();
-        for p in 0..pairs.len() {
-            for comp in [pairs.a_comp[p] as usize, pairs.b_comp[p] as usize] {
-                list[cursor[comp] as usize] = p as u32;
-                cursor[comp] += 1;
-            }
-        }
-        (start, list)
-    }
-
     /// The circuit this engine evaluates.
     pub fn graph(&self) -> &'a CircuitGraph {
         self.graph
@@ -555,9 +501,9 @@ impl<'a> SizingEngine<'a> {
     /// Bytes held by the engine's scratch and dense tables, for the
     /// Figure 10(a) memory accounting. Covers every engine-owned
     /// allocation: the evaluation workspace, the dense per-component
-    /// attribute tables, the coupling-pair table and its per-component CSR
-    /// adjacency, the adaptive-schedule buffers (dirty sets, active set,
-    /// incremental scratch) and the dense topology.
+    /// attribute tables, the coupling-pair table and its channel shards,
+    /// the adaptive-schedule buffers (freeze state, active set, sync
+    /// snapshot), the parallel scratch and the dense topology.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
@@ -569,9 +515,7 @@ impl<'a> SizingEngine<'a> {
                 + self.extra_denom.capacity())
                 * size_of::<f64>()
             + self.pair_table.memory_bytes()
-            + (self.comp_pair_start.capacity()
-                + self.comp_pair_list.capacity()
-                + self.scatter_pairs.capacity()
+            + (self.scatter_pairs.capacity()
                 + self.scatter_shard_start.capacity()
                 + self.scatter_chunk_start.capacity())
                 * size_of::<u32>()
@@ -874,19 +818,20 @@ impl<'a> SizingEngine<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Adaptive solve schedule (`crate::schedule`): cache-sync bookkeeping,
-    // sparse incremental evaluation and active-set sweeps. The exact path
-    // above stays bitwise-pinned to `crate::reference`; everything below is
-    // validated by invariants (`schedule_strategies` integration tests).
+    // Adaptive solve schedule (`crate::schedule`): cache-sync bookkeeping
+    // and active-set sweeps. The cached tables are only ever brought up to
+    // date by the full rebuilds above, skipped when they already reflect
+    // the current sizes. The exact path above stays bitwise-pinned to
+    // `crate::reference`; everything below is validated by invariants
+    // (`schedule_strategies` integration tests).
     // ------------------------------------------------------------------
 
     /// Records that `ws.extra_cap`/`ws.charged`/`ws.presented` reflect
-    /// `sizes` exactly, clearing every pending dirty set.
-    pub(crate) fn note_caps_synced(&mut self, sizes: &SizeVector) {
+    /// `sizes` exactly.
+    fn note_caps_synced(&mut self, sizes: &SizeVector) {
         self.sched.eval_sizes.copy_from_slice(sizes.as_slice());
         self.sched.caps_synced = true;
         self.sched.charged_fresh = false;
-        self.sched.clear_changed();
     }
 
     /// Resets the adaptive-schedule state (everything active, caches
@@ -929,91 +874,6 @@ impl<'a> SizingEngine<'a> {
         self.sched.global_sweep
     }
 
-    /// Sparse counterpart of [`refresh_coupling_load`](Self::refresh_coupling_load):
-    /// scatters the coupling-load delta of every component in
-    /// `sched.changed` through the per-component pair CSR, updating
-    /// `ws.extra_cap` in place and recording the per-node deltas for the
-    /// downstream-capacitance propagation.
-    fn refresh_coupling_load_sparse(&mut self, sizes: &SizeVector) {
-        let xs = sizes.as_slice();
-        let sched = &mut self.sched;
-        let load = &mut self.ws.extra_cap;
-        sched.extra_delta.clear();
-        for &comp in &sched.changed {
-            let comp = comp as usize;
-            let dx = xs[comp] - sched.eval_sizes[comp];
-            if dx == 0.0 {
-                continue;
-            }
-            let start = self.comp_pair_start[comp] as usize;
-            let end = self.comp_pair_start[comp + 1] as usize;
-            for &p in &self.comp_pair_list[start..end] {
-                let p = p as usize;
-                let a_raw = self.pair_table.a_raw[p];
-                let b_raw = self.pair_table.b_raw[p];
-                let delta = self.pair_table.switching[p] * self.pair_table.coeff[p] * dx;
-                load[a_raw as usize] += delta;
-                load[b_raw as usize] += delta;
-                sched.extra_delta.push((a_raw, delta));
-                sched.extra_delta.push((b_raw, delta));
-            }
-        }
-    }
-
-    /// Brings every cached table up to date with `sizes` after a scheduled
-    /// solve by propagating the deltas of the components resized since the
-    /// last evaluation — so the timing evaluation that follows every solve
-    /// in the OGWS loop can skip its full coupling + downstream rebuild
-    /// ([`timing`](Self::timing)'s synced fast path). A no-op when the
-    /// caches are not synced, the schedule disables incremental updates, or
-    /// the dirty set is so large a rebuild is cheaper.
-    pub(crate) fn finish_solve_sync(&mut self, sizes: &SizeVector, schedule: &AdaptiveSchedule) {
-        let n = self.graph.num_components();
-        if !self.sched.caps_synced
-            || !schedule.incremental
-            || self.sched.changed.len() * 4 > n
-            || self.sched.changed.is_empty()
-        {
-            return;
-        }
-        self.refresh_coupling_load_sparse(sizes);
-        let topo = &self.topo;
-        let ws = &mut self.ws;
-        let sched = &mut self.sched;
-        // After a fused sweep the charged/presented tables already carry the
-        // changed components' own-capacitance updates (the pass maintains
-        // them); only the coupling-load deltas remain to be propagated.
-        let cap_dirty_comps: &[u32] = if sched.charged_fresh {
-            &[]
-        } else {
-            &sched.changed
-        };
-        topo.downstream_caps_update(
-            sizes,
-            &sched.eval_sizes,
-            cap_dirty_comps,
-            &ws.extra_cap,
-            &sched.extra_delta,
-            &mut ws.charged,
-            &mut ws.presented,
-            &mut sched.inc,
-        );
-        sched.charged_fresh = false;
-        topo.upstream_resistance_update(
-            sizes,
-            &sched.eval_sizes,
-            &sched.changed,
-            &ws.node_weights,
-            &mut ws.upstream,
-            &mut sched.inc,
-        );
-        let xs = sizes.as_slice();
-        for &comp in &sched.changed {
-            sched.eval_sizes[comp as usize] = xs[comp as usize];
-        }
-        sched.clear_changed();
-    }
-
     /// Ensures `ws.charged`/`ws.presented` reflect `sizes` exactly — the
     /// precondition of a forward fused pass, whose resizes read the charged
     /// table. No-op when they are already current: right after a backward
@@ -1021,49 +881,12 @@ impl<'a> SizingEngine<'a> {
     /// [`timing`](Self::timing) evaluation at the same sizes (the OGWS
     /// steady state).
     fn ensure_charged_fresh(&mut self, sizes: &SizeVector) {
-        if self.sched.charged_fresh
-            || (self.sched.caps_synced
-                && self.sched.changed.is_empty()
-                && self.sched.eval_sizes.as_slice() == sizes.as_slice())
-        {
+        if self.sched.charged_fresh || self.sched.tables_current(sizes.as_slice()) {
             return;
         }
         self.refresh_coupling_load(sizes);
         self.rebuild_downstream_caps(sizes);
         self.note_caps_synced(sizes);
-    }
-
-    /// Brings `ws.extra_cap` up to date with `sizes` ahead of a backward
-    /// fused pass, scattering only the changed components' pair deltas
-    /// through the per-component CSR when the dirty set is small.
-    /// `force_full` (verification sweeps) always rebuilds from scratch so
-    /// the sparse scatter's floating-point accumulation drift is squashed
-    /// on the verification cadence, as the schedule contract promises.
-    fn prepare_coupling(
-        &mut self,
-        sizes: &SizeVector,
-        schedule: &AdaptiveSchedule,
-        force_full: bool,
-    ) {
-        let n = self.graph.num_components();
-        if !force_full
-            && self.sched.caps_synced
-            && schedule.incremental
-            && self.sched.changed.len() * 4 <= n
-        {
-            self.refresh_coupling_load_sparse(sizes);
-            let sched = &mut self.sched;
-            let xs = sizes.as_slice();
-            for &comp in &sched.changed {
-                sched.eval_sizes[comp as usize] = xs[comp as usize];
-            }
-            sched.clear_changed();
-        } else {
-            self.refresh_coupling_load(sizes);
-            self.sched.eval_sizes.copy_from_slice(sizes.as_slice());
-            self.sched.caps_synced = true;
-            self.sched.clear_changed();
-        }
     }
 
     /// One forward fused Gauss–Seidel pass
@@ -1089,14 +912,13 @@ impl<'a> SizingEngine<'a> {
 
     /// One backward fused Gauss–Seidel pass
     /// ([`CircuitTopology::fused_downstream_chunk`] over the block grid):
-    /// the coupling loads are brought up to date (sparsely when the dirty
-    /// set is small), then one reverse-topological traversal
-    /// re-accumulates the downstream capacitances and resizes each
-    /// component the moment its charged capacitance is known, reading the
-    /// upstream table of the previous forward pass. Alternating the two
-    /// directions refreshes both sides of the Theorem-5 formula with one
-    /// traversal each and roughly squares the per-pass contraction, so
-    /// solves converge in far fewer sweeps.
+    /// the coupling loads are rebuilt at the current sizes, then one
+    /// reverse-topological traversal re-accumulates the downstream
+    /// capacitances and resizes each component the moment its charged
+    /// capacitance is known, reading the upstream table of the previous
+    /// forward pass. Alternating the two directions refreshes both sides of
+    /// the Theorem-5 formula with one traversal each and roughly squares the
+    /// per-pass contraction, so solves converge in far fewer sweeps.
     pub(crate) fn fused_backward_sweep(
         &mut self,
         sizes: &mut SizeVector,
@@ -1105,7 +927,10 @@ impl<'a> SizingEngine<'a> {
         schedule: &AdaptiveSchedule,
         resize_all: bool,
     ) -> (f64, usize) {
-        self.prepare_coupling(sizes, schedule, resize_all);
+        // The pass rebuilds charged/presented around these loads, so the
+        // tables reflect `sizes` until the pass resizes something.
+        self.refresh_coupling_load(sizes);
+        self.note_caps_synced(sizes);
         self.fused_sweep(sizes, beta, gamma, schedule, resize_all, true)
     }
 
@@ -1116,9 +941,9 @@ impl<'a> SizingEngine<'a> {
     /// Determinism: block boundaries come from the fixed grid; per-node
     /// arithmetic reads only settled neighbor levels; the calm/frozen
     /// bookkeeping touches each block's own components; and the worst /
-    /// touched / dirty-frontier reductions are written to per-block slots
-    /// and merged below in fixed block order — so the outcome is bitwise
-    /// identical for every thread count.
+    /// touched reductions are written to per-block slots and merged below
+    /// in fixed block order — so the outcome is bitwise identical for every
+    /// thread count.
     fn fused_sweep(
         &mut self,
         sizes: &mut SizeVector,
@@ -1164,7 +989,6 @@ impl<'a> SizingEngine<'a> {
         let ps = &mut self.pscratch;
         let chunk_worst = SharedMut::new(ps.chunk_worst.as_mut_slice());
         let chunk_touched = SharedMut::new(ps.chunk_touched.as_mut_slice());
-        let chunk_changed_len = SharedMut::new(ps.chunk_changed_len.as_mut_slice());
         let grid = &self.grid;
         let ctx = FusedChunkCtx {
             tables,
@@ -1172,7 +996,6 @@ impl<'a> SizingEngine<'a> {
             resize_all,
             calm: SharedMut::new(sched.calm.as_mut_slice()),
             frozen: SharedMut::new(sched.frozen.as_mut_slice()),
-            chunk_changed: SharedMut::new(ps.chunk_changed.as_mut_slice()),
         };
 
         // Publishes a block's running reductions into its slots.
@@ -1181,7 +1004,6 @@ impl<'a> SizingEngine<'a> {
             unsafe {
                 chunk_worst.set(slot, stats.worst);
                 chunk_touched.set(slot, stats.touched);
-                chunk_changed_len.set(slot, stats.changed);
             }
         };
         if backward {
@@ -1191,7 +1013,6 @@ impl<'a> SizingEngine<'a> {
             let charged_s = SharedMut::new(charged.as_mut_slice());
             let presented_s = SharedMut::new(presented.as_mut_slice());
             self.par.run_leveled(grid, true, |block| {
-                let seg = block.nodes().start;
                 let mut stats = ChunkStats::default();
                 let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
                     // SAFETY: the block's components are block-owned (one
@@ -1204,7 +1025,6 @@ impl<'a> SizingEngine<'a> {
                             charged_i,
                             *upstream_r.get_unchecked(node),
                             *weights_r.get_unchecked(node),
-                            seg,
                             &mut stats,
                         )
                     }
@@ -1228,7 +1048,6 @@ impl<'a> SizingEngine<'a> {
             let weights_r: &[f64] = node_weights;
             let upstream_s = SharedMut::new(upstream.as_mut_slice());
             self.par.run_leveled(grid, false, |block| {
-                let seg = block.nodes().start;
                 let mut stats = ChunkStats::default();
                 let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
                     // SAFETY: as the backward direction; `charged` is fixed
@@ -1240,7 +1059,6 @@ impl<'a> SizingEngine<'a> {
                             *charged_r.get_unchecked(node),
                             upstream_i,
                             *weights_r.get_unchecked(node),
-                            seg,
                             &mut stats,
                         )
                     }
@@ -1268,13 +1086,16 @@ impl<'a> SizingEngine<'a> {
         for block in grid.blocks(backward) {
             worst = worst.max(ps.chunk_worst[block.slot]);
             touched_total += ps.chunk_touched[block.slot] as usize;
-            let seg = block.nodes().start;
-            for &comp in &ps.chunk_changed[seg..seg + ps.chunk_changed_len[block.slot] as usize] {
-                sched.push_changed(comp as usize);
-            }
         }
-        // A backward pass maintains charged/presented through every resize;
-        // a forward pass leaves them describing the pre-pass sizes.
+        // A resize moves a component by a positive relative change, so a
+        // pass whose worst change is zero resized nothing. One that resized
+        // anything leaves the tables behind the sizes: a backward pass
+        // maintains charged/presented through every resize but not the
+        // coupling loads, and a forward pass leaves both describing the
+        // pre-pass sizes.
+        if worst > 0.0 {
+            sched.caps_synced = false;
+        }
         sched.charged_fresh = backward;
         sched.rebuild_active();
         (worst, touched_total)
@@ -1285,13 +1106,10 @@ impl<'a> SizingEngine<'a> {
     pub fn timing(&mut self, sizes: &SizeVector) -> TimingView<'_> {
         // Skip the coupling + downstream rebuild when the cached tables
         // already reflect exactly these size values (after a previous
-        // evaluation at the same sizes, or after an adaptive solve's final
-        // sync): recomputing them is idempotent, so the skip never changes
-        // a result.
-        let synced = self.sched.caps_synced
-            && self.sched.changed.is_empty()
-            && self.sched.eval_sizes.as_slice() == sizes.as_slice();
-        if !synced {
+        // evaluation at the same sizes, or after an adaptive solve whose
+        // last pass resized nothing): recomputing them is idempotent, so
+        // the skip never changes a result.
+        if !self.sched.tables_current(sizes.as_slice()) {
             self.refresh_coupling_load(sizes);
             self.rebuild_downstream_caps(sizes);
             // The coupling loads and downstream capacitances now reflect
@@ -1366,6 +1184,8 @@ impl<'a> SizingEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::RunControl;
+    use crate::lrs::LrsSolver;
     use crate::problem::ConstraintBounds;
     use ncgws_circuit::{CircuitBuilder, GateKind, Technology, TimingAnalysis};
     use ncgws_coupling::{CouplingPair, WirePairGeometry};
@@ -1438,20 +1258,17 @@ mod tests {
         let n = graph.num_components();
 
         // Lower bound assembled field by field: the evaluation workspace,
-        // the adaptive-schedule buffers (dirty sets, active set, incremental
-        // scratch), the eight dense f64 attribute tables, the raw-index and
+        // the adaptive-schedule buffers (freeze state, active set, sync
+        // snapshot), the eight dense f64 attribute tables, the raw-index and
         // wire-flag tables, the SoA pair table (four u32 and three f64
-        // columns) with its per-component CSR adjacency, and the dense
-        // topology. `memory_bytes` must cover all of them (capacities can
-        // only exceed the lengths used here).
+        // columns) and the dense topology. `memory_bytes` must cover all of
+        // them (capacities can only exceed the lengths used here).
         let floor = engine.ws.memory_bytes()
             + engine.sched.memory_bytes()
             + 8 * n * size_of::<f64>()
             + n * size_of::<usize>()
             + n * size_of::<bool>()
             + engine.pair_table.len() * (4 * size_of::<u32>() + 3 * size_of::<f64>())
-            + (n + 1) * size_of::<u32>()
-            + 2 * coupling.len() * size_of::<u32>()
             + engine.topo.memory_bytes();
         assert!(
             engine.memory_bytes() >= floor,
@@ -1460,13 +1277,11 @@ mod tests {
             floor
         );
 
-        // The schedule workspace itself accounts for every dirty/active-set
-        // buffer it owns, including the incremental-propagation scratch.
+        // The schedule workspace itself accounts for every buffer it owns.
         let sched_floor = n * size_of::<f64>()      // eval_sizes
             + n * size_of::<u32>()                   // calm
-            + 2 * n * size_of::<bool>()              // frozen + changed_mark
-            + n * size_of::<u32>()                   // active (starts full)
-            + engine.sched.inc.memory_bytes();
+            + n * size_of::<bool>()                  // frozen
+            + n * size_of::<u32>(); // active (starts full)
         assert!(
             engine.sched.memory_bytes() >= sched_floor,
             "schedule accounting {} must cover its buffers {}",
@@ -1572,9 +1387,9 @@ mod tests {
     }
 
     /// The fused passes on three workers match the sequential policy's:
-    /// sizes, electrical tables, freeze state, the worst change, the
-    /// touched count and the dirty set in its merge order agree, with a
-    /// frozen component skipped by both.
+    /// sizes, the charged/presented/upstream tables, freeze state, the
+    /// worst change, the touched count and the cache-sync flags agree, with
+    /// a frozen component skipped by both.
     #[test]
     fn level_policy_fused_sweeps_match_the_sequential_passes_bitwise() {
         let (graph, coupling) = wide();
@@ -1603,50 +1418,74 @@ mod tests {
             assert_eq!(sequential.ws.upstream, level.ws.upstream);
             assert_eq!(sequential.sched.frozen, level.sched.frozen);
             assert_eq!(sequential.sched.calm, level.sched.calm);
-            assert_eq!(sequential.sched.changed, level.sched.changed);
+            assert_eq!(sequential.sched.caps_synced, level.sched.caps_synced);
+            assert_eq!(sequential.sched.charged_fresh, level.sched.charged_fresh);
         }
         assert_eq!(seq_sizes[0], 1.0, "the frozen component is never resized");
     }
 
-    /// The sparse end-of-solve sync leaves every cached table within
-    /// accumulation noise of a full rebuild at the new sizes, and marks the
-    /// caches synced so the next timing evaluation can skip its rebuild.
+    /// The timing evaluation right after a scheduled solve — which skips
+    /// its rebuild when the solve's last pass resized nothing — equals a
+    /// fresh engine's timing at the same sizes, bitwise.
     #[test]
-    fn finish_solve_sync_matches_a_full_rebuild() {
+    fn timing_after_a_scheduled_solve_matches_a_fresh_engine_bitwise() {
         let (graph, coupling) = setup();
-        let multipliers = Multipliers::uniform(&graph, 0.05, 0.0);
-        let mut engine = SizingEngine::new(&graph, &coupling);
-        engine.load_node_weights(&multipliers);
-        let mut sizes = graph.uniform_sizes(1.2);
-        engine.timing(&sizes);
-        engine.rebuild_upstream(&sizes);
-        let w1 = graph
-            .component_index(graph.node_by_name("w1").unwrap())
-            .unwrap();
-        sizes[w1] = 2.9;
-        engine.sched.push_changed(w1);
-        engine.finish_solve_sync(&sizes, &AdaptiveSchedule::default());
-        assert!(engine.sched.changed.is_empty());
-        assert_eq!(engine.sched.eval_sizes.as_slice(), sizes.as_slice());
-
-        let mut rebuilt = SizingEngine::new(&graph, &coupling);
-        rebuilt.load_node_weights(&multipliers);
-        rebuilt.refresh_coupling_load(&sizes);
-        rebuilt.rebuild_downstream_caps(&sizes);
-        rebuilt.rebuild_upstream(&sizes);
-        let tables = |e: &SizingEngine<'_>| {
-            [
-                e.ws.extra_cap.clone(),
-                e.ws.charged.clone(),
-                e.ws.presented.clone(),
-                e.ws.upstream.clone(),
-            ]
+        let extras = ConstraintSet::new();
+        // A zero freeze tolerance freezes only components a pass left
+        // unmoved, so a solve that empties the active set ends on a pass
+        // that resized nothing, which can leave the tables current.
+        let schedule = AdaptiveSchedule {
+            freeze_tolerance: 0.0,
+            ..AdaptiveSchedule::default()
         };
-        for (synced, full) in tables(&engine).iter().zip(&tables(&rebuilt)) {
-            for (a, b) in synced.iter().zip(full) {
-                assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0), "{a} vs {b}");
+        let mut fast_paths = 0;
+        for (edge, beta, start) in [(0.05, 0.0, 1.2), (0.2, 0.3, 0.6), (1e-3, 1.0, 2.5)] {
+            let mut multipliers = Multipliers::uniform(&graph, edge, 0.0);
+            multipliers.beta = beta;
+            let mut engine = SizingEngine::new(&graph, &coupling);
+            engine.reset_schedule();
+            let mut sizes = graph.uniform_sizes(start);
+            LrsSolver::new(500, 0.0).solve_scheduled(
+                &mut engine,
+                &extras,
+                &multipliers,
+                &mut sizes,
+                &RunControl::new(),
+                &schedule,
+            );
+            if engine.sched.tables_current(sizes.as_slice()) {
+                fast_paths += 1;
             }
+            let mut fresh = SizingEngine::new(&graph, &coupling);
+            let a = engine.timing(&sizes);
+            let b = fresh.timing(&sizes);
+            assert_eq!(a.delays, b.delays);
+            assert_eq!(a.arrival, b.arrival);
+            assert_eq!(a.critical_path_delay, b.critical_path_delay);
+            assert_eq!(a.critical_path, b.critical_path);
         }
+        assert!(fast_paths > 0, "no solve left its tables current");
+    }
+
+    /// A backward pass that resizes something leaves the tables behind the
+    /// sizes even when the sizes later return to the ones the tables were
+    /// synced at: the pass rebuilt the charged/presented tables around its
+    /// new sizes, so the next timing evaluation must rebuild, not skip.
+    #[test]
+    fn timing_rebuilds_after_a_pass_that_moved_even_when_the_sizes_return() {
+        let (graph, coupling) = setup();
+        let mut engine = SizingEngine::new(&graph, &coupling);
+        engine.load_node_weights(&Multipliers::uniform(&graph, 0.05, 0.0));
+        let start = graph.uniform_sizes(1.2);
+        let mut sizes = start.clone();
+        let schedule = AdaptiveSchedule::default();
+        engine.fused_backward_sweep(&mut sizes, 0.2, 0.1, &schedule, true);
+        assert_ne!(sizes, start, "the pass must resize something");
+        let mut fresh = SizingEngine::new(&graph, &coupling);
+        let a = engine.timing(&start);
+        let b = fresh.timing(&start);
+        assert_eq!(a.delays, b.delays);
+        assert_eq!(a.critical_path_delay, b.critical_path_delay);
     }
 
     #[test]

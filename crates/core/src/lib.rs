@@ -30,8 +30,8 @@
 //!   projection, and the duality-gap stopping rule ([`ogws`]);
 //! * the **solve schedules** ([`schedule`]): the exact Figure-8 inner loop
 //!   (bitwise-pinned to [`mod@reference`]) and the adaptive schedule —
-//!   warm-started LRS, active-set sweeps with periodic verification, and
-//!   sparse incremental evaluation — selected per run via
+//!   warm-started LRS and active-set sweeps with periodic verification —
+//!   selected per run via
 //!   [`OptimizerConfig::solve_strategy`];
 //! * the **level-parallel runtime** ([`par`]): a deterministic block grid
 //!   over the circuit's level partition, the only traversal of every

@@ -184,10 +184,10 @@ impl LrsSolver {
 
     /// Solves `LRS₂` under an [`AdaptiveSchedule`] (see
     /// [`crate::schedule`]): the solve is warm-started from the incoming
-    /// `sizes` instead of the lower bounds (when the schedule says so),
-    /// sweeps touch only the active frontier, and between the periodic full
-    /// verification sweeps the electrical tables are updated incrementally
-    /// along the perturbed subgraph only.
+    /// `sizes` instead of the lower bounds, and sweeps between the periodic
+    /// full verification sweeps resize only the active frontier. Every
+    /// electrical table a sweep reads comes from a full rebuild over the
+    /// block grid, as in the exact path.
     ///
     /// Each fused pass runs over the engine's fixed block grid, on the
     /// workers the [`ParallelPolicy`](crate::ParallelPolicy) selects (via
@@ -211,16 +211,10 @@ impl LrsSolver {
         control: &RunControl<'_>,
         schedule: &AdaptiveSchedule,
     ) -> ScheduledStats {
-        // A2 aggregation, exactly as the exact path.
+        // A2 aggregation, exactly as the exact path. S1 is the warm start:
+        // the solve begins at the incoming `sizes`.
         engine.load_node_weights(multipliers);
         engine.load_extra_denominator(extras, multipliers);
-        if !schedule.warm_start {
-            // S1 of Figure 8: restart from the lower bounds. The previous
-            // iterate's caches and freeze state describe a different point,
-            // so drop both.
-            engine.reset_to_lower_bounds(sizes);
-            engine.reset_schedule();
-        }
 
         let beta = multipliers.beta;
         let gamma = multipliers.gamma;
@@ -239,10 +233,8 @@ impl LrsSolver {
             // re-resized once under the new weights before the active-set
             // pruning applies (a component whose re-check stays calm keeps
             // its streak and refreezes immediately). Later sweeps verify on
-            // the periodic cadence, when the frontier empties, or always
-            // when the schedule never freezes.
+            // the periodic cadence or when the frontier empties.
             let verify = sweeps == 1
-                || !schedule.active_set
                 || global.is_multiple_of(schedule.verify_every)
                 || engine.active_set_is_empty();
             if verify {
@@ -268,15 +260,11 @@ impl LrsSolver {
             // freeze tolerance of its per-pass fixed point (each was
             // re-checked under these multipliers — the solve's first pass
             // resizes everything); further sweeps cannot move anything.
-            if schedule.active_set && engine.active_set_is_empty() {
+            if engine.active_set_is_empty() {
                 converged = true;
                 break;
             }
         }
-        // Propagate the last sweep's deltas into the cached tables (cheap —
-        // the converged frontier is small) so the caller's follow-up timing
-        // evaluation can take its synced fast path instead of rebuilding.
-        engine.finish_solve_sync(sizes, schedule);
         ScheduledStats {
             sweeps,
             full_sweeps,

@@ -18,9 +18,8 @@
 //! * threads only change *which worker* executes a chunk (an atomic
 //!   work-queue hands chunks out), never the arithmetic: per-node values
 //!   depend only on settled earlier levels plus the node's own CSR lists,
-//!   and all cross-block reductions (worst relative change, touched counts,
-//!   dirty-frontier merges) are combined by the caller **in fixed block
-//!   order** after the pass;
+//!   and all cross-block reductions (worst relative change, touched counts)
+//!   are combined by the caller **in fixed block order** after the pass;
 //! * with the `parallel` feature disabled — or one worker — the runners walk
 //!   the identical grid on the calling thread.
 //!

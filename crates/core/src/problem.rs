@@ -145,8 +145,8 @@ pub struct OptimizerConfig {
     /// How the OGWS inner loop schedules its LRS solves:
     /// [`SolveStrategy::Exact`] (the default) is the paper's Figure-8
     /// schedule, bitwise-pinned to the reference;
-    /// [`SolveStrategy::Adaptive`] enables warm-started solves, active-set
-    /// sweeps and sparse incremental evaluation (see [`crate::schedule`]).
+    /// [`SolveStrategy::Adaptive`] enables warm-started solves and
+    /// active-set sweeps (see [`crate::schedule`]).
     pub solve_strategy: SolveStrategy,
     /// How the stage-2 inner loop distributes its traversals across threads
     /// (see [`crate::par`]). Every policy runs the same fixed block grid:
@@ -390,8 +390,7 @@ impl OptimizerConfigBuilder {
     /// Selects the adaptive solve schedule with its default tuning
     /// (shorthand for
     /// `solve_strategy(SolveStrategy::Adaptive(AdaptiveSchedule::default()))`):
-    /// warm-started LRS solves, active-set sweeps and sparse incremental
-    /// evaluation.
+    /// warm-started LRS solves and active-set sweeps.
     pub fn adaptive_schedule(self) -> Self {
         self.solve_strategy(SolveStrategy::Adaptive(AdaptiveSchedule::default()))
     }

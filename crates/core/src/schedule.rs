@@ -7,7 +7,7 @@
 //! multipliers barely move between outer iterations, the previous iterate is
 //! an excellent starting point, and the overwhelming majority of components
 //! are either pinned to a size bound or already at their Theorem-5 fixed
-//! point. This module makes the inner loop adaptive on three independent
+//! point. This module makes the inner loop adaptive on two independent
 //! axes, selected through [`SolveStrategy`] on
 //! [`OptimizerConfig`](crate::OptimizerConfig):
 //!
@@ -21,15 +21,15 @@
 //!   [`freeze_after`](AdaptiveSchedule::freeze_after) consecutive sweeps;
 //!   steady-state sweeps then touch only the active frontier. Every
 //!   [`verify_every`](AdaptiveSchedule::verify_every)-th sweep is a full
-//!   *verification sweep* that re-evaluates everything with exact (full
-//!   rebuild) arithmetic, resizes every component, and unfreezes anything
-//!   that moved;
-//! * **sparse incremental evaluation** — between verification sweeps the
-//!   downstream capacitances, λ-weighted upstream resistances and coupling
-//!   loads are brought up to date by scattering the deltas of the resized
-//!   components along the fanin/fanout DAG and the coupling-pair adjacency
-//!   ([`CircuitTopology::downstream_caps_update`](ncgws_circuit::CircuitTopology::downstream_caps_update)),
-//!   instead of rebuilding all three tables from scratch.
+//!   *verification sweep* that resizes every component, frozen or not, and
+//!   unfreezes anything that moved.
+//!
+//! Each sweep keeps the cached electrical tables current the way the
+//! paper's loop does: a full rebuild over the level grid. A fused pass
+//! rebuilds the side of the Theorem-5 formula it walks (coupling loads and
+//! downstream capacitances backward, λ-weighted upstream resistances
+//! forward), and a rebuild is skipped only when the tables already reflect
+//! exactly the current sizes.
 //!
 //! [`SolveStrategy::Exact`] (the default) leaves the Figure-8 schedule
 //! untouched — that path stays bitwise-pinned to [`crate::reference`]. The
@@ -45,7 +45,7 @@
 //! identical across thread counts (the `thread_determinism` integration
 //! tests pin this, including the exact path's reference pinning).
 
-use ncgws_circuit::{IncrementalWorkspace, SharedMut};
+use ncgws_circuit::SharedMut;
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
@@ -58,8 +58,8 @@ pub enum SolveStrategy {
     /// lower bounds and every sweep re-evaluates and resizes every
     /// component. Bitwise-pinned to [`crate::reference`].
     Exact,
-    /// The adaptive schedule: warm starts, active-set sweeps and sparse
-    /// incremental evaluation, as configured.
+    /// The adaptive schedule: warm-started solves and active-set sweeps,
+    /// tuned by the [`AdaptiveSchedule`].
     Adaptive(AdaptiveSchedule),
 }
 
@@ -96,31 +96,26 @@ impl SolveStrategy {
     }
 }
 
-/// Tuning of the adaptive solve schedule (see the module docs for the three
-/// axes). The defaults favor throughput while keeping every invariant the
-/// `schedule_strategies` tests check; tighten `freeze_tolerance` and
-/// `verify_every` to track the exact schedule more closely.
+/// Tuning of the adaptive solve schedule (see the module docs for the two
+/// axes). Every solve is warm-started from the incoming sizes, and a
+/// component whose relative per-sweep change stays within
+/// [`freeze_tolerance`](Self::freeze_tolerance) for
+/// [`freeze_after`](Self::freeze_after) consecutive sweeps is frozen until
+/// a verification sweep sees it move. The defaults favor throughput while
+/// keeping every invariant the `schedule_strategies` tests check; tighten
+/// `freeze_tolerance` and `verify_every` to track the exact schedule more
+/// closely.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AdaptiveSchedule {
-    /// Seed each LRS solve from the previous OGWS iterate instead of
-    /// restarting at the lower bounds (Figure 8 step S1).
-    pub warm_start: bool,
-    /// Freeze components whose relative per-sweep change stays below
-    /// [`freeze_tolerance`](Self::freeze_tolerance) for
-    /// [`freeze_after`](Self::freeze_after) consecutive sweeps.
-    pub active_set: bool,
     /// Relative size change below which a sweep counts as *calm* for a
     /// component.
     pub freeze_tolerance: f64,
     /// Number of consecutive calm sweeps after which a component is frozen.
     pub freeze_after: usize,
     /// Every `verify_every`-th sweep (counted across the whole OGWS run) is
-    /// a full verification sweep: exact re-evaluation, every component
-    /// resized, movers unfrozen.
+    /// a full verification sweep: every component resized, movers
+    /// unfrozen.
     pub verify_every: usize,
-    /// Use sparse incremental evaluation between verification sweeps
-    /// (disable to re-evaluate fully while keeping the active-set resize).
-    pub incremental: bool,
 }
 
 impl Default for AdaptiveSchedule {
@@ -134,12 +129,9 @@ impl Default for AdaptiveSchedule {
     /// closely at a throughput cost).
     fn default() -> Self {
         AdaptiveSchedule {
-            warm_start: true,
-            active_set: true,
             freeze_tolerance: 1e-3,
             freeze_after: 1,
             verify_every: 8,
-            incremental: true,
         }
     }
 }
@@ -247,8 +239,7 @@ impl ScheduleState {
 }
 
 /// Per-engine mutable state of the adaptive schedule: the active/frozen
-/// partition, calm-streak counters, dirty-set scratch for the sparse
-/// incremental evaluation, and the `eval_sizes` snapshot the cached
+/// partition, calm-streak counters, and the `eval_sizes` snapshot the cached
 /// electrical tables currently reflect.
 ///
 /// Owned by [`SizingEngine`](crate::SizingEngine) so the buffers are sized
@@ -261,24 +252,14 @@ impl ScheduleState {
 pub(crate) struct ScheduleWorkspace {
     /// Sizes the cached `extra_cap`/`charged`/`presented` tables reflect.
     pub(crate) eval_sizes: Vec<f64>,
-    /// Whether those tables are in sync with `eval_sizes` at all.
+    /// Whether those tables are in sync with `eval_sizes` at all. Cleared
+    /// by every pass that resizes a component.
     pub(crate) caps_synced: bool,
-    /// Set after a fused Gauss–Seidel sweep: `charged`/`presented` already
-    /// reflect the *current* sizes (the pass maintains them through every
-    /// resize), so a following sparse update must skip the own-capacitance
-    /// deltas of the changed components and apply only the coupling-load
-    /// deltas.
+    /// Set after a backward fused Gauss–Seidel sweep: `charged`/`presented`
+    /// already carry the *current* sizes' own capacitances (the pass
+    /// maintains them through every resize), so the forward pass that
+    /// follows reads them as they are.
     pub(crate) charged_fresh: bool,
-    /// Components resized since the tables last reflected `eval_sizes`
-    /// (unique — guarded by `changed_mark`).
-    pub(crate) changed: Vec<u32>,
-    /// Membership mask for `changed`, so passes that accumulate across two
-    /// sweeps never record a component twice (a duplicate would scatter its
-    /// coupling delta twice).
-    pub(crate) changed_mark: Vec<bool>,
-    /// Coupling-load deltas accumulated by the sparse pair scatter, as
-    /// `(raw node index, delta)` pairs.
-    pub(crate) extra_delta: Vec<(u32, f64)>,
     /// Consecutive calm sweeps per component.
     pub(crate) calm: Vec<u32>,
     /// Frozen flag per component.
@@ -290,38 +271,29 @@ pub(crate) struct ScheduleWorkspace {
     /// Sweeps performed across the whole run (drives the verification
     /// cadence).
     pub(crate) global_sweep: usize,
-    /// Delta-propagation scratch for the incremental model paths.
-    pub(crate) inc: IncrementalWorkspace,
 }
 
 impl ScheduleWorkspace {
-    /// Creates a workspace for a circuit with `num_nodes` nodes and
-    /// `num_components` sizable components.
-    pub(crate) fn new(num_nodes: usize, num_components: usize) -> Self {
+    /// Creates a workspace for a circuit with `num_components` sizable
+    /// components.
+    pub(crate) fn new(num_components: usize) -> Self {
         ScheduleWorkspace {
             eval_sizes: vec![0.0; num_components],
             caps_synced: false,
             charged_fresh: false,
-            changed: Vec::with_capacity(num_components),
-            changed_mark: vec![false; num_components],
-            extra_delta: Vec::new(),
             calm: vec![0; num_components],
             frozen: vec![false; num_components],
             active: (0..num_components as u32).collect(),
             num_frozen: 0,
             global_sweep: 0,
-            inc: IncrementalWorkspace::new(num_nodes),
         }
     }
 
-    /// Resets to the run-start state: everything active, nothing cached.
-    /// Records a resized component exactly once per sync window.
-    #[inline(always)]
-    pub(crate) fn push_changed(&mut self, comp: usize) {
-        if !self.changed_mark[comp] {
-            self.changed_mark[comp] = true;
-            self.changed.push(comp as u32);
-        }
+    /// Whether the cached `extra_cap`/`charged`/`presented` tables reflect
+    /// exactly `sizes`, so a rebuild at `sizes` would reproduce them bit for
+    /// bit and may be skipped.
+    pub(crate) fn tables_current(&self, sizes: &[f64]) -> bool {
+        self.caps_synced && self.eval_sizes.as_slice() == sizes
     }
 
     /// Calm-streak bookkeeping after one component resize, over shared
@@ -346,7 +318,7 @@ impl ScheduleWorkspace {
         if rel <= schedule.freeze_tolerance {
             let streak = calm.get(comp).saturating_add(1);
             calm.set(comp, streak);
-            if schedule.active_set && streak as usize >= schedule.freeze_after {
+            if streak as usize >= schedule.freeze_after {
                 frozen.set(comp, true);
             }
         } else {
@@ -369,20 +341,10 @@ impl ScheduleWorkspace {
         }
     }
 
-    /// Drops the pending dirty set (after the caches were brought up to
-    /// date or fully rebuilt).
-    pub(crate) fn clear_changed(&mut self) {
-        for &comp in &self.changed {
-            self.changed_mark[comp as usize] = false;
-        }
-        self.changed.clear();
-        self.extra_delta.clear();
-    }
-
+    /// Resets to the run-start state: everything active, nothing cached.
     pub(crate) fn reset(&mut self) {
         self.caps_synced = false;
         self.charged_fresh = false;
-        self.clear_changed();
         self.calm.fill(0);
         self.frozen.fill(false);
         self.active.clear();
@@ -423,13 +385,9 @@ impl ScheduleWorkspace {
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.eval_sizes.capacity() * size_of::<f64>()
-            + self.changed.capacity() * size_of::<u32>()
-            + self.changed_mark.capacity() * size_of::<bool>()
-            + self.extra_delta.capacity() * size_of::<(u32, f64)>()
             + self.calm.capacity() * size_of::<u32>()
             + self.frozen.capacity() * size_of::<bool>()
             + self.active.capacity() * size_of::<u32>()
-            + self.inc.memory_bytes()
     }
 }
 
@@ -481,17 +439,17 @@ mod tests {
 
     #[test]
     fn workspace_reset_restores_the_run_start_state() {
-        let mut ws = ScheduleWorkspace::new(10, 4);
+        let mut ws = ScheduleWorkspace::new(4);
         ws.frozen[2] = true;
         ws.num_frozen = 1;
         ws.calm[1] = 7;
         ws.active.clear();
         ws.global_sweep = 42;
         ws.caps_synced = true;
-        ws.changed.push(3);
+        ws.charged_fresh = true;
         ws.reset();
         assert!(!ws.caps_synced);
-        assert!(ws.changed.is_empty());
+        assert!(!ws.charged_fresh);
         assert_eq!(ws.num_frozen, 0);
         assert!(ws.frozen.iter().all(|f| !f));
         assert!(ws.calm.iter().all(|&c| c == 0));

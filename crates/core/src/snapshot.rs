@@ -18,8 +18,8 @@
 //!   restarts from the lower bounds, so the only cross-iteration state is
 //!   what the snapshot restores exactly);
 //! * under the adaptive strategy the restored schedule state re-derives its
-//!   electrical caches from the snapshot sizes instead of continuing the
-//!   incrementally maintained ones, so resumed metrics land within `1e-6`
+//!   electrical caches from the snapshot sizes instead of reusing the
+//!   cached ones, so resumed metrics land within `1e-6`
 //!   of the uninterrupted run (pinned by the `serve_checkpoint` tests);
 //! * a snapshot taken at iteration 0 restores the exact run-start state, so
 //!   its resume is bitwise identical under both strategies.

@@ -409,3 +409,47 @@ fn null_in_a_required_f64_is_rejected() {
     assert_eq!(back.best_dual, None);
     assert!(Multipliers::from_parts(vec![], vec![1], 0.0, 0.0, vec![]).is_err());
 }
+
+/// A job line as written before the adaptive schedule lost its three
+/// always-on switches (`warm_start`, `active_set`, `incremental`).
+const SPEC_WITH_RETIRED_SCHEDULE_KEYS: &str = concat!(
+    r#"{"input":{"Synthetic":{"name":"rt","num_gates":10,"num_wires":5,"seed":229382553,"#,
+    r#""technology":{"supply_voltage":3.3,"frequency":200000000.0,"gate_unit_resistance":10.0,"#,
+    r#""gate_unit_capacitance":0.16,"gate_area_coefficient":4.0,"wire_unit_resistance":0.07,"#,
+    r#""wire_unit_capacitance":0.024,"wire_fringing_per_um":0.01,"wire_area_coefficient":1.0,"#,
+    r#""coupling_fringing_per_um":0.03,"min_size":0.1,"max_size":10.0,"#,
+    r#""default_driver_resistance":100.0,"default_output_load":10.0},"max_fanin":4,"#,
+    r#""wire_length_range":[25.0,400.0],"driver_resistance_range":[80.0,250.0],"#,
+    r#""output_load_range":[4.0,20.0],"channel_size":10,"channel_pitch":11.0,"#,
+    r#""overlap_fraction":0.6,"num_patterns":128,"pattern_toggle_probability":0.35,"#,
+    r#""locality_window":64}},"config":{"initial_size":null,"delay_bound_factor":1.0,"#,
+    r#""power_bound_factor":0.13,"crosstalk_bound_factor":0.115,"absolute_bounds":null,"#,
+    r#""max_iterations":100,"gap_tolerance":0.01,"step_schedule":{"SqrtDecay":{"scale":8.0}},"#,
+    r#""max_lrs_sweeps":50,"lrs_tolerance":0.000001,"ordering":"Woss","#,
+    r#""effective_coupling":false,"initial_edge_multiplier":1.0,"#,
+    r#""initial_scalar_multiplier":1.0,"extra_constraints":[],"#,
+    r#""solve_strategy":{"Adaptive":{"warm_start":true,"active_set":true,"#,
+    r#""freeze_tolerance":0.001,"freeze_after":1,"verify_every":8,"incremental":true}},"#,
+    r#""parallel":"Sequential"},"priority":0,"tenant":"default","iteration_budget":null,"#,
+    r#""attempt_timeout_ms":null,"retry":{"max_retries":0,"base_delay_ms":0,"#,
+    r#""multiplier":1.0,"max_delay_ms":0,"jitter":0.0,"seed":0}}"#,
+);
+
+#[test]
+fn a_spec_with_the_retired_schedule_switches_still_decodes() {
+    let spec: JobSpec =
+        serde_json::from_str(SPEC_WITH_RETIRED_SCHEDULE_KEYS).expect("older job lines decode");
+    spec.validate().expect("the decoded spec is valid");
+    assert_eq!(spec.config.solve_strategy, SolveStrategy::adaptive());
+    // Re-encoding writes only the three numeric tuning fields.
+    let encoded = serde_json::to_string(&spec).expect("encodes");
+    assert!(encoded.contains(
+        r#""solve_strategy":{"Adaptive":{"freeze_tolerance":0.001,"freeze_after":1,"verify_every":8}}"#
+    ));
+    assert_eq!(
+        encoded,
+        SPEC_WITH_RETIRED_SCHEDULE_KEYS
+            .replace(r#""warm_start":true,"active_set":true,"#, "")
+            .replace(r#","incremental":true"#, "")
+    );
+}

@@ -140,9 +140,8 @@
 //!   per-sweep change stays below
 //!   [`freeze_tolerance`](core::AdaptiveSchedule::freeze_tolerance) (every
 //!   solve's first sweep and a periodic verification sweep re-check the
-//!   whole circuit and unfreeze anything that moved), evaluates the
-//!   electrical tables incrementally along the perturbed subgraph only,
-//!   and fuses the per-sweep accumulation with the resize into alternating
+//!   whole circuit and unfreeze anything that moved), and fuses the
+//!   per-sweep table rebuild with the resize into alternating
 //!   forward/backward Gauss–Seidel passes. It reaches the *same* unique
 //!   subproblem fixed points, validated by invariants instead of bitwise
 //!   equality (final metrics within tolerance of the exact path, duality
@@ -486,7 +485,7 @@ pub use ncgws_core::{
 };
 
 // The solve schedule: the exact Figure-8 path (bitwise-pinned) vs the
-// adaptive warm-start/active-set/incremental schedule.
+// adaptive warm-start/active-set schedule.
 pub use ncgws_core::{AdaptiveSchedule, SolveStrategy};
 
 // The level-parallel runtime policy: deterministic multi-threaded inner

@@ -15,10 +15,12 @@
 
 use ncgws::core::{
     build_coupling, AdaptiveSchedule, ConstraintBounds, Flow, LrsSolver, Multipliers,
-    OptimizerConfig, OrderingStrategy, RunControl, SizedOutcome, SizingEngine, SizingProblem,
-    SolveStrategy,
+    OptimizerConfig, OrderingStrategy, ParallelPolicy, RunControl, SizedOutcome, SizingEngine,
+    SizingProblem, SolveStrategy,
 };
-use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
+use ncgws::netlist::{
+    iscas85_spec, xl_wide_spec, CircuitSpec, ProblemInstance, SyntheticGenerator,
+};
 use proptest::prelude::*;
 
 fn instance(seed: u64, gates: usize) -> ProblemInstance {
@@ -44,12 +46,9 @@ fn loose_bounds() -> ConstraintBounds {
 /// the solve tolerance of the exact one.
 fn tight_schedule() -> AdaptiveSchedule {
     AdaptiveSchedule {
-        warm_start: true,
-        active_set: true,
         freeze_tolerance: 1e-7,
         freeze_after: 2,
         verify_every: 4,
-        incremental: true,
     }
 }
 
@@ -112,8 +111,7 @@ proptest! {
         let stats = solver.solve_with(&mut engine, &multipliers, &mut exact);
         prop_assert!(stats.converged, "exact solve must converge");
 
-        // Warm solve from an arbitrary uniform seed, active set and
-        // incremental evaluation on.
+        // Warm solve from an arbitrary uniform seed, active set on.
         let mut adaptive_engine = SizingEngine::for_problem(&problem);
         adaptive_engine.reset_schedule();
         let mut warm = inst.circuit.uniform_sizes(warm_size);
@@ -311,4 +309,69 @@ fn adaptive_schedule_smoke_statistics() {
         adaptive.report.mean_sweeps_per_solve,
         exact.report.mean_sweeps_per_solve
     );
+}
+
+/// FNV-1a over the raw bits of the final sizes and `CircuitMetrics` of one
+/// default adaptive solve.
+fn outcome_digest(outcome: &SizedOutcome) -> u64 {
+    let m = &outcome.report.final_metrics;
+    let metrics = [
+        m.noise_pf,
+        m.delay_ps,
+        m.power_mw,
+        m.area_um2,
+        m.crosstalk_ff,
+        m.delay_internal,
+        m.total_capacitance_ff,
+    ];
+    outcome
+        .sizes()
+        .iter()
+        .chain(metrics.iter())
+        .fold(0xcbf2_9ce4_8422_2325u64, |hash, value| {
+            value.to_bits().to_le_bytes().iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        })
+}
+
+/// Digest of the default adaptive solve of c880 (any thread count).
+const DIGEST_C880: u64 = 0x9e5e_17e7_5349_12a5;
+/// Digest of the default adaptive solve of xlw10k (any thread count).
+const DIGEST_XLW10K: u64 = 0x85ef_e165_b94e_a13d;
+
+/// The default adaptive schedule keeps its cached tables current by full
+/// rebuilds over the level grid, so its outcomes are a fixed bit pattern.
+/// The expected digests were recorded, at threads 1, 2 and 8, with the
+/// schedule's former sparse incremental table updates switched off
+/// (`incremental: false`); the rebuild-only schedule must reproduce them
+/// exactly.
+#[test]
+fn default_adaptive_outcomes_match_the_rebuild_only_digests() {
+    let cases = [
+        (iscas85_spec("c880").expect("known circuit"), DIGEST_C880),
+        (xl_wide_spec(10_000), DIGEST_XLW10K),
+    ];
+    for (spec, expected) in cases {
+        let name = spec.name.clone();
+        let inst = SyntheticGenerator::new(spec)
+            .generate()
+            .expect("generation succeeds");
+        for threads in [1usize, 2] {
+            let config = OptimizerConfig {
+                solve_strategy: SolveStrategy::adaptive(),
+                parallel: ParallelPolicy::threads(threads),
+                ..OptimizerConfig::default()
+            };
+            let outcome = Flow::prepare(&inst, config)
+                .expect("prepare")
+                .order()
+                .expect("order")
+                .size()
+                .expect("size");
+            let digest = outcome_digest(&outcome);
+            println!("{name} threads={threads}: {digest:#018x}");
+            assert_eq!(digest, expected, "{name} at threads({threads})");
+        }
+    }
 }
