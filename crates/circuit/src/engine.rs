@@ -11,11 +11,11 @@
 //! the paper's `O(V + E + P)` sweep is dominated by cache misses and the
 //! allocator rather than the arithmetic. This module is the replacement:
 //!
-//! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over a
-//!   dense snapshot built once per circuit: CSR adjacency plus flat per-node
-//!   RC coefficient arrays, and the cached topological **level partition**
-//!   (see below). Its traversal kernels fill caller-provided slices with no
-//!   allocation.
+//! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over the
+//!   graph's own CSR adjacency, which it borrows, plus columns derived once
+//!   per circuit: flat per-node RC coefficient arrays, per-edge dispatch
+//!   tags and the cached topological **level partition** (see below). Its
+//!   traversal kernels fill caller-provided slices with no allocation.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
 //!
@@ -56,8 +56,8 @@
 //! # The SoA layout invariant
 //!
 //! Every per-node electrical quantity lives in its own dense `Vec<f64>`
-//! slab indexed by raw node index — unit resistance, unit capacitance,
-//! fringing and output load here; charged/presented capacitance, upstream
+//! slab indexed by raw node index — unit resistance, unit capacitance and
+//! fringing here; charged/presented capacitance, upstream
 //! resistance, arrival and delays in [`EvalWorkspace`]. No per-node struct
 //! interleaves two quantities, so a kernel that streams one quantity
 //! touches contiguous memory.
@@ -178,7 +178,7 @@ enum FanoutTag {
     /// A precomputed constant: the parent's output load for sink children,
     /// `0.0` for drivers/the source.
     Const,
-    /// A sizable gate child: `ĉ_child · x[comp]`.
+    /// A sizable gate child: `ĉ_child · x[child − comp_base]`.
     Gate,
     /// A wire child: the child's settled `presented` entry.
     Wire,
@@ -194,9 +194,9 @@ enum FaninTag {
     Skip,
     /// Fixed resistance `R_D` of a driver: `w · r`.
     Const,
-    /// Gate: `w · (r̂ / x[comp])` (`∞` when `x ≤ 0`).
+    /// Gate: `w · (r̂ / x[p − comp_base])` (`∞` when `x ≤ 0`).
     Div,
-    /// Wire: `upstream[p] + w · (r̂ / x[comp])`.
+    /// Wire: `upstream[p] + w · (r̂ / x[p − comp_base])`.
     WireDiv,
 }
 
@@ -216,10 +216,12 @@ pub enum KindTag {
     Sink,
 }
 
-/// Dense, cache-friendly snapshot of a circuit: CSR adjacency plus flat
-/// per-node RC coefficient arrays. Immutable once built; this is the
-/// "dense-indexed state owned by the engine" that the hot loops traverse
-/// instead of the pointer-rich [`CircuitGraph`].
+/// The Elmore view of a circuit the hot loops traverse: the graph's CSR
+/// adjacency, borrowed rather than copied, plus columns derived from it
+/// once — flat per-node RC coefficient arrays, per-edge dispatch tags and
+/// the level partition. Immutable once built. Component indices are not
+/// stored anywhere: the dense component of node `idx` is
+/// `idx - comp_base`.
 ///
 /// Its traversal kernels evaluate the Elmore delay model of the paper's
 /// Section 2.1 (stage-bounded RC stages, wire π-model); see the crate-level
@@ -248,7 +250,7 @@ pub enum KindTag {
 /// assert_eq!(ws.critical_path, reference.critical_path);
 /// ```
 #[derive(Debug, Clone)]
-pub struct CircuitTopology {
+pub struct CircuitTopology<'g> {
     num_components: usize,
     /// Raw node index of the artificial sink, recorded at build time so the
     /// critical-path walk needs no graph.
@@ -265,24 +267,23 @@ pub struct CircuitTopology {
     unit_capacitance: Vec<f64>,
     /// `f` for wires, zero otherwise.
     fringing: Vec<f64>,
-    /// Primary-output load per node (zero when the node drives no output).
-    output_load: Vec<f64>,
-    fanout_start: Vec<u32>,
-    fanout_list: Vec<u32>,
-    fanin_start: Vec<u32>,
-    fanin_list: Vec<u32>,
+    /// The graph's fanout adjacency (borrowed): the fanout list of node
+    /// `idx` is `fanout_list[fanout_start[idx]..fanout_start[idx + 1]]`.
+    fanout_start: &'g [u32],
+    fanout_list: &'g [NodeId],
+    /// The graph's fanin adjacency (borrowed), in the same form.
+    fanin_start: &'g [u32],
+    fanin_list: &'g [NodeId],
     /// Streamed per-fanout-edge child descriptors (parallel to
     /// `fanout_list`): the chunk kernels dispatch on these columns instead
     /// of gathering `kind`/`unit_capacitance` through the child
     /// index, leaving at most one random access per edge (the child's
-    /// `presented` entry or the component's size). Built once per snapshot;
+    /// `presented` entry or the component's size). Built once per circuit;
     /// per-edge values are exactly the operands the kind dispatch would
     /// gather, so the streamed dispatch is bitwise identical to it.
     fanout_tag: Vec<FanoutTag>,
     /// `Const` → the whole contribution; `Gate` → `ĉ` of the child.
     fanout_coeff: Vec<f64>,
-    /// `Gate` → dense component of the child; `Wire` → child node index.
-    fanout_aux: Vec<u32>,
     /// Streamed per-fanin-edge predecessor descriptors (parallel to
     /// `fanin_list`), same idea for the forward kernels: resistance form
     /// and operands of each predecessor, leaving only the `weights` /
@@ -290,43 +291,31 @@ pub struct CircuitTopology {
     fanin_tag: Vec<FaninTag>,
     /// `r̂` (or `R_D`) of the predecessor; zero for `Skip`.
     fanin_ur: Vec<f64>,
-    /// Dense component of the predecessor for the `Div` forms; zero
-    /// otherwise.
-    fanin_aux: Vec<u32>,
     /// Cached level partition (see the module docs): the first raw node
     /// index of every level plus a trailing `n`, so level `l` is
     /// `level_start[l]..level_start[l + 1]`.
     level_start: Vec<u32>,
 }
 
-impl CircuitTopology {
-    /// Builds the dense snapshot of a circuit.
+impl<'g> CircuitTopology<'g> {
+    /// Builds the Elmore view of a circuit, borrowing its adjacency.
     ///
     /// # Panics
     ///
-    /// Panics if the circuit has more than `u32::MAX` nodes or edges (the
-    /// CSR lists store 32-bit indices; the unchecked hot loops rely on the
-    /// casts below being lossless).
-    pub fn new(graph: &CircuitGraph) -> Self {
+    /// Panics if the circuit has more than `u32::MAX` nodes (the level
+    /// partition stores 32-bit node indices, the trailing node count
+    /// included).
+    pub fn new(graph: &'g CircuitGraph) -> Self {
         let n = graph.num_nodes();
         assert!(
             n <= u32::MAX as usize,
-            "circuit too large for 32-bit CSR node indices"
-        );
-        assert!(
-            graph.num_edges() <= u32::MAX as usize,
-            "circuit too large for 32-bit CSR edge offsets"
+            "circuit too large for 32-bit level bounds"
         );
         let comp_base = graph.num_drivers() + 1;
         let mut kind = Vec::with_capacity(n);
         let mut unit_resistance = Vec::with_capacity(n);
         let mut unit_capacitance = Vec::with_capacity(n);
         let mut fringing = Vec::with_capacity(n);
-        let mut output_load = Vec::with_capacity(n);
-        let mut fanout_start = Vec::with_capacity(n + 1);
-        let mut fanout_list = Vec::new();
-        let mut fanin_start = Vec::with_capacity(n + 1);
-        let mut fanin_list = Vec::new();
 
         for id in graph.node_ids() {
             let node = graph.node(id);
@@ -352,55 +341,42 @@ impl CircuitTopology {
             } else {
                 0.0
             });
-            output_load.push(node.attrs.output_load);
-            fanout_start.push(fanout_list.len() as u32);
-            fanout_list.extend(graph.fanout(id).iter().map(|succ| succ.index() as u32));
-            fanin_start.push(fanin_list.len() as u32);
-            fanin_list.extend(graph.fanin(id).iter().map(|pred| pred.index() as u32));
         }
-        fanout_start.push(fanout_list.len() as u32);
-        fanin_start.push(fanin_list.len() as u32);
+        let (fanout, fanin) = (graph.fanout_csr(), graph.fanin_csr());
 
         // Streamed per-edge descriptor columns (see the field docs): the
         // exact operands the kind-dispatched loops would gather through the
         // child/predecessor index, precomputed once per edge. A validated
         // graph holds gates and wires exactly in the component range, so
-        // every gate or wire is sizable.
-        let mut fanout_tag = Vec::with_capacity(fanout_list.len());
-        let mut fanout_coeff = Vec::with_capacity(fanout_list.len());
-        let mut fanout_aux = Vec::with_capacity(fanout_list.len());
-        for idx in 0..n {
-            for &child in &fanout_list[fanout_start[idx] as usize..fanout_start[idx + 1] as usize] {
-                let c = child as usize;
-                let (tag, coeff, aux) = match kind[c] {
-                    KindTag::Sink => (FanoutTag::Const, output_load[idx], 0),
-                    KindTag::Gate => (FanoutTag::Gate, unit_capacitance[c], (c - comp_base) as u32),
-                    KindTag::Wire => (FanoutTag::Wire, 0.0, child),
-                    KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0, 0),
+        // every gate or wire is sizable and its component is its node index
+        // minus `comp_base`.
+        let mut fanout_tag = Vec::with_capacity(fanout.num_edges());
+        let mut fanout_coeff = Vec::with_capacity(fanout.num_edges());
+        for id in graph.node_ids() {
+            for &child in fanout.list(id.index()) {
+                let c = child.index();
+                let (tag, coeff) = match kind[c] {
+                    KindTag::Sink => (FanoutTag::Const, graph.node(id).attrs.output_load),
+                    KindTag::Gate => (FanoutTag::Gate, unit_capacitance[c]),
+                    KindTag::Wire => (FanoutTag::Wire, 0.0),
+                    KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0),
                 };
                 fanout_tag.push(tag);
                 fanout_coeff.push(coeff);
-                fanout_aux.push(aux);
             }
         }
-        let mut fanin_tag = Vec::with_capacity(fanin_list.len());
-        let mut fanin_ur = Vec::with_capacity(fanin_list.len());
-        let mut fanin_aux = Vec::with_capacity(fanin_list.len());
-        for &pred in &fanin_list {
-            let p = pred as usize;
-            let (tag, ur, aux) = match kind[p] {
-                KindTag::Source | KindTag::Sink => (FaninTag::Skip, 0.0, 0),
-                KindTag::Driver => (FaninTag::Const, unit_resistance[p], 0),
-                KindTag::Gate => (FaninTag::Div, unit_resistance[p], (p - comp_base) as u32),
-                KindTag::Wire => (
-                    FaninTag::WireDiv,
-                    unit_resistance[p],
-                    (p - comp_base) as u32,
-                ),
+        let mut fanin_tag = Vec::with_capacity(fanin.num_edges());
+        let mut fanin_ur = Vec::with_capacity(fanin.num_edges());
+        for &pred in fanin.targets() {
+            let p = pred.index();
+            let (tag, ur) = match kind[p] {
+                KindTag::Source | KindTag::Sink => (FaninTag::Skip, 0.0),
+                KindTag::Driver => (FaninTag::Const, unit_resistance[p]),
+                KindTag::Gate => (FaninTag::Div, unit_resistance[p]),
+                KindTag::Wire => (FaninTag::WireDiv, unit_resistance[p]),
             };
             fanin_tag.push(tag);
             fanin_ur.push(ur);
-            fanin_aux.push(aux);
         }
 
         // Level partition: one forward scan, a node with a fanin inside the
@@ -408,8 +384,7 @@ impl CircuitTopology {
         let mut level_start = vec![0u32];
         for idx in 0..n {
             let start = *level_start.last().expect("never empty") as usize;
-            let fanin = &fanin_list[fanin_start[idx] as usize..fanin_start[idx + 1] as usize];
-            if fanin.iter().any(|&pred| pred as usize >= start) {
+            if fanin.list(idx).iter().any(|pred| pred.index() >= start) {
                 level_start.push(idx as u32);
             }
         }
@@ -423,22 +398,19 @@ impl CircuitTopology {
             unit_resistance,
             unit_capacitance,
             fringing,
-            output_load,
-            fanout_start,
-            fanout_list,
-            fanin_start,
-            fanin_list,
+            fanout_start: fanout.offsets(),
+            fanout_list: fanout.targets(),
+            fanin_start: fanin.offsets(),
+            fanin_list: fanin.targets(),
             fanout_tag,
             fanout_coeff,
-            fanout_aux,
             fanin_tag,
             fanin_ur,
-            fanin_aux,
             level_start,
         }
     }
 
-    /// Number of nodes in the snapshot.
+    /// Number of nodes in the circuit.
     pub fn num_nodes(&self) -> usize {
         self.kind.len()
     }
@@ -499,15 +471,23 @@ impl CircuitTopology {
         &self.fringing[self.component_nodes()]
     }
 
-    /// Fanout (successor) node indices of node `idx`.
+    /// The role ([`KindTag::Gate`] or [`KindTag::Wire`]) of every
+    /// component, in dense component order.
+    pub fn component_kinds(&self) -> &[KindTag] {
+        &self.kind[self.component_nodes()]
+    }
+
+    /// Fanout (successor) nodes of node `idx`: the graph's own list, not a
+    /// copy.
     #[inline(always)]
-    pub fn fanout(&self, idx: usize) -> &[u32] {
+    pub fn fanout(&self, idx: usize) -> &'g [NodeId] {
         &self.fanout_list[self.fanout_start[idx] as usize..self.fanout_start[idx + 1] as usize]
     }
 
-    /// Fanin (predecessor) node indices of node `idx`.
+    /// Fanin (predecessor) nodes of node `idx`: the graph's own list, not a
+    /// copy.
     #[inline(always)]
-    pub fn fanin(&self, idx: usize) -> &[u32] {
+    pub fn fanin(&self, idx: usize) -> &'g [NodeId] {
         &self.fanin_list[self.fanin_start[idx] as usize..self.fanin_start[idx + 1] as usize]
     }
 
@@ -558,11 +538,10 @@ impl CircuitTopology {
     }
 
     /// Asserts the slice-length invariants the unchecked hot loops rely on.
-    /// Every node index stored in the CSR lists and every component index
-    /// derived from a gate or wire node is in range by
-    /// construction (the topology is built from a validated graph and is
-    /// immutable), so after these checks the per-element indexing below
-    /// cannot go out of bounds.
+    /// Every node index in the borrowed CSR lists and every component index
+    /// derived from a gate or wire node is in range by construction (the
+    /// topology is built from a validated, immutable graph), so after these
+    /// checks the per-element indexing below cannot go out of bounds.
     #[inline]
     fn assert_node_slices(&self, slices: &[(&str, usize)]) {
         let n = self.num_nodes();
@@ -630,7 +609,7 @@ impl CircuitTopology {
     ///
     /// `idx < num_nodes`; the CSR offsets are valid by construction.
     #[inline(always)]
-    unsafe fn fanin_unchecked(&self, idx: usize) -> &[u32] {
+    unsafe fn fanin_unchecked(&self, idx: usize) -> &[NodeId] {
         let start = *self.fanin_start.get_unchecked(idx) as usize;
         let end = *self.fanin_start.get_unchecked(idx + 1) as usize;
         self.fanin_list.get_unchecked(start..end)
@@ -662,8 +641,8 @@ impl CircuitTopology {
 
     /// The load fanout edge `e` puts on its parent, streamed from the
     /// per-edge columns (rebuild variant): the parent's output load for the
-    /// sink, `Node::capacitance` of a gate child, the settled `presented`
-    /// entry of a wire child.
+    /// sink, `Node::capacitance` of a gate child (its size is component
+    /// `child - comp_base`), the settled `presented` entry of a wire child.
     ///
     /// # Safety
     ///
@@ -679,10 +658,10 @@ impl CircuitTopology {
         match *self.fanout_tag.get_unchecked(e) {
             FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
             FanoutTag::Gate => {
-                *self.fanout_coeff.get_unchecked(e)
-                    * *sizes.get_unchecked(*self.fanout_aux.get_unchecked(e) as usize)
+                let child = self.fanout_list.get_unchecked(e).index();
+                *self.fanout_coeff.get_unchecked(e) * *sizes.get_unchecked(child - self.comp_base)
             }
-            FanoutTag::Wire => presented.get(*self.fanout_aux.get_unchecked(e) as usize),
+            FanoutTag::Wire => presented.get(self.fanout_list.get_unchecked(e).index()),
         }
     }
 
@@ -701,10 +680,10 @@ impl CircuitTopology {
         match *self.fanout_tag.get_unchecked(e) {
             FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
             FanoutTag::Gate => {
-                *self.fanout_coeff.get_unchecked(e)
-                    * xs.get(*self.fanout_aux.get_unchecked(e) as usize)
+                let child = self.fanout_list.get_unchecked(e).index();
+                *self.fanout_coeff.get_unchecked(e) * xs.get(child - self.comp_base)
             }
-            FanoutTag::Wire => presented.get(*self.fanout_aux.get_unchecked(e) as usize),
+            FanoutTag::Wire => presented.get(self.fanout_list.get_unchecked(e).index()),
         }
     }
 
@@ -727,14 +706,14 @@ impl CircuitTopology {
     ) -> f64 {
         let mut acc = 0.0;
         for e in self.fanin_edges_unchecked(idx) {
-            let p = *self.fanin_list.get_unchecked(e) as usize;
+            let p = self.fanin_list.get_unchecked(e).index();
             match *self.fanin_tag.get_unchecked(e) {
                 FaninTag::Skip => {}
                 FaninTag::Const => {
                     acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
                 }
                 FaninTag::Div => {
-                    let x = *sizes.get_unchecked(*self.fanin_aux.get_unchecked(e) as usize);
+                    let x = *sizes.get_unchecked(p - self.comp_base);
                     let r = if x > 0.0 {
                         *self.fanin_ur.get_unchecked(e) / x
                     } else {
@@ -743,7 +722,7 @@ impl CircuitTopology {
                     acc += *weights.get_unchecked(p) * r;
                 }
                 FaninTag::WireDiv => {
-                    let x = *sizes.get_unchecked(*self.fanin_aux.get_unchecked(e) as usize);
+                    let x = *sizes.get_unchecked(p - self.comp_base);
                     let r = if x > 0.0 {
                         *self.fanin_ur.get_unchecked(e) / x
                     } else {
@@ -771,14 +750,14 @@ impl CircuitTopology {
     ) -> f64 {
         let mut acc = 0.0;
         for e in self.fanin_edges_unchecked(idx) {
-            let p = *self.fanin_list.get_unchecked(e) as usize;
+            let p = self.fanin_list.get_unchecked(e).index();
             match *self.fanin_tag.get_unchecked(e) {
                 FaninTag::Skip => {}
                 FaninTag::Const => {
                     acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
                 }
                 FaninTag::Div => {
-                    let x = xs.get(*self.fanin_aux.get_unchecked(e) as usize);
+                    let x = xs.get(p - self.comp_base);
                     let r = if x > 0.0 {
                         *self.fanin_ur.get_unchecked(e) / x
                     } else {
@@ -787,7 +766,7 @@ impl CircuitTopology {
                     acc += *weights.get_unchecked(p) * r;
                 }
                 FaninTag::WireDiv => {
-                    let x = xs.get(*self.fanin_aux.get_unchecked(e) as usize);
+                    let x = xs.get(p - self.comp_base);
                     let r = if x > 0.0 {
                         *self.fanin_ur.get_unchecked(e) / x
                     } else {
@@ -800,23 +779,17 @@ impl CircuitTopology {
         acc
     }
 
-    /// Bytes held by the snapshot (for memory accounting).
+    /// Bytes of the tables the topology owns (for memory accounting). The
+    /// borrowed adjacency is the graph's and counts toward
+    /// [`CircuitGraph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.kind.capacity() * size_of::<KindTag>()
             + (self.unit_resistance.capacity()
                 + self.unit_capacitance.capacity()
-                + self.fringing.capacity()
-                + self.output_load.capacity())
+                + self.fringing.capacity())
                 * size_of::<f64>()
-            + (self.fanout_start.capacity()
-                + self.fanout_list.capacity()
-                + self.fanin_start.capacity()
-                + self.fanin_list.capacity()
-                + self.fanout_aux.capacity()
-                + self.fanin_aux.capacity()
-                + self.level_start.capacity())
-                * size_of::<u32>()
+            + self.level_start.capacity() * size_of::<u32>()
             + self.fanout_tag.capacity() * size_of::<FanoutTag>()
             + self.fanin_tag.capacity() * size_of::<FaninTag>()
             + (self.fanout_coeff.capacity() + self.fanin_ur.capacity()) * size_of::<f64>()
@@ -1102,9 +1075,10 @@ impl CircuitTopology {
                     let mut best = 0.0;
                     let mut best_pred = NO_PRED;
                     for &j in self.fanin_unchecked(idx) {
-                        if arrival.get(j as usize) >= best {
-                            best = arrival.get(j as usize);
-                            best_pred = j;
+                        let j = j.index();
+                        if arrival.get(j) >= best {
+                            best = arrival.get(j);
+                            best_pred = j as u32;
                         }
                     }
                     arrival.set(idx, best);
@@ -1117,12 +1091,13 @@ impl CircuitTopology {
                     let mut best = 0.0;
                     let mut best_pred = NO_PRED;
                     for &j in self.fanin_unchecked(idx) {
-                        if matches!(*self.kind.get_unchecked(j as usize), KindTag::Source) {
+                        let j = j.index();
+                        if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
                             continue;
                         }
-                        if arrival.get(j as usize) >= best {
-                            best = arrival.get(j as usize);
-                            best_pred = j;
+                        if arrival.get(j) >= best {
+                            best = arrival.get(j);
+                            best_pred = j as u32;
                         }
                     }
                     arrival.set(idx, best + *delays.get_unchecked(idx));
@@ -1244,8 +1219,8 @@ pub struct EvalWorkspace {
 }
 
 impl EvalWorkspace {
-    /// Creates a workspace sized for the circuit `topo` snapshots.
-    pub fn new(topo: &CircuitTopology) -> Self {
+    /// Creates a workspace sized for the circuit `topo` describes.
+    pub fn new(topo: &CircuitTopology<'_>) -> Self {
         let n = topo.num_nodes();
         EvalWorkspace {
             charged: vec![0.0; n],
@@ -1381,7 +1356,7 @@ mod tests {
     /// levels for every `fold` (the last one is the whole circuit in one
     /// block), and every level split into sub-ranges of `width` nodes for
     /// every `width`.
-    fn blockings(topo: &CircuitTopology) -> Vec<Vec<Vec<u32>>> {
+    fn blockings(topo: &CircuitTopology<'_>) -> Vec<Vec<Vec<u32>>> {
         let bounds = topo.level_bounds();
         let levels = topo.num_levels();
         let mut out = Vec::new();
@@ -1414,7 +1389,7 @@ mod tests {
     /// `(charged, presented)` from the backward rebuild kernel, blocks in
     /// reverse order.
     fn caps(
-        topo: &CircuitTopology,
+        topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         sizes: &SizeVector,
         extra: &[f64],
@@ -1435,7 +1410,7 @@ mod tests {
 
     /// Upstream resistances from the forward rebuild kernel.
     fn upstream(
-        topo: &CircuitTopology,
+        topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         sizes: &SizeVector,
         weights: &[f64],
@@ -1453,7 +1428,7 @@ mod tests {
 
     /// `(arrival, pred)` from the forward arrival kernel.
     fn arrivals(
-        topo: &CircuitTopology,
+        topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         delays: &[f64],
     ) -> (Vec<f64>, Vec<u32>) {
@@ -1471,7 +1446,7 @@ mod tests {
     /// forward fused pass over `blocks`, from uniform sizes of 1.0.
     fn fused(
         c: &CircuitGraph,
-        topo: &CircuitTopology,
+        topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         extra: &[f64],
         weights: &[f64],
@@ -1502,7 +1477,7 @@ mod tests {
     }
 
     /// The whole circuit as one block.
-    fn whole(topo: &CircuitTopology) -> Vec<Vec<u32>> {
+    fn whole(topo: &CircuitTopology<'_>) -> Vec<Vec<u32>> {
         vec![topo.level_bounds().to_vec()]
     }
 
@@ -1567,16 +1542,8 @@ mod tests {
         let topo = CircuitTopology::new(&c);
         assert_eq!(topo.num_nodes(), c.num_nodes());
         for id in c.node_ids() {
-            let fanout: Vec<usize> = topo
-                .fanout(id.index())
-                .iter()
-                .map(|&x| x as usize)
-                .collect();
-            let expected: Vec<usize> = c.fanout(id).iter().map(|n| n.index()).collect();
-            assert_eq!(fanout, expected);
-            let fanin: Vec<usize> = topo.fanin(id.index()).iter().map(|&x| x as usize).collect();
-            let expected: Vec<usize> = c.fanin(id).iter().map(|n| n.index()).collect();
-            assert_eq!(fanin, expected);
+            assert_eq!(topo.fanout(id.index()), c.fanout(id));
+            assert_eq!(topo.fanin(id.index()), c.fanin(id));
         }
         let sizes = c.uniform_sizes(1.7);
         for id in c.node_ids() {
@@ -1590,6 +1557,62 @@ mod tests {
             );
         }
         assert!(topo.memory_bytes() > 0);
+    }
+
+    /// A layered circuit of `width` driver → wire inputs and `depth` levels
+    /// of gates, each gate reading one or two wires of the level below
+    /// (picked by a fixed stride) and driving one wire; the last level's
+    /// wires are the primary outputs. Fanin and fanout degrees vary per
+    /// node.
+    fn generated(width: usize, depth: usize) -> CircuitGraph {
+        let mut b = CircuitBuilder::new(Technology::dac99());
+        let mut frontier = Vec::with_capacity(width);
+        for i in 0..width {
+            let d = b.add_driver(&format!("d{i}"), 80.0 + i as f64).unwrap();
+            let w = b
+                .add_wire(&format!("i{i}"), 100.0 + (i % 5) as f64)
+                .unwrap();
+            b.connect(d, w).unwrap();
+            frontier.push(w);
+        }
+        for level in 0..depth {
+            let mut next = Vec::with_capacity(width);
+            for i in 0..width {
+                let other = (i * 7 + level * 3 + 1) % width;
+                let kind = if other == i {
+                    GateKind::Inv
+                } else {
+                    GateKind::Nand
+                };
+                let g = b.add_gate(&format!("g{level}_{i}"), kind).unwrap();
+                b.connect(frontier[i], g).unwrap();
+                if other != i {
+                    b.connect(frontier[other], g).unwrap();
+                }
+                let w = b
+                    .add_wire(&format!("w{level}_{i}"), 60.0 + (i % 3) as f64)
+                    .unwrap();
+                b.connect(g, w).unwrap();
+                next.push(w);
+            }
+            frontier = next;
+        }
+        for w in frontier {
+            b.connect_output(w, 4.0).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The topology reads the graph's adjacency instead of holding a copy:
+    /// every list it hands out is the graph's own memory.
+    #[test]
+    fn topology_borrows_the_graph_adjacency() {
+        let c = generated(12, 6);
+        let topo = CircuitTopology::new(&c);
+        for id in c.node_ids() {
+            assert_eq!(topo.fanin(id.index()).as_ptr(), c.fanin(id).as_ptr());
+            assert_eq!(topo.fanout(id.index()).as_ptr(), c.fanout(id).as_ptr());
+        }
     }
 
     #[test]
@@ -1618,12 +1641,12 @@ mod tests {
         for idx in 0..n {
             for &child in topo.fanout(idx) {
                 assert!(
-                    level_of[child as usize] > level_of[idx],
+                    level_of[child.index()] > level_of[idx],
                     "edge {idx} -> {child} must cross levels strictly upward"
                 );
             }
             for &pred in topo.fanin(idx) {
-                longest[idx] = longest[idx].max(longest[pred as usize] + 1);
+                longest[idx] = longest[idx].max(longest[pred.index()] + 1);
             }
         }
         assert_eq!(level_of, longest);

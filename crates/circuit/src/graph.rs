@@ -57,6 +57,17 @@ impl Adjacency {
         &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
+    /// The list offsets, one per node plus the trailing total: the list of
+    /// node `i` is `targets()[offsets()[i]..offsets()[i + 1]]`.
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// Every list, back to back in node order.
+    pub(crate) fn targets(&self) -> &[NodeId] {
+        &self.targets
+    }
+
     /// Total length of all lists.
     pub(crate) fn num_edges(&self) -> usize {
         self.targets.len()
@@ -472,6 +483,25 @@ impl CircuitGraph {
     /// The fanout list `output(i)` of a node.
     pub fn fanout(&self, id: NodeId) -> &[NodeId] {
         self.fanout.list(id.index())
+    }
+
+    /// The offsets of the fanin lists, one per node plus the trailing edge
+    /// count: node `i`'s fanin list holds `offsets[i + 1] - offsets[i]`
+    /// entries and starts at flat position `offsets[i]`. This is the slot
+    /// layout of the per-edge delay multipliers, so a multiplier set built
+    /// for this graph has exactly these offsets.
+    pub fn fanin_offsets(&self) -> &[u32] {
+        self.fanin.offsets()
+    }
+
+    /// The fanin adjacency, borrowed by the evaluation engine.
+    pub(crate) fn fanin_csr(&self) -> &Adjacency {
+        &self.fanin
+    }
+
+    /// The fanout adjacency, borrowed by the evaluation engine.
+    pub(crate) fn fanout_csr(&self) -> &Adjacency {
+        &self.fanout
     }
 
     /// Iterator over every node identifier, in topological order.

@@ -1,11 +1,13 @@
 //! The cross-layer sizing engine: circuit + coupling + delay model + scratch.
 //!
-//! [`SizingEngine`] binds a circuit graph, its coupling set, the dense
+//! [`SizingEngine`] binds a circuit graph, its coupling set, the
 //! [`CircuitTopology`] the Elmore traversals run over and an
 //! [`EvalWorkspace`] together, and adds the
 //! dense per-component attribute tables the LRS closed-form resize reads in
-//! its innermost loop. Built once per [`SizingProblem`] (or circuit), it
-//! makes every evaluation the optimizer performs — coupling loads,
+//! its innermost loop. Tables the graph or the coupling set already hold —
+//! the adjacency, the per-wire coupling coefficient sums — are borrowed,
+//! not copied, and component indices are computed rather than stored.
+//! Built once per [`SizingProblem`] (or circuit), it makes every evaluation the optimizer performs — coupling loads,
 //! downstream capacitances, weighted upstream resistances, timing, metrics,
 //! LRS sweeps — allocation-free after setup.
 //!
@@ -14,7 +16,9 @@
 //! [`CircuitMetrics::evaluate`]), so the two produce bitwise identical
 //! results; the `property_eval_engine` integration test enforces this.
 
-use ncgws_circuit::{CircuitGraph, CircuitTopology, EvalWorkspace, NodeId, SharedMut, SizeVector};
+use ncgws_circuit::{
+    CircuitGraph, CircuitTopology, EvalWorkspace, KindTag, NodeId, SharedMut, SizeVector,
+};
 use ncgws_coupling::CouplingSet;
 
 use crate::constraints::ConstraintSet;
@@ -45,31 +49,35 @@ pub struct TimingView<'a> {
 pub struct SizingEngine<'a> {
     graph: &'a CircuitGraph,
     coupling: &'a CouplingSet,
-    /// The dense snapshot of `graph` every Elmore traversal runs over.
-    topo: CircuitTopology,
+    /// The Elmore view of `graph` every traversal runs over; it borrows the
+    /// graph's adjacency.
+    topo: CircuitTopology<'a>,
     pub(crate) ws: EvalWorkspace,
     // Dense per-component tables (indexed by the graph's dense component
     // index). The hot loop reads these instead of chasing `Node` structs,
     // whose inline `String` names spread the numeric fields across cache
-    // lines. The unit resistance, unit capacitance and fringing of the
-    // components are views of the topology's per-node arrays, and the raw
-    // node of component `i` is `topo.component_nodes().start + i`: neither
-    // is copied here.
-    pub(crate) comp_is_wire: Vec<bool>,
+    // lines. The kind, unit resistance, unit capacitance and fringing of
+    // the components are views of the topology's per-node arrays, and the
+    // raw node of component `i` is `topo.component_nodes().start + i`:
+    // neither is copied here.
     pub(crate) area_coefficient: Vec<f64>,
     pub(crate) lower_bound: Vec<f64>,
     pub(crate) upper_bound: Vec<f64>,
-    pub(crate) coupling_sum: Vec<f64>,
+    /// `Σ_j sf_ij · ĉ_ij` per component: the component range of the
+    /// coupling set's own per-node sums, borrowed.
+    pub(crate) coupling_sum: &'a [f64],
     /// Per-component denominator contribution `Σ_f Σ_k μ_{f,k} · a_{f,k,i}`
     /// of the extra constraint families, aggregated once per LRS solve by
-    /// [`load_extra_denominator`](Self::load_extra_denominator). All zeros
-    /// when no extra families are active, which makes the sweep's
-    /// `+ extra_denom[i]` a bitwise no-op on the legacy formulation.
+    /// [`load_extra_denominator`](Self::load_extra_denominator). Empty
+    /// while the solve has no extra constraints, and the closed-form resize
+    /// adds the term only when it is not, so the legacy formulation pays
+    /// for no table of zeros.
     extra_denom: Vec<f64>,
-    /// Dense coupling-pair table: raw node and dense component indices plus
-    /// the cached geometry coefficients of each pair in structure-of-arrays
-    /// form, so the per-sweep load accumulation never touches the pair
-    /// objects and streams each column contiguously.
+    /// Dense coupling-pair table: raw node indices plus the cached geometry
+    /// coefficients of each pair in structure-of-arrays form, so the
+    /// per-sweep load accumulation never touches the pair objects and
+    /// streams each column contiguously. A pair endpoint's component is its
+    /// raw index minus the first component's (`topo.component_nodes()`).
     pair_table: PairTable,
     /// Mutable state of the adaptive solve schedule (active/frozen
     /// partition, calm streaks, cache-sync snapshot).
@@ -129,7 +137,7 @@ impl ParScratch {
 /// Per-sweep immutable view of the Theorem-5 closed-form resize inputs,
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
-    is_wire: &'a [bool],
+    kind: &'a [KindTag],
     unit_resistance: &'a [f64],
     unit_capacitance: &'a [f64],
     area_coefficient: &'a [f64],
@@ -144,7 +152,8 @@ struct ResizeTables<'a> {
 impl ResizeTables<'_> {
     /// The Theorem-5 closed-form resize of one component — the per-component
     /// arithmetic of the reference LRS sweep, expression for expression.
-    /// Returns `(x_new, relative_change)`.
+    /// Returns `(x_new, relative_change)`. An empty `extra_denom` stands for
+    /// a table of zeros: the term is added only when the table is filled.
     #[inline(always)]
     fn closed_form(
         &self,
@@ -156,17 +165,19 @@ impl ResizeTables<'_> {
     ) -> (f64, f64) {
         let coupling_sum = self.coupling_sum[comp];
         let mut cap_num = charged_i;
-        if self.is_wire[comp] {
+        if self.kind[comp] == KindTag::Wire {
             cap_num -= self.unit_capacitance[comp] * x_i / 2.0;
             cap_num -= coupling_sum * x_i;
         }
         if cap_num < 0.0 {
             cap_num = 0.0;
         }
-        let denominator = self.area_coefficient[comp]
+        let mut denominator = self.area_coefficient[comp]
             + (self.beta + upstream_i) * self.unit_capacitance[comp]
-            + self.gamma * coupling_sum
-            + self.extra_denom[comp];
+            + self.gamma * coupling_sum;
+        if !self.extra_denom.is_empty() {
+            denominator += self.extra_denom[comp];
+        }
         let numerator = lambda_i * self.unit_resistance[comp] * cap_num;
         let opt = if denominator > 0.0 && numerator > 0.0 {
             (numerator / denominator).sqrt()
@@ -233,7 +244,7 @@ impl FusedChunkCtx<'_> {
 }
 
 /// The dense coupling-pair table in structure-of-arrays form (see
-/// `SizingEngine::pair_table`): seven parallel columns indexed by the
+/// `SizingEngine::pair_table`): five parallel columns indexed by the
 /// pair's global order. The per-sweep scatter and the crosstalk
 /// aggregation read one column at a time, streaming contiguous entries
 /// instead of striding over interleaved 56-byte records.
@@ -241,8 +252,6 @@ impl FusedChunkCtx<'_> {
 struct PairTable {
     a_raw: Vec<u32>,
     b_raw: Vec<u32>,
-    a_comp: Vec<u32>,
-    b_comp: Vec<u32>,
     /// Switching factor `sf_ij`.
     switching: Vec<f64>,
     /// Size-independent coupling `~c_ij`.
@@ -256,8 +265,6 @@ impl PairTable {
         PairTable {
             a_raw: Vec::with_capacity(n),
             b_raw: Vec::with_capacity(n),
-            a_comp: Vec::with_capacity(n),
-            b_comp: Vec::with_capacity(n),
             switching: Vec::with_capacity(n),
             base: Vec::with_capacity(n),
             coeff: Vec::with_capacity(n),
@@ -268,21 +275,9 @@ impl PairTable {
         self.a_raw.len()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        a_raw: u32,
-        b_raw: u32,
-        a_comp: u32,
-        b_comp: u32,
-        switching: f64,
-        base: f64,
-        coeff: f64,
-    ) {
+    fn push(&mut self, a_raw: u32, b_raw: u32, switching: f64, base: f64, coeff: f64) {
         self.a_raw.push(a_raw);
         self.b_raw.push(b_raw);
-        self.a_comp.push(a_comp);
-        self.b_comp.push(b_comp);
         self.switching.push(switching);
         self.base.push(base);
         self.coeff.push(coeff);
@@ -303,11 +298,7 @@ impl PairTable {
 
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.a_raw.capacity()
-            + self.b_raw.capacity()
-            + self.a_comp.capacity()
-            + self.b_comp.capacity())
-            * size_of::<u32>()
+        (self.a_raw.capacity() + self.b_raw.capacity()) * size_of::<u32>()
             + (self.switching.capacity() + self.base.capacity() + self.coeff.capacity())
                 * size_of::<f64>()
     }
@@ -322,24 +313,25 @@ impl<'a> SizingEngine<'a> {
             "circuit too large for 32-bit indices"
         );
         let n = graph.num_components();
-        let mut comp_is_wire = Vec::with_capacity(n);
         let mut area_coefficient = Vec::with_capacity(n);
         let mut lower_bound = Vec::with_capacity(n);
         let mut upper_bound = Vec::with_capacity(n);
-        let mut coupling_sum = Vec::with_capacity(n);
         let topo = CircuitTopology::new(graph);
-        let sums = coupling.linear_coefficient_sums();
+        let components = topo.component_nodes();
+        let coupling_sum = &coupling.linear_coefficient_sums()[components.clone()];
         let mut pair_table = PairTable::with_capacity(coupling.pairs().len());
         for pair in coupling.pairs() {
+            // The sweeps read a pair endpoint's size at its raw index minus
+            // the first component's, which is in range only for a component.
+            for end in [pair.a, pair.b] {
+                assert!(
+                    components.contains(&end.index()),
+                    "coupled wires are sizable"
+                );
+            }
             pair_table.push(
                 pair.a.index() as u32,
                 pair.b.index() as u32,
-                graph
-                    .component_index(pair.a)
-                    .expect("coupled wires are sizable") as u32,
-                graph
-                    .component_index(pair.b)
-                    .expect("coupled wires are sizable") as u32,
                 pair.switching_factor,
                 pair.base_capacitance(),
                 pair.linear_coefficient(),
@@ -347,11 +339,9 @@ impl<'a> SizingEngine<'a> {
         }
         for id in graph.component_ids() {
             let node = graph.node(id);
-            comp_is_wire.push(node.kind.is_wire());
             area_coefficient.push(node.attrs.area_coefficient);
             lower_bound.push(node.attrs.lower_bound);
             upper_bound.push(node.attrs.upper_bound);
-            coupling_sum.push(sums[id.index()]);
         }
         let grid = LevelGrid::new(topo.level_bounds());
         let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
@@ -363,12 +353,11 @@ impl<'a> SizingEngine<'a> {
             coupling,
             ws: EvalWorkspace::new(&topo),
             topo,
-            comp_is_wire,
             area_coefficient,
             lower_bound,
             upper_bound,
             coupling_sum,
-            extra_denom: vec![0.0; n],
+            extra_denom: Vec::new(),
             pair_table,
             sched: ScheduleWorkspace::new(n),
             par: ParRuntime::new(),
@@ -502,16 +491,17 @@ impl<'a> SizingEngine<'a> {
     /// Figure 10(a) memory accounting. Covers every engine-owned
     /// allocation: the evaluation workspace, the dense per-component
     /// attribute tables, the coupling-pair table and its channel shards,
-    /// the adaptive-schedule buffers (freeze state, active set, sync
-    /// snapshot), the parallel scratch and the dense topology.
+    /// the adaptive-schedule buffers (freeze state, sync snapshot), the
+    /// parallel scratch and the topology's derived columns. Borrowed tables
+    /// — the graph's adjacency, the coupling set's coefficient sums — are
+    /// counted once, by their owners
+    /// ([`CircuitGraph::memory_bytes`], [`CouplingSet::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
-            + self.comp_is_wire.capacity() * size_of::<bool>()
             + (self.area_coefficient.capacity()
                 + self.lower_bound.capacity()
                 + self.upper_bound.capacity()
-                + self.coupling_sum.capacity()
                 + self.extra_denom.capacity())
                 * size_of::<f64>()
             + self.pair_table.memory_bytes()
@@ -573,11 +563,12 @@ impl<'a> SizingEngine<'a> {
             "sizes must match the circuit"
         );
         let pairs = &self.pair_table;
+        let base = self.topo.component_nodes().start;
         let mut acc = 0.0;
         for q in 0..pairs.len() {
             acc += pairs.switching[q]
                 * pairs.coeff[q]
-                * (xs[pairs.a_comp[q] as usize] + xs[pairs.b_comp[q] as usize]);
+                * (xs[pairs.a_raw[q] as usize - base] + xs[pairs.b_raw[q] as usize - base]);
         }
         acc
     }
@@ -590,11 +581,11 @@ impl<'a> SizingEngine<'a> {
         let load = &mut self.ws.extra_cap;
         load.fill(0.0);
         let sizes = sizes.as_slice();
-        // Hoisted length assertions, as in `lrs_sweep`: every raw node and
-        // dense component index stored in the pair table is in range for the
-        // engine's circuit by construction, so after tying the slices to the
-        // circuit the per-pair loads and stores below cannot go out of
-        // bounds.
+        // Hoisted length assertions, as in `lrs_sweep`: every raw node index
+        // stored in the pair table is a component of the engine's circuit by
+        // construction (so is in range, and minus `base` is a dense
+        // component index), so after tying the slices to the circuit the
+        // per-pair loads and stores below cannot go out of bounds.
         assert_eq!(
             load.len(),
             self.graph.num_nodes(),
@@ -605,6 +596,7 @@ impl<'a> SizingEngine<'a> {
             self.graph.num_components(),
             "sizes must match the circuit"
         );
+        let base = self.topo.component_nodes().start;
         // Channel-sharded scatter when more than one worker runs: chunks
         // cover whole shards (connected channels), so concurrent chunks
         // never write the same per-node accumulator, and within a shard the
@@ -627,11 +619,13 @@ impl<'a> SizingEngine<'a> {
                         // SAFETY: lengths asserted above; shards own
                         // disjoint node sets, so no concurrent writes alias.
                         unsafe {
-                            let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(p) as usize);
-                            let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(p) as usize);
+                            let a = *pairs.a_raw.get_unchecked(p) as usize;
+                            let b = *pairs.b_raw.get_unchecked(p) as usize;
+                            let xa = *sizes.get_unchecked(a - base);
+                            let xb = *sizes.get_unchecked(b - base);
                             let cap = pairs.cap_unchecked(p, xa, xb);
-                            load_s.add(*pairs.a_raw.get_unchecked(p) as usize, cap);
-                            load_s.add(*pairs.b_raw.get_unchecked(p) as usize, cap);
+                            load_s.add(a, cap);
+                            load_s.add(b, cap);
                         }
                     }
                 }
@@ -643,11 +637,13 @@ impl<'a> SizingEngine<'a> {
             // SAFETY: lengths asserted above; the stored indices are in
             // range by construction.
             unsafe {
-                let xa = *sizes.get_unchecked(*pairs.a_comp.get_unchecked(q) as usize);
-                let xb = *sizes.get_unchecked(*pairs.b_comp.get_unchecked(q) as usize);
+                let a = *pairs.a_raw.get_unchecked(q) as usize;
+                let b = *pairs.b_raw.get_unchecked(q) as usize;
+                let xa = *sizes.get_unchecked(a - base);
+                let xb = *sizes.get_unchecked(b - base);
                 let c = pairs.cap_unchecked(q, xa, xb);
-                *load.get_unchecked_mut(*pairs.a_raw.get_unchecked(q) as usize) += c;
-                *load.get_unchecked_mut(*pairs.b_raw.get_unchecked(q) as usize) += c;
+                *load.get_unchecked_mut(a) += c;
+                *load.get_unchecked_mut(b) += c;
             }
         }
     }
@@ -659,16 +655,23 @@ impl<'a> SizingEngine<'a> {
 
     /// A2 aggregation for the extra constraint families: fills the dense
     /// `extra_denom` table with `Σ_f Σ_k μ_{f,k} · a_{f,k,i}` per component.
-    /// Runs once per LRS solve (the multipliers are fixed within a solve),
-    /// costs `O(total terms)` and allocates nothing. With an empty set the
-    /// table is zeroed, so a subsequent legacy solve on a reused engine
-    /// never sees stale contributions.
+    /// Runs once per LRS solve (the multipliers are fixed within a solve)
+    /// and costs `O(components + total terms)`. Without extra constraints
+    /// the table is left empty, which the closed-form resize reads as all
+    /// zeros: the legacy formulation never allocates it, and a legacy solve
+    /// on an engine reused after a constrained one never sees stale
+    /// contributions. The first constrained solve allocates it once; later
+    /// ones reuse the capacity.
     pub(crate) fn load_extra_denominator(
         &mut self,
         extras: &ConstraintSet,
         multipliers: &Multipliers,
     ) {
-        self.extra_denom.fill(0.0);
+        self.extra_denom.clear();
+        if extras.is_empty() {
+            return;
+        }
+        self.extra_denom.resize(self.graph.num_components(), 0.0);
         extras.accumulate_denominator(multipliers.extra_blocks(), &mut self.extra_denom);
     }
 
@@ -769,13 +772,13 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(ws.node_weights.len(), ws.charged.len());
         assert_eq!(ws.upstream.len(), ws.charged.len());
         let tables = ResizeTables {
-            is_wire: &self.comp_is_wire,
+            kind: self.topo.component_kinds(),
             unit_resistance: self.topo.component_unit_resistance(),
             unit_capacitance: self.topo.component_unit_capacitance(),
             area_coefficient: &self.area_coefficient,
             lower_bound: &self.lower_bound,
             upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
+            coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
             beta,
             gamma,
@@ -864,7 +867,7 @@ impl<'a> SizingEngine<'a> {
 
     /// Whether the active set is empty (every component frozen).
     pub(crate) fn active_set_is_empty(&self) -> bool {
-        self.sched.active.is_empty()
+        self.sched.num_frozen == self.sched.frozen.len()
     }
 
     /// Counter of sweeps performed across the run (drives the verification
@@ -974,13 +977,13 @@ impl<'a> SizingEngine<'a> {
         assert_eq!(sched.calm.len(), n_comps);
         assert_eq!(sched.frozen.len(), n_comps);
         let tables = ResizeTables {
-            is_wire: &self.comp_is_wire,
+            kind: self.topo.component_kinds(),
             unit_resistance: self.topo.component_unit_resistance(),
             unit_capacitance: self.topo.component_unit_capacitance(),
             area_coefficient: &self.area_coefficient,
             lower_bound: &self.lower_bound,
             upper_bound: &self.upper_bound,
-            coupling_sum: &self.coupling_sum,
+            coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
             beta,
             gamma,
@@ -1097,7 +1100,7 @@ impl<'a> SizingEngine<'a> {
             sched.caps_synced = false;
         }
         sched.charged_fresh = backward;
-        sched.rebuild_active();
+        sched.count_frozen();
         (worst, touched_total)
     }
 
@@ -1258,17 +1261,16 @@ mod tests {
         let n = graph.num_components();
 
         // Lower bound assembled field by field: the evaluation workspace,
-        // the adaptive-schedule buffers (freeze state, active set, sync
-        // snapshot), the eight dense f64 attribute tables, the raw-index and
-        // wire-flag tables, the SoA pair table (four u32 and three f64
-        // columns) and the dense topology. `memory_bytes` must cover all of
-        // them (capacities can only exceed the lengths used here).
+        // the adaptive-schedule buffers (freeze state, sync snapshot), the
+        // three dense f64 attribute tables the engine owns (area
+        // coefficient, lower and upper bound), the SoA pair table (two u32
+        // and three f64 columns) and the topology's own columns.
+        // `memory_bytes` must cover all of them (capacities can only exceed
+        // the lengths used here).
         let floor = engine.ws.memory_bytes()
             + engine.sched.memory_bytes()
-            + 8 * n * size_of::<f64>()
-            + n * size_of::<usize>()
-            + n * size_of::<bool>()
-            + engine.pair_table.len() * (4 * size_of::<u32>() + 3 * size_of::<f64>())
+            + 3 * n * size_of::<f64>()
+            + engine.pair_table.len() * (2 * size_of::<u32>() + 3 * size_of::<f64>())
             + engine.topo.memory_bytes();
         assert!(
             engine.memory_bytes() >= floor,
@@ -1280,14 +1282,75 @@ mod tests {
         // The schedule workspace itself accounts for every buffer it owns.
         let sched_floor = n * size_of::<f64>()      // eval_sizes
             + n * size_of::<u32>()                   // calm
-            + n * size_of::<bool>()                  // frozen
-            + n * size_of::<u32>(); // active (starts full)
+            + n * size_of::<bool>(); // frozen
         assert!(
             engine.sched.memory_bytes() >= sched_floor,
             "schedule accounting {} must cover its buffers {}",
             engine.sched.memory_bytes(),
             sched_floor
         );
+    }
+
+    /// The per-component coupling sums are the component range of the
+    /// coupling set's own table, not a copy of it.
+    #[test]
+    fn engine_borrows_the_coupling_sums() {
+        let (graph, coupling) = setup();
+        let engine = SizingEngine::new(&graph, &coupling);
+        let components = engine.topo.component_nodes();
+        assert_eq!(engine.coupling_sum.len(), graph.num_components());
+        assert_eq!(
+            engine.coupling_sum.as_ptr(),
+            coupling.linear_coefficient_sums()[components].as_ptr()
+        );
+    }
+
+    /// The extra-family denominator exists only while a solve has extra
+    /// constraints: empty for the legacy formulation, one entry per
+    /// component after a constrained solve, and empty again after a legacy
+    /// solve on the same engine.
+    #[test]
+    fn extra_denominator_is_filled_only_for_extra_families() {
+        use crate::constraints::{FamilyKind, ScalarConstraint, ScalarFamily};
+        let (graph, coupling) = setup();
+        let n = graph.num_components();
+        let lrs = LrsSolver::new(50, 1e-9);
+        let mut engine = SizingEngine::new(&graph, &coupling);
+        let legacy = ConstraintSet::new();
+        let legacy_multipliers = Multipliers::uniform(&graph, 0.05, 0.1);
+        let mut sizes = graph.uniform_sizes(1.0);
+        let control = RunControl::new();
+        lrs.solve_constrained(
+            &mut engine,
+            &legacy,
+            &legacy_multipliers,
+            &mut sizes,
+            &control,
+        );
+        assert!(engine.extra_denom.is_empty());
+
+        let mut extras = ConstraintSet::new();
+        extras.push(ScalarFamily::new(
+            "cap",
+            FamilyKind::Custom,
+            vec![ScalarConstraint::new("c0", [(0, 2.0), (2, 0.5)], 0.0, 1.0)],
+        ));
+        let mut multipliers = legacy_multipliers.clone();
+        multipliers.attach_extras(&extras, 0.25);
+        lrs.solve_constrained(&mut engine, &extras, &multipliers, &mut sizes, &control);
+        let mut expected = vec![0.0; n];
+        expected[0] = 0.25 * 2.0;
+        expected[2] = 0.25 * 0.5;
+        assert_eq!(engine.extra_denom, expected);
+
+        lrs.solve_constrained(
+            &mut engine,
+            &legacy,
+            &legacy_multipliers,
+            &mut sizes,
+            &control,
+        );
+        assert!(engine.extra_denom.is_empty());
     }
 
     #[test]
@@ -1399,7 +1462,7 @@ mod tests {
         let mut level_sizes = seq_sizes.clone();
         for engine in [&mut sequential, &mut level] {
             engine.sched.frozen[0] = true;
-            engine.sched.rebuild_active();
+            engine.sched.count_frozen();
         }
         for backward in [false, true, false] {
             let sweep = |engine: &mut SizingEngine<'_>, sizes: &mut SizeVector| {

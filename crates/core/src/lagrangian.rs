@@ -61,15 +61,10 @@ impl Multipliers {
     /// paper's formulation — attach blocks with
     /// [`attach_extras`](Self::attach_extras)).
     pub fn uniform(graph: &CircuitGraph, edge_value: f64, scalar_value: f64) -> Self {
-        let mut offsets = Vec::with_capacity(graph.num_nodes() + 1);
-        let mut total = 0u32;
-        offsets.push(0);
-        for id in graph.node_ids() {
-            total += graph.fanin(id).len() as u32;
-            offsets.push(total);
-        }
+        let offsets = graph.fanin_offsets().to_vec();
+        let total = *offsets.last().expect("offsets are non-empty") as usize;
         Multipliers {
-            values: vec![edge_value; total as usize],
+            values: vec![edge_value; total],
             offsets,
             beta: scalar_value,
             gamma: scalar_value,
@@ -116,13 +111,7 @@ impl Multipliers {
     /// `true` when this multiplier set's CSR layout matches `graph`'s fanin
     /// structure (same node count and per-node fanin degrees).
     pub fn matches(&self, graph: &CircuitGraph) -> bool {
-        if self.offsets.len() != graph.num_nodes() + 1 {
-            return false;
-        }
-        graph.node_ids().all(|id| {
-            let i = id.index();
-            (self.offsets[i + 1] - self.offsets[i]) as usize == graph.fanin(id).len()
-        })
+        self.offsets == graph.fanin_offsets()
     }
 
     /// The flat slot range of a node's fanin-edge multipliers.

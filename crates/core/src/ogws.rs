@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{NodeKind, SharedMut, SizeVector};
+use ncgws_circuit::{NodeId, NodeKind, SharedMut, SizeVector};
 use serde::Serialize;
 
 use crate::constraints::ConstraintFamily;
@@ -706,7 +706,7 @@ impl OgwsSolver {
     #[allow(clippy::too_many_arguments)]
     fn update_multipliers(
         problem: &SizingProblem<'_>,
-        index: &FlowIndex,
+        index: &FlowIndex<'_>,
         multipliers: &mut Multipliers,
         arrival: &[f64],
         delays: &[f64],
@@ -732,9 +732,9 @@ impl OgwsSolver {
             (value * factor).max(1e-12)
         };
 
-        // Walk the dense outer-loop index (flat kinds, fanin ids and
-        // multiplier values) instead of chasing the per-node adjacency
-        // `Vec`s; same traversal order and arithmetic as the graph walk.
+        // Walk the flat kinds, the graph's CSR fanin lists and the flat
+        // multiplier values; same traversal order and arithmetic as the
+        // per-node graph walk.
         let kinds = index.kinds();
         let n = graph.num_nodes();
         let source = graph.source().index();
@@ -742,7 +742,9 @@ impl OgwsSolver {
         assert_eq!(delays.len(), n, "delays must match the circuit");
         {
             let (offsets, values) = multipliers.flat_mut();
-            assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
+            // Ties node `i`'s fanin list to its slots `offsets[i]..`, all
+            // within `values`.
+            index.assert_matches(graph, offsets);
             let values_s = SharedMut::new(values);
             par.run_flat(par::flat_chunks(n), |chunk| {
                 for i in par::flat_range(n, chunk) {
@@ -750,10 +752,10 @@ impl OgwsSolver {
                         continue;
                     }
                     let kind = kinds[i];
-                    let fanin = index.fanin_flat(i);
+                    let fanin = graph.fanin(NodeId::new(i));
                     let base = offsets[i] as usize;
                     for (slot, &j) in fanin.iter().enumerate() {
-                        let j = j as usize;
+                        let j = j.index();
                         let violation = match kind {
                             NodeKind::Sink => arrival[j] - a0,
                             NodeKind::Gate(_) | NodeKind::Wire => {

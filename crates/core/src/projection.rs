@@ -25,8 +25,9 @@ use crate::par::{LevelGrid, ParRuntime};
 /// Precomputed dense view of the graph structure the OGWS outer loop walks
 /// every iteration: for every node, the positions (in the
 /// [`Multipliers::flat`] value array) of its *outgoing* edge multipliers
-/// (its slot in each fanout node's fanin list), plus flat fanin node ids and
-/// per-node kinds.
+/// (its slot in each fanout node's fanin list), plus per-node kinds. The
+/// fanin lists themselves — which parallel the flat multiplier slots — are
+/// read from the graph the index borrows, not copied.
 ///
 /// [`project_flow_conservation`] searches each fanin list for the fanout
 /// slot on every call (`O(E · fanin)` per projection); building this index
@@ -34,39 +35,29 @@ use crate::par::{LevelGrid, ParRuntime};
 /// into a contiguous `O(V + E)` walk instead of a pointer chase through the
 /// per-node adjacency `Vec`s and name-carrying `Node` structs.
 #[derive(Debug, Clone)]
-pub struct FlowIndex {
+pub struct FlowIndex<'g> {
+    /// The circuit the index describes. The walks that take an index check
+    /// they were handed this very graph before touching a slot through it.
+    graph: &'g CircuitGraph,
     /// CSR offsets into `out_pos`, one entry per node plus a trailing total.
     out_start: Vec<u32>,
     /// Flat-value positions of each node's outgoing edge multipliers, in
     /// fanout order.
     out_pos: Vec<u32>,
-    /// CSR offsets into `fanin_flat`, one entry per node plus a trailing
-    /// total — the same layout [`Multipliers::uniform`] gives the flat
-    /// multiplier values, kept here so the index is self-contained.
-    fanin_start: Vec<u32>,
-    /// Concatenated fanin node indices, parallel to the flat multiplier
-    /// slots.
-    fanin_flat: Vec<u32>,
     /// Node kind per raw node index.
     kinds: Vec<NodeKind>,
 }
 
-impl FlowIndex {
+impl<'g> FlowIndex<'g> {
     /// Builds the index for a circuit (one `O(E · fanin)` search, amortized
     /// over every projection of the run).
-    pub fn new(graph: &CircuitGraph) -> Self {
+    pub fn new(graph: &'g CircuitGraph) -> Self {
         let n = graph.num_nodes();
-        // Flat fanin offsets, exactly as `Multipliers::uniform` lays out.
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut total = 0u32;
-        offsets.push(0u32);
-        for id in graph.node_ids() {
-            total += graph.fanin(id).len() as u32;
-            offsets.push(total);
-        }
+        // The flat multiplier layout: node `i`'s fanin slots start at
+        // `offsets[i]` (see `Multipliers::uniform`).
+        let offsets = graph.fanin_offsets();
         let mut out_start = Vec::with_capacity(n + 1);
-        let mut out_pos = Vec::new();
-        let mut fanin_flat = Vec::with_capacity(total as usize);
+        let mut out_pos = Vec::with_capacity(graph.num_edges());
         let mut kinds = Vec::with_capacity(n);
         out_start.push(0u32);
         for id in graph.node_ids() {
@@ -79,14 +70,12 @@ impl FlowIndex {
                 out_pos.push(offsets[succ.index()] + slot as u32);
             }
             out_start.push(out_pos.len() as u32);
-            fanin_flat.extend(graph.fanin(id).iter().map(|p| p.index() as u32));
             kinds.push(graph.node(id).kind);
         }
         FlowIndex {
+            graph,
             out_start,
             out_pos,
-            fanin_start: offsets,
-            fanin_flat,
             kinds,
         }
     }
@@ -96,20 +85,32 @@ impl FlowIndex {
         &self.kinds
     }
 
-    /// The fanin node indices of node `idx` (the slots parallel the node's
-    /// flat multiplier values, see [`Multipliers::flat`]).
-    pub fn fanin_flat(&self, idx: usize) -> &[u32] {
-        &self.fanin_flat[self.fanin_start[idx] as usize..self.fanin_start[idx + 1] as usize]
+    /// Asserts that the index was built for `graph` and that the
+    /// multiplier `offsets` are `graph`'s fanin layout. Every out position
+    /// of the index and every fanin slot of the graph then lies within the
+    /// multiplier values (the offsets end at their length), which is what
+    /// the unchecked slot accesses of the walks rely on.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either does not hold.
+    pub(crate) fn assert_matches(&self, graph: &CircuitGraph, offsets: &[u32]) {
+        assert!(
+            std::ptr::eq(self.graph, graph),
+            "index must match the multipliers"
+        );
+        assert_eq!(
+            offsets,
+            graph.fanin_offsets(),
+            "multipliers must match the circuit"
+        );
     }
 
-    /// Bytes held by the index (for memory accounting).
+    /// Bytes of the tables the index owns (for memory accounting); the
+    /// fanin lists it reads are the graph's.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.out_start.capacity()
-            + self.out_pos.capacity()
-            + self.fanin_start.capacity()
-            + self.fanin_flat.capacity())
-            * size_of::<u32>()
+        (self.out_start.capacity() + self.out_pos.capacity()) * size_of::<u32>()
             + self.kinds.capacity() * size_of::<NodeKind>()
     }
 }
@@ -135,7 +136,7 @@ pub fn project_flow_conservation(graph: &CircuitGraph, multipliers: &mut Multipl
 /// same per-node body.
 pub fn project_flow_conservation_indexed(
     graph: &CircuitGraph,
-    index: &FlowIndex,
+    index: &FlowIndex<'_>,
     multipliers: &mut Multipliers,
 ) {
     multipliers.clamp_non_negative();
@@ -143,21 +144,13 @@ pub fn project_flow_conservation_indexed(
     let source = graph.source().index();
     let n = graph.num_nodes();
     let (offsets, values) = multipliers.flat_mut();
-    assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
-    assert_eq!(index.out_start.len(), n + 1, "index must match the circuit");
-    // With the same fanin layout, every out position and fanin slot the
-    // index names lies within `values` (the offsets end at its length).
-    assert_eq!(
-        index.fanin_start.as_slice(),
-        offsets,
-        "index must match the multipliers"
-    );
+    index.assert_matches(graph, offsets);
     let values_s = SharedMut::new(values);
     // Reverse topological order; node indices are topological by construction.
     for idx in (0..n).rev() {
         if idx != sink && idx != source {
-            // SAFETY: `idx < n`, the index is tied to the multipliers'
-            // layout above, and nothing else accesses `values`.
+            // SAFETY: `idx < n`, the index and the multipliers' layout are
+            // tied to the graph above, and nothing else accesses `values`.
             unsafe { project_node(idx, index, offsets, values_s) };
         }
     }
@@ -171,7 +164,7 @@ pub fn project_flow_conservation_indexed(
 /// identical to the whole-circuit walk for every thread count.
 pub(crate) fn project_flow_conservation_leveled(
     graph: &CircuitGraph,
-    index: &FlowIndex,
+    index: &FlowIndex<'_>,
     multipliers: &mut Multipliers,
     grid: &LevelGrid,
     par: &ParRuntime,
@@ -181,23 +174,15 @@ pub(crate) fn project_flow_conservation_leveled(
     let source = graph.source().index();
     let n = graph.num_nodes();
     let (offsets, values) = multipliers.flat_mut();
-    assert_eq!(offsets.len(), n + 1, "multipliers must match the circuit");
-    assert_eq!(index.out_start.len(), n + 1, "index must match the circuit");
-    // With the same fanin layout, every out position and fanin slot the
-    // index names lies within `values` (the offsets end at its length).
-    assert_eq!(
-        index.fanin_start.as_slice(),
-        offsets,
-        "index must match the multipliers"
-    );
+    index.assert_matches(graph, offsets);
     assert_eq!(grid.num_nodes(), n, "grid must match the circuit");
     let values_s = SharedMut::new(values);
     par.run_leveled(grid, true, |block| {
         for level in block.bounds.windows(2).rev() {
             for idx in level[0] as usize..level[1] as usize {
                 if idx != sink && idx != source {
-                    // SAFETY: the grid covers `0..n` and the index is tied
-                    // to the multipliers' layout above; this block owns
+                    // SAFETY: the grid covers `0..n`, and the index and the
+                    // multipliers' layout are tied to the graph above; this block owns
                     // node `idx`, and the slots it reads belong to fanout
                     // nodes in later levels, settled before this step
                     // started.
@@ -214,12 +199,17 @@ pub(crate) fn project_flow_conservation_leveled(
 ///
 /// # Safety
 ///
-/// `idx < n`, `index.fanin_start == offsets`, `offsets` ends at the length
-/// of the slice `values` wraps, no other borrower concurrently accesses
+/// `idx < n`, `index` was built for the graph whose fanin offsets are
+/// `offsets`, `offsets` ends at the length of the slice `values` wraps, no other borrower concurrently accesses
 /// node `idx`'s fanin slots, and the fanin slots of its fanout nodes (the
 /// out positions it reads) are settled and not written concurrently.
 #[inline(always)]
-unsafe fn project_node(idx: usize, index: &FlowIndex, offsets: &[u32], values: SharedMut<'_, f64>) {
+unsafe fn project_node(
+    idx: usize,
+    index: &FlowIndex<'_>,
+    offsets: &[u32],
+    values: SharedMut<'_, f64>,
+) {
     // Outgoing sum over the precomputed flat positions (fanout order).
     let mut out_sum = 0.0;
     for &pos in &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize] {

@@ -238,9 +238,11 @@ impl ScheduleState {
     }
 }
 
-/// Per-engine mutable state of the adaptive schedule: the active/frozen
-/// partition, calm-streak counters, and the `eval_sizes` snapshot the cached
-/// electrical tables currently reflect.
+/// Per-engine mutable state of the adaptive schedule: the per-component
+/// frozen flags and their count, calm-streak counters, and the `eval_sizes`
+/// snapshot the cached electrical tables currently reflect. A component is
+/// active exactly when it is not frozen, so the active set is empty exactly
+/// when `num_frozen == frozen.len()`.
 ///
 /// Owned by [`SizingEngine`](crate::SizingEngine) so the buffers are sized
 /// once per circuit and counted by
@@ -264,8 +266,6 @@ pub(crate) struct ScheduleWorkspace {
     pub(crate) calm: Vec<u32>,
     /// Frozen flag per component.
     pub(crate) frozen: Vec<bool>,
-    /// Dense indices of the active (not frozen) components, ascending.
-    pub(crate) active: Vec<u32>,
     /// Number of frozen components (`== frozen.iter().filter(|f| **f).count()`).
     pub(crate) num_frozen: usize,
     /// Sweeps performed across the whole run (drives the verification
@@ -283,7 +283,6 @@ impl ScheduleWorkspace {
             charged_fresh: false,
             calm: vec![0; num_components],
             frozen: vec![false; num_components],
-            active: (0..num_components as u32).collect(),
             num_frozen: 0,
             global_sweep: 0,
         }
@@ -327,18 +326,10 @@ impl ScheduleWorkspace {
         }
     }
 
-    /// Rebuilds the ascending active list and the frozen count from the
-    /// per-component flags (linear; trivial next to a traversal pass).
-    pub(crate) fn rebuild_active(&mut self) {
-        self.active.clear();
-        self.num_frozen = 0;
-        for (comp, &frozen) in self.frozen.iter().enumerate() {
-            if frozen {
-                self.num_frozen += 1;
-            } else {
-                self.active.push(comp as u32);
-            }
-        }
+    /// Recounts the frozen components from the per-component flags
+    /// (linear; trivial next to a traversal pass).
+    pub(crate) fn count_frozen(&mut self) {
+        self.num_frozen = self.frozen.iter().filter(|&&frozen| frozen).count();
     }
 
     /// Resets to the run-start state: everything active, nothing cached.
@@ -347,8 +338,6 @@ impl ScheduleWorkspace {
         self.charged_fresh = false;
         self.calm.fill(0);
         self.frozen.fill(false);
-        self.active.clear();
-        self.active.extend(0..self.frozen.len() as u32);
         self.num_frozen = 0;
         self.global_sweep = 0;
     }
@@ -378,7 +367,7 @@ impl ScheduleWorkspace {
         self.calm.copy_from_slice(&state.calm);
         self.frozen.copy_from_slice(&state.frozen);
         self.global_sweep = state.global_sweep;
-        self.rebuild_active();
+        self.count_frozen();
     }
 
     /// Bytes held by the schedule buffers (for the Figure 10(a) accounting).
@@ -387,7 +376,6 @@ impl ScheduleWorkspace {
         self.eval_sizes.capacity() * size_of::<f64>()
             + self.calm.capacity() * size_of::<u32>()
             + self.frozen.capacity() * size_of::<bool>()
-            + self.active.capacity() * size_of::<u32>()
     }
 }
 
@@ -443,7 +431,6 @@ mod tests {
         ws.frozen[2] = true;
         ws.num_frozen = 1;
         ws.calm[1] = 7;
-        ws.active.clear();
         ws.global_sweep = 42;
         ws.caps_synced = true;
         ws.charged_fresh = true;
@@ -453,7 +440,6 @@ mod tests {
         assert_eq!(ws.num_frozen, 0);
         assert!(ws.frozen.iter().all(|f| !f));
         assert!(ws.calm.iter().all(|&c| c == 0));
-        assert_eq!(ws.active, vec![0, 1, 2, 3]);
         assert_eq!(ws.global_sweep, 0);
         assert!(ws.memory_bytes() > 0);
     }

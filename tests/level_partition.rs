@@ -21,11 +21,11 @@ use ncgws::netlist::{table1_specs, xl_spec, xl_wide_spec, SyntheticGenerator};
 
 /// Longest-path level of every node (`1 + max` over the fanin, the source
 /// at level 0).
-fn longest_path_levels(topo: &CircuitTopology) -> Vec<usize> {
+fn longest_path_levels(topo: &CircuitTopology<'_>) -> Vec<usize> {
     let mut level = vec![0usize; topo.num_nodes()];
     for idx in 0..topo.num_nodes() {
         for &pred in topo.fanin(idx) {
-            level[idx] = level[idx].max(level[pred as usize] + 1);
+            level[idx] = level[idx].max(level[pred.index()] + 1);
         }
     }
     level
@@ -33,7 +33,7 @@ fn longest_path_levels(topo: &CircuitTopology) -> Vec<usize> {
 
 /// The partition covers `0..n` in order with non-empty ranges, and no
 /// range contains an edge.
-fn assert_partition_invariant(topo: &CircuitTopology, what: &str) {
+fn assert_partition_invariant(topo: &CircuitTopology<'_>, what: &str) {
     let mut next = 0;
     for l in 0..topo.num_levels() {
         let range = topo.level(l);
@@ -42,7 +42,7 @@ fn assert_partition_invariant(topo: &CircuitTopology, what: &str) {
         for idx in range.clone() {
             for &pred in topo.fanin(idx) {
                 assert!(
-                    (pred as usize) < range.start,
+                    pred.index() < range.start,
                     "{what}: edge {pred} -> {idx} inside level {l}"
                 );
             }

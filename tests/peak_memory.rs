@@ -77,9 +77,9 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
     ("generate", 2_226_963),
-    ("order", 4_291_725),
-    ("engine", 4_131_725),
-    ("size", 4_663_920),
+    ("order", 3_624_109),
+    ("engine", 3_463_917),
+    ("size", 3_889_456),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload.
