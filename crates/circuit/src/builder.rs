@@ -1,11 +1,12 @@
 //! Incremental construction of [`CircuitGraph`]s.
 
+use std::collections::hash_map::Entry;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::error::CircuitError;
-use crate::graph::{AdjacencyFill, CircuitGraph, MAX_NODES};
+use crate::graph::{AdjacencyFill, CircuitGraph, NodeColumns, MAX_NODES};
 use crate::id::NodeId;
 use crate::names::NameTable;
 use crate::node::{GateKind, Node, NodeAttrs, NodeKind};
@@ -58,6 +59,11 @@ impl Hasher for PassThrough {
 /// The end of a [`NameIndex`] chain.
 const CHAIN_END: u32 = u32::MAX;
 
+/// A wire's entry in `CircuitBuilder::wire_driver` before it has a
+/// driver. Components are numbered below [`MAX_COMPONENTS`], so no
+/// component has this number.
+const NO_DRIVER: u32 = u32::MAX;
+
 /// The builder's name lookup, over the names held in its [`NameTable`].
 ///
 /// A name is hashed once, with the builder's own keyed SipHash
@@ -100,12 +106,50 @@ impl NameIndex {
         None
     }
 
-    /// Records component `i`, the next one, under `hash`.
-    fn insert(&mut self, hash: u64, i: usize) {
+    /// Appends `name`, whose hash is `hash`, to `names` as the next
+    /// component and records it, with one probe of the hash map.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::DuplicateName`] when a component already has the
+    /// name, else [`CircuitError::TooLarge`] when the components or their
+    /// names outgrow 32 bits. Nothing is recorded on an error.
+    fn register(
+        &mut self,
+        names: &mut NameTable,
+        hash: u64,
+        name: &str,
+    ) -> Result<(), CircuitError> {
+        let i = names.len();
         debug_assert_eq!(i, self.earlier.len());
+        let entry = self.last.entry(hash);
+        let previous = match &entry {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(_) => CHAIN_END,
+        };
+        let mut at = previous;
+        while at != CHAIN_END {
+            if names.get(at as usize) == name {
+                return Err(CircuitError::DuplicateName(name.to_string()));
+            }
+            at = self.earlier[at as usize];
+        }
+        if i >= MAX_COMPONENTS {
+            return Err(CircuitError::TooLarge {
+                what: "components",
+                limit: MAX_COMPONENTS,
+            });
+        }
+        names.push(name)?;
         // `i < MAX_COMPONENTS`, so it fits and is never `CHAIN_END`.
-        let previous = self.last.insert(hash, i as u32);
-        self.earlier.push(previous.unwrap_or(CHAIN_END));
+        match entry {
+            Entry::Occupied(mut e) => *e.get_mut() = i as u32,
+            Entry::Vacant(e) => {
+                e.insert(i as u32);
+            }
+        }
+        self.earlier.push(previous);
+        Ok(())
     }
 }
 
@@ -121,7 +165,11 @@ impl NameIndex {
 /// the edge once (a wire instead records its single driver).
 /// [`CircuitBuilder::build`] runs in O(nodes + edges): two counting passes
 /// fill the graph's compressed fanin and fanout arrays already sorted, and
-/// the nodes are permuted into topological order in place.
+/// one pass in topological order writes every node column of the graph.
+///
+/// Under construction a component is only its kind and one parameter (a
+/// driver's resistance or a wire's length); its attributes are computed
+/// from the technology when `build` writes its node.
 ///
 /// The names are appended to one string in the order the components are
 /// added, and a name index keyed by each name's 64-bit keyed hash resolves
@@ -163,18 +211,24 @@ impl NameIndex {
 #[derive(Debug, Clone)]
 pub struct CircuitBuilder {
     tech: Technology,
-    /// The components in the order they were added.
-    nodes: Vec<Node>,
+    /// The kinds of the components, in the order they were added.
+    kinds: Vec<NodeKind>,
+    /// `param[i]` is the resistance of driver `i`, the length of wire `i`,
+    /// and zero for a gate.
+    param: Vec<f64>,
+    /// `set_size_bounds` overrides `(component, lower, upper)`, in call
+    /// order; `build` applies them after writing the nodes.
+    bounds: Vec<(u32, f64, f64)>,
     /// `names.get(i)` is the name of component `i`.
     names: NameTable,
     index: NameIndex,
     /// `wire_driver[i]` is the component driving wire `i` once it has
-    /// accepted its one fanin edge; it enforces the one-driver rule and
-    /// detects a repeated wire edge without hashing.
-    wire_driver: Vec<Option<usize>>,
-    edges: Vec<(usize, usize)>,
+    /// accepted its one fanin edge, [`NO_DRIVER`] before; it enforces the
+    /// one-driver rule and detects a repeated wire edge without hashing.
+    wire_driver: Vec<u32>,
+    edges: Vec<(u32, u32)>,
     /// Edges into non-wires, for duplicate detection.
-    edge_set: HashSet<(usize, usize)>,
+    edge_set: HashSet<(u32, u32)>,
     /// `output_loads[i]` is the accumulated primary-output load of
     /// component `i`, if it drives one.
     output_loads: Vec<Option<f64>>,
@@ -193,8 +247,9 @@ impl CircuitBuilder {
     pub fn with_capacity(tech: Technology, components: usize, edges: usize) -> Self {
         CircuitBuilder {
             tech,
-            // Room for the source and sink that `build` appends.
-            nodes: Vec::with_capacity(components + 2),
+            kinds: Vec::with_capacity(components),
+            param: Vec::with_capacity(components),
+            bounds: Vec::new(),
             names: NameTable::with_capacity(components, 0),
             index: NameIndex::with_capacity(components),
             wire_driver: Vec::with_capacity(components),
@@ -211,12 +266,12 @@ impl CircuitBuilder {
 
     /// Number of components added so far (drivers, gates and wires).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Returns `true` if no component has been added yet.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
     /// The component added under `name`, if any.
@@ -231,30 +286,19 @@ impl CircuitBuilder {
 
     /// [`register_name`](Self::register_name) with the name's hash given.
     fn register_hashed(&mut self, hash: u64, name: &str) -> Result<(), CircuitError> {
-        if name == SOURCE_NAME
-            || name == SINK_NAME
-            || self.index.find(&self.names, hash, name).is_some()
-        {
+        if name == SOURCE_NAME || name == SINK_NAME {
             return Err(CircuitError::DuplicateName(name.to_string()));
         }
-        let i = self.names.len();
-        if i >= MAX_COMPONENTS {
-            return Err(CircuitError::TooLarge {
-                what: "components",
-                limit: MAX_COMPONENTS,
-            });
-        }
-        self.names.push(name)?;
-        self.index.insert(hash, i);
-        Ok(())
+        self.index.register(&mut self.names, hash, name)
     }
 
-    fn push_node(&mut self, kind: NodeKind, attrs: NodeAttrs) -> BuildNode {
-        debug_assert_eq!(self.nodes.len() + 1, self.names.len());
-        self.nodes.push(Node { kind, attrs });
-        self.wire_driver.push(None);
+    fn push_node(&mut self, kind: NodeKind, param: f64) -> BuildNode {
+        debug_assert_eq!(self.kinds.len() + 1, self.names.len());
+        self.kinds.push(kind);
+        self.param.push(param);
+        self.wire_driver.push(NO_DRIVER);
         self.output_loads.push(None);
-        BuildNode(self.nodes.len() - 1)
+        BuildNode(self.kinds.len() - 1)
     }
 
     /// Adds an input driver with resistance `rd` (Ω).
@@ -271,7 +315,7 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        Ok(self.push_node(NodeKind::Driver, NodeAttrs::driver(rd)))
+        Ok(self.push_node(NodeKind::Driver, rd))
     }
 
     /// Adds a gate of the given logic kind.
@@ -281,8 +325,7 @@ impl CircuitBuilder {
     /// Returns an error if the name is already used or reserved.
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
         self.register_name(name)?;
-        let attrs = NodeAttrs::gate(&self.tech);
-        Ok(self.push_node(NodeKind::Gate(kind), attrs))
+        Ok(self.push_node(NodeKind::Gate(kind), 0.0))
     }
 
     /// Adds a wire of the given length (µm).
@@ -299,8 +342,7 @@ impl CircuitBuilder {
             });
         }
         self.register_name(name)?;
-        let attrs = NodeAttrs::wire(&self.tech, length);
-        Ok(self.push_node(NodeKind::Wire, attrs))
+        Ok(self.push_node(NodeKind::Wire, length))
     }
 
     /// Overrides the size bounds of a sizable component.
@@ -315,11 +357,11 @@ impl CircuitBuilder {
         lower: f64,
         upper: f64,
     ) -> Result<(), CircuitError> {
-        let n = self
-            .nodes
-            .get_mut(node.0)
+        let kind = self
+            .kinds
+            .get(node.0)
             .ok_or(CircuitError::UnknownNode(NodeId::new(node.0)))?;
-        if !n.kind.is_sizable() {
+        if !kind.is_sizable() {
             return Err(CircuitError::InvalidConnection {
                 from: NodeId::new(node.0),
                 to: NodeId::new(node.0),
@@ -339,8 +381,8 @@ impl CircuitBuilder {
                 upper,
             });
         }
-        n.attrs.lower_bound = lower;
-        n.attrs.upper_bound = upper;
+        // `node.0` is a component, so below `MAX_COMPONENTS`.
+        self.bounds.push((node.0 as u32, lower, upper));
         Ok(())
     }
 
@@ -354,40 +396,42 @@ impl CircuitBuilder {
     pub fn connect(&mut self, from: BuildNode, to: BuildNode) -> Result<(), CircuitError> {
         let from_id = NodeId::new(from.0);
         let to_id = NodeId::new(to.0);
-        if from.0 >= self.nodes.len() {
+        if from.0 >= self.kinds.len() {
             return Err(CircuitError::UnknownNode(from_id));
         }
-        if to.0 >= self.nodes.len() {
+        if to.0 >= self.kinds.len() {
             return Err(CircuitError::UnknownNode(to_id));
         }
         if from.0 == to.0 {
             return Err(CircuitError::SelfLoop(from_id));
         }
-        if self.nodes[to.0].kind.is_driver() {
+        if self.kinds[to.0].is_driver() {
             return Err(CircuitError::InvalidConnection {
                 from: from_id,
                 to: to_id,
                 reason: "input drivers cannot have fanin",
             });
         }
-        if self.nodes[to.0].kind.is_wire() {
+        // Both are components, so below `MAX_COMPONENTS`.
+        let edge = (from.0 as u32, to.0 as u32);
+        if self.kinds[to.0].is_wire() {
             match self.wire_driver[to.0] {
-                Some(driver) if driver == from.0 => {
+                NO_DRIVER => self.wire_driver[to.0] = edge.0,
+                driver if driver == edge.0 => {
                     return Err(CircuitError::DuplicateEdge(from_id, to_id));
                 }
-                Some(_) => {
+                _ => {
                     return Err(CircuitError::InvalidConnection {
                         from: from_id,
                         to: to_id,
                         reason: "a wire is driven by exactly one component",
                     });
                 }
-                None => self.wire_driver[to.0] = Some(from.0),
             }
-        } else if !self.edge_set.insert((from.0, to.0)) {
+        } else if !self.edge_set.insert(edge) {
             return Err(CircuitError::DuplicateEdge(from_id, to_id));
         }
-        self.edges.push((from.0, to.0));
+        self.edges.push(edge);
         Ok(())
     }
 
@@ -399,7 +443,7 @@ impl CircuitBuilder {
     ///
     /// Returns an error for unknown nodes, drivers, or a non-positive load.
     pub fn connect_output(&mut self, node: BuildNode, load: f64) -> Result<(), CircuitError> {
-        if node.0 >= self.nodes.len() {
+        if node.0 >= self.kinds.len() {
             return Err(CircuitError::UnknownNode(NodeId::new(node.0)));
         }
         if !(load.is_finite() && load >= 0.0) {
@@ -408,7 +452,7 @@ impl CircuitBuilder {
                 value: load,
             });
         }
-        if self.nodes[node.0].kind.is_driver() {
+        if self.kinds[node.0].is_driver() {
             return Err(CircuitError::InvalidConnection {
                 from: NodeId::new(node.0),
                 to: NodeId::new(node.0),
@@ -440,7 +484,9 @@ impl CircuitBuilder {
     pub fn build_mapped(self) -> Result<(CircuitGraph, Vec<NodeId>), CircuitError> {
         let CircuitBuilder {
             tech,
-            mut nodes,
+            kinds,
+            param,
+            bounds,
             names,
             index,
             wire_driver,
@@ -455,8 +501,8 @@ impl CircuitBuilder {
         drop(edge_set);
         tech.validate()?;
 
-        let total = nodes.len();
-        let drivers: Vec<usize> = (0..total).filter(|&i| nodes[i].kind.is_driver()).collect();
+        let total = kinds.len();
+        let drivers: Vec<usize> = (0..total).filter(|&i| kinds[i].is_driver()).collect();
         if drivers.is_empty() {
             return Err(CircuitError::NoDrivers);
         }
@@ -466,15 +512,15 @@ impl CircuitBuilder {
 
         // Fanout over the user's components only, in insertion order, plus
         // each component's fanin count.
-        let mut indegree = vec![0usize; total];
-        let mut outdegree = vec![0usize; total];
+        let mut indegree = vec![0u32; total];
+        let mut outdegree = vec![0u32; total];
         for &(u, v) in &edges {
-            outdegree[u] += 1;
-            indegree[v] += 1;
+            outdegree[u as usize] += 1;
+            indegree[v as usize] += 1;
         }
-        let mut fill = AdjacencyFill::new(outdegree)?;
+        let mut fill = AdjacencyFill::new(outdegree.into_iter().map(|d| d as usize))?;
         for &(u, v) in &edges {
-            fill.push(u, NodeId::new(v));
+            fill.push(u as usize, NodeId::new(v as usize));
         }
         let fanout = fill.finish();
         drop(edges);
@@ -482,7 +528,7 @@ impl CircuitBuilder {
         // Every non-driver component needs a fanin; every component that does
         // not drive a primary output needs a fanout.
         for i in 0..total {
-            if !nodes[i].kind.is_driver() && indegree[i] == 0 {
+            if !kinds[i].is_driver() && indegree[i] == 0 {
                 return Err(CircuitError::DanglingInput(NodeId::new(i)));
             }
             if fanout.list(i).is_empty() && output_loads[i].is_none() {
@@ -496,7 +542,6 @@ impl CircuitBuilder {
         let s = drivers.len();
         let mut pending = indegree.clone();
         let mut order = drivers;
-        // Two more slots: `order` becomes the node permutation below.
         order.reserve(total - s);
         let mut head = 0;
         while let Some(&u) = order.get(head) {
@@ -529,7 +574,7 @@ impl CircuitBuilder {
         // The source feeds each driver.
         let fanin_degrees = std::iter::once(0)
             .chain(std::iter::repeat_n(1, s))
-            .chain(order[s..].iter().map(|&old| indegree[old]))
+            .chain(order[s..].iter().map(|&old| indegree[old] as usize))
             .chain(std::iter::once(num_outputs));
         let mut fill = AdjacencyFill::new(fanin_degrees)?;
         for d in 1..=s {
@@ -574,48 +619,42 @@ impl CircuitBuilder {
         graph_names.push(SINK_NAME)?;
         drop(names);
 
-        // Finish the nodes under their insertion indices: the output loads.
-        for (node, load) in nodes.iter_mut().zip(output_loads) {
-            if let Some(load) = load {
-                node.attrs.output_load = if load > 0.0 {
+        // The node columns, in the new indexing, in one pass: each node's
+        // attributes are computed from its kind and parameter as it is
+        // written, then the size-bound overrides are applied in call order.
+        let mut columns = NodeColumns::with_capacity(total + 2);
+        let artificial = |kind| Node {
+            kind,
+            attrs: NodeAttrs::artificial(),
+        };
+        columns.push(artificial(NodeKind::Source));
+        for &old in &order {
+            let kind = kinds[old];
+            let mut attrs = match kind {
+                NodeKind::Driver => NodeAttrs::driver(param[old]),
+                NodeKind::Gate(_) => NodeAttrs::gate(&tech),
+                // The builder adds only drivers, gates and wires.
+                _ => NodeAttrs::wire(&tech, param[old]),
+            };
+            if let Some(load) = output_loads[old] {
+                attrs.output_load = if load > 0.0 {
                     load
                 } else {
                     tech.default_output_load
                 };
             }
+            columns.push(Node { kind, attrs });
+        }
+        columns.push(artificial(NodeKind::Sink));
+        drop((kinds, param, output_loads, order));
+        for (old, lower, upper) in bounds {
+            let id = ids[old as usize].index();
+            columns.lower_bound[id] = lower;
+            columns.upper_bound[id] = upper;
         }
 
-        // Permute into the new indexing in place. The source and sink are
-        // appended at `total` and `total + 1 == sink`; `order` becomes the
-        // gather map `src` (new position `p` takes the node at `src[p]`),
-        // applied cycle by cycle with swaps.
-        nodes.reserve_exact(2);
-        nodes.push(Node {
-            kind: NodeKind::Source,
-            attrs: NodeAttrs::artificial(),
-        });
-        nodes.push(Node {
-            kind: NodeKind::Sink,
-            attrs: NodeAttrs::artificial(),
-        });
-        let mut src = order;
-        src.insert(0, total);
-        src.push(sink);
-        const PLACED: usize = usize::MAX;
-        for start in 0..src.len() {
-            let mut p = start;
-            loop {
-                let from = std::mem::replace(&mut src[p], PLACED);
-                if from == PLACED || from == start {
-                    break;
-                }
-                nodes.swap(p, from);
-                p = from;
-            }
-        }
-        drop(src);
-
-        let graph = CircuitGraph::from_parts(nodes, graph_names, new_fanin, new_fanout, tech, s, n);
+        let graph =
+            CircuitGraph::from_parts(columns, graph_names, new_fanin, new_fanout, tech, s, n);
         crate::validate::validate(&graph)?;
         Ok((graph, ids))
     }
@@ -672,7 +711,7 @@ mod tests {
         let mut b = CircuitBuilder::new(tech());
         for name in ["a", "b"] {
             b.register_hashed(FORCED, name).unwrap();
-            b.push_node(NodeKind::Wire, NodeAttrs::wire(&tech(), 10.0));
+            b.push_node(NodeKind::Wire, 10.0);
         }
         assert_eq!(b.index.find(&b.names, FORCED, "a"), Some(BuildNode(0)));
         assert_eq!(b.index.find(&b.names, FORCED, "b"), Some(BuildNode(1)));
@@ -685,7 +724,7 @@ mod tests {
         }
         // A third name under the same hash still joins the chain.
         b.register_hashed(FORCED, "c").unwrap();
-        b.push_node(NodeKind::Wire, NodeAttrs::wire(&tech(), 10.0));
+        b.push_node(NodeKind::Wire, 10.0);
         assert_eq!(b.index.find(&b.names, FORCED, "a"), Some(BuildNode(0)));
         assert_eq!(b.index.find(&b.names, FORCED, "c"), Some(BuildNode(2)));
         assert_eq!(b.len(), 3);

@@ -76,8 +76,8 @@ impl<'a> ElmoreAnalyzer<'a> {
         presented: &[f64],
     ) -> f64 {
         let g = self.graph;
-        match g.node(child).kind {
-            NodeKind::Sink => g.node(parent).attrs.output_load,
+        match g.kinds()[child.index()] {
+            NodeKind::Sink => g.output_loads()[parent.index()],
             NodeKind::Gate(_) => g.capacitance(child, sizes),
             NodeKind::Wire => presented[child.index()],
             // Drivers and the source can never be fanout children.
@@ -108,9 +108,9 @@ impl<'a> ElmoreAnalyzer<'a> {
 
         for idx in (0..n).rev() {
             let id = NodeId::new(idx);
-            let node = g.node(id);
+            let kind = g.kinds()[idx];
             let extra = extra_cap.map(|e| e[idx]).unwrap_or(0.0);
-            match node.kind {
+            match kind {
                 NodeKind::Source | NodeKind::Sink => {}
                 NodeKind::Driver | NodeKind::Gate(_) => {
                     let mut c = 0.0;
@@ -120,7 +120,7 @@ impl<'a> ElmoreAnalyzer<'a> {
                     // Coupling on a gate output (rare, but allowed) loads the stage.
                     c += extra;
                     charged[idx] = c;
-                    presented[idx] = match node.kind {
+                    presented[idx] = match kind {
                         NodeKind::Gate(_) => g.capacitance(id, sizes),
                         _ => 0.0,
                     };
@@ -153,7 +153,7 @@ impl<'a> ElmoreAnalyzer<'a> {
     pub fn delays_from_caps(&self, sizes: &SizeVector, caps: &DownstreamCaps) -> Vec<f64> {
         let g = self.graph;
         g.node_ids()
-            .map(|id| match g.node(id).kind {
+            .map(|id| match g.kinds()[id.index()] {
                 NodeKind::Source | NodeKind::Sink => 0.0,
                 _ => g.resistance(id, sizes) * caps.charged[id.index()],
             })
@@ -182,7 +182,7 @@ impl<'a> ElmoreAnalyzer<'a> {
             let mut acc = 0.0;
             for &pred in g.fanin(id) {
                 let p = pred.index();
-                match g.node(pred).kind {
+                match g.kinds()[p] {
                     NodeKind::Source => {}
                     NodeKind::Driver | NodeKind::Gate(_) => {
                         acc += weights[p] * g.resistance(pred, sizes);

@@ -5,17 +5,18 @@
 //! capacitances, weighted upstream resistances, delays, arrival times)
 //! thousands of times per optimization run. The original free-function
 //! style ([`ElmoreAnalyzer`](crate::ElmoreAnalyzer)) walks the
-//! [`CircuitGraph`] (`usize`-wide CSR adjacency, `Node` structs whose
-//! inline `String` names spread the numeric fields across cache lines) and
-//! allocates fresh result vectors on every call, so the constant factor of
-//! the paper's `O(V + E + P)` sweep is dominated by cache misses and the
-//! allocator rather than the arithmetic. This module is the replacement:
+//! [`CircuitGraph`] through its per-node accessors, gathering every
+//! neighbour's kind and attributes by index, and allocates fresh result
+//! vectors on every call, so the constant factor of the paper's
+//! `O(V + E + P)` sweep is dominated by scattered loads and the allocator
+//! rather than the arithmetic. This module is the replacement:
 //!
 //! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over the
-//!   graph's own CSR adjacency, which it borrows, plus columns derived once
-//!   per circuit: flat per-node RC coefficient arrays, per-edge dispatch
-//!   tags and the cached topological **level partition** (see below). Its
-//!   traversal kernels fill caller-provided slices with no allocation.
+//!   graph's own CSR adjacency and per-node RC columns, which it borrows,
+//!   plus columns derived once per circuit: per-node kind tags, per-edge
+//!   dispatch tags and the cached topological **level partition** (see
+//!   below). Its traversal kernels fill caller-provided slices with no
+//!   allocation.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
 //!
@@ -55,9 +56,9 @@
 //!
 //! # The SoA layout invariant
 //!
-//! Every per-node electrical quantity lives in its own dense `Vec<f64>`
-//! slab indexed by raw node index — unit resistance, unit capacitance and
-//! fringing here; charged/presented capacitance, upstream
+//! Every per-node electrical quantity lives in its own dense `f64` slab
+//! indexed by raw node index — unit resistance, unit capacitance and
+//! fringing in the graph's columns; charged/presented capacitance, upstream
 //! resistance, arrival and delays in [`EvalWorkspace`]. No per-node struct
 //! interleaves two quantities, so a kernel that streams one quantity
 //! touches contiguous memory.
@@ -217,10 +218,10 @@ pub enum KindTag {
 }
 
 /// The Elmore view of a circuit the hot loops traverse: the graph's CSR
-/// adjacency, borrowed rather than copied, plus columns derived from it
-/// once — flat per-node RC coefficient arrays, per-edge dispatch tags and
-/// the level partition. Immutable once built. Component indices are not
-/// stored anywhere: the dense component of node `idx` is
+/// adjacency and per-node RC columns, borrowed rather than copied, plus
+/// columns derived from them once — per-node kind tags, per-edge dispatch
+/// tags and the level partition. Immutable once built. Component indices
+/// are not stored anywhere: the dense component of node `idx` is
 /// `idx - comp_base`.
 ///
 /// Its traversal kernels evaluate the Elmore delay model of the paper's
@@ -261,12 +262,16 @@ pub struct CircuitTopology<'g> {
     /// not a table.
     comp_base: usize,
     kind: Vec<KindTag>,
-    /// `r̂` for gates/wires, `R_D` for drivers, zero otherwise.
-    unit_resistance: Vec<f64>,
-    /// `ĉ` for gates/wires, zero otherwise.
-    unit_capacitance: Vec<f64>,
-    /// `f` for wires, zero otherwise.
-    fringing: Vec<f64>,
+    /// `r̂` for gates/wires, `R_D` for drivers, zero otherwise: the graph's
+    /// [`resistances`](CircuitGraph::resistances), borrowed.
+    unit_resistance: &'g [f64],
+    /// `ĉ` for gates/wires, zero otherwise: the graph's
+    /// [`unit_capacitances`](CircuitGraph::unit_capacitances), borrowed.
+    unit_capacitance: &'g [f64],
+    /// `f` for wires, zero otherwise: the graph's
+    /// [`fringing_capacitances`](CircuitGraph::fringing_capacitances),
+    /// borrowed.
+    fringing: &'g [f64],
     /// The graph's fanout adjacency (borrowed): the fanout list of node
     /// `idx` is `fanout_list[fanout_start[idx]..fanout_start[idx + 1]]`.
     fanout_start: &'g [u32],
@@ -298,7 +303,8 @@ pub struct CircuitTopology<'g> {
 }
 
 impl<'g> CircuitTopology<'g> {
-    /// Builds the Elmore view of a circuit, borrowing its adjacency.
+    /// Builds the Elmore view of a circuit, borrowing its adjacency and RC
+    /// columns.
     ///
     /// # Panics
     ///
@@ -312,37 +318,21 @@ impl<'g> CircuitTopology<'g> {
             "circuit too large for 32-bit level bounds"
         );
         let comp_base = graph.num_drivers() + 1;
-        let mut kind = Vec::with_capacity(n);
-        let mut unit_resistance = Vec::with_capacity(n);
-        let mut unit_capacitance = Vec::with_capacity(n);
-        let mut fringing = Vec::with_capacity(n);
-
-        for id in graph.node_ids() {
-            let node = graph.node(id);
-            kind.push(match node.kind {
+        let kind: Vec<KindTag> = graph
+            .kinds()
+            .iter()
+            .map(|k| match k {
                 NodeKind::Source => KindTag::Source,
                 NodeKind::Driver => KindTag::Driver,
                 NodeKind::Gate(_) => KindTag::Gate,
                 NodeKind::Wire => KindTag::Wire,
                 NodeKind::Sink => KindTag::Sink,
-            });
-            unit_resistance.push(match node.kind {
-                NodeKind::Driver => node.attrs.driver_resistance,
-                NodeKind::Gate(_) | NodeKind::Wire => node.attrs.unit_resistance,
-                _ => 0.0,
-            });
-            unit_capacitance.push(if node.kind.is_sizable() {
-                node.attrs.unit_capacitance
-            } else {
-                0.0
-            });
-            fringing.push(if node.kind.is_wire() {
-                node.attrs.fringing_capacitance
-            } else {
-                0.0
-            });
-        }
+            })
+            .collect();
+        let unit_resistance = graph.resistances();
+        let unit_capacitance = graph.unit_capacitances();
         let (fanout, fanin) = (graph.fanout_csr(), graph.fanin_csr());
+        let output_load = graph.output_loads();
 
         // Streamed per-edge descriptor columns (see the field docs): the
         // exact operands the kind-dispatched loops would gather through the
@@ -356,7 +346,7 @@ impl<'g> CircuitTopology<'g> {
             for &child in fanout.list(id.index()) {
                 let c = child.index();
                 let (tag, coeff) = match kind[c] {
-                    KindTag::Sink => (FanoutTag::Const, graph.node(id).attrs.output_load),
+                    KindTag::Sink => (FanoutTag::Const, output_load[id.index()]),
                     KindTag::Gate => (FanoutTag::Gate, unit_capacitance[c]),
                     KindTag::Wire => (FanoutTag::Wire, 0.0),
                     KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0),
@@ -397,7 +387,7 @@ impl<'g> CircuitTopology<'g> {
             kind,
             unit_resistance,
             unit_capacitance,
-            fringing,
+            fringing: graph.fringing_capacitances(),
             fanout_start: fanout.offsets(),
             fanout_list: fanout.targets(),
             fanin_start: fanin.offsets(),
@@ -455,19 +445,19 @@ impl<'g> CircuitTopology<'g> {
     }
 
     /// `r̂` of every component, in dense component order (a view of the
-    /// per-node array, not a copy).
-    pub fn component_unit_resistance(&self) -> &[f64] {
+    /// graph's column, not a copy).
+    pub fn component_unit_resistance(&self) -> &'g [f64] {
         &self.unit_resistance[self.component_nodes()]
     }
 
     /// `ĉ` of every component, in dense component order.
-    pub fn component_unit_capacitance(&self) -> &[f64] {
+    pub fn component_unit_capacitance(&self) -> &'g [f64] {
         &self.unit_capacitance[self.component_nodes()]
     }
 
     /// Fringing capacitance `f` of every component (zero for gates), in
     /// dense component order.
-    pub fn component_fringing(&self) -> &[f64] {
+    pub fn component_fringing(&self) -> &'g [f64] {
         &self.fringing[self.component_nodes()]
     }
 
@@ -780,15 +770,11 @@ impl<'g> CircuitTopology<'g> {
     }
 
     /// Bytes of the tables the topology owns (for memory accounting). The
-    /// borrowed adjacency is the graph's and counts toward
+    /// borrowed adjacency and RC columns are the graph's and count toward
     /// [`CircuitGraph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.kind.capacity() * size_of::<KindTag>()
-            + (self.unit_resistance.capacity()
-                + self.unit_capacitance.capacity()
-                + self.fringing.capacity())
-                * size_of::<f64>()
             + self.level_start.capacity() * size_of::<u32>()
             + self.fanout_tag.capacity() * size_of::<FanoutTag>()
             + self.fanin_tag.capacity() * size_of::<FaninTag>()
@@ -1276,10 +1262,11 @@ pub fn propagate_arrivals_into(
     debug_assert_eq!(arrival.len(), n);
     debug_assert_eq!(pred.len(), n);
 
+    let kinds = graph.kinds();
     for id in graph.node_ids() {
         let idx = id.index();
         pred[idx] = NO_PRED;
-        match graph.node(id).kind {
+        match kinds[idx] {
             NodeKind::Source => arrival[idx] = 0.0,
             NodeKind::Sink => {
                 let mut best = 0.0;
@@ -1603,8 +1590,9 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The topology reads the graph's adjacency instead of holding a copy:
-    /// every list it hands out is the graph's own memory.
+    /// The topology reads the graph's adjacency and RC columns instead of
+    /// holding copies: every list and column it reads is the graph's own
+    /// memory.
     #[test]
     fn topology_borrows_the_graph_adjacency() {
         let c = generated(12, 6);
@@ -1612,6 +1600,14 @@ mod tests {
         for id in c.node_ids() {
             assert_eq!(topo.fanin(id.index()).as_ptr(), c.fanin(id).as_ptr());
             assert_eq!(topo.fanout(id.index()).as_ptr(), c.fanout(id).as_ptr());
+        }
+        for (mine, graph) in [
+            (topo.unit_resistance, c.resistances()),
+            (topo.unit_capacitance, c.unit_capacitances()),
+            (topo.fringing, c.fringing_capacitances()),
+        ] {
+            assert_eq!(mine.as_ptr(), graph.as_ptr());
+            assert_eq!(mine.len(), c.num_nodes());
         }
     }
 

@@ -66,6 +66,15 @@ pub enum CircuitError {
         /// The largest count the table holds.
         limit: usize,
     },
+    /// A decoded node carries an attribute its kind does not have (a
+    /// driver's unit resistance, a gate's fringing capacitance, …), which
+    /// the graph's per-kind attribute columns cannot hold.
+    AttributeOfAnotherKind {
+        /// The offending node.
+        node: NodeId,
+        /// Name of the attribute.
+        attribute: &'static str,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -100,6 +109,12 @@ impl fmt::Display for CircuitError {
             CircuitError::DuplicateName(name) => write!(f, "duplicate component name {name:?}"),
             CircuitError::TooLarge { what, limit } => {
                 write!(f, "circuit exceeds the limit of {limit} {what}")
+            }
+            CircuitError::AttributeOfAnotherKind { node, attribute } => {
+                write!(
+                    f,
+                    "node {node} carries a {attribute} its kind does not have"
+                )
             }
         }
     }
@@ -139,6 +154,10 @@ mod tests {
             CircuitError::TooLarge {
                 what: "node ids",
                 limit: u32::MAX as usize + 1,
+            },
+            CircuitError::AttributeOfAnotherKind {
+                node: NodeId::new(1),
+                attribute: "unit_resistance",
             },
         ];
         for err in errors {

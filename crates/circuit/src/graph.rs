@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize, Serializer};
 use crate::error::CircuitError;
 use crate::id::NodeId;
 use crate::names::NameTable;
-use crate::node::{Node, NodeKind};
+use crate::node::{Node, NodeAttrs, NodeKind};
 use crate::sizing::SizeVector;
 use crate::tech::Technology;
 
@@ -137,6 +137,103 @@ impl AdjacencyFill {
     }
 }
 
+/// The nodes of a graph as columns: entry `i` of every column belongs to
+/// node `i`. A column holds only the attribute a node's kind has, so
+/// `resistance` merges the two resistances no kind has both of: `r̂` for
+/// gates and wires, `R_D` for drivers and zero for the source and sink.
+/// Likewise `unit_capacitance` is zero off the gates and wires and
+/// `fringing` zero off the wires.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeColumns {
+    pub(crate) kind: Vec<NodeKind>,
+    pub(crate) resistance: Vec<f64>,
+    pub(crate) unit_capacitance: Vec<f64>,
+    pub(crate) fringing: Vec<f64>,
+    pub(crate) area_coefficient: Vec<f64>,
+    pub(crate) lower_bound: Vec<f64>,
+    pub(crate) upper_bound: Vec<f64>,
+    pub(crate) output_load: Vec<f64>,
+}
+
+impl NodeColumns {
+    /// Empty columns with room for `n` nodes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        NodeColumns {
+            kind: Vec::with_capacity(n),
+            resistance: Vec::with_capacity(n),
+            unit_capacitance: Vec::with_capacity(n),
+            fringing: Vec::with_capacity(n),
+            area_coefficient: Vec::with_capacity(n),
+            lower_bound: Vec::with_capacity(n),
+            upper_bound: Vec::with_capacity(n),
+            output_load: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends `node`. An attribute its kind does not have is dropped (see
+    /// `Node::attribute_of_another_kind`).
+    pub(crate) fn push(&mut self, node: Node) {
+        let Node { kind, attrs } = node;
+        self.kind.push(kind);
+        self.resistance.push(match kind {
+            NodeKind::Driver => attrs.driver_resistance,
+            NodeKind::Gate(_) | NodeKind::Wire => attrs.unit_resistance,
+            NodeKind::Source | NodeKind::Sink => 0.0,
+        });
+        self.unit_capacitance.push(if kind.is_sizable() {
+            attrs.unit_capacitance
+        } else {
+            0.0
+        });
+        self.fringing.push(if kind.is_wire() {
+            attrs.fringing_capacitance
+        } else {
+            0.0
+        });
+        self.area_coefficient.push(attrs.area_coefficient);
+        self.lower_bound.push(attrs.lower_bound);
+        self.upper_bound.push(attrs.upper_bound);
+        self.output_load.push(attrs.output_load);
+    }
+
+    /// Node `i`, reassembled.
+    fn get(&self, i: usize) -> Node {
+        let kind = self.kind[i];
+        let resistance = self.resistance[i];
+        let only = |owned: bool| if owned { resistance } else { 0.0 };
+        Node {
+            kind,
+            attrs: NodeAttrs {
+                unit_resistance: only(kind.is_sizable()),
+                unit_capacitance: self.unit_capacitance[i],
+                fringing_capacitance: self.fringing[i],
+                area_coefficient: self.area_coefficient[i],
+                lower_bound: self.lower_bound[i],
+                upper_bound: self.upper_bound[i],
+                driver_resistance: only(kind.is_driver()),
+                output_load: self.output_load[i],
+            },
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.kind.len()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.kind.capacity() * size_of::<NodeKind>()
+            + (self.resistance.capacity()
+                + self.unit_capacitance.capacity()
+                + self.fringing.capacity()
+                + self.area_coefficient.capacity()
+                + self.lower_bound.capacity()
+                + self.upper_bound.capacity()
+                + self.output_load.capacity())
+                * size_of::<f64>()
+    }
+}
+
 /// A combinational circuit represented as the directed acyclic graph of the
 /// paper's Section 2.1.
 ///
@@ -150,13 +247,16 @@ impl AdjacencyFill {
 /// The graph is immutable once built by [`CircuitBuilder`](crate::CircuitBuilder);
 /// all analyses borrow it together with a [`SizeVector`] holding the current
 /// component sizes. Fanin and fanout lists are stored in compressed sparse
-/// row form and are sorted by node index. Every node name is stored once,
-/// back to back with the others in one string indexed by 32-bit offsets and
-/// read with [`name`](Self::name); there is no separate name index, and a
-/// [`Node`] holds no name of its own.
+/// row form and are sorted by node index. The nodes are stored as columns,
+/// one per attribute ([`kinds`](Self::kinds),
+/// [`resistances`](Self::resistances), …), which the evaluation engine
+/// borrows; [`node`](Self::node) reassembles one [`Node`] from them. Every
+/// node name is stored once, back to back with the others in one string
+/// indexed by 32-bit offsets and read with [`name`](Self::name); there is no
+/// separate name index.
 #[derive(Debug, Clone)]
 pub struct CircuitGraph {
-    nodes: Vec<Node>,
+    nodes: NodeColumns,
     names: NameTable,
     fanin: Adjacency,
     fanout: Adjacency,
@@ -175,7 +275,8 @@ impl Serialize for CircuitGraph {
         s.begin_object();
         s.key("nodes");
         s.begin_array();
-        for (node, name) in self.nodes.iter().zip(self.names.iter()) {
+        for (i, name) in self.names.iter().enumerate() {
+            let node = self.nodes.get(i);
             s.element();
             s.begin_object();
             s.key("kind");
@@ -261,7 +362,7 @@ impl CircuitGraph {
     /// [`CircuitBuilder`](crate::CircuitBuilder), which establishes the
     /// topological indexing convention and validates connectivity.
     pub(crate) fn from_parts(
-        nodes: Vec<Node>,
+        nodes: NodeColumns,
         names: NameTable,
         fanin: Adjacency,
         fanout: Adjacency,
@@ -285,13 +386,18 @@ impl CircuitGraph {
     /// the serve crate's durable job journal), validating everything the
     /// builder normally guarantees: consistent vector lengths, in-range
     /// edge endpoints, mirrored fanin/fanout lists, unique node names, and
-    /// the structural invariants of [`validate`](crate::validate::validate).
+    /// the structural invariants of [`validate`](crate::validate::validate),
+    /// and last that no node carries an attribute its kind does not have.
     /// `names[i]` is the name of node `i`; the names are copied into one
-    /// table.
+    /// table, and the nodes into the graph's columns.
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant as a [`CircuitError`].
+    /// Returns the first violated invariant as a [`CircuitError`]; an
+    /// attribute of another kind (a driver's `unit_resistance`, a gate's or
+    /// wire's `driver_resistance`, a `unit_capacitance` off the gates and
+    /// wires, a `fringing_capacitance` off the wires, or a resistance on
+    /// the source or sink) is [`CircuitError::AttributeOfAnotherKind`].
     pub fn from_serialized_parts(
         nodes: Vec<Node>,
         names: &[&str],
@@ -385,8 +491,21 @@ impl CircuitGraph {
         for name in names {
             table.push(name)?;
         }
+        let mut columns = NodeColumns::with_capacity(n);
+        let mut foreign = None;
+        for (i, node) in nodes.into_iter().enumerate() {
+            if foreign.is_none() {
+                foreign = node.attribute_of_another_kind().map(|attribute| {
+                    CircuitError::AttributeOfAnotherKind {
+                        node: NodeId::new(i),
+                        attribute,
+                    }
+                });
+            }
+            columns.push(node);
+        }
         let graph = CircuitGraph::from_parts(
-            nodes,
+            columns,
             table,
             Adjacency::from_lists(&fanin)?,
             Adjacency::from_lists(&fanout)?,
@@ -395,7 +514,10 @@ impl CircuitGraph {
             num_sizable,
         );
         crate::validate::validate(&graph)?;
-        Ok(graph)
+        match foreign {
+            Some(err) => Err(err),
+            None => Ok(graph),
+        }
     }
 
     /// The technology parameters of this circuit.
@@ -420,16 +542,14 @@ impl CircuitGraph {
 
     /// Number of gates.
     pub fn num_gates(&self) -> usize {
-        self.component_ids()
-            .filter(|&id| self.node(id).kind.is_gate())
-            .count()
+        let kinds = &self.nodes.kind[self.component_range()];
+        kinds.iter().filter(|k| k.is_gate()).count()
     }
 
     /// Number of wires.
     pub fn num_wires(&self) -> usize {
-        self.component_ids()
-            .filter(|&id| self.node(id).kind.is_wire())
-            .count()
+        let kinds = &self.nodes.kind[self.component_range()];
+        kinds.iter().filter(|k| k.is_wire()).count()
     }
 
     /// The artificial source node `~s` (always node 0).
@@ -442,14 +562,57 @@ impl CircuitGraph {
         NodeId::new(self.nodes.len() - 1)
     }
 
-    /// The node data for `id`.
+    /// The node data for `id`, reassembled from the node columns.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range; node identifiers obtained from this
     /// graph are always valid.
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: NodeId) -> Node {
+        self.nodes.get(id.index())
+    }
+
+    /// The kind of every node, indexed by raw node index.
+    pub fn kinds(&self) -> &[NodeKind] {
+        &self.nodes.kind
+    }
+
+    /// The resistance of every node: `r̂` for gates and wires, `R_D` for
+    /// drivers, zero for the source and sink.
+    pub fn resistances(&self) -> &[f64] {
+        &self.nodes.resistance
+    }
+
+    /// The unit capacitance `ĉ` of every node (zero off the gates and
+    /// wires).
+    pub fn unit_capacitances(&self) -> &[f64] {
+        &self.nodes.unit_capacitance
+    }
+
+    /// The fringing capacitance `f` of every node (zero off the wires).
+    pub fn fringing_capacitances(&self) -> &[f64] {
+        &self.nodes.fringing
+    }
+
+    /// The area coefficient `α` of every node.
+    pub fn area_coefficients(&self) -> &[f64] {
+        &self.nodes.area_coefficient
+    }
+
+    /// The lower size bound `L` of every node.
+    pub fn lower_bounds(&self) -> &[f64] {
+        &self.nodes.lower_bound
+    }
+
+    /// The upper size bound `U` of every node.
+    pub fn upper_bounds(&self) -> &[f64] {
+        &self.nodes.upper_bound
+    }
+
+    /// The primary-output load `C_L` of every node (zero unless it drives
+    /// a primary output).
+    pub fn output_loads(&self) -> &[f64] {
+        &self.nodes.output_load
     }
 
     /// The unique name of node `id`.
@@ -494,6 +657,13 @@ impl CircuitGraph {
         self.fanin.offsets()
     }
 
+    /// The offsets of the fanout lists, one per node plus the trailing edge
+    /// count: node `i`'s fanout list holds `offsets[i + 1] - offsets[i]`
+    /// entries and starts at flat position `offsets[i]`.
+    pub fn fanout_offsets(&self) -> &[u32] {
+        self.fanout.offsets()
+    }
+
     /// The fanin adjacency, borrowed by the evaluation engine.
     pub(crate) fn fanin_csr(&self) -> &Adjacency {
         &self.fanin
@@ -517,19 +687,19 @@ impl CircuitGraph {
     /// Iterator over the sizable component identifiers (`s+1..=n+s`),
     /// in topological order.
     pub fn component_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (self.num_drivers + 1..=self.num_drivers + self.num_sizable).map(NodeId::new)
+        self.component_range().map(NodeId::new)
     }
 
     /// Iterator over wire component identifiers.
     pub fn wire_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.component_ids()
-            .filter(move |&id| self.node(id).kind.is_wire())
+            .filter(move |&id| self.nodes.kind[id.index()].is_wire())
     }
 
     /// Iterator over gate component identifiers.
     pub fn gate_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.component_ids()
-            .filter(move |&id| self.node(id).kind.is_gate())
+            .filter(move |&id| self.nodes.kind[id.index()].is_gate())
     }
 
     /// Maps a node identifier to its dense index in a [`SizeVector`]
@@ -563,31 +733,31 @@ impl CircuitGraph {
     /// A [`SizeVector`] with every sizable component at the given size,
     /// clamped into its bounds.
     pub fn uniform_sizes(&self, size: f64) -> SizeVector {
-        let mut values = Vec::with_capacity(self.num_sizable);
-        for id in self.component_ids() {
-            let attrs = &self.node(id).attrs;
-            values.push(size.clamp(attrs.lower_bound, attrs.upper_bound));
-        }
+        let components = self.component_range();
+        let values = self.nodes.lower_bound[components.clone()]
+            .iter()
+            .zip(&self.nodes.upper_bound[components])
+            .map(|(&lower, &upper)| size.clamp(lower, upper))
+            .collect();
         SizeVector::new(values)
     }
 
     /// A [`SizeVector`] with every component at its lower bound (the LRS
     /// subroutine's starting point, step S1 of Figure 8).
     pub fn minimum_sizes(&self) -> SizeVector {
-        let values = self
-            .component_ids()
-            .map(|id| self.node(id).attrs.lower_bound)
-            .collect::<Vec<_>>();
-        SizeVector::new(values)
+        SizeVector::new(self.nodes.lower_bound[self.component_range()].to_vec())
     }
 
     /// A [`SizeVector`] with every component at its upper bound.
     pub fn maximum_sizes(&self) -> SizeVector {
-        let values = self
-            .component_ids()
-            .map(|id| self.node(id).attrs.upper_bound)
-            .collect::<Vec<_>>();
-        SizeVector::new(values)
+        SizeVector::new(self.nodes.upper_bound[self.component_range()].to_vec())
+    }
+
+    /// The raw node indices of the components (`s+1..=n+s`), in dense
+    /// component order: slicing a node column with it gives the column's
+    /// per-component view.
+    fn component_range(&self) -> std::ops::Range<usize> {
+        self.num_drivers + 1..self.num_drivers + 1 + self.num_sizable
     }
 
     /// The size of node `id` under `sizes` (1.0 for non-sizable nodes, which
@@ -633,12 +803,15 @@ impl CircuitGraph {
                 });
             }
             let id = self.component_id(idx);
-            let attrs = &self.node(id).attrs;
-            if x < attrs.lower_bound - TOL || x > attrs.upper_bound + TOL {
+            let (lower, upper) = (
+                self.nodes.lower_bound[id.index()],
+                self.nodes.upper_bound[id.index()],
+            );
+            if x < lower - TOL || x > upper + TOL {
                 return Err(CircuitError::InvalidBounds {
                     node: id,
-                    lower: attrs.lower_bound,
-                    upper: attrs.upper_bound,
+                    lower,
+                    upper,
                 });
             }
         }
@@ -651,21 +824,23 @@ impl CircuitGraph {
     }
 
     /// An estimate (in bytes) of the memory held by this graph's data
-    /// structures, used by the Figure 10(a) reproduction: the node array,
+    /// structures, used by the Figure 10(a) reproduction: the node columns,
     /// the name string and its offsets, and the two compressed adjacency
     /// arrays (one offset per node plus one entry per edge, in each
     /// direction).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        let node_bytes = self.nodes.capacity() * size_of::<Node>();
         let adj_bytes = self.fanin.memory_bytes() + self.fanout.memory_bytes();
-        node_bytes + self.names.memory_bytes() + adj_bytes + size_of::<Self>()
+        self.nodes.memory_bytes() + self.names.memory_bytes() + adj_bytes + size_of::<Self>()
     }
 
     /// `true` if `kind` of node i is a gate or a driver, i.e. the node starts
     /// a new RC stage at its output.
     pub fn is_stage_root(&self, id: NodeId) -> bool {
-        matches!(self.node(id).kind, NodeKind::Gate(_) | NodeKind::Driver)
+        matches!(
+            self.nodes.kind[id.index()],
+            NodeKind::Gate(_) | NodeKind::Driver
+        )
     }
 }
 
@@ -788,7 +963,7 @@ mod tests {
             c.node_ids().map(|id| list(c, id).to_vec()).collect()
         };
         (
-            c.nodes.clone(),
+            c.node_ids().map(|id| c.node(id)).collect(),
             c.names.iter().collect(),
             lists(CircuitGraph::fanin),
             lists(CircuitGraph::fanout),
@@ -904,6 +1079,45 @@ mod tests {
     }
 
     #[test]
+    fn serialized_parts_reject_an_attribute_of_another_kind() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let c = tiny();
+        type Carry = fn(&mut NodeAttrs);
+        let cases: [(usize, &str, Carry); 10] = [
+            (1, "unit_resistance", |a| a.unit_resistance = 1.0),
+            (3, "driver_resistance", |a| a.driver_resistance = 1.0),
+            (2, "driver_resistance", |a| a.driver_resistance = 1.0),
+            (1, "unit_capacitance", |a| a.unit_capacitance = 0.5),
+            (0, "unit_capacitance", |a| a.unit_capacitance = 0.5),
+            (3, "fringing_capacitance", |a| a.fringing_capacitance = 0.25),
+            (1, "fringing_capacitance", |a| a.fringing_capacitance = 0.25),
+            (3, "fringing_capacitance", |a| a.fringing_capacitance = -0.0),
+            (0, "unit_resistance", |a| a.unit_resistance = 1.0),
+            (5, "driver_resistance", |a| a.driver_resistance = 1.0),
+        ];
+        for (idx, attribute, carry) in cases {
+            let (mut nodes, names, fanin, fanout) = parts(&c);
+            carry(&mut nodes[idx].attrs);
+            assert_eq!(
+                reassemble(&c, (nodes, names, fanin, fanout)),
+                Err(CircuitError::AttributeOfAnotherKind {
+                    node: NodeId::new(idx),
+                    attribute
+                }),
+                "node {idx} with {attribute}"
+            );
+        }
+        // The attribute check runs last: a structural error comes first.
+        let (mut nodes, names, mut fanin, fanout) = parts(&c);
+        nodes[1].attrs.unit_resistance = 1.0;
+        fanin[2].clear();
+        assert!(matches!(
+            reassemble(&c, (nodes, names, fanin, fanout)),
+            Err(CircuitError::InvalidConnection { .. })
+        ));
+    }
+
+    #[test]
     fn adjacency_serializes_as_nested_lists() {
         // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
         let mut s = Serializer::new();
@@ -958,6 +1172,139 @@ mod tests {
         assert_eq!(to_json(&decoded), AWKWARD_NAMES_JSON);
         for id in decoded.node_ids() {
             assert_eq!(decoded.node_by_name(decoded.name(id)), Some(id));
+        }
+    }
+
+    /// A layered circuit added in reverse topological order, so `build`
+    /// reorders every node, with the node each component should become:
+    /// drivers of distinct resistances, gates of every logic kind, wires of
+    /// distinct lengths, an accumulated and a defaulted output load, and
+    /// size-bound overrides (one set twice).
+    fn reversed_layers() -> (CircuitGraph, Vec<(NodeId, Node)>) {
+        const WIDTH: usize = 5;
+        const DEPTH: usize = 3;
+        let tech = Technology::dac99();
+        let mut b = CircuitBuilder::new(tech);
+        let mut expected = Vec::new();
+        let wire = |b: &mut CircuitBuilder, name: String, length: f64| {
+            let w = b.add_wire(&name, length).unwrap();
+            let attrs = NodeAttrs::wire(&tech, length);
+            (w, attrs)
+        };
+        let mut layers = Vec::new();
+        for level in (0..DEPTH).rev() {
+            let mut row = Vec::new();
+            for i in 0..WIDTH {
+                let (w, w_attrs) = wire(
+                    &mut b,
+                    format!("w{level}_{i}"),
+                    20.0 + (level * WIDTH + i) as f64,
+                );
+                let kind = GateKind::ALL[(level * WIDTH + i) % GateKind::ALL.len()];
+                let g = b.add_gate(&format!("g{level}_{i}"), kind).unwrap();
+                expected.push((
+                    w,
+                    Node {
+                        kind: NodeKind::Wire,
+                        attrs: w_attrs,
+                    },
+                ));
+                expected.push((
+                    g,
+                    Node {
+                        kind: NodeKind::Gate(kind),
+                        attrs: NodeAttrs::gate(&tech),
+                    },
+                ));
+                row.push((g, w));
+            }
+            layers.push(row);
+        }
+        layers.reverse();
+        let mut frontier = Vec::new();
+        for i in 0..WIDTH {
+            let (w, w_attrs) = wire(&mut b, format!("in{i}"), 50.0 + i as f64);
+            let rd = 80.0 + 5.0 * i as f64;
+            let d = b.add_driver(&format!("d{i}"), rd).unwrap();
+            expected.push((
+                w,
+                Node {
+                    kind: NodeKind::Wire,
+                    attrs: w_attrs,
+                },
+            ));
+            expected.push((
+                d,
+                Node {
+                    kind: NodeKind::Driver,
+                    attrs: NodeAttrs::driver(rd),
+                },
+            ));
+            b.connect(d, w).unwrap();
+            frontier.push(w);
+        }
+        for row in &layers {
+            for (i, &(g, w)) in row.iter().enumerate() {
+                b.connect(frontier[i], g).unwrap();
+                b.connect(frontier[(i + 1) % WIDTH], g).unwrap();
+                b.connect(g, w).unwrap();
+            }
+            frontier = row.iter().map(|&(_, w)| w).collect();
+        }
+        let mut set = |handle, edit: &dyn Fn(&mut NodeAttrs)| {
+            let (_, node) = expected.iter_mut().find(|(h, _)| *h == handle).unwrap();
+            edit(&mut node.attrs);
+        };
+        for (i, &w) in frontier.iter().enumerate() {
+            b.connect_output(w, 2.0 * i as f64).unwrap();
+            let load = if i == 0 {
+                tech.default_output_load
+            } else {
+                2.0 * i as f64
+            };
+            set(w, &|a| a.output_load = load);
+        }
+        b.connect_output(frontier[1], 3.0).unwrap();
+        set(frontier[1], &|a| a.output_load = 2.0 + 3.0);
+        let (g, w) = (layers[0][0].0, layers[1][1].1);
+        b.set_size_bounds(g, 0.5, 2.0).unwrap();
+        set(g, &|a| (a.lower_bound, a.upper_bound) = (0.5, 2.0));
+        b.set_size_bounds(w, 0.2, 3.0).unwrap();
+        b.set_size_bounds(w, 0.4, 4.0).unwrap();
+        set(w, &|a| (a.lower_bound, a.upper_bound) = (0.4, 4.0));
+        let (graph, ids) = b.build_mapped().unwrap();
+        let expected = expected
+            .into_iter()
+            .map(|(handle, node)| (ids[handle.index()], node))
+            .collect();
+        (graph, expected)
+    }
+
+    #[test]
+    fn nodes_reassemble_as_built_and_the_json_round_trips() {
+        let (c, expected) = reversed_layers();
+        assert_eq!(expected.len() + 2, c.num_nodes());
+        for &(id, node) in &expected {
+            assert_eq!(c.node(id), node, "{}", c.name(id));
+        }
+        for (id, kind) in [(c.source(), NodeKind::Source), (c.sink(), NodeKind::Sink)] {
+            let attrs = NodeAttrs::artificial();
+            assert_eq!(c.node(id), Node { kind, attrs });
+        }
+        let json = to_json(&c);
+        let decoded = CircuitGraph::deserialize_json(&serde::de::parse(&json).unwrap()).unwrap();
+        assert_eq!(to_json(&decoded), json);
+        for id in c.node_ids() {
+            assert_eq!(decoded.node(id), c.node(id));
+        }
+
+        // `awkward_names()` reassembles the nodes its pinned JSON holds.
+        let c = awkward_names();
+        let value = serde::de::parse(AWKWARD_NAMES_JSON).unwrap();
+        let items = value.get("nodes").and_then(Value::as_array).unwrap();
+        assert_eq!(items.len(), c.num_nodes());
+        for (id, item) in c.node_ids().zip(items) {
+            assert_eq!(c.node(id), Node::deserialize_json(item).unwrap());
         }
     }
 

@@ -201,10 +201,12 @@ impl NodeAttrs {
 
 /// A node of the circuit graph: its role and RC attributes.
 ///
-/// A node carries no name: the graph keeps every node name in one table,
-/// read with [`CircuitGraph::name`](crate::CircuitGraph::name). A `Node` is
-/// therefore plain data of 72 bytes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The graph stores no `Node`s: it keeps each attribute in a column of its
+/// own, one entry per node, and [`CircuitGraph::node`](crate::CircuitGraph::node)
+/// reassembles this value from them. A node carries no name either: the
+/// graph keeps every node name in one table, read with
+/// [`CircuitGraph::name`](crate::CircuitGraph::name).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Node {
     /// Role of this node.
     pub kind: NodeKind,
@@ -213,6 +215,33 @@ pub struct Node {
 }
 
 impl Node {
+    /// The first attribute this node carries although its kind has no such
+    /// attribute, or `None`. Only gates and wires have a unit resistance
+    /// and a unit capacitance, only drivers a driver resistance and only
+    /// wires a fringing capacitance; anything but `+0.0` there is carried.
+    /// The graph's columns hold a node exactly when this is `None`.
+    pub(crate) fn attribute_of_another_kind(&self) -> Option<&'static str> {
+        let a = &self.attrs;
+        let sizable = self.kind.is_sizable();
+        [
+            ("unit_resistance", a.unit_resistance, sizable),
+            (
+                "driver_resistance",
+                a.driver_resistance,
+                self.kind.is_driver(),
+            ),
+            ("unit_capacitance", a.unit_capacitance, sizable),
+            (
+                "fringing_capacitance",
+                a.fringing_capacitance,
+                self.kind.is_wire(),
+            ),
+        ]
+        .into_iter()
+        .find(|&(_, value, owned)| !owned && value.to_bits() != 0)
+        .map(|(name, _, _)| name)
+    }
+
     /// Resistance of this component at the given size.
     ///
     /// Drivers return their fixed driver resistance regardless of `size`.
@@ -308,6 +337,11 @@ mod tests {
     #[test]
     fn a_node_is_72_bytes() {
         assert_eq!(std::mem::size_of::<Node>(), 72);
+    }
+
+    #[test]
+    fn a_node_kind_is_one_byte() {
+        assert_eq!(std::mem::size_of::<NodeKind>(), 1);
     }
 
     #[test]

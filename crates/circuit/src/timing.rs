@@ -97,7 +97,7 @@ impl TimingAnalysis {
         required[graph.sink().index()] = a0;
         for id in graph.node_ids().collect::<Vec<_>>().into_iter().rev() {
             let idx = id.index();
-            match graph.node(id).kind {
+            match graph.kinds()[idx] {
                 NodeKind::Sink => {}
                 NodeKind::Source => {
                     required[idx] = graph

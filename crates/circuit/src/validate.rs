@@ -43,41 +43,43 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
         }
     }
     // Components.
+    let kinds = graph.kinds();
+    let (lower_bounds, upper_bounds) = (graph.lower_bounds(), graph.upper_bounds());
     for id in graph.component_ids() {
-        let node = graph.node(id);
+        let i = id.index();
         if graph.fanin(id).is_empty() {
             return Err(CircuitError::DanglingInput(id));
         }
         if graph.fanout(id).is_empty() {
             return Err(CircuitError::DanglingOutput(id));
         }
-        if node.kind.is_wire() && graph.fanin(id).len() != 1 {
+        if kinds[i].is_wire() && graph.fanin(id).len() != 1 {
             return Err(CircuitError::InvalidConnection {
                 from: graph.fanin(id)[0],
                 to: id,
                 reason: "a wire is driven by exactly one component",
             });
         }
-        let attrs = &node.attrs;
-        if !(attrs.lower_bound > 0.0 && attrs.lower_bound.is_finite()) {
+        let (lower, upper) = (lower_bounds[i], upper_bounds[i]);
+        if !(lower > 0.0 && lower.is_finite()) {
             return Err(CircuitError::InvalidParameter {
                 name: "lower_bound",
-                value: attrs.lower_bound,
+                value: lower,
             });
         }
-        if attrs.upper_bound < attrs.lower_bound {
+        if upper < lower {
             return Err(CircuitError::InvalidBounds {
                 node: id,
-                lower: attrs.lower_bound,
-                upper: attrs.upper_bound,
+                lower,
+                upper,
             });
         }
     }
     // Every node kind sits in its index range: the source first, then the
     // drivers, the gates and wires, and the sink last. The dense engines
     // rely on this to derive a component's index by subtraction.
-    if !matches!(graph.node(graph.source()).kind, NodeKind::Source)
-        || !matches!(graph.node(graph.sink()).kind, NodeKind::Sink)
+    if !matches!(kinds[graph.source().index()], NodeKind::Source)
+        || !matches!(kinds[graph.sink().index()], NodeKind::Sink)
     {
         return Err(CircuitError::InvalidConnection {
             from: graph.source(),
@@ -86,7 +88,7 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
         });
     }
     for d in graph.driver_ids() {
-        if !graph.node(d).kind.is_driver() {
+        if !kinds[d.index()].is_driver() {
             return Err(CircuitError::InvalidConnection {
                 from: d,
                 to: d,
@@ -96,7 +98,7 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
     }
     for id in graph.component_ids() {
         if matches!(
-            graph.node(id).kind,
+            kinds[id.index()],
             NodeKind::Source | NodeKind::Sink | NodeKind::Driver
         ) {
             return Err(CircuitError::InvalidConnection {

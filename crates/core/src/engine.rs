@@ -2,11 +2,12 @@
 //!
 //! [`SizingEngine`] binds a circuit graph, its coupling set, the
 //! [`CircuitTopology`] the Elmore traversals run over and an
-//! [`EvalWorkspace`] together, and adds the
-//! dense per-component attribute tables the LRS closed-form resize reads in
-//! its innermost loop. Tables the graph or the coupling set already hold —
-//! the adjacency, the per-wire coupling coefficient sums — are borrowed,
-//! not copied, and component indices are computed rather than stored.
+//! [`EvalWorkspace`] together, and reads the dense per-component attribute
+//! tables the LRS closed-form resize needs in its innermost loop. Tables
+//! the graph or the coupling set already hold — the adjacency, the node
+//! attribute columns, the per-wire coupling coefficient sums — are
+//! borrowed, not copied, and component indices are computed rather than
+//! stored.
 //! Built once per [`SizingProblem`] (or circuit), it makes every evaluation the optimizer performs — coupling loads,
 //! downstream capacitances, weighted upstream resistances, timing, metrics,
 //! LRS sweeps — allocation-free after setup.
@@ -54,15 +55,14 @@ pub struct SizingEngine<'a> {
     topo: CircuitTopology<'a>,
     pub(crate) ws: EvalWorkspace,
     // Dense per-component tables (indexed by the graph's dense component
-    // index). The hot loop reads these instead of chasing `Node` structs,
-    // whose inline `String` names spread the numeric fields across cache
-    // lines. The kind, unit resistance, unit capacitance and fringing of
-    // the components are views of the topology's per-node arrays, and the
-    // raw node of component `i` is `topo.component_nodes().start + i`:
-    // neither is copied here.
-    pub(crate) area_coefficient: Vec<f64>,
-    pub(crate) lower_bound: Vec<f64>,
-    pub(crate) upper_bound: Vec<f64>,
+    // index): the component range of the graph's area-coefficient and
+    // size-bound columns, borrowed. The kind, unit resistance, unit
+    // capacitance and fringing of the components are read through the
+    // topology, and the raw node of component `i` is
+    // `topo.component_nodes().start + i`: none is copied here.
+    pub(crate) area_coefficient: &'a [f64],
+    pub(crate) lower_bound: &'a [f64],
+    pub(crate) upper_bound: &'a [f64],
     /// `Σ_j sf_ij · ĉ_ij` per component: the component range of the
     /// coupling set's own per-node sums, borrowed.
     pub(crate) coupling_sum: &'a [f64],
@@ -313,9 +313,6 @@ impl<'a> SizingEngine<'a> {
             "circuit too large for 32-bit indices"
         );
         let n = graph.num_components();
-        let mut area_coefficient = Vec::with_capacity(n);
-        let mut lower_bound = Vec::with_capacity(n);
-        let mut upper_bound = Vec::with_capacity(n);
         let topo = CircuitTopology::new(graph);
         let components = topo.component_nodes();
         let coupling_sum = &coupling.linear_coefficient_sums()[components.clone()];
@@ -337,12 +334,6 @@ impl<'a> SizingEngine<'a> {
                 pair.linear_coefficient(),
             );
         }
-        for id in graph.component_ids() {
-            let node = graph.node(id);
-            area_coefficient.push(node.attrs.area_coefficient);
-            lower_bound.push(node.attrs.lower_bound);
-            upper_bound.push(node.attrs.upper_bound);
-        }
         let grid = LevelGrid::new(topo.level_bounds());
         let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
             Self::build_scatter_shards(graph.num_nodes(), &pair_table);
@@ -352,10 +343,10 @@ impl<'a> SizingEngine<'a> {
             graph,
             coupling,
             ws: EvalWorkspace::new(&topo),
+            area_coefficient: &graph.area_coefficients()[components.clone()],
+            lower_bound: &graph.lower_bounds()[components.clone()],
+            upper_bound: &graph.upper_bounds()[components],
             topo,
-            area_coefficient,
-            lower_bound,
-            upper_bound,
             coupling_sum,
             extra_denom: Vec::new(),
             pair_table,
@@ -489,21 +480,17 @@ impl<'a> SizingEngine<'a> {
 
     /// Bytes held by the engine's scratch and dense tables, for the
     /// Figure 10(a) memory accounting. Covers every engine-owned
-    /// allocation: the evaluation workspace, the dense per-component
-    /// attribute tables, the coupling-pair table and its channel shards,
-    /// the adaptive-schedule buffers (freeze state, sync snapshot), the
+    /// allocation: the evaluation workspace, the extra-family denominator,
+    /// the coupling-pair table and its channel shards, the
+    /// adaptive-schedule buffers (freeze state, sync snapshot), the
     /// parallel scratch and the topology's derived columns. Borrowed tables
-    /// — the graph's adjacency, the coupling set's coefficient sums — are
-    /// counted once, by their owners
+    /// — the graph's adjacency and node attribute columns, the coupling
+    /// set's coefficient sums — are counted once, by their owners
     /// ([`CircuitGraph::memory_bytes`], [`CouplingSet::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
-            + (self.area_coefficient.capacity()
-                + self.lower_bound.capacity()
-                + self.upper_bound.capacity()
-                + self.extra_denom.capacity())
-                * size_of::<f64>()
+            + self.extra_denom.capacity() * size_of::<f64>()
             + self.pair_table.memory_bytes()
             + (self.scatter_pairs.capacity()
                 + self.scatter_shard_start.capacity()
@@ -679,7 +666,7 @@ impl<'a> SizingEngine<'a> {
     /// Figure 8) without allocating.
     pub(crate) fn reset_to_lower_bounds(&self, sizes: &mut SizeVector) {
         debug_assert_eq!(sizes.len(), self.lower_bound.len());
-        sizes.as_mut_slice().copy_from_slice(&self.lower_bound);
+        sizes.as_mut_slice().copy_from_slice(self.lower_bound);
     }
 
     /// Full downstream-capacitance rebuild at `sizes` (the coupling load
@@ -775,9 +762,9 @@ impl<'a> SizingEngine<'a> {
             kind: self.topo.component_kinds(),
             unit_resistance: self.topo.component_unit_resistance(),
             unit_capacitance: self.topo.component_unit_capacitance(),
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
+            area_coefficient: self.area_coefficient,
+            lower_bound: self.lower_bound,
+            upper_bound: self.upper_bound,
             coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
             beta,
@@ -980,9 +967,9 @@ impl<'a> SizingEngine<'a> {
             kind: self.topo.component_kinds(),
             unit_resistance: self.topo.component_unit_resistance(),
             unit_capacitance: self.topo.component_unit_capacitance(),
-            area_coefficient: &self.area_coefficient,
-            lower_bound: &self.lower_bound,
-            upper_bound: &self.upper_bound,
+            area_coefficient: self.area_coefficient,
+            lower_bound: self.lower_bound,
+            upper_bound: self.upper_bound,
             coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
             beta,
@@ -1262,14 +1249,11 @@ mod tests {
 
         // Lower bound assembled field by field: the evaluation workspace,
         // the adaptive-schedule buffers (freeze state, sync snapshot), the
-        // three dense f64 attribute tables the engine owns (area
-        // coefficient, lower and upper bound), the SoA pair table (two u32
-        // and three f64 columns) and the topology's own columns.
-        // `memory_bytes` must cover all of them (capacities can only exceed
-        // the lengths used here).
+        // SoA pair table (two u32 and three f64 columns) and the
+        // topology's own columns. `memory_bytes` must cover all of them
+        // (capacities can only exceed the lengths used here).
         let floor = engine.ws.memory_bytes()
             + engine.sched.memory_bytes()
-            + 3 * n * size_of::<f64>()
             + engine.pair_table.len() * (2 * size_of::<u32>() + 3 * size_of::<f64>())
             + engine.topo.memory_bytes();
         assert!(
@@ -1291,18 +1275,29 @@ mod tests {
         );
     }
 
-    /// The per-component coupling sums are the component range of the
-    /// coupling set's own table, not a copy of it.
+    /// The per-component coupling sums, area coefficients and size bounds
+    /// are the component ranges of the coupling set's and the graph's own
+    /// tables, and the flow index's kinds and out offsets are the graph's
+    /// columns: none is a copy.
     #[test]
     fn engine_borrows_the_coupling_sums() {
         let (graph, coupling) = setup();
         let engine = SizingEngine::new(&graph, &coupling);
         let components = engine.topo.component_nodes();
-        assert_eq!(engine.coupling_sum.len(), graph.num_components());
-        assert_eq!(
-            engine.coupling_sum.as_ptr(),
-            coupling.linear_coefficient_sums()[components].as_ptr()
-        );
+        for (mine, owner) in [
+            (engine.coupling_sum, coupling.linear_coefficient_sums()),
+            (engine.area_coefficient, graph.area_coefficients()),
+            (engine.lower_bound, graph.lower_bounds()),
+            (engine.upper_bound, graph.upper_bounds()),
+        ] {
+            assert_eq!(mine.len(), graph.num_components());
+            assert_eq!(mine.as_ptr(), owner[components.clone()].as_ptr());
+        }
+        let index = crate::projection::FlowIndex::new(&graph);
+        assert_eq!(index.kinds().as_ptr(), graph.kinds().as_ptr());
+        assert_eq!(index.kinds().len(), graph.num_nodes());
+        assert_eq!(index.out_start.as_ptr(), graph.fanout_offsets().as_ptr());
+        assert_eq!(index.out_start.len(), graph.num_nodes() + 1);
     }
 
     /// The extra-family denominator exists only while a solve has extra

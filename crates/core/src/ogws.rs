@@ -355,7 +355,7 @@ impl OgwsSolver {
                 "warm-start vector must have one entry per sizable component"
             );
             sizes.copy_from(warm);
-            sizes.clamp_into(&engine.lower_bound, &engine.upper_bound);
+            sizes.clamp_into(engine.lower_bound, engine.upper_bound);
             let total_cap = engine.total_capacitance(&sizes);
             let crosstalk_lhs = engine.crosstalk_lhs(&sizes);
             let warm_area = engine.total_area(&sizes);

@@ -25,41 +25,40 @@ use crate::par::{LevelGrid, ParRuntime};
 /// Precomputed dense view of the graph structure the OGWS outer loop walks
 /// every iteration: for every node, the positions (in the
 /// [`Multipliers::flat`] value array) of its *outgoing* edge multipliers
-/// (its slot in each fanout node's fanin list), plus per-node kinds. The
-/// fanin lists themselves — which parallel the flat multiplier slots — are
-/// read from the graph the index borrows, not copied.
+/// (its slot in each fanout node's fanin list). The index owns only these
+/// positions. Their per-node offsets are the graph's fanout offsets, and
+/// the per-node kinds and the fanin lists — which parallel the flat
+/// multiplier slots — are the graph's too: all are borrowed, not copied.
 ///
 /// [`project_flow_conservation`] searches each fanin list for the fanout
 /// slot on every call (`O(E · fanin)` per projection); building this index
 /// once per run turns every projection — and the A4 subgradient update —
-/// into a contiguous `O(V + E)` walk instead of a pointer chase through the
-/// per-node adjacency `Vec`s and name-carrying `Node` structs.
+/// into a contiguous `O(V + E)` walk of the flat positions instead of a
+/// search through the fanin lists.
 #[derive(Debug, Clone)]
 pub struct FlowIndex<'g> {
     /// The circuit the index describes. The walks that take an index check
     /// they were handed this very graph before touching a slot through it.
     graph: &'g CircuitGraph,
-    /// CSR offsets into `out_pos`, one entry per node plus a trailing total.
-    out_start: Vec<u32>,
+    /// CSR offsets into `out_pos`, one entry per node plus a trailing
+    /// total: the graph's fanout offsets, borrowed.
+    pub(crate) out_start: &'g [u32],
     /// Flat-value positions of each node's outgoing edge multipliers, in
     /// fanout order.
     out_pos: Vec<u32>,
-    /// Node kind per raw node index.
-    kinds: Vec<NodeKind>,
+    /// Node kind per raw node index: the graph's column, borrowed.
+    kinds: &'g [NodeKind],
 }
 
 impl<'g> FlowIndex<'g> {
     /// Builds the index for a circuit (one `O(E · fanin)` search, amortized
     /// over every projection of the run).
     pub fn new(graph: &'g CircuitGraph) -> Self {
-        let n = graph.num_nodes();
         // The flat multiplier layout: node `i`'s fanin slots start at
-        // `offsets[i]` (see `Multipliers::uniform`).
+        // `offsets[i]` (see `Multipliers::uniform`). The out positions run
+        // in fanout order, so node `i`'s start at its fanout offset.
         let offsets = graph.fanin_offsets();
-        let mut out_start = Vec::with_capacity(n + 1);
         let mut out_pos = Vec::with_capacity(graph.num_edges());
-        let mut kinds = Vec::with_capacity(n);
-        out_start.push(0u32);
         for id in graph.node_ids() {
             for &succ in graph.fanout(id) {
                 let slot = graph
@@ -69,20 +68,18 @@ impl<'g> FlowIndex<'g> {
                     .expect("fanout/fanin lists are consistent");
                 out_pos.push(offsets[succ.index()] + slot as u32);
             }
-            out_start.push(out_pos.len() as u32);
-            kinds.push(graph.node(id).kind);
         }
         FlowIndex {
             graph,
-            out_start,
+            out_start: graph.fanout_offsets(),
             out_pos,
-            kinds,
+            kinds: graph.kinds(),
         }
     }
 
-    /// Node kind per raw node index.
-    pub fn kinds(&self) -> &[NodeKind] {
-        &self.kinds
+    /// Node kind per raw node index (the graph's column).
+    pub fn kinds(&self) -> &'g [NodeKind] {
+        self.kinds
     }
 
     /// Asserts that the index was built for `graph` and that the
@@ -106,12 +103,11 @@ impl<'g> FlowIndex<'g> {
         );
     }
 
-    /// Bytes of the tables the index owns (for memory accounting); the
-    /// fanin lists it reads are the graph's.
+    /// Bytes of the tables the index owns (for memory accounting): the out
+    /// positions. The offsets, kinds and fanin lists it reads are the
+    /// graph's.
     pub fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.out_start.capacity() + self.out_pos.capacity()) * size_of::<u32>()
-            + self.kinds.capacity() * size_of::<NodeKind>()
+        self.out_pos.capacity() * std::mem::size_of::<u32>()
     }
 }
 

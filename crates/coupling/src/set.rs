@@ -63,17 +63,18 @@ impl CouplingSet {
         );
         let mut degree = vec![0u32; num_nodes];
         let mut seen = std::collections::HashSet::new();
+        let (kinds, upper_bounds) = (graph.kinds(), graph.upper_bounds());
         for pair in &pairs {
             for id in [pair.a, pair.b] {
-                if id.index() >= graph.num_nodes() || !graph.node(id).kind.is_wire() {
+                if !kinds.get(id.index()).is_some_and(|k| k.is_wire()) {
                     return Err(CouplingError::NotAWire(id));
                 }
             }
             if !seen.insert((pair.a, pair.b)) {
                 return Err(CouplingError::DuplicatePair(pair.a, pair.b));
             }
-            let max_a = graph.node(pair.a).attrs.upper_bound;
-            let max_b = graph.node(pair.b).attrs.upper_bound;
+            let max_a = upper_bounds[pair.a.index()];
+            let max_b = upper_bounds[pair.b.index()];
             if (max_a + max_b) / 2.0 >= pair.geometry.distance {
                 return Err(CouplingError::PitchTooSmall {
                     a: pair.a,

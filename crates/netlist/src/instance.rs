@@ -71,9 +71,9 @@ impl ProblemInstance {
     ///
     /// Returns 0 for non-wire nodes.
     pub fn wire_length(&self, id: NodeId) -> f64 {
-        let node = self.circuit.node(id);
-        if node.kind.is_wire() {
-            node.attrs.area_coefficient / self.circuit.technology().wire_area_coefficient
+        let i = id.index();
+        if self.circuit.kinds()[i].is_wire() {
+            self.circuit.area_coefficients()[i] / self.circuit.technology().wire_area_coefficient
         } else {
             0.0
         }

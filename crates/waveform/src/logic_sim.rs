@@ -38,9 +38,10 @@ impl<'a> LogicSimulator<'a> {
         );
         let mut values = vec![false; g.num_nodes()];
         let mut fanin_buf: Vec<bool> = Vec::new();
+        let kinds = g.kinds();
         for id in g.node_ids() {
             let idx = id.index();
-            match g.node(id).kind {
+            match kinds[idx] {
                 NodeKind::Source | NodeKind::Sink => values[idx] = false,
                 NodeKind::Driver => values[idx] = inputs[idx - 1],
                 NodeKind::Wire => {

@@ -76,10 +76,10 @@ const MIB: f64 = 1024.0 * 1024.0;
 
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
-    ("generate", 2_226_963),
-    ("order", 3_624_109),
-    ("engine", 3_463_917),
-    ("size", 3_889_456),
+    ("generate", 1_636_218),
+    ("order", 2_983_301),
+    ("engine", 2_823_109),
+    ("size", 3_197_249),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload.

@@ -213,6 +213,32 @@ fn a_fanin_id_beyond_32_bits_is_an_error() {
     assert!(err.to_string().contains("out of range"), "{err}");
 }
 
+/// A driver has no unit resistance, and the graph's resistance column holds
+/// only its driver resistance, so a graph whose driver carries one decodes
+/// to an error rather than dropping it.
+#[test]
+fn a_driver_with_a_unit_resistance_is_an_error() {
+    let (inst, _) = mutation_fixture();
+    let json = serde_json::to_string(inst).expect("encodes");
+    let driver = json
+        .find(r#"{"kind":"Driver","#)
+        .expect("the fixture has a driver");
+    let field = r#""unit_resistance":0.0"#;
+    let at = driver
+        + json[driver..]
+            .find(field)
+            .expect("the driver has attributes");
+    let carried = format!(
+        r#"{}"unit_resistance":5.0{}"#,
+        &json[..at],
+        &json[at + field.len()..]
+    );
+    let Err(err) = serde_json::from_str::<ProblemInstance>(&carried) else {
+        panic!("a driver's unit resistance must not decode");
+    };
+    assert!(err.to_string().contains("unit_resistance"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
