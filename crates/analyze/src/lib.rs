@@ -5,9 +5,10 @@
 //! * hot sweep/kernel paths are **allocation-free** (PR 1/4/6) — the
 //!   [`passes::no_alloc`] pass lints the functions declared in
 //!   [`manifest::HOT_PATHS`];
-//! * every `unsafe` disjoint-index write is justified by the level-partition
-//!   invariant — [`passes::unsafe_audit`] inventories all `unsafe` sites
-//!   and requires adjacent `// SAFETY:` / `# Safety` documentation;
+//! * every `unsafe` site (unchecked indexing the kernels validated up
+//!   front, the worker pool's lifetime erasure) states its invariant —
+//!   [`passes::unsafe_audit`] inventories all `unsafe` sites and requires
+//!   adjacent `// SAFETY:` / `# Safety` documentation;
 //! * the serving layer **never panics** outside injected faults (PR 9) —
 //!   [`passes::panic_path`] denies `unwrap`/`expect`/`panic!`/unjustified
 //!   indexing in non-test `crates/serve` code;

@@ -39,6 +39,14 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     (
+        "crates/core/src/par.rs",
+        &[
+            // The runner every pass hands its per-block views to, once per
+            // step: a per-step allocation here is a per-pass one.
+            "run",
+        ],
+    ),
+    (
         "crates/core/src/lrs.rs",
         &[
             // The solve drivers: called once per OGWS iteration; their
@@ -62,6 +70,7 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             // The per-iteration A5 flow projection.
             "project_flow_conservation_indexed",
             "project_flow_conservation_leveled",
+            "project_block",
             "project_node",
             "flow_conservation_residual",
         ],
@@ -81,9 +90,7 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             "arrivals_chunk",
             // Streamed per-edge helpers.
             "child_load_edge",
-            "child_load_edge_fused",
             "upstream_acc_edges",
-            "upstream_acc_edges_shared",
             "size_of_unchecked",
             "resistance_unchecked",
             "capacitance_unchecked",

@@ -1,9 +1,11 @@
 //! Pass `unsafe-audit`: inventory every `unsafe` occurrence and require an
 //! adjacent safety comment naming the invariant.
 //!
-//! The level-parallel kernels (PR 5/6) rest on `unsafe` disjoint-index
-//! writes whose soundness is the strictly-upward level-partition
-//! invariant. This pass (a) inventories every `unsafe` block, `unsafe fn`,
+//! The borrow checker proves that the level-parallel blocks write disjoint
+//! table ranges, but the kernels still index the construction-validated
+//! topology, and the ranges each block checked once, without bounds checks,
+//! and the worker pool erases a job's lifetime. This pass (a) inventories
+//! every `unsafe` block, `unsafe fn`,
 //! `unsafe impl` and `unsafe trait` in the workspace into a
 //! machine-readable report, and (b) flags any occurrence without an
 //! adjacent justification: a `// SAFETY:` comment within a few lines for

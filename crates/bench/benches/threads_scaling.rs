@@ -4,8 +4,8 @@
 //! Each measurement is a full stage-2 sizing run (fixed OGWS iteration
 //! budget, adaptive solve schedule, one prepared ordering, one reused
 //! engine), so the timing covers everything the level grid distributes:
-//! fused LRS sweeps, timing evaluation, the channel-sharded coupling
-//! scatter, the subgradient update and the flow projection. The wide tier
+//! fused LRS sweeps, timing evaluation, the subgradient update and the
+//! flow projection. The wide tier
 //! (`xl_wide_spec`, logarithmic logic depth) is the shape level parallelism
 //! scales on; the chain-like `xl_spec` tier is depth-dominated — its
 //! critical path *is* the circuit — and is covered by the `ogws_schedule`

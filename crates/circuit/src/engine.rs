@@ -67,107 +67,324 @@ use crate::graph::CircuitGraph;
 use crate::id::NodeId;
 use crate::node::NodeKind;
 use crate::sizing::SizeVector;
+use std::ops::Range;
 
 /// Sentinel for "no predecessor" in dense predecessor arrays.
 pub const NO_PRED: u32 = u32::MAX;
 
-/// A shared view of a mutable slice for *disjoint-index* concurrent writes.
-///
-/// The level-chunked kernels of [`CircuitTopology`] let several workers
-/// update per-node (or per-component) state of one topological level at
-/// once. Each worker owns a disjoint set of indices, so the writes can never
-/// alias — but safe Rust cannot express "disjoint scattered indices of one
-/// slice", hence this wrapper: a copyable `(pointer, length)` view whose
-/// accessors are `unsafe` and whose soundness contract is exactly the
-/// disjointness the level partition guarantees.
-///
-/// # Safety contract (all accessors)
-///
-/// * `i < len()`;
-/// * no concurrent access (read or write) to index `i` from another
-///   borrower of the same underlying slice — callers partition the index
-///   space (by level and by chunk) so this holds by construction.
-pub struct SharedMut<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<T> Clone for SharedMut<'_, T> {
-    fn clone(&self) -> Self {
-        *self
+/// The nodes from the first of the level bounds `bounds` to the last: the
+/// nodes a backward kernel visits, as long as the bounds never decrease,
+/// which the kernel asserts window by window before visiting one.
+fn span(bounds: &[u32]) -> Range<usize> {
+    match bounds {
+        [first, .., last] => *first as usize..*last as usize,
+        _ => 0..0,
     }
 }
-impl<T> Copy for SharedMut<'_, T> {}
 
-// SAFETY: the wrapper only hands out `unsafe` accessors whose contract
-// forbids aliasing; sending or sharing the view across threads is then no
-// more dangerous than the accessors themselves.
-unsafe impl<T: Send> Send for SharedMut<'_, T> {}
-unsafe impl<T: Send> Sync for SharedMut<'_, T> {}
+/// One block's view of a table that a level-ordered pass writes: the
+/// entries the block owns, borrowed mutably, and the entries earlier steps
+/// of the pass settled, borrowed shared.
+///
+/// A backward pass settles a table from its end and a forward pass from
+/// its start, so a block's settled part is everything after (or before)
+/// its step. The runner hands the blocks of one step disjoint
+/// `split_at_mut` pieces of the table, so the borrow checker, not a
+/// convention, keeps concurrent blocks from touching each other's
+/// entries. A block that runs alone in its step may own the settled part
+/// too, since nothing else touches the table meanwhile.
+///
+/// The traversal kernels check once per block that the view owns every
+/// entry they write and holds every entry they read of other blocks, then
+/// index it without further checks: the entries they write through the
+/// owned side, those of other blocks through the side that holds them.
+/// [`level`](Self::level) splits off one range's entries to write, with
+/// the [`Settled`] entries on their far side to read.
+#[derive(Debug)]
+pub struct Tile<'a, T> {
+    own: &'a mut [T],
+    /// Table index of `own[0]`.
+    own_start: usize,
+    settled: &'a [T],
+    /// Table index of `settled[0]`.
+    settled_start: usize,
+}
 
-impl<'a, T> SharedMut<'a, T> {
-    /// Wraps an exclusive slice borrow. The view must not outlive callers'
-    /// partitioning discipline (see the type docs).
-    pub fn new(slice: &'a mut [T]) -> Self {
-        SharedMut {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
+impl<'a, T> Tile<'a, T> {
+    /// A view owning `own` (table entries from `own_start`) and reading
+    /// `settled` (table entries from `settled_start`).
+    pub fn new(own: &'a mut [T], own_start: usize, settled: &'a [T], settled_start: usize) -> Self {
+        Tile {
+            own,
+            own_start,
+            settled,
+            settled_start,
         }
     }
 
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
+    /// A view owning the whole table: one block covering the whole pass.
+    pub fn whole(table: &'a mut [T]) -> Self {
+        Tile::new(table, 0, &[], 0)
     }
 
-    /// Whether the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The unchecked access of a kernel that writes the table entries
+    /// `writes` and reads the entries `reads`: from the owned side when it
+    /// holds them (a block that owns the settled part), else from the
+    /// settled side.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the view does not own `writes` or hold `reads`.
+    fn access(&mut self, writes: &Range<usize>, reads: &Range<usize>) -> Access<T> {
+        let covers = |start: usize, len: usize, range: &Range<usize>| {
+            range.is_empty() || (start <= range.start && range.end - start <= len)
+        };
+        assert!(
+            covers(self.own_start, self.own.len(), writes),
+            "the view must own every entry the block writes"
+        );
+        let write = self.own.as_mut_ptr().wrapping_sub(self.own_start);
+        let read = if covers(self.own_start, self.own.len(), reads) {
+            write.cast_const()
+        } else {
+            assert!(
+                covers(self.settled_start, self.settled.len(), reads),
+                "the view must hold every entry the block reads"
+            );
+            self.settled.as_ptr().wrapping_sub(self.settled_start)
+        };
+        Access { write, read }
     }
 
-    /// Reads index `i`.
+    /// Splits off the owned table entries `entries` for writing, with the
+    /// entries on their settled side for reading: the owned entries after
+    /// them, or the settled part when the view owns none there (everything
+    /// after `entries` going `backward`, everything before going forward).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the view does not own `entries`.
+    #[inline]
+    pub fn level(&mut self, entries: &Range<usize>, backward: bool) -> (&mut [T], Settled<'_, T>) {
+        let lo = entries.start - self.own_start;
+        let hi = entries.end - self.own_start;
+        let settled = Settled {
+            slice: self.settled,
+            start: self.settled_start,
+        };
+        if backward {
+            let (head, after) = self.own.split_at_mut(hi);
+            let read = if after.is_empty() {
+                settled
+            } else {
+                Settled {
+                    slice: after,
+                    start: entries.end,
+                }
+            };
+            (&mut head[lo..], read)
+        } else {
+            let (before, rest) = self.own.split_at_mut(lo);
+            let read = if before.is_empty() {
+                settled
+            } else {
+                Settled {
+                    slice: before,
+                    start: self.own_start,
+                }
+            };
+            (&mut rest[..hi - lo], read)
+        }
+    }
+}
+
+/// A kernel's unchecked access to one block's view: the table addresses of
+/// the entries it writes and of the entries it reads, which
+/// [`Tile::access`] has checked the view owns and holds.
+#[derive(Clone, Copy)]
+struct Access<T> {
+    /// Address of table entry 0 on the owned side (possibly outside it).
+    write: *mut T,
+    /// Address of table entry 0 on the side holding the reads.
+    read: *const T,
+}
+
+impl<T: Copy> Access<T> {
+    /// Reads table entry `j`.
     ///
     /// # Safety
     ///
-    /// See the type-level contract.
+    /// `j` lies in the `reads` range the access was made for.
     #[inline(always)]
-    pub unsafe fn get(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i)
+    unsafe fn get(self, j: usize) -> T {
+        *self.read.wrapping_add(j)
     }
 
-    /// Writes `value` to index `i`.
+    /// Reads table entry `i` on the owned side: an entry the kernel
+    /// writes, which may lie outside the `reads` range.
     ///
     /// # Safety
     ///
-    /// See the type-level contract.
+    /// `i` lies in the `writes` range the access was made for.
     #[inline(always)]
-    pub unsafe fn set(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        #[cfg(feature = "race-check")]
-        crate::race::claim_write(self.ptr as usize, i);
-        *self.ptr.add(i) = value;
+    unsafe fn own(self, i: usize) -> T {
+        *self.write.wrapping_add(i)
     }
 
-    /// Adds `delta` to index `i` (for `f64` accumulators).
+    /// Writes table entry `i`.
     ///
     /// # Safety
     ///
-    /// See the type-level contract.
+    /// `i` lies in the `writes` range the access was made for.
     #[inline(always)]
-    pub unsafe fn add(&self, i: usize, delta: T)
-    where
-        T: Copy + std::ops::AddAssign,
-    {
-        debug_assert!(i < self.len);
-        #[cfg(feature = "race-check")]
-        crate::race::claim_write(self.ptr as usize, i);
-        *self.ptr.add(i) += delta;
+    unsafe fn set(self, i: usize, value: T) {
+        *self.write.wrapping_add(i) = value;
+    }
+}
+
+/// The settled table entries a range reads (see [`Tile::level`]):
+/// a shared slice and the table index of its first entry.
+#[derive(Debug, Clone, Copy)]
+pub struct Settled<'a, T> {
+    slice: &'a [T],
+    start: usize,
+}
+
+impl<'a, T: Copy> Settled<'a, T> {
+    /// Reads table entry `j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `j` is not settled here.
+    #[inline(always)]
+    pub fn get(&self, j: usize) -> T {
+        self.slice[j.wrapping_sub(self.start)]
+    }
+}
+
+/// How a table a level-ordered pass writes is indexed: where a node
+/// boundary falls in the table. The map is monotone, so consecutive node
+/// ranges own consecutive table ranges.
+#[derive(Debug, Clone, Copy)]
+pub enum Space<'a> {
+    /// One entry per node.
+    Nodes,
+    /// One entry per component, the `count` components being the nodes
+    /// from `first` on. A node boundary outside them clamps to the nearer
+    /// end, because a block may hold drivers, the source or the sink next
+    /// to its components.
+    Components {
+        /// Node index of component 0.
+        first: usize,
+        /// Number of components.
+        count: usize,
+    },
+    /// The fanin slots of a flat per-edge layout: node `i` owns
+    /// `offsets[i]..offsets[i + 1]`.
+    Slots(&'a [u32]),
+}
+
+impl Space<'_> {
+    /// The table entries of the nodes `nodes`.
+    #[inline]
+    pub fn range(&self, nodes: &Range<usize>) -> Range<usize> {
+        self.at(nodes.start)..self.at(nodes.end)
+    }
+
+    /// The table boundary of node boundary `node`.
+    #[inline]
+    pub fn at(&self, node: usize) -> usize {
+        match *self {
+            Space::Nodes => node,
+            Space::Components { first, count } => node.clamp(first, first + count) - first,
+            Space::Slots(offsets) => offsets[node] as usize,
+        }
+    }
+}
+
+/// One table split for one step of a level-ordered pass: the step's own
+/// entries, handed out front to back as its blocks claim them, and the
+/// entries earlier steps settled, which every block of the step may read.
+#[derive(Debug)]
+pub struct Tiles<'t, T> {
+    /// The entries no block has claimed yet.
+    rest: &'t mut [T],
+    /// Table index of `rest[0]`.
+    rest_start: usize,
+    settled: &'t [T],
+    settled_start: usize,
+    space: Space<'t>,
+    /// The step has one block, which is handed the settled entries along
+    /// with its own.
+    alone: bool,
+}
+
+impl<'t, T> Tiles<'t, T> {
+    /// Splits `table` for a step over the nodes `nodes`, indexed as
+    /// `space` says. Going `reverse` (a backward pass), the settled part
+    /// is everything after the step; going forward it is everything
+    /// before. A step whose block runs `alone` hands that block the settled
+    /// part mutably too: nothing else touches the table during the step,
+    /// and owning one contiguous piece lets the block read its own earlier
+    /// levels and the settled part as one slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the step's entries exceed `table`.
+    pub fn new(
+        table: &'t mut [T],
+        space: Space<'t>,
+        nodes: Range<usize>,
+        reverse: bool,
+        alone: bool,
+    ) -> Self {
+        let (lo, hi) = (space.at(nodes.start), space.at(nodes.end));
+        let (rest, rest_start, settled, settled_start): (&mut [T], usize, &[T], usize) =
+            match (alone, reverse) {
+                (true, true) => (&mut table[lo..], lo, &[], 0),
+                (true, false) => (&mut table[..hi], 0, &[], 0),
+                (false, _) => {
+                    let (before, rest) = table.split_at_mut(lo);
+                    let (rest, after) = rest.split_at_mut(hi - lo);
+                    if reverse {
+                        (rest, lo, after, hi)
+                    } else {
+                        (rest, lo, before, 0)
+                    }
+                }
+            };
+        Tiles {
+            rest,
+            rest_start,
+            settled,
+            settled_start,
+            space,
+            alone,
+        }
+    }
+
+    /// The view of the next block, which covers the nodes `nodes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `nodes` starts where the previous block ended, or
+    /// where the step starts for its first block: the blocks must tile the
+    /// step in order.
+    pub fn next(&mut self, nodes: &Range<usize>) -> Tile<'t, T> {
+        if self.alone {
+            return Tile::new(std::mem::take(&mut self.rest), self.rest_start, &[], 0);
+        }
+        assert_eq!(
+            self.space.at(nodes.start),
+            self.rest_start,
+            "blocks must tile the step in order"
+        );
+        let len = self.space.at(nodes.end) - self.rest_start;
+        let (own, rest) = std::mem::take(&mut self.rest).split_at_mut(len);
+        let tile = Tile::new(own, self.rest_start, self.settled, self.settled_start);
+        self.rest = rest;
+        self.rest_start += len;
+        tile
     }
 }
 
@@ -444,6 +661,16 @@ impl<'g> CircuitTopology<'g> {
         self.comp_base..self.comp_base + self.num_components
     }
 
+    /// The index space of per-component tables (sizes and the freeze
+    /// state): a node boundary maps to the component boundary it falls
+    /// at, clamped to the component range.
+    pub fn component_space(&self) -> Space<'static> {
+        Space::Components {
+            first: self.comp_base,
+            count: self.num_components,
+        }
+    }
+
     /// `r̂` of every component, in dense component order (a view of the
     /// graph's column, not a copy).
     pub fn component_unit_resistance(&self) -> &'g [f64] {
@@ -540,6 +767,21 @@ impl<'g> CircuitTopology<'g> {
         }
     }
 
+    /// Asserts what a block kernel's unchecked reads of the circuit-wide
+    /// slices rely on: `sizes` (when the kernel reads a size slice) has one
+    /// entry per component, and each named slice one entry per node.
+    #[inline]
+    fn assert_block(&self, sizes: Option<&[f64]>, per_node: &[(&str, usize)]) {
+        if let Some(sizes) = sizes {
+            assert_eq!(
+                sizes.len(),
+                self.num_components,
+                "sizes must match the circuit"
+            );
+        }
+        self.assert_node_slices(per_node);
+    }
+
     /// Size of node `idx` (1.0 for non-sizable nodes) over a raw size slice.
     ///
     /// # Safety
@@ -630,48 +872,26 @@ impl<'g> CircuitTopology<'g> {
     }
 
     /// The load fanout edge `e` puts on its parent, streamed from the
-    /// per-edge columns (rebuild variant): the parent's output load for the
-    /// sink, `Node::capacitance` of a gate child (its size is component
+    /// per-edge columns: the parent's output load for the sink,
+    /// `Node::capacitance` of a gate child (`size` of component
     /// `child - comp_base`), the settled `presented` entry of a wire child.
     ///
     /// # Safety
     ///
-    /// `e < fanout_list.len()`; `sizes.len() == num_components`; wire
-    /// children's `presented` entries are settled.
+    /// `e < fanout_list.len()`; `size` accepts the child's component index
+    /// and `presented` reads the child.
     #[inline(always)]
     unsafe fn child_load_edge(
         &self,
         e: usize,
-        sizes: &[f64],
-        presented: SharedMut<'_, f64>,
+        size: impl Fn(usize) -> f64,
+        presented: Access<f64>,
     ) -> f64 {
         match *self.fanout_tag.get_unchecked(e) {
             FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
             FanoutTag::Gate => {
                 let child = self.fanout_list.get_unchecked(e).index();
-                *self.fanout_coeff.get_unchecked(e) * *sizes.get_unchecked(child - self.comp_base)
-            }
-            FanoutTag::Wire => presented.get(self.fanout_list.get_unchecked(e).index()),
-        }
-    }
-
-    /// As `child_load_edge`, over a shared size view (fused variant).
-    ///
-    /// # Safety
-    ///
-    /// As `child_load_edge`, with `xs` wrapping the per-component sizes.
-    #[inline(always)]
-    unsafe fn child_load_edge_fused(
-        &self,
-        e: usize,
-        xs: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
-    ) -> f64 {
-        match *self.fanout_tag.get_unchecked(e) {
-            FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
-            FanoutTag::Gate => {
-                let child = self.fanout_list.get_unchecked(e).index();
-                *self.fanout_coeff.get_unchecked(e) * xs.get(child - self.comp_base)
+                *self.fanout_coeff.get_unchecked(e) * size(child - self.comp_base)
             }
             FanoutTag::Wire => presented.get(self.fanout_list.get_unchecked(e).index()),
         }
@@ -684,15 +904,16 @@ impl<'g> CircuitTopology<'g> {
     ///
     /// # Safety
     ///
-    /// `idx < num_nodes`; `sizes.len() == num_components`; `weights` has
-    /// one entry per node; lower levels are settled in `upstream`.
+    /// `idx < num_nodes`; `size` accepts the component index of every
+    /// gate or wire fanin, `upstream` reads every fanin, and `weights` has
+    /// one entry per node.
     #[inline(always)]
     unsafe fn upstream_acc_edges(
         &self,
         idx: usize,
-        sizes: &[f64],
+        size: impl Fn(usize) -> f64,
         weights: &[f64],
-        upstream: SharedMut<'_, f64>,
+        upstream: Access<f64>,
     ) -> f64 {
         let mut acc = 0.0;
         for e in self.fanin_edges_unchecked(idx) {
@@ -703,7 +924,7 @@ impl<'g> CircuitTopology<'g> {
                     acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
                 }
                 FaninTag::Div => {
-                    let x = *sizes.get_unchecked(p - self.comp_base);
+                    let x = size(p - self.comp_base);
                     let r = if x > 0.0 {
                         *self.fanin_ur.get_unchecked(e) / x
                     } else {
@@ -712,51 +933,7 @@ impl<'g> CircuitTopology<'g> {
                     acc += *weights.get_unchecked(p) * r;
                 }
                 FaninTag::WireDiv => {
-                    let x = *sizes.get_unchecked(p - self.comp_base);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += upstream.get(p) + *weights.get_unchecked(p) * r;
-                }
-            }
-        }
-        acc
-    }
-
-    /// As `upstream_acc_edges`, over a shared size view (fused variant).
-    ///
-    /// # Safety
-    ///
-    /// As `upstream_acc_edges`, with `xs` wrapping the per-component sizes.
-    #[inline(always)]
-    unsafe fn upstream_acc_edges_shared(
-        &self,
-        idx: usize,
-        xs: SharedMut<'_, f64>,
-        weights: &[f64],
-        upstream: SharedMut<'_, f64>,
-    ) -> f64 {
-        let mut acc = 0.0;
-        for e in self.fanin_edges_unchecked(idx) {
-            let p = self.fanin_list.get_unchecked(e).index();
-            match *self.fanin_tag.get_unchecked(e) {
-                FaninTag::Skip => {}
-                FaninTag::Const => {
-                    acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
-                FaninTag::Div => {
-                    let x = xs.get(p - self.comp_base);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += *weights.get_unchecked(p) * r;
-                }
-                FaninTag::WireDiv => {
-                    let x = xs.get(p - self.comp_base);
+                    let x = size(p - self.comp_base);
                     let r = if x > 0.0 {
                         *self.fanin_ur.get_unchecked(e) / x
                     } else {
@@ -790,72 +967,114 @@ impl<'g> CircuitTopology<'g> {
     // identical per-node results.
     // ------------------------------------------------------------------
 
+    /// The nodes a block kernel's reads can reach when it visits the
+    /// nodes `nodes`: every fanout child of a visited node lies after the
+    /// level of the first one (`backward`), and every fanin before the
+    /// level of the last one (forward), by the level partition invariant
+    /// (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `nodes` exceeds the circuit.
+    fn block_reach(&self, nodes: &Range<usize>, backward: bool) -> Range<usize> {
+        let n = self.num_nodes();
+        assert!(nodes.end <= n, "block must lie within the circuit");
+        if nodes.is_empty() {
+            return 0..0;
+        }
+        // The level holding `node`: `level_start[l] <= node < level_start[l + 1]`.
+        let level_of = |node: usize| self.level_start.partition_point(|&b| b as usize <= node) - 1;
+        if backward {
+            self.level_start[level_of(nodes.start) + 1] as usize..n
+        } else {
+            0..self.level_start[level_of(nodes.end - 1)] as usize
+        }
+    }
+
     /// Backward (reverse-topological) downstream-capacitance rebuild of one
     /// block: computes `C_i` (`charged`) and the load each node presents to
     /// its stage parent (`presented`). `extra_cap` holds one value per node,
     /// added on the downstream side of that node (the coupling load).
     ///
-    /// `bounds` lists the block's level boundaries; the levels
+    /// `bounds` lists the block's level windows; the windows
     /// `bounds[k]..bounds[k + 1]` are visited in reverse, nodes ascending
-    /// within a level.
+    /// within a window. The views must own the block's nodes, and
+    /// `presented` must hold every node after the block's first level,
+    /// which is where the fanout children lie.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// * `bounds` is non-decreasing, ends within the node count, and no
-    ///   window `bounds[k]..bounds[k + 1]` contains an edge;
-    /// * every fanout child outside the block is settled in `presented`;
-    /// * `charged`/`presented` wrap slices of one entry per node, `extra_cap`
-    ///   has one entry per node, `sizes` one entry per component;
-    /// * no other borrower concurrently accesses the `charged`/`presented`
-    ///   entries of the block.
-    pub unsafe fn downstream_caps_chunk(
+    /// Panics when the bounds decrease or exceed the node count, when
+    /// `sizes` or `extra_cap` does not match the circuit, or when a view
+    /// lacks an entry the block writes or reads.
+    pub fn downstream_caps_chunk(
         &self,
         bounds: &[u32],
         sizes: &[f64],
         extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
+        mut charged: Tile<'_, f64>,
+        mut presented: Tile<'_, f64>,
     ) {
-        for level in bounds.windows(2).rev() {
-            for idx in level[0] as usize..level[1] as usize {
-                let extra = *extra_cap.get_unchecked(idx);
-                match *self.kind.get_unchecked(idx) {
-                    KindTag::Source | KindTag::Sink => {
-                        charged.set(idx, 0.0);
-                        presented.set(idx, 0.0);
-                    }
-                    KindTag::Driver => {
-                        let mut c = 0.0;
-                        for e in self.fanout_edges_unchecked(idx) {
-                            c += self.child_load_edge(e, sizes, presented);
+        let nodes = span(bounds);
+        let children = self.block_reach(&nodes, true);
+        self.assert_block(Some(sizes), &[("extra_cap", extra_cap.len())]);
+        let charged = charged.access(&nodes, &(0..0));
+        let presented = presented.access(&nodes, &children);
+        // SAFETY: every visited node lies in `nodes` (asserted per window),
+        // which the views own, and every fanout child in `children`, which
+        // `presented` holds; `extra_cap`/`sizes` match the circuit
+        // (asserted above); the topology's own tables are valid for every
+        // node and edge by construction.
+        unsafe {
+            let size = |comp: usize| *sizes.get_unchecked(comp);
+            for level in bounds.windows(2).rev() {
+                let window = level[0] as usize..level[1] as usize;
+                assert!(
+                    nodes.start <= window.start
+                        && window.start <= window.end
+                        && window.end <= nodes.end,
+                    "level bounds must not decrease"
+                );
+                for idx in window {
+                    let extra = *extra_cap.get_unchecked(idx);
+                    match *self.kind.get_unchecked(idx) {
+                        KindTag::Source | KindTag::Sink => {
+                            charged.set(idx, 0.0);
+                            presented.set(idx, 0.0);
                         }
-                        c += extra;
-                        charged.set(idx, c);
-                        presented.set(idx, 0.0);
-                    }
-                    KindTag::Gate => {
-                        let mut c = 0.0;
-                        for e in self.fanout_edges_unchecked(idx) {
-                            c += self.child_load_edge(e, sizes, presented);
+                        KindTag::Driver => {
+                            let mut c = 0.0;
+                            for e in self.fanout_edges_unchecked(idx) {
+                                c += self.child_load_edge(e, size, presented);
+                            }
+                            c += extra;
+                            charged.set(idx, c);
+                            presented.set(idx, 0.0);
                         }
-                        // Coupling on a gate output (rare, but allowed)
-                        // loads the stage.
-                        c += extra;
-                        charged.set(idx, c);
-                        presented.set(idx, self.capacitance_unchecked(idx, sizes));
-                    }
-                    KindTag::Wire => {
-                        let own = self.capacitance_unchecked(idx, sizes);
-                        let mut downstream = 0.0;
-                        for e in self.fanout_edges_unchecked(idx) {
-                            downstream += self.child_load_edge(e, sizes, presented);
+                        KindTag::Gate => {
+                            let mut c = 0.0;
+                            for e in self.fanout_edges_unchecked(idx) {
+                                c += self.child_load_edge(e, size, presented);
+                            }
+                            // Coupling on a gate output (rare, but allowed)
+                            // loads the stage.
+                            c += extra;
+                            charged.set(idx, c);
+                            presented.set(idx, self.capacitance_unchecked(idx, sizes));
                         }
-                        // π-model: the far half of the wire's own
-                        // capacitance plus all coupling capacitance is
-                        // charged through r_i; the full wire capacitance
-                        // loads everything upstream.
-                        charged.set(idx, own / 2.0 + extra + downstream);
-                        presented.set(idx, own + extra + downstream);
+                        KindTag::Wire => {
+                            let own = self.capacitance_unchecked(idx, sizes);
+                            let mut downstream = 0.0;
+                            for e in self.fanout_edges_unchecked(idx) {
+                                downstream += self.child_load_edge(e, size, presented);
+                            }
+                            // π-model: the far half of the wire's own
+                            // capacitance plus all coupling capacitance is
+                            // charged through r_i; the full wire capacitance
+                            // loads everything upstream.
+                            charged.set(idx, own / 2.0 + extra + downstream);
+                            presented.set(idx, own + extra + downstream);
+                        }
                     }
                 }
             }
@@ -864,26 +1083,31 @@ impl<'g> CircuitTopology<'g> {
 
     /// Forward λ-weighted upstream-resistance rebuild of the block `nodes`:
     /// the `R_i` of Theorem 5 per node, with `weights` holding `λ_k` per raw
-    /// node index.
+    /// node index. `upstream` must own the block's nodes and hold every
+    /// node before the level of its last one, which is where the fanins
+    /// lie.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// * `nodes` lies within the node count, and every fanin node before
-    ///   `nodes.start` is settled in `upstream`;
-    /// * `upstream` wraps and `weights` is a slice of one entry per node,
-    ///   `sizes` has one entry per component;
-    /// * no other borrower concurrently accesses the `upstream` entries of
-    ///   `nodes`.
-    pub unsafe fn upstream_resistance_chunk(
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
+    pub fn upstream_resistance_chunk(
         &self,
-        nodes: std::ops::Range<usize>,
+        nodes: Range<usize>,
         sizes: &[f64],
         weights: &[f64],
-        upstream: SharedMut<'_, f64>,
+        mut upstream: Tile<'_, f64>,
     ) {
-        for idx in nodes {
-            let acc = self.upstream_acc_edges(idx, sizes, weights, upstream);
-            upstream.set(idx, acc);
+        let fanins = self.block_reach(&nodes, false);
+        self.assert_block(Some(sizes), &[("weights", weights.len())]);
+        let upstream = upstream.access(&nodes, &fanins);
+        // SAFETY: every visited node lies in `nodes`, which `upstream`
+        // owns, and every fanin in `fanins`, which it holds; `sizes` and
+        // `weights` match the circuit (asserted above).
+        unsafe {
+            let size = |comp: usize| *sizes.get_unchecked(comp);
+            for idx in nodes {
+                upstream.set(idx, self.upstream_acc_edges(idx, size, weights, upstream));
+            }
         }
     }
 
@@ -901,74 +1125,97 @@ impl<'g> CircuitTopology<'g> {
     /// but the one-directional freshness roughly squares the contraction
     /// factor per pass, so solves converge in far fewer sweeps.
     ///
-    /// # Safety
+    /// `xs` is the block's view of the per-component sizes: it owns the
+    /// block's components and holds the settled sizes of later levels.
     ///
-    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk); in
-    /// addition `xs` wraps the per-component size slice and no other
-    /// borrower concurrently accesses the sizes of the block's components
-    /// (one node per component, so block disjointness covers this too). The
-    /// `resize` closure must only touch state owned by the block.
-    pub unsafe fn fused_downstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
+    /// # Panics
+    ///
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
+    pub fn fused_downstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
         bounds: &[u32],
-        xs: SharedMut<'_, f64>,
+        mut xs: Tile<'_, f64>,
         extra_cap: &[f64],
-        charged: SharedMut<'_, f64>,
-        presented: SharedMut<'_, f64>,
+        mut charged: Tile<'_, f64>,
+        mut presented: Tile<'_, f64>,
         resize: &mut F,
     ) {
-        for level in bounds.windows(2).rev() {
-            for idx in level[0] as usize..level[1] as usize {
-                let extra = *extra_cap.get_unchecked(idx);
-                match *self.kind.get_unchecked(idx) {
-                    KindTag::Source | KindTag::Sink => {
-                        charged.set(idx, 0.0);
-                        presented.set(idx, 0.0);
-                    }
-                    KindTag::Driver => {
-                        let mut c = 0.0;
-                        for e in self.fanout_edges_unchecked(idx) {
-                            c += self.child_load_edge_fused(e, xs, presented);
+        let nodes = span(bounds);
+        let children = self.block_reach(&nodes, true);
+        self.assert_block(None, &[("extra_cap", extra_cap.len())]);
+        let charged = charged.access(&nodes, &(0..0));
+        let presented = presented.access(&nodes, &children);
+        let xs = xs.access(
+            &self.component_space().range(&nodes),
+            &self.component_space().range(&children),
+        );
+        // SAFETY: visited nodes (asserted per window) and their components
+        // lie in what the views own, which is where they are written and
+        // their sizes read (`own`), fanout children and theirs in what they
+        // hold; `extra_cap` matches the circuit; the topology's tables are
+        // valid for every node and edge by construction.
+        unsafe {
+            let size = |comp: usize| xs.get(comp);
+            for level in bounds.windows(2).rev() {
+                let window = level[0] as usize..level[1] as usize;
+                assert!(
+                    nodes.start <= window.start
+                        && window.start <= window.end
+                        && window.end <= nodes.end,
+                    "level bounds must not decrease"
+                );
+                for idx in window {
+                    let extra = *extra_cap.get_unchecked(idx);
+                    match *self.kind.get_unchecked(idx) {
+                        KindTag::Source | KindTag::Sink => {
+                            charged.set(idx, 0.0);
+                            presented.set(idx, 0.0);
                         }
-                        charged.set(idx, c + extra);
-                        presented.set(idx, 0.0);
-                    }
-                    KindTag::Gate => {
-                        let mut c = 0.0;
-                        for e in self.fanout_edges_unchecked(idx) {
-                            c += self.child_load_edge_fused(e, xs, presented);
+                        KindTag::Driver => {
+                            let mut c = 0.0;
+                            for e in self.fanout_edges_unchecked(idx) {
+                                c += self.child_load_edge(e, size, presented);
+                            }
+                            charged.set(idx, c + extra);
+                            presented.set(idx, 0.0);
                         }
-                        let c = c + extra;
-                        charged.set(idx, c);
-                        let comp = idx - self.comp_base;
-                        let x = xs.get(comp);
-                        let x_new = resize(comp, idx, c, x);
-                        if x_new != x {
-                            xs.set(comp, x_new);
-                        }
-                        presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
-                    }
-                    KindTag::Wire => {
-                        let mut downstream = 0.0;
-                        for e in self.fanout_edges_unchecked(idx) {
-                            downstream += self.child_load_edge_fused(e, xs, presented);
-                        }
-                        let comp = idx - self.comp_base;
-                        let x = xs.get(comp);
-                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
-                        let fringing = *self.fringing.get_unchecked(idx);
-                        let own = unit_cap * x + fringing;
-                        // π-model split, exactly as `downstream_caps_chunk`.
-                        let c = own / 2.0 + extra + downstream;
-                        let x_new = resize(comp, idx, c, x);
-                        if x_new != x {
-                            xs.set(comp, x_new);
-                            let own_new = unit_cap * x_new + fringing;
-                            charged.set(idx, own_new / 2.0 + extra + downstream);
-                            presented.set(idx, own_new + extra + downstream);
-                        } else {
+                        KindTag::Gate => {
+                            let mut c = 0.0;
+                            for e in self.fanout_edges_unchecked(idx) {
+                                c += self.child_load_edge(e, size, presented);
+                            }
+                            let c = c + extra;
                             charged.set(idx, c);
-                            presented.set(idx, own + extra + downstream);
+                            let comp = idx - self.comp_base;
+                            let x = xs.own(comp);
+                            let x_new = resize(comp, idx, c, x);
+                            if x_new != x {
+                                xs.set(comp, x_new);
+                            }
+                            presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
+                        }
+                        KindTag::Wire => {
+                            let mut downstream = 0.0;
+                            for e in self.fanout_edges_unchecked(idx) {
+                                downstream += self.child_load_edge(e, size, presented);
+                            }
+                            let comp = idx - self.comp_base;
+                            let x = xs.own(comp);
+                            let unit_cap = *self.unit_capacitance.get_unchecked(idx);
+                            let fringing = *self.fringing.get_unchecked(idx);
+                            let own = unit_cap * x + fringing;
+                            // π-model split, exactly as `downstream_caps_chunk`.
+                            let c = own / 2.0 + extra + downstream;
+                            let x_new = resize(comp, idx, c, x);
+                            if x_new != x {
+                                xs.set(comp, x_new);
+                                let own_new = unit_cap * x_new + fringing;
+                                charged.set(idx, own_new / 2.0 + extra + downstream);
+                                presented.set(idx, own_new + extra + downstream);
+                            } else {
+                                charged.set(idx, c);
+                                presented.set(idx, own + extra + downstream);
+                            }
                         }
                     }
                 }
@@ -983,29 +1230,43 @@ impl<'g> CircuitTopology<'g> {
     /// parents' fresh sizes within the same pass. Whatever charged table the
     /// closure reads stays fixed for the pass; alternating forward and
     /// backward fused passes refreshes both directions with one traversal
-    /// each.
+    /// each. `xs` and `upstream` must hold every fanin, as in
+    /// [`upstream_resistance_chunk`](Self::upstream_resistance_chunk).
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// As [`upstream_resistance_chunk`](Self::upstream_resistance_chunk),
-    /// plus the `xs` ownership contract of
-    /// [`fused_downstream_chunk`](Self::fused_downstream_chunk).
-    pub unsafe fn fused_upstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
+    pub fn fused_upstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
-        nodes: std::ops::Range<usize>,
-        xs: SharedMut<'_, f64>,
+        nodes: Range<usize>,
+        mut xs: Tile<'_, f64>,
         weights: &[f64],
-        upstream: SharedMut<'_, f64>,
+        mut upstream: Tile<'_, f64>,
         resize: &mut F,
     ) {
-        for idx in nodes {
-            let acc = self.upstream_acc_edges_shared(idx, xs, weights, upstream);
-            upstream.set(idx, acc);
-            if let Some(comp) = self.component_of(idx) {
-                let x = xs.get(comp);
-                let x_new = resize(comp, idx, acc, x);
-                if x_new != x {
-                    xs.set(comp, x_new);
+        let fanins = self.block_reach(&nodes, false);
+        self.assert_block(None, &[("weights", weights.len())]);
+        let upstream = upstream.access(&nodes, &fanins);
+        let xs = xs.access(
+            &self.component_space().range(&nodes),
+            &self.component_space().range(&fanins),
+        );
+        // SAFETY: every visited node lies in `nodes` (its component in the
+        // components of `nodes`), which the views own, which is where they
+        // are written and their sizes read (`own`), and every fanin in
+        // `fanins` (its component in theirs), which they hold; `weights`
+        // matches the circuit (asserted above).
+        unsafe {
+            let size = |comp: usize| xs.get(comp);
+            for idx in nodes {
+                let acc = self.upstream_acc_edges(idx, size, weights, upstream);
+                upstream.set(idx, acc);
+                if let Some(comp) = self.component_of(idx) {
+                    let x = xs.own(comp);
+                    let x_new = resize(comp, idx, acc, x);
+                    if x_new != x {
+                        xs.set(comp, x_new);
+                    }
                 }
             }
         }
@@ -1015,79 +1276,97 @@ impl<'g> CircuitTopology<'g> {
     /// precomputed charged capacitances (zero for source and sink). Delays
     /// are per-node independent, so any partition works.
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// `range` is within the node count; no other borrower concurrently
-    /// accesses the `delays` entries of `range`; slice lengths match the
-    /// circuit.
-    pub unsafe fn delays_chunk(
+    /// Panics when the range exceeds the circuit, when `sizes` or `charged`
+    /// does not match it, or when `delays` does not own the range.
+    pub fn delays_chunk(
         &self,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         sizes: &[f64],
         charged: &[f64],
-        delays: SharedMut<'_, f64>,
+        mut delays: Tile<'_, f64>,
     ) {
-        for idx in range {
-            let d = match *self.kind.get_unchecked(idx) {
-                KindTag::Source | KindTag::Sink => 0.0,
-                _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
+        assert!(
+            range.end <= self.num_nodes(),
+            "block must lie within the circuit"
+        );
+        self.assert_block(Some(sizes), &[("charged", charged.len())]);
+        let (out, _) = delays.level(&range, false);
+        for (idx, out) in range.zip(out) {
+            // SAFETY: `idx < range.end <= num_nodes` and `sizes`/`charged`
+            // match the circuit (asserted above).
+            *out = unsafe {
+                match *self.kind.get_unchecked(idx) {
+                    KindTag::Source | KindTag::Sink => 0.0,
+                    _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
+                }
             };
-            delays.set(idx, d);
         }
     }
 
     /// Forward arrival-time propagation over the block `nodes`: the same
     /// per-kind recurrence (same fanin order, same `>=` tie-breaking) as
-    /// [`propagate_arrivals_into`]. Critical-path extraction is the caller's
-    /// sequential epilogue over `pred`
-    /// ([`trace_critical_path`](Self::trace_critical_path)).
+    /// [`propagate_arrivals_into`], with `arrival` holding every fanin as
+    /// in [`upstream_resistance_chunk`](Self::upstream_resistance_chunk).
+    /// Critical-path extraction is the caller's sequential epilogue over
+    /// `pred` ([`trace_critical_path`](Self::trace_critical_path)).
     ///
-    /// # Safety
+    /// # Panics
     ///
-    /// As [`upstream_resistance_chunk`](Self::upstream_resistance_chunk),
-    /// with `arrival`/`pred` owned per node.
-    pub unsafe fn arrivals_chunk(
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
+    pub fn arrivals_chunk(
         &self,
-        nodes: std::ops::Range<usize>,
+        nodes: Range<usize>,
         delays: &[f64],
-        arrival: SharedMut<'_, f64>,
-        pred: SharedMut<'_, u32>,
+        mut arrival: Tile<'_, f64>,
+        mut pred: Tile<'_, u32>,
     ) {
-        for idx in nodes {
-            pred.set(idx, NO_PRED);
-            match *self.kind.get_unchecked(idx) {
-                KindTag::Source => arrival.set(idx, 0.0),
-                KindTag::Sink => {
-                    let mut best = 0.0;
-                    let mut best_pred = NO_PRED;
-                    for &j in self.fanin_unchecked(idx) {
-                        let j = j.index();
-                        if arrival.get(j) >= best {
-                            best = arrival.get(j);
-                            best_pred = j as u32;
+        let fanins = self.block_reach(&nodes, false);
+        self.assert_block(None, &[("delays", delays.len())]);
+        let arrival = arrival.access(&nodes, &fanins);
+        let pred = pred.access(&nodes, &(0..0));
+        // SAFETY: every visited node lies in `nodes`, which the views own,
+        // and every fanin in `fanins`, which `arrival` holds; `delays`
+        // matches the circuit (asserted above); fanin lists hold node
+        // indices by construction.
+        unsafe {
+            for idx in nodes {
+                pred.set(idx, NO_PRED);
+                match *self.kind.get_unchecked(idx) {
+                    KindTag::Source => arrival.set(idx, 0.0),
+                    KindTag::Sink => {
+                        let mut best = 0.0;
+                        let mut best_pred = NO_PRED;
+                        for &j in self.fanin_unchecked(idx) {
+                            let j = j.index();
+                            if arrival.get(j) >= best {
+                                best = arrival.get(j);
+                                best_pred = j as u32;
+                            }
                         }
+                        arrival.set(idx, best);
+                        pred.set(idx, best_pred);
                     }
-                    arrival.set(idx, best);
-                    pred.set(idx, best_pred);
-                }
-                KindTag::Driver => {
-                    arrival.set(idx, *delays.get_unchecked(idx));
-                }
-                KindTag::Gate | KindTag::Wire => {
-                    let mut best = 0.0;
-                    let mut best_pred = NO_PRED;
-                    for &j in self.fanin_unchecked(idx) {
-                        let j = j.index();
-                        if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
-                            continue;
-                        }
-                        if arrival.get(j) >= best {
-                            best = arrival.get(j);
-                            best_pred = j as u32;
-                        }
+                    KindTag::Driver => {
+                        arrival.set(idx, *delays.get_unchecked(idx));
                     }
-                    arrival.set(idx, best + *delays.get_unchecked(idx));
-                    pred.set(idx, best_pred);
+                    KindTag::Gate | KindTag::Wire => {
+                        let mut best = 0.0;
+                        let mut best_pred = NO_PRED;
+                        for &j in self.fanin_unchecked(idx) {
+                            let j = j.index();
+                            if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
+                                continue;
+                            }
+                            if arrival.get(j) >= best {
+                                best = arrival.get(j);
+                                best_pred = j as u32;
+                            }
+                        }
+                        arrival.set(idx, best + *delays.get_unchecked(idx));
+                        pred.set(idx, best_pred);
+                    }
                 }
             }
         }
@@ -1101,8 +1380,8 @@ impl<'g> CircuitTopology<'g> {
     /// Evaluates the Elmore timing of the whole circuit at `sizes` into
     /// `ws`, with the coupling load read from `ws.extra_cap`: downstream
     /// capacitances, delays, arrival times and one critical path. Returns
-    /// the critical-path delay. A length-checking wrapper that calls each
-    /// kernel once over the whole level partition.
+    /// the critical-path delay. Calls each kernel once over the whole level
+    /// partition.
     ///
     /// # Panics
     ///
@@ -1117,31 +1396,21 @@ impl<'g> CircuitTopology<'g> {
             ("arrival", ws.arrival.len()),
             ("pred", ws.pred.len()),
         ]);
-        assert_eq!(
-            sizes.len(),
-            self.num_components,
-            "sizes must match the circuit"
-        );
         let xs = sizes.as_slice();
-        // SAFETY: lengths asserted above; the level boundaries and every
-        // stored index are in range by construction; one call per kernel
-        // covers the whole circuit, so nothing runs concurrently.
-        unsafe {
-            self.downstream_caps_chunk(
-                &self.level_start,
-                xs,
-                &ws.extra_cap,
-                SharedMut::new(&mut ws.charged),
-                SharedMut::new(&mut ws.presented),
-            );
-            self.delays_chunk(0..n, xs, &ws.charged, SharedMut::new(&mut ws.delays));
-            self.arrivals_chunk(
-                0..n,
-                &ws.delays,
-                SharedMut::new(&mut ws.arrival),
-                SharedMut::new(&mut ws.pred),
-            );
-        }
+        self.downstream_caps_chunk(
+            &self.level_start,
+            xs,
+            &ws.extra_cap,
+            Tile::whole(&mut ws.charged),
+            Tile::whole(&mut ws.presented),
+        );
+        self.delays_chunk(0..n, xs, &ws.charged, Tile::whole(&mut ws.delays));
+        self.arrivals_chunk(
+            0..n,
+            &ws.delays,
+            Tile::whole(&mut ws.arrival),
+            Tile::whole(&mut ws.pred),
+        );
         self.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path)
     }
 
@@ -1373,6 +1642,23 @@ mod tests {
         block[0] as usize..block[block.len() - 1] as usize
     }
 
+    /// The view of `table` (indexed as `space` says) that `block` gets
+    /// once every block before it in the pass's direction has run. The
+    /// block is a step of its own: a one-window block reads everything
+    /// after it going `backward` (everything before going forward) as its
+    /// settled part, as a chunk of a wide level does; a block of several
+    /// levels runs alone and owns that part too, as the block of a folded
+    /// step does.
+    fn view<'t, T>(
+        table: &'t mut [T],
+        space: Space<'t>,
+        block: &[u32],
+        backward: bool,
+    ) -> Tile<'t, T> {
+        let nodes = nodes(block);
+        Tiles::new(table, space, nodes.clone(), backward, block.len() > 2).next(&nodes)
+    }
+
     /// `(charged, presented)` from the backward rebuild kernel, blocks in
     /// reverse order.
     fn caps(
@@ -1383,14 +1669,14 @@ mod tests {
     ) -> (Vec<f64>, Vec<f64>) {
         let n = topo.num_nodes();
         let (mut charged, mut presented) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-        let (charged_s, presented_s) =
-            (SharedMut::new(&mut charged), SharedMut::new(&mut presented));
         for block in blocks.iter().rev() {
-            // SAFETY: the blocks cover the level partition, one at a time,
-            // in reverse dependency order; slabs sized for the circuit.
-            unsafe {
-                topo.downstream_caps_chunk(block, sizes.as_slice(), extra, charged_s, presented_s)
-            };
+            topo.downstream_caps_chunk(
+                block,
+                sizes.as_slice(),
+                extra,
+                view(&mut charged, Space::Nodes, block, true),
+                view(&mut presented, Space::Nodes, block, true),
+            );
         }
         (charged, presented)
     }
@@ -1403,12 +1689,9 @@ mod tests {
         weights: &[f64],
     ) -> Vec<f64> {
         let mut upstream = vec![f64::NAN; topo.num_nodes()];
-        let upstream_s = SharedMut::new(&mut upstream);
         for block in blocks {
-            // SAFETY: forward dependency order, one block at a time.
-            unsafe {
-                topo.upstream_resistance_chunk(nodes(block), sizes.as_slice(), weights, upstream_s)
-            };
+            let upstream = view(&mut upstream, Space::Nodes, block, false);
+            topo.upstream_resistance_chunk(nodes(block), sizes.as_slice(), weights, upstream);
         }
         upstream
     }
@@ -1421,12 +1704,56 @@ mod tests {
     ) -> (Vec<f64>, Vec<u32>) {
         let n = topo.num_nodes();
         let (mut arrival, mut pred) = (vec![f64::NAN; n], vec![0; n]);
-        let (arrival_s, pred_s) = (SharedMut::new(&mut arrival), SharedMut::new(&mut pred));
         for block in blocks {
-            // SAFETY: forward dependency order, one block at a time.
-            unsafe { topo.arrivals_chunk(nodes(block), delays, arrival_s, pred_s) };
+            topo.arrivals_chunk(
+                nodes(block),
+                delays,
+                view(&mut arrival, Space::Nodes, block, false),
+                view(&mut pred, Space::Nodes, block, false),
+            );
         }
         (arrival, pred)
+    }
+
+    /// Runs the backward fused kernel over `blocks` in reverse order.
+    fn fused_backward(
+        topo: &CircuitTopology<'_>,
+        blocks: &[Vec<u32>],
+        sizes: &mut SizeVector,
+        extra: &[f64],
+        (charged, presented): (&mut [f64], &mut [f64]),
+        mut resize: fn(usize, usize, f64, f64) -> f64,
+    ) {
+        for block in blocks.iter().rev() {
+            topo.fused_downstream_chunk(
+                block,
+                view(sizes.as_mut_slice(), topo.component_space(), block, true),
+                extra,
+                view(charged, Space::Nodes, block, true),
+                view(presented, Space::Nodes, block, true),
+                &mut resize,
+            );
+        }
+    }
+
+    /// Runs the forward fused kernel over `blocks` in order.
+    fn fused_forward(
+        topo: &CircuitTopology<'_>,
+        blocks: &[Vec<u32>],
+        sizes: &mut SizeVector,
+        weights: &[f64],
+        upstream: &mut [f64],
+        mut resize: fn(usize, usize, f64, f64) -> f64,
+    ) {
+        for block in blocks {
+            topo.fused_upstream_chunk(
+                nodes(block),
+                view(sizes.as_mut_slice(), topo.component_space(), block, false),
+                weights,
+                view(upstream, Space::Nodes, block, false),
+                &mut resize,
+            );
+        }
     }
 
     /// `(sizes, charged, presented, upstream)` after one backward and one
@@ -1442,24 +1769,9 @@ mod tests {
         let n = topo.num_nodes();
         let mut sizes = c.uniform_sizes(1.0);
         let (mut charged, mut presented, mut upstream) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
-        let xs = SharedMut::new(sizes.as_mut_slice());
-        let (charged_s, presented_s) =
-            (SharedMut::new(&mut charged), SharedMut::new(&mut presented));
-        let upstream_s = SharedMut::new(&mut upstream);
-        for block in blocks.iter().rev() {
-            // SAFETY: reverse dependency order, one block at a time.
-            unsafe {
-                topo.fused_downstream_chunk(block, xs, extra, charged_s, presented_s, &mut {
-                    resize
-                })
-            };
-        }
-        for block in blocks {
-            // SAFETY: forward dependency order, one block at a time.
-            unsafe {
-                topo.fused_upstream_chunk(nodes(block), xs, weights, upstream_s, &mut { resize })
-            };
-        }
+        let tables = (charged.as_mut_slice(), presented.as_mut_slice());
+        fused_backward(topo, blocks, &mut sizes, extra, tables, resize);
+        fused_forward(topo, blocks, &mut sizes, weights, &mut upstream, resize);
         (sizes, charged, presented, upstream)
     }
 
@@ -1718,6 +2030,64 @@ mod tests {
         }
     }
 
+    /// A block reads its own sizes from the slice it owns, never through
+    /// its settled part: here each one-node block's settled part is a
+    /// detached copy of the sizes whose entries in the block's own range
+    /// are NaN, so a size read from the wrong side would poison the
+    /// result.
+    #[test]
+    fn fused_kernels_read_a_blocks_own_sizes_from_its_own_slice() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let (extra, weights) = (vec![0.1; n], vec![0.4; n]);
+        let reference = fused(&c, &topo, &whole(&topo), &extra, &weights, greedy);
+        let space = topo.component_space();
+        let blocks: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i, i + 1]).collect();
+        let detached = |sizes: &SizeVector, comps: &Range<usize>| {
+            let mut copy = sizes.as_slice().to_vec();
+            copy[comps.clone()].fill(f64::NAN);
+            copy
+        };
+        let mut resize: fn(usize, usize, f64, f64) -> f64 = greedy;
+        let mut sizes = c.uniform_sizes(1.0);
+        let (mut charged, mut presented, mut upstream) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+        for block in blocks.iter().rev() {
+            let comps = space.range(&nodes(block));
+            let settled = detached(&sizes, &comps);
+            topo.fused_downstream_chunk(
+                block,
+                Tile::new(
+                    &mut sizes.as_mut_slice()[comps.clone()],
+                    comps.start,
+                    &settled,
+                    0,
+                ),
+                &extra,
+                view(&mut charged, Space::Nodes, block, true),
+                view(&mut presented, Space::Nodes, block, true),
+                &mut resize,
+            );
+        }
+        for block in &blocks {
+            let comps = space.range(&nodes(block));
+            let settled = detached(&sizes, &comps);
+            topo.fused_upstream_chunk(
+                nodes(block),
+                Tile::new(
+                    &mut sizes.as_mut_slice()[comps.clone()],
+                    comps.start,
+                    &settled,
+                    0,
+                ),
+                &weights,
+                view(&mut upstream, Space::Nodes, block, false),
+                &mut resize,
+            );
+        }
+        assert_eq!((sizes, charged, presented, upstream), reference);
+    }
+
     /// The fused passes leave every table they maintain exactly as a
     /// rebuild at the post-pass sizes would: `charged`/`presented` after the
     /// backward pass, `upstream` after the forward pass.
@@ -1735,30 +2105,14 @@ mod tests {
             // The backward pass alone: its tables describe its own output.
             let mut sizes = c.uniform_sizes(1.0);
             let (mut charged, mut presented) = (vec![0.0; n], vec![0.0; n]);
-            let xs = SharedMut::new(sizes.as_mut_slice());
-            let (charged_s, presented_s) =
-                (SharedMut::new(&mut charged), SharedMut::new(&mut presented));
-            for block in blocks.iter().rev() {
-                // SAFETY: reverse dependency order, one block at a time.
-                unsafe {
-                    topo.fused_downstream_chunk(block, xs, &extra, charged_s, presented_s, &mut {
-                        grow
-                    })
-                };
-            }
+            let tables = (charged.as_mut_slice(), presented.as_mut_slice());
+            fused_backward(&topo, &blocks, &mut sizes, &extra, tables, grow);
             let rebuilt = analyzer.downstream_caps(&sizes, Some(&extra));
             assert_eq!(charged, rebuilt.charged, "{blocks:?}");
             assert_eq!(presented, rebuilt.presented, "{blocks:?}");
 
             let mut upstream = vec![0.0; n];
-            let upstream_s = SharedMut::new(&mut upstream);
-            let xs = SharedMut::new(sizes.as_mut_slice());
-            for block in &blocks {
-                // SAFETY: forward dependency order, one block at a time.
-                unsafe {
-                    topo.fused_upstream_chunk(nodes(block), xs, &weights, upstream_s, &mut { grow })
-                };
-            }
+            fused_forward(&topo, &blocks, &mut sizes, &weights, &mut upstream, grow);
             assert_eq!(
                 upstream,
                 analyzer.weighted_upstream_resistance(&sizes, &weights),
@@ -1780,15 +2134,31 @@ mod tests {
         let reference = analyzer.delays(&sizes, None);
         for split in 0..=n {
             let mut delays = vec![f64::NAN; n];
-            let delays_s = SharedMut::new(&mut delays);
-            // SAFETY: disjoint in-range ranges over slabs sized for the
-            // circuit.
-            unsafe {
-                topo.delays_chunk(0..split, sizes.as_slice(), &charged, delays_s);
-                topo.delays_chunk(split..n, sizes.as_slice(), &charged, delays_s);
-            }
+            let (low, high) = delays.split_at_mut(split);
+            let xs = sizes.as_slice();
+            topo.delays_chunk(0..split, xs, &charged, Tile::new(low, 0, &[], 0));
+            topo.delays_chunk(split..n, xs, &charged, Tile::new(high, split, &[], 0));
             assert_eq!(delays, reference, "split at {split}");
         }
+    }
+
+    /// A backward kernel visits only the nodes between its first and last
+    /// bound, which the views were checked against: bounds that decrease
+    /// are refused before any node outside is visited.
+    #[test]
+    #[should_panic(expected = "level bounds must not decrease")]
+    fn backward_kernels_refuse_decreasing_bounds() {
+        let c = chain();
+        let topo = CircuitTopology::new(&c);
+        let n = topo.num_nodes();
+        let (mut charged, mut presented) = (vec![0.0; n], vec![0.0; n]);
+        topo.downstream_caps_chunk(
+            &[3, 1, n as u32],
+            c.uniform_sizes(1.0).as_slice(),
+            &vec![0.0; n],
+            Tile::new(&mut charged[3..], 3, &[], 0),
+            Tile::new(&mut presented[3..], 3, &[], 0),
+        );
     }
 
     #[test]

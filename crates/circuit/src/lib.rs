@@ -68,8 +68,6 @@ pub mod id;
 mod names;
 pub mod node;
 pub mod power;
-#[cfg(feature = "race-check")]
-pub mod race;
 pub mod sizing;
 pub mod tech;
 pub mod timing;
@@ -81,7 +79,8 @@ pub use area::total_area;
 pub use builder::CircuitBuilder;
 pub use elmore::{DownstreamCaps, ElmoreAnalyzer};
 pub use engine::{
-    propagate_arrivals_into, CircuitTopology, EvalWorkspace, KindTag, SharedMut, NO_PRED,
+    propagate_arrivals_into, CircuitTopology, EvalWorkspace, KindTag, Settled, Space, Tile, Tiles,
+    NO_PRED,
 };
 pub use error::CircuitError;
 pub use graph::CircuitGraph;

@@ -18,7 +18,7 @@
 //! results; the `property_eval_engine` integration test enforces this.
 
 use ncgws_circuit::{
-    CircuitGraph, CircuitTopology, EvalWorkspace, KindTag, NodeId, SharedMut, SizeVector,
+    CircuitGraph, CircuitTopology, EvalWorkspace, KindTag, NodeId, SizeVector, Space, Tile, Tiles,
 };
 use ncgws_coupling::CouplingSet;
 
@@ -29,6 +29,7 @@ use crate::par::{self, LevelGrid, ParRuntime, ParallelPolicy};
 use crate::problem::SizingProblem;
 use crate::schedule::{AdaptiveSchedule, ScheduleWorkspace};
 use crate::units;
+use std::ops::Range;
 
 /// A borrowed, allocation-free view of one timing evaluation. All slices are
 /// indexed by raw node index and stay valid until the engine's next
@@ -89,49 +90,12 @@ pub struct SizingEngine<'a> {
     /// The deterministic block grid over the topology's level partition:
     /// every traversal pass runs over it.
     grid: LevelGrid,
-    /// Coupling-pair indices grouped by *channel shard* (connected
-    /// components of the pair graph), global pair order within each shard —
-    /// so concurrent shards never write the same per-node accumulator and
-    /// every node's adds happen in global pair order (bitwise identical to
-    /// the plain pair loop).
-    scatter_pairs: Vec<u32>,
-    /// CSR offsets into `scatter_pairs`, one per shard plus a trailing total.
-    scatter_shard_start: Vec<u32>,
-    /// Chunk grid over the shards: chunk `c` covers shards
-    /// `scatter_chunk_start[c]..scatter_chunk_start[c + 1]`, grouped to a
-    /// fixed pair budget (thread-count independent).
-    scatter_chunk_start: Vec<u32>,
-    /// Per-block reduction slots of the sweeps, merged in fixed block
-    /// order after every pass.
-    pscratch: ParScratch,
-}
-
-/// Per-block reduction slots for the sweeps (sized once per engine): one
-/// per (step, chunk) of a leveled pass, or per chunk of a flat pass. Each
-/// block writes only its own slots / scratch segment during a pass; the
-/// caller merges them in fixed block order afterwards, which is what makes
-/// the reductions independent of the thread count.
-#[derive(Debug, Clone, Default)]
-struct ParScratch {
-    /// Worst relative size change seen by each block.
-    chunk_worst: Vec<f64>,
-    /// Components touched (resized) by each block.
-    chunk_touched: Vec<u32>,
-}
-
-impl ParScratch {
-    fn new(total_slots: usize) -> Self {
-        ParScratch {
-            chunk_worst: vec![0.0; total_slots],
-            chunk_touched: vec![0; total_slots],
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.chunk_worst.capacity() * size_of::<f64>()
-            + self.chunk_touched.capacity() * size_of::<u32>()
-    }
+    /// Per-block reduction slots of the sweeps (sized once per engine):
+    /// one per block of the grid, or per chunk of a flat pass. Each block
+    /// is handed its own slot during a pass, and the caller merges them in
+    /// fixed block order afterwards, which is what makes the reductions
+    /// independent of the thread count.
+    block_stats: Vec<ChunkStats>,
 }
 
 /// Per-sweep immutable view of the Theorem-5 closed-form resize inputs,
@@ -190,26 +154,51 @@ impl ResizeTables<'_> {
     }
 }
 
-/// Block-shared context of one fused resize pass: the Theorem-5 tables,
-/// the freeze schedule and the shared per-component views.
-/// [`resize`](Self::resize) is the single place the fused passes'
-/// per-component semantics live — both traversal directions feed it their
-/// fresh quantity and the pass-fixed complement, and the calm/freeze rule
-/// delegates to [`ScheduleWorkspace::note_resize_shared`].
+/// Block-shared context of one fused resize pass: the Theorem-5 tables
+/// and the freeze schedule. [`resize`](Self::resize) is the single place
+/// the fused passes' per-component semantics live — both traversal
+/// directions feed it their fresh quantity and the pass-fixed complement,
+/// and the calm/freeze rule delegates to
+/// [`ScheduleWorkspace::note_resize`].
 struct FusedChunkCtx<'a> {
     tables: ResizeTables<'a>,
     schedule: &'a AdaptiveSchedule,
     resize_all: bool,
-    calm: SharedMut<'a, u32>,
-    frozen: SharedMut<'a, bool>,
 }
 
-/// Per-block running reductions of one fused pass, merged in fixed block
-/// order by the caller.
-#[derive(Default)]
+/// Per-block running reductions of a pass, merged in fixed block order by
+/// the caller.
+#[derive(Debug, Clone, Copy, Default)]
 struct ChunkStats {
     worst: f64,
     touched: u32,
+}
+
+/// One block's share of a fused pass's freeze state: the calm streaks
+/// and frozen flags of its components, the first being component `first`,
+/// and its running reductions.
+struct BlockSchedule<'t> {
+    calm: &'t mut [u32],
+    frozen: &'t mut [bool],
+    first: usize,
+    stats: ChunkStats,
+}
+
+impl<'t> BlockSchedule<'t> {
+    /// The freeze state of the components `comps`, split off the block's
+    /// views.
+    fn new(
+        calm: &'t mut Tile<'_, u32>,
+        frozen: &'t mut Tile<'_, bool>,
+        comps: Range<usize>,
+    ) -> Self {
+        BlockSchedule {
+            calm: calm.level(&comps, false).0,
+            frozen: frozen.level(&comps, false).0,
+            first: comps.start,
+            stats: ChunkStats::default(),
+        }
+    }
 }
 
 impl FusedChunkCtx<'_> {
@@ -217,28 +206,29 @@ impl FusedChunkCtx<'_> {
     /// kernels the moment the node's fresh quantity is known: frozen-skip,
     /// the Theorem-5 closed form and calm/freeze bookkeeping. Returns the
     /// new size (the old one when skipped), which the kernel writes back.
-    ///
-    /// # Safety
-    ///
-    /// `comp` belongs to the calling block (no other block touches its
-    /// `calm`/`frozen` entries).
     #[inline(always)]
-    unsafe fn resize(
+    fn resize(
         &self,
+        block: &mut BlockSchedule<'_>,
         comp: usize,
         x: f64,
         charged: f64,
         upstream: f64,
         lambda: f64,
-        stats: &mut ChunkStats,
     ) -> f64 {
-        if !self.resize_all && self.frozen.get(comp) {
+        let k = comp - block.first;
+        if !self.resize_all && block.frozen[k] {
             return x;
         }
-        stats.touched += 1;
+        block.stats.touched += 1;
         let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream, lambda);
-        stats.worst = stats.worst.max(rel);
-        ScheduleWorkspace::note_resize_shared(self.calm, self.frozen, comp, rel, self.schedule);
+        block.stats.worst = block.stats.worst.max(rel);
+        ScheduleWorkspace::note_resize(
+            &mut block.calm[k],
+            &mut block.frozen[k],
+            rel,
+            self.schedule,
+        );
         x_new
     }
 }
@@ -335,10 +325,9 @@ impl<'a> SizingEngine<'a> {
             );
         }
         let grid = LevelGrid::new(topo.level_bounds());
-        let (scatter_pairs, scatter_shard_start, scatter_chunk_start) =
-            Self::build_scatter_shards(graph.num_nodes(), &pair_table);
-        let total_slots = grid.total_slots().max(par::flat_chunks(graph.num_nodes()));
-        let pscratch = ParScratch::new(total_slots);
+        let total_slots = grid
+            .total_slots()
+            .max(par::flat_blocks(graph.num_nodes()).len());
         SizingEngine {
             graph,
             coupling,
@@ -353,87 +342,13 @@ impl<'a> SizingEngine<'a> {
             sched: ScheduleWorkspace::new(n),
             par: ParRuntime::new(),
             grid,
-            scatter_pairs,
-            scatter_shard_start,
-            scatter_chunk_start,
-            pscratch,
+            block_stats: vec![ChunkStats::default(); total_slots],
         }
     }
 
     /// Creates an engine for an assembled sizing problem.
     pub fn for_problem(problem: &SizingProblem<'a>) -> Self {
         SizingEngine::new(problem.graph, problem.coupling)
-    }
-
-    /// Groups the coupling pairs into *channel shards*: the connected
-    /// components of the pair graph (wires of one routing channel couple
-    /// only to each other, so each channel lands in its own shard). Within a
-    /// shard the pairs keep their global order, so every node's accumulation
-    /// sequence under a sharded scatter is exactly its subsequence of the
-    /// plain pair loop — bitwise identical sums. Shards are then grouped
-    /// into chunks of a fixed pair budget for the flat runner.
-    fn build_scatter_shards(num_nodes: usize, pairs: &PairTable) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        if pairs.len() == 0 {
-            return (Vec::new(), vec![0], vec![0]);
-        }
-        // Union-find over raw node indices (path halving).
-        let mut parent: Vec<u32> = (0..num_nodes as u32).collect();
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                let grand = parent[parent[x as usize] as usize];
-                parent[x as usize] = grand;
-                x = grand;
-            }
-            x
-        }
-        for p in 0..pairs.len() {
-            let a = find(&mut parent, pairs.a_raw[p]);
-            let b = find(&mut parent, pairs.b_raw[p]);
-            if a != b {
-                parent[b as usize] = a;
-            }
-        }
-        // Assign shard ids in order of first appearance (deterministic),
-        // then bucket the pair indices per shard in global order.
-        const UNASSIGNED: u32 = u32::MAX;
-        let mut shard_of_root = vec![UNASSIGNED; num_nodes];
-        let mut pair_shard = Vec::with_capacity(pairs.len());
-        let mut num_shards = 0u32;
-        for p in 0..pairs.len() {
-            let root = find(&mut parent, pairs.a_raw[p]) as usize;
-            if shard_of_root[root] == UNASSIGNED {
-                shard_of_root[root] = num_shards;
-                num_shards += 1;
-            }
-            pair_shard.push(shard_of_root[root]);
-        }
-        let mut shard_start = vec![0u32; num_shards as usize + 1];
-        for &s in &pair_shard {
-            shard_start[s as usize + 1] += 1;
-        }
-        for s in 0..num_shards as usize {
-            shard_start[s + 1] += shard_start[s];
-        }
-        let mut scatter_pairs = vec![0u32; pairs.len()];
-        let mut cursor = shard_start.clone();
-        for (p, &s) in pair_shard.iter().enumerate() {
-            scatter_pairs[cursor[s as usize] as usize] = p as u32;
-            cursor[s as usize] += 1;
-        }
-        // Chunk the shards to a fixed pair budget (independent of thread
-        // count, so the grid — and with it every accumulation — is stable).
-        let mut chunk_start = vec![0u32];
-        let mut in_chunk = 0usize;
-        for s in 0..num_shards as usize {
-            let len = (shard_start[s + 1] - shard_start[s]) as usize;
-            if in_chunk > 0 && in_chunk + len > par::CHUNK_NODES {
-                chunk_start.push(s as u32);
-                in_chunk = 0;
-            }
-            in_chunk += len;
-        }
-        chunk_start.push(num_shards);
-        (scatter_pairs, shard_start, chunk_start)
     }
 
     /// Selects how this engine's traversals are distributed across threads
@@ -443,7 +358,7 @@ impl<'a> SizingEngine<'a> {
     /// every thread count, and the exact solve strategy stays
     /// bitwise-pinned to [`crate::reference`].
     pub fn set_parallel(&mut self, policy: ParallelPolicy) {
-        self.par.configure(policy, self.grid.num_steps());
+        self.par.configure(policy);
     }
 
     /// The active parallel policy.
@@ -481,9 +396,9 @@ impl<'a> SizingEngine<'a> {
     /// Bytes held by the engine's scratch and dense tables, for the
     /// Figure 10(a) memory accounting. Covers every engine-owned
     /// allocation: the evaluation workspace, the extra-family denominator,
-    /// the coupling-pair table and its channel shards, the
-    /// adaptive-schedule buffers (freeze state, sync snapshot), the
-    /// parallel scratch and the topology's derived columns. Borrowed tables
+    /// the coupling-pair table, the adaptive-schedule buffers (freeze
+    /// state, sync snapshot), the block grid and its reduction slots, and
+    /// the topology's derived columns. Borrowed tables
     /// — the graph's adjacency and node attribute columns, the coupling
     /// set's coefficient sums — are counted once, by their owners
     /// ([`CircuitGraph::memory_bytes`], [`CouplingSet::memory_bytes`]).
@@ -492,14 +407,9 @@ impl<'a> SizingEngine<'a> {
         self.ws.memory_bytes()
             + self.extra_denom.capacity() * size_of::<f64>()
             + self.pair_table.memory_bytes()
-            + (self.scatter_pairs.capacity()
-                + self.scatter_shard_start.capacity()
-                + self.scatter_chunk_start.capacity())
-                * size_of::<u32>()
             + self.sched.memory_bytes()
             + self.grid.memory_bytes()
-            + self.pscratch.memory_bytes()
-            + self.par.memory_bytes()
+            + self.block_stats.capacity() * size_of::<ChunkStats>()
             + self.topo.memory_bytes()
     }
 
@@ -584,41 +494,6 @@ impl<'a> SizingEngine<'a> {
             "sizes must match the circuit"
         );
         let base = self.topo.component_nodes().start;
-        // Channel-sharded scatter when more than one worker runs: chunks
-        // cover whole shards (connected channels), so concurrent chunks
-        // never write the same per-node accumulator, and within a shard the
-        // pairs keep global order — every node's adds happen in exactly the
-        // pair order of the plain loop below, making the two bitwise
-        // identical. One worker takes the plain loop, which streams the
-        // pair table without the shard indirection.
-        if self.par.workers() > 1 && self.scatter_chunk_start.len() > 2 {
-            let chunks = self.scatter_chunk_start.len() - 1;
-            let load_s = SharedMut::new(load.as_mut_slice());
-            let pairs = &self.pair_table;
-            let scatter_pairs = &self.scatter_pairs;
-            let shard_start = &self.scatter_shard_start;
-            let chunk_start = &self.scatter_chunk_start;
-            self.par.run_flat(chunks, |c| {
-                for shard in chunk_start[c] as usize..chunk_start[c + 1] as usize {
-                    let pair_range = shard_start[shard] as usize..shard_start[shard + 1] as usize;
-                    for &p in &scatter_pairs[pair_range] {
-                        let p = p as usize;
-                        // SAFETY: lengths asserted above; shards own
-                        // disjoint node sets, so no concurrent writes alias.
-                        unsafe {
-                            let a = *pairs.a_raw.get_unchecked(p) as usize;
-                            let b = *pairs.b_raw.get_unchecked(p) as usize;
-                            let xa = *sizes.get_unchecked(a - base);
-                            let xb = *sizes.get_unchecked(b - base);
-                            let cap = pairs.cap_unchecked(p, xa, xb);
-                            load_s.add(a, cap);
-                            load_s.add(b, cap);
-                        }
-                    }
-                }
-            });
-            return;
-        }
         let pairs = &self.pair_table;
         for q in 0..pairs.len() {
             // SAFETY: lengths asserted above; the stored indices are in
@@ -674,50 +549,37 @@ impl<'a> SizingEngine<'a> {
     /// reverse dependency order. Each node's accumulation runs over its own
     /// CSR fanout list in list order, reading only settled later levels.
     fn rebuild_downstream_caps(&mut self, sizes: &SizeVector) {
-        let topo = &self.topo;
-        let ws = &mut self.ws;
-        let n = topo.num_nodes();
-        assert_eq!(ws.charged.len(), n, "workspace must match the circuit");
-        assert_eq!(ws.presented.len(), n);
-        assert_eq!(ws.extra_cap.len(), n);
-        assert_eq!(
-            sizes.len(),
-            self.graph.num_components(),
-            "sizes must match the circuit"
-        );
-        let xs = sizes.as_slice();
-        let charged_s = SharedMut::new(ws.charged.as_mut_slice());
-        let presented_s = SharedMut::new(ws.presented.as_mut_slice());
-        let extra: &[f64] = &ws.extra_cap;
-        self.par.run_leveled(&self.grid, true, |block| {
-            // SAFETY: blocks of one step own disjoint nodes; steps settle in
-            // reverse dependency order; lengths asserted above.
-            unsafe { topo.downstream_caps_chunk(block.bounds, xs, extra, charged_s, presented_s) };
-        });
+        let (topo, ws) = (&self.topo, &mut self.ws);
+        let (xs, extra) = (sizes.as_slice(), &ws.extra_cap[..]);
+        for step in self.grid.steps(true) {
+            let mut charged = step.tiles(&mut ws.charged, Space::Nodes);
+            let mut presented = step.tiles(&mut ws.presented, Space::Nodes);
+            let blocks = step.blocks().map(|block| {
+                let nodes = block.nodes();
+                (block, charged.next(&nodes), presented.next(&nodes))
+            });
+            self.par.run(blocks, |(block, charged, presented)| {
+                topo.downstream_caps_chunk(block.bounds, xs, extra, charged, presented);
+            });
+        }
     }
 
     /// Full λ-weighted upstream-resistance rebuild at `sizes` (weights from
     /// `ws.node_weights`): the forward counterpart of
     /// [`rebuild_downstream_caps`](Self::rebuild_downstream_caps).
     fn rebuild_upstream(&mut self, sizes: &SizeVector) {
-        let topo = &self.topo;
-        let ws = &mut self.ws;
-        let n = topo.num_nodes();
-        assert_eq!(ws.upstream.len(), n, "workspace must match the circuit");
-        assert_eq!(ws.node_weights.len(), n);
-        assert_eq!(
-            sizes.len(),
-            self.graph.num_components(),
-            "sizes must match the circuit"
-        );
-        let xs = sizes.as_slice();
-        let upstream_s = SharedMut::new(ws.upstream.as_mut_slice());
-        let weights: &[f64] = &ws.node_weights;
-        self.par.run_leveled(&self.grid, false, |block| {
-            // SAFETY: blocks of one step own disjoint nodes; steps settle in
-            // forward dependency order.
-            unsafe { topo.upstream_resistance_chunk(block.nodes(), xs, weights, upstream_s) };
-        });
+        let (topo, ws) = (&self.topo, &mut self.ws);
+        let (xs, weights) = (sizes.as_slice(), &ws.node_weights[..]);
+        for step in self.grid.steps(false) {
+            let mut upstream = step.tiles(&mut ws.upstream, Space::Nodes);
+            let blocks = step.blocks().map(|block| {
+                let nodes = block.nodes();
+                (upstream.next(&nodes), nodes)
+            });
+            self.par.run(blocks, |(upstream, nodes)| {
+                topo.upstream_resistance_chunk(nodes, xs, weights, upstream);
+            });
+        }
     }
 
     /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8): recompute
@@ -748,16 +610,6 @@ impl<'a> SizingEngine<'a> {
         // fixed chunk order. The per-component arithmetic is the reference
         // sweep's, expression for expression, so the exact path stays
         // bitwise-pinned to `crate::reference` at any thread count.
-        let ws = &mut self.ws;
-        let n = self.graph.num_components();
-        assert_eq!(sizes.len(), n, "sizes must match the circuit");
-        assert_eq!(
-            ws.charged.len(),
-            self.graph.num_nodes(),
-            "workspace must match the circuit"
-        );
-        assert_eq!(ws.node_weights.len(), ws.charged.len());
-        assert_eq!(ws.upstream.len(), ws.charged.len());
         let tables = ResizeTables {
             kind: self.topo.component_kinds(),
             unit_resistance: self.topo.component_unit_resistance(),
@@ -770,39 +622,37 @@ impl<'a> SizingEngine<'a> {
             beta,
             gamma,
         };
-        let comp_base = self.topo.component_nodes().start;
-        let charged: &[f64] = &ws.charged;
-        let upstream: &[f64] = &ws.upstream;
-        let node_weights: &[f64] = &ws.node_weights;
-        let xs_s = SharedMut::new(&mut sizes.as_mut_slice()[..n]);
-        let chunks = par::flat_chunks(n);
-        let chunk_worst = SharedMut::new(self.pscratch.chunk_worst.as_mut_slice());
-        self.par.run_flat(chunks, |c| {
-            let mut local = 0.0f64;
-            for dense in par::flat_range(n, c) {
-                let raw = comp_base + dense;
-                // SAFETY: `raw` is a node index of the engine's circuit
-                // (lengths cross-checked above); each `dense` is owned by
-                // this chunk, so the size reads/writes cannot alias.
-                unsafe {
-                    let x_i = xs_s.get(dense);
-                    let (x_new, rel) = tables.closed_form(
-                        dense,
-                        x_i,
-                        *charged.get_unchecked(raw),
-                        *upstream.get_unchecked(raw),
-                        *node_weights.get_unchecked(raw),
-                    );
-                    xs_s.set(dense, x_new);
-                    local = local.max(rel);
-                }
+        // The tables from the first component on: the zips below stop at
+        // the chunk's own sizes.
+        let first = self.topo.component_nodes().start;
+        let charged = &self.ws.charged[first..];
+        let upstream = &self.ws.upstream[first..];
+        let lambda = &self.ws.node_weights[first..];
+        let xs = sizes.as_mut_slice();
+        assert_eq!(
+            xs.len(),
+            self.graph.num_components(),
+            "sizes must match the circuit"
+        );
+        let chunks = par::flat_blocks(xs.len()).zip(xs.chunks_mut(par::CHUNK_NODES));
+        let blocks = chunks.zip(self.block_stats.iter_mut());
+        self.par.run(blocks, |((dense, xs), slot)| {
+            let inputs = charged[dense.start..]
+                .iter()
+                .zip(&upstream[dense.start..])
+                .zip(&lambda[dense.start..]);
+            let mut worst = 0.0f64;
+            for ((comp, x), ((&charged, &upstream), &lambda)) in dense.zip(xs).zip(inputs) {
+                let (x_new, rel) = tables.closed_form(comp, *x, charged, upstream, lambda);
+                *x = x_new;
+                worst = worst.max(rel);
             }
-            // SAFETY: slot `c` is owned by this chunk.
-            unsafe { chunk_worst.set(c, local) };
+            slot.worst = worst;
         });
+        let chunks = sizes.len().div_ceil(par::CHUNK_NODES);
         let mut worst = 0.0f64;
-        for &chunk in &self.pscratch.chunk_worst[..chunks] {
-            worst = worst.max(chunk);
+        for stats in &self.block_stats[..chunks] {
+            worst = worst.max(stats.worst);
         }
         worst
     }
@@ -944,9 +794,23 @@ impl<'a> SizingEngine<'a> {
         backward: bool,
     ) -> (f64, usize) {
         let topo = &self.topo;
-        let n_nodes = topo.num_nodes();
-        let n_comps = self.graph.num_components();
-        assert_eq!(sizes.len(), n_comps, "sizes must match the circuit");
+        let ctx = FusedChunkCtx {
+            tables: ResizeTables {
+                kind: topo.component_kinds(),
+                unit_resistance: topo.component_unit_resistance(),
+                unit_capacitance: topo.component_unit_capacitance(),
+                area_coefficient: self.area_coefficient,
+                lower_bound: self.lower_bound,
+                upper_bound: self.upper_bound,
+                coupling_sum: self.coupling_sum,
+                extra_denom: &self.extra_denom,
+                beta,
+                gamma,
+            },
+            schedule,
+            resize_all,
+        };
+        let comps = topo.component_space();
         let EvalWorkspace {
             charged,
             presented,
@@ -955,118 +819,94 @@ impl<'a> SizingEngine<'a> {
             node_weights,
             ..
         } = &mut self.ws;
-        assert_eq!(charged.len(), n_nodes, "workspace must match the circuit");
-        assert_eq!(presented.len(), n_nodes);
-        assert_eq!(upstream.len(), n_nodes);
-        assert_eq!(extra_cap.len(), n_nodes);
-        assert_eq!(node_weights.len(), n_nodes);
-        let sched = &mut self.sched;
-        assert_eq!(sched.calm.len(), n_comps);
-        assert_eq!(sched.frozen.len(), n_comps);
-        let tables = ResizeTables {
-            kind: self.topo.component_kinds(),
-            unit_resistance: self.topo.component_unit_resistance(),
-            unit_capacitance: self.topo.component_unit_capacitance(),
-            area_coefficient: self.area_coefficient,
-            lower_bound: self.lower_bound,
-            upper_bound: self.upper_bound,
-            coupling_sum: self.coupling_sum,
-            extra_denom: &self.extra_denom,
-            beta,
-            gamma,
-        };
-        let xs_s = SharedMut::new(sizes.as_mut_slice());
-        let ps = &mut self.pscratch;
-        let chunk_worst = SharedMut::new(ps.chunk_worst.as_mut_slice());
-        let chunk_touched = SharedMut::new(ps.chunk_touched.as_mut_slice());
-        let grid = &self.grid;
-        let ctx = FusedChunkCtx {
-            tables,
-            schedule,
-            resize_all,
-            calm: SharedMut::new(sched.calm.as_mut_slice()),
-            frozen: SharedMut::new(sched.frozen.as_mut_slice()),
-        };
-
-        // Publishes a block's running reductions into its slots.
-        let record = |slot: usize, stats: &ChunkStats| {
-            // SAFETY: slot `slot` is owned by the calling block.
-            unsafe {
-                chunk_worst.set(slot, stats.worst);
-                chunk_touched.set(slot, stats.touched);
+        let (sched, par, grid) = (&mut self.sched, &self.par, &self.grid);
+        let block_stats = &mut self.block_stats;
+        let weights: &[f64] = node_weights;
+        for step in grid.steps(backward) {
+            let mut xs = step.tiles(sizes.as_mut_slice(), comps);
+            let mut calm = step.tiles(&mut sched.calm, comps);
+            let mut frozen = step.tiles(&mut sched.frozen, comps);
+            let schedule_tiles =
+                step.blocks()
+                    .zip(&mut block_stats[step.slots()])
+                    .map(|(block, slot)| {
+                        let nodes = block.nodes();
+                        (
+                            block,
+                            slot,
+                            xs.next(&nodes),
+                            calm.next(&nodes),
+                            frozen.next(&nodes),
+                        )
+                    });
+            if backward {
+                let (upstream, extra): (&[f64], &[f64]) = (upstream, extra_cap);
+                let mut charged = step.tiles(charged, Space::Nodes);
+                let mut presented = step.tiles(presented, Space::Nodes);
+                let blocks = schedule_tiles.map(|(block, slot, xs, calm, frozen)| {
+                    let nodes = block.nodes();
+                    let tables = (charged.next(&nodes), presented.next(&nodes));
+                    (block, slot, xs, (calm, frozen), tables)
+                });
+                par.run(
+                    blocks,
+                    |(block, slot, xs, (mut calm, mut frozen), (charged, presented))| {
+                        let comps = comps.range(&block.nodes());
+                        let mut state = BlockSchedule::new(&mut calm, &mut frozen, comps);
+                        let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| {
+                            ctx.resize(
+                                &mut state,
+                                comp,
+                                x_i,
+                                charged_i,
+                                upstream[node],
+                                weights[node],
+                            )
+                        };
+                        topo.fused_downstream_chunk(
+                            block.bounds,
+                            xs,
+                            extra,
+                            charged,
+                            presented,
+                            &mut resize,
+                        );
+                        *slot = state.stats;
+                    },
+                );
+            } else {
+                let charged: &[f64] = charged;
+                let mut upstream = step.tiles(upstream, Space::Nodes);
+                let blocks = schedule_tiles.map(|(block, slot, xs, calm, frozen)| {
+                    let upstream = upstream.next(&block.nodes());
+                    (block, slot, xs, (calm, frozen), upstream)
+                });
+                par.run(
+                    blocks,
+                    |(block, slot, xs, (mut calm, mut frozen), upstream)| {
+                        let comps = comps.range(&block.nodes());
+                        let mut state = BlockSchedule::new(&mut calm, &mut frozen, comps);
+                        let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| {
+                            ctx.resize(
+                                &mut state,
+                                comp,
+                                x_i,
+                                charged[node],
+                                upstream_i,
+                                weights[node],
+                            )
+                        };
+                        topo.fused_upstream_chunk(
+                            block.nodes(),
+                            xs,
+                            weights,
+                            upstream,
+                            &mut resize,
+                        );
+                        *slot = state.stats;
+                    },
+                );
             }
-        };
-        if backward {
-            let upstream_r: &[f64] = upstream;
-            let weights_r: &[f64] = node_weights;
-            let extra_r: &[f64] = extra_cap;
-            let charged_s = SharedMut::new(charged.as_mut_slice());
-            let presented_s = SharedMut::new(presented.as_mut_slice());
-            self.par.run_leveled(grid, true, |block| {
-                let mut stats = ChunkStats::default();
-                let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| -> f64 {
-                    // SAFETY: the block's components are block-owned (one
-                    // node per component); `upstream`/`weights` are fixed
-                    // for the pass and hold one entry per node.
-                    unsafe {
-                        ctx.resize(
-                            comp,
-                            x_i,
-                            charged_i,
-                            *upstream_r.get_unchecked(node),
-                            *weights_r.get_unchecked(node),
-                            &mut stats,
-                        )
-                    }
-                };
-                // SAFETY: blocks of one step own disjoint nodes; steps
-                // settle in reverse dependency order; lengths asserted above.
-                unsafe {
-                    topo.fused_downstream_chunk(
-                        block.bounds,
-                        xs_s,
-                        extra_r,
-                        charged_s,
-                        presented_s,
-                        &mut resize,
-                    );
-                }
-                record(block.slot, &stats);
-            });
-        } else {
-            let charged_r: &[f64] = charged;
-            let weights_r: &[f64] = node_weights;
-            let upstream_s = SharedMut::new(upstream.as_mut_slice());
-            self.par.run_leveled(grid, false, |block| {
-                let mut stats = ChunkStats::default();
-                let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| -> f64 {
-                    // SAFETY: as the backward direction; `charged` is fixed
-                    // for the pass.
-                    unsafe {
-                        ctx.resize(
-                            comp,
-                            x_i,
-                            *charged_r.get_unchecked(node),
-                            upstream_i,
-                            *weights_r.get_unchecked(node),
-                            &mut stats,
-                        )
-                    }
-                };
-                // SAFETY: blocks of one step own disjoint nodes; steps
-                // settle in forward dependency order; lengths asserted
-                // above.
-                unsafe {
-                    topo.fused_upstream_chunk(
-                        block.nodes(),
-                        xs_s,
-                        weights_r,
-                        upstream_s,
-                        &mut resize,
-                    );
-                }
-                record(block.slot, &stats);
-            });
         }
 
         // Merge the per-block reductions in fixed block order (the pass's
@@ -1074,8 +914,8 @@ impl<'a> SizingEngine<'a> {
         let mut worst = 0.0f64;
         let mut touched_total = 0usize;
         for block in grid.blocks(backward) {
-            worst = worst.max(ps.chunk_worst[block.slot]);
-            touched_total += ps.chunk_touched[block.slot] as usize;
+            worst = worst.max(block_stats[block.slot].worst);
+            touched_total += block_stats[block.slot].touched as usize;
         }
         // A resize moves a component by a positive relative change, so a
         // pass whose worst change is zero resized nothing. One that resized
@@ -1112,34 +952,26 @@ impl<'a> SizingEngine<'a> {
         // propagation settles the block grid forward; the critical-path walk
         // over `pred` is a sequential epilogue. Per node the arithmetic (and
         // the `>=` tie-breaking) is exactly the reference recurrence.
-        let topo = &self.topo;
-        let ws = &mut self.ws;
+        let (topo, ws) = (&self.topo, &mut self.ws);
         let n = topo.num_nodes();
-        assert_eq!(ws.delays.len(), n, "workspace must match the circuit");
-        assert_eq!(ws.charged.len(), n);
-        assert_eq!(ws.arrival.len(), n);
-        assert_eq!(ws.pred.len(), n);
-        assert_eq!(
-            sizes.len(),
-            self.graph.num_components(),
-            "sizes must match the circuit"
-        );
-        let xs = sizes.as_slice();
-        let charged: &[f64] = &ws.charged;
-        let delays_s = SharedMut::new(ws.delays.as_mut_slice());
-        self.par.run_flat(par::flat_chunks(n), |c| {
-            // SAFETY: flat chunks own disjoint node ranges; lengths asserted
-            // above.
-            unsafe { topo.delays_chunk(par::flat_range(n, c), xs, charged, delays_s) };
+        let (xs, charged) = (sizes.as_slice(), &ws.charged[..]);
+        let mut delays = Tiles::new(&mut ws.delays, Space::Nodes, 0..n, false, false);
+        let blocks = par::flat_blocks(n).map(|nodes| (delays.next(&nodes), nodes));
+        self.par.run(blocks, |(delays, nodes)| {
+            topo.delays_chunk(nodes, xs, charged, delays);
         });
-        let delays: &[f64] = &ws.delays;
-        let arrival_s = SharedMut::new(ws.arrival.as_mut_slice());
-        let pred_s = SharedMut::new(ws.pred.as_mut_slice());
-        self.par.run_leveled(&self.grid, false, |block| {
-            // SAFETY: blocks of one step own disjoint nodes; steps settle in
-            // forward dependency order.
-            unsafe { topo.arrivals_chunk(block.nodes(), delays, arrival_s, pred_s) };
-        });
+        let delays = &ws.delays[..];
+        for step in self.grid.steps(false) {
+            let mut arrival = step.tiles(&mut ws.arrival, Space::Nodes);
+            let mut pred = step.tiles(&mut ws.pred, Space::Nodes);
+            let blocks = step.blocks().map(|block| {
+                let nodes = block.nodes();
+                (arrival.next(&nodes), pred.next(&nodes), nodes)
+            });
+            self.par.run(blocks, |(arrival, pred, nodes)| {
+                topo.arrivals_chunk(nodes, delays, arrival, pred);
+            });
+        }
         let critical_path_delay =
             topo.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path);
         TimingView {

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{NodeId, NodeKind, SharedMut, SizeVector};
+use ncgws_circuit::{NodeId, NodeKind, SizeVector, Space, Tiles};
 use serde::Serialize;
 
 use crate::constraints::ConstraintFamily;
@@ -745,16 +745,20 @@ impl OgwsSolver {
             // Ties node `i`'s fanin list to its slots `offsets[i]..`, all
             // within `values`.
             index.assert_matches(graph, offsets);
-            let values_s = SharedMut::new(values);
-            par.run_flat(par::flat_chunks(n), |chunk| {
-                for i in par::flat_range(n, chunk) {
+            let mut slots = Tiles::new(values, Space::Slots(offsets), 0..n, false, false);
+            let blocks = par::flat_blocks(n).map(|nodes| (slots.next(&nodes), nodes));
+            par.run(blocks, |(mut values, nodes)| {
+                let first = offsets[nodes.start] as usize;
+                let (values, _) = values.level(&(first..offsets[nodes.end] as usize), false);
+                for i in nodes {
                     if i == source {
                         continue;
                     }
                     let kind = kinds[i];
                     let fanin = graph.fanin(NodeId::new(i));
-                    let base = offsets[i] as usize;
-                    for (slot, &j) in fanin.iter().enumerate() {
+                    let own =
+                        &mut values[offsets[i] as usize - first..offsets[i + 1] as usize - first];
+                    for (value, &j) in own.iter_mut().zip(fanin) {
                         let j = j.index();
                         let violation = match kind {
                             NodeKind::Sink => arrival[j] - a0,
@@ -767,14 +771,7 @@ impl OgwsSolver {
                             NodeKind::Driver => delays[i] - arrival[i],
                             NodeKind::Source => continue,
                         };
-                        // SAFETY: slot `base + slot` belongs to node `i`'s
-                        // fanin range, written by this chunk only.
-                        unsafe {
-                            values_s.set(
-                                base + slot,
-                                bumped(values_s.get(base + slot), violation / a0),
-                            )
-                        };
+                        *value = bumped(*value, violation / a0);
                     }
                 }
             });

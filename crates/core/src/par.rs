@@ -12,29 +12,32 @@
 //!   chunks, and each run of consecutive narrower levels is folded into one
 //!   block, so block boundaries — and therefore every per-block
 //!   accumulation — are the same no matter how many workers exist;
-//! * the runners call each pass's kernel once per block, at every worker
-//!   count, one thread included — so the level grid is the only traversal
-//!   of every pass;
-//! * threads only change *which worker* executes a chunk (an atomic
-//!   work-queue hands chunks out), never the arithmetic: per-node values
-//!   depend only on settled earlier levels plus the node's own CSR lists,
+//! * a pass walks the grid's steps in dependency order and hands every
+//!   block of a step its own slices of the tables it writes
+//!   ([`Tiles`] → [`Tile`](ncgws_circuit::Tile)): a `&mut` piece for the
+//!   block's own range and a shared borrow of what earlier steps settled
+//!   (the one block of a folded step owns the settled part too). Blocks of
+//!   one step therefore cannot touch each other's entries, and the borrow
+//!   checker proves it;
+//! * threads only change *which worker* executes a block (workers pull the
+//!   step's blocks from one queue), never the arithmetic: per-node values
+//!   depend only on settled earlier steps plus the node's own CSR lists,
 //!   and all cross-block reductions (worst relative change, touched counts)
 //!   are combined by the caller **in fixed block order** after the pass;
-//! * with the `parallel` feature disabled — or one worker — the runners walk
-//!   the identical grid on the calling thread.
+//! * a step of one block — a folded run of narrow levels — runs on the
+//!   calling thread, as does every step with the `parallel` feature
+//!   disabled or one worker: the identical grid, the identical results.
 //!
 //! [`ParallelPolicy`] sets the worker count; the policy is threaded from
 //! [`OptimizerConfig`](crate::OptimizerConfig) through
 //! [`SizingEngine`](crate::SizingEngine) into every sweep. The worker pool
 //! is a tiny condvar-based fan-out over `std::thread` (no new
-//! dependencies); a barrier separates dependent steps, and since a folded
-//! run of narrow levels is one step, deep, narrow circuit regions pay one
-//! synchronization per run rather than per level.
+//! dependencies), handed one job per step that has more than one block;
+//! between jobs its participants poll briefly before they park.
 
+use ncgws_circuit::{Space, Tiles};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::AtomicU32;
-#[cfg(feature = "parallel")]
-use std::sync::atomic::Ordering;
+use std::ops::Range;
 
 use crate::error::CoreError;
 
@@ -112,12 +115,12 @@ impl ParallelPolicy {
     }
 }
 
-/// One barrier step of a leveled pass: the boundary window
-/// `bounds[lo..=hi]` of the grid. A *wide* step is one level split into
-/// `hi - lo` chunks, `bounds[lo + c]..bounds[lo + c + 1]` for chunk `c`,
-/// distributed through the work queue. A folded step is a run of
-/// consecutive narrow levels, `bounds[lo..=hi]` their level boundaries,
-/// executed as one block by one worker.
+/// One step of a leveled pass: the boundary window `bounds[lo..=hi]` of
+/// the grid. A *wide* step is one level split into `hi - lo` chunks,
+/// `bounds[lo + c]..bounds[lo + c + 1]` for chunk `c`, distributed across
+/// the workers. A folded step is a run of consecutive narrow levels,
+/// `bounds[lo..=hi]` their level boundaries, executed as one block on the
+/// calling thread.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     lo: u32,
@@ -140,18 +143,18 @@ pub(crate) struct Block<'g> {
 
 impl Block<'_> {
     /// The block's node range, as a forward kernel takes it.
-    pub(crate) fn nodes(&self) -> std::ops::Range<usize> {
+    pub(crate) fn nodes(&self) -> Range<usize> {
         self.bounds[0] as usize..self.bounds[self.bounds.len() - 1] as usize
     }
 }
 
 /// The deterministic grid over a topology's level partition: the block
-/// boundaries and the barrier steps over them. Built once per engine.
+/// boundaries and the steps over them. Built once per engine.
 #[derive(Debug, Clone)]
 pub(crate) struct LevelGrid {
     /// Every level boundary, plus the chunk boundaries inside wide levels.
     bounds: Vec<u32>,
-    /// Barrier steps, in forward level order.
+    /// Steps, in forward level order.
     steps: Vec<Step>,
     /// Total reduction slots: one per chunk of a wide step, one per folded
     /// step.
@@ -212,11 +215,6 @@ impl LevelGrid {
         self.bounds[self.bounds.len() - 1] as usize
     }
 
-    /// Number of barrier steps.
-    pub(crate) fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Total number of per-block reduction slots.
     pub(crate) fn total_slots(&self) -> usize {
         self.total_slots
@@ -246,14 +244,23 @@ impl LevelGrid {
         }
     }
 
+    /// The steps in forward (or, with `reverse`, backward) dependency
+    /// order: each step's blocks read only what the steps before it
+    /// settled.
+    pub(crate) fn steps(&self, reverse: bool) -> impl Iterator<Item = GridStep<'_>> + '_ {
+        let n = self.steps.len();
+        (0..n).map(move |s| GridStep {
+            grid: self,
+            s: if reverse { n - 1 - s } else { s },
+            reverse,
+        })
+    }
+
     /// Every block in traversal order: steps forward (or, with `reverse`,
     /// backward), chunks ascending within a step — the order a pass merges
     /// its per-block reductions in.
     pub(crate) fn blocks(&self, reverse: bool) -> impl Iterator<Item = Block<'_>> + '_ {
-        let n = self.steps.len();
-        (0..n)
-            .map(move |s| if reverse { n - 1 - s } else { s })
-            .flat_map(move |s| (0..self.blocks_in(s)).map(move |c| self.block(s, c)))
+        self.steps(reverse).flat_map(|step| step.blocks())
     }
 
     /// Bytes held by the grid (for memory accounting).
@@ -263,28 +270,56 @@ impl LevelGrid {
     }
 }
 
-/// Number of fixed-width chunks of a flat (level-free) pass over `n` items.
-pub(crate) fn flat_chunks(n: usize) -> usize {
-    n.div_ceil(CHUNK_NODES).max(1)
+/// One step of a pass over the grid, walked in the pass's direction.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GridStep<'g> {
+    grid: &'g LevelGrid,
+    s: usize,
+    reverse: bool,
 }
 
-/// The flat-chunk sub-range of `0..n` covered by chunk `c`.
-pub(crate) fn flat_range(n: usize, c: usize) -> std::ops::Range<usize> {
-    (c * CHUNK_NODES)..((c + 1) * CHUNK_NODES).min(n)
+impl<'g> GridStep<'g> {
+    /// The step's blocks, chunks ascending.
+    pub(crate) fn blocks(self) -> impl ExactSizeIterator<Item = Block<'g>> + Send {
+        let (grid, s) = (self.grid, self.s);
+        (0..grid.blocks_in(s)).map(move |c| grid.block(s, c))
+    }
+
+    /// The reduction slots of the step's blocks, in block order.
+    pub(crate) fn slots(self) -> Range<usize> {
+        let slot = self.grid.steps[self.s].slot as usize;
+        slot..slot + self.grid.blocks_in(self.s)
+    }
+
+    /// The nodes the step covers.
+    pub(crate) fn nodes(self) -> Range<usize> {
+        let step = self.grid.steps[self.s];
+        let bounds = &self.grid.bounds;
+        bounds[step.lo as usize] as usize..bounds[step.hi as usize] as usize
+    }
+
+    /// Splits `table` for this step (see [`Tiles::new`]). The block of a
+    /// folded step runs alone.
+    pub(crate) fn tiles<'t, T>(self, table: &'t mut [T], space: Space<'t>) -> Tiles<'t, T> {
+        let alone = !self.grid.steps[self.s].wide;
+        Tiles::new(table, space, self.nodes(), self.reverse, alone)
+    }
 }
 
-/// The per-engine parallel runtime: the resolved policy, the reusable
-/// per-step work-queue counters, and (with the `parallel` feature) the
-/// persistent worker pool. `run_flat`/`run_leveled` take `&self` so passes
-/// can run while other engine fields are mutably split-borrowed; all
-/// mutation goes through atomics or the pool's own synchronization.
+/// The fixed-width chunks of a flat (level-free) pass over `n` items: the
+/// blocks of a pass whose items are independent.
+pub(crate) fn flat_blocks(n: usize) -> impl ExactSizeIterator<Item = Range<usize>> + Send {
+    (0..n.div_ceil(CHUNK_NODES).max(1))
+        .map(move |c| c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n))
+}
+
+/// The per-engine parallel runtime: the resolved policy and (with the
+/// `parallel` feature) the persistent worker pool. [`run`](Self::run)
+/// takes `&self` so passes can run while other engine fields are mutably
+/// split-borrowed.
 pub(crate) struct ParRuntime {
     policy: ParallelPolicy,
     workers: usize,
-    /// One work-queue head per step, reset by the runner before each pass.
-    counters: Vec<AtomicU32>,
-    /// Work-queue head of flat passes.
-    flat_counter: AtomicU32,
     #[cfg(feature = "parallel")]
     pool: Option<pool::WorkerPool>,
 }
@@ -308,10 +343,6 @@ impl Clone for ParRuntime {
         ParRuntime {
             policy: self.policy,
             workers: self.workers,
-            counters: (0..self.counters.len())
-                .map(|_| AtomicU32::new(0))
-                .collect(),
-            flat_counter: AtomicU32::new(0),
             #[cfg(feature = "parallel")]
             pool: None,
         }
@@ -330,8 +361,6 @@ impl ParRuntime {
         ParRuntime {
             policy: ParallelPolicy::Sequential,
             workers: 1,
-            counters: Vec::new(),
-            flat_counter: AtomicU32::new(0),
             #[cfg(feature = "parallel")]
             pool: None,
         }
@@ -342,27 +371,12 @@ impl ParRuntime {
         self.policy
     }
 
-    /// The resolved worker count (participants including the caller).
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Bytes held by the runtime's work-queue counters (for the engine's
-    /// Figure-10(a) memory accounting; the pool's thread stacks are OS
-    /// resources, not engine-owned heap).
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.counters.capacity() * std::mem::size_of::<AtomicU32>() + std::mem::size_of::<Self>()
-    }
-
-    /// Applies a policy and sizes the per-step counters for `num_steps`.
-    /// Spawns (or drops) the worker pool to match; idempotent and cheap
-    /// when nothing changed, so callers apply it once per solve.
-    pub(crate) fn configure(&mut self, policy: ParallelPolicy, num_steps: usize) {
+    /// Applies a policy, spawning (or dropping) the worker pool to match;
+    /// idempotent and cheap when nothing changed, so callers apply it once
+    /// per solve.
+    pub(crate) fn configure(&mut self, policy: ParallelPolicy) {
         self.policy = policy;
         self.workers = policy.worker_count();
-        if self.counters.len() < num_steps {
-            self.counters = (0..num_steps).map(|_| AtomicU32::new(0)).collect();
-        }
         #[cfg(feature = "parallel")]
         {
             let want = (self.workers > 1).then_some(self.workers);
@@ -373,148 +387,97 @@ impl ParRuntime {
         }
     }
 
-    /// Runs `body(chunk)` for every chunk of a flat pass over `chunks`
-    /// chunks. Chunks are independent; the caller merges any per-chunk
-    /// reductions in chunk order afterwards.
-    pub(crate) fn run_flat<F: Fn(usize) + Sync>(&self, chunks: usize, body: F) {
-        // Under race-check every chunk body runs inside a claim context, so
-        // SharedMut writes are attributed to their owning chunk and an
-        // overlap within this pass panics (one worker included — the grid,
-        // not the thread count, defines ownership).
-        #[cfg(feature = "race-check")]
-        let pass = ncgws_circuit::race::begin_pass();
-        #[cfg(feature = "race-check")]
-        let body = move |c: usize| {
-            let owner = ncgws_circuit::race::owner_id(u32::MAX, c as u32);
-            let _ctx = ncgws_circuit::race::enter(pass, owner);
-            body(c);
-        };
+    /// Runs `body` on every block of one step: `blocks` yields each
+    /// block's work item (its range and its views of the tables it
+    /// writes). With a pool and more than one block, the workers pull the
+    /// items from one queue; otherwise the calling thread runs them in
+    /// order. Items are created in order either way, and the caller merges
+    /// per-block reductions in block order afterwards.
+    pub(crate) fn run<I, F>(&self, blocks: I, body: F)
+    where
+        I: ExactSizeIterator + Send,
+        F: Fn(I::Item) + Sync,
+    {
         #[cfg(feature = "parallel")]
-        if let Some(pool) = self.pool.as_ref().filter(|_| chunks > 1) {
-            self.flat_counter.store(0, Ordering::Relaxed);
-            let counter = &self.flat_counter;
-            pool.run(&|_worker| loop {
-                let c = counter.fetch_add(1, Ordering::Relaxed) as usize;
-                if c >= chunks {
-                    break;
-                }
-                body(c);
-            });
-            return;
-        }
-        let _ = &self.flat_counter;
-        for c in 0..chunks {
-            body(c);
-        }
-    }
-
-    /// Runs `body(block)` for every block of `grid`, steps settled in
-    /// forward (or, with `reverse`, backward) dependency order. The chunks
-    /// of a wide step may run concurrently — no level contains an edge, so
-    /// their node sets are independent — and a barrier separates dependent
-    /// steps.
-    pub(crate) fn run_leveled<F: Fn(Block<'_>) + Sync>(
-        &self,
-        grid: &LevelGrid,
-        reverse: bool,
-        body: F,
-    ) {
-        // One claim pass per step, owners `(step, chunk)`: chunks of a step
-        // race each other (the level partition must keep their writes
-        // disjoint), while writes from different steps are barrier-ordered
-        // and thus never races.
-        #[cfg(feature = "race-check")]
-        let pass_base = ncgws_circuit::race::begin_passes(grid.num_steps() as u64);
-        #[cfg(feature = "race-check")]
-        let body = move |s: usize, c: usize| {
-            let owner = ncgws_circuit::race::owner_id(s as u32, c as u32);
-            let _ctx = ncgws_circuit::race::enter(pass_base + s as u64, owner);
-            body(grid.block(s, c));
-        };
-        #[cfg(not(feature = "race-check"))]
-        let body = |s: usize, c: usize| body(grid.block(s, c));
-        let num_steps = grid.num_steps();
-        let step_at = |pos: usize| if reverse { num_steps - 1 - pos } else { pos };
-        #[cfg(feature = "parallel")]
-        if let Some(pool) = self
-            .pool
-            .as_ref()
-            .filter(|_| grid.total_slots() > num_steps)
-        {
-            debug_assert!(self.counters.len() >= num_steps);
-            for counter in &self.counters[..num_steps] {
-                counter.store(0, Ordering::Relaxed);
-            }
-            let counters = &self.counters;
-            let barrier = pool.barrier();
-            pool.run(&|worker| {
-                for pos in 0..num_steps {
-                    let s = step_at(pos);
-                    let blocks = grid.blocks_in(s);
-                    if blocks > 1 {
-                        let counter = &counters[s];
-                        loop {
-                            let c = counter.fetch_add(1, Ordering::Relaxed) as usize;
-                            if c >= blocks {
-                                break;
-                            }
-                            body(s, c);
-                        }
-                    } else if worker == 0 {
-                        body(s, 0);
-                    }
-                    barrier.wait();
+        if let Some(pool) = self.pool.as_ref().filter(|_| blocks.len() > 1) {
+            let queue = std::sync::Mutex::new(blocks);
+            pool.run(&|| loop {
+                // A panicking pass aborts the process (see `pool::run_job`),
+                // so the lock is never poisoned.
+                let next = queue.lock().expect("work queue lock").next();
+                match next {
+                    Some(item) => body(item),
+                    None => break,
                 }
             });
             return;
         }
-        // The identical grid on the calling thread (one worker, or the
-        // feature disabled): same blocks, same per-block arithmetic, hence
-        // bitwise-identical results.
-        let _ = &self.counters;
-        for pos in 0..num_steps {
-            let s = step_at(pos);
-            for c in 0..grid.blocks_in(s) {
-                body(s, c);
-            }
-        }
+        blocks.for_each(body);
     }
 }
 
 /// The persistent worker pool: `participants - 1` parked OS threads plus
-/// the calling thread. Jobs are published as type-erased `Fn(worker)`
-/// borrows; [`WorkerPool::run`] does not return until every worker finished
+/// the calling thread. Jobs are published as type-erased `Fn()` borrows; [`WorkerPool::run`] does not return until every worker finished
 /// the job, which is what makes handing out a stack borrow sound.
 #[cfg(feature = "parallel")]
 mod pool {
-    use std::sync::{Arc, Barrier, Condvar, Mutex};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
 
     /// Type-erased pointer to the caller's job closure. Only ever
     /// dereferenced between `run`'s publish and its completion wait, while
     /// the underlying closure is alive on the caller's stack.
     #[derive(Copy, Clone)]
-    struct Job(*const (dyn Fn(usize) + Sync + 'static));
+    struct Job(*const (dyn Fn() + Sync + 'static));
     // SAFETY: the pointee is `Sync` and `run` keeps it alive for the whole
     // execution; sending the pointer to workers is then sound.
     unsafe impl Send for Job {}
 
     struct State {
-        seq: u64,
         job: Option<Job>,
-        remaining: usize,
         shutdown: bool,
     }
 
     struct Shared {
         state: Mutex<State>,
+        /// Sequence number of the latest published job. It changes only
+        /// under the state lock, together with `job`, but idle workers
+        /// poll it without the lock before they park.
+        seq: AtomicU64,
+        /// Participants other than the caller still running the current
+        /// job; the caller polls it before it parks.
+        remaining: AtomicUsize,
         start: Condvar,
         done: Condvar,
+    }
+
+    /// How often a participant polls for its wake-up condition, yielding
+    /// between polls, before it parks. A pass hands the workers one job
+    /// per step, back to back, so a short poll catches the next job (and
+    /// the caller the end of the current one) without a futex round trip.
+    ///
+    /// Measured on a 2-core host: on xlw100k at `threads(2)` (one pool)
+    /// 64, 256 and 1024 polls solve equally fast and faster than parking
+    /// at once; on a `BatchRunner` of four xlw instances on two batch
+    /// threads with 2- or 4-thread pools (several pools sharing the
+    /// cores) polling is no slower than parking at once, since a yielding
+    /// poller gives its core to whichever thread has work.
+    const POLLS: usize = 256;
+
+    /// Polls `ready` up to [`POLLS`] times; whether it became true.
+    fn poll(ready: impl Fn() -> bool) -> bool {
+        for _ in 0..POLLS {
+            if ready() {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        ready()
     }
 
     pub(crate) struct WorkerPool {
         shared: Arc<Shared>,
         handles: Vec<std::thread::JoinHandle<()>>,
-        barrier: Arc<Barrier>,
         participants: usize,
     }
 
@@ -533,11 +496,11 @@ mod pool {
             let participants = participants.max(2);
             let shared = Arc::new(Shared {
                 state: Mutex::new(State {
-                    seq: 0,
                     job: None,
-                    remaining: 0,
                     shutdown: false,
                 }),
+                seq: AtomicU64::new(0),
+                remaining: AtomicUsize::new(0),
                 start: Condvar::new(),
                 done: Condvar::new(),
             });
@@ -546,14 +509,13 @@ mod pool {
                     let shared = Arc::clone(&shared);
                     std::thread::Builder::new()
                         .name(format!("ncgws-par-{worker}"))
-                        .spawn(move || worker_loop(&shared, worker))
+                        .spawn(move || worker_loop(&shared))
                         .expect("spawning a pool worker succeeds")
                 })
                 .collect();
             WorkerPool {
                 shared,
                 handles,
-                barrier: Arc::new(Barrier::new(participants)),
                 participants,
             }
         }
@@ -563,49 +525,48 @@ mod pool {
             self.participants
         }
 
-        /// The barrier shared by all participants of a job (sized to
-        /// [`participants`](Self::participants); every participant runs
-        /// every job exactly once, so per-step waits line up).
-        pub(crate) fn barrier(&self) -> &Barrier {
-            &self.barrier
-        }
-
         /// Executes `job` on every participant and returns once all are
-        /// done. The calling thread is participant 0.
-        pub(crate) fn run(&self, job: &(dyn Fn(usize) + Sync)) {
+        /// done. The calling thread is one of them.
+        pub(crate) fn run(&self, job: &(dyn Fn() + Sync)) {
             // SAFETY: `run` blocks until `remaining == 0`, so the borrow
             // outlives every dereference (a panic inside the job aborts the
             // process — see `run_job` — so no unwind path can return from
             // `run` while a worker still holds the pointer); the transmute
             // only erases the lifetime.
             let erased = Job(unsafe {
-                std::mem::transmute::<
-                    *const (dyn Fn(usize) + Sync),
-                    *const (dyn Fn(usize) + Sync + 'static),
-                >(job as *const _)
+                std::mem::transmute::<*const (dyn Fn() + Sync), *const (dyn Fn() + Sync + 'static)>(
+                    job as *const _,
+                )
             });
+            let shared = &*self.shared;
             {
-                let mut state = self.shared.state.lock().expect("pool lock");
+                let mut state = shared.state.lock().expect("pool lock");
                 state.job = Some(erased);
-                state.remaining = self.participants - 1;
-                state.seq += 1;
-                self.shared.start.notify_all();
+                shared
+                    .remaining
+                    .store(self.participants - 1, Ordering::Relaxed);
+                shared.seq.fetch_add(1, Ordering::Release);
+                shared.start.notify_all();
             }
-            run_job(&|| job(0));
-            let mut state = self.shared.state.lock().expect("pool lock");
-            while state.remaining > 0 {
-                state = self.shared.done.wait(state).expect("pool lock");
+            run_job(job);
+            // Acquire pairs with the workers' release of `remaining`, so
+            // their writes are visible once it reads zero.
+            let finished = || shared.remaining.load(Ordering::Acquire) == 0;
+            if !poll(finished) {
+                let mut state = shared.state.lock().expect("pool lock");
+                while !finished() {
+                    state = shared.done.wait(state).expect("pool lock");
+                }
             }
-            state.job = None;
         }
     }
 
     /// Executes one participant's share of a job, aborting the process if it
-    /// panics. An unwinding participant cannot be tolerated here: the other
-    /// participants are blocked on the step [`Barrier`] it will never reach
-    /// (deadlock), and on the calling thread the unwind would drop the
-    /// engine state the lifetime-erased [`Job`] pointer still borrows
-    /// (use-after-free on the workers). Pass bodies are pure arithmetic over
+    /// panics. An unwinding participant cannot be tolerated here: on the
+    /// calling thread the unwind would drop the engine state the
+    /// lifetime-erased [`Job`] pointer still borrows (use-after-free on the
+    /// workers), and a worker's unwind would leave the caller waiting for a
+    /// completion that never comes. Pass bodies are pure arithmetic over
     /// pre-validated tables — a panic there is a bug, and a loud abort beats
     /// either failure mode.
     fn run_job(body: &dyn Fn()) {
@@ -628,30 +589,35 @@ mod pool {
         }
     }
 
-    fn worker_loop(shared: &Shared, worker: usize) {
+    fn worker_loop(shared: &Shared) {
         let mut seen = 0u64;
         loop {
+            poll(|| shared.seq.load(Ordering::Relaxed) != seen);
             let job = {
                 let mut state = shared.state.lock().expect("pool lock");
                 loop {
                     if state.shutdown {
                         return;
                     }
-                    if state.seq != seen {
-                        break;
+                    // The lock orders this read after the job's publication.
+                    let seq = shared.seq.load(Ordering::Relaxed);
+                    if seq != seen {
+                        seen = seq;
+                        break state.job.expect("published job");
                     }
                     state = shared.start.wait(state).expect("pool lock");
                 }
-                seen = state.seq;
-                state.job.expect("published job")
             };
             // SAFETY: `WorkerPool::run` keeps the closure alive until every
             // worker reports completion below (panics abort, so completion
             // is the only way out of `run_job`).
-            run_job(&|| (unsafe { &*job.0 })(worker));
-            let mut state = shared.state.lock().expect("pool lock");
-            state.remaining -= 1;
-            if state.remaining == 0 {
+            run_job(unsafe { &*job.0 });
+            // Release publishes this worker's writes to the caller. The
+            // last one notifies under the lock, which the caller holds from
+            // its check of `remaining` to its wait, so the wake-up is never
+            // lost.
+            if shared.remaining.fetch_sub(1, Ordering::Release) == 1 {
+                let _state = shared.state.lock().expect("pool lock");
                 shared.done.notify_all();
             }
         }
@@ -661,7 +627,6 @@ mod pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Level boundaries for the given level sizes.
     fn bounds_of(sizes: &[usize]) -> Vec<u32> {
@@ -671,6 +636,10 @@ mod tests {
         }
         bounds
     }
+
+    /// Levels 0–1 fold into one block, level 2 splits into two chunks,
+    /// level 3 is a block of its own, level 4 splits into two chunks.
+    const LEVELS: [usize; 5] = [1, CHUNK_NODES, CHUNK_NODES + 1, 3, 2 * CHUNK_NODES];
 
     #[test]
     fn policy_resolution_and_validation() {
@@ -686,12 +655,9 @@ mod tests {
 
     #[test]
     fn grid_chunks_cover_every_level_exactly() {
-        let sizes = [1usize, CHUNK_NODES, CHUNK_NODES + 1, 3, 2 * CHUNK_NODES];
-        let level_bounds = bounds_of(&sizes);
+        let level_bounds = bounds_of(&LEVELS);
         let grid = LevelGrid::new(&level_bounds);
-        // Levels 0–1 fold into one block, level 2 splits into two chunks,
-        // level 3 is a block of its own, level 4 splits into two chunks.
-        assert_eq!(grid.num_steps(), 4);
+        assert_eq!(grid.steps(false).count(), 4);
         let blocks: Vec<Block<'_>> = grid.blocks(false).collect();
         let expected: [&[u32]; 6] = [
             &level_bounds[0..=2],
@@ -709,47 +675,105 @@ mod tests {
             assert_eq!(block.nodes().start, covered);
             covered = block.nodes().end;
         }
-        assert_eq!(covered, level_bounds[sizes.len()] as usize);
+        assert_eq!(covered, level_bounds[LEVELS.len()] as usize);
         assert_eq!(grid.num_nodes(), covered);
         assert_eq!(grid.total_slots(), blocks.len());
         let reversed: Vec<usize> = grid.blocks(true).map(|b| b.slot).collect();
         assert_eq!(reversed, [4, 5, 3, 1, 2, 0], "steps reverse, chunks ascend");
+        for step in grid.steps(true) {
+            let slots: Vec<usize> = step.blocks().map(|b| b.slot).collect();
+            assert_eq!(slots, step.slots().collect::<Vec<_>>());
+        }
         assert!(grid.memory_bytes() > 0);
     }
 
+    /// The views a pass hands out let every level window write exactly its
+    /// own entries, once, and read exactly what the pass settled before
+    /// it: in node space and in component space (whose range starts inside
+    /// the first folded block and ends inside the last chunk, so both ends
+    /// clamp), going forward and backward.
+    #[test]
+    fn tiles_hand_every_window_its_own_entries_and_the_settled_rest() {
+        let level_bounds = bounds_of(&LEVELS);
+        let grid = LevelGrid::new(&level_bounds);
+        let n = grid.num_nodes();
+        let (first, count) = (100, n - 100 - 10);
+        const UNSET: usize = usize::MAX;
+        for space in [Space::Nodes, Space::Components { first, count }] {
+            let len = space.at(n);
+            for reverse in [false, true] {
+                let mut table = vec![UNSET; len];
+                let mut windows = Vec::new();
+                for step in grid.steps(reverse) {
+                    let mut tiles = step.tiles(&mut table, space);
+                    for block in step.blocks() {
+                        let mut tile = tiles.next(&block.nodes());
+                        let mut bounds = block.bounds.windows(2).collect::<Vec<_>>();
+                        if reverse {
+                            bounds.reverse();
+                        }
+                        for window in bounds {
+                            let nodes = window[0] as usize..window[1] as usize;
+                            // The level holding the window: what it reads
+                            // lies after it going backward, before it going
+                            // forward.
+                            let l = level_bounds.partition_point(|&b| b as usize <= nodes.start);
+                            let reads = if reverse {
+                                space.at(level_bounds[l] as usize)..len
+                            } else {
+                                0..space.at(level_bounds[l - 1] as usize)
+                            };
+                            let stamp = windows.len();
+                            let (own, settled) = tile.level(&space.range(&nodes), reverse);
+                            assert!(own.iter().all(|&v| v == UNSET), "written twice");
+                            own.fill(stamp);
+                            for j in reads {
+                                assert!(settled.get(j) < stamp, "entry {j} is settled");
+                            }
+                            windows.push(space.range(&nodes));
+                        }
+                    }
+                }
+                for (stamp, own) in windows.into_iter().enumerate() {
+                    assert!(table[own].iter().all(|&v| v == stamp), "window {stamp}");
+                }
+                assert!(table.iter().all(|&v| v != UNSET), "every entry written");
+            }
+        }
+    }
+
+    /// At one and three workers every block of every step runs once, and a
+    /// step reads the values the step before it settled: each node ends up
+    /// holding its step's position in the pass.
     #[test]
     fn leveled_runner_visits_every_chunk_in_dependency_order() {
-        let sizes = [2usize, CHUNK_NODES * 2, 1, 1, CHUNK_NODES + 1];
-        let grid = LevelGrid::new(&bounds_of(&sizes));
+        let grid = LevelGrid::new(&bounds_of(&[2, CHUNK_NODES * 2, 1, 1, CHUNK_NODES + 1]));
+        let n = grid.num_nodes();
         for threads in [1usize, 3] {
+            let mut runtime = ParRuntime::new();
+            runtime.configure(ParallelPolicy::threads(threads));
             for reverse in [false, true] {
-                let mut runtime = ParRuntime::new();
-                runtime.configure(ParallelPolicy::threads(threads), grid.num_steps());
-                let visited: Vec<AtomicUsize> = (0..grid.total_slots())
-                    .map(|_| AtomicUsize::new(0))
-                    .collect();
-                let stamp = AtomicUsize::new(1);
-                runtime.run_leveled(&grid, reverse, |block| {
-                    let previous = visited[block.slot]
-                        .swap(stamp.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                    assert_eq!(previous, 0, "every block runs once");
-                });
-                // Every block ran, and steps settled in dependency order:
-                // every block of a step ran before any block of the next
-                // step in the traversal direction.
-                let stamps = |s: usize| {
-                    (0..grid.blocks_in(s))
-                        .map(|c| visited[grid.block(s, c).slot].load(Ordering::Relaxed))
-                        .collect::<Vec<_>>()
-                };
-                assert!(visited.iter().all(|v| v.load(Ordering::Relaxed) > 0));
-                for s in 1..grid.num_steps() {
-                    let (earlier, later) = if reverse { (s, s - 1) } else { (s - 1, s) };
-                    assert!(
-                        stamps(earlier).iter().max() < stamps(later).iter().min(),
-                        "step {earlier} must settle before step {later} (reverse={reverse})"
-                    );
+                let mut table = vec![0usize; n];
+                for step in grid.steps(reverse) {
+                    let step_nodes = step.nodes();
+                    let neighbour = if reverse {
+                        Some(step_nodes.end).filter(|&j| j < n)
+                    } else {
+                        step_nodes.start.checked_sub(1)
+                    };
+                    let mut tiles = step.tiles(&mut table, Space::Nodes);
+                    let blocks = step.blocks().map(|b| (tiles.next(&b.nodes()), b.nodes()));
+                    runtime.run(blocks, |(mut tile, nodes)| {
+                        let (own, settled) = tile.level(&nodes, reverse);
+                        assert!(own.iter().all(|&v| v == 0), "every block runs once");
+                        own.fill(neighbour.map_or(0, |j| settled.get(j)) + 1);
+                    });
                 }
+                let mut expected = vec![0usize; n];
+                for (position, step) in grid.steps(reverse).enumerate() {
+                    expected[step.nodes()].fill(position + 1);
+                }
+                assert_eq!(table, expected, "threads={threads} reverse={reverse}");
             }
         }
     }
@@ -758,29 +782,33 @@ mod tests {
     fn flat_runner_visits_every_chunk_once() {
         for threads in [1usize, 4] {
             let mut runtime = ParRuntime::new();
-            runtime.configure(ParallelPolicy::threads(threads), 0);
-            let chunks = 37;
-            let hits: Vec<AtomicUsize> = (0..chunks).map(|_| AtomicUsize::new(0)).collect();
-            runtime.run_flat(chunks, |c| {
-                hits[c].fetch_add(1, Ordering::Relaxed);
+            runtime.configure(ParallelPolicy::threads(threads));
+            let n = 36 * CHUNK_NODES + 5;
+            assert_eq!(flat_blocks(n).len(), 37);
+            let mut hits = vec![0u32; n];
+            let mut tiles = Tiles::new(&mut hits, Space::Nodes, 0..n, false, false);
+            let blocks = flat_blocks(n).map(|nodes| (tiles.next(&nodes), nodes));
+            runtime.run(blocks, |(mut tile, nodes)| {
+                for hit in tile.level(&nodes, false).0 {
+                    *hit += 1;
+                }
             });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            assert!(hits.iter().all(|&h| h == 1));
         }
+        assert!(flat_blocks(0).eq(std::iter::once(0..0)));
     }
 
     #[test]
     fn runtime_clone_drops_the_pool_but_keeps_the_policy() {
         let mut runtime = ParRuntime::new();
-        runtime.configure(ParallelPolicy::threads(2), 4);
+        runtime.configure(ParallelPolicy::threads(2));
         let clone = runtime.clone();
         assert_eq!(clone.policy(), ParallelPolicy::threads(2));
-        assert_eq!(clone.workers(), 2);
-        // A cloned (pool-less) runtime still runs the full grid.
-        let grid = LevelGrid::new(&bounds_of(&[3, CHUNK_NODES + 1]));
-        let count = AtomicUsize::new(0);
-        clone.run_leveled(&grid, false, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
+        // A cloned (pool-less) runtime still runs every block.
+        let count = std::sync::atomic::AtomicUsize::new(0);
+        clone.run(flat_blocks(5 * CHUNK_NODES), |_| {
+            count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
-        assert_eq!(count.load(Ordering::Relaxed), grid.total_slots());
+        assert_eq!(count.into_inner(), 5);
     }
 }

@@ -17,7 +17,9 @@
 //! is distributed evenly. The sink's incoming multipliers are the free
 //! variables of the flow and are left untouched.
 
-use ncgws_circuit::{CircuitGraph, NodeKind, SharedMut};
+use ncgws_circuit::{CircuitGraph, NodeKind, Space, Tile};
+
+use std::ops::Range;
 
 use crate::lagrangian::Multipliers;
 use crate::par::{LevelGrid, ParRuntime};
@@ -136,28 +138,20 @@ pub fn project_flow_conservation_indexed(
     multipliers: &mut Multipliers,
 ) {
     multipliers.clamp_non_negative();
-    let sink = graph.sink().index();
-    let source = graph.source().index();
+    let skipped = [graph.sink().index(), graph.source().index()];
     let n = graph.num_nodes();
     let (offsets, values) = multipliers.flat_mut();
     index.assert_matches(graph, offsets);
-    let values_s = SharedMut::new(values);
-    // Reverse topological order; node indices are topological by construction.
-    for idx in (0..n).rev() {
-        if idx != sink && idx != source {
-            // SAFETY: `idx < n`, the index and the multipliers' layout are
-            // tied to the graph above, and nothing else accesses `values`.
-            unsafe { project_node(idx, index, offsets, values_s) };
-        }
-    }
+    project_block(0..n, skipped, index, offsets, &mut Tile::whole(values));
 }
 
 /// [`project_flow_conservation_indexed`] over the block grid (step A5):
 /// blocks settle in reverse dependency order, and within a level each node
 /// rescales only its own fanin slots while reading its fanout nodes'
-/// already-settled slots — so blocks of one step never touch the same
-/// multiplier. The per-node body is the same, so results are bitwise
-/// identical to the whole-circuit walk for every thread count.
+/// already-settled slots — so each block is handed the slots of its nodes
+/// and reads the slots of later steps. The per-node body is the same, so
+/// results are bitwise identical to the whole-circuit walk for every
+/// thread count.
 pub(crate) fn project_flow_conservation_leveled(
     graph: &CircuitGraph,
     index: &FlowIndex<'_>,
@@ -166,70 +160,73 @@ pub(crate) fn project_flow_conservation_leveled(
     par: &ParRuntime,
 ) {
     multipliers.clamp_non_negative();
-    let sink = graph.sink().index();
-    let source = graph.source().index();
+    let skipped = [graph.sink().index(), graph.source().index()];
     let n = graph.num_nodes();
     let (offsets, values) = multipliers.flat_mut();
     index.assert_matches(graph, offsets);
     assert_eq!(grid.num_nodes(), n, "grid must match the circuit");
-    let values_s = SharedMut::new(values);
-    par.run_leveled(grid, true, |block| {
-        for level in block.bounds.windows(2).rev() {
-            for idx in level[0] as usize..level[1] as usize {
-                if idx != sink && idx != source {
-                    // SAFETY: the grid covers `0..n`, and the index and the
-                    // multipliers' layout are tied to the graph above; this block owns
-                    // node `idx`, and the slots it reads belong to fanout
-                    // nodes in later levels, settled before this step
-                    // started.
-                    unsafe { project_node(idx, index, offsets, values_s) };
-                }
-            }
-        }
-    });
+    for step in grid.steps(true) {
+        let mut slots = step.tiles(&mut *values, Space::Slots(offsets));
+        let blocks = step
+            .blocks()
+            .map(|block| (slots.next(&block.nodes()), block.nodes()));
+        par.run(blocks, |(mut values, nodes)| {
+            project_block(nodes, skipped, index, offsets, &mut values);
+        });
+    }
 }
 
-/// The A5 projection of one node: rescales its fanin multipliers so their
-/// sum matches its (already final) outgoing sum, or shares the outgoing
-/// sum evenly when every incoming multiplier is zero.
-///
-/// # Safety
-///
-/// `idx < n`, `index` was built for the graph whose fanin offsets are
-/// `offsets`, `offsets` ends at the length of the slice `values` wraps, no other borrower concurrently accesses
-/// node `idx`'s fanin slots, and the fanin slots of its fanout nodes (the
-/// out positions it reads) are settled and not written concurrently.
-#[inline(always)]
-unsafe fn project_node(
-    idx: usize,
+/// The A5 projection of the nodes `nodes` but the `skipped` ones, in
+/// reverse: `values` owns their fanin slots and holds the settled slots
+/// after them. A node's out positions lie after its level: in the
+/// block's own later levels (a folded block) or in the settled part.
+fn project_block(
+    nodes: Range<usize>,
+    skipped: [usize; 2],
     index: &FlowIndex<'_>,
     offsets: &[u32],
-    values: SharedMut<'_, f64>,
+    values: &mut Tile<'_, f64>,
 ) {
-    // Outgoing sum over the precomputed flat positions (fanout order).
-    let mut out_sum = 0.0;
-    for &pos in &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize] {
-        out_sum += values.get(pos as usize);
+    let (first, end) = (offsets[nodes.start] as usize, offsets[nodes.end] as usize);
+    let (slots, settled) = values.level(&(first..end), true);
+    // Reverse topological order; node indices are topological by
+    // construction, so every out position lies after the node's own slots.
+    for idx in nodes.rev().filter(|idx| !skipped.contains(idx)) {
+        // Outgoing sum over the precomputed flat positions (fanout order).
+        let mut out_sum = 0.0;
+        for &pos in &index.out_pos[index.out_start[idx] as usize..index.out_start[idx + 1] as usize]
+        {
+            let pos = pos as usize;
+            out_sum += if pos < end {
+                slots[pos - first]
+            } else {
+                settled.get(pos)
+            };
+        }
+        let own = offsets[idx] as usize - first..offsets[idx + 1] as usize - first;
+        project_node(out_sum, &mut slots[own]);
     }
-    let lo = offsets[idx] as usize;
-    let hi = offsets[idx + 1] as usize;
-    if lo == hi {
+}
+
+/// The A5 projection of one node: rescales its fanin multipliers `slots`
+/// so their sum matches its (already final) outgoing sum `out_sum`, or
+/// shares the outgoing sum evenly when every incoming multiplier is zero.
+#[inline(always)]
+fn project_node(out_sum: f64, slots: &mut [f64]) {
+    if slots.is_empty() {
         return;
     }
     let mut in_sum = 0.0;
-    for slot in lo..hi {
-        in_sum += values.get(slot);
+    for &value in slots.iter() {
+        in_sum += value;
     }
     if in_sum > 1e-300 {
         let scale = out_sum / in_sum;
-        for slot in lo..hi {
-            values.set(slot, values.get(slot) * scale);
+        for value in slots.iter_mut() {
+            *value *= scale;
         }
     } else {
-        let share = out_sum / (hi - lo) as f64;
-        for slot in lo..hi {
-            values.set(slot, share);
-        }
+        slots.fill(out_sum / slots.len() as f64);
     }
 }
 

@@ -45,7 +45,6 @@
 //! identical across thread counts (the `thread_determinism` integration
 //! tests pin this, including the exact path's reference pinning).
 
-use ncgws_circuit::SharedMut;
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
@@ -295,34 +294,26 @@ impl ScheduleWorkspace {
         self.caps_synced && self.eval_sizes.as_slice() == sizes
     }
 
-    /// Calm-streak bookkeeping after one component resize, over shared
-    /// per-component views (each block of a fused pass owns a disjoint
-    /// component set): a calm resize (relative change within the freeze
-    /// tolerance) extends the streak and freezes the component once the
-    /// streak reaches the threshold; a mover resets the streak and
-    /// unfreezes.
-    ///
-    /// # Safety
-    ///
-    /// `comp` is in range and no other borrower concurrently accesses its
-    /// `calm`/`frozen` entries (see [`SharedMut`]).
+    /// Calm-streak bookkeeping after one component resize, on the
+    /// component's `calm` streak and `frozen` flag: a calm resize (relative
+    /// change within the freeze tolerance) extends the streak and freezes
+    /// the component once the streak reaches the threshold; a mover resets
+    /// the streak and unfreezes.
     #[inline(always)]
-    pub(crate) unsafe fn note_resize_shared(
-        calm: SharedMut<'_, u32>,
-        frozen: SharedMut<'_, bool>,
-        comp: usize,
+    pub(crate) fn note_resize(
+        calm: &mut u32,
+        frozen: &mut bool,
         rel: f64,
         schedule: &AdaptiveSchedule,
     ) {
         if rel <= schedule.freeze_tolerance {
-            let streak = calm.get(comp).saturating_add(1);
-            calm.set(comp, streak);
-            if streak as usize >= schedule.freeze_after {
-                frozen.set(comp, true);
+            *calm = calm.saturating_add(1);
+            if *calm as usize >= schedule.freeze_after {
+                *frozen = true;
             }
         } else {
-            calm.set(comp, 0);
-            frozen.set(comp, false);
+            *calm = 0;
+            *frozen = false;
         }
     }
 

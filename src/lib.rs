@@ -190,8 +190,9 @@
 //! level partition (nodes of one level share no fanin/fanout edge), chops
 //! every level into fixed-width chunks, and distributes the chunks — of
 //! the fused Gauss–Seidel sweeps, the exact sweeps, the timing evaluation,
-//! the channel-sharded coupling scatter, the subgradient update and the
-//! flow projection — across a persistent `std::thread` pool. The work
+//! the subgradient update and the flow projection — across a persistent
+//! `std::thread` pool, each chunk holding its own `&mut` slices of the
+//! tables it writes ([`Tile`](circuit::Tile)). The work
 //! grid is fixed by the data, never by the thread count, and every
 //! cross-chunk reduction merges in fixed chunk order, so outcomes are
 //! **bitwise identical for `threads` ∈ {1, 2, 8, …}** and the exact solve
@@ -248,28 +249,17 @@
 //! # }
 //! ```
 //!
-//! # Static analysis & race checking
+//! # Static analysis
 //!
-//! The kernels above rest on conventions no compiler checks; the workspace
-//! carries both a static and a dynamic guard for them:
-//!
-//! * **`ncgws-analyze`** (a dependency-free workspace binary, not part of
-//!   this facade) lints the conventions themselves: hot sweep/kernel
-//!   functions stay allocation-free, every `unsafe` site documents its
-//!   invariant, the serving layer never panics outside injected faults, and
-//!   parallel-gated code keeps a sequential fallback. Findings are
-//!   fingerprinted line-number-free against the committed
-//!   `ANALYZE_BASELINE.txt`; `cargo run -p ncgws-analyze -- --deny` is the
-//!   CI gate.
-//! * The **`race-check`** cargo feature arms a debug-only shadow claim map
-//!   on [`SharedMut`](circuit::SharedMut) kernel writes
-//!   (`ncgws_circuit::race`): each pass runs every block body in a
-//!   `(pass, step, chunk)` context, each write claims its index, and two
-//!   chunks of one pass writing the same index panic immediately — the
-//!   level-partition invariant behind every `unsafe` kernel write, made
-//!   observable. `cargo test --features "parallel race-check"` keeps the
-//!   thread-determinism suite bitwise-green with the checker armed; the
-//!   production build compiles the instrumentation away.
+//! The borrow checker proves that concurrent blocks write disjoint
+//! entries; the kernels rest on further conventions no compiler checks.
+//! **`ncgws-analyze`** (a dependency-free workspace binary, not part of
+//! this facade) lints them: hot sweep/kernel functions stay
+//! allocation-free, every `unsafe` site documents its invariant, the
+//! serving layer never panics outside injected faults, and parallel-gated
+//! code keeps a sequential fallback. Findings are fingerprinted
+//! line-number-free against the committed `ANALYZE_BASELINE.txt`;
+//! `cargo run -p ncgws-analyze -- --deny` is the CI gate.
 //!
 //! # Batch execution
 //!

@@ -13,12 +13,6 @@
 //! ```text
 //! cargo test --release --features parallel --test peak_memory -- --nocapture
 //! ```
-//!
-//! The budgets describe production builds. The `race-check` feature adds a
-//! shadow claim map of every kernel write, heap memory on purpose, so the
-//! test is compiled out under it.
-
-#![cfg(not(feature = "race-check"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
