@@ -31,7 +31,6 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             // Closed-form resize kernels.
             "closed_form",
             "resize",
-            "cap_unchecked",
             // Dense aggregates used inside the OGWS iteration.
             "total_capacitance",
             "total_area",

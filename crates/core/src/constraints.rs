@@ -641,12 +641,13 @@ fn lower_per_net_crosstalk(
 ) -> ScalarFamily {
     let graph = &instance.circuit;
     let coupling = &ordering.coupling;
+    let neighborhoods = coupling.neighborhoods();
     let mut constraints = Vec::new();
     for (idx, channel) in instance.channels.iter().enumerate() {
         if channel.len() < 2 {
             continue;
         }
-        let sums = coupling.group_linear_sums(channel);
+        let sums = neighborhoods.group_linear_sums(channel);
         if sums.is_empty() {
             continue;
         }

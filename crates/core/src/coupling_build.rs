@@ -42,9 +42,8 @@ pub enum OrderingStrategy {
 
 /// The result of stage 1: per-channel orderings, their total effective
 /// loading, and the assembled coupling set, whose
-/// [`neighbors`](CouplingSet::neighbors) and
-/// [`dominating`](CouplingSet::dominating) answer the paper's `N(i)` and
-/// `I(i)`.
+/// [`neighborhoods`](CouplingSet::neighborhoods) answer the paper's `N(i)`
+/// and `I(i)`.
 #[derive(Debug, Clone)]
 pub struct WireOrderingOutcome {
     /// One ordering per routing channel.
@@ -96,7 +95,13 @@ pub fn build_coupling(
     let solved = order_channels(instance, &trace, strategy, effective_coupling);
 
     let mut orderings = Vec::with_capacity(solved.len());
-    let mut pairs: Vec<CouplingPair> = Vec::new();
+    // One pair per adjacent position: reserving the exact count up front
+    // spares the growth copies, and the coupling set keeps the buffer as is.
+    let num_pairs = solved
+        .iter()
+        .map(|(_, ordering)| ordering.sequence().len().saturating_sub(1))
+        .sum();
+    let mut pairs: Vec<CouplingPair> = Vec::with_capacity(num_pairs);
     let mut total_effective_loading = 0.0;
 
     for (similarity, ordering) in solved {
@@ -232,12 +237,18 @@ mod tests {
     fn builds_one_pair_per_adjacent_track() {
         let inst = instance();
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
+        let neighborhoods = outcome.coupling.neighborhoods();
         let expected_pairs: usize = inst
             .channels
             .iter()
             .map(|c| c.len().saturating_sub(1))
             .sum();
         assert_eq!(outcome.coupling.len(), expected_pairs);
+        // The set holds 32 B per pair, 8 B per node and its struct.
+        assert_eq!(
+            outcome.coupling.memory_bytes(),
+            32 * expected_pairs + 8 * inst.circuit.num_nodes() + std::mem::size_of::<CouplingSet>()
+        );
         assert_eq!(
             outcome.orderings.len(),
             inst.channels.iter().filter(|c| !c.is_empty()).count()
@@ -246,7 +257,7 @@ mod tests {
         let dominating: usize = inst
             .circuit
             .node_ids()
-            .map(|id| outcome.coupling.dominating(id).count())
+            .map(|id| neighborhoods.dominating(id).count())
             .sum();
         assert_eq!(dominating, expected_pairs);
     }
@@ -258,6 +269,7 @@ mod tests {
         // Figure 6: N(5) = {7}, N(7) = {5, 4}, N(4) = {7, 8}, N(8) = {4}.
         let inst = instance();
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
+        let neighborhoods = outcome.coupling.neighborhoods();
         for ordering in &outcome.orderings {
             let seq = ordering.sequence();
             for (k, &wire) in seq.iter().enumerate() {
@@ -268,14 +280,14 @@ mod tests {
                     .collect();
                 expected.sort_unstable();
                 let neighbors: Vec<NodeId> =
-                    outcome.coupling.neighbors(wire).map(|(o, _)| o).collect();
+                    neighborhoods.neighbors(wire).map(|(o, _)| o).collect();
                 let mut sorted = neighbors.clone();
                 sorted.sort_unstable();
                 assert_eq!(sorted, expected);
                 // `I(i)` keeps the neighbors with a larger node index.
                 let larger: Vec<NodeId> = neighbors.into_iter().filter(|&o| o > wire).collect();
                 let dominating: Vec<NodeId> =
-                    outcome.coupling.dominating(wire).map(|(o, _)| o).collect();
+                    neighborhoods.dominating(wire).map(|(o, _)| o).collect();
                 assert_eq!(dominating, larger);
             }
         }
@@ -285,9 +297,10 @@ mod tests {
     fn channels_do_not_mix() {
         let inst = instance();
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
+        let neighborhoods = outcome.coupling.neighborhoods();
         for channel in inst.channels.iter() {
             for &wire in channel {
-                for (other, _) in outcome.coupling.neighbors(wire) {
+                for (other, _) in neighborhoods.neighbors(wire) {
                     assert!(channel.contains(&other), "{wire} couples across channels");
                 }
             }
@@ -300,8 +313,9 @@ mod tests {
         let lonely = inst.channels[0].pop().unwrap();
         inst.channels.push(vec![lonely]);
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
-        assert_eq!(outcome.coupling.degree(lonely), 0);
-        assert_eq!(outcome.coupling.neighbors(lonely).count(), 0);
+        let neighborhoods = outcome.coupling.neighborhoods();
+        assert_eq!(neighborhoods.degree(lonely), 0);
+        assert_eq!(neighborhoods.neighbors(lonely).count(), 0);
         assert_eq!(outcome.coupling.linear_coefficient_sum(lonely), 0.0);
     }
 

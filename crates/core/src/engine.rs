@@ -74,12 +74,6 @@ pub struct SizingEngine<'a> {
     /// adds the term only when it is not, so the legacy formulation pays
     /// for no table of zeros.
     extra_denom: Vec<f64>,
-    /// Dense coupling-pair table: raw node indices plus the cached geometry
-    /// coefficients of each pair in structure-of-arrays form, so the
-    /// per-sweep load accumulation never touches the pair objects and
-    /// streams each column contiguously. A pair endpoint's component is its
-    /// raw index minus the first component's (`topo.component_nodes()`).
-    pair_table: PairTable,
     /// Mutable state of the adaptive solve schedule (active/frozen
     /// partition, calm streaks, cache-sync snapshot).
     pub(crate) sched: ScheduleWorkspace,
@@ -233,96 +227,23 @@ impl FusedChunkCtx<'_> {
     }
 }
 
-/// The dense coupling-pair table in structure-of-arrays form (see
-/// `SizingEngine::pair_table`): five parallel columns indexed by the
-/// pair's global order. The per-sweep scatter and the crosstalk
-/// aggregation read one column at a time, streaming contiguous entries
-/// instead of striding over interleaved 56-byte records.
-#[derive(Debug, Clone, Default)]
-struct PairTable {
-    a_raw: Vec<u32>,
-    b_raw: Vec<u32>,
-    /// Switching factor `sf_ij`.
-    switching: Vec<f64>,
-    /// Size-independent coupling `~c_ij`.
-    base: Vec<f64>,
-    /// Linear coefficient `ĉ_ij`.
-    coeff: Vec<f64>,
-}
-
-impl PairTable {
-    fn with_capacity(n: usize) -> Self {
-        PairTable {
-            a_raw: Vec::with_capacity(n),
-            b_raw: Vec::with_capacity(n),
-            switching: Vec::with_capacity(n),
-            base: Vec::with_capacity(n),
-            coeff: Vec::with_capacity(n),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.a_raw.len()
-    }
-
-    fn push(&mut self, a_raw: u32, b_raw: u32, switching: f64, base: f64, coeff: f64) {
-        self.a_raw.push(a_raw);
-        self.b_raw.push(b_raw);
-        self.switching.push(switching);
-        self.base.push(base);
-        self.coeff.push(coeff);
-    }
-
-    /// The switching-weighted coupling capacitance of pair `p` at the given
-    /// endpoint sizes — exactly the per-pair arithmetic of
-    /// [`ncgws_coupling::CouplingSet::delay_load_into`].
-    ///
-    /// # Safety
-    ///
-    /// `p < self.len()`.
-    #[inline(always)]
-    unsafe fn cap_unchecked(&self, p: usize, xa: f64, xb: f64) -> f64 {
-        *self.switching.get_unchecked(p)
-            * (*self.base.get_unchecked(p) + *self.coeff.get_unchecked(p) * (xa + xb))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.a_raw.capacity() + self.b_raw.capacity()) * size_of::<u32>()
-            + (self.switching.capacity() + self.base.capacity() + self.coeff.capacity())
-                * size_of::<f64>()
-    }
-}
-
 impl<'a> SizingEngine<'a> {
     /// Creates an engine for a circuit and its coupling set.
     pub fn new(graph: &'a CircuitGraph, coupling: &'a CouplingSet) -> Self {
-        // The dense pair table stores 32-bit indices.
-        assert!(
-            graph.num_nodes() <= u32::MAX as usize,
-            "circuit too large for 32-bit indices"
-        );
         let n = graph.num_components();
         let topo = CircuitTopology::new(graph);
         let components = topo.component_nodes();
         let coupling_sum = &coupling.linear_coefficient_sums()[components.clone()];
-        let mut pair_table = PairTable::with_capacity(coupling.pairs().len());
         for pair in coupling.pairs() {
-            // The sweeps read a pair endpoint's size at its raw index minus
-            // the first component's, which is in range only for a component.
+            // The pair loops read a pair endpoint's size at its raw index
+            // minus the first component's, which is in range only for a
+            // component.
             for end in [pair.a, pair.b] {
                 assert!(
                     components.contains(&end.index()),
                     "coupled wires are sizable"
                 );
             }
-            pair_table.push(
-                pair.a.index() as u32,
-                pair.b.index() as u32,
-                pair.switching_factor,
-                pair.base_capacitance(),
-                pair.linear_coefficient(),
-            );
         }
         let grid = LevelGrid::new(topo.level_bounds());
         let total_slots = grid
@@ -338,7 +259,6 @@ impl<'a> SizingEngine<'a> {
             topo,
             coupling_sum,
             extra_denom: Vec::new(),
-            pair_table,
             sched: ScheduleWorkspace::new(n),
             par: ParRuntime::new(),
             grid,
@@ -396,17 +316,16 @@ impl<'a> SizingEngine<'a> {
     /// Bytes held by the engine's scratch and dense tables, for the
     /// Figure 10(a) memory accounting. Covers every engine-owned
     /// allocation: the evaluation workspace, the extra-family denominator,
-    /// the coupling-pair table, the adaptive-schedule buffers (freeze
-    /// state, sync snapshot), the block grid and its reduction slots, and
-    /// the topology's derived columns. Borrowed tables
-    /// — the graph's adjacency and node attribute columns, the coupling
-    /// set's coefficient sums — are counted once, by their owners
+    /// the adaptive-schedule buffers (freeze state, sync snapshot), the
+    /// block grid and its reduction slots, and the topology's derived
+    /// columns. Borrowed tables — the graph's adjacency and node attribute
+    /// columns, the coupling set's pairs and coefficient sums — are counted
+    /// once, by their owners
     /// ([`CircuitGraph::memory_bytes`], [`CouplingSet::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.ws.memory_bytes()
             + self.extra_denom.capacity() * size_of::<f64>()
-            + self.pair_table.memory_bytes()
             + self.sched.memory_bytes()
             + self.grid.memory_bytes()
             + self.block_stats.capacity() * size_of::<ChunkStats>()
@@ -450,7 +369,7 @@ impl<'a> SizingEngine<'a> {
     }
 
     /// Crosstalk left-hand side `Σ sf_ij · ĉ_ij · (x_i + x_j)` over the
-    /// dense pair table — bitwise identical to
+    /// coupling set's pairs — bitwise identical to
     /// [`CouplingSet::crosstalk_lhs`] (same pair order).
     pub fn crosstalk_lhs(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
@@ -459,54 +378,36 @@ impl<'a> SizingEngine<'a> {
             self.graph.num_components(),
             "sizes must match the circuit"
         );
-        let pairs = &self.pair_table;
         let base = self.topo.component_nodes().start;
         let mut acc = 0.0;
-        for q in 0..pairs.len() {
-            acc += pairs.switching[q]
-                * pairs.coeff[q]
-                * (xs[pairs.a_raw[q] as usize - base] + xs[pairs.b_raw[q] as usize - base]);
+        for p in self.coupling.pairs() {
+            acc += p.switching_factor
+                * p.linear_coefficient()
+                * (xs[p.a.index() - base] + xs[p.b.index() - base]);
         }
         acc
     }
 
     /// Fills `ws.extra_cap` with the per-node coupling load for `sizes`,
-    /// reading the dense pair table. Performs exactly the arithmetic of
-    /// `CouplingSet::delay_load_into` (`sf · (~c + ĉ·(x_i + x_j))` per pair,
-    /// in pair order), so the result is bitwise identical.
+    /// reading the coupling set's pairs in place. Performs exactly the
+    /// arithmetic of `CouplingSet::delay_load_into`
+    /// (`sf · (~c + ĉ·(x_i + x_j))` per pair, in pair order), so the result
+    /// is bitwise identical.
     pub(crate) fn refresh_coupling_load(&mut self, sizes: &SizeVector) {
         let load = &mut self.ws.extra_cap;
         load.fill(0.0);
         let sizes = sizes.as_slice();
-        // Hoisted length assertions, as in `lrs_sweep`: every raw node index
-        // stored in the pair table is a component of the engine's circuit by
-        // construction (so is in range, and minus `base` is a dense
-        // component index), so after tying the slices to the circuit the
-        // per-pair loads and stores below cannot go out of bounds.
-        assert_eq!(
-            load.len(),
-            self.graph.num_nodes(),
-            "workspace must match the circuit"
-        );
         assert_eq!(
             sizes.len(),
             self.graph.num_components(),
             "sizes must match the circuit"
         );
         let base = self.topo.component_nodes().start;
-        let pairs = &self.pair_table;
-        for q in 0..pairs.len() {
-            // SAFETY: lengths asserted above; the stored indices are in
-            // range by construction.
-            unsafe {
-                let a = *pairs.a_raw.get_unchecked(q) as usize;
-                let b = *pairs.b_raw.get_unchecked(q) as usize;
-                let xa = *sizes.get_unchecked(a - base);
-                let xb = *sizes.get_unchecked(b - base);
-                let c = pairs.cap_unchecked(q, xa, xb);
-                *load.get_unchecked_mut(a) += c;
-                *load.get_unchecked_mut(b) += c;
-            }
+        for p in self.coupling.pairs() {
+            let (a, b) = (p.a.index(), p.b.index());
+            let c = p.effective_crosstalk(sizes[a - base], sizes[b - base]);
+            load[a] += c;
+            load[b] += c;
         }
     }
 
@@ -1080,19 +981,25 @@ mod tests {
         let n = graph.num_components();
 
         // Lower bound assembled field by field: the evaluation workspace,
-        // the adaptive-schedule buffers (freeze state, sync snapshot), the
-        // SoA pair table (two u32 and three f64 columns) and the
-        // topology's own columns. `memory_bytes` must cover all of them
+        // the adaptive-schedule buffers (freeze state, sync snapshot) and
+        // the topology's own columns. `memory_bytes` must cover all of them
         // (capacities can only exceed the lengths used here).
-        let floor = engine.ws.memory_bytes()
-            + engine.sched.memory_bytes()
-            + engine.pair_table.len() * (2 * size_of::<u32>() + 3 * size_of::<f64>())
-            + engine.topo.memory_bytes();
+        let floor =
+            engine.ws.memory_bytes() + engine.sched.memory_bytes() + engine.topo.memory_bytes();
         assert!(
             engine.memory_bytes() >= floor,
             "memory accounting {} must cover the per-field floor {}",
             engine.memory_bytes(),
             floor
+        );
+        // The engine borrows the coupling pairs, which
+        // `CouplingSet::memory_bytes` counts: with or without pairs, the
+        // engine's own bytes are the same.
+        assert!(!coupling.is_empty());
+        let uncoupled = CouplingSet::empty(&graph);
+        assert_eq!(
+            SizingEngine::new(&graph, &uncoupled).memory_bytes(),
+            engine.memory_bytes()
         );
 
         // The schedule workspace itself accounts for every buffer it owns.

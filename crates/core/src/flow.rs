@@ -37,6 +37,7 @@ use crate::control::{RunControl, StopReason};
 use crate::coupling_build::{build_coupling, WireOrderingOutcome};
 use crate::engine::SizingEngine;
 use crate::error::CoreError;
+use crate::lagrangian::Multipliers;
 use crate::metrics::{CircuitMetrics, MemoryBreakdown};
 use crate::ogws::{OgwsOutcome, OgwsSolver, FEASIBILITY_TOLERANCE};
 use crate::problem::{ConstraintBounds, OptimizerConfig, SizingProblem};
@@ -174,8 +175,8 @@ impl<'a> Ordered<'a> {
     }
 
     /// The stage-1 wire-ordering outcome: per-channel orderings, their total
-    /// effective loading and the coupling set, whose neighbor lists are the
-    /// induced adjacency `N(i)` / `I(i)`.
+    /// effective loading and the coupling set, whose on-demand neighbor
+    /// lists are the induced adjacency `N(i)` / `I(i)`.
     pub fn ordering(&self) -> &WireOrderingOutcome {
         &self.ordering
     }
@@ -398,7 +399,7 @@ impl<'a> Ordered<'a> {
         let memory = MemoryBreakdown {
             circuit_bytes: graph.memory_bytes(),
             coupling_bytes: coupling.memory_bytes(),
-            multiplier_bytes: std::mem::size_of::<f64>() * (graph.num_edges() + 2),
+            multiplier_bytes: Multipliers::memory_bytes_for(graph, &problem.extras),
             working_bytes: engine.memory_bytes(),
         };
 
@@ -593,5 +594,46 @@ mod tests {
         assert_eq!(sized.report.iterations, 0);
         assert_eq!(sized.stop_reason(), StopReason::Cancelled);
         assert!(!sized.report.feasible);
+    }
+
+    /// The reported multiplier bytes cover the multipliers a solve holds:
+    /// the edge values, their CSR offsets and the extra-family blocks.
+    #[test]
+    fn multiplier_bytes_cover_values_offsets_and_blocks() {
+        let spec = ncgws_netlist::table1_specs().remove(0);
+        let inst = SyntheticGenerator::new(spec).generate().unwrap();
+        let graph = &inst.circuit;
+        let uniform = Multipliers::uniform(graph, 0.0, 0.0);
+        let (offsets, values) = uniform.flat();
+        let flat_bytes = std::mem::size_of_val(values) + std::mem::size_of_val(offsets);
+        let cancelled = || {
+            let flag = CancelFlag::new();
+            flag.cancel();
+            RunControl::new().with_cancel_flag(flag)
+        };
+
+        let plain = Flow::prepare(&inst, quick_config())
+            .unwrap()
+            .order()
+            .unwrap()
+            .size_with(&cancelled())
+            .unwrap();
+        let reported = plain.report.memory.multiplier_bytes;
+        assert!(reported >= flat_bytes, "{reported} < {flat_bytes}");
+        assert_eq!(reported, uniform.memory_bytes());
+
+        let mut config = quick_config();
+        config
+            .extra_constraints
+            .push(crate::ConstraintSpec::PerNetCrosstalk { factor: 0.9 });
+        let ordered = Flow::prepare(&inst, config).unwrap().order().unwrap();
+        let mut with_blocks = uniform.clone();
+        with_blocks.attach_extras(ordered.extra_constraints(), 0.0);
+        assert!(!with_blocks.extra_blocks().is_empty());
+        let sized = ordered.size_with(&cancelled()).unwrap();
+        assert_eq!(
+            sized.report.memory.multiplier_bytes,
+            with_blocks.memory_bytes()
+        );
     }
 }

@@ -231,6 +231,25 @@ impl Multipliers {
         }
     }
 
+    /// What [`memory_bytes`](Self::memory_bytes) reports for the
+    /// multipliers of `graph` with one block per family of `extras`, sized
+    /// exactly as [`uniform`](Self::uniform) and
+    /// [`attach_extras`](Self::attach_extras) build them — without building
+    /// them.
+    pub fn memory_bytes_for(graph: &CircuitGraph, extras: &ConstraintSet) -> usize {
+        use std::mem::size_of;
+        let offsets = graph.fanin_offsets();
+        let edges = offsets.last().map_or(0, |&total| total as usize);
+        edges * size_of::<f64>()
+            + std::mem::size_of_val(offsets)
+            + extras
+                .block_sizes()
+                .into_iter()
+                .map(|len| size_of::<Vec<f64>>() + len * size_of::<f64>())
+                .sum::<usize>()
+            + size_of::<Self>()
+    }
+
     /// An estimate (in bytes) of the multiplier storage, used by the
     /// Figure 10(a) reproduction.
     pub fn memory_bytes(&self) -> usize {

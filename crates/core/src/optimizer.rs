@@ -27,7 +27,8 @@ pub struct OptimizationOutcome {
     /// The report (Table 1 row, iteration history, memory, improvements).
     pub report: OptimizationReport,
     /// The stage-1 wire ordering outcome (orderings, their effective loading
-    /// and the coupling set, which also answers `N(i)` / `I(i)`).
+    /// and the coupling set, whose on-demand neighbor lists answer
+    /// `N(i)` / `I(i)`).
     pub ordering: WireOrderingOutcome,
     /// The raw OGWS outcome (multiplier values, convergence data).
     pub ogws: OgwsOutcome,

@@ -4,7 +4,8 @@
 //! sweep allocates fresh vectors for the coupling loads, downstream
 //! capacitances and upstream resistances through the
 //! [`ElmoreAnalyzer`] and [`CouplingSet`](ncgws_coupling::CouplingSet)
-//! convenience APIs. It exists for two
+//! convenience APIs, and walks each wire's coupling neighbor list instead
+//! of reading the set's cached sums. It exists for two
 //! reasons:
 //!
 //! * **equivalence oracle** — the `property_eval_engine` integration test
@@ -35,6 +36,7 @@ pub fn lrs_solve(
 ) -> LrsOutcome {
     let graph = problem.graph;
     let coupling = problem.coupling;
+    let neighborhoods = coupling.neighborhoods();
     let analyzer = ElmoreAnalyzer::new(graph);
     let lambda = multipliers.node_weights(graph);
     let max_sweeps = max_sweeps.max(1);
@@ -70,14 +72,14 @@ pub fn lrs_solve(
             let mut cap_num = caps.charged_of(id);
             if matches!(node.kind, NodeKind::Wire) {
                 cap_num -= attrs.unit_capacitance * x_i / 2.0;
-                cap_num -= coupling.linear_coefficient_sum_uncached(id) * x_i;
+                cap_num -= neighborhoods.linear_coefficient_sum_uncached(id) * x_i;
             }
             // Guard against tiny negative values from floating-point noise.
             if cap_num < 0.0 {
                 cap_num = 0.0;
             }
 
-            let coupling_sum = coupling.linear_coefficient_sum_uncached(id);
+            let coupling_sum = neighborhoods.linear_coefficient_sum_uncached(id);
             let denominator = attrs.area_coefficient
                 + (multipliers.beta + upstream[id.index()]) * attrs.unit_capacitance
                 + multipliers.gamma * coupling_sum;

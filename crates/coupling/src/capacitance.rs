@@ -55,17 +55,25 @@ impl WirePairGeometry {
 /// A coupling capacitor between two adjacent wires, together with the
 /// switching-similarity weight that turns physical coupling into effective
 /// crosstalk (Equation 1 of the paper).
+///
+/// The pair keeps only what the capacitance models read: the
+/// size-independent coupling `~c_ij`, computed once from the geometry, and
+/// the pitch `d_ij`. That makes a pair 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CouplingPair {
     /// First wire (by convention the smaller node index).
     pub a: NodeId,
     /// Second wire.
     pub b: NodeId,
-    /// Pair geometry.
-    pub geometry: WirePairGeometry,
+    /// Size-independent coupling `~c_ij = f̂_ij · l_ij / d_ij` (fF).
+    base: f64,
+    /// Middle-to-middle distance `d_ij` (µm).
+    distance: f64,
     /// Switching factor in `[0, 2]`: `0` for perfectly correlated switching
     /// (anti-Miller), `1` for a quiet neighbor, `2` for perfectly
     /// anti-correlated switching (Miller). Defaults to `1`.
+    /// [`CouplingSet::new`](crate::CouplingSet::new) rejects any other
+    /// value.
     pub switching_factor: f64,
 }
 
@@ -83,12 +91,14 @@ impl CouplingPair {
         Ok(CouplingPair {
             a,
             b,
-            geometry,
+            base: geometry.base_capacitance(),
+            distance: geometry.distance,
             switching_factor: 1.0,
         })
     }
 
-    /// Sets the switching factor (clamped into `[0, 2]`).
+    /// Sets the switching factor, clamped into `[0, 2]`. A NaN stays NaN,
+    /// and [`CouplingSet::new`](crate::CouplingSet::new) rejects it.
     pub fn with_switching_factor(mut self, factor: f64) -> Self {
         self.switching_factor = factor.clamp(0.0, 2.0);
         self
@@ -105,20 +115,28 @@ impl CouplingPair {
         }
     }
 
+    /// The middle-to-middle distance `d_ij` (µm).
+    #[inline]
+    pub fn distance(&self) -> f64 {
+        self.distance
+    }
+
     /// The size-independent coupling `~c_ij` (fF).
+    #[inline]
     pub fn base_capacitance(&self) -> f64 {
-        self.geometry.base_capacitance()
+        self.base
     }
 
     /// The linear coefficient `ĉ_ij = ~c_ij / (2 d_ij)` of the `k = 2`
     /// posynomial model (fF per µm of total width).
+    #[inline]
     pub fn linear_coefficient(&self) -> f64 {
-        self.base_capacitance() / (2.0 * self.geometry.distance)
+        self.base / (2.0 * self.distance)
     }
 
     /// The normalized width variable `x = (x_i + x_j) / (2 d_ij)`.
     pub fn normalized_width(&self, xa: f64, xb: f64) -> f64 {
-        (xa + xb) / (2.0 * self.geometry.distance)
+        (xa + xb) / (2.0 * self.distance)
     }
 
     /// The exact physical coupling capacitance (Equation 2).
@@ -128,23 +146,25 @@ impl CouplingPair {
     /// Panics if the widths are so large that the wires collide
     /// (`(x_i + x_j)/2 ≥ d_ij`).
     pub fn exact_capacitance(&self, xa: f64, xb: f64) -> f64 {
-        self.base_capacitance() * exact_factor(self.normalized_width(xa, xb))
+        self.base * exact_factor(self.normalized_width(xa, xb))
     }
 
     /// The `k`-term posynomial approximation (Equation 3 generalized to any
     /// truncation order).
     pub fn truncated_capacitance(&self, xa: f64, xb: f64, k: usize) -> f64 {
-        self.base_capacitance() * truncated_factor(self.normalized_width(xa, xb), k)
+        self.base * truncated_factor(self.normalized_width(xa, xb), k)
     }
 
     /// The linearized (`k = 2`) coupling capacitance
     /// `~c_ij + ĉ_ij · (x_i + x_j)` used by the optimizer's constraint.
+    #[inline]
     pub fn linearized_capacitance(&self, xa: f64, xb: f64) -> f64 {
-        self.base_capacitance() + self.linear_coefficient() * (xa + xb)
+        self.base + self.linear_coefficient() * (xa + xb)
     }
 
     /// Effective crosstalk contribution: the switching factor times the
     /// physical coupling (Equation 1), using the linearized model.
+    #[inline]
     pub fn effective_crosstalk(&self, xa: f64, xb: f64) -> f64 {
         self.switching_factor * self.linearized_capacitance(xa, xb)
     }
@@ -165,6 +185,24 @@ mod tests {
         assert!(WirePairGeometry::new(1.0, -1.0, 1.0).is_err());
         assert!(WirePairGeometry::new(1.0, 1.0, f64::NAN).is_err());
         assert!(WirePairGeometry::new(10.0, 2.0, 0.03).is_ok());
+    }
+
+    #[test]
+    fn a_pair_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<CouplingPair>(), 32);
+    }
+
+    #[test]
+    fn base_is_the_geometry_expression_bitwise() {
+        let geom = WirePairGeometry::new(37.3, 7.1, 0.031).unwrap();
+        let p = CouplingPair::new(NodeId::new(1), NodeId::new(2), geom).unwrap();
+        let base = geom.unit_fringing * geom.overlap_length / geom.distance;
+        assert_eq!(p.base_capacitance().to_bits(), base.to_bits());
+        assert_eq!(p.distance(), geom.distance);
+        assert_eq!(
+            p.linear_coefficient().to_bits(),
+            (base / (2.0 * geom.distance)).to_bits()
+        );
     }
 
     #[test]
@@ -237,5 +275,7 @@ mod tests {
         // Clamping.
         assert_eq!(p.with_switching_factor(5.0).switching_factor, 2.0);
         assert_eq!(p.with_switching_factor(-1.0).switching_factor, 0.0);
+        // A NaN is not clamped; the coupling set rejects it.
+        assert!(p.with_switching_factor(f64::NAN).switching_factor.is_nan());
     }
 }

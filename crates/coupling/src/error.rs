@@ -30,6 +30,15 @@ pub enum CouplingError {
         /// Middle-to-middle distance.
         distance: f64,
     },
+    /// A pair's switching factor is not finite or lies outside `[0, 2]`.
+    InvalidSwitchingFactor {
+        /// First wire.
+        a: NodeId,
+        /// Second wire.
+        b: NodeId,
+        /// The rejected factor.
+        value: f64,
+    },
 }
 
 impl fmt::Display for CouplingError {
@@ -49,6 +58,10 @@ impl fmt::Display for CouplingError {
             CouplingError::PitchTooSmall { a, b, distance } => write!(
                 f,
                 "wires {a} and {b} at pitch {distance} could overlap at maximum width"
+            ),
+            CouplingError::InvalidSwitchingFactor { a, b, value } => write!(
+                f,
+                "coupling pair ({a}, {b}) has switching factor {value}, outside [0, 2]"
             ),
         }
     }
@@ -73,6 +86,12 @@ mod tests {
             value: -1.0,
         };
         assert!(e.to_string().contains("distance"));
+        let e = CouplingError::InvalidSwitchingFactor {
+            a: NodeId::new(1),
+            b: NodeId::new(2),
+            value: f64::NAN,
+        };
+        assert!(e.to_string().contains("switching factor NaN"), "{e}");
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //! * [`WirePairGeometry`] / [`CouplingPair`] — the per-pair geometry and the
 //!   exact, truncated, and linearized (k = 2) capacitance models;
 //! * [`posynomial`] — the truncated geometric series and its error bound;
-//! * [`CouplingSet`] — all coupling pairs of a circuit, with the neighborhood
-//!   map `N(i)`, the dominating index `I(i)`, total-crosstalk evaluation and
-//!   the per-node coupling load used by the Elmore engine.
+//! * [`CouplingSet`] — all coupling pairs of a circuit (32 bytes each, the
+//!   only copy: the sizing engine reads them in place), the per-node
+//!   Theorem-5 coefficient sums, total-crosstalk evaluation and the
+//!   per-node coupling load used by the Elmore engine;
+//! * [`Neighborhoods`] — the neighborhood map `N(i)` and the dominating
+//!   index `I(i)`, built on demand by [`CouplingSet::neighborhoods`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,4 +37,4 @@ pub mod set;
 pub use capacitance::{CouplingPair, WirePairGeometry};
 pub use error::CouplingError;
 pub use posynomial::{exact_factor, truncated_factor, truncation_error_ratio};
-pub use set::CouplingSet;
+pub use set::{CouplingSet, Neighborhoods};

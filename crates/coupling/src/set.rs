@@ -7,22 +7,18 @@ use ncgws_circuit::{CircuitGraph, NodeId, SizeVector};
 use crate::capacitance::CouplingPair;
 use crate::error::CouplingError;
 
-/// All coupling capacitors of a circuit, with the adjacency structure the
-/// optimizer needs: the neighborhood `N(i)` (all wires adjacent to wire `i`)
-/// and the dominating index `I(i)` (adjacent wires with a larger node index),
-/// so that the double sum `Σ_{i∈W} Σ_{j∈I(i)}` counts every pair exactly once.
+/// All coupling capacitors of a circuit: the pairs, in the order they were
+/// given, and the per-node coefficient sums of Theorem 5.
 ///
-/// The neighborhoods are stored once, in compressed sparse row form: the
-/// pairs of node `i` are `pair_ids[pair_start[i]..pair_start[i + 1]]`, in
-/// ascending pair index. They are the only adjacency stage 1 produces.
+/// Every production pass (the sizing engine's coupling load, the crosstalk
+/// aggregates) walks the pairs in index order, so the set holds no
+/// per-node adjacency. The neighborhood `N(i)` (all wires adjacent to wire
+/// `i`) and the dominating index `I(i)` (adjacent wires with a larger node
+/// index, so that `Σ_{i∈W} Σ_{j∈I(i)}` counts every pair exactly once) are
+/// built on demand by [`neighborhoods`](Self::neighborhoods).
 #[derive(Debug, Clone, Serialize)]
 pub struct CouplingSet {
     pairs: Vec<CouplingPair>,
-    /// Per raw node index, the offset of its pair list in `pair_ids`, plus
-    /// a trailing total.
-    pair_start: Vec<u32>,
-    /// The indices into `pairs` of every node's pairs, node by node.
-    pair_ids: Vec<u32>,
     /// For each raw node index, the precomputed switching-weighted linear
     /// coefficient sum `Σ_{j∈N(i)} sf_ij · ĉ_ij` of Theorem 5. Pairs are
     /// immutable after construction, so this never goes stale in-process.
@@ -37,32 +33,21 @@ impl CouplingSet {
     pub fn empty(graph: &CircuitGraph) -> Self {
         CouplingSet {
             pairs: Vec::new(),
-            pair_start: vec![0; graph.num_nodes() + 1],
-            pair_ids: Vec::new(),
             linear_sums: vec![0.0; graph.num_nodes()],
         }
     }
 
     /// Builds a coupling set, validating every pair against the circuit.
+    /// The set keeps `pairs` (trimmed to its length) as its only copy.
     ///
     /// # Errors
     ///
     /// Returns an error if a pair references a non-wire node, duplicates
-    /// another pair, or its pitch cannot accommodate the wires at their
+    /// another pair, carries a switching factor that is not finite or lies
+    /// outside `[0, 2]`, or its pitch cannot accommodate the wires at their
     /// maximum widths (which would make the exact model diverge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit or the pair list exceeds `u32::MAX` entries
-    /// (the neighbor lists store 32-bit indices).
-    pub fn new(graph: &CircuitGraph, pairs: Vec<CouplingPair>) -> Result<Self, CouplingError> {
-        let num_nodes = graph.num_nodes();
-        assert!(
-            2 * pairs.len() <= u32::MAX as usize && num_nodes < u32::MAX as usize,
-            "coupling set too large for 32-bit neighbor lists"
-        );
-        let mut degree = vec![0u32; num_nodes];
-        let mut seen = std::collections::HashSet::new();
+    pub fn new(graph: &CircuitGraph, mut pairs: Vec<CouplingPair>) -> Result<Self, CouplingError> {
+        let mut seen = std::collections::HashSet::with_capacity(pairs.len());
         let (kinds, upper_bounds) = (graph.kinds(), graph.upper_bounds());
         for pair in &pairs {
             for id in [pair.a, pair.b] {
@@ -73,64 +58,36 @@ impl CouplingSet {
             if !seen.insert((pair.a, pair.b)) {
                 return Err(CouplingError::DuplicatePair(pair.a, pair.b));
             }
+            let factor = pair.switching_factor;
+            if !(factor.is_finite() && (0.0..=2.0).contains(&factor)) {
+                return Err(CouplingError::InvalidSwitchingFactor {
+                    a: pair.a,
+                    b: pair.b,
+                    value: factor,
+                });
+            }
             let max_a = upper_bounds[pair.a.index()];
             let max_b = upper_bounds[pair.b.index()];
-            if (max_a + max_b) / 2.0 >= pair.geometry.distance {
+            if (max_a + max_b) / 2.0 >= pair.distance() {
                 return Err(CouplingError::PitchTooSmall {
                     a: pair.a,
                     b: pair.b,
-                    distance: pair.geometry.distance,
+                    distance: pair.distance(),
                 });
             }
-            degree[pair.a.index()] += 1;
-            degree[pair.b.index()] += 1;
         }
         drop(seen);
-        // One counting pass: the degrees fix every list's slot, and pairs
-        // are appended in ascending index.
-        let mut pair_start = Vec::with_capacity(num_nodes + 1);
-        pair_start.push(0);
-        let mut end = 0;
-        for d in &degree {
-            end += d;
-            pair_start.push(end);
+        pairs.shrink_to_fit();
+        // One pass in pair order adds to each node's sum in ascending pair
+        // index, the order of its neighbor list, so the cached sums are
+        // bitwise identical to a fresh walk of `N(i)`.
+        let mut linear_sums = vec![0.0; graph.num_nodes()];
+        for p in &pairs {
+            let c = p.switching_factor * p.linear_coefficient();
+            linear_sums[p.a.index()] += c;
+            linear_sums[p.b.index()] += c;
         }
-        let mut next = degree;
-        next.copy_from_slice(&pair_start[..num_nodes]);
-        let mut pair_ids = vec![0u32; end as usize];
-        for (idx, pair) in pairs.iter().enumerate() {
-            for id in [pair.a, pair.b] {
-                let slot = &mut next[id.index()];
-                pair_ids[*slot as usize] = idx as u32;
-                *slot += 1;
-            }
-        }
-        drop(next);
-        // Accumulate in neighbor-iteration order so the cached sums are
-        // bitwise identical to a fresh `neighbors(i)` summation.
-        let mut linear_sums = vec![0.0; num_nodes];
-        for (node, sum) in linear_sums.iter_mut().enumerate() {
-            let list = &pair_ids[pair_start[node] as usize..pair_start[node + 1] as usize];
-            for &pi in list {
-                let p = &pairs[pi as usize];
-                *sum += p.switching_factor * p.linear_coefficient();
-            }
-        }
-        Ok(CouplingSet {
-            pairs,
-            pair_start,
-            pair_ids,
-            linear_sums,
-        })
-    }
-
-    /// The indices into [`pairs`](Self::pairs) of the pairs node `id`
-    /// belongs to, ascending; empty for an id beyond the circuit.
-    fn pair_list(&self, id: NodeId) -> &[u32] {
-        match self.pair_start.get(id.index()..).and_then(|s| s.get(..2)) {
-            Some(&[start, end]) => &self.pair_ids[start as usize..end as usize],
-            _ => &[],
-        }
+        Ok(CouplingSet { pairs, linear_sums })
     }
 
     /// Number of coupling pairs.
@@ -148,24 +105,16 @@ impl CouplingSet {
         &self.pairs
     }
 
-    /// Iterator over the neighborhood `N(i)` of a wire: `(other wire, pair)`,
-    /// in ascending pair index. Empty for a node without pairs, including an
-    /// id beyond the circuit.
-    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, &CouplingPair)> + '_ {
-        self.pair_list(id).iter().map(move |&pi| {
-            let pair = &self.pairs[pi as usize];
-            (pair.other(id).expect("pair contains id"), pair)
-        })
-    }
-
-    /// The dominating index `I(i)`: neighbors of `i` with a larger node index.
-    pub fn dominating(&self, id: NodeId) -> impl Iterator<Item = (NodeId, &CouplingPair)> + '_ {
-        self.neighbors(id).filter(move |(other, _)| *other > id)
-    }
-
-    /// Number of neighbors of a wire (zero for an id beyond the circuit).
-    pub fn degree(&self, id: NodeId) -> usize {
-        self.pair_list(id).len()
+    /// Builds the neighbor lists `N(i)` of every node, in `O(V + P)` time
+    /// and memory. Each caller that walks neighborhoods builds them once
+    /// and drops them when done; the set itself keeps none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair list has more than `u32::MAX / 2` entries (the
+    /// lists store 32-bit pair indices).
+    pub fn neighborhoods(&self) -> Neighborhoods<'_> {
+        Neighborhoods::new(&self.pairs, self.linear_sums.len())
     }
 
     /// Sum of the (switching-factor weighted) linear coefficients
@@ -176,37 +125,10 @@ impl CouplingSet {
         self.linear_sums[id.index()]
     }
 
-    /// Recomputes the linear coefficient sum by walking the neighbor list —
-    /// the pre-cache implementation, kept for the allocate-per-call
-    /// reference path and as the oracle the cached sums are validated
-    /// against (same accumulation order from the same `+0.0`, so bitwise
-    /// identical, also for a wire without neighbors: `Iterator::sum` would
-    /// start from `-0.0`).
-    pub fn linear_coefficient_sum_uncached(&self, id: NodeId) -> f64 {
-        self.neighbors(id).fold(0.0, |acc, (_, p)| {
-            acc + p.switching_factor * p.linear_coefficient()
-        })
-    }
-
     /// The precomputed per-node linear coefficient sums, indexed by raw node
     /// index — the dense view the sizing engine reads directly.
     pub fn linear_coefficient_sums(&self) -> &[f64] {
         &self.linear_sums
-    }
-
-    /// `Σ_{j∈N(i)} ĉ_ij · x_j` for wire `i` (Theorem 5's numerator term),
-    /// weighted by the switching factors.
-    pub fn weighted_neighbor_width(
-        &self,
-        graph: &CircuitGraph,
-        id: NodeId,
-        sizes: &SizeVector,
-    ) -> f64 {
-        self.neighbors(id)
-            .map(|(other, p)| {
-                p.switching_factor * p.linear_coefficient() * graph.size_of(other, sizes)
-            })
-            .sum()
     }
 
     /// Total crosstalk `X = Σ_{i∈W} Σ_{j∈I(i)} c_ij` using the linearized
@@ -214,10 +136,7 @@ impl CouplingSet {
     pub fn total_crosstalk(&self, graph: &CircuitGraph, sizes: &SizeVector) -> f64 {
         self.pairs
             .iter()
-            .map(|p| {
-                p.switching_factor
-                    * p.linearized_capacitance(graph.size_of(p.a, sizes), graph.size_of(p.b, sizes))
-            })
+            .map(|p| p.effective_crosstalk(graph.size_of(p.a, sizes), graph.size_of(p.b, sizes)))
             .sum()
     }
 
@@ -317,27 +236,6 @@ impl CouplingSet {
         self.group_pair_sum(members, |p| p.switching_factor * p.base_capacitance())
     }
 
-    /// Per-member linear coefficients of the group-restricted crosstalk:
-    /// for each wire `i` in `members`, `Σ_{j ∈ N(i) ∩ members} sf_ij · ĉ_ij`
-    /// — the coefficient of `x_i` in
-    /// `Σ_{pairs in group} sf_ij · ĉ_ij · (x_i + x_j)`. Members with no
-    /// in-group neighbor are omitted. This is what a per-net (channel-local)
-    /// crosstalk cap lowers into a linear posynomial constraint.
-    pub fn group_linear_sums(&self, members: &[NodeId]) -> Vec<(NodeId, f64)> {
-        let set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
-        members
-            .iter()
-            .filter_map(|&id| {
-                let sum: f64 = self
-                    .neighbors(id)
-                    .filter(|(other, _)| set.contains(other))
-                    .map(|(_, p)| p.switching_factor * p.linear_coefficient())
-                    .sum();
-                (sum > 0.0).then_some((id, sum))
-            })
-            .collect()
-    }
-
     /// The size-dependent part `Σ sf_ij · ĉ_ij · (x_i + x_j)` of the
     /// linearized crosstalk restricted to pairs within `members` (the group
     /// analogue of [`crosstalk_lhs`](Self::crosstalk_lhs)).
@@ -370,14 +268,137 @@ impl CouplingSet {
     }
 
     /// An estimate (in bytes) of the memory held by the coupling data
-    /// structures, used by the Figure 10(a) reproduction: the pairs, the
-    /// neighbor lists and the cached per-node coefficient sums.
+    /// structures, used by the Figure 10(a) reproduction: the pairs and the
+    /// cached per-node coefficient sums.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.pairs.capacity() * size_of::<CouplingPair>()
-            + (self.pair_start.capacity() + self.pair_ids.capacity()) * size_of::<u32>()
             + self.linear_sums.capacity() * size_of::<f64>()
             + size_of::<Self>()
+    }
+}
+
+/// The neighbor lists of a [`CouplingSet`], built on demand by
+/// [`CouplingSet::neighborhoods`] in compressed sparse row form: the pairs
+/// of node `i` are `pair_ids[pair_start[i]..pair_start[i + 1]]`, in
+/// ascending pair index.
+#[derive(Debug, Clone)]
+pub struct Neighborhoods<'a> {
+    pairs: &'a [CouplingPair],
+    /// Per raw node index, the offset of its pair list in `pair_ids`, plus
+    /// a trailing total.
+    pair_start: Vec<u32>,
+    /// The indices into `pairs` of every node's pairs, node by node.
+    pair_ids: Vec<u32>,
+}
+
+impl<'a> Neighborhoods<'a> {
+    /// One counting pass: the degrees fix every list's slot, and pairs are
+    /// appended in ascending index.
+    fn new(pairs: &'a [CouplingPair], num_nodes: usize) -> Self {
+        assert!(
+            2 * pairs.len() <= u32::MAX as usize,
+            "coupling set too large for 32-bit neighbor lists"
+        );
+        let mut pair_start = vec![0u32; num_nodes + 1];
+        for p in pairs {
+            pair_start[p.a.index() + 1] += 1;
+            pair_start[p.b.index() + 1] += 1;
+        }
+        for i in 0..num_nodes {
+            pair_start[i + 1] += pair_start[i];
+        }
+        let mut next = pair_start[..num_nodes].to_vec();
+        let mut pair_ids = vec![0u32; pair_start[num_nodes] as usize];
+        for (idx, pair) in pairs.iter().enumerate() {
+            for id in [pair.a, pair.b] {
+                let slot = &mut next[id.index()];
+                pair_ids[*slot as usize] = idx as u32;
+                *slot += 1;
+            }
+        }
+        Neighborhoods {
+            pairs,
+            pair_start,
+            pair_ids,
+        }
+    }
+
+    /// The indices into the set's pairs of the pairs node `id` belongs to,
+    /// ascending; empty for an id beyond the circuit.
+    fn pair_list(&self, id: NodeId) -> &[u32] {
+        match self.pair_start.get(id.index()..).and_then(|s| s.get(..2)) {
+            Some(&[start, end]) => &self.pair_ids[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// Iterator over the neighborhood `N(i)` of a wire: `(other wire, pair)`,
+    /// in ascending pair index. Empty for a node without pairs, including an
+    /// id beyond the circuit.
+    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, &'a CouplingPair)> + '_ {
+        self.pair_list(id).iter().map(move |&pi| {
+            let pair = &self.pairs[pi as usize];
+            (pair.other(id).expect("pair contains id"), pair)
+        })
+    }
+
+    /// The dominating index `I(i)`: neighbors of `i` with a larger node index.
+    pub fn dominating(&self, id: NodeId) -> impl Iterator<Item = (NodeId, &'a CouplingPair)> + '_ {
+        self.neighbors(id).filter(move |(other, _)| *other > id)
+    }
+
+    /// Number of neighbors of a wire (zero for an id beyond the circuit).
+    pub fn degree(&self, id: NodeId) -> usize {
+        self.pair_list(id).len()
+    }
+
+    /// Recomputes the linear coefficient sum by walking the neighbor list —
+    /// the allocate-per-call reference path, and the oracle the set's
+    /// cached [`CouplingSet::linear_coefficient_sum`] is validated against
+    /// (same accumulation order from the same `+0.0`, so bitwise identical,
+    /// also for a wire without neighbors: `Iterator::sum` would start from
+    /// `-0.0`).
+    pub fn linear_coefficient_sum_uncached(&self, id: NodeId) -> f64 {
+        self.neighbors(id).fold(0.0, |acc, (_, p)| {
+            acc + p.switching_factor * p.linear_coefficient()
+        })
+    }
+
+    /// `Σ_{j∈N(i)} ĉ_ij · x_j` for wire `i` (Theorem 5's numerator term),
+    /// weighted by the switching factors.
+    pub fn weighted_neighbor_width(
+        &self,
+        graph: &CircuitGraph,
+        id: NodeId,
+        sizes: &SizeVector,
+    ) -> f64 {
+        self.neighbors(id)
+            .map(|(other, p)| {
+                p.switching_factor * p.linear_coefficient() * graph.size_of(other, sizes)
+            })
+            .sum()
+    }
+
+    /// Per-member linear coefficients of the group-restricted crosstalk:
+    /// for each wire `i` in `members`, `Σ_{j ∈ N(i) ∩ members} sf_ij · ĉ_ij`
+    /// — the coefficient of `x_i` in
+    /// `Σ_{pairs in group} sf_ij · ĉ_ij · (x_i + x_j)`. Members with no
+    /// in-group neighbor are omitted. This is what a per-net (channel-local)
+    /// crosstalk cap lowers into a linear posynomial constraint.
+    pub fn group_linear_sums(&self, members: &[NodeId]) -> Vec<(NodeId, f64)> {
+        let set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
+        members
+            .iter()
+            .filter_map(|&id| {
+                let sum: f64 = self
+                    .neighbors(id)
+                    .filter(|(other, _)| set.contains(other))
+                    .map(|(_, p)| p.switching_factor * p.linear_coefficient())
+                    .sum();
+                (sum > 0.0).then_some((id, sum))
+            })
+            .collect()
     }
 }
 
@@ -421,8 +442,9 @@ mod tests {
             CouplingPair::new(w1, w2, geom()).unwrap(),
             CouplingPair::new(w2, w3, geom()).unwrap(),
         ];
-        let set = CouplingSet::new(&c, pairs).unwrap();
-        assert_eq!(set.len(), 2);
+        let coupling = CouplingSet::new(&c, pairs).unwrap();
+        assert_eq!(coupling.len(), 2);
+        let set = coupling.neighborhoods();
         assert_eq!(set.degree(w2), 2);
         assert_eq!(set.degree(w1), 1);
         assert_eq!(set.degree(w3), 1);
@@ -444,11 +466,12 @@ mod tests {
             CouplingPair::new(w1, w2, geom()).unwrap(),
             CouplingPair::new(w1, w3, geom()).unwrap(),
         ];
-        let set = CouplingSet::new(&c, pairs).unwrap();
+        let coupling = CouplingSet::new(&c, pairs).unwrap();
+        let set = coupling.neighborhoods();
         let listed = |id: NodeId| -> Vec<(NodeId, *const CouplingPair)> {
             set.neighbors(id).map(|(o, p)| (o, p as *const _)).collect()
         };
-        let pair = |i: usize| &set.pairs()[i] as *const _;
+        let pair = |i: usize| &coupling.pairs()[i] as *const _;
         assert_eq!(listed(w1), vec![(w2, pair(1)), (w3, pair(2))]);
         assert_eq!(listed(w2), vec![(w3, pair(0)), (w1, pair(1))]);
         assert_eq!(listed(w3), vec![(w2, pair(0)), (w1, pair(2))]);
@@ -470,7 +493,8 @@ mod tests {
         let c = circuit();
         let (w1, w2) = (wire(&c, "w1"), wire(&c, "w2"));
         let set = CouplingSet::new(&c, vec![CouplingPair::new(w1, w2, geom()).unwrap()]).unwrap();
-        for set in [set, CouplingSet::empty(&c)] {
+        for coupling in [set, CouplingSet::empty(&c)] {
+            let set = coupling.neighborhoods();
             for beyond in [c.num_nodes(), c.num_nodes() + 7, u32::MAX as usize] {
                 let id = NodeId::new(beyond);
                 assert_eq!(set.neighbors(id).count(), 0);
@@ -507,6 +531,26 @@ mod tests {
             CouplingSet::new(&c, colliding),
             Err(CouplingError::PitchTooSmall { .. })
         ));
+
+        // `with_switching_factor` clamps, but the field is public and a NaN
+        // survives the clamp: the set checks every factor itself.
+        for factor in [f64::NAN, -1.0, 3.0, f64::INFINITY] {
+            let mut pair = CouplingPair::new(w1, w2, geom()).unwrap();
+            pair.switching_factor = factor;
+            match CouplingSet::new(&c, vec![pair]) {
+                Err(CouplingError::InvalidSwitchingFactor { a, b, value }) => {
+                    assert_eq!((a, b), (w1.min(w2), w1.max(w2)));
+                    assert_eq!(value.to_bits(), factor.to_bits());
+                }
+                other => panic!("factor {factor} must be rejected, got {other:?}"),
+            }
+        }
+        for factor in [0.0, 1.0, 2.0] {
+            let pair = CouplingPair::new(w1, w2, geom())
+                .unwrap()
+                .with_switching_factor(factor);
+            assert!(CouplingSet::new(&c, vec![pair]).is_ok());
+        }
     }
 
     #[test]
@@ -563,13 +607,14 @@ mod tests {
         let sizes = c.uniform_sizes(2.0);
         assert!((set.linear_coefficient_sum(w2) - 2.0 * chat).abs() < 1e-12);
         // The cached sums equal the neighbor-walk recomputation bitwise.
+        let hoods = set.neighborhoods();
         for id in c.node_ids() {
             assert_eq!(
                 set.linear_coefficient_sum(id),
-                set.linear_coefficient_sum_uncached(id)
+                hoods.linear_coefficient_sum_uncached(id)
             );
         }
-        assert!((set.weighted_neighbor_width(&c, w2, &sizes) - 2.0 * chat * 2.0).abs() < 1e-12);
+        assert!((hoods.weighted_neighbor_width(&c, w2, &sizes) - 2.0 * chat * 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -602,7 +647,8 @@ mod tests {
         // single in-group neighbor.
         let sub = [w1, w2];
         assert_eq!(set.group_pair_indices(&sub), vec![0]);
-        let sums = set.group_linear_sums(&sub);
+        let hoods = set.neighborhoods();
+        let sums = hoods.group_linear_sums(&sub);
         assert_eq!(sums.len(), 2);
         let w2_sum = sums.iter().find(|(id, _)| *id == w2).unwrap().1;
         assert!((w2_sum - set.linear_coefficient_sum(w2) / 2.0).abs() < 1e-12);
@@ -618,7 +664,7 @@ mod tests {
         let lonely = [w1, w3];
         assert!(set.group_pair_indices(&lonely).is_empty());
         assert_eq!(set.group_crosstalk(&c, &sizes, &lonely), 0.0);
-        assert!(set.group_linear_sums(&lonely).is_empty());
+        assert!(hoods.group_linear_sums(&lonely).is_empty());
     }
 
     #[test]
@@ -630,5 +676,22 @@ mod tests {
         assert_eq!(set.total_crosstalk(&c, &sizes), 0.0);
         assert_eq!(set.delay_load_per_node(&c, &sizes).iter().sum::<f64>(), 0.0);
         assert!(set.memory_bytes() > 0);
+    }
+
+    #[test]
+    fn memory_is_the_pairs_and_the_sums() {
+        use std::mem::size_of;
+        let c = circuit();
+        let (w1, w2, w3) = (wire(&c, "w1"), wire(&c, "w2"), wire(&c, "w3"));
+        // Spare capacity is trimmed: the set holds 32 B per pair, 8 B per
+        // node and its own struct.
+        let mut pairs = Vec::with_capacity(16);
+        pairs.push(CouplingPair::new(w1, w2, geom()).unwrap());
+        pairs.push(CouplingPair::new(w2, w3, geom()).unwrap());
+        let set = CouplingSet::new(&c, pairs).unwrap();
+        assert_eq!(
+            set.memory_bytes(),
+            2 * 32 + c.num_nodes() * 8 + size_of::<CouplingSet>()
+        );
     }
 }

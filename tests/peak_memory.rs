@@ -71,9 +71,9 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
     ("generate", 1_636_218),
-    ("order", 2_983_301),
-    ("engine", 2_823_109),
-    ("size", 3_197_249),
+    ("order", 2_539_824),
+    ("engine", 2_379_824),
+    ("size", 2_753_757),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload.

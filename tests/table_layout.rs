@@ -3,10 +3,11 @@
 //! * The graph keeps every name in one string, so `node_by_name` is a scan;
 //!   it and `name` must still round-trip every node, the artificial source
 //!   and sink included.
-//! * The coupling set keeps its neighbor lists in one compressed array; they
-//!   must list each node's pairs in ascending pair index, exactly once.
-//! * The cached Theorem-5 coefficient sums must equal a fresh walk of those
-//!   lists bitwise.
+//! * The coupling set keeps only its pairs and the per-node coefficient
+//!   sums; the neighbor lists it builds on demand (`Neighborhoods`) must
+//!   list each node's pairs in ascending pair index, exactly once.
+//! * The cached Theorem-5 coefficient sums, accumulated in one pass over the
+//!   pairs, must equal a fresh walk of those lists bitwise.
 
 use ncgws::circuit::NodeId;
 use ncgws::core::{build_coupling, OrderingStrategy};
@@ -47,24 +48,25 @@ fn node_by_name_resolves_every_node_of_xl10k() {
 fn neighbor_lists_hold_each_pair_once_in_ascending_index() {
     let instance = generate(xl_wide_spec(10_000));
     let graph = &instance.circuit;
-    let set = coupling(&instance);
-    assert!(!set.is_empty());
+    let coupling = coupling(&instance);
+    assert!(!coupling.is_empty());
+    let set = coupling.neighborhoods();
     // The lists a per-node push in pair order would build.
     let mut expected: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); graph.num_nodes()];
-    for (idx, pair) in set.pairs().iter().enumerate() {
+    for (idx, pair) in coupling.pairs().iter().enumerate() {
         expected[pair.a.index()].push((pair.b, idx));
         expected[pair.b.index()].push((pair.a, idx));
     }
     for id in graph.node_ids() {
         let neighbors: Vec<(NodeId, usize)> = set
             .neighbors(id)
-            .map(|(other, pair)| (other, pair_index(&set, pair)))
+            .map(|(other, pair)| (other, pair_index(&coupling, pair)))
             .collect();
         assert_eq!(neighbors, expected[id.index()], "N({id})");
         assert_eq!(set.degree(id), neighbors.len());
         let dominating: Vec<(NodeId, usize)> = set
             .dominating(id)
-            .map(|(other, pair)| (other, pair_index(&set, pair)))
+            .map(|(other, pair)| (other, pair_index(&coupling, pair)))
             .collect();
         let larger: Vec<(NodeId, usize)> = neighbors
             .into_iter()
@@ -83,10 +85,11 @@ fn cached_coefficient_sums_equal_the_uncached_walk_bitwise() {
         let name = spec.name.clone();
         let instance = generate(spec);
         let set = coupling(&instance);
+        let neighborhoods = set.neighborhoods();
         for id in instance.circuit.node_ids() {
             assert_eq!(
                 set.linear_coefficient_sum(id).to_bits(),
-                set.linear_coefficient_sum_uncached(id).to_bits(),
+                neighborhoods.linear_coefficient_sum_uncached(id).to_bits(),
                 "{name}: {id}"
             );
         }

@@ -14,6 +14,7 @@
 use std::sync::OnceLock;
 
 use ncgws::core::{OptimizerConfig, RunControl};
+use ncgws::coupling::{CouplingError, CouplingPair, CouplingSet, WirePairGeometry};
 use ncgws::netlist::format::{parse_instance, write_instance};
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::serve::store::JOURNAL_FILE;
@@ -237,6 +238,44 @@ fn a_driver_with_a_unit_resistance_is_an_error() {
         panic!("a driver's unit resistance must not decode");
     };
     assert!(err.to_string().contains("unit_resistance"), "{err}");
+}
+
+/// A switching factor is a public field, and `f64::clamp` in
+/// `with_switching_factor` lets a NaN through, so the coupling set checks
+/// every factor itself: one that is not finite or lies outside `[0, 2]` is
+/// a typed error, never a NaN in the crosstalk sums.
+#[test]
+fn a_switching_factor_outside_zero_to_two_is_an_error() {
+    let (inst, _) = mutation_fixture();
+    let graph = &inst.circuit;
+    let channel = inst
+        .channels
+        .iter()
+        .find(|c| c.len() >= 2)
+        .expect("the fixture has a channel of two wires");
+    let (a, b) = (channel[0], channel[1]);
+    let geometry = WirePairGeometry::new(10.0, inst.geometry.pitch, inst.geometry.unit_fringing)
+        .expect("valid geometry");
+    let pair = CouplingPair::new(a, b, geometry).expect("distinct wires");
+    assert!(CouplingSet::new(graph, vec![pair]).is_ok());
+    for factor in [f64::NAN, -1.0, 3.0] {
+        let mut bad = pair;
+        bad.switching_factor = factor;
+        match CouplingSet::new(graph, vec![bad]) {
+            Err(CouplingError::InvalidSwitchingFactor { value, .. }) => {
+                assert_eq!(value.to_bits(), factor.to_bits());
+            }
+            other => panic!("factor {factor} must not build a coupling set: {other:?}"),
+        }
+        // The clamping builder maps the finite ones into range; a NaN stays
+        // NaN and is still rejected.
+        let clamped = pair.with_switching_factor(factor);
+        assert_eq!(
+            CouplingSet::new(graph, vec![clamped]).is_ok(),
+            !factor.is_nan(),
+            "factor {factor}"
+        );
+    }
 }
 
 proptest! {
