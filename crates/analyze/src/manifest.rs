@@ -96,6 +96,22 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     (
+        "crates/waveform/src/trace.rs",
+        &[
+            // Stage-1 switching similarity: one call per pair of channel
+            // wires, a popcount over two packed rows.
+            "similarity",
+        ],
+    ),
+    (
+        "crates/waveform/src/logic_sim.rs",
+        &[
+            // The bit-parallel gate kernel: one call per gate per
+            // simulation, over whole 64-step words.
+            "eval_gate_words",
+        ],
+    ),
+    (
         "crates/circuit/src/traversal.rs",
         &[
             // The paper-definition traversals. These allocate by design

@@ -662,7 +662,7 @@ fn lower_per_net_crosstalk(
                 )
             })
             .collect();
-        let constant = coupling.group_base_capacitance(channel);
+        let constant = neighborhoods.group_base_capacitance(channel);
         let constraint = ScalarConstraint::new(format!("net-{idx}"), terms, constant, 0.0);
         let initial = constraint.value(initial_sizes);
         let mut constraint = constraint;
@@ -849,6 +849,56 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    /// The per-net lowering sums each channel's own pairs through the
+    /// neighbor lists; its constants and terms are the whole-set scan's,
+    /// bit for bit: the constant is `CouplingSet::group_base_capacitance`
+    /// (one pass over every pair in index order), and each term the
+    /// in-channel pairs of the wire, again in pair-index order.
+    #[test]
+    fn per_net_lowering_matches_the_whole_set_scan_bitwise() {
+        use crate::coupling_build::{build_coupling, OrderingStrategy};
+        use ncgws_netlist::{iscas85_spec, xl_spec, SyntheticGenerator};
+        for spec in [iscas85_spec("c432").unwrap(), xl_spec(10_000)] {
+            let inst = SyntheticGenerator::new(spec).generate().unwrap();
+            let ordering = build_coupling(&inst, OrderingStrategy::Woss, true).unwrap();
+            let graph = &inst.circuit;
+            let coupling = &ordering.coupling;
+            let initial = graph.maximum_sizes();
+            let family = lower_per_net_crosstalk(0.8, &inst, &ordering, &initial);
+            let mut checked = 0;
+            for constraint in family.constraints() {
+                let idx: usize = constraint.label()["net-".len()..].parse().unwrap();
+                let channel = &inst.channels[idx];
+                assert_eq!(
+                    constraint.constant().to_bits(),
+                    coupling.group_base_capacitance(channel).to_bits(),
+                    "{}: net-{idx} constant",
+                    inst.name
+                );
+                let scanned: Vec<(usize, f64)> = channel
+                    .iter()
+                    .filter_map(|&id| {
+                        let sum: f64 = coupling
+                            .pairs()
+                            .iter()
+                            .filter_map(|p| p.other(id).map(|other| (other, p)))
+                            .filter(|(other, _)| channel.contains(other))
+                            .map(|(_, p)| p.switching_factor * p.linear_coefficient())
+                            .sum();
+                        (sum > 0.0).then(|| (graph.component_index(id).unwrap(), sum))
+                    })
+                    .collect();
+                let terms: Vec<(usize, f64)> = constraint.terms().collect();
+                assert_eq!(terms.len(), scanned.len(), "net-{idx} terms");
+                for ((i, a), (j, b)) in terms.iter().zip(&scanned) {
+                    assert_eq!((i, a.to_bits()), (j, b.to_bits()), "net-{idx} term");
+                }
+                checked += 1;
+            }
+            assert!(checked > 10, "{}: {checked} nets lowered", inst.name);
+        }
     }
 
     #[test]

@@ -380,6 +380,41 @@ impl<'a> Neighborhoods<'a> {
             .sum()
     }
 
+    /// Indices (into the set's pairs) of the pairs whose **both** endpoints
+    /// belong to `members`, ascending and each once — the same list as
+    /// [`CouplingSet::group_pair_indices`], found through the members' own
+    /// pair lists: the cost is the members' degrees, not a scan of every
+    /// pair, so a loop over all channels stays linear in the pairs.
+    fn group_pair_indices(&self, members: &[NodeId]) -> Vec<u32> {
+        let set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
+        let mut ids: Vec<u32> = Vec::new();
+        for &id in members {
+            // Each in-group pair is taken from its `a` endpoint only.
+            ids.extend(self.pair_list(id).iter().copied().filter(|&pi| {
+                let pair = &self.pairs[pi as usize];
+                pair.a == id && set.contains(&pair.b)
+            }));
+        }
+        // Ascending pair index, and a member listed twice adds nothing.
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    /// [`CouplingSet::group_base_capacitance`] through the neighbor lists:
+    /// the same terms summed in the same ascending pair order, so the same
+    /// value bit for bit, at the cost of the members' degrees rather than
+    /// of every pair — the form to use once per channel.
+    pub fn group_base_capacitance(&self, members: &[NodeId]) -> f64 {
+        self.group_pair_indices(members)
+            .iter()
+            .map(|&pi| {
+                let pair = &self.pairs[pi as usize];
+                pair.switching_factor * pair.base_capacitance()
+            })
+            .sum()
+    }
+
     /// Per-member linear coefficients of the group-restricted crosstalk:
     /// for each wire `i` in `members`, `Σ_{j ∈ N(i) ∩ members} sf_ij · ĉ_ij`
     /// — the coefficient of `x_i` in

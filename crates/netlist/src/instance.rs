@@ -42,7 +42,9 @@ pub struct ProblemInstance {
 }
 
 /// Decodes the parts (the circuit and patterns check their own
-/// invariants) and rejects channel wires outside the circuit.
+/// invariants) and rejects channel wires outside the circuit and a pattern
+/// set whose width is not the circuit's driver count (the logic simulation
+/// reads one input row per driver).
 impl Deserialize for ProblemInstance {
     fn deserialize_json(value: &Value) -> Result<Self, Error> {
         let f = Fields::new(value, "ProblemInstance")?;
@@ -61,6 +63,15 @@ impl Deserialize for ProblemInstance {
             .find(|id| id.index() >= nodes)
         {
             return Err(Error::custom(format!("channel wire {id} is out of range")));
+        }
+        let (inputs, drivers) = (
+            instance.patterns.num_inputs(),
+            instance.circuit.num_drivers(),
+        );
+        if inputs != drivers {
+            return Err(Error::custom(format!(
+                "pattern set has {inputs} inputs, the circuit has {drivers} drivers"
+            )));
         }
         Ok(instance)
     }

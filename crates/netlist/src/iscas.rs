@@ -61,7 +61,8 @@ pub fn table1_specs_by_size() -> Vec<CircuitSpec> {
 /// 1 gate : 2 wires shape. Used by the end-to-end solve-schedule benchmarks
 /// (`ogws_schedule`) and the `table1 --json` schedule section; the pattern
 /// count is reduced because stage-1 logic simulation scales with
-/// `patterns × gates` and is not what these tiers measure.
+/// `⌈patterns/64⌉ × gates` (64 patterns per machine word) and is not what
+/// these tiers measure.
 pub fn xl_spec(total_components: usize) -> CircuitSpec {
     let gates = total_components / 3;
     let wires = total_components - gates;

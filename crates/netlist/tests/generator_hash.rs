@@ -103,9 +103,9 @@ fn digest(inst: &ProblemInstance) -> u64 {
     }
     h.usize(inst.patterns.num_inputs());
     h.usize(inst.patterns.len());
-    for vector in inst.patterns.iter() {
-        for &bit in vector {
-            h.bytes(&[u8::from(bit)]);
+    for t in 0..inst.patterns.len() {
+        for input in 0..inst.patterns.num_inputs() {
+            h.bytes(&[u8::from(inst.patterns.bit(t, input))]);
         }
     }
     h.0

@@ -17,10 +17,13 @@
 //! provides that stage from scratch:
 //!
 //! * [`PatternSet`] — reproducible pseudo-random primary-input vectors
-//!   (our substitution for production test patterns);
-//! * [`LogicSimulator`] — zero-delay logic simulation of the circuit graph,
-//!   producing a logic value for every node and every vector;
-//! * [`Waveform`] / [`SimulationTrace`] — the normalized ±1 waveforms;
+//!   (our substitution for production test patterns), packed 64 time steps
+//!   per machine word;
+//! * [`LogicSimulator`] — bit-parallel zero-delay logic simulation of the
+//!   circuit graph, producing a logic value for every node and every vector,
+//!   64 vectors per word operation;
+//! * [`Waveform`] / [`SimulationTrace`] — the normalized ±1 waveforms, the
+//!   trace packed like the patterns, one row of words per node;
 //! * [`similarity()`], [`SimilarityMatrix`] — pairwise switching similarity;
 //! * [`miller_factor`] — the mapping from similarity to the effective
 //!   coupling multiplier in `[0, 2]`.

@@ -24,7 +24,8 @@ pub fn similarity(a: &Waveform, b: &Waveform) -> f64 {
 /// (for example the wires sharing one routing channel).
 ///
 /// Only the selected nodes are stored, so building a matrix for a channel of
-/// `k` wires costs `O(k² · T_D)` regardless of the circuit size.
+/// `k` wires costs `O(k² · ⌈T_D/64⌉)` word operations (a popcount per word
+/// of the packed trace) regardless of the circuit size.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimilarityMatrix {
     nodes: Vec<NodeId>,

@@ -57,31 +57,42 @@ impl Waveform {
 
 /// The logic values of every node over every simulation time step.
 ///
-/// Stored node-major so per-node waveforms are contiguous.
+/// Stored node-major and packed 64 time steps per machine word, so each
+/// node's waveform is one contiguous row: node `i` owns
+/// `words[i·W..(i + 1)·W]` with `W = ⌈T/64⌉`, and its level at step `t` is
+/// bit `t mod 64` of word `t / 64` of that row. Bits past the last step are
+/// zero.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SimulationTrace {
     num_nodes: usize,
     num_steps: usize,
-    /// `levels[node][step]`
-    levels: Vec<Vec<bool>>,
+    words: Vec<u64>,
 }
 
 impl SimulationTrace {
-    /// Builds a trace from per-step node values (`steps[t][node]`).
-    pub fn from_steps(num_nodes: usize, steps: Vec<Vec<bool>>) -> Self {
-        let num_steps = steps.len();
-        let mut levels = vec![Vec::with_capacity(num_steps); num_nodes];
-        for step in &steps {
-            debug_assert_eq!(step.len(), num_nodes);
-            for (node, &value) in step.iter().enumerate() {
-                levels[node].push(value);
-            }
-        }
+    /// Wraps packed node-major rows of `⌈num_steps/64⌉` words each.
+    pub(crate) fn from_words(num_nodes: usize, num_steps: usize, words: Vec<u64>) -> Self {
+        debug_assert_eq!(words.len(), num_nodes * num_steps.div_ceil(64));
         SimulationTrace {
             num_nodes,
             num_steps,
-            levels,
+            words,
         }
+    }
+
+    /// Builds a trace from per-step node values (`steps[t][node]`).
+    #[cfg(test)]
+    pub(crate) fn from_steps(num_nodes: usize, steps: Vec<Vec<bool>>) -> Self {
+        let num_steps = steps.len();
+        let row_words = num_steps.div_ceil(64);
+        let mut words = vec![0u64; num_nodes * row_words];
+        for (t, step) in steps.iter().enumerate() {
+            assert_eq!(step.len(), num_nodes);
+            for (node, &value) in step.iter().enumerate() {
+                words[node * row_words + t / 64] |= u64::from(value) << (t % 64);
+            }
+        }
+        SimulationTrace::from_words(num_nodes, num_steps, words)
     }
 
     /// Number of nodes covered by the trace.
@@ -94,40 +105,58 @@ impl SimulationTrace {
         self.num_steps
     }
 
+    /// Words per node row, `⌈T/64⌉`.
+    pub(crate) fn words_per_node(&self) -> usize {
+        self.num_steps.div_ceil(64)
+    }
+
+    /// The packed levels of one node (no allocation): bit `t mod 64` of
+    /// word `t / 64` is the level at step `t`; bits past the last step are
+    /// zero.
+    pub(crate) fn row(&self, id: NodeId) -> &[u64] {
+        let w = self.words_per_node();
+        &self.words[id.index() * w..(id.index() + 1) * w]
+    }
+
+    /// The logic level of one node at time step `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= num_steps()` or the node is not covered.
+    pub fn level(&self, id: NodeId, t: usize) -> bool {
+        assert!(t < self.num_steps, "time step {t} out of range");
+        (self.row(id)[t / 64] >> (t % 64)) & 1 == 1
+    }
+
     /// The waveform of one node.
     pub fn waveform(&self, id: NodeId) -> Waveform {
-        Waveform::from_levels(self.levels[id.index()].clone())
+        Waveform::from_levels((0..self.num_steps).map(|t| self.level(id, t)).collect())
     }
 
-    /// The raw levels of one node (no allocation).
-    pub fn levels(&self, id: NodeId) -> &[bool] {
-        &self.levels[id.index()]
-    }
-
-    /// Switching similarity between two nodes directly from the trace
+    /// Switching similarity between two nodes directly from the packed rows
     /// (avoids materializing [`Waveform`]s):
-    /// `similarity(i, j) = (1/T) Σ_t f(i,t)·f(j,t) = (agreements − disagreements)/T`.
+    /// `similarity(i, j) = (1/T) Σ_t f(i,t)·f(j,t) = (agreements − disagreements)/T`,
+    /// where the disagreements are `Σ popcount(row_i ⊕ row_j)` (the zero tail
+    /// bits never differ). Both counts are integers, so the value is the
+    /// same `f64` a step-by-step count gives.
     pub fn similarity(&self, a: NodeId, b: NodeId) -> f64 {
-        let la = &self.levels[a.index()];
-        let lb = &self.levels[b.index()];
-        debug_assert_eq!(la.len(), lb.len());
-        if la.is_empty() {
+        if self.num_steps == 0 {
             return 0.0;
         }
-        let agree = la.iter().zip(lb.iter()).filter(|(x, y)| x == y).count();
-        let disagree = la.len() - agree;
-        (agree as f64 - disagree as f64) / la.len() as f64
+        let disagree: u64 = self
+            .row(a)
+            .iter()
+            .zip(self.row(b))
+            .map(|(x, y)| u64::from((x ^ y).count_ones()))
+            .sum();
+        let agree = self.num_steps as u64 - disagree;
+        (agree as f64 - disagree as f64) / self.num_steps as f64
     }
 
     /// An estimate (in bytes) of the memory held by the trace.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.levels
-            .iter()
-            .map(|v| v.capacity() * size_of::<bool>())
-            .sum::<usize>()
-            + self.levels.capacity() * size_of::<Vec<bool>>()
-            + size_of::<Self>()
+        self.words.capacity() * size_of::<u64>() + size_of::<Self>()
     }
 }
 
@@ -161,8 +190,9 @@ mod tests {
         let trace = SimulationTrace::from_steps(3, steps);
         assert_eq!(trace.num_nodes(), 3);
         assert_eq!(trace.num_steps(), 2);
-        assert_eq!(trace.levels(NodeId::new(0)), &[true, false]);
-        assert_eq!(trace.levels(NodeId::new(2)), &[true, true]);
+        assert_eq!(trace.row(NodeId::new(0)), &[0b01]);
+        assert_eq!(trace.row(NodeId::new(2)), &[0b11]);
+        assert!(trace.level(NodeId::new(2), 1));
         assert!(!trace.waveform(NodeId::new(1)).level(0));
     }
 
@@ -192,6 +222,36 @@ mod tests {
     fn similarity_of_empty_trace_is_zero() {
         let trace = SimulationTrace::from_steps(2, vec![]);
         assert_eq!(trace.similarity(NodeId::new(0), NodeId::new(1)), 0.0);
+    }
+
+    /// The popcount similarity is the step-by-step agreement count of the
+    /// byte-per-step trace, bit for bit, across word boundaries.
+    #[test]
+    fn similarity_matches_the_bytewise_count() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        for steps in [1usize, 2, 3, 63, 64, 65, 127, 128, 130, 200] {
+            let mut levels: Vec<Vec<bool>> = [0.5, 0.1, 0.9]
+                .iter()
+                .map(|&p| (0..steps).map(|_| rng.gen_bool(p)).collect())
+                .collect();
+            // A copy of node 0, so identical rows are covered too.
+            levels.push(levels[0].clone());
+            let steps_major: Vec<Vec<bool>> = (0..steps)
+                .map(|t| levels.iter().map(|l| l[t]).collect())
+                .collect();
+            let trace = SimulationTrace::from_steps(4, steps_major);
+            for a in 0..4 {
+                for b in 0..4 {
+                    let (la, lb) = (&levels[a], &levels[b]);
+                    let agree = la.iter().zip(lb).filter(|(x, y)| x == y).count();
+                    let disagree = la.len() - agree;
+                    let bytewise = (agree as f64 - disagree as f64) / la.len() as f64;
+                    let packed = trace.similarity(NodeId::new(a), NodeId::new(b));
+                    assert_eq!(packed.to_bits(), bytewise.to_bits(), "T={steps} {a}-{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use ncgws::core::{OptimizerConfig, RunControl};
 use ncgws::coupling::{CouplingError, CouplingPair, CouplingSet, WirePairGeometry};
 use ncgws::netlist::format::{parse_instance, write_instance};
-use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
+use ncgws::netlist::{CircuitSpec, PatternSet, ProblemInstance, SyntheticGenerator};
 use ncgws::serve::store::JOURNAL_FILE;
 use ncgws::{
     CheckpointPolicy, Flow, JobInput, JobOutcome, JobSpec, Server, ServerConfig, Snapshot,
@@ -276,6 +276,24 @@ fn a_switching_factor_outside_zero_to_two_is_an_error() {
             "factor {factor}"
         );
     }
+}
+
+/// The logic simulation reads one pattern row per driver, so an instance
+/// whose pattern set is narrower than the circuit's driver count is a typed
+/// decode error, not a panic later in stage 1.
+#[test]
+fn a_pattern_width_other_than_the_driver_count_is_an_error() {
+    let mut inst = instance(5, 20);
+    let drivers = inst.circuit.num_drivers();
+    inst.patterns = PatternSet::random(drivers - 1, 16, 5);
+    let json = serde_json::to_string(&inst).expect("encodes");
+    let Err(err) = serde_json::from_str::<ProblemInstance>(&json) else {
+        panic!(
+            "a pattern set of {} inputs for {drivers} drivers must not decode",
+            drivers - 1
+        );
+    };
+    assert!(err.to_string().contains("drivers"), "{err}");
 }
 
 proptest! {
