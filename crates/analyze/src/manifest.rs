@@ -104,6 +104,30 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
         ],
     ),
     (
+        "crates/waveform/src/similarity.rs",
+        &[
+            // A channel's similarity matrix, written into the caller's
+            // block scratch: one call per channel.
+            "fill_similarities",
+        ],
+    ),
+    (
+        "crates/ordering/src/woss.rs",
+        &[
+            // WOSS in caller-provided buffers: one call per channel.
+            "woss_into",
+        ],
+    ),
+    (
+        "crates/core/src/coupling_build.rs",
+        &[
+            // The stage-1 block body: runs on the pool's workers, which
+            // must allocate nothing (their heap would land in per-thread
+            // allocator arenas).
+            "order_block",
+        ],
+    ),
+    (
         "crates/waveform/src/logic_sim.rs",
         &[
             // The bit-parallel gate kernel: one call per gate per

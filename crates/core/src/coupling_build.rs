@@ -10,15 +10,29 @@
 //!    builds one [`CouplingPair`] per adjacent pair — optionally carrying the
 //!    Miller/anti-Miller switching factor,
 //! 5. assembles the [`CouplingSet`] the sizing stage consumes.
+//!
+//! Steps 2 and 3 are independent per channel, so they run in blocks of
+//! channels on the solve's worker pool, as the configuration's
+//! [`ParallelPolicy`](crate::ParallelPolicy) sets it. The caller sizes
+//! every buffer first — the orderings' channel CSR and one scratch matrix
+//! per block — and the blocks only write into their own pieces of them, so
+//! the WOSS path allocates nothing off the calling thread. Steps 4 and 5
+//! and every error stay on the caller, in channel order; where a block runs
+//! never changes what it computes.
+
+use std::ops::Range;
 
 use ncgws_circuit::NodeId;
 use ncgws_coupling::{CouplingPair, CouplingSet, WirePairGeometry};
 use ncgws_netlist::ProblemInstance;
-use ncgws_ordering::{baselines, exact_ordering, woss, SsProblem, WireOrdering};
-use ncgws_waveform::{miller_factor, LogicSimulator, SimilarityMatrix, SimulationTrace};
+use ncgws_ordering::{baselines, exact_ordering, path_cost, woss, woss_into, SsProblem};
+use ncgws_waveform::{
+    fill_similarities, miller_factor, LogicSimulator, SimilarityMatrix, SimulationTrace,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::error::CoreError;
+use crate::par::{flat_blocks, ParRuntime};
 
 /// Which algorithm orders the wires of each channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,14 +54,20 @@ pub enum OrderingStrategy {
     Exact,
 }
 
-/// The result of stage 1: per-channel orderings, their total effective
-/// loading, and the assembled coupling set, whose
+/// The result of stage 1: the track order of every routing channel, their
+/// total effective loading, and the assembled coupling set, whose
 /// [`neighborhoods`](CouplingSet::neighborhoods) answer the paper's `N(i)`
 /// and `I(i)`.
+///
+/// The orderings are one channel CSR: channel `c` of the instance owns
+/// `wires[offsets[c]..offsets[c + 1]]` and `costs[c]`, so the whole stage-1
+/// result is three flat buffers, whatever the channel count. An empty
+/// channel has an empty ordering of cost `0`.
 #[derive(Debug, Clone)]
 pub struct WireOrderingOutcome {
-    /// One ordering per routing channel.
-    pub orderings: Vec<WireOrdering>,
+    offsets: Vec<u32>,
+    wires: Vec<NodeId>,
+    costs: Vec<f64>,
     /// Sum of the orderings' effective loading `Σ (1 − similarity)` over
     /// adjacent pairs — the objective of the SS problem.
     pub total_effective_loading: f64,
@@ -55,60 +75,83 @@ pub struct WireOrderingOutcome {
     pub coupling: CouplingSet,
 }
 
-fn solve_channel(problem: &SsProblem, strategy: OrderingStrategy) -> WireOrdering {
-    match strategy {
-        OrderingStrategy::Woss => woss(problem),
-        OrderingStrategy::Identity => baselines::identity_ordering(problem),
-        OrderingStrategy::Random { seed } => baselines::random_ordering(problem, seed),
-        OrderingStrategy::BestStartNearestNeighbor => {
-            baselines::best_start_nearest_neighbor(problem)
-        }
-        OrderingStrategy::Exact => exact_ordering(problem).unwrap_or_else(|_| woss(problem)),
+impl WireOrderingOutcome {
+    /// Number of routing channels (the instance's, empty ones included).
+    pub fn num_channels(&self) -> usize {
+        self.costs.len()
+    }
+
+    /// The wires of channel `c` in track order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c >= num_channels()`.
+    pub fn channel(&self, c: usize) -> &[NodeId] {
+        &self.wires[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+
+    /// Every channel's wires in track order, channel by channel.
+    pub fn channels(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        (0..self.num_channels()).map(|c| self.channel(c))
+    }
+
+    /// The effective loading `Σ (1 − similarity)` of each channel's
+    /// ordering, by channel.
+    pub fn costs(&self) -> &[f64] {
+        &self.costs
     }
 }
 
-/// Runs stage 1 on a problem instance.
+/// Runs stage 1 on a problem instance, on the calling thread.
 ///
 /// When `effective_coupling` is `true`, every coupling pair carries the
 /// Miller factor `1 − similarity` so the sizing stage constrains *effective*
 /// crosstalk; otherwise the factor is neutral (`1`) and the constraint is the
 /// purely physical coupling, as in the paper's second stage.
+/// [`Prepared::order`](crate::Prepared::order) runs the same computation on
+/// the configuration's thread policy, with bitwise identical results.
 ///
 /// # Errors
 ///
-/// Returns a [`CoreError::Coupling`] if the induced coupling pairs are
-/// geometrically invalid (e.g. the channel pitch cannot accommodate the
-/// maximum wire widths).
+/// Returns a [`CoreError::Instance`] if the instance is inconsistent (see
+/// [`ProblemInstance::validate`]), and a [`CoreError::Coupling`] if the
+/// induced coupling pairs are geometrically invalid (e.g. the channel pitch
+/// cannot accommodate the maximum wire widths).
 pub fn build_coupling(
     instance: &ProblemInstance,
     strategy: OrderingStrategy,
     effective_coupling: bool,
 ) -> Result<WireOrderingOutcome, CoreError> {
+    instance.validate()?;
+    build_coupling_on(&ParRuntime::new(), instance, strategy, effective_coupling)
+}
+
+/// [`build_coupling`] with the per-channel work on `runtime`, for an
+/// instance that passed [`ProblemInstance::validate`].
+pub(crate) fn build_coupling_on(
+    runtime: &ParRuntime,
+    instance: &ProblemInstance,
+    strategy: OrderingStrategy,
+    effective_coupling: bool,
+) -> Result<WireOrderingOutcome, CoreError> {
     let graph = &instance.circuit;
-    let simulator = LogicSimulator::new(graph);
-    let trace = simulator.simulate(&instance.patterns);
+    let trace = LogicSimulator::new(graph).simulate(&instance.patterns);
+    let (offsets, wires, costs) = order_channels(runtime, instance, &trace, strategy);
 
-    // Per-channel ordering is embarrassingly parallel: each channel only
-    // reads the shared trace. With the `parallel` feature the channels are
-    // fanned out across OS threads; results come back in channel order
-    // either way, so the assembled coupling set is identical.
-    let solved = order_channels(instance, &trace, strategy, effective_coupling);
-
-    let mut orderings = Vec::with_capacity(solved.len());
     // One pair per adjacent position: reserving the exact count up front
     // spares the growth copies, and the coupling set keeps the buffer as is.
-    let num_pairs = solved
+    let num_pairs = instance
+        .channels
         .iter()
-        .map(|(_, ordering)| ordering.sequence().len().saturating_sub(1))
+        .map(|channel| channel.len().saturating_sub(1))
         .sum();
     let mut pairs: Vec<CouplingPair> = Vec::with_capacity(num_pairs);
     let mut total_effective_loading = 0.0;
-
-    for (similarity, ordering) in solved {
-        total_effective_loading += ordering.cost();
-
+    for (c, &cost) in costs.iter().enumerate() {
+        total_effective_loading += cost;
+        let ordered = &wires[offsets[c] as usize..offsets[c + 1] as usize];
         // Adjacent tracks couple; build one pair per adjacent position.
-        for pair in ordering.sequence().windows(2) {
+        for pair in ordered.windows(2) {
             let (a, b) = (pair[0], pair[1]);
             let len_a = instance.wire_length(a);
             let len_b = instance.wire_length(b);
@@ -120,102 +163,160 @@ pub fn build_coupling(
             )?;
             let mut coupling_pair = CouplingPair::new(a, b, geometry)?;
             if effective_coupling {
-                let similarity = similarity
-                    .as_ref()
-                    .expect("similarity matrices are retained in effective mode")
-                    .by_id(a, b)
-                    .expect("both wires belong to the channel's similarity matrix");
+                // The same value the channel's similarity matrix held for
+                // the pair (the similarity is symmetric), read again from
+                // the trace rather than kept per channel.
+                let similarity = trace.similarity(a, b);
                 coupling_pair = coupling_pair.with_switching_factor(miller_factor(similarity));
             }
             pairs.push(coupling_pair);
         }
-        orderings.push(ordering);
     }
 
     let coupling = CouplingSet::new(graph, pairs)?;
     Ok(WireOrderingOutcome {
-        orderings,
+        offsets,
+        wires,
+        costs,
         total_effective_loading,
         coupling,
     })
 }
 
-/// Solves the SS problem of one channel. The `O(k²)` similarity matrix is
-/// returned only when the caller needs it afterwards (effective-coupling
-/// mode); otherwise it is dropped here so peak memory stays at one channel's
-/// matrix rather than the sum over all channels.
-fn order_one(
+/// One block of stage 1: a run of consecutive channels and the pieces of
+/// the caller's buffers it writes.
+struct ChannelBlock<'a> {
+    channels: Range<usize>,
+    /// The block's channels' ordered wires, back to back.
+    wires: &'a mut [NodeId],
+    /// The block's channels' ordering costs.
+    costs: &'a mut [f64],
+    /// `k × k` similarities of the block's largest channel.
+    similarities: &'a mut [f64],
+    /// `k` placed flags and `k` positions.
+    placed: &'a mut [bool],
+    order: &'a mut [usize],
+}
+
+/// Orders every channel on `runtime`, returning the channel CSR
+/// `(offsets, wires, costs)`. Every buffer is allocated here, before the
+/// blocks run.
+fn order_channels(
+    runtime: &ParRuntime,
+    instance: &ProblemInstance,
+    trace: &SimulationTrace,
+    strategy: OrderingStrategy,
+) -> (Vec<u32>, Vec<NodeId>, Vec<f64>) {
+    let channels = &instance.channels;
+    let mut offsets = Vec::with_capacity(channels.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for channel in channels {
+        end += u32::try_from(channel.len()).expect("channel wires are node ids, 32-bit");
+        offsets.push(end);
+    }
+    let mut wires = vec![NodeId::new(0); end as usize];
+    let mut costs = vec![0.0; channels.len()];
+
+    // Each block's scratch fits its largest channel.
+    let widest = |range: &Range<usize>| channels[range.clone()].iter().map(Vec::len).max();
+    let (squares, lines) = flat_blocks(channels.len())
+        .map(|range| widest(&range).unwrap_or(0))
+        .fold((0, 0), |(squares, lines), k| (squares + k * k, lines + k));
+    let mut similarities = vec![0.0; squares];
+    let mut placed = vec![false; lines];
+    let mut order = vec![0usize; lines];
+
+    let mut rest = (
+        wires.as_mut_slice(),
+        costs.as_mut_slice(),
+        similarities.as_mut_slice(),
+        placed.as_mut_slice(),
+        order.as_mut_slice(),
+    );
+    let blocks = flat_blocks(channels.len()).map(|range| {
+        let k = widest(&range).unwrap_or(0);
+        let span = (offsets[range.end] - offsets[range.start]) as usize;
+        ChannelBlock {
+            wires: split_front(&mut rest.0, span),
+            costs: split_front(&mut rest.1, range.len()),
+            similarities: split_front(&mut rest.2, k * k),
+            placed: split_front(&mut rest.3, k),
+            order: split_front(&mut rest.4, k),
+            channels: range,
+        }
+    });
+    runtime.run(blocks, |block| {
+        order_block(block, channels, trace, strategy)
+    });
+    (offsets, wires, costs)
+}
+
+/// Orders the channels of one block: fills each channel's similarity
+/// matrix, orders it, and writes its wires in track order and its cost.
+/// Under WOSS it allocates nothing; the ablation strategies go through
+/// [`order_baseline`], which does.
+fn order_block(
+    block: ChannelBlock<'_>,
+    channels: &[Vec<NodeId>],
+    trace: &SimulationTrace,
+    strategy: OrderingStrategy,
+) {
+    let ChannelBlock {
+        channels: range,
+        mut wires,
+        costs,
+        similarities,
+        placed,
+        order,
+    } = block;
+    for (channel, cost) in channels[range].iter().zip(costs) {
+        let k = channel.len();
+        let out = split_front(&mut wires, k);
+        let order = &mut order[..k];
+        *cost = if strategy == OrderingStrategy::Woss {
+            let similarities = &mut similarities[..k * k];
+            fill_similarities(trace, channel, similarities);
+            // The SS edge weight `1 − similarity`, as `SsProblem` holds it.
+            let weight = |i: usize, j: usize| 1.0 - similarities[i * k + j];
+            woss_into(weight, placed, order);
+            path_cost(order, weight)
+        } else {
+            order_baseline(trace, channel, strategy, order)
+        };
+        for (slot, &position) in out.iter_mut().zip(order.iter()) {
+            *slot = channel[position];
+        }
+    }
+}
+
+/// Splits the first `n` entries off `rest`, which keeps the others.
+fn split_front<'a, T>(rest: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (front, back) = std::mem::take(rest).split_at_mut(n);
+    *rest = back;
+    front
+}
+
+/// Orders one channel with an ablation strategy through the allocating
+/// [`SsProblem`] API, writing the positions into `order`; returns the cost.
+fn order_baseline(
     trace: &SimulationTrace,
     channel: &[NodeId],
     strategy: OrderingStrategy,
-    keep_similarity: bool,
-) -> (Option<SimilarityMatrix>, WireOrdering) {
-    let similarity = SimilarityMatrix::from_trace(trace, channel);
-    let problem = SsProblem::from_similarity(&similarity);
-    let ordering = solve_channel(&problem, strategy);
-    (keep_similarity.then_some(similarity), ordering)
-}
-
-/// Orders every non-empty channel, returning results in channel order.
-#[cfg(not(feature = "parallel"))]
-fn order_channels(
-    instance: &ProblemInstance,
-    trace: &SimulationTrace,
-    strategy: OrderingStrategy,
-    keep_similarity: bool,
-) -> Vec<(Option<SimilarityMatrix>, WireOrdering)> {
-    instance
-        .channels
-        .iter()
-        .filter(|channel| !channel.is_empty())
-        .map(|channel| order_one(trace, channel, strategy, keep_similarity))
-        .collect()
-}
-
-/// Orders every non-empty channel, fanning the work out across OS threads
-/// (`std::thread::scope`; a stand-in for a rayon pool while the build
-/// environment cannot fetch crates). Results are reassembled in channel
-/// order, so the output is bit-identical to the serial path.
-#[cfg(feature = "parallel")]
-fn order_channels(
-    instance: &ProblemInstance,
-    trace: &SimulationTrace,
-    strategy: OrderingStrategy,
-    keep_similarity: bool,
-) -> Vec<(Option<SimilarityMatrix>, WireOrdering)> {
-    let channels: Vec<&[NodeId]> = instance
-        .channels
-        .iter()
-        .filter(|channel| !channel.is_empty())
-        .map(Vec::as_slice)
-        .collect();
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = workers.min(channels.len()).max(1);
-    if workers <= 1 {
-        return channels
-            .iter()
-            .map(|channel| order_one(trace, channel, strategy, keep_similarity))
-            .collect();
-    }
-
-    let mut slots: Vec<Option<(Option<SimilarityMatrix>, WireOrdering)>> = Vec::new();
-    slots.resize_with(channels.len(), || None);
-    let chunk = channels.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (channel_chunk, slot_chunk) in channels.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (channel, slot) in channel_chunk.iter().zip(slot_chunk.iter_mut()) {
-                    *slot = Some(order_one(trace, channel, strategy, keep_similarity));
-                }
-            });
+    order: &mut [usize],
+) -> f64 {
+    let problem = SsProblem::from_similarity(&SimilarityMatrix::from_trace(trace, channel));
+    let ordering = match strategy {
+        OrderingStrategy::Woss => woss(&problem),
+        OrderingStrategy::Identity => baselines::identity_ordering(&problem),
+        OrderingStrategy::Random { seed } => baselines::random_ordering(&problem, seed),
+        OrderingStrategy::BestStartNearestNeighbor => {
+            baselines::best_start_nearest_neighbor(&problem)
         }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every channel was ordered"))
-        .collect()
+        OrderingStrategy::Exact => exact_ordering(&problem).unwrap_or_else(|_| woss(&problem)),
+    };
+    order.copy_from_slice(ordering.positions());
+    ordering.cost()
 }
 
 #[cfg(test)]
@@ -249,10 +350,8 @@ mod tests {
             outcome.coupling.memory_bytes(),
             32 * expected_pairs + 8 * inst.circuit.num_nodes() + std::mem::size_of::<CouplingSet>()
         );
-        assert_eq!(
-            outcome.orderings.len(),
-            inst.channels.iter().filter(|c| !c.is_empty()).count()
-        );
+        assert_eq!(outcome.num_channels(), inst.channels.len());
+        assert_eq!(outcome.costs().len(), inst.channels.len());
         // `I(i)` counts every adjacent pair exactly once.
         let dominating: usize = inst
             .circuit
@@ -270,8 +369,7 @@ mod tests {
         let inst = instance();
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
         let neighborhoods = outcome.coupling.neighborhoods();
-        for ordering in &outcome.orderings {
-            let seq = ordering.sequence();
+        for seq in outcome.channels() {
             for (k, &wire) in seq.iter().enumerate() {
                 let mut expected: Vec<NodeId> = [k.checked_sub(1), Some(k + 1)]
                     .into_iter()
@@ -334,9 +432,9 @@ mod tests {
     fn orderings_permute_their_channels() {
         let inst = instance();
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
-        for (ordering, channel) in outcome.orderings.iter().zip(&inst.channels) {
+        for (ordered, channel) in outcome.channels().zip(&inst.channels) {
             let mut expected: Vec<NodeId> = channel.clone();
-            let mut actual: Vec<NodeId> = ordering.sequence().to_vec();
+            let mut actual: Vec<NodeId> = ordered.to_vec();
             expected.sort_unstable();
             actual.sort_unstable();
             assert_eq!(expected, actual);

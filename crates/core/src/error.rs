@@ -4,6 +4,7 @@ use std::fmt;
 
 use ncgws_circuit::CircuitError;
 use ncgws_coupling::CouplingError;
+use ncgws_netlist::NetlistError;
 use ncgws_ordering::OrderingError;
 
 use crate::control::StopReason;
@@ -17,6 +18,9 @@ pub enum CoreError {
     Coupling(CouplingError),
     /// The wire-ordering stage failed.
     Ordering(OrderingError),
+    /// The problem instance is inconsistent (see
+    /// [`ProblemInstance::validate`](ncgws_netlist::ProblemInstance::validate)).
+    Instance(NetlistError),
     /// A configuration value is invalid.
     InvalidConfig {
         /// Name of the offending parameter.
@@ -58,6 +62,7 @@ impl fmt::Display for CoreError {
             CoreError::Circuit(e) => write!(f, "circuit analysis failed: {e}"),
             CoreError::Coupling(e) => write!(f, "coupling model failed: {e}"),
             CoreError::Ordering(e) => write!(f, "wire ordering failed: {e}"),
+            CoreError::Instance(e) => write!(f, "invalid problem instance: {e}"),
             CoreError::InvalidConfig { name, reason } => {
                 write!(f, "invalid configuration {name}: {reason}")
             }
@@ -77,6 +82,7 @@ impl std::error::Error for CoreError {
             CoreError::Circuit(e) => Some(e),
             CoreError::Coupling(e) => Some(e),
             CoreError::Ordering(e) => Some(e),
+            CoreError::Instance(e) => Some(e),
             _ => None,
         }
     }
@@ -91,6 +97,12 @@ impl From<CircuitError> for CoreError {
 impl From<CouplingError> for CoreError {
     fn from(e: CouplingError) -> Self {
         CoreError::Coupling(e)
+    }
+}
+
+impl From<NetlistError> for CoreError {
+    fn from(e: NetlistError) -> Self {
+        CoreError::Instance(e)
     }
 }
 

@@ -34,12 +34,13 @@ use ncgws_netlist::ProblemInstance;
 
 use crate::constraints::{lower_constraint_specs, ConstraintSet};
 use crate::control::{RunControl, StopReason};
-use crate::coupling_build::{build_coupling, WireOrderingOutcome};
+use crate::coupling_build::{build_coupling_on, WireOrderingOutcome};
 use crate::engine::SizingEngine;
 use crate::error::CoreError;
 use crate::lagrangian::Multipliers;
 use crate::metrics::{CircuitMetrics, MemoryBreakdown};
 use crate::ogws::{OgwsOutcome, OgwsSolver, FEASIBILITY_TOLERANCE};
+use crate::par::ParRuntime;
 use crate::problem::{ConstraintBounds, OptimizerConfig, SizingProblem};
 use crate::report::{Improvements, OptimizationReport};
 use crate::snapshot::Snapshot;
@@ -60,22 +61,31 @@ enum SolveMode<'s> {
 pub struct Flow;
 
 impl Flow {
-    /// Validates the configuration against a problem instance and starts the
-    /// pipeline's wall clock.
+    /// Validates the configuration and the problem instance, starts the
+    /// pipeline's wall clock and the stage-1 workers of the configuration's
+    /// [`parallel`](crate::OptimizerConfig::parallel) policy: none under
+    /// `Sequential` or one thread, and no more than the machine's hardware
+    /// threads otherwise.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidConfig`] when the configuration is
-    /// invalid.
+    /// invalid, and [`CoreError::Instance`] when the instance is
+    /// inconsistent (see
+    /// [`ProblemInstance::validate`](ncgws_netlist::ProblemInstance::validate)).
     pub fn prepare(
         instance: &ProblemInstance,
         config: OptimizerConfig,
     ) -> Result<Prepared<'_>, CoreError> {
         config.validate()?;
+        instance.validate()?;
+        let mut runtime = ParRuntime::new();
+        runtime.configure(config.parallel.at_most_hardware());
         Ok(Prepared {
             instance,
             config,
             started: Instant::now(),
+            runtime,
         })
     }
 }
@@ -87,6 +97,9 @@ pub struct Prepared<'a> {
     instance: &'a ProblemInstance,
     config: OptimizerConfig,
     started: Instant,
+    /// Runs stage 1's channel blocks; dropped (its workers joined) when
+    /// stage 1 ends.
+    runtime: ParRuntime,
 }
 
 impl<'a> Prepared<'a> {
@@ -102,18 +115,27 @@ impl<'a> Prepared<'a> {
 
     /// Runs stage 1: logic simulation, switching-similarity wire ordering and
     /// coupling-model construction, then derives the constraint bounds from
-    /// the initial (unsized) metrics.
+    /// the initial (unsized) metrics. The channels are ordered on the
+    /// configuration's thread policy; the outcome is bitwise the same under
+    /// every policy.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Coupling`] when the induced coupling pairs are
     /// geometrically invalid for the instance's layout.
     pub fn order(self) -> Result<Ordered<'a>, CoreError> {
-        let ordering = build_coupling(
-            self.instance,
-            self.config.ordering,
-            self.config.effective_coupling,
-        )?;
+        let ordering = {
+            // A clone of `Prepared` starts without workers; this re-arms
+            // them. They are joined at the end of the block.
+            let mut runtime = self.runtime;
+            runtime.configure(self.config.parallel.at_most_hardware());
+            build_coupling_on(
+                &runtime,
+                self.instance,
+                self.config.ordering,
+                self.config.effective_coupling,
+            )?
+        };
         let graph = &self.instance.circuit;
         let (initial_metrics, bounds, extras) = {
             let mut engine = SizingEngine::new(graph, &ordering.coupling);
@@ -500,7 +522,7 @@ mod tests {
             .unwrap()
             .order()
             .unwrap();
-        assert!(!ordered.ordering().orderings.is_empty());
+        assert!(ordered.ordering().num_channels() > 0);
         assert!(ordered.ordering().total_effective_loading >= 0.0);
         assert!(ordered.initial_metrics().area_um2 > 0.0);
         assert!(ordered.bounds().delay > 0.0);

@@ -1,4 +1,5 @@
-//! Deterministic level-parallel execution for the stage-2 inner loop.
+//! Deterministic level-parallel execution for the stage-2 inner loop, and
+//! the worker pool stage 1 orders its channel blocks on.
 //!
 //! The paper's per-sweep work is `O(V + E + P)` with *component-separable*
 //! closed-form resizes (Theorem 5), and the cached level partition of
@@ -47,12 +48,14 @@ use crate::error::CoreError;
 /// depend on this value's relation to the thread count, only perf does.
 pub(crate) const CHUNK_NODES: usize = 256;
 
-/// How the stage-2 inner loop distributes its traversals across threads.
+/// How a solve distributes its work across threads: stage 1's blocks of
+/// routing channels and the stage-2 inner loop's traversals.
 ///
 /// Selected via [`OptimizerConfig::parallel`](crate::OptimizerConfig) (or
 /// [`OptimizerConfigBuilder::threads`](crate::OptimizerConfigBuilder::threads)).
-/// Both variants run the same deterministic level grid; they differ only in
-/// the worker count. Outcomes are bitwise identical for every worker count,
+/// Both variants run the same deterministic grids; they differ only in
+/// the worker count. `Sequential` and one thread spawn no thread at all.
+/// Outcomes are bitwise identical for every worker count,
 /// and with [`SolveStrategy::Exact`](crate::SolveStrategy) they remain
 /// bitwise pinned to [`crate::reference`] — the per-node arithmetic is
 /// unchanged, only its distribution across workers varies.
@@ -107,12 +110,30 @@ impl ParallelPolicy {
     pub(crate) fn worker_count(&self) -> usize {
         match self {
             ParallelPolicy::Sequential => 1,
-            ParallelPolicy::Level { threads: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            ParallelPolicy::Level { threads: 0 } => hardware_threads(),
             ParallelPolicy::Level { threads } => *threads,
         }
     }
+
+    /// The policy with no more workers than the machine has hardware
+    /// threads. Stage 1 runs under it: its blocks are one short burst of
+    /// independent CPU work, which workers beyond the hardware only slow
+    /// by their start and join.
+    pub(crate) fn at_most_hardware(self) -> Self {
+        match self {
+            ParallelPolicy::Level { threads } if threads > 0 => ParallelPolicy::Level {
+                threads: threads.min(hardware_threads()),
+            },
+            other => other,
+        }
+    }
+}
+
+/// The machine's available parallelism (1 when unknown).
+fn hardware_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// One step of a leveled pass: the boundary window `bounds[lo..=hi]` of
@@ -313,8 +334,9 @@ pub(crate) fn flat_blocks(n: usize) -> impl ExactSizeIterator<Item = Range<usize
         .map(move |c| c * CHUNK_NODES..((c + 1) * CHUNK_NODES).min(n))
 }
 
-/// The per-engine parallel runtime: the resolved policy and (with the
-/// `parallel` feature) the persistent worker pool. [`run`](Self::run)
+/// A solve's parallel runtime — one per engine, and one for stage 1: the
+/// resolved policy and (with the `parallel` feature) the persistent worker
+/// pool. [`run`](Self::run)
 /// takes `&self` so passes can run while other engine fields are mutably
 /// split-borrowed.
 pub(crate) struct ParRuntime {
@@ -491,7 +513,9 @@ mod pool {
 
     impl WorkerPool {
         /// Spawns a pool with `participants` total workers (the calling
-        /// thread is worker 0; `participants - 1` threads are spawned).
+        /// thread is worker 0; `participants - 1` threads are spawned), and
+        /// returns once every worker is up: a thread's start-up (std copies
+        /// its name on the new thread) is over before the first real job.
         pub(crate) fn new(participants: usize) -> Self {
             let participants = participants.max(2);
             let shared = Arc::new(Shared {
@@ -513,11 +537,13 @@ mod pool {
                         .expect("spawning a pool worker succeeds")
                 })
                 .collect();
-            WorkerPool {
+            let pool = WorkerPool {
                 shared,
                 handles,
                 participants,
-            }
+            };
+            pool.run(&|| {});
+            pool
         }
 
         /// Total participants (including the calling thread).
@@ -651,6 +677,37 @@ mod tests {
         assert!(ParallelPolicy::threads(8).validate().is_ok());
         assert!(ParallelPolicy::Sequential.validate().is_ok());
         assert!(ParallelPolicy::threads(100_000).validate().is_err());
+    }
+
+    #[test]
+    fn stage_one_policy_stays_within_the_hardware() {
+        let hw = hardware_threads();
+        for policy in [
+            ParallelPolicy::Sequential,
+            ParallelPolicy::threads(0),
+            ParallelPolicy::threads(1),
+            ParallelPolicy::threads(hw),
+        ] {
+            assert_eq!(policy.at_most_hardware(), policy);
+        }
+        assert_eq!(
+            ParallelPolicy::threads(hw + 7).at_most_hardware(),
+            ParallelPolicy::threads(hw)
+        );
+    }
+
+    /// `Sequential` and one thread run on the caller: no pool, no thread.
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn one_worker_spawns_no_pool() {
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::threads(1)] {
+            let mut runtime = ParRuntime::new();
+            runtime.configure(policy);
+            assert!(runtime.pool.is_none(), "{policy:?}");
+        }
+        let mut runtime = ParRuntime::new();
+        runtime.configure(ParallelPolicy::threads(2));
+        assert!(runtime.pool.is_some());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use ncgws_circuit::CircuitError;
+use ncgws_circuit::{CircuitError, NodeId};
 
 /// Errors produced while generating or parsing benchmark circuits.
 #[derive(Debug)]
@@ -23,6 +23,21 @@ pub enum NetlistError {
     },
     /// An I/O error while reading or writing a netlist file.
     Io(std::io::Error),
+    /// A routing channel lists a wire the circuit does not have.
+    ChannelWireOutOfRange {
+        /// Index of the channel.
+        channel: usize,
+        /// The offending wire.
+        wire: NodeId,
+    },
+    /// The pattern set's width is not the circuit's driver count (the
+    /// logic simulation reads one input row per driver).
+    PatternWidth {
+        /// Inputs per pattern.
+        inputs: usize,
+        /// Drivers of the circuit.
+        drivers: usize,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -36,6 +51,13 @@ impl fmt::Display for NetlistError {
                 write!(f, "netlist parse error at line {line}: {reason}")
             }
             NetlistError::Io(e) => write!(f, "netlist i/o error: {e}"),
+            NetlistError::ChannelWireOutOfRange { channel, wire } => {
+                write!(f, "channel {channel}: channel wire {wire} is out of range")
+            }
+            NetlistError::PatternWidth { inputs, drivers } => write!(
+                f,
+                "pattern set has {inputs} inputs, the circuit has {drivers} drivers"
+            ),
         }
     }
 }

@@ -5,6 +5,8 @@ use ncgws_waveform::PatternSet;
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
+use crate::error::NetlistError;
+
 /// Geometry shared by all routing channels of an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChannelGeometry {
@@ -42,9 +44,7 @@ pub struct ProblemInstance {
 }
 
 /// Decodes the parts (the circuit and patterns check their own
-/// invariants) and rejects channel wires outside the circuit and a pattern
-/// set whose width is not the circuit's driver count (the logic simulation
-/// reads one input row per driver).
+/// invariants), then checks the whole with [`ProblemInstance::validate`].
 impl Deserialize for ProblemInstance {
     fn deserialize_json(value: &Value) -> Result<Self, Error> {
         let f = Fields::new(value, "ProblemInstance")?;
@@ -55,29 +55,39 @@ impl Deserialize for ProblemInstance {
             geometry: f.field("geometry")?,
             patterns: f.field("patterns")?,
         };
-        let nodes = instance.circuit.num_nodes();
-        if let Some(&id) = instance
-            .channels
-            .iter()
-            .flatten()
-            .find(|id| id.index() >= nodes)
-        {
-            return Err(Error::custom(format!("channel wire {id} is out of range")));
-        }
-        let (inputs, drivers) = (
-            instance.patterns.num_inputs(),
-            instance.circuit.num_drivers(),
-        );
-        if inputs != drivers {
-            return Err(Error::custom(format!(
-                "pattern set has {inputs} inputs, the circuit has {drivers} drivers"
-            )));
-        }
+        instance
+            .validate()
+            .map_err(|e| Error::custom(e.to_string()))?;
         Ok(instance)
     }
 }
 
 impl ProblemInstance {
+    /// Checks what the parts cannot check alone: every channel wire lies
+    /// inside the circuit, and the pattern set has one input per driver.
+    /// The fields are public, so an instance built in code is checked here
+    /// by whoever consumes it, as a decoded one is by the decoder.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::ChannelWireOutOfRange`] for the first channel wire
+    /// that is not a node of the circuit, and
+    /// [`NetlistError::PatternWidth`] when the pattern width differs from
+    /// the driver count.
+    pub fn validate(&self) -> Result<(), NetlistError> {
+        let nodes = self.circuit.num_nodes();
+        for (channel, wires) in self.channels.iter().enumerate() {
+            if let Some(&wire) = wires.iter().find(|id| id.index() >= nodes) {
+                return Err(NetlistError::ChannelWireOutOfRange { channel, wire });
+            }
+        }
+        let (inputs, drivers) = (self.patterns.num_inputs(), self.circuit.num_drivers());
+        if inputs != drivers {
+            return Err(NetlistError::PatternWidth { inputs, drivers });
+        }
+        Ok(())
+    }
+
     /// Length (µm) of a wire, recovered from its area coefficient.
     ///
     /// Returns 0 for non-wire nodes.

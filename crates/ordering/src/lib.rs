@@ -14,7 +14,8 @@
 //! the greedy **WOSS** heuristic (Figure 7). This crate implements:
 //!
 //! * [`SsProblem`] — the complete graph `K_n` with `1 − similarity` weights;
-//! * [`woss()`] — the paper's heuristic;
+//! * [`woss()`] — the paper's heuristic, and [`woss_into`], the same sweep
+//!   in caller-provided buffers;
 //! * [`exact_ordering`] — a Held–Karp dynamic program usable up to ~16 wires,
 //!   as an optimality reference for tests and ablations;
 //! * [`baselines`] — identity / random / best-start nearest-neighbor
@@ -35,5 +36,5 @@ pub mod woss;
 
 pub use error::OrderingError;
 pub use exact::exact_ordering;
-pub use problem::{SsProblem, WireOrdering};
-pub use woss::woss;
+pub use problem::{path_cost, SsProblem, WireOrdering};
+pub use woss::{woss, woss_into};

@@ -88,7 +88,7 @@ impl SsProblem {
     /// Panics if `order` is not a permutation-sized slice of valid positions.
     pub fn ordering_cost(&self, order: &[usize]) -> f64 {
         assert_eq!(order.len(), self.len(), "ordering must cover every wire");
-        order.windows(2).map(|w| self.weight(w[0], w[1])).sum()
+        path_cost(order, |i, j| self.weight(i, j))
     }
 
     /// Wraps a position ordering into a [`WireOrdering`] carrying node ids
@@ -106,6 +106,16 @@ impl SsProblem {
             cost,
         }
     }
+}
+
+/// Total effective loading `Σ_i weight(order[i], order[i+1])` of an
+/// ordering given as positions, summed left to right; `0` for fewer than
+/// two wires.
+pub fn path_cost(order: &[usize], weight: impl Fn(usize, usize) -> f64) -> f64 {
+    if order.len() < 2 {
+        return 0.0;
+    }
+    order.windows(2).map(|w| weight(w[0], w[1])).sum()
 }
 
 /// A solution of the SS problem: a linear track order of the wires.

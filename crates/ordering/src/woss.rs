@@ -11,48 +11,64 @@ use crate::problem::{SsProblem, WireOrdering};
 ///    placed, append the one with the minimum weight to the current last wire.
 ///
 /// The run time is `O(n²)` for `n` wires (a depth-first greedy sweep of the
-/// complete graph `K_n`).
+/// complete graph `K_n`). This allocates the result; [`woss_into`] runs the
+/// same sweep in caller-provided buffers.
 ///
 /// Degenerate inputs: an empty problem yields an empty ordering, a single
 /// wire yields the trivial ordering.
 pub fn woss(problem: &SsProblem) -> WireOrdering {
     let n = problem.len();
-    if n == 0 {
-        return problem.make_ordering(Vec::new());
-    }
-    if n == 1 {
-        return problem.make_ordering(vec![0]);
+    let mut placed = vec![false; n];
+    let mut order = vec![0; n];
+    woss_into(|i, j| problem.weight(i, j), &mut placed, &mut order);
+    problem.make_ordering(order)
+}
+
+/// [`woss`] without allocating: orders `n = order.len()` wires whose edge
+/// weights `weight(i, j)` are given by position, and writes the ordering
+/// into `order` as positions. `placed` is scratch of `n` flags; its
+/// contents on entry do not matter. The weight is only ever asked for two
+/// distinct positions.
+///
+/// # Panics
+///
+/// Panics if `placed` is shorter than `order`.
+pub fn woss_into(weight: impl Fn(usize, usize) -> f64, placed: &mut [bool], order: &mut [usize]) {
+    let n = order.len();
+    let placed = &mut placed[..n];
+    if n < 2 {
+        order.fill(0);
+        return;
     }
 
     // A1: the minimum-weighted edge starts the ordering.
     let mut best = (0usize, 1usize);
-    let mut best_w = problem.weight(0, 1);
+    let mut best_w = weight(0, 1);
     for i in 0..n {
         for j in (i + 1)..n {
-            let w = problem.weight(i, j);
+            let w = weight(i, j);
             if w < best_w {
                 best_w = w;
                 best = (i, j);
             }
         }
     }
-    let mut order = Vec::with_capacity(n);
-    let mut placed = vec![false; n];
-    order.push(best.0);
-    order.push(best.1);
+    placed.fill(false);
+    order[0] = best.0;
+    order[1] = best.1;
     placed[best.0] = true;
     placed[best.1] = true;
 
     // A2: extend greedily from the current tail.
-    for _ in 2..n {
-        let tail = *order.last().expect("ordering is non-empty");
+    for m in 2..n {
+        let tail = order[m - 1];
         let mut next = None;
         let mut next_w = f64::INFINITY;
         for (candidate, &taken) in placed.iter().enumerate() {
             if taken {
                 continue;
             }
-            let w = problem.weight(tail, candidate);
+            let w = weight(tail, candidate);
             if w < next_w {
                 next_w = w;
                 next = Some(candidate);
@@ -60,10 +76,8 @@ pub fn woss(problem: &SsProblem) -> WireOrdering {
         }
         let chosen = next.expect("an unplaced wire always exists inside the loop");
         placed[chosen] = true;
-        order.push(chosen);
+        order[m] = chosen;
     }
-
-    problem.make_ordering(order)
 }
 
 #[cfg(test)]
@@ -160,6 +174,29 @@ mod tests {
         assert!(greedy.cost() <= base.cost());
         // The optimum keeps the two blocks contiguous: cost 6*0.2 + 1*1.8.
         assert!((greedy.cost() - (6.0 * 0.2 + 1.8)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn in_place_matches_the_allocating_form() {
+        for n in 0..9 {
+            let mut weights = vec![0.0; n * n];
+            for i in 0..n {
+                for j in 0..i {
+                    let w = ((i * 7 + j * 3) % 11) as f64 / 11.0;
+                    weights[i * n + j] = w;
+                    weights[j * n + i] = w;
+                }
+            }
+            let p = problem(weights);
+            // Scratch left dirty by an earlier, larger channel.
+            let mut placed = vec![true; n + 3];
+            let mut order = vec![usize::MAX; n];
+            woss_into(|i, j| p.weight(i, j), &mut placed, &mut order);
+            let o = woss(&p);
+            assert_eq!(order, o.positions(), "n={n}");
+            let cost = crate::problem::path_cost(&order, |i, j| p.weight(i, j));
+            assert_eq!(cost.to_bits(), o.cost().to_bits(), "n={n}");
+        }
     }
 
     #[test]

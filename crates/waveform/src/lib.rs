@@ -24,7 +24,8 @@
 //!   64 vectors per word operation;
 //! * [`Waveform`] / [`SimulationTrace`] — the normalized ±1 waveforms, the
 //!   trace packed like the patterns, one row of words per node;
-//! * [`similarity()`], [`SimilarityMatrix`] — pairwise switching similarity;
+//! * [`similarity()`], [`SimilarityMatrix`] — pairwise switching similarity,
+//!   and [`fill_similarities`], the matrix written into a caller's buffer;
 //! * [`miller_factor`] — the mapping from similarity to the effective
 //!   coupling multiplier in `[0, 2]`.
 
@@ -40,5 +41,5 @@ pub mod trace;
 pub use logic_sim::LogicSimulator;
 pub use miller::{miller_factor, ordering_weight};
 pub use patterns::PatternSet;
-pub use similarity::{similarity, SimilarityMatrix};
+pub use similarity::{fill_similarities, similarity, SimilarityMatrix};
 pub use trace::{SimulationTrace, Waveform};

@@ -20,6 +20,28 @@ pub fn similarity(a: &Waveform, b: &Waveform) -> f64 {
     sum / a.len() as f64
 }
 
+/// Writes the row-major `k × k` similarity matrix of `nodes` into `values`
+/// without allocating: `values[i·k + j]` is the similarity of `nodes[i]` and
+/// `nodes[j]`, with ones on the diagonal. Each pair is computed once and
+/// mirrored.
+///
+/// # Panics
+///
+/// Panics if `values` is not `nodes.len()²` long, or a node is not covered
+/// by the trace.
+pub fn fill_similarities(trace: &SimulationTrace, nodes: &[NodeId], values: &mut [f64]) {
+    let k = nodes.len();
+    assert_eq!(values.len(), k * k, "one value per pair of nodes");
+    for i in 0..k {
+        values[i * k + i] = 1.0;
+        for j in (i + 1)..k {
+            let s = trace.similarity(nodes[i], nodes[j]);
+            values[i * k + j] = s;
+            values[j * k + i] = s;
+        }
+    }
+}
+
 /// A dense matrix of pairwise similarities for a selected group of wires
 /// (for example the wires sharing one routing channel).
 ///
@@ -34,18 +56,13 @@ pub struct SimilarityMatrix {
 }
 
 impl SimilarityMatrix {
-    /// Computes the similarity matrix of the given nodes from a trace.
+    /// Computes the similarity matrix of the given nodes from a trace
+    /// (allocating; [`fill_similarities`] writes the same values into a
+    /// caller's buffer).
     pub fn from_trace(trace: &SimulationTrace, nodes: &[NodeId]) -> Self {
         let k = nodes.len();
         let mut values = vec![0.0; k * k];
-        for i in 0..k {
-            values[i * k + i] = 1.0;
-            for j in (i + 1)..k {
-                let s = trace.similarity(nodes[i], nodes[j]);
-                values[i * k + j] = s;
-                values[j * k + i] = s;
-            }
-        }
+        fill_similarities(trace, nodes, &mut values);
         SimilarityMatrix {
             nodes: nodes.to_vec(),
             values,
@@ -155,5 +172,12 @@ mod tests {
         assert_eq!(m.by_id(NodeId::new(0), NodeId::new(9)), None);
         assert!((m.weight(0, 1) - 0.0).abs() < 1e-12);
         assert!((m.weight(0, 2) - 1.0).abs() < 1e-12);
+
+        // The in-place fill writes the same matrix into a caller's buffer,
+        // overwriting whatever it held.
+        let mut values = vec![f64::NAN; 9];
+        fill_similarities(&trace, &nodes, &mut values);
+        let expected: Vec<f64> = (0..9).map(|e| m.by_position(e / 3, e % 3)).collect();
+        assert_eq!(values, expected);
     }
 }

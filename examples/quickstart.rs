@@ -35,7 +35,7 @@ fn main() -> Result<(), ncgws::Error> {
     let ordered = Flow::prepare(&instance, config)?.order()?;
     println!(
         "stage 1: {} channel orderings, effective loading {:.3}, {} coupling pairs",
-        ordered.ordering().orderings.len(),
+        ordered.ordering().num_channels(),
         ordered.ordering().total_effective_loading,
         ordered.ordering().coupling.len()
     );

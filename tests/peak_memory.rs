@@ -5,12 +5,24 @@
 //! Each phase's peak is the largest number of live heap bytes (everything
 //! still held from earlier phases included) between its start and end. The
 //! budgets were recorded on this workload and allow 10% on top; a change
-//! that stores a table twice again shows up here. The generate phase also
-//! has a budget of allocation calls, with the same 10% on top, counted on
-//! the test's own thread: it holds the netlist in per-table buffers and
-//! the patterns in one packed buffer, so a per-node heap string or list,
-//! or a per-vector pattern buffer, coming back multiplies the count. Run it
-//! with the numbers printed:
+//! that stores a table twice again shows up here. The generate and order
+//! phases also have budgets of allocation calls, with the same 10% on top,
+//! counted on the test's own thread: generation holds the netlist in
+//! per-table buffers and the patterns in one packed buffer, and stage 1
+//! holds its orderings in one channel CSR and its scratch in one buffer
+//! per block, so a per-node heap string or list, a per-vector pattern
+//! buffer or a per-channel matrix or ordering coming back multiplies the
+//! count.
+//!
+//! The same solve then runs at `threads(1)` and `threads(2)`, and no thread
+//! but the test's own may allocate during `order()` or `size()`: heap a
+//! worker takes lands in that thread's own allocator arena, whose pages
+//! stay resident and grow from solve to solve. A worker thread makes one
+//! allocation of its own when it starts (std copies the thread's name on
+//! the new thread), so each check counts from after its pool is up: the
+//! stage-1 workers start in `Flow::prepare` and the sizing workers in
+//! `SizingEngine::set_parallel`, and a pool is up when its constructor
+//! returns. Run it with the numbers printed:
 //!
 //! ```text
 //! cargo test --release --features parallel --test peak_memory -- --nocapture
@@ -27,12 +39,16 @@ use ncgws::netlist::{xl_wide_spec, SyntheticGenerator};
 /// allocator below.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocation calls made by every thread but the test's own.
+static OTHER_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Allocation calls made by the current thread. Only the test's own
     /// thread is counted: the harness's main thread makes a few calls of
     /// its own while the test thread starts, and whether they land inside
     /// the first phase depends on scheduling.
     static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Whether the current thread is the test's own; set by the test.
+    static IS_TEST: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The system allocator, counting the bytes it hands out. `realloc` and
@@ -49,6 +65,9 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: forwarded under the caller's contract.
         let ptr = unsafe { System.alloc(layout) };
         let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+        if !IS_TEST.try_with(Cell::get).unwrap_or(false) {
+            OTHER_ALLOCS.fetch_add(1, Relaxed);
+        }
         if !ptr.is_null() {
             let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
             PEAK.fetch_max(live, Relaxed);
@@ -84,16 +103,30 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
     ("generate", 1_636_145),
-    ("order", 2_537_224),
-    ("engine", 2_377_224),
-    ("size", 2_751_084),
+    ("order", 2_454_425),
+    ("engine", 2_294_425),
+    ("size", 2_668_477),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload.
 const GENERATE_ALLOCS: usize = 818;
 
+/// Allocation calls of the order phase (`prepare` + `order`), recorded on
+/// this workload. None of them is made per channel: the workload has 667
+/// channels, so one per channel would break the budget.
+const ORDER_ALLOCS: usize = 47;
+
+/// Runs `f` and returns its result with the number of allocation calls
+/// every thread but the test's made meanwhile.
+fn off_test_thread<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = OTHER_ALLOCS.load(Relaxed);
+    let out = f();
+    (out, OTHER_ALLOCS.load(Relaxed) - before)
+}
+
 #[test]
 fn xlw10k_phase_peaks_stay_within_budget() {
+    IS_TEST.with(|t| t.set(true));
     let config = OptimizerConfig {
         solve_strategy: SolveStrategy::adaptive(),
         parallel: ParallelPolicy::Sequential,
@@ -104,7 +137,7 @@ fn xlw10k_phase_peaks_stay_within_budget() {
             .generate()
             .unwrap()
     });
-    let (ordered, order, _) = phase(|| {
+    let (ordered, order, order_allocs) = phase(|| {
         Flow::prepare(&instance, config.clone())
             .unwrap()
             .order()
@@ -130,6 +163,9 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         "peak_memory xlw10k generate: {generate_allocs} allocation calls (budget \
          {GENERATE_ALLOCS} + 10%)"
     );
+    println!(
+        "peak_memory xlw10k order: {order_allocs} allocation calls (budget {ORDER_ALLOCS} + 10%)"
+    );
     for ((name, budget), peak) in BUDGETS.iter().zip(peaks) {
         assert!(
             peak <= budget + budget / 10,
@@ -140,4 +176,39 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         generate_allocs <= GENERATE_ALLOCS + GENERATE_ALLOCS / 10,
         "generate: {generate_allocs} allocation calls exceed the budget {GENERATE_ALLOCS} + 10%"
     );
+    assert!(
+        order_allocs <= ORDER_ALLOCS + ORDER_ALLOCS / 10,
+        "order: {order_allocs} allocation calls exceed the budget {ORDER_ALLOCS} + 10%"
+    );
+
+    // Workers allocate nothing. Each pool is up before its count starts.
+    for parallel in [
+        ParallelPolicy::Sequential,
+        ParallelPolicy::threads(1),
+        ParallelPolicy::threads(2),
+    ] {
+        let config = OptimizerConfig {
+            parallel,
+            ..config.clone()
+        };
+        let prepared = Flow::prepare(&instance, config).unwrap();
+        let (ordered, order_others) = off_test_thread(|| prepared.order().unwrap());
+        let mut engine = ordered.engine();
+        engine.set_parallel(parallel);
+        let (again, size_others) = off_test_thread(|| {
+            ordered
+                .size_with_engine(&mut engine, None, &RunControl::new())
+                .unwrap()
+        });
+        assert_eq!(again.sizes(), sized.sizes(), "{parallel:?}: the same solve");
+        println!(
+            "peak_memory xlw10k {parallel:?}: {order_others} allocation calls off the test \
+             thread in order(), {size_others} in size()"
+        );
+        assert_eq!(
+            order_others, 0,
+            "{parallel:?}: a worker allocated in order()"
+        );
+        assert_eq!(size_others, 0, "{parallel:?}: a worker allocated in size()");
+    }
 }

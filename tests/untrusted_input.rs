@@ -13,10 +13,11 @@
 
 use std::sync::OnceLock;
 
-use ncgws::core::{OptimizerConfig, RunControl};
+use ncgws::circuit::NodeId;
+use ncgws::core::{build_coupling, CoreError, OptimizerConfig, OrderingStrategy, RunControl};
 use ncgws::coupling::{CouplingError, CouplingPair, CouplingSet, WirePairGeometry};
 use ncgws::netlist::format::{parse_instance, write_instance};
-use ncgws::netlist::{CircuitSpec, PatternSet, ProblemInstance, SyntheticGenerator};
+use ncgws::netlist::{CircuitSpec, NetlistError, PatternSet, ProblemInstance, SyntheticGenerator};
 use ncgws::serve::store::JOURNAL_FILE;
 use ncgws::{
     CheckpointPolicy, Flow, JobInput, JobOutcome, JobSpec, Server, ServerConfig, Snapshot,
@@ -294,6 +295,61 @@ fn a_pattern_width_other_than_the_driver_count_is_an_error() {
         );
     };
     assert!(err.to_string().contains("drivers"), "{err}");
+}
+
+/// An instance built in code (its fields are public) gets the checks the
+/// decoder makes, from `Flow::prepare` and `build_coupling`: a pattern set
+/// narrower than the driver count is a typed error, not a panic in the
+/// logic simulation, and the decoder reports the same error.
+#[test]
+fn an_instance_built_in_code_with_narrow_patterns_is_a_typed_error() {
+    let mut inst = instance(1, 20);
+    let drivers = inst.circuit.num_drivers();
+    inst.patterns = PatternSet::random(drivers - 1, 16, 1);
+    let expected = NetlistError::PatternWidth {
+        inputs: drivers - 1,
+        drivers,
+    }
+    .to_string();
+    let err = inst.validate().expect_err("the instance is inconsistent");
+    assert_eq!(err.to_string(), expected);
+    match Flow::prepare(&inst, quick_config()) {
+        Err(CoreError::Instance(NetlistError::PatternWidth { inputs, drivers: d })) => {
+            assert_eq!((inputs, d), (drivers - 1, drivers));
+        }
+        other => panic!("expected a pattern-width error, got {other:?}"),
+    }
+    let err = build_coupling(&inst, OrderingStrategy::Woss, false).expect_err("inconsistent");
+    assert!(matches!(
+        err,
+        CoreError::Instance(NetlistError::PatternWidth { .. })
+    ));
+    let json = serde_json::to_string(&inst).expect("encodes");
+    let err = serde_json::from_str::<ProblemInstance>(&json).expect_err("inconsistent");
+    assert!(err.to_string().contains(&expected), "{err}");
+}
+
+/// A channel wire outside the circuit, in an instance built in code, is a
+/// typed error before stage 1 indexes the trace with it.
+#[test]
+fn an_instance_built_in_code_with_an_out_of_range_channel_wire_is_a_typed_error() {
+    let mut inst = instance(1, 20);
+    let beyond = NodeId::new(inst.circuit.num_nodes());
+    inst.channels[1].push(beyond);
+    match Flow::prepare(&inst, quick_config()) {
+        Err(CoreError::Instance(NetlistError::ChannelWireOutOfRange { channel, wire })) => {
+            assert_eq!((channel, wire), (1, beyond));
+        }
+        other => panic!("expected an out-of-range error, got {other:?}"),
+    }
+    let err = build_coupling(&inst, OrderingStrategy::Woss, true).expect_err("inconsistent");
+    assert!(matches!(
+        err,
+        CoreError::Instance(NetlistError::ChannelWireOutOfRange { .. })
+    ));
+    let json = serde_json::to_string(&inst).expect("encodes");
+    let err = serde_json::from_str::<ProblemInstance>(&json).expect_err("inconsistent");
+    assert!(err.to_string().contains("out of range"), "{err}");
 }
 
 proptest! {
