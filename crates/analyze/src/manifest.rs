@@ -51,7 +51,6 @@ pub const HOT_PATHS: &[(&str, &[&str])] = &[
             // The solve drivers: called once per OGWS iteration; their
             // sweep loops must not allocate (outcome assembly happens in
             // the callers' reporting layer).
-            "solve_controlled",
             "solve_constrained",
             "solve_scheduled",
         ],

@@ -19,7 +19,7 @@
 
 #![warn(missing_docs)]
 
-use ncgws_core::{OptimizationOutcome, Optimizer, OptimizerConfig};
+use ncgws_core::{Flow, OptimizerConfig, SizedOutcome};
 use ncgws_netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 
 /// Generates the problem instance for a circuit specification, panicking on
@@ -30,11 +30,12 @@ pub fn generate(spec: CircuitSpec) -> ProblemInstance {
         .expect("benchmark generation succeeds")
 }
 
-/// Runs the full two-stage optimizer on an instance with the given
+/// Runs the full two-stage flow on an instance with the given
 /// configuration, panicking on error.
-pub fn optimize(instance: &ProblemInstance, config: OptimizerConfig) -> OptimizationOutcome {
-    Optimizer::new(config)
-        .run(instance)
+pub fn optimize(instance: &ProblemInstance, config: OptimizerConfig) -> SizedOutcome {
+    Flow::prepare(instance, config)
+        .and_then(|prepared| prepared.order())
+        .and_then(|ordered| ordered.size())
         .expect("optimization succeeds")
 }
 

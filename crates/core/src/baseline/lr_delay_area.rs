@@ -76,7 +76,7 @@ pub fn lr_delay_area(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::Optimizer;
+    use crate::flow::Flow;
     use ncgws_netlist::{CircuitSpec, SyntheticGenerator};
 
     fn instance() -> ProblemInstance {
@@ -111,7 +111,12 @@ mod tests {
         let inst = instance();
         let config = quick_config();
         let baseline = lr_delay_area(&inst, &config).unwrap();
-        let full = Optimizer::new(config).run(&inst).unwrap();
+        let full = Flow::prepare(&inst, config)
+            .unwrap()
+            .order()
+            .unwrap()
+            .size()
+            .unwrap();
         assert!(full.report.feasible);
         // The full optimizer enforces a crosstalk bound at ~11% of the initial
         // noise; the baseline has no such bound, so it can only do worse or equal.

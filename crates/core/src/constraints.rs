@@ -9,15 +9,14 @@
 //! * [`ScalarConstraint`] — one linear posynomial constraint
 //!   `g(x) = c₀ + Σ_k a_k · x_{i_k} ≤ b` over the dense component sizes
 //!   (all coefficients non-negative, so the constraint penalizes growth);
-//! * [`ConstraintFamily`] — the seam a family plugs into: it declares its
-//!   multiplier block, evaluates per-constraint values/violations for the
-//!   OGWS subgradient step, accumulates its μ-weighted per-component
-//!   coefficients into the engine's dense denominator table (so the
-//!   Theorem 5 closed-form resize just reads one extra slice and stays
-//!   allocation-free), and contributes its `Σ μ_k (g_k − b_k)` term to the
-//!   dual value;
-//! * [`ScalarFamily`] — the concrete linear family every shipped scenario
-//!   uses ([`ConstraintSpec::PerNetCrosstalk`], [`ConstraintSpec::DrivenLoad`]);
+//! * [`ScalarFamily`] — a named group of linear constraints sharing one
+//!   multiplier block, the family every shipped scenario lowers into
+//!   ([`ConstraintSpec::PerNetCrosstalk`], [`ConstraintSpec::DrivenLoad`]).
+//!   It evaluates per-constraint values/violations for the OGWS subgradient
+//!   step, accumulates its μ-weighted per-component coefficients into the
+//!   engine's dense denominator table (so the Theorem 5 closed-form resize
+//!   just reads one extra slice and stays allocation-free), and contributes
+//!   its `Σ μ_k (g_k − b_k)` term to the dual value;
 //! * [`ConstraintSet`] — the extra families attached to a
 //!   [`SizingProblem`](crate::SizingProblem). The default (empty) set is the
 //!   paper's original formulation: the three global bounds keep their exact
@@ -33,8 +32,8 @@
 //! whose constraints are **linear in the sizes** adds `Σ μ_k a_{k,i}` to
 //! component `i`'s denominator and nothing to the numerator, so the
 //! relaxation stays separable and the same sweep converges to its unique
-//! optimum. Families with `x_i⁻¹` terms would need a numerator hook; the
-//! trait leaves that extension open but nothing here requires it.
+//! optimum. Families with `x_i⁻¹` terms would need a numerator hook;
+//! nothing here requires it.
 //!
 //! # Adding a family
 //!
@@ -196,54 +195,10 @@ impl fmt::Display for FamilyKind {
     }
 }
 
-/// The seam a constraint family plugs into the solver stack through. See the
-/// module docs for the contract each method serves (multiplier block size,
-/// OGWS slack evaluation, dense denominator aggregation, dual term).
-pub trait ConstraintFamily: fmt::Debug {
-    /// Family name for reports.
-    fn name(&self) -> &str;
-
-    /// Family kind for reports.
-    fn kind(&self) -> FamilyKind;
-
-    /// Number of constraints — the size of the family's multiplier block.
-    fn len(&self) -> usize;
-
-    /// `true` when the family carries no constraints.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `k`-th constraint's bound, in internal units.
-    fn bound(&self, k: usize) -> f64;
-
-    /// The `k`-th constraint's left-hand side at `sizes`.
-    fn value(&self, k: usize, sizes: &SizeVector) -> f64;
-
-    /// The `k`-th constraint's violation `g_k(x) − b_k` at `sizes`.
-    fn violation(&self, k: usize, sizes: &SizeVector) -> f64 {
-        self.value(k, sizes) - self.bound(k)
-    }
-
-    /// Normalizes a raw violation of the `k`-th constraint by its bound —
-    /// the **single** definition of "relative violation" the subgradient
-    /// step, feasibility checks, KKT residuals and slack reports all share.
-    fn relative_violation(&self, k: usize, violation: f64) -> f64 {
-        violation / self.bound(k).abs().max(1e-12)
-    }
-
-    /// Adds `Σ_k μ_k · ∂g_k/∂x_i` to `denominator[i]` for every dense
-    /// component index `i` — the family's contribution to the Theorem 5
-    /// closed-form denominator. Must not allocate: this runs once per LRS
-    /// solve inside the OGWS loop.
-    fn accumulate_denominator(&self, multipliers: &[f64], denominator: &mut [f64]);
-
-    /// The family's dual-value term `Σ_k μ_k (g_k(x) − b_k)`.
-    fn dual_term(&self, multipliers: &[f64], sizes: &SizeVector) -> f64;
-}
-
 /// A named group of [`ScalarConstraint`]s sharing one multiplier block —
-/// the concrete [`ConstraintFamily`] every shipped scenario lowers into.
+/// the constraint family every shipped scenario lowers into. See the module
+/// docs for the contract each method serves (multiplier block size, OGWS
+/// slack evaluation, dense denominator aggregation, dual term).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScalarFamily {
     name: String,
@@ -274,30 +229,54 @@ impl ScalarFamily {
     pub fn constraints(&self) -> &[ScalarConstraint] {
         &self.constraints
     }
-}
 
-impl ConstraintFamily for ScalarFamily {
-    fn name(&self) -> &str {
+    /// Family name for reports.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn kind(&self) -> FamilyKind {
+    /// Family kind for reports.
+    pub fn kind(&self) -> FamilyKind {
         self.kind
     }
 
-    fn len(&self) -> usize {
+    /// Number of constraints — the size of the family's multiplier block.
+    pub fn len(&self) -> usize {
         self.constraints.len()
     }
 
-    fn bound(&self, k: usize) -> f64 {
+    /// `true` when the family carries no constraints.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `k`-th constraint's bound, in internal units.
+    pub fn bound(&self, k: usize) -> f64 {
         self.constraints[k].bound
     }
 
-    fn value(&self, k: usize, sizes: &SizeVector) -> f64 {
+    /// The `k`-th constraint's left-hand side at `sizes`.
+    pub fn value(&self, k: usize, sizes: &SizeVector) -> f64 {
         self.constraints[k].value(sizes)
     }
 
-    fn accumulate_denominator(&self, multipliers: &[f64], denominator: &mut [f64]) {
+    /// The `k`-th constraint's violation `g_k(x) − b_k` at `sizes`.
+    pub fn violation(&self, k: usize, sizes: &SizeVector) -> f64 {
+        self.value(k, sizes) - self.bound(k)
+    }
+
+    /// Normalizes a raw violation of the `k`-th constraint by its bound —
+    /// the **single** definition of "relative violation" the subgradient
+    /// step, feasibility checks, KKT residuals and slack reports all share.
+    pub fn relative_violation(&self, k: usize, violation: f64) -> f64 {
+        violation / self.bound(k).abs().max(1e-12)
+    }
+
+    /// Adds `Σ_k μ_k · ∂g_k/∂x_i` to `denominator[i]` for every dense
+    /// component index `i` — the family's contribution to the Theorem 5
+    /// closed-form denominator. Must not allocate: this runs once per LRS
+    /// solve inside the OGWS loop.
+    pub fn accumulate_denominator(&self, multipliers: &[f64], denominator: &mut [f64]) {
         debug_assert_eq!(multipliers.len(), self.constraints.len());
         for (constraint, &mu) in self.constraints.iter().zip(multipliers) {
             if mu == 0.0 {
@@ -309,7 +288,8 @@ impl ConstraintFamily for ScalarFamily {
         }
     }
 
-    fn dual_term(&self, multipliers: &[f64], sizes: &SizeVector) -> f64 {
+    /// The family's dual-value term `Σ_k μ_k (g_k(x) − b_k)`.
+    pub fn dual_term(&self, multipliers: &[f64], sizes: &SizeVector) -> f64 {
         self.constraints
             .iter()
             .zip(multipliers)
@@ -355,8 +335,8 @@ impl ConstraintSet {
         ConstraintSet::default()
     }
 
-    /// A `const` empty set, usable in statics (the legacy solve paths share
-    /// one).
+    /// A `const` empty set, usable in statics (the paper-formulation
+    /// [`LrsSolver::solve_with`](crate::LrsSolver::solve_with) uses one).
     pub const fn empty_static() -> Self {
         ConstraintSet {
             families: Vec::new(),

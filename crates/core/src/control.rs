@@ -3,17 +3,16 @@
 //!
 //! A [`RunControl`] is threaded through [`OgwsSolver`](crate::OgwsSolver)
 //! (and from there into the inner [`LrsSolver`](crate::LrsSolver) sweeps) by
-//! the [`flow`](crate::flow) pipeline and the
-//! [`BatchRunner`](crate::BatchRunner). Every limit is *cooperative*: the
+//! the [`flow`](crate::flow) pipeline. Every limit is *cooperative*: the
 //! solver checks them between iterations (and between LRS sweeps), stops
 //! cleanly, and records why it stopped as a [`StopReason`] in the
 //! [`OgwsOutcome`](crate::OgwsOutcome) and
 //! [`OptimizationReport`](crate::OptimizationReport).
 //!
 //! Observers receive one [`IterationEvent`] per outer iteration through a
-//! `&self` method, so a single observer can watch many concurrent runs (the
-//! batch runner shares one control across its worker threads); implementors
-//! use interior mutability (atomics, mutexes) for their state.
+//! `&self` method, so a single observer can watch many concurrent runs
+//! (runs on several threads may share one control); implementors use
+//! interior mutability (atomics, mutexes) for their state.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -116,7 +115,7 @@ pub struct IterationEvent<'a> {
 /// Receives per-iteration progress events from an OGWS run.
 ///
 /// Methods take `&self` so one observer can serve several concurrent runs
-/// (see [`BatchRunner`](crate::BatchRunner)); the `Sync` supertrait makes
+/// (one [`RunControl`] shared across threads); the `Sync` supertrait makes
 /// that sharing sound. Use interior mutability for any state.
 pub trait Observer: Sync {
     /// Called after every outer iteration, in iteration order per run.

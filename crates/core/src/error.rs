@@ -7,8 +7,6 @@ use ncgws_coupling::CouplingError;
 use ncgws_netlist::NetlistError;
 use ncgws_ordering::OrderingError;
 
-use crate::control::StopReason;
-
 /// Errors produced by the sizing engine.
 #[derive(Debug)]
 pub enum CoreError {
@@ -34,26 +32,6 @@ pub enum CoreError {
         /// Human-readable description of the violated bound.
         reason: String,
     },
-    /// A [`RunControl`](crate::RunControl) stopped the run before it could
-    /// start (the [`BatchRunner`](crate::BatchRunner) skips instances once
-    /// the shared control is cancelled or past its deadline, so the
-    /// expensive stage-1 ordering is not paid for work nobody wants).
-    Interrupted {
-        /// Why the run was stopped.
-        reason: StopReason,
-    },
-}
-
-impl CoreError {
-    /// The [`StopReason`] behind an [`Interrupted`](Self::Interrupted)
-    /// error, `None` for every other variant — the error-side counterpart of
-    /// [`OptimizationOutcome::stop_reason`](crate::OptimizationOutcome::stop_reason).
-    pub fn interruption(&self) -> Option<StopReason> {
-        match self {
-            CoreError::Interrupted { reason } => Some(*reason),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for CoreError {
@@ -68,9 +46,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::InfeasibleBounds { reason } => {
                 write!(f, "infeasible constraint bounds: {reason}")
-            }
-            CoreError::Interrupted { reason } => {
-                write!(f, "run interrupted before it started: {reason}")
             }
         }
     }
@@ -132,10 +107,5 @@ mod tests {
             reason: "crosstalk bound too small".into(),
         };
         assert!(e.to_string().contains("crosstalk"));
-        let e = CoreError::Interrupted {
-            reason: StopReason::DeadlineExpired,
-        };
-        assert!(e.to_string().contains("deadline-expired"));
-        assert!(e.source().is_none());
     }
 }

@@ -1,10 +1,11 @@
 //! The staged `Flow` pipeline: the two-stage optimizer as a typestate API.
 //!
 //! The paper's algorithm has two clearly separated stages — WOSS wire
-//! ordering (stage 1) and OGWS Lagrangian sizing (stage 2) — but the legacy
-//! [`Optimizer::run`](crate::Optimizer::run) fuses them into one opaque
-//! call. This module exposes each stage as a state of a typestate pipeline,
-//! with the intermediates as first-class, inspectable values:
+//! ordering (stage 1) and OGWS Lagrangian sizing (stage 2). This module
+//! exposes each stage as a state of a typestate pipeline, with the
+//! intermediates as first-class, inspectable values; it is the one way to
+//! run a solve (the `ncgws-serve` job queue and the experiment binaries
+//! drive it too):
 //!
 //! ```text
 //! Flow::prepare(&instance, config)?   validated configuration
@@ -21,9 +22,8 @@
 //! * [`SizedOutcome`] carries the [`OptimizationReport`] and the raw
 //!   [`OgwsOutcome`] of one sizing run.
 //!
-//! A cold `size()` is bit-identical to the legacy `Optimizer::run`, which is
-//! now a thin wrapper over this pipeline (the `flow_api` integration tests
-//! enforce the equivalence property-wise). The third state is named
+//! Two fresh cold flows over one instance are bit-identical (the `flow_api`
+//! integration tests enforce it property-wise). The third state is named
 //! `SizedOutcome` rather than `Sized` to avoid shadowing the marker trait of
 //! the prelude.
 
@@ -222,22 +222,14 @@ impl<'a> Ordered<'a> {
         &self.extras
     }
 
-    /// Consumes the state and returns the stage-1 outcome.
-    pub fn into_ordering(self) -> WireOrderingOutcome {
-        self.ordering
-    }
-
     /// Runs stage 2 cold: OGWS Lagrangian sizing from scratch.
-    ///
-    /// Bit-identical to the sizing performed by the legacy
-    /// [`Optimizer::run`](crate::Optimizer::run).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InfeasibleBounds`] when no sizing can satisfy
     /// the derived bounds.
     pub fn size(&self) -> Result<SizedOutcome, CoreError> {
-        self.size_controlled(None, &RunControl::new())
+        self.size_with_engine(&mut self.engine(), None, &RunControl::new())
     }
 
     /// Runs stage 2 warm-started from a previous solution (for example the
@@ -252,7 +244,7 @@ impl<'a> Ordered<'a> {
     /// As [`size`](Self::size), plus [`CoreError::InvalidConfig`] when
     /// `warm` has the wrong length for the circuit.
     pub fn size_warm(&self, warm: &SizeVector) -> Result<SizedOutcome, CoreError> {
-        self.size_controlled(Some(warm), &RunControl::new())
+        self.size_with_engine(&mut self.engine(), Some(warm), &RunControl::new())
     }
 
     /// Runs stage 2 cold under a [`RunControl`] (observer, cancellation,
@@ -262,27 +254,7 @@ impl<'a> Ordered<'a> {
     ///
     /// As [`size`](Self::size).
     pub fn size_with(&self, control: &RunControl<'_>) -> Result<SizedOutcome, CoreError> {
-        self.size_controlled(None, control)
-    }
-
-    /// Runs stage 2 with both a warm start and a [`RunControl`], building a
-    /// fresh engine for the run.
-    ///
-    /// Callers sizing the same ordering many times (warm-start loops,
-    /// serving) should build the engine once with [`engine`](Self::engine)
-    /// and use [`size_with_engine`](Self::size_with_engine) so the
-    /// workspace allocation is paid once, not per run.
-    ///
-    /// # Errors
-    ///
-    /// As [`size_warm`](Self::size_warm).
-    pub fn size_controlled(
-        &self,
-        warm: Option<&SizeVector>,
-        control: &RunControl<'_>,
-    ) -> Result<SizedOutcome, CoreError> {
-        let mut engine = self.engine();
-        self.size_with_engine(&mut engine, warm, control)
+        self.size_with_engine(&mut self.engine(), None, control)
     }
 
     /// Builds a sizing engine bound to this ordering, for reuse across
@@ -298,9 +270,13 @@ impl<'a> Ordered<'a> {
         SizingEngine::new(&self.instance.circuit, &self.ordering.coupling)
     }
 
-    /// The fully general sizing call every other `size*` method delegates
-    /// to: warm start, run control, and a caller-provided engine whose
-    /// workspace is reused across runs.
+    /// The fully general sizing call every other fresh `size*` method
+    /// delegates to: warm start, run control, and a caller-provided engine
+    /// whose workspace is reused across runs.
+    ///
+    /// Callers sizing the same ordering many times (warm-start loops,
+    /// serving) build the engine once with [`engine`](Self::engine), so the
+    /// workspace allocation is paid once, not per run.
     ///
     /// # Errors
     ///
@@ -353,34 +329,13 @@ impl<'a> Ordered<'a> {
         snapshot: &Snapshot,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
-        let mut engine = self.engine();
-        self.size_resume_with_engine(&mut engine, snapshot, control)
-    }
-
-    /// [`size_resume`](Self::size_resume) with a caller-provided engine (see
-    /// [`size_with_engine`](Self::size_with_engine) for the reuse contract).
-    ///
-    /// # Errors
-    ///
-    /// As [`size_resume`](Self::size_resume).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `engine` was built for a different circuit or coupling
-    /// set than this ordering.
-    pub fn size_resume_with_engine(
-        &self,
-        engine: &mut SizingEngine<'_>,
-        snapshot: &Snapshot,
-        control: &RunControl<'_>,
-    ) -> Result<SizedOutcome, CoreError> {
         if let Err(reason) = snapshot.validate_for(&self.instance.circuit) {
             return Err(CoreError::InvalidConfig {
                 name: "snapshot",
                 reason,
             });
         }
-        self.run_sizing(engine, SolveMode::Resume(snapshot), control)
+        self.run_sizing(&mut self.engine(), SolveMode::Resume(snapshot), control)
     }
 
     /// The shared stage-2 body behind every `size*` entry point.
@@ -513,6 +468,108 @@ mod tests {
             Flow::prepare(&inst, config),
             Err(CoreError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn invalid_config_is_rejected() {
+        let inst = instance(20, 45, 1);
+        let config = OptimizerConfig {
+            max_iterations: 0,
+            ..OptimizerConfig::default()
+        };
+        assert!(matches!(
+            Flow::prepare(&inst, config),
+            Err(CoreError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
+    fn full_flow_improves_noise_power_and_area() {
+        let inst = instance(60, 130, 7);
+        let sized = Flow::prepare(&inst, quick_config())
+            .unwrap()
+            .order()
+            .unwrap()
+            .size()
+            .unwrap();
+        let r = &sized.report;
+        assert!(r.feasible, "the flow must return a feasible sizing");
+        assert!(r.final_metrics.noise_pf < r.initial_metrics.noise_pf);
+        assert!(r.final_metrics.power_mw < r.initial_metrics.power_mw);
+        assert!(r.final_metrics.area_um2 < r.initial_metrics.area_um2);
+        assert!(
+            r.improvements.noise_pct > 50.0,
+            "noise improvement {}",
+            r.improvements.noise_pct
+        );
+        assert!(
+            r.improvements.area_pct > 50.0,
+            "area improvement {}",
+            r.improvements.area_pct
+        );
+        // Delay must respect the bound (factor 1.0 of the initial delay).
+        assert!(
+            r.final_metrics.delay_ps <= r.initial_metrics.delay_ps * (1.0 + 1e-6),
+            "delay {} vs initial {}",
+            r.final_metrics.delay_ps,
+            r.initial_metrics.delay_ps
+        );
+        assert!(r.iterations >= 1);
+        assert!(r.memory.total() > 0);
+        assert_eq!(r.total_components(), 190);
+    }
+
+    #[test]
+    fn absolute_bounds_override_factors() {
+        let inst = instance(30, 70, 5);
+        // Absurdly loose absolute bounds: the flow should shrink to the
+        // minimum area regardless of the factor fields.
+        let config = OptimizerConfig {
+            absolute_bounds: Some(ConstraintBounds {
+                delay: 1e15,
+                total_capacitance: 1e15,
+                crosstalk: 1e15,
+            }),
+            max_iterations: 30,
+            ..OptimizerConfig::default()
+        };
+        let sized = Flow::prepare(&inst, config)
+            .unwrap()
+            .order()
+            .unwrap()
+            .size()
+            .unwrap();
+        let min_area = ncgws_circuit::total_area(&inst.circuit, &inst.circuit.minimum_sizes());
+        assert!(sized.report.final_metrics.area_um2 <= min_area * 1.05);
+    }
+
+    #[test]
+    fn resuming_from_a_snapshot_of_another_circuit_is_a_typed_error() {
+        let small = instance(30, 70, 3);
+        let store = crate::control::SnapshotStore::new();
+        let control = RunControl::new()
+            .with_iteration_budget(2)
+            .with_checkpoints(&store, crate::control::CheckpointPolicy::new());
+        Flow::prepare(&small, quick_config())
+            .unwrap()
+            .order()
+            .unwrap()
+            .size_with(&control)
+            .unwrap();
+        let snapshot = store.take().expect("an interrupted run checkpoints");
+
+        let other = instance(40, 90, 3);
+        let ordered = Flow::prepare(&other, quick_config())
+            .unwrap()
+            .order()
+            .unwrap();
+        match ordered.size_resume(&snapshot, &RunControl::new()) {
+            Err(CoreError::InvalidConfig { name, reason }) => {
+                assert_eq!(name, "snapshot");
+                assert!(reason.contains("components"), "{reason}");
+            }
+            result => panic!("expected a snapshot error, got {result:?}"),
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 use ncgws_circuit::{SizeVector, TimingAnalysis};
 use serde::Serialize;
 
-use crate::constraints::ConstraintFamily;
 use crate::lagrangian::Multipliers;
 use crate::problem::SizingProblem;
 use crate::projection::flow_conservation_residual;

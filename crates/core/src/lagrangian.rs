@@ -14,7 +14,7 @@ use crate::problem::SizingProblem;
 ///   output→sink edges for `a_j ≤ A₀`);
 /// * `β` for the power constraint;
 /// * `γ` for the crosstalk constraint;
-/// * one block `μ_f` per extra [`ConstraintFamily`](crate::ConstraintFamily)
+/// * one block `μ_f` per extra [`ScalarFamily`](crate::ScalarFamily)
 ///   of the problem's [`ConstraintSet`] (empty for the paper's original
 ///   three-bound formulation).
 ///

@@ -16,10 +16,10 @@
 //! optimality. The crate implements:
 //!
 //! * the composable constraint system ([`constraints`]): the
-//!   [`ConstraintFamily`] seam, the concrete [`ScalarFamily`]/
-//!   [`ConstraintSet`] types, configuration-level [`ConstraintSpec`]s and
-//!   their lowering; the paper's three global bounds are the default
-//!   (empty-set) instance and keep their exact legacy arithmetic;
+//!   [`ScalarFamily`]/[`ConstraintSet`] types, configuration-level
+//!   [`ConstraintSpec`]s and their lowering; the paper's three global
+//!   bounds are the default (empty-set) instance and keep their exact
+//!   legacy arithmetic;
 //! * the internal-unit conventions in one place ([`units`]);
 //! * [`Multipliers`] and the flow-conservation projection of Theorem 3
 //!   ([`projection`]);
@@ -40,8 +40,8 @@
 //!   identical for every thread count**, selected per run via
 //!   [`OptimizerConfig::parallel`] / [`ParallelPolicy`];
 //! * the staged [`flow`] pipeline — `prepare → order → size` as typestates
-//!   with inspectable intermediates, warm starts, and the legacy one-shot
-//!   [`Optimizer`] as a thin wrapper;
+//!   with inspectable intermediates and warm starts, the one way to run a
+//!   solve;
 //! * run control for the outer loop ([`control`]): progress [`Observer`]s,
 //!   cooperative cancellation, iteration budgets and wall-clock deadlines,
 //!   with the [`StopReason`] recorded in every outcome;
@@ -50,7 +50,6 @@
 //!   [`CheckpointPolicy`], re-entered via
 //!   [`Ordered::size_resume`](flow::Ordered::size_resume) — the substrate
 //!   of the `ncgws-serve` job queue;
-//! * batch execution of many instances across threads ([`batch`]);
 //! * baselines for ablations: delay/area-only Lagrangian sizing and a greedy
 //!   sensitivity-based sizer ([`baseline`]);
 //! * metrics, reporting and memory accounting for the Table 1 / Figure 10
@@ -60,7 +59,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod baseline;
-pub mod batch;
 pub mod constraints;
 pub mod control;
 pub mod coupling_build;
@@ -72,7 +70,6 @@ pub mod lagrangian;
 pub mod lrs;
 pub mod metrics;
 pub mod ogws;
-pub mod optimizer;
 pub mod par;
 pub mod problem;
 pub mod projection;
@@ -83,10 +80,9 @@ pub mod snapshot;
 pub mod step;
 pub mod units;
 
-pub use batch::{stop_reason_of, BatchRunner};
 pub use constraints::{
-    lower_constraint_specs, ConstraintFamily, ConstraintSet, ConstraintSpec, FamilyKind,
-    FamilySlack, ScalarConstraint, ScalarFamily,
+    lower_constraint_specs, ConstraintSet, ConstraintSpec, FamilyKind, FamilySlack,
+    ScalarConstraint, ScalarFamily,
 };
 pub use control::{
     CancelFlag, CheckpointPolicy, CheckpointSink, CollectObserver, IterationEvent, Observer,
@@ -100,7 +96,6 @@ pub use lagrangian::Multipliers;
 pub use lrs::{LrsOutcome, LrsSolver, LrsStats};
 pub use metrics::{CircuitMetrics, IterationRecord, MemoryBreakdown};
 pub use ogws::{OgwsOutcome, OgwsSolver};
-pub use optimizer::{OptimizationOutcome, Optimizer};
 pub use par::ParallelPolicy;
 pub use problem::{ConstraintBounds, OptimizerConfig, OptimizerConfigBuilder, SizingProblem};
 pub use report::{Improvements, OptimizationReport};

@@ -107,6 +107,10 @@ impl LrsSolver {
     /// no component moves by more than the tolerance. Each sweep is
     /// `O(V + E + P)` with zero heap allocation.
     ///
+    /// Solves the paper's original relaxation (no extra families); see
+    /// [`solve_constrained`](Self::solve_constrained) for the general form
+    /// under a [`RunControl`].
+    ///
     /// # Panics
     ///
     /// Panics (in debug builds) when `sizes` does not match the engine's
@@ -117,24 +121,8 @@ impl LrsSolver {
         multipliers: &Multipliers,
         sizes: &mut SizeVector,
     ) -> LrsStats {
-        self.solve_controlled(engine, multipliers, sizes, &RunControl::new())
-    }
-
-    /// [`solve_with`](Self::solve_with) under a [`RunControl`]: between
-    /// sweeps the control's cancellation flag and deadline are checked, so a
-    /// cancelled run stops within one sweep instead of finishing the solve.
-    ///
-    /// Solves the paper's original relaxation (no extra families); see
-    /// [`solve_constrained`](Self::solve_constrained) for the general form.
-    pub fn solve_controlled(
-        &self,
-        engine: &mut SizingEngine<'_>,
-        multipliers: &Multipliers,
-        sizes: &mut SizeVector,
-        control: &RunControl<'_>,
-    ) -> LrsStats {
         static EMPTY: ConstraintSet = ConstraintSet::empty_static();
-        self.solve_constrained(engine, &EMPTY, multipliers, sizes, control)
+        self.solve_constrained(engine, &EMPTY, multipliers, sizes, &RunControl::new())
     }
 
     /// The fully general LRS solve: relaxes the paper's three global bounds
@@ -145,9 +133,11 @@ impl LrsSolver {
     /// zeros and the sweep arithmetic is bitwise identical to the legacy
     /// path.
     ///
-    /// With a default control the checks read two `Option`s per sweep and
-    /// never touch the clock, so the sweep sequence is bit-identical to an
-    /// uncontrolled solve. An interrupted solve reports `converged: false`
+    /// Between sweeps the control's cancellation flag and deadline are
+    /// checked, so a cancelled run stops within one sweep instead of
+    /// finishing the solve. With a default control the checks read two
+    /// `Option`s per sweep and never touch the clock, so the sweep sequence
+    /// is bit-identical to an uncontrolled solve. An interrupted solve reports `converged: false`
     /// and leaves `sizes` at the last completed sweep's iterate (or the
     /// lower bounds when interrupted before the first sweep).
     pub fn solve_constrained(

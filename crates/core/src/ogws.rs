@@ -22,7 +22,6 @@ use std::time::Instant;
 use ncgws_circuit::{NodeId, NodeKind, SizeVector, Space, Tiles};
 use serde::Serialize;
 
-use crate::constraints::ConstraintFamily;
 use crate::control::{IterationEvent, RunControl, StopReason};
 use crate::engine::SizingEngine;
 use crate::lagrangian::{dual_value_from_parts, Multipliers};

@@ -480,10 +480,10 @@ mod pool {
     ///
     /// Measured on a 2-core host: on xlw100k at `threads(2)` (one pool)
     /// 64, 256 and 1024 polls solve equally fast and faster than parking
-    /// at once; on a `BatchRunner` of four xlw instances on two batch
-    /// threads with 2- or 4-thread pools (several pools sharing the
-    /// cores) polling is no slower than parking at once, since a yielding
-    /// poller gives its core to whichever thread has work.
+    /// at once; with four xlw instances solved on two threads at a time,
+    /// each with a 2- or 4-thread pool (several pools sharing the cores),
+    /// polling is no slower than parking at once, since a yielding poller
+    /// gives its core to whichever thread has work.
     const POLLS: usize = 256;
 
     /// Polls `ready` up to [`POLLS`] times; whether it became true.

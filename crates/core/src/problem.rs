@@ -437,7 +437,7 @@ impl OptimizerConfigBuilder {
 /// A fully assembled sizing problem: the circuit, its coupling set, the
 /// absolute constraint bounds of the paper's three global constraints, and
 /// any extra constraint families. This is what the OGWS solver operates on
-/// (the [`Optimizer`](crate::Optimizer) builds it from a
+/// (the [`flow`](crate::flow) pipeline builds it from a
 /// [`ProblemInstance`](ncgws_netlist::ProblemInstance)).
 #[derive(Debug, Clone)]
 pub struct SizingProblem<'a> {

@@ -1515,6 +1515,55 @@ mod tests {
         second.drain();
     }
 
+    /// A snapshot of another circuit fails the resumed job with the typed
+    /// flow error's message; the worker neither panics nor retries.
+    #[test]
+    fn resuming_a_snapshot_of_another_circuit_fails_the_job() {
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            max_attempts: 1,
+            ..ServerConfig::default()
+        });
+        let id = server.submit(job(9).with_iteration_budget(2)).unwrap();
+        server.wait(id).unwrap();
+        let snapshot = server.snapshot_of(id).expect("budgeted job keeps snapshot");
+
+        let other = CircuitSpec::new("serve-other", 30, 70)
+            .with_seed(9)
+            .with_num_patterns(16);
+        let expected = {
+            let instance = SyntheticGenerator::new(other.clone()).generate().unwrap();
+            let ordered = Flow::prepare(&instance, quick_config())
+                .unwrap()
+                .order()
+                .unwrap();
+            let error = ordered
+                .size_resume(&snapshot, &RunControl::new())
+                .unwrap_err();
+            assert!(matches!(
+                error,
+                CoreError::InvalidConfig {
+                    name: "snapshot",
+                    ..
+                }
+            ));
+            error.to_string()
+        };
+
+        let spec = JobSpec::new(JobInput::Synthetic(other), quick_config());
+        let resumed_id = server.submit_resume(spec, snapshot).unwrap();
+        let outcome = server.wait(resumed_id).unwrap();
+        assert_eq!(server.job_state(resumed_id), Some(JobState::Failed));
+        assert_eq!(outcome.error.as_deref(), Some(expected.as_str()));
+        assert_eq!(outcome.attempts, 1);
+        assert!(outcome.final_metrics.is_none());
+        let stats = server.drain();
+        // The budgeted donor job hit its one-attempt cap, then the resume.
+        assert_eq!(stats.failed, 2);
+        assert_eq!(stats.panics, 0);
+        assert_eq!(stats.attempts_retried, 0);
+    }
+
     #[test]
     fn zero_queue_cap_rejects_submissions() {
         let server = Server::start(ServerConfig {

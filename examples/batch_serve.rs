@@ -3,12 +3,10 @@
 //! per-attempt wall-clock timeout and resumed from its checkpoint instead
 //! of restarting.
 //!
-//! This example used to drive a [`BatchRunner`](ncgws::BatchRunner) under
-//! one shared deadline; the server formulation keeps the same eight
-//! growing scenarios but turns the deadline into *per-attempt* timeouts —
-//! a run that outlives its slice is checkpointed, requeued and finishes in
-//! a later attempt, so the mix completes instead of losing the large
-//! instances.
+//! Eight growing scenarios run under *per-attempt* timeouts rather than
+//! one shared deadline: a run that outlives its slice is checkpointed,
+//! requeued and finishes in a later attempt, so the mix completes instead
+//! of losing the large instances.
 //!
 //! Run with:
 //!

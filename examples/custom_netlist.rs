@@ -11,7 +11,7 @@
 //! cargo run --release --example custom_netlist
 //! ```
 
-use ncgws::core::{baseline, Optimizer, OptimizerConfig};
+use ncgws::core::{baseline, Flow, OptimizerConfig};
 use ncgws::netlist::format::{parse_instance, write_instance};
 use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
 
@@ -51,8 +51,8 @@ patterns 64 0.3 99
     );
 
     let config = OptimizerConfig::builder().max_iterations(120).build()?;
-    let outcome = Optimizer::new(config.clone()).run(&instance)?;
-    let r = &outcome.report;
+    let sized = Flow::prepare(&instance, config.clone())?.order()?.size()?;
+    let r = &sized.report;
     println!(
         "optimized: noise {:.4} -> {:.4} pF, area {:.0} -> {:.0} um2, delay {:.1} -> {:.1} ps",
         r.initial_metrics.noise_pf,

@@ -13,7 +13,7 @@
 //! cargo run --release --example per_net_caps
 //! ```
 
-use ncgws::core::{ConstraintFamily, OptimizerConfig};
+use ncgws::core::OptimizerConfig;
 use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
 use ncgws::Flow;
 

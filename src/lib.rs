@@ -12,10 +12,10 @@
 //! * [`ordering`] — the Switching-Similarity problem and the WOSS heuristic.
 //! * [`netlist`] — synthetic ISCAS85-scale benchmark generation and netlist I/O.
 //! * [`core`] — the Lagrangian-relaxation sizing engine (LRS + OGWS), the
-//!   staged [`flow`] pipeline, run control, and batch execution.
-//! * [`serve`] — the persistent optimization server: a priority job queue
-//!   with per-tenant admission control, worker threads, checkpoint/resume
-//!   and a JSON-lines event stream.
+//!   staged [`flow`] pipeline and run control.
+//! * [`serve`] — the persistent optimization server, the way to run many
+//!   instances: a priority job queue with per-tenant admission control,
+//!   worker threads, checkpoint/resume and a JSON-lines event stream.
 //!
 //! # Quickstart: the staged `Flow` pipeline
 //!
@@ -261,39 +261,6 @@
 //! line-number-free against the committed `ANALYZE_BASELINE.txt`;
 //! `cargo run -p ncgws-analyze -- --deny` is the CI gate.
 //!
-//! # Batch execution
-//!
-//! [`BatchRunner`] pushes many instances through the full two-stage flow —
-//! through an atomic work queue across OS threads with the `parallel`
-//! feature — sharing one control (deadline, cancellation, observer) across
-//! all runs:
-//!
-//! ```rust
-//! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
-//! use ncgws::core::{BatchRunner, OptimizerConfig, RunControl};
-//!
-//! # fn main() -> Result<(), ncgws::Error> {
-//! let instances: Vec<_> = (0..3)
-//!     .map(|seed| {
-//!         let spec = CircuitSpec::new(format!("batch-{seed}"), 20, 45)
-//!             .with_seed(seed)
-//!             .with_num_patterns(8);
-//!         SyntheticGenerator::new(spec).generate()
-//!     })
-//!     .collect::<Result<_, _>>()?;
-//!
-//! let config = OptimizerConfig::builder().max_iterations(20).build()?;
-//! let results = BatchRunner::new(config).run(&instances, &RunControl::new());
-//!
-//! assert_eq!(results.len(), 3); // one result per instance, in input order
-//! for result in &results {
-//!     let outcome = result.as_ref().expect("runs succeed");
-//!     assert!(outcome.report.final_metrics.area_um2 > 0.0);
-//! }
-//! # Ok(())
-//! # }
-//! ```
-//!
 //! # Serving & checkpointing
 //!
 //! Mid-run OGWS state — sizes, the CSR multiplier blocks, the best primal
@@ -411,24 +378,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! # Legacy one-shot API
-//!
-//! The original `Optimizer::run` entry point remains and is bit-identical to
-//! a cold `prepare → order → size` (it is implemented as exactly that):
-//!
-//! ```rust
-//! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
-//! use ncgws::core::{Optimizer, OptimizerConfig};
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let spec = CircuitSpec::new("legacy", 24, 55).with_seed(7).with_num_patterns(8);
-//! let instance = SyntheticGenerator::new(spec).generate()?;
-//! let outcome = Optimizer::new(OptimizerConfig::default()).run(&instance)?;
-//! assert!(outcome.report.final_metrics.noise_pf <= outcome.report.initial_metrics.noise_pf);
-//! # Ok(())
-//! # }
-//! ```
 
 pub use ncgws_circuit as circuit;
 pub use ncgws_core as core;
@@ -447,8 +396,8 @@ pub use error::Error;
 // (`ncgws::flow`).
 pub use ncgws_core::flow;
 pub use ncgws_core::{
-    BatchRunner, CancelFlag, CollectObserver, Flow, IterationEvent, Observer, Ordered, Prepared,
-    RunControl, SizedOutcome, StopReason,
+    CancelFlag, CollectObserver, Flow, IterationEvent, Observer, Ordered, Prepared, RunControl,
+    SizedOutcome, StopReason,
 };
 
 // Checkpoint/resume: the serializable mid-run state and the sink/policy
@@ -470,8 +419,7 @@ pub use ncgws_serve::{
 // lowered families and per-family slacks surface in `Ordered` and the
 // report.
 pub use ncgws_core::{
-    ConstraintFamily, ConstraintSet, ConstraintSpec, FamilyKind, FamilySlack, ScalarConstraint,
-    ScalarFamily,
+    ConstraintSet, ConstraintSpec, FamilyKind, FamilySlack, ScalarConstraint, ScalarFamily,
 };
 
 // The solve schedule: the exact Figure-8 path (bitwise-pinned) vs the

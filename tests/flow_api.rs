@@ -1,13 +1,13 @@
-//! Integration tests of the staged `Flow` API: bitwise equivalence with the
-//! legacy one-shot `Optimizer::run`, warm starts, and run control
-//! (observers, cancellation, iteration budgets, deadlines, batch).
+//! Integration tests of the staged `Flow` API: bitwise reproducibility of
+//! fresh cold flows, warm starts, and run control (observers, cancellation,
+//! iteration budgets, deadlines).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ncgws::core::{
-    BatchRunner, CancelFlag, CollectObserver, IterationEvent, Observer, Optimizer, OptimizerConfig,
-    RunControl, StopReason,
+    CancelFlag, CollectObserver, IterationEvent, Observer, OptimizerConfig, RunControl,
+    SizedOutcome, StopReason,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::Flow;
@@ -31,49 +31,55 @@ fn quick_config() -> OptimizerConfig {
         .expect("valid configuration")
 }
 
+/// One fresh cold flow: prepare, order and size from nothing.
+fn cold_flow(inst: &ProblemInstance) -> SizedOutcome {
+    Flow::prepare(inst, quick_config())
+        .expect("prepare")
+        .order()
+        .expect("order")
+        .size()
+        .expect("size")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 10, ..ProptestConfig::default() })]
 
-    /// The staged pipeline (cold) and the legacy one-shot wrapper must be
-    /// the same computation, bit for bit, on random instances.
+    /// Two fresh cold flows on one instance must be the same computation,
+    /// bit for bit, on random instances: nothing carries over from one
+    /// prepare/order/size pipeline to the next.
     #[test]
-    fn flow_is_bitwise_identical_to_legacy_run(seed in 0u64..400, gates in 15usize..50) {
+    fn two_fresh_cold_flows_are_bitwise_identical(seed in 0u64..400, gates in 15usize..50) {
         let inst = instance(seed, gates);
-        let legacy = Optimizer::new(quick_config()).run(&inst).expect("legacy run");
-
-        let ordered = Flow::prepare(&inst, quick_config())
-            .expect("prepare")
-            .order()
-            .expect("order");
-        let sized = ordered.size().expect("size");
+        let first = cold_flow(&inst);
+        let second = cold_flow(&inst);
 
         // Sizes and every numeric report field must match exactly (the
         // wall-clock fields are measurements and are excluded).
-        prop_assert_eq!(sized.sizes(), legacy.sizes());
-        prop_assert_eq!(&sized.report.initial_metrics, &legacy.report.initial_metrics);
-        prop_assert_eq!(&sized.report.final_metrics, &legacy.report.final_metrics);
-        prop_assert_eq!(&sized.report.improvements, &legacy.report.improvements);
-        prop_assert_eq!(sized.report.iterations, legacy.report.iterations);
-        prop_assert_eq!(sized.report.feasible, legacy.report.feasible);
-        prop_assert_eq!(sized.report.converged, legacy.report.converged);
-        prop_assert_eq!(sized.report.stop_reason, legacy.report.stop_reason);
-        prop_assert_eq!(sized.report.duality_gap, legacy.report.duality_gap);
-        prop_assert_eq!(&sized.report.constraint_slacks, &legacy.report.constraint_slacks);
-        prop_assert!(sized.report.constraint_slacks.is_empty(), "no extra families configured");
-        prop_assert_eq!(&sized.report.memory, &legacy.report.memory);
+        prop_assert_eq!(second.sizes(), first.sizes());
+        prop_assert_eq!(&second.report.initial_metrics, &first.report.initial_metrics);
+        prop_assert_eq!(&second.report.final_metrics, &first.report.final_metrics);
+        prop_assert_eq!(&second.report.improvements, &first.report.improvements);
+        prop_assert_eq!(second.report.iterations, first.report.iterations);
+        prop_assert_eq!(second.report.feasible, first.report.feasible);
+        prop_assert_eq!(second.report.converged, first.report.converged);
+        prop_assert_eq!(second.report.stop_reason, first.report.stop_reason);
+        prop_assert_eq!(second.report.duality_gap, first.report.duality_gap);
+        prop_assert_eq!(&second.report.constraint_slacks, &first.report.constraint_slacks);
+        prop_assert!(second.report.constraint_slacks.is_empty(), "no extra families configured");
+        prop_assert_eq!(&second.report.memory, &first.report.memory);
         prop_assert_eq!(
-            sized.report.ordering_effective_loading,
-            legacy.report.ordering_effective_loading
+            second.report.ordering_effective_loading,
+            first.report.ordering_effective_loading
         );
         prop_assert_eq!(
-            sized.report.iteration_records.len(),
-            legacy.report.iteration_records.len()
+            second.report.iteration_records.len(),
+            first.report.iteration_records.len()
         );
-        for (a, b) in sized
+        for (a, b) in second
             .report
             .iteration_records
             .iter()
-            .zip(&legacy.report.iteration_records)
+            .zip(&first.report.iteration_records)
         {
             prop_assert_eq!(a.primal_area, b.primal_area);
             prop_assert_eq!(a.dual_value, b.dual_value);
@@ -216,41 +222,9 @@ fn expired_deadline_stops_before_the_first_iteration() {
 }
 
 #[test]
-fn batch_runner_matches_solo_runs_and_shares_control() {
-    let instances: Vec<ProblemInstance> = (0..4)
-        .map(|i| instance(200 + i, 20 + 4 * i as usize))
-        .collect();
-    let runner = BatchRunner::new(quick_config());
-    let results = runner.run(&instances, &RunControl::new());
-    assert_eq!(results.len(), instances.len());
-    for (inst, result) in instances.iter().zip(&results) {
-        let batch = result.as_ref().expect("batch run succeeds");
-        let solo = Optimizer::new(quick_config()).run(inst).expect("solo run");
-        assert_eq!(batch.sizes(), solo.sizes(), "{}", inst.name);
-        assert_eq!(batch.report.final_metrics, solo.report.final_metrics);
-    }
-
-    // A pre-cancelled shared control skips every instance before its
-    // stage-1 ordering: the slots hold `Interrupted` errors, not outcomes.
-    let flag = CancelFlag::new();
-    flag.cancel();
-    let cancelled = runner.run(&instances, &RunControl::new().with_cancel_flag(flag));
-    assert_eq!(cancelled.len(), instances.len());
-    for result in &cancelled {
-        assert!(matches!(
-            result,
-            Err(ncgws::core::CoreError::Interrupted {
-                reason: StopReason::Cancelled
-            })
-        ));
-    }
-}
-
-#[test]
 fn stop_reason_serializes_into_report_json() {
     let inst = instance(42, 25);
-    let outcome = Optimizer::new(quick_config()).run(&inst).unwrap();
-    let json = serde_json::to_string(&outcome.report).unwrap();
+    let json = serde_json::to_string(&cold_flow(&inst).report).unwrap();
     assert!(json.contains("stop_reason"));
     // A quick run either converges, stagnates, or exhausts its iterations.
     assert!(

@@ -2,7 +2,7 @@
 //! a generated instance serialized to text, parsed back, and optimized must
 //! describe the same optimization problem.
 
-use ncgws::core::{Optimizer, OptimizerConfig};
+use ncgws::core::{Flow, OptimizerConfig};
 use ncgws::netlist::format::{parse_instance, write_instance};
 use ncgws::netlist::{CircuitSpec, CircuitStats, SyntheticGenerator};
 
@@ -24,10 +24,14 @@ fn roundtripped_instance_optimizes_to_the_same_metrics() {
         max_iterations: 40,
         ..OptimizerConfig::default()
     };
-    let a = Optimizer::new(config.clone())
-        .run(&original)
+    let a = Flow::prepare(&original, config.clone())
+        .and_then(|prepared| prepared.order())
+        .and_then(|ordered| ordered.size())
         .expect("run original");
-    let b = Optimizer::new(config).run(&parsed).expect("run parsed");
+    let b = Flow::prepare(&parsed, config)
+        .and_then(|prepared| prepared.order())
+        .and_then(|ordered| ordered.size())
+        .expect("run parsed");
 
     // The graphs have identical structure and attributes, so the initial
     // metrics must match exactly and the final metrics must match closely

@@ -5,7 +5,8 @@
 use ncgws::circuit::{total_area, total_capacitance, TimingAnalysis};
 use ncgws::core::baseline::lr_delay_area;
 use ncgws::core::{
-    build_coupling, kkt, Multipliers, Optimizer, OptimizerConfig, OrderingStrategy, SizingProblem,
+    build_coupling, kkt, Flow, Multipliers, OptimizerConfig, OrderingStrategy, SizedOutcome,
+    SizingProblem,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 
@@ -26,17 +27,29 @@ fn quick_config() -> OptimizerConfig {
     }
 }
 
+/// The full two-stage flow, cold.
+fn run(inst: &ProblemInstance, config: OptimizerConfig) -> SizedOutcome {
+    Flow::prepare(inst, config)
+        .expect("prepare")
+        .order()
+        .expect("order")
+        .size()
+        .expect("optimization succeeds")
+}
+
 #[test]
 fn constraints_hold_on_the_returned_sizing() {
     let inst = instance(120, 260, 1);
-    let outcome = Optimizer::new(quick_config())
-        .run(&inst)
-        .expect("optimization succeeds");
+    let ordered = Flow::prepare(&inst, quick_config())
+        .expect("prepare")
+        .order()
+        .expect("order");
+    let outcome = ordered.size().expect("optimization succeeds");
     assert!(outcome.report.feasible);
 
     // Re-derive every constraint independently from the returned sizes.
     let graph = &inst.circuit;
-    let coupling = &outcome.ordering.coupling;
+    let coupling = &ordered.ordering().coupling;
     let sizes = outcome.sizes();
     let initial = quick_config().initial_sizes(graph);
 
@@ -69,9 +82,7 @@ fn constraints_hold_on_the_returned_sizing() {
 fn noise_constraint_is_enforced_relative_to_initial_coupling() {
     let inst = instance(100, 220, 2);
     let config = quick_config();
-    let outcome = Optimizer::new(config)
-        .run(&inst)
-        .expect("optimization succeeds");
+    let outcome = run(&inst, config);
     let r = &outcome.report;
     // The bound is 11.5% of the initial exact coupling, clamped to what the
     // layout's irreducible fringing allows; either way the final noise must be
@@ -95,7 +106,7 @@ fn woss_ordering_is_used_and_beats_identity_loading() {
 fn optimizer_beats_noise_oblivious_baseline_on_noise() {
     let inst = instance(90, 200, 4);
     let config = quick_config();
-    let full = Optimizer::new(config.clone()).run(&inst).expect("full run");
+    let full = run(&inst, config.clone());
     let baseline = lr_delay_area(&inst, &config).expect("baseline run");
     assert!(full.report.final_metrics.noise_pf <= baseline.metrics.noise_pf + 1e-9);
 }
@@ -104,20 +115,21 @@ fn optimizer_beats_noise_oblivious_baseline_on_noise() {
 fn kkt_residuals_are_reasonable_at_the_returned_solution() {
     let inst = instance(60, 130, 5);
     let config = quick_config();
-    let outcome = Optimizer::new(config.clone())
-        .run(&inst)
-        .expect("run succeeds");
+    let ordered = Flow::prepare(&inst, config.clone())
+        .expect("prepare")
+        .order()
+        .expect("order");
+    let outcome = ordered.size().expect("run succeeds");
+    let coupling = &ordered.ordering().coupling;
 
     // Rebuild the problem the optimizer solved and check primal feasibility
     // through the KKT helper (multipliers themselves are internal, so only
     // the primal-side residuals are asserted tightly here).
     let initial = config.initial_sizes(&inst.circuit);
-    let initial_metrics =
-        ncgws::core::CircuitMetrics::evaluate(&inst.circuit, &outcome.ordering.coupling, &initial);
+    let initial_metrics = ncgws::core::CircuitMetrics::evaluate(&inst.circuit, coupling, &initial);
     let bounds = ncgws::core::ConstraintBounds::from_initial(&initial_metrics, &config)
-        .clamped_to_feasible(&inst.circuit, &outcome.ordering.coupling);
-    let problem =
-        SizingProblem::new(&inst.circuit, &outcome.ordering.coupling, bounds).expect("problem");
+        .clamped_to_feasible(&inst.circuit, coupling);
+    let problem = SizingProblem::new(&inst.circuit, coupling, bounds).expect("problem");
     let multipliers = Multipliers::uniform(&inst.circuit, 0.0, 0.0);
     let residuals = kkt::kkt_residuals(&problem, outcome.sizes(), &multipliers);
     assert!(residuals.primal_feasibility <= 2e-3, "{residuals:?}");
@@ -127,8 +139,8 @@ fn kkt_residuals_are_reasonable_at_the_returned_solution() {
 #[test]
 fn reports_are_serializable_and_reproducible() {
     let inst = instance(50, 110, 6);
-    let a = Optimizer::new(quick_config()).run(&inst).expect("run a");
-    let b = Optimizer::new(quick_config()).run(&inst).expect("run b");
+    let a = run(&inst, quick_config());
+    let b = run(&inst, quick_config());
     assert_eq!(a.sizes(), b.sizes());
     assert_eq!(a.report.final_metrics, b.report.final_metrics);
     let json = serde_json::to_string(&a.report).expect("report serializes");
@@ -142,9 +154,7 @@ fn effective_coupling_mode_runs_and_respects_bounds() {
         effective_coupling: true,
         ..quick_config()
     };
-    let outcome = Optimizer::new(config)
-        .run(&inst)
-        .expect("effective mode runs");
+    let outcome = run(&inst, config);
     assert!(outcome.report.feasible);
     assert!(outcome.report.final_metrics.noise_pf < outcome.report.initial_metrics.noise_pf);
 }
@@ -163,7 +173,7 @@ fn ordering_strategies_plug_into_the_full_flow() {
             max_iterations: 30,
             ..quick_config()
         };
-        let outcome = Optimizer::new(config).run(&inst).expect("strategy runs");
+        let outcome = run(&inst, config);
         assert!(outcome.report.final_metrics.area_um2 > 0.0, "{strategy:?}");
     }
 }
