@@ -6,18 +6,28 @@ use crate::sizing::SizeVector;
 /// Total area `Σ_{i=s+1}^{n+s} α_i · x_i` in µm². Input drivers and output
 /// loads contribute no area, exactly as in the paper.
 pub fn total_area(graph: &CircuitGraph, sizes: &SizeVector) -> f64 {
-    graph
-        .component_ids()
-        .map(|id| graph.node(id).area(graph.size_of(id, sizes)))
-        .sum()
+    component_areas(graph, sizes).sum()
 }
 
 /// Per-component area contributions in dense component order.
 pub fn area_per_component(graph: &CircuitGraph, sizes: &SizeVector) -> Vec<f64> {
-    graph
-        .component_ids()
-        .map(|id| graph.node(id).area(graph.size_of(id, sizes)))
-        .collect()
+    component_areas(graph, sizes).collect()
+}
+
+/// `α_i · x_i` for every component, in dense component order, read from
+/// the area-coefficient column.
+///
+/// # Panics
+///
+/// Panics if `sizes` holds fewer than `n` entries.
+fn component_areas<'a>(
+    graph: &'a CircuitGraph,
+    sizes: &'a SizeVector,
+) -> impl Iterator<Item = f64> + 'a {
+    graph.area_coefficients()[graph.component_range()]
+        .iter()
+        .enumerate()
+        .map(move |(k, &alpha)| alpha * sizes[k])
 }
 
 #[cfg(test)]

@@ -20,6 +20,15 @@ use crate::tech::Technology;
 pub struct BuildNode(usize);
 
 impl BuildNode {
+    /// The handle of the component added `index`-th, counting from zero. A
+    /// builder numbers its components in the order they are added, so a
+    /// caller that adds them in a known order may compute their handles
+    /// rather than keep them. A handle past the builder's components is
+    /// [`CircuitError::UnknownNode`] to every call that takes one.
+    pub fn new(index: usize) -> Self {
+        BuildNode(index)
+    }
+
     /// Position of this component in the order it was added (`0..len`).
     pub fn index(self) -> usize {
         self.0
@@ -63,6 +72,12 @@ const CHAIN_END: u32 = u32::MAX;
 /// driver. Components are numbered below [`MAX_COMPONENTS`], so no
 /// component has this number.
 const NO_DRIVER: u32 = u32::MAX;
+
+/// A component's entry in `CircuitBuilder::output_loads` while it drives
+/// no primary output. Every load `connect_output` takes is finite and not
+/// negative, and no sum of such loads is NaN, so no accumulated load is
+/// this value.
+const NO_OUTPUT: f64 = f64::NAN;
 
 /// The builder's name lookup, over the names held in its [`NameTable`].
 ///
@@ -169,7 +184,16 @@ impl NameIndex {
 ///
 /// Under construction a component is only its kind and one parameter (a
 /// driver's resistance or a wire's length); its attributes are computed
-/// from the technology when `build` writes its node.
+/// from the technology when `build` writes its node. Its primary-output
+/// load takes eight bytes (NaN while it drives no output). `build` keeps
+/// its topological order in 32-bit component numbers and frees each table
+/// of the builder as soon as it is spent, so the builder's tables and the
+/// graph's arrays overlap as little as they can.
+///
+/// Components are numbered in the order they are added: the `k`-th
+/// component added (counting from zero) is `BuildNode::new(k)`, so a
+/// caller that adds them in a known order can compute its handles rather
+/// than keep them.
 ///
 /// The names are appended to one string in the order the components are
 /// added, and a name index keyed by each name's 64-bit keyed hash resolves
@@ -230,8 +254,9 @@ pub struct CircuitBuilder {
     /// Edges into non-wires, for duplicate detection.
     edge_set: HashSet<(u32, u32)>,
     /// `output_loads[i]` is the accumulated primary-output load of
-    /// component `i`, if it drives one.
-    output_loads: Vec<Option<f64>>,
+    /// component `i`, or [`NO_OUTPUT`] if it drives none: eight bytes a
+    /// component, where an `Option<f64>` takes sixteen.
+    output_loads: Vec<f64>,
 }
 
 impl CircuitBuilder {
@@ -297,7 +322,7 @@ impl CircuitBuilder {
         self.kinds.push(kind);
         self.param.push(param);
         self.wire_driver.push(NO_DRIVER);
-        self.output_loads.push(None);
+        self.output_loads.push(NO_OUTPUT);
         BuildNode(self.kinds.len() - 1)
     }
 
@@ -459,7 +484,11 @@ impl CircuitBuilder {
                 reason: "an input driver cannot directly drive a primary output",
             });
         }
-        *self.output_loads[node.0].get_or_insert(0.0) += load;
+        let total = &mut self.output_loads[node.0];
+        if total.is_nan() {
+            *total = 0.0;
+        }
+        *total += load;
         Ok(())
     }
 
@@ -502,11 +531,17 @@ impl CircuitBuilder {
         tech.validate()?;
 
         let total = kinds.len();
-        let drivers: Vec<usize> = (0..total).filter(|&i| kinds[i].is_driver()).collect();
-        if drivers.is_empty() {
+        // Kahn's queue, in 32-bit component numbers (`total` is at most
+        // `MAX_COMPONENTS`): drivers are the sources of the DAG and go
+        // first by convention.
+        let mut order: Vec<u32> = Vec::with_capacity(total);
+        order.extend((0..total as u32).filter(|&i| kinds[i as usize].is_driver()));
+        if order.is_empty() {
             return Err(CircuitError::NoDrivers);
         }
-        if output_loads.iter().all(Option::is_none) {
+        let is_output = |old: usize| !output_loads[old].is_nan();
+        let num_outputs = (0..total).filter(|&old| is_output(old)).count();
+        if num_outputs == 0 {
             return Err(CircuitError::NoPrimaryOutputs);
         }
 
@@ -531,26 +566,23 @@ impl CircuitBuilder {
             if !kinds[i].is_driver() && indegree[i] == 0 {
                 return Err(CircuitError::DanglingInput(NodeId::new(i)));
             }
-            if fanout.list(i).is_empty() && output_loads[i].is_none() {
+            if fanout.list(i).is_empty() && !is_output(i) {
                 return Err(CircuitError::DanglingOutput(NodeId::new(i)));
             }
         }
 
-        // Kahn topological sort. Drivers are the sources of the DAG and go
-        // first by convention; `order` doubles as the FIFO queue, so it ends
-        // as drivers followed by the components in topological order.
-        let s = drivers.len();
+        // Kahn topological sort. `order` doubles as the FIFO queue, so it
+        // ends as drivers followed by the components in topological order.
+        let s = order.len();
         let mut pending = indegree.clone();
-        let mut order = drivers;
-        order.reserve(total - s);
         let mut head = 0;
         while let Some(&u) = order.get(head) {
             head += 1;
-            for &v in fanout.list(u) {
+            for &v in fanout.list(u as usize) {
                 let v = v.index();
                 pending[v] -= 1;
                 if pending[v] == 0 {
-                    order.push(v);
+                    order.push(v as u32);
                 }
             }
         }
@@ -564,17 +596,19 @@ impl CircuitBuilder {
         let sink = n + s + 1;
         let mut ids = vec![NodeId::new(0); total];
         for (k, &old) in order.iter().enumerate() {
-            ids[old] = NodeId::new(k + 1);
+            ids[old as usize] = NodeId::new(k + 1);
         }
 
         // Fanin lists fill in increasing tail order and fanout lists in
         // increasing head order, so both come out sorted.
-        let is_output = |old: usize| output_loads[old].is_some();
-        let num_outputs = output_loads.iter().filter(|l| l.is_some()).count();
         // The source feeds each driver.
         let fanin_degrees = std::iter::once(0)
             .chain(std::iter::repeat_n(1, s))
-            .chain(order[s..].iter().map(|&old| indegree[old] as usize))
+            .chain(
+                order[s..]
+                    .iter()
+                    .map(|&old| indegree[old as usize] as usize),
+            )
             .chain(std::iter::once(num_outputs));
         let mut fill = AdjacencyFill::new(fanin_degrees)?;
         for d in 1..=s {
@@ -582,20 +616,19 @@ impl CircuitBuilder {
         }
         for (k, &old) in order.iter().enumerate() {
             let u = NodeId::new(k + 1);
-            for &v in fanout.list(old) {
+            for &v in fanout.list(old as usize) {
                 fill.push(ids[v.index()].index(), u);
             }
-            if is_output(old) {
+            if is_output(old as usize) {
                 fill.push(sink, u);
             }
         }
         let new_fanin = fill.finish();
         let fanout_degrees = std::iter::once(s)
-            .chain(
-                order
-                    .iter()
-                    .map(|&old| fanout.list(old).len() + usize::from(is_output(old))),
-            )
+            .chain(order.iter().map(|&old| {
+                let old = old as usize;
+                fanout.list(old).len() + usize::from(is_output(old))
+            }))
             .chain(std::iter::once(0));
         let mut fill = AdjacencyFill::new(fanout_degrees)?;
         drop(fanout);
@@ -614,7 +647,7 @@ impl CircuitBuilder {
         );
         graph_names.push(SOURCE_NAME)?;
         for &old in &order {
-            graph_names.push(names.get(old))?;
+            graph_names.push(names.get(old as usize))?;
         }
         graph_names.push(SINK_NAME)?;
         drop(names);
@@ -622,13 +655,14 @@ impl CircuitBuilder {
         // The node columns, in the new indexing, in one pass: each node's
         // attributes are computed from its kind and parameter as it is
         // written, then the size-bound overrides are applied in call order.
-        let mut columns = NodeColumns::with_capacity(total + 2);
+        let mut columns = NodeColumns::with_capacity(total + 2, num_outputs);
         let artificial = |kind| Node {
             kind,
             attrs: NodeAttrs::artificial(),
         };
         columns.push(artificial(NodeKind::Source));
         for &old in &order {
+            let old = old as usize;
             let kind = kinds[old];
             let mut attrs = match kind {
                 NodeKind::Driver => NodeAttrs::driver(param[old]),
@@ -636,7 +670,8 @@ impl CircuitBuilder {
                 // The builder adds only drivers, gates and wires.
                 _ => NodeAttrs::wire(&tech, param[old]),
             };
-            if let Some(load) = output_loads[old] {
+            if is_output(old) {
+                let load = output_loads[old];
                 attrs.output_load = if load > 0.0 {
                     load
                 } else {

@@ -77,7 +77,7 @@ impl<'a> ElmoreAnalyzer<'a> {
     ) -> f64 {
         let g = self.graph;
         match g.kinds()[child.index()] {
-            NodeKind::Sink => g.output_loads()[parent.index()],
+            NodeKind::Sink => g.output_load(parent),
             NodeKind::Gate(_) => g.capacitance(child, sizes),
             NodeKind::Wire => presented[child.index()],
             // Drivers and the source can never be fanout children.

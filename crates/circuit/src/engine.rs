@@ -549,7 +549,6 @@ impl<'g> CircuitTopology<'g> {
         let unit_resistance = graph.resistances();
         let unit_capacitance = graph.unit_capacitances();
         let (fanout, fanin) = (graph.fanout_csr(), graph.fanin_csr());
-        let output_load = graph.output_loads();
 
         // Streamed per-edge descriptor columns (see the field docs): the
         // exact operands the kind-dispatched loops would gather through the
@@ -563,7 +562,7 @@ impl<'g> CircuitTopology<'g> {
             for &child in fanout.list(id.index()) {
                 let c = child.index();
                 let (tag, coeff) = match kind[c] {
-                    KindTag::Sink => (FanoutTag::Const, output_load[id.index()]),
+                    KindTag::Sink => (FanoutTag::Const, graph.output_load(id)),
                     KindTag::Gate => (FanoutTag::Gate, unit_capacitance[c]),
                     KindTag::Wire => (FanoutTag::Wire, 0.0),
                     KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0),

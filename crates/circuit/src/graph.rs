@@ -143,6 +143,12 @@ impl AdjacencyFill {
 /// gates and wires, `R_D` for drivers and zero for the source and sink.
 /// Likewise `unit_capacitance` is zero off the gates and wires and
 /// `fringing` zero off the wires.
+///
+/// The primary-output loads are sparse: only the few nodes that drive the
+/// sink carry one, so `output_loads` holds `(node, load)` pairs, sorted by
+/// node, for exactly the nodes whose load is not bit-zero (`-0.0` is
+/// kept). A load on a node that does not drive the sink, which a decoded
+/// graph may carry, is kept the same way.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeColumns {
     pub(crate) kind: Vec<NodeKind>,
@@ -152,12 +158,13 @@ pub(crate) struct NodeColumns {
     pub(crate) area_coefficient: Vec<f64>,
     pub(crate) lower_bound: Vec<f64>,
     pub(crate) upper_bound: Vec<f64>,
-    pub(crate) output_load: Vec<f64>,
+    output_loads: Vec<(NodeId, f64)>,
 }
 
 impl NodeColumns {
-    /// Empty columns with room for `n` nodes.
-    pub(crate) fn with_capacity(n: usize) -> Self {
+    /// Empty columns with room for `n` nodes, `loads` of them with an
+    /// output load.
+    pub(crate) fn with_capacity(n: usize, loads: usize) -> Self {
         NodeColumns {
             kind: Vec::with_capacity(n),
             resistance: Vec::with_capacity(n),
@@ -166,7 +173,7 @@ impl NodeColumns {
             area_coefficient: Vec::with_capacity(n),
             lower_bound: Vec::with_capacity(n),
             upper_bound: Vec::with_capacity(n),
-            output_load: Vec::with_capacity(n),
+            output_loads: Vec::with_capacity(loads),
         }
     }
 
@@ -174,6 +181,10 @@ impl NodeColumns {
     /// `Node::attribute_of_another_kind`).
     pub(crate) fn push(&mut self, node: Node) {
         let Node { kind, attrs } = node;
+        if attrs.output_load.to_bits() != 0 {
+            self.output_loads
+                .push((NodeId::new(self.kind.len()), attrs.output_load));
+        }
         self.kind.push(kind);
         self.resistance.push(match kind {
             NodeKind::Driver => attrs.driver_resistance,
@@ -193,11 +204,17 @@ impl NodeColumns {
         self.area_coefficient.push(attrs.area_coefficient);
         self.lower_bound.push(attrs.lower_bound);
         self.upper_bound.push(attrs.upper_bound);
-        self.output_load.push(attrs.output_load);
     }
 
-    /// Node `i`, reassembled.
-    fn get(&self, i: usize) -> Node {
+    /// The output load of node `i`: one binary search of the load list.
+    fn output_load(&self, i: usize) -> f64 {
+        self.output_loads
+            .binary_search_by_key(&i, |&(id, _)| id.index())
+            .map_or(0.0, |at| self.output_loads[at].1)
+    }
+
+    /// Node `i`, reassembled, with `output_load` as its load.
+    fn get(&self, i: usize, output_load: f64) -> Node {
         let kind = self.kind[i];
         let resistance = self.resistance[i];
         let only = |owned: bool| if owned { resistance } else { 0.0 };
@@ -211,7 +228,7 @@ impl NodeColumns {
                 lower_bound: self.lower_bound[i],
                 upper_bound: self.upper_bound[i],
                 driver_resistance: only(kind.is_driver()),
-                output_load: self.output_load[i],
+                output_load,
             },
         }
     }
@@ -228,9 +245,9 @@ impl NodeColumns {
                 + self.fringing.capacity()
                 + self.area_coefficient.capacity()
                 + self.lower_bound.capacity()
-                + self.upper_bound.capacity()
-                + self.output_load.capacity())
+                + self.upper_bound.capacity())
                 * size_of::<f64>()
+            + self.output_loads.capacity() * size_of::<(NodeId, f64)>()
     }
 }
 
@@ -250,7 +267,11 @@ impl NodeColumns {
 /// row form and are sorted by node index. The nodes are stored as columns,
 /// one per attribute ([`kinds`](Self::kinds),
 /// [`resistances`](Self::resistances), …), which the evaluation engine
-/// borrows; [`node`](Self::node) reassembles one [`Node`] from them. Every
+/// borrows; [`node`](Self::node) reassembles one [`Node`] from them. The
+/// primary-output loads are the exception: only the sink's drivers carry
+/// one, so they are kept sparse, as `(node, load)` pairs sorted by node for
+/// the nodes whose load is not bit-zero, and read with
+/// [`output_load`](Self::output_load) by binary search. Every
 /// node name is stored once, back to back with the others in one string
 /// indexed by 32-bit offsets and read with [`name`](Self::name); there is no
 /// separate name index.
@@ -275,8 +296,14 @@ impl Serialize for CircuitGraph {
         s.begin_object();
         s.key("nodes");
         s.begin_array();
+        // The nodes run in order, so the sorted load list is merged in
+        // rather than searched per node.
+        let mut loads = self.nodes.output_loads.iter().peekable();
         for (i, name) in self.names.iter().enumerate() {
-            let node = self.nodes.get(i);
+            let load = loads
+                .next_if(|(id, _)| id.index() == i)
+                .map_or(0.0, |&(_, l)| l);
+            let node = self.nodes.get(i, load);
             s.element();
             s.begin_object();
             s.key("kind");
@@ -491,7 +518,11 @@ impl CircuitGraph {
         for name in names {
             table.push(name)?;
         }
-        let mut columns = NodeColumns::with_capacity(n);
+        let loads = nodes
+            .iter()
+            .filter(|node| node.attrs.output_load.to_bits() != 0)
+            .count();
+        let mut columns = NodeColumns::with_capacity(n, loads);
         let mut foreign = None;
         for (i, node) in nodes.into_iter().enumerate() {
             if foreign.is_none() {
@@ -562,14 +593,18 @@ impl CircuitGraph {
         NodeId::new(self.nodes.len() - 1)
     }
 
-    /// The node data for `id`, reassembled from the node columns.
+    /// The node data for `id`, reassembled from the node columns. Its
+    /// output load costs one binary search of the load list (see
+    /// [`output_load`](Self::output_load)); a loop over every node that
+    /// needs no load reads the columns instead.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range; node identifiers obtained from this
     /// graph are always valid.
     pub fn node(&self, id: NodeId) -> Node {
-        self.nodes.get(id.index())
+        let i = id.index();
+        self.nodes.get(i, self.nodes.output_load(i))
     }
 
     /// The kind of every node, indexed by raw node index.
@@ -609,10 +644,18 @@ impl CircuitGraph {
         &self.nodes.upper_bound
     }
 
-    /// The primary-output load `C_L` of every node (zero unless it drives
-    /// a primary output).
-    pub fn output_loads(&self) -> &[f64] {
-        &self.nodes.output_load
+    /// The primary-output load `C_L` of node `id`: zero unless it drives a
+    /// primary output (or a decoded graph gave it one). The graph keeps the
+    /// loads sparse, as `(node, load)` pairs sorted by node for exactly the
+    /// nodes whose load is not bit-zero, so this is one binary search over
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range, as [`node`](Self::node) does.
+    pub fn output_load(&self, id: NodeId) -> f64 {
+        assert!(id.index() < self.nodes.len(), "node {id} out of range");
+        self.nodes.output_load(id.index())
     }
 
     /// The unique name of node `id`.
@@ -756,7 +799,7 @@ impl CircuitGraph {
     /// The raw node indices of the components (`s+1..=n+s`), in dense
     /// component order: slicing a node column with it gives the column's
     /// per-component view.
-    fn component_range(&self) -> std::ops::Range<usize> {
+    pub(crate) fn component_range(&self) -> std::ops::Range<usize> {
         self.num_drivers + 1..self.num_drivers + 1 + self.num_sizable
     }
 
@@ -769,14 +812,21 @@ impl CircuitGraph {
         }
     }
 
+    /// Node `id` without its output load, which neither its resistance nor
+    /// its capacitance reads: the columns alone, no search of the load
+    /// list.
+    fn unloaded(&self, id: NodeId) -> Node {
+        self.nodes.get(id.index(), 0.0)
+    }
+
     /// Resistance of node `id` under `sizes`.
     pub fn resistance(&self, id: NodeId, sizes: &SizeVector) -> f64 {
-        self.node(id).resistance(self.size_of(id, sizes))
+        self.unloaded(id).resistance(self.size_of(id, sizes))
     }
 
     /// Capacitance of node `id` under `sizes` (excluding coupling).
     pub fn capacitance(&self, id: NodeId, sizes: &SizeVector) -> f64 {
-        self.node(id).capacitance(self.size_of(id, sizes))
+        self.unloaded(id).capacitance(self.size_of(id, sizes))
     }
 
     /// Checks a size vector against this circuit: length `n`, finite values,
@@ -1291,6 +1341,10 @@ mod tests {
             let attrs = NodeAttrs::artificial();
             assert_eq!(c.node(id), Node { kind, attrs });
         }
+        // The load list holds the sink's drivers only, the accumulated
+        // load of the driver given two `connect_output` calls included.
+        let listed: Vec<NodeId> = c.nodes.output_loads.iter().map(|&(id, _)| id).collect();
+        assert_eq!(listed, c.primary_output_drivers());
         let json = to_json(&c);
         let decoded = CircuitGraph::deserialize_json(&serde::de::parse(&json).unwrap()).unwrap();
         assert_eq!(to_json(&decoded), json);
@@ -1305,6 +1359,43 @@ mod tests {
         assert_eq!(items.len(), c.num_nodes());
         for (id, item) in c.node_ids().zip(items) {
             assert_eq!(c.node(id), Node::deserialize_json(item).unwrap());
+        }
+    }
+
+    /// Loads the builder never writes still decode, reassemble and round
+    /// trip byte-identically: one on a node that does not drive the sink,
+    /// and a `-0.0`, which is not bit-zero and so is kept in the load list.
+    #[test]
+    fn loads_off_the_outputs_and_negative_zero_round_trip() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let c = tiny();
+        let (mut nodes, names, fanin, fanout) = parts(&c);
+        nodes[2].attrs.output_load = 7.5;
+        nodes[3].attrs.output_load = -0.0;
+        let graph = CircuitGraph::from_serialized_parts(
+            nodes.clone(),
+            &names,
+            fanin,
+            fanout,
+            *c.technology(),
+            c.num_drivers(),
+            c.num_components(),
+        )
+        .unwrap();
+        assert!(!graph.drives_primary_output(NodeId::new(2)));
+        assert_eq!(graph.nodes.output_loads.len(), 3, "7.5, -0.0 and w2's 5.0");
+        let json = to_json(&graph);
+        assert!(json.contains(r#""output_load":7.5"#), "{json}");
+        assert!(json.contains(r#""output_load":-0.0"#), "{json}");
+        let decoded = CircuitGraph::deserialize_json(&serde::de::parse(&json).unwrap()).unwrap();
+        assert_eq!(to_json(&decoded), json);
+        for g in [&graph, &decoded] {
+            for (id, node) in g.node_ids().zip(&nodes) {
+                let load = node.attrs.output_load;
+                assert_eq!(g.node(id), *node, "{}", g.name(id));
+                assert_eq!(g.node(id).attrs.output_load.to_bits(), load.to_bits());
+                assert_eq!(g.output_load(id).to_bits(), load.to_bits());
+            }
         }
     }
 

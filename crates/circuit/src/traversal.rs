@@ -73,7 +73,7 @@ pub fn downstream_stage(graph: &CircuitGraph, id: NodeId) -> BTreeSet<NodeId> {
         if u == graph.sink() || !out.insert(u) {
             continue;
         }
-        if !graph.node(u).kind.is_gate() {
+        if !graph.kinds()[u.index()].is_gate() {
             stack.extend_from_slice(graph.fanout(u));
         }
     }

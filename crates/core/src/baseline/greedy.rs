@@ -57,12 +57,15 @@ pub fn greedy_delay_sizing(
             let Some(dense) = graph.component_index(node) else {
                 continue;
             };
-            let attrs = &graph.node(node).attrs;
+            let (upper, area_coefficient) = (
+                graph.upper_bounds()[node.index()],
+                graph.area_coefficients()[node.index()],
+            );
             let current = sizes[dense];
-            if current >= attrs.upper_bound - 1e-12 {
+            if current >= upper - 1e-12 {
                 continue;
             }
-            let candidate = (current * upsize_factor).min(attrs.upper_bound);
+            let candidate = (current * upsize_factor).min(upper);
             trial.copy_from(&sizes);
             trial[dense] = candidate;
             let trial_delay = engine.timing(&trial).critical_path_delay;
@@ -70,7 +73,7 @@ pub fn greedy_delay_sizing(
             if delay_gain <= 0.0 {
                 continue;
             }
-            let area_cost = attrs.area_coefficient * (candidate - current);
+            let area_cost = area_coefficient * (candidate - current);
             let score = delay_gain / area_cost.max(1e-12);
             if best.as_ref().is_none_or(|(s, _, _)| score > *s) {
                 best = Some((score, dense, candidate));

@@ -666,21 +666,24 @@ fn lower_driven_load(
 ) -> ScalarFamily {
     let mut constraints = Vec::new();
     for id in graph.node_ids() {
-        if !matches!(graph.node(id).kind, NodeKind::Driver | NodeKind::Gate(_)) {
+        if !matches!(
+            graph.kinds()[id.index()],
+            NodeKind::Driver | NodeKind::Gate(_)
+        ) {
             continue;
         }
         let mut terms: Vec<(usize, f64)> = Vec::new();
         let mut constant = 0.0;
         for &child in graph.fanout(id) {
-            let node = graph.node(child);
-            match node.kind {
+            let c = child.index();
+            match graph.kinds()[c] {
                 NodeKind::Gate(_) | NodeKind::Wire => {
                     if let Some(dense) = graph.component_index(child) {
-                        terms.push((dense, node.attrs.unit_capacitance));
+                        terms.push((dense, graph.unit_capacitances()[c]));
                     }
-                    constant += node.attrs.fringing_capacitance;
+                    constant += graph.fringing_capacitances()[c];
                 }
-                NodeKind::Sink => constant += graph.node(id).attrs.output_load,
+                NodeKind::Sink => constant += graph.output_load(id),
                 NodeKind::Driver | NodeKind::Source => {}
             }
         }

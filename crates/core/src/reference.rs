@@ -61,8 +61,13 @@ pub fn lrs_solve(
         // components see their neighbors' fresh widths.
         for id in graph.component_ids() {
             let dense = graph.component_index(id).expect("component id");
-            let node = graph.node(id);
-            let attrs = &node.attrs;
+            // The component's attributes, read from the graph's columns (a
+            // component's resistance column holds its `r̂`).
+            let i = id.index();
+            let unit_resistance = graph.resistances()[i];
+            let unit_capacitance = graph.unit_capacitances()[i];
+            let area_coefficient = graph.area_coefficients()[i];
+            let (lower_bound, upper_bound) = (graph.lower_bounds()[i], graph.upper_bounds()[i]);
             let lambda_i = lambda[id.index()];
             let x_i = sizes[dense];
 
@@ -70,8 +75,8 @@ pub fn lrs_solve(
             // x_i (own far-half capacitance and the x_i part of the
             // coupling), keeping the neighbor-width coupling term.
             let mut cap_num = caps.charged_of(id);
-            if matches!(node.kind, NodeKind::Wire) {
-                cap_num -= attrs.unit_capacitance * x_i / 2.0;
+            if matches!(graph.kinds()[i], NodeKind::Wire) {
+                cap_num -= unit_capacitance * x_i / 2.0;
                 cap_num -= neighborhoods.linear_coefficient_sum_uncached(id) * x_i;
             }
             // Guard against tiny negative values from floating-point noise.
@@ -80,17 +85,17 @@ pub fn lrs_solve(
             }
 
             let coupling_sum = neighborhoods.linear_coefficient_sum_uncached(id);
-            let denominator = attrs.area_coefficient
-                + (multipliers.beta + upstream[id.index()]) * attrs.unit_capacitance
+            let denominator = area_coefficient
+                + (multipliers.beta + upstream[id.index()]) * unit_capacitance
                 + multipliers.gamma * coupling_sum;
-            let numerator = lambda_i * attrs.unit_resistance * cap_num;
+            let numerator = lambda_i * unit_resistance * cap_num;
 
             let opt = if denominator > 0.0 && numerator > 0.0 {
                 (numerator / denominator).sqrt()
             } else {
                 0.0
             };
-            sizes[dense] = opt.clamp(attrs.lower_bound, attrs.upper_bound);
+            sizes[dense] = opt.clamp(lower_bound, upper_bound);
         }
 
         // S5: repeat until no improvement.

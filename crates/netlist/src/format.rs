@@ -115,7 +115,7 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
             out,
             "output {} {}",
             circuit.name(id),
-            circuit.node(id).attrs.output_load
+            circuit.output_load(id)
         );
     }
     for channel in &instance.channels {

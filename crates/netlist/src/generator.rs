@@ -251,74 +251,81 @@ impl SyntheticGenerator {
         // Every name is formatted into this one buffer; the builder copies
         // it into its name table.
         let mut name = String::new();
-        let drivers: Vec<_> = (0..num_drivers)
-            .map(|d| {
-                let rd = rng_geo
-                    .gen_range(spec.driver_resistance_range.0..=spec.driver_resistance_range.1);
-                builder.add_driver(numbered(&mut name, "in", d), rd)
-            })
-            .collect::<Result<_, _>>()?;
-        let gates: Vec<_> = (0..num_gates)
-            .map(|k| {
-                let kind = *[
-                    GateKind::Nand,
-                    GateKind::Nor,
-                    GateKind::And,
-                    GateKind::Or,
-                    GateKind::Inv,
-                    GateKind::Xor,
-                    GateKind::Buf,
-                    GateKind::Xnor,
-                ]
-                .choose(&mut rng_geo)
-                .expect("non-empty gate kind list");
-                builder.add_gate(numbered(&mut name, "g", k), kind)
-            })
-            .collect::<Result<_, _>>()?;
-
-        let mut wires: Vec<BuildNode> = Vec::with_capacity(num_wires);
+        // The builder numbers components in the order they are added, so
+        // driver `d`, gate `k` and wire `i` are `first_* + index` and no
+        // handle is kept.
+        let first_driver = builder.len();
+        for d in 0..num_drivers {
+            let rd =
+                rng_geo.gen_range(spec.driver_resistance_range.0..=spec.driver_resistance_range.1);
+            builder.add_driver(numbered(&mut name, "in", d), rd)?;
+        }
+        let first_gate = builder.len();
+        for k in 0..num_gates {
+            let kind = *[
+                GateKind::Nand,
+                GateKind::Nor,
+                GateKind::And,
+                GateKind::Or,
+                GateKind::Inv,
+                GateKind::Xor,
+                GateKind::Buf,
+                GateKind::Xnor,
+            ]
+            .choose(&mut rng_geo)
+            .expect("non-empty gate kind list");
+            builder.add_gate(numbered(&mut name, "g", k), kind)?;
+        }
+        let first_wire = builder.len();
+        let gate = |k: usize| BuildNode::new(first_gate + k);
         let mut new_wire = |builder: &mut CircuitBuilder,
-                            rng_geo: &mut ChaCha8Rng,
-                            wires: &mut Vec<BuildNode>|
+                            rng_geo: &mut ChaCha8Rng|
          -> Result<BuildNode, NetlistError> {
             let length = rng_geo.gen_range(spec.wire_length_range.0..=spec.wire_length_range.1);
-            let node = builder.add_wire(numbered(&mut name, "w", wires.len()), length)?;
-            wires.push(node);
-            Ok(node)
+            let i = builder.len() - first_wire;
+            Ok(builder.add_wire(numbered(&mut name, "w", i), length)?)
         };
 
         for k in 0..num_gates {
             for &source in &sources[live(&start, &fanin, k)] {
-                let wire = new_wire(&mut builder, &mut rng_geo, &mut wires)?;
+                let wire = new_wire(&mut builder, &mut rng_geo)?;
                 let src = match source {
-                    SourceRef::Driver(d) => drivers[d],
-                    SourceRef::Gate(g) => gates[g],
+                    SourceRef::Driver(d) => BuildNode::new(first_driver + d),
+                    SourceRef::Gate(g) => gate(g),
                 };
                 builder.connect(src, wire)?;
-                builder.connect(wire, gates[k])?;
+                builder.connect(wire, gate(k))?;
             }
         }
+        // The source table is spent: free it before the graph is built.
+        drop((sources, start, fanin, gate_fanout, driver_fanout));
 
         // Primary outputs: designated output gates plus the extra ones.
-        let mut output_gates: Vec<usize> = (first_output_gate..num_gates).collect();
-        output_gates.extend(extra_outputs.iter().copied());
-        for &g in &output_gates {
-            let wire = new_wire(&mut builder, &mut rng_geo, &mut wires)?;
+        for g in (first_output_gate..num_gates).chain(extra_outputs) {
+            let wire = new_wire(&mut builder, &mut rng_geo)?;
             let load = rng_geo.gen_range(spec.output_load_range.0..=spec.output_load_range.1);
-            builder.connect(gates[g], wire)?;
+            builder.connect(gate(g), wire)?;
             builder.connect_output(wire, load)?;
         }
 
-        debug_assert_eq!(wires.len(), num_wires, "wire budget must balance exactly");
-        let (circuit, ids) = builder.build_mapped()?;
+        debug_assert_eq!(
+            builder.len() - first_wire,
+            num_wires,
+            "wire budget must balance exactly"
+        );
+        let (circuit, mut ids) = builder.build_mapped()?;
 
-        // ---- 5. Routing channels over the wires.
-        let mut channel_wires: Vec<NodeId> = wires.iter().map(|w| ids[w.index()]).collect();
+        // ---- 5. Routing channels over the wires, which were added last:
+        // `ids[first_wire..]` are the wires' nodes in the order they were
+        // added.
+        ids.drain(..first_wire);
+        let mut channel_wires = ids;
         channel_wires.shuffle(&mut rng_geo);
         let channels: Vec<Vec<NodeId>> = channel_wires
             .chunks(spec.channel_size.max(2))
             .map(|chunk| chunk.to_vec())
             .collect();
+        drop(channel_wires);
 
         // ---- 6. Input patterns.
         let patterns = PatternSet::random_correlated(

@@ -145,6 +145,11 @@ pub enum SubmitError {
         /// The tenant whose queue is full.
         tenant: String,
     },
+    /// A resume submission's snapshot does not fit the job's circuit.
+    SnapshotMismatch {
+        /// What does not fit, as [`Snapshot::validate_for`] words it.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SubmitError {
@@ -154,11 +159,32 @@ impl std::fmt::Display for SubmitError {
             SubmitError::QueueFull { tenant } => {
                 write!(f, "queue for tenant {tenant} is full")
             }
+            SubmitError::SnapshotMismatch { reason } => {
+                write!(f, "snapshot does not fit the job's circuit: {reason}")
+            }
         }
     }
 }
 
 impl std::error::Error for SubmitError {}
+
+/// Checks that `snapshot` has the shape of `input`'s circuit: the whole
+/// [`Snapshot::validate_for`] for an instance, the size vector's length
+/// against [`ncgws_netlist::CircuitSpec::total_components`] for a synthetic spec, whose
+/// circuit is not generated yet.
+fn check_snapshot_shape(input: &JobInput, snapshot: &Snapshot) -> Result<(), SubmitError> {
+    let reason = match input {
+        JobInput::Instance(instance) => snapshot.validate_for(&instance.circuit).err(),
+        JobInput::Synthetic(spec) => {
+            let (entries, n) = (snapshot.sizes.len(), spec.total_components());
+            (entries != n)
+                .then(|| format!("snapshot size vector has {entries} entries, expected {n}"))
+        }
+    };
+    reason.map_or(Ok(()), |reason| {
+        Err(SubmitError::SnapshotMismatch { reason })
+    })
+}
 
 /// Ready-queue key: smaller sorts first, so negated priority puts the
 /// highest priority at `first()`, then FIFO by submission sequence.
@@ -624,14 +650,21 @@ impl Server {
     /// running cold (e.g. a snapshot taken by a previous server via
     /// [`snapshot_of`](Server::snapshot_of)).
     ///
-    /// The snapshot is validated against the job's circuit when the attempt
-    /// starts; a mismatched snapshot fails the job with the validation
-    /// error.
+    /// The snapshot's shape is checked against the job's circuit here,
+    /// before anything is saved or journaled: an instance job's circuit is
+    /// at hand, so the whole [`Snapshot::validate_for`] runs; a synthetic
+    /// job's circuit is generated only when its attempt starts, so its
+    /// size vector is checked against the spec's component count, and the
+    /// rest when the attempt starts (a mismatch found then fails the job
+    /// with the validation error).
     ///
     /// # Errors
     ///
-    /// As [`submit`](Server::submit).
+    /// As [`submit`](Server::submit), and [`SubmitError::SnapshotMismatch`]
+    /// when the snapshot does not fit; a rejected submission leaves nothing
+    /// in the store or the journal.
     pub fn submit_resume(&self, spec: JobSpec, snapshot: Snapshot) -> Result<JobId, SubmitError> {
+        check_snapshot_shape(&spec.input, &snapshot)?;
         self.enqueue(spec, Some(snapshot))
     }
 
@@ -1515,8 +1548,10 @@ mod tests {
         second.drain();
     }
 
-    /// A snapshot of another circuit fails the resumed job with the typed
-    /// flow error's message; the worker neither panics nor retries.
+    /// A snapshot of another circuit of the same size passes the submit
+    /// check of a synthetic job, whose circuit is generated only when the
+    /// attempt starts; it fails the resumed job there with the typed flow
+    /// error's message, and the worker neither panics nor retries.
     #[test]
     fn resuming_a_snapshot_of_another_circuit_fails_the_job() {
         let server = Server::start(ServerConfig {
@@ -1528,8 +1563,8 @@ mod tests {
         server.wait(id).unwrap();
         let snapshot = server.snapshot_of(id).expect("budgeted job keeps snapshot");
 
-        let other = CircuitSpec::new("serve-other", 30, 70)
-            .with_seed(9)
+        let other = CircuitSpec::new("serve-other", 20, 45)
+            .with_seed(10)
             .with_num_patterns(16);
         let expected = {
             let instance = SyntheticGenerator::new(other.clone()).generate().unwrap();
@@ -1562,6 +1597,73 @@ mod tests {
         assert_eq!(stats.failed, 2);
         assert_eq!(stats.panics, 0);
         assert_eq!(stats.attempts_retried, 0);
+    }
+
+    /// A snapshot that does not fit the job's circuit is refused when it
+    /// is submitted: for an instance job by the whole shape check, for a
+    /// synthetic job by its size vector against the spec's component
+    /// count. A durable server saves and journals nothing for it.
+    #[test]
+    fn a_snapshot_of_another_circuit_is_rejected_at_submit() {
+        let donor = Server::start(ServerConfig {
+            workers: 1,
+            max_attempts: 1,
+            ..ServerConfig::default()
+        });
+        let id = donor.submit(job(9).with_iteration_budget(2)).unwrap();
+        donor.wait(id).unwrap();
+        let snapshot = donor.snapshot_of(id).expect("budgeted job keeps snapshot");
+        donor.drain();
+        assert_eq!(snapshot.sizes.len(), 65);
+
+        let dir = std::env::temp_dir().join(format!("ncgws-serve-mismatch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start_durable(&dir, ServerConfig::default()).unwrap();
+        let other = CircuitSpec::new("serve-other", 30, 70)
+            .with_seed(9)
+            .with_num_patterns(16);
+        let instance = SyntheticGenerator::new(other.clone()).generate().unwrap();
+        let instance_reason = snapshot.validate_for(&instance.circuit).unwrap_err();
+        assert_eq!(
+            instance_reason,
+            "snapshot has 65 components but the circuit has 100"
+        );
+        for (input, reason) in [
+            (
+                JobInput::Instance(Box::new(instance)),
+                instance_reason.as_str(),
+            ),
+            (
+                JobInput::Synthetic(other),
+                "snapshot size vector has 65 entries, expected 100",
+            ),
+        ] {
+            let error = server
+                .submit_resume(JobSpec::new(input, quick_config()), snapshot.clone())
+                .unwrap_err();
+            assert_eq!(
+                error,
+                SubmitError::SnapshotMismatch {
+                    reason: reason.to_string()
+                }
+            );
+            assert_eq!(
+                error.to_string(),
+                format!("snapshot does not fit the job's circuit: {reason}")
+            );
+        }
+        let stats = server.drain();
+        assert_eq!((stats.submitted, stats.rejected), (0, 0));
+        let files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, [crate::store::JOURNAL_FILE], "only the journal");
+        let entries = Journal::read_entries(&dir).unwrap();
+        assert!(entries
+            .iter()
+            .all(|e| e.get("entry").and_then(|v| v.as_str()) != Some("submitted")));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

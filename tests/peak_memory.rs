@@ -12,7 +12,10 @@
 //! holds its orderings in one channel CSR and its scratch in one buffer
 //! per block, so a per-node heap string or list, a per-vector pattern
 //! buffer or a per-channel matrix or ordering coming back multiplies the
-//! count.
+//! count. The generate phase's peak, counted from the live bytes before
+//! it, must also stay within 1.35× the live bytes it returns: generation
+//! frees its scaffolding before the graph is built, and a table kept alive
+//! across the build shows up as that ratio whatever the budgets allow.
 //!
 //! The same solve then runs at `threads(1)` and `threads(2)`, and no thread
 //! but the test's own may allocate during `order()` or `size()`: heap a
@@ -102,14 +105,22 @@ const MIB: f64 = 1024.0 * 1024.0;
 
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
-    ("generate", 1_636_145),
-    ("order", 2_454_425),
-    ("engine", 2_294_425),
-    ("size", 2_668_477),
+    ("generate", 1_131_630),
+    ("order", 2_392_513),
+    ("engine", 2_232_513),
+    ("size", 2_606_565),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload.
-const GENERATE_ALLOCS: usize = 818;
+const GENERATE_ALLOCS: usize = 787;
+
+/// The most the generate phase's peak may exceed the live bytes it
+/// returns, in percent of them: generation frees its scaffolding (the
+/// generator's source table, the builder's tables) as it goes, so its peak
+/// stays near the instance it hands back. The workload's ratio is about
+/// 1.24; a table kept alive across the graph build shows up here however
+/// large the budgets are.
+const GENERATE_PEAK_OVER_LIVE_PCT: usize = 135;
 
 /// Allocation calls of the order phase (`prepare` + `order`), recorded on
 /// this workload. None of them is made per channel: the workload has 667
@@ -132,11 +143,13 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         parallel: ParallelPolicy::Sequential,
         ..OptimizerConfig::default()
     };
+    let before = LIVE.load(Relaxed);
     let (instance, generate, generate_allocs) = phase(|| {
         SyntheticGenerator::new(xl_wide_spec(10_000))
             .generate()
             .unwrap()
     });
+    let (generate_rise, generate_live) = (generate - before, LIVE.load(Relaxed) - before);
     let (ordered, order, order_allocs) = phase(|| {
         Flow::prepare(&instance, config.clone())
             .unwrap()
@@ -166,6 +179,12 @@ fn xlw10k_phase_peaks_stay_within_budget() {
     println!(
         "peak_memory xlw10k order: {order_allocs} allocation calls (budget {ORDER_ALLOCS} + 10%)"
     );
+    println!(
+        "peak_memory xlw10k generate: peak {generate_rise} B over {generate_live} B returned = \
+         {:.3} (at most {:.2})",
+        generate_rise as f64 / generate_live as f64,
+        GENERATE_PEAK_OVER_LIVE_PCT as f64 / 100.0
+    );
     for ((name, budget), peak) in BUDGETS.iter().zip(peaks) {
         assert!(
             peak <= budget + budget / 10,
@@ -179,6 +198,11 @@ fn xlw10k_phase_peaks_stay_within_budget() {
     assert!(
         order_allocs <= ORDER_ALLOCS + ORDER_ALLOCS / 10,
         "order: {order_allocs} allocation calls exceed the budget {ORDER_ALLOCS} + 10%"
+    );
+    assert!(
+        generate_rise * 100 <= generate_live * GENERATE_PEAK_OVER_LIVE_PCT,
+        "generate: peak {generate_rise} B exceeds {GENERATE_PEAK_OVER_LIVE_PCT}% of the \
+         {generate_live} B it returns"
     );
 
     // Workers allocate nothing. Each pool is up before its count starts.
