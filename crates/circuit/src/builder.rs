@@ -1,14 +1,9 @@
 //! Incremental construction of [`CircuitGraph`]s.
 
-use std::collections::hash_map::Entry;
-use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-
 use crate::error::CircuitError;
 use crate::graph::{AdjacencyFill, CircuitGraph, NodeColumns, MAX_NODES};
 use crate::id::NodeId;
-use crate::names::NameTable;
+use crate::names::{first_repeat, NameTable};
 use crate::node::{GateKind, Node, NodeAttrs, NodeKind};
 use crate::tech::Technology;
 
@@ -43,34 +38,10 @@ const SINK_NAME: &str = "~sink";
 /// the 32-bit [`NodeId`] range.
 const MAX_COMPONENTS: usize = MAX_NODES - 2;
 
-/// A [`Hasher`] for keys that already are hashes: it hands back the `u64`
-/// it was given. Any other input is folded in byte by byte, so the hasher
-/// stays total.
-#[derive(Debug, Clone, Copy, Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-/// The end of a [`NameIndex`] chain.
-const CHAIN_END: u32 = u32::MAX;
-
 /// A wire's entry in `CircuitBuilder::wire_driver` before it has a
-/// driver. Components are numbered below [`MAX_COMPONENTS`], so no
-/// component has this number.
+/// driver, and a component's entry in `build`'s last-tail table before an
+/// edge into it is seen. Components are numbered below [`MAX_COMPONENTS`],
+/// so no component has this number.
 const NO_DRIVER: u32 = u32::MAX;
 
 /// A component's entry in `CircuitBuilder::output_loads` while it drives
@@ -78,95 +49,6 @@ const NO_DRIVER: u32 = u32::MAX;
 /// negative, and no sum of such loads is NaN, so no accumulated load is
 /// this value.
 const NO_OUTPUT: f64 = f64::NAN;
-
-/// The builder's name lookup, over the names held in its [`NameTable`].
-///
-/// A name is hashed once, with the builder's own keyed SipHash
-/// ([`RandomState`]), so hostile netlist text cannot choose colliding
-/// names. `last` maps each hash to the most recent component added under
-/// it, and `earlier[i]` chains component `i` to the one added before it
-/// under the same hash, so components whose hashes collide are all found,
-/// and told apart by comparing their names.
-#[derive(Debug, Clone)]
-struct NameIndex {
-    keys: RandomState,
-    last: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
-    earlier: Vec<u32>,
-}
-
-impl NameIndex {
-    fn with_capacity(components: usize) -> Self {
-        NameIndex {
-            keys: RandomState::new(),
-            last: HashMap::with_capacity_and_hasher(components, BuildHasherDefault::default()),
-            earlier: Vec::with_capacity(components),
-        }
-    }
-
-    /// The keyed hash of `name`.
-    fn hash(&self, name: &str) -> u64 {
-        self.keys.hash_one(name)
-    }
-
-    /// The component named `name`, whose hash is `hash`.
-    fn find(&self, names: &NameTable, hash: u64, name: &str) -> Option<BuildNode> {
-        let mut at = self.last.get(&hash).copied().unwrap_or(CHAIN_END);
-        while at != CHAIN_END {
-            let i = at as usize;
-            if names.get(i) == name {
-                return Some(BuildNode(i));
-            }
-            at = self.earlier[i];
-        }
-        None
-    }
-
-    /// Appends `name`, whose hash is `hash`, to `names` as the next
-    /// component and records it, with one probe of the hash map.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::DuplicateName`] when a component already has the
-    /// name, else [`CircuitError::TooLarge`] when the components or their
-    /// names outgrow 32 bits. Nothing is recorded on an error.
-    fn register(
-        &mut self,
-        names: &mut NameTable,
-        hash: u64,
-        name: &str,
-    ) -> Result<(), CircuitError> {
-        let i = names.len();
-        debug_assert_eq!(i, self.earlier.len());
-        let entry = self.last.entry(hash);
-        let previous = match &entry {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(_) => CHAIN_END,
-        };
-        let mut at = previous;
-        while at != CHAIN_END {
-            if names.get(at as usize) == name {
-                return Err(CircuitError::DuplicateName(name.to_string()));
-            }
-            at = self.earlier[at as usize];
-        }
-        if i >= MAX_COMPONENTS {
-            return Err(CircuitError::TooLarge {
-                what: "components",
-                limit: MAX_COMPONENTS,
-            });
-        }
-        names.push(name)?;
-        // `i < MAX_COMPONENTS`, so it fits and is never `CHAIN_END`.
-        match entry {
-            Entry::Occupied(mut e) => *e.get_mut() = i as u32,
-            Entry::Vacant(e) => {
-                e.insert(i as u32);
-            }
-        }
-        self.earlier.push(previous);
-        Ok(())
-    }
-}
 
 /// Builder for [`CircuitGraph`].
 ///
@@ -176,9 +58,11 @@ impl NameIndex {
 /// source and sink, and validates the structure.
 ///
 /// Every `add_*` and [`CircuitBuilder::connect`] call runs in amortized
-/// O(1): an `add_*` hashes the name once, and a `connect` into a gate hashes
-/// the edge once (a wire instead records its single driver).
-/// [`CircuitBuilder::build`] runs in O(nodes + edges): two counting passes
+/// O(1) and probes no table: an `add_*` appends the name, and a `connect`
+/// appends the edge (into a wire it also records the wire's single
+/// driver). [`CircuitBuilder::build`] runs in expected O(nodes + edges):
+/// it first finds a repeated name by bucketing the names' keyed hashes and
+/// a repeated edge by walking the fanout lists, then two counting passes
 /// fill the graph's compressed fanin and fanout arrays already sorted, and
 /// one pass in topological order writes every node column of the graph.
 ///
@@ -196,18 +80,19 @@ impl NameIndex {
 /// than keep them.
 ///
 /// The names are appended to one string in the order the components are
-/// added, and a name index keyed by each name's 64-bit keyed hash resolves
-/// them ([`CircuitBuilder::lookup`]) while the circuit is under
-/// construction; no name is copied into a map key or a node of its own.
+/// added; no name is copied into a map key or a node of its own, and the
+/// builder resolves no name: a caller that refers to components by name
+/// keeps its own map from names to handles.
 /// [`build`](CircuitBuilder::build) writes the graph's name string in
 /// topological order in one pass, and the graph keeps no name index.
 ///
 /// The names `~source` and `~sink` belong to the artificial nodes and are
-/// rejected as [`CircuitError::DuplicateName`]. Every node id and name
-/// offset of the finished graph fits 32 bits: an `add_*` call past
-/// `u32::MAX - 1` components or `u32::MAX` bytes of names, or a `build`
-/// whose names and the artificial nodes' no longer fit, returns
-/// [`CircuitError::TooLarge`].
+/// rejected by every `add_*` as [`CircuitError::DuplicateName`]; a name
+/// added twice, and an edge into a gate connected twice, are reported by
+/// `build`. Every node id and name offset of the finished graph fits 32
+/// bits: an `add_*` call past `u32::MAX - 1` components or `u32::MAX`
+/// bytes of names, or a `build` whose names and the artificial nodes' no
+/// longer fit, returns [`CircuitError::TooLarge`].
 ///
 /// ```rust
 /// use ncgws_circuit::{CircuitBuilder, GateKind, Technology};
@@ -245,14 +130,12 @@ pub struct CircuitBuilder {
     bounds: Vec<(u32, f64, f64)>,
     /// `names.get(i)` is the name of component `i`.
     names: NameTable,
-    index: NameIndex,
     /// `wire_driver[i]` is the component driving wire `i` once it has
     /// accepted its one fanin edge, [`NO_DRIVER`] before; it enforces the
-    /// one-driver rule and detects a repeated wire edge without hashing.
+    /// one-driver rule and detects a repeated wire edge at the call.
     wire_driver: Vec<u32>,
+    /// The accepted edges, in call order.
     edges: Vec<(u32, u32)>,
-    /// Edges into non-wires, for duplicate detection.
-    edge_set: HashSet<(u32, u32)>,
     /// `output_loads[i]` is the accumulated primary-output load of
     /// component `i`, or [`NO_OUTPUT`] if it drives none: eight bytes a
     /// component, where an `Option<f64>` takes sixteen.
@@ -276,10 +159,8 @@ impl CircuitBuilder {
             param: Vec::with_capacity(components),
             bounds: Vec::new(),
             names: NameTable::with_capacity(components, 0),
-            index: NameIndex::with_capacity(components),
             wire_driver: Vec::with_capacity(components),
             edges: Vec::with_capacity(edges),
-            edge_set: HashSet::new(),
             output_loads: Vec::with_capacity(components),
         }
     }
@@ -299,22 +180,25 @@ impl CircuitBuilder {
         self.kinds.is_empty()
     }
 
-    /// The component added under `name`, if any.
-    pub fn lookup(&self, name: &str) -> Option<BuildNode> {
-        self.index.find(&self.names, self.index.hash(name), name)
-    }
-
-    /// Registers `name` for the component about to be pushed.
-    fn register_name(&mut self, name: &str) -> Result<(), CircuitError> {
-        self.register_hashed(self.index.hash(name), name)
-    }
-
-    /// [`register_name`](Self::register_name) with the name's hash given.
-    fn register_hashed(&mut self, hash: u64, name: &str) -> Result<(), CircuitError> {
+    /// Appends `name` for the component about to be pushed. Whether it
+    /// repeats an earlier name is checked by `build`.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::DuplicateName`] for a reserved name, else
+    /// [`CircuitError::TooLarge`] when the components or their names
+    /// outgrow 32 bits. Nothing is appended on an error.
+    fn push_name(&mut self, name: &str) -> Result<(), CircuitError> {
         if name == SOURCE_NAME || name == SINK_NAME {
             return Err(CircuitError::DuplicateName(name.to_string()));
         }
-        self.index.register(&mut self.names, hash, name)
+        if self.names.len() >= MAX_COMPONENTS {
+            return Err(CircuitError::TooLarge {
+                what: "components",
+                limit: MAX_COMPONENTS,
+            });
+        }
+        self.names.push(name)
     }
 
     fn push_node(&mut self, kind: NodeKind, param: f64) -> BuildNode {
@@ -331,7 +215,8 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Returns an error if `rd` is not positive and finite, or the name is
-    /// already used or reserved.
+    /// reserved. A name already used is reported by
+    /// [`build`](Self::build).
     pub fn add_driver(&mut self, name: &str, rd: f64) -> Result<BuildNode, CircuitError> {
         if !(rd.is_finite() && rd > 0.0) {
             return Err(CircuitError::InvalidParameter {
@@ -339,7 +224,7 @@ impl CircuitBuilder {
                 value: rd,
             });
         }
-        self.register_name(name)?;
+        self.push_name(name)?;
         Ok(self.push_node(NodeKind::Driver, rd))
     }
 
@@ -347,9 +232,10 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the name is already used or reserved.
+    /// Returns an error if the name is reserved. A name already used is
+    /// reported by [`build`](Self::build).
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
-        self.register_name(name)?;
+        self.push_name(name)?;
         Ok(self.push_node(NodeKind::Gate(kind), 0.0))
     }
 
@@ -358,7 +244,7 @@ impl CircuitBuilder {
     /// # Errors
     ///
     /// Returns an error if `length` is not positive and finite, or the name is
-    /// already used or reserved.
+    /// reserved. A name already used is reported by [`build`](Self::build).
     pub fn add_wire(&mut self, name: &str, length: f64) -> Result<BuildNode, CircuitError> {
         if !(length.is_finite() && length > 0.0) {
             return Err(CircuitError::InvalidParameter {
@@ -366,7 +252,7 @@ impl CircuitBuilder {
                 value: length,
             });
         }
-        self.register_name(name)?;
+        self.push_name(name)?;
         Ok(self.push_node(NodeKind::Wire, length))
     }
 
@@ -415,9 +301,10 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown nodes, self-loops, duplicate edges, edges
-    /// into a driver, edges out of nothing sensible, or a second driver of a
-    /// wire (a wire has exactly one fanin).
+    /// Returns an error for unknown nodes, self-loops, edges into a driver,
+    /// a repeat of a wire's edge, or a second driver of a wire (a wire has
+    /// exactly one fanin). A repeated edge into a gate is reported by
+    /// [`build`](Self::build).
     pub fn connect(&mut self, from: BuildNode, to: BuildNode) -> Result<(), CircuitError> {
         let from_id = NodeId::new(from.0);
         let to_id = NodeId::new(to.0);
@@ -453,8 +340,6 @@ impl CircuitBuilder {
                     });
                 }
             }
-        } else if !self.edge_set.insert(edge) {
-            return Err(CircuitError::DuplicateEdge(from_id, to_id));
         }
         self.edges.push(edge);
         Ok(())
@@ -497,8 +382,12 @@ impl CircuitBuilder {
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph is cyclic, has no drivers or primary
-    /// outputs, or contains dangling components.
+    /// Before any other check, [`CircuitError::DuplicateName`] for the
+    /// earliest-added component whose name an earlier one has, then
+    /// [`CircuitError::DuplicateEdge`] (in builder handles, as
+    /// `NodeId::new(handle.index())`) for an edge connected twice, the one
+    /// with the smallest tail. Then an error if the graph is cyclic, has no
+    /// drivers or primary outputs, or contains dangling components.
     pub fn build(self) -> Result<CircuitGraph, CircuitError> {
         self.build_mapped().map(|(graph, _)| graph)
     }
@@ -517,34 +406,15 @@ impl CircuitBuilder {
             param,
             bounds,
             names,
-            index,
             wire_driver,
             edges,
-            edge_set,
             output_loads,
         } = self;
-        // The name and connection checks are done: free their tables before
-        // the graph's arrays are allocated.
-        drop(index);
-        drop(wire_driver);
-        drop(edge_set);
-        tech.validate()?;
+        if let Some(j) = first_repeat(names.len(), |i| names.get(i))? {
+            return Err(CircuitError::DuplicateName(names.get(j).to_string()));
+        }
 
         let total = kinds.len();
-        // Kahn's queue, in 32-bit component numbers (`total` is at most
-        // `MAX_COMPONENTS`): drivers are the sources of the DAG and go
-        // first by convention.
-        let mut order: Vec<u32> = Vec::with_capacity(total);
-        order.extend((0..total as u32).filter(|&i| kinds[i as usize].is_driver()));
-        if order.is_empty() {
-            return Err(CircuitError::NoDrivers);
-        }
-        let is_output = |old: usize| !output_loads[old].is_nan();
-        let num_outputs = (0..total).filter(|&old| is_output(old)).count();
-        if num_outputs == 0 {
-            return Err(CircuitError::NoPrimaryOutputs);
-        }
-
         // Fanout over the user's components only, in insertion order, plus
         // each component's fanin count.
         let mut indegree = vec![0u32; total];
@@ -559,6 +429,38 @@ impl CircuitBuilder {
         }
         let fanout = fill.finish();
         drop(edges);
+
+        // A repeated edge: `last_tail[v]` is the last component whose list
+        // named `v`. The lists are walked in increasing tail order, so the
+        // first repeat found has the smallest tail.
+        let mut last_tail = wire_driver;
+        last_tail.fill(NO_DRIVER);
+        for u in 0..total {
+            for &v in fanout.list(u) {
+                // `u < total <= MAX_COMPONENTS`, so it is never `NO_DRIVER`.
+                let tail = &mut last_tail[v.index()];
+                if *tail == u as u32 {
+                    return Err(CircuitError::DuplicateEdge(NodeId::new(u), v));
+                }
+                *tail = u as u32;
+            }
+        }
+        drop(last_tail);
+        tech.validate()?;
+
+        // Kahn's queue, in 32-bit component numbers (`total` is at most
+        // `MAX_COMPONENTS`): drivers are the sources of the DAG and go
+        // first by convention.
+        let mut order: Vec<u32> = Vec::with_capacity(total);
+        order.extend((0..total as u32).filter(|&i| kinds[i as usize].is_driver()));
+        if order.is_empty() {
+            return Err(CircuitError::NoDrivers);
+        }
+        let is_output = |old: usize| !output_loads[old].is_nan();
+        let num_outputs = (0..total).filter(|&old| is_output(old)).count();
+        if num_outputs == 0 {
+            return Err(CircuitError::NoPrimaryOutputs);
+        }
 
         // Every non-driver component needs a fanin; every component that does
         // not drive a primary output needs a fanout.
@@ -698,6 +600,7 @@ impl CircuitBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::first_repeat_hashed;
 
     fn tech() -> Technology {
         Technology::dac99()
@@ -706,11 +609,88 @@ mod tests {
     #[test]
     fn rejects_duplicate_names() {
         let mut b = CircuitBuilder::new(tech());
-        b.add_wire("w", 10.0).unwrap();
-        assert!(matches!(
-            b.add_wire("w", 10.0),
-            Err(CircuitError::DuplicateName(_))
-        ));
+        let d = b.add_driver("d", 100.0).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        b.connect(d, w).unwrap();
+        b.connect_output(w, 5.0).unwrap();
+        // The call accepts the repeat; `build` rejects it.
+        let again = b.add_wire("w", 10.0).unwrap();
+        assert_eq!(again, BuildNode(w.0 + 1));
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateName("w".to_string())
+        );
+    }
+
+    #[test]
+    fn the_earliest_added_repeat_is_reported() {
+        let mut b = CircuitBuilder::new(tech());
+        for name in ["a", "b", "a", "b"] {
+            b.add_gate(name, GateKind::Buf).unwrap();
+        }
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateName("a".to_string())
+        );
+    }
+
+    #[test]
+    fn duplicates_are_reported_before_the_structural_checks() {
+        // No driver, no primary output, and every component dangling: the
+        // repeated name and the repeated edge still come first.
+        let mut b = CircuitBuilder::new(tech());
+        b.add_gate("g", GateKind::Buf).unwrap();
+        b.add_wire("g", 10.0).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateName("g".to_string())
+        );
+
+        let mut b = CircuitBuilder::new(tech());
+        let w = b.add_wire("w", 10.0).unwrap();
+        let g = b.add_gate("g", GateKind::Buf).unwrap();
+        b.add_gate("dangling", GateKind::Inv).unwrap();
+        b.connect(w, g).unwrap();
+        b.connect(w, g).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateEdge(NodeId::new(0), NodeId::new(1))
+        );
+
+        // With a driver but no primary output.
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let w = b.add_wire("w", 10.0).unwrap();
+        let g = b.add_gate("g", GateKind::Buf).unwrap();
+        b.connect(d, w).unwrap();
+        b.connect(w, g).unwrap();
+        b.connect(w, g).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateEdge(NodeId::new(1), NodeId::new(2))
+        );
+    }
+
+    #[test]
+    fn the_repeated_edge_with_the_smallest_tail_is_reported() {
+        let mut b = CircuitBuilder::new(tech());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let g = b.add_gate("g", GateKind::And).unwrap();
+        let w: Vec<BuildNode> = (0..3)
+            .map(|i| b.add_wire(&format!("w{i}"), 10.0).unwrap())
+            .collect();
+        for &wire in &w {
+            b.connect(d, wire).unwrap();
+        }
+        // Repeated in call order w2 first, then w1.
+        for wire in [w[2], w[1], w[2], w[1], w[0]] {
+            b.connect(wire, g).unwrap();
+        }
+        b.connect_output(g, 5.0).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateEdge(NodeId::new(w[1].0), NodeId::new(g.0))
+        );
     }
 
     #[test]
@@ -744,40 +724,35 @@ mod tests {
     fn names_under_one_hash_are_told_apart() {
         const FORCED: u64 = 0x5eed;
         let mut b = CircuitBuilder::new(tech());
-        for name in ["a", "b"] {
-            b.register_hashed(FORCED, name).unwrap();
-            b.push_node(NodeKind::Wire, 10.0);
+        for name in ["a", "b", "c"] {
+            b.add_wire(name, 10.0).unwrap();
         }
-        assert_eq!(b.index.find(&b.names, FORCED, "a"), Some(BuildNode(0)));
-        assert_eq!(b.index.find(&b.names, FORCED, "b"), Some(BuildNode(1)));
-        assert_eq!(b.index.find(&b.names, FORCED, "c"), None);
-        for name in ["a", "b", SOURCE_NAME, SINK_NAME] {
+        let repeat = |b: &CircuitBuilder| {
+            let hashes = vec![FORCED; b.names.len()];
+            first_repeat_hashed(&hashes, |i| b.names.get(i))
+                .unwrap()
+                .map(|j| CircuitError::DuplicateName(b.names.get(j).to_string()))
+        };
+        // Three distinct names under one hash are told apart.
+        assert_eq!(repeat(&b), None);
+        for name in [SOURCE_NAME, SINK_NAME] {
             assert_eq!(
-                b.register_hashed(FORCED, name),
+                b.add_wire(name, 10.0),
                 Err(CircuitError::DuplicateName(name.to_string()))
             );
         }
-        // A third name under the same hash still joins the chain.
-        b.register_hashed(FORCED, "c").unwrap();
-        b.push_node(NodeKind::Wire, 10.0);
-        assert_eq!(b.index.find(&b.names, FORCED, "a"), Some(BuildNode(0)));
-        assert_eq!(b.index.find(&b.names, FORCED, "c"), Some(BuildNode(2)));
-        assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn lookup_finds_every_name_added() {
-        let mut b = CircuitBuilder::new(tech());
-        let d = b.add_driver("d", 100.0).unwrap();
-        let wires: Vec<BuildNode> = (0..100)
-            .map(|i| b.add_wire(&format!("w{i}"), 10.0).unwrap())
-            .collect();
-        assert_eq!(b.lookup("d"), Some(d));
-        for (i, &w) in wires.iter().enumerate() {
-            assert_eq!(b.lookup(&format!("w{i}")), Some(w));
-        }
-        assert_eq!(b.lookup("w100"), None);
-        assert_eq!(b.lookup(SOURCE_NAME), None);
+        // A repeat under the same hash is found, whichever name it repeats.
+        b.add_wire("b", 10.0).unwrap();
+        b.add_wire("a", 10.0).unwrap();
+        assert_eq!(b.len(), 5);
+        assert_eq!(
+            repeat(&b),
+            Some(CircuitError::DuplicateName("b".to_string()))
+        );
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateName("b".to_string())
+        );
     }
 
     #[test]
@@ -856,16 +831,19 @@ mod tests {
             Err(CircuitError::UnknownNode(_))
         ));
         b.connect(w, g).unwrap();
-        assert!(matches!(
-            b.connect(w, g),
-            Err(CircuitError::DuplicateEdge(_, _))
-        ));
         // None of the rejections above drove `w`: its first driver is accepted.
         b.connect(d, w).unwrap();
         b.connect_output(g, 5.0).unwrap();
-        let c = b.build().unwrap();
-        let wid = c.node_by_name("w").unwrap();
-        assert_eq!(c.fanin(wid), &[c.node_by_name("d").unwrap()]);
+        let built = b.clone().build().unwrap();
+        let wid = built.node_by_name("w").unwrap();
+        assert_eq!(built.fanin(wid), &[built.node_by_name("d").unwrap()]);
+        // A repeated edge into the gate is accepted by the call and
+        // rejected by `build`.
+        b.connect(w, g).unwrap();
+        assert_eq!(
+            b.build().unwrap_err(),
+            CircuitError::DuplicateEdge(NodeId::new(w.0), NodeId::new(g.0))
+        );
     }
 
     #[test]
@@ -910,18 +888,17 @@ mod tests {
             b.connect(d, w).unwrap();
             b.connect(w, g).unwrap();
         }
+        b.connect_output(g, 5.0).unwrap();
+        let c = b.clone().build().unwrap();
+        assert_eq!(c.fanin(c.node_by_name("g").unwrap()).len(), 200);
         for &w in &[wires[0], wires[117], wires[199]] {
+            let mut repeated = b.clone();
+            repeated.connect(w, g).unwrap();
             assert_eq!(
-                b.connect(w, g),
-                Err(CircuitError::DuplicateEdge(
-                    NodeId::new(w.index()),
-                    NodeId::new(g.index())
-                ))
+                repeated.build().unwrap_err(),
+                CircuitError::DuplicateEdge(NodeId::new(w.index()), NodeId::new(g.index()))
             );
         }
-        b.connect_output(g, 5.0).unwrap();
-        let c = b.build().unwrap();
-        assert_eq!(c.fanin(c.node_by_name("g").unwrap()).len(), 200);
     }
 
     #[test]

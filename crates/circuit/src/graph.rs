@@ -1,13 +1,11 @@
 //! The circuit graph `H = (V, E)`.
 
-use std::collections::HashSet;
-
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize, Serializer};
 
 use crate::error::CircuitError;
 use crate::id::NodeId;
-use crate::names::NameTable;
+use crate::names::{first_repeat, NameTable};
 use crate::node::{Node, NodeAttrs, NodeKind};
 use crate::sizing::SizeVector;
 use crate::tech::Technology;
@@ -507,13 +505,9 @@ impl CircuitGraph {
             });
         }
         tech.validate()?;
-        let mut seen = HashSet::with_capacity(n);
-        for &name in names {
-            if !seen.insert(name) {
-                return Err(CircuitError::DuplicateName(name.to_string()));
-            }
+        if let Some(j) = first_repeat(n, |i| names[i])? {
+            return Err(CircuitError::DuplicateName(names[j].to_string()));
         }
-        drop(seen);
         let mut table = NameTable::with_capacity(n, names.iter().map(|name| name.len()).sum());
         for name in names {
             table.push(name)?;
@@ -1089,6 +1083,15 @@ mod tests {
         assert!(matches!(
             reassemble(&c, (nodes, names, fanin, fanout)),
             Err(CircuitError::DuplicateName(name)) if name == "in"
+        ));
+        // Of two repeated names, the one repeated first is reported:
+        // "w2" again at node 4 before "in" again at node 5.
+        let (nodes, mut names, fanin, fanout) = parts(&c);
+        names[2] = "w2";
+        names[5] = "in";
+        assert!(matches!(
+            reassemble(&c, (nodes, names, fanin, fanout)),
+            Err(CircuitError::DuplicateName(name)) if name == "w2"
         ));
     }
 

@@ -1,6 +1,11 @@
-//! Node names stored as one table.
+//! Node names stored as one table, and the one check that names repeat.
+
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 
 use crate::error::CircuitError;
+use crate::graph::AdjacencyFill;
+use crate::id::NodeId;
 
 /// A list of names kept back to back in one `String`: name `i` is
 /// `text[starts[i]..starts[i + 1]]`. The offsets are 32-bit, so the table
@@ -72,9 +77,84 @@ impl NameTable {
     }
 }
 
+/// The earliest second occurrence among `len` names: the smallest `j` such
+/// that `name(j)` equals `name(i)` for some `i < j`, or `None` when the
+/// names are distinct.
+///
+/// Each name is hashed once with a keyed SipHash ([`RandomState`]), so
+/// hostile netlist text cannot choose names that collide, and the names
+/// are compared only within a hash bucket. It runs in expected O(len) with
+/// no hash table and no sort.
+///
+/// # Errors
+///
+/// [`CircuitError::TooLarge`] when `len` does not fit the 32-bit bucket
+/// offsets.
+pub(crate) fn first_repeat<'a>(
+    len: usize,
+    name: impl Fn(usize) -> &'a str,
+) -> Result<Option<usize>, CircuitError> {
+    let keys = RandomState::new();
+    let hashes: Vec<u64> = (0..len).map(|i| keys.hash_one(name(i))).collect();
+    first_repeat_hashed(&hashes, name)
+}
+
+/// [`first_repeat`] with the hash of name `i` given as `hashes[i]`.
+///
+/// Names go into one bucket per name, picked by the high bits of
+/// `hash * len`, as one compressed list (each bucket in increasing name
+/// order); a name is compared only with the earlier names of its bucket
+/// that have its hash.
+pub(crate) fn first_repeat_hashed<'a>(
+    hashes: &[u64],
+    name: impl Fn(usize) -> &'a str,
+) -> Result<Option<usize>, CircuitError> {
+    let len = hashes.len();
+    let bucket = |hash: u64| ((u128::from(hash) * len as u128) >> 64) as usize;
+    let mut sizes = vec![0usize; len];
+    for &hash in hashes {
+        sizes[bucket(hash)] += 1;
+    }
+    let mut fill = AdjacencyFill::new(sizes)?;
+    for (i, &hash) in hashes.iter().enumerate() {
+        fill.push(bucket(hash), NodeId::new(i));
+    }
+    let buckets = fill.finish();
+    let mut first: Option<usize> = None;
+    for b in 0..len {
+        let members = buckets.list(b);
+        for (k, j) in members.iter().enumerate().skip(1) {
+            let j = j.index();
+            if first.is_some_and(|first| first <= j) {
+                break;
+            }
+            let repeats = members[..k].iter().any(|i| {
+                let i = i.index();
+                hashes[i] == hashes[j] && name(i) == name(j)
+            });
+            if repeats {
+                first = Some(j);
+                break;
+            }
+        }
+    }
+    Ok(first)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_earliest_second_occurrence_is_reported() {
+        let names = ["a", "b", "a", "b"];
+        assert_eq!(first_repeat(4, |i| names[i]), Ok(Some(2)));
+        let names = ["x", "b", "a", "b", "a"];
+        assert_eq!(first_repeat(5, |i| names[i]), Ok(Some(3)));
+        let names = ["a", "b", "c"];
+        assert_eq!(first_repeat(3, |i| names[i]), Ok(None));
+        assert_eq!(first_repeat(0, |_| ""), Ok(None));
+    }
 
     #[test]
     fn names_come_back_in_order() {

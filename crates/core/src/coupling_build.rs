@@ -24,7 +24,7 @@ use std::ops::Range;
 
 use ncgws_circuit::NodeId;
 use ncgws_coupling::{CouplingPair, CouplingSet, WirePairGeometry};
-use ncgws_netlist::ProblemInstance;
+use ncgws_netlist::{Channels, ProblemInstance};
 use ncgws_ordering::{baselines, exact_ordering, path_cost, woss, woss_into, SsProblem};
 use ncgws_waveform::{
     fill_similarities, miller_factor, LogicSimulator, SimilarityMatrix, SimulationTrace,
@@ -208,18 +208,14 @@ fn order_channels(
     strategy: OrderingStrategy,
 ) -> (Vec<u32>, Vec<NodeId>, Vec<f64>) {
     let channels = &instance.channels;
-    let mut offsets = Vec::with_capacity(channels.len() + 1);
-    let mut end = 0u32;
-    offsets.push(end);
-    for channel in channels {
-        end += u32::try_from(channel.len()).expect("channel wires are node ids, 32-bit");
-        offsets.push(end);
-    }
-    let mut wires = vec![NodeId::new(0); end as usize];
+    // The orderings permute each channel in place, so they share the
+    // instance's offsets.
+    let offsets = channels.offsets().to_vec();
+    let mut wires = vec![NodeId::new(0); channels.wires().len()];
     let mut costs = vec![0.0; channels.len()];
 
     // Each block's scratch fits its largest channel.
-    let widest = |range: &Range<usize>| channels[range.clone()].iter().map(Vec::len).max();
+    let widest = |range: &Range<usize>| range.clone().map(|c| channels[c].len()).max();
     let (squares, lines) = flat_blocks(channels.len())
         .map(|range| widest(&range).unwrap_or(0))
         .fold((0, 0), |(squares, lines), k| (squares + k * k, lines + k));
@@ -258,7 +254,7 @@ fn order_channels(
 /// [`order_baseline`], which does.
 fn order_block(
     block: ChannelBlock<'_>,
-    channels: &[Vec<NodeId>],
+    channels: &Channels,
     trace: &SimulationTrace,
     strategy: OrderingStrategy,
 ) {
@@ -270,7 +266,8 @@ fn order_block(
         placed,
         order,
     } = block;
-    for (channel, cost) in channels[range].iter().zip(costs) {
+    for (c, cost) in range.zip(costs) {
+        let channel = &channels[c];
         let k = channel.len();
         let out = split_front(&mut wires, k);
         let order = &mut order[..k];
@@ -408,8 +405,12 @@ mod tests {
     #[test]
     fn single_wire_channel_has_no_pairs() {
         let mut inst = instance();
-        let lonely = inst.channels[0].pop().unwrap();
-        inst.channels.push(vec![lonely]);
+        let (&lonely, rest) = inst.channels[0].split_last().unwrap();
+        let mut channels: Channels = std::iter::once(rest)
+            .chain(inst.channels.iter().skip(1))
+            .collect();
+        channels.push(&[lonely]);
+        inst.channels = channels;
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
         let neighborhoods = outcome.coupling.neighborhoods();
         assert_eq!(neighborhoods.degree(lonely), 0);
@@ -432,8 +433,8 @@ mod tests {
     fn orderings_permute_their_channels() {
         let inst = instance();
         let outcome = build_coupling(&inst, OrderingStrategy::Woss, false).unwrap();
-        for (ordered, channel) in outcome.channels().zip(&inst.channels) {
-            let mut expected: Vec<NodeId> = channel.clone();
+        for (ordered, channel) in outcome.channels().zip(inst.channels.iter()) {
+            let mut expected: Vec<NodeId> = channel.to_vec();
             let mut actual: Vec<NodeId> = ordered.to_vec();
             expected.sort_unstable();
             actual.sort_unstable();

@@ -30,10 +30,12 @@
 //! The default [`Technology`] is used; everything
 //! else round-trips exactly through [`write_instance`] / [`parse_instance`].
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use ncgws_circuit::builder::BuildNode;
-use ncgws_circuit::{CircuitBuilder, GateKind, NodeKind, Technology};
+use ncgws_circuit::{CircuitBuilder, CircuitError, GateKind, NodeKind, Technology};
 use ncgws_waveform::PatternSet;
 
 use crate::error::NetlistError;
@@ -64,6 +66,26 @@ fn parse_gate_kind(s: &str) -> Option<GateKind> {
         "xnor" => GateKind::Xnor,
         _ => return None,
     })
+}
+
+/// Records `node` as the component added under `name`.
+///
+/// # Errors
+///
+/// [`CircuitError::DuplicateName`] when the name is already taken, so a
+/// repeated name is reported at its second line.
+fn record<'a>(
+    handles: &mut HashMap<&'a str, BuildNode>,
+    name: &'a str,
+    node: BuildNode,
+) -> Result<(), CircuitError> {
+    match handles.entry(name) {
+        Entry::Occupied(_) => Err(CircuitError::DuplicateName(name.to_string())),
+        Entry::Vacant(slot) => {
+            slot.insert(node);
+            Ok(())
+        }
+    }
 }
 
 /// Serializes a problem instance to the text format.
@@ -118,7 +140,7 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
             circuit.output_load(id)
         );
     }
-    for channel in &instance.channels {
+    for channel in instance.channels.iter() {
         if channel.is_empty() {
             continue;
         }
@@ -146,8 +168,10 @@ pub fn write_instance(instance: &ProblemInstance, pattern_directive: (usize, f64
 pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
     let tech = Technology::dac99();
     let mut builder = CircuitBuilder::new(tech);
+    // The component added under each name: the builder resolves no names.
+    let mut handles: HashMap<&str, BuildNode> = HashMap::new();
     let mut name = String::from("unnamed");
-    let mut channels_by_name: Vec<Vec<String>> = Vec::new();
+    let mut channels_by_name: Vec<Vec<&str>> = Vec::new();
     let mut geometry = ChannelGeometry {
         pitch: 14.0,
         overlap_fraction: 0.6,
@@ -182,30 +206,33 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
                 let [_, n, rd] = tokens[..] else {
                     return Err(err(line, "driver NAME RD"));
                 };
-                builder.add_driver(n, parse_f64(line, rd)?)?;
+                let node = builder.add_driver(n, parse_f64(line, rd)?)?;
+                record(&mut handles, n, node)?;
             }
             "gate" => {
                 let [_, n, kind] = tokens[..] else {
                     return Err(err(line, "gate NAME KIND"));
                 };
                 let kind = parse_gate_kind(kind).ok_or_else(|| err(line, "unknown gate kind"))?;
-                builder.add_gate(n, kind)?;
+                let node = builder.add_gate(n, kind)?;
+                record(&mut handles, n, node)?;
             }
             "wire" => {
                 let [_, n, len] = tokens[..] else {
                     return Err(err(line, "wire NAME LENGTH"));
                 };
-                builder.add_wire(n, parse_f64(line, len)?)?;
+                let node = builder.add_wire(n, parse_f64(line, len)?)?;
+                record(&mut handles, n, node)?;
             }
             "connect" => {
                 let [_, from, to] = tokens[..] else {
                     return Err(err(line, "connect FROM TO"));
                 };
-                let from = builder
-                    .lookup(from)
+                let from = *handles
+                    .get(from)
                     .ok_or_else(|| err(line, "unknown component"))?;
-                let to = builder
-                    .lookup(to)
+                let to = *handles
+                    .get(to)
                     .ok_or_else(|| err(line, "unknown component"))?;
                 builder.connect(from, to)?;
             }
@@ -213,8 +240,8 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
                 let [_, n, load] = tokens[..] else {
                     return Err(err(line, "output NAME LOAD"));
                 };
-                let node = builder
-                    .lookup(n)
+                let node = *handles
+                    .get(n)
                     .ok_or_else(|| err(line, "unknown component"))?;
                 builder.connect_output(node, parse_f64(line, load)?)?;
             }
@@ -222,7 +249,7 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
                 if tokens.len() < 2 {
                     return Err(err(line, "channel needs at least one wire"));
                 }
-                channels_by_name.push(tokens[1..].iter().map(|s| s.to_string()).collect());
+                channels_by_name.push(tokens[1..].to_vec());
             }
             "geometry" => {
                 let [_, pitch, overlap, fringing] = tokens[..] else {
@@ -253,13 +280,18 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
         }
     }
 
-    // Resolve the channel names while the builder still has its name
-    // table; an unknown name is reported after any circuit error.
+    // Resolve the channel names before the build; an unknown name is
+    // reported after any circuit error.
     let channel_handles: Vec<Vec<Option<BuildNode>>> = channels_by_name
         .iter()
-        .map(|channel| channel.iter().map(|name| builder.lookup(name)).collect())
+        .map(|channel| {
+            channel
+                .iter()
+                .map(|name| handles.get(name).copied())
+                .collect()
+        })
         .collect();
-    drop(channels_by_name);
+    drop((channels_by_name, handles));
     let (circuit, ids) = builder.build_mapped()?;
     let channels = channel_handles
         .into_iter()
@@ -271,7 +303,7 @@ pub fn parse_instance(text: &str) -> Result<ProblemInstance, NetlistError> {
                         .map(|handle| ids[handle.index()])
                         .ok_or_else(|| err(0, "channel references unknown wire"))
                 })
-                .collect()
+                .collect::<Result<Vec<_>, _>>()
         })
         .collect::<Result<_, _>>()?;
     let (count, toggle, seed) = pattern_directive;
@@ -290,6 +322,7 @@ mod tests {
     use super::*;
     use crate::generator::SyntheticGenerator;
     use crate::spec::CircuitSpec;
+    use ncgws_circuit::NodeId;
 
     #[test]
     fn roundtrip_through_text() {
@@ -363,6 +396,43 @@ patterns 16 0.3 7
             parse_instance(unknown_ref),
             Err(NetlistError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn a_repeated_name_is_rejected_at_its_line() {
+        // The line after the repeat is malformed too: the repeat comes first.
+        let text = "circuit x\ndriver in0 10\nwire w0 5\ngate w0 buf\nbogus\n";
+        match parse_instance(text) {
+            Err(NetlistError::Circuit(e)) => {
+                assert_eq!(e, CircuitError::DuplicateName("w0".to_string()));
+            }
+            other => panic!("expected a duplicate name, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_repeated_connect_into_a_gate_is_rejected() {
+        let text = "\
+circuit x
+driver in0 10
+gate g0 buf
+wire w0 5
+wire w1 5
+connect in0 w0
+connect w0 g0
+connect g0 w1
+connect w0 g0
+output w1 1.0
+";
+        match parse_instance(text) {
+            Err(NetlistError::Circuit(e)) => assert_eq!(
+                e,
+                CircuitError::DuplicateEdge(NodeId::new(2), NodeId::new(1))
+            ),
+            other => panic!("expected a duplicate edge, got {other:?}"),
+        }
+        // Without the repeat the netlist parses.
+        assert!(parse_instance(&text.replacen("connect w0 g0\n", "", 1)).is_ok());
     }
 
     #[test]

@@ -21,11 +21,11 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use ncgws_circuit::builder::BuildNode;
-use ncgws_circuit::{CircuitBuilder, GateKind, NodeId};
+use ncgws_circuit::{CircuitBuilder, GateKind};
 use ncgws_waveform::PatternSet;
 
 use crate::error::NetlistError;
-use crate::instance::{ChannelGeometry, ProblemInstance};
+use crate::instance::{ChannelGeometry, Channels, ProblemInstance};
 use crate::spec::CircuitSpec;
 
 /// One gate input source in the intermediate representation.
@@ -317,15 +317,12 @@ impl SyntheticGenerator {
 
         // ---- 5. Routing channels over the wires, which were added last:
         // `ids[first_wire..]` are the wires' nodes in the order they were
-        // added.
-        ids.drain(..first_wire);
-        let mut channel_wires = ids;
+        // added. They are shuffled in place and copied once, into the
+        // channels' wire list.
+        let channel_wires = &mut ids[first_wire..];
         channel_wires.shuffle(&mut rng_geo);
-        let channels: Vec<Vec<NodeId>> = channel_wires
-            .chunks(spec.channel_size.max(2))
-            .map(|chunk| chunk.to_vec())
-            .collect();
-        drop(channel_wires);
+        let channels = Channels::chunked(channel_wires.to_vec(), spec.channel_size.max(2));
+        drop(ids);
 
         // ---- 6. Input patterns.
         let patterns = PatternSet::random_correlated(
@@ -455,7 +452,7 @@ mod tests {
     fn channels_cover_every_wire_exactly_once() {
         let inst = generate(80, 170, 9);
         let mut seen = std::collections::HashSet::new();
-        for channel in &inst.channels {
+        for channel in inst.channels.iter() {
             for &w in channel {
                 assert!(inst.circuit.node(w).kind.is_wire());
                 assert!(seen.insert(w), "wire listed twice");

@@ -95,7 +95,7 @@ fn digest(inst: &ProblemInstance) -> u64 {
         }
     }
     h.usize(inst.channels.len());
-    for channel in &inst.channels {
+    for channel in inst.channels.iter() {
         h.usize(channel.len());
         for &w in channel {
             h.usize(w.index());

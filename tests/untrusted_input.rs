@@ -335,7 +335,18 @@ fn an_instance_built_in_code_with_narrow_patterns_is_a_typed_error() {
 fn an_instance_built_in_code_with_an_out_of_range_channel_wire_is_a_typed_error() {
     let mut inst = instance(1, 20);
     let beyond = NodeId::new(inst.circuit.num_nodes());
-    inst.channels[1].push(beyond);
+    inst.channels = inst
+        .channels
+        .iter()
+        .enumerate()
+        .map(|(c, wires)| {
+            let mut wires = wires.to_vec();
+            if c == 1 {
+                wires.push(beyond);
+            }
+            wires
+        })
+        .collect();
     match Flow::prepare(&inst, quick_config()) {
         Err(CoreError::Instance(NetlistError::ChannelWireOutOfRange { channel, wire })) => {
             assert_eq!((channel, wire), (1, beyond));
