@@ -145,20 +145,25 @@ pub struct CircuitBuilder {
 impl CircuitBuilder {
     /// Creates an empty builder with the given technology.
     pub fn new(tech: Technology) -> Self {
-        CircuitBuilder::with_capacity(tech, 0, 0)
+        CircuitBuilder::with_capacity(tech, 0, 0, 0)
     }
 
     /// Creates an empty builder with room for `components` components
-    /// (drivers, gates and wires) and `edges` connections, so a caller that
-    /// knows the circuit's size up front builds it without regrowing a
-    /// table.
-    pub fn with_capacity(tech: Technology, components: usize, edges: usize) -> Self {
+    /// (drivers, gates and wires), `edges` connections and `name_bytes`
+    /// bytes of component names, so a caller that knows the circuit's size
+    /// up front builds it without regrowing a table.
+    pub fn with_capacity(
+        tech: Technology,
+        components: usize,
+        edges: usize,
+        name_bytes: usize,
+    ) -> Self {
         CircuitBuilder {
             tech,
             kinds: Vec::with_capacity(components),
             param: Vec::with_capacity(components),
             bounds: Vec::new(),
-            names: NameTable::with_capacity(components, 0),
+            names: NameTable::with_capacity(components, name_bytes),
             wire_driver: Vec::with_capacity(components),
             edges: Vec::with_capacity(edges),
             output_loads: Vec::with_capacity(components),

@@ -90,47 +90,59 @@ impl Serialize for Adjacency {
 
 /// An [`Adjacency`] filled in one counting pass: the degrees fix every
 /// list's slot up front, and [`push`](Self::push) appends to a list.
+///
+/// While filling, `offsets[i]` is the next free slot of list `i` (it
+/// starts at the list's first slot and ends at its last plus one, the
+/// first slot of list `i + 1`); [`finish`](Self::finish) shifts the
+/// offsets up by one place to make them the lists' starts again.
 pub(crate) struct AdjacencyFill {
     adjacency: Adjacency,
-    next: Vec<u32>,
 }
 
 impl AdjacencyFill {
-    /// Reserves the lists of nodes `0..degrees.len()`.
+    /// Reserves the lists of nodes `0..degrees.len()`. The offsets are
+    /// sized from the iterator's lower size bound, so an iterator that
+    /// knows its length gives them no spare capacity.
     ///
     /// # Errors
     ///
     /// [`CircuitError::TooLarge`] when the degrees sum past `u32::MAX`.
     pub(crate) fn new(degrees: impl IntoIterator<Item = usize>) -> Result<Self, CircuitError> {
-        let mut offsets = vec![0];
+        let degrees = degrees.into_iter();
+        let mut offsets = Vec::with_capacity(degrees.size_hint().0 + 1);
         let mut end = 0;
         for degree in degrees {
-            end += degree;
             offsets.push(edge_offset(end)?);
+            end += degree;
         }
-        let next = offsets[..offsets.len() - 1].to_vec();
+        offsets.push(edge_offset(end)?);
         Ok(AdjacencyFill {
             adjacency: Adjacency {
                 offsets,
                 targets: vec![NodeId::new(0); end],
             },
-            next,
         })
     }
 
     /// Appends `target` to the list of node `i`.
     pub(crate) fn push(&mut self, i: usize, target: NodeId) {
-        self.adjacency.targets[self.next[i] as usize] = target;
-        self.next[i] += 1;
+        let next = &mut self.adjacency.offsets[i];
+        self.adjacency.targets[*next as usize] = target;
+        *next += 1;
     }
 
     /// The lists, each holding exactly its reserved degree.
-    pub(crate) fn finish(self) -> Adjacency {
-        debug_assert!(self
-            .next
-            .iter()
-            .zip(&self.adjacency.offsets[1..])
-            .all(|(next, end)| next == end));
+    pub(crate) fn finish(mut self) -> Adjacency {
+        let offsets = &mut self.adjacency.offsets;
+        let nodes = offsets.len() - 1;
+        // Filled lists end in order, the last one at the total.
+        debug_assert!(
+            offsets.windows(2).all(|w| w[0] <= w[1])
+                && (nodes == 0 || offsets[nodes - 1] == offsets[nodes]),
+            "the filled lists must tile the targets"
+        );
+        offsets.copy_within(..nodes, 1);
+        offsets[0] = 0;
         self.adjacency
     }
 }
@@ -943,6 +955,35 @@ mod tests {
                 assert!(c.fanout(pred).contains(&id));
             }
         }
+    }
+
+    #[test]
+    fn built_offsets_have_no_spare_capacity() {
+        let c = tiny();
+        for adjacency in [&c.fanin, &c.fanout] {
+            assert_eq!(adjacency.offsets.len(), c.num_nodes() + 1);
+            assert_eq!(adjacency.offsets.capacity(), adjacency.offsets.len());
+        }
+    }
+
+    #[test]
+    fn a_fill_keeps_each_lists_push_order() {
+        let mut fill = AdjacencyFill::new([2, 0, 3, 1]).unwrap();
+        for (i, target) in [(2, 5), (0, 1), (3, 0), (2, 4), (0, 7), (2, 6)] {
+            fill.push(i, NodeId::new(target));
+        }
+        let lists = fill.finish();
+        assert_eq!(lists.offsets(), [0, 2, 2, 5, 6]);
+        assert_eq!(lists.offsets.capacity(), 5);
+        let ids = |ids: &[usize]| ids.iter().map(|&i| NodeId::new(i)).collect::<Vec<_>>();
+        for (i, expected) in [ids(&[1, 7]), ids(&[]), ids(&[5, 4, 6]), ids(&[0])]
+            .iter()
+            .enumerate()
+        {
+            assert_eq!(lists.list(i), expected);
+        }
+        let empty = AdjacencyFill::new([]).unwrap().finish();
+        assert_eq!(empty.offsets(), [0]);
     }
 
     #[test]

@@ -111,11 +111,18 @@ pub(crate) fn first_repeat_hashed<'a>(
 ) -> Result<Option<usize>, CircuitError> {
     let len = hashes.len();
     let bucket = |hash: u64| ((u128::from(hash) * len as u128) >> 64) as usize;
-    let mut sizes = vec![0usize; len];
+    // A bucket holds at most `len` names, so its count fits a `u32`.
+    if u32::try_from(len).is_err() {
+        return Err(CircuitError::TooLarge {
+            what: "names",
+            limit: u32::MAX as usize,
+        });
+    }
+    let mut sizes = vec![0u32; len];
     for &hash in hashes {
         sizes[bucket(hash)] += 1;
     }
-    let mut fill = AdjacencyFill::new(sizes)?;
+    let mut fill = AdjacencyFill::new(sizes.into_iter().map(|size| size as usize))?;
     for (i, &hash) in hashes.iter().enumerate() {
         fill.push(bucket(hash), NodeId::new(i));
     }

@@ -13,7 +13,6 @@
 //! * all randomness is drawn from a seeded [`ChaCha8Rng`], so instances are
 //!   fully reproducible.
 
-use std::fmt::Write;
 use std::ops::Range;
 
 use rand::seq::SliceRandom;
@@ -41,11 +40,36 @@ fn live(start: &[usize], fanin: &[usize], k: usize) -> Range<usize> {
     start[k]..start[k] + fanin[k]
 }
 
-/// Formats the name `{prefix}{i}` into `buf`, replacing its contents.
-fn numbered<'a>(buf: &'a mut String, prefix: &str, i: usize) -> &'a str {
+/// Writes the name `{prefix}{i}` into `buf`, replacing its contents.
+fn numbered<'a>(buf: &'a mut String, prefix: &str, mut i: usize) -> &'a str {
     buf.clear();
-    let _ = write!(buf, "{prefix}{i}");
+    buf.push_str(prefix);
+    // The decimal digits of `i`, last digit first, filled from the end.
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    loop {
+        first -= 1;
+        digits[first] = b'0' + (i % 10) as u8;
+        i /= 10;
+        if i == 0 {
+            break;
+        }
+    }
+    buf.extend(digits[first..].iter().map(|&d| char::from(d)));
     buf
+}
+
+/// Total length of the names `numbered` writes for `prefix` and
+/// `0..count`.
+fn numbered_bytes(prefix: &str, count: usize) -> usize {
+    // Every number has one digit, and each number from `10^d` up one more.
+    let mut digits = count;
+    let mut power = 10usize;
+    while power < count {
+        digits += count - power;
+        power = power.saturating_mul(10);
+    }
+    prefix.len() * count + digits
 }
 
 /// Synthetic circuit generator.
@@ -120,7 +144,9 @@ impl SyntheticGenerator {
         let mut sources: Vec<SourceRef> = Vec::with_capacity(input_wire_budget);
         let mut gate_fanout = vec![0usize; num_gates];
         let mut driver_fanout = vec![0usize; num_drivers];
-        let mut unused: Vec<usize> = Vec::new(); // non-output gates with no fanout yet
+        // Non-output gates with no fanout yet; each gate below
+        // `first_output_gate` enters once.
+        let mut unused: Vec<usize> = Vec::with_capacity(first_output_gate);
 
         // Under the *unbounded* locality window (`usize::MAX` — see
         // `CircuitSpec::locality_window`) the eager fanout guarantee below
@@ -246,6 +272,9 @@ impl SyntheticGenerator {
             spec.technology,
             num_drivers + num_gates + num_wires,
             num_wires + input_wires,
+            numbered_bytes("in", num_drivers)
+                + numbered_bytes("g", num_gates)
+                + numbered_bytes("w", num_wires),
         );
         let mut rng_geo = ChaCha8Rng::seed_from_u64(spec.seed ^ 0x9E37_79B9_7F4A_7C15);
         // Every name is formatted into this one buffer; the builder copies
@@ -446,6 +475,18 @@ mod tests {
         ));
         let no_gates = CircuitSpec::new("bad", 0, 10);
         assert!(SyntheticGenerator::new(no_gates).generate().is_err());
+    }
+
+    #[test]
+    fn names_are_the_formatted_numbers_and_their_bytes_add_up() {
+        let mut buf = String::from("stale");
+        for i in [0, 7, 9, 10, 99, 100, 12_345, usize::MAX] {
+            assert_eq!(numbered(&mut buf, "w", i), format!("w{i}"));
+        }
+        for count in [0, 1, 9, 10, 11, 100, 101, 1234] {
+            let total: usize = (0..count).map(|i| numbered(&mut buf, "in", i).len()).sum();
+            assert_eq!(numbered_bytes("in", count), total, "count {count}");
+        }
     }
 
     #[test]

@@ -106,22 +106,24 @@ const MIB: f64 = 1024.0 * 1024.0;
 
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
-    ("generate", 1_131_630),
-    ("order", 2_379_177),
-    ("engine", 2_219_177),
-    ("size", 2_593_229),
+    ("generate", 1_082_725),
+    ("order", 2_330_272),
+    ("engine", 2_170_272),
+    ("size", 2_544_324),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload. None
 /// of them is made per component, edge or channel: the builder probes no
-/// hash table, and the workload's 667 channels are one CSR.
-const GENERATE_ALLOCS: usize = 125;
+/// hash table, and the workload's 667 channels are one CSR. The builder's
+/// name text, the generator's list of gates without fanout and every
+/// adjacency offset list are reserved at their final size, not grown.
+const GENERATE_ALLOCS: usize = 46;
 
 /// The most the generate phase's peak may exceed the live bytes it
 /// returns, in percent of them: generation frees its scaffolding (the
 /// generator's source table, the builder's tables) as it goes, so its peak
 /// stays near the instance it hands back. The workload's ratio is about
-/// 1.25; a table kept alive across the graph build shows up here however
+/// 1.27; a table kept alive across the graph build shows up here however
 /// large the budgets are.
 const GENERATE_PEAK_OVER_LIVE_PCT: usize = 135;
 
