@@ -57,6 +57,18 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// The serving layer reports every failure as a value: outside tests (which
+// `clippy.toml` exempts) it makes no panicking call and indexes nothing
+// unchecked. Each exception names, in an `#[expect]`, why it cannot fire.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod events;
 pub mod fault;

@@ -1088,6 +1088,11 @@ struct PanicProbe<'a> {
 }
 
 impl Observer for PanicProbe<'_> {
+    #[expect(
+        clippy::panic,
+        reason = "this panic is the injected fault the serving layer's catch_unwind contract \
+                  is tested against; it fires only when a FaultPlan arms it"
+    )]
     fn on_iteration(&self, event: &IterationEvent<'_>) {
         self.inner.on_iteration(event);
         let n = self.seen.fetch_add(1, Ordering::Relaxed);

@@ -87,7 +87,15 @@ fn io_err(path: &Path, err: impl fmt::Display) -> StoreError {
 
 /// CRC-32 (IEEE 802.3 polynomial), table-driven; hand-rolled because the
 /// workspace takes no external checksum dependency.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "in range: the loop's index is masked to 0..=255 and TABLE has 256 entries"
+)]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in range: the `while i < 256` guard bounds the index"
+    )]
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;
@@ -102,7 +110,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
                 };
                 k += 1;
             }
-            // In range: the `while i < 256` guard bounds the index.
             table[i] = c;
             i += 1;
         }
@@ -110,7 +117,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     };
     let mut crc = !0u32;
     for &b in bytes {
-        // In range: the index is masked to 0..=255 and TABLE has 256 entries.
         crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
@@ -259,7 +265,10 @@ impl DiskSnapshotStore {
             Some(WriteFault::Torn) => {
                 let keep = payload.len() / 2;
                 let mut out = header.clone().into_bytes();
-                // In range: `keep` is half of `payload.len()`.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "in range: `keep` is half of `payload.len()`"
+                )]
                 out.extend_from_slice(&payload.as_bytes()[..keep]);
                 out
             }
@@ -444,7 +453,10 @@ fn read_snapshot_file(path: &Path) -> Result<Snapshot, StoreError> {
         .iter()
         .position(|&b| b == b'\n')
         .ok_or_else(|| corrupt("missing header line".into()))?;
-    // In range: `newline` is a `position()` hit within `bytes`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in range: `newline` is a `position()` hit within `bytes`"
+    )]
     let header = std::str::from_utf8(&bytes[..newline])
         .map_err(|_| corrupt("header is not UTF-8".into()))?;
     let rest = header
@@ -461,7 +473,10 @@ fn read_snapshot_file(path: &Path) -> Result<Snapshot, StoreError> {
     }
     let len = len.ok_or_else(|| corrupt("header is missing len=".into()))?;
     let crc = crc.ok_or_else(|| corrupt("header is missing crc=".into()))?;
-    // In range: `newline < bytes.len()`, so the suffix start is at most len.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "in range: `newline < bytes.len()`, so the suffix start is at most len"
+    )]
     let payload = &bytes[newline + 1..];
     if payload.len() != len {
         return Err(corrupt(format!(

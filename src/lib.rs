@@ -252,14 +252,16 @@
 //! # Static analysis
 //!
 //! The borrow checker proves that concurrent blocks write disjoint
-//! entries; the kernels rest on further conventions no compiler checks.
-//! **`ncgws-analyze`** (a dependency-free workspace binary, not part of
-//! this facade) lints them: hot sweep/kernel functions stay
-//! allocation-free, every `unsafe` site documents its invariant, the
-//! serving layer never panics outside injected faults, and parallel-gated
-//! code keeps a sequential fallback. Findings are fingerprinted
-//! line-number-free against the committed `ANALYZE_BASELINE.txt`;
-//! `cargo run -p ncgws-analyze -- --deny` is the CI gate.
+//! entries; the kernels rest on further conventions, each held by a check
+//! the build or the test suite runs. `tests/peak_memory.rs` counts
+//! allocation calls per OGWS iteration and requires 0 after the first, on
+//! any thread, under both solve strategies. Clippy denies an `unsafe`
+//! block without a `// SAFETY:` comment and an `unsafe fn` without a
+//! `# Safety` section in every member (the workspace lints in the root
+//! `Cargo.toml`), and any panicking call or unchecked index without a
+//! reasoned `#[expect]` in the serving layer's library. Parallel-gated
+//! code lives only in `ncgws_core`'s `par` module, and CI builds and tests
+//! with and without the `parallel` feature.
 //!
 //! # Serving & checkpointing
 //!

@@ -26,7 +26,19 @@
 //! the new thread), so each check counts from after its pool is up: the
 //! stage-1 workers start in `Flow::prepare` and the sizing workers in
 //! `SizingEngine::set_parallel`, and a pool is up when its constructor
-//! returns. Run it with the numbers printed:
+//! returns.
+//!
+//! Last, the OGWS loop itself: an [`Observer`] reads the allocation calls
+//! of every thread at the end of each iteration, and iterations 2..N must
+//! make none. Iteration 1 sets up; after it every buffer an iteration
+//! touches is in place. The gate runs c432, c7552 and xlw10k under the
+//! exact and the adaptive strategy (only the exact one calls `lrs_sweep`,
+//! only the adaptive one the fused sweeps), at `Sequential` and, with the
+//! `parallel` feature, `threads(2)`; then c432 with per-net crosstalk and
+//! driven-load caps, cold and resumed from a snapshot. Each solve stops
+//! after at most 10 iterations. It checks the code that runs, so a new
+//! allocation anywhere in an iteration fails it, whatever function it is
+//! in. Run it with the numbers printed:
 //!
 //! ```text
 //! cargo test --release --features parallel --test peak_memory -- --nocapture
@@ -36,8 +48,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-use ncgws::core::{Flow, OptimizerConfig, ParallelPolicy, RunControl, SolveStrategy};
-use ncgws::netlist::{xl_wide_spec, SyntheticGenerator};
+use ncgws::core::flow::Ordered;
+use ncgws::core::{
+    CheckpointPolicy, Flow, IterationEvent, Observer, OptimizerConfig, ParallelPolicy, RunControl,
+    Snapshot, SnapshotStore, SolveStrategy,
+};
+use ncgws::netlist::{iscas85_spec, xl_wide_spec, SyntheticGenerator};
 
 /// Live and peak heap bytes of the whole process, counted by the global
 /// allocator below.
@@ -140,6 +156,55 @@ fn off_test_thread<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, OTHER_ALLOCS.load(Relaxed) - before)
 }
 
+/// Allocation calls made on every thread, read at the end of each OGWS
+/// iteration: the count at the first event and at the latest.
+#[derive(Default)]
+struct IterationAllocs {
+    events: AtomicUsize,
+    first: AtomicUsize,
+    last: AtomicUsize,
+}
+
+impl Observer for IterationAllocs {
+    fn on_iteration(&self, _: &IterationEvent<'_>) {
+        // The solver notifies on the thread that called it, the test's own,
+        // so its count plus every other thread's is every call made.
+        let now = THREAD_ALLOCS.with(Cell::get) + OTHER_ALLOCS.load(Relaxed);
+        if self.events.fetch_add(1, Relaxed) == 0 {
+            self.first.store(now, Relaxed);
+        }
+        self.last.store(now, Relaxed);
+    }
+}
+
+/// OGWS iterations each gated solve may run: several past the first, few
+/// enough to keep the whole gate within a few seconds in a debug build.
+const GATE_ITERATIONS: usize = 10;
+
+/// Sizes `ordered` for at most [`GATE_ITERATIONS`] iterations, resuming
+/// from `snapshot` when one is given, and asserts that no thread makes an
+/// allocation call from the end of the first iteration to the end of the
+/// last: everything an iteration needs is in place after the first.
+fn assert_iterations_allocate_nothing(label: &str, ordered: &Ordered, snapshot: Option<&Snapshot>) {
+    let probe = IterationAllocs::default();
+    let control = RunControl::new()
+        .with_observer(&probe)
+        .with_iteration_budget(GATE_ITERATIONS);
+    match snapshot {
+        Some(snapshot) => ordered.size_resume(snapshot, &control),
+        None => ordered.size_with(&control),
+    }
+    .unwrap();
+    let events = probe.events.load(Relaxed);
+    let allocs = probe.last.load(Relaxed) - probe.first.load(Relaxed);
+    println!("peak_memory {label}: {allocs} allocation calls in iterations 2..={events}");
+    assert!(
+        events >= 2,
+        "{label}: {events} iterations leave nothing to gate"
+    );
+    assert_eq!(allocs, 0, "{label}: iterations 2..={events} allocated");
+}
+
 #[test]
 fn xlw10k_phase_peaks_stay_within_budget() {
     IS_TEST.with(|t| t.set(true));
@@ -239,5 +304,71 @@ fn xlw10k_phase_peaks_stay_within_budget() {
             "{parallel:?}: a worker allocated in order()"
         );
         assert_eq!(size_others, 0, "{parallel:?}: a worker allocated in size()");
+    }
+
+    // Every OGWS iteration after the first allocates nothing, on any
+    // thread. Both strategies run: only the exact one calls `lrs_sweep`,
+    // only the adaptive one freezes components. Without the `parallel`
+    // feature `threads(2)` runs the same grid on the calling thread as
+    // `Sequential`, so it runs only where it brings up workers.
+    let strategies = [
+        ("exact", SolveStrategy::Exact),
+        ("adaptive", SolveStrategy::adaptive()),
+    ];
+    let policies: &[ParallelPolicy] = if cfg!(feature = "parallel") {
+        &[ParallelPolicy::Sequential, ParallelPolicy::threads(2)]
+    } else {
+        &[ParallelPolicy::Sequential]
+    };
+    let table1 = |name| {
+        SyntheticGenerator::new(iscas85_spec(name).unwrap())
+            .generate()
+            .unwrap()
+    };
+    let (c432, c7552) = (table1("c432"), table1("c7552"));
+    let circuits = [("c432", &c432), ("c7552", &c7552), ("xlw10k", &instance)];
+    for (name, instance) in circuits {
+        for (strategy, solve_strategy) in &strategies {
+            for &parallel in policies {
+                let config = OptimizerConfig {
+                    solve_strategy: solve_strategy.clone(),
+                    parallel,
+                    ..OptimizerConfig::default()
+                };
+                let ordered = Flow::prepare(instance, config).unwrap().order().unwrap();
+                let label = format!("{name} {strategy} {parallel:?}");
+                assert_iterations_allocate_nothing(&label, &ordered, None);
+            }
+        }
+    }
+
+    // The same with the per-net crosstalk and driven-load caps, whose
+    // violations and multipliers are updated each iteration, and for a
+    // capped solve resumed from a snapshot taken at its third iteration.
+    for (strategy, solve_strategy) in strategies {
+        let config = OptimizerConfig::builder()
+            .solve_strategy(solve_strategy)
+            .threads(2)
+            .per_net_crosstalk_cap(1.0)
+            .driven_load_cap(1.2)
+            .build()
+            .unwrap();
+        let ordered = Flow::prepare(&c432, config).unwrap().order().unwrap();
+        assert_eq!(ordered.extra_constraints().num_families(), 2);
+        let label = format!("c432 {strategy} capped");
+        assert_iterations_allocate_nothing(&label, &ordered, None);
+
+        let store = SnapshotStore::new();
+        ordered
+            .size_with(
+                &RunControl::new()
+                    .with_iteration_budget(3)
+                    .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true)),
+            )
+            .unwrap();
+        let snapshot = store.take().unwrap();
+        assert_eq!(snapshot.iterations_done, 3);
+        let label = format!("c432 {strategy} capped, resumed");
+        assert_iterations_allocate_nothing(&label, &ordered, Some(&snapshot));
     }
 }
