@@ -6,17 +6,18 @@
 //! * `naive` — the seed's allocate-per-call loop
 //!   (`ncgws_core::reference::lrs_solve`): fresh `Vec`s for coupling loads,
 //!   downstream caps and upstream resistances on every sweep;
-//! * `engine` — `LrsSolver::solve_with` on a reused `SizingEngine`: zero
-//!   heap allocation after setup.
+//! * `engine` — `LrsSolver::solve_constrained` with an empty constraint set
+//!   on a reused `SizingEngine`: zero heap allocation after setup.
 //!
 //! Both produce bitwise identical results (asserted below), so the timing
 //! difference is purely the allocator + locality cost the engine removes.
 //! Run with `cargo bench -p ncgws-bench --bench elmore_bench`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ncgws_circuit::{CircuitBuilder, CircuitGraph, GateKind, NodeId, Technology};
+use ncgws_circuit::{CircuitBuilder, CircuitGraph, GateKind, NodeId, SizeVector, Technology};
 use ncgws_core::{
-    reference, ConstraintBounds, LrsSolver, Multipliers, SizingEngine, SizingProblem,
+    reference, ConstraintBounds, ConstraintSet, LrsSolver, Multipliers, RunControl, SizingEngine,
+    SizingProblem,
 };
 use ncgws_coupling::{CouplingPair, CouplingSet, WirePairGeometry};
 
@@ -79,12 +80,17 @@ fn lrs_sweep_cost(c: &mut Criterion) {
         let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
         let multipliers = Multipliers::uniform(&graph, 1.0, 1.0);
         let solver = LrsSolver::new(SWEEPS, 0.0);
+        let (empty, control) = (ConstraintSet::new(), RunControl::new());
+        let mut engine = SizingEngine::for_problem(&problem);
+        // The engine path, both checked and timed below.
+        let mut engine_solve = |sizes: &mut SizeVector| {
+            solver.solve_constrained(&mut engine, &empty, &multipliers, sizes, &control)
+        };
 
         // Sanity: the two paths agree bitwise before we time them.
         let naive = reference::lrs_solve(&problem, &multipliers, SWEEPS, 0.0);
-        let mut engine = SizingEngine::for_problem(&problem);
         let mut sizes = graph.minimum_sizes();
-        solver.solve_with(&mut engine, &multipliers, &mut sizes);
+        engine_solve(&mut sizes);
         assert_eq!(
             naive.sizes, sizes,
             "paths diverged at {components} components"
@@ -98,7 +104,7 @@ fn lrs_sweep_cost(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("engine", components),
             &problem,
-            |b, _problem| b.iter(|| solver.solve_with(&mut engine, &multipliers, &mut sizes)),
+            |b, _problem| b.iter(|| engine_solve(&mut sizes)),
         );
     }
     group.finish();

@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncgws_bench::{generate, paper_config};
 use ncgws_core::{
-    build_coupling, ConstraintBounds, LrsSolver, Multipliers, OrderingStrategy, SizingProblem,
+    build_coupling, ConstraintBounds, LrsSolver, Multipliers, OrderingStrategy, RunControl,
+    SizingEngine, SizingProblem,
 };
 use ncgws_netlist::CircuitSpec;
 
@@ -30,7 +31,22 @@ fn lrs_iteration(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(gates + wires),
             &problem,
-            |b, p| b.iter(|| solver.solve(p, &multipliers)),
+            // Engine build plus one solve from the lower bounds.
+            |b, p| {
+                b.iter(|| {
+                    let mut engine = SizingEngine::for_problem(p);
+                    let mut sizes = p.graph.minimum_sizes();
+                    let control = RunControl::new();
+                    solver.solve_constrained(
+                        &mut engine,
+                        &p.extras,
+                        &multipliers,
+                        &mut sizes,
+                        &control,
+                    );
+                    sizes
+                })
+            },
         );
     }
     group.finish();

@@ -5,6 +5,7 @@ use ncgws_coupling::CouplingSet;
 use ncgws_netlist::ProblemInstance;
 use serde::Serialize;
 
+use crate::control::RunControl;
 use crate::coupling_build::build_coupling;
 use crate::engine::SizingEngine;
 use crate::error::CoreError;
@@ -50,7 +51,7 @@ pub fn lr_delay_area(
     let real_coupling = &ordering.coupling;
     let mut real_engine = SizingEngine::new(graph, real_coupling);
     let initial_sizes = config.initial_sizes(graph);
-    let initial_metrics = CircuitMetrics::evaluate_with(&mut real_engine, &initial_sizes);
+    let initial_metrics = real_engine.metrics(&initial_sizes);
 
     // The baseline's own view of the world: no coupling, no power/noise bounds.
     let empty = CouplingSet::empty(graph);
@@ -60,9 +61,14 @@ pub fn lr_delay_area(
         crosstalk: f64::MAX / 4.0,
     };
     let problem = SizingProblem::new(graph, &empty, bounds)?;
-    let ogws = OgwsSolver::new(config.clone()).solve(&problem);
+    let ogws = OgwsSolver::new(config.clone()).solve(
+        &problem,
+        &mut SizingEngine::for_problem(&problem),
+        None,
+        &RunControl::new(),
+    );
 
-    let metrics = CircuitMetrics::evaluate_with(&mut real_engine, &ogws.sizes);
+    let metrics = real_engine.metrics(&ogws.sizes);
     let iterations = ogws.num_iterations();
     Ok(BaselineOutcome {
         sizes: ogws.sizes,

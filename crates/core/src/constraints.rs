@@ -335,14 +335,6 @@ impl ConstraintSet {
         ConstraintSet::default()
     }
 
-    /// A `const` empty set, usable in statics (the paper-formulation
-    /// [`LrsSolver::solve_with`](crate::LrsSolver::solve_with) uses one).
-    pub const fn empty_static() -> Self {
-        ConstraintSet {
-            families: Vec::new(),
-        }
-    }
-
     /// Adds a family.
     pub fn push(&mut self, family: ScalarFamily) {
         self.families.push(family);

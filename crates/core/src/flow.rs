@@ -39,19 +39,10 @@ use crate::engine::SizingEngine;
 use crate::error::CoreError;
 use crate::lagrangian::Multipliers;
 use crate::metrics::{CircuitMetrics, MemoryBreakdown};
-use crate::ogws::{OgwsOutcome, OgwsSolver, FEASIBILITY_TOLERANCE};
+use crate::ogws::{OgwsOutcome, OgwsSolver, Start, FEASIBILITY_TOLERANCE};
 use crate::par::ParRuntime;
 use crate::problem::{ConstraintBounds, OptimizerConfig, SizingProblem};
 use crate::report::{Improvements, OptimizationReport};
-use crate::snapshot::Snapshot;
-
-/// How one stage-2 run enters the OGWS loop.
-enum SolveMode<'s> {
-    /// A cold or warm-started run from iteration 1.
-    Fresh(Option<&'s SizeVector>),
-    /// A run re-entered from a checkpoint.
-    Resume(&'s Snapshot),
-}
 
 /// Entry point of the staged pipeline.
 ///
@@ -140,7 +131,7 @@ impl<'a> Prepared<'a> {
         let (initial_metrics, bounds, extras) = {
             let mut engine = SizingEngine::new(graph, &ordering.coupling);
             let initial_sizes = self.config.initial_sizes(graph);
-            let initial_metrics = CircuitMetrics::evaluate_with(&mut engine, &initial_sizes);
+            let initial_metrics = engine.metrics(&initial_sizes);
             let bounds = self
                 .config
                 .absolute_bounds
@@ -222,7 +213,10 @@ impl<'a> Ordered<'a> {
         &self.extras
     }
 
-    /// Runs stage 2 cold: OGWS Lagrangian sizing from scratch.
+    /// Runs stage 2 cold: OGWS Lagrangian sizing from scratch, on a fresh
+    /// engine and without run control. Every other run (warm, resumed,
+    /// controlled, on a shared engine) is a
+    /// [`size_with_engine`](Self::size_with_engine) call.
     ///
     /// # Errors
     ///
@@ -230,31 +224,6 @@ impl<'a> Ordered<'a> {
     /// the derived bounds.
     pub fn size(&self) -> Result<SizedOutcome, CoreError> {
         self.size_with_engine(&mut self.engine(), None, &RunControl::new())
-    }
-
-    /// Runs stage 2 warm-started from a previous solution (for example the
-    /// [`sizes`](SizedOutcome::sizes) of an earlier run over this ordering).
-    ///
-    /// A feasible warm start becomes the initial primal upper bound, so the
-    /// run converges in at most as many iterations as the cold run that
-    /// produced it.
-    ///
-    /// # Errors
-    ///
-    /// As [`size`](Self::size), plus [`CoreError::InvalidConfig`] when
-    /// `warm` has the wrong length for the circuit.
-    pub fn size_warm(&self, warm: &SizeVector) -> Result<SizedOutcome, CoreError> {
-        self.size_with_engine(&mut self.engine(), Some(warm), &RunControl::new())
-    }
-
-    /// Runs stage 2 cold under a [`RunControl`] (observer, cancellation,
-    /// iteration budget, deadline).
-    ///
-    /// # Errors
-    ///
-    /// As [`size`](Self::size).
-    pub fn size_with(&self, control: &RunControl<'_>) -> Result<SizedOutcome, CoreError> {
-        self.size_with_engine(&mut self.engine(), None, control)
     }
 
     /// Builds a sizing engine bound to this ordering, for reuse across
@@ -270,9 +239,11 @@ impl<'a> Ordered<'a> {
         SizingEngine::new(&self.instance.circuit, &self.ordering.coupling)
     }
 
-    /// The fully general sizing call every other fresh `size*` method
-    /// delegates to: warm start, run control, and a caller-provided engine
-    /// whose workspace is reused across runs.
+    /// Runs stage 2 from `start` — `None` is cold; [`Start`] covers warm
+    /// starts and resumes from a [`Snapshot`](crate::Snapshot) — under a
+    /// [`RunControl`] (observer, cancellation, iteration budget, deadline,
+    /// checkpoints), on a caller-provided engine whose workspace is reused
+    /// across runs.
     ///
     /// Callers sizing the same ordering many times (warm-start loops,
     /// serving) build the engine once with [`engine`](Self::engine), so the
@@ -280,7 +251,10 @@ impl<'a> Ordered<'a> {
     ///
     /// # Errors
     ///
-    /// As [`size_warm`](Self::size_warm).
+    /// As [`size`](Self::size), plus [`CoreError::InvalidConfig`] named
+    /// `"warm_start"` when a warm vector has the wrong length for the
+    /// circuit, and named `"snapshot"` when a snapshot belongs to another
+    /// circuit or was taken under other constraint families.
     ///
     /// # Panics
     ///
@@ -289,64 +263,14 @@ impl<'a> Ordered<'a> {
     pub fn size_with_engine(
         &self,
         engine: &mut SizingEngine<'_>,
-        warm: Option<&SizeVector>,
-        control: &RunControl<'_>,
-    ) -> Result<SizedOutcome, CoreError> {
-        if let Some(warm) = warm {
-            if warm.len() != self.instance.circuit.num_components() {
-                return Err(CoreError::InvalidConfig {
-                    name: "warm_start",
-                    reason: format!(
-                        "warm-start vector has {} entries but the circuit has {} components",
-                        warm.len(),
-                        self.instance.circuit.num_components()
-                    ),
-                });
-            }
-        }
-        self.run_sizing(engine, SolveMode::Fresh(warm), control)
-    }
-
-    /// Re-enters stage 2 from a [`Snapshot`] captured by an earlier run over
-    /// this ordering, building a fresh engine for the run.
-    ///
-    /// The resumed run continues the interrupted trajectory — multipliers,
-    /// best-feasible bookkeeping, iteration counter (the step schedule
-    /// `ρ_k` picks up where it left off) and, under the adaptive strategy,
-    /// the schedule's freeze state. Its final metrics match the
-    /// uninterrupted run within `1e-6` relative (bitwise under the exact
-    /// strategy, and for iteration-0 snapshots under both); the
-    /// `serve_checkpoint` property tests pin this. The control's iteration
-    /// budget covers only the resumed attempt.
-    ///
-    /// # Errors
-    ///
-    /// As [`size`](Self::size), plus [`CoreError::InvalidConfig`] (named
-    /// `"snapshot"`) when the snapshot does not belong to this ordering's
-    /// circuit.
-    pub fn size_resume(
-        &self,
-        snapshot: &Snapshot,
-        control: &RunControl<'_>,
-    ) -> Result<SizedOutcome, CoreError> {
-        if let Err(reason) = snapshot.validate_for(&self.instance.circuit) {
-            return Err(CoreError::InvalidConfig {
-                name: "snapshot",
-                reason,
-            });
-        }
-        self.run_sizing(&mut self.engine(), SolveMode::Resume(snapshot), control)
-    }
-
-    /// The shared stage-2 body behind every `size*` entry point.
-    fn run_sizing(
-        &self,
-        engine: &mut SizingEngine<'_>,
-        mode: SolveMode<'_>,
+        start: Option<Start<'_>>,
         control: &RunControl<'_>,
     ) -> Result<SizedOutcome, CoreError> {
         let graph = &self.instance.circuit;
         let coupling = &self.ordering.coupling;
+        if let Some(start) = start {
+            start.check(graph, &self.extras)?;
+        }
         assert!(
             std::ptr::eq(graph, engine.graph()),
             "engine was built for a different circuit than this ordering"
@@ -359,14 +283,8 @@ impl<'a> Ordered<'a> {
 
         let problem =
             SizingProblem::with_constraints(graph, coupling, self.bounds, self.extras.clone())?;
-        let solver = OgwsSolver::new(self.config.clone());
-        let ogws = match mode {
-            SolveMode::Fresh(warm) => solver.solve_controlled(&problem, engine, warm, control),
-            SolveMode::Resume(snapshot) => {
-                solver.solve_resumed(&problem, engine, snapshot, control)
-            }
-        };
-        let final_metrics = CircuitMetrics::evaluate_with(engine, &ogws.sizes);
+        let ogws = OgwsSolver::new(self.config.clone()).solve(&problem, engine, start, control);
+        let final_metrics = engine.metrics(&ogws.sizes);
         let constraint_slacks = problem.extras.slacks(&ogws.sizes, FEASIBILITY_TOLERANCE);
 
         // Stage 1 is paid once per ordering, stage 2 per run: report this
@@ -409,8 +327,9 @@ impl<'a> Ordered<'a> {
 
 /// The stage-2 outcome of one sizing run: the report plus the raw OGWS data.
 ///
-/// The pipeline's terminal state. Produced by the `size*` methods of
-/// [`Ordered`]; several outcomes can be produced from one ordering.
+/// The pipeline's terminal state. Produced by [`Ordered::size`] and
+/// [`Ordered::size_with_engine`]; several outcomes can be produced from one
+/// ordering.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SizedOutcome {
@@ -447,6 +366,14 @@ mod tests {
         )
         .generate()
         .unwrap()
+    }
+
+    fn size_on_fresh_engine(
+        ordered: &Ordered<'_>,
+        start: Option<Start<'_>>,
+        control: &RunControl<'_>,
+    ) -> Result<SizedOutcome, CoreError> {
+        ordered.size_with_engine(&mut ordered.engine(), start, control)
     }
 
     fn quick_config() -> OptimizerConfig {
@@ -550,12 +477,15 @@ mod tests {
         let control = RunControl::new()
             .with_iteration_budget(2)
             .with_checkpoints(&store, crate::control::CheckpointPolicy::new());
-        Flow::prepare(&small, quick_config())
-            .unwrap()
-            .order()
-            .unwrap()
-            .size_with(&control)
-            .unwrap();
+        size_on_fresh_engine(
+            &Flow::prepare(&small, quick_config())
+                .unwrap()
+                .order()
+                .unwrap(),
+            None,
+            &control,
+        )
+        .unwrap();
         let snapshot = store.take().expect("an interrupted run checkpoints");
 
         let other = instance(40, 90, 3);
@@ -563,7 +493,7 @@ mod tests {
             .unwrap()
             .order()
             .unwrap();
-        match ordered.size_resume(&snapshot, &RunControl::new()) {
+        match size_on_fresh_engine(&ordered, Some(Start::Resume(&snapshot)), &RunControl::new()) {
             Err(CoreError::InvalidConfig { name, reason }) => {
                 assert_eq!(name, "snapshot");
                 assert!(reason.contains("components"), "{reason}");
@@ -602,7 +532,8 @@ mod tests {
         assert_eq!(a.report.final_metrics, b.report.final_metrics);
         // A warm run from a's solution is at least as good, in fewer or
         // equally many iterations.
-        let warm = ordered.size_warm(a.sizes()).unwrap();
+        let warm = size_on_fresh_engine(&ordered, Some(Start::Warm(a.sizes())), &RunControl::new())
+            .unwrap();
         assert!(warm.report.iterations <= a.report.iterations);
         assert!(warm.report.feasible);
     }
@@ -621,7 +552,7 @@ mod tests {
             .size_with_engine(&mut engine, None, &control)
             .unwrap();
         let warm = ordered
-            .size_with_engine(&mut engine, Some(a.sizes()), &control)
+            .size_with_engine(&mut engine, Some(Start::Warm(a.sizes())), &control)
             .unwrap();
         assert_eq!(a.sizes(), fresh.sizes(), "engine reuse must not leak state");
         assert_eq!(a.report.final_metrics, fresh.report.final_metrics);
@@ -637,7 +568,7 @@ mod tests {
             .unwrap();
         let warm = SizeVector::uniform(3, 1.0);
         assert!(matches!(
-            ordered.size_warm(&warm),
+            size_on_fresh_engine(&ordered, Some(Start::Warm(&warm)), &RunControl::new()),
             Err(CoreError::InvalidConfig { .. })
         ));
     }
@@ -653,7 +584,7 @@ mod tests {
         let control = RunControl::new()
             .with_observer(&collector)
             .with_iteration_budget(4);
-        let sized = ordered.size_with(&control).unwrap();
+        let sized = size_on_fresh_engine(&ordered, None, &control).unwrap();
         assert_eq!(sized.report.iterations, 4);
         assert_eq!(sized.stop_reason(), StopReason::BudgetExhausted);
         assert_eq!(collector.count(), 4);
@@ -669,7 +600,7 @@ mod tests {
         let flag = CancelFlag::new();
         flag.cancel();
         let control = RunControl::new().with_cancel_flag(flag);
-        let sized = ordered.size_with(&control).unwrap();
+        let sized = size_on_fresh_engine(&ordered, None, &control).unwrap();
         assert_eq!(sized.report.iterations, 0);
         assert_eq!(sized.stop_reason(), StopReason::Cancelled);
         assert!(!sized.report.feasible);
@@ -691,12 +622,15 @@ mod tests {
             RunControl::new().with_cancel_flag(flag)
         };
 
-        let plain = Flow::prepare(&inst, quick_config())
-            .unwrap()
-            .order()
-            .unwrap()
-            .size_with(&cancelled())
-            .unwrap();
+        let plain = size_on_fresh_engine(
+            &Flow::prepare(&inst, quick_config())
+                .unwrap()
+                .order()
+                .unwrap(),
+            None,
+            &cancelled(),
+        )
+        .unwrap();
         let reported = plain.report.memory.multiplier_bytes;
         assert!(reported >= flat_bytes, "{reported} < {flat_bytes}");
         assert_eq!(reported, uniform.memory_bytes());
@@ -709,7 +643,7 @@ mod tests {
         let mut with_blocks = uniform.clone();
         with_blocks.attach_extras(ordered.extra_constraints(), 0.0);
         assert!(!with_blocks.extra_blocks().is_empty());
-        let sized = ordered.size_with(&cancelled()).unwrap();
+        let sized = size_on_fresh_engine(&ordered, None, &cancelled()).unwrap();
         assert_eq!(
             sized.report.memory.multiplier_bytes,
             with_blocks.memory_bytes()

@@ -40,16 +40,18 @@
 //!   identical for every thread count**, selected per run via
 //!   [`OptimizerConfig::parallel`] / [`ParallelPolicy`];
 //! * the staged [`flow`] pipeline — `prepare → order → size` as typestates
-//!   with inspectable intermediates and warm starts, the one way to run a
-//!   solve;
+//!   with inspectable intermediates, the one way to run a solve; every
+//!   sizing run is one call
+//!   ([`Ordered::size_with_engine`](flow::Ordered::size_with_engine), with
+//!   [`Ordered::size`](flow::Ordered::size) as the cold shorthand) whose
+//!   [`Start`] picks cold, warm or resumed;
 //! * run control for the outer loop ([`control`]): progress [`Observer`]s,
 //!   cooperative cancellation, iteration budgets and wall-clock deadlines,
 //!   with the [`StopReason`] recorded in every outcome;
 //! * checkpoint/resume ([`snapshot`], [`control`]): a [`Snapshot`] of
 //!   mid-run OGWS state captured through a [`CheckpointSink`] under a
-//!   [`CheckpointPolicy`], re-entered via
-//!   [`Ordered::size_resume`](flow::Ordered::size_resume) — the substrate
-//!   of the `ncgws-serve` job queue;
+//!   [`CheckpointPolicy`], re-entered with [`Start::Resume`] — the
+//!   substrate of the `ncgws-serve` job queue;
 //! * baselines for ablations: delay/area-only Lagrangian sizing and a greedy
 //!   sensitivity-based sizer ([`baseline`]);
 //! * metrics, reporting and memory accounting for the Table 1 / Figure 10
@@ -95,7 +97,7 @@ pub use flow::{Flow, Ordered, Prepared, SizedOutcome};
 pub use lagrangian::Multipliers;
 pub use lrs::{LrsOutcome, LrsSolver, LrsStats};
 pub use metrics::{CircuitMetrics, IterationRecord, MemoryBreakdown};
-pub use ogws::{OgwsOutcome, OgwsSolver};
+pub use ogws::{OgwsOutcome, OgwsSolver, Start};
 pub use par::ParallelPolicy;
 pub use problem::{ConstraintBounds, OptimizerConfig, OptimizerConfigBuilder, SizingProblem};
 pub use report::{Improvements, OptimizationReport};

@@ -33,10 +33,10 @@ use crate::constraints::ConstraintSet;
 use crate::control::RunControl;
 use crate::engine::SizingEngine;
 use crate::lagrangian::Multipliers;
-use crate::problem::SizingProblem;
 use crate::schedule::{AdaptiveSchedule, ScheduledStats};
 
-/// Result of one LRS call.
+/// Result of one allocate-per-call LRS solve
+/// ([`reference::lrs_solve`](crate::reference::lrs_solve)).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LrsOutcome {
     /// The minimizing size vector.
@@ -49,7 +49,7 @@ pub struct LrsOutcome {
 }
 
 /// Convergence statistics of an in-place LRS solve
-/// ([`LrsSolver::solve_with`]).
+/// ([`LrsSolver::solve_constrained`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LrsStats {
     /// Number of coordinate sweeps performed.
@@ -75,30 +75,6 @@ impl LrsSolver {
         }
     }
 
-    /// Solves `LRS₂` for the given multipliers.
-    ///
-    /// Convenience wrapper that builds a fresh [`SizingEngine`] for the
-    /// problem and returns an owned outcome. Callers in a loop (OGWS, the
-    /// benches) should create the engine once and use
-    /// [`solve_with`](Self::solve_with), which performs no heap allocation
-    /// at all.
-    pub fn solve(&self, problem: &SizingProblem<'_>, multipliers: &Multipliers) -> LrsOutcome {
-        let mut engine = SizingEngine::for_problem(problem);
-        let mut sizes = problem.graph.minimum_sizes();
-        let stats = self.solve_constrained(
-            &mut engine,
-            &problem.extras,
-            multipliers,
-            &mut sizes,
-            &RunControl::new(),
-        );
-        LrsOutcome {
-            sizes,
-            sweeps: stats.sweeps,
-            converged: stats.converged,
-        }
-    }
-
     /// Solves `LRS₂` in place, writing the minimizer into `sizes` and using
     /// only the engine's pre-sized buffers.
     ///
@@ -107,31 +83,12 @@ impl LrsSolver {
     /// no component moves by more than the tolerance. Each sweep is
     /// `O(V + E + P)` with zero heap allocation.
     ///
-    /// Solves the paper's original relaxation (no extra families); see
-    /// [`solve_constrained`](Self::solve_constrained) for the general form
-    /// under a [`RunControl`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) when `sizes` does not match the engine's
-    /// circuit.
-    pub fn solve_with(
-        &self,
-        engine: &mut SizingEngine<'_>,
-        multipliers: &Multipliers,
-        sizes: &mut SizeVector,
-    ) -> LrsStats {
-        static EMPTY: ConstraintSet = ConstraintSet::empty_static();
-        self.solve_constrained(engine, &EMPTY, multipliers, sizes, &RunControl::new())
-    }
-
-    /// The fully general LRS solve: relaxes the paper's three global bounds
-    /// **and** the problem's extra [`ConstraintSet`] families, whose
-    /// μ-weighted coefficients are aggregated into the engine's dense
-    /// denominator table once per solve (so every sweep still performs zero
-    /// heap allocation). With an empty set the aggregated table is all
-    /// zeros and the sweep arithmetic is bitwise identical to the legacy
-    /// path.
+    /// Relaxes the paper's three global bounds **and** the extra
+    /// [`ConstraintSet`] families, whose μ-weighted coefficients are
+    /// aggregated into the engine's dense denominator table once per solve.
+    /// With an empty set (the paper's formulation) the aggregated table is
+    /// all zeros and the sweep arithmetic is bitwise identical to
+    /// [`reference::lrs_solve`](crate::reference::lrs_solve).
     ///
     /// Between sweeps the control's cancellation flag and deadline are
     /// checked, so a cancelled run stops within one sweep instead of
@@ -140,6 +97,10 @@ impl LrsSolver {
     /// is bit-identical to an uncontrolled solve. An interrupted solve reports `converged: false`
     /// and leaves `sizes` at the last completed sweep's iterate (or the
     /// lower bounds when interrupted before the first sweep).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `sizes` does not match the engine's circuit.
     pub fn solve_constrained(
         &self,
         engine: &mut SizingEngine<'_>,
@@ -266,9 +227,9 @@ impl LrsSolver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::problem::ConstraintBounds;
+    use crate::problem::{ConstraintBounds, SizingProblem};
     use ncgws_circuit::{CircuitBuilder, CircuitGraph, GateKind, Technology};
     use ncgws_coupling::{CouplingPair, CouplingSet, WirePairGeometry};
 
@@ -289,6 +250,29 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// One solve from the lower bounds on a fresh engine, under the
+    /// problem's constraint families and no run control.
+    pub(crate) fn solve_cold(
+        solver: LrsSolver,
+        problem: &SizingProblem<'_>,
+        multipliers: &Multipliers,
+    ) -> LrsOutcome {
+        let mut engine = SizingEngine::for_problem(problem);
+        let mut sizes = problem.graph.minimum_sizes();
+        let stats = solver.solve_constrained(
+            &mut engine,
+            &problem.extras,
+            multipliers,
+            &mut sizes,
+            &RunControl::new(),
+        );
+        LrsOutcome {
+            sizes,
+            sweeps: stats.sweeps,
+            converged: stats.converged,
+        }
+    }
+
     fn loose_bounds() -> ConstraintBounds {
         ConstraintBounds {
             delay: 1e12,
@@ -303,7 +287,7 @@ mod tests {
         let coupling = CouplingSet::empty(&graph);
         let problem = SizingProblem::new(&graph, &coupling, loose_bounds()).unwrap();
         let multipliers = Multipliers::uniform(&graph, 0.0, 0.0);
-        let outcome = LrsSolver::new(50, 1e-9).solve(&problem, &multipliers);
+        let outcome = solve_cold(LrsSolver::new(50, 1e-9), &problem, &multipliers);
         assert!(outcome.converged);
         for (&x, id) in outcome.sizes.iter().zip(graph.component_ids()) {
             assert!((x - graph.node(id).attrs.lower_bound).abs() < 1e-12);
@@ -316,8 +300,8 @@ mod tests {
         let coupling = CouplingSet::empty(&graph);
         let problem = SizingProblem::new(&graph, &coupling, loose_bounds()).unwrap();
         let solver = LrsSolver::new(100, 1e-9);
-        let small = solver.solve(&problem, &Multipliers::uniform(&graph, 1e-4, 0.0));
-        let large = solver.solve(&problem, &Multipliers::uniform(&graph, 1e-1, 0.0));
+        let small = solve_cold(solver, &problem, &Multipliers::uniform(&graph, 1e-4, 0.0));
+        let large = solve_cold(solver, &problem, &Multipliers::uniform(&graph, 1e-1, 0.0));
         assert!(large.sizes.sum() > small.sizes.sum());
     }
 
@@ -328,9 +312,9 @@ mod tests {
         let problem = SizingProblem::new(&graph, &coupling, loose_bounds()).unwrap();
         let solver = LrsSolver::new(100, 1e-9);
         let mut m = Multipliers::uniform(&graph, 0.05, 0.0);
-        let relaxed = solver.solve(&problem, &m);
+        let relaxed = solve_cold(solver, &problem, &m);
         m.beta = 50.0;
-        let constrained = solver.solve(&problem, &m);
+        let constrained = solve_cold(solver, &problem, &m);
         assert!(constrained.sizes.sum() <= relaxed.sizes.sum() + 1e-12);
     }
 
@@ -345,9 +329,9 @@ mod tests {
         let problem = SizingProblem::new(&graph, &coupling, loose_bounds()).unwrap();
         let solver = LrsSolver::new(200, 1e-9);
         let mut m = Multipliers::uniform(&graph, 0.05, 0.0);
-        let before = solver.solve(&problem, &m);
+        let before = solve_cold(solver, &problem, &m);
         m.gamma = 100.0;
-        let after = solver.solve(&problem, &m);
+        let after = solve_cold(solver, &problem, &m);
         let w1_dense = graph.component_index(w1).unwrap();
         let w2_dense = graph.component_index(w2).unwrap();
         assert!(after.sizes[w1_dense] <= before.sizes[w1_dense] + 1e-12);
@@ -366,7 +350,7 @@ mod tests {
         let coupling = CouplingSet::empty(&graph);
         let problem = SizingProblem::new(&graph, &coupling, loose_bounds()).unwrap();
         let multipliers = Multipliers::uniform(&graph, 0.02, 0.0);
-        let outcome = LrsSolver::new(500, 1e-12).solve(&problem, &multipliers);
+        let outcome = solve_cold(LrsSolver::new(500, 1e-12), &problem, &multipliers);
         assert!(outcome.converged);
         let sizes = &outcome.sizes;
         let analyzer = ncgws_circuit::ElmoreAnalyzer::new(&graph);
@@ -403,7 +387,7 @@ mod tests {
         let mut m = Multipliers::uniform(&graph, 1e-9, 0.0);
         let w3 = graph.node_by_name("w3").unwrap();
         *m.edge_mut(w3, 0) = 1e9;
-        let outcome = LrsSolver::new(100, 1e-9).solve(&problem, &m);
+        let outcome = solve_cold(LrsSolver::new(100, 1e-9), &problem, &m);
         assert!(graph.check_sizes(&outcome.sizes).is_ok());
         let w3_dense = graph.component_index(w3).unwrap();
         assert!(
@@ -422,8 +406,11 @@ mod tests {
         let graph = chain();
         let coupling = CouplingSet::empty(&graph);
         let problem = SizingProblem::new(&graph, &coupling, loose_bounds()).unwrap();
-        let outcome =
-            LrsSolver::new(1, 0.0).solve(&problem, &Multipliers::uniform(&graph, 0.01, 0.0));
+        let outcome = solve_cold(
+            LrsSolver::new(1, 0.0),
+            &problem,
+            &Multipliers::uniform(&graph, 0.01, 0.0),
+        );
         assert_eq!(outcome.sweeps, 1);
     }
 }

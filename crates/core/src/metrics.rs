@@ -27,19 +27,13 @@ pub struct CircuitMetrics {
 }
 
 impl CircuitMetrics {
-    /// Evaluates all metrics through a reusable
-    /// [`SizingEngine`](crate::SizingEngine), without allocating. Bitwise
-    /// identical to [`evaluate`](Self::evaluate).
-    pub fn evaluate_with(engine: &mut crate::engine::SizingEngine<'_>, sizes: &SizeVector) -> Self {
-        engine.metrics(sizes)
-    }
-
     /// Evaluates all metrics for a circuit under `sizes`, with coupling
     /// included in the delay model.
     ///
     /// This is the allocate-per-call reference path; hot loops should build
     /// a [`SizingEngine`](crate::SizingEngine) once and use
-    /// [`evaluate_with`](Self::evaluate_with).
+    /// [`SizingEngine::metrics`](crate::SizingEngine::metrics), which is
+    /// bitwise identical and does not allocate.
     pub fn evaluate(graph: &CircuitGraph, coupling: &CouplingSet, sizes: &SizeVector) -> Self {
         let extra = coupling.delay_load_per_node(graph, sizes);
         let timing = TimingAnalysis::run(graph, sizes, Some(&extra));

@@ -19,11 +19,13 @@
 
 use std::time::Instant;
 
-use ncgws_circuit::{NodeId, NodeKind, SizeVector, Space, Tiles};
+use ncgws_circuit::{CircuitGraph, NodeId, NodeKind, SizeVector, Space, Tiles};
 use serde::Serialize;
 
+use crate::constraints::ConstraintSet;
 use crate::control::{IterationEvent, RunControl, StopReason};
 use crate::engine::SizingEngine;
+use crate::error::CoreError;
 use crate::lagrangian::{dual_value_from_parts, Multipliers};
 use crate::lrs::LrsSolver;
 use crate::metrics::IterationRecord;
@@ -128,6 +130,67 @@ impl OgwsOutcome {
     }
 }
 
+/// Where one OGWS run starts. No `Start` at all (`None`) is a cold start:
+/// the uniform A1 multipliers, projected, and no incumbent.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'s> {
+    /// A run from iteration 1 whose "best feasible so far" is seeded with
+    /// this size vector (clamped into the component bounds) when it
+    /// satisfies every constraint. The multiplier trajectory — and hence
+    /// the dual bound — is the cold run's, so a run warm-started from a
+    /// feasible solution converges in at most as many iterations as the
+    /// cold run that produced it (its duality gap at every iteration is no
+    /// larger).
+    Warm(&'s SizeVector),
+    /// A run re-entered from a checkpoint captured by an earlier run over
+    /// the same problem (through the control's
+    /// [`CheckpointSink`](crate::CheckpointSink)). The snapshot restores the
+    /// multiplier state, the last completed iterate, the best-feasible
+    /// bookkeeping and — under the adaptive strategy — the schedule's
+    /// freeze/verification state; iteration `iterations_done + 1` then runs
+    /// with the step schedule, feasibility rules and stopping rules of an
+    /// uninterrupted run. Under [`SolveStrategy::Exact`] the continuation is
+    /// bitwise identical to the run that produced the snapshot; under the
+    /// adaptive strategy the final metrics land within `1e-6` relative (the
+    /// cached electrical tables are re-derived from the snapshot sizes
+    /// rather than carried over); a snapshot of iteration 0 resumes bitwise
+    /// under both. A control's iteration budget counts only the resumed
+    /// attempt's iterations, so a serving layer can give every attempt the
+    /// same slice.
+    Resume(&'s Snapshot),
+}
+
+impl Start<'_> {
+    /// Checks that this start fits `graph` under the constraint families
+    /// `extras`.
+    pub(crate) fn check(
+        self,
+        graph: &CircuitGraph,
+        extras: &ConstraintSet,
+    ) -> Result<(), CoreError> {
+        let n = graph.num_components();
+        let (name, reason) = match self {
+            Start::Warm(warm) if warm.len() != n => (
+                "warm_start",
+                format!("warm-start vector has {} entries, expected {n}", warm.len()),
+            ),
+            Start::Warm(_) => return Ok(()),
+            Start::Resume(snapshot) => match snapshot.validate_for(graph) {
+                Err(reason) => ("snapshot", reason),
+                Ok(()) => {
+                    let blocks = snapshot.multipliers.extra_blocks().iter().map(Vec::len);
+                    if blocks.eq(extras.block_sizes()) {
+                        return Ok(());
+                    }
+                    let reason = "snapshot multipliers do not match the run's constraint families";
+                    ("snapshot", reason.to_string())
+                }
+            },
+        };
+        Err(CoreError::InvalidConfig { name, reason })
+    }
+}
+
 /// The OGWS solver.
 #[derive(Debug, Clone)]
 pub struct OgwsSolver {
@@ -145,113 +208,39 @@ impl OgwsSolver {
         &self.config
     }
 
-    /// Runs the outer loop on an assembled sizing problem.
+    /// Runs the outer loop from `start` (`None` is a cold start) on a
+    /// caller-provided engine under a [`RunControl`].
     ///
-    /// Convenience wrapper that builds one [`SizingEngine`] for the problem
-    /// and reuses it across every iteration; see
-    /// [`solve_with`](Self::solve_with) to share an engine across solves.
-    pub fn solve(&self, problem: &SizingProblem<'_>) -> OgwsOutcome {
-        let mut engine = SizingEngine::for_problem(problem);
-        self.solve_with(problem, &mut engine)
-    }
-
-    /// Runs the outer loop using a caller-provided engine.
-    ///
-    /// The engine must have been built for the same circuit and coupling set
-    /// as `problem`. After the one-time setup below, the per-iteration loop
-    /// performs no heap allocation: the LRS sweeps, timing analysis and
-    /// multiplier updates all run inside the engine's workspace, and the
-    /// candidate/best/last size vectors are preallocated buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine is bound to a different circuit or coupling
-    /// set than `problem` (the check is two pointer comparisons, free
-    /// relative to a solve, and a mismatch would silently produce garbage).
-    pub fn solve_with(
-        &self,
-        problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_>,
-    ) -> OgwsOutcome {
-        self.solve_controlled(problem, engine, None, &RunControl::new())
-    }
-
-    /// Runs the outer loop with an optional warm start and a [`RunControl`].
-    ///
-    /// With `warm_start == None` and a default control this is **exactly**
-    /// [`solve_with`](Self::solve_with): the control checks read two
-    /// `Option`s per iteration and never touch the clock, so the iterate
-    /// sequence is bit-identical.
-    ///
-    /// A warm-start vector (clamped into the component bounds) seeds the
-    /// "best feasible so far" candidate before the first iteration when it
-    /// satisfies every constraint. The multiplier trajectory — and hence the
-    /// dual bound — is unaffected, so a run warm-started from a feasible
-    /// solution converges in at most as many iterations as the cold run that
-    /// produced it (its duality gap at every iteration is no larger).
+    /// The engine must have been built for the same circuit and coupling
+    /// set as `problem` ([`SizingEngine::for_problem`]); sharing one engine
+    /// across solves reuses its workspace. After the one-time setup below,
+    /// the per-iteration loop performs no heap allocation: the LRS sweeps,
+    /// timing analysis and multiplier updates all run inside the engine's
+    /// workspace, and the candidate/best/last size vectors are
+    /// preallocated buffers.
     ///
     /// The control is consulted before every iteration (cancellation, then
     /// deadline, then iteration budget) and between LRS sweeps within an
     /// iteration (cancellation and deadline); the reason the loop stopped is
     /// recorded in [`OgwsOutcome::stop_reason`]. The observer, if any,
-    /// receives one [`IterationEvent`] per completed iteration.
+    /// receives one [`IterationEvent`] per completed iteration. With a
+    /// default control the checks read two `Option`s per iteration and never
+    /// touch the clock, so the iterate sequence is that of an uncontrolled
+    /// run.
     ///
     /// # Panics
     ///
     /// Panics when the engine is bound to a different circuit or coupling
-    /// set than `problem`, or when `warm_start` has the wrong length.
-    pub fn solve_controlled(
-        &self,
-        problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_>,
-        warm_start: Option<&SizeVector>,
-        control: &RunControl<'_>,
-    ) -> OgwsOutcome {
-        self.solve_impl(problem, engine, warm_start, None, control)
-    }
-
-    /// Re-enters the outer loop from a [`Snapshot`] instead of restarting.
-    ///
-    /// The snapshot (captured by an earlier run through the control's
-    /// [`CheckpointSink`](crate::CheckpointSink)) restores the multiplier
-    /// state, the last completed iterate, the best-feasible bookkeeping and
-    /// — under the adaptive strategy — the schedule's freeze/verification
-    /// state; iteration `iterations_done + 1` then runs with the step
-    /// schedule, feasibility rules and stopping rules of an uninterrupted
-    /// run. Under [`SolveStrategy::Exact`] the continuation is bitwise
-    /// identical to the run that produced the snapshot; under the adaptive
-    /// strategy the final metrics land within `1e-6` relative (the cached
-    /// electrical tables are re-derived from the snapshot sizes rather than
-    /// carried over). A control's iteration budget counts only the resumed
-    /// attempt's iterations, so a serving layer can give every attempt the
-    /// same slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the engine is bound to a different circuit or coupling
-    /// set than `problem`, or when the snapshot does not belong to this
-    /// problem (see [`Snapshot::validate_for`]). Fallible validation lives
+    /// set than `problem` (the check is two pointer comparisons, free
+    /// relative to a solve, and a mismatch would silently produce garbage),
+    /// or when `start` does not fit the problem. Fallible validation lives
     /// at the flow layer
-    /// ([`Ordered::size_resume`](crate::flow::Ordered::size_resume)).
-    pub fn solve_resumed(
+    /// ([`Ordered::size_with_engine`](crate::flow::Ordered::size_with_engine)).
+    pub fn solve(
         &self,
         problem: &SizingProblem<'_>,
         engine: &mut SizingEngine<'_>,
-        snapshot: &Snapshot,
-        control: &RunControl<'_>,
-    ) -> OgwsOutcome {
-        if let Err(reason) = snapshot.validate_for(problem.graph) {
-            panic!("cannot resume from snapshot: {reason}");
-        }
-        self.solve_impl(problem, engine, None, Some(snapshot), control)
-    }
-
-    fn solve_impl(
-        &self,
-        problem: &SizingProblem<'_>,
-        engine: &mut SizingEngine<'_>,
-        warm_start: Option<&SizeVector>,
-        resume: Option<&Snapshot>,
+        start: Option<Start<'_>>,
         control: &RunControl<'_>,
     ) -> OgwsOutcome {
         assert!(
@@ -262,6 +251,9 @@ impl OgwsSolver {
             std::ptr::eq(problem.coupling, engine.coupling()),
             "engine was built for a different coupling set than the problem"
         );
+        if let Some(Err(error)) = start.map(|start| start.check(problem.graph, &problem.extras)) {
+            panic!("cannot start the OGWS loop: {error}");
+        }
         let graph = problem.graph;
         let bounds = problem.bounds;
         let extras = &problem.extras;
@@ -281,16 +273,6 @@ impl OgwsSolver {
                 Some(*schedule)
             }
         };
-        // A resumed adaptive run carries the interrupted run's freeze sets
-        // and verification cadence forward (after the reset above wiped any
-        // leaked state).
-        if let Some(snapshot) = resume {
-            if adaptive.is_some() {
-                if let Some(state) = &snapshot.schedule {
-                    engine.restore_schedule_state(state);
-                }
-            }
-        }
         let num_components = graph.num_components();
 
         // A1: initial multipliers (projected so Theorem 3 holds from the
@@ -298,25 +280,12 @@ impl OgwsSolver {
         // cross-reference is built once so every per-iteration projection is
         // a contiguous walk.
         let flow_index = FlowIndex::new(graph);
-        let mut multipliers = match resume {
+        let mut multipliers = match start {
             // A resume re-enters after the snapshot iteration's A4/A5 steps:
             // the stored multipliers are already projected, so re-running A1
             // (or re-projecting) would perturb the trajectory.
-            Some(snapshot) => {
-                let blocks: Vec<usize> = snapshot
-                    .multipliers
-                    .extra_blocks()
-                    .iter()
-                    .map(Vec::len)
-                    .collect();
-                assert_eq!(
-                    blocks,
-                    extras.block_sizes(),
-                    "snapshot multipliers' extra blocks must match the problem's constraint families"
-                );
-                snapshot.multipliers.clone()
-            }
-            None => {
+            Some(Start::Resume(snapshot)) => snapshot.multipliers.clone(),
+            _ => {
                 let mut multipliers = Multipliers::uniform(
                     graph,
                     self.config.initial_edge_multiplier,
@@ -345,40 +314,45 @@ impl OgwsSolver {
         // across iterations (empty — and allocation-free — without extras).
         let mut extra_violations = vec![0.0; extras.total_constraints()];
 
-        // Warm start: a feasible seed becomes the initial primal upper bound,
-        // so the gap stopping rule can fire from the first iteration.
-        if let Some(warm) = warm_start {
-            assert_eq!(
-                warm.len(),
-                sizes.len(),
-                "warm-start vector must have one entry per sizable component"
-            );
-            sizes.copy_from(warm);
-            sizes.clamp_into(engine.lower_bound, engine.upper_bound);
-            let total_cap = engine.total_capacitance(&sizes);
-            let crosstalk_lhs = engine.crosstalk_lhs(&sizes);
-            let warm_area = engine.total_area(&sizes);
-            let timing = engine.timing(&sizes);
-            let feasible = timing.critical_path_delay - bounds.delay
-                <= bounds.delay * FEASIBILITY_TOLERANCE
-                && total_cap - bounds.total_capacitance
-                    <= bounds.total_capacitance * FEASIBILITY_TOLERANCE
-                && crosstalk_lhs - problem.reduced_crosstalk_bound()
-                    <= bounds.crosstalk * FEASIBILITY_TOLERANCE
-                && extras.feasible_within(&sizes, FEASIBILITY_TOLERANCE);
-            if feasible {
-                best_area = warm_area;
-                best_sizes.copy_from(&sizes);
-                have_feasible = true;
+        let start_k = match start {
+            None => 0,
+            // Warm start: a feasible seed becomes the initial primal upper
+            // bound, so the gap stopping rule can fire from the first
+            // iteration.
+            Some(Start::Warm(warm)) => {
+                sizes.copy_from(warm);
+                sizes.clamp_into(engine.lower_bound, engine.upper_bound);
+                let total_cap = engine.total_capacitance(&sizes);
+                let crosstalk_lhs = engine.crosstalk_lhs(&sizes);
+                let warm_area = engine.total_area(&sizes);
+                let timing = engine.timing(&sizes);
+                let feasible = timing.critical_path_delay - bounds.delay
+                    <= bounds.delay * FEASIBILITY_TOLERANCE
+                    && total_cap - bounds.total_capacitance
+                        <= bounds.total_capacitance * FEASIBILITY_TOLERANCE
+                    && crosstalk_lhs - problem.reduced_crosstalk_bound()
+                        <= bounds.crosstalk * FEASIBILITY_TOLERANCE
+                    && extras.feasible_within(&sizes, FEASIBILITY_TOLERANCE);
+                if feasible {
+                    best_area = warm_area;
+                    best_sizes.copy_from(&sizes);
+                    have_feasible = true;
+                }
+                0
             }
-        }
-
-        // Resume: restore the interrupted run's loop state. The iteration
-        // counter continues globally (the step schedule `ρ_k` and the
-        // periodic checkpoint cadence both key off it), while the records —
-        // and any iteration budget — cover only this attempt.
-        let start_k = match resume {
-            Some(snapshot) => {
+            // Resume: restore the interrupted run's loop state. The
+            // iteration counter continues globally (the step schedule `ρ_k`
+            // and the periodic checkpoint cadence both key off it), while
+            // the records — and any iteration budget — cover only this
+            // attempt. An adaptive run also carries the interrupted run's
+            // freeze sets and verification cadence forward (after the reset
+            // above wiped any leaked state).
+            Some(Start::Resume(snapshot)) => {
+                if adaptive.is_some() {
+                    if let Some(state) = &snapshot.schedule {
+                        engine.restore_schedule_state(state);
+                    }
+                }
                 sizes.copy_from(&snapshot.sizes);
                 if let Some(best) = &snapshot.best_sizes {
                     best_sizes.copy_from(best);
@@ -390,7 +364,6 @@ impl OgwsSolver {
                 stagnant = snapshot.stagnant;
                 snapshot.iterations_done
             }
-            None => 0,
         };
 
         // Checkpoint bookkeeping. The loop keeps the state of the last
@@ -840,11 +813,14 @@ mod tests {
         (graph, coupling)
     }
 
-    fn config(max_iterations: usize) -> OptimizerConfig {
-        OptimizerConfig {
+    /// A cold, uncontrolled solve on a fresh engine.
+    fn solve_cold(max_iterations: usize, problem: &SizingProblem<'_>) -> OgwsOutcome {
+        let config = OptimizerConfig {
             max_iterations,
             ..OptimizerConfig::default()
-        }
+        };
+        let mut engine = SizingEngine::for_problem(problem);
+        OgwsSolver::new(config).solve(problem, &mut engine, None, &RunControl::new())
     }
 
     #[test]
@@ -856,7 +832,7 @@ mod tests {
             crosstalk: 1e12,
         };
         let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
-        let outcome = OgwsSolver::new(config(60)).solve(&problem);
+        let outcome = solve_cold(60, &problem);
         assert!(outcome.feasible);
         // With no binding constraint the optimal area is the minimum area.
         let min_area = problem.area(&graph.minimum_sizes());
@@ -895,7 +871,7 @@ mod tests {
             crosstalk: 1e12,
         };
         let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
-        let outcome = OgwsSolver::new(config(150)).solve(&problem);
+        let outcome = solve_cold(150, &problem);
         assert!(
             outcome.feasible,
             "a feasible sizing exists and must be found"
@@ -922,7 +898,7 @@ mod tests {
             crosstalk: 1e12,
         };
         let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
-        let outcome = OgwsSolver::new(config(5)).solve(&problem);
+        let outcome = solve_cold(5, &problem);
         assert!(!outcome.iterations.is_empty());
         assert!(outcome.num_iterations() <= 5);
         for (i, record) in outcome.iterations.iter().enumerate() {
@@ -948,7 +924,7 @@ mod tests {
             crosstalk: 1e12,
         };
         let problem = SizingProblem::new(&graph, &coupling, loose).unwrap();
-        let reference = OgwsSolver::new(config(150)).solve(&problem);
+        let reference = solve_cold(150, &problem);
         assert!(reference.feasible);
         let reference_noise = coupling.total_crosstalk(&graph, &reference.sizes);
 
@@ -967,7 +943,7 @@ mod tests {
             crosstalk: bound,
         };
         let problem = SizingProblem::new(&graph, &coupling, tight).unwrap();
-        let constrained = OgwsSolver::new(config(200)).solve(&problem);
+        let constrained = solve_cold(200, &problem);
         assert!(constrained.feasible);
         let constrained_noise = coupling.total_crosstalk(&graph, &constrained.sizes);
         assert!(

@@ -26,8 +26,9 @@ use crate::problem::SizingProblem;
 /// Solves `LRS₂` with the original allocate-per-call sweep loop.
 ///
 /// Semantically (and bitwise) identical to
-/// [`LrsSolver::solve`](crate::LrsSolver::solve) with the same sweep limit
-/// and tolerance.
+/// [`LrsSolver::solve_constrained`](crate::LrsSolver::solve_constrained)
+/// with the same sweep limit and tolerance, an empty constraint set and a
+/// default run control.
 pub fn lrs_solve(
     problem: &SizingProblem<'_>,
     multipliers: &Multipliers,
@@ -144,7 +145,8 @@ mod tests {
         let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
         let multipliers = Multipliers::uniform(&graph, 0.02, 0.1);
         let reference = lrs_solve(&problem, &multipliers, 80, 1e-9);
-        let engine = crate::LrsSolver::new(80, 1e-9).solve(&problem, &multipliers);
+        let engine =
+            crate::lrs::tests::solve_cold(crate::LrsSolver::new(80, 1e-9), &problem, &multipliers);
         assert_eq!(reference.sizes, engine.sizes);
         assert_eq!(reference.sweeps, engine.sweeps);
         assert_eq!(reference.converged, engine.converged);

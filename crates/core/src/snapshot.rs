@@ -43,9 +43,8 @@ use crate::schedule::ScheduleState;
 pub const SNAPSHOT_FORMAT: u32 = 1;
 
 /// A checkpoint of mid-run OGWS state, captured at a completed-iteration
-/// boundary and sufficient to re-enter the loop via
-/// [`Ordered::size_resume`](crate::flow::Ordered::size_resume) (or
-/// [`OgwsSolver::solve_resumed`](crate::OgwsSolver::solve_resumed)).
+/// boundary and sufficient to re-enter the loop with
+/// [`Start::Resume`](crate::Start::Resume).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Format version, for persisted snapshots ([`SNAPSHOT_FORMAT`]).
@@ -87,7 +86,10 @@ impl Snapshot {
     ///
     /// Returns a human-readable reason when the snapshot belongs to a
     /// different circuit (component count, multiplier CSR shape, schedule
-    /// dimensions) or is internally inconsistent.
+    /// dimensions) or is internally inconsistent. Whether its multiplier
+    /// blocks fit the run's constraint families is checked when the run
+    /// starts
+    /// ([`Ordered::size_with_engine`](crate::flow::Ordered::size_with_engine)).
     pub fn validate_for(&self, graph: &CircuitGraph) -> Result<(), String> {
         if self.format != SNAPSHOT_FORMAT {
             return Err(format!(

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 use ncgws_core::flow::Flow;
 use ncgws_core::{
     CancelFlag, CheckpointPolicy, CheckpointSink, CoreError, IterationEvent, Observer, RunControl,
-    SizedOutcome, Snapshot, SnapshotStore, StopReason,
+    SizedOutcome, Snapshot, SnapshotStore, Start, StopReason,
 };
 use ncgws_netlist::{ProblemInstance, SyntheticGenerator};
 use serde::{Deserialize, Serialize};
@@ -655,8 +655,10 @@ impl Server {
     /// at hand, so the whole [`Snapshot::validate_for`] runs; a synthetic
     /// job's circuit is generated only when its attempt starts, so its
     /// size vector is checked against the spec's component count, and the
-    /// rest when the attempt starts (a mismatch found then fails the job
-    /// with the validation error).
+    /// rest when the attempt starts. The fit with the job's constraint
+    /// families, which exist only once the attempt has ordered the
+    /// circuit, is always checked then. A mismatch found when the attempt
+    /// starts fails the job with the validation error, without a retry.
     ///
     /// # Errors
     ///
@@ -1420,10 +1422,7 @@ fn run_attempt(
         control = control.with_timeout(Duration::from_millis(millis));
     }
     let ordered = Flow::prepare(instance, attempt.spec.config.clone())?.order()?;
-    match resume {
-        Some(snapshot) => ordered.size_resume(snapshot, &control),
-        None => ordered.size_with(&control),
-    }
+    ordered.size_with_engine(&mut ordered.engine(), resume.map(Start::Resume), &control)
 }
 #[cfg(test)]
 mod tests {
@@ -1578,7 +1577,11 @@ mod tests {
                 .order()
                 .unwrap();
             let error = ordered
-                .size_resume(&snapshot, &RunControl::new())
+                .size_with_engine(
+                    &mut ordered.engine(),
+                    Some(Start::Resume(&snapshot)),
+                    &RunControl::new(),
+                )
                 .unwrap_err();
             assert!(matches!(
                 error,
@@ -1600,6 +1603,46 @@ mod tests {
         let stats = server.drain();
         // The budgeted donor job hit its one-attempt cap, then the resume.
         assert_eq!(stats.failed, 2);
+        assert_eq!(stats.panics, 0);
+        assert_eq!(stats.attempts_retried, 0);
+    }
+
+    /// A snapshot of the job's own circuit, taken under other constraint
+    /// families, passes the submit check (the families exist only once the
+    /// attempt has ordered the circuit). The attempt's start-up check then
+    /// fails the job with a typed error: one attempt, no panic, and so no
+    /// retry, though the job has retries left.
+    #[test]
+    fn resuming_under_other_constraint_families_fails_once_without_panicking() {
+        let donor = Server::start(ServerConfig {
+            workers: 1,
+            max_attempts: 1,
+            ..ServerConfig::default()
+        });
+        let id = donor.submit(job(9).with_iteration_budget(2)).unwrap();
+        donor.wait(id).unwrap();
+        let snapshot = donor.snapshot_of(id).expect("budgeted job keeps snapshot");
+        donor.drain();
+
+        let server = Server::start(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut config = quick_config();
+        config
+            .extra_constraints
+            .push(ncgws_core::ConstraintSpec::PerNetCrosstalk { factor: 1.0 });
+        let spec = JobSpec::new(job(9).input, config)
+            .with_retry(crate::job::RetryPolicy::retries(3).with_seed(7));
+        let resumed_id = server.submit_resume(spec, snapshot).unwrap();
+        let outcome = server.wait(resumed_id).unwrap();
+        assert_eq!(server.job_state(resumed_id), Some(JobState::Failed));
+        let error = outcome.error.expect("a failed job carries its error");
+        assert!(error.contains("snapshot"), "{error}");
+        assert_eq!(outcome.attempts, 1);
+        assert!(outcome.final_metrics.is_none());
+        let stats = server.drain();
+        assert_eq!(stats.failed, 1);
         assert_eq!(stats.panics, 0);
         assert_eq!(stats.attempts_retried, 0);
     }

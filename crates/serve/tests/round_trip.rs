@@ -77,11 +77,12 @@ fn snapshot() -> Snapshot {
     let control = RunControl::new()
         .with_iteration_budget(3)
         .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
-    Flow::prepare(&inst, adaptive_config())
+    let ordered = Flow::prepare(&inst, adaptive_config())
         .expect("prepare")
         .order()
-        .expect("order")
-        .size_with(&control)
+        .expect("order");
+    ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
         .expect("killed run");
     store.take().expect("snapshot captured")
 }

@@ -28,7 +28,7 @@
 //! ```rust
 //! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
 //! use ncgws::core::OptimizerConfig;
-//! use ncgws::Flow;
+//! use ncgws::{Flow, RunControl, Start};
 //!
 //! # fn main() -> Result<(), ncgws::Error> {
 //! // Build a small synthetic benchmark (32 gates, 70 wires).
@@ -47,8 +47,10 @@
 //! assert!(sized.report.final_metrics.noise_pf <= ordered.initial_metrics().noise_pf);
 //!
 //! // Warm-start a second sizing run from the first solution: it converges
-//! // in at most as many iterations.
-//! let warm = ordered.size_warm(sized.sizes())?;
+//! // in at most as many iterations. Every run other than the cold `size()`
+//! // is one `size_with_engine` call: an engine, a start, a run control.
+//! let warm = Some(Start::Warm(sized.sizes()));
+//! let warm = ordered.size_with_engine(&mut ordered.engine(), warm, &RunControl::new())?;
 //! assert!(warm.report.iterations <= sized.report.iterations);
 //! println!("widest component: {:.3} um", warm.sizes().max_size());
 //! # Ok(())
@@ -77,7 +79,7 @@
 //! let control = RunControl::new()
 //!     .with_observer(&observer)
 //!     .with_iteration_budget(5);
-//! let sized = ordered.size_with(&control)?;
+//! let sized = ordered.size_with_engine(&mut ordered.engine(), None, &control)?;
 //!
 //! assert_eq!(sized.report.iterations, 5);
 //! assert_eq!(sized.stop_reason(), StopReason::BudgetExhausted);
@@ -271,7 +273,8 @@
 //! attached to the [`RunControl`] (periodic via
 //! [`CheckpointPolicy::every`](core::CheckpointPolicy::every), and on any
 //! interrupt). A killed run resumes from its last completed-iteration
-//! boundary with [`Ordered::size_resume`](flow::Ordered::size_resume):
+//! boundary by passing it as [`Start::Resume`] to
+//! [`Ordered::size_with_engine`](flow::Ordered::size_with_engine):
 //! under the exact solve strategy the resumed trajectory is **bitwise** the
 //! uninterrupted one, under the adaptive schedule it matches to 1e-6
 //! (`tests/serve_checkpoint.rs` proptests both).
@@ -279,7 +282,7 @@
 //! ```rust
 //! use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
 //! use ncgws::core::{CheckpointPolicy, OptimizerConfig, RunControl, SnapshotStore, StopReason};
-//! use ncgws::Flow;
+//! use ncgws::{Flow, Start};
 //!
 //! # fn main() -> Result<(), ncgws::Error> {
 //! let spec = CircuitSpec::new("resume", 24, 55).with_seed(9).with_num_patterns(8);
@@ -295,7 +298,7 @@
 //! let control = RunControl::new()
 //!     .with_iteration_budget(4)
 //!     .with_checkpoints(&store, CheckpointPolicy::new().every(2));
-//! let killed = ordered.size_with(&control)?;
+//! let killed = ordered.size_with_engine(&mut ordered.engine(), None, &control)?;
 //! assert_eq!(killed.stop_reason(), StopReason::BudgetExhausted);
 //!
 //! // The snapshot round-trips through JSON bit for bit...
@@ -305,7 +308,8 @@
 //!
 //! // ...and the resumed run finishes exactly like the uninterrupted one
 //! // (bitwise under the default exact strategy).
-//! let resumed = ordered.size_resume(&snapshot, &RunControl::new())?;
+//! let resume = Some(Start::Resume(&snapshot));
+//! let resumed = ordered.size_with_engine(&mut ordered.engine(), resume, &RunControl::new())?;
 //! assert_eq!(resumed.sizes(), cold.sizes());
 //! assert_eq!(resumed.report.final_metrics, cold.report.final_metrics);
 //! assert_eq!(snapshot.iterations_done + resumed.report.iterations, cold.report.iterations);
@@ -399,7 +403,7 @@ pub use error::Error;
 pub use ncgws_core::flow;
 pub use ncgws_core::{
     CancelFlag, CollectObserver, Flow, IterationEvent, Observer, Ordered, Prepared, RunControl,
-    SizedOutcome, StopReason,
+    SizedOutcome, Start, StopReason,
 };
 
 // Checkpoint/resume: the serializable mid-run state and the sink/policy

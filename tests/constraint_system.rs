@@ -11,8 +11,8 @@
 
 use ncgws::circuit::NodeKind;
 use ncgws::core::{
-    build_coupling, reference, ConstraintBounds, ConstraintSet, LrsSolver, Multipliers, OgwsSolver,
-    OptimizerConfig, OrderingStrategy, SizingEngine, SizingProblem,
+    build_coupling, reference, ConstraintBounds, ConstraintSet, LrsOutcome, LrsSolver, Multipliers,
+    OgwsSolver, OptimizerConfig, OrderingStrategy, RunControl, SizingEngine, SizingProblem,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::Flow;
@@ -39,6 +39,29 @@ fn loose_bounds() -> ConstraintBounds {
 /// The feasibility tolerance the solver declares feasibility with (see
 /// `ogws::FEASIBILITY_TOLERANCE`), doubled for the recomputation margin.
 const TOL: f64 = 2e-3;
+
+/// One LRS solve from the lower bounds on a fresh engine, under the
+/// problem's constraint families and no run control.
+fn lrs_solve_cold(
+    solver: LrsSolver,
+    problem: &SizingProblem<'_>,
+    multipliers: &Multipliers,
+) -> LrsOutcome {
+    let mut engine = SizingEngine::for_problem(problem);
+    let mut sizes = problem.graph.minimum_sizes();
+    let stats = solver.solve_constrained(
+        &mut engine,
+        &problem.extras,
+        multipliers,
+        &mut sizes,
+        &RunControl::new(),
+    );
+    LrsOutcome {
+        sizes,
+        sweeps: stats.sweeps,
+        converged: stats.converged,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
@@ -70,7 +93,7 @@ proptest! {
         multipliers.attach_extras(&problem.extras, 1.0);
 
         let naive = reference::lrs_solve(&problem, &multipliers, 40, 1e-7);
-        let engine_path = LrsSolver::new(40, 1e-7).solve(&problem, &multipliers);
+        let engine_path = lrs_solve_cold(LrsSolver::new(40, 1e-7), &problem, &multipliers);
 
         prop_assert_eq!(&naive.sizes, &engine_path.sizes, "sizes must match bitwise");
         prop_assert_eq!(naive.sweeps, engine_path.sweeps);
@@ -226,9 +249,9 @@ proptest! {
 
         let solver = OgwsSolver::new(config);
         let mut engine = SizingEngine::for_problem(&legacy);
-        let fresh_legacy = solver.solve_with(&legacy, &mut engine);
-        let constrained = solver.solve_with(&capped, &mut engine);
-        let legacy_after = solver.solve_with(&legacy, &mut engine);
+        let fresh_legacy = solver.solve(&legacy, &mut engine, None, &RunControl::new());
+        let constrained = solver.solve(&capped, &mut engine, None, &RunControl::new());
+        let legacy_after = solver.solve(&legacy, &mut engine, None, &RunControl::new());
 
         prop_assert_eq!(&fresh_legacy.sizes, &legacy_after.sizes);
         prop_assert_eq!(fresh_legacy.best_gap, legacy_after.best_gap);

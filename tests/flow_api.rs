@@ -1,13 +1,15 @@
 //! Integration tests of the staged `Flow` API: bitwise reproducibility of
-//! fresh cold flows, warm starts, and run control (observers, cancellation,
-//! iteration budgets, deadlines).
+//! fresh cold flows, warm starts, run control (observers, cancellation,
+//! iteration budgets, deadlines), and the typed rejection of starts that do
+//! not fit the run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use ncgws::circuit::SizeVector;
 use ncgws::core::{
-    CancelFlag, CollectObserver, IterationEvent, Observer, OptimizerConfig, RunControl,
-    SizedOutcome, StopReason,
+    CancelFlag, CheckpointPolicy, CollectObserver, CoreError, IterationEvent, Observer,
+    OptimizerConfig, RunControl, SizedOutcome, SnapshotStore, Start, StopReason,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::Flow;
@@ -100,7 +102,10 @@ proptest! {
             .order()
             .expect("order");
         let cold = ordered.size().expect("cold run");
-        let warm = ordered.size_warm(cold.sizes()).expect("warm run");
+        let start = Some(Start::Warm(cold.sizes()));
+        let warm = ordered
+            .size_with_engine(&mut ordered.engine(), start, &RunControl::new())
+            .expect("warm run");
         prop_assert!(
             warm.report.iterations <= cold.report.iterations,
             "warm {} vs cold {}",
@@ -155,7 +160,9 @@ fn cancellation_after_k_iterations_yields_exactly_k_events() {
     let control = RunControl::new()
         .with_observer(&observer)
         .with_cancel_flag(flag);
-    let sized = ordered.size_with(&control).unwrap();
+    let sized = ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
+        .unwrap();
 
     assert_eq!(sized.stop_reason(), StopReason::Cancelled);
     assert_eq!(sized.report.stop_reason, StopReason::Cancelled);
@@ -186,7 +193,9 @@ fn iteration_budget_stops_within_one_iteration() {
     let control = RunControl::new()
         .with_observer(&collector)
         .with_iteration_budget(budget);
-    let sized = ordered.size_with(&control).unwrap();
+    let sized = ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
+        .unwrap();
     assert_eq!(sized.report.iterations, budget);
     assert_eq!(sized.stop_reason(), StopReason::BudgetExhausted);
     assert_eq!(collector.count(), budget);
@@ -212,7 +221,9 @@ fn expired_deadline_stops_before_the_first_iteration() {
         .order()
         .unwrap();
     let control = RunControl::new().with_deadline(Instant::now() - Duration::from_millis(1));
-    let sized = ordered.size_with(&control).unwrap();
+    let sized = ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
+        .unwrap();
     assert_eq!(sized.report.iterations, 0);
     assert_eq!(sized.stop_reason(), StopReason::DeadlineExpired);
     assert!(!sized.report.feasible);
@@ -231,4 +242,72 @@ fn stop_reason_serializes_into_report_json() {
         json.contains("Converged") || json.contains("Stagnated") || json.contains("IterationLimit"),
         "{json}"
     );
+}
+
+/// Every start that does not fit the run is a typed error from the one
+/// start-up check of `size_with_engine`, never a panic: a warm vector of
+/// the wrong length, a snapshot of another circuit, and a snapshot taken
+/// under other constraint families than the run's.
+#[test]
+fn starts_that_do_not_fit_are_typed_errors() {
+    let inst = instance(11, 20);
+    let ordered = Flow::prepare(&inst, quick_config())
+        .unwrap()
+        .order()
+        .unwrap();
+    let store = SnapshotStore::new();
+    let control = RunControl::new()
+        .with_iteration_budget(2)
+        .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
+    ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
+        .unwrap();
+    let snapshot = store.take().expect("an interrupted run checkpoints");
+
+    let other = instance(11, 30);
+    let other_circuit = Flow::prepare(&other, quick_config())
+        .unwrap()
+        .order()
+        .unwrap();
+    let capped_config = OptimizerConfig::builder()
+        .max_iterations(40)
+        .max_lrs_sweeps(20)
+        .per_net_crosstalk_cap(1.0)
+        .build()
+        .unwrap();
+    let capped = Flow::prepare(&inst, capped_config)
+        .unwrap()
+        .order()
+        .unwrap();
+    assert!(capped.extra_constraints().num_families() > 0);
+
+    let short = SizeVector::uniform(3, 1.0);
+    let cases = [
+        (
+            "short warm vector",
+            &ordered,
+            Start::Warm(&short),
+            "warm_start",
+        ),
+        (
+            "snapshot of another circuit",
+            &other_circuit,
+            Start::Resume(&snapshot),
+            "snapshot",
+        ),
+        (
+            "snapshot under other families",
+            &capped,
+            Start::Resume(&snapshot),
+            "snapshot",
+        ),
+    ];
+    for (label, ordered, start, expected) in cases {
+        match ordered.size_with_engine(&mut ordered.engine(), Some(start), &RunControl::new()) {
+            Err(CoreError::InvalidConfig { name, reason }) => {
+                assert_eq!(name, expected, "{label}: {reason}");
+            }
+            result => panic!("{label}: expected a typed error, got {result:?}"),
+        }
+    }
 }

@@ -13,8 +13,8 @@ use ncgws::circuit::{
     CircuitBuilder, CircuitGraph, CircuitTopology, GateKind, NodeId, Technology, TimingAnalysis,
 };
 use ncgws::core::{
-    reference, ConstraintBounds, LrsSolver, Multipliers, OgwsSolver, OptimizerConfig,
-    ParallelPolicy, SizingEngine, SizingProblem,
+    reference, ConstraintBounds, ConstraintSet, LrsSolver, Multipliers, OgwsSolver,
+    OptimizerConfig, ParallelPolicy, RunControl, SizingEngine, SizingProblem,
 };
 use ncgws::coupling::{CouplingPair, CouplingSet, WirePairGeometry};
 use ncgws::netlist::{table1_specs, xl_spec, xl_wide_spec, SyntheticGenerator};
@@ -215,7 +215,13 @@ fn exact_stays_pinned_to_the_reference_on_a_non_level_sorted_order() {
         let mut engine = SizingEngine::for_problem(&problem);
         engine.set_parallel(policy);
         let mut sizes = graph.minimum_sizes();
-        let stats = LrsSolver::new(40, 1e-7).solve_with(&mut engine, &multipliers, &mut sizes);
+        let stats = LrsSolver::new(40, 1e-7).solve_constrained(
+            &mut engine,
+            &ConstraintSet::new(),
+            &multipliers,
+            &mut sizes,
+            &RunControl::new(),
+        );
         assert_eq!(sizes, naive.sizes, "{policy:?}: LRS sizes");
         assert_eq!(stats.sweeps, naive.sweeps, "{policy:?}: sweeps");
         assert_eq!(stats.converged, naive.converged, "{policy:?}: converged");
@@ -232,7 +238,12 @@ fn exact_stays_pinned_to_the_reference_on_a_non_level_sorted_order() {
             parallel: policy,
             ..OptimizerConfig::default()
         };
-        let run = OgwsSolver::new(config).solve(&problem);
+        let run = OgwsSolver::new(config).solve(
+            &problem,
+            &mut SizingEngine::for_problem(&problem),
+            None,
+            &RunControl::new(),
+        );
         match &first_run {
             None => first_run = Some(run),
             Some(first) => {

@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use ncgws::core::flow::Ordered;
 use ncgws::core::{
     CheckpointPolicy, Flow, IterationEvent, Observer, OptimizerConfig, ParallelPolicy, RunControl,
-    Snapshot, SnapshotStore, SolveStrategy,
+    Snapshot, SnapshotStore, SolveStrategy, Start,
 };
 use ncgws::netlist::{iscas85_spec, xl_wide_spec, SyntheticGenerator};
 
@@ -190,11 +190,10 @@ fn assert_iterations_allocate_nothing(label: &str, ordered: &Ordered, snapshot: 
     let control = RunControl::new()
         .with_observer(&probe)
         .with_iteration_budget(GATE_ITERATIONS);
-    match snapshot {
-        Some(snapshot) => ordered.size_resume(snapshot, &control),
-        None => ordered.size_with(&control),
-    }
-    .unwrap();
+    let start = snapshot.map(Start::Resume);
+    ordered
+        .size_with_engine(&mut ordered.engine(), start, &control)
+        .unwrap();
     let events = probe.events.load(Relaxed);
     let allocs = probe.last.load(Relaxed) - probe.first.load(Relaxed);
     println!("peak_memory {label}: {allocs} allocation calls in iterations 2..={events}");
@@ -360,7 +359,9 @@ fn xlw10k_phase_peaks_stay_within_budget() {
 
         let store = SnapshotStore::new();
         ordered
-            .size_with(
+            .size_with_engine(
+                &mut ordered.engine(),
+                None,
                 &RunControl::new()
                     .with_iteration_budget(3)
                     .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true)),

@@ -5,8 +5,8 @@
 
 use ncgws::core::CircuitMetrics;
 use ncgws::core::{
-    build_coupling, reference, ConstraintBounds, LrsSolver, Multipliers, OgwsSolver,
-    OptimizerConfig, OrderingStrategy, SizingEngine, SizingProblem,
+    build_coupling, reference, ConstraintBounds, ConstraintSet, LrsSolver, Multipliers, OgwsSolver,
+    OptimizerConfig, OrderingStrategy, RunControl, SizingEngine, SizingProblem,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use proptest::prelude::*;
@@ -54,7 +54,13 @@ proptest! {
 
         let mut engine = SizingEngine::for_problem(&problem);
         let mut sizes = inst.circuit.minimum_sizes();
-        let stats = LrsSolver::new(40, 1e-7).solve_with(&mut engine, &multipliers, &mut sizes);
+        let stats = LrsSolver::new(40, 1e-7).solve_constrained(
+            &mut engine,
+            &ConstraintSet::new(),
+            &multipliers,
+            &mut sizes,
+            &RunControl::new(),
+        );
 
         prop_assert_eq!(&naive.sizes, &sizes, "sizes must match bitwise");
         prop_assert_eq!(naive.sweeps, stats.sweeps);
@@ -76,11 +82,11 @@ proptest! {
         let mut engine = SizingEngine::new(graph, &ordering.coupling);
 
         // Dirty the workspace with an unrelated sizing first.
-        let _ = CircuitMetrics::evaluate_with(&mut engine, &graph.uniform_sizes(size_b));
+        let _ = engine.metrics(&graph.uniform_sizes(size_b));
 
         let sizes = graph.uniform_sizes(size_a);
         let naive = CircuitMetrics::evaluate(graph, &ordering.coupling, &sizes);
-        let engine_metrics = CircuitMetrics::evaluate_with(&mut engine, &sizes);
+        let engine_metrics = engine.metrics(&sizes);
         prop_assert_eq!(naive, engine_metrics);
     }
 
@@ -99,14 +105,19 @@ proptest! {
         let solver = OgwsSolver::new(config);
 
         let mut engine = SizingEngine::for_problem(&problem);
-        let first = solver.solve_with(&problem, &mut engine);
-        let second = solver.solve_with(&problem, &mut engine);
+        let first = solver.solve(&problem, &mut engine, None, &RunControl::new());
+        let second = solver.solve(&problem, &mut engine, None, &RunControl::new());
         prop_assert_eq!(&first.sizes, &second.sizes);
         prop_assert_eq!(first.feasible, second.feasible);
         prop_assert_eq!(first.best_gap, second.best_gap);
 
         // And a fresh engine gives the same answer as the reused one.
-        let fresh = solver.solve(&problem);
+        let fresh = solver.solve(
+            &problem,
+            &mut SizingEngine::for_problem(&problem),
+            None,
+            &RunControl::new(),
+        );
         prop_assert_eq!(&fresh.sizes, &second.sizes);
     }
 }

@@ -3,7 +3,8 @@
 //! the multipliers.
 
 use ncgws::core::{
-    build_coupling, ConstraintBounds, LrsSolver, Multipliers, OrderingStrategy, SizingProblem,
+    build_coupling, ConstraintBounds, LrsOutcome, LrsSolver, Multipliers, OrderingStrategy,
+    RunControl, SizingEngine, SizingProblem,
 };
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use proptest::prelude::*;
@@ -26,6 +27,29 @@ fn loose_bounds() -> ConstraintBounds {
     }
 }
 
+/// One LRS solve from the lower bounds on a fresh engine, under the
+/// problem's constraint families and no run control.
+fn lrs_solve_cold(
+    solver: LrsSolver,
+    problem: &SizingProblem<'_>,
+    multipliers: &Multipliers,
+) -> LrsOutcome {
+    let mut engine = SizingEngine::for_problem(problem);
+    let mut sizes = problem.graph.minimum_sizes();
+    let stats = solver.solve_constrained(
+        &mut engine,
+        &problem.extras,
+        multipliers,
+        &mut sizes,
+        &RunControl::new(),
+    );
+    LrsOutcome {
+        sizes,
+        sweeps: stats.sweeps,
+        converged: stats.converged,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -44,7 +68,7 @@ proptest! {
         let mut multipliers = Multipliers::uniform(&inst.circuit, edge_scale, 0.0);
         multipliers.beta = beta;
         multipliers.gamma = gamma;
-        let outcome = LrsSolver::new(40, 1e-7).solve(&problem, &multipliers);
+        let outcome = lrs_solve_cold(LrsSolver::new(40, 1e-7), &problem, &multipliers);
         prop_assert!(inst.circuit.check_sizes(&outcome.sizes).is_ok());
         prop_assert!(outcome.sweeps >= 1);
     }
@@ -57,8 +81,8 @@ proptest! {
             SizingProblem::new(&inst.circuit, &ordering.coupling, loose_bounds()).expect("problem");
         let multipliers = Multipliers::uniform(&inst.circuit, 0.01, 0.5);
         let solver = LrsSolver::new(40, 1e-7);
-        let a = solver.solve(&problem, &multipliers);
-        let b = solver.solve(&problem, &multipliers);
+        let a = lrs_solve_cold(solver, &problem, &multipliers);
+        let b = lrs_solve_cold(solver, &problem, &multipliers);
         prop_assert_eq!(a.sizes, b.sizes);
     }
 
@@ -74,9 +98,10 @@ proptest! {
         let problem =
             SizingProblem::new(&inst.circuit, &ordering.coupling, loose_bounds()).expect("problem");
         let solver = LrsSolver::new(60, 1e-8);
-        let small = solver.solve(&problem, &Multipliers::uniform(&inst.circuit, low, 0.0));
-        let large =
-            solver.solve(&problem, &Multipliers::uniform(&inst.circuit, low * factor, 0.0));
+        let low_weights = Multipliers::uniform(&inst.circuit, low, 0.0);
+        let high_weights = Multipliers::uniform(&inst.circuit, low * factor, 0.0);
+        let small = lrs_solve_cold(solver, &problem, &low_weights);
+        let large = lrs_solve_cold(solver, &problem, &high_weights);
         prop_assert!(large.sizes.sum() >= small.sizes.sum() - 1e-9);
     }
 
@@ -92,9 +117,9 @@ proptest! {
             SizingProblem::new(&inst.circuit, &ordering.coupling, loose_bounds()).expect("problem");
         let solver = LrsSolver::new(60, 1e-8);
         let mut m = Multipliers::uniform(&inst.circuit, 0.05, 0.0);
-        let relaxed = solver.solve(&problem, &m);
+        let relaxed = lrs_solve_cold(solver, &problem, &m);
         m.beta = beta;
-        let constrained = solver.solve(&problem, &m);
+        let constrained = lrs_solve_cold(solver, &problem, &m);
         prop_assert!(constrained.sizes.sum() <= relaxed.sizes.sum() + 1e-9);
     }
 }

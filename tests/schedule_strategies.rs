@@ -14,9 +14,9 @@
 //! * warm and cold `Flow` runs honor the strategy and stay reproducible.
 
 use ncgws::core::{
-    build_coupling, AdaptiveSchedule, ConstraintBounds, Flow, LrsSolver, Multipliers,
-    OptimizerConfig, OrderingStrategy, ParallelPolicy, RunControl, SizedOutcome, SizingEngine,
-    SizingProblem, SolveStrategy,
+    build_coupling, AdaptiveSchedule, ConstraintBounds, ConstraintSet, Flow, LrsSolver,
+    Multipliers, OptimizerConfig, OrderingStrategy, ParallelPolicy, RunControl, SizedOutcome,
+    SizingEngine, SizingProblem, SolveStrategy, Start,
 };
 use ncgws::netlist::{
     iscas85_spec, xl_wide_spec, CircuitSpec, ProblemInstance, SyntheticGenerator,
@@ -108,7 +108,13 @@ proptest! {
         let solver = LrsSolver::new(400, 1e-10);
         let mut engine = SizingEngine::for_problem(&problem);
         let mut exact = inst.circuit.minimum_sizes();
-        let stats = solver.solve_with(&mut engine, &multipliers, &mut exact);
+        let stats = solver.solve_constrained(
+            &mut engine,
+            &ConstraintSet::new(),
+            &multipliers,
+            &mut exact,
+            &RunControl::new(),
+        );
         prop_assert!(stats.converged, "exact solve must converge");
 
         // Warm solve from an arbitrary uniform seed, active set on.
@@ -255,7 +261,10 @@ proptest! {
             .expect("sizing");
         prop_assert_eq!(a.sizes(), c.sizes(), "engine reuse must not leak state");
 
-        let warm = ordered.size_warm(a.sizes()).expect("warm sizing");
+        let start = Some(Start::Warm(a.sizes()));
+        let warm = ordered
+            .size_with_engine(&mut ordered.engine(), start, &RunControl::new())
+            .expect("warm sizing");
         prop_assert!(warm.report.iterations <= a.report.iterations);
         if a.report.feasible {
             prop_assert!(warm.report.feasible);

@@ -14,7 +14,7 @@
 //! * **fault injection**: a server fed budget-killed and cancelled jobs
 //!   drains with every job accounted for.
 
-use ncgws::core::{OptimizerConfig, RunControl, StopReason};
+use ncgws::core::{OptimizerConfig, RunControl, Start, StopReason};
 use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::{
     CheckpointPolicy, Flow, JobInput, JobSpec, Server, ServerConfig, Snapshot, SnapshotStore,
@@ -71,11 +71,12 @@ fn kill_and_resume(
     let control = RunControl::new()
         .with_iteration_budget(k)
         .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
-    let killed = Flow::prepare(inst, config.clone())
+    let ordered = Flow::prepare(inst, config.clone())
         .expect("prepare")
         .order()
-        .expect("order")
-        .size_with(&control)
+        .expect("order");
+    let killed = ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
         .expect("killed run");
     assert_eq!(killed.report.stop_reason, StopReason::BudgetExhausted);
 
@@ -85,11 +86,16 @@ fn kill_and_resume(
     // The snapshot must survive its own JSON form exactly.
     let snapshot = Snapshot::from_json(&snapshot.to_json()).expect("snapshot JSON parses");
 
-    let resumed = Flow::prepare(inst, config.clone())
+    let ordered = Flow::prepare(inst, config.clone())
         .expect("prepare")
         .order()
-        .expect("order")
-        .size_resume(&snapshot, &RunControl::new())
+        .expect("order");
+    let resumed = ordered
+        .size_with_engine(
+            &mut ordered.engine(),
+            Some(Start::Resume(&snapshot)),
+            &RunControl::new(),
+        )
         .expect("resumed run");
     (cold, snapshot, resumed)
 }
@@ -210,11 +216,12 @@ fn snapshot_json_round_trip_is_exact() {
     let control = RunControl::new()
         .with_iteration_budget(3)
         .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
-    Flow::prepare(&inst, quick_config())
+    let ordered = Flow::prepare(&inst, quick_config())
         .expect("prepare")
         .order()
-        .expect("order")
-        .size_with(&control)
+        .expect("order");
+    ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
         .expect("killed run");
     let snapshot = store.take().expect("snapshot captured");
 

@@ -76,11 +76,12 @@ fn mid_run_snapshot(seed: u64, k: usize) -> Snapshot {
     let control = RunControl::new()
         .with_iteration_budget(k)
         .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
-    Flow::prepare(&inst, quick_config())
+    let ordered = Flow::prepare(&inst, quick_config())
         .expect("prepare")
         .order()
-        .expect("order")
-        .size_with(&control)
+        .expect("order");
+    ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
         .expect("killed run");
     store.take().expect("on-interrupt snapshot captured")
 }

@@ -54,11 +54,12 @@ fn mutation_fixture() -> &'static (ProblemInstance, String) {
         let control = RunControl::new()
             .with_iteration_budget(2)
             .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
-        Flow::prepare(&inst, quick_config())
+        let ordered = Flow::prepare(&inst, quick_config())
             .expect("prepare")
             .order()
-            .expect("order")
-            .size_with(&control)
+            .expect("order");
+        ordered
+            .size_with_engine(&mut ordered.engine(), None, &control)
             .expect("killed run");
         let json = store.take().expect("snapshot captured").to_json();
         (inst, json)
