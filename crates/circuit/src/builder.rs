@@ -1,7 +1,7 @@
 //! Incremental construction of [`CircuitGraph`]s.
 
 use crate::error::CircuitError;
-use crate::graph::{AdjacencyFill, CircuitGraph, NodeColumns, MAX_NODES};
+use crate::graph::{overrides_default, AdjacencyFill, CircuitGraph, NodeColumns, MAX_NODES};
 use crate::id::NodeId;
 use crate::names::{first_repeat, NameTable};
 use crate::node::{GateKind, Node, NodeAttrs, NodeKind};
@@ -126,7 +126,8 @@ pub struct CircuitBuilder {
     /// and zero for a gate.
     param: Vec<f64>,
     /// `set_size_bounds` overrides `(component, lower, upper)`, in call
-    /// order; `build` applies them after writing the nodes.
+    /// order; `build` gives each component the last of its own, and the
+    /// graph keeps those that differ from the technology's range.
     bounds: Vec<(u32, f64, f64)>,
     /// `names.get(i)` is the name of component `i`.
     names: NameTable,
@@ -261,7 +262,10 @@ impl CircuitBuilder {
         Ok(self.push_node(NodeKind::Wire, length))
     }
 
-    /// Overrides the size bounds of a sizable component.
+    /// Overrides the size bounds of a sizable component. Of several calls
+    /// for one component the last wins; bounds equal to the technology's
+    /// `[min_size, max_size]` are the default, and the graph stores no
+    /// override for them.
     ///
     /// # Errors
     ///
@@ -409,7 +413,7 @@ impl CircuitBuilder {
             tech,
             kinds,
             param,
-            bounds,
+            mut bounds,
             names,
             wire_driver,
             edges,
@@ -559,10 +563,24 @@ impl CircuitBuilder {
         graph_names.push(SINK_NAME)?;
         drop(names);
 
+        // The size-bound overrides by component number, the last call for
+        // a component winning: reversed, the calls stay latest first within
+        // each component through the stable sort, and the dedup keeps the
+        // first of each run.
+        bounds.reverse();
+        bounds.sort_by_key(|&(old, _, _)| old);
+        bounds.dedup_by_key(|&mut (old, _, _)| old);
+        // A component left at the technology's range needs no override.
+        let sizable = (tech.min_size, tech.max_size);
+        bounds.retain(|&(old, lower, upper)| {
+            overrides_default(kinds[old as usize], (lower, upper), sizable)
+        });
+
         // The node columns, in the new indexing, in one pass: each node's
         // attributes are computed from its kind and parameter as it is
-        // written, then the size-bound overrides are applied in call order.
-        let mut columns = NodeColumns::with_capacity(total + 2, num_outputs);
+        // written, its size bounds overridden by its last
+        // `set_size_bounds` call.
+        let mut columns = NodeColumns::with_capacity(total + 2, num_outputs, bounds.len(), &tech);
         let artificial = |kind| Node {
             kind,
             attrs: NodeAttrs::artificial(),
@@ -577,6 +595,9 @@ impl CircuitBuilder {
                 // The builder adds only drivers, gates and wires.
                 _ => NodeAttrs::wire(&tech, param[old]),
             };
+            if let Ok(at) = bounds.binary_search_by_key(&(old as u32), |&(o, _, _)| o) {
+                (attrs.lower_bound, attrs.upper_bound) = (bounds[at].1, bounds[at].2);
+            }
             if is_output(old) {
                 let load = output_loads[old];
                 attrs.output_load = if load > 0.0 {
@@ -588,12 +609,7 @@ impl CircuitBuilder {
             columns.push(Node { kind, attrs });
         }
         columns.push(artificial(NodeKind::Sink));
-        drop((kinds, param, output_loads, order));
-        for (old, lower, upper) in bounds {
-            let id = ids[old as usize].index();
-            columns.lower_bound[id] = lower;
-            columns.upper_bound[id] = upper;
-        }
+        drop((kinds, param, output_loads, order, bounds));
 
         let graph =
             CircuitGraph::from_parts(columns, graph_names, new_fanin, new_fanout, tech, s, n);

@@ -29,7 +29,8 @@ pub enum CircuitError {
     DanglingInput(NodeId),
     /// A component has no fanout (other than primary outputs, which feed the sink).
     DanglingOutput(NodeId),
-    /// A numeric parameter was non-positive or non-finite where it must be positive.
+    /// A numeric parameter was not finite or out of its range: not positive,
+    /// or for a fringing capacitance or an output load, negative.
     InvalidParameter {
         /// Name of the offending parameter.
         name: &'static str,
@@ -92,7 +93,7 @@ impl fmt::Display for CircuitError {
             CircuitError::InvalidParameter { name, value } => {
                 write!(
                     f,
-                    "parameter {name} must be positive and finite, got {value}"
+                    "parameter {name} is not finite or out of its range, got {value}"
                 )
             }
             CircuitError::SizeLengthMismatch { expected, actual } => {

@@ -152,13 +152,19 @@ impl AdjacencyFill {
 /// `resistance` merges the two resistances no kind has both of: `r̂` for
 /// gates and wires, `R_D` for drivers and zero for the source and sink.
 /// Likewise `unit_capacitance` is zero off the gates and wires and
-/// `fringing` zero off the wires.
+/// `fringing` zero off the wires. That is 33 bytes per node.
 ///
 /// The primary-output loads are sparse: only the few nodes that drive the
 /// sink carry one, so `output_loads` holds `(node, load)` pairs, sorted by
 /// node, for exactly the nodes whose load is not bit-zero (`-0.0` is
 /// kept). A load on a node that does not drive the sink, which a decoded
 /// graph may carry, is kept the same way.
+///
+/// The size bounds are sparse the same way. A node's bounds default to
+/// its kind's: the technology's `[min_size, max_size]` for gates and wires
+/// (`sizable_bounds`) and `[0, 0]` for every other kind. `bound_overrides`
+/// holds `(node, lower, upper)`, sorted by node, for exactly the nodes
+/// whose bounds differ bit for bit from that default.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeColumns {
     pub(crate) kind: Vec<NodeKind>,
@@ -166,34 +172,76 @@ pub(crate) struct NodeColumns {
     pub(crate) unit_capacitance: Vec<f64>,
     pub(crate) fringing: Vec<f64>,
     pub(crate) area_coefficient: Vec<f64>,
-    pub(crate) lower_bound: Vec<f64>,
-    pub(crate) upper_bound: Vec<f64>,
     output_loads: Vec<(NodeId, f64)>,
+    sizable_bounds: (f64, f64),
+    bound_overrides: Vec<(NodeId, f64, f64)>,
+}
+
+/// The default size bounds of a node of `kind`: `sizable`, the
+/// technology's range, for gates and wires and `(0, 0)` for the others.
+fn default_bounds(kind: NodeKind, sizable: (f64, f64)) -> (f64, f64) {
+    if kind.is_sizable() {
+        sizable
+    } else {
+        (0.0, 0.0)
+    }
+}
+
+/// `true` when `bounds` of a node of `kind` differ bit for bit from the
+/// kind's default, gates and wires defaulting to `sizable`: exactly the
+/// bounds a graph keeps as an override.
+pub(crate) fn overrides_default(kind: NodeKind, bounds: (f64, f64), sizable: (f64, f64)) -> bool {
+    let default = default_bounds(kind, sizable);
+    bounds.0.to_bits() != default.0.to_bits() || bounds.1.to_bits() != default.1.to_bits()
+}
+
+/// The override of raw node `i` in a sorted override list, or `None`: no
+/// search when the list is empty, one binary search otherwise.
+#[inline(always)]
+fn find_override(overrides: &[(NodeId, f64, f64)], i: usize) -> Option<(f64, f64)> {
+    if overrides.is_empty() {
+        return None;
+    }
+    overrides
+        .binary_search_by_key(&i, |&(id, _, _)| id.index())
+        .ok()
+        .map(|at| (overrides[at].1, overrides[at].2))
 }
 
 impl NodeColumns {
     /// Empty columns with room for `n` nodes, `loads` of them with an
-    /// output load.
-    pub(crate) fn with_capacity(n: usize, loads: usize) -> Self {
+    /// output load and `overrides` with bounds other than their kind's
+    /// default, whose gates and wires default to `tech`'s size range.
+    pub(crate) fn with_capacity(
+        n: usize,
+        loads: usize,
+        overrides: usize,
+        tech: &Technology,
+    ) -> Self {
         NodeColumns {
             kind: Vec::with_capacity(n),
             resistance: Vec::with_capacity(n),
             unit_capacitance: Vec::with_capacity(n),
             fringing: Vec::with_capacity(n),
             area_coefficient: Vec::with_capacity(n),
-            lower_bound: Vec::with_capacity(n),
-            upper_bound: Vec::with_capacity(n),
             output_loads: Vec::with_capacity(loads),
+            sizable_bounds: (tech.min_size, tech.max_size),
+            bound_overrides: Vec::with_capacity(overrides),
         }
     }
 
     /// Appends `node`. An attribute its kind does not have is dropped (see
-    /// `Node::attribute_of_another_kind`).
+    /// `Node::attribute_of_another_kind`), and its size bounds are kept
+    /// only when they are not its kind's default.
     pub(crate) fn push(&mut self, node: Node) {
         let Node { kind, attrs } = node;
+        let id = NodeId::new(self.kind.len());
         if attrs.output_load.to_bits() != 0 {
-            self.output_loads
-                .push((NodeId::new(self.kind.len()), attrs.output_load));
+            self.output_loads.push((id, attrs.output_load));
+        }
+        let bounds = (attrs.lower_bound, attrs.upper_bound);
+        if overrides_default(kind, bounds, self.sizable_bounds) {
+            self.bound_overrides.push((id, bounds.0, bounds.1));
         }
         self.kind.push(kind);
         self.resistance.push(match kind {
@@ -212,8 +260,6 @@ impl NodeColumns {
             0.0
         });
         self.area_coefficient.push(attrs.area_coefficient);
-        self.lower_bound.push(attrs.lower_bound);
-        self.upper_bound.push(attrs.upper_bound);
     }
 
     /// The output load of node `i`: one binary search of the load list.
@@ -223,11 +269,19 @@ impl NodeColumns {
             .map_or(0.0, |at| self.output_loads[at].1)
     }
 
+    /// The size bounds `(L, U)` of node `i`: its override, or its kind's
+    /// default.
+    fn size_bounds(&self, i: usize) -> (f64, f64) {
+        find_override(&self.bound_overrides, i)
+            .unwrap_or_else(|| default_bounds(self.kind[i], self.sizable_bounds))
+    }
+
     /// Node `i`, reassembled, with `output_load` as its load.
     fn get(&self, i: usize, output_load: f64) -> Node {
         let kind = self.kind[i];
         let resistance = self.resistance[i];
         let only = |owned: bool| if owned { resistance } else { 0.0 };
+        let (lower_bound, upper_bound) = self.size_bounds(i);
         Node {
             kind,
             attrs: NodeAttrs {
@@ -235,8 +289,8 @@ impl NodeColumns {
                 unit_capacitance: self.unit_capacitance[i],
                 fringing_capacitance: self.fringing[i],
                 area_coefficient: self.area_coefficient[i],
-                lower_bound: self.lower_bound[i],
-                upper_bound: self.upper_bound[i],
+                lower_bound,
+                upper_bound,
                 driver_resistance: only(kind.is_driver()),
                 output_load,
             },
@@ -253,11 +307,62 @@ impl NodeColumns {
             + (self.resistance.capacity()
                 + self.unit_capacitance.capacity()
                 + self.fringing.capacity()
-                + self.area_coefficient.capacity()
-                + self.lower_bound.capacity()
-                + self.upper_bound.capacity())
+                + self.area_coefficient.capacity())
                 * size_of::<f64>()
             + self.output_loads.capacity() * size_of::<(NodeId, f64)>()
+            + self.bound_overrides.capacity() * size_of::<(NodeId, f64, f64)>()
+    }
+}
+
+/// The size bounds `[L_i, U_i]` of a graph's components, indexed by dense
+/// component index (`0..n`), borrowed from the graph by
+/// [`CircuitGraph::component_bounds`].
+///
+/// The graph stores no bound per component: every component's bounds are
+/// the technology's `[min_size, max_size]` unless the graph holds an
+/// override for it. So [`get`](Self::get) costs no search when the
+/// circuit has no component override (every generated one), and one
+/// binary search of the overrides when it does.
+#[derive(Debug, Clone, Copy)]
+pub struct SizeBounds<'a> {
+    default: (f64, f64),
+    /// The graph's overrides on components, sorted by raw node index.
+    overrides: &'a [(NodeId, f64, f64)],
+    /// The raw node index of component `0`.
+    first: usize,
+    len: usize,
+}
+
+impl SizeBounds<'_> {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` for a circuit without components.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of components whose bounds are not the technology's range.
+    pub fn num_overrides(&self) -> usize {
+        self.overrides.len()
+    }
+
+    /// The components' overrides `(node, lower, upper)`, sorted by node.
+    pub(crate) fn overrides(&self) -> &[(NodeId, f64, f64)] {
+        self.overrides
+    }
+
+    /// The bounds `(L_i, U_i)` of component `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`len`](Self::len).
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> (f64, f64) {
+        assert!(i < self.len, "component {i} out of range");
+        find_override(self.overrides, self.first + i).unwrap_or(self.default)
     }
 }
 
@@ -281,7 +386,13 @@ impl NodeColumns {
 /// primary-output loads are the exception: only the sink's drivers carry
 /// one, so they are kept sparse, as `(node, load)` pairs sorted by node for
 /// the nodes whose load is not bit-zero, and read with
-/// [`output_load`](Self::output_load) by binary search. Every
+/// [`output_load`](Self::output_load) by binary search. The size bounds are
+/// sparse too: a node's bounds are its kind's default (the technology's
+/// `[min_size, max_size]` for gates and wires, `[0, 0]` otherwise) unless
+/// the graph holds a `(node, lower, upper)` override for it, which it does
+/// only for bounds that differ from the default bit for bit; read them with
+/// [`size_bounds`](Self::size_bounds) or, per component,
+/// [`component_bounds`](Self::component_bounds). Every
 /// node name is stored once, back to back with the others in one string
 /// indexed by 32-bit offsets and read with [`name`](Self::name); there is no
 /// separate name index.
@@ -422,16 +533,21 @@ impl CircuitGraph {
     /// Reassembles a graph from untrusted serialized parts (the read side of
     /// the serve crate's durable job journal), validating everything the
     /// builder normally guarantees: consistent vector lengths, in-range
-    /// edge endpoints, mirrored fanin/fanout lists, unique node names, and
-    /// the structural invariants of [`validate`](crate::validate::validate),
-    /// and last that no node carries an attribute its kind does not have.
+    /// edge endpoints, mirrored fanin/fanout lists, unique node names, the
+    /// structural invariants and attribute ranges of
+    /// [`validate`](crate::validate::validate), and last that no node
+    /// carries an attribute its kind does not have. Size bounds equal to
+    /// their kind's default are not stored; any others are kept as
+    /// overrides, so the graph re-encodes byte for byte.
     /// `names[i]` is the name of node `i`; the names are copied into one
     /// table, and the nodes into the graph's columns.
     ///
     /// # Errors
     ///
-    /// Returns the first violated invariant as a [`CircuitError`]; an
-    /// attribute of another kind (a driver's `unit_resistance`, a gate's or
+    /// Returns the first violated invariant as a [`CircuitError`]: a
+    /// physical attribute out of its range (a negative unit resistance, say)
+    /// is [`CircuitError::InvalidParameter`] naming it, and an attribute of
+    /// another kind (a driver's `unit_resistance`, a gate's or
     /// wire's `driver_resistance`, a `unit_capacitance` off the gates and
     /// wires, a `fringing_capacitance` off the wires, or a resistance on
     /// the source or sink) is [`CircuitError::AttributeOfAnotherKind`].
@@ -528,7 +644,15 @@ impl CircuitGraph {
             .iter()
             .filter(|node| node.attrs.output_load.to_bits() != 0)
             .count();
-        let mut columns = NodeColumns::with_capacity(n, loads);
+        let sizable = (tech.min_size, tech.max_size);
+        let overrides = nodes
+            .iter()
+            .filter(|node| {
+                let bounds = (node.attrs.lower_bound, node.attrs.upper_bound);
+                overrides_default(node.kind, bounds, sizable)
+            })
+            .count();
+        let mut columns = NodeColumns::with_capacity(n, loads, overrides, &tech);
         let mut foreign = None;
         for (i, node) in nodes.into_iter().enumerate() {
             if foreign.is_none() {
@@ -601,8 +725,9 @@ impl CircuitGraph {
 
     /// The node data for `id`, reassembled from the node columns. Its
     /// output load costs one binary search of the load list (see
-    /// [`output_load`](Self::output_load)); a loop over every node that
-    /// needs no load reads the columns instead.
+    /// [`output_load`](Self::output_load)), and its size bounds one of the
+    /// override list when the graph holds any; a loop over every node that
+    /// needs neither reads the columns instead.
     ///
     /// # Panics
     ///
@@ -640,14 +765,33 @@ impl CircuitGraph {
         &self.nodes.area_coefficient
     }
 
-    /// The lower size bound `L` of every node.
-    pub fn lower_bounds(&self) -> &[f64] {
-        &self.nodes.lower_bound
+    /// The size bounds `(L, U)` of node `id`: the technology's
+    /// `(min_size, max_size)` for a gate or wire and `(0, 0)` for any other
+    /// node, unless the graph holds an override for it (see
+    /// [`component_bounds`](Self::component_bounds)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range, as [`node`](Self::node) does.
+    pub fn size_bounds(&self, id: NodeId) -> (f64, f64) {
+        self.nodes.size_bounds(id.index())
     }
 
-    /// The upper size bound `U` of every node.
-    pub fn upper_bounds(&self) -> &[f64] {
-        &self.nodes.upper_bound
+    /// The size bounds of the components, by dense component index. The
+    /// graph keeps no bound per component, only the overrides that differ
+    /// from the technology's `[min_size, max_size]`, so this view is a few
+    /// words and reads a bound without a search when there are none.
+    pub fn component_bounds(&self) -> SizeBounds<'_> {
+        let components = self.component_range();
+        let overrides = &self.nodes.bound_overrides;
+        let start = overrides.partition_point(|&(id, _, _)| id.index() < components.start);
+        let end = overrides.partition_point(|&(id, _, _)| id.index() < components.end);
+        SizeBounds {
+            default: self.nodes.sizable_bounds,
+            overrides: &overrides[start..end],
+            first: components.start,
+            len: components.len(),
+        }
     }
 
     /// The primary-output load `C_L` of node `id`: zero unless it drives a
@@ -662,6 +806,12 @@ impl CircuitGraph {
     pub fn output_load(&self, id: NodeId) -> f64 {
         assert!(id.index() < self.nodes.len(), "node {id} out of range");
         self.nodes.output_load(id.index())
+    }
+
+    /// The graph's output loads `(node, load)`, sorted by node, for the
+    /// nodes whose load is not bit-zero.
+    pub(crate) fn output_load_list(&self) -> &[(NodeId, f64)] {
+        &self.nodes.output_loads
     }
 
     /// The unique name of node `id`.
@@ -782,24 +932,26 @@ impl CircuitGraph {
     /// A [`SizeVector`] with every sizable component at the given size,
     /// clamped into its bounds.
     pub fn uniform_sizes(&self, size: f64) -> SizeVector {
-        let components = self.component_range();
-        let values = self.nodes.lower_bound[components.clone()]
-            .iter()
-            .zip(&self.nodes.upper_bound[components])
-            .map(|(&lower, &upper)| size.clamp(lower, upper))
-            .collect();
-        SizeVector::new(values)
+        let bounds = self.component_bounds();
+        (0..bounds.len())
+            .map(|i| {
+                let (lower, upper) = bounds.get(i);
+                size.clamp(lower, upper)
+            })
+            .collect()
     }
 
     /// A [`SizeVector`] with every component at its lower bound (the LRS
     /// subroutine's starting point, step S1 of Figure 8).
     pub fn minimum_sizes(&self) -> SizeVector {
-        SizeVector::new(self.nodes.lower_bound[self.component_range()].to_vec())
+        let bounds = self.component_bounds();
+        (0..bounds.len()).map(|i| bounds.get(i).0).collect()
     }
 
     /// A [`SizeVector`] with every component at its upper bound.
     pub fn maximum_sizes(&self) -> SizeVector {
-        SizeVector::new(self.nodes.upper_bound[self.component_range()].to_vec())
+        let bounds = self.component_bounds();
+        (0..bounds.len()).map(|i| bounds.get(i).1).collect()
     }
 
     /// The raw node indices of the components (`s+1..=n+s`), in dense
@@ -851,6 +1003,7 @@ impl CircuitGraph {
             });
         }
         const TOL: f64 = 1e-9;
+        let bounds = self.component_bounds();
         for (idx, &x) in sizes.iter().enumerate() {
             if !x.is_finite() || x <= 0.0 {
                 return Err(CircuitError::InvalidParameter {
@@ -858,14 +1011,10 @@ impl CircuitGraph {
                     value: x,
                 });
             }
-            let id = self.component_id(idx);
-            let (lower, upper) = (
-                self.nodes.lower_bound[id.index()],
-                self.nodes.upper_bound[id.index()],
-            );
+            let (lower, upper) = bounds.get(idx);
             if x < lower - TOL || x > upper + TOL {
                 return Err(CircuitError::InvalidBounds {
-                    node: id,
+                    node: self.component_id(idx),
                     lower,
                     upper,
                 });
@@ -880,8 +1029,9 @@ impl CircuitGraph {
     }
 
     /// An estimate (in bytes) of the memory held by this graph's data
-    /// structures, used by the Figure 10(a) reproduction: the node columns,
-    /// the name string and its offsets, and the two compressed adjacency
+    /// structures, used by the Figure 10(a) reproduction: the node columns
+    /// with the load and size-bound override lists, the name string and
+    /// its offsets, and the two compressed adjacency
     /// arrays (one offset per node plus one entry per edge, in each
     /// direction).
     pub fn memory_bytes(&self) -> usize {
@@ -1209,6 +1359,211 @@ mod tests {
             reassemble(&c, (nodes, names, fanin, fanout)),
             Err(CircuitError::InvalidConnection { .. })
         ));
+    }
+
+    #[test]
+    fn serialized_parts_reject_physical_attributes_out_of_range() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let c = tiny();
+        type Set = fn(&mut NodeAttrs, f64);
+        let cases: [(usize, &str, Set, f64); 10] = [
+            (3, "unit_resistance", |a, v| a.unit_resistance = v, -10.0),
+            (2, "unit_resistance", |a, v| a.unit_resistance = v, 0.0),
+            (3, "unit_capacitance", |a, v| a.unit_capacitance = v, -0.16),
+            (
+                4,
+                "unit_capacitance",
+                |a, v| a.unit_capacitance = v,
+                f64::INFINITY,
+            ),
+            (3, "area_coefficient", |a, v| a.area_coefficient = v, -4.0),
+            (2, "area_coefficient", |a, v| a.area_coefficient = v, 0.0),
+            (
+                2,
+                "fringing_capacitance",
+                |a, v| a.fringing_capacitance = v,
+                -0.4,
+            ),
+            (
+                1,
+                "driver_resistance",
+                |a, v| a.driver_resistance = v,
+                -100.0,
+            ),
+            (4, "output_load", |a, v| a.output_load = v, -5.0),
+            (3, "output_load", |a, v| a.output_load = v, f64::NAN),
+        ];
+        for (idx, name, set, value) in cases {
+            let (mut nodes, names, fanin, fanout) = parts(&c);
+            set(&mut nodes[idx].attrs, value);
+            let err = reassemble(&c, (nodes, names, fanin, fanout)).unwrap_err();
+            assert!(
+                matches!(err, CircuitError::InvalidParameter { name: n, value: v }
+                    if n == name && v.to_bits() == value.to_bits()),
+                "node {idx} with {name} {value}: {err:?}"
+            );
+        }
+        // Zero is in range where the attribute may be zero, `-0.0` too.
+        for (idx, set) in [
+            (2, (|a, v| a.fringing_capacitance = v) as Set),
+            (3, |a, v| a.output_load = v),
+        ] {
+            for value in [0.0, -0.0] {
+                let (mut nodes, names, fanin, fanout) = parts(&c);
+                set(&mut nodes[idx].attrs, value);
+                reassemble(&c, (nodes, names, fanin, fanout)).unwrap();
+            }
+        }
+        // A component's override is checked like the builder's arguments.
+        let (mut nodes, names, fanin, fanout) = parts(&c);
+        (nodes[3].attrs.lower_bound, nodes[3].attrs.upper_bound) = (2.0, 1.0);
+        assert_eq!(
+            reassemble(&c, (nodes, names, fanin, fanout)),
+            Err(CircuitError::InvalidBounds {
+                node: NodeId::new(3),
+                lower: 2.0,
+                upper: 1.0
+            })
+        );
+        let (mut nodes, names, fanin, fanout) = parts(&c);
+        nodes[2].attrs.lower_bound = -1.0;
+        assert!(matches!(
+            reassemble(&c, (nodes, names, fanin, fanout)),
+            Err(CircuitError::InvalidParameter {
+                name: "lower_bound",
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn bound_overrides_keep_the_last_call_and_drop_defaults() {
+        // d -> w1 -> g1 -> w2 -> output and g1 -> w3 -> output.
+        let tech = Technology::dac99();
+        let mut b = CircuitBuilder::new(tech);
+        let d = b.add_driver("in", 100.0).unwrap();
+        let w1 = b.add_wire("w1", 40.0).unwrap();
+        let g1 = b.add_gate("g1", GateKind::Inv).unwrap();
+        let w2 = b.add_wire("w2", 60.0).unwrap();
+        let w3 = b.add_wire("w3", 30.0).unwrap();
+        b.connect(d, w1).unwrap();
+        b.connect(w1, g1).unwrap();
+        b.connect(g1, w2).unwrap();
+        b.connect(g1, w3).unwrap();
+        b.connect_output(w2, 5.0).unwrap();
+        b.connect_output(w3, 5.0).unwrap();
+        // g1: the second call wins. w1: equal to the default, not stored.
+        // w2: overridden, then set back to the default. w3: once.
+        b.set_size_bounds(g1, 0.2, 3.0).unwrap();
+        b.set_size_bounds(w1, tech.min_size, tech.max_size).unwrap();
+        b.set_size_bounds(w2, 0.3, 4.0).unwrap();
+        b.set_size_bounds(g1, 0.5, 2.0).unwrap();
+        b.set_size_bounds(w3, 0.25, 0.75).unwrap();
+        b.set_size_bounds(w2, tech.min_size, tech.max_size).unwrap();
+        let (c, ids) = b.build_mapped().unwrap();
+        let (g1, w3) = (ids[g1.index()], ids[w3.index()]);
+        let stored: Vec<_> = c.nodes.bound_overrides.clone();
+        let mut expected = vec![(g1, 0.5, 2.0), (w3, 0.25, 0.75)];
+        expected.sort_by_key(|&(id, _, _)| id);
+        assert_eq!(stored, expected);
+        assert_eq!(c.component_bounds().num_overrides(), 2);
+
+        // Every reader agrees with a dense table built from `node(i)`.
+        let dense: Vec<(f64, f64)> = c
+            .component_ids()
+            .map(|id| (c.node(id).attrs.lower_bound, c.node(id).attrs.upper_bound))
+            .collect();
+        let bounds = c.component_bounds();
+        for (i, id) in c.component_ids().enumerate() {
+            assert_eq!(bounds.get(i), dense[i]);
+            assert_eq!(c.size_bounds(id), dense[i]);
+        }
+        for id in [c.source(), NodeId::new(1), c.sink()] {
+            assert_eq!(c.size_bounds(id), (0.0, 0.0));
+            let attrs = c.node(id).attrs;
+            assert_eq!((attrs.lower_bound, attrs.upper_bound), (0.0, 0.0));
+        }
+        let lower: Vec<f64> = dense.iter().map(|b| b.0).collect();
+        let upper: Vec<f64> = dense.iter().map(|b| b.1).collect();
+        assert_eq!(c.minimum_sizes().as_slice(), lower);
+        assert_eq!(c.maximum_sizes().as_slice(), upper);
+        for size in [0.05_f64, 0.3, 1.0, 2.5, 50.0] {
+            let clamped: Vec<f64> = dense.iter().map(|b| size.clamp(b.0, b.1)).collect();
+            assert_eq!(c.uniform_sizes(size).as_slice(), clamped);
+            assert!(c.check_sizes(&c.uniform_sizes(size)).is_ok());
+        }
+        let g1_dense = c.component_index(g1).unwrap();
+        let mut sizes = c.uniform_sizes(1.0);
+        sizes[g1_dense] = 2.5;
+        assert_eq!(
+            c.check_sizes(&sizes),
+            Err(CircuitError::InvalidBounds {
+                node: g1,
+                lower: 0.5,
+                upper: 2.0
+            })
+        );
+
+        // The list is counted: 24 bytes an override, on top of the same
+        // graph without them.
+        let plain = tiny_pair();
+        assert_eq!(c.memory_bytes() - plain.memory_bytes(), 2 * 24);
+    }
+
+    /// `bound_overrides_keep_the_last_call_and_drop_defaults`'s circuit
+    /// without overrides.
+    fn tiny_pair() -> CircuitGraph {
+        let mut b = CircuitBuilder::new(Technology::dac99());
+        let d = b.add_driver("in", 100.0).unwrap();
+        let w1 = b.add_wire("w1", 40.0).unwrap();
+        let g1 = b.add_gate("g1", GateKind::Inv).unwrap();
+        let w2 = b.add_wire("w2", 60.0).unwrap();
+        let w3 = b.add_wire("w3", 30.0).unwrap();
+        b.connect(d, w1).unwrap();
+        b.connect(w1, g1).unwrap();
+        b.connect(g1, w2).unwrap();
+        b.connect(g1, w3).unwrap();
+        b.connect_output(w2, 5.0).unwrap();
+        b.connect_output(w3, 5.0).unwrap();
+        b.build().unwrap()
+    }
+
+    /// Bounds the builder never writes still decode, reassemble and round
+    /// trip byte-identically: overrides on a gate and a wire, and a driver's
+    /// `-0.0`, which is not bit-zero and so is kept as an override.
+    #[test]
+    fn bound_overrides_round_trip_byte_for_byte() {
+        // tiny(): ~s(0) -> in(1) -> w1(2) -> g1(3) -> w2(4) -> ~t(5).
+        let c = tiny();
+        let (mut nodes, names, fanin, fanout) = parts(&c);
+        (nodes[3].attrs.lower_bound, nodes[3].attrs.upper_bound) = (0.5, 2.0);
+        nodes[2].attrs.upper_bound = 7.5;
+        nodes[1].attrs.lower_bound = -0.0;
+        let graph = CircuitGraph::from_serialized_parts(
+            nodes.clone(),
+            &names,
+            fanin,
+            fanout,
+            *c.technology(),
+            c.num_drivers(),
+            c.num_components(),
+        )
+        .unwrap();
+        assert_eq!(graph.nodes.bound_overrides.len(), 3);
+        assert_eq!(graph.component_bounds().num_overrides(), 2);
+        let json = to_json(&graph);
+        assert!(json.contains(r#""lower_bound":-0.0"#), "{json}");
+        assert!(json.contains(r#""upper_bound":7.5"#), "{json}");
+        let decoded = CircuitGraph::deserialize_json(&serde::de::parse(&json).unwrap()).unwrap();
+        assert_eq!(to_json(&decoded), json);
+        for g in [&graph, &decoded] {
+            for (id, node) in g.node_ids().zip(&nodes) {
+                assert_eq!(g.node(id), *node, "{}", g.name(id));
+                let (lower, upper) = g.size_bounds(id);
+                assert_eq!(lower.to_bits(), node.attrs.lower_bound.to_bits());
+                assert_eq!(upper.to_bits(), node.attrs.upper_bound.to_bits());
+            }
+        }
     }
 
     #[test]

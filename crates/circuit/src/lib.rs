@@ -83,7 +83,7 @@ pub use engine::{
     NO_PRED,
 };
 pub use error::CircuitError;
-pub use graph::CircuitGraph;
+pub use graph::{CircuitGraph, SizeBounds};
 pub use id::NodeId;
 pub use node::{GateKind, Node, NodeAttrs, NodeKind};
 pub use power::{total_capacitance, total_power};

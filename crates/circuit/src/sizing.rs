@@ -4,6 +4,8 @@ use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 
+use crate::graph::SizeBounds;
+
 /// A dense vector of component sizes `x = (x_{s+1}, …, x_{n+s})`, indexed by
 /// the dense component index (`0..n`) of a
 /// [`CircuitGraph`](crate::CircuitGraph).
@@ -108,16 +110,16 @@ impl SizeVector {
             .fold(0.0, f64::max)
     }
 
-    /// Element-wise clamp into `[lower[i], upper[i]]`.
+    /// Element-wise clamp into each component's bounds `[L_i, U_i]`.
     ///
     /// # Panics
     ///
-    /// Panics if the bound slices have a different length.
-    pub fn clamp_into(&mut self, lower: &[f64], upper: &[f64]) {
-        assert_eq!(self.len(), lower.len());
-        assert_eq!(self.len(), upper.len());
+    /// Panics if `bounds` covers a different number of components.
+    pub fn clamp_into(&mut self, bounds: SizeBounds<'_>) {
+        assert_eq!(self.len(), bounds.len());
         for (i, v) in self.values.iter_mut().enumerate() {
-            *v = v.clamp(lower[i], upper[i]);
+            let (lower, upper) = bounds.get(i);
+            *v = v.clamp(lower, upper);
         }
     }
 
@@ -213,9 +215,22 @@ mod tests {
 
     #[test]
     fn clamp_into_bounds() {
+        // d -> w0 -> g -> w1 -> output, all at the technology's [0.1, 10]
+        // but g, which is overridden to [0.5, 2].
+        let mut b = crate::CircuitBuilder::new(crate::Technology::dac99());
+        let d = b.add_driver("d", 100.0).unwrap();
+        let w0 = b.add_wire("w0", 10.0).unwrap();
+        let g = b.add_gate("g", crate::GateKind::Inv).unwrap();
+        let w1 = b.add_wire("w1", 10.0).unwrap();
+        b.connect(d, w0).unwrap();
+        b.connect(w0, g).unwrap();
+        b.connect(g, w1).unwrap();
+        b.connect_output(w1, 1.0).unwrap();
+        b.set_size_bounds(g, 0.5, 2.0).unwrap();
+        let graph = b.build().unwrap();
         let mut v = SizeVector::new(vec![0.01, 5.0, 100.0]);
-        v.clamp_into(&[0.1, 0.1, 0.1], &[10.0, 10.0, 10.0]);
-        assert_eq!(v.as_slice(), &[0.1, 5.0, 10.0]);
+        v.clamp_into(graph.component_bounds());
+        assert_eq!(v.as_slice(), &[0.1, 2.0, 10.0]);
     }
 
     #[test]

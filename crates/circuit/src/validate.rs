@@ -11,13 +11,22 @@ use crate::node::NodeKind;
 ///   component,
 /// * every sizable component has a fanin and a fanout,
 /// * wires have exactly one fanin,
-/// * size bounds are positive and ordered,
 /// * each node kind sits in its index range (source, drivers, components,
-///   sink).
+///   sink),
+/// * the physical attributes are those of a circuit: a finite positive
+///   `unit_resistance`, `unit_capacitance` and `area_coefficient` on every
+///   gate and wire, a finite non-negative `fringing_capacitance` on every
+///   wire, a finite positive `driver_resistance` on every driver and a
+///   finite non-negative `output_load` wherever one is carried,
+/// * every size-bound override on a component is positive and ordered
+///   (the default bounds are the technology's, which
+///   [`Technology::validate`](crate::Technology::validate) checks).
 ///
 /// # Errors
 ///
-/// Returns the first violated invariant as a [`CircuitError`].
+/// Returns the first violated invariant as a [`CircuitError`]; a physical
+/// attribute out of its range is [`CircuitError::InvalidParameter`] naming
+/// the attribute.
 pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
     // Topological indexing.
     for u in graph.node_ids() {
@@ -44,7 +53,6 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
     }
     // Components.
     let kinds = graph.kinds();
-    let (lower_bounds, upper_bounds) = (graph.lower_bounds(), graph.upper_bounds());
     for id in graph.component_ids() {
         let i = id.index();
         if graph.fanin(id).is_empty() {
@@ -58,20 +66,6 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
                 from: graph.fanin(id)[0],
                 to: id,
                 reason: "a wire is driven by exactly one component",
-            });
-        }
-        let (lower, upper) = (lower_bounds[i], upper_bounds[i]);
-        if !(lower > 0.0 && lower.is_finite()) {
-            return Err(CircuitError::InvalidParameter {
-                name: "lower_bound",
-                value: lower,
-            });
-        }
-        if upper < lower {
-            return Err(CircuitError::InvalidBounds {
-                node: id,
-                lower,
-                upper,
             });
         }
     }
@@ -108,7 +102,51 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
             });
         }
     }
+    // Physical attributes, which the builder computes from a validated
+    // technology and a decoded graph carries as given.
+    let (resistances, unit_capacitances) = (graph.resistances(), graph.unit_capacitances());
+    let (fringing, area_coefficients) = (graph.fringing_capacitances(), graph.area_coefficients());
+    for (i, kind) in kinds.iter().enumerate() {
+        if kind.is_sizable() {
+            positive("unit_resistance", resistances[i])?;
+            positive("unit_capacitance", unit_capacitances[i])?;
+            positive("area_coefficient", area_coefficients[i])?;
+            if kind.is_wire() {
+                non_negative("fringing_capacitance", fringing[i])?;
+            }
+        } else if kind.is_driver() {
+            positive("driver_resistance", resistances[i])?;
+        }
+    }
+    for &(_, load) in graph.output_load_list() {
+        non_negative("output_load", load)?;
+    }
+    for &(node, lower, upper) in graph.component_bounds().overrides() {
+        positive("lower_bound", lower)?;
+        if !(upper.is_finite() && upper >= lower) {
+            return Err(CircuitError::InvalidBounds { node, lower, upper });
+        }
+    }
     Ok(())
+}
+
+/// `value` as attribute `name`, which must be finite and positive.
+fn positive(name: &'static str, value: f64) -> Result<(), CircuitError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(CircuitError::InvalidParameter { name, value })
+    }
+}
+
+/// `value` as attribute `name`, which must be finite and not negative
+/// (`-0.0` passes).
+fn non_negative(name: &'static str, value: f64) -> Result<(), CircuitError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(CircuitError::InvalidParameter { name, value })
+    }
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub fn greedy_delay_sizing(
                 continue;
             };
             let (upper, area_coefficient) = (
-                graph.upper_bounds()[node.index()],
+                graph.size_bounds(node).1,
                 graph.area_coefficients()[node.index()],
             );
             let current = sizes[dense];

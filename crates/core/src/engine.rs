@@ -18,7 +18,8 @@
 //! results; the `property_eval_engine` integration test enforces this.
 
 use ncgws_circuit::{
-    CircuitGraph, CircuitTopology, EvalWorkspace, KindTag, NodeId, SizeVector, Space, Tile, Tiles,
+    CircuitGraph, CircuitTopology, EvalWorkspace, KindTag, NodeId, SizeBounds, SizeVector, Space,
+    Tile, Tiles,
 };
 use ncgws_coupling::CouplingSet;
 
@@ -56,14 +57,15 @@ pub struct SizingEngine<'a> {
     topo: CircuitTopology<'a>,
     pub(crate) ws: EvalWorkspace,
     // Dense per-component tables (indexed by the graph's dense component
-    // index): the component range of the graph's area-coefficient and
-    // size-bound columns, borrowed. The kind, unit resistance, unit
-    // capacitance and fringing of the components are read through the
-    // topology, and the raw node of component `i` is
-    // `topo.component_nodes().start + i`: none is copied here.
+    // index): the component range of the graph's area-coefficient column,
+    // borrowed. The kind, unit resistance, unit capacitance and fringing
+    // of the components are read through the topology, and the raw node
+    // of component `i` is `topo.component_nodes().start + i`: none is
+    // copied here.
     pub(crate) area_coefficient: &'a [f64],
-    pub(crate) lower_bound: &'a [f64],
-    pub(crate) upper_bound: &'a [f64],
+    /// The components' size bounds: the graph's view of the technology's
+    /// range and its sparse overrides, no table per component.
+    pub(crate) bounds: SizeBounds<'a>,
     /// `Σ_j sf_ij · ĉ_ij` per component: the component range of the
     /// coupling set's own per-node sums, borrowed.
     pub(crate) coupling_sum: &'a [f64],
@@ -99,8 +101,7 @@ struct ResizeTables<'a> {
     unit_resistance: &'a [f64],
     unit_capacitance: &'a [f64],
     area_coefficient: &'a [f64],
-    lower_bound: &'a [f64],
-    upper_bound: &'a [f64],
+    bounds: SizeBounds<'a>,
     coupling_sum: &'a [f64],
     extra_denom: &'a [f64],
     beta: f64,
@@ -142,7 +143,8 @@ impl ResizeTables<'_> {
         } else {
             0.0
         };
-        let x_new = opt.clamp(self.lower_bound[comp], self.upper_bound[comp]);
+        let (lower, upper) = self.bounds.get(comp);
+        let x_new = opt.clamp(lower, upper);
         let rel = (x_new - x_i).abs() / x_i.abs().max(1e-12);
         (x_new, rel)
     }
@@ -253,9 +255,8 @@ impl<'a> SizingEngine<'a> {
             graph,
             coupling,
             ws: EvalWorkspace::new(&topo),
-            area_coefficient: &graph.area_coefficients()[components.clone()],
-            lower_bound: &graph.lower_bounds()[components.clone()],
-            upper_bound: &graph.upper_bounds()[components],
+            area_coefficient: &graph.area_coefficients()[components],
+            bounds: graph.component_bounds(),
             topo,
             coupling_sum,
             extra_denom: Vec::new(),
@@ -441,8 +442,10 @@ impl<'a> SizingEngine<'a> {
     /// Resets `sizes` to the per-component lower bounds (step S1 of
     /// Figure 8) without allocating.
     pub(crate) fn reset_to_lower_bounds(&self, sizes: &mut SizeVector) {
-        debug_assert_eq!(sizes.len(), self.lower_bound.len());
-        sizes.as_mut_slice().copy_from_slice(self.lower_bound);
+        debug_assert_eq!(sizes.len(), self.bounds.len());
+        for (i, x) in sizes.iter_mut().enumerate() {
+            *x = self.bounds.get(i).0;
+        }
     }
 
     /// Full downstream-capacitance rebuild at `sizes` (the coupling load
@@ -516,8 +519,7 @@ impl<'a> SizingEngine<'a> {
             unit_resistance: self.topo.component_unit_resistance(),
             unit_capacitance: self.topo.component_unit_capacitance(),
             area_coefficient: self.area_coefficient,
-            lower_bound: self.lower_bound,
-            upper_bound: self.upper_bound,
+            bounds: self.bounds,
             coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
             beta,
@@ -701,8 +703,7 @@ impl<'a> SizingEngine<'a> {
                 unit_resistance: topo.component_unit_resistance(),
                 unit_capacitance: topo.component_unit_capacitance(),
                 area_coefficient: self.area_coefficient,
-                lower_bound: self.lower_bound,
-                upper_bound: self.upper_bound,
+                bounds: self.bounds,
                 coupling_sum: self.coupling_sum,
                 extra_denom: &self.extra_denom,
                 beta,
@@ -1014,10 +1015,10 @@ mod tests {
         );
     }
 
-    /// The per-component coupling sums, area coefficients and size bounds
-    /// are the component ranges of the coupling set's and the graph's own
-    /// tables, and the flow index's kinds and out offsets are the graph's
-    /// columns: none is a copy.
+    /// The per-component coupling sums and area coefficients are the
+    /// component ranges of the coupling set's and the graph's own tables,
+    /// the size bounds are the graph's view, and the flow index's kinds and
+    /// out offsets are the graph's columns: none is a copy.
     #[test]
     fn engine_borrows_the_coupling_sums() {
         let (graph, coupling) = setup();
@@ -1026,11 +1027,14 @@ mod tests {
         for (mine, owner) in [
             (engine.coupling_sum, coupling.linear_coefficient_sums()),
             (engine.area_coefficient, graph.area_coefficients()),
-            (engine.lower_bound, graph.lower_bounds()),
-            (engine.upper_bound, graph.upper_bounds()),
         ] {
             assert_eq!(mine.len(), graph.num_components());
             assert_eq!(mine.as_ptr(), owner[components.clone()].as_ptr());
+        }
+        assert_eq!(engine.bounds.len(), graph.num_components());
+        assert_eq!(engine.bounds.num_overrides(), 0);
+        for (i, id) in graph.component_ids().enumerate() {
+            assert_eq!(engine.bounds.get(i), graph.size_bounds(id));
         }
         let index = crate::projection::FlowIndex::new(&graph);
         assert_eq!(index.kinds().as_ptr(), graph.kinds().as_ptr());

@@ -321,7 +321,7 @@ impl OgwsSolver {
             // iteration.
             Some(Start::Warm(warm)) => {
                 sizes.copy_from(warm);
-                sizes.clamp_into(engine.lower_bound, engine.upper_bound);
+                sizes.clamp_into(engine.bounds);
                 let total_cap = engine.total_capacitance(&sizes);
                 let crosstalk_lhs = engine.crosstalk_lhs(&sizes);
                 let warm_area = engine.total_area(&sizes);

@@ -17,7 +17,7 @@
 //! Production code should use [`LrsSolver`](crate::LrsSolver) and
 //! [`SizingEngine`](crate::SizingEngine) instead.
 
-use ncgws_circuit::{ElmoreAnalyzer, NodeKind};
+use ncgws_circuit::{ElmoreAnalyzer, NodeAttrs};
 
 use crate::lagrangian::Multipliers;
 use crate::lrs::LrsOutcome;
@@ -62,13 +62,17 @@ pub fn lrs_solve(
         // components see their neighbors' fresh widths.
         for id in graph.component_ids() {
             let dense = graph.component_index(id).expect("component id");
-            // The component's attributes, read from the graph's columns (a
-            // component's resistance column holds its `r̂`).
-            let i = id.index();
-            let unit_resistance = graph.resistances()[i];
-            let unit_capacitance = graph.unit_capacitances()[i];
-            let area_coefficient = graph.area_coefficients()[i];
-            let (lower_bound, upper_bound) = (graph.lower_bounds()[i], graph.upper_bounds()[i]);
+            // The component's attributes, reassembled by the graph: a path
+            // independent of the engine's column and bound views.
+            let node = graph.node(id);
+            let NodeAttrs {
+                unit_resistance,
+                unit_capacitance,
+                area_coefficient,
+                lower_bound,
+                upper_bound,
+                ..
+            } = node.attrs;
             let lambda_i = lambda[id.index()];
             let x_i = sizes[dense];
 
@@ -76,7 +80,7 @@ pub fn lrs_solve(
             // x_i (own far-half capacitance and the x_i part of the
             // coupling), keeping the neighbor-width coupling term.
             let mut cap_num = caps.charged_of(id);
-            if matches!(graph.kinds()[i], NodeKind::Wire) {
+            if node.kind.is_wire() {
                 cap_num -= unit_capacitance * x_i / 2.0;
                 cap_num -= neighborhoods.linear_coefficient_sum_uncached(id) * x_i;
             }

@@ -48,7 +48,7 @@ impl CouplingSet {
     /// maximum widths (which would make the exact model diverge).
     pub fn new(graph: &CircuitGraph, mut pairs: Vec<CouplingPair>) -> Result<Self, CouplingError> {
         let mut seen = std::collections::HashSet::with_capacity(pairs.len());
-        let (kinds, upper_bounds) = (graph.kinds(), graph.upper_bounds());
+        let kinds = graph.kinds();
         for pair in &pairs {
             for id in [pair.a, pair.b] {
                 if !kinds.get(id.index()).is_some_and(|k| k.is_wire()) {
@@ -66,8 +66,8 @@ impl CouplingSet {
                     value: factor,
                 });
             }
-            let max_a = upper_bounds[pair.a.index()];
-            let max_b = upper_bounds[pair.b.index()];
+            let max_a = graph.size_bounds(pair.a).1;
+            let max_b = graph.size_bounds(pair.b).1;
             if (max_a + max_b) / 2.0 >= pair.distance() {
                 return Err(CouplingError::PitchTooSmall {
                     a: pair.a,

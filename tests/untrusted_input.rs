@@ -283,6 +283,61 @@ fn a_switching_factor_outside_zero_to_two_is_an_error() {
 /// The logic simulation reads one pattern row per driver, so an instance
 /// whose pattern set is narrower than the circuit's driver count is a typed
 /// decode error, not a panic later in stage 1.
+/// `json` with a minus sign before the value of `field` in the first node
+/// whose JSON starts with `kind` and whose value of `field` is not zero.
+fn negate_in_first(json: &str, kind: &str, field: &str) -> String {
+    let key = format!(r#""{field}":"#);
+    let mut from = 0;
+    while let Some(start) = json[from..].find(kind).map(|at| from + at) {
+        let end = json[start..].find("}}").map_or(json.len(), |at| start + at);
+        if let Some(at) = json[start..end].find(&key).map(|at| start + at + key.len()) {
+            if !json[at..].starts_with("0.0") {
+                return format!("{}-{}", &json[..at], &json[at..]);
+            }
+        }
+        from = start + kind.len();
+    }
+    panic!("no {kind} node with a nonzero {field}");
+}
+
+/// The builder computes every physical attribute from a validated
+/// technology, so it never writes one out of range; a decoded graph is
+/// checked for the same: a negative unit resistance, unit capacitance,
+/// area coefficient, fringing capacitance, driver resistance or output
+/// load fails to decode, naming the field. Unchecked, a gate with
+/// `unit_resistance` `-10.0` solved as feasible with a nonsense delay.
+#[test]
+fn physical_attributes_out_of_range_are_errors() {
+    let (inst, _) = mutation_fixture();
+    let json = serde_json::to_string(inst).expect("encodes");
+    let (gate, wire, driver) = (
+        r#"{"kind":{"Gate":"#,
+        r#"{"kind":"Wire","#,
+        r#"{"kind":"Driver","#,
+    );
+    for (kind, field) in [
+        (gate, "unit_resistance"),
+        (gate, "unit_capacitance"),
+        (gate, "area_coefficient"),
+        (wire, "unit_resistance"),
+        (wire, "unit_capacitance"),
+        (wire, "area_coefficient"),
+        (wire, "fringing_capacitance"),
+        (driver, "driver_resistance"),
+        (r#"{"kind":"#, "output_load"),
+    ] {
+        let negated = negate_in_first(&json, kind, field);
+        let Err(err) = serde_json::from_str::<ProblemInstance>(&negated) else {
+            panic!("a negative {field} on {kind} must not decode");
+        };
+        let err = err.to_string();
+        assert!(
+            err.contains(&format!("parameter {field} ")),
+            "{field}: {err}"
+        );
+    }
+}
+
 #[test]
 fn a_pattern_width_other_than_the_driver_count_is_an_error() {
     let mut inst = instance(5, 20);
