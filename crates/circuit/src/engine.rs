@@ -12,11 +12,11 @@
 //! rather than the arithmetic. This module is the replacement:
 //!
 //! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over the
-//!   graph's own CSR adjacency and per-node RC columns, which it borrows,
-//!   plus columns derived once per circuit: per-node kind tags, per-edge
-//!   dispatch tags and the cached topological **level partition** (see
-//!   below). Its traversal kernels fill caller-provided slices with no
-//!   allocation.
+//!   graph's own CSR adjacency, kind column, per-node RC columns and sparse
+//!   output loads, which it borrows, plus what it derives once per circuit:
+//!   per-fanin-edge dispatch tags and the cached topological **level
+//!   partition** (see below). Its traversal kernels fill caller-provided
+//!   slices with no allocation.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
 //!
@@ -47,12 +47,15 @@
 //! Forward kernels take the block's node range and visit it in ascending
 //! index order, which settles every fanin first because the order is
 //! topological. Backward kernels take the block's level boundaries and
-//! visit the levels in reverse, nodes ascending within a level, which
-//! settles every fanout first. Blocks of one level may run in any order or
-//! concurrently. Every per-node accumulation (fanout loads, fanin
-//! resistances, fanin arrival maxima) runs over the node's own CSR list in
-//! list order, so the per-node results are bitwise identical however the
-//! levels are cut into blocks.
+//! visit the levels in reverse, nodes descending within a level, which
+//! settles every fanout first: a backward block is one descending walk over
+//! its nodes, so it reads the graph's sorted output loads with one cursor
+//! that only moves down. Within a level the visit order changes nothing,
+//! since two nodes of one level read none of each other's entries. Blocks
+//! of one level may run in any order or concurrently. Every per-node
+//! accumulation (fanout loads, fanin resistances, fanin arrival maxima)
+//! runs over the node's own CSR list in list order, so the per-node results
+//! are bitwise identical however the levels are cut into blocks.
 //!
 //! # The SoA layout invariant
 //!
@@ -72,10 +75,20 @@ use std::ops::Range;
 /// Sentinel for "no predecessor" in dense predecessor arrays.
 pub const NO_PRED: u32 = u32::MAX;
 
-/// The nodes from the first of the level bounds `bounds` to the last: the
-/// nodes a backward kernel visits, as long as the bounds never decrease,
-/// which the kernel asserts window by window before visiting one.
-fn span(bounds: &[u32]) -> Range<usize> {
+/// The nodes a backward kernel visits for the level bounds `bounds`:
+/// those from the first bound to the last. The kernel visits the windows
+/// `bounds[k]..bounds[k + 1]` in reverse and the nodes of each in
+/// descending order, which for bounds that never decrease is one
+/// descending walk over this range.
+///
+/// # Panics
+///
+/// Panics when the bounds decrease.
+fn backward_span(bounds: &[u32]) -> Range<usize> {
+    assert!(
+        bounds.windows(2).all(|level| level[0] <= level[1]),
+        "level bounds must not decrease"
+    );
     match bounds {
         [first, .., last] => *first as usize..*last as usize,
         _ => 0..0,
@@ -242,6 +255,38 @@ impl<T: Copy> Access<T> {
     }
 }
 
+/// A backward walk's cursor into the graph's output loads, which are
+/// sorted by node: the walk asks for the loads of nodes in descending
+/// order, so the cursor only moves down and a whole block costs one binary
+/// search plus one step per load it passes.
+struct LoadCursor<'g> {
+    /// The load list, cut after the last entry the walk can still ask for.
+    loads: &'g [(NodeId, f64)],
+}
+
+impl<'g> LoadCursor<'g> {
+    /// A cursor for a walk over nodes below `end`.
+    fn new(loads: &'g [(NodeId, f64)], end: usize) -> Self {
+        let cut = loads.partition_point(|&(id, _)| id.index() < end);
+        LoadCursor {
+            loads: &loads[..cut],
+        }
+    }
+
+    /// The output load of node `idx` (zero when it has none). `idx` must
+    /// not exceed any node asked for before.
+    #[inline]
+    fn load(&mut self, idx: usize) -> f64 {
+        while let [rest @ .., (id, load)] = self.loads {
+            if id.index() <= idx {
+                return if id.index() == idx { *load } else { 0.0 };
+            }
+            self.loads = rest;
+        }
+        0.0
+    }
+}
+
 /// The settled table entries a range reads (see [`Tile::level`]):
 /// a shared slice and the table index of its first entry.
 #[derive(Debug, Clone, Copy)]
@@ -388,20 +433,6 @@ impl<'t, T> Tiles<'t, T> {
     }
 }
 
-/// Streamed fanout-edge dispatch tag (see `CircuitTopology::fanout_tag`):
-/// how a child contributes to its parent's downstream capacitance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum FanoutTag {
-    /// A precomputed constant: the parent's output load for sink children,
-    /// `0.0` for drivers/the source.
-    Const,
-    /// A sizable gate child: `ĉ_child · x[child − comp_base]`.
-    Gate,
-    /// A wire child: the child's settled `presented` entry.
-    Wire,
-}
-
 /// Streamed fanin-edge dispatch tag (see `CircuitTopology::fanin_tag`):
 /// the resistance form of a predecessor in the upstream accumulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -418,28 +449,19 @@ enum FaninTag {
     WireDiv,
 }
 
-/// Compact per-node role tag used by [`CircuitTopology`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum KindTag {
-    /// The artificial source.
-    Source,
-    /// An input driver.
-    Driver,
-    /// A sizable gate.
-    Gate,
-    /// A sizable wire.
-    Wire,
-    /// The artificial sink.
-    Sink,
-}
-
 /// The Elmore view of a circuit the hot loops traverse: the graph's CSR
-/// adjacency and per-node RC columns, borrowed rather than copied, plus
-/// columns derived from them once — per-node kind tags, per-edge dispatch
-/// tags and the level partition. Immutable once built. Component indices
-/// are not stored anywhere: the dense component of node `idx` is
-/// `idx - comp_base`.
+/// adjacency, kind column, per-node RC columns and sparse output loads,
+/// borrowed rather than copied, plus what is derived from them once — the
+/// per-fanin-edge dispatch tags and the level partition. Immutable once
+/// built. Component indices are not stored anywhere: the dense component of
+/// node `idx` is `idx - comp_base`.
+///
+/// A backward kernel reads one entry per fanout edge: the child's settled
+/// `presented` load (a gate's `ĉ·x`, a wire's π-model load), or, for the
+/// sink, the parent's output load, which a cursor over the sorted load
+/// list yields in the kernel's descending visit order. Nothing per fanout
+/// edge is stored. A forward kernel streams the fanin tags beside the
+/// fanin list and gathers only the `weights`, `upstream` and size entries.
 ///
 /// Its traversal kernels evaluate the Elmore delay model of the paper's
 /// Section 2.1 (stage-bounded RC stages, wire π-model); see the crate-level
@@ -478,7 +500,8 @@ pub struct CircuitTopology<'g> {
     /// component index of node `idx` is `idx - comp_base`: a subtraction,
     /// not a table.
     comp_base: usize,
-    kind: Vec<KindTag>,
+    /// The graph's [`kinds`](CircuitGraph::kinds) column, borrowed.
+    kind: &'g [NodeKind],
     /// `r̂` for gates/wires, `R_D` for drivers, zero otherwise: the graph's
     /// [`resistances`](CircuitGraph::resistances), borrowed.
     unit_resistance: &'g [f64],
@@ -489,6 +512,9 @@ pub struct CircuitTopology<'g> {
     /// [`fringing_capacitances`](CircuitGraph::fringing_capacitances),
     /// borrowed.
     fringing: &'g [f64],
+    /// The graph's `(node, load)` output loads, sorted by node (borrowed):
+    /// the load a sink child puts on its parent.
+    output_loads: &'g [(NodeId, f64)],
     /// The graph's fanout adjacency (borrowed): the fanout list of node
     /// `idx` is `fanout_list[fanout_start[idx]..fanout_start[idx + 1]]`.
     fanout_start: &'g [u32],
@@ -496,20 +522,11 @@ pub struct CircuitTopology<'g> {
     /// The graph's fanin adjacency (borrowed), in the same form.
     fanin_start: &'g [u32],
     fanin_list: &'g [NodeId],
-    /// Streamed per-fanout-edge child descriptors (parallel to
-    /// `fanout_list`): the chunk kernels dispatch on these columns instead
-    /// of gathering `kind`/`unit_capacitance` through the child
-    /// index, leaving at most one random access per edge (the child's
-    /// `presented` entry or the component's size). Built once per circuit;
-    /// per-edge values are exactly the operands the kind dispatch would
-    /// gather, so the streamed dispatch is bitwise identical to it.
-    fanout_tag: Vec<FanoutTag>,
-    /// `Const` → the whole contribution; `Gate` → `ĉ` of the child.
-    fanout_coeff: Vec<f64>,
     /// Streamed per-fanin-edge predecessor descriptors (parallel to
-    /// `fanin_list`), same idea for the forward kernels: resistance form
-    /// and operands of each predecessor, leaving only the `weights` /
-    /// `upstream` / size gathers.
+    /// `fanin_list`) for the forward kernels: resistance form and operands
+    /// of each predecessor, leaving only the `weights` / `upstream` / size
+    /// gathers. Per-edge values are exactly the operands the kind dispatch
+    /// would gather, so the streamed dispatch is bitwise identical to it.
     fanin_tag: Vec<FaninTag>,
     /// `r̂` (or `R_D`) of the predecessor; zero for `Skip`.
     fanin_ur: Vec<f64>,
@@ -535,51 +552,25 @@ impl<'g> CircuitTopology<'g> {
             "circuit too large for 32-bit level bounds"
         );
         let comp_base = graph.num_drivers() + 1;
-        let kind: Vec<KindTag> = graph
-            .kinds()
-            .iter()
-            .map(|k| match k {
-                NodeKind::Source => KindTag::Source,
-                NodeKind::Driver => KindTag::Driver,
-                NodeKind::Gate(_) => KindTag::Gate,
-                NodeKind::Wire => KindTag::Wire,
-                NodeKind::Sink => KindTag::Sink,
-            })
-            .collect();
+        let kind = graph.kinds();
         let unit_resistance = graph.resistances();
-        let unit_capacitance = graph.unit_capacitances();
         let (fanout, fanin) = (graph.fanout_csr(), graph.fanin_csr());
 
-        // Streamed per-edge descriptor columns (see the field docs): the
-        // exact operands the kind-dispatched loops would gather through the
-        // child/predecessor index, precomputed once per edge. A validated
+        // Streamed per-fanin-edge descriptor columns (see the field docs):
+        // the exact operands the kind-dispatched loop would gather through
+        // the predecessor index, precomputed once per edge. A validated
         // graph holds gates and wires exactly in the component range, so
         // every gate or wire is sizable and its component is its node index
         // minus `comp_base`.
-        let mut fanout_tag = Vec::with_capacity(fanout.num_edges());
-        let mut fanout_coeff = Vec::with_capacity(fanout.num_edges());
-        for id in graph.node_ids() {
-            for &child in fanout.list(id.index()) {
-                let c = child.index();
-                let (tag, coeff) = match kind[c] {
-                    KindTag::Sink => (FanoutTag::Const, graph.output_load(id)),
-                    KindTag::Gate => (FanoutTag::Gate, unit_capacitance[c]),
-                    KindTag::Wire => (FanoutTag::Wire, 0.0),
-                    KindTag::Driver | KindTag::Source => (FanoutTag::Const, 0.0),
-                };
-                fanout_tag.push(tag);
-                fanout_coeff.push(coeff);
-            }
-        }
         let mut fanin_tag = Vec::with_capacity(fanin.num_edges());
         let mut fanin_ur = Vec::with_capacity(fanin.num_edges());
         for &pred in fanin.targets() {
             let p = pred.index();
             let (tag, ur) = match kind[p] {
-                KindTag::Source | KindTag::Sink => (FaninTag::Skip, 0.0),
-                KindTag::Driver => (FaninTag::Const, unit_resistance[p]),
-                KindTag::Gate => (FaninTag::Div, unit_resistance[p]),
-                KindTag::Wire => (FaninTag::WireDiv, unit_resistance[p]),
+                NodeKind::Source | NodeKind::Sink => (FaninTag::Skip, 0.0),
+                NodeKind::Driver => (FaninTag::Const, unit_resistance[p]),
+                NodeKind::Gate(_) => (FaninTag::Div, unit_resistance[p]),
+                NodeKind::Wire => (FaninTag::WireDiv, unit_resistance[p]),
             };
             fanin_tag.push(tag);
             fanin_ur.push(ur);
@@ -602,14 +593,13 @@ impl<'g> CircuitTopology<'g> {
             comp_base,
             kind,
             unit_resistance,
-            unit_capacitance,
+            unit_capacitance: graph.unit_capacitances(),
             fringing: graph.fringing_capacitances(),
+            output_loads: graph.output_load_list(),
             fanout_start: fanout.offsets(),
             fanout_list: fanout.targets(),
             fanin_start: fanin.offsets(),
             fanin_list: fanin.targets(),
-            fanout_tag,
-            fanout_coeff,
             fanin_tag,
             fanin_ur,
             level_start,
@@ -687,9 +677,9 @@ impl<'g> CircuitTopology<'g> {
         &self.fringing[self.component_nodes()]
     }
 
-    /// The role ([`KindTag::Gate`] or [`KindTag::Wire`]) of every
-    /// component, in dense component order.
-    pub fn component_kinds(&self) -> &[KindTag] {
+    /// The kind (a gate or a wire) of every component, in dense component
+    /// order (a view of the graph's kind column).
+    pub fn component_kinds(&self) -> &'g [NodeKind] {
         &self.kind[self.component_nodes()]
     }
 
@@ -707,9 +697,9 @@ impl<'g> CircuitTopology<'g> {
         &self.fanin_list[self.fanin_start[idx] as usize..self.fanin_start[idx + 1] as usize]
     }
 
-    /// The role of node `idx`.
+    /// The kind of node `idx`.
     #[inline(always)]
-    pub fn kind(&self, idx: usize) -> KindTag {
+    pub fn kind(&self, idx: usize) -> NodeKind {
         self.kind[idx]
     }
 
@@ -727,8 +717,8 @@ impl<'g> CircuitTopology<'g> {
     #[inline(always)]
     pub fn resistance(&self, idx: usize, sizes: &SizeVector) -> f64 {
         match self.kind[idx] {
-            KindTag::Driver => self.unit_resistance[idx],
-            KindTag::Gate | KindTag::Wire => {
+            NodeKind::Driver => self.unit_resistance[idx],
+            NodeKind::Gate(_) | NodeKind::Wire => {
                 let x = self.size_of(idx, sizes);
                 if x > 0.0 {
                     self.unit_resistance[idx] / x
@@ -736,7 +726,7 @@ impl<'g> CircuitTopology<'g> {
                     f64::INFINITY
                 }
             }
-            KindTag::Source | KindTag::Sink => 0.0,
+            NodeKind::Source | NodeKind::Sink => 0.0,
         }
     }
 
@@ -745,8 +735,8 @@ impl<'g> CircuitTopology<'g> {
     #[inline(always)]
     pub fn capacitance(&self, idx: usize, sizes: &SizeVector) -> f64 {
         match self.kind[idx] {
-            KindTag::Gate => self.unit_capacitance[idx] * self.size_of(idx, sizes),
-            KindTag::Wire => {
+            NodeKind::Gate(_) => self.unit_capacitance[idx] * self.size_of(idx, sizes),
+            NodeKind::Wire => {
                 self.unit_capacitance[idx] * self.size_of(idx, sizes) + self.fringing[idx]
             }
             _ => 0.0,
@@ -802,8 +792,8 @@ impl<'g> CircuitTopology<'g> {
     #[inline(always)]
     unsafe fn resistance_unchecked(&self, idx: usize, sizes: &[f64]) -> f64 {
         match *self.kind.get_unchecked(idx) {
-            KindTag::Driver => *self.unit_resistance.get_unchecked(idx),
-            KindTag::Gate | KindTag::Wire => {
+            NodeKind::Driver => *self.unit_resistance.get_unchecked(idx),
+            NodeKind::Gate(_) | NodeKind::Wire => {
                 let x = self.size_of_unchecked(idx, sizes);
                 if x > 0.0 {
                     *self.unit_resistance.get_unchecked(idx) / x
@@ -811,7 +801,7 @@ impl<'g> CircuitTopology<'g> {
                     f64::INFINITY
                 }
             }
-            KindTag::Source | KindTag::Sink => 0.0,
+            NodeKind::Source | NodeKind::Sink => 0.0,
         }
     }
 
@@ -823,10 +813,10 @@ impl<'g> CircuitTopology<'g> {
     #[inline(always)]
     unsafe fn capacitance_unchecked(&self, idx: usize, sizes: &[f64]) -> f64 {
         match *self.kind.get_unchecked(idx) {
-            KindTag::Gate => {
+            NodeKind::Gate(_) => {
                 *self.unit_capacitance.get_unchecked(idx) * self.size_of_unchecked(idx, sizes)
             }
-            KindTag::Wire => {
+            NodeKind::Wire => {
                 *self.unit_capacitance.get_unchecked(idx) * self.size_of_unchecked(idx, sizes)
                     + *self.fringing.get_unchecked(idx)
             }
@@ -846,16 +836,16 @@ impl<'g> CircuitTopology<'g> {
         self.fanin_list.get_unchecked(start..end)
     }
 
-    /// Fanout edge-index range of node `idx` without bounds checks; edge
-    /// indices address `fanout_list` and the streamed `fanout_*` columns.
+    /// Fanout slice of node `idx` without bounds checks.
     ///
     /// # Safety
     ///
     /// `idx < num_nodes`; the CSR offsets are valid by construction.
     #[inline(always)]
-    unsafe fn fanout_edges_unchecked(&self, idx: usize) -> std::ops::Range<usize> {
-        *self.fanout_start.get_unchecked(idx) as usize
-            ..*self.fanout_start.get_unchecked(idx + 1) as usize
+    unsafe fn fanout_unchecked(&self, idx: usize) -> &[NodeId] {
+        let start = *self.fanout_start.get_unchecked(idx) as usize;
+        let end = *self.fanout_start.get_unchecked(idx + 1) as usize;
+        self.fanout_list.get_unchecked(start..end)
     }
 
     /// Fanin edge-index range of node `idx` without bounds checks; edge
@@ -870,30 +860,32 @@ impl<'g> CircuitTopology<'g> {
             ..*self.fanin_start.get_unchecked(idx + 1) as usize
     }
 
-    /// The load fanout edge `e` puts on its parent, streamed from the
-    /// per-edge columns: the parent's output load for the sink,
-    /// `Node::capacitance` of a gate child (`size` of component
-    /// `child - comp_base`), the settled `presented` entry of a wire child.
+    /// The downstream load of node `idx`, a driver, gate or wire: over its
+    /// fanout list in list order, the parent's output load for the sink
+    /// (from `loads`) and the settled `presented` entry of any other child,
+    /// which is `Node::capacitance` for a gate child.
     ///
     /// # Safety
     ///
-    /// `e < fanout_list.len()`; `size` accepts the child's component index
-    /// and `presented` reads the child.
+    /// `idx < num_nodes`; `presented` reads every fanout child but the
+    /// sink.
     #[inline(always)]
-    unsafe fn child_load_edge(
+    unsafe fn fanout_load(
         &self,
-        e: usize,
-        size: impl Fn(usize) -> f64,
+        idx: usize,
+        loads: &mut LoadCursor<'_>,
         presented: Access<f64>,
     ) -> f64 {
-        match *self.fanout_tag.get_unchecked(e) {
-            FanoutTag::Const => *self.fanout_coeff.get_unchecked(e),
-            FanoutTag::Gate => {
-                let child = self.fanout_list.get_unchecked(e).index();
-                *self.fanout_coeff.get_unchecked(e) * size(child - self.comp_base)
-            }
-            FanoutTag::Wire => presented.get(self.fanout_list.get_unchecked(e).index()),
+        let mut c = 0.0;
+        for &child in self.fanout_unchecked(idx) {
+            let child = child.index();
+            c += if child == self.sink {
+                loads.load(idx)
+            } else {
+                presented.get(child)
+            };
         }
+        c
     }
 
     /// One node's λ-weighted upstream accumulation streamed from the
@@ -946,15 +938,14 @@ impl<'g> CircuitTopology<'g> {
     }
 
     /// Bytes of the tables the topology owns (for memory accounting). The
-    /// borrowed adjacency and RC columns are the graph's and count toward
+    /// borrowed adjacency, kind, RC and output-load columns are the graph's
+    /// and count toward
     /// [`CircuitGraph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.kind.capacity() * size_of::<KindTag>()
-            + self.level_start.capacity() * size_of::<u32>()
-            + self.fanout_tag.capacity() * size_of::<FanoutTag>()
+        self.level_start.capacity() * size_of::<u32>()
             + self.fanin_tag.capacity() * size_of::<FaninTag>()
-            + (self.fanout_coeff.capacity() + self.fanin_ur.capacity()) * size_of::<f64>()
+            + self.fanin_ur.capacity() * size_of::<f64>()
             + size_of::<Self>()
     }
 
@@ -996,7 +987,7 @@ impl<'g> CircuitTopology<'g> {
     /// added on the downstream side of that node (the coupling load).
     ///
     /// `bounds` lists the block's level windows; the windows
-    /// `bounds[k]..bounds[k + 1]` are visited in reverse, nodes ascending
+    /// `bounds[k]..bounds[k + 1]` are visited in reverse, nodes descending
     /// within a window. The views must own the block's nodes, and
     /// `presented` must hold every node after the block's first level,
     /// which is where the fanout children lie.
@@ -1014,66 +1005,41 @@ impl<'g> CircuitTopology<'g> {
         mut charged: Tile<'_, f64>,
         mut presented: Tile<'_, f64>,
     ) {
-        let nodes = span(bounds);
+        let nodes = backward_span(bounds);
         let children = self.block_reach(&nodes, true);
         self.assert_block(Some(sizes), &[("extra_cap", extra_cap.len())]);
         let charged = charged.access(&nodes, &(0..0));
         let presented = presented.access(&nodes, &children);
-        // SAFETY: every visited node lies in `nodes` (asserted per window),
-        // which the views own, and every fanout child in `children`, which
-        // `presented` holds; `extra_cap`/`sizes` match the circuit
-        // (asserted above); the topology's own tables are valid for every
-        // node and edge by construction.
+        let mut loads = LoadCursor::new(self.output_loads, nodes.end);
+        // SAFETY: every visited node lies in `nodes`, which the views own,
+        // and every fanout child in `children`, which `presented` holds;
+        // `extra_cap`/`sizes` match the circuit (asserted above); the
+        // topology's own tables are valid for every node and edge by
+        // construction.
         unsafe {
-            let size = |comp: usize| *sizes.get_unchecked(comp);
-            for level in bounds.windows(2).rev() {
-                let window = level[0] as usize..level[1] as usize;
-                assert!(
-                    nodes.start <= window.start
-                        && window.start <= window.end
-                        && window.end <= nodes.end,
-                    "level bounds must not decrease"
-                );
-                for idx in window {
-                    let extra = *extra_cap.get_unchecked(idx);
-                    match *self.kind.get_unchecked(idx) {
-                        KindTag::Source | KindTag::Sink => {
-                            charged.set(idx, 0.0);
-                            presented.set(idx, 0.0);
-                        }
-                        KindTag::Driver => {
-                            let mut c = 0.0;
-                            for e in self.fanout_edges_unchecked(idx) {
-                                c += self.child_load_edge(e, size, presented);
-                            }
-                            c += extra;
-                            charged.set(idx, c);
-                            presented.set(idx, 0.0);
-                        }
-                        KindTag::Gate => {
-                            let mut c = 0.0;
-                            for e in self.fanout_edges_unchecked(idx) {
-                                c += self.child_load_edge(e, size, presented);
-                            }
-                            // Coupling on a gate output (rare, but allowed)
-                            // loads the stage.
-                            c += extra;
-                            charged.set(idx, c);
-                            presented.set(idx, self.capacitance_unchecked(idx, sizes));
-                        }
-                        KindTag::Wire => {
-                            let own = self.capacitance_unchecked(idx, sizes);
-                            let mut downstream = 0.0;
-                            for e in self.fanout_edges_unchecked(idx) {
-                                downstream += self.child_load_edge(e, size, presented);
-                            }
-                            // π-model: the far half of the wire's own
-                            // capacitance plus all coupling capacitance is
-                            // charged through r_i; the full wire capacitance
-                            // loads everything upstream.
-                            charged.set(idx, own / 2.0 + extra + downstream);
-                            presented.set(idx, own + extra + downstream);
-                        }
+            for idx in nodes.rev() {
+                let extra = *extra_cap.get_unchecked(idx);
+                match *self.kind.get_unchecked(idx) {
+                    NodeKind::Source | NodeKind::Sink => {
+                        charged.set(idx, 0.0);
+                        presented.set(idx, 0.0);
+                    }
+                    NodeKind::Driver | NodeKind::Gate(_) => {
+                        // Coupling on a gate output (rare, but allowed)
+                        // loads the stage.
+                        let c = self.fanout_load(idx, &mut loads, presented) + extra;
+                        charged.set(idx, c);
+                        presented.set(idx, self.capacitance_unchecked(idx, sizes));
+                    }
+                    NodeKind::Wire => {
+                        let own = self.capacitance_unchecked(idx, sizes);
+                        let downstream = self.fanout_load(idx, &mut loads, presented);
+                        // π-model: the far half of the wire's own
+                        // capacitance plus all coupling capacitance is
+                        // charged through r_i; the full wire capacitance
+                        // loads everything upstream.
+                        charged.set(idx, own / 2.0 + extra + downstream);
+                        presented.set(idx, own + extra + downstream);
                     }
                 }
             }
@@ -1124,8 +1090,9 @@ impl<'g> CircuitTopology<'g> {
     /// but the one-directional freshness roughly squares the contraction
     /// factor per pass, so solves converge in far fewer sweeps.
     ///
-    /// `xs` is the block's view of the per-component sizes: it owns the
-    /// block's components and holds the settled sizes of later levels.
+    /// `xs` is the block's view of the per-component sizes, which must own
+    /// the block's components: a child's fresh size reaches its parent
+    /// through the child's `presented` entry.
     ///
     /// # Panics
     ///
@@ -1139,82 +1106,60 @@ impl<'g> CircuitTopology<'g> {
         mut presented: Tile<'_, f64>,
         resize: &mut F,
     ) {
-        let nodes = span(bounds);
+        let nodes = backward_span(bounds);
         let children = self.block_reach(&nodes, true);
         self.assert_block(None, &[("extra_cap", extra_cap.len())]);
         let charged = charged.access(&nodes, &(0..0));
         let presented = presented.access(&nodes, &children);
-        let xs = xs.access(
-            &self.component_space().range(&nodes),
-            &self.component_space().range(&children),
-        );
-        // SAFETY: visited nodes (asserted per window) and their components
-        // lie in what the views own, which is where they are written and
-        // their sizes read (`own`), fanout children and theirs in what they
-        // hold; `extra_cap` matches the circuit; the topology's tables are
-        // valid for every node and edge by construction.
+        let xs = xs.access(&self.component_space().range(&nodes), &(0..0));
+        let mut loads = LoadCursor::new(self.output_loads, nodes.end);
+        // SAFETY: visited nodes and their components lie in what the views
+        // own, which is where they are written and their sizes read
+        // (`own`), fanout children in what `presented` holds; `extra_cap`
+        // matches the circuit; the topology's tables are valid for every
+        // node and edge by construction.
         unsafe {
-            let size = |comp: usize| xs.get(comp);
-            for level in bounds.windows(2).rev() {
-                let window = level[0] as usize..level[1] as usize;
-                assert!(
-                    nodes.start <= window.start
-                        && window.start <= window.end
-                        && window.end <= nodes.end,
-                    "level bounds must not decrease"
-                );
-                for idx in window {
-                    let extra = *extra_cap.get_unchecked(idx);
-                    match *self.kind.get_unchecked(idx) {
-                        KindTag::Source | KindTag::Sink => {
-                            charged.set(idx, 0.0);
-                            presented.set(idx, 0.0);
+            for idx in nodes.rev() {
+                let extra = *extra_cap.get_unchecked(idx);
+                match *self.kind.get_unchecked(idx) {
+                    NodeKind::Source | NodeKind::Sink => {
+                        charged.set(idx, 0.0);
+                        presented.set(idx, 0.0);
+                    }
+                    NodeKind::Driver => {
+                        let c = self.fanout_load(idx, &mut loads, presented);
+                        charged.set(idx, c + extra);
+                        presented.set(idx, 0.0);
+                    }
+                    NodeKind::Gate(_) => {
+                        let c = self.fanout_load(idx, &mut loads, presented) + extra;
+                        charged.set(idx, c);
+                        let comp = idx - self.comp_base;
+                        let x = xs.own(comp);
+                        let x_new = resize(comp, idx, c, x);
+                        if x_new != x {
+                            xs.set(comp, x_new);
                         }
-                        KindTag::Driver => {
-                            let mut c = 0.0;
-                            for e in self.fanout_edges_unchecked(idx) {
-                                c += self.child_load_edge(e, size, presented);
-                            }
-                            charged.set(idx, c + extra);
-                            presented.set(idx, 0.0);
-                        }
-                        KindTag::Gate => {
-                            let mut c = 0.0;
-                            for e in self.fanout_edges_unchecked(idx) {
-                                c += self.child_load_edge(e, size, presented);
-                            }
-                            let c = c + extra;
+                        presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
+                    }
+                    NodeKind::Wire => {
+                        let downstream = self.fanout_load(idx, &mut loads, presented);
+                        let comp = idx - self.comp_base;
+                        let x = xs.own(comp);
+                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
+                        let fringing = *self.fringing.get_unchecked(idx);
+                        let own = unit_cap * x + fringing;
+                        // π-model split, exactly as `downstream_caps_chunk`.
+                        let c = own / 2.0 + extra + downstream;
+                        let x_new = resize(comp, idx, c, x);
+                        if x_new != x {
+                            xs.set(comp, x_new);
+                            let own_new = unit_cap * x_new + fringing;
+                            charged.set(idx, own_new / 2.0 + extra + downstream);
+                            presented.set(idx, own_new + extra + downstream);
+                        } else {
                             charged.set(idx, c);
-                            let comp = idx - self.comp_base;
-                            let x = xs.own(comp);
-                            let x_new = resize(comp, idx, c, x);
-                            if x_new != x {
-                                xs.set(comp, x_new);
-                            }
-                            presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
-                        }
-                        KindTag::Wire => {
-                            let mut downstream = 0.0;
-                            for e in self.fanout_edges_unchecked(idx) {
-                                downstream += self.child_load_edge(e, size, presented);
-                            }
-                            let comp = idx - self.comp_base;
-                            let x = xs.own(comp);
-                            let unit_cap = *self.unit_capacitance.get_unchecked(idx);
-                            let fringing = *self.fringing.get_unchecked(idx);
-                            let own = unit_cap * x + fringing;
-                            // π-model split, exactly as `downstream_caps_chunk`.
-                            let c = own / 2.0 + extra + downstream;
-                            let x_new = resize(comp, idx, c, x);
-                            if x_new != x {
-                                xs.set(comp, x_new);
-                                let own_new = unit_cap * x_new + fringing;
-                                charged.set(idx, own_new / 2.0 + extra + downstream);
-                                presented.set(idx, own_new + extra + downstream);
-                            } else {
-                                charged.set(idx, c);
-                                presented.set(idx, own + extra + downstream);
-                            }
+                            presented.set(idx, own + extra + downstream);
                         }
                     }
                 }
@@ -1297,7 +1242,7 @@ impl<'g> CircuitTopology<'g> {
             // match the circuit (asserted above).
             *out = unsafe {
                 match *self.kind.get_unchecked(idx) {
-                    KindTag::Source | KindTag::Sink => 0.0,
+                    NodeKind::Source | NodeKind::Sink => 0.0,
                     _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
                 }
             };
@@ -1309,64 +1254,34 @@ impl<'g> CircuitTopology<'g> {
     /// [`propagate_arrivals_into`], with `arrival` holding every fanin as
     /// in [`upstream_resistance_chunk`](Self::upstream_resistance_chunk).
     /// Critical-path extraction is the caller's sequential epilogue over
-    /// `pred` ([`trace_critical_path`](Self::trace_critical_path)).
+    /// the settled arrivals
+    /// ([`trace_critical_path`](Self::trace_critical_path)).
     ///
     /// # Panics
     ///
     /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
-    pub fn arrivals_chunk(
-        &self,
-        nodes: Range<usize>,
-        delays: &[f64],
-        mut arrival: Tile<'_, f64>,
-        mut pred: Tile<'_, u32>,
-    ) {
+    pub fn arrivals_chunk(&self, nodes: Range<usize>, delays: &[f64], mut arrival: Tile<'_, f64>) {
         let fanins = self.block_reach(&nodes, false);
         self.assert_block(None, &[("delays", delays.len())]);
         let arrival = arrival.access(&nodes, &fanins);
-        let pred = pred.access(&nodes, &(0..0));
-        // SAFETY: every visited node lies in `nodes`, which the views own,
-        // and every fanin in `fanins`, which `arrival` holds; `delays`
-        // matches the circuit (asserted above); fanin lists hold node
-        // indices by construction.
+        // SAFETY: every visited node lies in `nodes`, which `arrival` owns,
+        // and every fanin in `fanins`, which it holds; `delays` matches the
+        // circuit (asserted above); fanin lists hold node indices by
+        // construction.
         unsafe {
+            let source = |j: usize| matches!(*self.kind.get_unchecked(j), NodeKind::Source);
             for idx in nodes {
-                pred.set(idx, NO_PRED);
-                match *self.kind.get_unchecked(idx) {
-                    KindTag::Source => arrival.set(idx, 0.0),
-                    KindTag::Sink => {
-                        let mut best = 0.0;
-                        let mut best_pred = NO_PRED;
-                        for &j in self.fanin_unchecked(idx) {
-                            let j = j.index();
-                            if arrival.get(j) >= best {
-                                best = arrival.get(j);
-                                best_pred = j as u32;
-                            }
-                        }
-                        arrival.set(idx, best);
-                        pred.set(idx, best_pred);
+                let fanin = self.fanin_unchecked(idx);
+                let a = match *self.kind.get_unchecked(idx) {
+                    NodeKind::Source => 0.0,
+                    NodeKind::Sink => latest_fanin(fanin, |_| false, |j| arrival.get(j)).0,
+                    NodeKind::Driver => *delays.get_unchecked(idx),
+                    NodeKind::Gate(_) | NodeKind::Wire => {
+                        latest_fanin(fanin, source, |j| arrival.get(j)).0
+                            + *delays.get_unchecked(idx)
                     }
-                    KindTag::Driver => {
-                        arrival.set(idx, *delays.get_unchecked(idx));
-                    }
-                    KindTag::Gate | KindTag::Wire => {
-                        let mut best = 0.0;
-                        let mut best_pred = NO_PRED;
-                        for &j in self.fanin_unchecked(idx) {
-                            let j = j.index();
-                            if matches!(*self.kind.get_unchecked(j), KindTag::Source) {
-                                continue;
-                            }
-                            if arrival.get(j) >= best {
-                                best = arrival.get(j);
-                                best_pred = j as u32;
-                            }
-                        }
-                        arrival.set(idx, best + *delays.get_unchecked(idx));
-                        pred.set(idx, best_pred);
-                    }
-                }
+                };
+                arrival.set(idx, a);
             }
         }
     }
@@ -1393,7 +1308,6 @@ impl<'g> CircuitTopology<'g> {
             ("extra_cap", ws.extra_cap.len()),
             ("delays", ws.delays.len()),
             ("arrival", ws.arrival.len()),
-            ("pred", ws.pred.len()),
         ]);
         let xs = sizes.as_slice();
         self.downstream_caps_chunk(
@@ -1404,40 +1318,70 @@ impl<'g> CircuitTopology<'g> {
             Tile::whole(&mut ws.presented),
         );
         self.delays_chunk(0..n, xs, &ws.charged, Tile::whole(&mut ws.delays));
-        self.arrivals_chunk(
-            0..n,
-            &ws.delays,
-            Tile::whole(&mut ws.arrival),
-            Tile::whole(&mut ws.pred),
-        );
-        self.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path)
+        self.arrivals_chunk(0..n, &ws.delays, Tile::whole(&mut ws.arrival));
+        self.trace_critical_path(&ws.arrival, &mut ws.critical_path)
     }
 
-    /// Extracts one critical path from settled `arrival`/`pred` tables by
-    /// walking the predecessors back from the sink into `critical_path`
-    /// (driver first); returns the sink's arrival time, the critical-path
-    /// delay. The sequential epilogue of every arrival propagation
-    /// ([`arrivals_chunk`](Self::arrivals_chunk)).
+    /// Extracts one critical path from a settled `arrival` table into
+    /// `critical_path` (driver first); returns the sink's arrival time, the
+    /// critical-path delay. The sequential epilogue of every arrival
+    /// propagation ([`arrivals_chunk`](Self::arrivals_chunk)).
+    ///
+    /// From the sink back, each step takes the fanin that set the node's
+    /// arrival: the same fanin order, source skip and `>=` tie-break as
+    /// the kernel, so the path is the one [`propagate_arrivals_into`]
+    /// records in its predecessor table. The walk stops at a driver, or at
+    /// a node none of whose fanins arrives at or after time zero.
     ///
     /// # Panics
     ///
-    /// Panics when `arrival` or `pred` does not have one entry per node.
-    pub fn trace_critical_path(
-        &self,
-        arrival: &[f64],
-        pred: &[u32],
-        critical_path: &mut Vec<NodeId>,
-    ) -> f64 {
-        self.assert_node_slices(&[("arrival", arrival.len()), ("pred", pred.len())]);
+    /// Panics when `arrival` does not have one entry per node.
+    pub fn trace_critical_path(&self, arrival: &[f64], critical_path: &mut Vec<NodeId>) -> f64 {
+        self.assert_node_slices(&[("arrival", arrival.len())]);
         critical_path.clear();
-        let mut cursor = pred[self.sink];
-        while cursor != NO_PRED {
-            critical_path.push(NodeId::new(cursor as usize));
-            cursor = pred[cursor as usize];
+        let source = |j: usize| matches!(self.kind[j], NodeKind::Source);
+        let mut node = self.sink;
+        loop {
+            let fanin = self.fanin(node);
+            let (_, pred) = match self.kind[node] {
+                NodeKind::Source | NodeKind::Driver => break,
+                NodeKind::Sink => latest_fanin(fanin, |_| false, |j| arrival[j]),
+                NodeKind::Gate(_) | NodeKind::Wire => latest_fanin(fanin, source, |j| arrival[j]),
+            };
+            let Some(pred) = pred else { break };
+            critical_path.push(NodeId::new(pred));
+            node = pred;
         }
         critical_path.reverse();
         arrival[self.sink]
     }
+}
+
+/// The latest-arriving fanin in `fanin`, in list order, passing over those
+/// `skip` names: the last whose `arrival` is `>=` the running maximum,
+/// which starts at `0.0`. Returns the maximum and that fanin, `None` when
+/// no arrival reaches `0.0`. The one tie-break of the arrival kernel and
+/// the critical-path walk.
+#[inline(always)]
+fn latest_fanin(
+    fanin: &[NodeId],
+    skip: impl Fn(usize) -> bool,
+    arrival: impl Fn(usize) -> f64,
+) -> (f64, Option<usize>) {
+    let mut best = 0.0;
+    let mut best_pred = None;
+    for &j in fanin {
+        let j = j.index();
+        if skip(j) {
+            continue;
+        }
+        let a = arrival(j);
+        if a >= best {
+            best = a;
+            best_pred = Some(j);
+        }
+    }
+    (best, best_pred)
 }
 
 /// Pre-sized dense scratch buffers for one circuit, reused across every
@@ -1446,12 +1390,14 @@ impl<'g> CircuitTopology<'g> {
 /// Every buffer is indexed by raw node index. The workspace is
 /// deliberately dumb —
 /// all semantics live in [`CircuitTopology`] and the solvers that
-/// drive them.
+/// drive them. It keeps no predecessor table: the critical path is
+/// rebuilt from `arrival` ([`CircuitTopology::trace_critical_path`]).
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
     /// `C_i` per node: capacitance charged through the node's resistance.
     pub charged: Vec<f64>,
-    /// Load each node presents to its stage parent, per node.
+    /// Load each node presents to its stage parent, per node: what a
+    /// backward kernel adds for every fanout child but the sink.
     pub presented: Vec<f64>,
     /// λ-weighted upstream resistance `R_i` per node.
     pub upstream: Vec<f64>,
@@ -1463,8 +1409,6 @@ pub struct EvalWorkspace {
     pub arrival: Vec<f64>,
     /// Node delay weights `λ_i` per node.
     pub node_weights: Vec<f64>,
-    /// Critical-path predecessor per node ([`NO_PRED`] when none).
-    pub pred: Vec<u32>,
     /// One critical path (driver → primary-output driver). Every edge
     /// climbs at least one level of the topology's partition, so a path
     /// visits each level at most once: capacity for one node per level
@@ -1484,7 +1428,6 @@ impl EvalWorkspace {
             delays: vec![0.0; n],
             arrival: vec![0.0; n],
             node_weights: vec![0.0; n],
-            pred: vec![NO_PRED; n],
             critical_path: Vec::with_capacity(topo.num_levels()),
         }
     }
@@ -1500,7 +1443,6 @@ impl EvalWorkspace {
             + self.arrival.capacity()
             + self.node_weights.capacity())
             * size_of::<f64>()
-            + self.pred.capacity() * size_of::<u32>()
             + self.critical_path.capacity() * size_of::<NodeId>()
             + size_of::<Self>()
     }
@@ -1695,23 +1637,14 @@ mod tests {
         upstream
     }
 
-    /// `(arrival, pred)` from the forward arrival kernel.
-    fn arrivals(
-        topo: &CircuitTopology<'_>,
-        blocks: &[Vec<u32>],
-        delays: &[f64],
-    ) -> (Vec<f64>, Vec<u32>) {
-        let n = topo.num_nodes();
-        let (mut arrival, mut pred) = (vec![f64::NAN; n], vec![0; n]);
+    /// Arrival times from the forward arrival kernel.
+    fn arrivals(topo: &CircuitTopology<'_>, blocks: &[Vec<u32>], delays: &[f64]) -> Vec<f64> {
+        let mut arrival = vec![f64::NAN; topo.num_nodes()];
         for block in blocks {
-            topo.arrivals_chunk(
-                nodes(block),
-                delays,
-                view(&mut arrival, Space::Nodes, block, false),
-                view(&mut pred, Space::Nodes, block, false),
-            );
+            let view = view(&mut arrival, Space::Nodes, block, false);
+            topo.arrivals_chunk(nodes(block), delays, view);
         }
-        (arrival, pred)
+        arrival
     }
 
     /// Runs the backward fused kernel over `blocks` in reverse order.
@@ -1825,12 +1758,11 @@ mod tests {
             &c,
             &ws.delays,
             &mut graph_walk.arrival,
-            &mut graph_walk.pred,
+            &mut vec![0; c.num_nodes()],
             &mut graph_walk.critical_path,
         );
         assert_eq!(delay, reference.critical_path_delay);
         assert_eq!(graph_walk.arrival, reference.arrival.values);
-        assert_eq!(graph_walk.pred, ws.pred);
         assert_eq!(graph_walk.critical_path, reference.critical_path);
     }
 
@@ -1976,14 +1908,6 @@ mod tests {
         let reference_caps = analyzer.downstream_caps(&sizes, Some(&extra));
         let reference_upstream = analyzer.weighted_upstream_resistance(&sizes, &weights);
         let reference = TimingAnalysis::run(&c, &sizes, Some(&extra));
-        let mut reference_pred = vec![0; n];
-        propagate_arrivals_into(
-            &c,
-            &reference.delays,
-            &mut vec![0.0; n],
-            &mut reference_pred,
-            &mut Vec::new(),
-        );
 
         for blocks in blockings(&topo) {
             let (charged, presented) = caps(&topo, &blocks, &sizes, &extra);
@@ -1993,11 +1917,10 @@ mod tests {
                 upstream(&topo, &blocks, &sizes, &weights),
                 reference_upstream
             );
-            let (arrival, pred) = arrivals(&topo, &blocks, &reference.delays);
+            let arrival = arrivals(&topo, &blocks, &reference.delays);
             assert_eq!(arrival, reference.arrival.values, "{blocks:?}");
-            assert_eq!(pred, reference_pred, "{blocks:?}");
             let mut path = Vec::new();
-            let delay = topo.trace_critical_path(&arrival, &pred, &mut path);
+            let delay = topo.trace_critical_path(&arrival, &mut path);
             assert_eq!(delay, reference.critical_path_delay);
             assert_eq!(path, reference.critical_path);
         }
@@ -2120,6 +2043,79 @@ mod tests {
         }
     }
 
+    /// `generated(width, depth)` decoded from parts in which the primary
+    /// outputs' loads take every form a decoded graph may give them: a
+    /// `-0.0`, a zero (no entry in the load list), a load on a wire that
+    /// does not drive the sink, and a driver that drives the sink with a
+    /// load of its own.
+    fn decoded_loads(width: usize, depth: usize) -> CircuitGraph {
+        let c = generated(width, depth);
+        let ids: Vec<NodeId> = c.node_ids().collect();
+        let mut nodes: Vec<crate::node::Node> = ids.iter().map(|&id| c.node(id)).collect();
+        let names: Vec<&str> = ids.iter().map(|&id| c.name(id)).collect();
+        let mut fanin: Vec<Vec<NodeId>> = ids.iter().map(|&id| c.fanin(id).to_vec()).collect();
+        let mut fanout: Vec<Vec<NodeId>> = ids.iter().map(|&id| c.fanout(id).to_vec()).collect();
+        let (sink, last) = (c.sink(), depth - 1);
+        let at = |name: String| c.node_by_name(&name).unwrap().index();
+        nodes[at(format!("w{last}_0"))].attrs.output_load = -0.0;
+        nodes[at(format!("w{last}_1"))].attrs.output_load = 0.0;
+        nodes[at("i2".to_string())].attrs.output_load = 3.25;
+        let driver = at("d3".to_string());
+        nodes[driver].attrs.output_load = 2.5;
+        fanout[driver].push(sink);
+        fanin[sink.index()].push(NodeId::new(driver));
+        CircuitGraph::from_serialized_parts(
+            nodes,
+            &names,
+            fanin,
+            fanout,
+            *c.technology(),
+            c.num_drivers(),
+            c.num_components(),
+        )
+        .unwrap()
+    }
+
+    /// The backward kernels read each sink edge's load through the load
+    /// cursor: over every cut of the level partition into blocks, the
+    /// rebuild and the fused pass leave `charged`/`presented` bitwise equal
+    /// to the analyzer's, on a graph with every form of load.
+    #[test]
+    fn sink_loads_match_the_analyzer_across_blockings() {
+        let c = decoded_loads(8, 4);
+        let topo = CircuitTopology::new(&c);
+        let n = c.num_nodes();
+        let extra: Vec<f64> = (0..n).map(|i| (i % 3) as f64 * 0.25).collect();
+        let sizes: SizeVector = (0..c.num_components())
+            .map(|i| 0.5 + (i % 5) as f64)
+            .collect();
+        let analyzer = ElmoreAnalyzer::new(&c);
+        let reference = analyzer.downstream_caps(&sizes, Some(&extra));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let grow: fn(usize, usize, f64, f64) -> f64 =
+            |_comp, _node, value, x| (x + value.sqrt()).clamp(0.5, 6.0);
+        for blocks in blockings(&topo) {
+            let (charged, presented) = caps(&topo, &blocks, &sizes, &extra);
+            assert_eq!(bits(&charged), bits(&reference.charged), "{blocks:?}");
+            assert_eq!(bits(&presented), bits(&reference.presented), "{blocks:?}");
+
+            let mut resized = sizes.clone();
+            let (mut charged, mut presented) = (vec![0.0; n], vec![0.0; n]);
+            let tables = (charged.as_mut_slice(), presented.as_mut_slice());
+            fused_backward(&topo, &blocks, &mut resized, &extra, tables, grow);
+            let rebuilt = analyzer.downstream_caps(&resized, Some(&extra));
+            assert_eq!(bits(&charged), bits(&rebuilt.charged), "{blocks:?}");
+            assert_eq!(bits(&presented), bits(&rebuilt.presented), "{blocks:?}");
+        }
+        let mut ws = EvalWorkspace::new(&topo);
+        ws.extra_cap.copy_from_slice(&extra);
+        topo.timing_into(&sizes, &mut ws);
+        assert_eq!(
+            bits(&ws.delays),
+            bits(&analyzer.delays(&sizes, Some(&extra)))
+        );
+    }
+
     /// The delay kernel is per-node independent: any split of the node
     /// range reproduces the analyzer's delays bitwise.
     #[test]
@@ -2203,7 +2199,7 @@ mod tests {
         let mut ws = EvalWorkspace::new(&topo);
         assert_eq!(ws.charged.len(), c.num_nodes());
         assert_eq!(ws.node_weights.len(), c.num_nodes());
-        assert_eq!(ws.pred.len(), c.num_nodes());
+        assert_eq!(ws.arrival.len(), c.num_nodes());
         assert!(ws.memory_bytes() > 0);
         // The chain is one node per level, so its critical path fills the
         // reserved capacity without outgrowing it.

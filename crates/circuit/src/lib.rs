@@ -79,8 +79,7 @@ pub use area::total_area;
 pub use builder::CircuitBuilder;
 pub use elmore::{DownstreamCaps, ElmoreAnalyzer};
 pub use engine::{
-    propagate_arrivals_into, CircuitTopology, EvalWorkspace, KindTag, Settled, Space, Tile, Tiles,
-    NO_PRED,
+    propagate_arrivals_into, CircuitTopology, EvalWorkspace, Settled, Space, Tile, Tiles, NO_PRED,
 };
 pub use error::CircuitError;
 pub use graph::{CircuitGraph, SizeBounds};

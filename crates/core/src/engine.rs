@@ -18,7 +18,7 @@
 //! results; the `property_eval_engine` integration test enforces this.
 
 use ncgws_circuit::{
-    CircuitGraph, CircuitTopology, EvalWorkspace, KindTag, NodeId, SizeBounds, SizeVector, Space,
+    CircuitGraph, CircuitTopology, EvalWorkspace, NodeId, NodeKind, SizeBounds, SizeVector, Space,
     Tile, Tiles,
 };
 use ncgws_coupling::CouplingSet;
@@ -97,7 +97,7 @@ pub struct SizingEngine<'a> {
 /// Per-sweep immutable view of the Theorem-5 closed-form resize inputs,
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
-    kind: &'a [KindTag],
+    kind: &'a [NodeKind],
     unit_resistance: &'a [f64],
     unit_capacitance: &'a [f64],
     area_coefficient: &'a [f64],
@@ -124,7 +124,7 @@ impl ResizeTables<'_> {
     ) -> (f64, f64) {
         let coupling_sum = self.coupling_sum[comp];
         let mut cap_num = charged_i;
-        if self.kind[comp] == KindTag::Wire {
+        if self.kind[comp].is_wire() {
             cap_num -= self.unit_capacitance[comp] * x_i / 2.0;
             cap_num -= coupling_sum * x_i;
         }
@@ -852,8 +852,9 @@ impl<'a> SizingEngine<'a> {
         }
         // Delays are per-node independent (flat chunks); arrival
         // propagation settles the block grid forward; the critical-path walk
-        // over `pred` is a sequential epilogue. Per node the arithmetic (and
-        // the `>=` tie-breaking) is exactly the reference recurrence.
+        // back from the sink over the settled arrivals is a sequential
+        // epilogue. Per node the arithmetic (and the `>=` tie-breaking) is
+        // exactly the reference recurrence.
         let (topo, ws) = (&self.topo, &mut self.ws);
         let n = topo.num_nodes();
         let (xs, charged) = (sizes.as_slice(), &ws.charged[..]);
@@ -865,17 +866,15 @@ impl<'a> SizingEngine<'a> {
         let delays = &ws.delays[..];
         for step in self.grid.steps(false) {
             let mut arrival = step.tiles(&mut ws.arrival, Space::Nodes);
-            let mut pred = step.tiles(&mut ws.pred, Space::Nodes);
             let blocks = step.blocks().map(|block| {
                 let nodes = block.nodes();
-                (arrival.next(&nodes), pred.next(&nodes), nodes)
+                (arrival.next(&nodes), nodes)
             });
-            self.par.run(blocks, |(arrival, pred, nodes)| {
-                topo.arrivals_chunk(nodes, delays, arrival, pred);
+            self.par.run(blocks, |(arrival, nodes)| {
+                topo.arrivals_chunk(nodes, delays, arrival);
             });
         }
-        let critical_path_delay =
-            topo.trace_critical_path(&ws.arrival, &ws.pred, &mut ws.critical_path);
+        let critical_path_delay = topo.trace_critical_path(&ws.arrival, &mut ws.critical_path);
         TimingView {
             delays: &ws.delays,
             arrival: &ws.arrival,

@@ -16,7 +16,11 @@
 //! from the live bytes before it, must also stay within 1.35× the live
 //! bytes it returns: generation frees its scaffolding before the graph is
 //! built, and a table kept alive across the build shows up as that ratio
-//! whatever the budgets allow.
+//! whatever the budgets allow. The engine's own bytes per node are
+//! bounded too, so a per-node or per-edge copy of a graph table fails a
+//! named check, and encoding a snapshot of the solve may make
+//! only the allocation calls of its JSON buffer's growth, not one per
+//! number.
 //!
 //! The same solve then runs at `threads(1)` and `threads(2)`, and no thread
 //! but the test's own may allocate during `order()` or `size()`: heap a
@@ -123,9 +127,9 @@ const MIB: f64 = 1024.0 * 1024.0;
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
     ("generate", 918_334),
-    ("order", 2_165_881),
-    ("engine", 2_005_881),
-    ("size", 2_379_933),
+    ("order", 1_991_987),
+    ("engine", 1_831_987),
+    ("size", 2_206_039),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload. None
@@ -144,10 +148,25 @@ const GENERATE_ALLOCS: usize = 44;
 /// across the graph build shows up here however large the budgets are.
 const GENERATE_PEAK_OVER_LIVE_PCT: usize = 135;
 
+/// Bytes the sizing engine owns per node of the workload
+/// (`SizingEngine::memory_bytes` over the node count), recorded on this
+/// workload with 10% on top. The engine keeps the evaluation workspace's
+/// per-node tables, the schedule's per-component state and the fanin
+/// edges' dispatch tags; a per-node or per-edge copy of a table the graph
+/// or the coupling set already holds breaks it.
+const ENGINE_BYTES_PER_NODE: usize = 88;
+
+/// Allocation calls of encoding a snapshot of the workload
+/// (`Snapshot::to_json`): the JSON writer formats every number straight
+/// into its buffer, so the calls are the buffer's doublings and the
+/// writer's container stack, a few dozen whatever the snapshot holds. A
+/// string per number would make tens of thousands.
+const ENCODE_ALLOCS: usize = 40;
+
 /// Allocation calls of the order phase (`prepare` + `order`), recorded on
 /// this workload. None of them is made per channel: the workload has 667
 /// channels, so one per channel would break the budget.
-const ORDER_ALLOCS: usize = 47;
+const ORDER_ALLOCS: usize = 43;
 
 /// Runs `f` and returns its result with the number of allocation calls
 /// every thread but the test's made meanwhile.
@@ -227,6 +246,7 @@ fn xlw10k_phase_peaks_stay_within_budget() {
             .unwrap()
     });
     let (mut engine, engine_peak, _) = phase(|| ordered.engine());
+    let engine_per_node = engine.memory_bytes() / instance.circuit.num_nodes();
     let (sized, size, _) = phase(|| {
         ordered
             .size_with_engine(&mut engine, None, &RunControl::new())
@@ -250,6 +270,11 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         "peak_memory xlw10k order: {order_allocs} allocation calls (budget {ORDER_ALLOCS} + 10%)"
     );
     println!(
+        "peak_memory xlw10k engine: {} B = {engine_per_node} B per node (at most \
+         {ENGINE_BYTES_PER_NODE})",
+        engine.memory_bytes()
+    );
+    println!(
         "peak_memory xlw10k generate: peak {generate_rise} B over {generate_live} B returned = \
          {:.3} (at most {:.2})",
         generate_rise as f64 / generate_live as f64,
@@ -270,10 +295,35 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         "order: {order_allocs} allocation calls exceed the budget {ORDER_ALLOCS} + 10%"
     );
     assert!(
+        engine_per_node <= ENGINE_BYTES_PER_NODE,
+        "engine: {engine_per_node} B per node exceeds {ENGINE_BYTES_PER_NODE}"
+    );
+    assert!(
         generate_rise * 100 <= generate_live * GENERATE_PEAK_OVER_LIVE_PCT,
         "generate: peak {generate_rise} B exceeds {GENERATE_PEAK_OVER_LIVE_PCT}% of the \
          {generate_live} B it returns"
     );
+
+    // Encoding a snapshot allocates only to grow its buffer.
+    let store = SnapshotStore::new();
+    let control = RunControl::new()
+        .with_iteration_budget(2)
+        .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
+    ordered
+        .size_with_engine(&mut engine, None, &control)
+        .unwrap();
+    let snapshot = store.take().unwrap();
+    let (json, _, encode_allocs) = phase(|| snapshot.to_json());
+    println!(
+        "peak_memory xlw10k snapshot: {} B of JSON in {encode_allocs} allocation calls (at most \
+         {ENCODE_ALLOCS})",
+        json.len()
+    );
+    assert!(
+        encode_allocs <= ENCODE_ALLOCS,
+        "snapshot encode: {encode_allocs} allocation calls exceed {ENCODE_ALLOCS}"
+    );
+    assert_eq!(Snapshot::from_json(&json).unwrap(), snapshot);
 
     // Workers allocate nothing. Each pool is up before its count starts.
     for parallel in [
