@@ -14,8 +14,8 @@ pub fn area_per_component(graph: &CircuitGraph, sizes: &SizeVector) -> Vec<f64> 
     component_areas(graph, sizes).collect()
 }
 
-/// `α_i · x_i` for every component, in dense component order, read from
-/// the area-coefficient column.
+/// `α_i · x_i` for every component, in dense component order, with `α_i`
+/// derived from the component's kind and parameter.
 ///
 /// # Panics
 ///
@@ -24,10 +24,10 @@ fn component_areas<'a>(
     graph: &'a CircuitGraph,
     sizes: &'a SizeVector,
 ) -> impl Iterator<Item = f64> + 'a {
-    graph.area_coefficients()[graph.component_range()]
-        .iter()
+    let attributes = graph.attributes().range(graph.component_range());
+    attributes
         .enumerate()
-        .map(move |(k, &alpha)| alpha * sizes[k])
+        .map(move |(k, rc)| rc.area_coefficient * sizes[k])
 }
 
 #[cfg(test)]

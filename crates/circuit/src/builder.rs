@@ -4,7 +4,7 @@ use crate::error::CircuitError;
 use crate::graph::{overrides_default, AdjacencyFill, CircuitGraph, NodeColumns, MAX_NODES};
 use crate::id::NodeId;
 use crate::names::{first_repeat, NameTable};
-use crate::node::{GateKind, Node, NodeAttrs, NodeKind};
+use crate::node::{GateKind, NodeKind, GATE_PARAM};
 use crate::tech::Technology;
 
 /// Handle returned by the builder for a component added to the circuit under
@@ -44,12 +44,6 @@ const MAX_COMPONENTS: usize = MAX_NODES - 2;
 /// so no component has this number.
 const NO_DRIVER: u32 = u32::MAX;
 
-/// A component's entry in `CircuitBuilder::output_loads` while it drives
-/// no primary output. Every load `connect_output` takes is finite and not
-/// negative, and no sum of such loads is NaN, so no accumulated load is
-/// this value.
-const NO_OUTPUT: f64 = f64::NAN;
-
 /// Builder for [`CircuitGraph`].
 ///
 /// Components may be added and connected in any order; [`CircuitBuilder::build`]
@@ -67,9 +61,10 @@ const NO_OUTPUT: f64 = f64::NAN;
 /// one pass in topological order writes every node column of the graph.
 ///
 /// Under construction a component is only its kind and one parameter (a
-/// driver's resistance or a wire's length); its attributes are computed
-/// from the technology when `build` writes its node. Its primary-output
-/// load takes eight bytes (NaN while it drives no output). `build` keeps
+/// driver's resistance or a wire's length), which the graph keeps as is:
+/// the graph derives the attributes from them and the technology. The
+/// primary-output loads are a list of the `connect_output` calls, so a
+/// component that drives no output takes no bytes for one. `build` keeps
 /// its topological order in 32-bit component numbers and frees each table
 /// of the builder as soon as it is spent, so the builder's tables and the
 /// graph's arrays overlap as little as they can.
@@ -123,7 +118,7 @@ pub struct CircuitBuilder {
     /// The kinds of the components, in the order they were added.
     kinds: Vec<NodeKind>,
     /// `param[i]` is the resistance of driver `i`, the length of wire `i`,
-    /// and zero for a gate.
+    /// and [`GATE_PARAM`] for a gate: the graph's parameter column.
     param: Vec<f64>,
     /// `set_size_bounds` overrides `(component, lower, upper)`, in call
     /// order; `build` gives each component the last of its own, and the
@@ -137,10 +132,9 @@ pub struct CircuitBuilder {
     wire_driver: Vec<u32>,
     /// The accepted edges, in call order.
     edges: Vec<(u32, u32)>,
-    /// `output_loads[i]` is the accumulated primary-output load of
-    /// component `i`, or [`NO_OUTPUT`] if it drives none: eight bytes a
-    /// component, where an `Option<f64>` takes sixteen.
-    output_loads: Vec<f64>,
+    /// The accepted `connect_output` calls `(component, load)`, in call
+    /// order; `build` sums each component's loads in that order.
+    outputs: Vec<(u32, f64)>,
 }
 
 impl CircuitBuilder {
@@ -152,7 +146,8 @@ impl CircuitBuilder {
     /// Creates an empty builder with room for `components` components
     /// (drivers, gates and wires), `edges` connections and `name_bytes`
     /// bytes of component names, so a caller that knows the circuit's size
-    /// up front builds it without regrowing a table.
+    /// up front builds it without regrowing a table (with
+    /// [`reserve_outputs`](Self::reserve_outputs) for its primary outputs).
     pub fn with_capacity(
         tech: Technology,
         components: usize,
@@ -167,8 +162,15 @@ impl CircuitBuilder {
             names: NameTable::with_capacity(components, name_bytes),
             wire_driver: Vec::with_capacity(components),
             edges: Vec::with_capacity(edges),
-            output_loads: Vec::with_capacity(components),
+            outputs: Vec::new(),
         }
+    }
+
+    /// Reserves room for `additional` more [`connect_output`](Self::connect_output)
+    /// calls, so a caller that knows its primary outputs up front records
+    /// them without regrowing the list.
+    pub fn reserve_outputs(&mut self, additional: usize) {
+        self.outputs.reserve_exact(additional);
     }
 
     /// The technology this builder hands to the finished circuit.
@@ -212,7 +214,6 @@ impl CircuitBuilder {
         self.kinds.push(kind);
         self.param.push(param);
         self.wire_driver.push(NO_DRIVER);
-        self.output_loads.push(NO_OUTPUT);
         BuildNode(self.kinds.len() - 1)
     }
 
@@ -242,7 +243,7 @@ impl CircuitBuilder {
     /// reported by [`build`](Self::build).
     pub fn add_gate(&mut self, name: &str, kind: GateKind) -> Result<BuildNode, CircuitError> {
         self.push_name(name)?;
-        Ok(self.push_node(NodeKind::Gate(kind), 0.0))
+        Ok(self.push_node(NodeKind::Gate(kind), GATE_PARAM))
     }
 
     /// Adds a wire of the given length (µm).
@@ -378,11 +379,8 @@ impl CircuitBuilder {
                 reason: "an input driver cannot directly drive a primary output",
             });
         }
-        let total = &mut self.output_loads[node.0];
-        if total.is_nan() {
-            *total = 0.0;
-        }
-        *total += load;
+        // `node.0` is a component, so below `MAX_COMPONENTS`.
+        self.outputs.push((node.0 as u32, load));
         Ok(())
     }
 
@@ -417,7 +415,7 @@ impl CircuitBuilder {
             names,
             wire_driver,
             edges,
-            output_loads,
+            mut outputs,
         } = self;
         if let Some(j) = first_repeat(names.len(), |i| names.get(i))? {
             return Err(CircuitError::DuplicateName(names.get(j).to_string()));
@@ -465,14 +463,31 @@ impl CircuitBuilder {
         if order.is_empty() {
             return Err(CircuitError::NoDrivers);
         }
-        let is_output = |old: usize| !output_loads[old].is_nan();
-        let num_outputs = (0..total).filter(|&old| is_output(old)).count();
+        // The primary outputs, one entry per component sorted by component
+        // number, its loads summed in call order (the sort is stable).
+        outputs.sort_by_key(|&(old, _)| old);
+        let mut num_outputs = 0;
+        for k in 0..outputs.len() {
+            let (old, load) = outputs[k];
+            if num_outputs > 0 && outputs[num_outputs - 1].0 == old {
+                outputs[num_outputs - 1].1 += load;
+            } else {
+                outputs[num_outputs] = (old, 0.0 + load);
+                num_outputs += 1;
+            }
+        }
+        outputs.truncate(num_outputs);
         if num_outputs == 0 {
             return Err(CircuitError::NoPrimaryOutputs);
         }
 
         // Every non-driver component needs a fanin; every component that does
         // not drive a primary output needs a fanout.
+        let is_output = |old: usize| {
+            outputs
+                .binary_search_by_key(&old, |&(o, _)| o as usize)
+                .is_ok()
+        };
         for i in 0..total {
             if !kinds[i].is_driver() && indegree[i] == 0 {
                 return Err(CircuitError::DanglingInput(NodeId::new(i)));
@@ -509,49 +524,16 @@ impl CircuitBuilder {
         for (k, &old) in order.iter().enumerate() {
             ids[old as usize] = NodeId::new(k + 1);
         }
+        // The outputs by new node, sorted: ids are distinct.
+        for (node, _) in &mut outputs {
+            *node = ids[*node as usize].index() as u32;
+        }
+        outputs.sort_unstable_by_key(|&(node, _)| node);
 
-        // Fanin lists fill in increasing tail order and fanout lists in
-        // increasing head order, so both come out sorted.
-        // The source feeds each driver.
-        let fanin_degrees = std::iter::once(0)
-            .chain(std::iter::repeat_n(1, s))
-            .chain(
-                order[s..]
-                    .iter()
-                    .map(|&old| indegree[old as usize] as usize),
-            )
-            .chain(std::iter::once(num_outputs));
-        let mut fill = AdjacencyFill::new(fanin_degrees)?;
-        for d in 1..=s {
-            fill.push(d, NodeId::new(0));
-        }
-        for (k, &old) in order.iter().enumerate() {
-            let u = NodeId::new(k + 1);
-            for &v in fanout.list(old as usize) {
-                fill.push(ids[v.index()].index(), u);
-            }
-            if is_output(old as usize) {
-                fill.push(sink, u);
-            }
-        }
-        let new_fanin = fill.finish();
-        let fanout_degrees = std::iter::once(s)
-            .chain(order.iter().map(|&old| {
-                let old = old as usize;
-                fanout.list(old).len() + usize::from(is_output(old))
-            }))
-            .chain(std::iter::once(0));
-        let mut fill = AdjacencyFill::new(fanout_degrees)?;
-        drop(fanout);
-        drop(indegree);
-        for v in 0..=sink {
-            for &u in new_fanin.list(v) {
-                fill.push(u.index(), NodeId::new(v));
-            }
-        }
-        let new_fanout = fill.finish();
-
-        // The graph's names, in the new indexing, in one pass.
+        // The graph's tables are written one at a time, each as soon as
+        // the builder tables it reads are complete, and each builder table
+        // is freed once spent: the names first, while the fewest tables
+        // are live.
         let mut graph_names = NameTable::with_capacity(
             total + 2,
             names.text_len() + SOURCE_NAME.len() + SINK_NAME.len(),
@@ -576,40 +558,62 @@ impl CircuitBuilder {
             overrides_default(kinds[old as usize], (lower, upper), sizable)
         });
 
-        // The node columns, in the new indexing, in one pass: each node's
-        // attributes are computed from its kind and parameter as it is
-        // written, its size bounds overridden by its last
-        // `set_size_bounds` call.
-        let mut columns = NodeColumns::with_capacity(total + 2, num_outputs, bounds.len(), &tech);
-        let artificial = |kind| Node {
-            kind,
-            attrs: NodeAttrs::artificial(),
-        };
-        columns.push(artificial(NodeKind::Source));
-        for &old in &order {
+        // The node columns, in the new indexing, in one pass: each node is
+        // its kind and parameter, from which the graph derives its
+        // attributes, its size bounds overridden by its last
+        // `set_size_bounds` call and its load read off the sorted outputs.
+        let mut columns =
+            NodeColumns::with_capacity(total + 2, num_outputs, bounds.len(), 0, &tech);
+        let unbounded = (0.0, 0.0);
+        columns.push(NodeKind::Source, 0.0, None, unbounded, 0.0);
+        let mut loads = outputs.iter().peekable();
+        for (k, &old) in order.iter().enumerate() {
             let old = old as usize;
             let kind = kinds[old];
-            let mut attrs = match kind {
-                NodeKind::Driver => NodeAttrs::driver(param[old]),
-                NodeKind::Gate(_) => NodeAttrs::gate(&tech),
-                // The builder adds only drivers, gates and wires.
-                _ => NodeAttrs::wire(&tech, param[old]),
+            let bounds = match bounds.binary_search_by_key(&(old as u32), |&(o, _, _)| o) {
+                Ok(at) => (bounds[at].1, bounds[at].2),
+                Err(_) if kind.is_sizable() => sizable,
+                Err(_) => unbounded,
             };
-            if let Ok(at) = bounds.binary_search_by_key(&(old as u32), |&(o, _, _)| o) {
-                (attrs.lower_bound, attrs.upper_bound) = (bounds[at].1, bounds[at].2);
-            }
-            if is_output(old) {
-                let load = output_loads[old];
-                attrs.output_load = if load > 0.0 {
-                    load
-                } else {
-                    tech.default_output_load
-                };
-            }
-            columns.push(Node { kind, attrs });
+            let load = match loads.next_if(|&&(node, _)| node as usize == k + 1) {
+                Some(&(_, load)) if load > 0.0 => load,
+                Some(_) => tech.default_output_load,
+                None => 0.0,
+            };
+            columns.push(kind, param[old], None, bounds, load);
         }
-        columns.push(artificial(NodeKind::Sink));
-        drop((kinds, param, output_loads, order, bounds));
+        columns.push(NodeKind::Sink, 0.0, None, unbounded, 0.0);
+        drop((kinds, param, bounds));
+
+        // Fanin lists fill in increasing tail order, so they come out
+        // sorted. The source feeds each driver, and the sink's list takes
+        // the sorted outputs last.
+        let fanin_degrees = std::iter::once(0)
+            .chain(std::iter::repeat_n(1, s))
+            .chain(
+                order[s..]
+                    .iter()
+                    .map(|&old| indegree[old as usize] as usize),
+            )
+            .chain(std::iter::once(num_outputs));
+        let mut fill = AdjacencyFill::new(fanin_degrees)?;
+        for d in 1..=s {
+            fill.push(d, NodeId::new(0));
+        }
+        for (k, &old) in order.iter().enumerate() {
+            let u = NodeId::new(k + 1);
+            for &v in fanout.list(old as usize) {
+                fill.push(ids[v.index()].index(), u);
+            }
+        }
+        for &(node, _) in &outputs {
+            fill.push(sink, NodeId::new(node as usize));
+        }
+        let new_fanin = fill.finish();
+        drop((fanout, indegree, order, outputs));
+        // The fanout lists are the fanin lists transposed, counted from
+        // them alone.
+        let new_fanout = new_fanin.transposed();
 
         let graph =
             CircuitGraph::from_parts(columns, graph_names, new_fanin, new_fanout, tech, s, n);

@@ -12,7 +12,8 @@
 //! rather than the arithmetic. This module is the replacement:
 //!
 //! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over the
-//!   graph's own CSR adjacency, kind column, per-node RC columns and sparse
+//!   graph's own CSR adjacency, kind and parameter columns (from which it
+//!   derives each node's RC attributes as it visits the node) and sparse
 //!   output loads, which it borrows, plus what it derives once per circuit:
 //!   per-fanin-edge dispatch tags and the cached topological **level
 //!   partition** (see below). Its traversal kernels fill caller-provided
@@ -60,17 +61,45 @@
 //! # The SoA layout invariant
 //!
 //! Every per-node electrical quantity lives in its own dense `f64` slab
-//! indexed by raw node index — unit resistance, unit capacitance and
-//! fringing in the graph's columns; charged/presented capacitance, upstream
+//! indexed by raw node index — the parameter the RC attributes are derived
+//! from in the graph's column; charged/presented capacitance, upstream
 //! resistance, arrival and delays in [`EvalWorkspace`]. No per-node struct
 //! interleaves two quantities, so a kernel that streams one quantity
 //! touches contiguous memory.
 
-use crate::graph::CircuitGraph;
+use crate::graph::{Attributes, CircuitGraph};
 use crate::id::NodeId;
-use crate::node::NodeKind;
+use crate::node::{NodeKind, NodeRc};
 use crate::sizing::SizeVector;
 use std::ops::Range;
+
+/// Resistance of a node of `kind` with attributes `rc` at size `x`,
+/// exactly as `Node::resistance`.
+#[inline(always)]
+fn resistance_at(kind: NodeKind, rc: NodeRc, x: f64) -> f64 {
+    match kind {
+        NodeKind::Driver => rc.resistance,
+        NodeKind::Gate(_) | NodeKind::Wire => {
+            if x > 0.0 {
+                rc.resistance / x
+            } else {
+                f64::INFINITY
+            }
+        }
+        NodeKind::Source | NodeKind::Sink => 0.0,
+    }
+}
+
+/// Capacitance of a node of `kind` with attributes `rc` at size `x`
+/// (excluding coupling), exactly as `Node::capacitance`.
+#[inline(always)]
+fn capacitance_at(kind: NodeKind, rc: NodeRc, x: f64) -> f64 {
+    match kind {
+        NodeKind::Gate(_) => rc.unit_capacitance * x,
+        NodeKind::Wire => rc.unit_capacitance * x + rc.fringing,
+        _ => 0.0,
+    }
+}
 
 /// Sentinel for "no predecessor" in dense predecessor arrays.
 pub const NO_PRED: u32 = u32::MAX;
@@ -450,7 +479,7 @@ enum FaninTag {
 }
 
 /// The Elmore view of a circuit the hot loops traverse: the graph's CSR
-/// adjacency, kind column, per-node RC columns and sparse output loads,
+/// adjacency, kind and parameter columns and sparse output loads,
 /// borrowed rather than copied, plus what is derived from them once — the
 /// per-fanin-edge dispatch tags and the level partition. Immutable once
 /// built. Component indices are not stored anywhere: the dense component of
@@ -500,18 +529,10 @@ pub struct CircuitTopology<'g> {
     /// component index of node `idx` is `idx - comp_base`: a subtraction,
     /// not a table.
     comp_base: usize,
-    /// The graph's [`kinds`](CircuitGraph::kinds) column, borrowed.
-    kind: &'g [NodeKind],
-    /// `r̂` for gates/wires, `R_D` for drivers, zero otherwise: the graph's
-    /// [`resistances`](CircuitGraph::resistances), borrowed.
-    unit_resistance: &'g [f64],
-    /// `ĉ` for gates/wires, zero otherwise: the graph's
-    /// [`unit_capacitances`](CircuitGraph::unit_capacitances), borrowed.
-    unit_capacitance: &'g [f64],
-    /// `f` for wires, zero otherwise: the graph's
-    /// [`fringing_capacitances`](CircuitGraph::fringing_capacitances),
-    /// borrowed.
-    fringing: &'g [f64],
+    /// The graph's [`attributes`](CircuitGraph::attributes) view: its kind
+    /// and parameter columns, borrowed, from which a kernel derives a
+    /// node's `r̂` (or `R_D`), `ĉ` and `f` as it visits the node.
+    attrs: Attributes<'g>,
     /// The graph's `(node, load)` output loads, sorted by node (borrowed):
     /// the load a sink child puts on its parent.
     output_loads: &'g [(NodeId, f64)],
@@ -552,8 +573,8 @@ impl<'g> CircuitTopology<'g> {
             "circuit too large for 32-bit level bounds"
         );
         let comp_base = graph.num_drivers() + 1;
-        let kind = graph.kinds();
-        let unit_resistance = graph.resistances();
+        let attrs = graph.attributes();
+        let kind = attrs.kind;
         let (fanout, fanin) = (graph.fanout_csr(), graph.fanin_csr());
 
         // Streamed per-fanin-edge descriptor columns (see the field docs):
@@ -568,9 +589,9 @@ impl<'g> CircuitTopology<'g> {
             let p = pred.index();
             let (tag, ur) = match kind[p] {
                 NodeKind::Source | NodeKind::Sink => (FaninTag::Skip, 0.0),
-                NodeKind::Driver => (FaninTag::Const, unit_resistance[p]),
-                NodeKind::Gate(_) => (FaninTag::Div, unit_resistance[p]),
-                NodeKind::Wire => (FaninTag::WireDiv, unit_resistance[p]),
+                NodeKind::Driver => (FaninTag::Const, attrs.get(p).resistance),
+                NodeKind::Gate(_) => (FaninTag::Div, attrs.get(p).resistance),
+                NodeKind::Wire => (FaninTag::WireDiv, attrs.get(p).resistance),
             };
             fanin_tag.push(tag);
             fanin_ur.push(ur);
@@ -591,10 +612,7 @@ impl<'g> CircuitTopology<'g> {
             num_components: graph.num_components(),
             sink: graph.sink().index(),
             comp_base,
-            kind,
-            unit_resistance,
-            unit_capacitance: graph.unit_capacitances(),
-            fringing: graph.fringing_capacitances(),
+            attrs,
             output_loads: graph.output_load_list(),
             fanout_start: fanout.offsets(),
             fanout_list: fanout.targets(),
@@ -608,7 +626,7 @@ impl<'g> CircuitTopology<'g> {
 
     /// Number of nodes in the circuit.
     pub fn num_nodes(&self) -> usize {
-        self.kind.len()
+        self.attrs.kind.len()
     }
 
     /// Number of levels in the cached partition.
@@ -660,27 +678,17 @@ impl<'g> CircuitTopology<'g> {
         }
     }
 
-    /// `r̂` of every component, in dense component order (a view of the
-    /// graph's column, not a copy).
-    pub fn component_unit_resistance(&self) -> &'g [f64] {
-        &self.unit_resistance[self.component_nodes()]
-    }
-
-    /// `ĉ` of every component, in dense component order.
-    pub fn component_unit_capacitance(&self) -> &'g [f64] {
-        &self.unit_capacitance[self.component_nodes()]
-    }
-
-    /// Fringing capacitance `f` of every component (zero for gates), in
-    /// dense component order.
-    pub fn component_fringing(&self) -> &'g [f64] {
-        &self.fringing[self.component_nodes()]
+    /// The RC attributes of every node, by raw node index: the graph's
+    /// [`attributes`](CircuitGraph::attributes) view, which derives them
+    /// from the kind and parameter columns (no copy).
+    pub fn attributes(&self) -> Attributes<'g> {
+        self.attrs
     }
 
     /// The kind (a gate or a wire) of every component, in dense component
     /// order (a view of the graph's kind column).
     pub fn component_kinds(&self) -> &'g [NodeKind] {
-        &self.kind[self.component_nodes()]
+        &self.attrs.kind[self.component_nodes()]
     }
 
     /// Fanout (successor) nodes of node `idx`: the graph's own list, not a
@@ -700,7 +708,7 @@ impl<'g> CircuitTopology<'g> {
     /// The kind of node `idx`.
     #[inline(always)]
     pub fn kind(&self, idx: usize) -> NodeKind {
-        self.kind[idx]
+        self.attrs.kind[idx]
     }
 
     /// Size of node `idx` under `sizes` (1.0 for non-sizable nodes), exactly
@@ -716,31 +724,16 @@ impl<'g> CircuitTopology<'g> {
     /// Resistance of node `idx`, exactly as `Node::resistance`.
     #[inline(always)]
     pub fn resistance(&self, idx: usize, sizes: &SizeVector) -> f64 {
-        match self.kind[idx] {
-            NodeKind::Driver => self.unit_resistance[idx],
-            NodeKind::Gate(_) | NodeKind::Wire => {
-                let x = self.size_of(idx, sizes);
-                if x > 0.0 {
-                    self.unit_resistance[idx] / x
-                } else {
-                    f64::INFINITY
-                }
-            }
-            NodeKind::Source | NodeKind::Sink => 0.0,
-        }
+        let kind = self.attrs.kind[idx];
+        resistance_at(kind, self.attrs.get(idx), self.size_of(idx, sizes))
     }
 
     /// Capacitance of node `idx` (excluding coupling), exactly as
     /// `Node::capacitance`.
     #[inline(always)]
     pub fn capacitance(&self, idx: usize, sizes: &SizeVector) -> f64 {
-        match self.kind[idx] {
-            NodeKind::Gate(_) => self.unit_capacitance[idx] * self.size_of(idx, sizes),
-            NodeKind::Wire => {
-                self.unit_capacitance[idx] * self.size_of(idx, sizes) + self.fringing[idx]
-            }
-            _ => 0.0,
-        }
+        let kind = self.attrs.kind[idx];
+        capacitance_at(kind, self.attrs.get(idx), self.size_of(idx, sizes))
     }
 
     /// Asserts the slice-length invariants the unchecked hot loops rely on.
@@ -781,46 +774,6 @@ impl<'g> CircuitTopology<'g> {
         match self.component_of(idx) {
             Some(comp) => *sizes.get_unchecked(comp),
             None => 1.0,
-        }
-    }
-
-    /// Resistance of node `idx`, exactly as `Node::resistance`.
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes` and `sizes.len() == num_components`.
-    #[inline(always)]
-    unsafe fn resistance_unchecked(&self, idx: usize, sizes: &[f64]) -> f64 {
-        match *self.kind.get_unchecked(idx) {
-            NodeKind::Driver => *self.unit_resistance.get_unchecked(idx),
-            NodeKind::Gate(_) | NodeKind::Wire => {
-                let x = self.size_of_unchecked(idx, sizes);
-                if x > 0.0 {
-                    *self.unit_resistance.get_unchecked(idx) / x
-                } else {
-                    f64::INFINITY
-                }
-            }
-            NodeKind::Source | NodeKind::Sink => 0.0,
-        }
-    }
-
-    /// Capacitance of node `idx`, exactly as `Node::capacitance`.
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes` and `sizes.len() == num_components`.
-    #[inline(always)]
-    unsafe fn capacitance_unchecked(&self, idx: usize, sizes: &[f64]) -> f64 {
-        match *self.kind.get_unchecked(idx) {
-            NodeKind::Gate(_) => {
-                *self.unit_capacitance.get_unchecked(idx) * self.size_of_unchecked(idx, sizes)
-            }
-            NodeKind::Wire => {
-                *self.unit_capacitance.get_unchecked(idx) * self.size_of_unchecked(idx, sizes)
-                    + *self.fringing.get_unchecked(idx)
-            }
-            _ => 0.0,
         }
     }
 
@@ -938,7 +891,7 @@ impl<'g> CircuitTopology<'g> {
     }
 
     /// Bytes of the tables the topology owns (for memory accounting). The
-    /// borrowed adjacency, kind, RC and output-load columns are the graph's
+    /// borrowed adjacency, kind, parameter and output-load columns are the graph's
     /// and count toward
     /// [`CircuitGraph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
@@ -1019,20 +972,29 @@ impl<'g> CircuitTopology<'g> {
         unsafe {
             for idx in nodes.rev() {
                 let extra = *extra_cap.get_unchecked(idx);
-                match *self.kind.get_unchecked(idx) {
+                let kind = *self.attrs.kind.get_unchecked(idx);
+                match kind {
                     NodeKind::Source | NodeKind::Sink => {
                         charged.set(idx, 0.0);
                         presented.set(idx, 0.0);
                     }
-                    NodeKind::Driver | NodeKind::Gate(_) => {
+                    NodeKind::Driver => {
+                        let c = self.fanout_load(idx, &mut loads, presented) + extra;
+                        charged.set(idx, c);
+                        presented.set(idx, 0.0);
+                    }
+                    NodeKind::Gate(_) => {
                         // Coupling on a gate output (rare, but allowed)
                         // loads the stage.
                         let c = self.fanout_load(idx, &mut loads, presented) + extra;
                         charged.set(idx, c);
-                        presented.set(idx, self.capacitance_unchecked(idx, sizes));
+                        let x = self.size_of_unchecked(idx, sizes);
+                        presented.set(idx, self.attrs.gate(idx).unit_capacitance * x);
                     }
                     NodeKind::Wire => {
-                        let own = self.capacitance_unchecked(idx, sizes);
+                        let x = self.size_of_unchecked(idx, sizes);
+                        let length = *self.attrs.params().get_unchecked(idx);
+                        let own = capacitance_at(kind, self.attrs.wire(idx, length), x);
                         let downstream = self.fanout_load(idx, &mut loads, presented);
                         // π-model: the far half of the wire's own
                         // capacitance plus all coupling capacitance is
@@ -1121,7 +1083,8 @@ impl<'g> CircuitTopology<'g> {
         unsafe {
             for idx in nodes.rev() {
                 let extra = *extra_cap.get_unchecked(idx);
-                match *self.kind.get_unchecked(idx) {
+                let kind = *self.attrs.kind.get_unchecked(idx);
+                match kind {
                     NodeKind::Source | NodeKind::Sink => {
                         charged.set(idx, 0.0);
                         presented.set(idx, 0.0);
@@ -1140,14 +1103,16 @@ impl<'g> CircuitTopology<'g> {
                         if x_new != x {
                             xs.set(comp, x_new);
                         }
-                        presented.set(idx, *self.unit_capacitance.get_unchecked(idx) * x_new);
+                        let unit_cap = self.attrs.gate(idx).unit_capacitance;
+                        presented.set(idx, unit_cap * x_new);
                     }
                     NodeKind::Wire => {
                         let downstream = self.fanout_load(idx, &mut loads, presented);
                         let comp = idx - self.comp_base;
                         let x = xs.own(comp);
-                        let unit_cap = *self.unit_capacitance.get_unchecked(idx);
-                        let fringing = *self.fringing.get_unchecked(idx);
+                        let length = *self.attrs.params().get_unchecked(idx);
+                        let rc = self.attrs.wire(idx, length);
+                        let (unit_cap, fringing) = (rc.unit_capacitance, rc.fringing);
                         let own = unit_cap * x + fringing;
                         // π-model split, exactly as `downstream_caps_chunk`.
                         let c = own / 2.0 + extra + downstream;
@@ -1241,9 +1206,14 @@ impl<'g> CircuitTopology<'g> {
             // SAFETY: `idx < range.end <= num_nodes` and `sizes`/`charged`
             // match the circuit (asserted above).
             *out = unsafe {
-                match *self.kind.get_unchecked(idx) {
+                match *self.attrs.kind.get_unchecked(idx) {
                     NodeKind::Source | NodeKind::Sink => 0.0,
-                    _ => self.resistance_unchecked(idx, sizes) * *charged.get_unchecked(idx),
+                    kind => {
+                        let x = self.size_of_unchecked(idx, sizes);
+                        let param = *self.attrs.params().get_unchecked(idx);
+                        let rc = self.attrs.derive(kind, idx, param);
+                        resistance_at(kind, rc, x) * *charged.get_unchecked(idx)
+                    }
                 }
             };
         }
@@ -1269,10 +1239,10 @@ impl<'g> CircuitTopology<'g> {
         // circuit (asserted above); fanin lists hold node indices by
         // construction.
         unsafe {
-            let source = |j: usize| matches!(*self.kind.get_unchecked(j), NodeKind::Source);
+            let source = |j: usize| matches!(*self.attrs.kind.get_unchecked(j), NodeKind::Source);
             for idx in nodes {
                 let fanin = self.fanin_unchecked(idx);
-                let a = match *self.kind.get_unchecked(idx) {
+                let a = match *self.attrs.kind.get_unchecked(idx) {
                     NodeKind::Source => 0.0,
                     NodeKind::Sink => latest_fanin(fanin, |_| false, |j| arrival.get(j)).0,
                     NodeKind::Driver => *delays.get_unchecked(idx),
@@ -1339,11 +1309,11 @@ impl<'g> CircuitTopology<'g> {
     pub fn trace_critical_path(&self, arrival: &[f64], critical_path: &mut Vec<NodeId>) -> f64 {
         self.assert_node_slices(&[("arrival", arrival.len())]);
         critical_path.clear();
-        let source = |j: usize| matches!(self.kind[j], NodeKind::Source);
+        let source = |j: usize| matches!(self.attrs.kind[j], NodeKind::Source);
         let mut node = self.sink;
         loop {
             let fanin = self.fanin(node);
-            let (_, pred) = match self.kind[node] {
+            let (_, pred) = match self.attrs.kind[node] {
                 NodeKind::Source | NodeKind::Driver => break,
                 NodeKind::Sink => latest_fanin(fanin, |_| false, |j| arrival[j]),
                 NodeKind::Gate(_) | NodeKind::Wire => latest_fanin(fanin, source, |j| arrival[j]),
@@ -1833,9 +1803,9 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The topology reads the graph's adjacency and RC columns instead of
-    /// holding copies: every list and column it reads is the graph's own
-    /// memory.
+    /// The topology reads the graph's adjacency, kind and parameter columns
+    /// instead of holding copies: every list and column it reads is the
+    /// graph's own memory.
     #[test]
     fn topology_borrows_the_graph_adjacency() {
         let c = generated(12, 6);
@@ -1844,14 +1814,10 @@ mod tests {
             assert_eq!(topo.fanin(id.index()).as_ptr(), c.fanin(id).as_ptr());
             assert_eq!(topo.fanout(id.index()).as_ptr(), c.fanout(id).as_ptr());
         }
-        for (mine, graph) in [
-            (topo.unit_resistance, c.resistances()),
-            (topo.unit_capacitance, c.unit_capacitances()),
-            (topo.fringing, c.fringing_capacitances()),
-        ] {
-            assert_eq!(mine.as_ptr(), graph.as_ptr());
-            assert_eq!(mine.len(), c.num_nodes());
-        }
+        let (mine, graph) = (topo.attributes(), c.attributes());
+        assert_eq!(mine.kind.as_ptr(), c.kinds().as_ptr());
+        assert_eq!(mine.params().as_ptr(), graph.params().as_ptr());
+        assert_eq!(mine.params().len(), c.num_nodes());
     }
 
     #[test]
@@ -2171,24 +2137,19 @@ mod tests {
             topo.component_nodes(),
             c.component_id(0).index()..c.sink().index()
         );
-        // The per-component coefficient views are the node attributes;
-        // fringing is zero off the wires.
-        for (dense, id) in c.component_ids().enumerate() {
+        // The attribute view gives the node attributes; fringing is zero
+        // off the wires.
+        for id in c.component_ids() {
             let attrs = &c.node(id).attrs;
-            assert_eq!(
-                topo.component_unit_resistance()[dense],
-                attrs.unit_resistance
-            );
-            assert_eq!(
-                topo.component_unit_capacitance()[dense],
-                attrs.unit_capacitance
-            );
+            let rc = topo.attributes().get(id.index());
+            assert_eq!(rc.resistance, attrs.unit_resistance);
+            assert_eq!(rc.unit_capacitance, attrs.unit_capacitance);
             let fringing = if c.node(id).kind.is_wire() {
                 attrs.fringing_capacitance
             } else {
                 0.0
             };
-            assert_eq!(topo.component_fringing()[dense], fringing);
+            assert_eq!(rc.fringing, fringing);
         }
     }
 

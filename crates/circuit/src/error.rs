@@ -69,7 +69,7 @@ pub enum CircuitError {
     },
     /// A decoded node carries an attribute its kind does not have (a
     /// driver's unit resistance, a gate's fringing capacitance, …), which
-    /// the graph's per-kind attribute columns cannot hold.
+    /// a node of its kind cannot hold.
     AttributeOfAnotherKind {
         /// The offending node.
         node: NodeId,

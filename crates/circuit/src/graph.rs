@@ -6,9 +6,10 @@ use serde::{Deserialize, Serialize, Serializer};
 use crate::error::CircuitError;
 use crate::id::NodeId;
 use crate::names::{first_repeat, NameTable};
-use crate::node::{Node, NodeAttrs, NodeKind};
+use crate::node::{KindRc, Node, NodeKind, NodeRc, GATE_PARAM};
 use crate::sizing::SizeVector;
 use crate::tech::Technology;
+use std::ops::Range;
 
 /// The most nodes a graph holds: every id fits the 32-bit [`NodeId`].
 pub(crate) const MAX_NODES: usize = u32::MAX as usize + 1;
@@ -74,6 +75,34 @@ impl Adjacency {
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.offsets.capacity() * size_of::<u32>() + self.targets.capacity() * size_of::<NodeId>()
+    }
+
+    /// The reverse direction: node `u` lists every `v` whose list holds
+    /// `u`, in increasing `v`, so the lists come out sorted. The degrees are
+    /// counted from these lists alone, straight into the offsets.
+    pub(crate) fn transposed(&self) -> Adjacency {
+        let nodes = self.offsets.len() - 1;
+        // `offsets[u + 1]` counts `u`'s entries, and the running sum makes
+        // `offsets[u]` the first slot of `u`'s list.
+        let mut offsets = vec![0u32; nodes + 1];
+        for &u in &self.targets {
+            offsets[u.index() + 1] += 1;
+        }
+        for u in 1..=nodes {
+            offsets[u] += offsets[u - 1];
+        }
+        let mut fill = AdjacencyFill {
+            adjacency: Adjacency {
+                offsets,
+                targets: vec![NodeId::new(0); self.targets.len()],
+            },
+        };
+        for v in 0..nodes {
+            for &u in self.list(v) {
+                fill.push(u.index(), NodeId::new(v));
+            }
+        }
+        fill.finish()
     }
 }
 
@@ -148,11 +177,16 @@ impl AdjacencyFill {
 }
 
 /// The nodes of a graph as columns: entry `i` of every column belongs to
-/// node `i`. A column holds only the attribute a node's kind has, so
-/// `resistance` merges the two resistances no kind has both of: `r̂` for
-/// gates and wires, `R_D` for drivers and zero for the source and sink.
-/// Likewise `unit_capacitance` is zero off the gates and wires and
-/// `fringing` zero off the wires. That is 33 bytes per node.
+/// node `i`. A node is stored as its kind and one parameter, 9 bytes: the
+/// parameter is a wire's length, a driver's `R_D`, one for a gate (the
+/// multiplier of the technology's gate constants) and zero for the source
+/// and sink. Its RC attributes `r̂` (or `R_D`), `ĉ`, `f` and `α` are not
+/// stored: the parameter times the technology's coefficients for the
+/// node's kind (`per_kind`) gives them, the expressions
+/// `NodeAttrs::{gate, wire}` use, unless `rc_overrides` holds the node.
+/// That sorted `(node, attributes)` list holds exactly the decoded nodes
+/// whose attributes no parameter reproduces bit for bit; a builder-made
+/// graph holds none.
 ///
 /// The primary-output loads are sparse: only the few nodes that drive the
 /// sink carry one, so `output_loads` holds `(node, load)` pairs, sorted by
@@ -168,10 +202,10 @@ impl AdjacencyFill {
 #[derive(Debug, Clone)]
 pub(crate) struct NodeColumns {
     pub(crate) kind: Vec<NodeKind>,
-    pub(crate) resistance: Vec<f64>,
-    pub(crate) unit_capacitance: Vec<f64>,
-    pub(crate) fringing: Vec<f64>,
-    pub(crate) area_coefficient: Vec<f64>,
+    param: Vec<f64>,
+    /// The technology's coefficients every parameter multiplies.
+    per_kind: KindRc,
+    rc_overrides: Vec<(NodeId, NodeRc)>,
     output_loads: Vec<(NodeId, f64)>,
     sizable_bounds: (f64, f64),
     bound_overrides: Vec<(NodeId, f64, f64)>,
@@ -195,71 +229,97 @@ pub(crate) fn overrides_default(kind: NodeKind, bounds: (f64, f64), sizable: (f6
     bounds.0.to_bits() != default.0.to_bits() || bounds.1.to_bits() != default.1.to_bits()
 }
 
-/// The override of raw node `i` in a sorted override list, or `None`: no
-/// search when the list is empty, one binary search otherwise.
+/// The entry of raw node `i` in a list sorted by node, `node` reading an
+/// entry's node, or `None`: no search when the list is empty, one binary
+/// search otherwise.
 #[inline(always)]
-fn find_override(overrides: &[(NodeId, f64, f64)], i: usize) -> Option<(f64, f64)> {
+fn find_override<T>(overrides: &[T], i: usize, node: impl Fn(&T) -> NodeId) -> Option<&T> {
     if overrides.is_empty() {
         return None;
     }
     overrides
-        .binary_search_by_key(&i, |&(id, _, _)| id.index())
+        .binary_search_by_key(&i, |entry| node(entry).index())
         .ok()
-        .map(|at| (overrides[at].1, overrides[at].2))
+        .map(|at| &overrides[at])
+}
+
+/// The parameter a node of `kind` with the kept attributes `rc` is stored
+/// under, and `rc` itself when that parameter does not reproduce it bit
+/// for bit under `tech`.
+///
+/// A driver's parameter is its resistance, a gate's one, and the source's
+/// and the sink's zero. A wire's is its length, which the builder multiplied
+/// into every attribute: the quotient `α / wire_area_coefficient` or a
+/// value within 2 ulps of it, the first whose four products are `rc`.
+fn stored_as(kind: NodeKind, rc: NodeRc, tech: &Technology) -> (f64, Option<NodeRc>) {
+    let param = match kind {
+        NodeKind::Driver => rc.resistance,
+        NodeKind::Wire => {
+            let quotient = rc.area_coefficient / tech.wire_area_coefficient;
+            let (up, down) = (quotient.next_up(), quotient.next_down());
+            let lengths = [quotient, up, down, up.next_up(), down.next_down()];
+            match lengths
+                .into_iter()
+                .find(|&length| NodeRc::of(kind, length, tech).same_bits(&rc))
+            {
+                Some(length) => return (length, None),
+                None => quotient,
+            }
+        }
+        NodeKind::Gate(_) => GATE_PARAM,
+        NodeKind::Source | NodeKind::Sink => 0.0,
+    };
+    let derived = NodeRc::of(kind, param, tech);
+    (param, (!derived.same_bits(&rc)).then_some(rc))
 }
 
 impl NodeColumns {
     /// Empty columns with room for `n` nodes, `loads` of them with an
-    /// output load and `overrides` with bounds other than their kind's
-    /// default, whose gates and wires default to `tech`'s size range.
+    /// output load, `overrides` with bounds other than their kind's
+    /// default, whose gates and wires default to `tech`'s size range, and
+    /// `rc_overrides` with attributes no parameter reproduces.
     pub(crate) fn with_capacity(
         n: usize,
         loads: usize,
         overrides: usize,
+        rc_overrides: usize,
         tech: &Technology,
     ) -> Self {
         NodeColumns {
             kind: Vec::with_capacity(n),
-            resistance: Vec::with_capacity(n),
-            unit_capacitance: Vec::with_capacity(n),
-            fringing: Vec::with_capacity(n),
-            area_coefficient: Vec::with_capacity(n),
+            param: Vec::with_capacity(n),
+            per_kind: KindRc::new(tech),
+            rc_overrides: Vec::with_capacity(rc_overrides),
             output_loads: Vec::with_capacity(loads),
             sizable_bounds: (tech.min_size, tech.max_size),
             bound_overrides: Vec::with_capacity(overrides),
         }
     }
 
-    /// Appends `node`. An attribute its kind does not have is dropped (see
-    /// `Node::attribute_of_another_kind`), and its size bounds are kept
-    /// only when they are not its kind's default.
-    pub(crate) fn push(&mut self, node: Node) {
-        let Node { kind, attrs } = node;
+    /// Appends a node of `kind` stored under `param`, with the attributes
+    /// `rc` when its parameter does not reproduce them, the size bounds
+    /// `bounds` (kept only when they are not its kind's default) and the
+    /// output load `load` (kept unless bit-zero).
+    pub(crate) fn push(
+        &mut self,
+        kind: NodeKind,
+        param: f64,
+        rc: Option<NodeRc>,
+        bounds: (f64, f64),
+        load: f64,
+    ) {
         let id = NodeId::new(self.kind.len());
-        if attrs.output_load.to_bits() != 0 {
-            self.output_loads.push((id, attrs.output_load));
+        if let Some(rc) = rc {
+            self.rc_overrides.push((id, rc));
         }
-        let bounds = (attrs.lower_bound, attrs.upper_bound);
+        if load.to_bits() != 0 {
+            self.output_loads.push((id, load));
+        }
         if overrides_default(kind, bounds, self.sizable_bounds) {
             self.bound_overrides.push((id, bounds.0, bounds.1));
         }
         self.kind.push(kind);
-        self.resistance.push(match kind {
-            NodeKind::Driver => attrs.driver_resistance,
-            NodeKind::Gate(_) | NodeKind::Wire => attrs.unit_resistance,
-            NodeKind::Source | NodeKind::Sink => 0.0,
-        });
-        self.unit_capacitance.push(if kind.is_sizable() {
-            attrs.unit_capacitance
-        } else {
-            0.0
-        });
-        self.fringing.push(if kind.is_wire() {
-            attrs.fringing_capacitance
-        } else {
-            0.0
-        });
-        self.area_coefficient.push(attrs.area_coefficient);
+        self.param.push(param);
     }
 
     /// The output load of node `i`: one binary search of the load list.
@@ -272,28 +332,28 @@ impl NodeColumns {
     /// The size bounds `(L, U)` of node `i`: its override, or its kind's
     /// default.
     fn size_bounds(&self, i: usize) -> (f64, f64) {
-        find_override(&self.bound_overrides, i)
+        find_override(&self.bound_overrides, i, |&(id, _, _)| id)
+            .map(|&(_, lower, upper)| (lower, upper))
             .unwrap_or_else(|| default_bounds(self.kind[i], self.sizable_bounds))
+    }
+
+    /// The attributes of the nodes.
+    fn attributes(&self) -> Attributes<'_> {
+        Attributes {
+            kind: &self.kind,
+            param: &self.param,
+            overrides: &self.rc_overrides,
+            per_kind: &self.per_kind,
+        }
     }
 
     /// Node `i`, reassembled, with `output_load` as its load.
     fn get(&self, i: usize, output_load: f64) -> Node {
         let kind = self.kind[i];
-        let resistance = self.resistance[i];
-        let only = |owned: bool| if owned { resistance } else { 0.0 };
-        let (lower_bound, upper_bound) = self.size_bounds(i);
+        let rc = self.attributes().get(i);
         Node {
             kind,
-            attrs: NodeAttrs {
-                unit_resistance: only(kind.is_sizable()),
-                unit_capacitance: self.unit_capacitance[i],
-                fringing_capacitance: self.fringing[i],
-                area_coefficient: self.area_coefficient[i],
-                lower_bound,
-                upper_bound,
-                driver_resistance: only(kind.is_driver()),
-                output_load,
-            },
+            attrs: rc.into_attrs(kind, self.size_bounds(i), output_load),
         }
     }
 
@@ -304,13 +364,111 @@ impl NodeColumns {
     fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         self.kind.capacity() * size_of::<NodeKind>()
-            + (self.resistance.capacity()
-                + self.unit_capacitance.capacity()
-                + self.fringing.capacity()
-                + self.area_coefficient.capacity())
-                * size_of::<f64>()
+            + self.param.capacity() * size_of::<f64>()
+            + self.rc_overrides.capacity() * size_of::<(NodeId, NodeRc)>()
             + self.output_loads.capacity() * size_of::<(NodeId, f64)>()
             + self.bound_overrides.capacity() * size_of::<(NodeId, f64, f64)>()
+    }
+}
+
+/// The RC attributes of a graph's nodes, indexed by raw node index,
+/// borrowed from the graph by [`CircuitGraph::attributes`].
+///
+/// The graph stores no attribute per node: a node's attributes are
+/// derived from its kind, its parameter (a wire's length, a driver's
+/// `R_D`) and the technology, unless the graph holds an override for it,
+/// which only a decoded node whose attributes no parameter reproduces has.
+/// So [`get`](Self::get) costs no search when the graph has no override
+/// (every builder-made one), and one binary search of the overrides when it
+/// does.
+#[derive(Debug, Clone, Copy)]
+pub struct Attributes<'a> {
+    /// The graph's kind column.
+    pub(crate) kind: &'a [NodeKind],
+    /// The graph's parameter column.
+    param: &'a [f64],
+    /// The graph's attribute overrides, sorted by node.
+    overrides: &'a [(NodeId, NodeRc)],
+    /// The graph's coefficients every parameter multiplies.
+    per_kind: &'a KindRc,
+}
+
+impl<'a> Attributes<'a> {
+    /// Number of nodes whose attributes are kept as given rather than
+    /// derived: zero for every builder-made graph.
+    pub fn num_overrides(&self) -> usize {
+        self.overrides.len()
+    }
+
+    /// The parameter of every node: a wire's length, a driver's `R_D`, one
+    /// for a gate and zero for the source and sink. A loop that has read a
+    /// wire's length derives its attributes with [`wire`](Self::wire).
+    pub fn params(&self) -> &'a [f64] {
+        self.param
+    }
+
+    /// The attributes of raw node `i` of `kind` with parameter `param`:
+    /// its override, or the technology's coefficients for `kind` times
+    /// `param`.
+    #[inline(always)]
+    pub(crate) fn derive(&self, kind: NodeKind, i: usize, param: f64) -> NodeRc {
+        self.overridden(i)
+            .unwrap_or_else(|| self.per_kind.of(kind, param))
+    }
+
+    /// The attributes of raw node `i`, a gate: its override, or the
+    /// technology's gate constants, the same bits [`get`](Self::get) gives,
+    /// without reading the gate's parameter.
+    #[inline(always)]
+    pub fn gate(&self, i: usize) -> NodeRc {
+        self.overridden(i).unwrap_or(self.per_kind.gate())
+    }
+
+    /// The attributes of raw node `i`, a wire of length `length`: its
+    /// override, or the technology's per-µm constants times `length`.
+    #[inline(always)]
+    pub fn wire(&self, i: usize, length: f64) -> NodeRc {
+        self.overridden(i)
+            .unwrap_or_else(|| self.per_kind.wire(length))
+    }
+
+    /// The override of raw node `i`, if the graph holds one.
+    #[inline(always)]
+    fn overridden(&self, i: usize) -> Option<NodeRc> {
+        find_override(self.overrides, i, |&(id, _)| id).map(|&(_, rc)| rc)
+    }
+
+    /// The attributes of the raw nodes `nodes`, in order: one pass over
+    /// the kind and parameter columns, merged with the overrides, and no
+    /// search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` is not within the graph's nodes.
+    pub fn range(&self, nodes: Range<usize>) -> impl Iterator<Item = NodeRc> + 'a {
+        let first = nodes.start;
+        let skipped = self
+            .overrides
+            .partition_point(|&(id, _)| id.index() < first);
+        let mut overrides = self.overrides[skipped..].iter().peekable();
+        let per_kind = self.per_kind;
+        let columns = self.kind[nodes.clone()].iter().zip(&self.param[nodes]);
+        columns.enumerate().map(move |(k, (&kind, &param))| {
+            match overrides.next_if(|&&(id, _)| id.index() == first + k) {
+                Some(&(_, rc)) => rc,
+                None => per_kind.of(kind, param),
+            }
+        })
+    }
+
+    /// The attributes of raw node `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a node of the graph.
+    #[inline(always)]
+    pub fn get(&self, i: usize) -> NodeRc {
+        self.derive(self.kind[i], i, self.param[i])
     }
 }
 
@@ -358,11 +516,12 @@ impl SizeBounds<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is not below [`len`](Self::len).
+    /// Panics if `i` is not a node of the graph.
     #[inline(always)]
     pub fn get(&self, i: usize) -> (f64, f64) {
         assert!(i < self.len, "component {i} out of range");
-        find_override(self.overrides, self.first + i).unwrap_or(self.default)
+        find_override(self.overrides, self.first + i, |&(id, _, _)| id)
+            .map_or(self.default, |&(_, lower, upper)| (lower, upper))
     }
 }
 
@@ -379,12 +538,19 @@ impl SizeBounds<'_> {
 /// The graph is immutable once built by [`CircuitBuilder`](crate::CircuitBuilder);
 /// all analyses borrow it together with a [`SizeVector`] holding the current
 /// component sizes. Fanin and fanout lists are stored in compressed sparse
-/// row form and are sorted by node index. The nodes are stored as columns,
-/// one per attribute ([`kinds`](Self::kinds),
-/// [`resistances`](Self::resistances), …), which the evaluation engine
-/// borrows; [`node`](Self::node) reassembles one [`Node`] from them. The
-/// primary-output loads are the exception: only the sink's drivers carry
-/// one, so they are kept sparse, as `(node, load)` pairs sorted by node for
+/// row form and are sorted by node index. The nodes are stored as two
+/// columns, 9 bytes a node: the [`kinds`](Self::kinds) and one 8-byte
+/// parameter (a wire's length, a driver's `R_D`). The RC attributes `r̂`,
+/// `ĉ`, `f` and `α` are derived from them and the technology on read, by
+/// the expressions [`NodeAttrs::gate`](crate::NodeAttrs::gate) and
+/// [`NodeAttrs::wire`](crate::NodeAttrs::wire) use, so each
+/// is stored once, in the technology, and read through the
+/// [`attributes`](Self::attributes) view, which the evaluation engine
+/// borrows; only a decoded node whose attributes no parameter reproduces
+/// bit for bit keeps its own, in a sparse override list.
+/// [`node`](Self::node) reassembles one [`Node`] from them. The
+/// primary-output loads are sparse: only the sink's drivers carry
+/// one, so they are kept as `(node, load)` pairs sorted by node for
 /// the nodes whose load is not bit-zero, and read with
 /// [`output_load`](Self::output_load) by binary search. The size bounds are
 /// sparse too: a node's bounds are its kind's default (the technology's
@@ -537,8 +703,10 @@ impl CircuitGraph {
     /// structural invariants and attribute ranges of
     /// [`validate`](crate::validate::validate), and last that no node
     /// carries an attribute its kind does not have. Size bounds equal to
-    /// their kind's default are not stored; any others are kept as
-    /// overrides, so the graph re-encodes byte for byte.
+    /// their kind's default are not stored, and neither are RC attributes
+    /// that a parameter reproduces bit for bit (a wire's are tried at
+    /// lengths within 2 ulps of `α / wire_area_coefficient`); any others are
+    /// kept as overrides, so the graph re-encodes byte for byte.
     /// `names[i]` is the name of node `i`; the names are copied into one
     /// table, and the nodes into the graph's columns.
     ///
@@ -652,9 +820,14 @@ impl CircuitGraph {
                 overrides_default(node.kind, bounds, sizable)
             })
             .count();
-        let mut columns = NodeColumns::with_capacity(n, loads, overrides, &tech);
+        let stored: Vec<(f64, Option<NodeRc>)> = nodes
+            .iter()
+            .map(|node| stored_as(node.kind, NodeRc::kept(node.kind, &node.attrs), &tech))
+            .collect();
+        let rc_overrides = stored.iter().filter(|(_, rc)| rc.is_some()).count();
+        let mut columns = NodeColumns::with_capacity(n, loads, overrides, rc_overrides, &tech);
         let mut foreign = None;
-        for (i, node) in nodes.into_iter().enumerate() {
+        for (i, (node, (param, rc))) in nodes.into_iter().zip(stored).enumerate() {
             if foreign.is_none() {
                 foreign = node.attribute_of_another_kind().map(|attribute| {
                     CircuitError::AttributeOfAnotherKind {
@@ -663,7 +836,9 @@ impl CircuitGraph {
                     }
                 });
             }
-            columns.push(node);
+            let Node { kind, attrs } = node;
+            let bounds = (attrs.lower_bound, attrs.upper_bound);
+            columns.push(kind, param, rc, bounds, attrs.output_load);
         }
         let graph = CircuitGraph::from_parts(
             columns,
@@ -743,26 +918,13 @@ impl CircuitGraph {
         &self.nodes.kind
     }
 
-    /// The resistance of every node: `r̂` for gates and wires, `R_D` for
-    /// drivers, zero for the source and sink.
-    pub fn resistances(&self) -> &[f64] {
-        &self.nodes.resistance
-    }
-
-    /// The unit capacitance `ĉ` of every node (zero off the gates and
-    /// wires).
-    pub fn unit_capacitances(&self) -> &[f64] {
-        &self.nodes.unit_capacitance
-    }
-
-    /// The fringing capacitance `f` of every node (zero off the wires).
-    pub fn fringing_capacitances(&self) -> &[f64] {
-        &self.nodes.fringing
-    }
-
-    /// The area coefficient `α` of every node.
-    pub fn area_coefficients(&self) -> &[f64] {
-        &self.nodes.area_coefficient
+    /// The RC attributes of every node, by raw node index: `r̂` (or `R_D`),
+    /// `ĉ`, `f` and `α`. The graph stores none of them per node, only each
+    /// node's kind and parameter, so this view is a few words and derives
+    /// a node's attributes on read, without a search when the graph holds
+    /// no attribute override (no builder-made graph does).
+    pub fn attributes(&self) -> Attributes<'_> {
+        self.nodes.attributes()
     }
 
     /// The size bounds `(L, U)` of node `id`: the technology's
@@ -1029,8 +1191,9 @@ impl CircuitGraph {
     }
 
     /// An estimate (in bytes) of the memory held by this graph's data
-    /// structures, used by the Figure 10(a) reproduction: the node columns
-    /// with the load and size-bound override lists, the name string and
+    /// structures, used by the Figure 10(a) reproduction: the kind and
+    /// parameter columns with the attribute, load and size-bound override
+    /// lists, the name string and
     /// its offsets, and the two compressed adjacency
     /// arrays (one offset per node plus one entry per edge, in each
     /// direction).
@@ -1054,7 +1217,7 @@ impl CircuitGraph {
 mod tests {
     use super::*;
     use crate::builder::CircuitBuilder;
-    use crate::node::GateKind;
+    use crate::node::{GateKind, NodeAttrs};
 
     fn tiny() -> crate::CircuitGraph {
         // driver -> w1 -> g1 -> w2 -> output

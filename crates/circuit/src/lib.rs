@@ -82,9 +82,9 @@ pub use engine::{
     propagate_arrivals_into, CircuitTopology, EvalWorkspace, Settled, Space, Tile, Tiles, NO_PRED,
 };
 pub use error::CircuitError;
-pub use graph::{CircuitGraph, SizeBounds};
+pub use graph::{Attributes, CircuitGraph, SizeBounds};
 pub use id::NodeId;
-pub use node::{GateKind, Node, NodeAttrs, NodeKind};
+pub use node::{GateKind, Node, NodeAttrs, NodeKind, NodeRc};
 pub use power::{total_capacitance, total_power};
 pub use sizing::SizeVector;
 pub use tech::Technology;

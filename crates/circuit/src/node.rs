@@ -141,16 +141,8 @@ pub struct NodeAttrs {
 impl NodeAttrs {
     /// Attributes for a gate using the given technology.
     pub fn gate(tech: &Technology) -> Self {
-        NodeAttrs {
-            unit_resistance: tech.gate_unit_resistance,
-            unit_capacitance: tech.gate_unit_capacitance,
-            fringing_capacitance: 0.0,
-            area_coefficient: tech.gate_area_coefficient,
-            lower_bound: tech.min_size,
-            upper_bound: tech.max_size,
-            driver_resistance: 0.0,
-            output_load: 0.0,
-        }
+        let kind = NodeKind::Gate(GateKind::Buf);
+        NodeRc::of(kind, 0.0, tech).into_attrs(kind, (tech.min_size, tech.max_size), 0.0)
     }
 
     /// Attributes for a wire of the given length (µm) using the given technology.
@@ -158,16 +150,8 @@ impl NodeAttrs {
     /// The unit-length technology parameters are scaled by the wire length so
     /// the attribute values are per unit *width* (the sizable quantity).
     pub fn wire(tech: &Technology, length: f64) -> Self {
-        NodeAttrs {
-            unit_resistance: tech.wire_unit_resistance * length,
-            unit_capacitance: tech.wire_unit_capacitance * length,
-            fringing_capacitance: tech.wire_fringing_per_um * length,
-            area_coefficient: tech.wire_area_coefficient * length,
-            lower_bound: tech.min_size,
-            upper_bound: tech.max_size,
-            driver_resistance: 0.0,
-            output_load: 0.0,
-        }
+        let kind = NodeKind::Wire;
+        NodeRc::of(kind, length, tech).into_attrs(kind, (tech.min_size, tech.max_size), 0.0)
     }
 
     /// Attributes for an input driver with resistance `rd` (Ω).
@@ -199,11 +183,201 @@ impl NodeAttrs {
     }
 }
 
+/// The four RC attributes of a node, with its two resistances merged into
+/// one, since no kind has both: `resistance` is `r̂` for gates and wires,
+/// `R_D` for drivers and zero for the source and sink, `unit_capacitance`
+/// is zero off the gates and wires, and `fringing` zero off the wires.
+///
+/// The graph stores none of them per node. A node's attributes follow from
+/// its kind, one parameter (a wire's length, a driver's `R_D`) and the
+/// technology; only a decoded node that no parameter reproduces bit for bit
+/// keeps its own (see
+/// [`CircuitGraph::attributes`](crate::CircuitGraph::attributes)).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NodeRc {
+    /// `r̂` for gates and wires, `R_D` for drivers, zero otherwise.
+    pub resistance: f64,
+    /// Unit-size capacitance `ĉ`.
+    pub unit_capacitance: f64,
+    /// Fringing capacitance `f`.
+    pub fringing: f64,
+    /// Area coefficient `α`.
+    pub area_coefficient: f64,
+}
+
+/// The RC attributes a technology gives each node kind, as four
+/// coefficients a node's parameter multiplies: a wire's per-µm values times
+/// its length, a gate's constants times one, a driver's `[1, 0, 0, 0]`
+/// times its `R_D`, and zero for the source and sink. The kind only picks
+/// the row, so every kind derives its attributes with the same four
+/// multiplies.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KindRc {
+    /// The coefficients of each [`class`] of node kind.
+    per_class: [NodeRc; 4],
+}
+
+/// The row of a node of `kind` in [`KindRc`]'s coefficients: 0 for the
+/// source and sink, 1 for a driver, 2 for a gate and 3 for a wire. Summed
+/// from comparisons rather than matched, so a loop over a mix of gates and
+/// wires takes no branch on the kind to find the row.
+#[inline(always)]
+fn class(kind: NodeKind) -> usize {
+    usize::from(kind.is_driver())
+        + 2 * usize::from(kind.is_gate())
+        + 3 * usize::from(kind.is_wire())
+}
+
+/// The parameter a gate is stored under: its attributes are the
+/// technology's gate constants times one, which is each constant exactly.
+pub(crate) const GATE_PARAM: f64 = 1.0;
+
+impl KindRc {
+    /// The coefficients of `tech`.
+    pub(crate) fn new(tech: &Technology) -> Self {
+        let rc = |resistance, unit_capacitance, fringing, area_coefficient| NodeRc {
+            resistance,
+            unit_capacitance,
+            fringing,
+            area_coefficient,
+        };
+        KindRc {
+            per_class: [
+                rc(0.0, 0.0, 0.0, 0.0),
+                rc(1.0, 0.0, 0.0, 0.0),
+                rc(
+                    tech.gate_unit_resistance,
+                    tech.gate_unit_capacitance,
+                    0.0,
+                    tech.gate_area_coefficient,
+                ),
+                rc(
+                    tech.wire_unit_resistance,
+                    tech.wire_unit_capacitance,
+                    tech.wire_fringing_per_um,
+                    tech.wire_area_coefficient,
+                ),
+            ],
+        }
+    }
+
+    /// The attributes of a node of `kind` with parameter `param`: a wire's
+    /// are the technology's per-µm constants times its length `param`, a
+    /// gate's the gate constants (its `param` is [`GATE_PARAM`]), a
+    /// driver's resistance its `param` (positive, so its other attributes
+    /// are `+0.0`), and the source's and sink's zero (their `param` is
+    /// zero).
+    #[inline(always)]
+    pub(crate) fn of(&self, kind: NodeKind, param: f64) -> NodeRc {
+        // `class` is below 4; the mask lets the compiler see it.
+        self.per_class[class(kind) & 3].times(param)
+    }
+
+    /// A gate's attributes: [`of`](Self::of) a gate, whose parameter is
+    /// [`GATE_PARAM`], and so the gate row itself.
+    #[inline(always)]
+    pub(crate) fn gate(&self) -> NodeRc {
+        self.per_class[2]
+    }
+
+    /// A wire's attributes: [`of`](Self::of) a wire of `length`.
+    #[inline(always)]
+    pub(crate) fn wire(&self, length: f64) -> NodeRc {
+        self.per_class[3].times(length)
+    }
+}
+
+impl NodeRc {
+    /// Every attribute times `param`.
+    #[inline(always)]
+    fn times(&self, param: f64) -> NodeRc {
+        NodeRc {
+            resistance: self.resistance * param,
+            unit_capacitance: self.unit_capacitance * param,
+            fringing: self.fringing * param,
+            area_coefficient: self.area_coefficient * param,
+        }
+    }
+
+    /// The attributes of a node of `kind` with parameter `param` under
+    /// `tech`: a wire's are the technology's per-µm constants times its
+    /// length `param`, a driver's resistance is its `param`, a gate's are
+    /// the technology's gate constants and the source's and sink's zero.
+    pub(crate) fn of(kind: NodeKind, param: f64, tech: &Technology) -> Self {
+        let param = match kind {
+            NodeKind::Gate(_) => GATE_PARAM,
+            NodeKind::Source | NodeKind::Sink => 0.0,
+            NodeKind::Driver | NodeKind::Wire => param,
+        };
+        KindRc::new(tech).of(kind, param)
+    }
+
+    /// The attributes a node of `kind` keeps of `attrs`: an attribute its
+    /// kind does not have is dropped (see `Node::attribute_of_another_kind`).
+    pub(crate) fn kept(kind: NodeKind, attrs: &NodeAttrs) -> Self {
+        NodeRc {
+            resistance: match kind {
+                NodeKind::Driver => attrs.driver_resistance,
+                NodeKind::Gate(_) | NodeKind::Wire => attrs.unit_resistance,
+                NodeKind::Source | NodeKind::Sink => 0.0,
+            },
+            unit_capacitance: if kind.is_sizable() {
+                attrs.unit_capacitance
+            } else {
+                0.0
+            },
+            fringing: if kind.is_wire() {
+                attrs.fringing_capacitance
+            } else {
+                0.0
+            },
+            area_coefficient: attrs.area_coefficient,
+        }
+    }
+
+    /// The full attributes of a node of `kind` with these RC values, the
+    /// size bounds `(lower, upper)` and `output_load`.
+    pub(crate) fn into_attrs(
+        self,
+        kind: NodeKind,
+        (lower_bound, upper_bound): (f64, f64),
+        output_load: f64,
+    ) -> NodeAttrs {
+        let only = |owned: bool| if owned { self.resistance } else { 0.0 };
+        NodeAttrs {
+            unit_resistance: only(kind.is_sizable()),
+            unit_capacitance: self.unit_capacitance,
+            fringing_capacitance: self.fringing,
+            area_coefficient: self.area_coefficient,
+            lower_bound,
+            upper_bound,
+            driver_resistance: only(kind.is_driver()),
+            output_load,
+        }
+    }
+
+    /// `true` when every attribute equals `other`'s bit for bit.
+    pub(crate) fn same_bits(&self, other: &NodeRc) -> bool {
+        let bits = |rc: &NodeRc| {
+            [
+                rc.resistance,
+                rc.unit_capacitance,
+                rc.fringing,
+                rc.area_coefficient,
+            ]
+            .map(f64::to_bits)
+        };
+        bits(self) == bits(other)
+    }
+}
+
 /// A node of the circuit graph: its role and RC attributes.
 ///
-/// The graph stores no `Node`s: it keeps each attribute in a column of its
-/// own, one entry per node, and [`CircuitGraph::node`](crate::CircuitGraph::node)
-/// reassembles this value from them. A node carries no name either: the
+/// The graph stores no `Node`s: it keeps each node's kind and one
+/// parameter, derives the RC attributes from them and the technology (see
+/// [`NodeRc`]), keeps the size bounds and output loads as sparse lists, and
+/// [`CircuitGraph::node`](crate::CircuitGraph::node) reassembles this value
+/// from them. A node carries no name either: the
 /// graph keeps every node name in one table, read with
 /// [`CircuitGraph::name`](crate::CircuitGraph::name).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

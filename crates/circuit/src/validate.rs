@@ -104,18 +104,19 @@ pub fn validate(graph: &CircuitGraph) -> Result<(), CircuitError> {
     }
     // Physical attributes, which the builder computes from a validated
     // technology and a decoded graph carries as given.
-    let (resistances, unit_capacitances) = (graph.resistances(), graph.unit_capacitances());
-    let (fringing, area_coefficients) = (graph.fringing_capacitances(), graph.area_coefficients());
-    for (i, kind) in kinds.iter().enumerate() {
+    // A builder-made wire's attributes are products of its length, which
+    // may overflow.
+    let attributes = graph.attributes().range(0..graph.num_nodes());
+    for (kind, rc) in kinds.iter().zip(attributes) {
         if kind.is_sizable() {
-            positive("unit_resistance", resistances[i])?;
-            positive("unit_capacitance", unit_capacitances[i])?;
-            positive("area_coefficient", area_coefficients[i])?;
+            positive("unit_resistance", rc.resistance)?;
+            positive("unit_capacitance", rc.unit_capacitance)?;
+            positive("area_coefficient", rc.area_coefficient)?;
             if kind.is_wire() {
-                non_negative("fringing_capacitance", fringing[i])?;
+                non_negative("fringing_capacitance", rc.fringing)?;
             }
         } else if kind.is_driver() {
-            positive("driver_resistance", resistances[i])?;
+            positive("driver_resistance", rc.resistance)?;
         }
     }
     for &(_, load) in graph.output_load_list() {

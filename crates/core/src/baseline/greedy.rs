@@ -59,7 +59,7 @@ pub fn greedy_delay_sizing(
             };
             let (upper, area_coefficient) = (
                 graph.size_bounds(node).1,
-                graph.area_coefficients()[node.index()],
+                graph.attributes().get(node.index()).area_coefficient,
             );
             let current = sizes[dense];
             if current >= upper - 1e-12 {

@@ -670,10 +670,11 @@ fn lower_driven_load(
             let c = child.index();
             match graph.kinds()[c] {
                 NodeKind::Gate(_) | NodeKind::Wire => {
+                    let rc = graph.attributes().get(c);
                     if let Some(dense) = graph.component_index(child) {
-                        terms.push((dense, graph.unit_capacitances()[c]));
+                        terms.push((dense, rc.unit_capacitance));
                     }
-                    constant += graph.fringing_capacitances()[c];
+                    constant += rc.fringing;
                 }
                 NodeKind::Sink => constant += graph.output_load(id),
                 NodeKind::Driver | NodeKind::Source => {}

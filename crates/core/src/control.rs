@@ -344,11 +344,6 @@ impl<'a> RunControl<'a> {
         self.with_deadline(Instant::now() + timeout)
     }
 
-    /// The attached cancellation flag, if any.
-    pub fn cancel_flag(&self) -> Option<&CancelFlag> {
-        self.cancel.as_ref()
-    }
-
     /// The iteration budget, if any.
     pub fn iteration_budget(&self) -> Option<usize> {
         self.iteration_budget

@@ -2,12 +2,12 @@
 //!
 //! [`SizingEngine`] binds a circuit graph, its coupling set, the
 //! [`CircuitTopology`] the Elmore traversals run over and an
-//! [`EvalWorkspace`] together, and reads the dense per-component attribute
-//! tables the LRS closed-form resize needs in its innermost loop. Tables
-//! the graph or the coupling set already hold — the adjacency, the node
-//! attribute columns, the per-wire coupling coefficient sums — are
-//! borrowed, not copied, and component indices are computed rather than
-//! stored.
+//! [`EvalWorkspace`] together, and reads the per-component attributes the
+//! LRS closed-form resize needs in its innermost loop. Tables the graph or
+//! the coupling set already hold — the adjacency, the kind and parameter
+//! columns the attributes are derived from, the per-wire coupling
+//! coefficient sums — are borrowed, not copied, and component indices are
+//! computed rather than stored.
 //! Built once per [`SizingProblem`] (or circuit), it makes every evaluation the optimizer performs — coupling loads,
 //! downstream capacitances, weighted upstream resistances, timing, metrics,
 //! LRS sweeps — allocation-free after setup.
@@ -18,8 +18,8 @@
 //! results; the `property_eval_engine` integration test enforces this.
 
 use ncgws_circuit::{
-    CircuitGraph, CircuitTopology, EvalWorkspace, NodeId, NodeKind, SizeBounds, SizeVector, Space,
-    Tile, Tiles,
+    Attributes, CircuitGraph, CircuitTopology, EvalWorkspace, NodeId, NodeKind, SizeBounds,
+    SizeVector, Space, Tile, Tiles,
 };
 use ncgws_coupling::CouplingSet;
 
@@ -56,13 +56,10 @@ pub struct SizingEngine<'a> {
     /// graph's adjacency.
     topo: CircuitTopology<'a>,
     pub(crate) ws: EvalWorkspace,
-    // Dense per-component tables (indexed by the graph's dense component
-    // index): the component range of the graph's area-coefficient column,
-    // borrowed. The kind, unit resistance, unit capacitance and fringing
-    // of the components are read through the topology, and the raw node
-    // of component `i` is `topo.component_nodes().start + i`: none is
-    // copied here.
-    pub(crate) area_coefficient: &'a [f64],
+    // No per-component attribute table: a component's kind, `r̂`, `ĉ`, `f`
+    // and `α` are read through the topology's view of the graph, which
+    // derives them from the kind and parameter columns, and the raw node
+    // of component `i` is `topo.component_nodes().start + i`.
     /// The components' size bounds: the graph's view of the technology's
     /// range and its sparse overrides, no table per component.
     pub(crate) bounds: SizeBounds<'a>,
@@ -98,9 +95,13 @@ pub struct SizingEngine<'a> {
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
     kind: &'a [NodeKind],
-    unit_resistance: &'a [f64],
-    unit_capacitance: &'a [f64],
-    area_coefficient: &'a [f64],
+    /// The components' parameters: a wire's length, from which `attributes`
+    /// derives its `r̂`, `ĉ` and `α` (a gate's are the technology's).
+    param: &'a [f64],
+    /// The graph's attributes, by raw node index: component `i` is node
+    /// `first + i`.
+    attributes: Attributes<'a>,
+    first: usize,
     bounds: SizeBounds<'a>,
     coupling_sum: &'a [f64],
     extra_denom: &'a [f64],
@@ -123,21 +124,28 @@ impl ResizeTables<'_> {
         lambda_i: f64,
     ) -> (f64, f64) {
         let coupling_sum = self.coupling_sum[comp];
+        let kind = self.kind[comp];
+        let node = self.first + comp;
+        let rc = if kind.is_wire() {
+            self.attributes.wire(node, self.param[comp])
+        } else {
+            self.attributes.gate(node)
+        };
         let mut cap_num = charged_i;
-        if self.kind[comp].is_wire() {
-            cap_num -= self.unit_capacitance[comp] * x_i / 2.0;
+        if kind.is_wire() {
+            cap_num -= rc.unit_capacitance * x_i / 2.0;
             cap_num -= coupling_sum * x_i;
         }
         if cap_num < 0.0 {
             cap_num = 0.0;
         }
-        let mut denominator = self.area_coefficient[comp]
-            + (self.beta + upstream_i) * self.unit_capacitance[comp]
+        let mut denominator = rc.area_coefficient
+            + (self.beta + upstream_i) * rc.unit_capacitance
             + self.gamma * coupling_sum;
         if !self.extra_denom.is_empty() {
             denominator += self.extra_denom[comp];
         }
-        let numerator = lambda_i * self.unit_resistance[comp] * cap_num;
+        let numerator = lambda_i * rc.resistance * cap_num;
         let opt = if denominator > 0.0 && numerator > 0.0 {
             (numerator / denominator).sqrt()
         } else {
@@ -255,7 +263,6 @@ impl<'a> SizingEngine<'a> {
             graph,
             coupling,
             ws: EvalWorkspace::new(&topo),
-            area_coefficient: &graph.area_coefficients()[components],
             bounds: graph.component_bounds(),
             topo,
             coupling_sum,
@@ -280,11 +287,6 @@ impl<'a> SizingEngine<'a> {
     /// bitwise-pinned to [`crate::reference`].
     pub fn set_parallel(&mut self, policy: ParallelPolicy) {
         self.par.configure(policy);
-    }
-
-    /// The active parallel policy.
-    pub fn parallel_policy(&self) -> ParallelPolicy {
-        self.par.policy()
     }
 
     /// The parallel runtime, for sibling subsystems (subgradient update,
@@ -334,7 +336,7 @@ impl<'a> SizingEngine<'a> {
     }
 
     /// Total component capacitance `Σ c_i` (fF, excluding coupling) over
-    /// the dense attribute tables — bitwise identical to
+    /// the components' derived attributes — bitwise identical to
     /// [`ncgws_circuit::total_capacitance`] (same per-component arithmetic,
     /// same accumulation order), at a fraction of the pointer-chasing cost.
     pub fn total_capacitance(&self, sizes: &SizeVector) -> f64 {
@@ -344,27 +346,27 @@ impl<'a> SizingEngine<'a> {
             self.graph.num_components(),
             "sizes must match the circuit"
         );
-        let unit_capacitance = self.topo.component_unit_capacitance();
-        let fringing = self.topo.component_fringing();
+        let attributes = self.topo.attributes().range(self.topo.component_nodes());
         let mut acc = 0.0;
-        for ((&unit_cap, &x), &fringing) in unit_capacitance.iter().zip(xs).zip(fringing) {
-            acc += unit_cap * x + fringing;
+        for (rc, &x) in attributes.zip(xs) {
+            acc += rc.unit_capacitance * x + rc.fringing;
         }
         acc
     }
 
-    /// Total area `Σ α_i x_i` (µm²) over the dense attribute tables —
-    /// bitwise identical to [`ncgws_circuit::total_area`].
+    /// Total area `Σ α_i x_i` (µm²) over the components' derived
+    /// attributes — bitwise identical to [`ncgws_circuit::total_area`].
     pub fn total_area(&self, sizes: &SizeVector) -> f64 {
         let xs = sizes.as_slice();
         assert_eq!(
             xs.len(),
-            self.area_coefficient.len(),
+            self.graph.num_components(),
             "sizes must match the circuit"
         );
+        let attributes = self.topo.attributes().range(self.topo.component_nodes());
         let mut acc = 0.0;
-        for (&alpha, &x) in self.area_coefficient.iter().zip(xs) {
-            acc += alpha * x;
+        for (rc, &x) in attributes.zip(xs) {
+            acc += rc.area_coefficient * x;
         }
         acc
     }
@@ -516,9 +518,9 @@ impl<'a> SizingEngine<'a> {
         // bitwise-pinned to `crate::reference` at any thread count.
         let tables = ResizeTables {
             kind: self.topo.component_kinds(),
-            unit_resistance: self.topo.component_unit_resistance(),
-            unit_capacitance: self.topo.component_unit_capacitance(),
-            area_coefficient: self.area_coefficient,
+            param: &self.topo.attributes().params()[self.topo.component_nodes()],
+            attributes: self.topo.attributes(),
+            first: self.topo.component_nodes().start,
             bounds: self.bounds,
             coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
@@ -700,9 +702,9 @@ impl<'a> SizingEngine<'a> {
         let ctx = FusedChunkCtx {
             tables: ResizeTables {
                 kind: topo.component_kinds(),
-                unit_resistance: topo.component_unit_resistance(),
-                unit_capacitance: topo.component_unit_capacitance(),
-                area_coefficient: self.area_coefficient,
+                param: &topo.attributes().params()[topo.component_nodes()],
+                attributes: topo.attributes(),
+                first: topo.component_nodes().start,
                 bounds: self.bounds,
                 coupling_sum: self.coupling_sum,
                 extra_denom: &self.extra_denom,
@@ -1014,21 +1016,27 @@ mod tests {
         );
     }
 
-    /// The per-component coupling sums and area coefficients are the
-    /// component ranges of the coupling set's and the graph's own tables,
-    /// the size bounds are the graph's view, and the flow index's kinds and
-    /// out offsets are the graph's columns: none is a copy.
+    /// The per-component coupling sums are the component range of the
+    /// coupling set's own table, the attributes and size bounds are the
+    /// graph's views (with no override on a generated graph), and the flow
+    /// index's kinds and out offsets are the graph's columns: none is a
+    /// copy.
     #[test]
     fn engine_borrows_the_coupling_sums() {
         let (graph, coupling) = setup();
         let engine = SizingEngine::new(&graph, &coupling);
         let components = engine.topo.component_nodes();
-        for (mine, owner) in [
-            (engine.coupling_sum, coupling.linear_coefficient_sums()),
-            (engine.area_coefficient, graph.area_coefficients()),
-        ] {
-            assert_eq!(mine.len(), graph.num_components());
-            assert_eq!(mine.as_ptr(), owner[components.clone()].as_ptr());
+        let owner = coupling.linear_coefficient_sums();
+        assert_eq!(engine.coupling_sum.len(), graph.num_components());
+        assert_eq!(
+            engine.coupling_sum.as_ptr(),
+            owner[components.clone()].as_ptr()
+        );
+        let attributes = engine.topo.attributes();
+        assert_eq!(attributes.num_overrides(), 0);
+        for id in graph.component_ids() {
+            let rc = attributes.get(id.index());
+            assert_eq!(rc.area_coefficient, graph.node(id).attrs.area_coefficient);
         }
         assert_eq!(engine.bounds.len(), graph.num_components());
         assert_eq!(engine.bounds.num_overrides(), 0);

@@ -158,12 +158,6 @@ impl Multipliers {
         &self.values[self.range(node)]
     }
 
-    /// Mutable access to all fanin-edge multipliers of a node.
-    pub fn edges_of_mut(&mut self, node: NodeId) -> &mut [f64] {
-        let range = self.range(node);
-        &mut self.values[range]
-    }
-
     /// The flat CSR view `(offsets, values)` of every edge multiplier — the
     /// hot-loop surface for the projection and subgradient walks.
     pub fn flat(&self) -> (&[u32], &[f64]) {

@@ -388,11 +388,6 @@ impl ParRuntime {
         }
     }
 
-    /// The active policy.
-    pub(crate) fn policy(&self) -> ParallelPolicy {
-        self.policy
-    }
-
     /// Applies a policy, spawning (or dropping) the worker pool to match;
     /// idempotent and cheap when nothing changed, so callers apply it once
     /// per solve.
@@ -860,7 +855,7 @@ mod tests {
         let mut runtime = ParRuntime::new();
         runtime.configure(ParallelPolicy::threads(2));
         let clone = runtime.clone();
-        assert_eq!(clone.policy(), ParallelPolicy::threads(2));
+        assert_eq!(clone.policy, ParallelPolicy::threads(2));
         // A cloned (pool-less) runtime still runs every block.
         let count = std::sync::atomic::AtomicUsize::new(0);
         clone.run(flat_blocks(5 * CHUNK_NODES), |_| {

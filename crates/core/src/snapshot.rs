@@ -143,11 +143,6 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Whether a feasible iterate had been found when the snapshot was taken.
-    pub fn has_feasible(&self) -> bool {
-        self.best_sizes.is_some()
-    }
-
     /// Heap + inline bytes held by the snapshot buffers (for the memory
     /// accounting that extends the Figure 10(a) breakdown to checkpoints).
     pub fn memory_bytes(&self) -> usize {

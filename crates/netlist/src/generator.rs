@@ -27,13 +27,6 @@ use crate::error::NetlistError;
 use crate::instance::{ChannelGeometry, Channels, ProblemInstance};
 use crate::spec::CircuitSpec;
 
-/// One gate input source in the intermediate representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SourceRef {
-    Driver(usize),
-    Gate(usize),
-}
-
 /// The live inputs of gate `k` in the generator's flat input table: the
 /// first `fanin[k]` of the slots that start at `start[k]`.
 fn live(start: &[usize], fanin: &[usize], k: usize) -> Range<usize> {
@@ -117,6 +110,17 @@ impl SyntheticGenerator {
             });
         }
 
+        // Step 2 numbers the drivers and gates in 32 bits, as the builder
+        // does every component.
+        if num_drivers + num_gates + num_wires > u32::MAX as usize {
+            return Err(NetlistError::InfeasibleSpec {
+                reason: format!(
+                    "{} components do not fit 32-bit component numbers",
+                    num_drivers + num_gates + num_wires
+                ),
+            });
+        }
+
         let mut rng = ChaCha8Rng::seed_from_u64(spec.seed);
 
         // ---- 1. Fan-in budget: exactly `num_wires - num_outputs` input wires.
@@ -138,12 +142,15 @@ impl SyntheticGenerator {
         // The last `num_outputs` gates are the designated primary outputs.
         // Every gate's inputs share one table: gate `k` owns the `fanin[k]`
         // slots from `start[k]`, and `fanin[k]` then counts the live ones
-        // (step 3 only ever shrinks it; see `live`).
+        // (step 3 only ever shrinks it; see `live`). A source is numbered as
+        // the builder will number it in step 4, 32 bits: driver `d` is `d`
+        // and gate `g` is `num_drivers + g`, and `fanout` counts the input
+        // slots each source feeds.
         let first_output_gate = num_gates - num_outputs;
         let mut start: Vec<usize> = Vec::with_capacity(num_gates);
-        let mut sources: Vec<SourceRef> = Vec::with_capacity(input_wire_budget);
-        let mut gate_fanout = vec![0usize; num_gates];
-        let mut driver_fanout = vec![0usize; num_drivers];
+        let mut sources: Vec<u32> = Vec::with_capacity(input_wire_budget);
+        let mut fanout = vec![0usize; num_drivers + num_gates];
+        let gate_source = |g: usize| (num_drivers + g) as u32;
         // Non-output gates with no fanout yet; each gate below
         // `first_output_gate` enters once.
         let mut unused: Vec<usize> = Vec::with_capacity(first_output_gate);
@@ -169,24 +176,21 @@ impl SyntheticGenerator {
                     // Guarantee every non-output gate eventually drives something.
                     let pick = rng.gen_range(0..unused.len().min(4));
                     let idx = unused.len() - 1 - pick;
-                    SourceRef::Gate(unused.swap_remove(idx))
+                    gate_source(unused.swap_remove(idx))
                 } else if k == 0 || rng.gen_bool(self.driver_probability(k, first_output_gate)) {
-                    SourceRef::Driver(rng.gen_range(0..num_drivers))
+                    rng.gen_range(0..num_drivers) as u32
                 } else {
                     // Locality-biased choice among earlier non-output gates.
                     let limit = k.min(first_output_gate);
                     if limit == 0 {
-                        SourceRef::Driver(rng.gen_range(0..num_drivers))
+                        rng.gen_range(0..num_drivers) as u32
                     } else {
                         let window = self.spec.locality_window.max(1).min(limit);
                         let lo = limit - window;
-                        SourceRef::Gate(rng.gen_range(lo..limit))
+                        gate_source(rng.gen_range(lo..limit))
                     }
                 };
-                match source {
-                    SourceRef::Driver(d) => driver_fanout[d] += 1,
-                    SourceRef::Gate(g) => gate_fanout[g] += 1,
-                }
+                fanout[source as usize] += 1;
                 sources.push(source);
             }
             if k < first_output_gate {
@@ -203,7 +207,7 @@ impl SyntheticGenerator {
         let extra_outputs: Vec<usize> = if wide {
             unused
                 .into_iter()
-                .filter(|&g| gate_fanout[g] == 0)
+                .filter(|&g| fanout[num_drivers + g] == 0)
                 .collect()
         } else {
             unused
@@ -222,13 +226,9 @@ impl SyntheticGenerator {
                     });
                 };
                 if fanin[k] >= 2 {
-                    let removable =
-                        sources[live(&start, &fanin, k)]
-                            .iter()
-                            .position(|&source| match source {
-                                SourceRef::Driver(d) => driver_fanout[d] >= 2,
-                                SourceRef::Gate(g) => gate_fanout[g] >= 2,
-                            });
+                    let removable = sources[live(&start, &fanin, k)]
+                        .iter()
+                        .position(|&source| fanout[source as usize] >= 2);
                     if let Some(pos) = removable {
                         break (k, pos);
                     }
@@ -240,25 +240,21 @@ impl SyntheticGenerator {
             let gate_inputs = &mut sources[live(&start, &fanin, k)];
             gate_inputs[pos..].rotate_left(1);
             fanin[k] -= 1;
-            match gate_inputs[gate_inputs.len() - 1] {
-                SourceRef::Driver(d) => driver_fanout[d] -= 1,
-                SourceRef::Gate(g) => gate_fanout[g] -= 1,
-            }
+            fanout[gate_inputs[gate_inputs.len() - 1] as usize] -= 1;
         }
 
         // Make sure every driver drives something: steal a slot if needed.
-        for (d, fanout) in driver_fanout.iter_mut().enumerate() {
-            if *fanout == 0 {
+        for d in 0..num_drivers {
+            if fanout[d] == 0 {
                 // Replace a gate-sourced input whose source has other fanout.
                 'search: for k in 0..num_gates {
                     for slot in &mut sources[live(&start, &fanin, k)] {
-                        if let SourceRef::Gate(g) = *slot {
-                            if gate_fanout[g] >= 2 {
-                                gate_fanout[g] -= 1;
-                                *slot = SourceRef::Driver(d);
-                                *fanout += 1;
-                                break 'search;
-                            }
+                        let g = *slot as usize;
+                        if g >= num_drivers && fanout[g] >= 2 {
+                            fanout[g] -= 1;
+                            *slot = d as u32;
+                            fanout[d] += 1;
+                            break 'search;
                         }
                     }
                 }
@@ -318,18 +314,15 @@ impl SyntheticGenerator {
         for k in 0..num_gates {
             for &source in &sources[live(&start, &fanin, k)] {
                 let wire = new_wire(&mut builder, &mut rng_geo)?;
-                let src = match source {
-                    SourceRef::Driver(d) => BuildNode::new(first_driver + d),
-                    SourceRef::Gate(g) => gate(g),
-                };
-                builder.connect(src, wire)?;
+                builder.connect(BuildNode::new(first_driver + source as usize), wire)?;
                 builder.connect(wire, gate(k))?;
             }
         }
         // The source table is spent: free it before the graph is built.
-        drop((sources, start, fanin, gate_fanout, driver_fanout));
+        drop((sources, start, fanin, fanout));
 
         // Primary outputs: designated output gates plus the extra ones.
+        builder.reserve_outputs(num_gates - first_output_gate + extra_outputs.len());
         for g in (first_output_gate..num_gates).chain(extra_outputs) {
             let wire = new_wire(&mut builder, &mut rng_geo)?;
             let load = rng_geo.gen_range(spec.output_load_range.0..=spec.output_load_range.1);
@@ -475,6 +468,13 @@ mod tests {
         ));
         let no_gates = CircuitSpec::new("bad", 0, 10);
         assert!(SyntheticGenerator::new(no_gates).generate().is_err());
+        // Rejected before any table is allocated.
+        let gates = u32::MAX as usize / 2;
+        let too_many = CircuitSpec::new("bad", gates, 2 * gates);
+        assert!(matches!(
+            SyntheticGenerator::new(too_many).generate(),
+            Err(NetlistError::InfeasibleSpec { reason }) if reason.contains("32-bit")
+        ));
     }
 
     #[test]

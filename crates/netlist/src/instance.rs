@@ -252,7 +252,8 @@ impl ProblemInstance {
     pub fn wire_length(&self, id: NodeId) -> f64 {
         let i = id.index();
         if self.circuit.kinds()[i].is_wire() {
-            self.circuit.area_coefficients()[i] / self.circuit.technology().wire_area_coefficient
+            let alpha = self.circuit.attributes().get(i).area_coefficient;
+            alpha / self.circuit.technology().wire_area_coefficient
         } else {
             0.0
         }
@@ -261,12 +262,6 @@ impl ProblemInstance {
     /// Total number of sizable components.
     pub fn num_components(&self) -> usize {
         self.circuit.num_components()
-    }
-
-    /// Number of wires that belong to some routing channel
-    /// (only those can suffer crosstalk).
-    pub fn num_channel_wires(&self) -> usize {
-        self.channels.wires().len()
     }
 
     /// An estimate (in bytes) of the instance's memory, used by the

@@ -16,9 +16,10 @@
 //! from the live bytes before it, must also stay within 1.35× the live
 //! bytes it returns: generation frees its scaffolding before the graph is
 //! built, and a table kept alive across the build shows up as that ratio
-//! whatever the budgets allow. The engine's own bytes per node are
-//! bounded too, so a per-node or per-edge copy of a graph table fails a
-//! named check, and encoding a snapshot of the solve may make
+//! whatever the budgets allow. The graph's and the engine's own bytes per
+//! node are bounded too, so a dense attribute column coming back to the
+//! graph, or a per-node or per-edge copy of a graph table in the engine,
+//! fails a named check, and encoding a snapshot of the solve may make
 //! only the allocation calls of its JSON buffer's growth, not one per
 //! number.
 //!
@@ -126,10 +127,10 @@ const MIB: f64 = 1024.0 * 1024.0;
 
 /// Peak live bytes per phase, recorded on this workload.
 const BUDGETS: [(&str, usize); 4] = [
-    ("generate", 918_334),
-    ("order", 1_991_987),
-    ("engine", 1_831_987),
-    ("size", 2_206_039),
+    ("generate", 552_161),
+    ("order", 1_745_291),
+    ("engine", 1_585_291),
+    ("size", 1_959_343),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload. None
@@ -143,10 +144,20 @@ const GENERATE_ALLOCS: usize = 44;
 /// returns, in percent of them: generation frees its scaffolding (the
 /// generator's source table, the builder's tables) as it goes, so its peak
 /// stays near the instance it hands back. The workload's ratio is about
-/// 1.34 (the graph keeps no per-node size bounds, so the instance it
-/// returns is smaller beside the same scaffolding); a table kept alive
-/// across the graph build shows up here however large the budgets are.
+/// 1.25: the builder keeps its output loads sparse, derives the new fanout
+/// lists from the new fanin lists alone, and writes each graph table once
+/// the builder tables it reads are complete, freeing them as they are
+/// spent. A table kept alive across the graph build shows up here however
+/// large the budgets are.
 const GENERATE_PEAK_OVER_LIVE_PCT: usize = 135;
+
+/// Bytes the generated graph holds per node (`CircuitGraph::memory_bytes`
+/// over the node count), recorded on this workload (38.4) with 10% on top.
+/// A node is its kind and one parameter, 9 bytes, its RC attributes derived
+/// from them and the technology; the rest is its name and the two adjacency
+/// directions. A dense per-node attribute column, 8 bytes a node, breaks
+/// it.
+const GRAPH_BYTES_PER_NODE: usize = 42;
 
 /// Bytes the sizing engine owns per node of the workload
 /// (`SizingEngine::memory_bytes` over the node count), recorded on this
@@ -247,6 +258,7 @@ fn xlw10k_phase_peaks_stay_within_budget() {
     });
     let (mut engine, engine_peak, _) = phase(|| ordered.engine());
     let engine_per_node = engine.memory_bytes() / instance.circuit.num_nodes();
+    let graph_per_node = instance.circuit.memory_bytes() / instance.circuit.num_nodes();
     let (sized, size, _) = phase(|| {
         ordered
             .size_with_engine(&mut engine, None, &RunControl::new())
@@ -275,6 +287,11 @@ fn xlw10k_phase_peaks_stay_within_budget() {
         engine.memory_bytes()
     );
     println!(
+        "peak_memory xlw10k graph: {} B = {graph_per_node} B per node (at most \
+         {GRAPH_BYTES_PER_NODE})",
+        instance.circuit.memory_bytes()
+    );
+    println!(
         "peak_memory xlw10k generate: peak {generate_rise} B over {generate_live} B returned = \
          {:.3} (at most {:.2})",
         generate_rise as f64 / generate_live as f64,
@@ -297,6 +314,10 @@ fn xlw10k_phase_peaks_stay_within_budget() {
     assert!(
         engine_per_node <= ENGINE_BYTES_PER_NODE,
         "engine: {engine_per_node} B per node exceeds {ENGINE_BYTES_PER_NODE}"
+    );
+    assert!(
+        graph_per_node <= GRAPH_BYTES_PER_NODE,
+        "graph: {graph_per_node} B per node exceeds {GRAPH_BYTES_PER_NODE}"
     );
     assert!(
         generate_rise * 100 <= generate_live * GENERATE_PEAK_OVER_LIVE_PCT,

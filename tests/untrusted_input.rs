@@ -216,9 +216,9 @@ fn a_fanin_id_beyond_32_bits_is_an_error() {
     assert!(err.to_string().contains("out of range"), "{err}");
 }
 
-/// A driver has no unit resistance, and the graph's resistance column holds
-/// only its driver resistance, so a graph whose driver carries one decodes
-/// to an error rather than dropping it.
+/// A driver has no unit resistance, and the graph keeps only its driver
+/// resistance, so a graph whose driver carries one decodes to an error
+/// rather than dropping it.
 #[test]
 fn a_driver_with_a_unit_resistance_is_an_error() {
     let (inst, _) = mutation_fixture();
