@@ -9,10 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ncgws_bench::{generate, paper_config};
-use ncgws_core::{
-    build_coupling, ConstraintBounds, LrsSolver, Multipliers, OrderingStrategy, RunControl,
-    SizingEngine, SizingProblem,
-};
+use ncgws_core::{Flow, LrsSolver, Multipliers, RunControl, SizingEngine, SizingProblem};
 use ncgws_netlist::CircuitSpec;
 
 fn lrs_iteration(c: &mut Criterion) {
@@ -21,15 +18,13 @@ fn lrs_iteration(c: &mut Criterion) {
     for (gates, wires) in [(100, 220), (200, 440), (400, 880), (800, 1760)] {
         let spec = CircuitSpec::new(format!("scale-{gates}"), gates, wires).with_seed(29);
         let instance = generate(spec);
-        let ordering = build_coupling(&instance, OrderingStrategy::Woss, false).unwrap();
+        let ordered = Flow::prepare(&instance, paper_config())
+            .unwrap()
+            .order()
+            .unwrap();
         let graph = &instance.circuit;
-        let config = paper_config();
-        let initial = config.initial_sizes(graph);
-        let initial_metrics =
-            ncgws_core::CircuitMetrics::evaluate(graph, &ordering.coupling, &initial);
-        let bounds = ConstraintBounds::from_initial(&initial_metrics, &config)
-            .clamped_to_feasible(graph, &ordering.coupling);
-        let problem = SizingProblem::new(graph, &ordering.coupling, bounds).unwrap();
+        let coupling = &ordered.ordering().coupling;
+        let problem = SizingProblem::new(graph, coupling, ordered.bounds()).unwrap();
         let multipliers = Multipliers::uniform(graph, 1.0, 1.0);
         let solver = LrsSolver::new(5, 1e-6);
         let control = RunControl::new();

@@ -4,30 +4,19 @@ use crate::graph::CircuitGraph;
 use crate::sizing::SizeVector;
 
 /// Total area `Σ_{i=s+1}^{n+s} α_i · x_i` in µm². Input drivers and output
-/// loads contribute no area, exactly as in the paper.
-pub fn total_area(graph: &CircuitGraph, sizes: &SizeVector) -> f64 {
-    component_areas(graph, sizes).sum()
-}
-
-/// Per-component area contributions in dense component order.
-pub fn area_per_component(graph: &CircuitGraph, sizes: &SizeVector) -> Vec<f64> {
-    component_areas(graph, sizes).collect()
-}
-
-/// `α_i · x_i` for every component, in dense component order, with `α_i`
-/// derived from the component's kind and parameter.
+/// loads contribute no area, exactly as in the paper. `α_i` is derived from
+/// the component's kind and parameter.
 ///
 /// # Panics
 ///
 /// Panics if `sizes` holds fewer than `n` entries.
-fn component_areas<'a>(
-    graph: &'a CircuitGraph,
-    sizes: &'a SizeVector,
-) -> impl Iterator<Item = f64> + 'a {
-    let attributes = graph.attributes().range(graph.component_range());
-    attributes
+pub fn total_area(graph: &CircuitGraph, sizes: &SizeVector) -> f64 {
+    graph
+        .attributes()
+        .range(graph.component_range())
         .enumerate()
-        .map(move |(k, rc)| rc.area_coefficient * sizes[k])
+        .map(|(k, rc)| rc.area_coefficient * sizes[k])
+        .sum()
 }
 
 #[cfg(test)]
@@ -62,9 +51,10 @@ mod tests {
     fn per_component_sums_to_total() {
         let c = circuit();
         let sizes = c.uniform_sizes(1.7);
-        let per = area_per_component(&c, &sizes);
-        assert_eq!(per.len(), c.num_components());
-        let sum: f64 = per.iter().sum();
+        let sum: f64 = c
+            .component_ids()
+            .map(|id| c.node(id).attrs.area_coefficient * c.size_of(id, &sizes))
+            .sum();
         assert!((sum - total_area(&c, &sizes)).abs() < 1e-9);
     }
 

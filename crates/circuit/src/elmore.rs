@@ -150,7 +150,7 @@ impl<'a> ElmoreAnalyzer<'a> {
     }
 
     /// Per-component delays given a precomputed [`DownstreamCaps`].
-    pub fn delays_from_caps(&self, sizes: &SizeVector, caps: &DownstreamCaps) -> Vec<f64> {
+    fn delays_from_caps(&self, sizes: &SizeVector, caps: &DownstreamCaps) -> Vec<f64> {
         let g = self.graph;
         g.node_ids()
             .map(|id| match g.kinds()[id.index()] {

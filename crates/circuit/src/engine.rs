@@ -499,7 +499,9 @@ enum FaninTag {
 /// # Examples
 ///
 /// ```
-/// use ncgws_circuit::{CircuitBuilder, CircuitTopology, EvalWorkspace, Technology, TimingAnalysis};
+/// use ncgws_circuit::{
+///     CircuitBuilder, CircuitTopology, EvalWorkspace, Technology, Tile, TimingAnalysis,
+/// };
 ///
 /// let mut b = CircuitBuilder::new(Technology::dac99());
 /// let d = b.add_driver("d", 100.0).unwrap();
@@ -511,8 +513,19 @@ enum FaninTag {
 /// let topo = CircuitTopology::new(&graph);
 /// let mut ws = EvalWorkspace::new(&topo);
 /// let sizes = graph.uniform_sizes(1.5);
-/// // No coupling load: `ws.extra_cap` stays all-zero.
-/// let delay = topo.timing_into(&sizes, &mut ws);
+/// let n = topo.num_nodes();
+/// // Each kernel once over the whole level partition; no coupling load, so
+/// // `ws.extra_cap` stays all-zero.
+/// topo.downstream_caps_chunk(
+///     topo.level_bounds(),
+///     sizes.as_slice(),
+///     &ws.extra_cap,
+///     Tile::whole(&mut ws.charged),
+///     Tile::whole(&mut ws.presented),
+/// );
+/// topo.delays_chunk(0..n, sizes.as_slice(), &ws.charged, Tile::whole(&mut ws.delays));
+/// topo.arrivals_chunk(0..n, &ws.delays, Tile::whole(&mut ws.arrival));
+/// let delay = topo.trace_critical_path(&ws.arrival, &mut ws.critical_path);
 /// // Bitwise the allocate-per-call reference path.
 /// let reference = TimingAnalysis::run(&graph, &sizes, None);
 /// assert_eq!(delay, reference.critical_path_delay);
@@ -653,12 +666,6 @@ impl<'g> CircuitTopology<'g> {
     pub fn component_of(&self, idx: usize) -> Option<usize> {
         let comp = idx.wrapping_sub(self.comp_base);
         (comp < self.num_components).then_some(comp)
-    }
-
-    /// Raw node index of the dense component `comp`.
-    #[inline(always)]
-    pub fn node_of_component(&self, comp: usize) -> usize {
-        self.comp_base + comp
     }
 
     /// The raw node indices of the components, in dense component order:
@@ -1257,40 +1264,8 @@ impl<'g> CircuitTopology<'g> {
     }
 
     // ------------------------------------------------------------------
-    // Whole-circuit evaluation and the critical-path epilogue. Neither
-    // allocates.
+    // The critical-path epilogue. It does not allocate.
     // ------------------------------------------------------------------
-
-    /// Evaluates the Elmore timing of the whole circuit at `sizes` into
-    /// `ws`, with the coupling load read from `ws.extra_cap`: downstream
-    /// capacitances, delays, arrival times and one critical path. Returns
-    /// the critical-path delay. Calls each kernel once over the whole level
-    /// partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `sizes` or a workspace buffer does not match the circuit.
-    pub fn timing_into(&self, sizes: &SizeVector, ws: &mut EvalWorkspace) -> f64 {
-        let n = self.num_nodes();
-        self.assert_node_slices(&[
-            ("charged", ws.charged.len()),
-            ("presented", ws.presented.len()),
-            ("extra_cap", ws.extra_cap.len()),
-            ("delays", ws.delays.len()),
-            ("arrival", ws.arrival.len()),
-        ]);
-        let xs = sizes.as_slice();
-        self.downstream_caps_chunk(
-            &self.level_start,
-            xs,
-            &ws.extra_cap,
-            Tile::whole(&mut ws.charged),
-            Tile::whole(&mut ws.presented),
-        );
-        self.delays_chunk(0..n, xs, &ws.charged, Tile::whole(&mut ws.delays));
-        self.arrivals_chunk(0..n, &ws.delays, Tile::whole(&mut ws.arrival));
-        self.trace_critical_path(&ws.arrival, &mut ws.critical_path)
-    }
 
     /// Extracts one critical path from a settled `arrival` table into
     /// `critical_path` (driver first); returns the sink's arrival time, the
@@ -1682,6 +1657,24 @@ mod tests {
         vec![topo.level_bounds().to_vec()]
     }
 
+    /// The Elmore timing of the whole circuit at `sizes` into `ws`, with
+    /// the coupling load read from `ws.extra_cap`: each kernel called once
+    /// over the whole partition, then the critical-path epilogue. Returns
+    /// the critical-path delay.
+    fn timing(topo: &CircuitTopology<'_>, sizes: &SizeVector, ws: &mut EvalWorkspace) -> f64 {
+        let (n, xs) = (topo.num_nodes(), sizes.as_slice());
+        topo.downstream_caps_chunk(
+            topo.level_bounds(),
+            xs,
+            &ws.extra_cap,
+            Tile::whole(&mut ws.charged),
+            Tile::whole(&mut ws.presented),
+        );
+        topo.delays_chunk(0..n, xs, &ws.charged, Tile::whole(&mut ws.delays));
+        topo.arrivals_chunk(0..n, &ws.delays, Tile::whole(&mut ws.arrival));
+        topo.trace_critical_path(&ws.arrival, &mut ws.critical_path)
+    }
+
     #[test]
     fn model_matches_analyzer_bitwise() {
         let c = chain();
@@ -1702,7 +1695,7 @@ mod tests {
             upstream(&topo, &whole(&topo), &sizes, &weights)
         );
 
-        topo.timing_into(&sizes, &mut ws);
+        timing(&topo, &sizes, &mut ws);
         assert_eq!(analyzer.delays(&sizes, Some(&ws.extra_cap)), ws.delays);
         assert_eq!(reference.charged, ws.charged);
     }
@@ -1718,7 +1711,7 @@ mod tests {
         // the reference bitwise.
         let topo = CircuitTopology::new(&c);
         let mut ws = EvalWorkspace::new(&topo);
-        let delay = topo.timing_into(&sizes, &mut ws);
+        let delay = timing(&topo, &sizes, &mut ws);
         assert_eq!(delay, reference.critical_path_delay);
         assert_eq!(ws.arrival, reference.arrival.values);
         assert_eq!(ws.critical_path, reference.critical_path);
@@ -2075,7 +2068,7 @@ mod tests {
         }
         let mut ws = EvalWorkspace::new(&topo);
         ws.extra_cap.copy_from_slice(&extra);
-        topo.timing_into(&sizes, &mut ws);
+        timing(&topo, &sizes, &mut ws);
         assert_eq!(
             bits(&ws.delays),
             bits(&analyzer.delays(&sizes, Some(&extra)))
@@ -2126,10 +2119,6 @@ mod tests {
     fn topology_maps_components_to_nodes() {
         let c = chain();
         let topo = CircuitTopology::new(&c);
-        for id in c.component_ids() {
-            let comp = c.component_index(id).unwrap();
-            assert_eq!(topo.node_of_component(comp), id.index());
-        }
         for id in c.node_ids() {
             assert_eq!(topo.component_of(id.index()), c.component_index(id));
         }
@@ -2166,7 +2155,7 @@ mod tests {
         // reserved capacity without outgrowing it.
         let capacity = ws.critical_path.capacity();
         assert_eq!(capacity, topo.num_levels());
-        topo.timing_into(&c.uniform_sizes(1.0), &mut ws);
+        timing(&topo, &c.uniform_sizes(1.0), &mut ws);
         assert_eq!(ws.critical_path.len(), topo.num_levels() - 2);
         assert_eq!(ws.critical_path.capacity(), capacity);
     }

@@ -1086,11 +1086,6 @@ impl CircuitGraph {
         self.fanin(self.sink())
     }
 
-    /// Returns `true` if this node drives a primary output.
-    pub fn drives_primary_output(&self, id: NodeId) -> bool {
-        self.fanout(id).contains(&self.sink())
-    }
-
     /// A [`SizeVector`] with every sizable component at the given size,
     /// clamped into its bounds.
     pub fn uniform_sizes(&self, size: f64) -> SizeVector {
@@ -1944,7 +1939,7 @@ mod tests {
             c.num_components(),
         )
         .unwrap();
-        assert!(!graph.drives_primary_output(NodeId::new(2)));
+        assert!(!graph.fanout(NodeId::new(2)).contains(&graph.sink()));
         assert_eq!(graph.nodes.output_loads.len(), 3, "7.5, -0.0 and w2's 5.0");
         let json = to_json(&graph);
         assert!(json.contains(r#""output_load":7.5"#), "{json}");
@@ -1966,7 +1961,7 @@ mod tests {
         let c = tiny();
         let pos = c.primary_output_drivers();
         assert_eq!(pos.len(), 1);
-        assert!(c.drives_primary_output(pos[0]));
+        assert!(c.fanout(pos[0]).contains(&c.sink()));
         assert!(c.memory_bytes() > 0);
         assert!(c.num_edges() >= 5);
     }

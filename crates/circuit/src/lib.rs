@@ -72,7 +72,6 @@ pub mod sizing;
 pub mod tech;
 pub mod timing;
 pub mod topo;
-pub mod traversal;
 pub mod validate;
 
 pub use area::total_area;
@@ -85,10 +84,9 @@ pub use error::CircuitError;
 pub use graph::{Attributes, CircuitGraph, SizeBounds};
 pub use id::NodeId;
 pub use node::{GateKind, Node, NodeAttrs, NodeKind, NodeRc};
-pub use power::{total_capacitance, total_power};
+pub use power::total_capacitance;
 pub use sizing::SizeVector;
 pub use tech::Technology;
 pub use timing::{ArrivalTimes, TimingAnalysis};
 pub use topo::TopologicalOrder;
-pub use traversal::{downstream_stage, upstream_stage};
 pub use validate::validate;

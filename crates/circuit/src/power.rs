@@ -18,11 +18,6 @@ pub fn total_capacitance(graph: &CircuitGraph, sizes: &SizeVector) -> f64 {
         .sum()
 }
 
-/// Dynamic power `V² · f · Σ c_i` in mW.
-pub fn total_power(graph: &CircuitGraph, sizes: &SizeVector) -> f64 {
-    total_capacitance(graph, sizes) * graph.technology().power_scale_mw_per_ff()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -59,9 +54,7 @@ mod tests {
         let c = circuit();
         let small = c.uniform_sizes(1.0);
         let large = c.uniform_sizes(2.0);
-        assert!(total_power(&c, &large) > total_power(&c, &small));
-        let ratio = total_power(&c, &small) / total_capacitance(&c, &small);
-        assert!((ratio - c.technology().power_scale_mw_per_ff()).abs() < 1e-12);
+        assert!(total_capacitance(&c, &large) > total_capacitance(&c, &small));
     }
 
     #[test]

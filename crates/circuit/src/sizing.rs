@@ -74,24 +74,6 @@ impl SizeVector {
         self.values
     }
 
-    /// Largest absolute element-wise difference to another size vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two vectors have different lengths.
-    pub fn max_abs_diff(&self, other: &SizeVector) -> f64 {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "size vectors must have equal length"
-        );
-        self.values
-            .iter()
-            .zip(other.values.iter())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
-    }
-
     /// Largest relative element-wise difference `|a-b| / max(|b|, eps)`.
     ///
     /// # Panics
@@ -200,9 +182,8 @@ mod tests {
     fn diffs() {
         let a = SizeVector::new(vec![1.0, 2.0, 3.0]);
         let b = SizeVector::new(vec![1.5, 2.0, 2.0]);
-        assert!((a.max_abs_diff(&b) - 1.0).abs() < 1e-12);
         assert!((a.max_rel_diff(&b) - 0.5).abs() < 1e-12);
-        assert_eq!(a.max_abs_diff(&a), 0.0);
+        assert_eq!(a.max_rel_diff(&a), 0.0);
     }
 
     #[test]
@@ -210,7 +191,7 @@ mod tests {
     fn diff_length_mismatch_panics() {
         let a = SizeVector::new(vec![1.0]);
         let b = SizeVector::new(vec![1.0, 2.0]);
-        let _ = a.max_abs_diff(&b);
+        let _ = a.max_rel_diff(&b);
     }
 
     #[test]

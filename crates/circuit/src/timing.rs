@@ -1,4 +1,4 @@
-//! Arrival times, critical path and slack analysis.
+//! Arrival times and the critical path.
 //!
 //! The paper's problem `PP` replaces the exponential path enumeration with
 //! one arrival-time variable `a_i` per node and the constraints
@@ -16,7 +16,6 @@ use serde::Serialize;
 use crate::elmore::ElmoreAnalyzer;
 use crate::graph::CircuitGraph;
 use crate::id::NodeId;
-use crate::node::NodeKind;
 use crate::sizing::SizeVector;
 
 /// Arrival times for every node of a circuit under a particular sizing.
@@ -86,50 +85,6 @@ impl TimingAnalysis {
             critical_path: path,
         }
     }
-
-    /// Slack of every node against a circuit delay bound `a0`:
-    /// `slack_i = required_i − a_i`, where required times propagate backwards
-    /// from `a0` at the primary outputs. Negative slack marks nodes on paths
-    /// that violate the bound.
-    pub fn slacks(&self, graph: &CircuitGraph, a0: f64) -> Vec<f64> {
-        let n = graph.num_nodes();
-        let mut required = vec![f64::INFINITY; n];
-        required[graph.sink().index()] = a0;
-        for id in graph.node_ids().collect::<Vec<_>>().into_iter().rev() {
-            let idx = id.index();
-            match graph.kinds()[idx] {
-                NodeKind::Sink => {}
-                NodeKind::Source => {
-                    required[idx] = graph
-                        .fanout(id)
-                        .iter()
-                        .map(|&k| required[k.index()] - self.delays[k.index()])
-                        .fold(f64::INFINITY, f64::min);
-                }
-                _ => {
-                    let mut req = f64::INFINITY;
-                    for &k in graph.fanout(id) {
-                        let r = if k == graph.sink() {
-                            a0
-                        } else {
-                            required[k.index()] - self.delays[k.index()]
-                        };
-                        req = req.min(r);
-                    }
-                    required[idx] = req;
-                }
-            }
-        }
-        (0..n)
-            .map(|i| required[i] - self.arrival.values[i])
-            .collect()
-    }
-
-    /// The worst (smallest) slack over the primary outputs for bound `a0`.
-    /// Non-negative exactly when the circuit meets the delay bound.
-    pub fn worst_slack(&self, a0: f64) -> f64 {
-        a0 - self.critical_path_delay
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +143,7 @@ mod tests {
         let first = *t.critical_path.first().unwrap();
         let last = *t.critical_path.last().unwrap();
         assert!(c.node(first).kind.is_driver());
-        assert!(c.drives_primary_output(last));
+        assert!(c.primary_output_drivers().contains(&last));
     }
 
     #[test]
@@ -227,38 +182,31 @@ mod tests {
         }
     }
 
+    /// The output constraint `a_j ≤ A_0` of problem PP: the slack
+    /// `A_0 − a_j` at the primary output is positive when the bound lies
+    /// above the critical delay, negative below it, and zero at it.
     #[test]
     fn slack_sign_matches_bound() {
         let c = reconvergent(100.0, 100.0);
-        let sizes = c.uniform_sizes(1.0);
-        let t = TimingAnalysis::run(&c, &sizes, None);
+        let t = TimingAnalysis::run(&c, &c.uniform_sizes(1.0), None);
         let d = t.critical_path_delay;
-        assert!(t.worst_slack(d * 1.1) > 0.0);
-        assert!(t.worst_slack(d * 0.9) < 0.0);
-        let slacks = t.slacks(&c, d);
-        // With the bound exactly at the critical delay, the critical nodes
-        // have (close to) zero slack and nothing is very negative.
-        let min = slacks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| {
-                !matches!(
-                    c.node(NodeId::new(*i)).kind,
-                    NodeKind::Source | NodeKind::Sink
-                )
-            })
-            .map(|(_, &s)| s)
-            .fold(f64::INFINITY, f64::min);
-        assert!(min.abs() < 1e-6);
+        let output = c.primary_output_drivers()[0];
+        let slack = |a0: f64| a0 - t.arrival.of(output);
+        assert!(slack(d * 1.1) > 0.0);
+        assert!(slack(d * 0.9) < 0.0);
+        assert!(slack(d).abs() < 1e-9);
     }
 
+    /// A bound below the delay of the path through the long wire `w2`
+    /// leaves that path a negative slack: `A_0` minus the arrival at `w2`
+    /// and the delays after it.
     #[test]
     fn delay_bound_violations_show_as_negative_slack() {
         let c = reconvergent(100.0, 500.0);
-        let sizes = c.uniform_sizes(1.0);
-        let t = TimingAnalysis::run(&c, &sizes, None);
-        let slacks = t.slacks(&c, t.critical_path_delay * 0.5);
-        let w2 = c.node_by_name("w2").unwrap();
-        assert!(slacks[w2.index()] < 0.0);
+        let t = TimingAnalysis::run(&c, &c.uniform_sizes(1.0), None);
+        let node = |name: &str| c.node_by_name(name).unwrap();
+        let through_w2 =
+            t.arrival.of(node("w2")) + t.delays[node("g").index()] + t.delays[node("w3").index()];
+        assert!(t.critical_path_delay * 0.5 - through_w2 < 0.0);
     }
 }

@@ -52,11 +52,8 @@ use crate::report::{Improvements, OptimizationReport};
 pub struct Flow;
 
 impl Flow {
-    /// Validates the configuration and the problem instance, starts the
-    /// pipeline's wall clock and the stage-1 workers of the configuration's
-    /// [`parallel`](crate::OptimizerConfig::parallel) policy: none under
-    /// `Sequential` or one thread, and no more than the machine's hardware
-    /// threads otherwise.
+    /// Validates the configuration and the problem instance and starts the
+    /// pipeline's wall clock.
     ///
     /// # Errors
     ///
@@ -70,13 +67,10 @@ impl Flow {
     ) -> Result<Prepared<'_>, CoreError> {
         config.validate()?;
         instance.validate()?;
-        let mut runtime = ParRuntime::new();
-        runtime.configure(config.parallel.at_most_hardware());
         Ok(Prepared {
             instance,
             config,
             started: Instant::now(),
-            runtime,
         })
     }
 }
@@ -88,9 +82,6 @@ pub struct Prepared<'a> {
     instance: &'a ProblemInstance,
     config: OptimizerConfig,
     started: Instant,
-    /// Runs stage 1's channel blocks; dropped (its workers joined) when
-    /// stage 1 ends.
-    runtime: ParRuntime,
 }
 
 impl<'a> Prepared<'a> {
@@ -107,8 +98,10 @@ impl<'a> Prepared<'a> {
     /// Runs stage 1: logic simulation, switching-similarity wire ordering and
     /// coupling-model construction, then derives the constraint bounds from
     /// the initial (unsized) metrics. The channels are ordered on the
-    /// configuration's thread policy; the outcome is bitwise the same under
-    /// every policy.
+    /// configuration's thread policy, whose workers (none under
+    /// `Sequential` or one thread, and no more than the machine's hardware
+    /// threads otherwise) live for the ordering alone; the outcome is
+    /// bitwise the same under every policy.
     ///
     /// # Errors
     ///
@@ -116,9 +109,8 @@ impl<'a> Prepared<'a> {
     /// geometrically invalid for the instance's layout.
     pub fn order(self) -> Result<Ordered<'a>, CoreError> {
         let ordering = {
-            // A clone of `Prepared` starts without workers; this re-arms
-            // them. They are joined at the end of the block.
-            let mut runtime = self.runtime;
+            // The workers are joined at the end of the block.
+            let mut runtime = ParRuntime::new();
             runtime.configure(self.config.parallel.at_most_hardware());
             build_coupling_on(
                 &runtime,
@@ -128,26 +120,22 @@ impl<'a> Prepared<'a> {
             )?
         };
         let graph = &self.instance.circuit;
-        let (initial_metrics, bounds, extras) = {
-            let mut engine = SizingEngine::new(graph, &ordering.coupling);
-            let initial_sizes = self.config.initial_sizes(graph);
-            let initial_metrics = engine.metrics(&initial_sizes);
-            let bounds = self
-                .config
-                .absolute_bounds
-                .unwrap_or_else(|| ConstraintBounds::from_initial(&initial_metrics, &self.config))
-                .clamped_to_feasible(graph, &ordering.coupling);
-            // Lower the configuration-level constraint specs into absolute
-            // families now that the coupling model exists; like the global
-            // bounds, the caps are derived from the initial sizing.
-            let extras = lower_constraint_specs(
-                &self.config.extra_constraints,
-                self.instance,
-                &ordering,
-                &initial_sizes,
-            )?;
-            (initial_metrics, bounds, extras)
-        };
+        let initial_sizes = self.config.initial_sizes(graph);
+        let initial_metrics = CircuitMetrics::evaluate(graph, &ordering.coupling, &initial_sizes);
+        let bounds = self
+            .config
+            .absolute_bounds
+            .unwrap_or_else(|| ConstraintBounds::from_initial(&initial_metrics, &self.config))
+            .clamped_to_feasible(graph, &ordering.coupling);
+        // Lower the configuration-level constraint specs into absolute
+        // families now that the coupling model exists; like the global
+        // bounds, the caps are derived from the initial sizing.
+        let extras = lower_constraint_specs(
+            &self.config.extra_constraints,
+            self.instance,
+            &ordering,
+            &initial_sizes,
+        )?;
         Ok(Ordered {
             instance: self.instance,
             config: self.config,

@@ -30,8 +30,10 @@ impl CircuitMetrics {
     /// Evaluates all metrics for a circuit under `sizes`, with coupling
     /// included in the delay model.
     ///
-    /// This is the allocate-per-call reference path; hot loops should build
-    /// a [`SizingEngine`](crate::SizingEngine) once and use
+    /// This is the allocate-per-call path: the order phase's one-shot
+    /// evaluation of the initial sizing, and the reference the engine is
+    /// checked against. Hot loops should build a
+    /// [`SizingEngine`](crate::SizingEngine) once and use
     /// [`SizingEngine::metrics`](crate::SizingEngine::metrics), which is
     /// bitwise identical and does not allocate.
     pub fn evaluate(graph: &CircuitGraph, coupling: &CouplingSet, sizes: &SizeVector) -> Self {

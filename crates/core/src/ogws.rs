@@ -83,7 +83,7 @@ impl OgwsOutcome {
     }
 
     /// Total wall-clock seconds spent in the outer loop.
-    pub fn total_seconds(&self) -> f64 {
+    fn total_seconds(&self) -> f64 {
         self.iterations.iter().map(|r| r.seconds).sum()
     }
 
@@ -113,7 +113,7 @@ impl OgwsOutcome {
     }
 
     /// Total component resize operations across the run.
-    pub fn touched_components_total(&self) -> usize {
+    fn touched_components_total(&self) -> usize {
         self.iterations.iter().map(|r| r.touched_components).sum()
     }
 

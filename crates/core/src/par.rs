@@ -509,8 +509,10 @@ mod pool {
     impl WorkerPool {
         /// Spawns a pool with `participants` total workers (the calling
         /// thread is worker 0; `participants - 1` threads are spawned), and
-        /// returns once every worker is up: a thread's start-up (std copies
-        /// its name on the new thread) is over before the first real job.
+        /// returns once every worker is up, so a thread's start-up is over
+        /// before the first real job. The threads are unnamed: std copies a
+        /// thread's name on the new thread, one heap allocation in that
+        /// thread's own arena.
         pub(crate) fn new(participants: usize) -> Self {
             let participants = participants.max(2);
             let shared = Arc::new(Shared {
@@ -524,12 +526,9 @@ mod pool {
                 done: Condvar::new(),
             });
             let handles = (1..participants)
-                .map(|worker| {
+                .map(|_| {
                     let shared = Arc::clone(&shared);
-                    std::thread::Builder::new()
-                        .name(format!("ncgws-par-{worker}"))
-                        .spawn(move || worker_loop(&shared))
-                        .expect("spawning a pool worker succeeds")
+                    std::thread::spawn(move || worker_loop(&shared))
                 })
                 .collect();
             let pool = WorkerPool {

@@ -32,11 +32,10 @@ use crate::par::{LevelGrid, ParRuntime};
 /// the per-node kinds and the fanin lists — which parallel the flat
 /// multiplier slots — are the graph's too: all are borrowed, not copied.
 ///
-/// [`project_flow_conservation`] searches each fanin list for the fanout
-/// slot on every call (`O(E · fanin)` per projection); building this index
-/// once per run turns every projection — and the A4 subgradient update —
-/// into a contiguous `O(V + E)` walk of the flat positions instead of a
-/// search through the fanin lists.
+/// Building this index once per run turns every projection — and the A4
+/// subgradient update — into a contiguous `O(V + E)` walk of the flat
+/// positions instead of a search through the fanin lists for each fanout
+/// slot (`O(E · fanin)` per projection).
 #[derive(Debug, Clone)]
 pub struct FlowIndex<'g> {
     /// The circuit the index describes. The walks that take an index check
@@ -113,25 +112,21 @@ impl<'g> FlowIndex<'g> {
     }
 }
 
-/// Projects `multipliers` onto the flow-conservation condition, in place.
-/// Runs in `O(V + E)`.
+/// Projects `multipliers` onto the flow-conservation condition, in place,
+/// through the fanout→slot cross-reference `index` (see [`FlowIndex`]):
+/// one contiguous `O(V + E)` walk of the flat multiplier array. The OGWS
+/// loop builds the index once per run and projects through the block-grid
+/// form of the same per-node body, with bitwise identical results.
 ///
 /// Only the **edge** (delay) multipliers participate in the flow condition;
 /// the scalar multipliers `β`, `γ` and every extra-family block `μ` are
 /// structurally unconstrained by Theorem 3 and are only clamped
 /// non-negative here (condition (4) of Theorem 6), which is exactly the
 /// projection of a scalar onto its feasible half-line.
-pub fn project_flow_conservation(graph: &CircuitGraph, multipliers: &mut Multipliers) {
-    let index = FlowIndex::new(graph);
-    project_flow_conservation_indexed(graph, &index, multipliers);
-}
-
-/// [`project_flow_conservation`] with the fanout→slot cross-reference
-/// precomputed (see [`FlowIndex`]): bitwise identical results (same
-/// per-node body, same accumulation order), but every projection is a
-/// contiguous walk of the flat multiplier array. The OGWS loop builds the
-/// index once per run and projects through the block-grid form of the
-/// same per-node body.
+///
+/// # Panics
+///
+/// Panics when `index` was not built for the multipliers' circuit.
 pub fn project_flow_conservation_indexed(
     graph: &CircuitGraph,
     index: &FlowIndex<'_>,
@@ -287,6 +282,11 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Projects `m` through a fresh index of `g`.
+    fn project(g: &CircuitGraph, m: &mut Multipliers) {
+        project_flow_conservation_indexed(g, &FlowIndex::new(g), m);
+    }
+
     #[test]
     fn projection_establishes_flow_conservation() {
         let g = reconvergent();
@@ -297,7 +297,7 @@ mod tests {
         let g3 = g.node_by_name("g3").unwrap();
         *m.edge_mut(g3, 0) = 0.25;
         assert!(flow_conservation_residual(&g, &m) > 0.1);
-        project_flow_conservation(&g, &mut m);
+        project(&g, &mut m);
         assert!(flow_conservation_residual(&g, &m) < 1e-9);
     }
 
@@ -305,9 +305,9 @@ mod tests {
     fn projection_is_idempotent() {
         let g = reconvergent();
         let mut m = Multipliers::uniform(&g, 0.7, 1.0);
-        project_flow_conservation(&g, &mut m);
+        project(&g, &mut m);
         let snapshot = m.clone();
-        project_flow_conservation(&g, &mut m);
+        project(&g, &mut m);
         for id in g.node_ids() {
             for slot in 0..g.fanin(id).len() {
                 assert!((m.edge(id, slot) - snapshot.edge(id, slot)).abs() < 1e-12);
@@ -323,7 +323,7 @@ mod tests {
         // into every cut equals 3.
         let sink = g.sink();
         *m.edge_mut(sink, 0) = 3.0;
-        project_flow_conservation(&g, &mut m);
+        project(&g, &mut m);
         // Flow out of the source equals flow into the sink.
         let source_out: f64 = g
             .driver_ids()
@@ -338,7 +338,7 @@ mod tests {
         let mut m = Multipliers::uniform(&g, 0.0, 1.0);
         let sink = g.sink();
         *m.edge_mut(sink, 0) = 2.0;
-        project_flow_conservation(&g, &mut m);
+        project(&g, &mut m);
         assert!(flow_conservation_residual(&g, &m) < 1e-9);
         // The NAND gate g3 has two fanins; each should carry half of its flow.
         let g3 = g.node_by_name("g3").unwrap();
@@ -385,7 +385,7 @@ mod tests {
         let mut m = Multipliers::uniform(&g, 1.0, 1.0);
         let w1 = g.node_by_name("w1").unwrap();
         *m.edge_mut(w1, 0) = -5.0;
-        project_flow_conservation(&g, &mut m);
+        project(&g, &mut m);
         assert!(m.edge(w1, 0) >= 0.0);
         assert!(flow_conservation_residual(&g, &m) < 1e-9);
     }

@@ -77,11 +77,6 @@ impl SolveStrategy {
         SolveStrategy::Adaptive(AdaptiveSchedule::default())
     }
 
-    /// Whether this is the adaptive strategy.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, SolveStrategy::Adaptive(_))
-    }
-
     /// Validates the strategy's parameters.
     ///
     /// # Errors
@@ -377,8 +372,10 @@ mod tests {
     #[test]
     fn default_strategy_is_exact() {
         assert_eq!(SolveStrategy::default(), SolveStrategy::Exact);
-        assert!(!SolveStrategy::default().is_adaptive());
-        assert!(SolveStrategy::adaptive().is_adaptive());
+        assert!(matches!(
+            SolveStrategy::adaptive(),
+            SolveStrategy::Adaptive(tuning) if tuning == AdaptiveSchedule::default()
+        ));
     }
 
     #[test]

@@ -50,12 +50,6 @@ impl StepSchedule {
             | StepSchedule::Constant { scale } => scale,
         }
     }
-
-    /// Returns `true` when the schedule satisfies the divergent-series
-    /// convergence conditions (`ρ_k → 0`, `Σ ρ_k = ∞`).
-    pub fn is_convergent(&self) -> bool {
-        !matches!(self, StepSchedule::Constant { .. })
-    }
 }
 
 impl Default for StepSchedule {
@@ -73,22 +67,21 @@ mod tests {
         let s = StepSchedule::Harmonic { scale: 2.0 };
         assert!((s.value(1) - 2.0).abs() < 1e-12);
         assert!((s.value(4) - 0.5).abs() < 1e-12);
-        assert!(s.is_convergent());
     }
 
     #[test]
     fn sqrt_decay() {
         let s = StepSchedule::SqrtDecay { scale: 3.0 };
         assert!((s.value(9) - 1.0).abs() < 1e-12);
-        assert!(s.is_convergent());
         assert_eq!(s.scale(), 3.0);
     }
 
     #[test]
     fn constant_is_flagged_nonconvergent() {
         let s = StepSchedule::Constant { scale: 0.1 };
+        // ρ_k does not tend to 0: the divergent-series convergence
+        // conditions do not hold.
         assert_eq!(s.value(1), s.value(100));
-        assert!(!s.is_convergent());
     }
 
     #[test]

@@ -45,12 +45,6 @@ pub fn ps_from_internal(delay: f64) -> f64 {
     delay / INTERNAL_DELAY_PER_PS
 }
 
-/// Converts a reported delay (ps) back to internal Ω·fF.
-#[inline]
-pub fn internal_from_ps(ps: f64) -> f64 {
-    ps * INTERNAL_DELAY_PER_PS
-}
-
 /// Converts a total switched capacitance (fF) to dynamic power (mW) using
 /// the technology's scale factor `V²·f` (mW per fF).
 #[inline]
@@ -65,7 +59,6 @@ mod tests {
     #[test]
     fn conversions_round_trip() {
         assert_eq!(pf_from_ff(ff_from_pf(3.25)), 3.25);
-        assert_eq!(ps_from_internal(internal_from_ps(417.0)), 417.0);
         // The helpers are the exact arithmetic the call sites used inline,
         // so replacing the inline forms is bitwise neutral.
         assert_eq!(pf_from_ff(1234.5), 1234.5 / 1000.0);

@@ -5,7 +5,7 @@ use serde::Serialize;
 use ncgws_circuit::NodeId;
 
 use crate::error::CouplingError;
-use crate::posynomial::{exact_factor, truncated_factor};
+use crate::posynomial::exact_factor;
 
 /// Geometry of a pair of adjacent parallel wires (Figure 5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -149,12 +149,6 @@ impl CouplingPair {
         self.base * exact_factor(self.normalized_width(xa, xb))
     }
 
-    /// The `k`-term posynomial approximation (Equation 3 generalized to any
-    /// truncation order).
-    pub fn truncated_capacitance(&self, xa: f64, xb: f64, k: usize) -> f64 {
-        self.base * truncated_factor(self.normalized_width(xa, xb), k)
-    }
-
     /// The linearized (`k = 2`) coupling capacitance
     /// `~c_ij + ĉ_ij · (x_i + x_j)` used by the optimizer's constraint.
     #[inline]
@@ -173,6 +167,13 @@ impl CouplingPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::posynomial::truncated_factor;
+
+    /// The `k`-term posynomial approximation of the pair's coupling
+    /// (Equation 3 generalized to any truncation order).
+    fn truncated(p: &CouplingPair, xa: f64, xb: f64, k: usize) -> f64 {
+        p.base_capacitance() * truncated_factor(p.normalized_width(xa, xb), k)
+    }
 
     fn pair(distance: f64) -> CouplingPair {
         let geom = WirePairGeometry::new(100.0, distance, 0.03).unwrap();
@@ -246,7 +247,7 @@ mod tests {
         let p = pair(5.0);
         for &(xa, xb) in &[(0.5, 0.5), (1.0, 2.0), (0.1, 0.1)] {
             let lin = p.linearized_capacitance(xa, xb);
-            let k2 = p.truncated_capacitance(xa, xb, 2);
+            let k2 = truncated(&p, xa, xb, 2);
             assert!((lin - k2).abs() < 1e-12);
         }
     }
@@ -257,7 +258,7 @@ mod tests {
         let exact = p.exact_capacitance(2.0, 3.0);
         let mut last_err = f64::INFINITY;
         for k in 2..8 {
-            let err = (exact - p.truncated_capacitance(2.0, 3.0, k)).abs();
+            let err = (exact - truncated(&p, 2.0, 3.0, k)).abs();
             assert!(err <= last_err);
             last_err = err;
         }

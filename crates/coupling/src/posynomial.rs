@@ -40,17 +40,6 @@ pub fn truncation_error_ratio(x: f64, k: usize) -> f64 {
     x.powi(k as i32)
 }
 
-/// Convenience: the error ratios for `k = 2..=5` at a given `x`, matching the
-/// small table in the text of the paper.
-pub fn paper_error_table(x: f64) -> [(usize, f64); 4] {
-    [
-        (2, truncation_error_ratio(x, 2)),
-        (3, truncation_error_ratio(x, 3)),
-        (4, truncation_error_ratio(x, 4)),
-        (5, truncation_error_ratio(x, 5)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,11 +72,11 @@ mod tests {
     fn paper_numbers_at_x_quarter() {
         // "for the case x = 0.25, the error ratio is less than 6.3%, 1.6%,
         //  0.4%, and 0.1% when k is 2, 3, 4, and 5 respectively."
-        let table = paper_error_table(0.25);
-        assert!(table[0].1 < 0.063 && table[0].1 > 0.06);
-        assert!(table[1].1 < 0.016);
-        assert!(table[2].1 < 0.004);
-        assert!(table[3].1 < 0.001);
+        let ratio = |k| truncation_error_ratio(0.25, k);
+        assert!(ratio(2) < 0.063 && ratio(2) > 0.06);
+        assert!(ratio(3) < 0.016);
+        assert!(ratio(4) < 0.004);
+        assert!(ratio(5) < 0.001);
     }
 
     #[test]

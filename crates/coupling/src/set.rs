@@ -203,20 +203,6 @@ impl CouplingSet {
         }
     }
 
-    /// Indices (into [`pairs`](Self::pairs)) of the pairs whose **both**
-    /// endpoints belong to `members` — the channel-local subset of the
-    /// coupling a per-net constraint aggregates over. Order follows the
-    /// global pair list, so repeated calls are deterministic.
-    pub fn group_pair_indices(&self, members: &[NodeId]) -> Vec<usize> {
-        let set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
-        self.pairs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| set.contains(&p.a) && set.contains(&p.b))
-            .map(|(idx, _)| idx)
-            .collect()
-    }
-
     /// Sums `per_pair` over the pairs whose both endpoints lie in `members`
     /// — the single scan every `group_*` aggregate shares (one membership
     /// set, no intermediate index list).
@@ -236,25 +222,9 @@ impl CouplingSet {
         self.group_pair_sum(members, |p| p.switching_factor * p.base_capacitance())
     }
 
-    /// The size-dependent part `Σ sf_ij · ĉ_ij · (x_i + x_j)` of the
-    /// linearized crosstalk restricted to pairs within `members` (the group
-    /// analogue of [`crosstalk_lhs`](Self::crosstalk_lhs)).
-    pub fn group_crosstalk_lhs(
-        &self,
-        graph: &CircuitGraph,
-        sizes: &SizeVector,
-        members: &[NodeId],
-    ) -> f64 {
-        self.group_pair_sum(members, |p| {
-            p.switching_factor
-                * p.linear_coefficient()
-                * (graph.size_of(p.a, sizes) + graph.size_of(p.b, sizes))
-        })
-    }
-
     /// Total linearized crosstalk of the pairs within `members`: the group
-    /// base capacitance plus the group lhs — the quantity a per-net cap
-    /// bounds.
+    /// base capacitance plus the size-dependent `Σ sf_ij · ĉ_ij · (x_i +
+    /// x_j)` — the quantity a per-net cap bounds.
     pub fn group_crosstalk(
         &self,
         graph: &CircuitGraph,
@@ -365,26 +335,11 @@ impl<'a> Neighborhoods<'a> {
         })
     }
 
-    /// `Σ_{j∈N(i)} ĉ_ij · x_j` for wire `i` (Theorem 5's numerator term),
-    /// weighted by the switching factors.
-    pub fn weighted_neighbor_width(
-        &self,
-        graph: &CircuitGraph,
-        id: NodeId,
-        sizes: &SizeVector,
-    ) -> f64 {
-        self.neighbors(id)
-            .map(|(other, p)| {
-                p.switching_factor * p.linear_coefficient() * graph.size_of(other, sizes)
-            })
-            .sum()
-    }
-
     /// Indices (into the set's pairs) of the pairs whose **both** endpoints
-    /// belong to `members`, ascending and each once — the same list as
-    /// [`CouplingSet::group_pair_indices`], found through the members' own
-    /// pair lists: the cost is the members' degrees, not a scan of every
-    /// pair, so a loop over all channels stays linear in the pairs.
+    /// belong to `members`, ascending and each once, found through the
+    /// members' own pair lists: the cost is the members' degrees, not a
+    /// scan of every pair, so a loop over all channels stays linear in the
+    /// pairs.
     fn group_pair_indices(&self, members: &[NodeId]) -> Vec<u32> {
         let set: std::collections::HashSet<NodeId> = members.iter().copied().collect();
         let mut ids: Vec<u32> = Vec::new();
@@ -639,7 +594,6 @@ mod tests {
         let p23 = CouplingPair::new(w2, w3, geom()).unwrap();
         let chat = p12.linear_coefficient();
         let set = CouplingSet::new(&c, vec![p12, p23]).unwrap();
-        let sizes = c.uniform_sizes(2.0);
         assert!((set.linear_coefficient_sum(w2) - 2.0 * chat).abs() < 1e-12);
         // The cached sums equal the neighbor-walk recomputation bitwise.
         let hoods = set.neighborhoods();
@@ -649,7 +603,6 @@ mod tests {
                 hoods.linear_coefficient_sum_uncached(id)
             );
         }
-        assert!((hoods.weighted_neighbor_width(&c, w2, &sizes) - 2.0 * chat * 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -665,24 +618,22 @@ mod tests {
         )
         .unwrap();
         let sizes = c.uniform_sizes(1.5);
+        let hoods = set.neighborhoods();
 
         // The full wire set reproduces the global totals.
         let all = [w1, w2, w3];
-        assert_eq!(set.group_pair_indices(&all), vec![0, 1]);
+        assert_eq!(hoods.group_pair_indices(&all), vec![0, 1]);
         assert!(
             (set.group_crosstalk(&c, &sizes, &all) - set.total_crosstalk(&c, &sizes)).abs() < 1e-12
         );
         assert!((set.group_base_capacitance(&all) - set.total_base_capacitance()).abs() < 1e-12);
-        assert!(
-            (set.group_crosstalk_lhs(&c, &sizes, &all) - set.crosstalk_lhs(&c, &sizes)).abs()
-                < 1e-12
-        );
+        let group_lhs = set.group_crosstalk(&c, &sizes, &all) - set.group_base_capacitance(&all);
+        assert!((group_lhs - set.crosstalk_lhs(&c, &sizes)).abs() < 1e-12);
 
         // A sub-group only sees its own pair; w2's coefficient drops to the
         // single in-group neighbor.
         let sub = [w1, w2];
-        assert_eq!(set.group_pair_indices(&sub), vec![0]);
-        let hoods = set.neighborhoods();
+        assert_eq!(hoods.group_pair_indices(&sub), vec![0]);
         let sums = hoods.group_linear_sums(&sub);
         assert_eq!(sums.len(), 2);
         let w2_sum = sums.iter().find(|(id, _)| *id == w2).unwrap().1;
@@ -697,7 +648,7 @@ mod tests {
 
         // A group with no internal pair contributes nothing.
         let lonely = [w1, w3];
-        assert!(set.group_pair_indices(&lonely).is_empty());
+        assert!(hoods.group_pair_indices(&lonely).is_empty());
         assert_eq!(set.group_crosstalk(&c, &sizes, &lonely), 0.0);
         assert!(hoods.group_linear_sums(&lonely).is_empty());
     }

@@ -72,11 +72,6 @@ pub fn xl_spec(total_components: usize) -> CircuitSpec {
         .with_num_patterns(16)
 }
 
-/// The XL tier sizes: 1k, 10k and 100k components.
-pub fn xl_specs() -> Vec<CircuitSpec> {
-    [1_000, 10_000, 100_000].map(xl_spec).to_vec()
-}
-
 /// The *wide* XL tier: the same component counts as [`xl_spec`] but with an
 /// unbounded locality window, so gate inputs are drawn uniformly from all
 /// earlier gates and the logic depth grows only logarithmically. Where

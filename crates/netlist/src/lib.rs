@@ -31,7 +31,7 @@ pub mod stats;
 pub use error::NetlistError;
 pub use generator::SyntheticGenerator;
 pub use instance::{ChannelGeometry, Channels, ProblemInstance};
-pub use iscas::{iscas85_spec, table1_specs, xl_spec, xl_specs, xl_wide_spec};
+pub use iscas::{iscas85_spec, table1_specs, xl_spec, xl_wide_spec};
 pub use ncgws_waveform::PatternSet;
 pub use spec::CircuitSpec;
 pub use stats::CircuitStats;

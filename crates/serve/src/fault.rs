@@ -2,17 +2,15 @@
 //!
 //! A [`FaultPlan`] is a seeded description of the failures a test wants the
 //! server to suffer: worker panics at a chosen iteration, simulated I/O
-//! errors and torn writes in the [`DiskSnapshotStore`](crate::DiskSnapshotStore),
-//! and delayed dispatch. Every decision is a pure function of the plan's
-//! seed and the coordinates of the event (job id, attempt number, write
-//! index), so a failing run replays bit-for-bit under `cargo test` — no
-//! clocks, no thread-timing dependence, no global RNG.
+//! errors and torn writes in the [`DiskSnapshotStore`](crate::DiskSnapshotStore).
+//! Every decision is a pure function of the plan's seed and the coordinates
+//! of the event (job id, attempt number, write index), so a failing run
+//! replays bit-for-bit under `cargo test` — no clocks, no thread-timing
+//! dependence, no global RNG.
 //!
 //! The plan is threaded through the server and store as an
 //! `Option<Arc<FaultPlan>>`; the `None` fast path is a single branch, so
 //! production servers pay nothing for the hook.
-
-use std::time::Duration;
 
 use serde::Serialize;
 
@@ -55,14 +53,13 @@ pub enum WriteFault {
 const DOMAIN_PANIC: u64 = 0x70616e69; // "pani"
 const DOMAIN_PANIC_ITER: u64 = 0x70697472; // "pitr"
 const DOMAIN_WRITE: u64 = 0x77726974; // "writ"
-const DOMAIN_DELAY: u64 = 0x646c6179; // "dlay"
 
 /// A seeded, deterministic plan of injected failures.
 ///
 /// All probabilities default to zero; enable the failure modes a test wants
 /// with the builder methods. Attempts numbered above
 /// [`faulty_attempt_limit`](Self::with_faulty_attempt_limit) never receive
-/// injected panics or delays, so a job with enough retries always makes
+/// injected panics, so a job with enough retries always makes
 /// forward progress (store write faults stay on — they are recovered by the
 /// checksum/fallback path, not by retrying the attempt).
 #[derive(Debug, Clone, Serialize)]
@@ -72,8 +69,6 @@ pub struct FaultPlan {
     panic_iteration_max: usize,
     io_error_probability: f64,
     torn_write_probability: f64,
-    delay_probability: f64,
-    delay_ms_max: u64,
     faulty_attempt_limit: usize,
 }
 
@@ -86,8 +81,6 @@ impl FaultPlan {
             panic_iteration_max: 4,
             io_error_probability: 0.0,
             torn_write_probability: 0.0,
-            delay_probability: 0.0,
-            delay_ms_max: 0,
             faulty_attempt_limit: 2,
         }
     }
@@ -113,16 +106,8 @@ impl FaultPlan {
         self
     }
 
-    /// Enables delayed dispatch: each eligible attempt sleeps up to
-    /// `max_ms` milliseconds before running.
-    pub fn with_dispatch_delays(mut self, probability: f64, max_ms: u64) -> Self {
-        self.delay_probability = probability.clamp(0.0, 1.0);
-        self.delay_ms_max = max_ms;
-        self
-    }
-
-    /// Attempts numbered above `limit` (1-based) never panic or get delayed,
-    /// guaranteeing forward progress for jobs with retries left. Default 2.
+    /// Attempts numbered above `limit` (1-based) never panic, guaranteeing
+    /// forward progress for jobs with retries left. Default 2.
     pub fn with_faulty_attempt_limit(mut self, limit: usize) -> Self {
         self.faulty_attempt_limit = limit;
         self
@@ -164,30 +149,12 @@ impl FaultPlan {
         }
     }
 
-    /// How long to delay dispatch of attempt `attempt` (1-based) of `job`.
-    pub fn dispatch_delay(&self, job: u64, attempt: usize) -> Option<Duration> {
-        if self.delay_probability <= 0.0
-            || self.delay_ms_max == 0
-            || attempt > self.faulty_attempt_limit
-        {
-            return None;
-        }
-        let z = mix(self.seed, DOMAIN_DELAY, job, attempt as u64);
-        if unit(z) >= self.delay_probability {
-            return None;
-        }
-        Some(Duration::from_millis(
-            splitmix64(z) % (self.delay_ms_max + 1),
-        ))
-    }
-
     /// Whether any failure mode is enabled (used to skip per-event hashing
     /// entirely on the production path).
     pub fn is_active(&self) -> bool {
         self.panic_probability > 0.0
             || self.io_error_probability > 0.0
             || self.torn_write_probability > 0.0
-            || self.delay_probability > 0.0
     }
 }
 
@@ -200,18 +167,13 @@ mod tests {
         let a = FaultPlan::new(42)
             .with_panics(0.5, 6)
             .with_io_errors(0.2)
-            .with_torn_writes(0.2)
-            .with_dispatch_delays(0.3, 20);
+            .with_torn_writes(0.2);
         let b = a.clone();
         for job in 0..50 {
             for attempt in 1..4 {
                 assert_eq!(
                     a.panic_iteration(job, attempt),
                     b.panic_iteration(job, attempt)
-                );
-                assert_eq!(
-                    a.dispatch_delay(job, attempt),
-                    b.dispatch_delay(job, attempt)
                 );
             }
             for w in 0..8 {
@@ -246,11 +208,9 @@ mod tests {
     fn attempts_past_the_limit_run_clean() {
         let plan = FaultPlan::new(9)
             .with_panics(1.0, 6)
-            .with_dispatch_delays(1.0, 10)
             .with_faulty_attempt_limit(2);
         assert!(plan.panic_iteration(5, 1).is_some());
         assert!(plan.panic_iteration(5, 2).is_some());
         assert_eq!(plan.panic_iteration(5, 3), None);
-        assert_eq!(plan.dispatch_delay(5, 3), None);
     }
 }

@@ -23,7 +23,7 @@
 //!   append-only [`Journal`] that [`Server::recover`] replays after a
 //!   crash;
 //! * [`fault`] — the seeded, deterministic [`FaultPlan`] injection layer
-//!   (worker panics, I/O errors, torn writes, delayed dispatch).
+//!   (worker panics, I/O errors, torn writes).
 //!
 //! Job specs, outcomes and the server config are read back from the journal
 //! by their derived `Deserialize` decoders (the workspace's serde

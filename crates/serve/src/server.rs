@@ -31,8 +31,8 @@
 //! released, and — when the job carries a
 //! [`RetryPolicy`](crate::RetryPolicy) — the attempt is
 //! retried with deterministic exponential backoff instead. A seeded
-//! [`FaultPlan`] can inject panics, store I/O errors, torn writes and
-//! dispatch delays to exercise all of this reproducibly.
+//! [`FaultPlan`] can inject panics, store I/O errors and torn writes to
+//! exercise all of this reproducibly.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
@@ -356,8 +356,7 @@ impl Server {
     }
 
     /// Starts an in-memory server with deterministic fault injection
-    /// (worker panics, dispatch delays) armed — the test harness for the
-    /// failure paths.
+    /// (worker panics) armed — the test harness for the failure paths.
     pub fn start_with_faults(config: ServerConfig, faults: Arc<FaultPlan>) -> Server {
         Server::start_inner(config, None, None, Some(faults), State::default(), 1)
     }
@@ -981,7 +980,6 @@ struct Attempt {
     instance: Option<Arc<ProblemInstance>>,
     attempt: usize,
     flag: CancelFlag,
-    delay: Option<Duration>,
 }
 
 fn worker_loop(shared: &Shared) {
@@ -1039,10 +1037,6 @@ fn next_attempt(shared: &Shared) -> Option<Attempt> {
         entry.not_before = None;
         entry.cancel = Some(flag.clone());
         let resumed = entry.snapshot.is_some() || entry.has_checkpoint;
-        let delay = shared
-            .faults
-            .as_ref()
-            .and_then(|plan| plan.dispatch_delay(id, entry.attempts));
         let attempt = Attempt {
             id,
             spec: entry.spec.clone(),
@@ -1051,7 +1045,6 @@ fn next_attempt(shared: &Shared) -> Option<Attempt> {
             instance: entry.instance.clone(),
             attempt: entry.attempts,
             flag,
-            delay,
         };
         if shared.durable.is_some() {
             shared.journal(&format!(
@@ -1118,9 +1111,6 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the result: completion, cancellation, requeue-for-resume, retry-after-
 /// panic, or failure.
 fn run_and_settle(shared: &Shared, attempt: Attempt) {
-    if let Some(delay) = attempt.delay {
-        std::thread::sleep(delay);
-    }
     let instance = match &attempt.instance {
         Some(cached) => Ok(Arc::clone(cached)),
         None => match &attempt.spec.input {

@@ -99,13 +99,6 @@ impl SimilarityMatrix {
         self.values[i * self.nodes.len() + j]
     }
 
-    /// Similarity by node identifier, or `None` when either node is not covered.
-    pub fn by_id(&self, a: NodeId, b: NodeId) -> Option<f64> {
-        let i = self.nodes.iter().position(|&n| n == a)?;
-        let j = self.nodes.iter().position(|&n| n == b)?;
-        Some(self.by_position(i, j))
-    }
-
     /// The ordering weight `1 − similarity` by position (the edge weight of
     /// the Switching-Similarity problem's complete graph `K_n`).
     pub fn weight(&self, i: usize, j: usize) -> f64 {
@@ -168,8 +161,7 @@ mod tests {
         assert_eq!(m.by_position(0, 0), 1.0);
         assert_eq!(m.by_position(0, 1), 1.0);
         assert_eq!(m.by_position(1, 0), 1.0);
-        assert_eq!(m.by_id(NodeId::new(0), NodeId::new(2)), Some(0.0));
-        assert_eq!(m.by_id(NodeId::new(0), NodeId::new(9)), None);
+        assert_eq!(m.by_position(0, 2), 0.0);
         assert!((m.weight(0, 1) - 0.0).abs() < 1e-12);
         assert!((m.weight(0, 2) - 1.0).abs() < 1e-12);
 

@@ -39,20 +39,6 @@ impl Waveform {
     pub fn level(&self, t: usize) -> bool {
         self.levels[t]
     }
-
-    /// Number of transitions (level changes between consecutive samples) —
-    /// the switching activity of the node.
-    pub fn transitions(&self) -> usize {
-        self.levels.windows(2).filter(|w| w[0] != w[1]).count()
-    }
-
-    /// Fraction of time the node spends high.
-    pub fn duty_cycle(&self) -> f64 {
-        if self.levels.is_empty() {
-            return 0.0;
-        }
-        self.levels.iter().filter(|&&b| b).count() as f64 / self.levels.len() as f64
-    }
 }
 
 /// The logic values of every node over every simulation time step.
@@ -171,16 +157,14 @@ mod tests {
         assert_eq!(w.value(0), 1.0);
         assert_eq!(w.value(2), -1.0);
         assert!(w.level(3));
-        assert_eq!(w.transitions(), 2);
-        assert!((w.duty_cycle() - 0.75).abs() < 1e-12);
+        assert!(!w.level(2));
     }
 
     #[test]
     fn empty_waveform() {
         let w = Waveform::from_levels(vec![]);
         assert!(w.is_empty());
-        assert_eq!(w.duty_cycle(), 0.0);
-        assert_eq!(w.transitions(), 0);
+        assert_eq!(w.len(), 0);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Sweep the crosstalk bound and watch the area the optimizer needs.
+//! Sweep the crosstalk bound and see where it binds.
 //!
-//! This is the kind of design-space exploration the paper's formulation
-//! enables: the noise bound `X_B` is a first-class constraint, so tightening
-//! it trades area (and power) for noise without touching the delay target.
+//! The noise bound `X_B` is a first-class constraint of the paper's
+//! formulation, so it can be swept without touching the delay target. Each
+//! row prints the bound the sizing enforces (`X_B`, in the constraint's
+//! linearized, switching-weighted fF), the final crosstalk in the same
+//! units, and the crosstalk at the minimum sizes: no sizing gets below the
+//! last, so a bound under it is raised to it. A bound above the final
+//! crosstalk is slack: the delay bound and the area objective alone already
+//! shrink the wires below it, and the rows repeat each other.
 //!
 //! Run with:
 //!
@@ -14,9 +19,13 @@ use ncgws::core::OptimizerConfig;
 use ncgws::netlist::{CircuitSpec, SyntheticGenerator};
 use ncgws::Flow;
 
+/// Relative margin under which the final crosstalk counts as at its bound.
+const BINDING: f64 = 1e-3;
+
 fn main() -> Result<(), ncgws::Error> {
     let spec = CircuitSpec::new("tradeoff", 80, 180).with_seed(11);
     let instance = SyntheticGenerator::new(spec).generate()?;
+    let graph = &instance.circuit;
 
     println!(
         "crosstalk bound sweep on `{}` ({} components)",
@@ -24,11 +33,17 @@ fn main() -> Result<(), ncgws::Error> {
         instance.num_components()
     );
     println!(
-        "{:>12} {:>12} {:>12} {:>12} {:>12}",
-        "Xbound(frac)", "noise(pF)", "area(um2)", "power(mW)", "delay(ps)"
+        "{:>12} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "Xbound(frac)", "X_B(fF)", "X(fF)", "X_min(fF)", "noise(pF)", "area(um2)"
     );
 
-    for factor in [0.50, 0.30, 0.20, 0.15, 0.12, 0.10] {
+    let mut slack_rows = 0;
+    // The window in which a bound can bind: from the minimum-size
+    // crosstalk up to the crosstalk the sizing reaches under the loosest
+    // (first) bound.
+    let mut window = None;
+    let factors = [0.50, 0.30, 0.20, 0.15, 0.12, 0.10];
+    for factor in factors {
         // The bound factor changes the derived constraint bounds, so each
         // sweep point re-runs stage 1 through a fresh flow (the ordering
         // itself would be identical; `Ordered` reuse applies to repeated
@@ -37,15 +52,26 @@ fn main() -> Result<(), ncgws::Error> {
             .crosstalk_bound_factor(factor)
             .max_iterations(120)
             .build()?;
-        let outcome = Flow::prepare(&instance, config)?.order()?.size()?;
+        let ordered = Flow::prepare(&instance, config)?.order()?;
+        let bound = ordered.bounds().crosstalk;
+        let min_crosstalk = ordered
+            .ordering()
+            .coupling
+            .total_crosstalk(graph, &graph.minimum_sizes());
+        let outcome = ordered.size()?;
         let m = &outcome.report.final_metrics;
+        let slack = m.crosstalk_ff < bound * (1.0 - BINDING);
+        slack_rows += usize::from(slack);
+        window.get_or_insert((min_crosstalk, m.crosstalk_ff));
         println!(
-            "{:>12.2} {:>12.4} {:>12.0} {:>12.3} {:>12.1}{}",
+            "{:>12.2} {:>10.3} {:>10.3} {:>10.3} {:>10.4} {:>10.0}{}{}",
             factor,
+            bound,
+            m.crosstalk_ff,
+            min_crosstalk,
             m.noise_pf,
             m.area_um2,
-            m.power_mw,
-            m.delay_ps,
+            if slack { "   (slack)" } else { "" },
             if outcome.report.feasible {
                 ""
             } else {
@@ -54,9 +80,19 @@ fn main() -> Result<(), ncgws::Error> {
         );
     }
 
+    let (min_crosstalk, free_crosstalk) = window.expect("the sweep has a first row");
     println!();
-    println!("tighter crosstalk bounds force narrower wires near aggressors; the");
-    println!("area/power cost stays small until the bound approaches the irreducible");
-    println!("fringing coupling of the layout.");
+    println!(
+        "the crosstalk bound is slack in {slack_rows} of {} rows. A bound below X_min is",
+        factors.len()
+    );
+    println!("raised to it, and the delay bound and the area objective alone bring the");
+    if free_crosstalk <= min_crosstalk * (1.0 + BINDING) {
+        println!("crosstalk down to X_min = {min_crosstalk:.3} fF: on this circuit no crosstalk");
+        println!("bound binds, and tightening it changes nothing.");
+    } else {
+        println!("crosstalk down to {free_crosstalk:.3} fF: a bound binds only in the window");
+        println!("{min_crosstalk:.3}..{free_crosstalk:.3} fF and is slack above it.");
+    }
     Ok(())
 }

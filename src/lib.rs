@@ -341,9 +341,8 @@
 //!
 //! Worker panics are isolated per attempt and retried under the job's
 //! [`RetryPolicy`] (deterministic exponential backoff), and a seeded
-//! [`FaultPlan`] injects panics, I/O errors, torn writes and dispatch
-//! delays reproducibly — see `tests/serve_durability.rs` for the
-//! crash-recovery property tests.
+//! [`FaultPlan`] injects panics, I/O errors and torn writes reproducibly —
+//! see `tests/serve_durability.rs` for the crash-recovery property tests.
 //!
 //! ```rust
 //! use ncgws::core::OptimizerConfig;

@@ -1,17 +1,18 @@
 //! Integration tests of the staged `Flow` API: bitwise reproducibility of
-//! fresh cold flows, warm starts, run control (observers, cancellation,
-//! iteration budgets, deadlines), and the typed rejection of starts that do
-//! not fit the run.
+//! fresh cold flows, the order phase's initial metrics and bounds, warm
+//! starts, run control (observers, cancellation, iteration budgets,
+//! deadlines), and the typed rejection of starts that do not fit the run.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use ncgws::circuit::SizeVector;
 use ncgws::core::{
-    CancelFlag, CheckpointPolicy, CollectObserver, CoreError, IterationEvent, Observer,
-    OptimizerConfig, RunControl, SizedOutcome, SnapshotStore, Start, StopReason,
+    CancelFlag, CheckpointPolicy, CircuitMetrics, CollectObserver, ConstraintBounds, CoreError,
+    IterationEvent, Observer, OptimizerConfig, Ordered, RunControl, SizedOutcome, SnapshotStore,
+    Start, StopReason,
 };
-use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
+use ncgws::netlist::{iscas85_spec, CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::Flow;
 use proptest::prelude::*;
 
@@ -242,6 +243,90 @@ fn stop_reason_serializes_into_report_json() {
         json.contains("Converged") || json.contains("Stagnated") || json.contains("IterationLimit"),
         "{json}"
     );
+}
+
+/// The bit patterns of every field of `m`.
+fn metric_bits(m: &CircuitMetrics) -> [u64; 7] {
+    [
+        m.noise_pf,
+        m.delay_ps,
+        m.power_mw,
+        m.area_um2,
+        m.crosstalk_ff,
+        m.delay_internal,
+        m.total_capacitance_ff,
+    ]
+    .map(f64::to_bits)
+}
+
+/// The order phase evaluates the initial sizing once, without a sizing
+/// engine. Its metrics are bitwise what an engine gives at the same sizes,
+/// and its bounds and lowered extra families are the same in a second flow,
+/// for every input the derivation reads: the default configuration, a
+/// uniform initial size, the effective-coupling model, absolute bounds, and
+/// per-net caps lowered from the initial sizes, on c432 and a generated
+/// instance.
+#[test]
+fn initial_metrics_and_bounds_match_an_engine_evaluation() {
+    let configs = [
+        ("default", OptimizerConfig::builder()),
+        ("initial size", OptimizerConfig::builder().initial_size(2.5)),
+        (
+            "effective coupling",
+            OptimizerConfig::builder().effective_coupling(true),
+        ),
+        (
+            "absolute bounds",
+            OptimizerConfig::builder().absolute_bounds(ConstraintBounds {
+                delay: 4.0e5,
+                total_capacitance: 3.0e4,
+                crosstalk: 50.0,
+            }),
+        ),
+        (
+            "per-net caps",
+            OptimizerConfig::builder().per_net_crosstalk_cap(0.9),
+        ),
+    ];
+    let c432 = SyntheticGenerator::new(iscas85_spec("c432").unwrap())
+        .generate()
+        .unwrap();
+    for inst in [c432, instance(5, 40)] {
+        let graph = &inst.circuit;
+        for (label, builder) in configs.clone() {
+            let config = builder.build().unwrap();
+            let ordered = Flow::prepare(&inst, config.clone())
+                .unwrap()
+                .order()
+                .unwrap();
+            let engine_metrics = ordered.engine().metrics(&config.initial_sizes(graph));
+            assert_eq!(
+                metric_bits(ordered.initial_metrics()),
+                metric_bits(&engine_metrics),
+                "{}, {label}",
+                inst.name
+            );
+
+            let again = Flow::prepare(&inst, config).unwrap().order().unwrap();
+            let bounds = |o: &Ordered<'_>| {
+                let b = o.bounds();
+                [b.delay, b.total_capacitance, b.crosstalk].map(f64::to_bits)
+            };
+            assert_eq!(bounds(&again), bounds(&ordered), "{}, {label}", inst.name);
+            assert_eq!(
+                format!("{:?}", again.extra_constraints()),
+                format!("{:?}", ordered.extra_constraints()),
+                "{}, {label}",
+                inst.name
+            );
+            assert_eq!(
+                ordered.extra_constraints().num_families() > 0,
+                label == "per-net caps",
+                "{}, {label}",
+                inst.name
+            );
+        }
+    }
 }
 
 /// Every start that does not fit the run is a typed error from the one

@@ -114,8 +114,7 @@ fn optimizer_beats_noise_oblivious_baseline_on_noise() {
 #[test]
 fn kkt_residuals_are_reasonable_at_the_returned_solution() {
     let inst = instance(60, 130, 5);
-    let config = quick_config();
-    let ordered = Flow::prepare(&inst, config.clone())
+    let ordered = Flow::prepare(&inst, quick_config())
         .expect("prepare")
         .order()
         .expect("order");
@@ -125,11 +124,7 @@ fn kkt_residuals_are_reasonable_at_the_returned_solution() {
     // Rebuild the problem the optimizer solved and check primal feasibility
     // through the KKT helper (multipliers themselves are internal, so only
     // the primal-side residuals are asserted tightly here).
-    let initial = config.initial_sizes(&inst.circuit);
-    let initial_metrics = ncgws::core::CircuitMetrics::evaluate(&inst.circuit, coupling, &initial);
-    let bounds = ncgws::core::ConstraintBounds::from_initial(&initial_metrics, &config)
-        .clamped_to_feasible(&inst.circuit, coupling);
-    let problem = SizingProblem::new(&inst.circuit, coupling, bounds).expect("problem");
+    let problem = SizingProblem::new(&inst.circuit, coupling, ordered.bounds()).expect("problem");
     let multipliers = Multipliers::uniform(&inst.circuit, 0.0, 0.0);
     let residuals = kkt::kkt_residuals(&problem, outcome.sizes(), &multipliers);
     assert!(residuals.primal_feasibility <= 2e-3, "{residuals:?}");
