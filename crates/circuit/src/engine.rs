@@ -14,10 +14,9 @@
 //! * [`CircuitTopology`] — the paper's Elmore model (Section 2.1) over the
 //!   graph's own CSR adjacency, kind and parameter columns (from which it
 //!   derives each node's RC attributes as it visits the node) and sparse
-//!   output loads, which it borrows, plus what it derives once per circuit:
-//!   per-fanin-edge dispatch tags and the cached topological **level
-//!   partition** (see below). Its traversal kernels fill caller-provided
-//!   slices with no allocation.
+//!   output loads, which it borrows, plus the one table it derives once per
+//!   circuit: the cached topological **level partition** (see below). Its
+//!   traversal kernels fill caller-provided slices with no allocation.
 //! * [`EvalWorkspace`] — one bundle of dense scratch buffers, sized once per
 //!   circuit and reused for every evaluation.
 //!
@@ -462,35 +461,21 @@ impl<'t, T> Tiles<'t, T> {
     }
 }
 
-/// Streamed fanin-edge dispatch tag (see `CircuitTopology::fanin_tag`):
-/// the resistance form of a predecessor in the upstream accumulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum FaninTag {
-    /// Source/sink predecessor: contributes nothing (skipped, exactly as
-    /// the kind-dispatched loop skips it).
-    Skip,
-    /// Fixed resistance `R_D` of a driver: `w · r`.
-    Const,
-    /// Gate: `w · (r̂ / x[p − comp_base])` (`∞` when `x ≤ 0`).
-    Div,
-    /// Wire: `upstream[p] + w · (r̂ / x[p − comp_base])`.
-    WireDiv,
-}
-
 /// The Elmore view of a circuit the hot loops traverse: the graph's CSR
 /// adjacency, kind and parameter columns and sparse output loads,
-/// borrowed rather than copied, plus what is derived from them once — the
-/// per-fanin-edge dispatch tags and the level partition. Immutable once
-/// built. Component indices are not stored anywhere: the dense component of
-/// node `idx` is `idx - comp_base`.
+/// borrowed rather than copied, plus the one table derived from them
+/// once: the level partition. Immutable once built. Component indices
+/// are not stored anywhere: the dense component of node `idx` is
+/// `idx - comp_base`.
 ///
 /// A backward kernel reads one entry per fanout edge: the child's settled
 /// `presented` load (a gate's `ĉ·x`, a wire's π-model load), or, for the
 /// sink, the parent's output load, which a cursor over the sorted load
 /// list yields in the kernel's descending visit order. Nothing per fanout
-/// edge is stored. A forward kernel streams the fanin tags beside the
-/// fanin list and gathers only the `weights`, `upstream` and size entries.
+/// edge is stored. A forward kernel reads each fanin's kind and, for a
+/// driver or wire, its parameter, and derives the fanin's `r̂` (or `R_D`)
+/// from them beside its `weights`, `upstream` and size entries. Nothing
+/// per fanin edge is stored either.
 ///
 /// Its traversal kernels evaluate the Elmore delay model of the paper's
 /// Section 2.1 (stage-bounded RC stages, wire π-model); see the crate-level
@@ -556,14 +541,6 @@ pub struct CircuitTopology<'g> {
     /// The graph's fanin adjacency (borrowed), in the same form.
     fanin_start: &'g [u32],
     fanin_list: &'g [NodeId],
-    /// Streamed per-fanin-edge predecessor descriptors (parallel to
-    /// `fanin_list`) for the forward kernels: resistance form and operands
-    /// of each predecessor, leaving only the `weights` / `upstream` / size
-    /// gathers. Per-edge values are exactly the operands the kind dispatch
-    /// would gather, so the streamed dispatch is bitwise identical to it.
-    fanin_tag: Vec<FaninTag>,
-    /// `r̂` (or `R_D`) of the predecessor; zero for `Skip`.
-    fanin_ur: Vec<f64>,
     /// Cached level partition (see the module docs): the first raw node
     /// index of every level plus a trailing `n`, so level `l` is
     /// `level_start[l]..level_start[l + 1]`.
@@ -587,28 +564,7 @@ impl<'g> CircuitTopology<'g> {
         );
         let comp_base = graph.num_drivers() + 1;
         let attrs = graph.attributes();
-        let kind = attrs.kind;
         let (fanout, fanin) = (graph.fanout_csr(), graph.fanin_csr());
-
-        // Streamed per-fanin-edge descriptor columns (see the field docs):
-        // the exact operands the kind-dispatched loop would gather through
-        // the predecessor index, precomputed once per edge. A validated
-        // graph holds gates and wires exactly in the component range, so
-        // every gate or wire is sizable and its component is its node index
-        // minus `comp_base`.
-        let mut fanin_tag = Vec::with_capacity(fanin.num_edges());
-        let mut fanin_ur = Vec::with_capacity(fanin.num_edges());
-        for &pred in fanin.targets() {
-            let p = pred.index();
-            let (tag, ur) = match kind[p] {
-                NodeKind::Source | NodeKind::Sink => (FaninTag::Skip, 0.0),
-                NodeKind::Driver => (FaninTag::Const, attrs.get(p).resistance),
-                NodeKind::Gate(_) => (FaninTag::Div, attrs.get(p).resistance),
-                NodeKind::Wire => (FaninTag::WireDiv, attrs.get(p).resistance),
-            };
-            fanin_tag.push(tag);
-            fanin_ur.push(ur);
-        }
 
         // Level partition: one forward scan, a node with a fanin inside the
         // current range starts the next range (see the module docs).
@@ -631,8 +587,6 @@ impl<'g> CircuitTopology<'g> {
             fanout_list: fanout.targets(),
             fanin_start: fanin.offsets(),
             fanin_list: fanin.targets(),
-            fanin_tag,
-            fanin_ur,
             level_start,
         }
     }
@@ -808,18 +762,6 @@ impl<'g> CircuitTopology<'g> {
         self.fanout_list.get_unchecked(start..end)
     }
 
-    /// Fanin edge-index range of node `idx` without bounds checks; edge
-    /// indices address `fanin_list` and the streamed `fanin_*` columns.
-    ///
-    /// # Safety
-    ///
-    /// `idx < num_nodes`; the CSR offsets are valid by construction.
-    #[inline(always)]
-    unsafe fn fanin_edges_unchecked(&self, idx: usize) -> std::ops::Range<usize> {
-        *self.fanin_start.get_unchecked(idx) as usize
-            ..*self.fanin_start.get_unchecked(idx + 1) as usize
-    }
-
     /// The downstream load of node `idx`, a driver, gate or wire: over its
     /// fanout list in list order, the parent's output load for the sink
     /// (from `loads`) and the settled `presented` entry of any other child,
@@ -848,10 +790,19 @@ impl<'g> CircuitTopology<'g> {
         c
     }
 
-    /// One node's λ-weighted upstream accumulation streamed from the
-    /// per-edge columns: over the node's fanin list in list order, the
-    /// weighted `Node::resistance` of every driver/gate predecessor plus,
-    /// for a wire predecessor, its own upstream resistance.
+    /// One node's λ-weighted upstream accumulation: over the node's fanin
+    /// list in list order, the weighted `Node::resistance` of every
+    /// driver/gate predecessor plus, for a wire predecessor, its own
+    /// upstream resistance.
+    ///
+    /// A predecessor's `r̂` (or `R_D`) is derived as the edge is visited,
+    /// the same bits as `attrs.get(p).resistance`. When the graph has no
+    /// override, a gate's is the technology's constant, a wire's the
+    /// per-µm coefficient times its length and a driver's its parameter;
+    /// otherwise it comes from [`resistance_of`](Self::resistance_of), out
+    /// of the loop's way. A gate adds `0.0 + w·r`, which differs from
+    /// `w·r` only when that is `-0.0`, and adding either zero leaves the
+    /// sum as it is: the sum starts at `+0.0` and so is never `-0.0`.
     ///
     /// # Safety
     ///
@@ -866,35 +817,46 @@ impl<'g> CircuitTopology<'g> {
         weights: &[f64],
         upstream: Access<f64>,
     ) -> f64 {
+        let (kinds, params) = (self.attrs.kind, self.attrs.params());
+        let uniform = self.attrs.uniform_resistances();
         let mut acc = 0.0;
-        for e in self.fanin_edges_unchecked(idx) {
-            let p = self.fanin_list.get_unchecked(e).index();
-            match *self.fanin_tag.get_unchecked(e) {
-                FaninTag::Skip => {}
-                FaninTag::Const => {
-                    acc += *weights.get_unchecked(p) * *self.fanin_ur.get_unchecked(e);
-                }
-                FaninTag::Div => {
-                    let x = size(p - self.comp_base);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
+        for &pred in self.fanin_unchecked(idx) {
+            let p = pred.index();
+            let w = *weights.get_unchecked(p);
+            match self.component_of(p) {
+                Some(comp) => {
+                    let wire = kinds.get_unchecked(p).is_wire();
+                    let ur = match uniform {
+                        Some([_, per_um]) if wire => per_um * *params.get_unchecked(p),
+                        Some([gate, _]) => gate,
+                        None => self.resistance_of(p),
                     };
-                    acc += *weights.get_unchecked(p) * r;
+                    let x = size(comp);
+                    let r = if x > 0.0 { ur / x } else { f64::INFINITY };
+                    let up = if wire { upstream.get(p) } else { 0.0 };
+                    acc += up + w * r;
                 }
-                FaninTag::WireDiv => {
-                    let x = size(p - self.comp_base);
-                    let r = if x > 0.0 {
-                        *self.fanin_ur.get_unchecked(e) / x
-                    } else {
-                        f64::INFINITY
-                    };
-                    acc += upstream.get(p) + *weights.get_unchecked(p) * r;
+                // A driver adds its fixed `R_D`; the source adds nothing.
+                None => {
+                    if kinds.get_unchecked(p).is_driver() {
+                        let rd = match uniform {
+                            Some(_) => *params.get_unchecked(p),
+                            None => self.resistance_of(p),
+                        };
+                        acc += w * rd;
+                    }
                 }
             }
         }
         acc
+    }
+
+    /// `r̂` (or `R_D`) of node `p` in a graph with overrides, kept out of
+    /// the forward kernels' loops.
+    #[cold]
+    #[inline(never)]
+    fn resistance_of(&self, p: usize) -> f64 {
+        self.attrs.get(p).resistance
     }
 
     /// Bytes of the tables the topology owns (for memory accounting). The
@@ -903,10 +865,7 @@ impl<'g> CircuitTopology<'g> {
     /// [`CircuitGraph::memory_bytes`].
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.level_start.capacity() * size_of::<u32>()
-            + self.fanin_tag.capacity() * size_of::<FaninTag>()
-            + self.fanin_ur.capacity() * size_of::<f64>()
-            + size_of::<Self>()
+        self.level_start.capacity() * size_of::<u32>() + size_of::<Self>()
     }
 
     // ------------------------------------------------------------------

@@ -231,12 +231,20 @@ pub(crate) fn overrides_default(kind: NodeKind, bounds: (f64, f64), sizable: (f6
 
 /// The entry of raw node `i` in a list sorted by node, `node` reading an
 /// entry's node, or `None`: no search when the list is empty, one binary
-/// search otherwise.
+/// search otherwise. The search is kept out of line, so a kernel that
+/// derives attributes per node carries only the emptiness test.
 #[inline(always)]
 fn find_override<T>(overrides: &[T], i: usize, node: impl Fn(&T) -> NodeId) -> Option<&T> {
     if overrides.is_empty() {
         return None;
     }
+    search_override(overrides, i, node)
+}
+
+/// The binary search of [`find_override`].
+#[cold]
+#[inline(never)]
+fn search_override<T>(overrides: &[T], i: usize, node: impl Fn(&T) -> NodeId) -> Option<&T> {
     overrides
         .binary_search_by_key(&i, |entry| node(entry).index())
         .ok()
@@ -430,6 +438,19 @@ impl<'a> Attributes<'a> {
     pub fn wire(&self, i: usize, length: f64) -> NodeRc {
         self.overridden(i)
             .unwrap_or_else(|| self.per_kind.wire(length))
+    }
+
+    /// The technology's `r̂` of a gate and of a wire per µm, in that
+    /// order, when no node of the graph has an override (every
+    /// builder-made graph). A gate's `r̂` is then the first and a wire's
+    /// the second times its length, the same bits [`get`](Self::get)
+    /// gives, so a loop over many nodes derives them with no override
+    /// test per node.
+    pub(crate) fn uniform_resistances(&self) -> Option<[f64; 2]> {
+        let (gate, wire) = (self.per_kind.gate(), self.per_kind.wire(1.0));
+        self.overrides
+            .is_empty()
+            .then_some([gate.resistance, wire.resistance])
     }
 
     /// The override of raw node `i`, if the graph holds one.

@@ -415,7 +415,7 @@ impl<'a> SizingEngine<'a> {
     }
 
     /// Fills `ws.node_weights` with the aggregated edge multipliers.
-    pub(crate) fn load_node_weights(&mut self, multipliers: &Multipliers) {
+    pub(crate) fn load_node_weights(&mut self, multipliers: &Multipliers<'_>) {
         multipliers.node_weights_into(self.graph, &mut self.ws.node_weights);
     }
 
@@ -431,7 +431,7 @@ impl<'a> SizingEngine<'a> {
     pub(crate) fn load_extra_denominator(
         &mut self,
         extras: &ConstraintSet,
-        multipliers: &Multipliers,
+        multipliers: &Multipliers<'_>,
     ) {
         self.extra_denom.clear();
         if extras.is_empty() {

@@ -594,16 +594,18 @@ mod tests {
         assert!(!sized.report.feasible);
     }
 
-    /// The reported multiplier bytes cover the multipliers a solve holds:
-    /// the edge values, their CSR offsets and the extra-family blocks.
+    /// The reported multiplier bytes cover what the multipliers a solve
+    /// holds own: the edge values and the extra-family blocks. Their CSR
+    /// offsets are the graph's own, which `circuit_bytes` counts.
     #[test]
-    fn multiplier_bytes_cover_values_offsets_and_blocks() {
+    fn multiplier_bytes_cover_values_and_blocks() {
         let spec = ncgws_netlist::table1_specs().remove(0);
         let inst = SyntheticGenerator::new(spec).generate().unwrap();
         let graph = &inst.circuit;
         let uniform = Multipliers::uniform(graph, 0.0, 0.0);
         let (offsets, values) = uniform.flat();
-        let flat_bytes = std::mem::size_of_val(values) + std::mem::size_of_val(offsets);
+        assert!(std::ptr::eq(offsets, graph.fanin_offsets()));
+        let flat_bytes = std::mem::size_of_val(values) + std::mem::size_of::<Multipliers<'_>>();
         let cancelled = || {
             let flag = CancelFlag::new();
             flag.cancel();
@@ -620,7 +622,7 @@ mod tests {
         )
         .unwrap();
         let reported = plain.report.memory.multiplier_bytes;
-        assert!(reported >= flat_bytes, "{reported} < {flat_bytes}");
+        assert_eq!(reported, flat_bytes);
         assert_eq!(reported, uniform.memory_bytes());
 
         let mut config = quick_config();

@@ -51,7 +51,7 @@ impl KktResiduals {
 pub fn kkt_residuals(
     problem: &SizingProblem<'_>,
     sizes: &SizeVector,
-    multipliers: &Multipliers,
+    multipliers: &Multipliers<'_>,
 ) -> KktResiduals {
     let graph = problem.graph;
     let coupling = problem.coupling;

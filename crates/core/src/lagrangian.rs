@@ -1,8 +1,10 @@
 //! Lagrange multipliers and evaluation of the Lagrangian / dual function.
 
+use std::borrow::Cow;
+
 use ncgws_circuit::{CircuitGraph, NodeId, SizeVector};
 use serde::de::{Error, Fields, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Serializer};
 
 use crate::constraints::ConstraintSet;
 use crate::problem::SizingProblem;
@@ -24,13 +26,20 @@ use crate::problem::SizingProblem;
 /// aggregation, subgradient bumps, flow projection — run over contiguous
 /// memory instead of one heap allocation per node; extra blocks are stored
 /// parallel to the constraint set's families.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Multipliers {
+///
+/// The offsets are the graph's own fanin offsets, borrowed for `'g`, in
+/// the multipliers a run builds ([`uniform`](Self::uniform)); decoded
+/// multipliers ([`from_parts`](Self::from_parts), a [`Snapshot`]'s) own a
+/// copy and are `Multipliers<'static>`.
+///
+/// [`Snapshot`]: crate::Snapshot
+#[derive(Debug, Clone, PartialEq)]
+pub struct Multipliers<'g> {
     /// Flat `λ` values: `values[offsets[i] + slot]` is `λ_{ji}` where
     /// `j = fanin(i)[slot]`.
     values: Vec<f64>,
     /// CSR offsets, one entry per node plus a trailing total.
-    offsets: Vec<u32>,
+    offsets: Cow<'g, [u32]>,
     /// Power-constraint multiplier `β ≥ 0`.
     pub beta: f64,
     /// Crosstalk-constraint multiplier `γ ≥ 0`.
@@ -40,8 +49,26 @@ pub struct Multipliers {
     extra: Vec<Vec<f64>>,
 }
 
+/// Writes the fields in declaration order, as a derive would.
+impl Serialize for Multipliers<'_> {
+    fn serialize_json(&self, s: &mut Serializer) {
+        s.begin_object();
+        s.key("values");
+        self.values.serialize_json(s);
+        s.key("offsets");
+        self.offsets.serialize_json(s);
+        s.key("beta");
+        self.beta.serialize_json(s);
+        s.key("gamma");
+        self.gamma.serialize_json(s);
+        s.key("extra");
+        self.extra.serialize_json(s);
+        s.end_object();
+    }
+}
+
 /// Decodes through [`Multipliers::from_parts`], which checks the CSR shape.
-impl Deserialize for Multipliers {
+impl Deserialize for Multipliers<'static> {
     fn deserialize_json(value: &Value) -> Result<Self, Error> {
         let f = Fields::new(value, "Multipliers")?;
         Multipliers::from_parts(
@@ -55,17 +82,18 @@ impl Deserialize for Multipliers {
     }
 }
 
-impl Multipliers {
+impl<'g> Multipliers<'g> {
     /// Creates multipliers with every edge multiplier set to `edge_value` and
     /// both scalar multipliers set to `scalar_value`; no extra blocks (the
     /// paper's formulation — attach blocks with
-    /// [`attach_extras`](Self::attach_extras)).
-    pub fn uniform(graph: &CircuitGraph, edge_value: f64, scalar_value: f64) -> Self {
-        let offsets = graph.fanin_offsets().to_vec();
+    /// [`attach_extras`](Self::attach_extras)). They borrow `graph`'s
+    /// fanin offsets.
+    pub fn uniform(graph: &'g CircuitGraph, edge_value: f64, scalar_value: f64) -> Self {
+        let offsets = graph.fanin_offsets();
         let total = *offsets.last().expect("offsets are non-empty") as usize;
         Multipliers {
             values: vec![edge_value; total],
-            offsets,
+            offsets: Cow::Borrowed(offsets),
             beta: scalar_value,
             gamma: scalar_value,
             extra: Vec::new(),
@@ -85,7 +113,7 @@ impl Multipliers {
         beta: f64,
         gamma: f64,
         extra: Vec<Vec<f64>>,
-    ) -> Result<Self, String> {
+    ) -> Result<Multipliers<'static>, String> {
         if offsets.first() != Some(&0) {
             return Err("multiplier offsets must start at 0".into());
         }
@@ -101,7 +129,7 @@ impl Multipliers {
         }
         Ok(Multipliers {
             values,
-            offsets,
+            offsets: Cow::Owned(offsets),
             beta,
             gamma,
             extra,
@@ -111,7 +139,32 @@ impl Multipliers {
     /// `true` when this multiplier set's CSR layout matches `graph`'s fanin
     /// structure (same node count and per-node fanin degrees).
     pub fn matches(&self, graph: &CircuitGraph) -> bool {
-        self.offsets == graph.fanin_offsets()
+        *self.offsets == *graph.fanin_offsets()
+    }
+
+    /// These multipliers with offsets of their own, to outlive the graph
+    /// (a [`Snapshot`](crate::Snapshot)'s).
+    pub(crate) fn into_owned(self) -> Multipliers<'static> {
+        Multipliers {
+            values: self.values,
+            offsets: Cow::Owned(self.offsets.into_owned()),
+            beta: self.beta,
+            gamma: self.gamma,
+            extra: self.extra,
+        }
+    }
+
+    /// A copy of these multipliers over `graph`'s own fanin offsets, which
+    /// must [`match`](Self::matches) theirs: the form a resumed run holds.
+    pub(crate) fn rebind<'h>(&self, graph: &'h CircuitGraph) -> Multipliers<'h> {
+        debug_assert!(self.matches(graph), "offsets must match the graph");
+        Multipliers {
+            values: self.values.clone(),
+            offsets: Cow::Borrowed(graph.fanin_offsets()),
+            beta: self.beta,
+            gamma: self.gamma,
+            extra: self.extra.clone(),
+        }
     }
 
     /// The flat slot range of a node's fanin-edge multipliers.
@@ -229,13 +282,15 @@ impl Multipliers {
     /// multipliers of `graph` with one block per family of `extras`, sized
     /// exactly as [`uniform`](Self::uniform) and
     /// [`attach_extras`](Self::attach_extras) build them — without building
-    /// them.
+    /// them. Their offsets are the graph's, which
+    /// [`CircuitGraph::memory_bytes`] counts.
     pub fn memory_bytes_for(graph: &CircuitGraph, extras: &ConstraintSet) -> usize {
         use std::mem::size_of;
-        let offsets = graph.fanin_offsets();
-        let edges = offsets.last().map_or(0, |&total| total as usize);
+        let edges = graph
+            .fanin_offsets()
+            .last()
+            .map_or(0, |&total| total as usize);
         edges * size_of::<f64>()
-            + std::mem::size_of_val(offsets)
             + extras
                 .block_sizes()
                 .into_iter()
@@ -245,11 +300,16 @@ impl Multipliers {
     }
 
     /// An estimate (in bytes) of the multiplier storage, used by the
-    /// Figure 10(a) reproduction.
+    /// Figure 10(a) reproduction: borrowed offsets are the graph's, which
+    /// [`CircuitGraph::memory_bytes`] counts, so only owned ones count.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
+        let offsets = match &self.offsets {
+            Cow::Borrowed(_) => 0,
+            Cow::Owned(offsets) => offsets.capacity() * size_of::<u32>(),
+        };
         self.values.capacity() * size_of::<f64>()
-            + self.offsets.capacity() * size_of::<u32>()
+            + offsets
             + self
                 .extra
                 .iter()
@@ -281,7 +341,7 @@ impl Multipliers {
 /// solver calls it.
 pub fn dual_value(
     problem: &SizingProblem<'_>,
-    multipliers: &Multipliers,
+    multipliers: &Multipliers<'_>,
     sizes: &SizeVector,
     delays: &[f64],
 ) -> f64 {
@@ -308,7 +368,7 @@ pub fn dual_value(
 /// bitwise-equal aggregates.
 pub fn dual_value_from_parts(
     problem: &SizingProblem<'_>,
-    multipliers: &Multipliers,
+    multipliers: &Multipliers<'_>,
     sizes: &SizeVector,
     delays: &[f64],
     area: f64,

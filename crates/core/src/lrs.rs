@@ -105,7 +105,7 @@ impl LrsSolver {
         &self,
         engine: &mut SizingEngine<'_>,
         extras: &ConstraintSet,
-        multipliers: &Multipliers,
+        multipliers: &Multipliers<'_>,
         sizes: &mut SizeVector,
         control: &RunControl<'_>,
     ) -> LrsStats {
@@ -157,7 +157,7 @@ impl LrsSolver {
         &self,
         engine: &mut SizingEngine<'_>,
         extras: &ConstraintSet,
-        multipliers: &Multipliers,
+        multipliers: &Multipliers<'_>,
         sizes: &mut SizeVector,
         control: &RunControl<'_>,
         schedule: &AdaptiveSchedule,
@@ -255,7 +255,7 @@ pub(crate) mod tests {
     pub(crate) fn solve_cold(
         solver: LrsSolver,
         problem: &SizingProblem<'_>,
-        multipliers: &Multipliers,
+        multipliers: &Multipliers<'_>,
     ) -> LrsOutcome {
         let mut engine = SizingEngine::for_problem(problem);
         let mut sizes = problem.graph.minimum_sizes();

@@ -284,7 +284,7 @@ impl OgwsSolver {
             // A resume re-enters after the snapshot iteration's A4/A5 steps:
             // the stored multipliers are already projected, so re-running A1
             // (or re-projecting) would perturb the trajectory.
-            Some(Start::Resume(snapshot)) => snapshot.multipliers.clone(),
+            Some(Start::Resume(snapshot)) => snapshot.multipliers.rebind(graph),
             _ => {
                 let mut multipliers = Multipliers::uniform(
                     graph,
@@ -643,7 +643,7 @@ impl OgwsSolver {
         iterations_done: usize,
         num_components: usize,
         sizes: &SizeVector,
-        multipliers: &Multipliers,
+        multipliers: &Multipliers<'_>,
         have_feasible: bool,
         best_sizes: &SizeVector,
         best_area: f64,
@@ -657,7 +657,7 @@ impl OgwsSolver {
             iterations_done,
             num_components,
             sizes: sizes.clone(),
-            multipliers: multipliers.clone(),
+            multipliers: multipliers.clone().into_owned(),
             best_sizes: have_feasible.then(|| best_sizes.clone()),
             best_area: have_feasible.then_some(best_area),
             best_gap: best_gap.is_finite().then_some(best_gap),
@@ -679,7 +679,7 @@ impl OgwsSolver {
     fn update_multipliers(
         problem: &SizingProblem<'_>,
         index: &FlowIndex<'_>,
-        multipliers: &mut Multipliers,
+        multipliers: &mut Multipliers<'_>,
         arrival: &[f64],
         delays: &[f64],
         step: f64,

@@ -31,7 +31,7 @@ use crate::problem::SizingProblem;
 /// default run control.
 pub fn lrs_solve(
     problem: &SizingProblem<'_>,
-    multipliers: &Multipliers,
+    multipliers: &Multipliers<'_>,
     max_sweeps: usize,
     tolerance: f64,
 ) -> LrsOutcome {

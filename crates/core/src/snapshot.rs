@@ -60,7 +60,7 @@ pub struct Snapshot {
     pub sizes: SizeVector,
     /// The full multiplier state after that iteration's A4 subgradient step
     /// and A5 flow projection — ready for the next LRS solve.
-    pub multipliers: Multipliers,
+    pub multipliers: Multipliers<'static>,
     /// Best feasible solution found so far, if any.
     pub best_sizes: Option<SizeVector>,
     /// Area of [`best_sizes`](Self::best_sizes) (the primal upper bound);

@@ -12,7 +12,13 @@
 //!   arrival kernel's fanin order, source skip and `>=` tie-break. On
 //!   random instances, and on a symmetric circuit whose fanin arrivals tie
 //!   exactly, it is `TimingAnalysis::run`'s path at `threads(1)` and
-//!   `threads(2)`.
+//!   `threads(2)`;
+//! * a forward kernel derives each fanin's resistance from the graph's
+//!   kind and parameter columns as it visits the edge. On a decoded graph
+//!   whose driver, gate and wire fanins carry attribute overrides, the
+//!   upstream resistances of the plain and the fused forward kernel are
+//!   bitwise the `ElmoreAnalyzer`'s, and the exact LRS solve is bitwise
+//!   `ncgws_core::reference`'s.
 
 use ncgws::circuit::{
     CircuitBuilder, CircuitGraph, CircuitTopology, ElmoreAnalyzer, EvalWorkspace, GateKind, Node,
@@ -265,4 +271,127 @@ fn critical_path_from_arrivals_keeps_the_tie_break_of_timing_analysis() {
     // `>=` keeps the last of the tied fanins in list order.
     assert_eq!(path[path.len() - 1], *sink_fanin.last().unwrap());
     assert_eq!(path[1], inputs[1]);
+}
+
+/// A generated circuit decoded from parts in which three fanins of sizable
+/// nodes carry attributes their parameters do not give: a driver an area
+/// coefficient, a gate and a wire a unit resistance of their own. Returns
+/// the decoded graph, the graph as generated and the three nodes.
+fn fanin_overrides() -> (CircuitGraph, CircuitGraph, [NodeId; 3]) {
+    let built = SyntheticGenerator::new(CircuitSpec::new("fanin-overrides", 60, 140).with_seed(11))
+        .generate()
+        .unwrap()
+        .circuit;
+    let feeds = |id: NodeId, is: fn(&Node) -> bool| {
+        built.fanout(id).iter().any(|&child| is(&built.node(child)))
+    };
+    let driver = built.driver_ids().next().unwrap();
+    let gate = built
+        .gate_ids()
+        .find(|&g| feeds(g, |n| n.kind.is_wire()))
+        .unwrap();
+    let wire = built
+        .wire_ids()
+        .find(|&w| feeds(w, |n| n.kind.is_gate()))
+        .unwrap();
+    assert!(feeds(driver, |n| n.kind.is_wire()));
+    let mut nodes: Vec<Node> = built.node_ids().map(|id| built.node(id)).collect();
+    nodes[driver.index()].attrs.area_coefficient = 1.5;
+    nodes[gate.index()].attrs.unit_resistance = 12.5;
+    nodes[wire.index()].attrs.unit_resistance *= 1.5;
+    let names: Vec<&str> = built.node_ids().map(|id| built.name(id)).collect();
+    let lists = |list: fn(&CircuitGraph, NodeId) -> &[NodeId]| {
+        built
+            .node_ids()
+            .map(|id| list(&built, id).to_vec())
+            .collect()
+    };
+    let decoded = CircuitGraph::from_serialized_parts(
+        nodes,
+        &names,
+        lists(CircuitGraph::fanin),
+        lists(CircuitGraph::fanout),
+        *built.technology(),
+        built.num_drivers(),
+        built.num_components(),
+    )
+    .unwrap();
+    (decoded, built, [driver, gate, wire])
+}
+
+#[test]
+fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
+    let (graph, built, overridden) = fanin_overrides();
+    assert_eq!(graph.attributes().num_overrides(), 3);
+    let topo = CircuitTopology::new(&graph);
+    let analyzer = ElmoreAnalyzer::new(&graph);
+    let n = graph.num_nodes();
+    let weights: Vec<f64> = (0..n).map(|i| 0.25 + (i % 9) as f64 / 8.0).collect();
+    for sizes in [graph.uniform_sizes(1.0), varied(&graph)] {
+        let expected = analyzer.weighted_upstream_resistance(&sizes, &weights);
+        // The gate's and the wire's own resistances reach their fanouts.
+        let generated = ElmoreAnalyzer::new(&built).weighted_upstream_resistance(&sizes, &weights);
+        for id in &overridden[1..] {
+            let child = graph.fanout(*id)[0].index();
+            assert_ne!(expected[child].to_bits(), generated[child].to_bits());
+        }
+
+        let mut ws = EvalWorkspace::new(&topo);
+        topo.upstream_resistance_chunk(
+            0..n,
+            sizes.as_slice(),
+            &weights,
+            Tile::whole(&mut ws.upstream),
+        );
+        assert_eq!(bits(&ws.upstream), bits(&expected));
+
+        // The fused pass resizes each component the moment its upstream
+        // resistance is known, so its table is the analyzer's at the sizes
+        // it leaves, and each size what `resize` makes of that table.
+        let resize = |_: usize, _: usize, upstream: f64, x: f64| 0.75 * x + 1e-3 * upstream;
+        let mut xs = sizes.clone();
+        let mut upstream = vec![0.0; n];
+        topo.fused_upstream_chunk(
+            0..n,
+            Tile::whole(xs.as_mut_slice()),
+            &weights,
+            Tile::whole(&mut upstream),
+            &mut { resize },
+        );
+        let settled = analyzer.weighted_upstream_resistance(&xs, &weights);
+        assert_eq!(bits(&upstream), bits(&settled));
+        for (comp, id) in graph.component_ids().enumerate() {
+            let x = resize(comp, id.index(), settled[id.index()], sizes[comp]);
+            assert_eq!(xs[comp].to_bits(), x.to_bits(), "{id}");
+        }
+    }
+
+    // The exact LRS solve, whose sweeps rebuild the upstream table at every
+    // iterate, is the reference's at one thread and at two.
+    let coupling = CouplingSet::empty(&graph);
+    let bounds = ConstraintBounds {
+        delay: 1e15,
+        total_capacitance: 1e15,
+        crosstalk: 1e15,
+    };
+    let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
+    let multipliers = Multipliers::uniform(&graph, 0.05, 0.0);
+    let naive = reference::lrs_solve(&problem, &multipliers, 30, 1e-9);
+    for policy in [ParallelPolicy::threads(1), ParallelPolicy::threads(2)] {
+        let mut engine = SizingEngine::for_problem(&problem);
+        engine.set_parallel(policy);
+        let mut sizes = graph.minimum_sizes();
+        LrsSolver::new(30, 1e-9).solve_constrained(
+            &mut engine,
+            &ConstraintSet::new(),
+            &multipliers,
+            &mut sizes,
+            &RunControl::new(),
+        );
+        assert_eq!(
+            bits(sizes.as_slice()),
+            bits(naive.sizes.as_slice()),
+            "{policy:?}"
+        );
+    }
 }

@@ -128,8 +128,8 @@ const MIB: f64 = 1024.0 * 1024.0;
 const BUDGETS: [(&str, usize); 4] = [
     ("generate", 552_161),
     ("order", 1_164_096),
-    ("engine", 1_585_291),
-    ("size", 1_959_343),
+    ("engine", 1_462_792),
+    ("size", 1_795_724),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload. None
@@ -160,11 +160,11 @@ const GRAPH_BYTES_PER_NODE: usize = 42;
 
 /// Bytes the sizing engine owns per node of the workload
 /// (`SizingEngine::memory_bytes` over the node count), recorded on this
-/// workload with 10% on top. The engine keeps the evaluation workspace's
-/// per-node tables, the schedule's per-component state and the fanin
-/// edges' dispatch tags; a per-node or per-edge copy of a table the graph
-/// or the coupling set already holds breaks it.
-const ENGINE_BYTES_PER_NODE: usize = 88;
+/// workload (68) with 10% on top. The engine keeps the evaluation
+/// workspace's per-node tables and the schedule's per-component state,
+/// and nothing per fanin edge: a per-node or per-edge copy of a table the
+/// graph or the coupling set already holds breaks it.
+const ENGINE_BYTES_PER_NODE: usize = 75;
 
 /// Allocation calls of encoding a snapshot of the workload
 /// (`Snapshot::to_json`): the JSON writer formats every number straight

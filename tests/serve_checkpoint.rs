@@ -8,14 +8,16 @@
 //!   iteration-0 snapshots under both;
 //! * **serde round trips**: every [`StopReason`] variant and the full
 //!   [`Snapshot`] survive JSON serialization (the snapshot mutation and
-//!   truncation property lives in `untrusted_input.rs`);
+//!   truncation property lives in `untrusted_input.rs`), and a c432
+//!   snapshot persisted by an earlier build still decodes, re-encodes byte
+//!   for byte and resumes bitwise;
 //! * **memory accounting**: `Server::memory_bytes` covers queued specs and
 //!   retained snapshots;
 //! * **fault injection**: a server fed budget-killed and cancelled jobs
 //!   drains with every job accounted for.
 
 use ncgws::core::{OptimizerConfig, RunControl, Start, StopReason};
-use ncgws::netlist::{CircuitSpec, ProblemInstance, SyntheticGenerator};
+use ncgws::netlist::{iscas85_spec, CircuitSpec, ProblemInstance, SyntheticGenerator};
 use ncgws::{
     CheckpointPolicy, Flow, JobInput, JobSpec, Server, ServerConfig, Snapshot, SnapshotStore,
 };
@@ -181,6 +183,62 @@ fn iteration_zero_snapshot_resumes_bitwise_under_both_strategies() {
         assert_eq!(resumed.report.final_metrics, cold.report.final_metrics);
         assert_eq!(resumed.report.iterations, cold.report.iterations);
     }
+}
+
+/// A c432 snapshot of iteration 6 (exact strategy, 40 iterations, 20 LRS
+/// sweeps), persisted by a build whose multipliers held a copy of the
+/// graph's fanin offsets: it decodes, re-encodes to the same bytes, is the
+/// snapshot this build takes at that iteration, and resumes to the
+/// uninterrupted run bit for bit.
+#[test]
+fn a_persisted_c432_snapshot_reencodes_and_resumes_bitwise() {
+    const JSON: &str = include_str!("fixtures/c432_iteration6_snapshot.json");
+    let snapshot = Snapshot::from_json(JSON).expect("the persisted snapshot decodes");
+    assert_eq!(snapshot.iterations_done, 6);
+    assert_eq!(snapshot.to_json(), JSON);
+
+    let inst = SyntheticGenerator::new(iscas85_spec("c432").unwrap())
+        .generate()
+        .unwrap();
+    let config = OptimizerConfig::builder()
+        .max_iterations(40)
+        .max_lrs_sweeps(20)
+        .build()
+        .unwrap();
+    let ordered = Flow::prepare(&inst, config).unwrap().order().unwrap();
+    let store = SnapshotStore::new();
+    let control = RunControl::new()
+        .with_iteration_budget(6)
+        .with_checkpoints(&store, CheckpointPolicy::new().on_interrupt(true));
+    ordered
+        .size_with_engine(&mut ordered.engine(), None, &control)
+        .unwrap();
+    assert_eq!(store.take().unwrap().to_json(), JSON);
+
+    let cold = ordered.size().unwrap();
+    let resumed = ordered
+        .size_with_engine(
+            &mut ordered.engine(),
+            Some(Start::Resume(&snapshot)),
+            &RunControl::new(),
+        )
+        .unwrap();
+    let bits = |sizes: &[f64]| sizes.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(resumed.sizes().as_slice()),
+        bits(cold.sizes().as_slice())
+    );
+    assert_eq!(resumed.report.final_metrics, cold.report.final_metrics);
+    assert_eq!(resumed.report.stop_reason, cold.report.stop_reason);
+    assert_eq!(6 + resumed.report.iterations, cold.report.iterations);
+    assert_eq!(
+        resumed.ogws.best_gap.to_bits(),
+        cold.ogws.best_gap.to_bits()
+    );
+    assert_eq!(
+        (resumed.ogws.beta.to_bits(), resumed.ogws.gamma.to_bits()),
+        (cold.ogws.beta.to_bits(), cold.ogws.gamma.to_bits())
+    );
 }
 
 /// Every `StopReason` variant serializes to its name and decodes back;
