@@ -85,7 +85,7 @@ pub use graph::{Attributes, CircuitGraph, SizeBounds};
 pub use id::NodeId;
 pub use node::{GateKind, Node, NodeAttrs, NodeKind, NodeRc};
 pub use power::total_capacitance;
-pub use sizing::SizeVector;
+pub use sizing::{SizeStamp, SizeVector};
 pub use tech::Technology;
 pub use timing::{ArrivalTimes, TimingAnalysis};
 pub use topo::TopologicalOrder;

@@ -1,8 +1,11 @@
 //! Size vectors for the sizable components of a circuit.
 
+use std::num::NonZeroU64;
 use std::ops::{Index, IndexMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
+use serde::de::{Error, Fields, Value};
+use serde::{Deserialize, Serialize, Serializer};
 
 use crate::graph::SizeBounds;
 
@@ -12,22 +15,105 @@ use crate::graph::SizeBounds;
 ///
 /// The vector is deliberately decoupled from the graph so the sizing engine
 /// can hold several candidate solutions without cloning the circuit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Beside its values a vector carries a [`SizeStamp`]: an engine that has
+/// evaluated tables at these values marks them with
+/// [`restamp`](Self::restamp), and [`has_stamp`](Self::has_stamp) later
+/// tells it, in O(1) and without a copy of the values, that they have not
+/// changed since. Every `&mut` method clears the stamp, and a clone or a
+/// decoded vector starts without one. The stamp is no part of the
+/// vector's value: equality, `Debug` and the JSON form see the values
+/// only.
 pub struct SizeVector {
     values: Vec<f64>,
+    /// The stamp of the last [`restamp`](Self::restamp), or `0` once the
+    /// values may have changed since. Atomic so a shared vector can be
+    /// stamped and the type stays `Send + Sync`.
+    stamp: AtomicU64,
+}
+
+/// A token naming the values a [`SizeVector`] held when
+/// [`SizeVector::restamp`] returned it. Tokens come from one process-wide
+/// counter, so no two restamps return the same one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SizeStamp(NonZeroU64);
+
+/// The counter [`SizeVector::restamp`] draws from; `0` means "no stamp".
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// A clone holds the same values, unstamped.
+impl Clone for SizeVector {
+    fn clone(&self) -> Self {
+        SizeVector::new(self.values.clone())
+    }
+}
+
+impl PartialEq for SizeVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.values == other.values
+    }
+}
+
+impl std::fmt::Debug for SizeVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SizeVector")
+            .field("values", &self.values)
+            .finish()
+    }
+}
+
+/// Writes `{"values":[…]}`, as a derive would: the stamp is not encoded.
+impl Serialize for SizeVector {
+    fn serialize_json(&self, s: &mut Serializer) {
+        s.begin_object();
+        s.key("values");
+        self.values.serialize_json(s);
+        s.end_object();
+    }
+}
+
+/// Decodes `{"values":[…]}` into an unstamped vector.
+impl Deserialize for SizeVector {
+    fn deserialize_json(value: &Value) -> Result<Self, Error> {
+        let f = Fields::new(value, "SizeVector")?;
+        Ok(SizeVector::new(f.field("values")?))
+    }
 }
 
 impl SizeVector {
     /// Wraps a vector of sizes.
     pub fn new(values: Vec<f64>) -> Self {
-        SizeVector { values }
+        SizeVector {
+            values,
+            stamp: AtomicU64::new(0),
+        }
     }
 
     /// A vector of `n` identical sizes.
     pub fn uniform(n: usize, size: f64) -> Self {
-        SizeVector {
-            values: vec![size; n],
-        }
+        SizeVector::new(vec![size; n])
+    }
+
+    /// Marks the current values with a fresh stamp and returns it: until
+    /// the next `&mut` call, [`has_stamp`](Self::has_stamp) holds for it.
+    pub fn restamp(&self) -> SizeStamp {
+        let next = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+        let stamp = SizeStamp(NonZeroU64::new(next).expect("stamp counter wrapped"));
+        self.stamp.store(next, Ordering::Relaxed);
+        stamp
+    }
+
+    /// Whether this vector was stamped with `stamp` and no `&mut` call has
+    /// changed its values since. Another vector with the same values does
+    /// not have it.
+    pub fn has_stamp(&self, stamp: SizeStamp) -> bool {
+        self.stamp.load(Ordering::Relaxed) == stamp.0.get()
+    }
+
+    /// Drops the stamp: the values may be about to change.
+    #[inline]
+    fn unstamp(&mut self) {
+        *self.stamp.get_mut() = 0;
     }
 
     /// Number of components.
@@ -47,6 +133,7 @@ impl SizeVector {
 
     /// Mutable iterator over the sizes.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, f64> {
+        self.unstamp();
         self.values.iter_mut()
     }
 
@@ -57,6 +144,7 @@ impl SizeVector {
 
     /// Borrows the raw slice mutably.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
+        self.unstamp();
         &mut self.values
     }
 
@@ -66,6 +154,7 @@ impl SizeVector {
     ///
     /// Panics if the two vectors have different lengths.
     pub fn copy_from(&mut self, other: &SizeVector) {
+        self.unstamp();
         self.values.copy_from_slice(&other.values);
     }
 
@@ -99,6 +188,7 @@ impl SizeVector {
     /// Panics if `bounds` covers a different number of components.
     pub fn clamp_into(&mut self, bounds: SizeBounds<'_>) {
         assert_eq!(self.len(), bounds.len());
+        self.unstamp();
         for (i, v) in self.values.iter_mut().enumerate() {
             let (lower, upper) = bounds.get(i);
             *v = v.clamp(lower, upper);
@@ -130,6 +220,7 @@ impl Index<usize> for SizeVector {
 
 impl IndexMut<usize> for SizeVector {
     fn index_mut(&mut self, index: usize) -> &mut f64 {
+        self.unstamp();
         &mut self.values[index]
     }
 }
@@ -212,6 +303,69 @@ mod tests {
         let mut v = SizeVector::new(vec![0.01, 5.0, 100.0]);
         v.clamp_into(graph.component_bounds());
         assert_eq!(v.as_slice(), &[0.1, 2.0, 10.0]);
+    }
+
+    #[test]
+    fn every_mut_method_drops_the_stamp() {
+        let bounds_graph = {
+            let mut b = crate::CircuitBuilder::new(crate::Technology::dac99());
+            let d = b.add_driver("d", 100.0).unwrap();
+            let w = b.add_wire("w", 10.0).unwrap();
+            b.connect(d, w).unwrap();
+            b.connect_output(w, 1.0).unwrap();
+            b.build().unwrap()
+        };
+        let (other, bounds) = (SizeVector::uniform(1, 2.0), bounds_graph.component_bounds());
+        let mutations: [&dyn Fn(&mut SizeVector); 5] = [
+            &|v| v.as_mut_slice()[0] = 1.0,
+            &|v| v.iter_mut().for_each(|x| *x = 1.0),
+            &|v| v[0] = 1.0,
+            &|v| v.copy_from(&other),
+            &|v| v.clamp_into(bounds),
+        ];
+        for mutate in mutations {
+            let mut v = SizeVector::uniform(1, 1.0);
+            let stamp = v.restamp();
+            assert!(v.has_stamp(stamp));
+            mutate(&mut v);
+            assert!(!v.has_stamp(stamp));
+        }
+    }
+
+    #[test]
+    fn stamps_are_unique_and_not_part_of_the_value() {
+        let v = SizeVector::new(vec![1.0, 2.5]);
+        let (first, second) = (v.restamp(), v.restamp());
+        assert_ne!(first, second);
+        assert!(v.has_stamp(second) && !v.has_stamp(first));
+        let clone = v.clone();
+        assert!(!clone.has_stamp(second), "a clone starts unstamped");
+        assert_eq!(clone, v);
+        assert_eq!(format!("{v:?}"), "SizeVector { values: [1.0, 2.5] }");
+        // The JSON form is a derive's over the values alone.
+        #[derive(Serialize)]
+        struct Derived {
+            values: Vec<f64>,
+        }
+        let encode = |value: &dyn Fn(&mut Serializer)| {
+            let mut s = Serializer::new();
+            value(&mut s);
+            s.into_string()
+        };
+        let json = encode(&|s| v.serialize_json(s));
+        let values = v.as_slice().to_vec();
+        assert_eq!(
+            json,
+            encode(&|s| Derived {
+                values: values.clone()
+            }
+            .serialize_json(s))
+        );
+        let decoded = SizeVector::deserialize_json(&serde::de::parse(&json).unwrap()).unwrap();
+        assert_eq!(decoded, v);
+        assert!(!decoded.has_stamp(second));
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<SizeVector>();
     }
 
     #[test]

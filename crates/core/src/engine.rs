@@ -7,7 +7,10 @@
 //! the coupling set already hold — the adjacency, the kind and parameter
 //! columns the attributes are derived from, the per-wire coupling
 //! coefficient sums — are borrowed, not copied, and component indices are
-//! computed rather than stored.
+//! computed rather than stored. Nor is a table kept that can be derived:
+//! each node weight `λ_i` is summed from the edge multipliers where it is
+//! read, and whether the cached tables reflect a size vector is told by a
+//! stamp in the vector, not by a copy of it.
 //! Built once per [`SizingProblem`] (or circuit), it makes every evaluation the optimizer performs — coupling loads,
 //! downstream capacitances, weighted upstream resistances, timing, metrics,
 //! LRS sweeps — allocation-free after setup.
@@ -74,7 +77,7 @@ pub struct SizingEngine<'a> {
     /// for no table of zeros.
     extra_denom: Vec<f64>,
     /// Mutable state of the adaptive solve schedule (active/frozen
-    /// partition, calm streaks, cache-sync snapshot).
+    /// partition, calm streaks, cache-sync stamp).
     pub(crate) sched: ScheduleWorkspace,
     /// The parallel runtime ([`crate::par`]): policy, worker pool and
     /// work-queue heads. One worker until [`set_parallel`](Self::set_parallel)
@@ -89,11 +92,29 @@ pub struct SizingEngine<'a> {
     /// fixed block order afterwards, which is what makes the reductions
     /// independent of the thread count.
     block_stats: Vec<ChunkStats>,
+    /// How often the coupling loads and the downstream capacitances were
+    /// rebuilt, for the tests that check the rebuild skips.
+    #[cfg(test)]
+    pub(crate) rebuilds: Rebuilds,
+}
+
+/// Rebuild counts of one engine (tests only).
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Rebuilds {
+    /// [`SizingEngine::refresh_coupling_load`] calls.
+    pub(crate) coupling: usize,
+    /// [`SizingEngine::rebuild_downstream_caps`] calls.
+    pub(crate) downstream: usize,
 }
 
 /// Per-sweep immutable view of the Theorem-5 closed-form resize inputs,
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
+    /// The topology, which sums a node weight `λ_i` from `edge_weights`.
+    topo: &'a CircuitTopology<'a>,
+    /// The multipliers' flat per-fanin-edge values.
+    edge_weights: &'a [f64],
     kind: &'a [NodeKind],
     /// The components' parameters: a wire's length, from which `attributes`
     /// derives its `r̂`, `ĉ` and `α` (a gate's are the technology's).
@@ -111,18 +132,12 @@ struct ResizeTables<'a> {
 
 impl ResizeTables<'_> {
     /// The Theorem-5 closed-form resize of one component — the per-component
-    /// arithmetic of the reference LRS sweep, expression for expression.
+    /// arithmetic of the reference LRS sweep, expression for expression,
+    /// with the node weight `λ_i` summed from the edge multipliers here.
     /// Returns `(x_new, relative_change)`. An empty `extra_denom` stands for
     /// a table of zeros: the term is added only when the table is filled.
     #[inline(always)]
-    fn closed_form(
-        &self,
-        comp: usize,
-        x_i: f64,
-        charged_i: f64,
-        upstream_i: f64,
-        lambda_i: f64,
-    ) -> (f64, f64) {
+    fn closed_form(&self, comp: usize, x_i: f64, charged_i: f64, upstream_i: f64) -> (f64, f64) {
         let coupling_sum = self.coupling_sum[comp];
         let kind = self.kind[comp];
         let node = self.first + comp;
@@ -145,6 +160,7 @@ impl ResizeTables<'_> {
         if !self.extra_denom.is_empty() {
             denominator += self.extra_denom[comp];
         }
+        let lambda_i = self.topo.node_weight(node, self.edge_weights);
         let numerator = lambda_i * rc.resistance * cap_num;
         let opt = if denominator > 0.0 && numerator > 0.0 {
             (numerator / denominator).sqrt()
@@ -208,7 +224,8 @@ impl<'t> BlockSchedule<'t> {
 impl FusedChunkCtx<'_> {
     /// The block-side resize of one node's component, called by the fused
     /// kernels the moment the node's fresh quantity is known: frozen-skip,
-    /// the Theorem-5 closed form and calm/freeze bookkeeping. Returns the
+    /// the Theorem-5 closed form (which sums the node weight, so a frozen
+    /// component costs no sum) and calm/freeze bookkeeping. Returns the
     /// new size (the old one when skipped), which the kernel writes back.
     #[inline(always)]
     fn resize(
@@ -218,14 +235,13 @@ impl FusedChunkCtx<'_> {
         x: f64,
         charged: f64,
         upstream: f64,
-        lambda: f64,
     ) -> f64 {
         let k = comp - block.first;
         if !self.resize_all && block.frozen[k] {
             return x;
         }
         block.stats.touched += 1;
-        let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream, lambda);
+        let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream);
         block.stats.worst = block.stats.worst.max(rel);
         ScheduleWorkspace::note_resize(
             &mut block.calm[k],
@@ -271,6 +287,8 @@ impl<'a> SizingEngine<'a> {
             par: ParRuntime::new(),
             grid,
             block_stats: vec![ChunkStats::default(); total_slots],
+            #[cfg(test)]
+            rebuilds: Rebuilds::default(),
         }
     }
 
@@ -319,7 +337,7 @@ impl<'a> SizingEngine<'a> {
     /// Bytes held by the engine's scratch and dense tables, for the
     /// Figure 10(a) memory accounting. Covers every engine-owned
     /// allocation: the evaluation workspace, the extra-family denominator,
-    /// the adaptive-schedule buffers (freeze state, sync snapshot), the
+    /// the adaptive-schedule buffers (freeze state), the
     /// block grid and its reduction slots, and the topology's derived
     /// columns. Borrowed tables — the graph's adjacency and node attribute
     /// columns, the coupling set's pairs and coefficient sums — are counted
@@ -397,6 +415,10 @@ impl<'a> SizingEngine<'a> {
     /// (`sf · (~c + ĉ·(x_i + x_j))` per pair, in pair order), so the result
     /// is bitwise identical.
     pub(crate) fn refresh_coupling_load(&mut self, sizes: &SizeVector) {
+        #[cfg(test)]
+        {
+            self.rebuilds.coupling += 1;
+        }
         let load = &mut self.ws.extra_cap;
         load.fill(0.0);
         let sizes = sizes.as_slice();
@@ -412,11 +434,6 @@ impl<'a> SizingEngine<'a> {
             load[a] += c;
             load[b] += c;
         }
-    }
-
-    /// Fills `ws.node_weights` with the aggregated edge multipliers.
-    pub(crate) fn load_node_weights(&mut self, multipliers: &Multipliers<'_>) {
-        multipliers.node_weights_into(self.graph, &mut self.ws.node_weights);
     }
 
     /// A2 aggregation for the extra constraint families: fills the dense
@@ -455,6 +472,10 @@ impl<'a> SizingEngine<'a> {
     /// reverse dependency order. Each node's accumulation runs over its own
     /// CSR fanout list in list order, reading only settled later levels.
     fn rebuild_downstream_caps(&mut self, sizes: &SizeVector) {
+        #[cfg(test)]
+        {
+            self.rebuilds.downstream += 1;
+        }
         let (topo, ws) = (&self.topo, &mut self.ws);
         let (xs, extra) = (sizes.as_slice(), &ws.extra_cap[..]);
         for step in self.grid.steps(true) {
@@ -470,12 +491,13 @@ impl<'a> SizingEngine<'a> {
         }
     }
 
-    /// Full λ-weighted upstream-resistance rebuild at `sizes` (weights from
-    /// `ws.node_weights`): the forward counterpart of
+    /// Full λ-weighted upstream-resistance rebuild at `sizes`, each node
+    /// weight summed from the per-fanin-edge multipliers `edge_weights`:
+    /// the forward counterpart of
     /// [`rebuild_downstream_caps`](Self::rebuild_downstream_caps).
-    fn rebuild_upstream(&mut self, sizes: &SizeVector) {
+    fn rebuild_upstream(&mut self, sizes: &SizeVector, edge_weights: &[f64]) {
         let (topo, ws) = (&self.topo, &mut self.ws);
-        let (xs, weights) = (sizes.as_slice(), &ws.node_weights[..]);
+        let xs = sizes.as_slice();
         for step in self.grid.steps(false) {
             let mut upstream = step.tiles(&mut ws.upstream, Space::Nodes);
             let blocks = step.blocks().map(|block| {
@@ -483,40 +505,50 @@ impl<'a> SizingEngine<'a> {
                 (upstream.next(&nodes), nodes)
             });
             self.par.run(blocks, |(upstream, nodes)| {
-                topo.upstream_resistance_chunk(nodes, xs, weights, upstream);
+                topo.upstream_resistance_chunk(nodes, xs, edge_weights, upstream);
             });
         }
     }
 
-    /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8): recompute
-    /// the capacitances, coupling loads and weighted upstream resistances at
-    /// the current `sizes`, then apply the Theorem 5 closed-form resize to
-    /// every component in topological order, updating in place.
+    /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8) under
+    /// `multipliers`, which must [`match`](Multipliers::matches) the
+    /// graph: recompute the capacitances, coupling loads and weighted
+    /// upstream resistances at the current `sizes`, then apply the Theorem 5
+    /// closed-form resize to every component in topological order, updating
+    /// in place. Each node weight `λ_i` is summed from the edge multipliers
+    /// where it is read; the extra-family denominator must have been loaded
+    /// by [`load_extra_denominator`](Self::load_extra_denominator).
     ///
-    /// `ws.node_weights` must have been filled by
-    /// [`load_node_weights`](Self::load_node_weights). Returns the largest
-    /// relative size change of the sweep (the S5 convergence measure).
-    pub(crate) fn lrs_sweep(&mut self, sizes: &mut SizeVector, beta: f64, gamma: f64) -> f64 {
+    /// Returns the largest relative size change of the sweep (the S5
+    /// convergence measure).
+    pub(crate) fn lrs_sweep(
+        &mut self,
+        sizes: &mut SizeVector,
+        multipliers: &Multipliers<'_>,
+    ) -> f64 {
         // The exact sweep rebuilds the cached tables at its own sizes and
-        // then resizes in place, so the adaptive schedule's sync snapshot no
+        // then resizes in place, so the adaptive schedule's sync stamp no
         // longer describes them.
-        self.sched.caps_synced = false;
+        self.sched.synced = None;
         self.sched.charged_fresh = false;
+        let edge_weights = multipliers.flat().1;
 
         // S2: downstream capacitances C_i with the coupling load included.
         self.refresh_coupling_load(sizes);
         self.rebuild_downstream_caps(sizes);
         // S3: λ-weighted upstream resistances R_i.
-        self.rebuild_upstream(sizes);
+        self.rebuild_upstream(sizes, edge_weights);
 
         // S4 + S5: the closed-form resize is component-separable (each
-        // component reads only the fixed charged/upstream/λ tables and its
-        // own size), so flat chunks distribute it freely; the per-chunk
-        // maxima of the relative change (S5's convergence measure) merge in
-        // fixed chunk order. The per-component arithmetic is the reference
+        // component reads only the fixed charged/upstream tables, the
+        // multipliers and its own size), so flat chunks distribute it
+        // freely; the per-chunk maxima of the relative change (S5's
+        // convergence measure) merge in fixed chunk order. The per-component arithmetic is the reference
         // sweep's, expression for expression, so the exact path stays
         // bitwise-pinned to `crate::reference` at any thread count.
         let tables = ResizeTables {
+            topo: &self.topo,
+            edge_weights,
             kind: self.topo.component_kinds(),
             param: &self.topo.attributes().params()[self.topo.component_nodes()],
             attributes: self.topo.attributes(),
@@ -524,15 +556,14 @@ impl<'a> SizingEngine<'a> {
             bounds: self.bounds,
             coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
-            beta,
-            gamma,
+            beta: multipliers.beta,
+            gamma: multipliers.gamma,
         };
         // The tables from the first component on: the zips below stop at
         // the chunk's own sizes.
         let first = self.topo.component_nodes().start;
         let charged = &self.ws.charged[first..];
         let upstream = &self.ws.upstream[first..];
-        let lambda = &self.ws.node_weights[first..];
         let xs = sizes.as_mut_slice();
         assert_eq!(
             xs.len(),
@@ -542,13 +573,10 @@ impl<'a> SizingEngine<'a> {
         let chunks = par::flat_blocks(xs.len()).zip(xs.chunks_mut(par::CHUNK_NODES));
         let blocks = chunks.zip(self.block_stats.iter_mut());
         self.par.run(blocks, |((dense, xs), slot)| {
-            let inputs = charged[dense.start..]
-                .iter()
-                .zip(&upstream[dense.start..])
-                .zip(&lambda[dense.start..]);
+            let inputs = charged[dense.start..].iter().zip(&upstream[dense.start..]);
             let mut worst = 0.0f64;
-            for ((comp, x), ((&charged, &upstream), &lambda)) in dense.zip(xs).zip(inputs) {
-                let (x_new, rel) = tables.closed_form(comp, *x, charged, upstream, lambda);
+            for ((comp, x), (&charged, &upstream)) in dense.zip(xs).zip(inputs) {
+                let (x_new, rel) = tables.closed_form(comp, *x, charged, upstream);
                 *x = x_new;
                 worst = worst.max(rel);
             }
@@ -572,10 +600,9 @@ impl<'a> SizingEngine<'a> {
     // ------------------------------------------------------------------
 
     /// Records that `ws.extra_cap`/`ws.charged`/`ws.presented` reflect
-    /// `sizes` exactly.
+    /// `sizes` exactly: stamps `sizes` and keeps the stamp, not a copy.
     fn note_caps_synced(&mut self, sizes: &SizeVector) {
-        self.sched.eval_sizes.copy_from_slice(sizes.as_slice());
-        self.sched.caps_synced = true;
+        self.sched.synced = Some(sizes.restamp());
         self.sched.charged_fresh = false;
     }
 
@@ -626,7 +653,7 @@ impl<'a> SizingEngine<'a> {
     /// [`timing`](Self::timing) evaluation at the same sizes (the OGWS
     /// steady state).
     fn ensure_charged_fresh(&mut self, sizes: &SizeVector) {
-        if self.sched.charged_fresh || self.sched.tables_current(sizes.as_slice()) {
+        if self.sched.charged_fresh || self.sched.tables_current(sizes) {
             return;
         }
         self.refresh_coupling_load(sizes);
@@ -646,13 +673,12 @@ impl<'a> SizingEngine<'a> {
     pub(crate) fn fused_forward_sweep(
         &mut self,
         sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
+        multipliers: &Multipliers<'_>,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
     ) -> (f64, usize) {
         self.ensure_charged_fresh(sizes);
-        self.fused_sweep(sizes, beta, gamma, schedule, resize_all, false)
+        self.fused_sweep(sizes, multipliers, schedule, resize_all, false)
     }
 
     /// One backward fused Gauss–Seidel pass
@@ -667,8 +693,7 @@ impl<'a> SizingEngine<'a> {
     pub(crate) fn fused_backward_sweep(
         &mut self,
         sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
+        multipliers: &Multipliers<'_>,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
     ) -> (f64, usize) {
@@ -676,12 +701,13 @@ impl<'a> SizingEngine<'a> {
         // tables reflect `sizes` until the pass resizes something.
         self.refresh_coupling_load(sizes);
         self.note_caps_synced(sizes);
-        self.fused_sweep(sizes, beta, gamma, schedule, resize_all, true)
+        self.fused_sweep(sizes, multipliers, schedule, resize_all, true)
     }
 
     /// One fused Gauss–Seidel pass over the block grid, `backward` or
-    /// forward. The caller has already prepared the pass's fixed-side
-    /// caches.
+    /// forward, under `multipliers` (which must
+    /// [`match`](Multipliers::matches) the graph). The caller has already
+    /// prepared the pass's fixed-side caches.
     ///
     /// Determinism: block boundaries come from the fixed grid; per-node
     /// arithmetic reads only settled neighbor levels; the calm/frozen
@@ -692,15 +718,21 @@ impl<'a> SizingEngine<'a> {
     fn fused_sweep(
         &mut self,
         sizes: &mut SizeVector,
-        beta: f64,
-        gamma: f64,
+        multipliers: &Multipliers<'_>,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
         backward: bool,
     ) -> (f64, usize) {
+        // Whether the cached tables reflect `sizes` going in: the pass
+        // writes `sizes` through `&mut`, which drops its stamp, so one
+        // that moves nothing stamps them again below.
+        let current = self.sched.tables_current(sizes);
+        let edge_weights = multipliers.flat().1;
         let topo = &self.topo;
         let ctx = FusedChunkCtx {
             tables: ResizeTables {
+                topo,
+                edge_weights,
                 kind: topo.component_kinds(),
                 param: &topo.attributes().params()[topo.component_nodes()],
                 attributes: topo.attributes(),
@@ -708,8 +740,8 @@ impl<'a> SizingEngine<'a> {
                 bounds: self.bounds,
                 coupling_sum: self.coupling_sum,
                 extra_denom: &self.extra_denom,
-                beta,
-                gamma,
+                beta: multipliers.beta,
+                gamma: multipliers.gamma,
             },
             schedule,
             resize_all,
@@ -720,12 +752,10 @@ impl<'a> SizingEngine<'a> {
             presented,
             upstream,
             extra_cap,
-            node_weights,
             ..
         } = &mut self.ws;
         let (sched, par, grid) = (&mut self.sched, &self.par, &self.grid);
         let block_stats = &mut self.block_stats;
-        let weights: &[f64] = node_weights;
         for step in grid.steps(backward) {
             let mut xs = step.tiles(sizes.as_mut_slice(), comps);
             let mut calm = step.tiles(&mut sched.calm, comps);
@@ -758,14 +788,7 @@ impl<'a> SizingEngine<'a> {
                         let comps = comps.range(&block.nodes());
                         let mut state = BlockSchedule::new(&mut calm, &mut frozen, comps);
                         let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| {
-                            ctx.resize(
-                                &mut state,
-                                comp,
-                                x_i,
-                                charged_i,
-                                upstream[node],
-                                weights[node],
-                            )
+                            ctx.resize(&mut state, comp, x_i, charged_i, upstream[node])
                         };
                         topo.fused_downstream_chunk(
                             block.bounds,
@@ -791,19 +814,12 @@ impl<'a> SizingEngine<'a> {
                         let comps = comps.range(&block.nodes());
                         let mut state = BlockSchedule::new(&mut calm, &mut frozen, comps);
                         let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| {
-                            ctx.resize(
-                                &mut state,
-                                comp,
-                                x_i,
-                                charged[node],
-                                upstream_i,
-                                weights[node],
-                            )
+                            ctx.resize(&mut state, comp, x_i, charged[node], upstream_i)
                         };
                         topo.fused_upstream_chunk(
                             block.nodes(),
                             xs,
-                            weights,
+                            edge_weights,
                             upstream,
                             &mut resize,
                         );
@@ -826,9 +842,12 @@ impl<'a> SizingEngine<'a> {
         // anything leaves the tables behind the sizes: a backward pass
         // maintains charged/presented through every resize but not the
         // coupling loads, and a forward pass leaves both describing the
-        // pre-pass sizes.
+        // pre-pass sizes. One that resized nothing left `sizes` as they
+        // were, so tables that were current still are.
         if worst > 0.0 {
-            sched.caps_synced = false;
+            sched.synced = None;
+        } else if current {
+            sched.synced = Some(sizes.restamp());
         }
         sched.charged_fresh = backward;
         sched.count_frozen();
@@ -839,11 +858,12 @@ impl<'a> SizingEngine<'a> {
     /// into the workspace. The returned view borrows the engine.
     pub fn timing(&mut self, sizes: &SizeVector) -> TimingView<'_> {
         // Skip the coupling + downstream rebuild when the cached tables
-        // already reflect exactly these size values (after a previous
-        // evaluation at the same sizes, or after an adaptive solve whose
-        // last pass resized nothing): recomputing them is idempotent, so
-        // the skip never changes a result.
-        if !self.sched.tables_current(sizes.as_slice()) {
+        // already reflect exactly these sizes — the vector still carries
+        // the stamp of the last sync (after a previous evaluation of the
+        // unchanged vector, or after an adaptive solve whose last pass
+        // resized nothing): recomputing them is idempotent, so the skip
+        // never changes a result.
+        if !self.sched.tables_current(sizes) {
             self.refresh_coupling_load(sizes);
             self.rebuild_downstream_caps(sizes);
             // The coupling loads and downstream capacitances now reflect
@@ -983,7 +1003,7 @@ mod tests {
         let n = graph.num_components();
 
         // Lower bound assembled field by field: the evaluation workspace,
-        // the adaptive-schedule buffers (freeze state, sync snapshot) and
+        // the adaptive-schedule buffers (freeze state) and
         // the topology's own columns. `memory_bytes` must cover all of them
         // (capacities can only exceed the lengths used here).
         let floor =
@@ -1004,15 +1024,14 @@ mod tests {
             engine.memory_bytes()
         );
 
-        // The schedule workspace itself accounts for every buffer it owns.
-        let sched_floor = n * size_of::<f64>()      // eval_sizes
-            + n * size_of::<u32>()                   // calm
+        // The schedule workspace accounts for every buffer it owns, and
+        // owns no copy of the sizes: its sync state is a stamp.
+        let sched_floor = n * size_of::<u32>()      // calm
             + n * size_of::<bool>(); // frozen
-        assert!(
-            engine.sched.memory_bytes() >= sched_floor,
-            "schedule accounting {} must cover its buffers {}",
+        assert_eq!(
             engine.sched.memory_bytes(),
-            sched_floor
+            sched_floor,
+            "schedule accounting must be exactly its buffers"
         );
     }
 
@@ -1158,18 +1177,24 @@ mod tests {
         (graph, coupling)
     }
 
-    /// A three-worker engine and a sequential engine fed the same state.
+    /// A three-worker engine and a sequential engine.
     fn engine_pair<'a>(
         graph: &'a CircuitGraph,
         coupling: &'a CouplingSet,
     ) -> (SizingEngine<'a>, SizingEngine<'a>) {
-        let multipliers = Multipliers::uniform(graph, 0.05, 0.0);
-        let mut sequential = SizingEngine::new(graph, coupling);
+        let sequential = SizingEngine::new(graph, coupling);
         let mut level = SizingEngine::new(graph, coupling);
         level.set_parallel(ParallelPolicy::threads(3));
-        sequential.load_node_weights(&multipliers);
-        level.load_node_weights(&multipliers);
         (sequential, level)
+    }
+
+    /// The multipliers the sweep tests resize under: every edge at 0.05,
+    /// `β = 0.2`, `γ = 0.1`.
+    fn sweep_multipliers(graph: &CircuitGraph) -> Multipliers<'_> {
+        let mut multipliers = Multipliers::uniform(graph, 0.05, 0.0);
+        multipliers.beta = 0.2;
+        multipliers.gamma = 0.1;
+        multipliers
     }
 
     /// Three workers split the wide levels of the grid the sequential
@@ -1179,10 +1204,11 @@ mod tests {
     fn level_policy_sweep_and_timing_match_the_sequential_path_bitwise() {
         let (graph, coupling) = wide();
         let (mut sequential, mut level) = engine_pair(&graph, &coupling);
+        let multipliers = sweep_multipliers(&graph);
         let mut seq_sizes = graph.uniform_sizes(1.3);
         let mut level_sizes = seq_sizes.clone();
-        let seq_worst = sequential.lrs_sweep(&mut seq_sizes, 0.2, 0.1);
-        let level_worst = level.lrs_sweep(&mut level_sizes, 0.2, 0.1);
+        let seq_worst = sequential.lrs_sweep(&mut seq_sizes, &multipliers);
+        let level_worst = level.lrs_sweep(&mut level_sizes, &multipliers);
         assert_eq!(seq_worst, level_worst);
         assert_eq!(seq_sizes, level_sizes);
 
@@ -1202,6 +1228,7 @@ mod tests {
     fn level_policy_fused_sweeps_match_the_sequential_passes_bitwise() {
         let (graph, coupling) = wide();
         let (mut sequential, mut level) = engine_pair(&graph, &coupling);
+        let multipliers = sweep_multipliers(&graph);
         let schedule = AdaptiveSchedule::default();
         let mut seq_sizes = graph.uniform_sizes(1.0);
         let mut level_sizes = seq_sizes.clone();
@@ -1212,9 +1239,9 @@ mod tests {
         for backward in [false, true, false] {
             let sweep = |engine: &mut SizingEngine<'_>, sizes: &mut SizeVector| {
                 if backward {
-                    engine.fused_backward_sweep(sizes, 0.2, 0.1, &schedule, false)
+                    engine.fused_backward_sweep(sizes, &multipliers, &schedule, false)
                 } else {
-                    engine.fused_forward_sweep(sizes, 0.2, 0.1, &schedule, false)
+                    engine.fused_forward_sweep(sizes, &multipliers, &schedule, false)
                 }
             };
             let seq_stats = sweep(&mut sequential, &mut seq_sizes);
@@ -1226,7 +1253,10 @@ mod tests {
             assert_eq!(sequential.ws.upstream, level.ws.upstream);
             assert_eq!(sequential.sched.frozen, level.sched.frozen);
             assert_eq!(sequential.sched.calm, level.sched.calm);
-            assert_eq!(sequential.sched.caps_synced, level.sched.caps_synced);
+            assert_eq!(
+                sequential.sched.synced.is_some(),
+                level.sched.synced.is_some()
+            );
             assert_eq!(sequential.sched.charged_fresh, level.sched.charged_fresh);
         }
         assert_eq!(seq_sizes[0], 1.0, "the frozen component is never resized");
@@ -1261,7 +1291,7 @@ mod tests {
                 &RunControl::new(),
                 &schedule,
             );
-            if engine.sched.tables_current(sizes.as_slice()) {
+            if engine.sched.tables_current(&sizes) {
                 fast_paths += 1;
             }
             let mut fresh = SizingEngine::new(&graph, &coupling);
@@ -1283,17 +1313,180 @@ mod tests {
     fn timing_rebuilds_after_a_pass_that_moved_even_when_the_sizes_return() {
         let (graph, coupling) = setup();
         let mut engine = SizingEngine::new(&graph, &coupling);
-        engine.load_node_weights(&Multipliers::uniform(&graph, 0.05, 0.0));
+        let multipliers = sweep_multipliers(&graph);
         let start = graph.uniform_sizes(1.2);
         let mut sizes = start.clone();
         let schedule = AdaptiveSchedule::default();
-        engine.fused_backward_sweep(&mut sizes, 0.2, 0.1, &schedule, true);
+        engine.fused_backward_sweep(&mut sizes, &multipliers, &schedule, true);
         assert_ne!(sizes, start, "the pass must resize something");
         let mut fresh = SizingEngine::new(&graph, &coupling);
         let a = engine.timing(&start);
         let b = fresh.timing(&start);
         assert_eq!(a.delays, b.delays);
         assert_eq!(a.critical_path_delay, b.critical_path_delay);
+    }
+
+    /// Asserts that the engine's timing at `sizes` is `TimingAnalysis::run`'s
+    /// bitwise.
+    fn assert_timing_is_the_reference(
+        engine: &mut SizingEngine<'_>,
+        coupling: &CouplingSet,
+        sizes: &SizeVector,
+        label: &str,
+    ) {
+        let graph = engine.graph();
+        let extra = coupling.delay_load_per_node(graph, sizes);
+        let reference = TimingAnalysis::run(graph, sizes, Some(&extra));
+        let view = engine.timing(sizes);
+        assert_eq!(view.delays, reference.delays.as_slice(), "{label}");
+        assert_eq!(view.arrival, reference.arrival.values.as_slice(), "{label}");
+        assert_eq!(
+            view.critical_path_delay.to_bits(),
+            reference.critical_path_delay.to_bits(),
+            "{label}"
+        );
+        assert_eq!(
+            view.critical_path,
+            reference.critical_path.as_slice(),
+            "{label}"
+        );
+    }
+
+    /// A vector the engine has synced its tables at and then changed
+    /// through any `&mut` method of `SizeVector` has lost its stamp: the
+    /// next timing rebuilds, and is the reference's.
+    #[test]
+    fn timing_rebuilds_after_every_mutation_of_a_synced_vector() {
+        let (graph, coupling) = setup();
+        let mut engine = SizingEngine::new(&graph, &coupling);
+        let (other, bounds) = (graph.uniform_sizes(0.9), graph.component_bounds());
+        type Mutation<'m> = &'m dyn Fn(&mut SizeVector);
+        let mutations: [(&str, Mutation<'_>); 5] = [
+            ("as_mut_slice", &|v| v.as_mut_slice()[0] *= 1.5),
+            ("iter_mut", &|v| v.iter_mut().for_each(|x| *x += 0.25)),
+            ("index_mut", &|v| v[1] = 2.0),
+            ("copy_from", &|v| v.copy_from(&other)),
+            ("clamp_into", &|v| v.clamp_into(bounds)),
+        ];
+        for (label, mutate) in mutations {
+            // Out of bounds at the last component, so the clamp moves it.
+            let mut sizes: SizeVector = (0..graph.num_components())
+                .map(|i| 1.2 + i as f64 / 4.0)
+                .collect();
+            sizes[graph.num_components() - 1] = 1e3;
+            assert_timing_is_the_reference(&mut engine, &coupling, &sizes, label);
+            let before = sizes.clone();
+            mutate(&mut sizes);
+            assert_ne!(sizes, before, "{label} must change the sizes");
+            let rebuilds = engine.rebuilds;
+            assert_timing_is_the_reference(&mut engine, &coupling, &sizes, label);
+            assert_eq!(
+                engine.rebuilds.downstream,
+                rebuilds.downstream + 1,
+                "{label}"
+            );
+        }
+    }
+
+    /// The stamp names one vector's values: a clone of a synced vector, a
+    /// vector `copy_from` it and one built with equal values are not
+    /// current. Each costs a rebuild, which reproduces the same tables.
+    #[test]
+    fn equal_sizes_in_another_vector_rebuild_the_same_tables() {
+        let (graph, coupling) = setup();
+        let mut engine = SizingEngine::new(&graph, &coupling);
+        let sizes = graph.uniform_sizes(1.4);
+        assert_timing_is_the_reference(&mut engine, &coupling, &sizes, "synced");
+        let mut copy = graph.uniform_sizes(0.7);
+        copy.copy_from(&sizes);
+        for (label, other) in [
+            ("clone", sizes.clone()),
+            ("copy_from", copy),
+            ("equal values", graph.uniform_sizes(1.4)),
+        ] {
+            let rebuilds = engine.rebuilds;
+            assert_timing_is_the_reference(&mut engine, &coupling, &other, label);
+            assert_eq!(
+                engine.rebuilds.downstream,
+                rebuilds.downstream + 1,
+                "{label}"
+            );
+        }
+    }
+
+    /// The three rebuild skips: `timing` twice at the same sizes, a forward
+    /// fused pass right after `timing` (the OGWS steady state), and
+    /// `timing` after a backward pass that resized nothing.
+    #[test]
+    fn rebuild_skips_fire_without_a_copy_of_the_sizes() {
+        let (graph, coupling) = setup();
+        let multipliers = sweep_multipliers(&graph);
+        let schedule = AdaptiveSchedule::default();
+        let mut engine = SizingEngine::new(&graph, &coupling);
+        let mut sizes = graph.uniform_sizes(1.1);
+
+        assert_timing_is_the_reference(&mut engine, &coupling, &sizes, "first");
+        let once = engine.rebuilds;
+        assert_eq!(
+            once,
+            Rebuilds {
+                coupling: 1,
+                downstream: 1
+            }
+        );
+        assert_timing_is_the_reference(&mut engine, &coupling, &sizes, "again");
+        assert_eq!(engine.rebuilds, once, "timing twice at the same sizes");
+
+        let (worst, _) = engine.fused_forward_sweep(&mut sizes, &multipliers, &schedule, true);
+        assert!(worst > 0.0, "the forward pass must resize something");
+        assert_eq!(engine.rebuilds, once, "a forward pass right after timing");
+
+        // Everything frozen: the backward pass rebuilds the coupling loads
+        // and resizes nothing, so its tables stay current.
+        engine.sched.frozen.fill(true);
+        engine.sched.count_frozen();
+        let (worst, touched) =
+            engine.fused_backward_sweep(&mut sizes, &multipliers, &schedule, false);
+        assert_eq!((worst, touched), (0.0, 0));
+        let after_pass = engine.rebuilds;
+        assert_eq!(after_pass.coupling, once.coupling + 1);
+        assert_eq!(after_pass.downstream, once.downstream);
+        assert_timing_is_the_reference(&mut engine, &coupling, &sizes, "after backward");
+        assert_eq!(
+            engine.rebuilds, after_pass,
+            "timing after a backward pass that resized nothing"
+        );
+    }
+
+    /// One adaptive xlw10k solve through the flow rebuilds the coupling
+    /// loads 28 times and the downstream capacitances 11 times, at one
+    /// thread and at two: the counts a comparison of the size values
+    /// gives, so the stamp skips every rebuild such a comparison would.
+    #[test]
+    fn an_adaptive_xlw10k_solve_rebuilds_28_and_11_times() {
+        use crate::flow::Flow;
+        use crate::{OptimizerConfig, SolveStrategy};
+        use ncgws_netlist::{xl_wide_spec, SyntheticGenerator};
+        let instance = SyntheticGenerator::new(xl_wide_spec(10_000))
+            .generate()
+            .unwrap();
+        for parallel in [ParallelPolicy::Sequential, ParallelPolicy::threads(2)] {
+            let config = OptimizerConfig {
+                solve_strategy: SolveStrategy::adaptive(),
+                parallel,
+                ..OptimizerConfig::default()
+            };
+            let ordered = Flow::prepare(&instance, config).unwrap().order().unwrap();
+            let mut engine = ordered.engine();
+            ordered
+                .size_with_engine(&mut engine, None, &RunControl::new())
+                .unwrap();
+            let expected = Rebuilds {
+                coupling: 28,
+                downstream: 11,
+            };
+            assert_eq!(engine.rebuilds, expected, "{parallel:?}");
+        }
     }
 
     #[test]

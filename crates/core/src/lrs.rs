@@ -109,9 +109,10 @@ impl LrsSolver {
         sizes: &mut SizeVector,
         control: &RunControl<'_>,
     ) -> LrsStats {
-        // A2 aggregation: node weights λ_i and the extra-family denominator
-        // contributions, once per solve.
-        engine.load_node_weights(multipliers);
+        // A2 aggregation: the extra-family denominator contributions, once
+        // per solve. The node weights λ_i are summed from the edge
+        // multipliers where the sweeps read them.
+        debug_assert!(multipliers.matches(engine.graph()));
         engine.load_extra_denominator(extras, multipliers);
         // S1: start at the lower bounds.
         engine.reset_to_lower_bounds(sizes);
@@ -124,7 +125,7 @@ impl LrsSolver {
             }
             sweeps += 1;
             // S2–S4 in the engine; S5: repeat until no improvement.
-            let delta = engine.lrs_sweep(sizes, multipliers.beta, multipliers.gamma);
+            let delta = engine.lrs_sweep(sizes, multipliers);
             if delta <= self.tolerance {
                 converged = true;
                 break;
@@ -147,7 +148,7 @@ impl LrsSolver {
     /// outcome is bitwise identical for every thread count.
     ///
     /// The engine's schedule state (active/frozen partition, calm streaks,
-    /// cache-sync snapshot) persists across the solves of one OGWS run;
+    /// cache-sync stamp) persists across the solves of one OGWS run;
     /// reset it with [`SizingEngine::reset_schedule`] at run start. The
     /// convergence measure is the worst relative change over the touched
     /// components, so a solve may converge on a sparse sweep; the
@@ -164,11 +165,9 @@ impl LrsSolver {
     ) -> ScheduledStats {
         // A2 aggregation, exactly as the exact path. S1 is the warm start:
         // the solve begins at the incoming `sizes`.
-        engine.load_node_weights(multipliers);
+        debug_assert!(multipliers.matches(engine.graph()));
         engine.load_extra_denominator(extras, multipliers);
 
-        let beta = multipliers.beta;
-        let gamma = multipliers.gamma;
         let mut sweeps = 0;
         let mut full_sweeps = 0;
         let mut touched_components = 0;
@@ -198,9 +197,9 @@ impl LrsSolver {
             // traversal and both sides of the closed form stay at most one
             // half-sweep stale.
             let (worst, touched) = if !sweeps.is_multiple_of(2) {
-                engine.fused_forward_sweep(sizes, beta, gamma, schedule, verify)
+                engine.fused_forward_sweep(sizes, multipliers, schedule, verify)
             } else {
-                engine.fused_backward_sweep(sizes, beta, gamma, schedule, verify)
+                engine.fused_backward_sweep(sizes, multipliers, schedule, verify)
             };
             touched_components += touched;
             if worst <= self.tolerance {

@@ -45,6 +45,7 @@
 //! identical across thread counts (the `thread_determinism` integration
 //! tests pin this, including the exact path's reference pinning).
 
+use ncgws_circuit::{SizeStamp, SizeVector};
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
@@ -233,10 +234,11 @@ impl ScheduleState {
 }
 
 /// Per-engine mutable state of the adaptive schedule: the per-component
-/// frozen flags and their count, calm-streak counters, and the `eval_sizes`
-/// snapshot the cached electrical tables currently reflect. A component is
-/// active exactly when it is not frozen, so the active set is empty exactly
-/// when `num_frozen == frozen.len()`.
+/// frozen flags and their count, calm-streak counters, and the
+/// [`SizeStamp`] of the sizes the cached electrical tables currently
+/// reflect (no copy of those sizes). A component is active exactly when it
+/// is not frozen, so the active set is empty exactly when
+/// `num_frozen == frozen.len()`.
 ///
 /// Owned by [`SizingEngine`](crate::SizingEngine) so the buffers are sized
 /// once per circuit and counted by
@@ -246,11 +248,12 @@ impl ScheduleState {
 /// start.
 #[derive(Debug, Clone)]
 pub(crate) struct ScheduleWorkspace {
-    /// Sizes the cached `extra_cap`/`charged`/`presented` tables reflect.
-    pub(crate) eval_sizes: Vec<f64>,
-    /// Whether those tables are in sync with `eval_sizes` at all. Cleared
-    /// by every pass that resizes a component.
-    pub(crate) caps_synced: bool,
+    /// The stamp the engine put on the sizes the cached
+    /// `extra_cap`/`charged`/`presented` tables reflect, when they reflect
+    /// a stamped vector's at all. Cleared by every pass that resizes a
+    /// component: a `SizeVector` loses its stamp on any `&mut` call, so a
+    /// vector that still carries this one holds exactly those sizes.
+    pub(crate) synced: Option<SizeStamp>,
     /// Set after a backward fused Gauss–Seidel sweep: `charged`/`presented`
     /// already carry the *current* sizes' own capacitances (the pass
     /// maintains them through every resize), so the forward pass that
@@ -272,8 +275,7 @@ impl ScheduleWorkspace {
     /// components.
     pub(crate) fn new(num_components: usize) -> Self {
         ScheduleWorkspace {
-            eval_sizes: vec![0.0; num_components],
-            caps_synced: false,
+            synced: None,
             charged_fresh: false,
             calm: vec![0; num_components],
             frozen: vec![false; num_components],
@@ -284,9 +286,11 @@ impl ScheduleWorkspace {
 
     /// Whether the cached `extra_cap`/`charged`/`presented` tables reflect
     /// exactly `sizes`, so a rebuild at `sizes` would reproduce them bit for
-    /// bit and may be skipped.
-    pub(crate) fn tables_current(&self, sizes: &[f64]) -> bool {
-        self.caps_synced && self.eval_sizes.as_slice() == sizes
+    /// bit and may be skipped. O(1): a stamp comparison. A vector with the
+    /// same values but another stamp reads as not current, which costs
+    /// only a rebuild.
+    pub(crate) fn tables_current(&self, sizes: &SizeVector) -> bool {
+        self.synced.is_some_and(|stamp| sizes.has_stamp(stamp))
     }
 
     /// Calm-streak bookkeeping after one component resize, on the
@@ -320,7 +324,7 @@ impl ScheduleWorkspace {
 
     /// Resets to the run-start state: everything active, nothing cached.
     pub(crate) fn reset(&mut self) {
-        self.caps_synced = false;
+        self.synced = None;
         self.charged_fresh = false;
         self.calm.fill(0);
         self.frozen.fill(false);
@@ -359,9 +363,7 @@ impl ScheduleWorkspace {
     /// Bytes held by the schedule buffers (for the Figure 10(a) accounting).
     pub(crate) fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.eval_sizes.capacity() * size_of::<f64>()
-            + self.calm.capacity() * size_of::<u32>()
-            + self.frozen.capacity() * size_of::<bool>()
+        self.calm.capacity() * size_of::<u32>() + self.frozen.capacity() * size_of::<bool>()
     }
 }
 
@@ -420,10 +422,10 @@ mod tests {
         ws.num_frozen = 1;
         ws.calm[1] = 7;
         ws.global_sweep = 42;
-        ws.caps_synced = true;
+        ws.synced = Some(SizeVector::uniform(4, 1.0).restamp());
         ws.charged_fresh = true;
         ws.reset();
-        assert!(!ws.caps_synced);
+        assert!(ws.synced.is_none());
         assert!(!ws.charged_fresh);
         assert_eq!(ws.num_frozen, 0);
         assert!(ws.frozen.iter().all(|f| !f));

@@ -18,7 +18,12 @@
 //!   whose driver, gate and wire fanins carry attribute overrides, the
 //!   upstream resistances of the plain and the fused forward kernel are
 //!   bitwise the `ElmoreAnalyzer`'s, and the exact LRS solve is bitwise
-//!   `ncgws_core::reference`'s.
+//!   `ncgws_core::reference`'s;
+//! * no table of node weights is kept: a kernel sums each `λ_i` over the
+//!   node's fanin range of the edge multipliers where it reads it. For the
+//!   source, which has no fanin, and for `-0.0` and subnormal multipliers,
+//!   the sums are `Multipliers::node_weights`' bit for bit, and so are the
+//!   forward kernels' tables and the exact LRS solve.
 
 use ncgws::circuit::{
     CircuitBuilder, CircuitGraph, CircuitTopology, ElmoreAnalyzer, EvalWorkspace, GateKind, Node,
@@ -319,28 +324,25 @@ fn fanin_overrides() -> (CircuitGraph, CircuitGraph, [NodeId; 3]) {
     (decoded, built, [driver, gate, wire])
 }
 
-#[test]
-fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
-    let (graph, built, overridden) = fanin_overrides();
-    assert_eq!(graph.attributes().num_overrides(), 3);
-    let topo = CircuitTopology::new(&graph);
-    let analyzer = ElmoreAnalyzer::new(&graph);
+/// Asserts that the forward kernels, fed the flat edge multipliers of
+/// `multipliers`, give `ElmoreAnalyzer::weighted_upstream_resistance` fed
+/// `Multipliers::node_weights` bitwise: the plain kernel's table, and a
+/// resizing fused pass's table and sizes.
+fn assert_forward_kernels_match(graph: &CircuitGraph, multipliers: &Multipliers<'_>) {
+    let topo = CircuitTopology::new(graph);
+    let analyzer = ElmoreAnalyzer::new(graph);
     let n = graph.num_nodes();
-    let weights: Vec<f64> = (0..n).map(|i| 0.25 + (i % 9) as f64 / 8.0).collect();
-    for sizes in [graph.uniform_sizes(1.0), varied(&graph)] {
+    let (edges, weights) = (multipliers.flat().1, multipliers.node_weights(graph));
+    for (idx, weight) in weights.iter().enumerate() {
+        assert_eq!(topo.node_weight(idx, edges).to_bits(), weight.to_bits());
+    }
+    for sizes in [graph.uniform_sizes(1.0), varied(graph)] {
         let expected = analyzer.weighted_upstream_resistance(&sizes, &weights);
-        // The gate's and the wire's own resistances reach their fanouts.
-        let generated = ElmoreAnalyzer::new(&built).weighted_upstream_resistance(&sizes, &weights);
-        for id in &overridden[1..] {
-            let child = graph.fanout(*id)[0].index();
-            assert_ne!(expected[child].to_bits(), generated[child].to_bits());
-        }
-
         let mut ws = EvalWorkspace::new(&topo);
         topo.upstream_resistance_chunk(
             0..n,
             sizes.as_slice(),
-            &weights,
+            edges,
             Tile::whole(&mut ws.upstream),
         );
         assert_eq!(bits(&ws.upstream), bits(&expected));
@@ -354,7 +356,7 @@ fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
         topo.fused_upstream_chunk(
             0..n,
             Tile::whole(xs.as_mut_slice()),
-            &weights,
+            edges,
             Tile::whole(&mut upstream),
             &mut { resize },
         );
@@ -365,18 +367,20 @@ fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
             assert_eq!(xs[comp].to_bits(), x.to_bits(), "{id}");
         }
     }
+}
 
-    // The exact LRS solve, whose sweeps rebuild the upstream table at every
-    // iterate, is the reference's at one thread and at two.
-    let coupling = CouplingSet::empty(&graph);
+/// Asserts that the exact LRS solve under `multipliers`, whose sweeps
+/// rebuild the upstream table at every iterate, is the reference's at one
+/// thread and at two.
+fn assert_exact_lrs_matches_reference(graph: &CircuitGraph, multipliers: &Multipliers<'_>) {
+    let coupling = CouplingSet::empty(graph);
     let bounds = ConstraintBounds {
         delay: 1e15,
         total_capacitance: 1e15,
         crosstalk: 1e15,
     };
-    let problem = SizingProblem::new(&graph, &coupling, bounds).unwrap();
-    let multipliers = Multipliers::uniform(&graph, 0.05, 0.0);
-    let naive = reference::lrs_solve(&problem, &multipliers, 30, 1e-9);
+    let problem = SizingProblem::new(graph, &coupling, bounds).unwrap();
+    let naive = reference::lrs_solve(&problem, multipliers, 30, 1e-9);
     for policy in [ParallelPolicy::threads(1), ParallelPolicy::threads(2)] {
         let mut engine = SizingEngine::for_problem(&problem);
         engine.set_parallel(policy);
@@ -384,7 +388,7 @@ fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
         LrsSolver::new(30, 1e-9).solve_constrained(
             &mut engine,
             &ConstraintSet::new(),
-            &multipliers,
+            multipliers,
             &mut sizes,
             &RunControl::new(),
         );
@@ -394,4 +398,59 @@ fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
             "{policy:?}"
         );
     }
+}
+
+/// Multipliers over `graph` whose edge `e` carries `value(e)`.
+fn edge_multipliers(graph: &CircuitGraph, value: impl Fn(usize) -> f64) -> Multipliers<'_> {
+    let mut multipliers = Multipliers::uniform(graph, 0.0, 0.0);
+    for (e, v) in multipliers.flat_mut().1.iter_mut().enumerate() {
+        *v = value(e);
+    }
+    multipliers
+}
+
+#[test]
+fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
+    let (graph, built, overridden) = fanin_overrides();
+    assert_eq!(graph.attributes().num_overrides(), 3);
+    let multipliers = edge_multipliers(&graph, |e| 0.25 + (e % 9) as f64 / 8.0);
+    let weights = multipliers.node_weights(&graph);
+    let analyzer = ElmoreAnalyzer::new(&graph);
+    for sizes in [graph.uniform_sizes(1.0), varied(&graph)] {
+        let expected = analyzer.weighted_upstream_resistance(&sizes, &weights);
+        // The gate's and the wire's own resistances reach their fanouts.
+        let generated = ElmoreAnalyzer::new(&built).weighted_upstream_resistance(&sizes, &weights);
+        for id in &overridden[1..] {
+            let child = graph.fanout(*id)[0].index();
+            assert_ne!(expected[child].to_bits(), generated[child].to_bits());
+        }
+    }
+    assert_forward_kernels_match(&graph, &multipliers);
+    assert_exact_lrs_matches_reference(&graph, &Multipliers::uniform(&graph, 0.05, 0.0));
+}
+
+/// The kernels sum each node weight `λ_i` from the edge multipliers where
+/// they read it. The sums are `Multipliers::node_weights`' bit for bit,
+/// for the source, which has no fanin, and for edge values that are `-0.0`
+/// or subnormal, on a graph with attribute overrides.
+#[test]
+fn derived_node_weights_match_the_multipliers_sums_bitwise() {
+    let (graph, _, _) = fanin_overrides();
+    assert_eq!(graph.attributes().num_overrides(), 3);
+    assert!(graph.fanin(graph.source()).is_empty());
+    let tiny = f64::MIN_POSITIVE / 3.0;
+    let multipliers = edge_multipliers(&graph, |e| match e % 5 {
+        0 => -0.0,
+        1 => f64::from_bits(1),
+        2 => tiny,
+        3 => 0.75,
+        _ => 0.05 + e as f64 * 1e-4,
+    });
+    // A driver has one fanin edge, the first drivers' edges come first,
+    // so the weights include a `-0.0` and subnormals.
+    let weights = multipliers.node_weights(&graph);
+    assert!(weights.iter().any(|w| w.to_bits() == (-0.0f64).to_bits()));
+    assert!(weights.iter().any(|w| w.is_subnormal()));
+    assert_forward_kernels_match(&graph, &multipliers);
+    assert_exact_lrs_matches_reference(&graph, &multipliers);
 }

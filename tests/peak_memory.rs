@@ -128,8 +128,8 @@ const MIB: f64 = 1024.0 * 1024.0;
 const BUDGETS: [(&str, usize); 4] = [
     ("generate", 552_161),
     ("order", 1_164_096),
-    ("engine", 1_462_792),
-    ("size", 1_795_724),
+    ("engine", 1_300_487),
+    ("size", 1_633_419),
 ];
 
 /// Allocation calls of the generate phase, recorded on this workload. None
@@ -160,11 +160,14 @@ const GRAPH_BYTES_PER_NODE: usize = 42;
 
 /// Bytes the sizing engine owns per node of the workload
 /// (`SizingEngine::memory_bytes` over the node count), recorded on this
-/// workload (68) with 10% on top. The engine keeps the evaluation
-/// workspace's per-node tables and the schedule's per-component state,
-/// and nothing per fanin edge: a per-node or per-edge copy of a table the
-/// graph or the coupling set already holds breaks it.
-const ENGINE_BYTES_PER_NODE: usize = 75;
+/// workload (53) with 10% on top. The engine keeps the evaluation
+/// workspace's per-node tables and the schedule's per-component freeze
+/// state, and nothing per fanin edge: no node-weight table (the kernels
+/// sum each weight from the edge multipliers) and no copy of the sizes
+/// (the schedule keeps a stamp). A per-node or per-edge copy of a table
+/// the graph, the coupling set, the multipliers or the sizes already hold
+/// breaks it.
+const ENGINE_BYTES_PER_NODE: usize = 58;
 
 /// Allocation calls of encoding a snapshot of the workload
 /// (`Snapshot::to_json`): the JSON writer formats every number straight
