@@ -474,10 +474,8 @@ impl<'t, T> Tiles<'t, T> {
 /// list yields in the kernel's descending visit order. Nothing per fanout
 /// edge is stored. A forward kernel reads each fanin's kind and, for a
 /// driver or wire, its parameter, and derives the fanin's `r̂` (or `R_D`)
-/// from them beside its `upstream` and size entries; the fanin's delay
-/// weight `λ_p` it sums from the per-fanin-edge multipliers over the
-/// fanin's own fanin range. Nothing per fanin edge is stored either, and
-/// no per-node weight.
+/// from them beside its `weights`, `upstream` and size entries. Nothing
+/// per fanin edge is stored either.
 ///
 /// Its traversal kernels evaluate the Elmore delay model of the paper's
 /// Section 2.1 (stage-bounded RC stages, wire π-model); see the crate-level
@@ -712,38 +710,6 @@ impl<'g> CircuitTopology<'g> {
         }
     }
 
-    /// The node delay weight `λ_i = Σ_{j ∈ input(i)} λ_ji` of node `idx`,
-    /// summed over its fanin range of `edge_weights`, the per-fanin-edge
-    /// multipliers laid out as the graph's fanin offsets say (as
-    /// [`CircuitGraph::fanin_offsets`]): the same bits as the multipliers'
-    /// own per-node `iter().sum()`. A driver's or a wire's range holds
-    /// exactly one edge, and the sum of one value is that value (`-0.0 + a`
-    /// is `a`), so it is read as it is; the source's range is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `idx` or its fanin range is out of range.
-    #[inline(always)]
-    pub fn node_weight(&self, idx: usize, edge_weights: &[f64]) -> f64 {
-        let start = self.fanin_start[idx] as usize;
-        match self.attrs.kind[idx] {
-            // One edge (the graph is validated), whose value is its sum.
-            NodeKind::Driver | NodeKind::Wire => edge_weights[start],
-            _ => fanin_sum(&edge_weights[start..self.fanin_start[idx + 1] as usize]),
-        }
-    }
-
-    /// Asserts that `edge_weights` has one entry per fanin edge, which the
-    /// forward kernels' unchecked weight sums rely on.
-    #[inline]
-    fn assert_edge_weights(&self, edge_weights: &[f64]) {
-        assert_eq!(
-            edge_weights.len(),
-            self.fanin_list.len(),
-            "edge_weights must have one entry per fanin edge"
-        );
-    }
-
     /// Asserts what a block kernel's unchecked reads of the circuit-wide
     /// slices rely on: `sizes` (when the kernel reads a size slice) has one
     /// entry per component, and each named slice one entry per node.
@@ -772,17 +738,16 @@ impl<'g> CircuitTopology<'g> {
         }
     }
 
-    /// The fanin-edge range of node `idx` without bounds checks: its slots
-    /// in the fanin list and in any per-fanin-edge table laid out alike.
+    /// Fanin slice of node `idx` without bounds checks.
     ///
     /// # Safety
     ///
     /// `idx < num_nodes`; the CSR offsets are valid by construction.
     #[inline(always)]
-    unsafe fn fanin_range_unchecked(&self, idx: usize) -> Range<usize> {
+    unsafe fn fanin_unchecked(&self, idx: usize) -> &[NodeId] {
         let start = *self.fanin_start.get_unchecked(idx) as usize;
         let end = *self.fanin_start.get_unchecked(idx + 1) as usize;
-        start..end
+        self.fanin_list.get_unchecked(start..end)
     }
 
     /// Fanout slice of node `idx` without bounds checks.
@@ -828,8 +793,7 @@ impl<'g> CircuitTopology<'g> {
     /// One node's λ-weighted upstream accumulation: over the node's fanin
     /// list in list order, the weighted `Node::resistance` of every
     /// driver/gate predecessor plus, for a wire predecessor, its own
-    /// upstream resistance. A predecessor's weight is its
-    /// [`node_weight`](Self::node_weight), summed as the edge is visited.
+    /// upstream resistance.
     ///
     /// A predecessor's `r̂` (or `R_D`) is derived as the edge is visited,
     /// the same bits as `attrs.get(p).resistance`. When the graph has no
@@ -843,33 +807,22 @@ impl<'g> CircuitTopology<'g> {
     /// # Safety
     ///
     /// `idx < num_nodes`; `size` accepts the component index of every
-    /// gate or wire fanin, `upstream` reads every fanin, and
-    /// `edge_weights` has one entry per fanin edge.
+    /// gate or wire fanin, `upstream` reads every fanin, and `weights` has
+    /// one entry per node.
     #[inline(always)]
     unsafe fn upstream_acc_edges(
         &self,
         idx: usize,
         size: impl Fn(usize) -> f64,
-        edge_weights: &[f64],
+        weights: &[f64],
         upstream: Access<f64>,
     ) -> f64 {
         let (kinds, params) = (self.attrs.kind, self.attrs.params());
         let uniform = self.attrs.uniform_resistances();
         let mut acc = 0.0;
-        // A predecessor's `node_weight`. A driver's or a wire's fanin range
-        // holds exactly one edge (the graph is validated), and the sum of
-        // one value is that value (`-0.0 + a` is `a`), so it is read as it
-        // is.
-        let one_edge = |p: usize| -> f64 {
-            *edge_weights.get_unchecked(*self.fanin_start.get_unchecked(p) as usize)
-        };
-        let summed =
-            |p: usize| fanin_sum(edge_weights.get_unchecked(self.fanin_range_unchecked(p)));
-        for &pred in self
-            .fanin_list
-            .get_unchecked(self.fanin_range_unchecked(idx))
-        {
+        for &pred in self.fanin_unchecked(idx) {
             let p = pred.index();
+            let w = *weights.get_unchecked(p);
             match self.component_of(p) {
                 Some(comp) => {
                     let wire = kinds.get_unchecked(p).is_wire();
@@ -881,7 +834,6 @@ impl<'g> CircuitTopology<'g> {
                     let x = size(comp);
                     let r = if x > 0.0 { ur / x } else { f64::INFINITY };
                     let up = if wire { upstream.get(p) } else { 0.0 };
-                    let w = if wire { one_edge(p) } else { summed(p) };
                     acc += up + w * r;
                 }
                 // A driver adds its fixed `R_D`; the source adds nothing.
@@ -891,7 +843,7 @@ impl<'g> CircuitTopology<'g> {
                             Some(_) => *params.get_unchecked(p),
                             None => self.resistance_of(p),
                         };
-                        acc += one_edge(p) * rd;
+                        acc += w * rd;
                     }
                 }
             }
@@ -1023,35 +975,31 @@ impl<'g> CircuitTopology<'g> {
     }
 
     /// Forward λ-weighted upstream-resistance rebuild of the block `nodes`:
-    /// the `R_i` of Theorem 5 per node, with `edge_weights` holding the
-    /// multiplier `λ_jk` of every fanin edge in the graph's fanin layout
-    /// (see [`node_weight`](Self::node_weight)). `upstream` must own the
-    /// block's nodes and hold every node before the level of its last one,
-    /// which is where the fanins lie.
+    /// the `R_i` of Theorem 5 per node, with `weights` holding `λ_k` per raw
+    /// node index. `upstream` must own the block's nodes and hold every
+    /// node before the level of its last one, which is where the fanins
+    /// lie.
     ///
     /// # Panics
     ///
-    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk), and when
-    /// `edge_weights` does not have one entry per fanin edge.
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
     pub fn upstream_resistance_chunk(
         &self,
         nodes: Range<usize>,
         sizes: &[f64],
-        edge_weights: &[f64],
+        weights: &[f64],
         mut upstream: Tile<'_, f64>,
     ) {
         let fanins = self.block_reach(&nodes, false);
-        self.assert_block(Some(sizes), &[]);
-        self.assert_edge_weights(edge_weights);
+        self.assert_block(Some(sizes), &[("weights", weights.len())]);
         let upstream = upstream.access(&nodes, &fanins);
         // SAFETY: every visited node lies in `nodes`, which `upstream`
-        // owns, and every fanin in `fanins`, which it holds; `sizes` match
-        // the circuit and `edge_weights` its fanin edges (asserted above).
+        // owns, and every fanin in `fanins`, which it holds; `sizes` and
+        // `weights` match the circuit (asserted above).
         unsafe {
             let size = |comp: usize| *sizes.get_unchecked(comp);
             for idx in nodes {
-                let acc = self.upstream_acc_edges(idx, size, edge_weights, upstream);
-                upstream.set(idx, acc);
+                upstream.set(idx, self.upstream_acc_edges(idx, size, weights, upstream));
             }
         }
     }
@@ -1157,23 +1105,22 @@ impl<'g> CircuitTopology<'g> {
     /// parents' fresh sizes within the same pass. Whatever charged table the
     /// closure reads stays fixed for the pass; alternating forward and
     /// backward fused passes refreshes both directions with one traversal
-    /// each. `xs` and `upstream` must hold every fanin, and `edge_weights`
-    /// is laid out as in
+    /// each. `xs` and `upstream` must hold every fanin, as in
     /// [`upstream_resistance_chunk`](Self::upstream_resistance_chunk).
     ///
     /// # Panics
     ///
-    /// As [`upstream_resistance_chunk`](Self::upstream_resistance_chunk).
+    /// As [`downstream_caps_chunk`](Self::downstream_caps_chunk).
     pub fn fused_upstream_chunk<F: FnMut(usize, usize, f64, f64) -> f64>(
         &self,
         nodes: Range<usize>,
         mut xs: Tile<'_, f64>,
-        edge_weights: &[f64],
+        weights: &[f64],
         mut upstream: Tile<'_, f64>,
         resize: &mut F,
     ) {
         let fanins = self.block_reach(&nodes, false);
-        self.assert_edge_weights(edge_weights);
+        self.assert_block(None, &[("weights", weights.len())]);
         let upstream = upstream.access(&nodes, &fanins);
         let xs = xs.access(
             &self.component_space().range(&nodes),
@@ -1182,12 +1129,12 @@ impl<'g> CircuitTopology<'g> {
         // SAFETY: every visited node lies in `nodes` (its component in the
         // components of `nodes`), which the views own, which is where they
         // are written and their sizes read (`own`), and every fanin in
-        // `fanins` (its component in theirs), which they hold;
-        // `edge_weights` matches the circuit's fanin edges (asserted above).
+        // `fanins` (its component in theirs), which they hold; `weights`
+        // matches the circuit (asserted above).
         unsafe {
             let size = |comp: usize| xs.get(comp);
             for idx in nodes {
-                let acc = self.upstream_acc_edges(idx, size, edge_weights, upstream);
+                let acc = self.upstream_acc_edges(idx, size, weights, upstream);
                 upstream.set(idx, acc);
                 if let Some(comp) = self.component_of(idx) {
                     let x = xs.own(comp);
@@ -1260,9 +1207,7 @@ impl<'g> CircuitTopology<'g> {
         unsafe {
             let source = |j: usize| matches!(*self.attrs.kind.get_unchecked(j), NodeKind::Source);
             for idx in nodes {
-                let fanin = self
-                    .fanin_list
-                    .get_unchecked(self.fanin_range_unchecked(idx));
+                let fanin = self.fanin_unchecked(idx);
                 let a = match *self.attrs.kind.get_unchecked(idx) {
                     NodeKind::Source => 0.0,
                     NodeKind::Sink => latest_fanin(fanin, |_| false, |j| arrival.get(j)).0,
@@ -1343,28 +1288,6 @@ fn latest_fanin(
     (best, best_pred)
 }
 
-/// `edges.iter().sum()`, bit for bit: the fold `((-0.0 + e₀) + e₁) + …`.
-/// A gate's fanin count varies from node to node, so a loop's exit branch
-/// would mispredict on most of them: up to four edges, the four prefix
-/// sums are formed from reads clamped into the slice, and the one the
-/// length names is picked by index, not by a branch.
-#[inline(always)]
-fn fanin_sum(edges: &[f64]) -> f64 {
-    let Some(last) = edges.len().checked_sub(1) else {
-        return -0.0;
-    };
-    let at = |k: usize| edges[k.min(last)];
-    let s1 = -0.0 + at(0);
-    let s2 = s1 + at(1);
-    let s3 = s2 + at(2);
-    let prefixes = [s1, s2, s3, s3 + at(3)];
-    let mut acc = prefixes[last.min(3)];
-    for &e in edges.get(4..).unwrap_or_default() {
-        acc += e;
-    }
-    acc
-}
-
 /// Pre-sized dense scratch buffers for one circuit, reused across every
 /// evaluation so the hot loops never touch the allocator.
 ///
@@ -1373,9 +1296,8 @@ fn fanin_sum(edges: &[f64]) -> f64 {
 /// all semantics live in [`CircuitTopology`] and the solvers that
 /// drive them. It keeps no predecessor table: the critical path is
 /// rebuilt from `arrival` ([`CircuitTopology::trace_critical_path`]).
-/// Nor does it keep node weights: the forward kernels sum each `λ_i`
-/// from the per-fanin-edge multipliers they are given
-/// ([`CircuitTopology::node_weight`]).
+/// Nor does it keep a table of node weights: a sizing solve, which reads
+/// the weights and never the delays, holds them in `delays`.
 #[derive(Debug, Clone)]
 pub struct EvalWorkspace {
     /// `C_i` per node: capacitance charged through the node's resistance.
@@ -1387,7 +1309,10 @@ pub struct EvalWorkspace {
     pub upstream: Vec<f64>,
     /// Extra (coupling) capacitance per node, filled by the coupling layer.
     pub extra_cap: Vec<f64>,
-    /// Per-component Elmore delays `D_i`, per node.
+    /// Per-component Elmore delays `D_i`, per node. A sizing solve holds
+    /// the node delay weights `λ_i` here instead, from its start to the
+    /// next timing evaluation, which rewrites every entry before one is
+    /// read.
     pub delays: Vec<f64>,
     /// Arrival times `a_i` per node.
     pub arrival: Vec<f64>,
@@ -1607,12 +1532,12 @@ mod tests {
         topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         sizes: &SizeVector,
-        edge_weights: &[f64],
+        weights: &[f64],
     ) -> Vec<f64> {
         let mut upstream = vec![f64::NAN; topo.num_nodes()];
         for block in blocks {
             let upstream = view(&mut upstream, Space::Nodes, block, false);
-            topo.upstream_resistance_chunk(nodes(block), sizes.as_slice(), edge_weights, upstream);
+            topo.upstream_resistance_chunk(nodes(block), sizes.as_slice(), weights, upstream);
         }
         upstream
     }
@@ -1653,7 +1578,7 @@ mod tests {
         topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         sizes: &mut SizeVector,
-        edge_weights: &[f64],
+        weights: &[f64],
         upstream: &mut [f64],
         mut resize: fn(usize, usize, f64, f64) -> f64,
     ) {
@@ -1661,7 +1586,7 @@ mod tests {
             topo.fused_upstream_chunk(
                 nodes(block),
                 view(sizes.as_mut_slice(), topo.component_space(), block, false),
-                edge_weights,
+                weights,
                 view(upstream, Space::Nodes, block, false),
                 &mut resize,
             );
@@ -1675,7 +1600,7 @@ mod tests {
         topo: &CircuitTopology<'_>,
         blocks: &[Vec<u32>],
         extra: &[f64],
-        edge_weights: &[f64],
+        weights: &[f64],
         resize: fn(usize, usize, f64, f64) -> f64,
     ) -> (SizeVector, Vec<f64>, Vec<f64>, Vec<f64>) {
         let n = topo.num_nodes();
@@ -1683,30 +1608,8 @@ mod tests {
         let (mut charged, mut presented, mut upstream) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
         let tables = (charged.as_mut_slice(), presented.as_mut_slice());
         fused_backward(topo, blocks, &mut sizes, extra, tables, resize);
-        fused_forward(
-            topo,
-            blocks,
-            &mut sizes,
-            edge_weights,
-            &mut upstream,
-            resize,
-        );
+        fused_forward(topo, blocks, &mut sizes, weights, &mut upstream, resize);
         (sizes, charged, presented, upstream)
-    }
-
-    /// Per-fanin-edge weights laid out as the graph's fanin offsets, edge
-    /// `e` at `value + (e % 3) / 8`, and the per-node sums of them the
-    /// analyzer reads.
-    fn edge_weights(c: &CircuitGraph, value: f64) -> (Vec<f64>, Vec<f64>) {
-        let offsets = c.fanin_offsets();
-        let edges: Vec<f64> = (0..*offsets.last().unwrap() as usize)
-            .map(|e| value + (e % 3) as f64 / 8.0)
-            .collect();
-        let nodes = offsets
-            .windows(2)
-            .map(|w| edges[w[0] as usize..w[1] as usize].iter().sum())
-            .collect();
-        (edges, nodes)
     }
 
     /// The whole circuit as one block.
@@ -1746,10 +1649,10 @@ mod tests {
         assert_eq!(reference.charged, charged);
         assert_eq!(reference.presented, presented);
 
-        let (edges, weights) = edge_weights(&c, 0.7);
+        let weights = vec![0.7; c.num_nodes()];
         assert_eq!(
             analyzer.weighted_upstream_resistance(&sizes, &weights),
-            upstream(&topo, &whole(&topo), &sizes, &edges)
+            upstream(&topo, &whole(&topo), &sizes, &weights)
         );
 
         timing(&topo, &sizes, &mut ws);
@@ -1918,7 +1821,7 @@ mod tests {
         let sizes = c.uniform_sizes(1.7);
         let mut extra = vec![0.0; n];
         extra[c.node_by_name("w1").unwrap().index()] = 2.5;
-        let (edges, weights) = edge_weights(&c, 0.6);
+        let weights = vec![0.6; n];
 
         let analyzer = ElmoreAnalyzer::new(&c);
         let reference_caps = analyzer.downstream_caps(&sizes, Some(&extra));
@@ -1929,7 +1832,10 @@ mod tests {
             let (charged, presented) = caps(&topo, &blocks, &sizes, &extra);
             assert_eq!(charged, reference_caps.charged, "{blocks:?}");
             assert_eq!(presented, reference_caps.presented, "{blocks:?}");
-            assert_eq!(upstream(&topo, &blocks, &sizes, &edges), reference_upstream);
+            assert_eq!(
+                upstream(&topo, &blocks, &sizes, &weights),
+                reference_upstream
+            );
             let arrival = arrivals(&topo, &blocks, &reference.delays);
             assert_eq!(arrival, reference.arrival.values, "{blocks:?}");
             let mut path = Vec::new();
@@ -1953,12 +1859,12 @@ mod tests {
         let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let extra = vec![0.1; n];
-        let (edges, _) = edge_weights(&c, 0.4);
-        let reference = fused(&c, &topo, &whole(&topo), &extra, &edges, greedy);
+        let weights = vec![0.4; n];
+        let reference = fused(&c, &topo, &whole(&topo), &extra, &weights, greedy);
         assert_ne!(reference.0, c.uniform_sizes(1.0), "the resize must move");
         for blocks in blockings(&topo) {
             assert_eq!(
-                fused(&c, &topo, &blocks, &extra, &edges, greedy),
+                fused(&c, &topo, &blocks, &extra, &weights, greedy),
                 reference,
                 "{blocks:?}"
             );
@@ -1975,8 +1881,8 @@ mod tests {
         let c = chain();
         let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
-        let (extra, (edges, _)) = (vec![0.1; n], edge_weights(&c, 0.4));
-        let reference = fused(&c, &topo, &whole(&topo), &extra, &edges, greedy);
+        let (extra, weights) = (vec![0.1; n], vec![0.4; n]);
+        let reference = fused(&c, &topo, &whole(&topo), &extra, &weights, greedy);
         let space = topo.component_space();
         let blocks: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i, i + 1]).collect();
         let detached = |sizes: &SizeVector, comps: &Range<usize>| {
@@ -2015,7 +1921,7 @@ mod tests {
                     &settled,
                     0,
                 ),
-                &edges,
+                &weights,
                 view(&mut upstream, Space::Nodes, block, false),
                 &mut resize,
             );
@@ -2032,7 +1938,7 @@ mod tests {
         let topo = CircuitTopology::new(&c);
         let n = c.num_nodes();
         let extra = vec![0.3; n];
-        let (edges, weights) = edge_weights(&c, 0.5);
+        let weights = vec![0.5; n];
         let grow: fn(usize, usize, f64, f64) -> f64 =
             |_comp, _node, value, x| (x + value.sqrt()).clamp(0.5, 6.0);
         let analyzer = ElmoreAnalyzer::new(&c);
@@ -2047,7 +1953,7 @@ mod tests {
             assert_eq!(presented, rebuilt.presented, "{blocks:?}");
 
             let mut upstream = vec![0.0; n];
-            fused_forward(&topo, &blocks, &mut sizes, &edges, &mut upstream, grow);
+            fused_forward(&topo, &blocks, &mut sizes, &weights, &mut upstream, grow);
             assert_eq!(
                 upstream,
                 analyzer.weighted_upstream_resistance(&sizes, &weights),

@@ -85,7 +85,9 @@ pub use graph::{Attributes, CircuitGraph, SizeBounds};
 pub use id::NodeId;
 pub use node::{GateKind, Node, NodeAttrs, NodeKind, NodeRc};
 pub use power::total_capacitance;
-pub use sizing::{SizeStamp, SizeVector};
+#[doc(hidden)]
+pub use sizing::EngineCacheStamp;
+pub use sizing::SizeVector;
 pub use tech::Technology;
 pub use timing::{ArrivalTimes, TimingAnalysis};
 pub use topo::TopologicalOrder;

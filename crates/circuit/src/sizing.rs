@@ -16,29 +16,27 @@ use crate::graph::SizeBounds;
 /// The vector is deliberately decoupled from the graph so the sizing engine
 /// can hold several candidate solutions without cloning the circuit.
 ///
-/// Beside its values a vector carries a [`SizeStamp`]: an engine that has
-/// evaluated tables at these values marks them with
-/// [`restamp`](Self::restamp), and [`has_stamp`](Self::has_stamp) later
-/// tells it, in O(1) and without a copy of the values, that they have not
-/// changed since. Every `&mut` method clears the stamp, and a clone or a
-/// decoded vector starts without one. The stamp is no part of the
-/// vector's value: equality, `Debug` and the JSON form see the values
-/// only.
+/// Equality, `Debug` and the JSON form see the values only.
 pub struct SizeVector {
     values: Vec<f64>,
-    /// The stamp of the last [`restamp`](Self::restamp), or `0` once the
-    /// values may have changed since. Atomic so a shared vector can be
-    /// stamped and the type stays `Send + Sync`.
+    /// The sizing engine's cache stamp: the token of the last
+    /// `stamp_engine_cache`, or `0` once the values may have changed since.
+    /// Every `&mut` method clears it, and a clone or a decoded vector starts
+    /// without one. Atomic so a shared vector can be stamped and the type
+    /// stays `Send + Sync`.
     stamp: AtomicU64,
 }
 
-/// A token naming the values a [`SizeVector`] held when
-/// [`SizeVector::restamp`] returned it. Tokens come from one process-wide
-/// counter, so no two restamps return the same one.
+/// For the sizing engine's table cache only: a token naming the values a
+/// [`SizeVector`] held when `SizeVector::stamp_engine_cache` returned it.
+/// Tokens come from one process-wide counter, so no two calls return the
+/// same one.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SizeStamp(NonZeroU64);
+pub struct EngineCacheStamp(NonZeroU64);
 
-/// The counter [`SizeVector::restamp`] draws from; `0` means "no stamp".
+/// The counter `SizeVector::stamp_engine_cache` draws from; `0` means "no
+/// stamp".
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// A clone holds the same values, unstamped.
@@ -94,19 +92,25 @@ impl SizeVector {
         SizeVector::new(vec![size; n])
     }
 
-    /// Marks the current values with a fresh stamp and returns it: until
-    /// the next `&mut` call, [`has_stamp`](Self::has_stamp) holds for it.
-    pub fn restamp(&self) -> SizeStamp {
+    /// For the sizing engine's table cache only, which calls it when its
+    /// tables reflect these values: marks them with a fresh stamp and
+    /// returns it. Until the next `&mut` call,
+    /// `has_engine_cache_stamp` holds for it, which tells the engine in
+    /// O(1), with no copy of the values, that its tables are current. A
+    /// call from anywhere else only costs the engine a rebuild.
+    #[doc(hidden)]
+    pub fn stamp_engine_cache(&self) -> EngineCacheStamp {
         let next = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
-        let stamp = SizeStamp(NonZeroU64::new(next).expect("stamp counter wrapped"));
+        let stamp = EngineCacheStamp(NonZeroU64::new(next).expect("stamp counter wrapped"));
         self.stamp.store(next, Ordering::Relaxed);
         stamp
     }
 
-    /// Whether this vector was stamped with `stamp` and no `&mut` call has
-    /// changed its values since. Another vector with the same values does
-    /// not have it.
-    pub fn has_stamp(&self, stamp: SizeStamp) -> bool {
+    /// For the sizing engine's table cache only: whether this vector was
+    /// stamped with `stamp` and no `&mut` call has changed its values
+    /// since. Another vector with the same values does not have it.
+    #[doc(hidden)]
+    pub fn has_engine_cache_stamp(&self, stamp: EngineCacheStamp) -> bool {
         self.stamp.load(Ordering::Relaxed) == stamp.0.get()
     }
 
@@ -325,21 +329,24 @@ mod tests {
         ];
         for mutate in mutations {
             let mut v = SizeVector::uniform(1, 1.0);
-            let stamp = v.restamp();
-            assert!(v.has_stamp(stamp));
+            let stamp = v.stamp_engine_cache();
+            assert!(v.has_engine_cache_stamp(stamp));
             mutate(&mut v);
-            assert!(!v.has_stamp(stamp));
+            assert!(!v.has_engine_cache_stamp(stamp));
         }
     }
 
     #[test]
     fn stamps_are_unique_and_not_part_of_the_value() {
         let v = SizeVector::new(vec![1.0, 2.5]);
-        let (first, second) = (v.restamp(), v.restamp());
+        let (first, second) = (v.stamp_engine_cache(), v.stamp_engine_cache());
         assert_ne!(first, second);
-        assert!(v.has_stamp(second) && !v.has_stamp(first));
+        assert!(v.has_engine_cache_stamp(second) && !v.has_engine_cache_stamp(first));
         let clone = v.clone();
-        assert!(!clone.has_stamp(second), "a clone starts unstamped");
+        assert!(
+            !clone.has_engine_cache_stamp(second),
+            "a clone starts unstamped"
+        );
         assert_eq!(clone, v);
         assert_eq!(format!("{v:?}"), "SizeVector { values: [1.0, 2.5] }");
         // The JSON form is a derive's over the values alone.
@@ -363,7 +370,7 @@ mod tests {
         );
         let decoded = SizeVector::deserialize_json(&serde::de::parse(&json).unwrap()).unwrap();
         assert_eq!(decoded, v);
-        assert!(!decoded.has_stamp(second));
+        assert!(!decoded.has_engine_cache_stamp(second));
         fn send_sync<T: Send + Sync>() {}
         send_sync::<SizeVector>();
     }

@@ -7,10 +7,11 @@
 //! the coupling set already hold — the adjacency, the kind and parameter
 //! columns the attributes are derived from, the per-wire coupling
 //! coefficient sums — are borrowed, not copied, and component indices are
-//! computed rather than stored. Nor is a table kept that can be derived:
-//! each node weight `λ_i` is summed from the edge multipliers where it is
-//! read, and whether the cached tables reflect a size vector is told by a
-//! stamp in the vector, not by a copy of it.
+//! computed rather than stored. Nor is a table kept that can be derived or
+//! that another buffer can hold: the node weights `λ_i` a solve reads live
+//! in the workspace's `delays` (which no solve reads), and whether the
+//! cached tables reflect a size vector is told by a stamp in the vector,
+//! not by a copy of it.
 //! Built once per [`SizingProblem`] (or circuit), it makes every evaluation the optimizer performs — coupling loads,
 //! downstream capacitances, weighted upstream resistances, timing, metrics,
 //! LRS sweeps — allocation-free after setup.
@@ -111,10 +112,6 @@ pub(crate) struct Rebuilds {
 /// Per-sweep immutable view of the Theorem-5 closed-form resize inputs,
 /// shared by the fused-pass closures (indexed by dense component).
 struct ResizeTables<'a> {
-    /// The topology, which sums a node weight `λ_i` from `edge_weights`.
-    topo: &'a CircuitTopology<'a>,
-    /// The multipliers' flat per-fanin-edge values.
-    edge_weights: &'a [f64],
     kind: &'a [NodeKind],
     /// The components' parameters: a wire's length, from which `attributes`
     /// derives its `r̂`, `ĉ` and `α` (a gate's are the technology's).
@@ -132,12 +129,18 @@ struct ResizeTables<'a> {
 
 impl ResizeTables<'_> {
     /// The Theorem-5 closed-form resize of one component — the per-component
-    /// arithmetic of the reference LRS sweep, expression for expression,
-    /// with the node weight `λ_i` summed from the edge multipliers here.
+    /// arithmetic of the reference LRS sweep, expression for expression.
     /// Returns `(x_new, relative_change)`. An empty `extra_denom` stands for
     /// a table of zeros: the term is added only when the table is filled.
     #[inline(always)]
-    fn closed_form(&self, comp: usize, x_i: f64, charged_i: f64, upstream_i: f64) -> (f64, f64) {
+    fn closed_form(
+        &self,
+        comp: usize,
+        x_i: f64,
+        charged_i: f64,
+        upstream_i: f64,
+        lambda_i: f64,
+    ) -> (f64, f64) {
         let coupling_sum = self.coupling_sum[comp];
         let kind = self.kind[comp];
         let node = self.first + comp;
@@ -160,7 +163,6 @@ impl ResizeTables<'_> {
         if !self.extra_denom.is_empty() {
             denominator += self.extra_denom[comp];
         }
-        let lambda_i = self.topo.node_weight(node, self.edge_weights);
         let numerator = lambda_i * rc.resistance * cap_num;
         let opt = if denominator > 0.0 && numerator > 0.0 {
             (numerator / denominator).sqrt()
@@ -224,8 +226,7 @@ impl<'t> BlockSchedule<'t> {
 impl FusedChunkCtx<'_> {
     /// The block-side resize of one node's component, called by the fused
     /// kernels the moment the node's fresh quantity is known: frozen-skip,
-    /// the Theorem-5 closed form (which sums the node weight, so a frozen
-    /// component costs no sum) and calm/freeze bookkeeping. Returns the
+    /// the Theorem-5 closed form and calm/freeze bookkeeping. Returns the
     /// new size (the old one when skipped), which the kernel writes back.
     #[inline(always)]
     fn resize(
@@ -235,13 +236,14 @@ impl FusedChunkCtx<'_> {
         x: f64,
         charged: f64,
         upstream: f64,
+        lambda: f64,
     ) -> f64 {
         let k = comp - block.first;
         if !self.resize_all && block.frozen[k] {
             return x;
         }
         block.stats.touched += 1;
-        let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream);
+        let (x_new, rel) = self.tables.closed_form(comp, x, charged, upstream, lambda);
         block.stats.worst = block.stats.worst.max(rel);
         ScheduleWorkspace::note_resize(
             &mut block.calm[k],
@@ -330,6 +332,8 @@ impl<'a> SizingEngine<'a> {
     }
 
     /// The scratch workspace (read access; the engine owns the mutation).
+    /// After an LRS solve its `delays` hold the solve's node weights until
+    /// the next [`timing`](Self::timing) evaluation.
     pub fn workspace(&self) -> &EvalWorkspace {
         &self.ws
     }
@@ -436,6 +440,17 @@ impl<'a> SizingEngine<'a> {
         }
     }
 
+    /// A2 aggregation of the node weights: fills `ws.delays` with the
+    /// node delay weights `λ_i` of `multipliers` (the sum of each node's
+    /// fanin-edge multipliers), once per LRS solve. The engine keeps no
+    /// table of its own for them: a solve reads the weights and never the
+    /// delays, and every [`timing`](Self::timing) evaluation rewrites the
+    /// delays before they are read, so until the next one the workspace's
+    /// `delays` hold these weights.
+    pub(crate) fn load_node_weights(&mut self, multipliers: &Multipliers<'_>) {
+        multipliers.node_weights_into(self.graph, &mut self.ws.delays);
+    }
+
     /// A2 aggregation for the extra constraint families: fills the dense
     /// `extra_denom` table with `Σ_f Σ_k μ_{f,k} · a_{f,k,i}` per component.
     /// Runs once per LRS solve (the multipliers are fixed within a solve)
@@ -491,13 +506,13 @@ impl<'a> SizingEngine<'a> {
         }
     }
 
-    /// Full λ-weighted upstream-resistance rebuild at `sizes`, each node
-    /// weight summed from the per-fanin-edge multipliers `edge_weights`:
-    /// the forward counterpart of
+    /// Full λ-weighted upstream-resistance rebuild at `sizes` (weights from
+    /// [`load_node_weights`](Self::load_node_weights)): the forward
+    /// counterpart of
     /// [`rebuild_downstream_caps`](Self::rebuild_downstream_caps).
-    fn rebuild_upstream(&mut self, sizes: &SizeVector, edge_weights: &[f64]) {
+    fn rebuild_upstream(&mut self, sizes: &SizeVector) {
         let (topo, ws) = (&self.topo, &mut self.ws);
-        let xs = sizes.as_slice();
+        let (xs, weights) = (sizes.as_slice(), &ws.delays[..]);
         for step in self.grid.steps(false) {
             let mut upstream = step.tiles(&mut ws.upstream, Space::Nodes);
             let blocks = step.blocks().map(|block| {
@@ -505,50 +520,40 @@ impl<'a> SizingEngine<'a> {
                 (upstream.next(&nodes), nodes)
             });
             self.par.run(blocks, |(upstream, nodes)| {
-                topo.upstream_resistance_chunk(nodes, xs, edge_weights, upstream);
+                topo.upstream_resistance_chunk(nodes, xs, weights, upstream);
             });
         }
     }
 
-    /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8) under
-    /// `multipliers`, which must [`match`](Multipliers::matches) the
-    /// graph: recompute the capacitances, coupling loads and weighted
-    /// upstream resistances at the current `sizes`, then apply the Theorem 5
-    /// closed-form resize to every component in topological order, updating
-    /// in place. Each node weight `λ_i` is summed from the edge multipliers
-    /// where it is read; the extra-family denominator must have been loaded
-    /// by [`load_extra_denominator`](Self::load_extra_denominator).
+    /// One greedy LRS coordinate sweep (steps S2–S4 of Figure 8): recompute
+    /// the capacitances, coupling loads and weighted upstream resistances at
+    /// the current `sizes`, then apply the Theorem 5 closed-form resize to
+    /// every component in topological order, updating in place.
     ///
-    /// Returns the largest relative size change of the sweep (the S5
-    /// convergence measure).
-    pub(crate) fn lrs_sweep(
-        &mut self,
-        sizes: &mut SizeVector,
-        multipliers: &Multipliers<'_>,
-    ) -> f64 {
+    /// The node weights must have been loaded by
+    /// [`load_node_weights`](Self::load_node_weights). Returns the largest
+    /// relative size change of the sweep (the S5 convergence measure).
+    pub(crate) fn lrs_sweep(&mut self, sizes: &mut SizeVector, beta: f64, gamma: f64) -> f64 {
         // The exact sweep rebuilds the cached tables at its own sizes and
         // then resizes in place, so the adaptive schedule's sync stamp no
         // longer describes them.
         self.sched.synced = None;
         self.sched.charged_fresh = false;
-        let edge_weights = multipliers.flat().1;
 
         // S2: downstream capacitances C_i with the coupling load included.
         self.refresh_coupling_load(sizes);
         self.rebuild_downstream_caps(sizes);
         // S3: λ-weighted upstream resistances R_i.
-        self.rebuild_upstream(sizes, edge_weights);
+        self.rebuild_upstream(sizes);
 
         // S4 + S5: the closed-form resize is component-separable (each
-        // component reads only the fixed charged/upstream tables, the
-        // multipliers and its own size), so flat chunks distribute it
-        // freely; the per-chunk maxima of the relative change (S5's
-        // convergence measure) merge in fixed chunk order. The per-component arithmetic is the reference
+        // component reads only the fixed charged/upstream/λ tables and its
+        // own size), so flat chunks distribute it freely; the per-chunk
+        // maxima of the relative change (S5's convergence measure) merge in
+        // fixed chunk order. The per-component arithmetic is the reference
         // sweep's, expression for expression, so the exact path stays
         // bitwise-pinned to `crate::reference` at any thread count.
         let tables = ResizeTables {
-            topo: &self.topo,
-            edge_weights,
             kind: self.topo.component_kinds(),
             param: &self.topo.attributes().params()[self.topo.component_nodes()],
             attributes: self.topo.attributes(),
@@ -556,14 +561,15 @@ impl<'a> SizingEngine<'a> {
             bounds: self.bounds,
             coupling_sum: self.coupling_sum,
             extra_denom: &self.extra_denom,
-            beta: multipliers.beta,
-            gamma: multipliers.gamma,
+            beta,
+            gamma,
         };
         // The tables from the first component on: the zips below stop at
         // the chunk's own sizes.
         let first = self.topo.component_nodes().start;
         let charged = &self.ws.charged[first..];
         let upstream = &self.ws.upstream[first..];
+        let lambda = &self.ws.delays[first..];
         let xs = sizes.as_mut_slice();
         assert_eq!(
             xs.len(),
@@ -573,10 +579,13 @@ impl<'a> SizingEngine<'a> {
         let chunks = par::flat_blocks(xs.len()).zip(xs.chunks_mut(par::CHUNK_NODES));
         let blocks = chunks.zip(self.block_stats.iter_mut());
         self.par.run(blocks, |((dense, xs), slot)| {
-            let inputs = charged[dense.start..].iter().zip(&upstream[dense.start..]);
+            let inputs = charged[dense.start..]
+                .iter()
+                .zip(&upstream[dense.start..])
+                .zip(&lambda[dense.start..]);
             let mut worst = 0.0f64;
-            for ((comp, x), (&charged, &upstream)) in dense.zip(xs).zip(inputs) {
-                let (x_new, rel) = tables.closed_form(comp, *x, charged, upstream);
+            for ((comp, x), ((&charged, &upstream), &lambda)) in dense.zip(xs).zip(inputs) {
+                let (x_new, rel) = tables.closed_form(comp, *x, charged, upstream, lambda);
                 *x = x_new;
                 worst = worst.max(rel);
             }
@@ -602,7 +611,7 @@ impl<'a> SizingEngine<'a> {
     /// Records that `ws.extra_cap`/`ws.charged`/`ws.presented` reflect
     /// `sizes` exactly: stamps `sizes` and keeps the stamp, not a copy.
     fn note_caps_synced(&mut self, sizes: &SizeVector) {
-        self.sched.synced = Some(sizes.restamp());
+        self.sched.synced = Some(sizes.stamp_engine_cache());
         self.sched.charged_fresh = false;
     }
 
@@ -673,12 +682,13 @@ impl<'a> SizingEngine<'a> {
     pub(crate) fn fused_forward_sweep(
         &mut self,
         sizes: &mut SizeVector,
-        multipliers: &Multipliers<'_>,
+        beta: f64,
+        gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
     ) -> (f64, usize) {
         self.ensure_charged_fresh(sizes);
-        self.fused_sweep(sizes, multipliers, schedule, resize_all, false)
+        self.fused_sweep(sizes, beta, gamma, schedule, resize_all, false)
     }
 
     /// One backward fused Gauss–Seidel pass
@@ -693,7 +703,8 @@ impl<'a> SizingEngine<'a> {
     pub(crate) fn fused_backward_sweep(
         &mut self,
         sizes: &mut SizeVector,
-        multipliers: &Multipliers<'_>,
+        beta: f64,
+        gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
     ) -> (f64, usize) {
@@ -701,13 +712,13 @@ impl<'a> SizingEngine<'a> {
         // tables reflect `sizes` until the pass resizes something.
         self.refresh_coupling_load(sizes);
         self.note_caps_synced(sizes);
-        self.fused_sweep(sizes, multipliers, schedule, resize_all, true)
+        self.fused_sweep(sizes, beta, gamma, schedule, resize_all, true)
     }
 
     /// One fused Gauss–Seidel pass over the block grid, `backward` or
-    /// forward, under `multipliers` (which must
-    /// [`match`](Multipliers::matches) the graph). The caller has already
-    /// prepared the pass's fixed-side caches.
+    /// forward. The caller has already prepared the pass's fixed-side
+    /// caches, and the node weights have been loaded by
+    /// [`load_node_weights`](Self::load_node_weights).
     ///
     /// Determinism: block boundaries come from the fixed grid; per-node
     /// arithmetic reads only settled neighbor levels; the calm/frozen
@@ -718,7 +729,8 @@ impl<'a> SizingEngine<'a> {
     fn fused_sweep(
         &mut self,
         sizes: &mut SizeVector,
-        multipliers: &Multipliers<'_>,
+        beta: f64,
+        gamma: f64,
         schedule: &AdaptiveSchedule,
         resize_all: bool,
         backward: bool,
@@ -727,12 +739,9 @@ impl<'a> SizingEngine<'a> {
         // writes `sizes` through `&mut`, which drops its stamp, so one
         // that moves nothing stamps them again below.
         let current = self.sched.tables_current(sizes);
-        let edge_weights = multipliers.flat().1;
         let topo = &self.topo;
         let ctx = FusedChunkCtx {
             tables: ResizeTables {
-                topo,
-                edge_weights,
                 kind: topo.component_kinds(),
                 param: &topo.attributes().params()[topo.component_nodes()],
                 attributes: topo.attributes(),
@@ -740,8 +749,8 @@ impl<'a> SizingEngine<'a> {
                 bounds: self.bounds,
                 coupling_sum: self.coupling_sum,
                 extra_denom: &self.extra_denom,
-                beta: multipliers.beta,
-                gamma: multipliers.gamma,
+                beta,
+                gamma,
             },
             schedule,
             resize_all,
@@ -752,10 +761,13 @@ impl<'a> SizingEngine<'a> {
             presented,
             upstream,
             extra_cap,
+            delays,
             ..
         } = &mut self.ws;
         let (sched, par, grid) = (&mut self.sched, &self.par, &self.grid);
         let block_stats = &mut self.block_stats;
+        // The node weights `load_node_weights` put in the delay buffer.
+        let weights: &[f64] = delays;
         for step in grid.steps(backward) {
             let mut xs = step.tiles(sizes.as_mut_slice(), comps);
             let mut calm = step.tiles(&mut sched.calm, comps);
@@ -788,7 +800,14 @@ impl<'a> SizingEngine<'a> {
                         let comps = comps.range(&block.nodes());
                         let mut state = BlockSchedule::new(&mut calm, &mut frozen, comps);
                         let mut resize = |comp: usize, node: usize, charged_i: f64, x_i: f64| {
-                            ctx.resize(&mut state, comp, x_i, charged_i, upstream[node])
+                            ctx.resize(
+                                &mut state,
+                                comp,
+                                x_i,
+                                charged_i,
+                                upstream[node],
+                                weights[node],
+                            )
                         };
                         topo.fused_downstream_chunk(
                             block.bounds,
@@ -814,12 +833,19 @@ impl<'a> SizingEngine<'a> {
                         let comps = comps.range(&block.nodes());
                         let mut state = BlockSchedule::new(&mut calm, &mut frozen, comps);
                         let mut resize = |comp: usize, node: usize, upstream_i: f64, x_i: f64| {
-                            ctx.resize(&mut state, comp, x_i, charged[node], upstream_i)
+                            ctx.resize(
+                                &mut state,
+                                comp,
+                                x_i,
+                                charged[node],
+                                upstream_i,
+                                weights[node],
+                            )
                         };
                         topo.fused_upstream_chunk(
                             block.nodes(),
                             xs,
-                            edge_weights,
+                            weights,
                             upstream,
                             &mut resize,
                         );
@@ -847,7 +873,7 @@ impl<'a> SizingEngine<'a> {
         if worst > 0.0 {
             sched.synced = None;
         } else if current {
-            sched.synced = Some(sizes.restamp());
+            sched.synced = Some(sizes.stamp_engine_cache());
         }
         sched.charged_fresh = backward;
         sched.count_frozen();
@@ -1177,24 +1203,18 @@ mod tests {
         (graph, coupling)
     }
 
-    /// A three-worker engine and a sequential engine.
+    /// A three-worker engine and a sequential engine fed the same state.
     fn engine_pair<'a>(
         graph: &'a CircuitGraph,
         coupling: &'a CouplingSet,
     ) -> (SizingEngine<'a>, SizingEngine<'a>) {
-        let sequential = SizingEngine::new(graph, coupling);
+        let multipliers = Multipliers::uniform(graph, 0.05, 0.0);
+        let mut sequential = SizingEngine::new(graph, coupling);
         let mut level = SizingEngine::new(graph, coupling);
         level.set_parallel(ParallelPolicy::threads(3));
+        sequential.load_node_weights(&multipliers);
+        level.load_node_weights(&multipliers);
         (sequential, level)
-    }
-
-    /// The multipliers the sweep tests resize under: every edge at 0.05,
-    /// `β = 0.2`, `γ = 0.1`.
-    fn sweep_multipliers(graph: &CircuitGraph) -> Multipliers<'_> {
-        let mut multipliers = Multipliers::uniform(graph, 0.05, 0.0);
-        multipliers.beta = 0.2;
-        multipliers.gamma = 0.1;
-        multipliers
     }
 
     /// Three workers split the wide levels of the grid the sequential
@@ -1204,11 +1224,10 @@ mod tests {
     fn level_policy_sweep_and_timing_match_the_sequential_path_bitwise() {
         let (graph, coupling) = wide();
         let (mut sequential, mut level) = engine_pair(&graph, &coupling);
-        let multipliers = sweep_multipliers(&graph);
         let mut seq_sizes = graph.uniform_sizes(1.3);
         let mut level_sizes = seq_sizes.clone();
-        let seq_worst = sequential.lrs_sweep(&mut seq_sizes, &multipliers);
-        let level_worst = level.lrs_sweep(&mut level_sizes, &multipliers);
+        let seq_worst = sequential.lrs_sweep(&mut seq_sizes, 0.2, 0.1);
+        let level_worst = level.lrs_sweep(&mut level_sizes, 0.2, 0.1);
         assert_eq!(seq_worst, level_worst);
         assert_eq!(seq_sizes, level_sizes);
 
@@ -1228,7 +1247,6 @@ mod tests {
     fn level_policy_fused_sweeps_match_the_sequential_passes_bitwise() {
         let (graph, coupling) = wide();
         let (mut sequential, mut level) = engine_pair(&graph, &coupling);
-        let multipliers = sweep_multipliers(&graph);
         let schedule = AdaptiveSchedule::default();
         let mut seq_sizes = graph.uniform_sizes(1.0);
         let mut level_sizes = seq_sizes.clone();
@@ -1239,9 +1257,9 @@ mod tests {
         for backward in [false, true, false] {
             let sweep = |engine: &mut SizingEngine<'_>, sizes: &mut SizeVector| {
                 if backward {
-                    engine.fused_backward_sweep(sizes, &multipliers, &schedule, false)
+                    engine.fused_backward_sweep(sizes, 0.2, 0.1, &schedule, false)
                 } else {
-                    engine.fused_forward_sweep(sizes, &multipliers, &schedule, false)
+                    engine.fused_forward_sweep(sizes, 0.2, 0.1, &schedule, false)
                 }
             };
             let seq_stats = sweep(&mut sequential, &mut seq_sizes);
@@ -1313,11 +1331,11 @@ mod tests {
     fn timing_rebuilds_after_a_pass_that_moved_even_when_the_sizes_return() {
         let (graph, coupling) = setup();
         let mut engine = SizingEngine::new(&graph, &coupling);
-        let multipliers = sweep_multipliers(&graph);
+        engine.load_node_weights(&Multipliers::uniform(&graph, 0.05, 0.0));
         let start = graph.uniform_sizes(1.2);
         let mut sizes = start.clone();
         let schedule = AdaptiveSchedule::default();
-        engine.fused_backward_sweep(&mut sizes, &multipliers, &schedule, true);
+        engine.fused_backward_sweep(&mut sizes, 0.2, 0.1, &schedule, true);
         assert_ne!(sizes, start, "the pass must resize something");
         let mut fresh = SizingEngine::new(&graph, &coupling);
         let a = engine.timing(&start);
@@ -1420,7 +1438,7 @@ mod tests {
     #[test]
     fn rebuild_skips_fire_without_a_copy_of_the_sizes() {
         let (graph, coupling) = setup();
-        let multipliers = sweep_multipliers(&graph);
+        let multipliers = Multipliers::uniform(&graph, 0.05, 0.0);
         let schedule = AdaptiveSchedule::default();
         let mut engine = SizingEngine::new(&graph, &coupling);
         let mut sizes = graph.uniform_sizes(1.1);
@@ -1437,7 +1455,10 @@ mod tests {
         assert_timing_is_the_reference(&mut engine, &coupling, &sizes, "again");
         assert_eq!(engine.rebuilds, once, "timing twice at the same sizes");
 
-        let (worst, _) = engine.fused_forward_sweep(&mut sizes, &multipliers, &schedule, true);
+        // The timing evaluations overwrote the weights in the delay
+        // buffer; a solve loads them before its first pass.
+        engine.load_node_weights(&multipliers);
+        let (worst, _) = engine.fused_forward_sweep(&mut sizes, 0.2, 0.1, &schedule, true);
         assert!(worst > 0.0, "the forward pass must resize something");
         assert_eq!(engine.rebuilds, once, "a forward pass right after timing");
 
@@ -1445,8 +1466,7 @@ mod tests {
         // and resizes nothing, so its tables stay current.
         engine.sched.frozen.fill(true);
         engine.sched.count_frozen();
-        let (worst, touched) =
-            engine.fused_backward_sweep(&mut sizes, &multipliers, &schedule, false);
+        let (worst, touched) = engine.fused_backward_sweep(&mut sizes, 0.2, 0.1, &schedule, false);
         assert_eq!((worst, touched), (0.0, 0));
         let after_pass = engine.rebuilds;
         assert_eq!(after_pass.coupling, once.coupling + 1);

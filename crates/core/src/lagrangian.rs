@@ -23,7 +23,7 @@ use crate::problem::SizingProblem;
 /// Edge multipliers are stored in one flat CSR-style array parallel to the
 /// concatenation of every node's fanin list (`offsets[i]..offsets[i+1]` are
 /// node `i`'s slots), so the per-iteration multiplier walks — node-weight
-/// sums, subgradient bumps, flow projection — run over contiguous
+/// aggregation, subgradient bumps, flow projection — run over contiguous
 /// memory instead of one heap allocation per node; extra blocks are stored
 /// parallel to the constraint set's families.
 ///
@@ -228,12 +228,24 @@ impl<'g> Multipliers<'g> {
     }
 
     /// The node delay weights for every node, indexed by raw node index.
-    /// The sizing engine keeps no such table: its kernels sum each weight
-    /// from the edge multipliers where they read it
-    /// ([`CircuitTopology::node_weight`](ncgws_circuit::CircuitTopology::node_weight)),
-    /// with the same bits.
     pub fn node_weights(&self, graph: &CircuitGraph) -> Vec<f64> {
         graph.node_ids().map(|id| self.node_weight(id)).collect()
+    }
+
+    /// Fills `out` (one slot per raw node index) with the node delay weights
+    /// without allocating — the hot-loop variant of
+    /// [`node_weights`](Self::node_weights).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds when `out` has the wrong length.
+    pub fn node_weights_into(&self, graph: &CircuitGraph, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), graph.num_nodes());
+        debug_assert_eq!(out.len() + 1, self.offsets.len());
+        for (i, weight) in out.iter_mut().enumerate() {
+            let range = self.offsets[i] as usize..self.offsets[i + 1] as usize;
+            *weight = self.values[range].iter().sum();
+        }
     }
 
     /// The sum of the multipliers on the sink's fanin edges,

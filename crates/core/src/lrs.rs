@@ -109,10 +109,9 @@ impl LrsSolver {
         sizes: &mut SizeVector,
         control: &RunControl<'_>,
     ) -> LrsStats {
-        // A2 aggregation: the extra-family denominator contributions, once
-        // per solve. The node weights λ_i are summed from the edge
-        // multipliers where the sweeps read them.
-        debug_assert!(multipliers.matches(engine.graph()));
+        // A2 aggregation: node weights λ_i and the extra-family denominator
+        // contributions, once per solve.
+        engine.load_node_weights(multipliers);
         engine.load_extra_denominator(extras, multipliers);
         // S1: start at the lower bounds.
         engine.reset_to_lower_bounds(sizes);
@@ -125,7 +124,7 @@ impl LrsSolver {
             }
             sweeps += 1;
             // S2–S4 in the engine; S5: repeat until no improvement.
-            let delta = engine.lrs_sweep(sizes, multipliers);
+            let delta = engine.lrs_sweep(sizes, multipliers.beta, multipliers.gamma);
             if delta <= self.tolerance {
                 converged = true;
                 break;
@@ -165,9 +164,11 @@ impl LrsSolver {
     ) -> ScheduledStats {
         // A2 aggregation, exactly as the exact path. S1 is the warm start:
         // the solve begins at the incoming `sizes`.
-        debug_assert!(multipliers.matches(engine.graph()));
+        engine.load_node_weights(multipliers);
         engine.load_extra_denominator(extras, multipliers);
 
+        let beta = multipliers.beta;
+        let gamma = multipliers.gamma;
         let mut sweeps = 0;
         let mut full_sweeps = 0;
         let mut touched_components = 0;
@@ -197,9 +198,9 @@ impl LrsSolver {
             // traversal and both sides of the closed form stay at most one
             // half-sweep stale.
             let (worst, touched) = if !sweeps.is_multiple_of(2) {
-                engine.fused_forward_sweep(sizes, multipliers, schedule, verify)
+                engine.fused_forward_sweep(sizes, beta, gamma, schedule, verify)
             } else {
-                engine.fused_backward_sweep(sizes, multipliers, schedule, verify)
+                engine.fused_backward_sweep(sizes, beta, gamma, schedule, verify)
             };
             touched_components += touched;
             if worst <= self.tolerance {

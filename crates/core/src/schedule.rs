@@ -45,7 +45,7 @@
 //! identical across thread counts (the `thread_determinism` integration
 //! tests pin this, including the exact path's reference pinning).
 
-use ncgws_circuit::{SizeStamp, SizeVector};
+use ncgws_circuit::{EngineCacheStamp, SizeVector};
 use serde::de::{Error, Fields, Value};
 use serde::{Deserialize, Serialize};
 
@@ -235,7 +235,7 @@ impl ScheduleState {
 
 /// Per-engine mutable state of the adaptive schedule: the per-component
 /// frozen flags and their count, calm-streak counters, and the
-/// [`SizeStamp`] of the sizes the cached electrical tables currently
+/// `EngineCacheStamp` of the sizes the cached electrical tables currently
 /// reflect (no copy of those sizes). A component is active exactly when it
 /// is not frozen, so the active set is empty exactly when
 /// `num_frozen == frozen.len()`.
@@ -253,7 +253,7 @@ pub(crate) struct ScheduleWorkspace {
     /// a stamped vector's at all. Cleared by every pass that resizes a
     /// component: a `SizeVector` loses its stamp on any `&mut` call, so a
     /// vector that still carries this one holds exactly those sizes.
-    pub(crate) synced: Option<SizeStamp>,
+    pub(crate) synced: Option<EngineCacheStamp>,
     /// Set after a backward fused Gauss–Seidel sweep: `charged`/`presented`
     /// already carry the *current* sizes' own capacitances (the pass
     /// maintains them through every resize), so the forward pass that
@@ -290,7 +290,8 @@ impl ScheduleWorkspace {
     /// same values but another stamp reads as not current, which costs
     /// only a rebuild.
     pub(crate) fn tables_current(&self, sizes: &SizeVector) -> bool {
-        self.synced.is_some_and(|stamp| sizes.has_stamp(stamp))
+        self.synced
+            .is_some_and(|stamp| sizes.has_engine_cache_stamp(stamp))
     }
 
     /// Calm-streak bookkeeping after one component resize, on the
@@ -422,7 +423,7 @@ mod tests {
         ws.num_frozen = 1;
         ws.calm[1] = 7;
         ws.global_sweep = 42;
-        ws.synced = Some(SizeVector::uniform(4, 1.0).restamp());
+        ws.synced = Some(SizeVector::uniform(4, 1.0).stamp_engine_cache());
         ws.charged_fresh = true;
         ws.reset();
         assert!(ws.synced.is_none());

@@ -19,8 +19,8 @@
 //!   upstream resistances of the plain and the fused forward kernel are
 //!   bitwise the `ElmoreAnalyzer`'s, and the exact LRS solve is bitwise
 //!   `ncgws_core::reference`'s;
-//! * no table of node weights is kept: a kernel sums each `λ_i` over the
-//!   node's fanin range of the edge multipliers where it reads it. For the
+//! * the engine keeps no table of node weights: a solve sums each `λ_i`
+//!   from the edge multipliers into the workspace's delay buffer. For the
 //!   source, which has no fanin, and for `-0.0` and subnormal multipliers,
 //!   the sums are `Multipliers::node_weights`' bit for bit, and so are the
 //!   forward kernels' tables and the exact LRS solve.
@@ -324,25 +324,22 @@ fn fanin_overrides() -> (CircuitGraph, CircuitGraph, [NodeId; 3]) {
     (decoded, built, [driver, gate, wire])
 }
 
-/// Asserts that the forward kernels, fed the flat edge multipliers of
-/// `multipliers`, give `ElmoreAnalyzer::weighted_upstream_resistance` fed
-/// `Multipliers::node_weights` bitwise: the plain kernel's table, and a
-/// resizing fused pass's table and sizes.
+/// Asserts that the forward kernels and
+/// `ElmoreAnalyzer::weighted_upstream_resistance`, fed the
+/// `Multipliers::node_weights` of `multipliers`, agree bitwise: the plain
+/// kernel's table, and a resizing fused pass's table and sizes.
 fn assert_forward_kernels_match(graph: &CircuitGraph, multipliers: &Multipliers<'_>) {
     let topo = CircuitTopology::new(graph);
     let analyzer = ElmoreAnalyzer::new(graph);
     let n = graph.num_nodes();
-    let (edges, weights) = (multipliers.flat().1, multipliers.node_weights(graph));
-    for (idx, weight) in weights.iter().enumerate() {
-        assert_eq!(topo.node_weight(idx, edges).to_bits(), weight.to_bits());
-    }
+    let weights = multipliers.node_weights(graph);
     for sizes in [graph.uniform_sizes(1.0), varied(graph)] {
         let expected = analyzer.weighted_upstream_resistance(&sizes, &weights);
         let mut ws = EvalWorkspace::new(&topo);
         topo.upstream_resistance_chunk(
             0..n,
             sizes.as_slice(),
-            edges,
+            &weights,
             Tile::whole(&mut ws.upstream),
         );
         assert_eq!(bits(&ws.upstream), bits(&expected));
@@ -356,7 +353,7 @@ fn assert_forward_kernels_match(graph: &CircuitGraph, multipliers: &Multipliers<
         topo.fused_upstream_chunk(
             0..n,
             Tile::whole(xs.as_mut_slice()),
-            edges,
+            &weights,
             Tile::whole(&mut upstream),
             &mut { resize },
         );
@@ -371,7 +368,8 @@ fn assert_forward_kernels_match(graph: &CircuitGraph, multipliers: &Multipliers<
 
 /// Asserts that the exact LRS solve under `multipliers`, whose sweeps
 /// rebuild the upstream table at every iterate, is the reference's at one
-/// thread and at two.
+/// thread and at two, and that the node weights it summed into the
+/// workspace's delay buffer are `Multipliers::node_weights`'.
 fn assert_exact_lrs_matches_reference(graph: &CircuitGraph, multipliers: &Multipliers<'_>) {
     let coupling = CouplingSet::empty(graph);
     let bounds = ConstraintBounds {
@@ -381,6 +379,7 @@ fn assert_exact_lrs_matches_reference(graph: &CircuitGraph, multipliers: &Multip
     };
     let problem = SizingProblem::new(graph, &coupling, bounds).unwrap();
     let naive = reference::lrs_solve(&problem, multipliers, 30, 1e-9);
+    let weights = multipliers.node_weights(graph);
     for policy in [ParallelPolicy::threads(1), ParallelPolicy::threads(2)] {
         let mut engine = SizingEngine::for_problem(&problem);
         engine.set_parallel(policy);
@@ -397,6 +396,7 @@ fn assert_exact_lrs_matches_reference(graph: &CircuitGraph, multipliers: &Multip
             bits(naive.sizes.as_slice()),
             "{policy:?}"
         );
+        assert_eq!(bits(&engine.workspace().delays), bits(&weights));
     }
 }
 
@@ -429,10 +429,11 @@ fn forward_kernels_derive_overridden_fanin_resistances_as_the_reference_does() {
     assert_exact_lrs_matches_reference(&graph, &Multipliers::uniform(&graph, 0.05, 0.0));
 }
 
-/// The kernels sum each node weight `λ_i` from the edge multipliers where
-/// they read it. The sums are `Multipliers::node_weights`' bit for bit,
-/// for the source, which has no fanin, and for edge values that are `-0.0`
-/// or subnormal, on a graph with attribute overrides.
+/// A solve sums each node weight `λ_i` from the edge multipliers into the
+/// delay buffer. The sums are `Multipliers::node_weights`' bit for bit, for
+/// the source, which has no fanin, and for edge values that are `-0.0` or
+/// subnormal, on a graph with attribute overrides, and so are the forward
+/// kernels' tables and the exact LRS solve.
 #[test]
 fn derived_node_weights_match_the_multipliers_sums_bitwise() {
     let (graph, _, _) = fanin_overrides();

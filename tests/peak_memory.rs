@@ -162,9 +162,9 @@ const GRAPH_BYTES_PER_NODE: usize = 42;
 /// (`SizingEngine::memory_bytes` over the node count), recorded on this
 /// workload (53) with 10% on top. The engine keeps the evaluation
 /// workspace's per-node tables and the schedule's per-component freeze
-/// state, and nothing per fanin edge: no node-weight table (the kernels
-/// sum each weight from the edge multipliers) and no copy of the sizes
-/// (the schedule keeps a stamp). A per-node or per-edge copy of a table
+/// state, and nothing per fanin edge: no node-weight table (a solve sums
+/// the weights into the delay buffer) and no copy of the sizes (the
+/// schedule keeps a stamp). A per-node or per-edge copy of a table
 /// the graph, the coupling set, the multipliers or the sizes already hold
 /// breaks it.
 const ENGINE_BYTES_PER_NODE: usize = 58;
